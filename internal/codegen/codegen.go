@@ -196,7 +196,7 @@ func KernelProgram(t *oim.Tensor, kind kernel.Kind, scale int) (*Program, error)
 			sink.Exec(p.InstPerCycle - padLoads*ops - 5.2*ops)
 		}
 	case kernel.NU, kernel.PSU:
-		p.DataBytes = liBytes + loBytes + int64(4*len(sw.SCoord)+4*len(sw.RCoord)+4*len(sw.NPayload))
+		p.DataBytes = liBytes + loBytes + int64(4*len(opt.SCoord)+4*len(sw.RCoord)+4*len(sw.NPayload))
 		group := int64(nuGroupBytes)
 		if kind == kernel.PSU {
 			group = psuGroupBytes
@@ -248,7 +248,7 @@ func KernelProgram(t *oim.Tensor, kind kernel.Kind, scale int) (*Program, error)
 				}
 			}
 		}
-		p.DataBytes = liBytes + loBytes + int64(4*len(sw.SCoord)+4*len(sw.RCoord))
+		p.DataBytes = liBytes + loBytes + int64(4*len(opt.SCoord)+4*len(sw.RCoord))
 		p.TextBytes = runtimeBytes + segments*iuSegmentBytes
 		p.FullTextBytes = p.TextBytes
 		segFetch := int64(iuSegmentBytes) / sc

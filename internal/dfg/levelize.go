@@ -1,6 +1,10 @@
 package dfg
 
-import "fmt"
+import (
+	"fmt"
+
+	"rteaal/internal/wire"
+)
 
 // Levelized is the result of slicing a dataflow graph into layers (§4.2):
 // every operation in layer i depends only on sources (registers, inputs,
@@ -10,11 +14,21 @@ import "fmt"
 // layer-input tensor LI, so a value produced in layer p and consumed in
 // layer c simply stays at its coordinate instead of being copied through
 // c-p-1 identity operations.
+//
+// The same assignment elides the write-back: inside a layer, operations are
+// numbered grouped by N coordinate, so the swizzled [I,N,S,O,R] traversal
+// visits S in ascending, consecutive order and the k-th output of a layer
+// already is its LI coordinate (see oim.Swizzled).
 type Levelized struct {
 	G         *Graph
 	NumLayers int
-	// Layers lists the operation nodes of each layer, in a deterministic
-	// order (ascending NodeID).
+	// OpTable is the N rank: every (operation, arity) signature occurring
+	// in the graph, ascending by operation then arity. It is the one
+	// ordering key both the coordinate assignment and the OIM lowerings use.
+	OpTable []OpSig
+	// Layers lists the operation nodes of each layer grouped by N
+	// coordinate (OpTable order), ascending NodeID inside a group. Slots
+	// ascend consecutively along each layer and from one layer to the next.
 	Layers [][]NodeID
 	// LevelOf maps every node to its layer; sources are -1.
 	LevelOf []int32
@@ -38,6 +52,17 @@ type Levelized struct {
 	EffectualOps int64
 	IdentityOps  int64
 }
+
+// OpSig is one coordinate of the N rank: an operation kind together with its
+// operand count. Variable-arity operations (mux chains) get one N coordinate
+// per occurring arity, which keeps the paper's invariant that the operation
+// type determines the occupancy of the O-rank fiber (§5.1).
+type OpSig struct {
+	Op    wire.Op
+	Arity uint8
+}
+
+func (s OpSig) String() string { return fmt.Sprintf("%v/%d", s.Op, s.Arity) }
 
 // SlotInit is a preloaded LI coordinate.
 type SlotInit struct {
@@ -84,18 +109,59 @@ func Levelize(g *Graph) (*Levelized, error) {
 		}
 	}
 	lv.NumLayers = int(maxLayer + 1)
-	lv.Layers = make([][]NodeID, lv.NumLayers)
+
+	// N coordinates: the occurring signatures, ascending. nOf maps a
+	// signature's (op, arity) key to its OpTable index.
+	nOf := make([]int32, int(wire.NumOps)<<8)
+	for id := range g.Nodes {
+		if nd := &g.Nodes[id]; nd.Kind == KindOp {
+			if len(nd.Args) < 1 || len(nd.Args) > 255 {
+				return nil, fmt.Errorf("dfg: node %d (%s): unsupported arity %d", id, nd.Name, len(nd.Args))
+			}
+			nOf[int(nd.Op)<<8|len(nd.Args)] = 1
+		}
+	}
+	for key, present := range nOf {
+		if present != 0 {
+			nOf[key] = int32(len(lv.OpTable))
+			lv.OpTable = append(lv.OpTable, OpSig{Op: wire.Op(key >> 8), Arity: uint8(key)})
+		}
+	}
+
+	// Layers: one stable counting sort of the operations by (layer, N
+	// coordinate), so the cost stays linear in the graph.
+	numSigs := len(lv.OpTable)
+	groupOf := func(id int) int {
+		nd := &g.Nodes[id]
+		return int(lv.LevelOf[id])*numSigs + int(nOf[int(nd.Op)<<8|len(nd.Args)])
+	}
+	start := make([]int32, lv.NumLayers*numSigs+1)
 	for id := range g.Nodes {
 		if g.Nodes[id].Kind == KindOp {
-			l := lv.LevelOf[id]
-			lv.Layers[l] = append(lv.Layers[l], NodeID(id))
+			start[groupOf(id)+1]++
+		}
+	}
+	for i := 1; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	lv.Layers = make([][]NodeID, lv.NumLayers)
+	order := make([]NodeID, start[len(start)-1])
+	for l := range lv.Layers {
+		lv.Layers[l] = order[start[l*numSigs]:start[(l+1)*numSigs]:start[(l+1)*numSigs]]
+	}
+	for id := range g.Nodes {
+		if g.Nodes[id].Kind == KindOp {
+			grp := groupOf(id)
+			order[start[grp]] = NodeID(id)
+			start[grp]++
 		}
 	}
 
 	// Coordinate assignment: sources first (registers, then inputs, then
 	// constants, each in declaration order), then operations layer by
-	// layer. The ordering is what makes register commits, testbench pokes,
-	// and OIM generation deterministic.
+	// layer in Layers order. The ordering is what makes register commits,
+	// testbench pokes, and OIM generation deterministic, and what lets the
+	// swizzled kernels write a run of results straight to LI.
 	slot := int32(0)
 	assigned := make([]bool, n)
 	assign := func(id NodeID) {

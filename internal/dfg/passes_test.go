@@ -332,5 +332,31 @@ func TestLevelizeProperties(t *testing.T) {
 		if int64(sum) != lv.EffectualOps {
 			t.Fatalf("layer sizes sum %d != effectual %d", sum, lv.EffectualOps)
 		}
+		// The N rank ascends by (op, arity), and the layers, read one after
+		// the other, are grouped by it with consecutive ascending slots.
+		for i := 1; i < len(lv.OpTable); i++ {
+			a, b := lv.OpTable[i-1], lv.OpTable[i]
+			if a.Op > b.Op || (a.Op == b.Op && a.Arity >= b.Arity) {
+				t.Fatalf("OpTable not ascending at %d: %v then %v", i, a, b)
+			}
+		}
+		next := int32(len(g.Nodes)) - int32(lv.EffectualOps)
+		for l, layer := range lv.Layers {
+			n := 0
+			for _, id := range layer {
+				nd := &g.Nodes[id]
+				sig := OpSig{Op: nd.Op, Arity: uint8(len(nd.Args))}
+				for n < len(lv.OpTable) && lv.OpTable[n] != sig {
+					n++
+				}
+				if n == len(lv.OpTable) {
+					t.Fatalf("layer %d: node %d (%v) breaks the N-coordinate grouping", l, id, sig)
+				}
+				if lv.Slot[id] != next {
+					t.Fatalf("layer %d: node %d has slot %d, want %d", l, id, lv.Slot[id], next)
+				}
+				next++
+			}
+		}
 	}
 }

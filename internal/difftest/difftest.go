@@ -1,6 +1,6 @@
 // Package difftest is the reusable cross-engine differential-testing
 // harness: it runs one design through every execution engine shape the
-// repository ships — scalar PSU/TI sessions, RepCut-partitioned sessions,
+// repository ships — scalar NU/PSU/IU/TI sessions, RepCut-partitioned sessions,
 // the fused batch schedule, the bit-packed batch schedule (sequential and
 // lane-sharded), the wide lane-sharded parallel batch, and the
 // pre-schedule scalar batch loop (StepReference) — and reports the first
@@ -155,6 +155,14 @@ func NewMatrix(g *dfg.Graph, lanes int) (*Matrix, error) {
 		return nil, err
 	}
 	if err = session("session/TI", sim.WithKernel(sim.TI)); err != nil {
+		return nil, err
+	}
+	// NU and IU share PSU's run-length group runner but walk the format
+	// their own way (rolled loops; the run list without NPayload).
+	if err = session("session/NU", sim.WithKernel(sim.NU)); err != nil {
+		return nil, err
+	}
+	if err = session("session/IU", sim.WithKernel(sim.IU)); err != nil {
 		return nil, err
 	}
 	if err = session("partitioned/n=2", sim.WithPartitions(2)); err != nil {

@@ -8,6 +8,8 @@ import (
 
 	"rteaal/internal/dfg"
 	"rteaal/internal/faultinject"
+	"rteaal/internal/oim"
+	"rteaal/internal/wire"
 )
 
 // TestMatrixAgrees: clean engines over every profile must stay bit-exact.
@@ -263,5 +265,74 @@ func TestShrinkPreservesInput(t *testing.T) {
 		if c.Graph.Nodes[i].Kind != kinds[i] {
 			t.Fatalf("Shrink mutated node %d of the input graph", i)
 		}
+	}
+}
+
+// inlinedAtRunBoundary reports whether some layer of the case's optimised
+// tensor has a Bits, Cat or Mux operation as the last of one run directly
+// followed by another of those as the first of the next run. On a tensor
+// from oim.Build a run ends exactly where the operation type changes.
+func inlinedAtRunBoundary(t *testing.T, c *Case) bool {
+	t.Helper()
+	opt, err := dfg.Optimize(c.Graph, dfg.DefaultOptOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lv, err := dfg.Levelize(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ten, err := oim.Build(lv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inlined := func(op oim.Op) bool {
+		switch ten.OpTable[op.Sig].Op {
+		case wire.Bits, wire.Cat, wire.Mux:
+			return true
+		}
+		return false
+	}
+	for _, layer := range ten.Layers {
+		for k := 1; k < len(layer); k++ {
+			if layer[k].Sig != layer[k-1].Sig && inlined(layer[k-1]) && inlined(layer[k]) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestInlinedOpsAtRunBoundaries: the swizzled kernels write run k's results
+// at LI[first+k] with Bits, Cat and Mux evaluated inline; an off-by-one in
+// that index would only show where one of their runs meets the next. Each
+// of the profiles that emit them must produce such a meeting, and the full
+// matrix (NU, PSU and IU legs included) must stay bit-exact on it, stepped
+// and in bulk.
+func TestInlinedOpsAtRunBoundaries(t *testing.T) {
+	want := map[string]bool{"wide64": true, "shiftcat": true, "muxchain": true}
+	for _, prof := range Profiles() {
+		if !want[prof.Name] {
+			continue
+		}
+		prof := prof
+		t.Run(prof.Name, func(t *testing.T) {
+			t.Parallel()
+			var c *Case
+			for seed := int64(1); seed <= 32 && c == nil; seed++ {
+				if cand := NewCase(seed, prof, 12, 2); inlinedAtRunBoundary(t, cand) {
+					c = cand
+				}
+			}
+			if c == nil {
+				t.Fatal("no seed in 1..32 puts a Bits/Cat/Mux run next to another")
+			}
+			if d, err := c.Execute(); err != nil || d != nil {
+				t.Fatalf("stepped: divergence %v, err %v", d, err)
+			}
+			if d, err := c.ExecuteBulk([]int64{1, 4, 0, 7}); err != nil || d != nil {
+				t.Fatalf("bulk: divergence %v, err %v", d, err)
+			}
+		})
 	}
 }

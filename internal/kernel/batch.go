@@ -82,15 +82,16 @@ const (
 )
 
 // batchCmd is one dispatch of the worker protocol. A batchRun command
-// carries everything the worker needs for k resident cycles: its
-// shard-filtered poke plan and, when a watch forces locked-step execution,
+// carries everything the worker needs for k resident cycles: the run's poke
+// plan (shared read-only by all workers until the dispatch joins; each
+// applies only its own lanes) and, when a watch forces locked-step execution,
 // the shared run synchronisation state. Unwatched runs carry no sync — the
 // lanes are independent, so each worker free-runs its k cycles with zero
 // intermediate synchronisation.
 type batchCmd struct {
 	phase batchPhase
 	k     int
-	pokes []PlannedPoke // shard-local, ordered by Cycle
+	pokes []PlannedPoke // all lanes, ordered by Cycle
 	sync  *batchSync    // nil: free-run
 }
 
@@ -133,8 +134,8 @@ func (sh *batchShard) run(c batchPhase) {
 	}
 }
 
-// poke applies one planned poke to the shard's stores (the lane is the
-// caller's responsibility to route).
+// poke applies one planned poke to the shard's stores (the caller checks
+// the lane is owned).
 func (sh *batchShard) poke(p PlannedPoke) {
 	if sh.pk != nil {
 		if w := sh.pk[p.Slot]; w != nil {
@@ -164,16 +165,18 @@ func (sh *batchShard) watchValue(w *Watch) uint64 {
 }
 
 // runBulk is the resident k-cycle loop of one shard: apply the cycle's
-// pokes, run the schedule, and — under a watch — evaluate it and cross the
-// per-cycle barrier so every shard stops at the same cycle. Without a watch
-// there is no intermediate synchronisation at all.
+// pokes to the lanes it owns, run the schedule, and — under a watch —
+// evaluate it and cross the per-cycle barrier so every shard stops at the
+// same cycle. Without a watch there is no intermediate synchronisation at
+// all.
 func (sh *batchShard) runBulk(k int, pokes []PlannedPoke, sync *batchSync) int {
 	pi := 0
 	ran := 0
 	for i := 0; i < k; i++ {
-		for pi < len(pokes) && pokes[pi].Cycle <= i {
-			sh.poke(pokes[pi])
-			pi++
+		for ; pi < len(pokes) && pokes[pi].Cycle <= i; pi++ {
+			if sh.owns(pokes[pi].Lane) {
+				sh.poke(pokes[pi])
+			}
 		}
 		sh.run(batchStep)
 		ran++
@@ -527,8 +530,8 @@ func (b *Batch) runBulkOnce(spec RunSpec) (ran int, stopped bool) {
 	if b.seq != nil {
 		b.seq.runBulk(k, pokes, sync)
 	} else {
-		for w, c := range b.cmds {
-			c <- batchCmd{phase: batchRun, k: k, pokes: shardPokes(pokes, b.shards[w]), sync: sync}
+		for _, c := range b.cmds {
+			c <- batchCmd{phase: batchRun, k: k, pokes: pokes, sync: sync}
 		}
 		for range b.cmds {
 			<-b.done
@@ -552,19 +555,6 @@ func (b *Batch) runBulkOnce(spec RunSpec) (ran int, stopped bool) {
 		b.PokeSlot(0, q, b.PeekSlot(0, q)^1)
 	}
 	return k, false
-}
-
-// shardPokes filters a cycle-ordered poke plan down to one shard's lanes.
-// A nil result (no pokes for the shard) avoids any per-worker allocation on
-// the plain Run path.
-func shardPokes(pokes []PlannedPoke, sh *batchShard) []PlannedPoke {
-	var out []PlannedPoke
-	for _, p := range pokes {
-		if sh.owns(p.Lane) {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // syncWideFromPacked refreshes the wide lane vectors of every packed slot

@@ -6,9 +6,14 @@
 //	RU  unrolls only the one-hot R rank (Algorithm 3, format Fig. 12b)
 //	OU  fully unrolls the O rank (operand fetch without an inner loop)
 //	NU  swizzles S and N ([I,N,S,O,R], format Fig. 12c) and unrolls N into
-//	    per-operation-type inner loops (Algorithm 4)
-//	PSU partially unrolls the S loops (8x compute, 24x write-back)
-//	IU  fully unrolls the I rank, eliminating zero-iteration S loops
+//	    per-operation-type inner loops (Algorithm 4) over run-length S
+//	    coordinates, writing each run's results to LI in place
+//	PSU partially unrolls the S loops (8x compute); the paper's 24x
+//	    write-back loop has nothing left to do — the write-back is elided
+//	    by the LI layout (dfg.Levelize numbers a layer's operations in
+//	    traversal order, so LO[k] is LI[first+k])
+//	IU  fully unrolls the I rank: it walks the format's run list directly,
+//	    so zero-iteration S loops are never visited
 //	SU  fully unrolls the S rank into a flat per-operation tape, encoding
 //	    the whole OIM in the "binary" (the tape) with no metadata arrays
 //	TI  additionally inlines the LO tensor away, writing results straight
@@ -103,25 +108,35 @@ type state struct {
 	li   []uint64
 	next []uint64
 	outs []uint64
-	lo   []uint64 // layer-output buffer (unused by TI)
+	// regsLead records that register i's Q coordinate is i, as Levelize
+	// assigns them. A RepCut sub-tensor owns a subset of the registers and
+	// does not have the property.
+	regsLead bool
 }
 
 func newState(t *oim.Tensor) state {
-	maxLayer := 0
-	for _, l := range t.Layers {
-		if len(l) > maxLayer {
-			maxLayer = len(l)
-		}
-	}
 	s := state{
-		t:    t,
-		li:   make([]uint64, t.NumSlots),
-		next: make([]uint64, len(t.RegSlots)),
-		outs: make([]uint64, len(t.OutputSlots)),
-		lo:   make([]uint64, maxLayer),
+		t:        t,
+		li:       make([]uint64, t.NumSlots),
+		next:     make([]uint64, len(t.RegSlots)),
+		outs:     make([]uint64, len(t.OutputSlots)),
+		regsLead: true,
+	}
+	for i, r := range t.RegSlots {
+		s.regsLead = s.regsLead && r.Q == int32(i)
 	}
 	s.Reset()
 	return s
+}
+
+// newLO allocates the layer-output buffer of the kernels that stage a
+// layer's results before writing them back (RU, OU, SU).
+func newLO(t *oim.Tensor) []uint64 {
+	maxLayer := 0
+	for _, l := range t.Layers {
+		maxLayer = max(maxLayer, len(l))
+	}
+	return make([]uint64, maxLayer)
 }
 
 func (s *state) Reset() {
@@ -159,6 +174,10 @@ func (s *state) sampleOutputs() {
 func (s *state) commit() {
 	for i, r := range s.t.RegSlots {
 		s.next[i] = s.li[r.Next] & r.Mask
+	}
+	if s.regsLead {
+		copy(s.li, s.next)
+		return
 	}
 	for i, r := range s.t.RegSlots {
 		s.li[r.Q] = s.next[i]

@@ -9,19 +9,19 @@ import (
 
 // Program is the immutable, shareable half of a kernel: the OIM tensor plus
 // whatever read-only lowering the selected configuration consults at runtime
-// (coordinate arrays, the swizzled format, the IU segment plan, or the SU/TI
-// tape). Building a Program does all the per-design work once; Instantiate
-// then mints any number of independent engines whose mutable state (the LI
-// values, staged register commits, sampled outputs, and LO buffer) is
-// private per engine. This is what lets one compiled design serve many
-// concurrent simulation sessions without recompiling or racing.
+// (coordinate arrays, the swizzled format, or the SU/TI tape). Building a
+// Program does all the per-design work once; Instantiate then mints any
+// number of independent engines whose mutable state (the LI values, staged
+// register commits, sampled outputs, and — for the kernels that keep one —
+// the LO buffer) is private per engine. This is what lets one compiled
+// design serve many concurrent simulation sessions without recompiling or
+// racing.
 type Program struct {
 	t   *oim.Tensor
 	cfg Config
 
 	arrays    *oim.Arrays   // RU, OU
 	sw        *oim.Swizzled // NU, PSU, IU
-	plan      []layerPlan   // IU
 	tape      []tapeOp      // SU, TI
 	layerEnds []int         // SU
 
@@ -48,11 +48,8 @@ func NewProgram(t *oim.Tensor, cfg Config) (*Program, error) {
 	switch cfg.Kind {
 	case RU, OU:
 		p.arrays = t.Lower(!cfg.UnoptimizedFormat)
-	case NU, PSU:
+	case NU, PSU, IU:
 		p.sw = t.LowerSwizzled()
-	case IU:
-		p.sw = t.LowerSwizzled()
-		p.plan = buildLayerPlan(t, p.sw)
 	case SU:
 		p.tape, p.layerEnds = buildTape(t)
 	case TI:
@@ -75,17 +72,17 @@ func (p *Program) Tensor() *oim.Tensor { return p.t }
 func (p *Program) Instantiate() Engine {
 	switch p.cfg.Kind {
 	case RU:
-		return &ruEngine{state: newState(p.t), a: p.arrays}
+		return &ruEngine{state: newState(p.t), lo: newLO(p.t), a: p.arrays}
 	case OU:
-		return &ouEngine{state: newState(p.t), a: p.arrays}
+		return &ouEngine{state: newState(p.t), lo: newLO(p.t), a: p.arrays}
 	case NU:
 		return &nuEngine{swizzledBase{state: newState(p.t), sw: p.sw}}
 	case PSU:
 		return &psuEngine{swizzledBase{state: newState(p.t), sw: p.sw}}
 	case IU:
-		return &iuEngine{swizzledBase: swizzledBase{state: newState(p.t), sw: p.sw}, plan: p.plan}
+		return &iuEngine{swizzledBase{state: newState(p.t), sw: p.sw}}
 	case SU:
-		return &suEngine{state: newState(p.t), tape: p.tape, layerEnds: p.layerEnds}
+		return &suEngine{state: newState(p.t), lo: newLO(p.t), tape: p.tape, layerEnds: p.layerEnds}
 	case TI:
 		return &tiEngine{state: newState(p.t), tape: p.tape}
 	}

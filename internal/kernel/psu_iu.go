@@ -1,129 +1,95 @@
 package kernel
 
-import (
-	"rteaal/internal/oim"
-	"rteaal/internal/wire"
-)
+import "rteaal/internal/wire"
 
 // psuEngine partially unrolls the S rank on top of NU: the compute loops of
-// the most common operation types run 8 operations per iteration, and the
-// write-back loop runs 24 per iteration (§5.2 PSU: "24 and 8 were chosen
-// because they work well in practice"). Partial unrolling needs no format
-// change.
+// the most common operation types run 8 operations per iteration (§5.2 PSU:
+// "24 and 8 were chosen because they work well in practice"; the paper's
+// 24x loop is the write-back, which the LI layout elides here). Partial
+// unrolling needs no format change.
 type psuEngine struct{ swizzledBase }
 
 func (e *psuEngine) Name() string { return "PSU" }
 
-const (
-	psuComputeUnroll   = 8
-	psuWriteBackUnroll = 24
-)
+const psuComputeUnroll = 8
 
-// runGroup8 is the 8x-unrolled compute loop for the highest-frequency
-// 2-operand operation types; the remainder and all other types fall back to
-// the shared rolled group runner.
-func (e *psuEngine) runGroup8(op wire.Op, count, si, ri int, lo []uint64) (int, bool) {
-	li, sc, rc, masks := e.li, e.sw.SCoord, e.sw.RCoord, e.t.Masks
+// runGroup8 evaluates one run like runGroup, with the 8x-unrolled compute
+// loop for the highest-frequency 2-operand operation types; the remainder
+// and all other types fall through to the shared rolled group runner.
+func (e *swizzledBase) runGroup8(op wire.Op, arity, out, count, ri int) int {
+	li, rc := e.li, e.sw.RCoord
+	dst, masks := li[out:out+count], e.t.Masks[out:out+count]
 	k := 0
 	switch op {
 	case wire.Add:
 		for ; k+psuComputeUnroll <= count; k += psuComputeUnroll {
-			lo[k+0] = (li[rc[ri+0]] + li[rc[ri+1]]) & masks[sc[si+k+0]]
-			lo[k+1] = (li[rc[ri+2]] + li[rc[ri+3]]) & masks[sc[si+k+1]]
-			lo[k+2] = (li[rc[ri+4]] + li[rc[ri+5]]) & masks[sc[si+k+2]]
-			lo[k+3] = (li[rc[ri+6]] + li[rc[ri+7]]) & masks[sc[si+k+3]]
-			lo[k+4] = (li[rc[ri+8]] + li[rc[ri+9]]) & masks[sc[si+k+4]]
-			lo[k+5] = (li[rc[ri+10]] + li[rc[ri+11]]) & masks[sc[si+k+5]]
-			lo[k+6] = (li[rc[ri+12]] + li[rc[ri+13]]) & masks[sc[si+k+6]]
-			lo[k+7] = (li[rc[ri+14]] + li[rc[ri+15]]) & masks[sc[si+k+7]]
+			dst[k+0] = (li[rc[ri+0]] + li[rc[ri+1]]) & masks[k+0]
+			dst[k+1] = (li[rc[ri+2]] + li[rc[ri+3]]) & masks[k+1]
+			dst[k+2] = (li[rc[ri+4]] + li[rc[ri+5]]) & masks[k+2]
+			dst[k+3] = (li[rc[ri+6]] + li[rc[ri+7]]) & masks[k+3]
+			dst[k+4] = (li[rc[ri+8]] + li[rc[ri+9]]) & masks[k+4]
+			dst[k+5] = (li[rc[ri+10]] + li[rc[ri+11]]) & masks[k+5]
+			dst[k+6] = (li[rc[ri+12]] + li[rc[ri+13]]) & masks[k+6]
+			dst[k+7] = (li[rc[ri+14]] + li[rc[ri+15]]) & masks[k+7]
 			ri += 16
 		}
 	case wire.And:
 		for ; k+psuComputeUnroll <= count; k += psuComputeUnroll {
-			lo[k+0] = li[rc[ri+0]] & li[rc[ri+1]] & masks[sc[si+k+0]]
-			lo[k+1] = li[rc[ri+2]] & li[rc[ri+3]] & masks[sc[si+k+1]]
-			lo[k+2] = li[rc[ri+4]] & li[rc[ri+5]] & masks[sc[si+k+2]]
-			lo[k+3] = li[rc[ri+6]] & li[rc[ri+7]] & masks[sc[si+k+3]]
-			lo[k+4] = li[rc[ri+8]] & li[rc[ri+9]] & masks[sc[si+k+4]]
-			lo[k+5] = li[rc[ri+10]] & li[rc[ri+11]] & masks[sc[si+k+5]]
-			lo[k+6] = li[rc[ri+12]] & li[rc[ri+13]] & masks[sc[si+k+6]]
-			lo[k+7] = li[rc[ri+14]] & li[rc[ri+15]] & masks[sc[si+k+7]]
+			dst[k+0] = li[rc[ri+0]] & li[rc[ri+1]] & masks[k+0]
+			dst[k+1] = li[rc[ri+2]] & li[rc[ri+3]] & masks[k+1]
+			dst[k+2] = li[rc[ri+4]] & li[rc[ri+5]] & masks[k+2]
+			dst[k+3] = li[rc[ri+6]] & li[rc[ri+7]] & masks[k+3]
+			dst[k+4] = li[rc[ri+8]] & li[rc[ri+9]] & masks[k+4]
+			dst[k+5] = li[rc[ri+10]] & li[rc[ri+11]] & masks[k+5]
+			dst[k+6] = li[rc[ri+12]] & li[rc[ri+13]] & masks[k+6]
+			dst[k+7] = li[rc[ri+14]] & li[rc[ri+15]] & masks[k+7]
 			ri += 16
 		}
 	case wire.Or:
 		for ; k+psuComputeUnroll <= count; k += psuComputeUnroll {
-			lo[k+0] = (li[rc[ri+0]] | li[rc[ri+1]]) & masks[sc[si+k+0]]
-			lo[k+1] = (li[rc[ri+2]] | li[rc[ri+3]]) & masks[sc[si+k+1]]
-			lo[k+2] = (li[rc[ri+4]] | li[rc[ri+5]]) & masks[sc[si+k+2]]
-			lo[k+3] = (li[rc[ri+6]] | li[rc[ri+7]]) & masks[sc[si+k+3]]
-			lo[k+4] = (li[rc[ri+8]] | li[rc[ri+9]]) & masks[sc[si+k+4]]
-			lo[k+5] = (li[rc[ri+10]] | li[rc[ri+11]]) & masks[sc[si+k+5]]
-			lo[k+6] = (li[rc[ri+12]] | li[rc[ri+13]]) & masks[sc[si+k+6]]
-			lo[k+7] = (li[rc[ri+14]] | li[rc[ri+15]]) & masks[sc[si+k+7]]
+			dst[k+0] = (li[rc[ri+0]] | li[rc[ri+1]]) & masks[k+0]
+			dst[k+1] = (li[rc[ri+2]] | li[rc[ri+3]]) & masks[k+1]
+			dst[k+2] = (li[rc[ri+4]] | li[rc[ri+5]]) & masks[k+2]
+			dst[k+3] = (li[rc[ri+6]] | li[rc[ri+7]]) & masks[k+3]
+			dst[k+4] = (li[rc[ri+8]] | li[rc[ri+9]]) & masks[k+4]
+			dst[k+5] = (li[rc[ri+10]] | li[rc[ri+11]]) & masks[k+5]
+			dst[k+6] = (li[rc[ri+12]] | li[rc[ri+13]]) & masks[k+6]
+			dst[k+7] = (li[rc[ri+14]] | li[rc[ri+15]]) & masks[k+7]
 			ri += 16
 		}
 	case wire.Xor:
 		for ; k+psuComputeUnroll <= count; k += psuComputeUnroll {
-			lo[k+0] = (li[rc[ri+0]] ^ li[rc[ri+1]]) & masks[sc[si+k+0]]
-			lo[k+1] = (li[rc[ri+2]] ^ li[rc[ri+3]]) & masks[sc[si+k+1]]
-			lo[k+2] = (li[rc[ri+4]] ^ li[rc[ri+5]]) & masks[sc[si+k+2]]
-			lo[k+3] = (li[rc[ri+6]] ^ li[rc[ri+7]]) & masks[sc[si+k+3]]
-			lo[k+4] = (li[rc[ri+8]] ^ li[rc[ri+9]]) & masks[sc[si+k+4]]
-			lo[k+5] = (li[rc[ri+10]] ^ li[rc[ri+11]]) & masks[sc[si+k+5]]
-			lo[k+6] = (li[rc[ri+12]] ^ li[rc[ri+13]]) & masks[sc[si+k+6]]
-			lo[k+7] = (li[rc[ri+14]] ^ li[rc[ri+15]]) & masks[sc[si+k+7]]
+			dst[k+0] = (li[rc[ri+0]] ^ li[rc[ri+1]]) & masks[k+0]
+			dst[k+1] = (li[rc[ri+2]] ^ li[rc[ri+3]]) & masks[k+1]
+			dst[k+2] = (li[rc[ri+4]] ^ li[rc[ri+5]]) & masks[k+2]
+			dst[k+3] = (li[rc[ri+6]] ^ li[rc[ri+7]]) & masks[k+3]
+			dst[k+4] = (li[rc[ri+8]] ^ li[rc[ri+9]]) & masks[k+4]
+			dst[k+5] = (li[rc[ri+10]] ^ li[rc[ri+11]]) & masks[k+5]
+			dst[k+6] = (li[rc[ri+12]] ^ li[rc[ri+13]]) & masks[k+6]
+			dst[k+7] = (li[rc[ri+14]] ^ li[rc[ri+15]]) & masks[k+7]
 			ri += 16
 		}
-	default:
-		return ri, false
 	}
 	if k < count {
-		ri = e.runGroup(op, 2, count-k, si+k, ri, lo[k:])
+		ri = e.runGroup(op, arity, out+k, count-k, ri)
 	}
-	return ri, true
+	return ri
 }
 
 func (e *psuEngine) Settle() {
-	numSigs := e.sw.NumSigs
-	si, ri := 0, 0
+	sw := e.sw
+	ru, ri := 0, 0
 	for i := 0; i < len(e.t.Layers); i++ {
-		sBase := si
-		np := 0
-		for sig := 0; sig < numSigs; sig++ {
-			count := int(e.sw.NPayload[i*numSigs+sig])
-			np += count
-			if count == 0 {
-				continue
-			}
+		for sig := 0; sig < sw.NumSigs; sig++ {
 			s := e.t.OpTable[sig]
-			lo := e.lo[si-sBase:]
-			if nri, ok := e.runGroup8(s.Op, count, si, ri, lo); ok {
-				ri = nri
-			} else {
-				ri = e.runGroup(s.Op, int(s.Arity), count, si, ri, lo)
+			for left := sw.NPayload[i*sw.NumSigs+sig]; left > 0; ru++ {
+				r := sw.Runs[ru]
+				ri = e.runGroup8(s.Op, int(s.Arity), int(r.First), int(r.Count), ri)
+				left -= r.Count
 			}
-			si += count
 		}
-		e.writeBack24(sBase, np)
 	}
 	e.sampleOutputs()
-}
-
-// writeBack24 is the 24x-unrolled final write-back loop.
-func (e *psuEngine) writeBack24(sBase, count int) {
-	li, sc, lo := e.li, e.sw.SCoord, e.lo
-	k := 0
-	for ; k+psuWriteBackUnroll <= count; k += psuWriteBackUnroll {
-		for u := 0; u < psuWriteBackUnroll; u += 4 {
-			li[sc[sBase+k+u+0]] = lo[k+u+0]
-			li[sc[sBase+k+u+1]] = lo[k+u+1]
-			li[sc[sBase+k+u+2]] = lo[k+u+2]
-			li[sc[sBase+k+u+3]] = lo[k+u+3]
-		}
-	}
-	for ; k < count; k++ {
-		li[sc[sBase+k]] = lo[k]
-	}
 }
 
 func (e *psuEngine) Step() {
@@ -138,59 +104,19 @@ func (e *psuEngine) RunCycles(k int) {
 	}
 }
 
-// iuEngine fully unrolls the I rank on top of PSU's S-unrolling: the layer
-// structure is compiled into a segment plan at construction, so the settle
-// loop never visits a (layer, type) group with zero operations (§5.2 IU).
-type iuEngine struct {
-	swizzledBase
-	plan []layerPlan
-}
-
-type layerPlan struct {
-	sBase int // index of the layer's first op in SCoord
-	count int // ops in the layer
-	segs  []segment
-}
-
-type segment struct {
-	op     wire.Op
-	arity  int
-	count  int
-	si, ri int
-}
-
-// buildLayerPlan compiles the layer structure into IU's segment plan once
-// per program; engines share the plan read-only.
-func buildLayerPlan(t *oim.Tensor, sw *oim.Swizzled) []layerPlan {
-	var plan []layerPlan
-	numSigs := sw.NumSigs
-	si, ri := 0, 0
-	for i := range t.Layers {
-		lp := layerPlan{sBase: si}
-		for sig := 0; sig < numSigs; sig++ {
-			count := int(sw.NPayload[i*numSigs+sig])
-			if count == 0 {
-				continue // compiled away: IU's whole point
-			}
-			s := t.OpTable[sig]
-			lp.segs = append(lp.segs, segment{op: s.Op, arity: int(s.Arity), count: count, si: si, ri: ri})
-			si += count
-			ri += count * int(s.Arity)
-			lp.count += count
-		}
-		plan = append(plan, lp)
-	}
-	return plan
-}
+// iuEngine fully unrolls the I rank on top of PSU's S-unrolling: the run
+// list of the swizzled format already names every non-empty (layer, type)
+// stretch, so the settle loop walks it directly and never visits a group
+// with zero operations (§5.2 IU).
+type iuEngine struct{ swizzledBase }
 
 func (e *iuEngine) Name() string { return "IU" }
 
 func (e *iuEngine) Settle() {
-	for _, lp := range e.plan {
-		for _, seg := range lp.segs {
-			e.runGroup(seg.op, seg.arity, seg.count, seg.si, seg.ri, e.lo[seg.si-lp.sBase:])
-		}
-		e.writeBack(lp.sBase, lp.count)
+	ri := 0
+	for _, r := range e.sw.Runs {
+		s := e.t.OpTable[r.Sig]
+		ri = e.runGroup8(s.Op, int(s.Arity), int(r.First), int(r.Count), ri)
 	}
 	e.sampleOutputs()
 }

@@ -12,7 +12,8 @@ import (
 // keeping the full map / reduce / populate action structure.
 type ruEngine struct {
 	state
-	a *oim.Arrays
+	lo []uint64
+	a  *oim.Arrays
 }
 
 func (e *ruEngine) Name() string { return "RU" }
@@ -90,7 +91,8 @@ func (e *ruEngine) RunCycles(k int) {
 // unchanged — the O rank has no metadata, so unrolling it costs nothing.
 type ouEngine struct {
 	state
-	a *oim.Arrays
+	lo []uint64
+	a  *oim.Arrays
 }
 
 func (e *ouEngine) Name() string { return "OU" }

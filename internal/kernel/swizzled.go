@@ -9,129 +9,147 @@ import (
 // loop order over the Figure 12c format, with the N rank unrolled into
 // per-operation-type inner loops (Algorithm 4). Hoisting the operation-type
 // dispatch out of the S loop is what lets each loop body stay branch-free.
+//
+// The S rank arrives run-length (oim.Run): a run's results are consecutive
+// LI coordinates, so the loops below write LI in place with the output
+// masks read sequentially beside it — no S coordinate load, no mask gather,
+// no LO buffer and no write-back pass. In-place is safe for the reason TI
+// is: levelization guarantees no operation reads a coordinate written in
+// its own layer. Nothing here assumes a (layer, type) group is one run.
 type swizzledBase struct {
 	state
 	sw *oim.Swizzled
 }
 
-// runGroup evaluates count consecutive operations sharing one signature,
-// reading the S/R coordinate streams at si/ri and writing lo positionally.
-// It returns the advanced ri.
-func (e *swizzledBase) runGroup(op wire.Op, arity int, count, si, ri int, lo []uint64) int {
-	li, sc, rc, masks := e.li, e.sw.SCoord, e.sw.RCoord, e.t.Masks
+// runGroup evaluates one run: count operations sharing one signature whose
+// results are LI[out : out+count], reading the R coordinate stream at ri. It
+// returns the advanced ri.
+func (e *swizzledBase) runGroup(op wire.Op, arity, out, count, ri int) int {
+	li, rc := e.li, e.sw.RCoord
+	dst, masks := li[out:out+count], e.t.Masks[out:out+count]
 	switch op {
 	case wire.Add:
-		for k := 0; k < count; k++ {
-			lo[k] = (li[rc[ri]] + li[rc[ri+1]]) & masks[sc[si+k]]
+		for k := range dst {
+			dst[k] = (li[rc[ri]] + li[rc[ri+1]]) & masks[k]
 			ri += 2
 		}
 	case wire.Sub:
-		for k := 0; k < count; k++ {
-			lo[k] = (li[rc[ri]] - li[rc[ri+1]]) & masks[sc[si+k]]
+		for k := range dst {
+			dst[k] = (li[rc[ri]] - li[rc[ri+1]]) & masks[k]
 			ri += 2
 		}
 	case wire.Mul:
-		for k := 0; k < count; k++ {
-			lo[k] = (li[rc[ri]] * li[rc[ri+1]]) & masks[sc[si+k]]
+		for k := range dst {
+			dst[k] = (li[rc[ri]] * li[rc[ri+1]]) & masks[k]
 			ri += 2
 		}
 	case wire.And:
-		for k := 0; k < count; k++ {
-			lo[k] = li[rc[ri]] & li[rc[ri+1]] & masks[sc[si+k]]
+		for k := range dst {
+			dst[k] = li[rc[ri]] & li[rc[ri+1]] & masks[k]
 			ri += 2
 		}
 	case wire.Or:
-		for k := 0; k < count; k++ {
-			lo[k] = (li[rc[ri]] | li[rc[ri+1]]) & masks[sc[si+k]]
+		for k := range dst {
+			dst[k] = (li[rc[ri]] | li[rc[ri+1]]) & masks[k]
 			ri += 2
 		}
 	case wire.Xor:
-		for k := 0; k < count; k++ {
-			lo[k] = (li[rc[ri]] ^ li[rc[ri+1]]) & masks[sc[si+k]]
+		for k := range dst {
+			dst[k] = (li[rc[ri]] ^ li[rc[ri+1]]) & masks[k]
 			ri += 2
 		}
 	case wire.Eq:
-		for k := 0; k < count; k++ {
-			lo[k] = b2u(li[rc[ri]] == li[rc[ri+1]])
+		for k := range dst {
+			dst[k] = b2u(li[rc[ri]] == li[rc[ri+1]])
 			ri += 2
 		}
 	case wire.Neq:
-		for k := 0; k < count; k++ {
-			lo[k] = b2u(li[rc[ri]] != li[rc[ri+1]])
+		for k := range dst {
+			dst[k] = b2u(li[rc[ri]] != li[rc[ri+1]])
 			ri += 2
 		}
 	case wire.Lt:
-		for k := 0; k < count; k++ {
-			lo[k] = b2u(li[rc[ri]] < li[rc[ri+1]])
+		for k := range dst {
+			dst[k] = b2u(li[rc[ri]] < li[rc[ri+1]])
 			ri += 2
 		}
 	case wire.Leq:
-		for k := 0; k < count; k++ {
-			lo[k] = b2u(li[rc[ri]] <= li[rc[ri+1]])
+		for k := range dst {
+			dst[k] = b2u(li[rc[ri]] <= li[rc[ri+1]])
 			ri += 2
 		}
 	case wire.Gt:
-		for k := 0; k < count; k++ {
-			lo[k] = b2u(li[rc[ri]] > li[rc[ri+1]])
+		for k := range dst {
+			dst[k] = b2u(li[rc[ri]] > li[rc[ri+1]])
 			ri += 2
 		}
 	case wire.Geq:
-		for k := 0; k < count; k++ {
-			lo[k] = b2u(li[rc[ri]] >= li[rc[ri+1]])
+		for k := range dst {
+			dst[k] = b2u(li[rc[ri]] >= li[rc[ri+1]])
 			ri += 2
 		}
 	case wire.Not:
-		for k := 0; k < count; k++ {
-			lo[k] = ^li[rc[ri]] & masks[sc[si+k]]
+		for k := range dst {
+			dst[k] = ^li[rc[ri]] & masks[k]
 			ri++
 		}
 	case wire.Neg:
-		for k := 0; k < count; k++ {
-			lo[k] = (-li[rc[ri]]) & masks[sc[si+k]]
+		for k := range dst {
+			dst[k] = (-li[rc[ri]]) & masks[k]
 			ri++
 		}
 	case wire.OrR:
-		for k := 0; k < count; k++ {
-			lo[k] = b2u(li[rc[ri]] != 0)
+		for k := range dst {
+			dst[k] = b2u(li[rc[ri]] != 0)
 			ri++
 		}
 	case wire.AndR:
-		for k := 0; k < count; k++ {
-			lo[k] = b2u(li[rc[ri]] == li[rc[ri+1]])
+		for k := range dst {
+			dst[k] = b2u(li[rc[ri]] == li[rc[ri+1]])
 			ri += 2
 		}
 	case wire.Mux:
-		for k := 0; k < count; k++ {
-			if li[rc[ri]] != 0 {
-				lo[k] = li[rc[ri+1]] & masks[sc[si+k]]
-			} else {
-				lo[k] = li[rc[ri+2]] & masks[sc[si+k]]
+		// All three operands are loaded and one selected, so random
+		// stimulus costs a conditional move, not a mispredicted branch.
+		for k := range dst {
+			c, a, b := li[rc[ri]], li[rc[ri+1]], li[rc[ri+2]]
+			if c != 0 {
+				b = a
 			}
+			dst[k] = b & masks[k]
 			ri += 3
 		}
 	case wire.Bits:
-		for k := 0; k < count; k++ {
-			lo[k] = wire.Eval(wire.Bits, []uint64{li[rc[ri]], li[rc[ri+1]], li[rc[ri+2]]}, masks[sc[si+k]])
+		for k := range dst {
+			var v uint64
+			if hi, lo := li[rc[ri+1]], li[rc[ri+2]]; lo < 64 && hi >= lo {
+				v = (li[rc[ri]] >> lo) & wire.Mask(int(hi-lo)+1)
+			}
+			dst[k] = v & masks[k]
 			ri += 3
 		}
 	case wire.Cat:
-		for k := 0; k < count; k++ {
-			lo[k] = wire.Eval(wire.Cat, []uint64{li[rc[ri]], li[rc[ri+1]], li[rc[ri+2]]}, masks[sc[si+k]])
+		for k := range dst {
+			v := li[rc[ri+1]]
+			if lw := li[rc[ri+2]]; lw < 64 {
+				v |= li[rc[ri]] << lw
+			}
+			dst[k] = v & masks[k]
 			ri += 3
 		}
 	case wire.MuxChain:
-		for k := 0; k < count; k++ {
-			lo[k] = evalMuxChainSlots(li, rc[ri:ri+arity]) & masks[sc[si+k]]
+		for k := range dst {
+			dst[k] = evalMuxChainSlots(li, rc[ri:ri+arity]) & masks[k]
 			ri += arity
 		}
 	default: // generic fallback (Shl, Shr, Div, Rem, XorR, Ident, ...)
 		var argbuf [3]uint64
-		for k := 0; k < count; k++ {
+		for k := range dst {
 			args := argbuf[:arity]
 			for o := 0; o < arity; o++ {
 				args[o] = li[rc[ri+o]]
 			}
-			lo[k] = wire.Eval(op, args, masks[sc[si+k]])
+			dst[k] = wire.Eval(op, args, masks[k])
 			ri += arity
 		}
 	}
@@ -157,36 +175,23 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// writeBack scatters count layer outputs to their LI coordinates.
-func (e *swizzledBase) writeBack(sBase, count int) {
-	li, sc, lo := e.li, e.sw.SCoord, e.lo
-	for k := 0; k < count; k++ {
-		li[sc[sBase+k]] = lo[k]
-	}
-}
-
 // nuEngine is the N-rank-unrolled kernel (Algorithm 4).
 type nuEngine struct{ swizzledBase }
 
 func (e *nuEngine) Name() string { return "NU" }
 
 func (e *nuEngine) Settle() {
-	numSigs := e.sw.NumSigs
-	si, ri := 0, 0
+	sw := e.sw
+	ru, ri := 0, 0
 	for i := 0; i < len(e.t.Layers); i++ { // Rank I
-		sBase := si
-		np := 0
-		for sig := 0; sig < numSigs; sig++ { // Unrolled rank N
-			count := int(e.sw.NPayload[i*numSigs+sig])
-			np += count
-			if count == 0 {
-				continue
-			}
+		for sig := 0; sig < sw.NumSigs; sig++ { // Unrolled rank N
 			s := e.t.OpTable[sig]
-			ri = e.runGroup(s.Op, int(s.Arity), count, si, ri, e.lo[si-sBase:])
-			si += count
+			for left := sw.NPayload[i*sw.NumSigs+sig]; left > 0; ru++ { // Rank S, run by run
+				r := sw.Runs[ru]
+				ri = e.runGroup(s.Op, int(s.Arity), int(r.First), int(r.Count), ri)
+				left -= r.Count
+			}
 		}
-		e.writeBack(sBase, np)
 	}
 	e.sampleOutputs()
 }

@@ -95,6 +95,7 @@ func execTapeOp(li []uint64, e *tapeOp) uint64 {
 // are gone.
 type suEngine struct {
 	state
+	lo        []uint64
 	tape      []tapeOp
 	layerEnds []int
 }

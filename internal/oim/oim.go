@@ -7,7 +7,9 @@
 //
 // Identity elision (§4.3) is baked into coordinate assignment: every node of
 // the design owns one LI coordinate for its entire lifetime, performed here
-// by dfg.Levelize, so no identity operations appear in the tensor.
+// by dfg.Levelize, so no identity operations appear in the tensor. The same
+// assignment numbers each layer's operations grouped by N coordinate, which
+// elides the layer write-back for the swizzled format (see Swizzled).
 //
 // The package lowers the canonical tensor onto the three concrete formats of
 // Figure 12 (unoptimized, optimized, and S-N swizzled), exports a true
@@ -24,16 +26,8 @@ import (
 	"rteaal/internal/wire"
 )
 
-// OpSig is one coordinate of the N rank: an operation kind together with its
-// operand count. Variable-arity operations (mux chains) get one N coordinate
-// per occurring arity, which keeps the paper's invariant that the operation
-// type determines the occupancy of the O-rank fiber (§5.1).
-type OpSig struct {
-	Op    wire.Op
-	Arity uint8
-}
-
-func (s OpSig) String() string { return fmt.Sprintf("%v/%d", s.Op, s.Arity) }
+// OpSig is one coordinate of the N rank (see dfg.OpSig).
+type OpSig = dfg.OpSig
 
 // Op is one occupied S coordinate in canonical (format-independent) form.
 type Op struct {
@@ -48,7 +42,9 @@ type Tensor struct {
 	Design   string
 	NumSlots int
 	OpTable  []OpSig
-	// Layers lists each layer's operations in ascending S coordinate.
+	// Layers lists each layer's operations. Build emits them grouped by N
+	// coordinate with consecutive ascending S coordinates; sub-tensors and
+	// tensors read from JSON need not keep either property.
 	Layers [][]Op
 
 	// Masks holds the width mask of every LI slot.
@@ -81,6 +77,7 @@ func Build(lv *dfg.Levelized) (*Tensor, error) {
 		NumSlots:     lv.SlotCount,
 		Masks:        make([]uint64, lv.SlotCount),
 		ConstSlots:   append([]dfg.SlotInit(nil), lv.ConstSlots...),
+		OpTable:      lv.OpTable,
 		RegSlots:     append([]dfg.RegSlot(nil), lv.RegSlots...),
 		InputSlots:   append([]int32(nil), lv.InputSlots...),
 		OutputSlots:  append([]int32(nil), lv.OutputSlots...),
@@ -100,42 +97,30 @@ func Build(lv *dfg.Levelized) (*Tensor, error) {
 		t.Masks[lv.Slot[id]] = g.Nodes[id].Mask()
 	}
 
-	sigIndex := make(map[OpSig]uint16)
-	sigOf := func(op wire.Op, arity int) (uint16, error) {
-		if arity < 1 || arity > 255 {
-			return 0, fmt.Errorf("oim: unsupported arity %d", arity)
-		}
-		sig := OpSig{Op: op, Arity: uint8(arity)}
-		if idx, ok := sigIndex[sig]; ok {
-			return idx, nil
-		}
-		idx := uint16(len(t.OpTable))
-		t.OpTable = append(t.OpTable, sig)
-		sigIndex[sig] = idx
-		return idx, nil
-	}
-
 	t.Layers = make([][]Op, lv.NumLayers)
+	next := int32(lv.SlotCount - int(lv.EffectualOps))
 	for li, layer := range lv.Layers {
 		ops := make([]Op, 0, len(layer))
+		sig := 0
 		for _, id := range layer {
 			n := g.Node(id)
-			sig, err := sigOf(n.Op, len(n.Args))
-			if err != nil {
-				return nil, err
+			// The layer arrives grouped in OpTable order, so the N
+			// coordinate is found by walking the table forward.
+			want := OpSig{Op: n.Op, Arity: uint8(len(n.Args))}
+			for sig < len(t.OpTable) && t.OpTable[sig] != want {
+				sig++
 			}
+			// The layout invariant the swizzled kernels are built on:
+			// assert it here, once, rather than sort.
+			if sig == len(t.OpTable) || lv.Slot[id] != next {
+				return nil, fmt.Errorf("oim: layer %d is not numbered consecutively in N-coordinate order", li)
+			}
+			next++
 			args := make([]int32, len(n.Args))
 			for i, a := range n.Args {
 				args[i] = lv.Slot[a]
 			}
-			ops = append(ops, Op{Sig: sig, Out: lv.Slot[id], Args: args})
-		}
-		// Ascending S coordinate within the layer: slots were assigned in
-		// layer order, so this is already sorted; assert rather than sort.
-		for i := 1; i < len(ops); i++ {
-			if ops[i].Out <= ops[i-1].Out {
-				return nil, fmt.Errorf("oim: layer %d not slot-sorted", li)
-			}
+			ops = append(ops, Op{Sig: uint16(sig), Out: lv.Slot[id], Args: args})
 		}
 		t.Layers[li] = ops
 	}

@@ -3,6 +3,7 @@ package oim
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rteaal/internal/dfg"
@@ -167,6 +168,75 @@ func TestLoweringsValidate(t *testing.T) {
 				t.Fatal("unoptimized lowering must keep payload arrays")
 			}
 		}
+		if err := ten.LowerSwizzled().Validate(ten); err != nil {
+			t.Fatalf("trial %d swizzled: %v", trial, err)
+		}
+	}
+}
+
+// TestSwizzledValidateRejectsCorruption damages each part of the run-length
+// format in turn; Validate must notice every one.
+func TestSwizzledValidateRejectsCorruption(t *testing.T) {
+	ten := buildFrom(t, dfg.RandomGraph(rand.New(rand.NewSource(8)), dfg.DefaultRandomParams()))
+	long := -1 // a run with at least two ops, to split and to shorten
+	for i, r := range ten.LowerSwizzled().Runs {
+		if r.Count >= 2 {
+			long = i
+			break
+		}
+	}
+	if long < 0 {
+		t.Fatal("no multi-op run to corrupt")
+	}
+	cases := map[string]func(sw *Swizzled){
+		"run dropped":     func(sw *Swizzled) { sw.Runs = sw.Runs[:len(sw.Runs)-1] },
+		"run repeated":    func(sw *Swizzled) { sw.Runs = append(sw.Runs, sw.Runs[len(sw.Runs)-1]) },
+		"run shortened":   func(sw *Swizzled) { sw.Runs[long].Count-- },
+		"run shifted":     func(sw *Swizzled) { sw.Runs[long].First++ },
+		"wrong type":      func(sw *Swizzled) { sw.Runs[long].Sig = (sw.Runs[long].Sig + 1) % uint16(sw.NumSigs) },
+		"runs swapped":    func(sw *Swizzled) { sw.Runs[0], sw.Runs[len(sw.Runs)-1] = sw.Runs[len(sw.Runs)-1], sw.Runs[0] },
+		"count mismatch":  func(sw *Swizzled) { sw.NPayload[int(sw.Runs[0].Sig)]++ },
+		"operand changed": func(sw *Swizzled) { sw.RCoord[len(sw.RCoord)/2] ^= 1 },
+		"operand dropped": func(sw *Swizzled) { sw.RCoord = sw.RCoord[:len(sw.RCoord)-1] },
+	}
+	for name, corrupt := range cases {
+		sw := ten.LowerSwizzled()
+		corrupt(sw)
+		if err := sw.Validate(ten); err == nil {
+			t.Errorf("%s: corrupt lowering accepted", name)
+		}
+	}
+	// A split run is still a valid encoding of the same traversal: what a
+	// sub-tensor's sparser S coordinates produce.
+	sw := ten.LowerSwizzled()
+	r := sw.Runs[long]
+	sw.Runs = slices.Insert(sw.Runs, long+1, Run{Sig: r.Sig, First: r.First + 1, Count: r.Count - 1})
+	sw.Runs[long].Count = 1
+	if err := sw.Validate(ten); err != nil {
+		t.Errorf("split run rejected: %v", err)
+	}
+}
+
+// TestLowerSwizzledRegroupsUngroupedLayers feeds LowerSwizzled what Build
+// never emits — a layer whose operations are not grouped by type, as a
+// hand-written JSON tensor may be — and checks the lowering still groups
+// it, with the interleaved S coordinates split into several runs.
+func TestLowerSwizzledRegroupsUngroupedLayers(t *testing.T) {
+	ten := buildFrom(t, dfg.RandomGraph(rand.New(rand.NewSource(9)), dfg.DefaultRandomParams()))
+	mixed := *ten
+	mixed.Layers = slices.Clone(ten.Layers)
+	for i, layer := range ten.Layers {
+		layer = slices.Clone(layer)
+		slices.Reverse(layer)
+		mixed.Layers[i] = layer
+	}
+	sw := mixed.LowerSwizzled()
+	if err := sw.Validate(&mixed); err != nil {
+		t.Fatal(err)
+	}
+	if len(sw.Runs) <= len(ten.LowerSwizzled().Runs) {
+		t.Fatalf("reversed layers lowered to %d runs, want more than the %d of the grouped tensor",
+			len(sw.Runs), len(ten.LowerSwizzled().Runs))
 	}
 }
 
@@ -176,9 +246,9 @@ func TestSwizzledGroupsByType(t *testing.T) {
 	ten := buildFrom(t, g)
 	sw := ten.LowerSwizzled()
 
-	// Reconstruct (layer, sig, out, args) tuples and compare as sets with
-	// the canonical tensor.
-	si, ri := 0, 0
+	// Reconstruct (layer, sig, out, args) tuples by expanding the runs and
+	// compare as sets with the canonical tensor.
+	ru, si, ri := 0, 0, 0
 	type key struct {
 		layer int
 		sig   uint16
@@ -187,24 +257,28 @@ func TestSwizzledGroupsByType(t *testing.T) {
 	seen := map[key][]int32{}
 	for layer := 0; layer < ten.NumLayers(); layer++ {
 		for sig := 0; sig < sw.NumSigs; sig++ {
-			count := int(sw.NPayload[layer*sw.NumSigs+sig])
 			ar := int(ten.OpTable[sig].Arity)
 			prev := int32(-1)
-			for k := 0; k < count; k++ {
-				out := sw.SCoord[si]
-				if out <= prev {
-					t.Fatalf("group (%d,%d) not sorted", layer, sig)
+			for left := sw.NPayload[layer*sw.NumSigs+sig]; left > 0; ru++ {
+				r := sw.Runs[ru]
+				if int(r.Sig) != sig || r.Count < 1 || r.Count > left {
+					t.Fatalf("run %d (%+v) does not fit group (%d,%d)", ru, r, layer, sig)
 				}
-				prev = out
-				args := sw.RCoord[ri : ri+ar]
-				seen[key{layer, uint16(sig), out}] = args
-				si++
-				ri += ar
+				for out := r.First; out < r.First+r.Count; out++ {
+					if out <= prev {
+						t.Fatalf("group (%d,%d) not sorted", layer, sig)
+					}
+					prev = out
+					seen[key{layer, uint16(sig), out}] = sw.RCoord[ri : ri+ar]
+					si++
+					ri += ar
+				}
+				left -= r.Count
 			}
 		}
 	}
-	if si != ten.TotalOps() || ri != ten.TotalOperands() {
-		t.Fatalf("swizzled streams exhausted at %d/%d", si, ri)
+	if ru != len(sw.Runs) || si != ten.TotalOps() || ri != ten.TotalOperands() {
+		t.Fatalf("swizzled streams exhausted at %d/%d/%d", ru, si, ri)
 	}
 	for layer, ops := range ten.Layers {
 		for _, op := range ops {

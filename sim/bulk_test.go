@@ -141,7 +141,9 @@ func TestTestbenchBulkRunMatchesStep(t *testing.T) {
 			}
 			tr = append(tr, uint64(tb.Cycle()))
 		}
-		for _, k := range []int64{1, 5, 0, 9, 3} {
+		// The last run is long enough to be compiled into several poke
+		// plans, which share one buffer.
+		for _, k := range []int64{1, 5, 0, 9, 3, 20000} {
 			if bulk {
 				if err := tb.Run(k); err != nil {
 					t.Fatal(err)

@@ -20,7 +20,8 @@ type Session struct {
 	cycle   int64
 	closed  bool
 	wave    *vcd.Writer
-	waveSig []int32 // slots sampled into the waveform
+	waveSig []int32  // slots sampled into the waveform
+	waveBuf []uint64 // one sample, reused every cycle
 }
 
 // Design returns the compiled design this session simulates.
@@ -55,8 +56,9 @@ func (s *Session) PokeIndex(i int, v uint64) { s.eng.PokeInput(i, v) }
 // PeekIndex reads the i-th primary output (order of [Design.Outputs]).
 func (s *Session) PeekIndex(i int) uint64 { return s.eng.PeekOutput(i) }
 
-// PeekReg reads a register's committed value by index.
-func (s *Session) PeekReg(i int) uint64 { return s.eng.RegSnapshot()[i] }
+// PeekReg reads a register's committed value by index (order of
+// [Session.Registers]).
+func (s *Session) PeekReg(i int) uint64 { return s.eng.PeekSlot(s.d.tensor.RegSlots[i].Q) }
 
 // Registers copies all committed register values.
 func (s *Session) Registers() []uint64 { return s.eng.RegSnapshot() }
@@ -70,11 +72,10 @@ func (s *Session) Step() error {
 	s.eng.Step()
 	s.cycle++
 	if s.wave != nil {
-		vals := make([]uint64, len(s.waveSig))
 		for i, slot := range s.waveSig {
-			vals[i] = s.eng.PeekSlot(slot)
+			s.waveBuf[i] = s.eng.PeekSlot(slot)
 		}
-		if err := s.wave.Sample(vals); err != nil {
+		if err := s.wave.Sample(s.waveBuf); err != nil {
 			return err
 		}
 	}
@@ -201,12 +202,17 @@ func (s *Session) EnableWaveform(w io.Writer) error {
 		}
 	}
 	for i, r := range t.RegSlots {
-		if err := add(fmt.Sprintf("reg_%d", i), r.Q); err != nil {
+		name := fmt.Sprintf("reg_%d", i)
+		if i < len(t.RegNames) && t.RegNames[i] != "" {
+			name = t.RegNames[i]
+		}
+		if err := add(name, r.Q); err != nil {
 			return err
 		}
 	}
 	s.wave = wr
 	s.waveSig = slots
+	s.waveBuf = make([]uint64, len(slots))
 	return nil
 }
 

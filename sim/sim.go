@@ -47,8 +47,9 @@ const (
 	OU Kernel = Kernel(kernel.OU)
 	// NU swizzles S and N and unrolls N into per-type inner loops.
 	NU Kernel = Kernel(kernel.NU)
-	// PSU partially unrolls the S loops (8x compute, 24x write-back); the
-	// scalable sweet spot the paper identifies, and the default.
+	// PSU partially unrolls the S loops (8x compute; the layer write-back
+	// is elided by the LI layout); the scalable sweet spot the paper
+	// identifies, and the default.
 	PSU Kernel = Kernel(kernel.PSU)
 	// IU fully unrolls the I rank, eliding zero-iteration S loops.
 	IU Kernel = Kernel(kernel.IU)

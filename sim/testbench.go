@@ -205,12 +205,20 @@ func (tb *Testbench) runBulk(n int, watch *kernel.Watch) (ran int, stopped bool,
 			chunk = max(planBudget/per, 1)
 		}
 	}
+	// One plan buffer, sized by the first (largest) chunk, serves every
+	// chunk of the run: no engine keeps a plan past the bulk call it was
+	// handed to. It is not kept on the testbench, so an idle session does
+	// not hold planBudget entries live.
+	var pokes []kernel.PlannedPoke
 	for ran < n {
 		k := min(n-ran, chunk)
 		spec := kernel.RunSpec{Cycles: k, Watch: watch, Cancel: tb.cancel}
 		if tb.stim != nil && tb.inputs > 0 {
 			base := tb.cycle()
-			pokes := make([]kernel.PlannedPoke, 0, k*len(tb.lanes)*tb.inputs)
+			if pokes == nil {
+				pokes = make([]kernel.PlannedPoke, 0, k*len(tb.lanes)*tb.inputs)
+			}
+			pokes = pokes[:0]
 			for c := 0; c < k; c++ {
 				for l := range tb.lanes {
 					for i := 0; i < tb.inputs; i++ {
