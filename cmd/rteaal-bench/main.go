@@ -46,7 +46,6 @@ import (
 
 	"rteaal/internal/bench"
 	"rteaal/internal/gen"
-	"rteaal/internal/repcut"
 	"rteaal/sim"
 )
 
@@ -255,8 +254,6 @@ func throughput(c bench.Config) error {
 // design, growing partition counts, reporting wall-clock speedup per
 // partition strategy against the cost side of the trade — the
 // ReplicationFactor and CutSize columns explain why a row wins or loses.
-// Every configuration runs with partition workers pinned to OS threads
-// (the default) and unpinned, the before/after of the core-pinning change.
 func partitionScaling(c bench.Config) error {
 	g, _, err := bench.Build(gen.Spec{Family: gen.Rocket, Cores: 4, Scale: c.Scale})
 	if err != nil {
@@ -265,18 +262,15 @@ func partitionScaling(c bench.Config) error {
 	const cycles = 1000
 	fmt.Printf("partitions: RepCut scaling on r4/%d, PSU kernel, %d cycles (GOMAXPROCS=%d)\n",
 		c.Scale, cycles, runtime.GOMAXPROCS(0))
-	fmt.Printf("  %-6s %-13s %-8s %-12s %-10s %-12s %-8s %s\n",
-		"parts", "strategy", "pinned", "cycles/s", "speedup", "replication", "cut", "ops max/min")
-	run := func(parts int, pinned bool, opts ...sim.Option) (float64, sim.PartitionStats, error) {
+	fmt.Printf("  %-6s %-13s %-12s %-10s %-12s %-8s %s\n",
+		"parts", "strategy", "cycles/s", "speedup", "replication", "cut", "ops max/min")
+	run := func(parts int, opts ...sim.Option) (float64, sim.PartitionStats, error) {
 		d, err := sim.CompileGraph(g, append(opts, sim.WithKernel(sim.PSU), sim.WithPartitions(parts))...)
 		if err != nil {
 			return 0, sim.PartitionStats{}, err
 		}
 		st, _ := d.PartitionStats()
-		prev := repcut.PinWorkers.Load()
-		repcut.PinWorkers.Store(pinned)
-		s := d.NewSession() // instantiates synchronously; reads PinWorkers once
-		repcut.PinWorkers.Store(prev)
+		s := d.NewSession()
 		nIn := len(d.Inputs())
 		rng := rand.New(rand.NewSource(1))
 		start := time.Now()
@@ -292,27 +286,25 @@ func partitionScaling(c bench.Config) error {
 		s.Close()
 		return float64(cycles) / el.Seconds(), st, nil
 	}
-	base, _, err := run(1, true)
+	base, _, err := run(1)
 	if err != nil {
 		return err
 	}
 	design := fmt.Sprintf("r4/%d", c.Scale)
-	fmt.Printf("  %-6d %-13s %-8s %-12.0f %-10.2f %-12.2f %-8d -\n", 1, "-", "-", base, 1.0, 1.0, 0)
+	fmt.Printf("  %-6d %-13s %-12.0f %-10.2f %-12.2f %-8d -\n", 1, "-", base, 1.0, 1.0, 0)
 	c.Rec.Add("partitions", design, "cycles_per_sec/sequential", base, "cycles/s")
 	for _, parts := range []int{2, 4, 8} {
 		for _, strat := range sim.PartitionStrategies() {
-			for _, pinned := range []bool{false, true} {
-				rate, st, err := run(parts, pinned, sim.WithPartitionStrategy(strat))
-				if err != nil {
-					return err
-				}
-				fmt.Printf("  %-6d %-13s %-8t %-12.0f %-10.2f %-12.2f %-8d %d/%d\n",
-					st.Partitions, st.Strategy, pinned, rate, rate/base, st.ReplicationFactor,
-					st.CutSize, st.MaxPartitionOps, st.MinPartitionOps)
-				c.Rec.Add("partitions", design,
-					fmt.Sprintf("cycles_per_sec/%s/parts_%d/pinned_%t", st.Strategy, st.Partitions, pinned),
-					rate, "cycles/s")
+			rate, st, err := run(parts, sim.WithPartitionStrategy(strat))
+			if err != nil {
+				return err
 			}
+			fmt.Printf("  %-6d %-13s %-12.0f %-10.2f %-12.2f %-8d %d/%d\n",
+				st.Partitions, st.Strategy, rate, rate/base, st.ReplicationFactor,
+				st.CutSize, st.MaxPartitionOps, st.MinPartitionOps)
+			c.Rec.Add("partitions", design,
+				fmt.Sprintf("cycles_per_sec/%s/parts_%d", st.Strategy, st.Partitions),
+				rate, "cycles/s")
 		}
 	}
 	return nil

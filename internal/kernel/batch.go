@@ -2,10 +2,6 @@ package kernel
 
 import (
 	"fmt"
-	"runtime"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
 
 	"rteaal/internal/faultinject"
 	"rteaal/internal/oim"
@@ -35,14 +31,15 @@ import (
 // the packed store around every reference call; Poke/Peek route through
 // the packed layout transparently.
 //
-// A batch built with more than one worker shards its lanes over persistent
-// per-worker goroutines: every worker runs the full schedule across its own
-// contiguous lane block — lanes never interact, so one settle/commit barrier
-// per call is the only synchronisation. Packed batches shard on
-// 64-lane-aligned word boundaries so no two workers share a packed word;
-// surplus workers past the word count idle on empty ranges. Call
-// [Batch.Close] to stop the workers deterministically; an unreachable batch
-// is cleaned up by the garbage collector.
+// A batch shards its lanes over the workers of one [Workers] group: every
+// worker runs the full schedule across its own contiguous lane block —
+// lanes never interact, so an unwatched run needs no synchronisation between
+// dispatch and join. Packed batches shard on 64-lane-aligned word boundaries
+// so no two workers share a packed word; surplus workers past the word count
+// idle on empty ranges. A one-worker batch is a group of one: its single
+// shard runs on the caller's goroutine. Call [Batch.Close] to stop the
+// workers deterministically; an unreachable batch's group is stopped by the
+// garbage collector.
 type Batch struct {
 	t      *oim.Tensor
 	sched  *batchSchedule
@@ -56,62 +53,22 @@ type Batch struct {
 	pkNext []uint64   // packed staged commit, regs*words (staged packed plan)
 	outs   []uint64   // sampled outputs, outputs*lanes
 
-	// seq is the sequential executor (workers == 1): one shard bound to
-	// the full lane range, run on the caller's goroutine.
-	seq *batchShard
+	shards []*batchShard // shards[w] is worker w's lane block
+	ws     *Workers
 
-	// Parallel executor (workers > 1): per-worker shards and their command
-	// channels. Workers reference only the shard, the channels, and the
-	// shared fault slot — never the Batch itself — so dropping the batch
-	// lets the finalizer stop them.
-	shards []*batchShard
-	cmds   []chan batchCmd
-	done   chan struct{}
-	fault  *atomic.Pointer[WorkerPanic]
-	stop   sync.Once
-	closed bool
-}
-
-// batchPhase selects what a worker executes per dispatch.
-type batchPhase uint8
-
-const (
-	batchSettle batchPhase = iota // run schedule + sample outputs
-	batchStep                     // schedule + sample + register commit
-	batchRun                      // k full cycles, resident in the worker
-)
-
-// batchCmd is one dispatch of the worker protocol. A batchRun command
-// carries everything the worker needs for k resident cycles: the run's poke
-// plan (shared read-only by all workers until the dispatch joins; each
-// applies only its own lanes) and, when a watch forces locked-step execution,
-// the shared run synchronisation state. Unwatched runs carry no sync — the
-// lanes are independent, so each worker free-runs its k cycles with zero
-// intermediate synchronisation.
-type batchCmd struct {
-	phase batchPhase
-	k     int
-	pokes []PlannedPoke // all lanes, ordered by Cycle
-	sync  *batchSync    // nil: free-run
-}
-
-// batchSync is the shared state of one watched (locked-step) parallel run:
-// a per-cycle barrier plus the first cycle index the watch accepted,
-// published by the watching shard's worker before the barrier and read by
-// every worker after it.
-type batchSync struct {
-	bar   Barrier
-	watch *Watch
-	stop  atomic.Int64
+	// The per-worker bodies, bound once so a dispatch allocates nothing,
+	// and the run they execute: the poke plan is shared read-only by all
+	// workers until the dispatch joins (each applies only its own lanes).
+	settleJob, runJob func(w int)
+	cycleJob          func(w, i int) bool
+	cur               RunSpec
 }
 
 // batchShard is the slice of a batch one worker owns: the schedule bound to
 // a contiguous lane sub-range, plus views of the shared stores so the
 // worker can apply planned pokes and evaluate watches for its own lanes.
 // Lanes are independent, so shards share no mutable state (the store views
-// overlap only on lanes outside every other shard's range). Shards
-// reference the backing slices, never the Batch, keeping the finalizer
-// teardown sound.
+// overlap only on lanes outside every other shard's range).
 type batchShard struct {
 	ops         []boundOp
 	commits     []boundCommit
@@ -124,14 +81,28 @@ type batchShard struct {
 	pk     [][]uint64 // packed store, nil per wide slot / wide batch
 	masks  []uint64
 	outs   []uint64
+	pi     int // poke-plan cursor of a lock-step run
 }
 
-func (sh *batchShard) run(c batchPhase) {
+// settle runs the schedule and samples the outputs; step adds the register
+// commit.
+func (sh *batchShard) settle() {
 	runOps(sh.ops)
 	runOuts(sh.outB)
-	if c != batchSettle {
-		runCommits(sh.commits, sh.fusedCommit)
+}
+
+// step runs one full cycle: the pokes scheduled at or before cycle i that
+// fall on owned lanes (from cursor pi; the advanced cursor is returned),
+// the schedule, the register commit.
+func (sh *batchShard) step(i, pi int, pokes []PlannedPoke) int {
+	for ; pi < len(pokes) && pokes[pi].Cycle <= i; pi++ {
+		if sh.owns(pokes[pi].Lane) {
+			sh.poke(pokes[pi])
+		}
 	}
+	sh.settle()
+	runCommits(sh.commits, sh.fusedCommit)
+	return pi
 }
 
 // poke applies one planned poke to the shard's stores (the caller checks
@@ -146,7 +117,7 @@ func (sh *batchShard) poke(p PlannedPoke) {
 	sh.li[p.Slot][p.Lane] = p.Value & sh.masks[p.Slot]
 }
 
-// owns reports whether the watched lane falls in this shard's range.
+// owns reports whether the lane falls in this shard's range.
 func (sh *batchShard) owns(lane int) bool { return lane >= sh.lo && lane < sh.hi }
 
 // watchValue samples the watched value from the shard's stores: primary
@@ -164,70 +135,28 @@ func (sh *batchShard) watchValue(w *Watch) uint64 {
 	return sh.li[w.Slot][w.Lane]
 }
 
-// runBulk is the resident k-cycle loop of one shard: apply the cycle's
-// pokes to the lanes it owns, run the schedule, and — under a watch —
-// evaluate it and cross the per-cycle barrier so every shard stops at the
-// same cycle. Without a watch there is no intermediate synchronisation at
-// all.
-func (sh *batchShard) runBulk(k int, pokes []PlannedPoke, sync *batchSync) int {
+// The three bodies a batch hands its group. runShard is the resident loop
+// of an unwatched run: k cycles with no synchronisation at all. cycleShard
+// is one cycle of a watched run, which the group executes in lock-step so
+// every lane stops at the cycle the watch accepted; the shard owning the
+// watched lane evaluates it.
+func (b *Batch) settleShard(w int) { b.shards[w].settle() }
+
+func (b *Batch) runShard(w int) {
+	sh, k, pokes := b.shards[w], b.cur.Cycles, b.cur.Pokes
 	pi := 0
-	ran := 0
 	for i := 0; i < k; i++ {
-		for ; pi < len(pokes) && pokes[pi].Cycle <= i; pi++ {
-			if sh.owns(pokes[pi].Lane) {
-				sh.poke(pokes[pi])
-			}
-		}
-		sh.run(batchStep)
-		ran++
-		if sync == nil {
-			continue
-		}
-		if w := sync.watch; w != nil && sh.owns(w.Lane) && w.Accepts(sh.watchValue(w)) {
-			sync.stop.Store(int64(i))
-		}
-		sync.bar.Await()
-		if sync.stop.Load() <= int64(i) {
-			break
-		}
-	}
-	return ran
-}
-
-// batchWorker is the persistent loop of one lane shard. Every dispatched
-// command runs inside a recovery boundary, so a panic in a lane body or a
-// watch predicate never kills the worker or wedges the join: the worker
-// always sends done, and the dispatcher re-raises the recorded panic on
-// the calling goroutine.
-func batchWorker(sh *batchShard, cmds <-chan batchCmd, done chan<- struct{}, fault *atomic.Pointer[WorkerPanic]) {
-	for c := range cmds {
-		runWorkerCmd(sh, c, fault)
-		done <- struct{}{}
+		pi = sh.step(i, pi, pokes)
 	}
 }
 
-// runWorkerCmd executes one dispatched command, recovering any panic. A
-// recovered worker in a locked-step run first releases its barrier cohort:
-// it publishes a stop cycle below every peer's current cycle, then arrives
-// at the one barrier it still owes for the incomplete cycle (panics can
-// only happen before the worker's own Await), so peers observe the stop
-// and drain instead of spinning forever. The panic value and worker stack
-// are recorded for the dispatcher to re-raise as a [WorkerPanic].
-func runWorkerCmd(sh *batchShard, c batchCmd, fault *atomic.Pointer[WorkerPanic]) {
-	defer func() {
-		if r := recover(); r != nil {
-			fault.CompareAndSwap(nil, &WorkerPanic{Val: r, Stack: debug.Stack()})
-			if c.sync != nil {
-				c.sync.stop.Store(-1)
-				c.sync.bar.Await()
-			}
-		}
-	}()
-	if c.phase == batchRun {
-		sh.runBulk(c.k, c.pokes, c.sync)
-	} else {
-		sh.run(c.phase)
+func (b *Batch) cycleShard(w, i int) bool {
+	sh, watch := b.shards[w], b.cur.Watch
+	if i == 0 {
+		sh.pi = 0
 	}
+	sh.pi = sh.step(i, sh.pi, b.cur.Pokes)
+	return sh.owns(watch.Lane) && watch.Accepts(sh.watchValue(watch))
 }
 
 // NewBatch builds an n-lane batch engine over t, compiling the schedule
@@ -273,8 +202,26 @@ func newBatch(t *oim.Tensor, sched *batchSchedule, lanes, workers int) (*Batch, 
 			b.pkNext = make([]uint64, len(t.RegSlots)*b.words)
 		}
 	}
-	bindShard := func(lo, hi int) *batchShard {
-		return &batchShard{
+	lo := 0
+	for w := 0; w < workers; w++ {
+		var hi int
+		if sched.packing {
+			// Split on 64-lane-aligned word boundaries so no two
+			// workers ever write the same packed word. Workers past
+			// the word count keep an empty [hi,hi) range — they idle
+			// at the barrier but preserve the requested shard count.
+			wds := b.words / workers
+			if w < b.words%workers {
+				wds++
+			}
+			hi = min(lo+wds*64, lanes)
+		} else {
+			hi = lo + lanes/workers
+			if w < lanes%workers {
+				hi++
+			}
+		}
+		b.shards = append(b.shards, &batchShard{
 			ops:         bindOps(sched, b.li, b.pk, lo, hi),
 			commits:     bindCommits(sched, b.li, b.pk, b.next, b.pkNext, lanes, b.words, lo, hi),
 			outB:        bindOuts(t, sched, b.li, b.pk, b.outs, lanes, lo, hi),
@@ -286,41 +233,11 @@ func newBatch(t *oim.Tensor, sched *batchSchedule, lanes, workers int) (*Batch, 
 			pk:          b.pk,
 			masks:       t.Masks,
 			outs:        b.outs,
-		}
+		})
+		lo = hi
 	}
-	if workers == 1 {
-		b.seq = bindShard(0, lanes)
-	} else {
-		b.done = make(chan struct{}, workers)
-		b.cmds = make([]chan batchCmd, workers)
-		b.fault = new(atomic.Pointer[WorkerPanic])
-		lo := 0
-		for w := 0; w < workers; w++ {
-			var hi int
-			if sched.packing {
-				// Split on 64-lane-aligned word boundaries so no two
-				// workers ever write the same packed word. Workers past
-				// the word count keep an empty [hi,hi) range — they idle
-				// at the barrier but preserve the requested shard count.
-				wds := b.words / workers
-				if w < b.words%workers {
-					wds++
-				}
-				hi = min(lo+wds*64, lanes)
-			} else {
-				hi = lo + lanes/workers
-				if w < lanes%workers {
-					hi++
-				}
-			}
-			sh := bindShard(lo, hi)
-			b.shards = append(b.shards, sh)
-			b.cmds[w] = make(chan batchCmd, 1)
-			go batchWorker(sh, b.cmds[w], b.done, b.fault)
-			lo = hi
-		}
-		runtime.SetFinalizer(b, (*Batch).shutdown)
-	}
+	b.ws = NewWorkers(workers, false)
+	b.settleJob, b.runJob, b.cycleJob = b.settleShard, b.runShard, b.cycleShard
 	b.Reset()
 	return b, nil
 }
@@ -329,7 +246,7 @@ func newBatch(t *oim.Tensor, sched *batchSchedule, lanes, workers int) (*Batch, 
 func (b *Batch) Lanes() int { return b.lanes }
 
 // Workers reports the effective worker count (1 = sequential).
-func (b *Batch) Workers() int { return max(len(b.shards), 1) }
+func (b *Batch) Workers() int { return len(b.shards) }
 
 // Packed reports whether the batch runs the bit-packed layout: true when
 // the schedule was compiled with packing and the design has at least one
@@ -341,46 +258,9 @@ func (b *Batch) Tensor() *oim.Tensor { return b.t }
 
 // Close stops a parallel batch's worker goroutines. Optional — an
 // unreachable batch is cleaned up by the garbage collector — but
-// deterministic. The batch must not be stepped afterwards: Step and Run
-// panic on a closed batch.
-func (b *Batch) Close() {
-	b.closed = true
-	b.shutdown()
-	runtime.SetFinalizer(b, nil)
-}
-
-func (b *Batch) shutdown() {
-	b.stop.Do(func() {
-		for _, c := range b.cmds {
-			close(c)
-		}
-	})
-}
-
-// broadcast issues one command to every worker and waits for the join.
-func (b *Batch) broadcast(c batchPhase) {
-	for _, w := range b.cmds {
-		w <- batchCmd{phase: c}
-	}
-	for range b.cmds {
-		<-b.done
-	}
-	b.checkFault()
-}
-
-// checkFault re-raises a panic a worker recovered during the preceding
-// dispatch. The batch is poisoned — the panicking shard stopped mid-cycle,
-// so lane state is torn — and is closed before the panic propagates;
-// callers that recover must discard it.
-func (b *Batch) checkFault() {
-	if b.fault == nil {
-		return
-	}
-	if f := b.fault.Swap(nil); f != nil {
-		b.Close()
-		panic(f)
-	}
-}
+// deterministic. The batch must not be stepped afterwards: Settle, Step and
+// Run panic on a closed batch.
+func (b *Batch) Close() { b.ws.Close() }
 
 // Reset restores every lane to the initial state.
 func (b *Batch) Reset() {
@@ -472,14 +352,7 @@ func (b *Batch) RegSnapshot(lane int) []uint64 {
 
 // Settle performs one combinational evaluation of every lane and samples the
 // primary outputs.
-func (b *Batch) Settle() {
-	if b.seq != nil {
-		b.seq.run(batchSettle)
-		return
-	}
-	b.broadcast(batchSettle)
-	runtime.KeepAlive(b)
-}
+func (b *Batch) Settle() { b.ws.Do(b.settleJob) }
 
 // Step runs Settle followed by the simultaneous register commit of every
 // lane. It is exactly [Batch.Run] of one cycle.
@@ -493,23 +366,17 @@ func (b *Batch) Step() { b.Run(1) }
 // [Batch.Close].
 func (b *Batch) Run(k int) { b.RunBulk(RunSpec{Cycles: k}) }
 
-// RunCycles implements [BulkRunner]; it is Run.
-func (b *Batch) RunCycles(k int) { b.Run(k) }
-
 // RunBulk advances up to spec.Cycles cycles inside the workers' resident
 // run loops, applying the scheduled pokes at their cycles and stopping
 // early when the watch accepts (see [RunSpec]). It returns the completed
-// cycle count and whether the watch stopped the run. A watched parallel
-// run executes in locked step — one barrier per cycle, so every lane stops
-// at the same cycle the watch accepted — while an unwatched run stays
+// cycle count and whether the watch stopped the run. A watched run executes
+// in lock-step — one barrier per cycle, so every lane stops at the same
+// cycle the watch accepted — while an unwatched run stays
 // synchronisation-free between dispatch and join.
 // A spec with a Cancel probe runs in [CancelCheckCycles] chunks — one
 // dispatch/join round per chunk, the probe polled on the calling goroutine
 // between rounds — so cancellation never tears lanes out of lock-step.
 func (b *Batch) RunBulk(spec RunSpec) (ran int, stopped bool) {
-	if b.closed {
-		panic("kernel: batch used after Close")
-	}
 	return RunChunked(spec, b.runBulkOnce)
 }
 
@@ -520,29 +387,15 @@ func (b *Batch) runBulkOnce(spec RunSpec) (ran int, stopped bool) {
 	if k <= 0 {
 		return 0, false
 	}
-	pokes := spec.Pokes
-	var sync *batchSync
-	if spec.Watch != nil {
-		sync = &batchSync{watch: spec.Watch}
-		sync.stop.Store(int64(k))
-		sync.bar.Init(max(len(b.cmds), 1))
-	}
-	if b.seq != nil {
-		b.seq.runBulk(k, pokes, sync)
+	b.cur = spec
+	if spec.Watch == nil {
+		b.ws.Do(b.runJob)
 	} else {
-		for _, c := range b.cmds {
-			c <- batchCmd{phase: batchRun, k: k, pokes: pokes, sync: sync}
-		}
-		for range b.cmds {
-			<-b.done
-		}
-		runtime.KeepAlive(b)
-		b.checkFault()
+		ran, stopped = b.ws.Lockstep(k, b.cycleJob, nil)
 	}
-	if sync != nil {
-		if at := sync.stop.Load(); at < int64(k) {
-			return int(at) + 1, true
-		}
+	b.cur = RunSpec{} // the batch retains no per-run buffer
+	if stopped {
+		return ran, true
 	}
 	// Deliberate-defect injection site: when a test arms EngineDefect, one
 	// register bit of lane 0 flips after the dispatch, corrupting every

@@ -268,8 +268,9 @@ func TestBatchRunEdgeCases(t *testing.T) {
 	}
 }
 
-// TestScalarEnginesRunCycles checks every kernel's RunCycles(k) against k
-// single Steps under identical stimulus held across the run.
+// TestScalarEnginesRunCycles checks RunEngine — the bulk path of every
+// scalar kernel — against k single Steps under identical stimulus held
+// across the run, for all seven kinds.
 func TestScalarEnginesRunCycles(t *testing.T) {
 	rng := rand.New(rand.NewSource(808))
 	for trial := 0; trial < 4; trial++ {
@@ -288,10 +289,6 @@ func TestScalarEnginesRunCycles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			br, ok := bulk.(BulkRunner)
-			if !ok {
-				t.Fatalf("%v engine does not implement BulkRunner", cfg)
-			}
 			stim := rand.New(rand.NewSource(int64(trial) + 17))
 			for _, k := range []int{1, 4, 7} {
 				for i := range ten.InputSlots {
@@ -299,7 +296,9 @@ func TestScalarEnginesRunCycles(t *testing.T) {
 					bulk.PokeInput(i, v)
 					step.PokeInput(i, v)
 				}
-				br.RunCycles(k)
+				if ran, stopped := RunEngine(bulk, RunSpec{Cycles: k}); ran != k || stopped {
+					t.Fatalf("trial %d %v: RunEngine(%d) = (%d,%v)", trial, cfg, k, ran, stopped)
+				}
 				for c := 0; c < k; c++ {
 					step.Step()
 				}

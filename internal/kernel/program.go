@@ -97,9 +97,9 @@ func (p *Program) InstantiateBatch(lanes int) (*Batch, error) {
 }
 
 // InstantiateBatchParallel mints a lanes-wide [Batch] whose lanes are
-// sharded over `workers` persistent goroutines, each running the full
-// schedule on its own contiguous lane block with one settle/commit barrier
-// per cycle. workers is clamped to the lane count; 1 means the sequential
+// sharded over the `workers` resident goroutines of one [Workers] group,
+// each running the full schedule on its own contiguous lane block (see
+// [Batch.RunBulk] for when they synchronise). workers is clamped to the lane count; 1 means the sequential
 // in-caller path. Parallel batches should be released with [Batch.Close].
 func (p *Program) InstantiateBatchParallel(lanes, workers int) (*Batch, error) {
 	if workers < 1 {

@@ -97,13 +97,6 @@ func (e *psuEngine) Step() {
 	e.commit()
 }
 
-// RunCycles advances k cycles in one devirtualised loop (kernel.BulkRunner).
-func (e *psuEngine) RunCycles(k int) {
-	for i := 0; i < k; i++ {
-		e.Step()
-	}
-}
-
 // iuEngine fully unrolls the I rank on top of PSU's S-unrolling: the run
 // list of the swizzled format already names every non-empty (layer, type)
 // stretch, so the settle loop walks it directly and never visits a group
@@ -124,11 +117,4 @@ func (e *iuEngine) Settle() {
 func (e *iuEngine) Step() {
 	e.Settle()
 	e.commit()
-}
-
-// RunCycles advances k cycles in one devirtualised loop (kernel.BulkRunner).
-func (e *iuEngine) RunCycles(k int) {
-	for i := 0; i < k; i++ {
-		e.Step()
-	}
 }

@@ -78,13 +78,6 @@ func (e *ruEngine) Step() {
 	e.commit()
 }
 
-// RunCycles advances k cycles in one devirtualised loop (kernel.BulkRunner).
-func (e *ruEngine) RunCycles(k int) {
-	for i := 0; i < k; i++ {
-		e.Step()
-	}
-}
-
 // ouEngine adds full O-rank unrolling on top of RU: operands are fetched
 // with straight-line loads per arity instead of an inner loop, removing the
 // per-operand action scaffolding (§5.2 OU). The loop order and format are
@@ -147,11 +140,4 @@ func (e *ouEngine) Settle() {
 func (e *ouEngine) Step() {
 	e.Settle()
 	e.commit()
-}
-
-// RunCycles advances k cycles in one devirtualised loop (kernel.BulkRunner).
-func (e *ouEngine) RunCycles(k int) {
-	for i := 0; i < k; i++ {
-		e.Step()
-	}
 }

@@ -1,18 +1,18 @@
 package kernel
 
 import (
-	"fmt"
 	"runtime"
 	"slices"
 	"sync/atomic"
 )
 
 // This file is the multi-cycle bulk-run vocabulary shared by every engine:
-// scheduled pokes, early-stop watches, and the spin barrier the parallel
-// engines synchronise on inside a resident k-cycle loop. The point of the
-// bulk primitives is amortisation — one command dispatch and one join per k
-// cycles instead of per cycle — the Manticore-style bulk-synchronous
-// argument applied to the worker protocols of Batch and repcut.Instance.
+// scheduled pokes, early-stop watches, the one per-cycle loop ([RunEngine])
+// every engine without resident workers runs, and the spin barrier the
+// [Workers] group synchronises on inside a resident k-cycle run. The point
+// of the bulk primitives is amortisation — one command dispatch and one join
+// per k cycles instead of per cycle — the Manticore-style bulk-synchronous
+// argument applied to Batch and repcut.Instance, which share that group.
 
 // PlannedPoke is one scheduled LI write inside a bulk run: at the start of
 // cycle Cycle (0-based, relative to the run), before the cycle settles,
@@ -118,32 +118,10 @@ func rebasePokes(pokes []PlannedPoke, base, k int) []PlannedPoke {
 	return out
 }
 
-// WorkerPanic is the panic value the parallel engines re-raise on the
-// dispatching goroutine after recovering a panic inside a resident worker:
-// the worker releases its barrier cohort so peers drain cleanly, records
-// the original value and stack here, and the dispatcher — having joined
-// every worker — re-panics with it. Callers that recover at their own
-// boundary therefore see one panic, on their own goroutine, with the
-// worker's stack attached, and never a wedged barrier or a leaked worker.
-type WorkerPanic struct {
-	Val   any    // the worker's original panic value
-	Stack []byte // the worker's stack at recovery
-}
-
-func (p *WorkerPanic) Error() string {
-	return fmt.Sprintf("kernel: worker panic: %v", p.Val)
-}
-
-// BulkRunner is implemented by engines that advance many cycles per call,
-// amortising per-cycle dispatch. RunCycles(k) is bit-identical to k calls
-// of Step.
-type BulkRunner interface {
-	RunCycles(k int)
-}
-
 // SpecRunner is implemented by engines that execute a full [RunSpec] —
-// scheduled pokes and an early-stop watch — inside their run loop. It
-// returns the completed cycle count and whether the watch stopped the run.
+// scheduled pokes and an early-stop watch — inside a resident run loop of
+// their own. It returns the completed cycle count and whether the watch
+// stopped the run. Every other engine runs a spec through [RunEngine].
 type SpecRunner interface {
 	RunBulk(spec RunSpec) (ran int, stopped bool)
 }
@@ -173,8 +151,9 @@ func (w *Watch) Accepts(v uint64) bool { return w.Pred == nil || w.Pred(v) }
 
 // RunEngine executes a [RunSpec] against any scalar engine with a plain
 // per-cycle loop: apply the cycle's pokes, step, evaluate the watch. It is
-// the reference semantics every specialised bulk path must match, and the
-// fallback for engines without a resident run loop of their own.
+// the bulk path of every engine without a resident run loop of its own (all
+// seven scalar kernels), and the reference semantics the resident loops must
+// match.
 func RunEngine(eng Engine, spec RunSpec) (ran int, stopped bool) {
 	if spec.Cancel != nil {
 		return RunChunked(spec, func(sub RunSpec) (int, bool) { return RunEngine(eng, sub) })
@@ -196,9 +175,8 @@ func RunEngine(eng Engine, spec RunSpec) (ran int, stopped bool) {
 }
 
 // Barrier is a reusable generation-counter spin barrier for a fixed party
-// count: the k-cycle synchronisation point of the parallel bulk runs,
-// replacing the two channel round-trips per cycle the worker protocols used
-// to pay. The last arriver resets the count and bumps the generation;
+// count: the per-cycle synchronisation point of a [Workers.Lockstep] run.
+// The last arriver resets the count and bumps the generation;
 // everyone else spins (yielding, so single-CPU hosts make progress) until
 // the generation moves. Atomic operations order everything published before
 // a party's Await before everything any party does after it.

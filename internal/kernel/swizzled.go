@@ -200,10 +200,3 @@ func (e *nuEngine) Step() {
 	e.Settle()
 	e.commit()
 }
-
-// RunCycles advances k cycles in one devirtualised loop (kernel.BulkRunner).
-func (e *nuEngine) RunCycles(k int) {
-	for i := 0; i < k; i++ {
-		e.Step()
-	}
-}

@@ -122,13 +122,6 @@ func (e *suEngine) Step() {
 	e.commit()
 }
 
-// RunCycles advances k cycles in one devirtualised loop (kernel.BulkRunner).
-func (e *suEngine) RunCycles(k int) {
-	for i := 0; i < k; i++ {
-		e.Step()
-	}
-}
-
 // tiEngine adds tensor inlining (§5.2 TI): the LO tensor disappears and
 // every operation writes its LI coordinate directly — safe because
 // levelization guarantees no operation reads a coordinate written in its
@@ -154,11 +147,4 @@ func (e *tiEngine) Settle() {
 func (e *tiEngine) Step() {
 	e.Settle()
 	e.commit()
-}
-
-// RunCycles advances k cycles in one devirtualised loop (kernel.BulkRunner).
-func (e *tiEngine) RunCycles(k int) {
-	for i := 0; i < k; i++ {
-		e.Step()
-	}
 }

@@ -17,8 +17,8 @@
 //     for one kernel configuration — also once.
 //   - [Plan.Instantiate] mints any number of runnable [Instance]s over
 //     those programs. Each instance owns only mutable state plus one
-//     persistent worker goroutine per partition, so instances are cheap and
-//     may run concurrently.
+//     [kernel.Workers] group with a resident worker per partition, so
+//     instances are cheap and may run concurrently.
 //
 // Everything downstream of the ownership vector — cones, sub-tensors, RUM,
 // stats — is assignment-agnostic: any valid owner vector yields a correct
@@ -28,11 +28,7 @@ package repcut
 
 import (
 	"fmt"
-	"runtime"
-	"runtime/debug"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"rteaal/internal/dfg"
 	"rteaal/internal/kernel"
@@ -425,81 +421,36 @@ func (p *Plan) Lower(cfg kernel.Config) ([]*kernel.Program, error) {
 	return progs, nil
 }
 
-// PinWorkers controls whether partition worker goroutines lock themselves
-// to an OS thread (runtime.LockOSThread) for their whole life. Pinning
-// keeps each partition's cone state and its side of the RUM exchange on a
-// stable thread — and, through the OS scheduler's thread affinity, on a
-// stable core — so the per-cycle cut traffic stops bouncing cache lines
-// between whichever threads the Go scheduler happened to pick. On by
-// default; the partitions bench table measures both settings. Read once at
-// [Plan.Instantiate] time — flipping it never affects live instances — and
-// atomic so benchmarks can toggle it without racing concurrent
-// instantiation elsewhere.
-var PinWorkers atomic.Bool
-
-func init() { PinWorkers.Store(true) }
-
-// workerOp selects what a worker executes per dispatch.
-type workerOp uint8
-
-const (
-	cmdRun    workerOp = iota // k resident cycles with in-loop RUM exchange
-	cmdSettle                 // combinational evaluation only
-)
-
-// workerCmd is one dispatch of the worker protocol. A cmdRun command
-// carries the shared bulk-run descriptor; every per-cycle synchronisation
-// happens inside the workers on the instance's atomic barrier, so the
-// channels are touched once per run, not per cycle.
-type workerCmd struct {
-	op  workerOp
-	run *bulkRun
-}
-
-// bulkRun describes one multi-cycle run to every worker: the cycle count,
-// the per-partition poke plans (routed through slotUsers, like host pokes),
-// and the optional watch with the partition that evaluates it.
-type bulkRun struct {
-	k         int
-	plans     [][]kernel.PlannedPoke
-	watch     *kernel.Watch
-	watchPart int
-}
-
 // Instance is one runnable partitioned simulation. It implements
 // [kernel.Engine], so it is a drop-in for a single-partition engine
-// wherever one is expected. For more than one partition the instance owns a
-// persistent worker goroutine per partition, driven over command channels
-// with a cycle barrier; the goroutines stop when [Instance.Close] is called
-// or the instance is garbage-collected.
+// wherever one is expected. The partitions are the workers of one
+// [kernel.Workers] group, pinned to OS threads so each partition's cone
+// state and its side of the RUM exchange stay on a stable core; the
+// instance supplies the per-partition bodies and the group owns dispatch,
+// the cycle barrier and panic recovery. The goroutines stop when
+// [Instance.Close] is called or the instance is garbage-collected.
 type Instance struct {
-	*instance
-}
-
-// instance carries everything the workers reference. Keeping it separate
-// from the exported wrapper lets a finalizer on [Instance] stop the workers
-// once user code drops the instance: the goroutines only reach the inner
-// struct, so they never keep the outer one alive.
-type instance struct {
 	plan    *Plan
 	kind    kernel.Kind
 	engines []kernel.Engine
 	outs    []uint64
-	cmds    []chan workerCmd
-	done    chan struct{}
-	stop    sync.Once
-	pin     bool // lock each worker to an OS thread (PinWorkers at mint)
+	ws      *kernel.Workers
 
-	// Bulk-run state shared by the resident worker loops: the double-
-	// buffered exchange buffer (cycle i publishes to xbuf[i&1] while pulls
-	// read the buffer cycle i-1 filled), the per-cycle barrier, the first
-	// cycle index the watch accepted (sentinel: the run's k; a recovered
-	// worker panic stores -1, below every cycle, to release the cohort),
-	// and the recorded panic the dispatcher re-raises after the join.
-	xbuf   [2][]uint64
-	bar    kernel.Barrier
-	stopAt atomic.Int64
-	fault  atomic.Pointer[kernel.WorkerPanic]
+	// xbuf is the double-buffered exchange buffer of a run: cycle i
+	// publishes to xbuf[i&1] while its pulls read the buffer cycle i-1
+	// filled.
+	xbuf [2][]uint64
+
+	// The per-partition bodies, bound once so a dispatch allocates nothing,
+	// and the run they execute: each partition's share of the poke plan
+	// (consumed from the front) and the watch with the partition that
+	// evaluates it. Cleared after every run — nothing per-run is retained.
+	settleJob func(w int)
+	cycleJob  func(w, i int) bool
+	afterJob  func(w, last int)
+	plans     [][]kernel.PlannedPoke
+	watch     *kernel.Watch
+	watchPart int
 }
 
 // Instantiate mints a runnable instance over programs previously built by
@@ -509,11 +460,12 @@ func (p *Plan) Instantiate(progs []*kernel.Program) (*Instance, error) {
 	if len(progs) != len(p.subs) {
 		return nil, fmt.Errorf("repcut: got %d programs for %d partitions", len(progs), len(p.subs))
 	}
-	in := &instance{
+	in := &Instance{
 		plan:    p,
 		kind:    progs[0].Kind(),
 		engines: make([]kernel.Engine, len(progs)),
 		outs:    make([]uint64, len(p.t.OutputSlots)),
+		plans:   make([][]kernel.PlannedPoke, len(progs)),
 	}
 	for i, prog := range progs {
 		if prog.Tensor() != p.subs[i] {
@@ -521,226 +473,95 @@ func (p *Plan) Instantiate(progs []*kernel.Program) (*Instance, error) {
 		}
 		in.engines[i] = prog.Instantiate()
 	}
-	if len(in.engines) > 1 {
-		in.pin = PinWorkers.Load()
-		in.xbuf[0] = make([]uint64, p.nExchange)
-		in.xbuf[1] = make([]uint64, p.nExchange)
-		in.bar.Init(len(in.engines))
-		in.done = make(chan struct{}, len(in.engines))
-		in.cmds = make([]chan workerCmd, len(in.engines))
-		for i := range in.engines {
-			in.cmds[i] = make(chan workerCmd, 1)
-			go in.worker(i, in.cmds[i])
-		}
-	}
-	out := &Instance{in}
-	runtime.SetFinalizer(out, func(o *Instance) { o.instance.stopWorkers() })
-	return out, nil
+	in.xbuf[0] = make([]uint64, p.nExchange)
+	in.xbuf[1] = make([]uint64, p.nExchange)
+	in.ws = kernel.NewWorkers(len(in.engines), true)
+	in.settleJob, in.cycleJob, in.afterJob = in.settlePart, in.cyclePart, in.pullPart
+	return in, nil
 }
 
 // Close stops the instance's worker goroutines. Optional — an unreachable
 // instance is cleaned up by the garbage collector — but deterministic. The
-// instance must not be used afterwards.
-func (in *Instance) Close() {
-	in.instance.stopWorkers()
-	runtime.SetFinalizer(in, nil)
-}
+// instance must not be used afterwards: Settle, Step and the bulk runs
+// panic on a closed instance.
+func (in *Instance) Close() { in.ws.Close() }
 
-// Step and Settle are defined on the outer wrapper, not promoted: the
-// receiver plus the trailing KeepAlive hold the *Instance reachable for the
-// whole call, so the finalizer cannot close the worker channels while a
-// broadcast is in flight (the promoted form would only keep the inner
-// struct alive).
+func (in *Instance) settlePart(w int) { in.engines[w].Settle() }
 
-// Step runs one cycle: parallel settle+commit in every partition, then the
-// parallel RUM synchronisation step (the final einsum of Cascade 2).
-func (in *Instance) Step() {
-	in.instance.step()
-	runtime.KeepAlive(in)
-}
-
-// Settle performs one combinational evaluation in every partition without
-// committing registers, refreshing the sampled outputs.
-func (in *Instance) Settle() {
-	in.instance.settle()
-	runtime.KeepAlive(in)
-}
-
-// RunCycles advances k cycles with one worker dispatch and one join: every
-// partition stays resident in its run loop, synchronising per cycle on the
-// instance's atomic barrier instead of the command channels
-// (kernel.BulkRunner). Bit-identical to k calls of Step.
-func (in *Instance) RunCycles(k int) {
-	in.instance.runBulk(kernel.RunSpec{Cycles: k})
-	runtime.KeepAlive(in)
-}
-
-// RunBulk executes a full [kernel.RunSpec] — scheduled pokes and an optional
-// early-stop watch — inside the resident run loop (kernel.SpecRunner). It
-// returns the completed cycle count and whether the watch stopped the run.
-func (in *Instance) RunBulk(spec kernel.RunSpec) (ran int, stopped bool) {
-	ran, stopped = in.instance.runBulk(spec)
-	runtime.KeepAlive(in)
-	return ran, stopped
-}
-
-func (in *instance) stopWorkers() {
-	in.stop.Do(func() {
-		for _, c := range in.cmds {
-			close(c)
-		}
-	})
-}
-
-// worker is the persistent loop of one partition. A cmdRun keeps the worker
-// resident for the whole k-cycle run: per cycle it pulls the foreign
-// register values the previous cycle published, applies its share of the
-// poke plan, steps its engine, publishes its own committed registers, and
-// meets the other partitions at the atomic barrier — the channels carry one
-// value per run instead of two per cycle.
+// cyclePart is one cycle of partition w inside a resident run: pull the
+// foreign register values the previous cycle published, apply the
+// partition's share of the poke plan, step the engine, publish its own
+// committed registers, and evaluate the watch if this partition holds the
+// watched value. The group then meets the other partitions at the barrier.
 //
 // The exchange is double-buffered: cycle i publishes into xbuf[i&1] while
 // cycle i+1's pulls read xbuf[i&1] after the barrier — a single barrier per
 // cycle suffices because writers of buffer b and readers of buffer 1-b never
 // overlap. The first cycle of a run pulls nothing: between runs every
 // partition's foreign slots are current (the previous run's epilogue — or
-// reset — left them so), which is also why the epilogue below re-pulls the
-// last published buffer before the worker parks.
-func (in *instance) worker(part int, cmds <-chan workerCmd) {
-	if in.pin {
-		// Pin the partition to one OS thread for its whole life; the
-		// thread is released when the goroutine (and with it the locked
-		// thread state) exits at channel close.
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
+// reset — left them so).
+func (in *Instance) cyclePart(w, i int) bool {
+	eng := in.engines[w]
+	if i > 0 {
+		in.pullPart(w, i-1)
 	}
-	eng := in.engines[part]
-	pubs, pulls := in.plan.pubs[part], in.plan.pulls[part]
-	for c := range cmds {
-		in.runCmd(part, eng, pubs, pulls, c)
-		in.done <- struct{}{}
+	for p := in.plans[w]; len(p) > 0 && p[0].Cycle <= i; p = in.plans[w] {
+		eng.PokeSlot(p[0].Slot, p[0].Value)
+		in.plans[w] = p[1:]
 	}
+	eng.Step()
+	dst := in.xbuf[i&1]
+	for _, e := range in.plan.pubs[w] {
+		dst[e.xi] = eng.PeekSlot(e.q)
+	}
+	return in.watch != nil && w == in.watchPart && in.watch.Accepts(in.watch.Sample(eng))
 }
 
-// runCmd executes one dispatched command inside a recovery boundary, so a
-// panicking partition never kills its worker or wedges the cohort: done is
-// always sent, and a panic recovered mid-run first releases the barrier —
-// storing a stop cycle below every peer's current cycle and arriving at
-// the one barrier the worker still owes for its incomplete cycle — before
-// being recorded for the dispatcher to re-raise as a [kernel.WorkerPanic].
-func (in *instance) runCmd(part int, eng kernel.Engine, pubs, pulls []xchgEntry, c workerCmd) {
-	// owesBarrier is true exactly while the worker is inside a cycle whose
-	// barrier it has not yet crossed; a panic in the epilogue (after the
-	// final Await) must not arrive at the barrier again, since every peer
-	// has already drained.
-	owesBarrier := false
-	defer func() {
-		if rec := recover(); rec != nil {
-			in.fault.CompareAndSwap(nil, &kernel.WorkerPanic{Val: rec, Stack: debug.Stack()})
-			if owesBarrier {
-				in.stopAt.Store(-1)
-				in.bar.Await()
-			}
-		}
-	}()
-	switch c.op {
-	case cmdSettle:
-		eng.Settle()
-	case cmdRun:
-		r := c.run
-		pokes := r.plans[part]
-		pi, last := 0, -1
-		for i := 0; i < r.k; i++ {
-			owesBarrier = true
-			if i > 0 {
-				src := in.xbuf[(i-1)&1]
-				for _, e := range pulls {
-					eng.PokeSlot(e.q, src[e.xi])
-				}
-			}
-			for pi < len(pokes) && pokes[pi].Cycle <= i {
-				eng.PokeSlot(pokes[pi].Slot, pokes[pi].Value)
-				pi++
-			}
-			eng.Step()
-			dst := in.xbuf[i&1]
-			for _, e := range pubs {
-				dst[e.xi] = eng.PeekSlot(e.q)
-			}
-			if r.watch != nil && part == r.watchPart && r.watch.Accepts(r.watch.Sample(eng)) {
-				in.stopAt.Store(int64(i))
-			}
-			in.bar.Await()
-			owesBarrier = false
-			last = i
-			// Unconditional: stopAt holds the run's k unless a watch
-			// accepted or a peer's recovered panic stored -1, so every
-			// worker — watched or not — drains when the cohort stops.
-			if in.stopAt.Load() <= int64(i) {
-				break
-			}
-		}
-		// Epilogue: restore the inter-run invariant — every foreign slot
-		// holds the value its owner last committed — so host peeks, pokes
-		// and the next run's first cycle see current state.
-		if last >= 0 {
-			src := in.xbuf[last&1]
-			for _, e := range pulls {
-				eng.PokeSlot(e.q, src[e.xi])
-			}
-		}
-	}
-}
-
-// broadcast issues one command to every worker and joins on completion —
-// the only channel traffic a run pays, regardless of its cycle count.
-func (in *instance) broadcast(c workerCmd) {
-	for _, w := range in.cmds {
-		w <- c
-	}
-	for range in.cmds {
-		<-in.done
-	}
-	in.checkFault()
-}
-
-// checkFault re-raises a panic a worker recovered during the preceding
-// dispatch. The instance is poisoned — the panicking partition stopped
-// mid-cycle and skipped its epilogue, so partition state is torn — and its
-// workers are stopped before the panic propagates; callers that recover
-// must discard it.
-func (in *instance) checkFault() {
-	if f := in.fault.Swap(nil); f != nil {
-		in.stopWorkers()
-		panic(f)
+// pullPart copies the foreign registers cycle i published into partition
+// w's engine. As the epilogue of a run (the group calls it with the last
+// completed cycle once the cohort has stopped) it restores the inter-run
+// invariant — every foreign slot holds the value its owner last committed —
+// so host peeks, pokes and the next run's first cycle see current state.
+func (in *Instance) pullPart(w, i int) {
+	eng, src := in.engines[w], in.xbuf[i&1]
+	for _, e := range in.plan.pulls[w] {
+		eng.PokeSlot(e.q, src[e.xi])
 	}
 }
 
 // sample gathers each output from the partition that owns its cone.
-func (in *instance) sample() {
+func (in *Instance) sample() {
 	for i, owner := range in.plan.outOwner {
 		in.outs[i] = in.engines[owner].PeekOutput(i)
 	}
 }
 
 // Name identifies the kernel configuration and partition count.
-func (in *instance) Name() string {
+func (in *Instance) Name() string {
 	return fmt.Sprintf("%s×%d", in.kind, len(in.engines))
 }
 
-func (in *instance) step() { in.runBulk(kernel.RunSpec{Cycles: 1}) }
+// Step runs one cycle: parallel settle+commit in every partition, then the
+// parallel RUM synchronisation step (the final einsum of Cascade 2). It is
+// exactly a bulk run of one cycle.
+func (in *Instance) Step() { in.RunBulk(kernel.RunSpec{Cycles: 1}) }
 
-// runBulk executes a [kernel.RunSpec] across the partitions: one broadcast,
-// k resident cycles in every worker, one join. Pokes are routed to the
-// partitions that consume their slot (slotUsers, authoritative fallback),
-// exactly like live [instance.PokeSlot] calls; a watch is evaluated by the
-// single partition holding the authoritative value, which publishes the
-// stopping cycle through stopAt for the others to observe at the barrier.
+// RunCycles advances k cycles; it is RunBulk without pokes or a watch.
+func (in *Instance) RunCycles(k int) { in.RunBulk(kernel.RunSpec{Cycles: k}) }
+
+// RunBulk executes a [kernel.RunSpec] across the partitions
+// (kernel.SpecRunner): one dispatch, k resident cycles in every worker with
+// one barrier per cycle, one join. It returns the completed cycle count and
+// whether the watch stopped the run; bit-identical to stepping by hand.
+// Pokes are routed to the partitions that consume their slot (slotUsers,
+// authoritative fallback), exactly like live [Instance.PokeSlot] calls; a
+// watch is evaluated by the single partition holding the authoritative
+// value, and the group stops every partition at the cycle it accepts.
 // A spec with a Cancel probe runs in [kernel.CancelCheckCycles] chunks —
-// one broadcast/join round per chunk, the probe polled on the calling
+// one dispatch/join round per chunk, the probe polled on the calling
 // goroutine between rounds — so cancellation observes partition state only
 // at cycle boundaries every worker has crossed.
-func (in *instance) runBulk(spec kernel.RunSpec) (ran int, stopped bool) {
+func (in *Instance) RunBulk(spec kernel.RunSpec) (ran int, stopped bool) {
 	if len(in.engines) == 1 {
 		ran, stopped = kernel.RunEngine(in.engines[0], spec)
 		in.sample()
@@ -749,66 +570,48 @@ func (in *instance) runBulk(spec kernel.RunSpec) (ran int, stopped bool) {
 	return kernel.RunChunked(spec, in.runBulkOnce)
 }
 
-// runBulkOnce is one uninterruptible broadcast of a bulk run; pokes arrive
+// runBulkOnce is one uninterruptible dispatch of a bulk run; pokes arrive
 // sorted from RunChunked.
-func (in *instance) runBulkOnce(spec kernel.RunSpec) (ran int, stopped bool) {
-	k := spec.Cycles
-	if k <= 0 {
+func (in *Instance) runBulkOnce(spec kernel.RunSpec) (ran int, stopped bool) {
+	if spec.Cycles <= 0 {
 		return 0, false
 	}
-	run := &bulkRun{k: k, plans: make([][]kernel.PlannedPoke, len(in.engines))}
-	for _, p := range sortedPlanPokes(spec.Pokes) {
+	for _, p := range spec.Pokes {
 		users := in.plan.slotUsers[p.Slot]
 		if len(users) == 0 {
-			run.plans[in.plan.slotAuth[p.Slot]] = append(run.plans[in.plan.slotAuth[p.Slot]], p)
+			auth := in.plan.slotAuth[p.Slot]
+			in.plans[auth] = append(in.plans[auth], p)
 			continue
 		}
 		for _, part := range users {
-			run.plans[part] = append(run.plans[part], p)
+			in.plans[part] = append(in.plans[part], p)
 		}
 	}
 	if w := spec.Watch; w != nil {
-		run.watch = w
+		in.watch = w
 		if w.OutIdx >= 0 {
-			run.watchPart = in.plan.outOwner[w.OutIdx]
+			in.watchPart = in.plan.outOwner[w.OutIdx]
 		} else {
-			run.watchPart = in.plan.slotAuth[w.Slot]
+			in.watchPart = in.plan.slotAuth[w.Slot]
 		}
 	}
-	in.stopAt.Store(int64(k))
-	in.broadcast(workerCmd{op: cmdRun, run: run})
-	ran = k
-	if run.watch != nil {
-		if at := in.stopAt.Load(); at < int64(k) {
-			ran, stopped = int(at)+1, true
-		}
-	}
+	ran, stopped = in.ws.Lockstep(spec.Cycles, in.cycleJob, in.afterJob)
+	clear(in.plans)
+	in.watch = nil
 	in.sample()
 	return ran, stopped
 }
 
-// sortedPlanPokes orders a poke plan by cycle, copying only when needed.
-func sortedPlanPokes(pokes []kernel.PlannedPoke) []kernel.PlannedPoke {
-	if slices.IsSortedFunc(pokes, func(a, b kernel.PlannedPoke) int { return a.Cycle - b.Cycle }) {
-		return pokes
-	}
-	pokes = slices.Clone(pokes)
-	slices.SortStableFunc(pokes, func(a, b kernel.PlannedPoke) int { return a.Cycle - b.Cycle })
-	return pokes
-}
-
-func (in *instance) settle() {
-	if len(in.engines) == 1 {
-		in.engines[0].Settle()
-	} else {
-		in.broadcast(workerCmd{op: cmdSettle})
-	}
+// Settle performs one combinational evaluation in every partition without
+// committing registers, refreshing the sampled outputs.
+func (in *Instance) Settle() {
+	in.ws.Do(in.settleJob)
 	in.sample()
 }
 
 // Reset restores every partition. Safe between cycles: workers are parked
 // on their command channels whenever no Step or Settle is in flight.
-func (in *instance) Reset() {
+func (in *Instance) Reset() {
 	for _, e := range in.engines {
 		e.Reset()
 	}
@@ -821,7 +624,7 @@ func (in *instance) Reset() {
 // Partitions that never consume the input skip the write — their copy is
 // dead state — so per-cycle stimulus costs the cut's fan-out, not a full
 // broadcast.
-func (in *instance) PokeInput(idx int, v uint64) {
+func (in *Instance) PokeInput(idx int, v uint64) {
 	slot := in.plan.t.InputSlots[idx]
 	for _, part := range in.plan.slotUsers[slot] {
 		in.engines[part].PokeInput(idx, v)
@@ -829,13 +632,13 @@ func (in *instance) PokeInput(idx int, v uint64) {
 }
 
 // PeekOutput reads a primary output sampled at the last Step or Settle.
-func (in *instance) PeekOutput(idx int) uint64 { return in.outs[idx] }
+func (in *Instance) PeekOutput(idx int) uint64 { return in.outs[idx] }
 
 // PeekSlot reads an LI coordinate from a partition holding an authoritative
 // value: the owner for register coordinates, the sampling owner for output
 // coordinates. Other interior coordinates are only guaranteed fresh in
 // partitions whose cones compute them.
-func (in *instance) PeekSlot(slot int32) uint64 {
+func (in *Instance) PeekSlot(slot int32) uint64 {
 	return in.engines[in.plan.slotAuth[slot]].PeekSlot(slot)
 }
 
@@ -847,7 +650,7 @@ func (in *instance) PeekSlot(slot int32) uint64 {
 // bit-identical to the unpartitioned engine. Coordinates no partition
 // consumes fall back to the authoritative engine so Peek still observes
 // the write.
-func (in *instance) PokeSlot(slot int32, v uint64) {
+func (in *Instance) PokeSlot(slot int32, v uint64) {
 	users := in.plan.slotUsers[slot]
 	if len(users) == 0 {
 		in.engines[in.plan.slotAuth[slot]].PokeSlot(slot, v)
@@ -859,7 +662,7 @@ func (in *instance) PokeSlot(slot int32, v uint64) {
 }
 
 // RegSnapshot reassembles the full register state in t.RegSlots order.
-func (in *instance) RegSnapshot() []uint64 {
+func (in *Instance) RegSnapshot() []uint64 {
 	out := make([]uint64, len(in.plan.t.RegSlots))
 	for part, regs := range in.plan.ownedRegs {
 		snap := in.engines[part].RegSnapshot()
@@ -871,7 +674,7 @@ func (in *instance) RegSnapshot() []uint64 {
 }
 
 // Tensor returns the unpartitioned design tensor.
-func (in *instance) Tensor() *oim.Tensor { return in.plan.t }
+func (in *Instance) Tensor() *oim.Tensor { return in.plan.t }
 
 // Partitions returns the partition count.
-func (in *instance) Partitions() int { return len(in.engines) }
+func (in *Instance) Partitions() int { return len(in.engines) }

@@ -16,7 +16,8 @@ import (
 // pre-bound to lane vectors, redundant masks elided, bounds checks
 // eliminated — and with [WithBatchWorkers] (or [Design.NewBatchParallel])
 // the lanes shard over persistent worker goroutines, one contiguous lane
-// block per worker, with a single barrier per cycle. Slots the compiler
+// block per worker, with one dispatch and one join per run and a barrier
+// per cycle only while a watch is active. Slots the compiler
 // proves 1-bit wide are additionally bit-packed — lane i is bit i of a word
 // array — so one word-wide op evaluates 64 lanes; see [WithBatchPacking].
 //

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -67,8 +68,14 @@ func (s *Session) Registers() []uint64 { return s.eng.RegSnapshot() }
 // registers, refreshing the sampled outputs.
 func (s *Session) Settle() { s.eng.Settle() }
 
+// errClosed is what every cycle-advancing call answers after Close.
+var errClosed = errors.New("sim: session used after Close")
+
 // Step advances one clock cycle, sampling the waveform if enabled.
 func (s *Session) Step() error {
+	if s.closed {
+		return errClosed
+	}
 	s.eng.Step()
 	s.cycle++
 	if s.wave != nil {
@@ -82,13 +89,12 @@ func (s *Session) Step() error {
 	return nil
 }
 
-// Run advances n cycles. Without an active waveform the whole run is one
-// bulk dispatch into the engine ([kernel.BulkRunner]/[kernel.SpecRunner]):
-// parallel engines keep their workers resident for the full run instead of
-// paying a dispatch and join per cycle, so long runs amortise all per-cycle
-// coordination. With a waveform enabled the run falls back to per-cycle
-// stepping — the VCD must sample every cycle. Bit-identical to n calls of
-// [Session.Step] either way.
+// Run advances n cycles as one bulk run: engines with resident workers
+// ([kernel.SpecRunner]: partitioned sessions) keep them resident for the
+// whole run instead of paying a dispatch and join per cycle; every other
+// engine runs the one per-cycle loop, [kernel.RunEngine]. With a waveform
+// enabled that same loop steps through [Session.Step], so the VCD samples
+// every cycle. Bit-identical to n calls of [Session.Step] either way.
 func (s *Session) Run(n int64) error {
 	for n > 0 {
 		k := min(n, int64(1)<<30)
@@ -106,52 +112,40 @@ func (s *Session) Run(n int64) error {
 // funnel every bulk surface ([Session.Run], [Testbench]) drains into.
 func (s *Session) runBulk(spec kernel.RunSpec) (ran int, stopped bool, err error) {
 	if s.closed {
-		return 0, false, fmt.Errorf("sim: session used after Close")
+		return 0, false, errClosed
 	}
 	if spec.Cycles <= 0 {
 		return 0, false, nil
 	}
-	if s.wave == nil {
-		if sr, ok := s.eng.(kernel.SpecRunner); ok {
-			ran, stopped = sr.RunBulk(spec)
-		} else if br, ok := s.eng.(kernel.BulkRunner); ok && len(spec.Pokes) == 0 && spec.Watch == nil {
-			if spec.Cancel != nil {
-				// Keep the devirtualised RunCycles loop, chunked so the
-				// cancellation probe is still polled at chunk boundaries.
-				ran, _ = kernel.RunChunked(spec, func(sub kernel.RunSpec) (int, bool) {
-					br.RunCycles(sub.Cycles)
-					return sub.Cycles, false
-				})
-			} else {
-				br.RunCycles(spec.Cycles)
-				ran = spec.Cycles
-			}
-		} else {
-			ran, stopped = kernel.RunEngine(s.eng, spec)
-		}
-		s.cycle += int64(ran)
-		return ran, stopped, nil
+	if s.wave != nil {
+		we := waveEngine{Engine: s.eng, s: s}
+		ran, stopped = kernel.RunEngine(&we, spec)
+		return ran, stopped, we.err
 	}
-	// Waveform fallback: sample once per cycle, exactly as single-stepping
-	// would (plans arrive ordered by cycle, see [kernel.RunSpec]).
-	pi := 0
-	for i := 0; i < spec.Cycles; i++ {
-		if spec.Cancel != nil && i%kernel.CancelCheckCycles == 0 && spec.Cancel() {
-			return ran, false, nil
-		}
-		for pi < len(spec.Pokes) && spec.Pokes[pi].Cycle <= i {
-			s.eng.PokeSlot(spec.Pokes[pi].Slot, spec.Pokes[pi].Value)
-			pi++
-		}
-		if err := s.Step(); err != nil {
-			return ran, false, err
-		}
-		ran++
-		if w := spec.Watch; w != nil && w.Accepts(w.Sample(s.eng)) {
-			return ran, true, nil
-		}
+	if sr, ok := s.eng.(kernel.SpecRunner); ok {
+		ran, stopped = sr.RunBulk(spec)
+	} else {
+		ran, stopped = kernel.RunEngine(s.eng, spec)
 	}
-	return ran, false, nil
+	s.cycle += int64(ran)
+	return ran, stopped, nil
+}
+
+// waveEngine is the session's engine as [kernel.RunEngine] sees it while a
+// waveform records: Step is [Session.Step] (cycle count + VCD sample). A
+// write error cannot stop the run — Engine.Step has no way to say so — so it
+// sticks, as it does inside the VCD writer, and surfaces when the run
+// returns; the simulation itself completes every cycle it was asked for.
+type waveEngine struct {
+	kernel.Engine
+	s   *Session
+	err error
+}
+
+func (w *waveEngine) Step() {
+	if err := w.s.Step(); err != nil && w.err == nil {
+		w.err = err
+	}
 }
 
 // Reset restores the initial state (the waveform keeps recording).
