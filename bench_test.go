@@ -8,10 +8,8 @@
 package main
 
 import (
-	"context"
 	"io"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"rteaal/internal/baseline"
@@ -21,7 +19,6 @@ import (
 	"rteaal/internal/kernel"
 	"rteaal/internal/oim"
 	"rteaal/internal/repcut"
-	"rteaal/sim"
 )
 
 // benchCfg trades fidelity for time; cmd/rteaal-bench defaults to scale 8.
@@ -228,178 +225,3 @@ func BenchmarkRepCutThreads1(b *testing.B) { benchRepCut(b, 1) }
 func BenchmarkRepCutThreads2(b *testing.B) { benchRepCut(b, 2) }
 func BenchmarkRepCutThreads4(b *testing.B) { benchRepCut(b, 4) }
 func BenchmarkRepCutThreads8(b *testing.B) { benchRepCut(b, 8) }
-
-// Public-API serving benchmarks: the compile-once / simulate-many shapes of
-// rteaal/sim on the shared benchmark circuit.
-var (
-	simDesignOnce sync.Once
-	simDesign     *sim.Design
-	simDesignErr  error
-)
-
-func benchSimDesign(b *testing.B) *sim.Design {
-	b.Helper()
-	simDesignOnce.Do(func() {
-		var g *dfg.Graph
-		g, _, simDesignErr = bench.Build(gen.Spec{Family: gen.Rocket, Cores: 1, Scale: benchCfg.Scale})
-		if simDesignErr != nil {
-			return
-		}
-		simDesign, simDesignErr = sim.CompileGraph(g, sim.WithKernel(sim.PSU))
-	})
-	if simDesignErr != nil {
-		b.Fatal(simDesignErr)
-	}
-	return simDesign
-}
-
-func BenchmarkSimSessionStep(b *testing.B) {
-	d := benchSimDesign(b)
-	s := d.NewSession()
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < len(d.Inputs()); i++ {
-		s.PokeIndex(i, rng.Uint64())
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchSimBatchStep reports per-lane-cycle cost: wall clock is divided
-// across lanes, so a value below BenchmarkSimSessionStep's means the SoA
-// batch amortises control flow.
-func benchSimBatchStep(b *testing.B, lanes int) {
-	d := benchSimDesign(b)
-	bt, err := d.NewBatch(lanes)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	for lane := 0; lane < lanes; lane++ {
-		for i := 0; i < len(d.Inputs()); i++ {
-			bt.PokeIndex(lane, i, rng.Uint64())
-		}
-	}
-	b.ReportMetric(float64(lanes), "lanes")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bt.Step()
-	}
-}
-
-func BenchmarkSimBatchStep1(b *testing.B)  { benchSimBatchStep(b, 1) }
-func BenchmarkSimBatchStep4(b *testing.B)  { benchSimBatchStep(b, 4) }
-func BenchmarkSimBatchStep16(b *testing.B) { benchSimBatchStep(b, 16) }
-func BenchmarkSimBatchStep64(b *testing.B) { benchSimBatchStep(b, 64) }
-
-// benchKernelBatch drives the batch engine directly and reports delivered
-// lane-cycles/second: b.N steps × lanes over wall clock. scalar selects the
-// pre-schedule reference loop retained for the perf trajectory; packing
-// selects the bit-packed schedule.
-func benchKernelBatch(b *testing.B, lanes, workers int, scalar, packing bool) {
-	_, t := benchDesign(b)
-	benchBatchTensor(b, t, lanes, workers, scalar, packing)
-}
-
-func benchBatchTensor(b *testing.B, t *oim.Tensor, lanes, workers int, scalar, packing bool) {
-	b.Helper()
-	prog, err := kernel.NewProgram(t, kernel.Config{Kind: kernel.PSU})
-	if err != nil {
-		b.Fatal(err)
-	}
-	bt, err := prog.InstantiateBatchWith(lanes, kernel.BatchOptions{Workers: workers, Packing: packing})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer bt.Close()
-	rng := rand.New(rand.NewSource(1))
-	for lane := 0; lane < lanes; lane++ {
-		for i := range t.InputSlots {
-			bt.PokeInput(lane, i, rng.Uint64())
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if scalar {
-			bt.StepReference()
-		} else {
-			bt.Step()
-		}
-	}
-	b.StopTimer()
-	if s := b.Elapsed().Seconds(); s > 0 {
-		b.ReportMetric(float64(b.N)*float64(lanes)/s, "lane-cycles/s")
-	}
-}
-
-// BenchmarkBatchStep is the single-thread fused fast path; its scalar
-// sibling is the pre-schedule loop it replaced, and its packed sibling the
-// bit-packed schedule, which must hold parity on this datapath-heavy
-// design. The fused/scalar and packed/fused lane-cycles/s ratios are the
-// figures BENCH_*.json tracks PR-over-PR.
-func BenchmarkBatchStep(b *testing.B)       { benchKernelBatch(b, 64, 1, false, false) }
-func BenchmarkBatchStepScalar(b *testing.B) { benchKernelBatch(b, 64, 1, true, false) }
-func BenchmarkBatchStepPacked(b *testing.B) { benchKernelBatch(b, 64, 1, false, true) }
-
-// BenchmarkBatchCtrl pits the fused and packed schedules on the
-// control-dominated arbiter fabric, where nearly every slot is 1-bit and
-// the packed bodies evaluate 64 lanes per word-wide op.
-func benchCtrlBatch(b *testing.B, packing bool) {
-	_, t, err := bench.Build(gen.Spec{Family: gen.Ctrl, Cores: 2048, Scale: benchCfg.Scale})
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchBatchTensor(b, t, 64, 1, false, packing)
-}
-
-func BenchmarkBatchCtrlFused(b *testing.B)  { benchCtrlBatch(b, false) }
-func BenchmarkBatchCtrlPacked(b *testing.B) { benchCtrlBatch(b, true) }
-
-// BenchmarkBatchParallel shards 256 lanes over persistent lane workers; the
-// workers=1 row is the scaling baseline. Packed parallel batches shard on
-// 64-lane-aligned word boundaries.
-func BenchmarkBatchParallel1(b *testing.B)       { benchKernelBatch(b, 256, 1, false, false) }
-func BenchmarkBatchParallel2(b *testing.B)       { benchKernelBatch(b, 256, 2, false, false) }
-func BenchmarkBatchParallel4(b *testing.B)       { benchKernelBatch(b, 256, 4, false, false) }
-func BenchmarkBatchParallel8(b *testing.B)       { benchKernelBatch(b, 256, 8, false, false) }
-func BenchmarkBatchPackedParallel4(b *testing.B) { benchKernelBatch(b, 256, 4, false, true) }
-
-func BenchmarkSimPoolCheckout(b *testing.B) {
-	d := benchSimDesign(b)
-	p, err := sim.NewPool(d, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := p.Get(ctx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		p.Put(s)
-	}
-}
-
-// BenchmarkSimPoolParallel is the serving shape: every goroutine of the -cpu
-// setting checks sessions out and steps them.
-func BenchmarkSimPoolParallel(b *testing.B) {
-	d := benchSimDesign(b)
-	p, err := sim.NewPool(d, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			err := p.Do(ctx, func(s *sim.Session) error { return s.Step() })
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}

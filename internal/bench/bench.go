@@ -27,10 +27,6 @@ import (
 type Config struct {
 	// Scale divides synthesised design sizes for perf-model runs.
 	Scale int
-	// Rec, when non-nil, receives every experiment's data points in
-	// machine-readable form alongside the rendered tables (the -json
-	// pipeline of cmd/rteaal-bench). A nil recorder drops everything.
-	Rec *Recorder
 }
 
 // DefaultConfig uses scale 8, which keeps the full suite under a couple of

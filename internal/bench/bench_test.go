@@ -59,8 +59,6 @@ func TestExperimentsRunAndRender(t *testing.T) {
 			[]string{"10.5MB", "ESSENT"}},
 		{"table7", func(w *strings.Builder) error { return Table7(w, c) },
 			[]string{"verilator", "essent", "PSU"}},
-		{"partition-quality", func(w *strings.Builder) error { return PartitionQuality(w, c) },
-			[]string{"round-robin", "cone-cluster", "min-cut", "replication", "sequential"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -101,35 +99,5 @@ func TestHeadlineShapes(t *testing.T) {
 	}
 	if !(ess < psu && psu < ver) {
 		t.Errorf("Figure 18 ordering violated: essent=%.1f psu=%.1f verilator=%.1f", ess, psu, ver)
-	}
-}
-
-func TestWorkloadsExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("drives real simulation cycles")
-	}
-	c := smallCfg()
-	c.Rec = NewRecorder()
-	var b strings.Builder
-	if err := Workloads(&b, c); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"sim.Testbench", "r1", "s1", "g8", "sha3", "cycles/s"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("workloads output missing %q:\n%s", want, out)
-		}
-	}
-	rates := 0
-	for _, r := range c.Rec.Results() {
-		if r.Experiment == "workloads" && r.Metric == "testbench_cycles_per_sec" {
-			rates++
-			if r.Value <= 0 {
-				t.Errorf("%s: non-positive rate %f", r.Design, r.Value)
-			}
-		}
-	}
-	if rates != 6 {
-		t.Errorf("recorded %d workload rate rows, want 6", rates)
 	}
 }

@@ -39,10 +39,6 @@ func Table1(w io.Writer, c Config) error {
 		fmt.Fprintf(w, "%-12s %16d %16d %7.1fx\n",
 			spec.Name(), lv.EffectualOps, lv.IdentityOps,
 			float64(lv.IdentityOps)/float64(lv.EffectualOps))
-		c.Rec.Add("table1", spec.Name(), "effectual_ops", float64(lv.EffectualOps), "ops")
-		c.Rec.Add("table1", spec.Name(), "identity_ops", float64(lv.IdentityOps), "ops")
-		c.Rec.Add("table1", spec.Name(), "identity_ratio",
-			float64(lv.IdentityOps)/float64(lv.EffectualOps), "x")
 	}
 	return nil
 }
@@ -60,7 +56,6 @@ func Table3(w io.Writer, c Config) {
 		{Family: gen.SHA3},
 	} {
 		fmt.Fprintf(w, "%-12s %12d\n", spec.Name(), spec.SimCycles()/1000)
-		c.Rec.Add("table3", spec.Name(), "sim_cycles", float64(spec.SimCycles()), "cycles")
 	}
 }
 
@@ -85,8 +80,6 @@ func Figure7(w io.Writer, c Config) error {
 			}
 			fmt.Fprintf(w, "%-10s %-10s %9.1f%% %9.1f%% %9.1f%%\n",
 				spec.Name(), style, 100*met.FrontendBound, 100*met.BadSpec, 100*met.Others)
-			c.Rec.Add("figure7", spec.Name(), fmt.Sprintf("frontend_bound/%s", style), 100*met.FrontendBound, "%")
-			c.Rec.Add("figure7", spec.Name(), fmt.Sprintf("bad_spec/%s", style), 100*met.BadSpec, "%")
 		}
 	}
 	return nil
@@ -107,8 +100,6 @@ func Figure8(w io.Writer, c Config) error {
 				}
 				cost := codegen.CompileModel(p, codegen.O3)
 				fmt.Fprintf(w, "%-10s %-10s %14.1f %14.2f\n", spec.Name(), style, cost.Seconds, cost.PeakGB)
-				c.Rec.Add("figure8", spec.Name(), fmt.Sprintf("compile_time/%s", style), cost.Seconds, "s")
-				c.Rec.Add("figure8", spec.Name(), fmt.Sprintf("compile_peak_mem/%s", style), cost.PeakGB, "GB")
 			}
 		}
 	}
@@ -126,9 +117,7 @@ func Table4(w io.Writer, c Config) error {
 		if err != nil {
 			return err
 		}
-		sizeMB := float64(codegen.BinarySize(p)) / (1 << 20)
-		fmt.Fprintf(w, "%-8s %12.2f\n", k, sizeMB)
-		c.Rec.Add("table4", spec.Name(), fmt.Sprintf("binary_size/%s", k), sizeMB, "MB")
+		fmt.Fprintf(w, "%-8s %12.2f\n", k, float64(codegen.BinarySize(p))/(1<<20))
 	}
 	return nil
 }
@@ -145,8 +134,6 @@ func Table5(w io.Writer, c Config) error {
 			return err
 		}
 		fmt.Fprintf(w, "%-8s %16.3f %8.2f\n", k, met.DynInst/1e12, met.IPC)
-		c.Rec.Add("table5", spec.Name(), fmt.Sprintf("dyn_inst/%s", k), met.DynInst, "inst")
-		c.Rec.Add("table5", spec.Name(), fmt.Sprintf("ipc/%s", k), met.IPC, "inst/cycle")
 	}
 	return nil
 }
@@ -164,8 +151,6 @@ func Table6(w io.Writer, c Config) error {
 		}
 		fmt.Fprintf(w, "%-8s %14.2f %14.1f %14.2f\n", k,
 			met.L1IMisses/1e9, met.L1DLoads/1e9, met.L1DMisses/1e9)
-		c.Rec.Add("table6", spec.Name(), fmt.Sprintf("l1i_misses/%s", k), met.L1IMisses, "misses")
-		c.Rec.Add("table6", spec.Name(), fmt.Sprintf("l1d_misses/%s", k), met.L1DMisses, "misses")
 	}
 	return nil
 }
@@ -193,8 +178,6 @@ func Figure15(w io.Writer, c Config) error {
 		for _, m := range machines.All() {
 			fmt.Fprintf(w, "%-8s %-24s %12.1f %14.2f\n",
 				k, m.Name, cost.Seconds*hostFactor[m.Name], cost.PeakGB)
-			c.Rec.Add("figure15", spec.Name(), fmt.Sprintf("compile_time/%s/%s", k, shortName(m)),
-				cost.Seconds*hostFactor[m.Name], "s")
 		}
 	}
 	return nil
@@ -218,8 +201,6 @@ func Figure16(w io.Writer, c Config) error {
 				return err
 			}
 			fmt.Fprintf(w, " %13.1fs", met.SimTimeSec)
-			c.Rec.Add("figure16", spec.Name(), fmt.Sprintf("sim_time/%s/%s", k, shortName(m)),
-				met.SimTimeSec, "s")
 		}
 		fmt.Fprintln(w)
 	}
@@ -244,7 +225,6 @@ func Figure17(w io.Writer, c Config) error {
 				return err
 			}
 			fmt.Fprintf(w, " %8.1fs", met.SimTimeSec)
-			c.Rec.Add("figure17", s.Name(), fmt.Sprintf("sim_time/%s", k), met.SimTimeSec, "s")
 		}
 		fmt.Fprintln(w)
 	}
@@ -254,10 +234,6 @@ func Figure17(w io.Writer, c Config) error {
 // figure1819 shares the Verilator/PSU/ESSENT scaling sweep.
 func figure1819(w io.Writer, c Config, opt codegen.OptLevel, caption string) error {
 	c = c.norm()
-	exp := "figure18"
-	if opt == codegen.O0 {
-		exp = "figure19"
-	}
 	specs := rockets(c, 1, 4, 8, 12, 16, 20, 24)
 	fmt.Fprintln(w, caption)
 	fmt.Fprintf(w, "%-10s", "simulator")
@@ -273,7 +249,6 @@ func figure1819(w io.Writer, c Config, opt codegen.OptLevel, caption string) err
 				return err
 			}
 			fmt.Fprintf(w, " %8.1fs", met.SimTimeSec)
-			c.Rec.Add(exp, s.Name(), fmt.Sprintf("sim_time/%s", name), met.SimTimeSec, "s")
 		}
 		fmt.Fprintln(w)
 		return nil
@@ -337,11 +312,6 @@ func Figure20(w io.Writer, c Config) error {
 				}
 			}
 			fmt.Fprintf(w, "  %5.2fx(%-3s)|%5.2fx", best, bestKind, ver.SimTimeSec/ess.SimTimeSec)
-			c.Rec.Add("figure20", spec.Name(),
-				fmt.Sprintf("speedup_vs_verilator/%s/%s", bestKind, shortName(m)), best, "x")
-			c.Rec.Add("figure20", spec.Name(),
-				fmt.Sprintf("speedup_vs_verilator/essent/%s", shortName(m)),
-				ver.SimTimeSec/ess.SimTimeSec, "x")
 		}
 		fmt.Fprintln(w)
 	}
@@ -371,10 +341,6 @@ func Figure21(w io.Writer, c Config) error {
 		}
 		fmt.Fprintf(w, "%7.1fMB %11.2fx %11.2fx\n",
 			llcMB, ver.SimTimeSec/psu.SimTimeSec, ver.SimTimeSec/ess.SimTimeSec)
-		c.Rec.Add("figure21", spec.Name(), fmt.Sprintf("speedup_psu/llc_%.1fMB", llcMB),
-			ver.SimTimeSec/psu.SimTimeSec, "x")
-		c.Rec.Add("figure21", spec.Name(), fmt.Sprintf("speedup_essent/llc_%.1fMB", llcMB),
-			ver.SimTimeSec/ess.SimTimeSec, "x")
 	}
 	return nil
 }
@@ -400,12 +366,11 @@ func Table7(w io.Writer, c Config) error {
 		}
 	}
 	for _, part := range []struct {
-		what, metric string
-		get          func(codegen.CompileCost) float64
-		unit         string
+		what string
+		get  func(codegen.CompileCost) float64
 	}{
-		{"time (s)", "compile_time", func(c codegen.CompileCost) float64 { return c.Seconds }, "s"},
-		{"mem (GB)", "compile_peak_mem", func(c codegen.CompileCost) float64 { return c.PeakGB }, "GB"},
+		{"time (s)", func(c codegen.CompileCost) float64 { return c.Seconds }},
+		{"mem (GB)", func(c codegen.CompileCost) float64 { return c.PeakGB }},
 	} {
 		fmt.Fprintf(w, "-- %s --\n", part.what)
 		for _, name := range []string{"verilator", "essent", "PSU"} {
@@ -415,9 +380,7 @@ func Table7(w io.Writer, c Config) error {
 				if err != nil {
 					return err
 				}
-				v := part.get(codegen.CompileModel(p, codegen.O3))
-				fmt.Fprintf(w, " %9.2f", v)
-				c.Rec.Add("table7", s.Name(), fmt.Sprintf("%s/%s", part.metric, name), v, part.unit)
+				fmt.Fprintf(w, " %9.2f", part.get(codegen.CompileModel(p, codegen.O3)))
 			}
 			fmt.Fprintln(w)
 		}

@@ -438,9 +438,10 @@ func (b *Batch) syncPackedFromWide() {
 // loop, preserved verbatim: a per-op switch indexing li[slot] per operation,
 // with no operand pre-binding, mask elision, or bounds-check elimination. It
 // is retained as the parity oracle for the fused schedule and as the
-// baseline the BENCH_*.json trajectory measures the fast path against. On a
-// packed batch it runs entirely in the wide view, bracketed by the
-// packed↔wide synchronisation (the oracle is allowed to be slow).
+// baseline the benchmark's kernel.batch_reference_lane_cycles_per_s metric
+// measures the fast path against. On a packed batch it runs entirely in the
+// wide view, bracketed by the packed↔wide synchronisation (the oracle is
+// allowed to be slow).
 func (b *Batch) SettleReference() {
 	b.syncWideFromPacked()
 	li := b.li

@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"context"
 	"fmt"
-	"runtime/debug"
 	"sync"
 	"time"
 
@@ -161,7 +160,7 @@ func (c *designCache) getOrCompile(ctx context.Context, hash string, compile fun
 func compileRecover(compile func() (*sim.Design, error)) (d *sim.Design, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			d, err = nil, &panicFault{val: r, stack: debug.Stack()}
+			d, err = nil, recoveredPanic("compile", r)
 		}
 	}()
 	if ferr := faultinject.Fire(faultinject.CompilePanic); ferr != nil {

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"log"
 	"runtime/debug"
 
 	"rteaal/internal/faultinject"
@@ -12,13 +13,21 @@ import (
 
 // panicFault is a recovered panic carried as an error through the exec
 // layer so handlers can map it to a typed 500 and quarantine the resource
-// it escaped from. The stack is captured at the recovery site.
+// it escaped from.
 type panicFault struct {
-	val   any
-	stack []byte
+	val any
 }
 
 func (p *panicFault) Error() string { return fmt.Sprintf("panic: %v", p.val) }
+
+// recoveredPanic is what every recovery site turns recover()'s value into.
+// It must be called from the deferred function itself, while the panicking
+// frames are still on the goroutine's stack: the client only sees "panic:
+// <val>", so the log line written here is the one place the stack survives.
+func recoveredPanic(where string, val any) *panicFault {
+	log.Printf("server: recovered panic in %s: %v\n%s", where, val, debug.Stack())
+	return &panicFault{val: val}
+}
 
 // asPanicFault unwraps err to a *panicFault if one is in the chain.
 // Kernel-level worker panics (kernel.WorkerPanic) surface as real panics
@@ -43,7 +52,7 @@ func runCommandsRecover(tb *sim.Testbench, cmds []testbench.Command, maxCyclesPe
 	defer func() {
 		if r := recover(); r != nil {
 			outcomes, cycles = nil, 0
-			err = &panicFault{val: r, stack: debug.Stack()}
+			err = recoveredPanic("run", r)
 		}
 	}()
 	if ferr := faultinject.Fire(faultinject.RunPanic); ferr != nil {

@@ -1,12 +1,16 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -167,6 +171,63 @@ func TestFaultRunPanicQuarantine(t *testing.T) {
 	}
 	if d := m.Pools[cr.Hash].Discarded; d != 1 {
 		t.Errorf("pool discarded %d sessions, want 1 (the scalar lease)", d)
+	}
+}
+
+// lockedBuffer is a log sink the handler goroutine writes and the test
+// goroutine reads.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestFaultPanicStackLogged: the client only ever sees "panic: <value>", so
+// a recovered panic must leave its value and the panicking goroutine's
+// stack in the process log — exactly once per panic.
+func TestFaultPanicStackLogged(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	var logged lockedBuffer
+	log.SetOutput(&logged)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+	_, c := newTestService(t, server.Config{})
+	ctx := context.Background()
+
+	cr, err := c.Compile(ctx, counterSrc, server.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := c.NewSession(ctx, cr.Hash, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disarm := faultinject.Arm(faultinject.RunPanic, faultinject.Always(faultinject.Panicf("injected run crash")))
+	_, err = sess.Do(ctx, client.NewScript().Step(4))
+	disarm()
+	var apiErr *client.APIError
+	if !errors.As(err, &apiErr) || apiErr.Kind != server.KindPanic {
+		t.Fatalf("panicked run answered %v, want kind %q", err, server.KindPanic)
+	}
+
+	out := logged.String()
+	for _, want := range []string{
+		"recovered panic in run: faultinject: injected run crash", // the value
+		"faultinject.Panicf.func1(",                               // the frame that panicked
+	} {
+		if n := strings.Count(out, want); n != 1 {
+			t.Errorf("log mentions %q %d times, want 1:\n%s", want, n, out)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -128,7 +127,7 @@ func (r *sessionRegistry) create(ctx context.Context, entry *cacheEntry, client 
 	}
 	defer func() {
 		if rec := recover(); rec != nil {
-			err = &panicFault{val: rec, stack: debug.Stack()}
+			err = recoveredPanic("session open", rec)
 		}
 		if err != nil && reserved {
 			unreserve()
