@@ -12,8 +12,9 @@
 // continuous fuzz driver (cmd/rteaal-fuzz), which adds coverage-biased
 // generation, automatic shrinking, and a persistent corpus. These tests are
 // the tier-1 slice of the same machinery: a fixed seeded sweep across every
-// generation profile, a bulk-run-vs-stepped parity leg, and a replay of
-// every repro committed under testdata/diffcorpus.
+// generation profile, a bulk-run-vs-stepped parity leg, the control-fabric
+// design the packed batch exists for, and a replay of every repro committed
+// under testdata/diffcorpus.
 package main
 
 import (
@@ -22,6 +23,7 @@ import (
 	"testing"
 
 	"rteaal/internal/difftest"
+	"rteaal/internal/gen"
 )
 
 const (
@@ -90,6 +92,34 @@ func TestDifferentialBulkRun(t *testing.T) {
 				t.Fatalf("bulk chunks %v: %v\n%s", chunks, d, reproLine(c, prof.Name, seed))
 			}
 		})
+	}
+}
+
+// TestDifferentialControlFabric runs the benchmark's ctrl_batch_packed
+// design family at test size through both legs: a 1-bit arbiter fabric is
+// the one shape where nearly every slot stays packed, so the word-wide Or
+// and Mux bodies and the packed staged commit — which the random profiles
+// rarely reach — are cross-checked against every other engine. 70 lanes
+// leave the second packed word partial.
+func TestDifferentialControlFabric(t *testing.T) {
+	g, err := gen.Generate(gen.Spec{Family: gen.Ctrl, Cores: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &difftest.Case{Graph: g, Cycles: diffCycles, Lanes: 70, StimSeed: 1}
+	d, err := c.Execute()
+	if err != nil {
+		t.Fatalf("execute: %v", err)
+	}
+	if d != nil {
+		t.Fatal(d)
+	}
+	chunks := []int64{1, 3, 0, 5, 2, 7, 4}
+	if d, err = c.ExecuteBulk(chunks); err != nil {
+		t.Fatalf("execute bulk: %v", err)
+	}
+	if d != nil {
+		t.Fatalf("bulk chunks %v: %v", chunks, d)
 	}
 }
 

@@ -23,13 +23,13 @@ import (
 // in-layer writes never feed in-layer reads, so results go straight to their
 // LI coordinates in every lane.
 //
-// A batch built over a packing schedule additionally keeps every
-// provably-1-bit slot in a bit-packed store — lane i is bit i of a word
-// vector — so the packed loop bodies evaluate 64 lanes per word-wide op.
-// The wide lane vectors of packed slots stay allocated as the
-// [Batch.SettleReference] oracle's working set and are synchronised with
-// the packed store around every reference call; Poke/Peek route through
-// the packed layout transparently.
+// A batch built over a packing schedule keeps every slot the schedule
+// packed in a bit-packed store instead — lane i is bit i of a word vector —
+// so the packed loop bodies evaluate 64 lanes per word-wide op. Each slot
+// has one home: a packed slot owns a lane vector only when a schedule
+// instruction reads or writes its wide view, and Poke/Peek route through
+// the packed layout transparently. The [Batch.SettleReference] oracle works
+// on lane vectors alone, so it runs on wide batches only.
 //
 // A batch shards its lanes over the workers of one [Workers] group: every
 // worker runs the full schedule across its own contiguous lane block —
@@ -45,8 +45,8 @@ type Batch struct {
 	sched  *batchSchedule
 	lanes  int
 	words  int        // packed words per slot, (lanes+63)/64 (packing only)
-	li     [][]uint64 // li[slot] is the slot's lane-vector (SoA)
-	buf    []uint64   // backing store for li, NumSlots*lanes contiguous
+	li     [][]uint64 // li[slot] is the slot's lane-vector (SoA); nil when packed-only
+	buf    []uint64   // backing store for li, wideSlots*lanes contiguous
 	pk     [][]uint64 // pk[slot] is the packed lane-bitvector; nil per wide slot
 	pkbuf  []uint64   // backing store for pk, packedSlots*words contiguous
 	next   []uint64   // staged register commit, regs*lanes (staged plan only)
@@ -77,7 +77,7 @@ type batchShard struct {
 
 	lo, hi int        // owned lane range
 	lanes  int        // full batch width (outs stride)
-	li     [][]uint64 // full-batch lane vectors (poke/watch access)
+	li     [][]uint64 // full-batch lane vectors, nil per packed-only slot (poke/watch access)
 	pk     [][]uint64 // packed store, nil per wide slot / wide batch
 	masks  []uint64
 	outs   []uint64
@@ -181,15 +181,15 @@ func newBatch(t *oim.Tensor, sched *batchSchedule, lanes, workers int) (*Batch, 
 		t:     t,
 		sched: sched,
 		lanes: lanes,
-		buf:   make([]uint64, t.NumSlots*lanes),
+		buf:   make([]uint64, len(sched.wideSlots)*lanes),
 		li:    make([][]uint64, t.NumSlots),
 		outs:  make([]uint64, len(t.OutputSlots)*lanes),
 	}
 	if !sched.fusedCommit {
 		b.next = make([]uint64, len(t.RegSlots)*lanes)
 	}
-	for s := range b.li {
-		b.li[s] = b.buf[s*lanes : (s+1)*lanes : (s+1)*lanes]
+	for i, slot := range sched.wideSlots {
+		b.li[slot] = b.buf[i*lanes : (i+1)*lanes : (i+1)*lanes]
 	}
 	if sched.packing {
 		b.words = (lanes + 63) / 64
@@ -262,7 +262,8 @@ func (b *Batch) Tensor() *oim.Tensor { return b.t }
 // Run panic on a closed batch.
 func (b *Batch) Close() { b.ws.Close() }
 
-// Reset restores every lane to the initial state.
+// Reset restores every lane to the initial state, filling a preloaded slot
+// in each store that holds it (a packed-only slot's lane vector is nil).
 func (b *Batch) Reset() {
 	for i := range b.buf {
 		b.buf[i] = 0
@@ -410,40 +411,17 @@ func (b *Batch) runBulkOnce(spec RunSpec) (ran int, stopped bool) {
 	return k, false
 }
 
-// syncWideFromPacked refreshes the wide lane vectors of every packed slot
-// from the packed store, making the wide view current before a reference
-// pass. No-op on wide batches.
-func (b *Batch) syncWideFromPacked() {
-	if b.pk == nil {
-		return
-	}
-	for _, slot := range b.sched.packedSlots {
-		unpackLanes(b.li[slot], b.pk[slot])
-	}
-}
-
-// syncPackedFromWide repacks every packed slot from the wide lane vectors
-// after a reference pass wrote them, so interleaved Step/StepReference
-// calls observe one coherent state. No-op on wide batches.
-func (b *Batch) syncPackedFromWide() {
-	if b.pk == nil {
-		return
-	}
-	for _, slot := range b.sched.packedSlots {
-		packLanes(b.pk[slot], b.li[slot])
-	}
-}
-
 // SettleReference evaluates every lane through the pre-schedule scalar tape
 // loop, preserved verbatim: a per-op switch indexing li[slot] per operation,
 // with no operand pre-binding, mask elision, or bounds-check elimination. It
 // is retained as the parity oracle for the fused schedule and as the
 // baseline the benchmark's kernel.batch_reference_lane_cycles_per_s metric
-// measures the fast path against. On a packed batch it runs entirely in the
-// wide view, bracketed by the packed↔wide synchronisation (the oracle is
-// allowed to be slow).
+// measures the fast path against. It reads and writes lane vectors only, so
+// it panics on a packed batch, whose packed slots have none.
 func (b *Batch) SettleReference() {
-	b.syncWideFromPacked()
+	if b.pk != nil {
+		panic("kernel: the reference oracle runs on wide batches only")
+	}
 	li := b.li
 	tape := b.sched.tape
 	for k := range tape {
@@ -556,11 +534,11 @@ func (b *Batch) SettleReference() {
 	for i, slot := range b.t.OutputSlots {
 		copy(b.outs[i*lanes:(i+1)*lanes], li[slot])
 	}
-	b.syncPackedFromWide()
 }
 
 // StepReference is SettleReference followed by the staged two-pass register
-// commit the schedule compiler folds away when it can.
+// commit the schedule compiler folds away when it can. Like SettleReference
+// it panics on a packed batch.
 func (b *Batch) StepReference() {
 	b.SettleReference()
 	lanes := b.lanes
@@ -576,13 +554,6 @@ func (b *Batch) StepReference() {
 	}
 	for i, r := range b.t.RegSlots {
 		copy(b.li[r.Q], b.next[i*lanes:(i+1)*lanes])
-	}
-	// The commit only moved wide Q values; repack the packed registers so
-	// the packed schedule resumes from the committed state.
-	for _, r := range b.t.RegSlots {
-		if w := b.pkOf(r.Q); w != nil {
-			packLanes(w, b.li[r.Q])
-		}
 	}
 }
 

@@ -1,8 +1,6 @@
 package kernel
 
 import (
-	"math/bits"
-
 	"rteaal/internal/dfg"
 	"rteaal/internal/wire"
 )
@@ -10,28 +8,26 @@ import (
 // The bit-packed half of the batch schedule. Slots the width analysis
 // proves 1-bit (see OneBitSlots) are stored one lane per bit — lane i is
 // bit i of a []uint64 word vector — and the schedule compiler rewrites
-// every instruction touching them:
+// every instruction touching them, one of two ways:
 //
-//   - Operations whose output and operands are all packed run one word-wide
-//     op per 64 lanes (bitwise logic, 1-bit comparisons, branchless mux and
-//     priority chains on whole words).
-//   - Comparisons and reductions over wide operands produce their packed
-//     boolean directly: the loop accumulates one result bit per lane into a
-//     word and stores 64 lanes at a time (a pack shim with no extra pass).
-//   - A packed select driving a wide mux broadcasts each lane's bit to an
-//     all-ones/all-zeros mask, keeping the wide mux branchless (the unpack
-//     shim).
-//   - Any residual mix compiles to the ordinary wide fused body bracketed by
-//     shims: bpUnpack refreshes the (always-allocated) wide lane view of each
-//     stale packed operand, and bpPack re-packs the result when the output
-//     slot is packed. The schedule compiler tracks wide-view currency per
-//     slot, so a packed value feeding many wide consumers unpacks once per
-//     producer write, not once per use — packing is never a correctness
-//     decision and mixed ops never pay a per-lane gather.
+//   - An operation whose output and operands are all packed runs one
+//     word-wide op per 64 lanes (bitwise logic, 1-bit comparisons, branchless
+//     mux and priority chains on whole words).
+//   - Every other mix crosses the layout boundary through one mechanism
+//     (emitWide): bpUnpack materialises the wide lane view of each packed
+//     operand whose view is stale, the ordinary wide fused body runs
+//     unchanged, and bpPack re-packs the result when the output slot is
+//     packed. The schedule compiler tracks wide-view currency per slot, so a
+//     packed value feeding many wide consumers unpacks once per producer
+//     write, not once per use — packing is never a correctness decision and
+//     mixed ops never pay a per-lane gather.
+//
+// A packed slot lives in the packed store only; it owns a wide lane vector
+// exactly when some instruction binds its wide view (see wideSlotsOf).
 //
 // Which provably-1-bit slots actually live packed is a profitability
 // decision layered on the width analysis: demotePacking drops slots whose
-// packed residency would only surround wide bodies with shims.
+// packed residency would only surround wide bodies with crossings.
 //
 // Bits of a partial tail word above the lane count are garbage (word-wide
 // NOT sets them, for example). That is safe by construction: every consumer
@@ -56,21 +52,8 @@ const (
 	bpCopy // OrR/XorR/Ident of a packed 1-bit operand is the identity
 	bpMux
 	bpMuxChain
-	// Pack shims: wide operands, packed boolean out.
-	bpEqP
-	bpNeqP
-	bpLtP
-	bpLeqP
-	bpGtP
-	bpGeqP
-	bpOrRP
-	bpXorRP
-	bpBitsCP // constant-folded single-bit field extract of a wide operand
-	// Unpack shim: packed select, wide data, wide out.
-	bpMuxSelP
-	bpMuxSelPM
-	// Layout-crossing shims for mixed instructions: refresh a packed slot's
-	// wide lane view / re-pack a wide result into its packed words.
+	// The layout crossing: materialise a packed slot's wide lane view /
+	// re-pack a wide result into its packed words.
 	bpUnpack
 	bpPack
 )
@@ -78,17 +61,16 @@ const (
 // demotePacking refines the width-analysis verdict with a profitability
 // pass over the wide schedule. Packing a slot pays when it enables
 // word-wide bodies (64 lanes per op) or word-copy register commits; it
-// costs when it strands the slot in mixed instructions that need unpack and
-// pack shims around an unchanged wide body. Boundary shapes with a
-// dedicated packed loop — comparison/reduction pack shims, the
-// packed-select mux — are cost-neutral: they do the same per-lane work as
-// their wide counterparts with fewer memory touches on the packed side.
-// Slots whose shim cost outweighs their word-wide wins are demoted to the
-// wide layout; each demotion can change neighbouring instructions' shapes,
-// so the pass iterates to a fixed point (termination is guaranteed because
-// slots are only ever removed). On control-dominated designs nearly every
-// 1-bit slot survives; on datapath designs packing retreats to the islands
-// where it actually wins instead of taxing every comparison-feeds-mux pair.
+// costs when it strands the slot in a mixed instruction that crosses the
+// layout boundary around an unchanged wide body. Slots whose crossing cost
+// outweighs their word-wide wins are demoted to the wide layout; each
+// demotion can change neighbouring instructions' shapes, so the pass
+// iterates to a fixed point (termination is guaranteed because slots are
+// only ever removed). On control-dominated designs nearly every 1-bit slot
+// survives; on datapath designs a 1-bit island that only sits between a
+// wide comparison and a wide mux scores nothing but debits and retreats to
+// the wide schedule, while a slot with a word-wide consumer pays its one
+// crossing and stays.
 func demotePacking(insts []batchInst, regs []dfg.RegSlot, packed []bool) {
 	for {
 		gain := make([]int, len(packed))
@@ -116,227 +98,145 @@ func demotePacking(insts []batchInst, regs []dfg.RegSlot, packed []bool) {
 	}
 }
 
+// packedSides reports which sides of an instruction bind the packed store:
+// a word-wide body binds it everywhere, a wide body nowhere, and the two
+// crossings bind one side each.
+func (c batchCode) packedSides() (out, args bool) {
+	wordWide := c >= bpAnd && c < bpUnpack
+	return wordWide || c == bpPack, wordWide || c == bpUnpack
+}
+
+// wordWide names the word-wide body of one wide-schedule entry, which
+// applies when its output and every operand are packed.
+func wordWide(in *batchInst, packed []bool) (batchCode, bool) {
+	if !packed[in.out] {
+		return 0, false
+	}
+	for _, a := range in.args() {
+		if !packed[a] {
+			return 0, false
+		}
+	}
+	return packedCode(in.op)
+}
+
 // packGain scores one wide-schedule entry's contribution to each packed
-// slot's profitability, mirroring emitPacked's shape classification:
-// word-wide bodies credit every packed slot they touch, dedicated boundary
-// shims are neutral, and the unpack+wide+pack path debits the slots whose
-// packing forces the shims.
+// slot's profitability, mirroring emitPacked's shape classification: a
+// word-wide body credits every slot it touches, and the unpack+wide+pack
+// path debits the slots whose packing forces the crossing.
 func packGain(gain []int, in *batchInst, packed []bool) {
-	args := in.ext
-	if args == nil {
-		args = in.a[:in.n]
+	d := -1
+	if _, ok := wordWide(in, packed); ok {
+		d = 1 // 64 lanes per op
 	}
-	outP := packed[in.out]
-	argP := make([]bool, len(args))
-	anyArg, allArg := false, true
-	for i, a := range args {
-		argP[i] = packed[a]
-		anyArg = anyArg || argP[i]
-		allArg = allArg && argP[i]
+	if packed[in.out] {
+		gain[in.out] += d
 	}
-	if in.code == bcBitsC {
-		switch {
-		case !outP && !argP[0]: // untouched wide entry
-		case outP && !argP[0]: // bpBitsCP, neutral
-		default:
-			if argP[0] {
-				gain[in.a[0]]--
-			}
-			if outP {
-				gain[in.out]--
-			}
-		}
-		return
-	}
-	if !outP && !anyArg {
-		return
-	}
-	if code, ok := packedCode(in, outP, argP, anyArg, allArg); ok {
-		if code <= bpMuxChain { // word-wide body: 64 lanes per op
-			gain[in.out]++
-			for i, a := range args {
-				if argP[i] {
-					gain[a]++
-				}
-			}
-		}
-		return // pack/unpack boundary shims are neutral
-	}
-	if outP {
-		gain[in.out]--
-	}
-	for i, a := range args {
-		if argP[i] {
-			gain[a]--
+	for _, a := range in.args() {
+		if packed[a] {
+			gain[a] += d
 		}
 	}
 }
 
 // emitPacked appends the packed-layout compilation of one schedule entry,
-// given the slot classification. Instructions with no packed involvement
-// keep their fused wide code untouched; all-packed and boundary shapes get a
-// dedicated packed body; any other mix compiles to unpack shims + the wide
-// body + an optional pack shim (see emitWide). wideCur tracks, per packed
-// slot, whether its wide lane view currently mirrors the packed words at
-// this point in the schedule.
+// given the slot classification: its word-wide body when the entry is packed
+// throughout, else the wide body with whatever crossings its packed slots
+// need — none for an entry with no packed involvement (see emitWide).
+// wideCur tracks, per packed slot, whether its wide lane view currently
+// mirrors the packed words at this point in the schedule.
 func emitPacked(insts []batchInst, in batchInst, packed, wideCur []bool) []batchInst {
-	args := in.ext
-	if args == nil {
-		args = in.a[:in.n]
-	}
-	outP := packed[in.out]
-	argP := make([]bool, len(args))
-	anyArg, allArg := false, true
-	for i, a := range args {
-		argP[i] = packed[a]
-		anyArg = anyArg || argP[i]
-		allArg = allArg && argP[i]
-	}
-	// The folded field extract reads only its shiftee; the hi/lo constant
-	// slots are dead operands and must not be unpacked.
-	if in.code == bcBitsC {
-		switch {
-		case !outP && !argP[0]:
-			return append(insts, in)
-		case outP && !argP[0]:
-			in.code = bpBitsCP
-			in.outP, in.argP, in.extP = true, toArgP(argP), argP
-			wideCur[in.out] = false
-			return append(insts, in)
-		default:
-			return emitWide(insts, in, args[:1], argP[:1], outP, wideCur)
-		}
-	}
-	if !outP && !anyArg {
-		return append(insts, in)
-	}
-	if code, ok := packedCode(&in, outP, argP, anyArg, allArg); ok {
+	if code, ok := wordWide(&in, packed); ok {
 		in.code = code
-		in.outP, in.argP, in.extP = outP, toArgP(argP), argP
-		if outP {
-			wideCur[in.out] = false // packed bodies write only the packed view
-		}
+		wideCur[in.out] = false // packed bodies write only the packed view
 		return append(insts, in)
 	}
-	return emitWide(insts, in, args, argP, outP, wideCur)
+	return emitWide(insts, in, packed, wideCur)
 }
 
-// packedCode picks a dedicated packed loop body when one exists for this
-// operand/output packing shape: word-wide bodies for all-packed operands,
-// pack shims for all-wide comparisons/reductions with a packed result, and
-// the packed-select mux unpack shim.
-func packedCode(in *batchInst, outP bool, argP []bool, anyArg, allArg bool) (batchCode, bool) {
-	switch in.op {
+// packedCode names op's word-wide body (see wordWide for when it applies).
+// Operations without one always cross.
+func packedCode(op wire.Op) (batchCode, bool) {
+	switch op {
 	case wire.And:
-		if outP && allArg {
-			return bpAnd, true
-		}
+		return bpAnd, true
 	case wire.Or:
-		if outP && allArg {
-			return bpOr, true
-		}
+		return bpOr, true
 	case wire.Xor:
-		if outP && allArg {
-			return bpXor, true
-		}
+		return bpXor, true
 	case wire.Not:
-		if outP && allArg {
-			return bpNot, true
-		}
+		return bpNot, true
 	case wire.Eq, wire.AndR:
-		return packCmp(outP, anyArg, allArg, bpEqW, bpEqP)
+		return bpEqW, true
 	case wire.Neq:
-		return packCmp(outP, anyArg, allArg, bpNeqW, bpNeqP)
+		return bpNeqW, true
 	case wire.Lt:
-		return packCmp(outP, anyArg, allArg, bpLtW, bpLtP)
+		return bpLtW, true
 	case wire.Leq:
-		return packCmp(outP, anyArg, allArg, bpLeqW, bpLeqP)
+		return bpLeqW, true
 	case wire.Gt:
-		return packCmp(outP, anyArg, allArg, bpGtW, bpGtP)
+		return bpGtW, true
 	case wire.Geq:
-		return packCmp(outP, anyArg, allArg, bpGeqW, bpGeqP)
-	case wire.OrR:
-		if outP && allArg {
-			return bpCopy, true
-		}
-		if outP && !anyArg {
-			return bpOrRP, true
-		}
-	case wire.XorR:
-		if outP && allArg {
-			return bpCopy, true
-		}
-		if outP && !anyArg {
-			return bpXorRP, true
-		}
-	case wire.Ident:
-		if outP && allArg {
-			return bpCopy, true
-		}
+		return bpGeqW, true
+	case wire.OrR, wire.XorR, wire.Ident:
+		return bpCopy, true
 	case wire.Mux:
-		if outP && allArg {
-			return bpMux, true
-		}
-		if !outP && argP[0] && !argP[1] && !argP[2] {
-			if in.code == bcMuxM {
-				return bpMuxSelPM, true
-			}
-			return bpMuxSelP, true
-		}
+		return bpMux, true
 	case wire.MuxChain:
-		if outP && allArg {
-			return bpMuxChain, true
-		}
+		return bpMuxChain, true
 	}
 	return 0, false
 }
 
-// packCmp picks the comparison body: word-wide when both 1-bit operands are
-// packed, the pack shim when both are wide. A mix takes the unpack+wide
-// path.
-func packCmp(outP, anyArg, allArg bool, word, shim batchCode) (batchCode, bool) {
-	switch {
-	case outP && allArg:
-		return word, true
-	case outP && !anyArg:
-		return shim, true
-	}
-	return 0, false
-}
-
-// emitWide compiles a mixed packed/wide instruction: bpUnpack shims refresh
-// the wide lane views of packed operands whose view is stale, the unmodified
-// fused wide body runs over lane vectors, and a bpPack shim re-packs the
-// result when the output slot is packed. wideCur deduplicates the unpacks —
-// once refreshed, a slot's wide view stays current until its next packed
-// write, so fan-out to many wide consumers costs one unpack total.
-func emitWide(insts []batchInst, in batchInst, args []int32, argP []bool, outP bool, wideCur []bool) []batchInst {
-	for i, a := range args {
-		if argP[i] && !wideCur[a] {
-			insts = append(insts, batchInst{
-				code: bpUnpack, op: wire.Ident, out: a,
-				a: [3]int32{a}, n: 1, argP: [3]bool{true},
-			})
+// emitWide is the one way across the layout boundary. It compiles a mixed
+// packed/wide instruction to: a bpUnpack per packed operand whose wide lane
+// view is stale, the unmodified fused wide body over lane vectors, and a
+// bpPack of the result when the output slot is packed. wideCur deduplicates
+// the unpacks — once materialised, a slot's wide view stays current until
+// its next packed write, so fan-out to many wide consumers costs one unpack
+// total.
+func emitWide(insts []batchInst, in batchInst, packed, wideCur []bool) []batchInst {
+	for _, a := range in.args() {
+		if packed[a] && !wideCur[a] {
+			insts = append(insts, batchInst{code: bpUnpack, op: wire.Ident, out: a, a: [3]int32{a}, n: 1})
 			wideCur[a] = true
 		}
 	}
 	insts = append(insts, in) // the wide body, packing-blind
-	if outP {
-		insts = append(insts, batchInst{
-			code: bpPack, op: wire.Ident, out: in.out, outP: true,
-			a: [3]int32{in.out}, n: 1,
-		})
+	if packed[in.out] {
+		insts = append(insts, batchInst{code: bpPack, op: wire.Ident, out: in.out, a: [3]int32{in.out}, n: 1})
 		wideCur[in.out] = true // the wide view just produced the packed words
 	}
 	return insts
 }
 
-// toArgP folds the per-arg flags into the inline [3]bool mirror of a.
-func toArgP(argP []bool) (p [3]bool) {
-	for i := 0; i < len(argP) && i < 3; i++ {
-		p[i] = argP[i]
+// wideSlotsOf lists, ascending, the slots that own a wide lane vector under
+// the emitted schedule: every wide slot, plus each packed slot some
+// instruction binds wide — the bpUnpack/bpPack targets and the constants
+// wide bodies read in place. Every other access to a packed slot (pokes,
+// peeks, watches, commits, output sampling) goes through the packed store.
+func wideSlotsOf(insts []batchInst, packed []bool) []int32 {
+	wide := make([]bool, len(packed))
+	for slot, p := range packed {
+		wide[slot] = !p
 	}
-	return p
+	for i := range insts {
+		in := &insts[i]
+		outP, argsP := in.code.packedSides()
+		wide[in.out] = wide[in.out] || !outP
+		if !argsP {
+			for _, a := range in.args() {
+				wide[a] = true
+			}
+		}
+	}
+	var slots []int32
+	for slot, w := range wide {
+		if w {
+			slots = append(slots, int32(slot))
+		}
+	}
+	return slots
 }
 
 // pkView binds slot's packed words covering the [lo,hi) lane sub-range. lo
@@ -367,8 +267,8 @@ func pkSet(w []uint64, lane int, v uint64) {
 }
 
 // packLanes packs the low bit of each wide lane value into dst words: the
-// pack shim every wide→packed boundary shares (commits, pokes, reference
-// sync). Tail bits above len(src) keep whatever acc left — garbage by
+// one loop every wide→packed crossing shares (bpPack and mixed register
+// commits). Tail bits above len(src) keep whatever acc left — garbage by
 // contract.
 func packLanes(dst, src []uint64) {
 	var acc uint64
@@ -409,8 +309,8 @@ func fillPk(w []uint64, v uint64) {
 }
 
 // execPackedOp runs one packed loop body. Word-wide cases iterate words
-// (64 lanes per step); shim cases iterate lanes but touch the packed side
-// one word per 64 lanes.
+// (64 lanes per step); the two crossings iterate lanes but touch the packed
+// side one word per 64 lanes.
 func execPackedOp(o *boundOp) {
 	out := o.out
 	switch o.code {
@@ -483,151 +383,6 @@ func execPackedOp(o *boundOp) {
 				r = r ^ s&(v^r)
 			}
 			out[w] = r
-		}
-	// The six comparison pack shims repeat one accumulate-and-flush body
-	// with the predicate inlined: a closure-driven shared loop costs a call
-	// per lane, which dominated control-light designs.
-	case bpEqP:
-		x, y := o.x[:o.lanes], o.y[:o.lanes]
-		var acc uint64
-		for l := 0; l < len(x); l++ {
-			acc |= b2u(x[l] == y[l]) << (uint(l) & 63)
-			if l&63 == 63 {
-				out[l>>6] = acc
-				acc = 0
-			}
-		}
-		if n := len(x); n&63 != 0 {
-			out[(n-1)>>6] = acc
-		}
-	case bpNeqP:
-		x, y := o.x[:o.lanes], o.y[:o.lanes]
-		var acc uint64
-		for l := 0; l < len(x); l++ {
-			acc |= b2u(x[l] != y[l]) << (uint(l) & 63)
-			if l&63 == 63 {
-				out[l>>6] = acc
-				acc = 0
-			}
-		}
-		if n := len(x); n&63 != 0 {
-			out[(n-1)>>6] = acc
-		}
-	case bpLtP:
-		x, y := o.x[:o.lanes], o.y[:o.lanes]
-		var acc uint64
-		for l := 0; l < len(x); l++ {
-			acc |= b2u(x[l] < y[l]) << (uint(l) & 63)
-			if l&63 == 63 {
-				out[l>>6] = acc
-				acc = 0
-			}
-		}
-		if n := len(x); n&63 != 0 {
-			out[(n-1)>>6] = acc
-		}
-	case bpLeqP:
-		x, y := o.x[:o.lanes], o.y[:o.lanes]
-		var acc uint64
-		for l := 0; l < len(x); l++ {
-			acc |= b2u(x[l] <= y[l]) << (uint(l) & 63)
-			if l&63 == 63 {
-				out[l>>6] = acc
-				acc = 0
-			}
-		}
-		if n := len(x); n&63 != 0 {
-			out[(n-1)>>6] = acc
-		}
-	case bpGtP:
-		x, y := o.x[:o.lanes], o.y[:o.lanes]
-		var acc uint64
-		for l := 0; l < len(x); l++ {
-			acc |= b2u(x[l] > y[l]) << (uint(l) & 63)
-			if l&63 == 63 {
-				out[l>>6] = acc
-				acc = 0
-			}
-		}
-		if n := len(x); n&63 != 0 {
-			out[(n-1)>>6] = acc
-		}
-	case bpGeqP:
-		x, y := o.x[:o.lanes], o.y[:o.lanes]
-		var acc uint64
-		for l := 0; l < len(x); l++ {
-			acc |= b2u(x[l] >= y[l]) << (uint(l) & 63)
-			if l&63 == 63 {
-				out[l>>6] = acc
-				acc = 0
-			}
-		}
-		if n := len(x); n&63 != 0 {
-			out[(n-1)>>6] = acc
-		}
-	case bpOrRP:
-		x := o.x[:o.lanes]
-		var acc uint64
-		for l := 0; l < len(x); l++ {
-			acc |= b2u(x[l] != 0) << (uint(l) & 63)
-			if l&63 == 63 {
-				out[l>>6] = acc
-				acc = 0
-			}
-		}
-		if n := len(x); n&63 != 0 {
-			out[(n-1)>>6] = acc
-		}
-	case bpXorRP:
-		x := o.x[:o.lanes]
-		var acc uint64
-		for l := 0; l < len(x); l++ {
-			acc |= uint64(bits.OnesCount64(x[l])&1) << (uint(l) & 63)
-			if l&63 == 63 {
-				out[l>>6] = acc
-				acc = 0
-			}
-		}
-		if n := len(x); n&63 != 0 {
-			out[(n-1)>>6] = acc
-		}
-	case bpBitsCP:
-		x, sh := o.x[:o.lanes], uint(o.sh)
-		var acc uint64
-		for l := 0; l < len(x); l++ {
-			acc |= (x[l] >> sh & 1) << (uint(l) & 63)
-			if l&63 == 63 {
-				out[l>>6] = acc
-				acc = 0
-			}
-		}
-		if n := len(x); n&63 != 0 {
-			out[(n-1)>>6] = acc
-		}
-	case bpMuxSelP:
-		// Broadcast each lane's packed select bit to an all-ones/all-zeros
-		// mask; the wide mux stays branchless. The select word is loaded
-		// once per 64 lanes and consumed bit-serially.
-		c, x, y := o.x, o.y[:len(out)], o.z[:len(out)]
-		for base := 0; base < len(out); base += 64 {
-			cw := c[base>>6]
-			end := min(base+64, len(out))
-			for l := base; l < end; l++ {
-				sel := -(cw & 1)
-				cw >>= 1
-				out[l] = y[l] ^ sel&(x[l]^y[l])
-			}
-		}
-	case bpMuxSelPM:
-		c, x, y, m := o.x, o.y[:len(out)], o.z[:len(out)], o.mask
-		for base := 0; base < len(out); base += 64 {
-			cw := c[base>>6]
-			end := min(base+64, len(out))
-			for l := base; l < end; l++ {
-				sel := -(cw & 1)
-				cw >>= 1
-				out[l] = (y[l] ^ sel&(x[l]^y[l])) & m
-			}
 		}
 	case bpUnpack:
 		// out is the slot's wide lane view, x its packed words.

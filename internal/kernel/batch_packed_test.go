@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rteaal/internal/dfg"
+	"rteaal/internal/gen"
 	"rteaal/internal/oim"
 	"rteaal/internal/wire"
 )
@@ -85,9 +86,58 @@ func TestBatchPackedMatchesReference(t *testing.T) {
 	}
 }
 
+// packedCrossingGraph is a hand-built design holding every layout-crossing
+// shape next to the word-wide bodies the random corpus rarely produces: a
+// wide comparison and wide OrR/XorR feeding packed And/Or/Xor logic, a
+// packed select steering a wide mux, a single-bit constant field extract
+// feeding packed logic, an all-1-bit Gt, Mux and MuxChain, and 1-bit
+// registers committing through the staged plan packed on both sides (the
+// r1→r2 shift chain), packed→wide (qw, demoted by its two wide muxes) and
+// wide→packed (qp, whose Next the profitability pass demotes).
+func packedCrossingGraph() *dfg.Graph {
+	g := &dfg.Graph{Name: "crossing"}
+	a := g.AddInput("a", 8)
+	b := g.AddInput("b", 8)
+	s := g.AddInput("s", 1)
+	u := g.AddInput("u", 1)
+	r1 := g.AddReg("r1", 1, 1)
+	r2 := g.AddReg("r2", 1, 0)
+	qw := g.AddReg("qw", 1, 0)
+	qp := g.AddReg("qp", 1, 1)
+	acc := g.AddReg("acc", 8, 0)
+	lt := g.AddOp(wire.Lt, 1, a, b)
+	orr := g.AddOp(wire.OrR, 1, a)
+	xr := g.AddOp(wire.XorR, 1, b)
+	three := g.AddConst(3, 8)
+	bit3 := g.AddOp(wire.Bits, 1, a, three, three)
+	gt := g.AddOp(wire.Gt, 1, s, u)
+	p1 := g.AddOp(wire.And, 1, lt, s)
+	p2 := g.AddOp(wire.Or, 1, orr, u)
+	p3 := g.AddOp(wire.Xor, 1, xr, bit3)
+	p4 := g.AddOp(wire.And, 1, qp, p3)
+	mx := g.AddOp(wire.Mux, 1, p1, p2, p4)
+	mc := g.AddOp(wire.MuxChain, 1, s, p1, gt, p2, lt, p3, bit3)
+	neq := g.AddOp(wire.Neq, 1, a, b)
+	sum := g.AddOp(wire.Add, 8, acc, g.AddOp(wire.Mux, 8, neq, a, b))
+	swap := g.AddOp(wire.Xor, 8, g.AddOp(wire.Mux, 8, qw, a, b), g.AddOp(wire.Mux, 8, qw, b, a))
+	g.SetRegNext(r1, mc)
+	g.SetRegNext(r2, r1) // r2.Next IS r1.Q: forces the staged commit
+	g.SetRegNext(qw, p2)
+	g.SetRegNext(qp, neq)
+	g.SetRegNext(acc, g.AddOp(wire.Mux, 8, p1, swap, sum))
+	g.AddOutput("mx", mx)
+	g.AddOutput("r2", r2)
+	g.AddOutput("acc", acc)
+	return g
+}
+
 // TestBatchPackedWidePartialWords covers lane counts that straddle word
 // boundaries (1, 63, 64, 65, 130): the partial tail word carries garbage
 // bits above the lane count, which must never leak into any lane's value.
+// It runs a random circuit and the directed crossing graph, whose schedule
+// must hold both crossings, the packed Gt, Mux and MuxChain bodies and a
+// staged commit of every packed/wide shape — so the test cannot silently
+// stop reaching them.
 func TestBatchPackedWidePartialWords(t *testing.T) {
 	rng := rand.New(rand.NewSource(6180))
 	const cycles = 5
@@ -96,21 +146,41 @@ func TestBatchPackedWidePartialWords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ten := buildTensor(t, opt)
-	for _, lanes := range []int{1, 63, 64, 65, 130} {
-		packed := packedBatch(t, ten, lanes, 1)
-		ref, err := NewBatch(ten, lanes)
-		if err != nil {
-			t.Fatal(err)
+	directed := buildTensor(t, packedCrossingGraph()) // unoptimised: keep the shapes
+	sched := buildBatchSchedule(directed, true)
+	seen := map[batchCode]bool{}
+	for _, in := range sched.insts {
+		seen[in.code] = true
+	}
+	for _, code := range []batchCode{bpUnpack, bpPack, bpGtW, bpMux, bpMuxChain} {
+		if !seen[code] {
+			t.Errorf("crossing graph's schedule lost packed opcode %d", code)
 		}
-		seeds := laneSeeds(lanes)
-		got := batchTrace(packed, seeds, cycles, nil)
-		want := batchTrace(ref, seeds, cycles, (*Batch).StepReference)
-		for lane := range want {
-			for i := range want[lane] {
-				if got[lane][i] != want[lane][i] {
-					t.Fatalf("lanes %d lane %d: packed diverges at trace[%d]: %d != %d",
-						lanes, lane, i, got[lane][i], want[lane][i])
+	}
+	commitShapes := map[[2]bool]bool{}
+	for _, c := range sched.commits {
+		commitShapes[[2]bool{c.qp, c.np}] = true
+	}
+	if sched.fusedCommit || len(commitShapes) != 4 {
+		t.Errorf("crossing graph's commit plan: fused %v, (Q packed, Next packed) shapes %v; want all four, staged",
+			sched.fusedCommit, commitShapes)
+	}
+	for ti, ten := range []*oim.Tensor{buildTensor(t, opt), directed} {
+		for _, lanes := range []int{1, 63, 64, 65, 130} {
+			packed := packedBatch(t, ten, lanes, 1)
+			ref, err := NewBatch(ten, lanes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seeds := laneSeeds(lanes)
+			got := batchTrace(packed, seeds, cycles, nil)
+			want := batchTrace(ref, seeds, cycles, (*Batch).StepReference)
+			for lane := range want {
+				for i := range want[lane] {
+					if got[lane][i] != want[lane][i] {
+						t.Fatalf("design %d lanes %d lane %d: packed diverges at trace[%d]: %d != %d",
+							ti, lanes, lane, i, got[lane][i], want[lane][i])
+					}
 				}
 			}
 		}
@@ -155,42 +225,137 @@ func TestBatchPackedParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestBatchPackedStepReferenceInterleave alternates the packed fast path
-// with the scalar oracle on one batch: the packed↔wide synchronisation
-// around every reference call must leave one coherent state either way.
-func TestBatchPackedStepReferenceInterleave(t *testing.T) {
-	rng := rand.New(rand.NewSource(5150))
-	const lanes, cycles = 5, 10
-	g := dfg.RandomGraph(rng, dfg.DefaultRandomParams())
+// genTensor lowers one generated benchmark design the way sim.CompileGraph
+// does.
+func genTensor(t *testing.T, spec gen.Spec) *oim.Tensor {
+	t.Helper()
+	g, err := gen.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	opt, err := dfg.Optimize(g, dfg.DefaultOptOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ten := buildTensor(t, opt)
-	packed := packedBatch(t, ten, lanes, 1)
-	ref, err := NewBatch(ten, lanes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	step := 0
-	mixed := func(b *Batch) {
-		if step%2 == 0 {
-			b.Step()
-		} else {
-			b.StepReference()
+	return buildTensor(t, opt)
+}
+
+// TestBatchPackedOneHomePerSlot pins the allocation rule on the control
+// fabric: a packed slot owns a lane vector if and only if some schedule
+// instruction binds its wide view, so the wide store shrinks to a sliver —
+// and every host-side access to a packed-only slot still works.
+func TestBatchPackedOneHomePerSlot(t *testing.T) {
+	ten := genTensor(t, gen.Spec{Family: gen.Ctrl, Cores: 16})
+	const lanes = 70
+	b := packedBatch(t, ten, lanes, 1)
+	sched := b.sched
+	boundWide := make([]bool, ten.NumSlots)
+	for i := range sched.insts {
+		in := &sched.insts[i]
+		outP, argsP := in.code.packedSides()
+		boundWide[in.out] = boundWide[in.out] || !outP
+		for _, a := range in.args() {
+			boundWide[a] = boundWide[a] || !argsP
 		}
-		step++
 	}
+	wide := 0
+	for slot := range b.li {
+		want := !sched.packed[slot] || boundWide[slot]
+		if got := b.li[slot] != nil; got != want {
+			t.Fatalf("slot %d: has a lane vector = %v, want %v (packed %v, bound wide %v)",
+				slot, got, want, sched.packed[slot], boundWide[slot])
+		}
+		if want {
+			wide++
+		}
+	}
+	if len(b.buf) != wide*lanes {
+		t.Fatalf("wide store holds %d words, want %d slots x %d lanes", len(b.buf), wide, lanes)
+	}
+	if full := ten.NumSlots * lanes; len(b.buf)*10 >= full {
+		t.Fatalf("wide store holds %d of %d words: the control fabric should be under 10%%", len(b.buf), full)
+	}
+
 	seeds := laneSeeds(lanes)
-	got := batchTrace(packed, seeds, cycles, mixed)
-	want := batchTrace(ref, seeds, cycles, (*Batch).StepReference)
-	for lane := range want {
-		for i := range want[lane] {
-			if got[lane][i] != want[lane][i] {
-				t.Fatalf("lane %d: interleaved packed/reference diverges at trace[%d]: %d != %d",
-					lane, i, got[lane][i], want[lane][i])
+	first := batchTrace(b, seeds, 6, nil)
+	b.Reset()
+	again := batchTrace(b, seeds, 6, nil)
+	for lane := range first {
+		for i := range first[lane] {
+			if again[lane][i] != first[lane][i] {
+				t.Fatalf("lane %d: trace[%d] after Reset = %d, want %d", lane, i, again[lane][i], first[lane][i])
 			}
 		}
+	}
+
+	const lane = 69 // in the partial second word
+	regIdx := -1    // a register whose Q has no lane vector
+	for i, r := range ten.RegSlots {
+		if b.li[r.Q] == nil {
+			regIdx = i
+		}
+	}
+	if regIdx < 0 {
+		t.Fatal("no packed-only register in the control fabric")
+	}
+	packedOnly := ten.RegSlots[regIdx].Q
+	for _, v := range []uint64{1, 0, 3} {
+		b.PokeSlot(lane, packedOnly, v)
+		if got := b.PeekSlot(lane, packedOnly); got != v&1 {
+			t.Fatalf("PeekSlot after PokeSlot(%d) = %d", v, got)
+		}
+		if got := b.RegSnapshot(lane)[regIdx]; got != v&1 {
+			t.Fatalf("RegSnapshot after PokeSlot(%d) = %d", v, got)
+		}
+	}
+	var watched uint64
+	ran, stopped := b.RunBulk(RunSpec{Cycles: 4, Watch: &Watch{
+		Lane: lane, Slot: packedOnly, OutIdx: -1,
+		Pred: func(v uint64) bool { watched = v; return true },
+	}})
+	if ran != 1 || !stopped {
+		t.Fatalf("watched run: ran %d stopped %v, want 1 true", ran, stopped)
+	}
+	if got := b.PeekSlot(lane, packedOnly); watched != got {
+		t.Fatalf("watch saw %d, PeekSlot reads %d", watched, got)
+	}
+
+	defer func() {
+		const want = "kernel: the reference oracle runs on wide batches only"
+		if r := recover(); r != want {
+			t.Fatalf("StepReference on a packed batch: recovered %v, want panic %q", r, want)
+		}
+	}()
+	b.StepReference()
+}
+
+// TestBatchPackedDatapathKeepsWideSchedule: on an SoC design packing
+// retreats to the few islands with a word-wide consumer, so the packed
+// schedule is the wide one with a handful of entries swapped for word-wide
+// bodies and a handful of crossings around the rest — no per-instruction
+// boundary rewriting.
+func TestBatchPackedDatapathKeepsWideSchedule(t *testing.T) {
+	ten := genTensor(t, gen.Spec{Family: gen.Rocket, Cores: 1, Scale: 64})
+	wide := buildBatchSchedule(ten, false)
+	packed := buildBatchSchedule(ten, true)
+	var wordWide, crossings, untouched int
+	for _, in := range packed.insts {
+		switch {
+		case in.code >= bpUnpack:
+			crossings++
+		case in.code >= bpAnd:
+			wordWide++
+		default:
+			untouched++
+		}
+	}
+	if untouched+wordWide != len(wide.insts) {
+		t.Fatalf("%d wide + %d word-wide bodies, want the wide schedule's %d entries",
+			untouched, wordWide, len(wide.insts))
+	}
+	if wordWide+crossings > 16 {
+		t.Fatalf("%d word-wide bodies + %d crossings in a datapath schedule, want a handful",
+			wordWide, crossings)
 	}
 }
 

@@ -26,7 +26,7 @@ import (
 //
 // A schedule compiled with packing additionally stores every provably-1-bit
 // slot one lane per bit and rewrites the instructions over them to
-// word-wide bodies and pack/unpack shims; see batch_packed.go.
+// word-wide bodies and unpack/pack crossings; see batch_packed.go.
 
 // batchCode selects one fused loop body. Codes come in masked (…M) and
 // unmasked pairs where masking is ever needed; comparison and reduction
@@ -87,15 +87,17 @@ type batchInst struct {
 	out  int32
 	a    [3]int32
 	n    uint8
-	sh   uint8   // folded constant shift amount (bcBitsC)
+	sh   uint8   // folded constant shift amount (bcBitsC, whose n is 1)
 	ext  []int32 // spilled mux-chain operands
 	mask uint64
-	// Packed-layout flags (packing schedules only): whether the output and
-	// each operand bind the bit-packed store instead of the wide lane
-	// vectors. extP mirrors ext for spilled mux chains.
-	outP bool
-	argP [3]bool
-	extP []bool
+}
+
+// args lists the entry's operand slots, inline or spilled.
+func (in *batchInst) args() []int32 {
+	if in.ext != nil {
+		return in.ext
+	}
+	return in.a[:in.n]
 }
 
 // commitInst is one register's end-of-cycle update in slot space. masked is
@@ -122,13 +124,17 @@ type batchSchedule struct {
 	// [Batch.SettleReference] so reference batches don't rebuild it.
 	tape []tapeOp
 	// packing marks a bit-packed schedule: packed[slot] is the width
-	// analysis verdict (see OneBitSlots) and packedSlots lists the packed
-	// coordinates, which batches use to size and sync the packed store.
-	// packing is false when the design has no provably-1-bit slot at all,
-	// even if requested — the schedule is then identical to the wide one.
+	// analysis verdict (see OneBitSlots) after demotion and packedSlots
+	// lists the packed coordinates, which batches use to size the packed
+	// store. packing is false when the design has no provably-1-bit slot at
+	// all, even if requested — the schedule is then identical to the wide
+	// one.
 	packing     bool
 	packed      []bool
 	packedSlots []int32
+	// wideSlots lists the coordinates that own a wide lane vector: all of
+	// them in a wide schedule, see wideSlotsOf in a packing one.
+	wideSlots []int32
 }
 
 // fitsMask reports whether op's result is guaranteed to fit outMask given
@@ -264,9 +270,9 @@ func fusedCode(op wire.Op, argMasks []uint64, outMask uint64) batchCode {
 // buildBatchSchedule compiles the design's TI tape into the batch-specialised
 // schedule: fused opcodes with the mask decision baked in, plus the folded
 // commit plan. With packing, the width-analysis pass classifies every slot,
-// a profitability pass demotes slots whose packing would only force shims
-// around wide bodies, and instructions over the surviving 1-bit slots are
-// rewritten to the packed loop bodies (see batch_packed.go).
+// a profitability pass demotes slots whose packing would only force
+// crossings around wide bodies, and instructions over the surviving 1-bit
+// slots are rewritten to the packed loop bodies (see batch_packed.go).
 func buildBatchSchedule(t *oim.Tensor, packing bool) *batchSchedule {
 	tape, _ := buildTape(t)
 	s := &batchSchedule{tape: tape}
@@ -279,9 +285,11 @@ func buildBatchSchedule(t *oim.Tensor, packing bool) *batchSchedule {
 	}
 
 	// constVal maps slots whose value can never change over a batch's
-	// lifetime — preloaded by Reset and written by no operation, input
-	// poke, or register commit (a Batch has no PokeSlot). Operand values
-	// drawn from here may be folded into the schedule.
+	// lifetime — preloaded by Reset and written by no operation, register
+	// commit, or poke: every slot a SignalMap resolves (inputs, outputs,
+	// registers) is excluded, since a testbench port on any of them pokes
+	// the slot per lane. Operand values drawn from here may be folded into
+	// the schedule.
 	constVal := make(map[int32]uint64, len(t.ConstSlots))
 	for _, c := range t.ConstSlots {
 		constVal[c.Slot] = c.Value // Reset order: the last preload wins
@@ -294,14 +302,18 @@ func buildBatchSchedule(t *oim.Tensor, packing bool) *batchSchedule {
 	for _, slot := range t.InputSlots {
 		delete(constVal, slot)
 	}
+	for _, slot := range t.OutputSlots {
+		delete(constVal, slot)
+	}
 	for _, r := range t.RegSlots {
 		delete(constVal, r.Q)
 		delete(constVal, r.Next)
 	}
 
-	// Wide compilation first: the packing passes below consult the fused
-	// codes (the folded field extract in particular) to cost and rewrite
-	// entries, so the wide schedule is the common intermediate form.
+	// Wide compilation first: the packing passes below cost and rewrite
+	// these entries over their live operands (the folded field extract
+	// keeps one of three), so the wide schedule is the common intermediate
+	// form.
 	wide := make([]batchInst, 0, len(tape))
 	var argMasks []uint64
 	for k := range tape {
@@ -325,12 +337,13 @@ func buildBatchSchedule(t *oim.Tensor, packing bool) *batchSchedule {
 		}
 		// Bits with constant hi/lo — the shape every FIRRTL field extract
 		// lowers to — folds to a single shift with the field mask merged
-		// into the output mask.
+		// into the output mask, leaving the shiftee the only operand.
 		if e.op == wire.Bits {
 			hi, okH := constVal[e.a[1]]
 			lo, okL := constVal[e.a[2]]
 			if okH && okL && lo < 64 && hi >= lo {
 				in.code = bcBitsC
+				in.n = 1
 				in.sh = uint8(lo)
 				in.mask = wire.Mask(int(hi-lo)+1) & e.mask
 			}
@@ -357,8 +370,8 @@ func buildBatchSchedule(t *oim.Tensor, packing bool) *batchSchedule {
 		// mirrors the packed words at the current point in the schedule
 		// (see emitWide). At the start of every settle only never-written
 		// constants qualify: Reset fills both views and nothing overwrites
-		// them, while inputs, register Qs and op outputs take packed-only
-		// writes between settles.
+		// them, while inputs, outputs, register Qs and op outputs take
+		// packed-only writes between settles.
 		wideCur := make([]bool, t.NumSlots)
 		for slot := range constVal {
 			wideCur[slot] = true
@@ -367,8 +380,13 @@ func buildBatchSchedule(t *oim.Tensor, packing bool) *batchSchedule {
 		for _, in := range wide {
 			s.insts = emitPacked(s.insts, in, s.packed, wideCur)
 		}
+		s.wideSlots = wideSlotsOf(s.insts, s.packed)
 	} else {
 		s.insts = wide
+		s.wideSlots = make([]int32, t.NumSlots)
+		for slot := range s.wideSlots {
+			s.wideSlots[slot] = int32(slot)
+		}
 	}
 
 	// Commit plan: a register's `& Mask` is redundant when Next is a tape
@@ -399,10 +417,9 @@ func buildBatchSchedule(t *oim.Tensor, packing bool) *batchSchedule {
 
 // boundOp is one schedule entry bound to a concrete batch's lane vectors
 // (or to one worker's lane sub-range): the hot-loop representation. out, x,
-// y, z alias the batch's SoA backing store — the wide lane vector for wide
-// slots, the packed word vector for packed slots (flagged per operand, with
-// lanes recording the sub-range width since len(out) is a word count for
-// packed outputs).
+// y, z alias the batch's backing stores — lane vectors or packed word
+// vectors, as the code's packedSides says — with lanes recording the
+// sub-range width, since len(out) is a word count for packed outputs.
 type boundOp struct {
 	code  batchCode
 	op    wire.Op
@@ -418,8 +435,8 @@ type boundOp struct {
 }
 
 // boundCommit is one register update bound to lane vectors. dstP/srcP flag
-// bit-packed sides: packed→packed commits copy words, mixed commits run the
-// pack/unpack shim per lane.
+// bit-packed sides: packed→packed commits copy words, mixed commits pack or
+// unpack per lane.
 type boundCommit struct {
 	dst, src   []uint64
 	stage      []uint64 // wide staged buffer sub-range (two-pass commit only)
@@ -437,8 +454,10 @@ func laneView(li [][]uint64, slot int32, lo, hi int) []uint64 {
 
 // bindOps resolves the schedule's slot coordinates against one batch's lane
 // vectors (and packed word vectors), restricted to the [lo,hi) lane
-// sub-range. The result is private to one executor (the sequential batch or
-// one worker shard).
+// sub-range. Each side binds the store the entry's code names (see
+// packedSides); a packed slot has a lane vector exactly when some entry
+// binds it wide (see wideSlotsOf). The result is private to one executor
+// (the sequential batch or one worker shard).
 func bindOps(s *batchSchedule, li, pk [][]uint64, lo, hi int) []boundOp {
 	view := func(slot int32, packed bool) []uint64 {
 		if packed {
@@ -452,30 +471,31 @@ func bindOps(s *batchSchedule, li, pk [][]uint64, lo, hi int) []boundOp {
 		b := &ops[i]
 		b.code, b.op, b.n, b.sh, b.mask = in.code, in.op, in.n, in.sh, in.mask
 		b.lanes = hi - lo
-		b.out = view(in.out, in.outP)
+		outP, argsP := in.code.packedSides()
+		b.out = view(in.out, outP)
 		if in.ext != nil {
 			b.ext = make([][]uint64, len(in.ext))
 			for j, slot := range in.ext {
-				b.ext[j] = view(slot, in.extP != nil && in.extP[j])
+				b.ext[j] = view(slot, argsP)
 			}
 			continue
 		}
 		switch {
 		case in.n >= 3:
-			b.z = view(in.a[2], in.argP[2])
+			b.z = view(in.a[2], argsP)
 			fallthrough
 		case in.n == 2:
-			b.y = view(in.a[1], in.argP[1])
+			b.y = view(in.a[1], argsP)
 			fallthrough
 		case in.n == 1:
-			b.x = view(in.a[0], in.argP[0])
+			b.x = view(in.a[0], argsP)
 		}
 		if in.op == wire.MuxChain {
 			// Short chains live inline in a; normalise to ext so the loop
 			// bodies (wide and packed alike) have one shape.
 			b.ext = make([][]uint64, in.n)
 			for j := 0; j < int(in.n); j++ {
-				b.ext[j] = view(in.a[j], in.argP[j])
+				b.ext[j] = view(in.a[j], argsP)
 			}
 		}
 	}
@@ -486,8 +506,8 @@ func bindOps(s *batchSchedule, li, pk [][]uint64, lo, hi int) []boundOp {
 // (and packed word vectors) and its staging buffers for the [lo,hi) lane
 // sub-range. A staged commit whose register is packed on both sides stages
 // packed words directly — the common case in control designs, where shift
-// chains force staging; only the rare mixed commit pays the per-lane
-// pack/unpack shim through the wide staging buffer.
+// chains force staging; only the rare mixed commit packs or unpacks per lane
+// through the wide staging buffer.
 func bindCommits(s *batchSchedule, li, pk [][]uint64, next, pkNext []uint64, lanes, words, lo, hi int) []boundCommit {
 	view := func(slot int32, packed bool) []uint64 {
 		if packed {
@@ -533,9 +553,11 @@ func bindOuts(t *oim.Tensor, s *batchSchedule, li, pk [][]uint64, outs []uint64,
 	bs := make([]outBind, len(t.OutputSlots))
 	for i, slot := range t.OutputSlots {
 		srcP := s.packing && s.packed[slot]
-		src := laneView(li, slot, lo, hi)
+		var src []uint64
 		if srcP {
 			src = pkView(pk, slot, lo, hi)
+		} else {
+			src = laneView(li, slot, lo, hi)
 		}
 		bs[i] = outBind{
 			dst:  outs[i*lanes+lo : i*lanes+hi : i*lanes+hi],
@@ -876,7 +898,7 @@ func runCommits(cs []boundCommit, fused bool) {
 	}
 	// Staged two-pass commit. Registers packed on both sides stage packed
 	// words — no per-lane work at all; mixed registers stage wide, with the
-	// packed side crossing the layout boundary via the pack/unpack shim.
+	// packed side packed or unpacked per lane on the way.
 	for i := range cs {
 		c := &cs[i]
 		if c.pkStage != nil {

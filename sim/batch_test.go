@@ -337,3 +337,69 @@ func TestBatchNamedPortsAndReset(t *testing.T) {
 		}
 	}
 }
+
+// foldedConstSrc has two constants a schedule compiler is tempted to bake
+// in, both reachable through an output port: k is CSE-merged with the high
+// bound of the field extract, and one feeds both packed and wide logic (so
+// a packed batch keeps it packed and reads it through its wide view).
+const foldedConstSrc = `
+circuit K :
+  module K :
+    input x : UInt<8>
+    input a : UInt<1>
+    output k : UInt<7>
+    output y : UInt<4>
+    output one : UInt<1>
+    output z : UInt<1>
+    output w : UInt<9>
+    k <= UInt<7>(5)
+    y <= bits(x, 5, 2)
+    one <= UInt<1>(1)
+    z <= and(a, one)
+    w <= add(x, one)
+`
+
+// TestPortPokeOfFoldedConstant pokes output ports whose LI slots hold
+// constants: every engine must honour the poke like any other slot write,
+// so the batch schedule may fold only constants no port can reach.
+func TestPortPokeOfFoldedConstant(t *testing.T) {
+	run := func(name string, tb *sim.Testbench) {
+		t.Helper()
+		port := func(name string) *sim.Port {
+			p, err := tb.Port(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+		port("x").Poke(0xff)
+		port("a").Poke(1)
+		port("k").Poke(3)
+		port("one").Poke(0)
+		if err := tb.Step(); err != nil {
+			t.Fatal(err)
+		}
+		// bits(0xff, 3, 2) = 3, and(1, 0) = 0, add(0xff, 0) = 0xff.
+		for out, want := range map[string]uint64{"y": 3, "z": 0, "w": 0xff} {
+			if got := port(out).Peek(); got != want {
+				t.Errorf("%s: %s = %#x after the constant pokes, want %#x", name, out, got, want)
+			}
+		}
+	}
+	for _, packing := range []bool{false, true} {
+		d, err := sim.Compile(foldedConstSrc, sim.WithBatchPacking(packing))
+		if err != nil {
+			t.Fatal(err)
+		}
+		run("session", d.NewSession().Testbench())
+		b, err := d.NewBatch(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Packed() != packing {
+			t.Fatalf("WithBatchPacking(%v): Packed() = %v", packing, b.Packed())
+		}
+		run(fmt.Sprintf("batch/packed=%v", packing), b.Testbench())
+		b.Close()
+	}
+}
