@@ -26,9 +26,6 @@ func DefaultOptOptions() OptOptions {
 	return OptOptions{ConstFold: true, CopyProp: true, CSE: true, MuxChainFuse: true, DCE: true}
 }
 
-// NoOpt disables every optimisation (ablation baseline).
-func NoOpt() OptOptions { return OptOptions{} }
-
 // Optimize runs the selected passes over a copy of g and returns the
 // optimised graph. The input graph is not modified.
 func Optimize(g *Graph, o OptOptions) (*Graph, error) {

@@ -235,15 +235,6 @@ func (m *Matrix) Close() {
 // engine was built from (used by coverage feature extraction).
 func (m *Matrix) Tensor() *oim.Tensor { return m.tensor }
 
-// EngineNames lists the instantiated shapes in comparison order.
-func (m *Matrix) EngineNames() []string {
-	names := make([]string, len(m.engines))
-	for i := range m.engines {
-		names[i] = m.engines[i].name
-	}
-	return names
-}
-
 // state captures one engine lane's observable values: outputs then
 // registers, in index order.
 func (m *Matrix) state(e *engine, lane int) []uint64 {

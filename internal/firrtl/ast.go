@@ -163,9 +163,3 @@ var primSigs = map[string]primSig{
 	"andr": {1, 0}, "orr": {1, 0}, "xorr": {1, 0},
 	"asUInt": {1, 0}, "validif": {2, 0},
 }
-
-// IsPrimOp reports whether name is a primitive operation of the subset.
-func IsPrimOp(name string) bool {
-	_, ok := primSigs[name]
-	return ok
-}

@@ -411,122 +411,29 @@ func (b *Batch) runBulkOnce(spec RunSpec) (ran int, stopped bool) {
 	return k, false
 }
 
-// SettleReference evaluates every lane through the pre-schedule scalar tape
-// loop, preserved verbatim: a per-op switch indexing li[slot] per operation,
-// with no operand pre-binding, mask elision, or bounds-check elimination. It
-// is retained as the parity oracle for the fused schedule and as the
-// baseline the benchmark's kernel.batch_reference_lane_cycles_per_s metric
-// measures the fast path against. It reads and writes lane vectors only, so
-// it panics on a packed batch, whose packed slots have none.
+// SettleReference evaluates every lane through the spec: the tensor's
+// layers in order, each operation's operands gathered per lane and handed to
+// [wire.Eval]. It shares no code with the schedule it is the parity oracle
+// for — no tape, no operand binding, no mask elision, no loop bodies — and is
+// the baseline the benchmark's kernel.batch_reference_lane_cycles_per_s
+// metric measures the fast path against. Results go straight to their LI
+// coordinates, which levelization makes safe. It reads and writes lane
+// vectors only, so it panics on a packed batch, whose packed slots have none.
 func (b *Batch) SettleReference() {
 	if b.pk != nil {
 		panic("kernel: the reference oracle runs on wide batches only")
 	}
 	li := b.li
-	tape := b.sched.tape
-	for k := range tape {
-		e := &tape[k]
-		out := li[e.out]
-		switch e.op {
-		case wire.Add:
-			x, y := li[e.a[0]], li[e.a[1]]
+	var args []uint64
+	for _, layer := range b.t.Layers {
+		for _, op := range layer {
+			code, out, mask := b.t.OpTable[op.Sig].Op, li[op.Out], b.t.Masks[op.Out]
 			for l := range out {
-				out[l] = (x[l] + y[l]) & e.mask
-			}
-		case wire.Sub:
-			x, y := li[e.a[0]], li[e.a[1]]
-			for l := range out {
-				out[l] = (x[l] - y[l]) & e.mask
-			}
-		case wire.Mul:
-			x, y := li[e.a[0]], li[e.a[1]]
-			for l := range out {
-				out[l] = (x[l] * y[l]) & e.mask
-			}
-		case wire.And:
-			x, y := li[e.a[0]], li[e.a[1]]
-			for l := range out {
-				out[l] = x[l] & y[l] & e.mask
-			}
-		case wire.Or:
-			x, y := li[e.a[0]], li[e.a[1]]
-			for l := range out {
-				out[l] = (x[l] | y[l]) & e.mask
-			}
-		case wire.Xor:
-			x, y := li[e.a[0]], li[e.a[1]]
-			for l := range out {
-				out[l] = (x[l] ^ y[l]) & e.mask
-			}
-		case wire.Eq, wire.AndR:
-			x, y := li[e.a[0]], li[e.a[1]]
-			for l := range out {
-				out[l] = b2u(x[l] == y[l])
-			}
-		case wire.Neq:
-			x, y := li[e.a[0]], li[e.a[1]]
-			for l := range out {
-				out[l] = b2u(x[l] != y[l])
-			}
-		case wire.Lt:
-			x, y := li[e.a[0]], li[e.a[1]]
-			for l := range out {
-				out[l] = b2u(x[l] < y[l])
-			}
-		case wire.Leq:
-			x, y := li[e.a[0]], li[e.a[1]]
-			for l := range out {
-				out[l] = b2u(x[l] <= y[l])
-			}
-		case wire.Gt:
-			x, y := li[e.a[0]], li[e.a[1]]
-			for l := range out {
-				out[l] = b2u(x[l] > y[l])
-			}
-		case wire.Geq:
-			x, y := li[e.a[0]], li[e.a[1]]
-			for l := range out {
-				out[l] = b2u(x[l] >= y[l])
-			}
-		case wire.Not:
-			x := li[e.a[0]]
-			for l := range out {
-				out[l] = ^x[l] & e.mask
-			}
-		case wire.Neg:
-			x := li[e.a[0]]
-			for l := range out {
-				out[l] = (-x[l]) & e.mask
-			}
-		case wire.OrR:
-			x := li[e.a[0]]
-			for l := range out {
-				out[l] = b2u(x[l] != 0)
-			}
-		case wire.Mux:
-			c, x, y := li[e.a[0]], li[e.a[1]], li[e.a[2]]
-			for l := range out {
-				if c[l] != 0 {
-					out[l] = x[l] & e.mask
-				} else {
-					out[l] = y[l] & e.mask
+				args = args[:0]
+				for _, a := range op.Args {
+					args = append(args, li[a][l])
 				}
-			}
-		case wire.MuxChain:
-			slots := e.ext
-			if slots == nil {
-				slots = e.a[:e.n]
-			}
-			for l := range out {
-				out[l] = muxChainLane(li, slots, l) & e.mask
-			}
-		default:
-			var args [3]uint64
-			for l := range out {
-				for o := 0; o < int(e.n); o++ {
-					args[o] = li[e.a[o]][l]
-				}
-				out[l] = wire.Eval(e.op, args[:e.n], e.mask)
+				out[l] = wire.Eval(code, args, mask)
 			}
 		}
 	}
@@ -555,14 +462,4 @@ func (b *Batch) StepReference() {
 	for i, r := range b.t.RegSlots {
 		copy(b.li[r.Q], b.next[i*lanes:(i+1)*lanes])
 	}
-}
-
-func muxChainLane(li [][]uint64, slots []int32, lane int) uint64 {
-	n := len(slots)
-	for i := 0; i+1 < n; i += 2 {
-		if li[slots[i]][lane] != 0 {
-			return li[slots[i+1]][lane]
-		}
-	}
-	return li[slots[n-1]][lane]
 }

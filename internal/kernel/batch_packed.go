@@ -117,7 +117,8 @@ func wordWide(in *batchInst, packed []bool) (batchCode, bool) {
 			return 0, false
 		}
 	}
-	return packedCode(in.op)
+	code := opBodies[in.op].word
+	return code, code != 0
 }
 
 // packGain scores one wide-schedule entry's contribution to each packed
@@ -152,40 +153,6 @@ func emitPacked(insts []batchInst, in batchInst, packed, wideCur []bool) []batch
 		return append(insts, in)
 	}
 	return emitWide(insts, in, packed, wideCur)
-}
-
-// packedCode names op's word-wide body (see wordWide for when it applies).
-// Operations without one always cross.
-func packedCode(op wire.Op) (batchCode, bool) {
-	switch op {
-	case wire.And:
-		return bpAnd, true
-	case wire.Or:
-		return bpOr, true
-	case wire.Xor:
-		return bpXor, true
-	case wire.Not:
-		return bpNot, true
-	case wire.Eq, wire.AndR:
-		return bpEqW, true
-	case wire.Neq:
-		return bpNeqW, true
-	case wire.Lt:
-		return bpLtW, true
-	case wire.Leq:
-		return bpLeqW, true
-	case wire.Gt:
-		return bpGtW, true
-	case wire.Geq:
-		return bpGeqW, true
-	case wire.OrR, wire.XorR, wire.Ident:
-		return bpCopy, true
-	case wire.Mux:
-		return bpMux, true
-	case wire.MuxChain:
-		return bpMuxChain, true
-	}
-	return 0, false
 }
 
 // emitWide is the one way across the layout boundary. It compiles a mixed

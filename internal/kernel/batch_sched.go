@@ -34,7 +34,7 @@ import (
 type batchCode uint8
 
 const (
-	bcGeneric batchCode = iota // wire.Eval fallback (Ident and future ops)
+	bcGeneric batchCode = iota // wire.Eval3 fallback (Ident and future ops)
 	bcAdd
 	bcAddM
 	bcSub
@@ -78,6 +78,41 @@ const (
 	bcMuxChainM
 )
 
+// opBodies names each operation's loop bodies: the wide body to run when
+// [fitsMask] proves the result needs no `& mask`, the one that masks (the
+// same body where the result is a single bit), and the word-wide body of the
+// packed layout (see batch_packed.go; zero where there is none, so the
+// operation always crosses). Ident has no wide body of its own and runs
+// bcGeneric.
+var opBodies = [wire.NumOps]struct{ plain, masked, word batchCode }{
+	wire.Add:      {bcAdd, bcAddM, 0},
+	wire.Sub:      {bcSub, bcSubM, 0},
+	wire.Mul:      {bcMul, bcMulM, 0},
+	wire.Div:      {bcDiv, bcDivM, 0},
+	wire.Rem:      {bcRem, bcRemM, 0},
+	wire.And:      {bcAnd, bcAndM, bpAnd},
+	wire.Or:       {bcOr, bcOrM, bpOr},
+	wire.Xor:      {bcXor, bcXorM, bpXor},
+	wire.Eq:       {bcEq, bcEq, bpEqW},
+	wire.Neq:      {bcNeq, bcNeq, bpNeqW},
+	wire.Lt:       {bcLt, bcLt, bpLtW},
+	wire.Leq:      {bcLeq, bcLeq, bpLeqW},
+	wire.Gt:       {bcGt, bcGt, bpGtW},
+	wire.Geq:      {bcGeq, bcGeq, bpGeqW},
+	wire.Shl:      {bcShl, bcShlM, 0},
+	wire.Shr:      {bcShr, bcShrM, 0},
+	wire.Cat:      {bcCat, bcCatM, 0},
+	wire.Bits:     {bcBits, bcBitsM, 0},
+	wire.Not:      {bcNot, bcNotM, bpNot},
+	wire.Neg:      {bcNeg, bcNegM, 0},
+	wire.AndR:     {bcEq, bcEq, bpEqW},
+	wire.OrR:      {bcOrR, bcOrR, bpCopy},
+	wire.XorR:     {bcXorR, bcXorR, bpCopy},
+	wire.Mux:      {bcMux, bcMuxM, bpMux},
+	wire.MuxChain: {bcMuxChain, bcMuxChainM, bpMuxChain},
+	wire.Ident:    {bcGeneric, bcGeneric, bpCopy},
+}
+
 // batchInst is one schedule entry in slot space: the shareable, per-program
 // half of a batch operation. Binding to a concrete batch's lane vectors
 // happens per batch (and per worker shard) in bindOps.
@@ -120,9 +155,6 @@ type batchSchedule struct {
 	// distinct registers).
 	commits     []commitInst
 	fusedCommit bool
-	// tape is the scalar tape the schedule was compiled from, kept for
-	// [Batch.SettleReference] so reference batches don't rebuild it.
-	tape []tapeOp
 	// packing marks a bit-packed schedule: packed[slot] is the width
 	// analysis verdict (see OneBitSlots) after demotion and packedSlots
 	// lists the packed coordinates, which batches use to size the packed
@@ -148,8 +180,6 @@ func fitsMask(op wire.Op, argMasks []uint64, outMask uint64) bool {
 		}
 		return 64
 	}
-	// Comparison and reduction ops never reach here: their single-bit
-	// results always fit, so fusedCode returns their codes directly.
 	switch op {
 	case wire.And:
 		return min(alen(0), alen(1)) <= outLen
@@ -157,8 +187,16 @@ func fitsMask(op wire.Op, argMasks []uint64, outMask uint64) bool {
 		return max(alen(0), alen(1)) <= outLen
 	case wire.Mux:
 		return max(alen(1), alen(2)) <= outLen
+	case wire.MuxChain: // one of the value operands, or the trailing default
+		worst := alen(len(argMasks) - 1)
+		for i := 1; i < len(argMasks); i += 2 {
+			worst = max(worst, alen(i))
+		}
+		return worst <= outLen
 	case wire.Div, wire.Shr, wire.Bits:
-		return alen(0) <= outLen // result never exceeds the dividend/shiftee
+		// The result never exceeds the dividend/shiftee; Bits applies its
+		// own sub-mask, so the output mask is redundant when the field fits.
+		return alen(0) <= outLen
 	case wire.Rem:
 		return min(alen(0), alen(1)) <= outLen // x%y <= min(x, y-1)
 	case wire.Add:
@@ -172,99 +210,12 @@ func fitsMask(op wire.Op, argMasks []uint64, outMask uint64) bool {
 		}
 		return alen(0)+int(argMasks[1]) <= outLen
 	default:
-		// Sub and Neg wrap below zero, Not flips all 64 bits, Cat and
-		// MuxChain are handled by their builders.
+		// Sub and Neg wrap below zero, Not flips all 64 bits, and Cat joins
+		// two fields whose combined length is the declared output width:
+		// safe unmasked only at full 64-bit width. Single-bit results
+		// (comparisons, reductions) have one body either way.
 		return outMask == ^uint64(0)
 	}
-}
-
-// fusedCode maps one tape operation to its fused loop body, consulting the
-// operand masks to decide the masked or unmasked variant. bcGeneric is the
-// answer for anything without a dedicated loop.
-func fusedCode(op wire.Op, argMasks []uint64, outMask uint64) batchCode {
-	type pair struct{ plain, masked batchCode }
-	var p pair
-	switch op {
-	case wire.Add:
-		p = pair{bcAdd, bcAddM}
-	case wire.Sub:
-		p = pair{bcSub, bcSubM}
-	case wire.Mul:
-		p = pair{bcMul, bcMulM}
-	case wire.Div:
-		p = pair{bcDiv, bcDivM}
-	case wire.Rem:
-		p = pair{bcRem, bcRemM}
-	case wire.And:
-		p = pair{bcAnd, bcAndM}
-	case wire.Or:
-		p = pair{bcOr, bcOrM}
-	case wire.Xor:
-		p = pair{bcXor, bcXorM}
-	case wire.Eq, wire.AndR:
-		return bcEq
-	case wire.Neq:
-		return bcNeq
-	case wire.Lt:
-		return bcLt
-	case wire.Leq:
-		return bcLeq
-	case wire.Gt:
-		return bcGt
-	case wire.Geq:
-		return bcGeq
-	case wire.Shl:
-		p = pair{bcShl, bcShlM}
-	case wire.Shr:
-		p = pair{bcShr, bcShrM}
-	case wire.Cat:
-		p = pair{bcCat, bcCatM}
-	case wire.Bits:
-		// Bits applies its own sub-mask; the output mask is redundant when
-		// the extracted field fits, which fitsMask already answers.
-		if fitsMask(op, argMasks, outMask) {
-			return bcBits
-		}
-		return bcBitsM
-	case wire.Not:
-		p = pair{bcNot, bcNotM}
-	case wire.Neg:
-		p = pair{bcNeg, bcNegM}
-	case wire.OrR:
-		return bcOrR
-	case wire.XorR:
-		return bcXorR
-	case wire.Mux:
-		p = pair{bcMux, bcMuxM}
-	case wire.MuxChain:
-		p = pair{bcMuxChain, bcMuxChainM}
-	default:
-		return bcGeneric
-	}
-	if op == wire.MuxChain || op == wire.Cat {
-		// MuxChain selects one of its value operands; Cat concatenates two
-		// fields whose combined length is the declared output width, so the
-		// unmasked variant is safe only at full 64-bit width.
-		if op == wire.MuxChain {
-			worst := 0
-			for i := 1; i < len(argMasks); i += 2 {
-				worst = max(worst, bits.Len64(argMasks[i]))
-			}
-			worst = max(worst, bits.Len64(argMasks[len(argMasks)-1]))
-			if worst <= bits.Len64(outMask) {
-				return p.plain
-			}
-			return p.masked
-		}
-		if outMask == ^uint64(0) {
-			return p.plain
-		}
-		return p.masked
-	}
-	if fitsMask(op, argMasks, outMask) {
-		return p.plain
-	}
-	return p.masked
 }
 
 // buildBatchSchedule compiles the design's TI tape into the batch-specialised
@@ -275,7 +226,7 @@ func fusedCode(op wire.Op, argMasks []uint64, outMask uint64) batchCode {
 // slots are rewritten to the packed loop bodies (see batch_packed.go).
 func buildBatchSchedule(t *oim.Tensor, packing bool) *batchSchedule {
 	tape, _ := buildTape(t)
-	s := &batchSchedule{tape: tape}
+	s := &batchSchedule{}
 
 	// produced marks slots written by tape operations: exactly the slots
 	// whose values are guaranteed masked to their declared width.
@@ -327,13 +278,16 @@ func buildBatchSchedule(t *oim.Tensor, packing bool) *batchSchedule {
 			argMasks = append(argMasks, t.Masks[a])
 		}
 		in := batchInst{
-			code: fusedCode(e.op, argMasks, e.mask),
+			code: opBodies[e.op].masked,
 			op:   e.op,
 			out:  e.out,
 			a:    e.a,
 			n:    e.n,
 			ext:  e.ext,
 			mask: e.mask,
+		}
+		if fitsMask(e.op, argMasks, e.mask) {
+			in.code = opBodies[e.op].plain
 		}
 		// Bits with constant hi/lo — the shape every FIRRTL field extract
 		// lowers to — folds to a single shift with the field mask merged
@@ -840,20 +794,16 @@ func runOps(ops []boundOp) {
 			for l := range out {
 				out[l] = muxChainBound(o.ext, l) & m
 			}
-		default: // bcGeneric
-			var args [3]uint64
-			n := int(o.n)
+		default: // bcGeneric: by value; an absent operand reads as operand 0
+			x, y, z := o.x[:len(out)], o.x[:len(out)], o.x[:len(out)]
+			if o.n > 1 {
+				y = o.y[:len(out)]
+			}
+			if o.n > 2 {
+				z = o.z[:len(out)]
+			}
 			for l := range out {
-				if n > 0 {
-					args[0] = o.x[l]
-				}
-				if n > 1 {
-					args[1] = o.y[l]
-				}
-				if n > 2 {
-					args[2] = o.z[l]
-				}
-				out[l] = wire.Eval(o.op, args[:n], o.mask)
+				out[l] = wire.Eval3(o.op, x[l], y[l], z[l], o.mask)
 			}
 		}
 	}

@@ -21,6 +21,19 @@
 //
 // All engines produce bit-identical traces; they differ in control
 // structure, which is what the codegen and performance model measure.
+//
+// The seven are one computation under seven mappings, so a copy of the op
+// semantics lives only where its loop shape is the thing measured. The spec
+// is wire.Eval / wire.Eval3, two entry points of one switch
+// (internal/wire/wire.go): RU, OU, SU, TI, every fallback and the batch
+// oracle (Batch.StepReference: the spec, lane by lane, over the
+// tensor's layers) evaluate through it. Three files here keep bodies of
+// their own: swizzled.go and psu_iu.go (runGroup, runGroup8), because
+// hoisting the operation dispatch out of the S loop is NU/PSU/IU; and
+// batch_sched.go, whose fitsMask decides when a result needs no mask, next
+// to the lane loops of runOps and — in batch_packed.go — the word loops of
+// execPackedOp, both keyed by opcode through the one opBodies table. CI's
+// op-semantics guard keeps a per-op switch from growing anywhere else.
 package kernel
 
 import (
@@ -100,9 +113,9 @@ type Engine interface {
 	Tensor() *oim.Tensor
 }
 
-// state is the shared simulation state and port plumbing embedded by every
-// engine: the LI tensor (one value per coordinate), the staged register
-// commit, and output sampling at combinational settle.
+// state is the simulation state and port plumbing of the scalar engine: the
+// LI tensor (one value per coordinate), the staged register commit, and
+// output sampling at combinational settle.
 type state struct {
 	t    *oim.Tensor
 	li   []uint64
@@ -190,4 +203,39 @@ func (s *state) RegSnapshot() []uint64 {
 		out[i] = s.li[r.Q]
 	}
 	return out
+}
+
+// engine is the one scalar engine type: the state, the kind, and copies of
+// that kind's read-only lowering pointers from the [Program]. The copies are
+// deliberate: runGroup reloads them once per run, and reaching them through
+// *Program instead costs designs that lower to many short runs (RepCut
+// sub-tensors) two dependent loads per run.
+type engine struct {
+	state
+	kind      Kind
+	a         *oim.Arrays   // RU, OU
+	sw        *oim.Swizzled // NU, PSU, IU
+	tape      []tapeOp      // SU, TI
+	layerEnds []int         // SU
+	lo        []uint64      // RU, OU, SU
+}
+
+// settleLoops is the §5.2 ladder: one combinational pass per kind, each in
+// the file named for its loop shape.
+var settleLoops = [NumKinds]func(*engine){
+	RU: (*engine).settleRU, OU: (*engine).settleOU,
+	NU: (*engine).settleNU, PSU: (*engine).settlePSU, IU: (*engine).settleIU,
+	SU: (*engine).settleSU, TI: (*engine).settleTI,
+}
+
+func (e *engine) Name() string { return e.kind.String() }
+
+func (e *engine) Settle() {
+	settleLoops[e.kind](e)
+	e.sampleOutputs()
+}
+
+func (e *engine) Step() {
+	e.Settle()
+	e.commit()
 }

@@ -23,7 +23,7 @@ type Program struct {
 	arrays    *oim.Arrays   // RU, OU
 	sw        *oim.Swizzled // NU, PSU, IU
 	tape      []tapeOp      // SU, TI
-	layerEnds []int         // SU
+	layerEnds []int         // SU (TI ignores them)
 
 	// batchSched is the wide batch-specialised schedule and packSched its
 	// bit-packed sibling; each is compiled lazily once per program and
@@ -32,11 +32,6 @@ type Program struct {
 	batchSched *batchSchedule
 	packOnce   sync.Once
 	packSched  *batchSchedule
-
-	// sigs is the name→slot resolution of the design's signals, built
-	// lazily once per program and shared read-only by every DMI port.
-	sigOnce sync.Once
-	sigs    SignalMap
 }
 
 // NewProgram lowers t for the configuration and returns the shared program.
@@ -50,10 +45,8 @@ func NewProgram(t *oim.Tensor, cfg Config) (*Program, error) {
 		p.arrays = t.Lower(!cfg.UnoptimizedFormat)
 	case NU, PSU, IU:
 		p.sw = t.LowerSwizzled()
-	case SU:
+	case SU, TI:
 		p.tape, p.layerEnds = buildTape(t)
-	case TI:
-		p.tape, _ = buildTape(t)
 	default:
 		return nil, fmt.Errorf("kernel: unknown kind %v", cfg.Kind)
 	}
@@ -70,23 +63,11 @@ func (p *Program) Tensor() *oim.Tensor { return p.t }
 // shared read-only program. Engines from one program may be stepped from
 // different goroutines concurrently; a single engine may not.
 func (p *Program) Instantiate() Engine {
-	switch p.cfg.Kind {
-	case RU:
-		return &ruEngine{state: newState(p.t), lo: newLO(p.t), a: p.arrays}
-	case OU:
-		return &ouEngine{state: newState(p.t), lo: newLO(p.t), a: p.arrays}
-	case NU:
-		return &nuEngine{swizzledBase{state: newState(p.t), sw: p.sw}}
-	case PSU:
-		return &psuEngine{swizzledBase{state: newState(p.t), sw: p.sw}}
-	case IU:
-		return &iuEngine{swizzledBase{state: newState(p.t), sw: p.sw}}
-	case SU:
-		return &suEngine{state: newState(p.t), lo: newLO(p.t), tape: p.tape, layerEnds: p.layerEnds}
-	case TI:
-		return &tiEngine{state: newState(p.t), tape: p.tape}
+	e := &engine{state: newState(p.t), kind: p.cfg.Kind, a: p.arrays, sw: p.sw, tape: p.tape, layerEnds: p.layerEnds}
+	if e.kind == RU || e.kind == OU || e.kind == SU {
+		e.lo = newLO(p.t)
 	}
-	panic("kernel: program with unknown kind") // NewProgram rejects these
+	return e
 }
 
 // InstantiateBatch mints a lanes-wide [Batch] over the shared tensor. The
@@ -135,14 +116,6 @@ func (p *Program) InstantiateBatchWith(lanes int, o BatchOptions) (*Batch, error
 	}
 	p.batchOnce.Do(func() { p.batchSched = buildBatchSchedule(p.t, false) })
 	return newBatch(p.t, p.batchSched, lanes, workers)
-}
-
-// Signals resolves the design's named signals (inputs, outputs, registers)
-// to LI coordinates. The map is built on first use — once per program, not
-// per port — and shared read-only afterwards.
-func (p *Program) Signals() SignalMap {
-	p.sigOnce.Do(func() { p.sigs = NewSignalMap(p.t) })
-	return p.sigs
 }
 
 // New builds the engine for a configuration. It is the single-engine

@@ -2,21 +2,17 @@ package kernel
 
 import "rteaal/internal/wire"
 
-// psuEngine partially unrolls the S rank on top of NU: the compute loops of
-// the most common operation types run 8 operations per iteration (§5.2 PSU:
-// "24 and 8 were chosen because they work well in practice"; the paper's
-// 24x loop is the write-back, which the LI layout elides here). Partial
+// PSU partially unrolls the S rank on top of NU: the compute loops of the
+// most common operation types run 8 operations per iteration (§5.2 PSU: "24
+// and 8 were chosen because they work well in practice"; the paper's 24x
+// loop is the write-back, which the LI layout elides here). Partial
 // unrolling needs no format change.
-type psuEngine struct{ swizzledBase }
-
-func (e *psuEngine) Name() string { return "PSU" }
-
 const psuComputeUnroll = 8
 
 // runGroup8 evaluates one run like runGroup, with the 8x-unrolled compute
 // loop for the highest-frequency 2-operand operation types; the remainder
 // and all other types fall through to the shared rolled group runner.
-func (e *swizzledBase) runGroup8(op wire.Op, arity, out, count, ri int) int {
+func (e *engine) runGroup8(op wire.Op, arity, out, count, ri int) int {
 	li, rc := e.li, e.sw.RCoord
 	dst, masks := li[out:out+count], e.t.Masks[out:out+count]
 	k := 0
@@ -76,7 +72,7 @@ func (e *swizzledBase) runGroup8(op wire.Op, arity, out, count, ri int) int {
 	return ri
 }
 
-func (e *psuEngine) Settle() {
+func (e *engine) settlePSU() {
 	sw := e.sw
 	ru, ri := 0, 0
 	for i := 0; i < len(e.t.Layers); i++ {
@@ -89,32 +85,16 @@ func (e *psuEngine) Settle() {
 			}
 		}
 	}
-	e.sampleOutputs()
 }
 
-func (e *psuEngine) Step() {
-	e.Settle()
-	e.commit()
-}
-
-// iuEngine fully unrolls the I rank on top of PSU's S-unrolling: the run
+// settleIU fully unrolls the I rank on top of PSU's S-unrolling: the run
 // list of the swizzled format already names every non-empty (layer, type)
 // stretch, so the settle loop walks it directly and never visits a group
 // with zero operations (§5.2 IU).
-type iuEngine struct{ swizzledBase }
-
-func (e *iuEngine) Name() string { return "IU" }
-
-func (e *iuEngine) Settle() {
+func (e *engine) settleIU() {
 	ri := 0
 	for _, r := range e.sw.Runs {
 		s := e.t.OpTable[r.Sig]
 		ri = e.runGroup8(s.Op, int(s.Arity), int(r.First), int(r.Count), ri)
 	}
-	e.sampleOutputs()
-}
-
-func (e *iuEngine) Step() {
-	e.Settle()
-	e.commit()
 }

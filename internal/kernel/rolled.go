@@ -1,24 +1,13 @@
 package kernel
 
-import (
-	"rteaal/internal/oim"
-	"rteaal/internal/wire"
-)
+import "rteaal/internal/wire"
 
-// ruEngine is the mostly rolled kernel of Algorithm 3: loop order
+// settleRU is the mostly rolled kernel of Algorithm 3: loop order
 // [I, S, N, O, R] over the optimized (or, for the format ablation, the
 // unoptimized) array lowering, unrolling only the one-hot R rank. It walks
 // the coordinate arrays exactly as the fibertree next() traversal would,
 // keeping the full map / reduce / populate action structure.
-type ruEngine struct {
-	state
-	lo []uint64
-	a  *oim.Arrays
-}
-
-func (e *ruEngine) Name() string { return "RU" }
-
-func (e *ruEngine) Settle() {
+func (e *engine) settleRU() {
 	a := e.a
 	t := e.t
 	k := 0 // running op index (S traversal)
@@ -70,62 +59,35 @@ func (e *ruEngine) Settle() {
 			e.li[a.SCoord[base+s]] = e.lo[s]
 		}
 	}
-	e.sampleOutputs()
 }
 
-func (e *ruEngine) Step() {
-	e.Settle()
-	e.commit()
-}
-
-// ouEngine adds full O-rank unrolling on top of RU: operands are fetched
-// with straight-line loads per arity instead of an inner loop, removing the
-// per-operand action scaffolding (§5.2 OU). The loop order and format are
-// unchanged — the O rank has no metadata, so unrolling it costs nothing.
-type ouEngine struct {
-	state
-	lo []uint64
-	a  *oim.Arrays
-}
-
-func (e *ouEngine) Name() string { return "OU" }
-
-func (e *ouEngine) Settle() {
+// settleOU adds full O-rank unrolling on top of RU: operands are fetched
+// with straight-line loads per arity and handed to the evaluator by value,
+// removing the per-operand action scaffolding (§5.2 OU). The loop order and
+// format are unchanged — the O rank has no metadata, so unrolling it costs
+// nothing.
+func (e *engine) settleOU() {
 	a := e.a
 	t := e.t
 	li := e.li
 	k, r := 0, 0
-	var argbuf [3]uint64
 	for i := 0; i < len(a.IPayload); i++ {
 		ip := int(a.IPayload[i])
 		for s := 0; s < ip; s++ {
 			sig := t.OpTable[a.NCoord[k]]
 			mask := t.Masks[a.SCoord[k]]
 			var out uint64
-			switch sig.Arity {
+			switch rc := a.RCoord[r:]; wire.Arity(sig.Op) {
 			case 1:
-				argbuf[0] = li[a.RCoord[r]]
-				out = wire.Eval(sig.Op, argbuf[:1], mask)
-				r++
+				out = wire.Eval3(sig.Op, li[rc[0]], 0, 0, mask)
 			case 2:
-				argbuf[0] = li[a.RCoord[r]]
-				argbuf[1] = li[a.RCoord[r+1]]
-				out = wire.Eval(sig.Op, argbuf[:2], mask)
-				r += 2
+				out = wire.Eval3(sig.Op, li[rc[0]], li[rc[1]], 0, mask)
 			case 3:
-				argbuf[0] = li[a.RCoord[r]]
-				argbuf[1] = li[a.RCoord[r+1]]
-				argbuf[2] = li[a.RCoord[r+2]]
-				out = wire.Eval(sig.Op, argbuf[:3], mask)
-				r += 3
-			default: // variable-arity mux chains keep a rolled gather
-				args := make([]uint64, sig.Arity)
-				for o := range args {
-					args[o] = li[a.RCoord[r]]
-					r++
-				}
-				out = wire.EvalMuxChain(args) & mask
+				out = wire.Eval3(sig.Op, li[rc[0]], li[rc[1]], li[rc[2]], mask)
+			default: // variable-arity mux chains stay rolled
+				out = evalMuxChainSlots(li, rc[:sig.Arity]) & mask
 			}
+			r += int(sig.Arity)
 			e.lo[s] = out
 			k++
 		}
@@ -134,10 +96,4 @@ func (e *ouEngine) Settle() {
 			li[a.SCoord[base+s]] = e.lo[s]
 		}
 	}
-	e.sampleOutputs()
-}
-
-func (e *ouEngine) Step() {
-	e.Settle()
-	e.commit()
 }

@@ -23,7 +23,7 @@ func TestSignalMapResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm := p.Signals()
+	sm := NewSignalMap(p.Tensor())
 	if got := sm.Len(); got != 3 {
 		t.Fatalf("Len() = %d, want 3 (a, acc, y)", got)
 	}
@@ -58,9 +58,9 @@ func TestSignalMapResolution(t *testing.T) {
 		}
 	}
 
-	// Same program returns the same cached map across calls.
-	if sm2 := p.Signals(); sm2.Len() != sm.Len() {
-		t.Fatal("Signals() not stable across calls")
+	// The map is a function of the tensor alone: building it again agrees.
+	if sm2 := NewSignalMap(p.Tensor()); sm2.Len() != sm.Len() {
+		t.Fatal("NewSignalMap not stable across calls")
 	}
 }
 

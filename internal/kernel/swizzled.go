@@ -1,14 +1,12 @@
 package kernel
 
-import (
-	"rteaal/internal/oim"
-	"rteaal/internal/wire"
-)
+import "rteaal/internal/wire"
 
-// swizzledBase is shared by the NU, PSU, and IU kernels: the [I, N, S, O, R]
-// loop order over the Figure 12c format, with the N rank unrolled into
-// per-operation-type inner loops (Algorithm 4). Hoisting the operation-type
-// dispatch out of the S loop is what lets each loop body stay branch-free.
+// The NU, PSU, and IU kernels share the [I, N, S, O, R] loop order over the
+// Figure 12c format, with the N rank unrolled into per-operation-type inner
+// loops (Algorithm 4). Hoisting the operation-type dispatch out of the S
+// loop is what lets each loop body stay branch-free — and is why runGroup
+// keeps its own copy of the op semantics: the loop shape is the kernel.
 //
 // The S rank arrives run-length (oim.Run): a run's results are consecutive
 // LI coordinates, so the loops below write LI in place with the output
@@ -16,15 +14,11 @@ import (
 // no LO buffer and no write-back pass. In-place is safe for the reason TI
 // is: levelization guarantees no operation reads a coordinate written in
 // its own layer. Nothing here assumes a (layer, type) group is one run.
-type swizzledBase struct {
-	state
-	sw *oim.Swizzled
-}
 
 // runGroup evaluates one run: count operations sharing one signature whose
 // results are LI[out : out+count], reading the R coordinate stream at ri. It
 // returns the advanced ri.
-func (e *swizzledBase) runGroup(op wire.Op, arity, out, count, ri int) int {
+func (e *engine) runGroup(op wire.Op, arity, out, count, ri int) int {
 	li, rc := e.li, e.sw.RCoord
 	dst, masks := li[out:out+count], e.t.Masks[out:out+count]
 	switch op {
@@ -142,14 +136,13 @@ func (e *swizzledBase) runGroup(op wire.Op, arity, out, count, ri int) int {
 			dst[k] = evalMuxChainSlots(li, rc[ri:ri+arity]) & masks[k]
 			ri += arity
 		}
-	default: // generic fallback (Shl, Shr, Div, Rem, XorR, Ident, ...)
-		var argbuf [3]uint64
+	default: // no loop of its own (Shl, Shr, Div, Rem, XorR, Ident): by value
+		var v [3]uint64
 		for k := range dst {
-			args := argbuf[:arity]
 			for o := 0; o < arity; o++ {
-				args[o] = li[rc[ri+o]]
+				v[o] = li[rc[ri+o]]
 			}
-			dst[k] = wire.Eval(op, args, masks[k])
+			dst[k] = wire.Eval3(op, v[0], v[1], v[2], masks[k])
 			ri += arity
 		}
 	}
@@ -175,12 +168,8 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// nuEngine is the N-rank-unrolled kernel (Algorithm 4).
-type nuEngine struct{ swizzledBase }
-
-func (e *nuEngine) Name() string { return "NU" }
-
-func (e *nuEngine) Settle() {
+// settleNU is the N-rank-unrolled kernel (Algorithm 4).
+func (e *engine) settleNU() {
 	sw := e.sw
 	ru, ri := 0, 0
 	for i := 0; i < len(e.t.Layers); i++ { // Rank I
@@ -193,10 +182,4 @@ func (e *nuEngine) Settle() {
 			}
 		}
 	}
-	e.sampleOutputs()
-}
-
-func (e *nuEngine) Step() {
-	e.Settle()
-	e.commit()
 }

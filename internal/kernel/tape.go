@@ -9,6 +9,10 @@ import (
 // entry of a flat "tape" with its operand coordinates and mask embedded as
 // immediates — the Go analogue of encoding the whole OIM into the binary
 // (§5.2 SU/TI). No coordinate or payload arrays are consulted at runtime.
+// The settle loops hand an entry's three inline slots to wire.Eval3 by value
+// (an unused slot is coordinate 0, loaded and ignored), calling it from the
+// loop itself: a helper in between is one more call per operation, which
+// read 5-8 % slower on r1/8.
 
 // tapeOp is one fully unrolled operation. Up to three operand slots are
 // stored inline; variable-arity mux chains spill to ext.
@@ -38,113 +42,50 @@ func buildTape(t *oim.Tensor) (tape []tapeOp, layerEnds []int) {
 	return tape, layerEnds
 }
 
-// execTapeOp evaluates one tape entry against li.
-func execTapeOp(li []uint64, e *tapeOp) uint64 {
-	switch e.op {
-	case wire.Add:
-		return (li[e.a[0]] + li[e.a[1]]) & e.mask
-	case wire.Sub:
-		return (li[e.a[0]] - li[e.a[1]]) & e.mask
-	case wire.Mul:
-		return (li[e.a[0]] * li[e.a[1]]) & e.mask
-	case wire.And:
-		return li[e.a[0]] & li[e.a[1]] & e.mask
-	case wire.Or:
-		return (li[e.a[0]] | li[e.a[1]]) & e.mask
-	case wire.Xor:
-		return (li[e.a[0]] ^ li[e.a[1]]) & e.mask
-	case wire.Eq, wire.AndR:
-		return b2u(li[e.a[0]] == li[e.a[1]])
-	case wire.Neq:
-		return b2u(li[e.a[0]] != li[e.a[1]])
-	case wire.Lt:
-		return b2u(li[e.a[0]] < li[e.a[1]])
-	case wire.Leq:
-		return b2u(li[e.a[0]] <= li[e.a[1]])
-	case wire.Gt:
-		return b2u(li[e.a[0]] > li[e.a[1]])
-	case wire.Geq:
-		return b2u(li[e.a[0]] >= li[e.a[1]])
-	case wire.Not:
-		return ^li[e.a[0]] & e.mask
-	case wire.Neg:
-		return (-li[e.a[0]]) & e.mask
-	case wire.OrR:
-		return b2u(li[e.a[0]] != 0)
-	case wire.Mux:
-		if li[e.a[0]] != 0 {
-			return li[e.a[1]] & e.mask
-		}
-		return li[e.a[2]] & e.mask
-	case wire.MuxChain:
-		if e.ext != nil {
-			return evalMuxChainSlots(li, e.ext) & e.mask
-		}
-		return evalMuxChainSlots(li, e.a[:e.n]) & e.mask
-	default:
-		var args [3]uint64
-		for i := 0; i < int(e.n); i++ {
-			args[i] = li[e.a[i]]
-		}
-		return wire.Eval(e.op, args[:e.n], e.mask)
+// evalMuxChain evaluates a mux-chain entry, the one operation whose arity is
+// per-instance: it walks its operand coordinates, inline or spilled.
+func (e *tapeOp) evalMuxChain(li []uint64) uint64 {
+	slots := e.ext
+	if slots == nil {
+		slots = e.a[:e.n]
 	}
+	return evalMuxChainSlots(li, slots) & e.mask
 }
 
-// suEngine executes the flat tape with the LO buffer and per-layer
+// settleSU executes the flat tape with the LO buffer and per-layer
 // write-back retained from the rolled kernels; only the loops and metadata
 // are gone.
-type suEngine struct {
-	state
-	lo        []uint64
-	tape      []tapeOp
-	layerEnds []int
-}
-
-func (e *suEngine) Name() string { return "SU" }
-
-func (e *suEngine) Settle() {
+func (e *engine) settleSU() {
 	li, lo := e.li, e.lo
 	start := 0
 	for _, end := range e.layerEnds {
 		for k := start; k < end; k++ {
-			lo[k-start] = execTapeOp(li, &e.tape[k])
+			if op := &e.tape[k]; op.op == wire.MuxChain {
+				lo[k-start] = op.evalMuxChain(li)
+			} else {
+				lo[k-start] = wire.Eval3(op.op, li[op.a[0]], li[op.a[1]], li[op.a[2]], op.mask)
+			}
 		}
 		for k := start; k < end; k++ {
 			li[e.tape[k].out] = lo[k-start]
 		}
 		start = end
 	}
-	e.sampleOutputs()
 }
 
-func (e *suEngine) Step() {
-	e.Settle()
-	e.commit()
-}
-
-// tiEngine adds tensor inlining (§5.2 TI): the LO tensor disappears and
+// settleTI adds tensor inlining (§5.2 TI): the LO tensor disappears and
 // every operation writes its LI coordinate directly — safe because
 // levelization guarantees no operation reads a coordinate written in its
 // own layer. This mirrors the paper's replacement of arrays with individual
 // C++ variables, giving the compiler maximum freedom; in the performance
 // model TI's LI accesses are register-allocatable.
-type tiEngine struct {
-	state
-	tape []tapeOp
-}
-
-func (e *tiEngine) Name() string { return "TI" }
-
-func (e *tiEngine) Settle() {
+func (e *engine) settleTI() {
 	li := e.li
 	for k := range e.tape {
-		op := &e.tape[k]
-		li[op.out] = execTapeOp(li, op)
+		if op := &e.tape[k]; op.op == wire.MuxChain {
+			li[op.out] = op.evalMuxChain(li)
+		} else {
+			li[op.out] = wire.Eval3(op.op, li[op.a[0]], li[op.a[1]], li[op.a[2]], op.mask)
+		}
 	}
-	e.sampleOutputs()
-}
-
-func (e *tiEngine) Step() {
-	e.Settle()
-	e.commit()
 }

@@ -335,9 +335,7 @@ func clientID(r *http.Request) string {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // the connection is gone; nothing to do
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // the connection is gone; nothing to do
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

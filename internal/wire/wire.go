@@ -165,85 +165,89 @@ func Mask(width int) uint64 {
 	return (uint64(1) << uint(width)) - 1
 }
 
-// Eval evaluates op over args and masks the result to outMask. It is the
-// single source of truth for operation semantics; every engine routes
-// through it or through code generated to match it exactly (see TestVMAgrees
-// and the kernel equivalence property tests).
-func Eval(op Op, args []uint64, outMask uint64) uint64 {
+// Eval3 evaluates a fixed-arity op over by-value operands and masks the
+// result to outMask; operands past the op's arity are ignored. MuxChain,
+// whose arity is per-instance, goes through [Eval] or [EvalMuxChain].
+func Eval3(op Op, x, y, z, outMask uint64) uint64 { return eval(op, x, y, z, outMask, nil) }
+
+// Eval evaluates op over a slice of operands, MuxChain of any arity
+// included.
+func Eval(op Op, args []uint64, outMask uint64) uint64 { return eval(op, 0, 0, 0, outMask, args) }
+
+// eval is the single source of truth for operation semantics — the one
+// scalar switch: every engine routes through it or through a loop body held
+// to it (see TestVMAgrees and the kernel equivalence tests). It has two
+// inlined entry points so neither kind of caller pays a wrapper call: [Eval3]
+// passes operands by value and no slice, [Eval] a slice whose leading
+// operands are loaded here.
+func eval(op Op, x, y, z, outMask uint64, args []uint64) uint64 {
+	if len(args) > 0 {
+		x = args[0]
+		if len(args) > 1 {
+			y = args[1]
+		}
+		if len(args) > 2 {
+			z = args[2]
+		}
+	}
 	var v uint64
 	switch op {
 	case Add:
-		v = args[0] + args[1]
+		v = x + y
 	case Sub:
-		v = args[0] - args[1]
+		v = x - y
 	case Mul:
-		v = args[0] * args[1]
+		v = x * y
 	case Div:
-		if args[1] == 0 {
-			v = 0
-		} else {
-			v = args[0] / args[1]
+		if y != 0 {
+			v = x / y
 		}
 	case Rem:
-		if args[1] == 0 {
-			v = 0
-		} else {
-			v = args[0] % args[1]
+		if y != 0 {
+			v = x % y
 		}
 	case And:
-		v = args[0] & args[1]
+		v = x & y
 	case Or:
-		v = args[0] | args[1]
+		v = x | y
 	case Xor:
-		v = args[0] ^ args[1]
-	case Eq:
-		v = b2u(args[0] == args[1])
+		v = x ^ y
+	case Eq, AndR:
+		v = b2u(x == y)
 	case Neq:
-		v = b2u(args[0] != args[1])
+		v = b2u(x != y)
 	case Lt:
-		v = b2u(args[0] < args[1])
+		v = b2u(x < y)
 	case Leq:
-		v = b2u(args[0] <= args[1])
+		v = b2u(x <= y)
 	case Gt:
-		v = b2u(args[0] > args[1])
+		v = b2u(x > y)
 	case Geq:
-		v = b2u(args[0] >= args[1])
+		v = b2u(x >= y)
 	case Shl:
-		if args[1] >= 64 {
-			v = 0
-		} else {
-			v = args[0] << uint(args[1])
+		if y < 64 {
+			v = x << y
 		}
 	case Shr:
-		if args[1] >= 64 {
-			v = 0
-		} else {
-			v = args[0] >> uint(args[1])
+		if y < 64 {
+			v = x >> y
 		}
-	case Cat:
-		lw := args[2]
-		if lw >= 64 {
-			v = args[1]
-		} else {
-			v = args[0]<<uint(lw) | args[1]
+	case Cat: // (hi, lo, loWidth)
+		v = y
+		if z < 64 {
+			v |= x << z
 		}
-	case Bits:
-		hi, lo := args[1], args[2]
-		if lo >= 64 || hi < lo {
-			v = 0
-		} else {
-			v = (args[0] >> uint(lo)) & Mask(int(hi-lo)+1)
+	case Bits: // (x, hi, lo)
+		if z < 64 && y >= z {
+			v = (x >> z) & Mask(int(y-z)+1)
 		}
 	case Not:
-		v = ^args[0]
+		v = ^x
 	case Neg:
-		v = -args[0]
-	case AndR:
-		v = b2u(args[0] == args[1])
+		v = -x
 	case OrR:
-		v = b2u(args[0] != 0)
+		v = b2u(x != 0)
 	case XorR:
-		x := args[0]
 		x ^= x >> 32
 		x ^= x >> 16
 		x ^= x >> 8
@@ -252,15 +256,14 @@ func Eval(op Op, args []uint64, outMask uint64) uint64 {
 		x ^= x >> 1
 		v = x & 1
 	case Mux:
-		if args[0] != 0 {
-			v = args[1]
-		} else {
-			v = args[2]
+		v = z
+		if x != 0 {
+			v = y
 		}
 	case MuxChain:
 		v = EvalMuxChain(args)
 	case Ident:
-		v = args[0]
+		v = x
 	default:
 		panic("wire: unknown op " + op.String())
 	}
@@ -299,14 +302,14 @@ func ReduceStep(op Op, prev uint64, mapTmp uint64, ordinal int, outMask uint64) 
 		// populate steps for the unary and gather classes.
 		return mapTmp
 	}
-	return Eval(op, []uint64{prev, mapTmp}, outMask)
+	return Eval3(op, prev, mapTmp, 0, outMask)
 }
 
 // MapStep applies the op_u[n] custom map operator: unary ops transform the
 // operand as it is read from LI; all other ops pass it through.
 func MapStep(op Op, x uint64, outMask uint64) uint64 {
 	if Unary(op) {
-		return Eval(op, []uint64{x}, outMask)
+		return Eval3(op, x, 0, 0, outMask)
 	}
 	return x
 }
@@ -316,16 +319,8 @@ func MapStep(op Op, x uint64, outMask uint64) uint64 {
 // operation: the select ops choose one collected input, the extraction ops
 // evaluate over all of them.
 func PopulateGather(op Op, inputs []uint64, outMask uint64) uint64 {
-	switch op {
-	case Mux:
-		if inputs[0] != 0 {
-			return inputs[1] & outMask
-		}
-		return inputs[2] & outMask
-	case MuxChain:
-		return EvalMuxChain(inputs) & outMask
-	case Cat, Bits:
-		return Eval(op, inputs, outMask)
+	if !Gather(op) {
+		panic("wire: PopulateGather on non-gather op " + op.String())
 	}
-	panic("wire: PopulateGather on non-gather op " + op.String())
+	return Eval(op, inputs, outMask)
 }

@@ -24,6 +24,13 @@ type config struct {
 	batchPacking bool              // bit-pack 1-bit slots in batches
 }
 
+// defaultConfig is what an empty option list compiles: [SourceHash] and
+// [CompileGraph] both start from it, so the server's cache key cannot drift
+// from the design it names.
+func defaultConfig() config {
+	return config{kernel: PSU, passes: DefaultOptPasses(), batchPacking: true}
+}
+
 // Option configures compilation. Options are applied in order; later options
 // win.
 type Option func(*config)
@@ -145,7 +152,7 @@ func Compile(src string, opts ...Option) (*Design, error) {
 // CompileGraph compiles an already-built dataflow graph. The input graph is
 // not modified; the design keeps its own optimized copy.
 func CompileGraph(g *dfg.Graph, opts ...Option) (*Design, error) {
-	cfg := config{kernel: PSU, passes: DefaultOptPasses(), batchPacking: true}
+	cfg := defaultConfig()
 	for _, opt := range opts {
 		opt(&cfg)
 	}

@@ -20,7 +20,7 @@ import (
 // The hash is computed without compiling; invalid options surface when the
 // source is actually compiled, not here.
 func SourceHash(src string, opts ...Option) string {
-	cfg := config{kernel: PSU, passes: DefaultOptPasses(), batchPacking: true}
+	cfg := defaultConfig()
 	for _, opt := range opts {
 		opt(&cfg)
 	}

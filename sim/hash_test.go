@@ -50,6 +50,9 @@ func TestSourceHashOptionSensitivity(t *testing.T) {
 	if got := sim.SourceHash(counterSrc, sim.WithBatchPacking(true)); got != base {
 		t.Errorf("explicit default batch packing forked the hash")
 	}
+	if got := sim.SourceHash(counterSrc, sim.WithKernel(sim.PSU), sim.WithOptPasses(sim.DefaultOptPasses())); got != base {
+		t.Errorf("the defaults spelled out forked the hash")
+	}
 	forks := map[string]string{
 		"kernel":       sim.SourceHash(counterSrc, sim.WithKernel(sim.TI)),
 		"partitions":   sim.SourceHash(counterSrc, sim.WithPartitions(3)),
