@@ -167,6 +167,10 @@ const (
 type elaborator struct {
 	g     *dfg.Graph
 	names map[string]*binding
+	// regs lists the register bindings in declaration order: next-states
+	// resolve in this order, never in names' map order, so NodeIDs — and with
+	// them the whole LI layout — are a function of the source text alone.
+	regs []*binding
 }
 
 func (e *elaborator) errf(line int, format string, args ...any) error {
@@ -219,10 +223,11 @@ func (e *elaborator) run(m *Module) error {
 				}
 				init = lit.Value
 			}
-			id := e.g.AddReg(s.Name, s.Width, init)
-			if err := e.declare(s.Name, &binding{kind: bindReg, width: s.Width, node: id, decl: s}, s.Line); err != nil {
+			b := &binding{kind: bindReg, width: s.Width, node: e.g.AddReg(s.Name, s.Width, init), decl: s}
+			if err := e.declare(s.Name, b, s.Line); err != nil {
 				return err
 			}
+			e.regs = append(e.regs, b)
 		case *NodeDecl:
 			if err := e.declare(s.Name, &binding{kind: bindNode, width: -1, driver: s.Expr, line: s.Line}, s.Line); err != nil {
 				return err
@@ -250,10 +255,7 @@ func (e *elaborator) run(m *Module) error {
 		}
 	}
 	// Pass 2: resolve register next-states (pulling nets and nodes along).
-	for _, b := range e.names {
-		if b.kind != bindReg {
-			continue
-		}
+	for _, b := range e.regs {
 		if b.nextDriver == nil {
 			return e.errf(b.decl.Line, "register %q has no next-state connect", b.decl.Name)
 		}

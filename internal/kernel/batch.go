@@ -236,7 +236,7 @@ func newBatch(t *oim.Tensor, sched *batchSchedule, lanes, workers int) (*Batch, 
 		})
 		lo = hi
 	}
-	b.ws = NewWorkers(workers, false)
+	b.ws = NewWorkers(workers)
 	b.settleJob, b.runJob, b.cycleJob = b.settleShard, b.runShard, b.cycleShard
 	b.Reset()
 	return b, nil

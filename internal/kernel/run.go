@@ -177,8 +177,10 @@ func RunEngine(eng Engine, spec RunSpec) (ran int, stopped bool) {
 // Barrier is a reusable generation-counter spin barrier for a fixed party
 // count: the per-cycle synchronisation point of a [Workers.Lockstep] run.
 // The last arriver resets the count and bumps the generation;
-// everyone else spins (yielding, so single-CPU hosts make progress) until
-// the generation moves. Atomic operations order everything published before
+// everyone else spins (yielding, so hosts with fewer CPUs than parties make
+// progress) until the generation moves. The yield is cheap only on a plain
+// goroutine: never wait here on one locked to an OS thread (see
+// [NewWorkers]). Atomic operations order everything published before
 // a party's Await before everything any party does after it.
 type Barrier struct {
 	n     int32

@@ -63,12 +63,13 @@ func (p *WorkerPanic) Error() string {
 	return fmt.Sprintf("kernel: worker panic: %v", p.Val)
 }
 
-// NewWorkers starts a group of n workers (n >= 1). With pin set every
-// goroutine locks itself to an OS thread for its whole life, keeping a
-// worker's state — and, through the OS scheduler's thread affinity, its
-// cache lines — on a stable core; the thread is released when the goroutine
-// exits at Close.
-func NewWorkers(n int, pin bool) *Workers {
+// NewWorkers starts a group of n workers (n >= 1). The workers are plain
+// goroutines and must stay so: a party waiting at the barrier yields with
+// runtime.Gosched, which on an unlocked goroutine is a run-queue check and
+// on one locked to an OS thread is a futex hand-off to another thread and
+// back — every cycle, on every waiting worker (a fifth of a partitioned
+// run's samples when repcut's workers were pinned).
+func NewWorkers(n int) *Workers {
 	ws := &Workers{sh: &workerShared{}}
 	ws.sh.bar.Init(n)
 	if n > 1 {
@@ -76,7 +77,7 @@ func NewWorkers(n int, pin bool) *Workers {
 		ws.cmds = make([]chan workerCmd, n)
 		for w := range ws.cmds {
 			ws.cmds[w] = make(chan workerCmd, 1)
-			go ws.sh.loop(w, ws.cmds[w], pin)
+			go ws.sh.loop(w, ws.cmds[w])
 		}
 		runtime.SetFinalizer(ws, (*Workers).Close)
 	}
@@ -142,11 +143,7 @@ func (ws *Workers) dispatch(c workerCmd) {
 }
 
 // loop is the persistent goroutine of worker w.
-func (s *workerShared) loop(w int, cmds <-chan workerCmd, pin bool) {
-	if pin {
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-	}
+func (s *workerShared) loop(w int, cmds <-chan workerCmd) {
 	for c := range cmds {
 		s.guard(w, c)
 		s.done <- struct{}{}

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -65,7 +66,7 @@ func TestWorkersPanicReraise(t *testing.T) {
 			}},
 		} {
 			base := runtime.NumGoroutine()
-			ws := NewWorkers(n, false)
+			ws := NewWorkers(n)
 			var cycles, afters atomic.Int64
 			bad := n - 1
 			rec := dispatchRecover(t, func() { tc.run(ws, bad, &cycles, &afters) })
@@ -108,7 +109,7 @@ func TestWorkersPanicReraise(t *testing.T) {
 func TestWorkersPanicLateCycleStress(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for round := 0; round < 200; round++ {
-		ws := NewWorkers(5, false)
+		ws := NewWorkers(5)
 		rec := dispatchRecover(t, func() {
 			ws.Lockstep(64, func(w, i int) bool {
 				if w == 0 && i == 1+round%40 {
@@ -131,7 +132,7 @@ func TestWorkersPanicLateCycleStress(t *testing.T) {
 // goroutine, so a panic is the caller's own — raw, with the group still
 // usable.
 func TestWorkersInlinePanic(t *testing.T) {
-	ws := NewWorkers(1, true)
+	ws := NewWorkers(1)
 	if rec := dispatchRecover(t, func() { ws.Do(func(int) { panic("mine") }) }); rec != "mine" {
 		t.Fatalf("inline panic surfaced as %v", rec)
 	}
@@ -160,7 +161,7 @@ func TestWorkersLockstepStopAt(t *testing.T) {
 			{"two-workers-same-cycle", func(w, i int) bool { return i == 4 && (w == 0 || w == n-1) }, 5, true},
 			{"never", func(w, i int) bool { return false }, k, false},
 		} {
-			ws := NewWorkers(n, false)
+			ws := NewWorkers(n)
 			per := make([]int, n)                // cycles completed by worker w
 			lasts := make([]int, n)              // epilogue argument of worker w
 			for round := 0; round < 2; round++ { // the group is reusable
@@ -183,6 +184,44 @@ func TestWorkersLockstepStopAt(t *testing.T) {
 		}
 	}
 	waitGoroutines(t, base)
+}
+
+// TestLockstepMoreWorkersThanProcs: with one P and three workers, a party
+// waiting at the barrier makes progress only by yielding — the workers are
+// plain goroutines, so the yield is a run-queue switch, not a hand-off
+// between OS threads. 2,000 lock-step cycles with a stop at a random cycle
+// must finish in seconds and compute what one worker computes.
+func TestLockstepMoreWorkersThanProcs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const k = 2000
+	stopAt := rand.New(rand.NewSource(time.Now().UnixNano())).Intn(k)
+	run := func(n int) (sum uint64, ran int, stopped bool) {
+		ws := NewWorkers(n)
+		defer ws.Close()
+		sums := make([]uint64, n) // worker w folds the cycles it ran
+		rec := dispatchRecover(t, func() {
+			ran, stopped = ws.Lockstep(k, func(w, i int) bool {
+				sums[w] = sums[w]*31 + uint64(i)
+				return w == n-1 && i == stopAt
+			}, nil)
+		})
+		if rec != nil {
+			t.Fatalf("n=%d: %v", n, rec)
+		}
+		for w := range sums {
+			if sums[w] != sums[0] {
+				t.Fatalf("n=%d stop at %d: worker %d folded %#x, worker 0 %#x", n, stopAt, w, sums[w], sums[0])
+			}
+		}
+		return sums[0], ran, stopped
+	}
+	wantSum, wantRan, wantStopped := run(1)
+	if wantRan != stopAt+1 || !wantStopped {
+		t.Fatalf("n=1: ran %d stopped %v, want a stop after cycle %d", wantRan, wantStopped, stopAt)
+	}
+	if sum, ran, stopped := run(3); sum != wantSum || ran != wantRan || stopped != wantStopped {
+		t.Fatalf("n=3 stop at %d: (%#x, %d, %v), n=1 gave (%#x, %d, %v)", stopAt, sum, ran, stopped, wantSum, wantRan, wantStopped)
+	}
 }
 
 // TestBatchFinalizerStopsWorkers: a parallel batch dropped without Close

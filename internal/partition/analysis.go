@@ -23,14 +23,6 @@ func (b bitset) popcount() int {
 	return n
 }
 
-func (b bitset) orWith(c bitset) {
-	for i, w := range c {
-		b[i] |= w
-	}
-}
-
-func (b bitset) clone() bitset { return append(bitset(nil), b...) }
-
 // andCount is |a ∩ b|.
 func andCount(a, b bitset) int {
 	n := 0
@@ -65,9 +57,7 @@ func jaccard(a, b bitset, sizeA, sizeB int) float64 {
 // indices, layer-major) its next-state computation transitively needs, and
 // the registers whose committed Q values that cone reads.
 type analysis struct {
-	numOps    int
-	coneTotal int // ops in the union of all register cones: the work any
-	// partitioning must cover at least once
+	numOps  int
 	cones   []bitset // per register: op-index members of the fan-in cone
 	coneOps []int    // popcount(cones[ri])
 	regSrc  [][]int  // per register: sorted register indices whose Q the cone reads
@@ -79,21 +69,22 @@ type analysis struct {
 // would carry if reader and owner end up in different partitions).
 func analyze(t *oim.Tensor) *analysis {
 	numOps := t.TotalOps()
-	type opRef struct {
-		id   int
-		args []int32
+	// LI coordinates are dense, so the slot → producing op and slot →
+	// register lookups of the cone walks are slot-indexed slices (-1 = none).
+	producer := make([]int32, t.NumSlots)
+	regOf := make([]int32, t.NumSlots)
+	for s := range producer {
+		producer[s], regOf[s] = -1, -1
 	}
-	producer := make(map[int32]opRef, numOps)
-	id := 0
+	opArgs := make([][]int32, 0, numOps)
 	for _, layer := range t.Layers {
 		for _, op := range layer {
-			producer[op.Out] = opRef{id: id, args: op.Args}
-			id++
+			producer[op.Out] = int32(len(opArgs))
+			opArgs = append(opArgs, op.Args)
 		}
 	}
-	regOf := make(map[int32]int, len(t.RegSlots))
 	for ri, r := range t.RegSlots {
-		regOf[r.Q] = ri
+		regOf[r.Q] = int32(ri)
 	}
 
 	a := &analysis{
@@ -120,16 +111,16 @@ func analyze(t *oim.Tensor) *analysis {
 		for len(stack) > 0 {
 			s := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			if si, ok := regOf[s]; ok {
-				src = append(src, si)
+			if si := regOf[s]; si >= 0 {
+				src = append(src, int(si))
 				continue
 			}
-			op, ok := producer[s]
-			if !ok {
+			id := producer[s]
+			if id < 0 {
 				continue // input or constant
 			}
-			cone.set(op.id)
-			for _, arg := range op.args {
+			cone.set(int(id))
+			for _, arg := range opArgs[id] {
 				push(arg)
 			}
 		}
@@ -138,20 +129,5 @@ func analyze(t *oim.Tensor) *analysis {
 		a.coneOps[ri] = cone.popcount()
 		a.regSrc[ri] = src
 	}
-	if len(a.cones) > 0 {
-		all := newBitset(numOps)
-		for _, c := range a.cones {
-			all.orWith(c)
-		}
-		a.coneTotal = all.popcount()
-	}
 	return a
-}
-
-func (a *analysis) maxConeOps() int {
-	m := 0
-	for _, c := range a.coneOps {
-		m = max(m, c)
-	}
-	return m
 }

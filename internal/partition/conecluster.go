@@ -9,10 +9,13 @@ import (
 
 // ConeCluster clusters registers by fan-in-cone overlap: partitions are
 // seeded farthest-first with mutually dissimilar cones, then every remaining
-// register joins the partition whose accumulated cone it overlaps most (by
-// Jaccard similarity), subject to a balance cap on replicated ops. Registers
-// sharing combinational logic therefore co-locate and the shared logic is
-// replicated once rather than once per partition.
+// register, largest cone first, joins the partition where the plan then
+// costs least — [MinCut]'s (makespan, work) pair. Registers sharing
+// combinational logic therefore co-locate (joining their cluster adds few
+// operations and no exchange), the shared logic is replicated once rather
+// than once per partition, and a partition that has pulled ahead stops
+// attracting registers as soon as copying their logic elsewhere is cheaper
+// than waiting for it.
 type ConeCluster struct{}
 
 // Name implements [Strategy].
@@ -26,19 +29,18 @@ func (ConeCluster) Assign(t *oim.Tensor, n int) ([]int, error) {
 	if n == 1 {
 		return make([]int, len(t.RegSlots)), nil // trivial; skip the analysis
 	}
-	return coneCluster(analyze(t), n), nil
+	r := newRefiner(analyze(t), n)
+	r.seed()
+	return r.owner, nil
 }
 
-// coneCluster is the shared greedy clustering; [MinCut] reuses it as its
-// seed so both strategies stay in lock-step on the same analysis.
-func coneCluster(a *analysis, n int) []int {
+// seed is the shared greedy clustering; [MinCut] refines its result, so both
+// strategies stay in lock-step on the same analysis and the same objective.
+func (r *refiner) seed() {
+	a, n := r.a, r.n
 	nr := len(a.cones)
-	owner := make([]int, nr)
-	if nr == 0 || n == 1 {
-		return owner
-	}
-	for ri := range owner {
-		owner[ri] = -1
+	if nr == 0 {
+		return
 	}
 
 	// Registers in descending cone size (stable by index) so the big,
@@ -62,56 +64,37 @@ func coneCluster(a *analysis, n int) []int {
 	for len(seeds) < n {
 		next, nextSim := -1, 2.0
 		for _, ri := range order {
-			if owner[ri] == -1 && !slices.Contains(seeds, ri) && bestSim[ri] < nextSim {
+			if !slices.Contains(seeds, ri) && bestSim[ri] < nextSim {
 				next, nextSim = ri, bestSim[ri]
 			}
 		}
 		seeds = append(seeds, next)
 		for _, ri := range order {
-			if owner[ri] == -1 && ri != next {
+			if ri != next {
 				s := jaccard(a.cones[next], a.cones[ri], a.coneOps[next], a.coneOps[ri])
 				bestSim[ri] = max(bestSim[ri], s)
 			}
 		}
 	}
-
-	unions := make([]bitset, n)
-	unionOps := make([]int, n)
 	for p, ri := range seeds {
-		owner[ri] = p
-		unions[p] = a.cones[ri].clone()
-		unionOps[p] = a.coneOps[ri]
+		r.move(ri, -1, p)
 	}
 
-	capOps := balanceCap(a.coneTotal, a.maxConeOps(), n)
+	// Every other register goes where the plan then costs least (lowest
+	// partition on a tie): a cluster attracts the registers that overlap it
+	// (they add little work there and would have to be fed across the cut
+	// anywhere else) until it sets the makespan, and from then on only those
+	// whose logic would cost more to copy than it costs to wait for.
 	for _, ri := range order {
-		if owner[ri] != -1 {
+		if r.owner[ri] != -1 {
 			continue
 		}
-		cone, size := a.cones[ri], a.coneOps[ri]
-		best, bestScore := -1, -1.0
-		fallback, fallbackSize := -1, int(^uint(0)>>1)
-		for p := 0; p < n; p++ {
-			inter := andCount(unions[p], cone)
-			grown := unionOps[p] + size - inter
-			if grown <= capOps {
-				score := float64(inter) / float64(grown+1)
-				if score > bestScore {
-					best, bestScore = p, score
-				}
-			}
-			if grown < fallbackSize {
-				fallback, fallbackSize = p, grown
+		best, bestSpan, bestWork := -1, 0, 0
+		for q := 0; q < n; q++ {
+			if span, work := r.try(ri, -1, q); best < 0 || span < bestSpan || span == bestSpan && work < bestWork {
+				best, bestSpan, bestWork = q, span, work
 			}
 		}
-		if best == -1 {
-			// Every partition is at the cap: take the one that stays
-			// smallest, so the overshoot is spread instead of compounded.
-			best = fallback
-		}
-		owner[ri] = best
-		unions[best].orWith(cone)
-		unionOps[best] = unions[best].popcount()
+		r.move(ri, -1, best)
 	}
-	return owner
 }

@@ -6,14 +6,24 @@ import (
 
 // MinCut is the highest-quality strategy: it seeds with [ConeCluster] and
 // then runs KL/FM-style boundary refinement, moving one register at a time
-// to whichever partition yields the best positive gain in
+// to whichever partition most lowers the plan's cost — the same
+// lexicographic pair the seed places by:
 //
-//	cost = Σ_p |union of owned cones in p|  +  cut edges
+//	makespan = max_p (|union of owned cones in p| + registers p publishes + registers p pulls)
+//	work     = Σ_p |union of owned cones in p|  +  cut edges
 //
-// (replicated operations plus register→reader RUM edges), subject to the
-// balance cap and to never emptying a partition. Passes repeat until no
-// improving move remains; every applied move strictly decreases the integer
-// cost, so refinement terminates.
+// A lock-step cycle ends when its slowest partition does, so the makespan —
+// everything one worker does between two barriers, one unit per operation
+// and per exchanged register — is what a cycle costs; replicated operations
+// plus register→reader RUM edges only break ties under it. Minimising the
+// work alone has its optimum at "everything in one partition" and needs a
+// balance cap to be kept from it; the makespan needs none. Counting a
+// partition's operations alone would be blind the other way: it buys the
+// last percent of balance with any amount of copied logic and exchanged
+// registers (r1 at scale 8, P = 2: 6,184 | 6,183 ops with 431 registers
+// crossing ran at 0.6x the plan that leaves the uncore whole, 6,268 | 1,399
+// with 8). Every applied move strictly lowers the pair and never empties a
+// partition, so refinement terminates.
 type MinCut struct{}
 
 // Name implements [Strategy].
@@ -31,87 +41,74 @@ func (MinCut) Assign(t *oim.Tensor, n int) ([]int, error) {
 	if n == 1 {
 		return make([]int, len(t.RegSlots)), nil // trivial; skip the analysis
 	}
-	a := analyze(t)
-	owner := coneCluster(a, n)
-	newRefiner(a, owner, n).run()
-	return owner, nil
+	r := newRefiner(analyze(t), n)
+	r.seed()
+	r.refine()
+	return r.owner, nil
 }
 
-// refiner holds the incremental bookkeeping that makes per-move gains O(cone
-// size) instead of O(design): per-partition reference counts of cone
-// membership (for replication deltas) and of register reads (for cut
-// deltas).
+// refiner holds the incremental bookkeeping that makes pricing a placement
+// or a move O(cone size) instead of O(design): per-partition reference
+// counts of cone membership (for the op deltas) and of register reads (for
+// the exchange deltas).
 type refiner struct {
 	a     *analysis
 	n     int
-	owner []int
+	owner []int // -1 until the seed has placed the register
+	owned []int
 	// cnt[p][op] counts owned cones in p containing op; the partition's
 	// replicated op count is the number of nonzero entries, tracked in
 	// unionOps[p].
 	cnt      [][]int32
 	unionOps []int
 	// readCnt[p][ri] counts registers owned by p — excluding ri itself —
-	// whose cones read ri's Q. Register ri crosses the cut into p exactly
-	// when p ≠ owner[ri] and readCnt[p][ri] > 0.
-	readCnt [][]int32
-	owned   []int
-	// capOps is the static floor of the balance bound; sumUnions tracks
-	// Σ unionOps so the working bound can follow the replication actually
-	// present (on tightly coupled designs every partition legitimately
-	// exceeds the ideal share).
-	capOps    int
-	sumUnions int
+	// whose cones read ri's Q. A placed register ri crosses the cut into p
+	// exactly when p ≠ owner[ri] and readCnt[p][ri] > 0: readers[ri] counts
+	// those partitions, pulls[p] the registers p reads across the cut and
+	// pubs[p] the registers p owns that some other partition reads.
+	readCnt     [][]int32
+	readers     []int32
+	pulls, pubs []int
 }
 
-func newRefiner(a *analysis, owner []int, n int) *refiner {
+func newRefiner(a *analysis, n int) *refiner {
+	nr := len(a.cones)
 	r := &refiner{
 		a:        a,
 		n:        n,
-		owner:    owner,
+		owner:    make([]int, nr),
+		owned:    make([]int, n),
 		cnt:      make([][]int32, n),
 		unionOps: make([]int, n),
 		readCnt:  make([][]int32, n),
-		owned:    make([]int, n),
-		capOps:   balanceCap(a.coneTotal, a.maxConeOps(), n),
+		readers:  make([]int32, nr),
+		pulls:    make([]int, n),
+		pubs:     make([]int, n),
+	}
+	for ri := range r.owner {
+		r.owner[ri] = -1
 	}
 	for p := 0; p < n; p++ {
 		r.cnt[p] = make([]int32, a.numOps)
-		r.readCnt[p] = make([]int32, len(owner))
-	}
-	for ri, p := range owner {
-		r.owned[p]++
-		cnt := r.cnt[p]
-		r.a.cones[ri].forEachBit(func(op int) {
-			if cnt[op] == 0 {
-				r.unionOps[p]++
-				r.sumUnions++
-			}
-			cnt[op]++
-		})
-		for _, s := range a.regSrc[ri] {
-			if s != ri {
-				r.readCnt[p][s]++
-			}
-		}
+		r.readCnt[p] = make([]int32, nr)
 	}
 	return r
 }
 
-// moveCap is the balance bound a move's target partition must stay under:
-// the static cap, or tolerance slack over the mean of the replication
-// actually present, whichever is looser. Recomputed per move because every
-// applied move shifts the replication total.
-func (r *refiner) moveCap() int {
-	mean := (r.sumUnions + r.n - 1) / r.n
-	return max(r.capOps, mean+int(DefaultBalanceTolerance*float64(mean)))
-}
-
-// gain is the cost decrease of moving register ri from p to q, plus the
-// replicated ops the move would add to q (for the balance check). Positive
-// gain means the move helps.
-func (r *refiner) gain(ri, p, q int) (gain, add int) {
-	rem := 0
-	cntP, cntQ := r.cnt[p], r.cnt[q]
+// priceOps is what taking register ri out of partition p (-1: the seed
+// placing an unplaced register) and into q would do to their op counts: the
+// cone ops p drops and the ops q gains.
+func (r *refiner) priceOps(ri, p, q int) (rem, add int) {
+	cntQ := r.cnt[q]
+	if p < 0 {
+		r.a.cones[ri].forEachBit(func(op int) {
+			if cntQ[op] == 0 {
+				add++
+			}
+		})
+		return 0, add
+	}
+	cntP := r.cnt[p]
 	r.a.cones[ri].forEachBit(func(op int) {
 		if cntP[op] == 1 {
 			rem++
@@ -120,55 +117,121 @@ func (r *refiner) gain(ri, p, q int) (gain, add int) {
 			add++
 		}
 	})
-	cutDelta := 0
-	for _, s := range r.a.regSrc[ri] {
-		if s == ri {
-			continue
-		}
-		o := r.owner[s]
-		if o != p && r.readCnt[p][s] == 1 {
-			cutDelta-- // ri was p's only read of s
-		}
-		if o != q && r.readCnt[q][s] == 0 {
-			cutDelta++ // ri makes q a new reader of s
-		}
-	}
-	// ri's own readers: partitions other than the owner that read its Q.
-	if r.readCnt[p][ri] > 0 {
-		cutDelta++ // p keeps reading ri but no longer owns it
-	}
-	if r.readCnt[q][ri] > 0 {
-		cutDelta-- // q read ri across the cut; now it is local
-	}
-	return (rem - add) - cutDelta, add
+	return rem, add
 }
 
-func (r *refiner) apply(ri, p, q int) {
-	cntP, cntQ := r.cnt[p], r.cnt[q]
+// moveOps applies what priceOps priced: the expensive half of a move.
+func (r *refiner) moveOps(ri, p, q int) {
+	if p >= 0 {
+		cntP := r.cnt[p]
+		r.a.cones[ri].forEachBit(func(op int) {
+			cntP[op]--
+			if cntP[op] == 0 {
+				r.unionOps[p]--
+			}
+		})
+	}
+	cntQ := r.cnt[q]
 	r.a.cones[ri].forEachBit(func(op int) {
-		cntP[op]--
-		if cntP[op] == 0 {
-			r.unionOps[p]--
-			r.sumUnions--
-		}
 		if cntQ[op] == 0 {
 			r.unionOps[q]++
-			r.sumUnions++
 		}
 		cntQ[op]++
 	})
-	for _, s := range r.a.regSrc[ri] {
-		if s != ri {
-			r.readCnt[p][s]--
-			r.readCnt[q][s]++
-		}
-	}
-	r.owner[ri] = q
-	r.owned[p]--
-	r.owned[q]++
 }
 
-func (r *refiner) run() {
+// moveReads takes register ri's reads, and its ownership, out of partition p
+// and into q (-1 on either side: unplaced), keeping the exchange counts
+// current. It is cheap — O(sources of ri + n) — and its own inverse, so a
+// candidate's exchange cost is read by applying it and taking it back.
+func (r *refiner) moveReads(ri, p, q int) {
+	src := r.a.regSrc[ri]
+	if p >= 0 {
+		for _, s := range src {
+			if s == ri {
+				continue
+			}
+			r.readCnt[p][s]--
+			if o := r.owner[s]; r.readCnt[p][s] == 0 && o >= 0 && o != p {
+				r.pulls[p]--
+				if r.readers[s]--; r.readers[s] == 0 {
+					r.pubs[o]--
+				}
+			}
+		}
+		for x := range r.pulls {
+			if x != p && r.readCnt[x][ri] > 0 {
+				r.pulls[x]--
+			}
+		}
+		if r.readers[ri] > 0 {
+			r.pubs[p]--
+		}
+		r.readers[ri] = 0
+		r.owned[p]--
+	}
+	r.owner[ri] = q
+	if q >= 0 {
+		r.owned[q]++
+		for x := range r.pulls {
+			if x != q && r.readCnt[x][ri] > 0 {
+				r.pulls[x]++
+				r.readers[ri]++
+			}
+		}
+		if r.readers[ri] > 0 {
+			r.pubs[q]++
+		}
+		for _, s := range src {
+			if s == ri {
+				continue
+			}
+			r.readCnt[q][s]++
+			if o := r.owner[s]; r.readCnt[q][s] == 1 && o >= 0 && o != q {
+				r.pulls[q]++
+				if r.readers[s]++; r.readers[s] == 1 {
+					r.pubs[o]++
+				}
+			}
+		}
+	}
+}
+
+// cost is the plan's (makespan, work) pair as it stands.
+func (r *refiner) cost() (span, work int) {
+	for x, ops := range r.unionOps {
+		span = max(span, ops+r.pulls[x]+r.pubs[x])
+		work += ops + r.pulls[x]
+	}
+	return span, work
+}
+
+// try is the cost the plan would have with register ri taken out of
+// partition p (-1: unplaced) and put into q: the ops priced, the exchange
+// read by applying the cheap half of the move and taking it back.
+func (r *refiner) try(ri, p, q int) (span, work int) {
+	rem, add := r.priceOps(ri, p, q)
+	r.moveReads(ri, p, q)
+	if p >= 0 {
+		r.unionOps[p] -= rem
+	}
+	r.unionOps[q] += add
+	span, work = r.cost()
+	if p >= 0 {
+		r.unionOps[p] += rem
+	}
+	r.unionOps[q] -= add
+	r.moveReads(ri, q, p)
+	return span, work
+}
+
+// move applies what try priced.
+func (r *refiner) move(ri, p, q int) {
+	r.moveOps(ri, p, q)
+	r.moveReads(ri, p, q)
+}
+
+func (r *refiner) refine() {
 	for pass := 0; pass < maxRefinePasses; pass++ {
 		improved := false
 		for ri := range r.owner {
@@ -176,19 +239,18 @@ func (r *refiner) run() {
 			if r.owned[p] <= 1 {
 				continue // never empty a partition
 			}
-			bestQ, bestGain := -1, 0
-			limit := r.moveCap()
+			bestQ := -1
+			bestSpan, bestWork := r.cost() // the pair to beat
 			for q := 0; q < r.n; q++ {
 				if q == p {
 					continue
 				}
-				g, add := r.gain(ri, p, q)
-				if g > bestGain && r.unionOps[q]+add <= limit {
-					bestQ, bestGain = q, g
+				if span, work := r.try(ri, p, q); span < bestSpan || span == bestSpan && work < bestWork {
+					bestQ, bestSpan, bestWork = q, span, work
 				}
 			}
 			if bestQ >= 0 {
-				r.apply(ri, p, bestQ)
+				r.move(ri, p, bestQ)
 				improved = true
 			}
 		}

@@ -13,13 +13,21 @@
 //     historical baseline, but ignores structure entirely: on tightly
 //     coupled designs the per-partition cones converge on the whole design
 //     and the replication factor approaches the partition count.
-//   - [ConeCluster] greedily clusters registers by the Jaccard overlap of
-//     their fan-in cones, so registers sharing combinational logic co-locate
-//     and the shared logic is replicated once instead of n times.
+//   - [ConeCluster] greedily clusters registers by the overlap of their
+//     fan-in cones, so registers sharing combinational logic co-locate and
+//     the shared logic is replicated once instead of n times.
 //   - [MinCut] seeds with the cone clustering and then runs KL/FM-style
-//     boundary refinement: registers move across partitions while a balance
-//     constraint holds, greedily minimising replicated operations plus
-//     register→reader cut edges.
+//     boundary refinement, moving registers across partitions while that
+//     lowers the plan's cost.
+//
+// The two structure-aware strategies minimise one cost, lexicographically:
+// first the makespan — the largest partition's operations plus the registers
+// it exchanges, which is what a lock-step cycle costs, because a cycle ends
+// when its slowest partition does — and under it the total work, replicated
+// operations plus register→reader cut edges. Balance is therefore not a
+// constraint with a tolerance but a consequence: a partition is left larger
+// than the others exactly when evening it out would cost more in copied
+// logic and exchanged registers than it saves.
 package partition
 
 import (
@@ -48,21 +56,6 @@ func Default() Strategy { return MinCut{} }
 // All lists the built-in strategies in increasing quality order. Name
 // resolution for flags lives at the public surface (sim.ParsePartitionStrategy).
 func All() []Strategy { return []Strategy{RoundRobin{}, ConeCluster{}, MinCut{}} }
-
-// DefaultBalanceTolerance is the slack the balance-aware strategies allow a
-// partition's replicated op count over the ideal share before refusing to
-// grow it further.
-const DefaultBalanceTolerance = 0.5
-
-// balanceCap is the per-partition replicated-op ceiling the balance-aware
-// strategies enforce while growing partitions: the ideal share with
-// tolerance slack, but never below the largest single cone — a partition
-// must at least be able to hold the register it owns.
-func balanceCap(totalOps, maxConeOps, n int) int {
-	ideal := (totalOps + n - 1) / n
-	bound := int(float64(ideal) * (1 + DefaultBalanceTolerance))
-	return max(bound, maxConeOps)
-}
 
 // checkAssignArgs applies the shared Assign contract.
 func checkAssignArgs(t *oim.Tensor, n int) error {
@@ -99,38 +92,15 @@ func Validate(owner []int, regs, n int) error {
 	return nil
 }
 
-// MaxConeOps reports the largest single register fan-in cone of the design,
-// the floor under any per-partition balance bound.
+// MaxConeOps reports the largest single register fan-in cone of the design:
+// the floor under every plan's largest partition, since whoever owns that
+// register computes its whole cone.
 func MaxConeOps(t *oim.Tensor) int {
-	a := analyze(t)
 	m := 0
-	for _, c := range a.coneOps {
+	for _, c := range analyze(t).coneOps {
 		m = max(m, c)
 	}
 	return m
-}
-
-// WithinBalance reports whether per-partition replicated op counts satisfy
-// the documented tolerance: no partition exceeds the mean share with twice
-// the tolerance as slack, or the largest single cone plus tolerance slack,
-// whichever is greater. (Replication-aided partitioning cannot promise a
-// bound tighter than the biggest cone: whoever owns that register
-// replicates its whole cone, and co-locating the small registers that share
-// it is precisely what a good clustering does.)
-func WithinBalance(partOps []int, maxConeOps int) bool {
-	n := len(partOps)
-	if n == 0 {
-		return true
-	}
-	sum, maxP := 0, 0
-	for _, ops := range partOps {
-		sum += ops
-		maxP = max(maxP, ops)
-	}
-	mean := (sum + n - 1) / n
-	slack := int(DefaultBalanceTolerance * float64(mean))
-	bound := max(mean+2*slack, maxConeOps+slack)
-	return maxP <= bound
 }
 
 // RoundRobin scatters registers cyclically: owner[ri] = ri mod n. The

@@ -1,6 +1,7 @@
 package repcut
 
 import (
+	"fmt"
 	"testing"
 
 	"rteaal/internal/dfg"
@@ -9,7 +10,7 @@ import (
 	"rteaal/internal/partition"
 )
 
-func buildSpec(t *testing.T, spec gen.Spec) *oim.Tensor {
+func buildSpec(t testing.TB, spec gen.Spec) *oim.Tensor {
 	t.Helper()
 	g, err := gen.Generate(spec)
 	if err != nil {
@@ -66,8 +67,10 @@ func TestMinCutBeatsRoundRobinOnCoupledDesigns(t *testing.T) {
 // synthesised benchmark designs: for every strategy and partition count
 // (including requests beyond the register count), the plan has total
 // ownership, no empty partition after clamping, the strategy recorded in its
-// stats, and — for the balance-aware strategies — per-partition op counts
-// within the documented tolerance.
+// stats, and per-partition op counts between the floor every plan has (the
+// owner of the largest cone computes all of it) and the whole design. How
+// close to that floor the structure-aware strategies get is
+// TestPlanQuality's table; there is no balance tolerance to hold them to.
 func TestEveryStrategyYieldsAValidPlan(t *testing.T) {
 	for _, spec := range []gen.Spec{
 		{Family: gen.SHA3, Scale: 8},
@@ -106,11 +109,63 @@ func TestEveryStrategyYieldsAValidPlan(t *testing.T) {
 					t.Fatalf("%s %s: %d op counts for %d partitions",
 						spec.Name(), strat.Name(), len(st.PartitionOps), st.Partitions)
 				}
-				if strat.Name() != (partition.RoundRobin{}).Name() &&
-					!partition.WithinBalance(st.PartitionOps, maxCone) {
-					t.Fatalf("%s %s n=%d: unbalanced partitions %v (max cone %d)",
-						spec.Name(), strat.Name(), req, st.PartitionOps, maxCone)
+				if st.MaxPartitionOps < maxCone || st.MaxPartitionOps > st.TotalOps {
+					t.Fatalf("%s %s n=%d: largest partition %d outside [max cone %d, design %d]",
+						spec.Name(), strat.Name(), req, st.MaxPartitionOps, maxCone, st.TotalOps)
 				}
+			}
+		}
+	}
+}
+
+// TestPlanQuality holds the default planner to a table of the benchmark
+// designs at P = 2: the largest partition over the ideal share
+// (MaxPartitionOps·P/TotalOps — what a lock-step cycle costs against what a
+// perfect split would) may not pass the bar, and can never be under the
+// floor the largest single cone sets. The bars are what the planner that
+// minimised total work under a 1.5x balance cap read at 94a7a5f, with one
+// exception: on r1/64 it read 1.683 by computing 745 and 765 of the design's
+// 909 ops in the two partitions (replication 1.66, cut 48), which ran at
+// 0.85x the plan that leaves the 770-op uncore island whole (replication
+// 1.00, cut 4); an island cannot be split without copying it, so there the
+// bar is the island. On r4/8 — four cores and an uncore that come apart
+// cleanly — the plan must also be a clean one. P = 4 is logged, not held.
+func TestPlanQuality(t *testing.T) {
+	for _, tc := range []struct {
+		spec        gen.Spec
+		bar, maxRep float64
+	}{
+		{gen.Spec{Family: gen.Rocket, Cores: 4, Scale: 8}, 1.10, 1.05},
+		{gen.Spec{Family: gen.Rocket, Cores: 1, Scale: 8}, 1.670, 0},
+		{gen.Spec{Family: gen.Rocket, Cores: 1, Scale: 64}, 1.695, 0},
+		{gen.Spec{Family: gen.Rocket, Cores: 2, Scale: 16}, 1.374, 0},
+		{gen.Spec{Family: gen.Boom, Cores: 1, Scale: 16}, 1.441, 0},
+		{gen.Spec{Family: gen.SHA3, Scale: 8}, 1.643, 0},
+		{gen.Spec{Family: gen.Ctrl, Cores: 512, Scale: 1}, 1.777, 0},
+	} {
+		ten := buildSpec(t, tc.spec)
+		name := fmt.Sprintf("%s/%d", tc.spec.Name(), tc.spec.Scale)
+		for _, n := range []int{2, 4} {
+			plan, err := NewPlan(ten, n, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := plan.Stats()
+			ratio := float64(st.MaxPartitionOps*n) / float64(st.TotalOps)
+			t.Logf("%-8s P=%d: max/ideal %.3f, replication %.3f, cut %d, partitions %v",
+				name, n, ratio, st.ReplicationFactor, st.CutSize, st.PartitionOps)
+			if n != 2 {
+				continue
+			}
+			// 0.0005: the bars are the parent's readings to three decimals.
+			if ratio > tc.bar+0.0005 {
+				t.Errorf("%s: max/ideal %.3f, want at most %.3f", name, ratio, tc.bar)
+			}
+			if floor := float64(partition.MaxConeOps(ten)*n) / float64(st.TotalOps); ratio < floor {
+				t.Errorf("%s: max/ideal %.3f is under the largest cone's floor %.3f", name, ratio, floor)
+			}
+			if tc.maxRep > 0 && st.ReplicationFactor > tc.maxRep {
+				t.Errorf("%s: replication %.3f, want at most %.2f", name, st.ReplicationFactor, tc.maxRep)
 			}
 		}
 	}

@@ -23,7 +23,8 @@
 // Everything downstream of the ownership vector — cones, sub-tensors, RUM,
 // stats — is assignment-agnostic: any valid owner vector yields a correct
 // (bit-identical) parallel simulation, and the strategy choice only moves
-// the replication/cut/balance trade-off.
+// what a cycle costs: how large the largest partition is, how much logic is
+// replicated and how many registers cross the cut.
 package repcut
 
 import (
@@ -101,8 +102,10 @@ type PlanStats struct {
 	// CutSize counts register→reader edges crossing partitions: the number
 	// of occupied RUM points exchanged after every commit.
 	CutSize int
-	// PartitionOps lists each partition's cone op count; MaxPartitionOps
-	// and MinPartitionOps summarise the load balance.
+	// PartitionOps lists each partition's cone op count. A lock-step cycle
+	// costs what its slowest partition costs, so MaxPartitionOps against
+	// TotalOps/Partitions is the number to look at; MinPartitionOps shows
+	// how much of the other workers' time is spent waiting.
 	PartitionOps                     []int
 	MaxPartitionOps, MinPartitionOps int
 }
@@ -136,12 +139,14 @@ func NewPlan(t *oim.Tensor, n int, strat partition.Strategy) (*Plan, error) {
 		slotAuth:  make([]int, t.NumSlots),
 	}
 
-	// producers: slot -> (layer, index) for op outputs.
-	type opAt struct{ layer, idx int }
-	producer := make(map[int32]opAt)
-	for li, layer := range t.Layers {
-		for oi, op := range layer {
-			producer[op.Out] = opAt{li, oi}
+	// LI coordinates are dense, so everything keyed by slot is a
+	// slot-indexed slice: producer[slot] is the operands of the op writing
+	// the slot (nil for sources — an op has at least one operand) and
+	// regOf[slot] the register whose Q it is (-1 for none).
+	producer := make([][]int32, t.NumSlots)
+	for _, layer := range t.Layers {
+		for _, op := range layer {
+			producer[op.Out] = op.Args
 		}
 	}
 
@@ -163,33 +168,31 @@ func NewPlan(t *oim.Tensor, n int, strat partition.Strategy) (*Plan, error) {
 	// plurality of the registers its cone reads, so the sampling partition
 	// replicates as little extra logic as possible. Outputs reading no
 	// registers scatter round-robin.
-	regOf := make(map[int32]int, len(t.RegSlots))
-	for ri, r := range t.RegSlots {
-		regOf[r.Q] = ri
+	regOf := make([]int32, t.NumSlots)
+	seen := make([]int32, t.NumSlots) // stamp: the last output whose walk visited the slot
+	for s := range regOf {
+		regOf[s], seen[s] = -1, -1
 	}
-	seen := make(map[int32]bool)
+	for ri, r := range t.RegSlots {
+		regOf[r.Q] = int32(ri)
+	}
 	var stack []int32
 	for oi, slot := range t.OutputSlots {
-		clear(seen)
 		votes := make([]int, n)
 		sawReg := false
 		stack = append(stack[:0], slot)
-		seen[slot] = true
+		seen[slot] = int32(oi)
 		for len(stack) > 0 {
 			s := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			if ri, ok := regOf[s]; ok {
+			if ri := regOf[s]; ri >= 0 {
 				votes[owner[ri]]++
 				sawReg = true
 				continue
 			}
-			at, ok := producer[s]
-			if !ok {
-				continue
-			}
-			for _, arg := range t.Layers[at.layer][at.idx].Args {
-				if !seen[arg] {
-					seen[arg] = true
+			for _, arg := range producer[s] {
+				if seen[arg] != int32(oi) {
+					seen[arg] = int32(oi)
 					stack = append(stack, arg)
 				}
 			}
@@ -208,9 +211,9 @@ func NewPlan(t *oim.Tensor, n int, strat partition.Strategy) (*Plan, error) {
 	}
 
 	// Per-partition cone marking and sub-tensor construction.
-	needs := make([]map[int32]bool, n)
+	needs := make([][]bool, n)
 	for part := 0; part < n; part++ {
-		need := make(map[int32]bool)
+		need := make([]bool, t.NumSlots)
 		needs[part] = need
 		var stack []int32
 		want := func(slot int32) {
@@ -230,11 +233,7 @@ func NewPlan(t *oim.Tensor, n int, strat partition.Strategy) (*Plan, error) {
 		for len(stack) > 0 {
 			slot := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			at, ok := producer[slot]
-			if !ok {
-				continue // source: register, input, or constant
-			}
-			for _, arg := range t.Layers[at.layer][at.idx].Args {
+			for _, arg := range producer[slot] { // none for a source
 				want(arg)
 			}
 		}
@@ -281,8 +280,10 @@ func NewPlan(t *oim.Tensor, n int, strat partition.Strategy) (*Plan, error) {
 	// sorted and the routing deterministic.
 	p.slotUsers = make([][]int32, t.NumSlots)
 	for part := 0; part < n; part++ {
-		for slot := range needs[part] {
-			p.slotUsers[slot] = append(p.slotUsers[slot], int32(part))
+		for slot, need := range needs[part] {
+			if need {
+				p.slotUsers[slot] = append(p.slotUsers[slot], int32(part))
+			}
 		}
 	}
 	ensureUser := func(slot int32, part int) {
@@ -424,8 +425,9 @@ func (p *Plan) Lower(cfg kernel.Config) ([]*kernel.Program, error) {
 // Instance is one runnable partitioned simulation. It implements
 // [kernel.Engine], so it is a drop-in for a single-partition engine
 // wherever one is expected. The partitions are the workers of one
-// [kernel.Workers] group, pinned to OS threads so each partition's cone
-// state and its side of the RUM exchange stay on a stable core; the
+// [kernel.Workers] group — plain goroutines, like a batch's lane shards: a
+// partition that waits at the cycle barrier waits by yielding, and a yield
+// must stay a run-queue check, never a hand-off between OS threads. The
 // instance supplies the per-partition bodies and the group owns dispatch,
 // the cycle barrier and panic recovery. The goroutines stop when
 // [Instance.Close] is called or the instance is garbage-collected.
@@ -475,7 +477,7 @@ func (p *Plan) Instantiate(progs []*kernel.Program) (*Instance, error) {
 	}
 	in.xbuf[0] = make([]uint64, p.nExchange)
 	in.xbuf[1] = make([]uint64, p.nExchange)
-	in.ws = kernel.NewWorkers(len(in.engines), true)
+	in.ws = kernel.NewWorkers(len(in.engines))
 	in.settleJob, in.cycleJob, in.afterJob = in.settlePart, in.cyclePart, in.pullPart
 	return in, nil
 }

@@ -358,8 +358,10 @@ type PartitionStats struct {
 	// CutSize counts register→reader edges crossing partitions: the
 	// occupied RUM points exchanged after every commit.
 	CutSize int
-	// PartitionOps lists each partition's cone op count; MaxPartitionOps
-	// and MinPartitionOps summarise the load balance.
+	// PartitionOps lists each partition's cone op count. A lock-step cycle
+	// costs what its slowest partition costs, so MaxPartitionOps against
+	// the design's ops over Partitions is the number to look at;
+	// MinPartitionOps shows how long the other workers wait.
 	PartitionOps                     []int
 	MaxPartitionOps, MinPartitionOps int
 }

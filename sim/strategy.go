@@ -16,12 +16,14 @@ type PartitionStrategy uint8
 
 const (
 	// MinCut seeds with the cone clustering and runs KL/FM-style boundary
-	// refinement, minimising replicated logic plus exchanged registers under
-	// a balance constraint. The default and the highest quality.
+	// refinement, minimising first what the slowest partition does in a
+	// cycle (a lock-step cycle costs exactly that), then replicated logic
+	// plus exchanged registers. The default and the highest quality.
 	MinCut PartitionStrategy = iota
-	// ConeCluster greedily groups registers by the Jaccard overlap of their
-	// combinational fan-in cones, so shared logic is replicated once instead
-	// of once per partition.
+	// ConeCluster greedily places each register, largest fan-in cone first,
+	// where that same cost ends up lowest, so registers sharing logic
+	// co-locate and the logic is replicated once instead of once per
+	// partition. MinCut's starting point, without the refinement.
 	ConeCluster
 	// RoundRobin scatters registers cyclically — the structure-blind
 	// baseline. Cheapest to plan, costliest to simulate on coupled designs.
