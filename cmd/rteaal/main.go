@@ -7,7 +7,8 @@
 // The design is driven through the public sim.Testbench transaction layer:
 // -drive selects the stimulus (seeded random input traffic, or a constant
 // on every input) and -watch prints named signals — inputs, outputs, or
-// registers — after every cycle through resolved DMI ports. With -dump-oim
+// registers — after every cycle through resolved ports (one-cycle runs;
+// without -watch the whole simulation is one bulk run). With -dump-oim
 // the generated tensor is written as JSON instead of simulating, matching
 // the paper's compiler output; -list-kernels prints the seven kernel
 // configurations in unrolling order; -list-signals prints every watchable
@@ -149,11 +150,17 @@ func run() error {
 			watchPorts = append(watchPorts, p)
 		}
 	}
-	for c := int64(0); c < *cycles; c++ {
-		if err := tb.Step(); err != nil {
+	if len(watchPorts) == 0 {
+		// Nothing to print between cycles: one bulk run, so a partitioned
+		// session keeps its workers resident instead of joining every cycle.
+		if err := tb.Run(*cycles); err != nil {
 			return err
 		}
-		if len(watchPorts) > 0 {
+	} else {
+		for c := int64(0); c < *cycles; c++ {
+			if err := tb.Step(); err != nil {
+				return err
+			}
 			fmt.Printf("cycle %d:", tb.Cycle())
 			for _, p := range watchPorts {
 				fmt.Printf(" %s=%d", p.Name(), p.Peek())

@@ -79,4 +79,46 @@ func TestCmdBinariesSmoke(t *testing.T) {
 			}
 		})
 	}
+	// rteaal runs one bulk Testbench.Run without -watch and one-cycle runs
+	// with it; on a partitioned session those are the resident lock-step loop
+	// and a dispatch per cycle, and both must end in the same state.
+	t.Run("rteaal watch-vs-bulk", func(t *testing.T) {
+		fir := filepath.Join(bin, "pair.fir")
+		if err := os.WriteFile(fir, []byte(pairSrc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		final := func(extra ...string) string {
+			args := append([]string{"-partitions", "2", "-seed", "7", "-cycles", "40"}, extra...)
+			out, err := exec.Command(filepath.Join(bin, "rteaal"), append(args, fir)...).CombinedOutput()
+			if err != nil {
+				t.Fatalf("rteaal %v: %v\n%s", args, err, out)
+			}
+			_, after, ok := strings.Cut(string(out), "simulated 40 cycles")
+			if !ok {
+				t.Fatalf("rteaal %v printed no summary:\n%s", args, out)
+			}
+			return after
+		}
+		bulk, watched := final(), final("-watch", "a,rb")
+		// The rest of the summary line, then one line per output.
+		if bulk != watched || strings.Count(bulk, "\n") != 3 {
+			t.Errorf("final outputs differ:\n--- without -watch ---\n%s\n--- with -watch ---\n%s", bulk, watched)
+		}
+	})
 }
+
+// pairSrc is two dependent registers, so -partitions 2 has a cut to exchange.
+const pairSrc = `
+circuit Pair :
+  module Pair :
+    input clock : Clock
+    input in : UInt<8>
+    output a : UInt<8>
+    output b : UInt<8>
+    reg ra : UInt<8>, clock
+    reg rb : UInt<8>, clock
+    ra <= tail(add(ra, in), 1)
+    rb <= xor(rb, ra)
+    a <= ra
+    b <= rb
+`

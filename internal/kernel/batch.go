@@ -161,7 +161,7 @@ func (b *Batch) cycleShard(w, i int) bool {
 
 // NewBatch builds an n-lane batch engine over t, compiling the schedule
 // itself. Callers holding a [Program] should prefer
-// [Program.InstantiateBatch], which caches the schedule across batches.
+// [Program.InstantiateBatchWith], which caches the schedule across batches.
 func NewBatch(t *oim.Tensor, lanes int) (*Batch, error) {
 	if t.NumSlots == 0 {
 		return nil, fmt.Errorf("kernel: empty design")
@@ -173,10 +173,7 @@ func newBatch(t *oim.Tensor, sched *batchSchedule, lanes, workers int) (*Batch, 
 	if lanes < 1 {
 		return nil, fmt.Errorf("kernel: batch needs at least 1 lane, got %d", lanes)
 	}
-	if workers < 1 {
-		return nil, fmt.Errorf("kernel: batch needs at least 1 worker, got %d", workers)
-	}
-	workers = min(workers, lanes)
+	workers = min(max(workers, 1), lanes)
 	b := &Batch{
 		t:     t,
 		sched: sched,

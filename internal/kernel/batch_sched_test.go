@@ -138,13 +138,13 @@ func TestBatchParallelMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		seeds := laneSeeds(lanes)
-		seq, err := prog.InstantiateBatch(lanes)
+		seq, err := prog.InstantiateBatchWith(lanes, BatchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := batchTrace(seq, seeds, cycles, nil)
 		for _, workers := range []int{2, 3, 5} {
-			par, err := prog.InstantiateBatchParallel(lanes, workers)
+			par, err := prog.InstantiateBatchWith(lanes, BatchOptions{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -213,7 +213,7 @@ func TestBatchCommitAliasing(t *testing.T) {
 }
 
 // TestBatchWorkerClampAndClose covers the worker-count edges: clamping to
-// the lane count, rejection of non-positive workers, and idempotent Close.
+// the lane count, zero workers meaning one, and idempotent Close.
 func TestBatchWorkerClampAndClose(t *testing.T) {
 	g := dfg.RandomGraph(rand.New(rand.NewSource(1)), dfg.DefaultRandomParams())
 	ten := buildTensor(t, g)
@@ -221,7 +221,7 @@ func TestBatchWorkerClampAndClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := prog.InstantiateBatchParallel(3, 8)
+	b, err := prog.InstantiateBatchWith(3, BatchOptions{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,10 +231,8 @@ func TestBatchWorkerClampAndClose(t *testing.T) {
 	b.Step()
 	b.Close()
 	b.Close() // idempotent
-	if _, err := prog.InstantiateBatchParallel(3, 0); err == nil {
-		t.Fatal("0 workers accepted")
-	}
-	seq, err := prog.InstantiateBatch(4)
+	// Workers 0 is the options struct's zero value: the sequential path.
+	seq, err := prog.InstantiateBatchWith(4, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,29 +70,13 @@ func (p *Program) Instantiate() Engine {
 	return e
 }
 
-// InstantiateBatch mints a lanes-wide [Batch] over the shared tensor. The
-// batch-specialised schedule is compiled lazily — once per program, not per
-// batch.
-func (p *Program) InstantiateBatch(lanes int) (*Batch, error) {
-	return p.InstantiateBatchParallel(lanes, 1)
-}
-
-// InstantiateBatchParallel mints a lanes-wide [Batch] whose lanes are
-// sharded over the `workers` resident goroutines of one [Workers] group,
-// each running the full schedule on its own contiguous lane block (see
-// [Batch.RunBulk] for when they synchronise). workers is clamped to the lane count; 1 means the sequential
-// in-caller path. Parallel batches should be released with [Batch.Close].
-func (p *Program) InstantiateBatchParallel(lanes, workers int) (*Batch, error) {
-	if workers < 1 {
-		return nil, fmt.Errorf("kernel: batch needs at least 1 worker, got %d", workers)
-	}
-	return p.InstantiateBatchWith(lanes, BatchOptions{Workers: workers})
-}
-
 // BatchOptions configures batch instantiation beyond the lane count.
 type BatchOptions struct {
-	// Workers shards lanes over persistent goroutines; 0 or 1 selects the
-	// sequential in-caller path.
+	// Workers shards lanes over the resident goroutines of one [Workers]
+	// group, each running the full schedule on its own contiguous lane
+	// block (see [Batch.RunBulk] for when they synchronise). It is clamped
+	// to the lane count; 0 or 1 selects the sequential in-caller path.
+	// Parallel batches should be released with [Batch.Close].
 	Workers int
 	// Packing compiles (once per program) and runs the bit-packed
 	// schedule: provably-1-bit slots (see OneBitSlots, refined by a
@@ -106,16 +90,12 @@ type BatchOptions struct {
 // Both schedule layouts are compiled lazily once per program, so mixing
 // packed and wide batches of one program stays cheap.
 func (p *Program) InstantiateBatchWith(lanes int, o BatchOptions) (*Batch, error) {
-	workers := o.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	if o.Packing {
 		p.packOnce.Do(func() { p.packSched = buildBatchSchedule(p.t, true) })
-		return newBatch(p.t, p.packSched, lanes, workers)
+		return newBatch(p.t, p.packSched, lanes, o.Workers)
 	}
 	p.batchOnce.Do(func() { p.batchSched = buildBatchSchedule(p.t, false) })
-	return newBatch(p.t, p.batchSched, lanes, workers)
+	return newBatch(p.t, p.batchSched, lanes, o.Workers)
 }
 
 // New builds the engine for a configuration. It is the single-engine

@@ -51,8 +51,9 @@ type Signal struct {
 }
 
 // SignalMap resolves signal names of one design to LI coordinates. Built
-// once per tensor (see [Program.Signals]) and read-only thereafter, so any
-// number of concurrent sessions may share it.
+// once per tensor by [NewSignalMap] (sim keeps it on the Design, behind
+// Design.Signals) and read-only thereafter, so any number of concurrent
+// sessions may share it.
 type SignalMap struct {
 	byName map[string]Signal
 	names  []string // sorted, for stable listings

@@ -78,9 +78,9 @@ func runCommandsRecover(tb *sim.Testbench, cmds []testbench.Command, maxCyclesPe
 // so a client is told about the policy instead of silently getting a
 // shorter wait.
 //
-// Step and transact/handshake commands compile to bulk engine runs through
-// [sim.Testbench.Run] and the port Wait fast path: a step-k or a long
-// transact costs one worker dispatch on the session's engine, not k
+// Step and transact/handshake commands are bulk engine runs — through
+// [sim.Testbench.Run] and [sim.Port.Wait], which is always one: a step-k or
+// a long transact costs one worker dispatch on the session's engine, not k
 // Go-level round-trips — per-cycle dispatch overhead on the serve path is
 // paid per command, not per simulated cycle.
 func runCommands(tb *sim.Testbench, cmds []testbench.Command, maxCyclesPerCommand int64) ([]testbench.Outcome, int64, error) {
@@ -129,9 +129,9 @@ func runCommands(tb *sim.Testbench, cmds []testbench.Command, maxCyclesPerComman
 			if int64(c.MaxCycles) > maxCyclesPerCommand {
 				err = fmt.Errorf("wait budget of %d cycles exceeds the per-command budget of %d", c.MaxCycles, maxCyclesPerCommand)
 			} else {
-				// The predicate rides the engine's early-stop Watch through
-				// the port's bulk-run fast path, so the session halts at the
-				// exact accepting cycle — no chunk overshoot.
+				// The predicate rides the engine's early-stop Watch, so the
+				// session halts at the exact accepting cycle — no chunk
+				// overshoot.
 				var p *sim.Port
 				if p, err = tb.PortLane(c.Signal, c.Lane); err == nil {
 					out.Value, err = p.Wait(c.Until.Pred(), c.MaxCycles)

@@ -6,10 +6,10 @@ import (
 	"fmt"
 )
 
-// This file is the wire framing of the DMI layer: the transaction
-// vocabulary of §6.2 (poke/peek/step/transact/handshake) encoded as JSON
-// command lists so an external host can drive a session over a network
-// round-trip. The encoding is shared verbatim by the HTTP server
+// This file is the wire framing of the port layer (sim.Testbench): the
+// transaction vocabulary of §6.2 (poke/peek/step/transact/handshake) encoded
+// as JSON command lists so an external host can drive a session over a
+// network round-trip. The encoding is shared verbatim by the HTTP server
 // (internal/server decodes and executes) and the Go client (sim/client
 // encodes) — one schema, one validator, one fuzz target.
 //

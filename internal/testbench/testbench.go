@@ -1,46 +1,14 @@
-// Package testbench drives simulations: stimulus generators for the
-// workloads of Table 3 and a DMI-style host↔DUT port layer (§6.2) that
-// reads and updates designated signals in the LI tensor at cycle
-// boundaries, the way RTeAAL Sim connects a frontend server to the design
-// under test.
+// Package testbench holds the two host-side vocabularies every testbench
+// surface of this module shares, and nothing that touches an engine: the
+// stimulus generators for the workloads of Table 3 ([Random], [Const],
+// [Func]), and the wire schema of the §6.2 host↔DUT port layer — [Command],
+// [Cond] and [Outcome], with the validator and decoder the server trusts.
 //
-// The package is the single transaction-level implementation behind the
-// public sim.Testbench: every abstraction is expressed over [Lane] — the
-// poke/peek surface one kernel.Engine or one lane of a kernel.Batch
-// offers — so scalar sessions, RepCut-partitioned sessions, and multi-lane
-// batches all drive through identical code paths and produce identical
-// traces. Names are resolved to LI coordinates exactly once, at [Port]
-// construction, via kernel.SignalMap; the per-cycle hot path is purely
-// index-based.
+// The port layer itself (ports resolved to LI coordinates, waits,
+// transactions, handshakes) is sim.Testbench, bound directly to a session
+// or batch. This package is a leaf: it imports no other package of the
+// module (CI guards it), so a second port layer cannot grow back under sim.
 package testbench
-
-import (
-	"fmt"
-
-	"rteaal/internal/kernel"
-)
-
-// Lane is the poke/peek surface of one simulated instance: a kernel.Engine
-// is a Lane, and so is a single lane of a kernel.Batch (wrapped by the
-// caller). Everything in this package binds to lanes, which is what makes
-// the DMI layer engine-agnostic.
-type Lane interface {
-	// PokeInput drives the idx-th primary input.
-	PokeInput(idx int, v uint64)
-	// PeekOutput reads the idx-th primary output as sampled at the most
-	// recent settle.
-	PeekOutput(idx int) uint64
-	// PokeSlot writes an LI coordinate (masked to the slot's width).
-	PokeSlot(slot int32, v uint64)
-	// PeekSlot reads an LI coordinate.
-	PeekSlot(slot int32) uint64
-}
-
-// InputSink is the poke half of a [Lane]; stimulus application needs
-// nothing more.
-type InputSink interface {
-	PokeInput(idx int, v uint64)
-}
 
 // Stimulus yields the value driven onto one primary input of one lane at
 // one cycle. Values are pure functions of (cycle, lane, input) — never of
@@ -83,207 +51,4 @@ func mix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
-}
-
-// Apply drives all of one lane's primary inputs for one cycle. A nil
-// stimulus drives nothing.
-func Apply(stim Stimulus, cycle int64, lane, inputs int, sink InputSink) {
-	if stim == nil {
-		return
-	}
-	for i := 0; i < inputs; i++ {
-		sink.PokeInput(i, stim.Value(cycle, lane, i))
-	}
-}
-
-// Run drives the engine for n cycles as lane 0.
-func Run(eng kernel.Engine, stim Stimulus, n int64) {
-	inputs := len(eng.Tensor().InputSlots)
-	for c := int64(0); c < n; c++ {
-		Apply(stim, c, 0, inputs, eng)
-		eng.Step()
-	}
-}
-
-// BulkRunFunc advances the simulation a port belongs to by up to maxCycles
-// cycles in one bulk dispatch, stopping early the first cycle pred accepts
-// the named signal's value (a nil pred accepts the first cycle). It returns
-// the completed cycle count and whether the predicate stopped the run. The
-// binder supplies it ([DMI.SetBulkRun]) when the underlying engine can run
-// multi-cycle plans; pred is then evaluated inside the engine's run loop —
-// once per completed cycle, in order — instead of one host round-trip per
-// cycle.
-type BulkRunFunc func(maxCycles int, sig kernel.Signal, pred func(uint64) bool) (ran int, stopped bool, err error)
-
-// DMI is the Debug-Module-Interface-style host port bundle: it binds the
-// named signals of one lane — inputs, outputs, and registers — and
-// exchanges values with them between cycles, as the FESVR↔DTM connection
-// does in the paper. The step callback advances the whole simulation the
-// lane belongs to (for a batch lane, all lanes step together) and is what
-// lets Wait and Transact work identically over every engine shape.
-type DMI struct {
-	lane Lane
-	sig  kernel.SignalMap
-	step func() error
-	bulk BulkRunFunc
-}
-
-// SetBulkRun installs the bulk-run fast path used by [Port.Wait] (and
-// everything layered on it: Transact, Handshake). Ports resolved before the
-// call keep the per-cycle path.
-func (d *DMI) SetBulkRun(f BulkRunFunc) { d.bulk = f }
-
-// New binds a DMI to one lane with a pre-built signal map and a step
-// function advancing the underlying simulation one cycle.
-func New(lane Lane, sig kernel.SignalMap, step func() error) *DMI {
-	return &DMI{lane: lane, sig: sig, step: step}
-}
-
-// NewEngine binds a DMI directly to an engine, resolving its signal map
-// from the engine's tensor.
-func NewEngine(eng kernel.Engine) *DMI {
-	return New(eng, kernel.NewSignalMap(eng.Tensor()), func() error { eng.Step(); return nil })
-}
-
-// Signals lists every resolvable signal name.
-func (d *DMI) Signals() []string { return d.sig.Names() }
-
-// Port resolves a named signal once; the returned port pokes and peeks by
-// LI coordinate with no further lookups.
-func (d *DMI) Port(name string) (*Port, error) {
-	s, ok := d.sig.Resolve(name)
-	if !ok {
-		return nil, fmt.Errorf("testbench: no signal named %q", name)
-	}
-	return &Port{lane: d.lane, sig: s, step: d.step, bulk: d.bulk}, nil
-}
-
-// Poke writes a named signal (input or register).
-func (d *DMI) Poke(name string, v uint64) error {
-	p, err := d.Port(name)
-	if err != nil {
-		return err
-	}
-	p.Poke(v)
-	return nil
-}
-
-// Peek reads a named signal as of the last settle.
-func (d *DMI) Peek(name string) (uint64, error) {
-	p, err := d.Port(name)
-	if err != nil {
-		return 0, err
-	}
-	return p.Peek(), nil
-}
-
-// Step advances the underlying simulation one cycle.
-func (d *DMI) Step() error { return d.step() }
-
-// Transact runs one host transaction: poke the request signals, step the
-// DUT until the predicate on a named signal holds or maxCycles pass, and
-// return the response value. A nil predicate accepts the first cycle.
-func (d *DMI) Transact(pokes map[string]uint64, resp string, ready func(uint64) bool, maxCycles int) (uint64, error) {
-	for name, v := range pokes {
-		if err := d.Poke(name, v); err != nil {
-			return 0, err
-		}
-	}
-	rp, err := d.Port(resp)
-	if err != nil {
-		return 0, err
-	}
-	return rp.Wait(ready, maxCycles)
-}
-
-// Handshake completes one valid/ready transfer: drive the valid signal
-// high along with the request payload, step until the ready signal is
-// non-zero, then drop valid. It returns the number of cycles the transfer
-// took.
-func (d *DMI) Handshake(valid string, pokes map[string]uint64, ready string, maxCycles int) (int, error) {
-	vp, err := d.Port(valid)
-	if err != nil {
-		return 0, err
-	}
-	for name, v := range pokes {
-		if err := d.Poke(name, v); err != nil {
-			return 0, err
-		}
-	}
-	vp.Poke(1)
-	rp, err := d.Port(ready)
-	if err != nil {
-		return 0, err
-	}
-	cycles := 0
-	_, err = rp.Wait(func(v uint64) bool { cycles++; return v != 0 }, maxCycles)
-	// Drop valid on the timeout path too: a recoverable timeout must not
-	// leave the DUT consuming phantom beats on later cycles.
-	vp.Poke(0)
-	return cycles, err
-}
-
-// Port is one named signal resolved to its LI coordinate: the index-based
-// fast path for per-cycle host↔DUT exchange.
-type Port struct {
-	lane Lane
-	sig  kernel.Signal
-	step func() error
-	bulk BulkRunFunc
-}
-
-// Signal reports the port's compile-time resolution.
-func (p *Port) Signal() kernel.Signal { return p.sig }
-
-// Name reports the signal name.
-func (p *Port) Name() string { return p.sig.Name }
-
-// Poke writes the signal: inputs through the input fast path, registers
-// and outputs through their LI coordinate. Values are masked to the
-// signal's width.
-func (p *Port) Poke(v uint64) {
-	if p.sig.Kind == kernel.SignalInput {
-		p.lane.PokeInput(p.sig.Index, v)
-		return
-	}
-	p.lane.PokeSlot(p.sig.Slot, v)
-}
-
-// Peek reads the signal: outputs from the sampled outputs, inputs and
-// registers from their LI coordinate.
-func (p *Port) Peek() uint64 {
-	if p.sig.Kind == kernel.SignalOutput {
-		return p.lane.PeekOutput(p.sig.Index)
-	}
-	return p.lane.PeekSlot(p.sig.Slot)
-}
-
-// Wait steps the simulation until the predicate holds for the port's
-// value, for at most maxCycles cycles, and returns the accepted value. A
-// nil predicate accepts the first cycle. The wait starts with a step: the
-// port is sampled after each full cycle, never before the first. With a
-// bulk runner installed the whole wait is one engine-level run that stops
-// the cycle the predicate accepts — the predicate is still evaluated once
-// per completed cycle, in order — instead of a host dispatch per cycle.
-func (p *Port) Wait(pred func(uint64) bool, maxCycles int) (uint64, error) {
-	if p.bulk != nil {
-		_, stopped, err := p.bulk(maxCycles, p.sig, pred)
-		if err != nil {
-			return 0, err
-		}
-		if stopped {
-			return p.Peek(), nil
-		}
-		return 0, fmt.Errorf("testbench: wait on %q timed out after %d cycles", p.sig.Name, maxCycles)
-	}
-	for i := 0; i < maxCycles; i++ {
-		if err := p.step(); err != nil {
-			return 0, err
-		}
-		v := p.Peek()
-		if pred == nil || pred(v) {
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("testbench: wait on %q timed out after %d cycles", p.sig.Name, maxCycles)
 }

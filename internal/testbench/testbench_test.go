@@ -1,200 +1,17 @@
 package testbench
 
-import (
-	"strings"
-	"testing"
+import "testing"
 
-	"rteaal/internal/dfg"
-	"rteaal/internal/kernel"
-	"rteaal/internal/oim"
-	"rteaal/internal/wire"
-)
-
-// echoDesign: out_ready goes high one cycle after in_valid, echoing in_data.
-func echoDesign(t *testing.T, kind kernel.Kind) kernel.Engine {
-	t.Helper()
-	g := &dfg.Graph{Name: "echo"}
-	valid := g.AddInput("in_valid", 1)
-	data := g.AddInput("in_data", 16)
-	rv := g.AddReg("rv", 1, 0)
-	rd := g.AddReg("rd", 16, 0)
-	g.SetRegNext(rv, valid)
-	g.SetRegNext(rd, data)
-	g.AddOutput("out_ready", rv)
-	g.AddOutput("out_data", rd)
-	lv, err := dfg.Levelize(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ten, err := oim.Build(lv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := kernel.New(ten, kernel.Config{Kind: kind})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng
-}
-
-func TestDMITransact(t *testing.T) {
-	dmi := NewEngine(echoDesign(t, kernel.PSU))
-	got, err := dmi.Transact(
-		map[string]uint64{"in_valid": 1, "in_data": 0xBEEF},
-		"out_ready", func(v uint64) bool { return v == 1 }, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 1 {
-		t.Fatalf("ready = %d", got)
-	}
-	data, err := dmi.Peek("out_data")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if data != 0xBEEF {
-		t.Fatalf("echoed data = %#x", data)
-	}
-}
-
-func TestDMIRegisterPort(t *testing.T) {
-	dmi := NewEngine(echoDesign(t, kernel.TI))
-	// Registers resolve by name to their Q coordinate.
-	rd, err := dmi.Port("rd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rd.Signal().Kind != kernel.SignalRegister {
-		t.Fatalf("rd resolved as %v", rd.Signal().Kind)
-	}
-	rd.Poke(0x1234)
-	if got := rd.Peek(); got != 0x1234 {
-		t.Fatalf("poked register reads %#x", got)
-	}
-	// The poked Q value feeds the next settle: out_data samples rd.
-	if err := dmi.Step(); err != nil {
-		t.Fatal(err)
-	}
-	// After a full step the register has recommitted from in_data (0).
-	if got := rd.Peek(); got != 0 {
-		t.Fatalf("rd after recommit = %#x", got)
-	}
-}
-
-func TestDMIErrors(t *testing.T) {
-	dmi := NewEngine(echoDesign(t, kernel.PSU))
-	if err := dmi.Poke("nope", 1); err == nil {
-		t.Error("unknown signal accepted for poke")
-	}
-	if _, err := dmi.Peek("nope"); err == nil {
-		t.Error("unknown signal accepted for peek")
-	}
-	if _, err := dmi.Port("nope"); err == nil {
-		t.Error("unknown signal accepted for port")
-	}
-	_, err := dmi.Transact(map[string]uint64{"in_valid": 0}, "out_ready",
-		func(v uint64) bool { return v == 7 }, 3)
-	if err == nil || !strings.Contains(err.Error(), "timed out") {
-		t.Errorf("timeout not reported: %v", err)
-	}
-}
-
-func TestHandshake(t *testing.T) {
-	dmi := NewEngine(echoDesign(t, kernel.PSU))
-	cycles, err := dmi.Handshake("in_valid", map[string]uint64{"in_data": 77}, "out_ready", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Outputs are sampled at settle, before the commit of the same cycle,
-	// so the registered ready is observed two cycles after valid asserts.
-	if cycles != 2 {
-		t.Fatalf("echo handshake took %d cycles, want 2", cycles)
-	}
-	// Valid was dropped after the transfer.
-	vp, err := dmi.Port("in_valid")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vp.Peek() != 0 {
-		t.Fatal("valid still asserted after handshake")
-	}
-	if _, err := dmi.Handshake("nope", nil, "out_ready", 5); err == nil {
-		t.Fatal("unknown valid signal accepted")
-	}
-}
-
-// TestHandshakeTimeoutDropsValid: a timed-out handshake must not leave the
-// valid signal asserted, or later cycles would consume phantom beats.
-func TestHandshakeTimeoutDropsValid(t *testing.T) {
-	// A DUT whose ready never rises: out_ready mirrors a register stuck 0.
-	g := &dfg.Graph{Name: "stuck"}
-	g.AddInput("in_valid", 1)
-	z := g.AddReg("rz", 1, 0)
-	g.SetRegNext(z, g.AddConst(0, 1))
-	g.AddOutput("out_ready", z)
-	lv, err := dfg.Levelize(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ten, err := oim.Build(lv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := kernel.New(ten, kernel.Config{Kind: kernel.PSU})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dmi := NewEngine(eng)
-	if _, err := dmi.Handshake("in_valid", nil, "out_ready", 3); err == nil {
-		t.Fatal("stuck handshake did not time out")
-	}
-	vp, err := dmi.Port("in_valid")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vp.Peek() != 0 {
-		t.Fatal("valid still asserted after handshake timeout")
-	}
-}
-
-func TestSignalsListing(t *testing.T) {
-	dmi := NewEngine(echoDesign(t, kernel.PSU))
-	names := dmi.Signals()
-	want := []string{"in_data", "in_valid", "out_data", "out_ready", "rd", "rv"}
-	if len(names) != len(want) {
-		t.Fatalf("Signals() = %v, want %v", names, want)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("Signals() = %v, want %v", names, want)
-		}
-	}
-}
-
-func xorAccTensor(t *testing.T) *oim.Tensor {
-	t.Helper()
-	g := &dfg.Graph{Name: "acc"}
-	in := g.AddInput("x", 8)
-	r := g.AddReg("acc", 8, 0)
-	g.SetRegNext(r, g.AddOp(wire.Xor, 8, r, in))
-	g.AddOutput("acc", r)
-	lv, err := dfg.Levelize(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ten, err := oim.Build(lv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ten
-}
-
+// TestStimuliDeterministic folds 50 cycles of input 0 of lane 0 into an
+// 8-bit xor accumulator — what a one-input, one-register design would hold —
+// so one number stands for the whole sequence a stimulus produced.
 func TestStimuliDeterministic(t *testing.T) {
-	ten := xorAccTensor(t)
 	run := func(stim Stimulus) uint64 {
-		eng, _ := kernel.New(ten, kernel.Config{Kind: kernel.TI})
-		Run(eng, stim, 50)
-		return eng.RegSnapshot()[0]
+		var acc uint64
+		for c := int64(0); c < 50; c++ {
+			acc = (acc ^ stim.Value(c, 0, 0)) & 0xFF
+		}
+		return acc
 	}
 	a := run(Random(7))
 	b := run(Random(7))

@@ -54,16 +54,9 @@ func (b *Batch) Close() { b.b.Close() }
 // Cycle reports completed cycles since construction or Reset.
 func (b *Batch) Cycle() int64 { return b.cycle }
 
-func (b *Batch) checkLane(lane int) error {
-	if lane < 0 || lane >= b.b.Lanes() {
-		return fmt.Errorf("sim: lane %d out of range [0,%d)", lane, b.b.Lanes())
-	}
-	return nil
-}
-
 // Poke drives a primary input of one lane by name.
 func (b *Batch) Poke(lane int, name string, v uint64) error {
-	if err := b.checkLane(lane); err != nil {
+	if err := checkLane(lane, b.b.Lanes()); err != nil {
 		return err
 	}
 	i, ok := b.d.inputs[name]
@@ -89,7 +82,7 @@ func (b *Batch) PokeAll(name string, v uint64) error {
 // Peek reads a primary output of one lane by name as sampled at the last
 // settle.
 func (b *Batch) Peek(lane int, name string) (uint64, error) {
-	if err := b.checkLane(lane); err != nil {
+	if err := checkLane(lane, b.b.Lanes()); err != nil {
 		return 0, err
 	}
 	i, ok := b.d.outputs[name]
@@ -110,7 +103,7 @@ func (b *Batch) PeekIndex(lane, i int) uint64 { return b.b.PeekOutput(lane, i) }
 // Registers copies one lane's committed register values. It panics if lane
 // is out of range.
 func (b *Batch) Registers(lane int) []uint64 {
-	if err := b.checkLane(lane); err != nil {
+	if err := checkLane(lane, b.b.Lanes()); err != nil {
 		panic(err)
 	}
 	return b.b.RegSnapshot(lane)
@@ -118,6 +111,11 @@ func (b *Batch) Registers(lane int) []uint64 {
 
 // Settle performs one combinational evaluation of every lane.
 func (b *Batch) Settle() { b.b.Settle() }
+
+// pokeSlot, peekSlot and peekOutput are the batch as a [Testbench]'s dut.
+func (b *Batch) pokeSlot(lane int, slot int32, v uint64) { b.b.PokeSlot(lane, slot, v) }
+func (b *Batch) peekSlot(lane int, slot int32) uint64    { return b.b.PeekSlot(lane, slot) }
+func (b *Batch) peekOutput(lane, idx int) uint64         { return b.b.PeekOutput(lane, idx) }
 
 // Step advances every lane one clock cycle.
 func (b *Batch) Step() {
@@ -140,11 +138,12 @@ func (b *Batch) Run(n int64) {
 
 // runBulk executes a [kernel.RunSpec] against the batch engine, advancing
 // the cycle counter by the completed count — the funnel [Testbench] bulk
-// runs drain into.
-func (b *Batch) runBulk(spec kernel.RunSpec) (ran int, stopped bool) {
+// runs drain into. The error is always nil: a batch has no closed state and
+// records no waveform.
+func (b *Batch) runBulk(spec kernel.RunSpec) (ran int, stopped bool, err error) {
 	ran, stopped = b.b.RunBulk(spec)
 	b.cycle += int64(ran)
-	return ran, stopped
+	return ran, stopped, nil
 }
 
 // Reset restores every lane to the initial state.

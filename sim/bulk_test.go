@@ -119,46 +119,46 @@ func TestWaveformTicksPerCycleInBulkRun(t *testing.T) {
 	}
 }
 
-// TestTestbenchBulkRunMatchesStep drives the same stimulus through one
-// testbench with chunked bulk Runs and another with per-cycle Steps, over
-// scalar, partitioned, and batch engines: the stimulus compiled into
-// scheduled poke plans must replay bit-identically, across chunk
-// boundaries and with transaction helpers mixed in between.
+// handDriven is the reference side of [TestTestbenchBulkRunMatchesStep]: a
+// session or batch driven with no testbench at all, so it shares no code with
+// the bulk path it checks.
+type handDriven struct {
+	lanes int
+	poke  func(lane, input int, v uint64)
+	step  func()
+	count func(lane int) uint64 // the design's one output
+}
+
+// TestTestbenchBulkRunMatchesStep drives the same stimulus through a
+// testbench with chunked bulk Runs and through the bare engine by hand —
+// PokeIndex of the stimulus value, then one Step, per cycle — over scalar,
+// partitioned, and batch engines: the stimulus compiled into scheduled poke
+// plans must replay bit-identically, across chunk boundaries and with a
+// port wait mixed in between.
 func TestTestbenchBulkRunMatchesStep(t *testing.T) {
-	trace := func(tb *sim.Testbench, bulk bool) []uint64 {
+	stim := sim.RandomStimulus(42)
+	// The last run is long enough to be compiled into several poke plans,
+	// which share one buffer.
+	runs := []int64{1, 5, 0, 9, 3, 20000}
+	bulkTrace := func(tb *sim.Testbench) []uint64 {
 		t.Helper()
-		tb.Drive(sim.RandomStimulus(42))
+		tb.Drive(stim)
 		var tr []uint64
-		record := func() {
+		for _, k := range runs {
+			if err := tb.Run(k); err != nil {
+				t.Fatal(err)
+			}
 			for lane := 0; lane < tb.Lanes(); lane++ {
-				for _, name := range []string{"count"} {
-					p, err := tb.PortLane(name, lane)
-					if err != nil {
-						t.Fatal(err)
-					}
-					tr = append(tr, p.Peek())
+				p, err := tb.PortLane("count", lane)
+				if err != nil {
+					t.Fatal(err)
 				}
+				tr = append(tr, p.Peek())
 			}
 			tr = append(tr, uint64(tb.Cycle()))
 		}
-		// The last run is long enough to be compiled into several poke
-		// plans, which share one buffer.
-		for _, k := range []int64{1, 5, 0, 9, 3, 20000} {
-			if bulk {
-				if err := tb.Run(k); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				for i := int64(0); i < k; i++ {
-					if err := tb.Step(); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			record()
-		}
-		// A transaction helper between bulk runs rides on the same engine
-		// state the per-cycle path left behind.
+		// A wait between bulk runs rides on the same engine state and
+		// drives the same stimulus: one more cycle.
 		p, err := tb.Port("count")
 		if err != nil {
 			t.Fatal(err)
@@ -167,48 +167,82 @@ func TestTestbenchBulkRunMatchesStep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr = append(tr, v, uint64(tb.Cycle()))
-		return tr
+		return append(tr, v, uint64(tb.Cycle()))
 	}
-	shapes := []struct {
-		name string
-		mk   func() (*sim.Testbench, func())
+	handTrace := func(h handDriven, inputs int) []uint64 {
+		var done int64 // completed cycles, counted here rather than asked of the engine
+		cycle := func() {
+			for lane := 0; lane < h.lanes; lane++ {
+				for i := 0; i < inputs; i++ {
+					h.poke(lane, i, stim.Value(done, lane, i))
+				}
+			}
+			h.step()
+			done++
+		}
+		var tr []uint64
+		for _, k := range runs {
+			for i := int64(0); i < k; i++ {
+				cycle()
+			}
+			for lane := 0; lane < h.lanes; lane++ {
+				tr = append(tr, h.count(lane))
+			}
+			tr = append(tr, uint64(done))
+		}
+		cycle()
+		return append(tr, h.count(0), uint64(done))
+	}
+	session := func(s *sim.Session) handDriven {
+		return handDriven{
+			lanes: 1,
+			poke:  func(_, i int, v uint64) { s.PokeIndex(i, v) },
+			step: func() {
+				if err := s.Step(); err != nil {
+					t.Fatal(err)
+				}
+			},
+			count: func(int) uint64 { return s.PeekIndex(0) },
+		}
+	}
+	for _, sh := range []struct {
+		name  string
+		lanes int // 0: a session
+		opts  []sim.Option
 	}{
-		{"session", func() (*sim.Testbench, func()) {
-			d, err := sim.Compile(counterSrc)
+		{"session", 0, nil},
+		{"partitioned", 0, []sim.Option{sim.WithPartitions(2)}},
+		{"batch", 3, []sim.Option{sim.WithBatchWorkers(2)}},
+	} {
+		d, err := sim.Compile(counterSrc, sh.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got, want []uint64
+		if sh.lanes == 0 {
+			bulk, ref := d.NewSession(), d.NewSession()
+			got, want = bulkTrace(bulk.Testbench()), handTrace(session(ref), len(d.Inputs()))
+			bulk.Close()
+			ref.Close()
+		} else {
+			bulk, err := d.NewBatch(sh.lanes)
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := d.NewSession()
-			return s.Testbench(), s.Close
-		}},
-		{"partitioned", func() (*sim.Testbench, func()) {
-			d, err := sim.Compile(counterSrc, sim.WithPartitions(2))
+			ref, err := d.NewBatch(sh.lanes)
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := d.NewSession()
-			return s.Testbench(), s.Close
-		}},
-		{"batch", func() (*sim.Testbench, func()) {
-			d, err := sim.Compile(counterSrc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := d.NewBatchParallel(3, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b.Testbench(), b.Close
-		}},
-	}
-	for _, sh := range shapes {
-		tbBulk, closeBulk := sh.mk()
-		tbStep, closeStep := sh.mk()
-		got := trace(tbBulk, true)
-		want := trace(tbStep, false)
-		closeBulk()
-		closeStep()
+			got = bulkTrace(bulk.Testbench())
+			want = handTrace(handDriven{
+				lanes: sh.lanes,
+				poke:  ref.PokeIndex,
+				step:  ref.Step,
+				count: func(lane int) uint64 { return ref.PeekIndex(lane, 0) },
+			}, len(d.Inputs()))
+			bulk.Close()
+			ref.Close()
+		}
 		if len(got) != len(want) {
 			t.Fatalf("%s: trace lengths differ: %d vs %d", sh.name, len(got), len(want))
 		}

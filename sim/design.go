@@ -114,19 +114,21 @@ func WithBatchPacking(on bool) Option {
 	return func(c *config) { c.batchPacking = on }
 }
 
-// Design is an immutable compiled design: the optimized dataflow graph, the
-// OIM tensor, and the kernel program lowered for the selected configuration.
-// All simulation state lives in the [Session] and [Batch] values a design
-// mints, so one design can back any number of concurrent simulations.
+// Design is an immutable compiled design: the OIM tensor, the kernel program
+// lowered from it for the selected configuration, and the name tables that
+// resolve signals to LI coordinates — what a [Session] or [Batch] reads, and
+// nothing the compiler only passed through (the dataflow graph is dropped
+// once the tensor is built). All simulation state lives in the sessions and
+// batches a design mints, so one design can back any number of concurrent
+// simulations.
 type Design struct {
-	graph   *dfg.Graph
 	tensor  *oim.Tensor
 	prog    *kernel.Program
 	cfg     config
 	inputs  map[string]int
 	outputs map[string]int
 	// signals resolves every named signal (inputs, outputs, registers) to
-	// its LI coordinate, built once at compile time for the DMI layer.
+	// its LI coordinate, built once at compile time for [Testbench] ports.
 	signals kernel.SignalMap
 
 	// plan and partProgs are set when the design was compiled with
@@ -150,7 +152,8 @@ func Compile(src string, opts ...Option) (*Design, error) {
 }
 
 // CompileGraph compiles an already-built dataflow graph. The input graph is
-// not modified; the design keeps its own optimized copy.
+// not modified, and neither it nor the optimized copy the pipeline works on
+// is retained by the design.
 func CompileGraph(g *dfg.Graph, opts ...Option) (*Design, error) {
 	cfg := defaultConfig()
 	for _, opt := range opts {
@@ -200,7 +203,6 @@ func CompileGraph(g *dfg.Graph, opts ...Option) (*Design, error) {
 		}
 	}
 	d := &Design{
-		graph:   optg,
 		tensor:  t,
 		prog:    prog,
 		cfg:     cfg,

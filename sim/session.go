@@ -11,8 +11,8 @@ import (
 
 // Session is one runnable simulation of a compiled [Design]. Each session
 // owns its full mutable state — the LI value tensor, staged register
-// commits, and sampled outputs — while the design's graph, OIM tensor, and
-// kernel program stay shared and read-only. Distinct sessions of one design
+// commits, and sampled outputs — while the design's OIM tensor and kernel
+// program stay shared and read-only. Distinct sessions of one design
 // may be used from different goroutines concurrently; a single session is
 // not safe for concurrent use.
 type Session struct {
@@ -67,6 +67,12 @@ func (s *Session) Registers() []uint64 { return s.eng.RegSnapshot() }
 // Settle performs one combinational evaluation without committing
 // registers, refreshing the sampled outputs.
 func (s *Session) Settle() { s.eng.Settle() }
+
+// pokeSlot, peekSlot and peekOutput are the session as a [Testbench]'s
+// one-lane dut.
+func (s *Session) pokeSlot(_ int, slot int32, v uint64) { s.eng.PokeSlot(slot, v) }
+func (s *Session) peekSlot(_ int, slot int32) uint64    { return s.eng.PeekSlot(slot) }
+func (s *Session) peekOutput(_, idx int) uint64         { return s.eng.PeekOutput(idx) }
 
 // errClosed is what every cycle-advancing call answers after Close.
 var errClosed = errors.New("sim: session used after Close")

@@ -6,9 +6,10 @@
 // elision, OIM tensor generation, and kernel construction — behind three
 // nouns:
 //
-//   - A [Design] is an immutable compiled artifact: the optimized graph, the
-//     OIM tensor, and the kernel program lowered for one configuration.
-//     Compiling is the expensive step and happens exactly once per design.
+//   - A [Design] is an immutable compiled artifact: the OIM tensor, the
+//     kernel program lowered from it for one configuration, and the signal
+//     name tables — the circuit as data, held once. Compiling is the
+//     expensive step and happens exactly once per design.
 //   - A [Session] is a cheap, independently-resettable simulation instance.
 //     Any number of sessions share one design's read-only tensors; each owns
 //     only its mutable value state, so sessions can run on different

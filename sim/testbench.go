@@ -13,9 +13,7 @@ import (
 // call order — so the same stimulus replays bit-identically over a scalar
 // [Session], a partitioned session, and every lane shape of a [Batch].
 // Input indices follow [Design.Inputs]; sessions are lane 0.
-type Stimulus interface {
-	Value(cycle int64, lane, input int) uint64
-}
+type Stimulus = testbench.Stimulus
 
 // RandomStimulus drives every input with seeded pseudo-random values,
 // approximating the toggle activity of a software workload. Each value is
@@ -26,138 +24,88 @@ func RandomStimulus(seed int64) Stimulus { return testbench.Random(seed) }
 // ConstStimulus holds every input of every lane at a fixed value.
 func ConstStimulus(v uint64) Stimulus { return testbench.Const(v) }
 
-// StimulusFunc adapts a user function to a [Stimulus].
-type StimulusFunc func(cycle int64, lane, input int) uint64
+// StimulusFunc adapts a user function of (cycle, lane, input) to a
+// [Stimulus].
+type StimulusFunc = testbench.Func
 
-// Value calls the function.
-func (f StimulusFunc) Value(cycle int64, lane, input int) uint64 { return f(cycle, lane, input) }
+// dut is what a [Testbench] drives: a [*Session] (one lane; the lane
+// argument is ignored) or a [*Batch]. Ports reach the engine through it by
+// LI coordinate, and every cycle a testbench advances goes through runBulk.
+type dut interface {
+	Cycle() int64
+	pokeSlot(lane int, slot int32, v uint64)
+	peekSlot(lane int, slot int32) uint64
+	peekOutput(lane, idx int) uint64
+	runBulk(spec kernel.RunSpec) (ran int, stopped bool, err error)
+}
 
 // Testbench is the transaction-level host frontend of §6.2 bound to one
-// [Session] or [Batch]: named-signal DMI ports resolved once to LI-tensor
-// coordinates, per-cycle stimulus drivers, and transaction helpers that
-// work identically over the scalar, partitioned, and multi-lane batch
-// engines. The per-cycle hot path is index-based — name maps are only
-// consulted when a [Port] is created.
+// [Session] or [Batch]: named-signal ports resolved once to LI-tensor
+// coordinates, a stimulus driver, and transaction helpers that work
+// identically over the scalar, partitioned, and multi-lane batch engines.
+// Every cycle it advances — [Testbench.Step], [Testbench.Run], [Port.Wait]
+// and the helpers built on it — is a bulk run of the bound engine with the
+// stimulus compiled into that run's poke plan; name maps are only consulted
+// when a [Port] is created.
 //
 // A testbench shares the state of the session or batch it is bound to and
 // inherits its concurrency contract: not safe for concurrent use.
 type Testbench struct {
-	d      *Design
-	lanes  []testbench.Lane
-	dmis   []*testbench.DMI
-	stim   Stimulus
-	inputs int
-	cycle  func() int64
-	// advance steps the bound session or batch one cycle (all lanes).
-	advance func() error
-	// bulk executes a multi-cycle run spec against the bound engine; the
-	// funnel [Testbench.Run] and port waits compile into.
-	bulk func(spec kernel.RunSpec) (ran int, stopped bool, err error)
+	d     *Design
+	dut   dut
+	lanes int
+	stim  Stimulus
 	// cancel is the probe installed by [Testbench.SetCancel], threaded into
 	// every bulk run as its [kernel.RunSpec.Cancel].
 	cancel func() bool
 }
 
-// ErrRunCanceled is returned by [Testbench.Run], [Port.Wait], and the
-// transaction helpers when the probe installed with [Testbench.SetCancel]
-// stops a run before it completes. The engine state is consistent — the
-// run ended at a cycle boundary every lane and partition crossed — and the
-// cycles completed before cancellation are reflected in [Testbench.Cycle],
-// so a canceled testbench remains usable.
+// ErrRunCanceled is returned by [Testbench.Step], [Testbench.Run],
+// [Port.Wait], and the transaction helpers when the probe installed with
+// [Testbench.SetCancel] stops a run before it completes. The engine state
+// is consistent — the run ended at a cycle boundary every lane and
+// partition crossed — and the cycles completed before cancellation are
+// reflected in [Testbench.Cycle], so a canceled testbench remains usable.
 var ErrRunCanceled = errors.New("sim: run canceled")
 
 // SetCancel installs a cancellation probe polled at coarse chunk
 // boundaries (every [kernel.CancelCheckCycles] cycles at most) during bulk
-// runs: when the probe returns true, the surrounding Run, Wait, Transact,
-// or Handshake stops at the next boundary and returns [ErrRunCanceled].
-// This is how a server threads a request context's deadline into a
-// resident engine run without putting a check in the per-cycle hot loop.
-// A nil probe clears it. The probe is polled from the calling goroutine
-// only, never from engine workers.
+// runs: when the probe returns true, the surrounding Step, Run, Wait,
+// Transact, or Handshake stops at the next boundary and returns
+// [ErrRunCanceled]. This is how a server threads a request context's
+// deadline into a resident engine run without putting a check in the
+// per-cycle hot loop. A nil probe clears it. The probe is polled from the
+// calling goroutine only, never from engine workers.
 func (tb *Testbench) SetCancel(probe func() bool) { tb.cancel = probe }
 
 // Testbench binds a transaction-level testbench to the session. The
 // session remains usable directly; the testbench drives it through the
-// same Step path (waveform capture and cycle counting included).
+// same bulk-run funnel [Session.Run] uses (waveform capture and cycle
+// counting included).
 func (s *Session) Testbench() *Testbench {
-	tb := &Testbench{
-		d:       s.d,
-		inputs:  len(s.d.tensor.InputSlots),
-		cycle:   func() int64 { return s.cycle },
-		advance: s.Step,
-		bulk:    s.runBulk,
-	}
-	tb.bind([]testbench.Lane{s.eng})
-	return tb
+	return &Testbench{d: s.d, dut: s, lanes: 1}
 }
 
 // Testbench binds a transaction-level testbench to the batch, exposing one
-// DMI lane per batch lane. Stepping is global — all lanes advance together
-// — while ports poke and peek individual lanes.
+// lane per batch lane. Stepping is global — all lanes advance together —
+// while ports poke and peek individual lanes.
 func (b *Batch) Testbench() *Testbench {
-	lanes := make([]testbench.Lane, b.Lanes())
-	for l := range lanes {
-		lanes[l] = batchLane{b: b.b, lane: l}
-	}
-	tb := &Testbench{
-		d:       b.d,
-		inputs:  len(b.d.tensor.InputSlots),
-		cycle:   func() int64 { return b.cycle },
-		advance: func() error { b.Step(); return nil },
-		bulk: func(spec kernel.RunSpec) (int, bool, error) {
-			ran, stopped := b.runBulk(spec)
-			return ran, stopped, nil
-		},
-	}
-	tb.bind(lanes)
-	return tb
+	return &Testbench{d: b.d, dut: b, lanes: b.Lanes()}
 }
 
-func (tb *Testbench) bind(lanes []testbench.Lane) {
-	tb.lanes = lanes
-	tb.dmis = make([]*testbench.DMI, len(lanes))
-	for l, lane := range lanes {
-		tb.dmis[l] = testbench.New(lane, tb.d.signals, tb.tick)
-		lane := l
-		tb.dmis[l].SetBulkRun(func(maxCycles int, sig kernel.Signal, pred func(uint64) bool) (int, bool, error) {
-			w := &kernel.Watch{Lane: lane, Slot: sig.Slot, OutIdx: -1, Pred: pred}
-			if sig.Kind == kernel.SignalOutput {
-				w.OutIdx = sig.Index
-			}
-			return tb.runBulk(maxCycles, w)
-		})
+// checkLane rejects a lane index outside [0, lanes).
+func checkLane(lane, lanes int) error {
+	if lane < 0 || lane >= lanes {
+		return fmt.Errorf("sim: lane %d out of range [0,%d)", lane, lanes)
 	}
-}
-
-// batchLane is the poke/peek surface of one batch lane.
-type batchLane struct {
-	b    *kernel.Batch
-	lane int
-}
-
-func (l batchLane) PokeInput(idx int, v uint64)   { l.b.PokeInput(l.lane, idx, v) }
-func (l batchLane) PeekOutput(idx int) uint64     { return l.b.PeekOutput(l.lane, idx) }
-func (l batchLane) PokeSlot(slot int32, v uint64) { l.b.PokeSlot(l.lane, slot, v) }
-func (l batchLane) PeekSlot(slot int32) uint64    { return l.b.PeekSlot(l.lane, slot) }
-
-// tick applies the stimulus (if any) to every lane, then advances the
-// bound simulation one cycle. It is the single step path shared by Step,
-// Run, Wait, and the transaction helpers.
-func (tb *Testbench) tick() error {
-	if tb.stim != nil {
-		c := tb.cycle()
-		for l, lane := range tb.lanes {
-			testbench.Apply(tb.stim, c, l, tb.inputs, lane)
-		}
-	}
-	return tb.advance()
+	return nil
 }
 
 // Lanes reports the number of drivable lanes (1 for a session).
-func (tb *Testbench) Lanes() int { return len(tb.lanes) }
+func (tb *Testbench) Lanes() int { return tb.lanes }
 
 // Cycle reports completed cycles of the bound session or batch.
-func (tb *Testbench) Cycle() int64 { return tb.cycle() }
+func (tb *Testbench) Cycle() int64 { return tb.dut.Cycle() }
 
 // Signals lists every resolvable signal name: primary inputs, primary
 // outputs, and architectural registers (by their design names).
@@ -169,13 +117,18 @@ func (tb *Testbench) Signals() []string { return tb.d.signals.Names() }
 // transaction-level driving, leave the stimulus unset.
 func (tb *Testbench) Drive(stim Stimulus) { tb.stim = stim }
 
-// Step advances one cycle: stimulus first, then the underlying Step.
-func (tb *Testbench) Step() error { return tb.tick() }
+// Step advances one cycle: a one-cycle [Testbench.Run], cancel probe
+// included. Prefer Run when nothing has to happen between cycles — a Step
+// pays the engine's dispatch, and its one-cycle poke plan, every cycle.
+func (tb *Testbench) Step() error {
+	_, _, err := tb.runBulk(1, nil)
+	return err
+}
 
 // Run advances n cycles as bulk engine runs: the installed stimulus is
 // compiled into per-cycle poke plans and executed inside the engine's run
 // loop, one dispatch per plan chunk instead of per cycle. Bit-identical to
-// n calls of [Testbench.Step].
+// poking the stimulus by hand before each of n single steps.
 func (tb *Testbench) Run(n int64) error {
 	for n > 0 {
 		k := min(n, int64(1)<<30)
@@ -194,14 +147,14 @@ const planBudget = 16384
 
 // runBulk advances up to n cycles through the bound engine's bulk path,
 // compiling the installed stimulus (if any) into scheduled poke plans —
-// value of (cycle, lane, input) at its absolute cycle, exactly what tick
-// would have poked — and threading the optional watch into the engine so
+// the value of (cycle, lane, input) written to the input's slot at its
+// absolute cycle — and threading the optional watch into the engine so
 // predicate checks happen inside the run loop.
 func (tb *Testbench) runBulk(n int, watch *kernel.Watch) (ran int, stopped bool, err error) {
 	inSlots := tb.d.tensor.InputSlots
 	chunk := n
 	if tb.stim != nil {
-		if per := len(tb.lanes) * tb.inputs; per > 0 {
+		if per := tb.lanes * len(inSlots); per > 0 {
 			chunk = max(planBudget/per, 1)
 		}
 	}
@@ -213,17 +166,17 @@ func (tb *Testbench) runBulk(n int, watch *kernel.Watch) (ran int, stopped bool,
 	for ran < n {
 		k := min(n-ran, chunk)
 		spec := kernel.RunSpec{Cycles: k, Watch: watch, Cancel: tb.cancel}
-		if tb.stim != nil && tb.inputs > 0 {
-			base := tb.cycle()
+		if tb.stim != nil && len(inSlots) > 0 {
+			base := tb.dut.Cycle()
 			if pokes == nil {
-				pokes = make([]kernel.PlannedPoke, 0, k*len(tb.lanes)*tb.inputs)
+				pokes = make([]kernel.PlannedPoke, 0, k*tb.lanes*len(inSlots))
 			}
 			pokes = pokes[:0]
 			for c := 0; c < k; c++ {
-				for l := range tb.lanes {
-					for i := 0; i < tb.inputs; i++ {
+				for l := 0; l < tb.lanes; l++ {
+					for i, slot := range inSlots {
 						pokes = append(pokes, kernel.PlannedPoke{
-							Cycle: c, Lane: l, Slot: inSlots[i],
+							Cycle: c, Lane: l, Slot: slot,
 							Value: tb.stim.Value(base+int64(c), l, i),
 						})
 					}
@@ -231,7 +184,7 @@ func (tb *Testbench) runBulk(n int, watch *kernel.Watch) (ran int, stopped bool,
 			}
 			spec.Pokes = pokes
 		}
-		r, s, err := tb.bulk(spec)
+		r, s, err := tb.dut.runBulk(spec)
 		ran += r
 		if err != nil || s {
 			return ran, s, err
@@ -255,14 +208,36 @@ func (tb *Testbench) Port(name string) (*Port, error) { return tb.PortLane(name,
 
 // PortLane resolves a named signal of one batch lane.
 func (tb *Testbench) PortLane(name string, lane int) (*Port, error) {
-	if lane < 0 || lane >= len(tb.lanes) {
-		return nil, fmt.Errorf("sim: lane %d out of range [0,%d)", lane, len(tb.lanes))
-	}
-	p, err := tb.dmis[lane].Port(name)
+	p, err := tb.port(name, lane)
 	if err != nil {
 		return nil, err
 	}
-	return &Port{p: p, lane: lane}, nil
+	return &p, nil
+}
+
+// port is [Testbench.PortLane] by value: the transaction helpers resolve
+// their signals through it without allocating.
+func (tb *Testbench) port(name string, lane int) (Port, error) {
+	if err := checkLane(lane, tb.lanes); err != nil {
+		return Port{}, err
+	}
+	sig, ok := tb.d.signals.Resolve(name)
+	if !ok {
+		return Port{}, fmt.Errorf("sim: no signal named %q", name)
+	}
+	return Port{tb: tb, lane: lane, sig: sig}, nil
+}
+
+// pokeAll writes each named signal of one lane.
+func (tb *Testbench) pokeAll(lane int, pokes map[string]uint64) error {
+	for name, v := range pokes {
+		p, err := tb.port(name, lane)
+		if err != nil {
+			return err
+		}
+		p.Poke(v)
+	}
+	return nil
 }
 
 // Transact runs one host transaction on lane 0: poke the request signals,
@@ -276,10 +251,14 @@ func (tb *Testbench) Transact(pokes map[string]uint64, resp string, ready func(u
 // TransactLane is [Testbench.Transact] against one batch lane. Stepping
 // advances every lane; the transaction pokes and observes only this one.
 func (tb *Testbench) TransactLane(lane int, pokes map[string]uint64, resp string, ready func(uint64) bool, maxCycles int) (uint64, error) {
-	if lane < 0 || lane >= len(tb.lanes) {
-		return 0, fmt.Errorf("sim: lane %d out of range [0,%d)", lane, len(tb.lanes))
+	if err := tb.pokeAll(lane, pokes); err != nil {
+		return 0, err
 	}
-	return tb.dmis[lane].Transact(pokes, resp, ready, maxCycles)
+	rp, err := tb.port(resp, lane)
+	if err != nil {
+		return 0, err
+	}
+	return rp.Wait(ready, maxCycles)
 }
 
 // Handshake completes one valid/ready transfer on lane 0: drive the valid
@@ -292,44 +271,79 @@ func (tb *Testbench) Handshake(valid string, pokes map[string]uint64, ready stri
 
 // HandshakeLane is [Testbench.Handshake] against one batch lane.
 func (tb *Testbench) HandshakeLane(lane int, valid string, pokes map[string]uint64, ready string, maxCycles int) (int, error) {
-	if lane < 0 || lane >= len(tb.lanes) {
-		return 0, fmt.Errorf("sim: lane %d out of range [0,%d)", lane, len(tb.lanes))
+	vp, err := tb.port(valid, lane)
+	if err != nil {
+		return 0, err
 	}
-	return tb.dmis[lane].Handshake(valid, pokes, ready, maxCycles)
+	if err := tb.pokeAll(lane, pokes); err != nil {
+		return 0, err
+	}
+	vp.Poke(1)
+	rp, err := tb.port(ready, lane)
+	if err != nil {
+		return 0, err
+	}
+	start := tb.Cycle()
+	_, err = rp.Wait(func(v uint64) bool { return v != 0 }, maxCycles)
+	// Drop valid on the timeout path too: a recoverable timeout must not
+	// leave the DUT consuming phantom beats on later cycles.
+	vp.Poke(0)
+	return int(tb.Cycle() - start), err
 }
 
 // Port is one named signal of one lane resolved to its LI-tensor
-// coordinate at construction: the index-based fast path for per-cycle
-// host↔DUT exchange. Ports of partitioned sessions route pokes to exactly
-// the partitions whose cones consume the signal and peeks to an
+// coordinate at construction: the index-based fast path for host↔DUT
+// exchange at cycle boundaries. Ports of partitioned sessions route pokes
+// to exactly the partitions whose cones consume the signal and peeks to an
 // authoritative partition, so transactions stay bit-identical to the
 // scalar engine.
 type Port struct {
-	p    *testbench.Port
+	tb   *Testbench
 	lane int
+	sig  kernel.Signal
 }
 
 // Name reports the signal name.
-func (p *Port) Name() string { return p.p.Name() }
+func (p *Port) Name() string { return p.sig.Name }
 
 // Lane reports which lane the port is bound to (0 for sessions).
 func (p *Port) Lane() int { return p.lane }
 
 // Kind reports whether the port is an input, output, or register.
-func (p *Port) Kind() string { return p.p.Signal().Kind.String() }
+func (p *Port) Kind() string { return p.sig.Kind.String() }
 
-// Poke writes the signal: inputs through the input fast path, registers
-// through their committed (Q) coordinate. Values are masked to the
-// signal's width.
-func (p *Port) Poke(v uint64) { p.p.Poke(v) }
+// Poke writes the signal's LI coordinate — the committed (Q) coordinate
+// for a register — masked to the signal's width.
+func (p *Port) Poke(v uint64) { p.tb.dut.pokeSlot(p.lane, p.sig.Slot, v) }
 
-// Peek reads the signal as of the last settle.
-func (p *Port) Peek() uint64 { return p.p.Peek() }
+// Peek reads the signal as of the last settle: an output from the sampled
+// outputs, an input or register from its LI coordinate.
+func (p *Port) Peek() uint64 {
+	if p.sig.Kind == kernel.SignalOutput {
+		return p.tb.dut.peekOutput(p.lane, p.sig.Index)
+	}
+	return p.tb.dut.peekSlot(p.lane, p.sig.Slot)
+}
 
 // Wait steps the whole testbench (stimulus included, if one is set) until
 // the predicate holds for the port's value, for at most maxCycles cycles,
-// and returns the accepted value. The port is sampled after each full
-// cycle; a nil predicate accepts the first. Timeout is an error.
+// and returns the accepted value. The wait is an engine-level bulk run (one
+// per poke-plan chunk while a stimulus is installed) that stops the cycle
+// the predicate accepts: the port is sampled after each full cycle, never
+// before the first, and the predicate is evaluated once per completed
+// cycle, in order. A nil predicate accepts the first cycle. Timeout is an
+// error.
 func (p *Port) Wait(pred func(uint64) bool, maxCycles int) (uint64, error) {
-	return p.p.Wait(pred, maxCycles)
+	w := kernel.Watch{Lane: p.lane, Slot: p.sig.Slot, OutIdx: -1, Pred: pred}
+	if p.sig.Kind == kernel.SignalOutput {
+		w.OutIdx = p.sig.Index
+	}
+	_, stopped, err := p.tb.runBulk(maxCycles, &w)
+	if err != nil {
+		return 0, err
+	}
+	if !stopped {
+		return 0, fmt.Errorf("sim: wait on %q timed out after %d cycles", p.sig.Name, maxCycles)
+	}
+	return p.Peek(), nil
 }

@@ -2,9 +2,11 @@ package sim_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
+	"rteaal/internal/dfg"
 	"rteaal/internal/kernel"
 	"rteaal/sim"
 )
@@ -468,6 +470,12 @@ func TestTestbenchCancel(t *testing.T) {
 			if at > kernel.CancelCheckCycles {
 				t.Fatalf("overshoot: cancelled after %d cycles, bound is %d", at, kernel.CancelCheckCycles)
 			}
+			// Step is a one-cycle run: with the probe still true it is
+			// canceled before its cycle, like Run(1).
+			if err := tb.Step(); err != sim.ErrRunCanceled || tb.Cycle() != at {
+				t.Fatalf("Step under a tripped probe: err %v, cycle %d -> %d; want ErrRunCanceled and no advance",
+					err, at, tb.Cycle())
+			}
 
 			// The prefix is consistent and the testbench still works: clear
 			// the probe, finish the run, and the counter shows every cycle.
@@ -486,5 +494,219 @@ func TestTestbenchCancel(t *testing.T) {
 				t.Fatalf("count after resume = %d, want %d", got, want)
 			}
 		})
+	}
+}
+
+// echoGraph: out_ready goes high one cycle after in_valid, echoing in_data.
+func echoGraph() *dfg.Graph {
+	g := &dfg.Graph{Name: "echo"}
+	valid := g.AddInput("in_valid", 1)
+	data := g.AddInput("in_data", 16)
+	rv := g.AddReg("rv", 1, 0)
+	rd := g.AddReg("rd", 16, 0)
+	g.SetRegNext(rv, valid)
+	g.SetRegNext(rd, data)
+	g.AddOutput("out_ready", rv)
+	g.AddOutput("out_data", rd)
+	return g
+}
+
+// stuckGraph is a DUT whose ready never rises — out_ready mirrors a register
+// stuck at 0 — and whose in_valid no cone consumes, so on a partitioned
+// session the poke has no user partition to route to.
+func stuckGraph() *dfg.Graph {
+	g := &dfg.Graph{Name: "stuck"}
+	g.AddInput("in_valid", 1)
+	z := g.AddReg("rz", 1, 0)
+	g.SetRegNext(z, g.AddConst(0, 1))
+	g.AddOutput("out_ready", z)
+	return g
+}
+
+// TestPortLayer holds the port layer — ports, waits, transactions,
+// handshakes — to one table of behaviours on every shape a testbench binds
+// to: a session, a partitioned session, and one inner lane of a wide and of
+// a bit-packed batch. Everything here runs on the path users reach: each
+// wait is one engine-level run with a watch.
+func TestPortLayer(t *testing.T) {
+	shapes := []struct {
+		name   string
+		lanes  int // 0: a session
+		packed bool
+		opts   []sim.Option
+	}{
+		{name: "session"},
+		{name: "partitioned", opts: []sim.Option{sim.WithPartitions(2)}},
+		{name: "batch-wide", lanes: 3, opts: []sim.Option{sim.WithBatchPacking(false)}},
+		{name: "batch-packed", lanes: 3, packed: true},
+	}
+	// port resolves a signal that must exist.
+	port := func(t *testing.T, tb *sim.Testbench, name string, lane int) *sim.Port {
+		t.Helper()
+		p, err := tb.PortLane(name, lane)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, row := range []struct {
+		name  string
+		graph func() *dfg.Graph
+		check func(t *testing.T, tb *sim.Testbench, lane int)
+	}{
+		{"transact", echoGraph, func(t *testing.T, tb *sim.Testbench, lane int) {
+			got, err := tb.TransactLane(lane,
+				map[string]uint64{"in_valid": 1, "in_data": 0xBEEF},
+				"out_ready", func(v uint64) bool { return v == 1 }, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != 1 {
+				t.Fatalf("ready = %d", got)
+			}
+			if data := port(t, tb, "out_data", lane).Peek(); data != 0xBEEF {
+				t.Fatalf("echoed data = %#x", data)
+			}
+			// The transaction poked one lane; its neighbours saw nothing.
+			for l := 0; l < tb.Lanes(); l++ {
+				if data := port(t, tb, "out_data", l).Peek(); l != lane && data != 0 {
+					t.Fatalf("lane %d echoed %#x from lane %d's transaction", l, data, lane)
+				}
+			}
+		}},
+		{"register_port", echoGraph, func(t *testing.T, tb *sim.Testbench, lane int) {
+			// Registers resolve by name to their Q coordinate.
+			rd := port(t, tb, "rd", lane)
+			if rd.Kind() != "register" || rd.Name() != "rd" || rd.Lane() != lane {
+				t.Fatalf("rd resolved as kind=%s name=%s lane=%d", rd.Kind(), rd.Name(), rd.Lane())
+			}
+			rd.Poke(0x1234)
+			if got := rd.Peek(); got != 0x1234 {
+				t.Fatalf("poked register reads %#x", got)
+			}
+			if err := tb.Step(); err != nil {
+				t.Fatal(err)
+			}
+			// The poked Q value fed that cycle's settle — out_data samples
+			// rd — and the commit then reloaded rd from in_data (0).
+			if got := port(t, tb, "out_data", lane).Peek(); got != 0x1234 {
+				t.Fatalf("out_data after the poked cycle = %#x", got)
+			}
+			if got := rd.Peek(); got != 0 {
+				t.Fatalf("rd after recommit = %#x", got)
+			}
+		}},
+		{"errors", echoGraph, func(t *testing.T, tb *sim.Testbench, lane int) {
+			if _, err := tb.PortLane("nope", lane); err == nil || !strings.Contains(err.Error(), `"nope"`) {
+				t.Errorf("unknown signal accepted for port: %v", err)
+			}
+			if _, err := tb.TransactLane(lane, map[string]uint64{"nope": 1}, "out_ready", nil, 3); err == nil {
+				t.Error("unknown signal accepted for poke")
+			}
+			if _, err := tb.TransactLane(lane, nil, "nope", nil, 3); err == nil {
+				t.Error("unknown signal accepted for peek")
+			}
+			if tb.Cycle() != 0 {
+				t.Errorf("rejected transactions advanced %d cycles", tb.Cycle())
+			}
+			_, err := tb.TransactLane(lane, map[string]uint64{"in_valid": 0}, "out_ready",
+				func(v uint64) bool { return v == 7 }, 3)
+			if err == nil || !strings.Contains(err.Error(), "timed out") {
+				t.Errorf("timeout not reported: %v", err)
+			}
+			if tb.Cycle() != 3 {
+				t.Errorf("timed-out transaction ran %d cycles, want 3", tb.Cycle())
+			}
+		}},
+		{"handshake", echoGraph, func(t *testing.T, tb *sim.Testbench, lane int) {
+			cycles, err := tb.HandshakeLane(lane, "in_valid", map[string]uint64{"in_data": 77}, "out_ready", 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Outputs are sampled at settle, before the commit of the same
+			// cycle, so the registered ready is observed two cycles after
+			// valid asserts.
+			if cycles != 2 {
+				t.Fatalf("echo handshake took %d cycles, want 2", cycles)
+			}
+			if port(t, tb, "in_valid", lane).Peek() != 0 {
+				t.Fatal("valid still asserted after handshake")
+			}
+			if _, err := tb.HandshakeLane(lane, "nope", nil, "out_ready", 5); err == nil {
+				t.Fatal("unknown valid signal accepted")
+			}
+		}},
+		// A timed-out handshake must not leave valid asserted, or later
+		// cycles would consume phantom beats.
+		{"handshake_timeout_drops_valid", stuckGraph, func(t *testing.T, tb *sim.Testbench, lane int) {
+			cycles, err := tb.HandshakeLane(lane, "in_valid", nil, "out_ready", 3)
+			if err == nil || !strings.Contains(err.Error(), "timed out") {
+				t.Fatalf("stuck handshake did not time out: %v", err)
+			}
+			if cycles != 3 {
+				t.Fatalf("timed-out handshake reports %d cycles, want 3", cycles)
+			}
+			if port(t, tb, "in_valid", lane).Peek() != 0 {
+				t.Fatal("valid still asserted after handshake timeout")
+			}
+		}},
+		{"signals", echoGraph, func(t *testing.T, tb *sim.Testbench, _ int) {
+			want := []string{"in_data", "in_valid", "out_data", "out_ready", "rd", "rv"}
+			if names := tb.Signals(); !slices.Equal(names, want) {
+				t.Fatalf("Signals() = %v, want %v", names, want)
+			}
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			for _, sh := range shapes {
+				t.Run(sh.name, func(t *testing.T) {
+					d, err := sim.CompileGraph(row.graph(), sh.opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if sh.lanes == 0 {
+						s := d.NewSession()
+						defer s.Close()
+						row.check(t, s.Testbench(), 0)
+						return
+					}
+					b, err := d.NewBatch(sh.lanes)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer b.Close()
+					if b.Packed() != sh.packed {
+						t.Fatalf("batch packed = %v, want %v", b.Packed(), sh.packed)
+					}
+					row.check(t, b.Testbench(), 1)
+				})
+			}
+		})
+	}
+}
+
+// TestTestbenchAllocs pins what the port layer allocates: binding a
+// testbench costs the same for 256 lanes as for one, resolving a port
+// allocates the port, and a transaction allocates no port at all.
+func TestTestbenchAllocs(t *testing.T) {
+	d, err := sim.CompileGraph(echoGraph())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := d.NewBatch(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(10, func() { _ = b.Testbench() }); n > 8 {
+		t.Errorf("Batch(256).Testbench() allocates %v times, want at most 8", n)
+	}
+	tb := d.NewSession().Testbench()
+	if n := testing.AllocsPerRun(100, func() { _, _ = tb.Port("rd") }); n > 1 {
+		t.Errorf("Port allocates %v times, want at most 1", n)
+	}
+	pokes := map[string]uint64{"in_valid": 1}
+	accept := func(uint64) bool { return true }
+	if n := testing.AllocsPerRun(100, func() { _, _ = tb.Transact(pokes, "out_ready", accept, 4) }); n > 2 {
+		t.Errorf("Transact with one poke allocates %v times, want at most 2", n)
 	}
 }
