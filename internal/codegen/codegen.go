@@ -125,8 +125,11 @@ func KernelProgram(t *oim.Tensor, kind kernel.Kind, scale int) (*Program, error)
 		FetchDiscount: 1.0,
 	}
 
+	// The streams replay the tensor through two derived views: the
+	// [I,S,N,O,R] arrays (one entry per operation) and the per-(layer,
+	// type) counts of the swizzled order.
 	opt := t.Lower(true)
-	sw := t.LowerSwizzled()
+	npayload := t.NPayload()
 	numSigs := len(t.OpTable)
 	sc := int64(scale) // code bodies are design-size-independent, so the
 	// replayed (scaled-cache) build shrinks them to preserve ratios
@@ -147,13 +150,34 @@ func KernelProgram(t *oim.Tensor, kind kernel.Kind, scale int) (*Program, error)
 
 	// Data-segment layout after LI and LO.
 	liBytes := int64(t.NumSlots) * 8
-	loBytes := int64(maxLayerOps(t)) * 8
+	loBytes := int64(t.MaxLayerOps()) * 8
 	metaBase := uint64(liBase) + uint64(liBytes+loBytes)
 	sBase := metaBase                           // SCoord: 4B entries
 	nBase := sBase + uint64(4*len(opt.SCoord))  // NCoord: 2B
 	rBase := nBase + uint64(2*len(opt.NCoord))  // RCoord: 4B
 	npBase := rBase + uint64(4*len(opt.RCoord)) // swizzled NPayload: 4B
-	metaEnd := npBase + uint64(4*len(sw.NPayload))
+	metaEnd := npBase + uint64(4*len(npayload))
+
+	// replay emits count operations of one type reading the R coordinate
+	// stream at ri, results staged in LO; writeBack emits the pass that
+	// copies operations [from, to) of a layer from LO to their S coordinates.
+	replay := func(sink EventSink, count, arity, ri int) int {
+		for k := 0; k < count; k++ {
+			for o := 0; o < arity; o++ {
+				sink.LoadSeq(rBase + uint64(4*ri))
+				sink.Load(uint64(liBase) + uint64(opt.RCoord[ri])*8)
+				ri++
+			}
+			sink.Store(uint64(liBase) + uint64(liBytes) + uint64(8*k))
+		}
+		return ri
+	}
+	writeBack := func(sink EventSink, from, to int) {
+		for k := from; k < to; k++ {
+			sink.LoadSeq(sBase + uint64(4*k))
+			sink.Store(uint64(liBase) + uint64(opt.SCoord[k])*8)
+		}
+	}
 
 	switch kind {
 	case kernel.RU, kernel.OU:
@@ -164,124 +188,85 @@ func KernelProgram(t *oim.Tensor, kind kernel.Kind, scale int) (*Program, error)
 		}
 		p.TextBytes = runtimeBytes + body
 		p.FullTextBytes = p.TextBytes
-		fetchBody := body / sc
-		if fetchBody < 16 {
-			fetchBody = 16
-		}
+		fetchBody := max(body/sc, 16)
 		padLoads := loadsPerOp[name] - 5.2 // explicit loads emitted below
 		p.Stream = func(sink EventSink) {
 			k, r := 0, 0
-			for i := range t.Layers {
+			for _, n := range opt.IPayload {
 				sink.Fetch(codeBase, fetchBody) // loop body stays resident
 				base := k
-				for s, op := range t.Layers[i] {
+				for s := 0; s < int(n); s++ {
 					sink.LoadSeq(nBase + uint64(2*k))
 					sink.LoadSeq(sBase + uint64(4*k))
-					for _, arg := range op.Args {
+					for end := r + int(t.OpTable[opt.NCoord[k]].Arity); r < end; r++ {
 						sink.LoadSeq(rBase + uint64(4*r))
-						sink.Load(uint64(liBase) + uint64(arg)*8)
-						r++
+						sink.Load(uint64(liBase) + uint64(opt.RCoord[r])*8)
 					}
 					sink.Store(uint64(liBase) + uint64(liBytes) + uint64(8*s))
 					k++
 				}
-				// Write-back pass.
-				for s, op := range t.Layers[i] {
-					sink.LoadSeq(sBase + uint64(4*(base+s)))
-					sink.Store(uint64(liBase) + uint64(op.Out)*8)
-				}
+				writeBack(sink, base, k)
 				sink.Branch(codeBase+1, true) // layer back-edge
 			}
 			sink.HotLoad(padLoads * ops)
 			sink.Exec(p.InstPerCycle - padLoads*ops - 5.2*ops)
 		}
 	case kernel.NU, kernel.PSU:
-		p.DataBytes = liBytes + loBytes + int64(4*len(opt.SCoord)+4*len(sw.RCoord)+4*len(sw.NPayload))
+		p.DataBytes = liBytes + loBytes + int64(4*len(opt.SCoord)+4*len(opt.RCoord)+4*len(npayload))
 		group := int64(nuGroupBytes)
 		if kind == kernel.PSU {
 			group = psuGroupBytes
 		}
 		p.TextBytes = runtimeBytes + numBodies*group
 		p.FullTextBytes = p.TextBytes
-		fetchGroup := group / sc
-		if fetchGroup < 16 {
-			fetchGroup = 16
-		}
+		fetchGroup := max(group/sc, 16)
 		padLoads := loadsPerOp[name] - 4.1
 		p.Stream = func(sink EventSink) {
-			ri := 0
-			for i := range t.Layers {
+			ri, base := 0, 0
+			for i, n := range opt.IPayload {
 				for sig := 0; sig < numSigs; sig++ {
 					sink.LoadSeq(npBase + uint64(4*(i*numSigs+sig)))
-					count := int(sw.NPayload[i*numSigs+sig])
+					count := int(npayload[i*numSigs+sig])
 					if count == 0 {
 						continue
 					}
 					sink.Fetch(codeBase+bodyIdx[sig]*uint64(fetchGroup), fetchGroup)
-					for k := 0; k < count; k++ {
-						ar := int(t.OpTable[sig].Arity)
-						for o := 0; o < ar; o++ {
-							sink.LoadSeq(rBase + uint64(4*ri))
-							sink.Load(uint64(liBase) + uint64(sw.RCoord[ri])*8)
-							ri++
-						}
-						sink.Store(uint64(liBase) + uint64(liBytes) + uint64(8*k))
-					}
+					ri = replay(sink, count, int(t.OpTable[sig].Arity), ri)
 					sink.Branch(codeBase+uint64(sig), true)
 				}
-				// Write-back.
-				base := layerStart(t, i)
-				for s, op := range t.Layers[i] {
-					sink.LoadSeq(sBase + uint64(4*(base+s)))
-					sink.Store(uint64(liBase) + uint64(op.Out)*8)
-				}
+				writeBack(sink, base, base+int(n))
+				base += int(n)
 			}
 			sink.HotLoad(padLoads * ops)
 			sink.Exec(p.InstPerCycle - padLoads*ops - 4.1*ops)
 		}
 	case kernel.IU:
 		segments := int64(0)
-		for i := range t.Layers {
-			for sig := 0; sig < numSigs; sig++ {
-				if sw.NPayload[i*numSigs+sig] != 0 {
-					segments++
-				}
+		for _, count := range npayload {
+			if count != 0 {
+				segments++
 			}
 		}
-		p.DataBytes = liBytes + loBytes + int64(4*len(opt.SCoord)+4*len(sw.RCoord))
+		p.DataBytes = liBytes + loBytes + int64(4*len(opt.SCoord)+4*len(opt.RCoord))
 		p.TextBytes = runtimeBytes + segments*iuSegmentBytes
 		p.FullTextBytes = p.TextBytes
-		segFetch := int64(iuSegmentBytes) / sc
-		if segFetch < 16 {
-			segFetch = 16
-		}
+		segFetch := max(int64(iuSegmentBytes)/sc, 16)
 		padLoads := loadsPerOp["IU"] - 4.1
 		p.Stream = func(sink EventSink) {
-			ri := 0
+			ri, base := 0, 0
 			var seg uint64
-			for i := range t.Layers {
+			for i, n := range opt.IPayload {
 				for sig := 0; sig < numSigs; sig++ {
-					count := int(sw.NPayload[i*numSigs+sig])
+					count := int(npayload[i*numSigs+sig])
 					if count == 0 {
 						continue
 					}
 					sink.Fetch(codeBase+seg*uint64(segFetch), segFetch)
 					seg++
-					for k := 0; k < count; k++ {
-						ar := int(t.OpTable[sig].Arity)
-						for o := 0; o < ar; o++ {
-							sink.LoadSeq(rBase + uint64(4*ri))
-							sink.Load(uint64(liBase) + uint64(sw.RCoord[ri])*8)
-							ri++
-						}
-						sink.Store(uint64(liBase) + uint64(liBytes) + uint64(8*k))
-					}
+					ri = replay(sink, count, int(t.OpTable[sig].Arity), ri)
 				}
-				base := layerStart(t, i)
-				for s := range t.Layers[i] {
-					sink.LoadSeq(sBase + uint64(4*(base+s)))
-					sink.Store(uint64(liBase) + uint64(t.Layers[i][s].Out)*8)
-				}
+				writeBack(sink, base, base+int(n))
+				base += int(n)
 			}
 			sink.HotLoad(padLoads * ops)
 			sink.Exec(p.InstPerCycle - padLoads*ops - 4.1*ops)
@@ -295,25 +280,27 @@ func KernelProgram(t *oim.Tensor, kind kernel.Kind, scale int) (*Program, error)
 		direct := kind == kernel.TI
 		p.Stream = func(sink EventSink) {
 			var pc uint64 = codeBase
-			for i := range t.Layers {
-				for s := range t.Layers[i] {
-					op := &t.Layers[i][s]
+			k, r := 0, 0
+			for _, n := range opt.IPayload {
+				base := k
+				for s := 0; s < int(n); s++ {
 					sink.Fetch(pc, int64(perOp))
 					pc += uint64(perOp)
-					for _, arg := range op.Args {
-						sink.Load(uint64(liBase) + uint64(arg)*8)
+					for end := r + int(t.OpTable[opt.NCoord[k]].Arity); r < end; r++ {
+						sink.Load(uint64(liBase) + uint64(opt.RCoord[r])*8)
 					}
 					if direct {
-						sink.Store(uint64(liBase) + uint64(op.Out)*8)
+						sink.Store(uint64(liBase) + uint64(opt.SCoord[k])*8)
 					} else {
 						sink.Store(uint64(liBase) + uint64(liBytes) + uint64(8*s))
 					}
+					k++
 				}
 				if !direct { // SU keeps the unrolled write-back
-					for s := range t.Layers[i] {
+					for _, out := range opt.SCoord[base:k] {
 						sink.Fetch(pc, 8)
 						pc += 8
-						sink.Store(uint64(liBase) + uint64(t.Layers[i][s].Out)*8)
+						sink.Store(uint64(liBase) + uint64(out)*8)
 					}
 				}
 			}
@@ -324,24 +311,6 @@ func KernelProgram(t *oim.Tensor, kind kernel.Kind, scale int) (*Program, error)
 		return nil, fmt.Errorf("codegen: unknown kernel %v", kind)
 	}
 	return p, nil
-}
-
-func layerStart(t *oim.Tensor, layer int) int {
-	n := 0
-	for i := 0; i < layer; i++ {
-		n += len(t.Layers[i])
-	}
-	return n
-}
-
-func maxLayerOps(t *oim.Tensor) int {
-	m := 0
-	for _, l := range t.Layers {
-		if len(l) > m {
-			m = len(l)
-		}
-	}
-	return m
 }
 
 // BaselineProgram lowers a Verilator- or ESSENT-style simulator.

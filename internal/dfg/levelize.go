@@ -18,7 +18,7 @@ import (
 // The same assignment elides the write-back: inside a layer, operations are
 // numbered grouped by N coordinate, so the swizzled [I,N,S,O,R] traversal
 // visits S in ascending, consecutive order and the k-th output of a layer
-// already is its LI coordinate (see oim.Swizzled).
+// already is its LI coordinate (see oim.Run).
 type Levelized struct {
 	G         *Graph
 	NumLayers int

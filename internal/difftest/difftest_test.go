@@ -286,19 +286,21 @@ func inlinedAtRunBoundary(t *testing.T, c *Case) bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inlined := func(op oim.Op) bool {
-		switch ten.OpTable[op.Sig].Op {
+	inlined := func(r oim.Run) bool {
+		switch ten.OpTable[r.Sig].Op {
 		case wire.Bits, wire.Cat, wire.Mux:
 			return true
 		}
 		return false
 	}
-	for _, layer := range ten.Layers {
-		for k := 1; k < len(layer); k++ {
-			if layer[k].Sig != layer[k-1].Sig && inlined(layer[k-1]) && inlined(layer[k]) {
+	start := 0
+	for _, end := range ten.LayerEnds {
+		for ru := start + 1; ru < int(end); ru++ {
+			if inlined(ten.Runs[ru-1]) && inlined(ten.Runs[ru]) {
 				return true
 			}
 		}
+		start = int(end)
 	}
 	return false
 }

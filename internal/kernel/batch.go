@@ -409,7 +409,7 @@ func (b *Batch) runBulkOnce(spec RunSpec) (ran int, stopped bool) {
 }
 
 // SettleReference evaluates every lane through the spec: the tensor's
-// layers in order, each operation's operands gathered per lane and handed to
+// operations in order, each one's operands gathered per lane and handed to
 // [wire.Eval]. It shares no code with the schedule it is the parity oracle
 // for — no tape, no operand binding, no mask elision, no loop bodies — and is
 // the baseline the benchmark's kernel.batch_reference_lane_cycles_per_s
@@ -421,19 +421,17 @@ func (b *Batch) SettleReference() {
 		panic("kernel: the reference oracle runs on wide batches only")
 	}
 	li := b.li
-	var args []uint64
-	for _, layer := range b.t.Layers {
-		for _, op := range layer {
-			code, out, mask := b.t.OpTable[op.Sig].Op, li[op.Out], b.t.Masks[op.Out]
-			for l := range out {
-				args = args[:0]
-				for _, a := range op.Args {
-					args = append(args, li[a][l])
-				}
-				out[l] = wire.Eval(code, args, mask)
+	var vals []uint64
+	b.t.Ops(func(_ int, sig uint16, s int32, args []int32) {
+		code, out, mask := b.t.OpTable[sig].Op, li[s], b.t.Masks[s]
+		for l := range out {
+			vals = vals[:0]
+			for _, a := range args {
+				vals = append(vals, li[a][l])
 			}
+			out[l] = wire.Eval(code, vals, mask)
 		}
-	}
+	})
 	lanes := b.lanes
 	for i, slot := range b.t.OutputSlots {
 		copy(b.outs[i*lanes:(i+1)*lanes], li[slot])

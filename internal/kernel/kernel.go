@@ -27,7 +27,7 @@
 // is wire.Eval / wire.Eval3, two entry points of one switch
 // (internal/wire/wire.go): RU, OU, SU, TI, every fallback and the batch
 // oracle (Batch.StepReference: the spec, lane by lane, over the
-// tensor's layers) evaluate through it. Three files here keep bodies of
+// tensor's operations) evaluate through it. Three files here keep bodies of
 // their own: swizzled.go and psu_iu.go (runGroup, runGroup8), because
 // hoisting the operation dispatch out of the S loop is NU/PSU/IU; and
 // batch_sched.go, whose fitsMask decides when a result needs no mask, next
@@ -142,16 +142,6 @@ func newState(t *oim.Tensor) state {
 	return s
 }
 
-// newLO allocates the layer-output buffer of the kernels that stage a
-// layer's results before writing them back (RU, OU, SU).
-func newLO(t *oim.Tensor) []uint64 {
-	maxLayer := 0
-	for _, l := range t.Layers {
-		maxLayer = max(maxLayer, len(l))
-	}
-	return make([]uint64, maxLayer)
-}
-
 func (s *state) Reset() {
 	for i := range s.li {
 		s.li[i] = 0
@@ -205,19 +195,22 @@ func (s *state) RegSnapshot() []uint64 {
 	return out
 }
 
-// engine is the one scalar engine type: the state, the kind, and copies of
-// that kind's read-only lowering pointers from the [Program]. The copies are
+// engine is the one scalar engine type: the state, the kind, and its own
+// slice headers for what that kind walks — the tensor's run list and R
+// coordinates, or a lowering held by the [Program]. The copies are
 // deliberate: runGroup reloads them once per run, and reaching them through
-// *Program instead costs designs that lower to many short runs (RepCut
+// the tensor or *Program instead costs designs with many short runs (RepCut
 // sub-tensors) two dependent loads per run.
 type engine struct {
 	state
 	kind      Kind
-	a         *oim.Arrays   // RU, OU
-	sw        *oim.Swizzled // NU, PSU, IU
-	tape      []tapeOp      // SU, TI
-	layerEnds []int         // SU
-	lo        []uint64      // RU, OU, SU
+	a         *oim.Arrays // RU, OU
+	runs      []oim.Run   // NU, PSU, IU: the tensor's Runs
+	rc        []int32     // NU, PSU, IU: the tensor's RCoord
+	npayload  []int32     // NU, PSU
+	tape      []tapeOp    // SU, TI
+	layerEnds []int       // SU
+	lo        []uint64    // RU, OU, SU
 }
 
 // settleLoops is the §5.2 ladder: one combinational pass per kind, each in

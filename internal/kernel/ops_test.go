@@ -50,8 +50,8 @@ func checkOneOpDesign(t *testing.T, op wire.Op, arity, w, opw, copies int) {
 		g.AddOutput(fmt.Sprintf("y%d", c), g.AddOp(op, w, args...))
 	}
 	ten := buildTensor(t, g)
-	if ten.TotalOps() != copies || len(ten.Layers) != 1 {
-		t.Fatalf("%v: lowered to %d operations in %d layers, want %d in 1", op, ten.TotalOps(), len(ten.Layers), copies)
+	if ten.TotalOps() != copies || ten.NumLayers() != 1 {
+		t.Fatalf("%v: lowered to %d operations in %d layers, want %d in 1", op, ten.TotalOps(), ten.NumLayers(), copies)
 	}
 
 	mask, opMask := wire.Mask(w), wire.Mask(opw)

@@ -8,8 +8,9 @@ import (
 )
 
 // Program is the immutable, shareable half of a kernel: the OIM tensor plus
-// whatever read-only lowering the selected configuration consults at runtime
-// (coordinate arrays, the swizzled format, or the SU/TI tape). Building a
+// whatever the selected configuration derives from it to consult at runtime
+// (the coordinate arrays for RU/OU, the SU/TI tape; NU, PSU and IU walk the
+// tensor's own arrays, NU and PSU with its (layer, type) counts). Building a
 // Program does all the per-design work once; Instantiate then mints any
 // number of independent engines whose mutable state (the LI values, staged
 // register commits, sampled outputs, and — for the kernels that keep one —
@@ -20,10 +21,10 @@ type Program struct {
 	t   *oim.Tensor
 	cfg Config
 
-	arrays    *oim.Arrays   // RU, OU
-	sw        *oim.Swizzled // NU, PSU, IU
-	tape      []tapeOp      // SU, TI
-	layerEnds []int         // SU (TI ignores them)
+	arrays    *oim.Arrays // RU, OU
+	npayload  []int32     // NU, PSU
+	tape      []tapeOp    // SU, TI
+	layerEnds []int       // SU (TI ignores them)
 
 	// batchSched is the wide batch-specialised schedule and packSched its
 	// bit-packed sibling; each is compiled lazily once per program and
@@ -43,8 +44,9 @@ func NewProgram(t *oim.Tensor, cfg Config) (*Program, error) {
 	switch cfg.Kind {
 	case RU, OU:
 		p.arrays = t.Lower(!cfg.UnoptimizedFormat)
-	case NU, PSU, IU:
-		p.sw = t.LowerSwizzled()
+	case NU, PSU:
+		p.npayload = t.NPayload()
+	case IU: // walks the tensor's run list and nothing else
 	case SU, TI:
 		p.tape, p.layerEnds = buildTape(t)
 	default:
@@ -63,9 +65,10 @@ func (p *Program) Tensor() *oim.Tensor { return p.t }
 // shared read-only program. Engines from one program may be stepped from
 // different goroutines concurrently; a single engine may not.
 func (p *Program) Instantiate() Engine {
-	e := &engine{state: newState(p.t), kind: p.cfg.Kind, a: p.arrays, sw: p.sw, tape: p.tape, layerEnds: p.layerEnds}
+	e := &engine{state: newState(p.t), kind: p.cfg.Kind, a: p.arrays,
+		runs: p.t.Runs, rc: p.t.RCoord, npayload: p.npayload, tape: p.tape, layerEnds: p.layerEnds}
 	if e.kind == RU || e.kind == OU || e.kind == SU {
-		e.lo = newLO(p.t)
+		e.lo = make([]uint64, p.t.MaxLayerOps())
 	}
 	return e
 }

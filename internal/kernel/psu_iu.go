@@ -13,7 +13,7 @@ const psuComputeUnroll = 8
 // loop for the highest-frequency 2-operand operation types; the remainder
 // and all other types fall through to the shared rolled group runner.
 func (e *engine) runGroup8(op wire.Op, arity, out, count, ri int) int {
-	li, rc := e.li, e.sw.RCoord
+	li, rc := e.li, e.rc
 	dst, masks := li[out:out+count], e.t.Masks[out:out+count]
 	k := 0
 	switch op {
@@ -73,13 +73,13 @@ func (e *engine) runGroup8(op wire.Op, arity, out, count, ri int) int {
 }
 
 func (e *engine) settlePSU() {
-	sw := e.sw
+	numSigs := len(e.t.OpTable)
 	ru, ri := 0, 0
-	for i := 0; i < len(e.t.Layers); i++ {
-		for sig := 0; sig < sw.NumSigs; sig++ {
+	for i := 0; i < len(e.t.LayerEnds); i++ {
+		for sig := 0; sig < numSigs; sig++ {
 			s := e.t.OpTable[sig]
-			for left := sw.NPayload[i*sw.NumSigs+sig]; left > 0; ru++ {
-				r := sw.Runs[ru]
+			for left := e.npayload[i*numSigs+sig]; left > 0; ru++ {
+				r := e.runs[ru]
 				ri = e.runGroup8(s.Op, int(s.Arity), int(r.First), int(r.Count), ri)
 				left -= r.Count
 			}
@@ -87,13 +87,13 @@ func (e *engine) settlePSU() {
 	}
 }
 
-// settleIU fully unrolls the I rank on top of PSU's S-unrolling: the run
-// list of the swizzled format already names every non-empty (layer, type)
+// settleIU fully unrolls the I rank on top of PSU's S-unrolling: the
+// tensor's run list already names every non-empty (layer, type)
 // stretch, so the settle loop walks it directly and never visits a group
 // with zero operations (§5.2 IU).
 func (e *engine) settleIU() {
 	ri := 0
-	for _, r := range e.sw.Runs {
+	for _, r := range e.runs {
 		s := e.t.OpTable[r.Sig]
 		ri = e.runGroup8(s.Op, int(s.Arity), int(r.First), int(r.Count), ri)
 	}

@@ -1,8 +1,10 @@
 package kernel
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"rteaal/internal/oim"
 )
@@ -36,72 +38,80 @@ func (k SignalKind) String() string {
 // Signal is the compile-time resolution of a signal name: the LI coordinate
 // it lives at, its width mask, and the port index for the index-based fast
 // paths. Resolving once and driving by Slot/Index is what keeps per-cycle
-// host↔DUT exchange (§6.2) off the name maps.
+// host↔DUT exchange (§6.2) off the name table.
 type Signal struct {
 	Name string
-	Kind SignalKind
+	// Mask is the signal's width mask; pokes are masked to it.
+	Mask uint64
 	// Index is the position within the signal's class: the PokeInput index
 	// for inputs, the PeekOutput index for outputs, the RegSlots index for
 	// registers.
 	Index int
 	// Slot is the readable LI coordinate (the Q coordinate for registers).
 	Slot int32
-	// Mask is the signal's width mask; pokes are masked to it.
-	Mask uint64
+	Kind SignalKind
 }
 
-// SignalMap resolves signal names of one design to LI coordinates. Built
-// once per tensor by [NewSignalMap] (sim keeps it on the Design, behind
+// SignalMap resolves signal names of one design to LI coordinates: its
+// signals sorted by (name, kind), searched by bisection. Built once per
+// tensor by [NewSignalMap] (sim keeps it on the Design, behind
 // Design.Signals) and read-only thereafter, so any number of concurrent
 // sessions may share it.
-type SignalMap struct {
-	byName map[string]Signal
-	names  []string // sorted, for stable listings
-}
+type SignalMap []Signal
 
-// NewSignalMap indexes a tensor's named signals. When one name is used by
-// several classes, inputs shadow outputs, which shadow registers — the
-// host-facing port wins, matching how FIRRTL exposes a register through a
-// same-named output.
+// NewSignalMap indexes a tensor's named signals.
 func NewSignalMap(t *oim.Tensor) SignalMap {
-	m := make(map[string]Signal,
-		len(t.InputNames)+len(t.OutputNames)+len(t.RegNames))
-	add := func(s Signal) {
-		if _, taken := m[s.Name]; s.Name == "" || taken {
-			return
-		}
-		m[s.Name] = s
-	}
+	sigs := make([]Signal, 0, len(t.InputNames)+len(t.OutputNames)+len(t.RegNames))
 	for i, name := range t.InputNames {
 		slot := t.InputSlots[i]
-		add(Signal{Name: name, Kind: SignalInput, Index: i, Slot: slot, Mask: t.Masks[slot]})
+		sigs = append(sigs, Signal{Name: name, Kind: SignalInput, Index: i, Slot: slot, Mask: t.Masks[slot]})
 	}
 	for i, name := range t.OutputNames {
 		slot := t.OutputSlots[i]
-		add(Signal{Name: name, Kind: SignalOutput, Index: i, Slot: slot, Mask: t.Masks[slot]})
+		sigs = append(sigs, Signal{Name: name, Kind: SignalOutput, Index: i, Slot: slot, Mask: t.Masks[slot]})
 	}
 	for i, name := range t.RegNames {
 		r := t.RegSlots[i]
-		add(Signal{Name: name, Kind: SignalRegister, Index: i, Slot: r.Q, Mask: r.Mask})
+		sigs = append(sigs, Signal{Name: name, Kind: SignalRegister, Index: i, Slot: r.Q, Mask: r.Mask})
 	}
-	names := make([]string, 0, len(m))
-	for name := range m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return SignalMap{byName: m, names: names}
+	sigs = slices.DeleteFunc(sigs, func(s Signal) bool { return s.Name == "" })
+	slices.SortStableFunc(sigs, byNameKind)
+	return sigs
 }
 
-// Resolve looks a signal up by name.
-func (sm SignalMap) Resolve(name string) (Signal, bool) {
-	s, ok := sm.byName[name]
-	return s, ok
+func byNameKind(a, b Signal) int {
+	return cmp.Or(strings.Compare(a.Name, b.Name), cmp.Compare(a.Kind, b.Kind))
+}
+
+// find returns the first signal at or after (name, kind) in sort order, and
+// whether it carries that name.
+func (sm SignalMap) find(name string, kind SignalKind) (Signal, bool) {
+	i, _ := slices.BinarySearchFunc(sm, Signal{Name: name, Kind: kind}, byNameKind)
+	if i == len(sm) || sm[i].Name != name {
+		return Signal{}, false
+	}
+	return sm[i], true
+}
+
+// Resolve looks a signal up by name. When one name is used by several
+// classes, inputs shadow outputs, which shadow registers — the host-facing
+// port wins, matching how FIRRTL exposes a register through a same-named
+// output — which is the order the kinds sort in.
+func (sm SignalMap) Resolve(name string) (Signal, bool) { return sm.find(name, 0) }
+
+// ResolveKind looks up the signal of one class by name, shadowed or not.
+func (sm SignalMap) ResolveKind(name string, kind SignalKind) (Signal, bool) {
+	s, ok := sm.find(name, kind)
+	return s, ok && s.Kind == kind
 }
 
 // Names lists every resolvable signal name, sorted.
 func (sm SignalMap) Names() []string {
-	return append([]string(nil), sm.names...)
+	names := make([]string, 0, len(sm))
+	for i, s := range sm {
+		if i == 0 || s.Name != sm[i-1].Name {
+			names = append(names, s.Name)
+		}
+	}
+	return names
 }
-
-// Len reports the number of resolvable signals.
-func (sm SignalMap) Len() int { return len(sm.byName) }

@@ -24,10 +24,6 @@ func TestSignalMapResolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	sm := NewSignalMap(p.Tensor())
-	if got := sm.Len(); got != 3 {
-		t.Fatalf("Len() = %d, want 3 (a, acc, y)", got)
-	}
-
 	a, ok := sm.Resolve("a")
 	if !ok || a.Kind != SignalInput || a.Index != 0 {
 		t.Fatalf("a resolved as %+v (input must shadow output)", a)
@@ -58,9 +54,21 @@ func TestSignalMapResolution(t *testing.T) {
 		}
 	}
 
-	// The map is a function of the tensor alone: building it again agrees.
-	if sm2 := NewSignalMap(p.Tensor()); sm2.Len() != sm.Len() {
-		t.Fatal("NewSignalMap not stable across calls")
+	// A class lookup sees through the shadowing: Session and Batch Poke and
+	// Peek by name go to the port of that class whatever else shares its name.
+	if out, ok := sm.ResolveKind("a", SignalOutput); !ok || out.Kind != SignalOutput || out.Index != 0 || out.Slot != a.Slot {
+		t.Fatalf("output a resolved as %+v, %v", out, ok)
+	}
+	if reg, ok := sm.ResolveKind("acc", SignalRegister); !ok || reg.Kind != SignalRegister || reg.Slot != ten.RegSlots[0].Q {
+		t.Fatalf("register acc resolved as %+v, %v", reg, ok)
+	}
+	for _, miss := range []struct {
+		name string
+		kind SignalKind
+	}{{"y", SignalInput}, {"y", SignalRegister}, {"a", SignalRegister}, {"nope", SignalOutput}} {
+		if s, ok := sm.ResolveKind(miss.name, miss.kind); ok {
+			t.Fatalf("%v %q resolved as %+v", miss.kind, miss.name, s)
+		}
 	}
 }
 

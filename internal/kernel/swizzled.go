@@ -19,7 +19,7 @@ import "rteaal/internal/wire"
 // results are LI[out : out+count], reading the R coordinate stream at ri. It
 // returns the advanced ri.
 func (e *engine) runGroup(op wire.Op, arity, out, count, ri int) int {
-	li, rc := e.li, e.sw.RCoord
+	li, rc := e.li, e.rc
 	dst, masks := li[out:out+count], e.t.Masks[out:out+count]
 	switch op {
 	case wire.Add:
@@ -170,13 +170,13 @@ func b2u(b bool) uint64 {
 
 // settleNU is the N-rank-unrolled kernel (Algorithm 4).
 func (e *engine) settleNU() {
-	sw := e.sw
+	numSigs := len(e.t.OpTable)
 	ru, ri := 0, 0
-	for i := 0; i < len(e.t.Layers); i++ { // Rank I
-		for sig := 0; sig < sw.NumSigs; sig++ { // Unrolled rank N
+	for i := 0; i < len(e.t.LayerEnds); i++ { // Rank I
+		for sig := 0; sig < numSigs; sig++ { // Unrolled rank N
 			s := e.t.OpTable[sig]
-			for left := sw.NPayload[i*sw.NumSigs+sig]; left > 0; ru++ { // Rank S, run by run
-				r := sw.Runs[ru]
+			for left := e.npayload[i*numSigs+sig]; left > 0; ru++ { // Rank S, run by run
+				r := e.runs[ru]
 				ri = e.runGroup(s.Op, int(s.Arity), int(r.First), int(r.Count), ri)
 				left -= r.Count
 			}

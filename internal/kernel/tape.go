@@ -26,18 +26,21 @@ type tapeOp struct {
 }
 
 func buildTape(t *oim.Tensor) (tape []tapeOp, layerEnds []int) {
-	for _, layer := range t.Layers {
-		for _, op := range layer {
-			sig := t.OpTable[op.Sig]
-			e := tapeOp{op: sig.Op, out: op.Out, n: sig.Arity, mask: t.Masks[op.Out]}
-			if len(op.Args) <= 3 {
-				copy(e.a[:], op.Args)
-			} else {
-				e.ext = op.Args
-			}
-			tape = append(tape, e)
+	tape = make([]tapeOp, 0, t.TotalOps())
+	layerEnds = make([]int, t.NumLayers())
+	t.Ops(func(layer int, n uint16, out int32, args []int32) {
+		sig := t.OpTable[n]
+		e := tapeOp{op: sig.Op, out: out, n: sig.Arity, mask: t.Masks[out]}
+		if len(args) <= 3 {
+			copy(e.a[:], args)
+		} else {
+			e.ext = args
 		}
-		layerEnds = append(layerEnds, len(tape))
+		tape = append(tape, e)
+		layerEnds[layer]++
+	})
+	for i := 1; i < len(layerEnds); i++ {
+		layerEnds[i] += layerEnds[i-1]
 	}
 	return tape, layerEnds
 }

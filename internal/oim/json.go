@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"rteaal/internal/dfg"
 	"rteaal/internal/wire"
@@ -70,13 +71,12 @@ func (t *Tensor) WriteJSON(w io.Writer) error {
 	for _, s := range t.OpTable {
 		jt.OpTable = append(jt.OpTable, jsonSig{Op: uint8(s.Op), Arity: s.Arity})
 	}
-	for _, layer := range t.Layers {
-		jl := make([]jsonOp, 0, len(layer))
-		for _, op := range layer {
-			jl = append(jl, jsonOp{Sig: op.Sig, Out: op.Out, Args: op.Args})
+	t.Ops(func(layer int, sig uint16, out int32, args []int32) {
+		for len(jt.Layers) <= layer {
+			jt.Layers = append(jt.Layers, []jsonOp{})
 		}
-		jt.Layers = append(jt.Layers, jl)
-	}
+		jt.Layers[layer] = append(jt.Layers[layer], jsonOp{Sig: sig, Out: out, Args: args})
+	})
 	for _, c := range t.ConstSlots {
 		jt.ConstSlots = append(jt.ConstSlots, jsonSlotInit{Slot: c.Slot, Value: c.Value})
 	}
@@ -87,8 +87,9 @@ func (t *Tensor) WriteJSON(w io.Writer) error {
 	return enc.Encode(jt)
 }
 
-// ReadJSON deserialises a tensor written by WriteJSON and validates its
-// structural invariants.
+// ReadJSON deserialises a tensor written by WriteJSON — or by hand: a layer
+// whose operations are not grouped by type is regrouped, stably — and
+// returns it only if it passes [Tensor.Validate].
 func ReadJSON(r io.Reader) (*Tensor, error) {
 	var jt jsonTensor
 	if err := json.NewDecoder(r).Decode(&jt); err != nil {
@@ -107,13 +108,10 @@ func ReadJSON(r io.Reader) (*Tensor, error) {
 		IdentityOps:  jt.IdentityOps,
 	}
 	for _, s := range jt.OpTable {
-		if wire.Op(s.Op) >= wire.NumOps {
-			return nil, fmt.Errorf("oim: unknown op code %d", s.Op)
-		}
 		t.OpTable = append(t.OpTable, OpSig{Op: wire.Op(s.Op), Arity: s.Arity})
 	}
 	for li, jl := range jt.Layers {
-		layer := make([]Op, 0, len(jl))
+		slices.SortStableFunc(jl, func(a, b jsonOp) int { return int(a.Sig) - int(b.Sig) })
 		for _, op := range jl {
 			if int(op.Sig) >= len(t.OpTable) {
 				return nil, fmt.Errorf("oim: layer %d: sig %d out of range", li, op.Sig)
@@ -121,17 +119,10 @@ func ReadJSON(r io.Reader) (*Tensor, error) {
 			if int(t.OpTable[op.Sig].Arity) != len(op.Args) {
 				return nil, fmt.Errorf("oim: layer %d: arity mismatch for s=%d", li, op.Out)
 			}
-			if err := checkSlot(op.Out, jt.NumSlots); err != nil {
-				return nil, err
-			}
-			for _, a := range op.Args {
-				if err := checkSlot(a, jt.NumSlots); err != nil {
-					return nil, err
-				}
-			}
-			layer = append(layer, Op{Sig: op.Sig, Out: op.Out, Args: op.Args})
+			t.push(op.Sig, op.Out)
+			t.RCoord = append(t.RCoord, op.Args...)
 		}
-		t.Layers = append(t.Layers, layer)
+		t.endLayer()
 	}
 	for _, c := range jt.ConstSlots {
 		t.ConstSlots = append(t.ConstSlots, dfg.SlotInit{Slot: c.Slot, Value: c.Value})
@@ -139,15 +130,8 @@ func ReadJSON(r io.Reader) (*Tensor, error) {
 	for _, r := range jt.RegSlots {
 		t.RegSlots = append(t.RegSlots, dfg.RegSlot{Q: r.Q, Next: r.Next, Init: r.Init, Mask: r.Mask})
 	}
-	if len(t.Masks) != t.NumSlots {
-		return nil, fmt.Errorf("oim: mask table length %d != %d slots", len(t.Masks), t.NumSlots)
+	if err := t.Validate(); err != nil {
+		return nil, err
 	}
 	return t, nil
-}
-
-func checkSlot(s int32, n int) error {
-	if s < 0 || int(s) >= n {
-		return fmt.Errorf("oim: slot %d out of range (%d slots)", s, n)
-	}
-	return nil
 }

@@ -15,7 +15,9 @@ import (
 // families and every random-graph profile the fuzzer draws from, before and
 // after optimisation — the [I,N,S,O,R] traversal visits S in ascending,
 // consecutive order, so each non-empty (layer, type) group is exactly one
-// run and the runs tile the operation slots end to end.
+// run and the runs tile the operation slots end to end. The tensor is the
+// only copy of the circuit, so the same walk holds it, operation for
+// operation, to the levelized graph it was built from.
 func TestBuildLayoutIsSContiguous(t *testing.T) {
 	graphs := map[string]*dfg.Graph{}
 	for _, s := range []gen.Spec{
@@ -51,21 +53,42 @@ func TestBuildLayoutIsSContiguous(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s: %v", name, variant, err)
 			}
-			sw := ten.LowerSwizzled()
-			if err := sw.Validate(ten); err != nil {
+			if err := ten.Validate(); err != nil {
 				t.Fatalf("%s %s: %v", name, variant, err)
 			}
+			var want []dfg.NodeID // the levelized graph's operations, in layer order
+			for _, layer := range lv.Layers {
+				want = append(want, layer...)
+			}
+			if ten.NumLayers() != lv.NumLayers || ten.TotalOps() != len(want) {
+				t.Fatalf("%s %s: %d ops in %d layers, levelized graph has %d in %d",
+					name, variant, ten.TotalOps(), ten.NumLayers(), len(want), lv.NumLayers)
+			}
+			k := 0
+			ten.Ops(func(layer int, sig uint16, out int32, args []int32) {
+				n := g.Node(want[k])
+				ok := int(lv.LevelOf[want[k]]) == layer && out == lv.Slot[want[k]] &&
+					ten.OpTable[sig] == oim.OpSig{Op: n.Op, Arity: uint8(len(n.Args))}
+				for o := 0; ok && o < len(n.Args); o++ {
+					ok = args[o] == lv.Slot[n.Args[o]]
+				}
+				if !ok {
+					t.Fatalf("%s %s: op %d is (layer %d, %v, s=%d, r=%v), want node %d (%v of %v in layer %d at s=%d)",
+						name, variant, k, layer, ten.OpTable[sig], out, args, want[k], n.Op, n.Args, lv.LevelOf[want[k]], lv.Slot[want[k]])
+				}
+				k++
+			})
 			groups := 0
-			for _, n := range sw.NPayload {
+			for _, n := range ten.NPayload() {
 				if n > 0 {
 					groups++
 				}
 			}
-			if len(sw.Runs) != groups {
-				t.Fatalf("%s %s: %d runs for %d non-empty (layer, type) groups", name, variant, len(sw.Runs), groups)
+			if len(ten.Runs) != groups {
+				t.Fatalf("%s %s: %d runs for %d non-empty (layer, type) groups", name, variant, len(ten.Runs), groups)
 			}
 			next := int32(ten.NumSlots - ten.TotalOps())
-			for i, r := range sw.Runs {
+			for i, r := range ten.Runs {
 				if r.First != next {
 					t.Fatalf("%s %s: run %d starts at s=%d, want %d", name, variant, i, r.First, next)
 				}

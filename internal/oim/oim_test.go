@@ -2,6 +2,7 @@ package oim
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
 	"slices"
 	"testing"
@@ -56,13 +57,12 @@ func TestBuildPaperFigure9b(t *testing.T) {
 		t.Fatalf("op table = %v", ten.OpTable)
 	}
 	// Registers occupy slots 0..2; ops get 3 and 4 (the S rank gains two
-	// outputs, matching Figure 10b).
-	ops := ten.Layers[0]
-	if ops[0].Out != 3 || ops[1].Out != 4 {
-		t.Fatalf("op slots = %d, %d", ops[0].Out, ops[1].Out)
+	// outputs, matching Figure 10b): one run of two multiplies.
+	if !slices.Equal(ten.LayerEnds, []int32{1}) || !slices.Equal(ten.Runs, []Run{{Sig: 0, First: 3, Count: 2}}) {
+		t.Fatalf("layer ends = %v, runs = %+v", ten.LayerEnds, ten.Runs)
 	}
-	if ops[0].Args[0] != 0 || ops[0].Args[1] != 1 || ops[1].Args[0] != 1 || ops[1].Args[1] != 2 {
-		t.Fatalf("operand slots = %v, %v", ops[0].Args, ops[1].Args)
+	if !slices.Equal(ten.RCoord, []int32{0, 1, 1, 2}) {
+		t.Fatalf("operand slots = %v", ten.RCoord)
 	}
 }
 
@@ -156,6 +156,9 @@ func TestLoweringsValidate(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		g := dfg.RandomGraph(rng, dfg.DefaultRandomParams())
 		ten := buildFrom(t, g)
+		if err := ten.Validate(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
 		for _, optimized := range []bool{false, true} {
 			a := ten.Lower(optimized)
 			if err := a.Validate(ten); err != nil {
@@ -167,131 +170,179 @@ func TestLoweringsValidate(t *testing.T) {
 			if !optimized && (len(a.SPayload) != ten.TotalOps() || len(a.RPayload) != ten.TotalOperands()) {
 				t.Fatal("unoptimized lowering must keep payload arrays")
 			}
-		}
-		if err := ten.LowerSwizzled().Validate(ten); err != nil {
-			t.Fatalf("trial %d swizzled: %v", trial, err)
+			// The arrays are a derived copy: damage to any of them shows.
+			for name, corrupt := range map[string]func(a *Arrays){
+				"s coordinate":  func(a *Arrays) { a.SCoord[len(a.SCoord)/2]++ },
+				"n coordinate":  func(a *Arrays) { a.NCoord[0]++ },
+				"layer payload": func(a *Arrays) { a.IPayload[0]++; a.IPayload[len(a.IPayload)-1]-- },
+				"r coordinate":  func(a *Arrays) { a.RCoord = slices.Clone(a.RCoord); a.RCoord[len(a.RCoord)/2]++ },
+				"op dropped":    func(a *Arrays) { a.SCoord = a.SCoord[1:] },
+			} {
+				bad := *a
+				bad.IPayload, bad.SCoord, bad.NCoord = slices.Clone(a.IPayload), slices.Clone(a.SCoord), slices.Clone(a.NCoord)
+				corrupt(&bad)
+				if bad.Validate(ten) == nil {
+					t.Fatalf("trial %d optimized=%v: corrupt %s accepted", trial, optimized, name)
+				}
+			}
 		}
 	}
 }
 
-// TestSwizzledValidateRejectsCorruption damages each part of the run-length
-// format in turn; Validate must notice every one.
-func TestSwizzledValidateRejectsCorruption(t *testing.T) {
-	ten := buildFrom(t, dfg.RandomGraph(rand.New(rand.NewSource(8)), dfg.DefaultRandomParams()))
-	long := -1 // a run with at least two ops, to split and to shorten
-	for i, r := range ten.LowerSwizzled().Runs {
-		if r.Count >= 2 {
-			long = i
-			break
+// TestConeKeepsMarkedOperations: a cone is the marked operations of the
+// tensor, in the tensor's order and with the tensor's operand lists, in fewer
+// and shorter runs; layers it leaves empty are gone, and it validates.
+func TestConeKeepsMarkedOperations(t *testing.T) {
+	ten := buildFrom(t, dfg.RandomGraph(rand.New(rand.NewSource(11)), dfg.RandomParams{
+		Inputs: 4, Regs: 10, Ops: 300, Consts: 6, MaxWidth: 16, MuxBias: 0.3}))
+	// Mark the fan-in cone of every third register's next state.
+	producer := make([][]int32, ten.NumSlots)
+	ten.Ops(func(_ int, _ uint16, out int32, args []int32) { producer[out] = args })
+	keep := make([]bool, ten.NumSlots)
+	var mark func(s int32)
+	mark = func(s int32) {
+		if !keep[s] {
+			keep[s] = true
+			for _, a := range producer[s] {
+				mark(a)
+			}
 		}
 	}
-	if long < 0 {
-		t.Fatal("no multi-op run to corrupt")
+	for i := 0; i < len(ten.RegSlots); i += 3 {
+		mark(ten.RegSlots[i].Next)
 	}
-	cases := map[string]func(sw *Swizzled){
-		"run dropped":     func(sw *Swizzled) { sw.Runs = sw.Runs[:len(sw.Runs)-1] },
-		"run repeated":    func(sw *Swizzled) { sw.Runs = append(sw.Runs, sw.Runs[len(sw.Runs)-1]) },
-		"run shortened":   func(sw *Swizzled) { sw.Runs[long].Count-- },
-		"run shifted":     func(sw *Swizzled) { sw.Runs[long].First++ },
-		"wrong type":      func(sw *Swizzled) { sw.Runs[long].Sig = (sw.Runs[long].Sig + 1) % uint16(sw.NumSigs) },
-		"runs swapped":    func(sw *Swizzled) { sw.Runs[0], sw.Runs[len(sw.Runs)-1] = sw.Runs[len(sw.Runs)-1], sw.Runs[0] },
-		"count mismatch":  func(sw *Swizzled) { sw.NPayload[int(sw.Runs[0].Sig)]++ },
-		"operand changed": func(sw *Swizzled) { sw.RCoord[len(sw.RCoord)/2] ^= 1 },
-		"operand dropped": func(sw *Swizzled) { sw.RCoord = sw.RCoord[:len(sw.RCoord)-1] },
+
+	type op struct {
+		sig  uint16
+		out  int32
+		args []int32
+	}
+	var want, got []op
+	ten.Ops(func(_ int, sig uint16, out int32, args []int32) {
+		if keep[out] {
+			want = append(want, op{sig, out, args})
+		}
+	})
+	before := clone(ten)
+	sub := ten.Cone(keep)
+	if err := sub.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	lastLayer := -1
+	sub.Ops(func(layer int, sig uint16, out int32, args []int32) {
+		got = append(got, op{sig, out, args})
+		if layer > lastLayer+1 {
+			t.Fatalf("cone keeps empty layer %d", lastLayer+1)
+		}
+		lastLayer = layer
+	})
+	if len(want) == 0 || len(want) == ten.TotalOps() {
+		t.Fatalf("cone marks %d of %d ops; the test needs a proper subset", len(want), ten.TotalOps())
+	}
+	if !slices.EqualFunc(got, want, func(a, b op) bool {
+		return a.sig == b.sig && a.out == b.out && slices.Equal(a.args, b.args)
+	}) {
+		t.Fatalf("cone walks %d ops, want the %d marked ones in order", len(got), len(want))
+	}
+	if lastLayer+1 != sub.NumLayers() || sub.NumSlots != ten.NumSlots {
+		t.Fatalf("cone has %d layers (last walked %d) over %d slots", sub.NumLayers(), lastLayer, sub.NumSlots)
+	}
+	if !slices.Equal(ten.Runs, before.Runs) || !slices.Equal(ten.RCoord, before.RCoord) || !slices.Equal(ten.LayerEnds, before.LayerEnds) {
+		t.Fatal("Cone modified the tensor it filtered")
+	}
+}
+
+// clone copies the arrays a corruption may write to.
+func clone(t *Tensor) *Tensor {
+	c := *t
+	c.LayerEnds, c.Runs, c.RCoord = slices.Clone(t.LayerEnds), slices.Clone(t.Runs), slices.Clone(t.RCoord)
+	return &c
+}
+
+// TestValidateRejectsCorruption damages each part of the run-length format
+// in turn; Validate must notice every one.
+func TestValidateRejectsCorruption(t *testing.T) {
+	ten := buildFrom(t, dfg.RandomGraph(rand.New(rand.NewSource(8)), dfg.DefaultRandomParams()))
+	long := slices.IndexFunc(ten.Runs, func(r Run) bool { return r.Count >= 2 }) // a run to split and to shorten
+	if long < 0 || ten.NumLayers() < 2 {
+		t.Fatal("no multi-op run, or no second layer, to corrupt")
+	}
+	last := len(ten.Runs) - 1
+	cases := map[string]func(c *Tensor){
+		"run dropped":      func(c *Tensor) { c.Runs = c.Runs[:last] },
+		"run repeated":     func(c *Tensor) { c.Runs = append(c.Runs, c.Runs[last]); c.LayerEnds[len(c.LayerEnds)-1]++ },
+		"run shortened":    func(c *Tensor) { c.Runs[long].Count-- },
+		"run emptied":      func(c *Tensor) { c.Runs[long].Count = 0 },
+		"run shifted":      func(c *Tensor) { c.Runs[long].First++ },
+		"run out of range": func(c *Tensor) { c.Runs[last].First = int32(c.NumSlots) - 1; c.Runs[last].Count = 2 },
+		"unknown type":     func(c *Tensor) { c.Runs[long].Sig = uint16(len(c.OpTable)) },
+		"runs swapped":     func(c *Tensor) { c.Runs[0], c.Runs[last] = c.Runs[last], c.Runs[0] },
+		"layer end moved":  func(c *Tensor) { c.LayerEnds[0] = c.LayerEnds[1] + 1 },
+		"layer end short":  func(c *Tensor) { c.LayerEnds[len(c.LayerEnds)-1]-- },
+		"operand dropped":  func(c *Tensor) { c.RCoord = c.RCoord[:len(c.RCoord)-1] },
+		"operand negative": func(c *Tensor) { c.RCoord[len(c.RCoord)/2] = -1 },
+		"operand forward":  func(c *Tensor) { c.RCoord[0] = c.Runs[last].First },
+		"operand in layer": func(c *Tensor) { c.RCoord[len(c.RCoord)-1] = c.Runs[last].First },
 	}
 	for name, corrupt := range cases {
-		sw := ten.LowerSwizzled()
-		corrupt(sw)
-		if err := sw.Validate(ten); err == nil {
-			t.Errorf("%s: corrupt lowering accepted", name)
+		c := clone(ten)
+		corrupt(c)
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s: corrupt tensor accepted", name)
 		}
 	}
 	// A split run is still a valid encoding of the same traversal: what a
 	// sub-tensor's sparser S coordinates produce.
-	sw := ten.LowerSwizzled()
-	r := sw.Runs[long]
-	sw.Runs = slices.Insert(sw.Runs, long+1, Run{Sig: r.Sig, First: r.First + 1, Count: r.Count - 1})
-	sw.Runs[long].Count = 1
-	if err := sw.Validate(ten); err != nil {
+	c := clone(ten)
+	r := c.Runs[long]
+	c.Runs = slices.Insert(c.Runs, long+1, Run{Sig: r.Sig, First: r.First + 1, Count: r.Count - 1})
+	c.Runs[long].Count = 1
+	for i := range c.LayerEnds {
+		if int(c.LayerEnds[i]) > long {
+			c.LayerEnds[i]++
+		}
+	}
+	if err := c.Validate(); err != nil {
 		t.Errorf("split run rejected: %v", err)
 	}
 }
 
-// TestLowerSwizzledRegroupsUngroupedLayers feeds LowerSwizzled what Build
-// never emits — a layer whose operations are not grouped by type, as a
-// hand-written JSON tensor may be — and checks the lowering still groups
-// it, with the interleaved S coordinates split into several runs.
-func TestLowerSwizzledRegroupsUngroupedLayers(t *testing.T) {
+// TestReadJSONRegroupsUngroupedLayers feeds ReadJSON what Build never emits
+// — layers whose operations are not grouped by type, as a hand-written
+// tensor may be — and checks it still loads grouped, with the interleaved S
+// coordinates split into several runs, and simulates identically.
+func TestReadJSONRegroupsUngroupedLayers(t *testing.T) {
 	ten := buildFrom(t, dfg.RandomGraph(rand.New(rand.NewSource(9)), dfg.DefaultRandomParams()))
-	mixed := *ten
-	mixed.Layers = slices.Clone(ten.Layers)
-	for i, layer := range ten.Layers {
-		layer = slices.Clone(layer)
-		slices.Reverse(layer)
-		mixed.Layers[i] = layer
-	}
-	sw := mixed.LowerSwizzled()
-	if err := sw.Validate(&mixed); err != nil {
+	var buf bytes.Buffer
+	if err := ten.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if len(sw.Runs) <= len(ten.LowerSwizzled().Runs) {
-		t.Fatalf("reversed layers lowered to %d runs, want more than the %d of the grouped tensor",
-			len(sw.Runs), len(ten.LowerSwizzled().Runs))
+	var doc map[string]json.RawMessage
+	var layers [][]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestSwizzledGroupsByType(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	g := dfg.RandomGraph(rng, dfg.DefaultRandomParams())
-	ten := buildFrom(t, g)
-	sw := ten.LowerSwizzled()
-
-	// Reconstruct (layer, sig, out, args) tuples by expanding the runs and
-	// compare as sets with the canonical tensor.
-	ru, si, ri := 0, 0, 0
-	type key struct {
-		layer int
-		sig   uint16
-		out   int32
+	if err := json.Unmarshal(doc["layers"], &layers); err != nil {
+		t.Fatal(err)
 	}
-	seen := map[key][]int32{}
-	for layer := 0; layer < ten.NumLayers(); layer++ {
-		for sig := 0; sig < sw.NumSigs; sig++ {
-			ar := int(ten.OpTable[sig].Arity)
-			prev := int32(-1)
-			for left := sw.NPayload[layer*sw.NumSigs+sig]; left > 0; ru++ {
-				r := sw.Runs[ru]
-				if int(r.Sig) != sig || r.Count < 1 || r.Count > left {
-					t.Fatalf("run %d (%+v) does not fit group (%d,%d)", ru, r, layer, sig)
-				}
-				for out := r.First; out < r.First+r.Count; out++ {
-					if out <= prev {
-						t.Fatalf("group (%d,%d) not sorted", layer, sig)
-					}
-					prev = out
-					seen[key{layer, uint16(sig), out}] = sw.RCoord[ri : ri+ar]
-					si++
-					ri += ar
-				}
-				left -= r.Count
-			}
-		}
+	for _, layer := range layers {
+		slices.Reverse(layer)
 	}
-	if ru != len(sw.Runs) || si != ten.TotalOps() || ri != ten.TotalOperands() {
-		t.Fatalf("swizzled streams exhausted at %d/%d/%d", ru, si, ri)
+	doc["layers"], _ = json.Marshal(layers)
+	mixedJSON, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for layer, ops := range ten.Layers {
-		for _, op := range ops {
-			args, ok := seen[key{layer, op.Sig, op.Out}]
-			if !ok {
-				t.Fatalf("op s=%d missing from swizzled form", op.Out)
-			}
-			for i := range args {
-				if args[i] != op.Args[i] {
-					t.Fatalf("op s=%d operand %d diverges", op.Out, i)
-				}
-			}
-		}
+	mixed, err := ReadJSON(bytes.NewReader(mixedJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mixed.Runs) <= len(ten.Runs) || mixed.TotalOps() != ten.TotalOps() {
+		t.Fatalf("reversed layers loaded as %d runs over %d ops, want more than the %d runs of the grouped tensor over %d",
+			len(mixed.Runs), mixed.TotalOps(), len(ten.Runs), ten.TotalOps())
+	}
+	if want, got := simViaCascade(t, ten, 42, 6), simViaCascade(t, mixed, 42, 6); !slices.Equal(want, got) {
+		t.Fatal("regrouped tensor diverges from the grouped one")
 	}
 }
 
@@ -321,17 +372,48 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJSONRejectsCorrupt: every row is a document ReadJSON must refuse,
+// because some engine would index out of range on it or two engines would
+// disagree about it. The rows after the first five are one defect each in a
+// document that loads without it.
 func TestJSONRejectsCorrupt(t *testing.T) {
-	cases := []string{
-		`{`,
-		`{"num_slots": 2, "masks": [1], "layers": [[{"n": 9, "s": 0, "r": []}]], "op_table": []}`,
-		`{"num_slots": 2, "masks": [1, 1], "layers": [[{"n": 0, "s": 5, "r": [0, 0]}]], "op_table": [{"op": 0, "arity": 2}]}`,
-		`{"num_slots": 2, "masks": [1, 1], "layers": [[{"n": 0, "s": 1, "r": [0]}]], "op_table": [{"op": 0, "arity": 2}]}`,
-		`{"num_slots": 2, "masks": [1, 1], "layers": [], "op_table": [{"op": 200, "arity": 2}]}`,
+	const (
+		head   = `{"num_slots": 4, "masks": [255, 255, 255, 255], "op_table": [{"op": 0, "arity": 2}], `
+		layers = `"layers": [[{"n": 0, "s": 2, "r": [0, 1]}], [{"n": 0, "s": 3, "r": [2, 1]}]], `
+		ports  = `"input_slots": [0, 1], "input_names": ["a", "b"], "output_slots": [3], "output_names": ["y"]}`
+	)
+	if _, err := ReadJSON(bytes.NewBufferString(head + layers + ports)); err != nil {
+		t.Fatalf("the uncorrupted document is rejected: %v", err)
 	}
-	for i, src := range cases {
+	cases := map[string]string{
+		"truncated":         `{`,
+		"type out of range": `{"num_slots": 2, "masks": [1], "layers": [[{"n": 9, "s": 0, "r": []}]], "op_table": []}`,
+		"s out of range":    `{"num_slots": 2, "masks": [1, 1], "layers": [[{"n": 0, "s": 5, "r": [0, 0]}]], "op_table": [{"op": 0, "arity": 2}]}`,
+		"arity mismatch":    `{"num_slots": 2, "masks": [1, 1], "layers": [[{"n": 0, "s": 1, "r": [0]}]], "op_table": [{"op": 0, "arity": 2}]}`,
+		"unknown op code":   `{"num_slots": 2, "masks": [1, 1], "layers": [], "op_table": [{"op": 200, "arity": 2}]}`,
+
+		"mask table short":      `{"num_slots": 4, "masks": [255], "op_table": [{"op": 0, "arity": 2}], ` + layers + ports,
+		"add of three":          `{"num_slots": 4, "masks": [255, 255, 255, 255], "op_table": [{"op": 0, "arity": 3}], "layers": [[{"n": 0, "s": 2, "r": [0, 1, 1]}]], ` + ports,
+		"r out of range":        head + `"layers": [[{"n": 0, "s": 2, "r": [0, 7]}]], ` + ports,
+		"r negative":            head + `"layers": [[{"n": 0, "s": 2, "r": [0, -1]}]], ` + ports,
+		"reads its own layer":   head + `"layers": [[{"n": 0, "s": 2, "r": [0, 1]}, {"n": 0, "s": 3, "r": [2, 1]}]], ` + ports,
+		"reads a later layer":   head + `"layers": [[{"n": 0, "s": 2, "r": [3, 1]}], [{"n": 0, "s": 3, "r": [0, 1]}]], ` + ports,
+		"two writers":           head + `"layers": [[{"n": 0, "s": 3, "r": [0, 1]}], [{"n": 0, "s": 3, "r": [0, 1]}]], ` + ports,
+		"writes an input":       head + `"layers": [[{"n": 0, "s": 1, "r": [0, 0]}]], ` + ports,
+		"const out of range":    head + layers + `"const_slots": [{"slot": 99, "value": 1}], ` + ports,
+		"writes a constant":     head + layers + `"const_slots": [{"slot": 2, "value": 1}], ` + ports,
+		"reg q out of range":    head + layers + `"reg_slots": [{"q": 4, "next": 3, "init": 0, "mask": 255}], ` + ports,
+		"reg next out of range": head + layers + `"reg_slots": [{"q": 0, "next": -2, "init": 0, "mask": 255}], ` + ports,
+		"writes a register":     head + layers + `"reg_slots": [{"q": 2, "next": 3, "init": 0, "mask": 255}], ` + ports,
+		"reg names too long":    head + layers + `"reg_names": ["r"], ` + ports,
+		"input out of range":    head + layers + `"input_slots": [0, 4], "input_names": ["a", "b"], "output_slots": [3]}`,
+		"input names too long":  head + layers + `"input_slots": [0], "input_names": ["a", "b"], "output_slots": [3]}`,
+		"output out of range":   head + layers + `"input_slots": [0, 1], "output_slots": [-1]}`,
+		"output names too long": head + layers + `"input_slots": [0, 1], "output_slots": [3], "output_names": ["y", "z"]}`,
+	}
+	for name, src := range cases {
 		if _, err := ReadJSON(bytes.NewBufferString(src)); err == nil {
-			t.Errorf("case %d: corrupt JSON accepted", i)
+			t.Errorf("%s: corrupt JSON accepted", name)
 		}
 	}
 }

@@ -77,12 +77,10 @@ func analyze(t *oim.Tensor) *analysis {
 		producer[s], regOf[s] = -1, -1
 	}
 	opArgs := make([][]int32, 0, numOps)
-	for _, layer := range t.Layers {
-		for _, op := range layer {
-			producer[op.Out] = int32(len(opArgs))
-			opArgs = append(opArgs, op.Args)
-		}
-	}
+	t.Ops(func(_ int, _ uint16, out int32, args []int32) {
+		producer[out] = int32(len(opArgs))
+		opArgs = append(opArgs, args)
+	})
 	for ri, r := range t.RegSlots {
 		regOf[r.Q] = int32(ri)
 	}

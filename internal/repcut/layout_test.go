@@ -9,14 +9,14 @@ import (
 	"rteaal/internal/oim"
 )
 
-// multiRunGroups counts the (layer, type) groups of a swizzled lowering that
-// take more than one run, i.e. whose S coordinates are not consecutive.
-func multiRunGroups(sw *oim.Swizzled) int {
+// multiRunGroups counts the (layer, type) groups of a tensor that take more
+// than one run, i.e. whose S coordinates are not consecutive.
+func multiRunGroups(t *oim.Tensor) int {
 	multi, ru := 0, 0
-	for _, count := range sw.NPayload {
+	for _, count := range t.NPayload() {
 		runs := 0
 		for left := count; left > 0; ru++ {
-			left -= sw.Runs[ru].Count
+			left -= t.Runs[ru].Count
 			runs++
 		}
 		if runs > 1 {
@@ -42,7 +42,7 @@ func TestSubTensorsLowerToMultiRunGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	ten := build(t, opt)
-	if n := multiRunGroups(ten.LowerSwizzled()); n != 0 {
+	if n := multiRunGroups(ten); n != 0 {
 		t.Fatalf("full tensor has %d multi-run groups, want one run per group", n)
 	}
 	oracle, err := kernel.New(ten, kernel.Config{Kind: kernel.TI})
@@ -57,11 +57,10 @@ func TestSubTensorsLowerToMultiRunGroups(t *testing.T) {
 		}
 		multi := 0
 		for i, sub := range plan.SubTensors() {
-			sw := sub.LowerSwizzled()
-			if err := sw.Validate(sub); err != nil {
+			if err := sub.Validate(); err != nil {
 				t.Fatalf("%d-way partition %d: %v", parts, i, err)
 			}
-			multi += multiRunGroups(sw)
+			multi += multiRunGroups(sub)
 		}
 		if multi == 0 {
 			t.Fatalf("%d-way plan: every group of every sub-tensor is one run; the test design no longer exercises sparse S", parts)

@@ -144,11 +144,7 @@ func NewPlan(t *oim.Tensor, n int, strat partition.Strategy) (*Plan, error) {
 	// the slot (nil for sources — an op has at least one operand) and
 	// regOf[slot] the register whose Q it is (-1 for none).
 	producer := make([][]int32, t.NumSlots)
-	for _, layer := range t.Layers {
-		for _, op := range layer {
-			producer[op.Out] = op.Args
-		}
-	}
+	t.Ops(func(_ int, _ uint16, out int32, args []int32) { producer[out] = args })
 
 	// Register ownership: the strategy's call. Everything below is a pure
 	// function of this vector.
@@ -238,40 +234,15 @@ func NewPlan(t *oim.Tensor, n int, strat partition.Strategy) (*Plan, error) {
 			}
 		}
 
-		// Build the partition tensor: same slot space, filtered layers,
-		// owned registers only.
-		sub := &oim.Tensor{
-			Design:      fmt.Sprintf("%s.part%d", t.Design, part),
-			NumSlots:    t.NumSlots,
-			OpTable:     t.OpTable,
-			Masks:       t.Masks,
-			InputSlots:  t.InputSlots,
-			OutputSlots: t.OutputSlots,
-			InputNames:  t.InputNames,
-			OutputNames: t.OutputNames,
-		}
+		// Build the partition tensor: same slot space, the cone's
+		// operations, owned registers only (names stay with the full tensor).
+		sub := t.Cone(need)
+		sub.Design = fmt.Sprintf("%s.part%d", t.Design, part)
+		sub.RegSlots, sub.RegNames = make([]dfg.RegSlot, 0, len(p.ownedRegs[part])), nil
 		for _, ri := range p.ownedRegs[part] {
 			sub.RegSlots = append(sub.RegSlots, t.RegSlots[ri])
-			if ri < len(t.RegNames) {
-				sub.RegNames = append(sub.RegNames, t.RegNames[ri])
-			}
 		}
 		sub.ConstSlots = append([]dfg.SlotInit(nil), t.ConstSlots...)
-		for _, layer := range t.Layers {
-			var ops []oim.Op
-			for _, op := range layer {
-				if need[op.Out] {
-					ops = append(ops, op)
-				}
-			}
-			if len(ops) > 0 || len(sub.Layers) > 0 {
-				sub.Layers = append(sub.Layers, ops)
-			}
-		}
-		// Trim trailing empty layers.
-		for len(sub.Layers) > 0 && len(sub.Layers[len(sub.Layers)-1]) == 0 {
-			sub.Layers = sub.Layers[:len(sub.Layers)-1]
-		}
 		p.subs = append(p.subs, sub)
 	}
 

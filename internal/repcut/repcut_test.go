@@ -309,12 +309,11 @@ func TestRUMReadersMatchConeMembership(t *testing.T) {
 		}
 		for part, sub := range plan.SubTensors() {
 			refs := make(map[int32]bool)
-			for _, layer := range sub.Layers {
-				for _, op := range layer {
-					for _, a := range op.Args {
-						refs[a] = true
-					}
-				}
+			if err := sub.Validate(); err != nil {
+				t.Fatalf("trial %d partition %d: %v", trial, part, err)
+			}
+			for _, a := range sub.RCoord {
+				refs[a] = true
 			}
 			for _, r := range sub.RegSlots {
 				refs[r.Next] = true

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"rteaal/internal/kernel"
-)
+import "rteaal/internal/kernel"
 
 // Batch simulates n independent stimuli of one [Design] lock-step: every
 // Step settles and commits all lanes through a single schedule, with the
@@ -59,9 +55,9 @@ func (b *Batch) Poke(lane int, name string, v uint64) error {
 	if err := checkLane(lane, b.b.Lanes()); err != nil {
 		return err
 	}
-	i, ok := b.d.inputs[name]
-	if !ok {
-		return fmt.Errorf("sim: no input named %q", name)
+	i, err := b.d.port(name, kernel.SignalInput)
+	if err != nil {
+		return err
 	}
 	b.b.PokeInput(lane, i, v)
 	return nil
@@ -69,9 +65,9 @@ func (b *Batch) Poke(lane int, name string, v uint64) error {
 
 // PokeAll drives a primary input to the same value in every lane.
 func (b *Batch) PokeAll(name string, v uint64) error {
-	i, ok := b.d.inputs[name]
-	if !ok {
-		return fmt.Errorf("sim: no input named %q", name)
+	i, err := b.d.port(name, kernel.SignalInput)
+	if err != nil {
+		return err
 	}
 	for lane := 0; lane < b.b.Lanes(); lane++ {
 		b.b.PokeInput(lane, i, v)
@@ -85,9 +81,9 @@ func (b *Batch) Peek(lane int, name string) (uint64, error) {
 	if err := checkLane(lane, b.b.Lanes()); err != nil {
 		return 0, err
 	}
-	i, ok := b.d.outputs[name]
-	if !ok {
-		return 0, fmt.Errorf("sim: no output named %q", name)
+	i, err := b.d.port(name, kernel.SignalOutput)
+	if err != nil {
+		return 0, err
 	}
 	return b.b.PeekOutput(lane, i), nil
 }

@@ -114,21 +114,21 @@ func WithBatchPacking(on bool) Option {
 	return func(c *config) { c.batchPacking = on }
 }
 
-// Design is an immutable compiled design: the OIM tensor, the kernel program
-// lowered from it for the selected configuration, and the name tables that
-// resolve signals to LI coordinates — what a [Session] or [Batch] reads, and
-// nothing the compiler only passed through (the dataflow graph is dropped
-// once the tensor is built). All simulation state lives in the sessions and
+// Design is an immutable compiled design: the OIM tensor (the circuit, held
+// once as flat run-length arrays), the kernel program over it for the
+// selected configuration, and one sorted name table that resolves signals to
+// LI coordinates — what a [Session] or [Batch] reads, and nothing the
+// compiler only passed through (the dataflow graph is dropped once the
+// tensor is built). All simulation state lives in the sessions and
 // batches a design mints, so one design can back any number of concurrent
 // simulations.
 type Design struct {
-	tensor  *oim.Tensor
-	prog    *kernel.Program
-	cfg     config
-	inputs  map[string]int
-	outputs map[string]int
+	tensor *oim.Tensor
+	prog   *kernel.Program
+	cfg    config
 	// signals resolves every named signal (inputs, outputs, registers) to
-	// its LI coordinate, built once at compile time for [Testbench] ports.
+	// its LI coordinate and port index, built once at compile time: by name
+	// alone for [Testbench] ports, by name and class for Poke and Peek.
 	signals kernel.SignalMap
 
 	// plan and partProgs are set when the design was compiled with
@@ -202,20 +202,7 @@ func CompileGraph(g *dfg.Graph, opts ...Option) (*Design, error) {
 			return nil, err
 		}
 	}
-	d := &Design{
-		tensor:  t,
-		prog:    prog,
-		cfg:     cfg,
-		inputs:  make(map[string]int, len(t.InputNames)),
-		outputs: make(map[string]int, len(t.OutputNames)),
-		signals: kernel.NewSignalMap(t),
-	}
-	for i, n := range t.InputNames {
-		d.inputs[n] = i
-	}
-	for i, n := range t.OutputNames {
-		d.outputs[n] = i
-	}
+	d := &Design{tensor: t, prog: prog, cfg: cfg, signals: kernel.NewSignalMap(t)}
 	if cfg.partitions > 0 {
 		strat, err := cfg.strategy.impl()
 		if err != nil {
@@ -235,6 +222,15 @@ func CompileGraph(g *dfg.Graph, opts ...Option) (*Design, error) {
 		d.plan, d.partProgs = plan, progs
 	}
 	return d, nil
+}
+
+// port resolves the name of a primary input or output to its port index.
+func (d *Design) port(name string, kind kernel.SignalKind) (int, error) {
+	sig, ok := d.signals.ResolveKind(name, kind)
+	if !ok {
+		return 0, fmt.Errorf("sim: no %v named %q", kind, name)
+	}
+	return sig.Index, nil
 }
 
 // Name reports the circuit name.

@@ -33,9 +33,9 @@ func (s *Session) Cycle() int64 { return s.cycle }
 
 // Poke drives a primary input by name.
 func (s *Session) Poke(name string, v uint64) error {
-	i, ok := s.d.inputs[name]
-	if !ok {
-		return fmt.Errorf("sim: no input named %q", name)
+	i, err := s.d.port(name, kernel.SignalInput)
+	if err != nil {
+		return err
 	}
 	s.eng.PokeInput(i, v)
 	return nil
@@ -43,9 +43,9 @@ func (s *Session) Poke(name string, v uint64) error {
 
 // Peek reads a primary output by name as sampled at the last settle.
 func (s *Session) Peek(name string) (uint64, error) {
-	i, ok := s.d.outputs[name]
-	if !ok {
-		return 0, fmt.Errorf("sim: no output named %q", name)
+	i, err := s.d.port(name, kernel.SignalOutput)
+	if err != nil {
+		return 0, err
 	}
 	return s.eng.PeekOutput(i), nil
 }
