@@ -42,7 +42,7 @@ func reproLine(c *difftest.Case, prof string, seed int64) string {
 
 // TestDifferentialCrossEngine sweeps a fixed seed range through every
 // generation profile (baseline, wide64, shiftcat, sharpdiv, muxchain,
-// onebit): each case replays the same (cycle, lane, input)-hashed stimulus
+// onebit, and the fixed commitmoves design): each case replays the same (cycle, lane, input)-hashed stimulus
 // on all eleven engine shapes and must produce bit-exact per-lane output and
 // register traces.
 func TestDifferentialCrossEngine(t *testing.T) {
@@ -77,10 +77,23 @@ func TestDifferentialCrossEngine(t *testing.T) {
 // their own per-cycle path and to each other.
 func TestDifferentialBulkRun(t *testing.T) {
 	chunks := []int64{1, 3, 0, 5, 2, 7, 4}
-	profs := difftest.Profiles()
-	for seed := int64(0); seed < 8; seed++ {
-		seed := seed
-		prof := profs[int(seed)%len(profs)]
+	// Eight seeds rotate through the random profiles; a fixed design runs once.
+	var random, picks []difftest.Profile
+	for _, prof := range difftest.Profiles() {
+		if prof.Graph == nil {
+			random = append(random, prof)
+		}
+	}
+	for seed := 0; seed < 8; seed++ {
+		picks = append(picks, random[seed%len(random)])
+	}
+	for _, prof := range difftest.Profiles() {
+		if prof.Graph != nil {
+			picks = append(picks, prof)
+		}
+	}
+	for i, prof := range picks {
+		seed, prof := int64(i), prof
 		t.Run(fmt.Sprintf("%s/seed=%d", prof.Name, seed), func(t *testing.T) {
 			t.Parallel()
 			c := difftest.NewCase(seed, prof, diffCycles, diffLanes)

@@ -222,3 +222,56 @@ func itoa(i int) string {
 	}
 	return string(b[p:])
 }
+
+// CommitMovesGraph is the fixed design of the differential harness whose
+// register update holds every shape an engine committing one register at a
+// time, in place, has to order. On 1-bit and on 8-bit registers alike: two
+// registers swapping values, three rotating them, one holding its own, a
+// shift chain of 64 fed from an input, and five registers loading the Q of a
+// rotating one. Two more registers are 1-bit on one side only in a batch's
+// packed layout: qw's Q selects between wide values (and loads a packed Q),
+// qp loads a comparison of wide values.
+func CommitMovesGraph() *Graph {
+	g := &Graph{Name: "commitmoves"}
+	var in, swap, rot, tail [2]NodeID
+	for k, w := range []int{1, 8} {
+		name := func(s string) string { return s + itoa(w) }
+		in[k] = g.AddInput(name("in"), w)
+		a, b := g.AddReg(name("swap_a"), w, 0xa5), g.AddReg(name("swap_b"), w, 0x3c)
+		g.SetRegNext(a, b)
+		g.SetRegNext(b, a)
+		r0, r1, r2 := g.AddReg(name("rot_a"), w, 0x11), g.AddReg(name("rot_b"), w, 0x22), g.AddReg(name("rot_c"), w, 0x44)
+		g.SetRegNext(r0, r1)
+		g.SetRegNext(r1, r2)
+		g.SetRegNext(r2, r0)
+		hold := g.AddReg(name("hold"), w, 0x5b)
+		g.SetRegNext(hold, hold)
+		prev := in[k]
+		for i := 0; i < 64; i++ {
+			r := g.AddReg(name("chain")+"_"+itoa(i), w, uint64(i))
+			g.SetRegNext(r, prev)
+			prev = r
+		}
+		for i := 0; i < 5; i++ {
+			g.SetRegNext(g.AddReg(name("fan")+"_"+itoa(i), w, uint64(i)), r0)
+		}
+		swap[k], rot[k], tail[k] = a, r0, prev
+		g.AddOutput(name("swap"), a)
+		g.AddOutput(name("rot"), r2)
+		g.AddOutput(name("hold"), hold)
+		g.AddOutput(name("tail"), prev)
+	}
+	qw := g.AddReg("qw", 1, 0)
+	qp := g.AddReg("qp", 1, 1)
+	acc := g.AddReg("acc", 8, 0)
+	neq := g.AddOp(wire.Neq, 1, in[1], tail[1])
+	pick := g.AddOp(wire.Xor, 8,
+		g.AddOp(wire.Mux, 8, qw, in[1], tail[1]),
+		g.AddOp(wire.Mux, 8, qw, rot[1], swap[1]))
+	g.SetRegNext(qw, swap[0])
+	g.SetRegNext(qp, neq)
+	g.SetRegNext(acc, g.AddOp(wire.Add, 8, acc, g.AddOp(wire.Mux, 8, neq, pick, in[1])))
+	g.AddOutput("gate", g.AddOp(wire.And, 1, qp, g.AddOp(wire.Xor, 1, rot[0], tail[0])))
+	g.AddOutput("acc", acc)
+	return g
+}

@@ -43,6 +43,10 @@ const (
 	FeatPartitionCut Feature = "partition:cut-edges"
 	// FeatPartitionReplication: the n=2 RepCut plan replicates shared logic.
 	FeatPartitionReplication Feature = "partition:replication"
+	// FeatCommitCycle: registers load each other's Q in a cycle, so no
+	// order of one-at-a-time register updates is the simultaneous one
+	// without a temporary.
+	FeatCommitCycle Feature = "commit:cycle"
 )
 
 // Features extracts the coverage features one case exercises. Static
@@ -88,6 +92,9 @@ func Features(c *Case) ([]Feature, error) {
 			set[FeatPackedSlots] = true
 			break
 		}
+	}
+	if commitCycle(ten.RegSlots) {
+		set[FeatCommitCycle] = true
 	}
 	if plan, err := repcut.NewPlan(ten, 2, partition.Default()); err == nil {
 		st := plan.Stats()
@@ -139,6 +146,28 @@ func Features(c *Case) ([]Feature, error) {
 	}
 	sort.Slice(feats, func(i, j int) bool { return feats[i] < feats[j] })
 	return feats, nil
+}
+
+// commitCycle reports whether following Next → the register whose Q that is
+// ever returns to a register other than by its own Q.
+func commitCycle(regs []dfg.RegSlot) bool {
+	byQ := make(map[int32]int, len(regs))
+	for i, r := range regs {
+		byQ[r.Q] = i
+	}
+	for i := range regs {
+		k := i
+		for steps := 0; steps <= len(regs); steps++ {
+			next, ok := byQ[regs[k].Next]
+			if !ok || next == k {
+				break
+			}
+			if k = next; k == i {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Coverage accumulates features across cases. Safe for concurrent use by
@@ -193,18 +222,21 @@ func (c *Coverage) Strings() []string {
 
 // Profile is one generation regime: a parameter sampler plus the coverage
 // features the regime is designed to reach. PickProfile prefers profiles
-// with uncovered targets.
+// with uncovered targets. A profile with a Graph is one fixed design, which
+// its seeds vary the stimulus of.
 type Profile struct {
 	Name    string
 	Targets []Feature
 	Params  func(rng *rand.Rand) dfg.RandomParams
+	Graph   func() *dfg.Graph
 }
 
 // Profiles returns the generation regimes, broadest first. The baseline
 // regime mirrors the historical differential_test.go distribution; the
 // rest push the axes it never reached: full-64-bit widths, sharp
-// shift/cat edges, dynamically-zero divisors, deep mux chains, and
-// all-1-bit control designs that maximise bit packing.
+// shift/cat edges, dynamically-zero divisors, deep mux chains,
+// all-1-bit control designs that maximise bit packing, and the fixed design
+// whose register update is cycles, chains and fan-out of Qs.
 func Profiles() []Profile {
 	return []Profile{
 		{
@@ -298,6 +330,11 @@ func Profiles() []Profile {
 				}
 			},
 		},
+		{
+			Name:    "commitmoves",
+			Targets: []Feature{FeatCommitCycle},
+			Graph:   dfg.CommitMovesGraph,
+		},
 	}
 }
 
@@ -328,6 +365,9 @@ func PickProfile(cov *Coverage, rng *rand.Rand) Profile {
 // NewCase generates one differential case from a profile. The case is a
 // pure function of (seed, profile name, cycles, lanes).
 func NewCase(seed int64, prof Profile, cycles, lanes int) *Case {
+	if prof.Graph != nil {
+		return &Case{Graph: prof.Graph(), Cycles: cycles, Lanes: lanes, StimSeed: seed*31 + 7}
+	}
 	rng := rand.New(rand.NewSource(seed*7919 + 1))
 	params := prof.Params(rng)
 	g := dfg.RandomGraph(rand.New(rand.NewSource(seed)), params)

@@ -12,151 +12,183 @@ import (
 // through a single settle/commit schedule. The layer-input tensor is held in
 // structure-of-arrays layout — one lane-vector per LI slot — so each
 // operation runs as a tight loop over lanes touching two or three contiguous
-// slices, the memory shape a vectorising compiler (or a future SIMD/GPU
+// rows, the memory shape a vectorising compiler (or a future SIMD/GPU
 // backend) wants.
 //
-// The schedule is the batch-specialised compilation of the fully unrolled TI
-// tape (see batch_sched.go): operand slots are pre-bound to lane-vector
-// slices at instantiation, redundant output masks are elided, the loop
-// bodies are bounds-check-free, and the register commit folds to a single
-// pass when no Next/Q aliasing forces staging. Levelization guarantees
-// in-layer writes never feed in-layer reads, so results go straight to their
-// LI coordinates in every lane.
+// The schedule is the program and the batch is state. The program is the
+// batch-specialised compilation of the fully unrolled TI tape (see
+// batch_sched.go), built once per [Program] and shared read-only: its
+// instructions name rows, redundant output masks are elided, the loop bodies
+// are bounds-check-free, and the register commit is a list of row moves
+// ordered so that each runs in place. The state is a list of lane blocks of
+// at most 64*blockWords lanes, each owning a contiguous wide store — one row
+// of its lanes per slot that has a lane vector — and, under a packing
+// schedule, a packed store with one row of blockWords words per packed slot,
+// lane i of the block in bit i. Levelization guarantees in-layer writes never
+// feed in-layer reads, so results go straight to their rows in every lane.
 //
 // A batch built over a packing schedule keeps every slot the schedule
-// packed in a bit-packed store instead — lane i is bit i of a word vector —
-// so the packed loop bodies evaluate 64 lanes per word-wide op. Each slot
-// has one home: a packed slot owns a lane vector only when a schedule
-// instruction reads or writes its wide view, and Poke/Peek route through
-// the packed layout transparently. The [Batch.SettleReference] oracle works
-// on lane vectors alone, so it runs on wide batches only.
+// packed in the packed store only, so the packed loop bodies evaluate 64
+// lanes per word-wide op. Each slot has one home: a packed slot owns a wide
+// row only when a schedule instruction reads or writes its wide view, and
+// Poke/Peek route through the packed layout transparently. The
+// [Batch.SettleReference] oracle works on lane vectors alone, so it runs on
+// wide batches only.
 //
-// A batch shards its lanes over the workers of one [Workers] group: every
-// worker runs the full schedule across its own contiguous lane block —
-// lanes never interact, so an unwatched run needs no synchronisation between
-// dispatch and join. Packed batches shard on 64-lane-aligned word boundaries
-// so no two workers share a packed word; surplus workers past the word count
-// idle on empty ranges. A one-worker batch is a group of one: its single
-// shard runs on the caller's goroutine. Call [Batch.Close] to stop the
+// A batch shards its lanes over the workers of one [Workers] group: the
+// lanes split evenly, every worker owns the whole blocks of its share and
+// runs the full schedule over each — lanes never interact, and no two blocks
+// share a word of either store, so an unwatched run needs no synchronisation
+// between dispatch and join. A one-worker batch is a group of one: its
+// blocks run on the caller's goroutine. Call [Batch.Close] to stop the
 // workers deterministically; an unreachable batch's group is stopped by the
 // garbage collector.
 type Batch struct {
-	t      *oim.Tensor
-	sched  *batchSchedule
-	lanes  int
-	words  int        // packed words per slot, (lanes+63)/64 (packing only)
-	li     [][]uint64 // li[slot] is the slot's lane-vector (SoA); nil when packed-only
-	buf    []uint64   // backing store for li, wideSlots*lanes contiguous
-	pk     [][]uint64 // pk[slot] is the packed lane-bitvector; nil per wide slot
-	pkbuf  []uint64   // backing store for pk, packedSlots*words contiguous
-	next   []uint64   // staged register commit, regs*lanes (staged plan only)
-	pkNext []uint64   // packed staged commit, regs*words (staged packed plan)
-	outs   []uint64   // sampled outputs, outputs*lanes
+	t     *oim.Tensor
+	sched *batchSchedule
+	lanes int
 
-	shards []*batchShard // shards[w] is worker w's lane block
-	ws     *Workers
+	// The state, each array cut into the blocks' shares back to back: wide
+	// rows, packed rows (packing schedules only) and the sampled outputs.
+	wide []uint64
+	pk   [][blockWords]uint64
+	outs []uint64
+
+	blocks  []laneBlock
+	blockOf []int32 // blockOf[lane] indexes the block holding the lane
+	own     []int   // worker w owns blocks[own[w]:own[w+1]]
+	ws      *Workers
+
+	refNext []uint64 // StepReference's staged commit, regs*lanes, allocated on first use
 
 	// The per-worker bodies, bound once so a dispatch allocates nothing,
 	// and the run they execute: the poke plan is shared read-only by all
-	// workers until the dispatch joins (each applies only its own lanes).
+	// workers until the dispatch joins (each block applies only its own
+	// lanes).
 	settleJob, runJob func(w int)
 	cycleJob          func(w, i int) bool
 	cur               RunSpec
 }
 
-// batchShard is the slice of a batch one worker owns: the schedule bound to
-// a contiguous lane sub-range, plus views of the shared stores so the
-// worker can apply planned pokes and evaluate watches for its own lanes.
-// Lanes are independent, so shards share no mutable state (the store views
-// overlap only on lanes outside every other shard's range).
-type batchShard struct {
-	ops         []boundOp
-	commits     []boundCommit
-	outB        []outBind
-	fusedCommit bool
-
-	lo, hi int        // owned lane range
-	lanes  int        // full batch width (outs stride)
-	li     [][]uint64 // full-batch lane vectors, nil per packed-only slot (poke/watch access)
-	pk     [][]uint64 // packed store, nil per wide slot / wide batch
-	masks  []uint64
-	outs   []uint64
-	pi     int // poke-plan cursor of a lock-step run
+// laneBlock is the state of n consecutive lanes from lane lo on: the
+// block's share of the batch's three arrays. Row r of the wide store is
+// wide[r*n:][:n], output i as last sampled outs[i*n:][:n]. Blocks share no
+// memory, so workers owning different blocks share no mutable state.
+type laneBlock struct {
+	lo, n int
+	wide  []uint64
+	pk    [][blockWords]uint64
+	outs  []uint64
+	pi    int // poke-plan cursor of a lock-step run
 }
 
-// settle runs the schedule and samples the outputs; step adds the register
-// commit.
-func (sh *batchShard) settle() {
-	runOps(sh.ops)
-	runOuts(sh.outB)
-}
-
-// step runs one full cycle: the pokes scheduled at or before cycle i that
-// fall on owned lanes (from cursor pi; the advanced cursor is returned),
-// the schedule, the register commit.
-func (sh *batchShard) step(i, pi int, pokes []PlannedPoke) int {
-	for ; pi < len(pokes) && pokes[pi].Cycle <= i; pi++ {
-		if sh.owns(pokes[pi].Lane) {
-			sh.poke(pokes[pi])
+// settle runs the schedule over one block, segment by segment, and samples
+// the primary outputs. The sampled outputs are always wide: a packed output
+// unpacks on sampling, so PeekOutput is layout-blind.
+func (b *Batch) settle(blk *laneBlock) {
+	s, n := b.sched, blk.n
+	from := 0
+	for _, end := range s.segEnds {
+		switch seg := s.insts[from:end]; seg[0].code.segment() {
+		case segWide:
+			runOps(seg, blk.wide, n)
+		case segWordWide:
+			runPackedOps(seg, blk.pk)
+		default:
+			runCrossings(seg, blk.wide, blk.pk, n)
+		}
+		from = end
+	}
+	for i, slot := range b.t.OutputSlots {
+		dst := blk.outs[i*n:][:n]
+		if row, packed := s.home(slot); packed {
+			unpackLanes(dst, blk.pk[row][:])
+		} else {
+			copy(dst, blk.wide[int(row)*n:][:n])
 		}
 	}
-	sh.settle()
-	runCommits(sh.commits, sh.fusedCommit)
+}
+
+// step runs one full cycle of one block: the pokes scheduled at or before
+// cycle i that fall on its lanes (from cursor pi; the advanced cursor is
+// returned), the schedule, the register commit.
+func (b *Batch) step(blk *laneBlock, i, pi int, pokes []PlannedPoke) int {
+	for ; pi < len(pokes) && pokes[pi].Cycle <= i; pi++ {
+		if l := pokes[pi].Lane - blk.lo; uint(l) < uint(blk.n) {
+			b.poke(blk, l, pokes[pi].Slot, pokes[pi].Value)
+		}
+	}
+	b.settle(blk)
+	runCommits(b.sched.commits, blk.wide, blk.pk, blk.n)
 	return pi
 }
 
-// poke applies one planned poke to the shard's stores (the caller checks
-// the lane is owned).
-func (sh *batchShard) poke(p PlannedPoke) {
-	if sh.pk != nil {
-		if w := sh.pk[p.Slot]; w != nil {
-			pkSet(w, p.Lane, p.Value)
-			return
-		}
+// poke writes lane l of the block at the slot's home row, masked to the
+// slot's width.
+func (b *Batch) poke(blk *laneBlock, l int, slot int32, v uint64) {
+	if row, packed := b.sched.home(slot); packed {
+		pkSet(&blk.pk[row], l, v)
+	} else {
+		blk.wide[int(row)*blk.n+l] = v & b.t.Masks[slot]
 	}
-	sh.li[p.Slot][p.Lane] = p.Value & sh.masks[p.Slot]
 }
 
-// owns reports whether the lane falls in this shard's range.
-func (sh *batchShard) owns(lane int) bool { return lane >= sh.lo && lane < sh.hi }
+// peek reads lane l of the block at the slot's home row.
+func (b *Batch) peek(blk *laneBlock, l int, slot int32) uint64 {
+	row, packed := b.sched.home(slot)
+	if packed {
+		return pkGet(&blk.pk[row], l)
+	}
+	return blk.wide[int(row)*blk.n+l]
+}
 
-// watchValue samples the watched value from the shard's stores: primary
-// outputs from the settle-sampled outs (an output slot may alias a register
-// Q whose LI value moves at commit), everything else from the LI store.
-func (sh *batchShard) watchValue(w *Watch) uint64 {
-	if w.OutIdx >= 0 {
-		return sh.outs[w.OutIdx*sh.lanes+w.Lane]
-	}
-	if sh.pk != nil {
-		if p := sh.pk[w.Slot]; p != nil {
-			return pkGet(p, w.Lane)
-		}
-	}
-	return sh.li[w.Slot][w.Lane]
+// at locates a lane: its block and its index there.
+func (b *Batch) at(lane int) (*laneBlock, int) {
+	blk := &b.blocks[b.blockOf[lane]]
+	return blk, lane - blk.lo
 }
 
 // The three bodies a batch hands its group. runShard is the resident loop
-// of an unwatched run: k cycles with no synchronisation at all. cycleShard
-// is one cycle of a watched run, which the group executes in lock-step so
-// every lane stops at the cycle the watch accepted; the shard owning the
-// watched lane evaluates it.
-func (b *Batch) settleShard(w int) { b.shards[w].settle() }
+// of an unwatched run: each of the worker's blocks in turn runs all k
+// cycles, with no synchronisation at all, so a block's stores stay cached
+// from one cycle to the next. cycleShard is one cycle of a watched run,
+// which the group executes in lock-step so every lane stops at the cycle the
+// watch accepted; the worker owning the watched lane evaluates it — primary
+// outputs from the settle-sampled outs (an output slot may alias a register Q
+// whose value moves at commit), everything else from the slot's home row.
+func (b *Batch) settleShard(w int) {
+	for bi := b.own[w]; bi < b.own[w+1]; bi++ {
+		b.settle(&b.blocks[bi])
+	}
+}
 
 func (b *Batch) runShard(w int) {
-	sh, k, pokes := b.shards[w], b.cur.Cycles, b.cur.Pokes
-	pi := 0
-	for i := 0; i < k; i++ {
-		pi = sh.step(i, pi, pokes)
+	k, pokes := b.cur.Cycles, b.cur.Pokes
+	for bi := b.own[w]; bi < b.own[w+1]; bi++ {
+		blk, pi := &b.blocks[bi], 0
+		for i := 0; i < k; i++ {
+			pi = b.step(blk, i, pi, pokes)
+		}
 	}
 }
 
 func (b *Batch) cycleShard(w, i int) bool {
-	sh, watch := b.shards[w], b.cur.Watch
-	if i == 0 {
-		sh.pi = 0
+	for bi := b.own[w]; bi < b.own[w+1]; bi++ {
+		blk := &b.blocks[bi]
+		if i == 0 {
+			blk.pi = 0
+		}
+		blk.pi = b.step(blk, i, blk.pi, b.cur.Pokes)
 	}
-	sh.pi = sh.step(i, sh.pi, b.cur.Pokes)
-	return sh.owns(watch.Lane) && watch.Accepts(sh.watchValue(watch))
+	watch := b.cur.Watch
+	if bi := int(b.blockOf[watch.Lane]); bi < b.own[w] || bi >= b.own[w+1] {
+		return false
+	}
+	blk, l := b.at(watch.Lane)
+	if watch.OutIdx >= 0 {
+		return watch.Accepts(blk.outs[watch.OutIdx*blk.n+l])
+	}
+	return watch.Accepts(b.peek(blk, l, watch.Slot))
 }
 
 // NewBatch builds an n-lane batch engine over t, compiling the schedule
@@ -175,63 +207,43 @@ func newBatch(t *oim.Tensor, sched *batchSchedule, lanes, workers int) (*Batch, 
 	}
 	workers = min(max(workers, 1), lanes)
 	b := &Batch{
-		t:     t,
-		sched: sched,
-		lanes: lanes,
-		buf:   make([]uint64, len(sched.wideSlots)*lanes),
-		li:    make([][]uint64, t.NumSlots),
-		outs:  make([]uint64, len(t.OutputSlots)*lanes),
+		t:       t,
+		sched:   sched,
+		lanes:   lanes,
+		wide:    make([]uint64, sched.wideRows*lanes),
+		outs:    make([]uint64, len(t.OutputSlots)*lanes),
+		blockOf: make([]int32, lanes),
+		own:     []int{0},
 	}
-	if !sched.fusedCommit {
-		b.next = make([]uint64, len(t.RegSlots)*lanes)
-	}
-	for i, slot := range sched.wideSlots {
-		b.li[slot] = b.buf[i*lanes : (i+1)*lanes : (i+1)*lanes]
-	}
-	if sched.packing {
-		b.words = (lanes + 63) / 64
-		b.pk = make([][]uint64, t.NumSlots)
-		b.pkbuf = make([]uint64, len(sched.packedSlots)*b.words)
-		for i, slot := range sched.packedSlots {
-			b.pk[slot] = b.pkbuf[i*b.words : (i+1)*b.words : (i+1)*b.words]
-		}
-		if !sched.fusedCommit {
-			b.pkNext = make([]uint64, len(t.RegSlots)*b.words)
-		}
-	}
+	// Lanes split evenly over the workers, and a worker's share evenly over
+	// as few blocks as hold it.
 	lo := 0
 	for w := 0; w < workers; w++ {
-		var hi int
-		if sched.packing {
-			// Split on 64-lane-aligned word boundaries so no two
-			// workers ever write the same packed word. Workers past
-			// the word count keep an empty [hi,hi) range — they idle
-			// at the barrier but preserve the requested shard count.
-			wds := b.words / workers
-			if w < b.words%workers {
-				wds++
-			}
-			hi = min(lo+wds*64, lanes)
-		} else {
-			hi = lo + lanes/workers
-			if w < lanes%workers {
-				hi++
-			}
+		share := lanes / workers
+		if w < lanes%workers {
+			share++
 		}
-		b.shards = append(b.shards, &batchShard{
-			ops:         bindOps(sched, b.li, b.pk, lo, hi),
-			commits:     bindCommits(sched, b.li, b.pk, b.next, b.pkNext, lanes, b.words, lo, hi),
-			outB:        bindOuts(t, sched, b.li, b.pk, b.outs, lanes, lo, hi),
-			fusedCommit: sched.fusedCommit,
-			lo:          lo,
-			hi:          hi,
-			lanes:       lanes,
-			li:          b.li,
-			pk:          b.pk,
-			masks:       t.Masks,
-			outs:        b.outs,
-		})
-		lo = hi
+		for nb := (share + 64*blockWords - 1) / (64 * blockWords); nb > 0; nb-- {
+			n := (share + nb - 1) / nb
+			for l := lo; l < lo+n; l++ {
+				b.blockOf[l] = int32(len(b.blocks))
+			}
+			b.blocks = append(b.blocks, laneBlock{
+				lo:   lo,
+				n:    n,
+				wide: b.wide[sched.wideRows*lo:][:sched.wideRows*n],
+				outs: b.outs[len(t.OutputSlots)*lo:][:len(t.OutputSlots)*n],
+			})
+			lo += n
+			share -= n
+		}
+		b.own = append(b.own, len(b.blocks))
+	}
+	if sched.packedRow != nil {
+		b.pk = make([][blockWords]uint64, sched.packedRows*len(b.blocks))
+		for i := range b.blocks {
+			b.blocks[i].pk = b.pk[sched.packedRows*i:][:sched.packedRows]
+		}
 	}
 	b.ws = NewWorkers(workers)
 	b.settleJob, b.runJob, b.cycleJob = b.settleShard, b.runShard, b.cycleShard
@@ -243,7 +255,7 @@ func newBatch(t *oim.Tensor, sched *batchSchedule, lanes, workers int) (*Batch, 
 func (b *Batch) Lanes() int { return b.lanes }
 
 // Workers reports the effective worker count (1 = sequential).
-func (b *Batch) Workers() int { return len(b.shards) }
+func (b *Batch) Workers() int { return len(b.own) - 1 }
 
 // Packed reports whether the batch runs the bit-packed layout: true when
 // the schedule was compiled with packing and the design has at least one
@@ -260,67 +272,61 @@ func (b *Batch) Tensor() *oim.Tensor { return b.t }
 func (b *Batch) Close() { b.ws.Close() }
 
 // Reset restores every lane to the initial state, filling a preloaded slot
-// in each store that holds it (a packed-only slot's lane vector is nil).
+// in each store that holds a row of it (a packed constant that wide bodies
+// read in place has two).
 func (b *Batch) Reset() {
-	for i := range b.buf {
-		b.buf[i] = 0
-	}
-	for i := range b.pkbuf {
-		b.pkbuf[i] = 0
-	}
+	clear(b.wide)
+	clear(b.pk)
+	clear(b.outs)
 	for _, c := range b.t.ConstSlots {
-		fill(b.li[c.Slot], c.Value)
-		if w := b.pkOf(c.Slot); w != nil {
-			fillPk(w, c.Value)
-		}
+		b.preload(c.Slot, c.Value)
 	}
 	for _, r := range b.t.RegSlots {
-		fill(b.li[r.Q], r.Init)
-		if w := b.pkOf(r.Q); w != nil {
-			fillPk(w, r.Init)
+		b.preload(r.Q, r.Init)
+	}
+}
+
+// preload sets every lane of a slot to v (non-zero: the stores were just
+// cleared) in each row the slot has.
+func (b *Batch) preload(slot int32, v uint64) {
+	if v == 0 {
+		return
+	}
+	wideRow, packedRow := int(b.sched.wideRow[slot]), -1
+	if b.pk != nil {
+		packedRow = int(b.sched.packedRow[slot])
+	}
+	for i := range b.blocks {
+		blk := &b.blocks[i]
+		if wideRow >= 0 {
+			row := blk.wide[wideRow*blk.n:][:blk.n]
+			for l := range row {
+				row[l] = v
+			}
 		}
-	}
-	for i := range b.outs {
-		b.outs[i] = 0
-	}
-}
-
-// pkOf returns slot's packed word vector, or nil when the slot (or the
-// whole batch) is wide.
-func (b *Batch) pkOf(slot int32) []uint64 {
-	if b.pk == nil {
-		return nil
-	}
-	return b.pk[slot]
-}
-
-func fill(v []uint64, x uint64) {
-	for i := range v {
-		v[i] = x
+		if packedRow >= 0 {
+			for w := range blk.pk[packedRow] {
+				blk.pk[packedRow][w] = ^uint64(0) // a packed slot's v is 1; bits past the lanes are garbage anyway
+			}
+		}
 	}
 }
 
 // PokeInput drives the idx-th primary input of one lane.
-func (b *Batch) PokeInput(lane, idx int, v uint64) {
-	slot := b.t.InputSlots[idx]
-	if w := b.pkOf(slot); w != nil {
-		pkSet(w, lane, v)
-		return
-	}
-	b.li[slot][lane] = v & b.t.Masks[slot]
-}
+func (b *Batch) PokeInput(lane, idx int, v uint64) { b.PokeSlot(lane, b.t.InputSlots[idx], v) }
 
 // PeekOutput reads the idx-th primary output of one lane as sampled at the
 // most recent Settle.
-func (b *Batch) PeekOutput(lane, idx int) uint64 { return b.outs[idx*b.lanes+lane] }
+func (b *Batch) PeekOutput(lane, idx int) uint64 {
+	blk, l := b.at(lane)
+	return blk.outs[idx*blk.n+l]
+}
 
 // PeekSlot reads any LI coordinate of one lane, routing through the packed
 // layout for 1-bit slots.
 func (b *Batch) PeekSlot(lane int, slot int32) uint64 {
-	if w := b.pkOf(slot); w != nil {
-		return pkGet(w, lane)
-	}
-	return b.li[slot][lane]
+	blk, l := b.at(lane)
+	return b.peek(blk, l, slot)
 }
 
 // PokeSlot writes any LI coordinate of one lane (host-DUT communication,
@@ -328,22 +334,16 @@ func (b *Batch) PeekSlot(lane int, slot int32) uint64 {
 // packed layout, so a DMI poke lands exactly where the next packed settle
 // reads.
 func (b *Batch) PokeSlot(lane int, slot int32, v uint64) {
-	if w := b.pkOf(slot); w != nil {
-		pkSet(w, lane, v)
-		return
-	}
-	b.li[slot][lane] = v & b.t.Masks[slot]
+	blk, l := b.at(lane)
+	b.poke(blk, l, slot, v)
 }
 
 // RegSnapshot copies one lane's committed register values.
 func (b *Batch) RegSnapshot(lane int) []uint64 {
+	blk, l := b.at(lane)
 	out := make([]uint64, len(b.t.RegSlots))
 	for i, r := range b.t.RegSlots {
-		if w := b.pkOf(r.Q); w != nil {
-			out[i] = pkGet(w, lane)
-			continue
-		}
-		out[i] = b.li[r.Q][lane]
+		out[i] = b.peek(blk, l, r.Q)
 	}
 	return out
 }
@@ -411,50 +411,56 @@ func (b *Batch) runBulkOnce(spec RunSpec) (ran int, stopped bool) {
 // SettleReference evaluates every lane through the spec: the tensor's
 // operations in order, each one's operands gathered per lane and handed to
 // [wire.Eval]. It shares no code with the schedule it is the parity oracle
-// for — no tape, no operand binding, no mask elision, no loop bodies — and is
-// the baseline the benchmark's kernel.batch_reference_lane_cycles_per_s
-// metric measures the fast path against. Results go straight to their LI
+// for — no tape, no rows, no mask elision, no loop bodies — and is the
+// baseline the benchmark's kernel.batch_reference_lane_cycles_per_s metric
+// measures the fast path against. Results go straight to their LI
 // coordinates, which levelization makes safe. It reads and writes lane
-// vectors only, so it panics on a packed batch, whose packed slots have none.
+// vectors only — in a wide batch a slot's row is the slot — so it panics on
+// a packed batch, whose packed slots have none.
 func (b *Batch) SettleReference() {
 	if b.pk != nil {
 		panic("kernel: the reference oracle runs on wide batches only")
 	}
-	li := b.li
 	var vals []uint64
-	b.t.Ops(func(_ int, sig uint16, s int32, args []int32) {
-		code, out, mask := b.t.OpTable[sig].Op, li[s], b.t.Masks[s]
-		for l := range out {
-			vals = vals[:0]
-			for _, a := range args {
-				vals = append(vals, li[a][l])
+	for bi := range b.blocks {
+		li, n := b.blocks[bi].wide, b.blocks[bi].n
+		b.t.Ops(func(_ int, sig uint16, s int32, args []int32) {
+			code, out, mask := b.t.OpTable[sig].Op, li[int(s)*n:][:n], b.t.Masks[s]
+			for l := range out {
+				vals = vals[:0]
+				for _, a := range args {
+					vals = append(vals, li[int(a)*n+l])
+				}
+				out[l] = wire.Eval(code, vals, mask)
 			}
-			out[l] = wire.Eval(code, vals, mask)
+		})
+		for i, slot := range b.t.OutputSlots {
+			copy(b.blocks[bi].outs[i*n:][:n], li[int(slot)*n:][:n])
 		}
-	})
-	lanes := b.lanes
-	for i, slot := range b.t.OutputSlots {
-		copy(b.outs[i*lanes:(i+1)*lanes], li[slot])
 	}
 }
 
-// StepReference is SettleReference followed by the staged two-pass register
-// commit the schedule compiler folds away when it can. Like SettleReference
-// it panics on a packed batch.
+// StepReference is SettleReference followed by the textbook register commit:
+// every Next staged, masked, then every Q written — the two passes the
+// schedule's ordered moves replace. Like SettleReference it panics on a
+// packed batch.
 func (b *Batch) StepReference() {
 	b.SettleReference()
-	lanes := b.lanes
-	if b.next == nil {
-		b.next = make([]uint64, len(b.t.RegSlots)*lanes)
+	regs := b.t.RegSlots
+	if b.refNext == nil {
+		b.refNext = make([]uint64, len(regs)*b.lanes)
 	}
-	for i, r := range b.t.RegSlots {
-		src := b.li[r.Next]
-		dst := b.next[i*lanes : (i+1)*lanes]
-		for l := range dst {
-			dst[l] = src[l] & r.Mask
+	for bi := range b.blocks {
+		li, n := b.blocks[bi].wide, b.blocks[bi].n
+		next := b.refNext[len(regs)*b.blocks[bi].lo:][:len(regs)*n]
+		for i, r := range regs {
+			src, dst := li[int(r.Next)*n:][:n], next[i*n:][:n]
+			for l := range dst {
+				dst[l] = src[l] & r.Mask
+			}
 		}
-	}
-	for i, r := range b.t.RegSlots {
-		copy(b.li[r.Q], b.next[i*lanes:(i+1)*lanes])
+		for i, r := range regs {
+			copy(li[int(r.Q)*n:][:n], next[i*n:][:n])
+		}
 	}
 }

@@ -6,13 +6,14 @@ import (
 )
 
 // The bit-packed half of the batch schedule. Slots the width analysis
-// proves 1-bit (see OneBitSlots) are stored one lane per bit — lane i is
-// bit i of a []uint64 word vector — and the schedule compiler rewrites
-// every instruction touching them, one of two ways:
+// proves 1-bit (see OneBitSlots) are stored one lane per bit — lane i of a
+// lane block is bit i of the slot's packed row, blockWords words — and the
+// schedule compiler rewrites every instruction touching them, one of two
+// ways:
 //
 //   - An operation whose output and operands are all packed runs one
-//     word-wide op per 64 lanes (bitwise logic, 1-bit comparisons, branchless
-//     mux and priority chains on whole words).
+//     word-wide op per 64 lanes, a whole row per instruction (bitwise logic,
+//     1-bit comparisons, branchless mux and priority chains on whole words).
 //   - Every other mix crosses the layout boundary through one mechanism
 //     (emitWide): bpUnpack materialises the wide lane view of each packed
 //     operand whose view is stale, the ordinary wide fused body runs
@@ -22,21 +23,30 @@ import (
 //     write, not once per use — packing is never a correctness decision and
 //     mixed ops never pay a per-lane gather.
 //
-// A packed slot lives in the packed store only; it owns a wide lane vector
-// exactly when some instruction binds its wide view (see wideSlotsOf).
+// A packed slot lives in the packed store only; it owns a wide row exactly
+// when some instruction reads or writes its wide view (see wideSlotsOf).
 //
 // Which provably-1-bit slots actually live packed is a profitability
 // decision layered on the width analysis: demotePacking drops slots whose
 // packed residency would only surround wide bodies with crossings.
 //
-// Bits of a partial tail word above the lane count are garbage (word-wide
-// NOT sets them, for example). That is safe by construction: every consumer
-// of a packed word either extracts single lane bits or writes whole words
-// it owns, and packed shards split on 64-lane-aligned boundaries so no two
-// workers share a word.
+// Bits of a packed row above its block's lane count are garbage (word-wide
+// NOT sets them, for example, and a crossing writes only the words its lanes
+// reach). That is safe by construction: every consumer of a packed row either
+// extracts single lane bits or writes whole rows, and a row belongs to one
+// block, so no two workers share a word however the lanes split.
 
-// Packed opcodes continue the batchCode space; bpAnd must stay the first so
-// runOps can route `code >= bpAnd` to execPackedOp.
+// blockWords is the width of a packed row in words, and 64 times it the
+// most lanes one lane block holds: a fixed size, so the word-wide bodies
+// index arrays and need neither an inner loop nor a bounds check per word.
+const blockWords = 4
+
+// The word-wide bodies below are written out for four words; any other
+// blockWords is an index out of range here, at compile time.
+var _ = [1]struct{}{}[blockWords-4]
+
+// Packed opcodes continue the batchCode space: the word-wide bodies from
+// bpAnd up to bpUnpack, then the two crossings.
 const (
 	// All-packed word-wide bodies.
 	bpAnd batchCode = 64 + iota
@@ -98,11 +108,29 @@ func demotePacking(insts []batchInst, regs []dfg.RegSlot, packed []bool) {
 	}
 }
 
-// packedSides reports which sides of an instruction bind the packed store:
-// a word-wide body binds it everywhere, a wide body nowhere, and the two
-// crossings bind one side each.
+// The three loops a schedule's segments run through, by opcode range.
+const (
+	segWide     = iota // runOps: wide bodies
+	segWordWide        // runPackedOps: word-wide bodies
+	segCrossing        // runCrossings: bpUnpack, bpPack
+)
+
+func (c batchCode) segment() int {
+	switch {
+	case c < bpAnd:
+		return segWide
+	case c < bpUnpack:
+		return segWordWide
+	default:
+		return segCrossing
+	}
+}
+
+// packedSides reports which sides of an instruction index the packed store:
+// a word-wide body does everywhere, a wide body nowhere, and the two
+// crossings on one side each.
 func (c batchCode) packedSides() (out, args bool) {
-	wordWide := c >= bpAnd && c < bpUnpack
+	wordWide := c.segment() == segWordWide
 	return wordWide || c == bpPack, wordWide || c == bpUnpack
 }
 
@@ -206,25 +234,13 @@ func wideSlotsOf(insts []batchInst, packed []bool) []int32 {
 	return slots
 }
 
-// pkView binds slot's packed words covering the [lo,hi) lane sub-range. lo
-// is 64-lane-aligned for every non-empty shard; surplus workers get an
-// empty [hi,hi) range and must bind zero words.
-func pkView(pk [][]uint64, slot int32, lo, hi int) []uint64 {
-	wlo := (lo + 63) >> 6
-	whi := (hi + 63) >> 6
-	if whi < wlo {
-		whi = wlo
-	}
-	return pk[slot][wlo:whi:whi]
-}
-
-// pkGet extracts one lane's bit from a packed word vector.
-func pkGet(w []uint64, lane int) uint64 {
+// pkGet extracts one lane's bit from a packed row.
+func pkGet(w *[blockWords]uint64, lane int) uint64 {
 	return w[lane>>6] >> (uint(lane) & 63) & 1
 }
 
 // pkSet writes one lane's bit (the packed analogue of a masked poke).
-func pkSet(w []uint64, lane int, v uint64) {
+func pkSet(w *[blockWords]uint64, lane int, v uint64) {
 	bit := uint64(1) << (uint(lane) & 63)
 	if v&1 != 0 {
 		w[lane>>6] |= bit
@@ -235,8 +251,8 @@ func pkSet(w []uint64, lane int, v uint64) {
 
 // packLanes packs the low bit of each wide lane value into dst words: the
 // one loop every wide→packed crossing shares (bpPack and mixed register
-// commits). Tail bits above len(src) keep whatever acc left — garbage by
-// contract.
+// commits). Tail bits above len(src) keep whatever acc left, and the words
+// past them what they held — garbage by contract.
 func packLanes(dst, src []uint64) {
 	var acc uint64
 	for l := 0; l < len(src); l++ {
@@ -264,98 +280,60 @@ func unpackLanes(dst, src []uint64) {
 	}
 }
 
-// fillPk sets every lane of a packed word vector to v's low bit.
-func fillPk(w []uint64, v uint64) {
-	x := uint64(0)
-	if v&1 != 0 {
-		x = ^uint64(0)
-	}
-	for i := range w {
-		w[i] = x
-	}
-}
-
-// execPackedOp runs one packed loop body. Word-wide cases iterate words
-// (64 lanes per step); the two crossings iterate lanes but touch the packed
-// side one word per 64 lanes.
-func execPackedOp(o *boundOp) {
-	out := o.out
-	switch o.code {
-	case bpAnd:
-		x, y := o.x[:len(out)], o.y[:len(out)]
-		for w := range out {
-			out[w] = x[w] & y[w]
-		}
-	case bpOr:
-		x, y := o.x[:len(out)], o.y[:len(out)]
-		for w := range out {
-			out[w] = x[w] | y[w]
-		}
-	case bpXor:
-		x, y := o.x[:len(out)], o.y[:len(out)]
-		for w := range out {
-			out[w] = x[w] ^ y[w]
-		}
-	case bpNot:
-		x := o.x[:len(out)]
-		for w := range out {
-			out[w] = ^x[w]
-		}
-	case bpEqW:
-		x, y := o.x[:len(out)], o.y[:len(out)]
-		for w := range out {
-			out[w] = ^(x[w] ^ y[w])
-		}
-	case bpNeqW:
-		x, y := o.x[:len(out)], o.y[:len(out)]
-		for w := range out {
-			out[w] = x[w] ^ y[w]
-		}
-	case bpLtW:
-		x, y := o.x[:len(out)], o.y[:len(out)]
-		for w := range out {
-			out[w] = ^x[w] & y[w]
-		}
-	case bpLeqW:
-		x, y := o.x[:len(out)], o.y[:len(out)]
-		for w := range out {
-			out[w] = ^x[w] | y[w]
-		}
-	case bpGtW:
-		x, y := o.x[:len(out)], o.y[:len(out)]
-		for w := range out {
-			out[w] = x[w] &^ y[w]
-		}
-	case bpGeqW:
-		x, y := o.x[:len(out)], o.y[:len(out)]
-		for w := range out {
-			out[w] = x[w] | ^y[w]
-		}
-	case bpCopy:
-		copy(out, o.x)
-	case bpMux:
-		s, x, y := o.x[:len(out)], o.y[:len(out)], o.z[:len(out)]
-		for w := range out {
-			out[w] = y[w] ^ s[w]&(x[w]^y[w])
-		}
-	case bpMuxChain:
-		ext := o.ext
-		n := len(ext)
-		dflt := ext[n-1]
-		for w := range out {
-			r := dflt[w]
+// runPackedOps executes one word-wide segment of the schedule over one lane
+// block's packed store: every instruction reads and writes whole rows, 64
+// lanes per word.
+func runPackedOps(insts []batchInst, pk [][blockWords]uint64) {
+	for i := range insts {
+		o := &insts[i]
+		switch o.code {
+		case bpAnd:
+			out, x, y := &pk[o.out], &pk[o.a[0]], &pk[o.a[1]]
+			out[0], out[1], out[2], out[3] = x[0]&y[0], x[1]&y[1], x[2]&y[2], x[3]&y[3]
+		case bpOr:
+			out, x, y := &pk[o.out], &pk[o.a[0]], &pk[o.a[1]]
+			out[0], out[1], out[2], out[3] = x[0]|y[0], x[1]|y[1], x[2]|y[2], x[3]|y[3]
+		case bpXor, bpNeqW:
+			out, x, y := &pk[o.out], &pk[o.a[0]], &pk[o.a[1]]
+			out[0], out[1], out[2], out[3] = x[0]^y[0], x[1]^y[1], x[2]^y[2], x[3]^y[3]
+		case bpNot:
+			out, x := &pk[o.out], &pk[o.a[0]]
+			out[0], out[1], out[2], out[3] = ^x[0], ^x[1], ^x[2], ^x[3]
+		case bpEqW:
+			out, x, y := &pk[o.out], &pk[o.a[0]], &pk[o.a[1]]
+			out[0], out[1], out[2], out[3] = ^(x[0] ^ y[0]), ^(x[1] ^ y[1]), ^(x[2] ^ y[2]), ^(x[3] ^ y[3])
+		case bpLtW:
+			out, x, y := &pk[o.out], &pk[o.a[0]], &pk[o.a[1]]
+			out[0], out[1], out[2], out[3] = ^x[0]&y[0], ^x[1]&y[1], ^x[2]&y[2], ^x[3]&y[3]
+		case bpLeqW:
+			out, x, y := &pk[o.out], &pk[o.a[0]], &pk[o.a[1]]
+			out[0], out[1], out[2], out[3] = ^x[0]|y[0], ^x[1]|y[1], ^x[2]|y[2], ^x[3]|y[3]
+		case bpGtW:
+			out, x, y := &pk[o.out], &pk[o.a[0]], &pk[o.a[1]]
+			out[0], out[1], out[2], out[3] = x[0]&^y[0], x[1]&^y[1], x[2]&^y[2], x[3]&^y[3]
+		case bpGeqW:
+			out, x, y := &pk[o.out], &pk[o.a[0]], &pk[o.a[1]]
+			out[0], out[1], out[2], out[3] = x[0]|^y[0], x[1]|^y[1], x[2]|^y[2], x[3]|^y[3]
+		case bpCopy:
+			pk[o.out] = pk[o.a[0]]
+		case bpMux:
+			out, s, x, y := &pk[o.out], &pk[o.a[0]], &pk[o.a[1]], &pk[o.a[2]]
+			out[0] = y[0] ^ s[0]&(x[0]^y[0])
+			out[1] = y[1] ^ s[1]&(x[1]^y[1])
+			out[2] = y[2] ^ s[2]&(x[2]^y[2])
+			out[3] = y[3] ^ s[3]&(x[3]^y[3])
+		case bpMuxChain:
+			ext := o.ext
+			r := pk[ext[len(ext)-1]]
 			// Walk pairs in reverse so the earliest matching select wins.
-			for i := n - 3; i >= 0; i -= 2 {
-				s, v := ext[i][w], ext[i+1][w]
-				r = r ^ s&(v^r)
+			for i := len(ext) - 3; i >= 0; i -= 2 {
+				s, v := &pk[ext[i]], &pk[ext[i+1]]
+				r[0] ^= s[0] & (v[0] ^ r[0])
+				r[1] ^= s[1] & (v[1] ^ r[1])
+				r[2] ^= s[2] & (v[2] ^ r[2])
+				r[3] ^= s[3] & (v[3] ^ r[3])
 			}
-			out[w] = r
+			pk[o.out] = r
 		}
-	case bpUnpack:
-		// out is the slot's wide lane view, x its packed words.
-		unpackLanes(out, o.x)
-	case bpPack:
-		// out is the slot's packed words, x its wide lane view.
-		packLanes(out, o.x[:o.lanes])
 	}
 }

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rteaal/internal/dfg"
@@ -136,8 +137,8 @@ func packedCrossingGraph() *dfg.Graph {
 // bits above the lane count, which must never leak into any lane's value.
 // It runs a random circuit and the directed crossing graph, whose schedule
 // must hold both crossings, the packed Gt, Mux and MuxChain bodies and a
-// staged commit of every packed/wide shape — so the test cannot silently
-// stop reaching them.
+// commit with a move of every packed/wide shape, ordered for the r1→r2 chain
+// — so the test cannot silently stop reaching them.
 func TestBatchPackedWidePartialWords(t *testing.T) {
 	rng := rand.New(rand.NewSource(6180))
 	const cycles = 5
@@ -161,9 +162,11 @@ func TestBatchPackedWidePartialWords(t *testing.T) {
 	for _, c := range sched.commits {
 		commitShapes[[2]bool{c.qp, c.np}] = true
 	}
-	if sched.fusedCommit || len(commitShapes) != 4 {
-		t.Errorf("crossing graph's commit plan: fused %v, (Q packed, Next packed) shapes %v; want all four, staged",
-			sched.fusedCommit, commitShapes)
+	if len(commitShapes) != 4 {
+		t.Errorf("crossing graph's commit plan: (Q packed, Next packed) move shapes %v; want all four", commitShapes)
+	}
+	if inOrder := slices.IsSortedFunc(sched.commits, func(a, b commitInst) int { return int(a.q - b.q) }); inOrder {
+		t.Error("crossing graph's commit plan kept register order although r2 reads r1's Q")
 	}
 	for ti, ten := range []*oim.Tensor{buildTensor(t, opt), directed} {
 		for _, lanes := range []int{1, 63, 64, 65, 130} {
@@ -187,9 +190,9 @@ func TestBatchPackedWidePartialWords(t *testing.T) {
 	}
 }
 
-// TestBatchPackedParallelMatchesSequential shards packed batches on
-// 64-lane-aligned word boundaries, including worker counts above the word
-// count (surplus workers own empty ranges but still answer the barrier).
+// TestBatchPackedParallelMatchesSequential shards packed batches over lane
+// splits that fall inside a 64-lane word, including worker counts above the
+// word count.
 func TestBatchPackedParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(424242))
 	const cycles = 6
@@ -241,39 +244,43 @@ func genTensor(t *testing.T, spec gen.Spec) *oim.Tensor {
 }
 
 // TestBatchPackedOneHomePerSlot pins the allocation rule on the control
-// fabric: a packed slot owns a lane vector if and only if some schedule
-// instruction binds its wide view, so the wide store shrinks to a sliver —
-// and every host-side access to a packed-only slot still works.
+// fabric: a packed slot owns a wide row if and only if some schedule
+// instruction reads or writes its wide view, so the wide store shrinks to a
+// sliver — and every host-side access to a packed-only slot still works.
 func TestBatchPackedOneHomePerSlot(t *testing.T) {
 	ten := genTensor(t, gen.Spec{Family: gen.Ctrl, Cores: 16})
 	const lanes = 70
 	b := packedBatch(t, ten, lanes, 1)
 	sched := b.sched
-	boundWide := make([]bool, ten.NumSlots)
+	boundWide := make([]bool, sched.wideRows)
 	for i := range sched.insts {
 		in := &sched.insts[i]
 		outP, argsP := in.code.packedSides()
-		boundWide[in.out] = boundWide[in.out] || !outP
+		if !outP {
+			boundWide[in.out] = true
+		}
 		for _, a := range in.args() {
-			boundWide[a] = boundWide[a] || !argsP
+			if !argsP {
+				boundWide[a] = true
+			}
 		}
 	}
-	wide := 0
-	for slot := range b.li {
-		want := !sched.packed[slot] || boundWide[slot]
-		if got := b.li[slot] != nil; got != want {
-			t.Fatalf("slot %d: has a lane vector = %v, want %v (packed %v, bound wide %v)",
-				slot, got, want, sched.packed[slot], boundWide[slot])
+	wide := 1 // the commit's temporary row
+	for slot, row := range sched.wideRow {
+		packed := sched.packedRow[slot] >= 0
+		want := !packed || (row >= 0 && boundWide[row])
+		if got := row >= 0; got != want {
+			t.Fatalf("slot %d: has a wide row = %v, want %v (packed %v)", slot, got, want, packed)
 		}
 		if want {
 			wide++
 		}
 	}
-	if len(b.buf) != wide*lanes {
-		t.Fatalf("wide store holds %d words, want %d slots x %d lanes", len(b.buf), wide, lanes)
+	if sched.wideRows != wide || len(b.wide) != wide*lanes {
+		t.Fatalf("wide store holds %d words in %d rows, want %d rows x %d lanes", len(b.wide), sched.wideRows, wide, lanes)
 	}
-	if full := ten.NumSlots * lanes; len(b.buf)*10 >= full {
-		t.Fatalf("wide store holds %d of %d words: the control fabric should be under 10%%", len(b.buf), full)
+	if full := ten.NumSlots * lanes; len(b.wide)*10 >= full {
+		t.Fatalf("wide store holds %d of %d words: the control fabric should be under 10%%", len(b.wide), full)
 	}
 
 	seeds := laneSeeds(lanes)
@@ -289,9 +296,9 @@ func TestBatchPackedOneHomePerSlot(t *testing.T) {
 	}
 
 	const lane = 69 // in the partial second word
-	regIdx := -1    // a register whose Q has no lane vector
+	regIdx := -1    // a register whose Q has no wide row
 	for i, r := range ten.RegSlots {
-		if b.li[r.Q] == nil {
+		if sched.wideRow[r.Q] < 0 {
 			regIdx = i
 		}
 	}

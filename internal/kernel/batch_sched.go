@@ -2,27 +2,31 @@ package kernel
 
 import (
 	"math/bits"
+	"slices"
 
 	"rteaal/internal/oim"
 	"rteaal/internal/wire"
 )
 
 // The batch fast path precompiles the TI tape into a batch-specialised
-// schedule. Three properties separate it from the scalar tape loop:
+// schedule: the program every lane block of every batch of one Program runs.
+// Three properties separate it from the scalar tape loop:
 //
-//   - Operand slots are resolved to pre-bound lane-vector slices once at
-//     instantiation, so the per-op loops touch two or three contiguous
-//     slices directly instead of indirecting through li[slot] per op.
+//   - Operands are row indices into a block's two stores, translated from
+//     slots once per Program: a slot's wide row is its position among the
+//     slots that own a lane vector, its packed row its position among the
+//     packed slots. A batch binds nothing; a loop body reaches a wide row as
+//     wide[row*n:][:n] and a packed row as pk[row].
 //   - The `& mask` is elided whenever the schedule compiler can prove the
 //     result already fits the output width (masks are contiguous low-bit
 //     masks, so a bit-length argument suffices). Every fused operation
 //     exists in a masked and an unmasked variant; the compiler picks.
-//   - Each loop body re-slices its operands to len(out), which lets the Go
-//     compiler eliminate the bounds checks inside the lane loop.
+//   - Every wide row a body touches is sliced to the block's lane count, which
+//     lets the Go compiler eliminate the bounds checks inside the lane loop.
 //
-// The register commit is folded into a single pass when no register's Next
-// coordinate aliases another register's Q coordinate (the only ordering
-// hazard the staged two-pass commit exists for).
+// The register commit is a list of row moves in parallel-move order (see
+// orderCommits): every Q row is read before it is overwritten, so the moves
+// run in place, one after another, with no staging buffer.
 //
 // A schedule compiled with packing additionally stores every provably-1-bit
 // slot one lane per bit and rewrites the instructions over them to
@@ -113,9 +117,9 @@ var opBodies = [wire.NumOps]struct{ plain, masked, word batchCode }{
 	wire.Ident:    {bcGeneric, bcGeneric, bpCopy},
 }
 
-// batchInst is one schedule entry in slot space: the shareable, per-program
-// half of a batch operation. Binding to a concrete batch's lane vectors
-// happens per batch (and per worker shard) in bindOps.
+// batchInst is one schedule entry. buildBatchSchedule compiles it in slot
+// space and leaves it in row space: out and the operands index the packed
+// store on the sides the code's packedSides names, the wide store elsewhere.
 type batchInst struct {
 	code batchCode
 	op   wire.Op // consulted by bcGeneric
@@ -123,11 +127,11 @@ type batchInst struct {
 	a    [3]int32
 	n    uint8
 	sh   uint8   // folded constant shift amount (bcBitsC, whose n is 1)
-	ext  []int32 // spilled mux-chain operands
+	ext  []int32 // spilled operands; every mux chain's, so its bodies have one shape
 	mask uint64
 }
 
-// args lists the entry's operand slots, inline or spilled.
+// args lists the entry's operands, inline or spilled.
 func (in *batchInst) args() []int32 {
 	if in.ext != nil {
 		return in.ext
@@ -135,9 +139,10 @@ func (in *batchInst) args() []int32 {
 	return in.a[:in.n]
 }
 
-// commitInst is one register's end-of-cycle update in slot space. masked is
-// false when the settled Next value provably fits the register width. qp and
-// np flag bit-packed Q/Next slots (packing schedules only).
+// commitInst is one row move of the end-of-cycle register update: row q
+// takes row next. masked is false when the settled Next value provably fits
+// the register width. qp and np say which store each side indexes: the
+// packed one (packing schedules only) or the wide one.
 type commitInst struct {
 	q, next int32
 	mask    uint64
@@ -147,26 +152,39 @@ type commitInst struct {
 
 // batchSchedule is the complete batch-specialised program: the fused
 // operation list plus the commit plan. It is immutable and shared by every
-// batch (and every worker shard) of one Program.
+// batch (and every lane block) of one Program; a batch holds state only.
 type batchSchedule struct {
 	insts []batchInst
-	// commits is the per-register update list; fusedCommit reports whether
-	// it may run as a single direct pass (no Next/Q aliasing between
-	// distinct registers).
-	commits     []commitInst
-	fusedCommit bool
-	// packing marks a bit-packed schedule: packed[slot] is the width
-	// analysis verdict (see OneBitSlots) after demotion and packedSlots
-	// lists the packed coordinates, which batches use to size the packed
-	// store. packing is false when the design has no provably-1-bit slot at
-	// all, even if requested — the schedule is then identical to the wide
-	// one.
-	packing     bool
-	packed      []bool
-	packedSlots []int32
-	// wideSlots lists the coordinates that own a wide lane vector: all of
-	// them in a wide schedule, see wideSlotsOf in a packing one.
-	wideSlots []int32
+	// segEnds cuts insts into segments, each the longest run of instructions
+	// one loop executes (see batchCode.segment). A wide schedule is one
+	// segment.
+	segEnds []int
+	// commits is the register update in parallel-move order, one move per
+	// register plus one save per Next/Q cycle (see orderCommits).
+	commits []commitInst
+	// wideRow[slot] and packedRow[slot] are the slot's rows in a block's two
+	// stores, -1 where it has none. A wide schedule has no packed rows
+	// (packedRow is nil, also when packing was requested and no
+	// provably-1-bit slot survived) and every slot's wide row is the slot; a
+	// packing schedule gives each packed slot (see OneBitSlots, after
+	// demotion) a packed row, and a wide row to the slots wideSlotsOf lists.
+	wideRow, packedRow []int32
+	// wideRows and packedRows size the stores: the rows above plus, last in
+	// each, the temporary row orderCommits breaks cycles through.
+	wideRows, packedRows int
+}
+
+// home names the row a slot's value lives in: its packed row when it has
+// one, else its wide row. Pokes, peeks, watches, output sampling and the
+// commit go here; only a schedule instruction reaches a packed slot's wide
+// row.
+func (s *batchSchedule) home(slot int32) (row int32, packed bool) {
+	if s.packedRow != nil {
+		if r := s.packedRow[slot]; r >= 0 {
+			return r, true
+		}
+	}
+	return s.wideRow[slot], false
 }
 
 // fitsMask reports whether op's result is guaranteed to fit outMask given
@@ -219,11 +237,12 @@ func fitsMask(op wire.Op, argMasks []uint64, outMask uint64) bool {
 }
 
 // buildBatchSchedule compiles the design's TI tape into the batch-specialised
-// schedule: fused opcodes with the mask decision baked in, plus the folded
-// commit plan. With packing, the width-analysis pass classifies every slot,
-// a profitability pass demotes slots whose packing would only force
-// crossings around wide bodies, and instructions over the surviving 1-bit
-// slots are rewritten to the packed loop bodies (see batch_packed.go).
+// schedule: fused opcodes with the mask decision baked in, operands as rows,
+// plus the ordered commit plan. With packing, the width-analysis pass
+// classifies every slot, a profitability pass demotes slots whose packing
+// would only force crossings around wide bodies, and instructions over the
+// surviving 1-bit slots are rewritten to the packed loop bodies (see
+// batch_packed.go).
 func buildBatchSchedule(t *oim.Tensor, packing bool) *batchSchedule {
 	tape, _ := buildTape(t)
 	s := &batchSchedule{}
@@ -289,6 +308,10 @@ func buildBatchSchedule(t *oim.Tensor, packing bool) *batchSchedule {
 		if fitsMask(e.op, argMasks, e.mask) {
 			in.code = opBodies[e.op].plain
 		}
+		if e.op == wire.MuxChain && e.ext == nil {
+			// A short chain lives inline on the tape.
+			in.ext, in.a = slices.Clone(e.a[:e.n]), [3]int32{}
+		}
 		// Bits with constant hi/lo — the shape every FIRRTL field extract
 		// lowers to — folds to a single shift with the field mask merged
 		// into the output mask, leaving the shiftee the only operand.
@@ -305,21 +328,25 @@ func buildBatchSchedule(t *oim.Tensor, packing bool) *batchSchedule {
 		wide = append(wide, in)
 	}
 
+	// packed is the width-analysis verdict after demotion; nil when packing
+	// was not requested or left no slot packed, and the schedule is then the
+	// wide one.
+	var packed []bool
 	if packing {
-		packed := OneBitSlots(t)
+		packed = OneBitSlots(t)
 		demotePacking(wide, t.RegSlots, packed)
-		for slot, p := range packed {
-			if p {
-				s.packedSlots = append(s.packedSlots, int32(slot))
-			}
-		}
-		if len(s.packedSlots) > 0 {
-			s.packing, s.packed = true, packed
-		} else {
-			s.packedSlots = nil
+		if !slices.Contains(packed, true) {
+			packed = nil
 		}
 	}
-	if s.packing {
+	s.insts = wide
+	s.wideRow = make([]int32, t.NumSlots)
+	if packed == nil {
+		for slot := range s.wideRow {
+			s.wideRow[slot] = int32(slot)
+		}
+		s.wideRows = t.NumSlots
+	} else {
 		// wideCur tracks, per packed slot, whether the wide lane view
 		// mirrors the packed words at the current point in the schedule
 		// (see emitWide). At the start of every settle only never-written
@@ -332,240 +359,183 @@ func buildBatchSchedule(t *oim.Tensor, packing bool) *batchSchedule {
 		}
 		s.insts = make([]batchInst, 0, len(wide))
 		for _, in := range wide {
-			s.insts = emitPacked(s.insts, in, s.packed, wideCur)
+			s.insts = emitPacked(s.insts, in, packed, wideCur)
 		}
-		s.wideSlots = wideSlotsOf(s.insts, s.packed)
-	} else {
-		s.insts = wide
-		s.wideSlots = make([]int32, t.NumSlots)
-		for slot := range s.wideSlots {
-			s.wideSlots[slot] = int32(slot)
+		s.packedRow = make([]int32, t.NumSlots)
+		for slot, p := range packed {
+			s.wideRow[slot], s.packedRow[slot] = -1, -1
+			if p {
+				s.packedRow[slot] = int32(s.packedRows)
+				s.packedRows++
+			}
+		}
+		for _, slot := range wideSlotsOf(s.insts, packed) {
+			s.wideRow[slot] = int32(s.wideRows)
+			s.wideRows++
+		}
+		s.toRows()
+	}
+	for i := 1; i <= len(s.insts); i++ {
+		if i == len(s.insts) || s.insts[i].code.segment() != s.insts[i-1].code.segment() {
+			s.segEnds = append(s.segEnds, i)
 		}
 	}
 
 	// Commit plan: a register's `& Mask` is redundant when Next is a tape
-	// product already masked to a width the register covers. The whole
-	// commit folds to one pass unless some register's Next aliases another
-	// register's Q (the shift-register hazard the staging buffer exists
-	// for).
-	isQ := make(map[int32]bool, len(t.RegSlots))
-	for _, r := range t.RegSlots {
-		isQ[r.Q] = true
+	// product already masked to a width the register covers. Each side is the
+	// slot's home row; the temporary rows come last in their stores.
+	commits := make([]commitInst, len(t.RegSlots))
+	for i, r := range t.RegSlots {
+		c := &commits[i]
+		c.q, c.qp = s.home(r.Q)
+		c.next, c.np = s.home(r.Next)
+		c.mask = r.Mask
+		c.masked = !produced[r.Next] || t.Masks[r.Next]&^r.Mask != 0
 	}
-	s.fusedCommit = true
-	for _, r := range t.RegSlots {
-		if isQ[r.Next] && r.Next != r.Q {
-			s.fusedCommit = false
-		}
-		s.commits = append(s.commits, commitInst{
-			q:      r.Q,
-			next:   r.Next,
-			mask:   r.Mask,
-			masked: !produced[r.Next] || t.Masks[r.Next]&^r.Mask != 0,
-			qp:     s.packing && s.packed[r.Q],
-			np:     s.packing && s.packed[r.Next],
-		})
+	s.commits = orderCommits(commits, int32(s.wideRows), int32(s.packedRows))
+	s.wideRows++
+	if packed != nil {
+		s.packedRows++
 	}
 	return s
 }
 
-// boundOp is one schedule entry bound to a concrete batch's lane vectors
-// (or to one worker's lane sub-range): the hot-loop representation. out, x,
-// y, z alias the batch's backing stores — lane vectors or packed word
-// vectors, as the code's packedSides says — with lanes recording the
-// sub-range width, since len(out) is a word count for packed outputs.
-type boundOp struct {
-	code  batchCode
-	op    wire.Op
-	n     uint8
-	sh    uint8
-	lanes int
-	mask  uint64
-	out   []uint64
-	x     []uint64
-	y     []uint64
-	z     []uint64
-	ext   [][]uint64
-}
-
-// boundCommit is one register update bound to lane vectors. dstP/srcP flag
-// bit-packed sides: packed→packed commits copy words, mixed commits pack or
-// unpack per lane.
-type boundCommit struct {
-	dst, src   []uint64
-	stage      []uint64 // wide staged buffer sub-range (two-pass commit only)
-	pkStage    []uint64 // packed staged words (two-pass, both sides packed)
-	mask       uint64
-	masked     bool
-	dstP, srcP bool
-}
-
-// lane binds slot's [lo,hi) lane sub-range. The three-index form pins cap
-// so an append can never clobber a neighbouring slot's lanes.
-func laneView(li [][]uint64, slot int32, lo, hi int) []uint64 {
-	return li[slot][lo:hi:hi]
-}
-
-// bindOps resolves the schedule's slot coordinates against one batch's lane
-// vectors (and packed word vectors), restricted to the [lo,hi) lane
-// sub-range. Each side binds the store the entry's code names (see
-// packedSides); a packed slot has a lane vector exactly when some entry
-// binds it wide (see wideSlotsOf). The result is private to one executor
-// (the sequential batch or one worker shard).
-func bindOps(s *batchSchedule, li, pk [][]uint64, lo, hi int) []boundOp {
-	view := func(slot int32, packed bool) []uint64 {
-		if packed {
-			return pkView(pk, slot, lo, hi)
-		}
-		return laneView(li, slot, lo, hi)
+// toRows rewrites a packing schedule's instructions from slot space to row
+// space, each side through the store its code binds. The spilled operand
+// lists alias the tensor, so their rows go to one fresh array.
+func (s *batchSchedule) toRows() {
+	spilled := 0
+	for i := range s.insts {
+		spilled += len(s.insts[i].ext)
 	}
-	ops := make([]boundOp, len(s.insts))
+	ext := make([]int32, 0, spilled)
 	for i := range s.insts {
 		in := &s.insts[i]
-		b := &ops[i]
-		b.code, b.op, b.n, b.sh, b.mask = in.code, in.op, in.n, in.sh, in.mask
-		b.lanes = hi - lo
+		outRow, argRow := s.wideRow, s.wideRow
 		outP, argsP := in.code.packedSides()
-		b.out = view(in.out, outP)
-		if in.ext != nil {
-			b.ext = make([][]uint64, len(in.ext))
-			for j, slot := range in.ext {
-				b.ext[j] = view(slot, argsP)
+		if outP {
+			outRow = s.packedRow
+		}
+		if argsP {
+			argRow = s.packedRow
+		}
+		in.out = outRow[in.out]
+		if in.ext == nil {
+			for j := range in.a {
+				if j < int(in.n) {
+					in.a[j] = argRow[in.a[j]]
+				} else {
+					in.a[j] = 0 // runOps slices every operand: unused ones must be rows
+				}
 			}
 			continue
 		}
-		switch {
-		case in.n >= 3:
-			b.z = view(in.a[2], argsP)
-			fallthrough
-		case in.n == 2:
-			b.y = view(in.a[1], argsP)
-			fallthrough
-		case in.n == 1:
-			b.x = view(in.a[0], argsP)
+		from := len(ext)
+		for _, slot := range in.ext {
+			ext = append(ext, argRow[slot])
 		}
-		if in.op == wire.MuxChain {
-			// Short chains live inline in a; normalise to ext so the loop
-			// bodies (wide and packed alike) have one shape.
-			b.ext = make([][]uint64, in.n)
-			for j := 0; j < int(in.n); j++ {
-				b.ext[j] = view(in.a[j], argsP)
+		in.ext = ext[from:len(ext):len(ext)]
+	}
+}
+
+// orderCommits turns the simultaneous register update — every Q takes its
+// Next as settled, cs in register order — into moves that run one after
+// another in place. A move may overwrite its Q row only after every
+// register reading that row has run, so register i goes before the register
+// whose Q it reads. Each register reads one row, so those constraints form
+// chains that either end or close into a cycle: chains are emitted from
+// their free ends, and a cycle is broken by first saving one of its Q rows
+// to the temporary row of its store (tmpWide, tmpPacked), which the cycle's
+// last move reads instead. A register reading its own Q moves in place.
+// With no Next on another register's Q the order is register order.
+func orderCommits(cs []commitInst, tmpWide, tmpPacked int32) []commitInst {
+	type loc struct {
+		row    int32
+		packed bool
+	}
+	writer := make(map[loc]int, len(cs))
+	for i, c := range cs {
+		writer[loc{c.q, c.qp}] = i
+	}
+	// reads[i] is the register whose Q register i reads (-1: none but
+	// perhaps its own); readers[k] counts the registers still to read Q of k.
+	reads := make([]int, len(cs))
+	readers := make([]int, len(cs))
+	for i, c := range cs {
+		reads[i] = -1
+		if k, ok := writer[loc{c.next, c.np}]; ok && k != i {
+			reads[i] = k
+			readers[k]++
+		}
+	}
+	moves := make([]commitInst, 0, len(cs))
+	done := make([]bool, len(cs))
+	for i := range cs {
+		for k := i; k >= 0 && !done[k] && readers[k] == 0; {
+			moves = append(moves, cs[k])
+			done[k] = true
+			if k = reads[k]; k >= 0 {
+				readers[k]--
 			}
 		}
 	}
-	return ops
-}
-
-// bindCommits resolves the commit plan against one batch's lane vectors
-// (and packed word vectors) and its staging buffers for the [lo,hi) lane
-// sub-range. A staged commit whose register is packed on both sides stages
-// packed words directly — the common case in control designs, where shift
-// chains force staging; only the rare mixed commit packs or unpacks per lane
-// through the wide staging buffer.
-func bindCommits(s *batchSchedule, li, pk [][]uint64, next, pkNext []uint64, lanes, words, lo, hi int) []boundCommit {
-	view := func(slot int32, packed bool) []uint64 {
-		if packed {
-			return pkView(pk, slot, lo, hi)
-		}
-		return laneView(li, slot, lo, hi)
-	}
-	// The word sub-range matching pkView's lane split: empty tail shards
-	// bind zero words so they never touch a neighbour's partial word.
-	wlo, whi := (lo+63)>>6, (hi+63)>>6
-	cs := make([]boundCommit, len(s.commits))
-	for i := range s.commits {
-		c := &s.commits[i]
-		cs[i] = boundCommit{
-			dst:    view(c.q, c.qp),
-			src:    view(c.next, c.np),
-			mask:   c.mask,
-			masked: c.masked,
-			dstP:   c.qp,
-			srcP:   c.np,
-		}
-		if s.fusedCommit {
+	// What is left is cycles, each register with exactly one reader.
+	for i := range cs {
+		if done[i] {
 			continue
 		}
-		if c.qp && c.np {
-			cs[i].pkStage = pkNext[i*words+wlo : i*words+whi : i*words+whi]
-		} else {
-			cs[i].stage = next[i*lanes+lo : i*lanes+hi : i*lanes+hi]
+		save := commitInst{q: tmpWide, next: cs[i].q, qp: cs[i].qp, np: cs[i].qp}
+		if save.qp {
+			save.q = tmpPacked
+		}
+		moves = append(moves, save)
+		for k := i; !done[k]; k = reads[k] {
+			c := cs[k]
+			if reads[k] == i {
+				c.next = save.q
+			}
+			moves = append(moves, c)
+			done[k] = true
 		}
 	}
-	return cs
+	return moves
 }
 
-// outBind is one primary output's sampling copy for a lane sub-range. The
-// sampled outs array is always wide; packed output slots unpack on sampling
-// so PeekOutput is layout-blind.
-type outBind struct {
-	dst, src []uint64
-	srcP     bool
-}
-
-func bindOuts(t *oim.Tensor, s *batchSchedule, li, pk [][]uint64, outs []uint64, lanes, lo, hi int) []outBind {
-	bs := make([]outBind, len(t.OutputSlots))
-	for i, slot := range t.OutputSlots {
-		srcP := s.packing && s.packed[slot]
-		var src []uint64
-		if srcP {
-			src = pkView(pk, slot, lo, hi)
-		} else {
-			src = laneView(li, slot, lo, hi)
-		}
-		bs[i] = outBind{
-			dst:  outs[i*lanes+lo : i*lanes+hi : i*lanes+hi],
-			src:  src,
-			srcP: srcP,
-		}
-	}
-	return bs
-}
-
-// runOps executes the bound schedule over its lane range. Every loop body
-// re-slices its operands to len(out) so the compiler can prove the lane
-// index in range once and drop the per-access bounds checks.
-func runOps(ops []boundOp) {
-	for i := range ops {
-		o := &ops[i]
-		if o.code >= bpAnd {
-			execPackedOp(o)
-			continue
-		}
-		out := o.out
+// runOps executes one segment of wide bodies over one lane block: wide is
+// the block's wide store, n lanes per row. The four rows an instruction can
+// name are sliced to n lanes once, ahead of the dispatch (an unused operand
+// still names a row), so every body's lane loop runs without bounds checks.
+func runOps(insts []batchInst, wide []uint64, n int) {
+	row := func(r int32) []uint64 { off := int(r) * n; return wide[off : off+n : off+n] }
+	for i := range insts {
+		o := &insts[i]
+		out, x, y, z, m := row(o.out), row(o.a[0]), row(o.a[1]), row(o.a[2]), o.mask
 		switch o.code {
 		case bcAdd:
-			x, y := o.x[:len(out)], o.y[:len(out)]
 			for l := range out {
 				out[l] = x[l] + y[l]
 			}
 		case bcAddM:
-			x, y, m := o.x[:len(out)], o.y[:len(out)], o.mask
 			for l := range out {
 				out[l] = (x[l] + y[l]) & m
 			}
 		case bcSub:
-			x, y := o.x[:len(out)], o.y[:len(out)]
 			for l := range out {
 				out[l] = x[l] - y[l]
 			}
 		case bcSubM:
-			x, y, m := o.x[:len(out)], o.y[:len(out)], o.mask
 			for l := range out {
 				out[l] = (x[l] - y[l]) & m
 			}
 		case bcMul:
-			x, y := o.x[:len(out)], o.y[:len(out)]
 			for l := range out {
 				out[l] = x[l] * y[l]
 			}
 		case bcMulM:
-			x, y, m := o.x[:len(out)], o.y[:len(out)], o.mask
 			for l := range out {
 				out[l] = (x[l] * y[l]) & m
 			}
 		case bcDiv:
-			x, y := o.x[:len(out)], o.y[:len(out)]
 			for l := range out {
 				if y[l] == 0 {
 					out[l] = 0
@@ -574,7 +544,6 @@ func runOps(ops []boundOp) {
 				}
 			}
 		case bcDivM:
-			x, y, m := o.x[:len(out)], o.y[:len(out)], o.mask
 			for l := range out {
 				if y[l] == 0 {
 					out[l] = 0
@@ -583,7 +552,6 @@ func runOps(ops []boundOp) {
 				}
 			}
 		case bcRem:
-			x, y := o.x[:len(out)], o.y[:len(out)]
 			for l := range out {
 				if y[l] == 0 {
 					out[l] = 0
@@ -592,7 +560,6 @@ func runOps(ops []boundOp) {
 				}
 			}
 		case bcRemM:
-			x, y, m := o.x[:len(out)], o.y[:len(out)], o.mask
 			for l := range out {
 				if y[l] == 0 {
 					out[l] = 0
@@ -601,67 +568,54 @@ func runOps(ops []boundOp) {
 				}
 			}
 		case bcAnd:
-			x, y := o.x[:len(out)], o.y[:len(out)]
 			for l := range out {
 				out[l] = x[l] & y[l]
 			}
 		case bcAndM:
-			x, y, m := o.x[:len(out)], o.y[:len(out)], o.mask
 			for l := range out {
 				out[l] = x[l] & y[l] & m
 			}
 		case bcOr:
-			x, y := o.x[:len(out)], o.y[:len(out)]
 			for l := range out {
 				out[l] = x[l] | y[l]
 			}
 		case bcOrM:
-			x, y, m := o.x[:len(out)], o.y[:len(out)], o.mask
 			for l := range out {
 				out[l] = (x[l] | y[l]) & m
 			}
 		case bcXor:
-			x, y := o.x[:len(out)], o.y[:len(out)]
 			for l := range out {
 				out[l] = x[l] ^ y[l]
 			}
 		case bcXorM:
-			x, y, m := o.x[:len(out)], o.y[:len(out)], o.mask
 			for l := range out {
 				out[l] = (x[l] ^ y[l]) & m
 			}
 		case bcEq:
-			x, y := o.x[:len(out)], o.y[:len(out)]
 			for l := range out {
 				out[l] = b2u(x[l] == y[l])
 			}
 		case bcNeq:
-			x, y := o.x[:len(out)], o.y[:len(out)]
 			for l := range out {
 				out[l] = b2u(x[l] != y[l])
 			}
 		case bcLt:
-			x, y := o.x[:len(out)], o.y[:len(out)]
 			for l := range out {
 				out[l] = b2u(x[l] < y[l])
 			}
 		case bcLeq:
-			x, y := o.x[:len(out)], o.y[:len(out)]
 			for l := range out {
 				out[l] = b2u(x[l] <= y[l])
 			}
 		case bcGt:
-			x, y := o.x[:len(out)], o.y[:len(out)]
 			for l := range out {
 				out[l] = b2u(x[l] > y[l])
 			}
 		case bcGeq:
-			x, y := o.x[:len(out)], o.y[:len(out)]
 			for l := range out {
 				out[l] = b2u(x[l] >= y[l])
 			}
 		case bcShl:
-			x, y := o.x[:len(out)], o.y[:len(out)]
 			for l := range out {
 				if y[l] >= 64 {
 					out[l] = 0
@@ -670,7 +624,6 @@ func runOps(ops []boundOp) {
 				}
 			}
 		case bcShlM:
-			x, y, m := o.x[:len(out)], o.y[:len(out)], o.mask
 			for l := range out {
 				if y[l] >= 64 {
 					out[l] = 0
@@ -679,7 +632,6 @@ func runOps(ops []boundOp) {
 				}
 			}
 		case bcShr:
-			x, y := o.x[:len(out)], o.y[:len(out)]
 			for l := range out {
 				if y[l] >= 64 {
 					out[l] = 0
@@ -688,7 +640,6 @@ func runOps(ops []boundOp) {
 				}
 			}
 		case bcShrM:
-			x, y, m := o.x[:len(out)], o.y[:len(out)], o.mask
 			for l := range out {
 				if y[l] >= 64 {
 					out[l] = 0
@@ -697,7 +648,6 @@ func runOps(ops []boundOp) {
 				}
 			}
 		case bcCat:
-			x, y, z := o.x[:len(out)], o.y[:len(out)], o.z[:len(out)]
 			for l := range out {
 				if z[l] >= 64 {
 					out[l] = y[l]
@@ -706,7 +656,6 @@ func runOps(ops []boundOp) {
 				}
 			}
 		case bcCatM:
-			x, y, z, m := o.x[:len(out)], o.y[:len(out)], o.z[:len(out)], o.mask
 			for l := range out {
 				if z[l] >= 64 {
 					out[l] = y[l] & m
@@ -715,7 +664,6 @@ func runOps(ops []boundOp) {
 				}
 			}
 		case bcBits:
-			x, y, z := o.x[:len(out)], o.y[:len(out)], o.z[:len(out)]
 			for l := range out {
 				hi, lo := y[l], z[l]
 				if lo >= 64 || hi < lo {
@@ -725,7 +673,6 @@ func runOps(ops []boundOp) {
 				}
 			}
 		case bcBitsM:
-			x, y, z, m := o.x[:len(out)], o.y[:len(out)], o.z[:len(out)], o.mask
 			for l := range out {
 				hi, lo := y[l], z[l]
 				if lo >= 64 || hi < lo {
@@ -735,38 +682,31 @@ func runOps(ops []boundOp) {
 				}
 			}
 		case bcBitsC:
-			x, m := o.x[:len(out)], o.mask
 			sh := uint(o.sh)
 			for l := range out {
 				out[l] = (x[l] >> sh) & m
 			}
 		case bcNot:
-			x := o.x[:len(out)]
 			for l := range out {
 				out[l] = ^x[l]
 			}
 		case bcNotM:
-			x, m := o.x[:len(out)], o.mask
 			for l := range out {
 				out[l] = ^x[l] & m
 			}
 		case bcNeg:
-			x := o.x[:len(out)]
 			for l := range out {
 				out[l] = -x[l]
 			}
 		case bcNegM:
-			x, m := o.x[:len(out)], o.mask
 			for l := range out {
 				out[l] = (-x[l]) & m
 			}
 		case bcOrR:
-			x := o.x[:len(out)]
 			for l := range out {
 				out[l] = b2u(x[l] != 0)
 			}
 		case bcXorR:
-			x := o.x[:len(out)]
 			for l := range out {
 				out[l] = uint64(bits.OnesCount64(x[l]) & 1)
 			}
@@ -774,120 +714,85 @@ func runOps(ops []boundOp) {
 			// Branchless select: data-dependent branches mispredict on
 			// uncorrelated lane data, so build an all-ones/all-zeros mask
 			// from the condition instead.
-			c, x, y := o.x[:len(out)], o.y[:len(out)], o.z[:len(out)]
+			c, x, y := x, y, z
 			for l := range out {
 				sel := -b2u(c[l] != 0)
 				out[l] = y[l] ^ sel&(x[l]^y[l])
 			}
 		case bcMuxM:
-			c, x, y, m := o.x[:len(out)], o.y[:len(out)], o.z[:len(out)], o.mask
+			c, x, y := x, y, z
 			for l := range out {
 				sel := -b2u(c[l] != 0)
 				out[l] = (y[l] ^ sel&(x[l]^y[l])) & m
 			}
 		case bcMuxChain:
 			for l := range out {
-				out[l] = muxChainBound(o.ext, l)
+				out[l] = muxChainRows(wide, o.ext, n, l)
 			}
 		case bcMuxChainM:
-			m := o.mask
 			for l := range out {
-				out[l] = muxChainBound(o.ext, l) & m
+				out[l] = muxChainRows(wide, o.ext, n, l) & m
 			}
 		default: // bcGeneric: by value; an absent operand reads as operand 0
-			x, y, z := o.x[:len(out)], o.x[:len(out)], o.x[:len(out)]
-			if o.n > 1 {
-				y = o.y[:len(out)]
+			if o.n < 2 {
+				y = x
 			}
-			if o.n > 2 {
-				z = o.z[:len(out)]
+			if o.n < 3 {
+				z = x
 			}
 			for l := range out {
-				out[l] = wire.Eval3(o.op, x[l], y[l], z[l], o.mask)
+				out[l] = wire.Eval3(o.op, x[l], y[l], z[l], m)
 			}
 		}
 	}
 }
 
-// muxChainBound walks a priority-mux chain's bound lane vectors for one
-// lane: (sel0, val0, sel1, val1, …, default).
-func muxChainBound(ext [][]uint64, lane int) uint64 {
-	n := len(ext)
-	for i := 0; i+1 < n; i += 2 {
-		if ext[i][lane] != 0 {
-			return ext[i+1][lane]
-		}
-	}
-	return ext[n-1][lane]
-}
-
-// runCommits performs the end-of-cycle register update for one lane range.
-// With a fused plan each register folds to one direct pass; otherwise the
-// classic two-pass staged commit runs over the same bound slices.
-func runCommits(cs []boundCommit, fused bool) {
-	if fused {
-		for i := range cs {
-			c := &cs[i]
-			switch {
-			case c.dstP && c.srcP:
-				copy(c.dst, c.src) // both 1-bit: a word copy needs no mask
-			case c.dstP:
-				packLanes(c.dst, c.src) // register mask is 1; &1 applies it
-			case c.srcP:
-				unpackLanes(c.dst, c.src) // a bit always fits the wide mask
-			case c.masked:
-				dst, src, m := c.dst, c.src[:len(c.dst)], c.mask
-				for l := range dst {
-					dst[l] = src[l] & m
-				}
-			default:
-				copy(c.dst, c.src)
-			}
-		}
-		return
-	}
-	// Staged two-pass commit. Registers packed on both sides stage packed
-	// words — no per-lane work at all; mixed registers stage wide, with the
-	// packed side packed or unpacked per lane on the way.
-	for i := range cs {
-		c := &cs[i]
-		if c.pkStage != nil {
-			copy(c.pkStage, c.src)
-			continue
-		}
-		stage := c.stage
-		switch {
-		case c.srcP:
-			unpackLanes(stage, c.src)
-		case c.masked:
-			src, m := c.src[:len(stage)], c.mask
-			for l := range stage {
-				stage[l] = src[l] & m
-			}
-		default:
-			copy(stage, c.src)
-		}
-	}
-	for i := range cs {
-		c := &cs[i]
-		switch {
-		case c.pkStage != nil:
-			copy(c.dst, c.pkStage)
-		case c.dstP:
-			packLanes(c.dst, c.stage)
-		default:
-			copy(c.dst, c.stage)
-		}
-	}
-}
-
-// runOuts samples the primary outputs for one lane range.
-func runOuts(bs []outBind) {
-	for i := range bs {
-		if bs[i].srcP {
-			unpackLanes(bs[i].dst, bs[i].src)
+// runCrossings executes one segment of layout crossings over one lane block:
+// bpUnpack materialises a packed row's wide view, bpPack re-packs a wide
+// result.
+func runCrossings(insts []batchInst, wide []uint64, pk [][blockWords]uint64, n int) {
+	for i := range insts {
+		o := &insts[i]
+		if o.code == bpUnpack {
+			unpackLanes(wide[int(o.out)*n:][:n], pk[o.a[0]][:])
 		} else {
-			copy(bs[i].dst, bs[i].src)
+			packLanes(pk[o.out][:], wide[int(o.a[0])*n:][:n])
+		}
+	}
+}
+
+// muxChainRows walks a priority-mux chain's wide rows for one lane:
+// (sel0, val0, sel1, val1, …, default).
+func muxChainRows(wide []uint64, ext []int32, n, lane int) uint64 {
+	k := len(ext)
+	for i := 0; i+1 < k; i += 2 {
+		if wide[int(ext[i])*n+lane] != 0 {
+			return wide[int(ext[i+1])*n+lane]
+		}
+	}
+	return wide[int(ext[k-1])*n+lane]
+}
+
+// runCommits performs one lane block's end-of-cycle register update: the
+// schedule's moves in order, in place. Registers packed on both sides move
+// one row of words; mixed registers pack or unpack per lane on the way.
+func runCommits(cs []commitInst, wide []uint64, pk [][blockWords]uint64, n int) {
+	for i := range cs {
+		c := &cs[i]
+		switch {
+		case c.qp && c.np:
+			pk[c.q] = pk[c.next] // both 1-bit: a row copy needs no mask
+		case c.qp:
+			packLanes(pk[c.q][:], wide[int(c.next)*n:][:n]) // register mask is 1; &1 applies it
+		case c.np:
+			unpackLanes(wide[int(c.q)*n:][:n], pk[c.next][:]) // a bit always fits the wide mask
+		case c.masked:
+			dst, src, m := wide[int(c.q)*n:][:n], wide[int(c.next)*n:][:n], c.mask
+			for l := range dst {
+				dst[l] = src[l] & m
+			}
+		default:
+			copy(wide[int(c.q)*n:][:n], wide[int(c.next)*n:][:n])
 		}
 	}
 }

@@ -166,9 +166,9 @@ func TestBatchParallelMatchesSequential(t *testing.T) {
 }
 
 // TestBatchCommitAliasing builds a shift register whose Next coordinates
-// alias other registers' Q coordinates — the one hazard that forbids the
-// single-pass commit — and checks the schedule detects it and still
-// produces correct traces.
+// alias other registers' Q coordinates — the one hazard that forbids
+// committing in register order — and checks the schedule orders every read of
+// a Q before its write and produces correct traces.
 func TestBatchCommitAliasing(t *testing.T) {
 	g := &dfg.Graph{Name: "shift"}
 	in := g.AddInput("in", 8)
@@ -181,8 +181,12 @@ func TestBatchCommitAliasing(t *testing.T) {
 	g.AddOutput("out", r3)
 	ten := buildTensor(t, g) // no optimisation: keep the direct aliasing
 	sched := buildBatchSchedule(ten, false)
-	if sched.fusedCommit {
-		t.Fatal("schedule fused the commit despite Next/Q aliasing")
+	written := map[int32]bool{}
+	for _, c := range sched.commits {
+		if written[c.next] {
+			t.Fatalf("commit reads row %d after a move overwrote it: %+v", c.next, sched.commits)
+		}
+		written[c.q] = true
 	}
 	b, err := NewBatch(ten, 2)
 	if err != nil {

@@ -8,14 +8,15 @@ import "rteaal/internal/kernel"
 // slot). Lanes never interact — lane l of a batch produces exactly the trace
 // a dedicated [Session] fed the same inputs would — but amortise all control
 // flow and walk memory contiguously, the first step toward SIMD batching.
-// The settle/commit loops run a batch-specialised schedule — operands
-// pre-bound to lane vectors, redundant masks elided, bounds checks
-// eliminated — and with [WithBatchWorkers] (or [Design.NewBatchParallel])
-// the lanes shard over persistent worker goroutines, one contiguous lane
-// block per worker, with one dispatch and one join per run and a barrier
-// per cycle only while a watch is active. Slots the compiler
-// proves 1-bit wide are additionally bit-packed — lane i is bit i of a word
-// array — so one word-wide op evaluates 64 lanes; see [WithBatchPacking].
+// The settle/commit loops run a batch-specialised schedule the design
+// compiles once and every batch shares — operands as row indices, redundant
+// masks elided, bounds checks eliminated — over state held in blocks of at
+// most 256 lanes, and with [WithBatchWorkers] (or [Design.NewBatchParallel])
+// the lanes split evenly over persistent worker goroutines, whole blocks per
+// worker, with one dispatch and one join per run and a barrier per cycle only
+// while a watch is active. Slots the compiler proves 1-bit wide are
+// additionally bit-packed — lane i of a block is bit i of the slot's row —
+// so one word-wide op evaluates 64 lanes; see [WithBatchPacking].
 //
 // A Batch is not safe for concurrent method calls; mint one per goroutine
 // or put sessions behind a [Pool] instead.
