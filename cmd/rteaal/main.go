@@ -34,8 +34,6 @@ func main() {
 func run() error {
 	kernelName := flag.String("kernel", "PSU", "kernel configuration (RU|OU|NU|PSU|IU|SU|TI)")
 	partitions := flag.Int("partitions", 1, "RepCut partition count (threads); 1 = single-threaded")
-	strategyName := flag.String("partition-strategy", "min-cut",
-		"register-ownership assignment for -partitions (round-robin|cone-cluster|min-cut)")
 	cycles := flag.Int64("cycles", 100, "cycles to simulate")
 	seed := flag.Int64("seed", 1, "random stimulus seed")
 	drive := flag.String("drive", "random", "input stimulus: random (seeded by -seed) or const")
@@ -66,23 +64,10 @@ func run() error {
 		return err
 	}
 	opts := []sim.Option{sim.WithKernel(kind)}
-	if *vcdPath != "" {
-		opts = append(opts, sim.WithWaveform())
-	}
-	// Validate the strategy name even when unused, so a typo never passes
-	// silently.
-	strat, err := sim.ParsePartitionStrategy(*strategyName)
-	if err != nil {
-		return err
-	}
-	strategySet := false
-	flag.Visit(func(f *flag.Flag) { strategySet = strategySet || f.Name == "partition-strategy" })
 	if *partitions != 1 {
 		// Pass invalid counts through too, so they error at compile
 		// instead of silently simulating single-threaded.
-		opts = append(opts, sim.WithPartitions(*partitions), sim.WithPartitionStrategy(strat))
-	} else if strategySet {
-		fmt.Fprintln(os.Stderr, "rteaal: warning: -partition-strategy has no effect without -partitions")
+		opts = append(opts, sim.WithPartitions(*partitions))
 	}
 	var stim sim.Stimulus
 	switch *drive {
@@ -112,8 +97,8 @@ func run() error {
 	fmt.Printf("identity ops before elision: %d (%.1fx effectual)\n",
 		st.IdentityOps, float64(st.IdentityOps)/float64(max(st.EffectualOps, 1)))
 	if ps, ok := design.PartitionStats(); ok {
-		fmt.Printf("partitions: %d (requested %d, %s), replication %.2fx, cut %d registers/cycle\n",
-			ps.Partitions, ps.Requested, ps.Strategy, ps.ReplicationFactor, ps.CutSize)
+		fmt.Printf("partitions: %d (requested %d), replication %.2fx, cut %d registers/cycle\n",
+			ps.Partitions, ps.Requested, ps.ReplicationFactor, ps.CutSize)
 		if ps.Partitions != ps.Requested {
 			fmt.Fprintf(os.Stderr,
 				"rteaal: warning: partition count clamped from %d to %d (the design has only %d registers)\n",

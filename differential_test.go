@@ -43,7 +43,7 @@ func reproLine(c *difftest.Case, prof string, seed int64) string {
 // TestDifferentialCrossEngine sweeps a fixed seed range through every
 // generation profile (baseline, wide64, shiftcat, sharpdiv, muxchain,
 // onebit, and the fixed commitmoves design): each case replays the same (cycle, lane, input)-hashed stimulus
-// on all eleven engine shapes and must produce bit-exact per-lane output and
+// on all fifteen engine shapes and must produce bit-exact per-lane output and
 // register traces.
 func TestDifferentialCrossEngine(t *testing.T) {
 	for _, prof := range difftest.Profiles() {

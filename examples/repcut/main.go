@@ -1,7 +1,10 @@
 // RepCut: partition a synthesised SoC across persistent worker goroutines
-// with replication-aided cuts (Cascade 2) through the public sim package —
-// sim.WithPartitions — and compare wall-clock throughput and state
-// equivalence against single-threaded simulation of the same design.
+// with replication-aided cuts (Cascade 2) and compare wall-clock throughput
+// and state equivalence against single-threaded simulation of the same
+// tensor. The public path is sim.WithPartitions, which always plans with
+// min-cut; this example is the ablation of that choice, so it sits one layer
+// down, where the strategies live: repcut.NewPlan over the OIM tensor with a
+// partition.Strategy.
 package main
 
 import (
@@ -13,59 +16,64 @@ import (
 
 	"rteaal/internal/bench"
 	"rteaal/internal/gen"
-	"rteaal/sim"
+	"rteaal/internal/kernel"
+	"rteaal/internal/partition"
+	"rteaal/internal/repcut"
 )
 
 const cycles = 200
 
 func main() {
-	g, _, err := bench.Build(gen.Spec{Family: gen.Rocket, Cores: 1, Scale: 16})
+	_, t, err := bench.Build(gen.Spec{Family: gen.Rocket, Cores: 1, Scale: 16})
 	if err != nil {
 		log.Fatal(err)
 	}
-	design, err := sim.CompileGraph(g, sim.WithKernel(sim.PSU))
+	cfg := kernel.Config{Kind: kernel.PSU}
+	prog, err := kernel.NewProgram(t, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	st := design.Stats()
-	nIn := st.Inputs
-	fmt.Printf("design r1/16: %d ops, %d registers\n", st.Ops, st.Registers)
+	fmt.Printf("design r1/16: %d ops, %d registers\n", t.TotalOps(), len(t.RegSlots))
 
-	run := func(s *sim.Session) time.Duration {
+	run := func(e kernel.Engine) time.Duration {
 		stim := rand.New(rand.NewSource(7))
 		start := time.Now()
 		for c := 0; c < cycles; c++ {
-			for i := 0; i < nIn; i++ {
-				s.PokeIndex(i, stim.Uint64())
+			for i := range t.InputSlots {
+				e.PokeInput(i, stim.Uint64())
 			}
-			if err := s.Step(); err != nil {
-				log.Fatal(err)
-			}
+			e.Step()
 		}
 		return time.Since(start)
 	}
 
-	ref := design.NewSession()
+	ref := prog.Instantiate()
 	fmt.Printf("sequential PSU: %8v for %d cycles\n", run(ref), cycles)
 
 	// The ownership strategy decides what partitioning costs: round-robin
 	// is the structure-blind baseline, min-cut clusters registers by shared
-	// logic and refines the boundary. Same design, same partition counts —
+	// logic and refines the boundary. Same tensor, same partition counts —
 	// only the assignment differs.
-	for _, strat := range []sim.PartitionStrategy{sim.RoundRobin, sim.MinCut} {
+	for _, strat := range []partition.Strategy{partition.RoundRobin{}, partition.MinCut{}} {
 		for _, parts := range []int{2, 4, 8} {
-			pd, err := sim.CompileGraph(g, sim.WithKernel(sim.PSU),
-				sim.WithPartitions(parts), sim.WithPartitionStrategy(strat))
+			plan, err := repcut.NewPlan(t, parts, strat)
 			if err != nil {
 				log.Fatal(err)
 			}
-			ps, _ := pd.PartitionStats()
-			s := pd.NewSession()
-			elapsed := run(s)
+			progs, err := plan.Lower(cfg)
+			if err != nil {
+				log.Fatal(err)
+			}
+			inst, err := plan.Instantiate(progs)
+			if err != nil {
+				log.Fatal(err)
+			}
+			elapsed := run(inst)
+			ps := plan.Stats()
 			fmt.Printf("repcut %d parts (%-11s): %8v, replication %.2fx, cut %d, state match: %v\n",
 				parts, ps.Strategy, elapsed, ps.ReplicationFactor, ps.CutSize,
-				slices.Equal(ref.Registers(), s.Registers()))
-			s.Close()
+				slices.Equal(ref.RegSnapshot(), inst.RegSnapshot()))
+			inst.Close()
 		}
 	}
 }

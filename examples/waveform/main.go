@@ -24,9 +24,9 @@ circuit Blinker :
 `
 
 func main() {
-	// WithWaveform keeps every register's coordinate so the capture below
-	// can bind it.
-	design, err := sim.Compile(src, sim.WithKernel(sim.TI), sim.WithWaveform())
+	// Every design keeps every register's coordinate, so any session can
+	// bind them all for the capture below.
+	design, err := sim.Compile(src, sim.WithKernel(sim.TI))
 	if err != nil {
 		log.Fatal(err)
 	}

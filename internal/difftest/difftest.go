@@ -1,9 +1,9 @@
 // Package difftest is the reusable cross-engine differential-testing
 // harness: it runs one design through every execution engine shape the
-// repository ships — scalar NU/PSU/IU/TI sessions, RepCut-partitioned sessions,
-// the fused batch schedule, the bit-packed batch schedule (sequential and
-// lane-sharded), the wide lane-sharded parallel batch, and the
-// pre-schedule scalar batch loop (StepReference) — and reports the first
+// repository ships — a scalar session per kernel kind, RepCut-partitioned
+// sessions, the fused batch schedule, the bit-packed batch schedule
+// (sequential and lane-sharded), the wide lane-sharded parallel batch, and
+// the pre-schedule scalar batch loop (StepReference) — and reports the first
 // bit divergence with its full coordinates (cycle, lane, engine pair,
 // output/register index). The package also provides coverage-guided random
 // design generation (generate.go), an automatic repro shrinker (shrink.go),
@@ -93,6 +93,39 @@ type Matrix struct {
 	tensor   *oim.Tensor
 }
 
+// leg is one engine shape of the matrix: a design compiled with the given
+// options and driven as one session, or as one batch of the case's lanes.
+type leg struct {
+	name  string
+	batch bool
+	opts  []sim.Option
+}
+
+// legs derives the matrix from sim's compile surface, so what is tested
+// follows what a user can reach: the default design first (it is the
+// reference every other leg is compared with), then one leg per non-default
+// value of each option — every other kernel of sim.Kernels, partitioned plans
+// (one under a tape kernel, so both engine families cross the RUM exchange),
+// packing off, more than one batch worker. TestMatrixCoversOptionSurface
+// holds the list to that surface.
+func legs() []leg {
+	ls := []leg{{name: "session/" + sim.PSU.String()}}
+	for _, k := range sim.Kernels() {
+		if k != sim.PSU {
+			ls = append(ls, leg{name: "session/" + k.String(), opts: []sim.Option{sim.WithKernel(k)}})
+		}
+	}
+	return append(ls,
+		leg{name: "partitioned/n=2", opts: []sim.Option{sim.WithPartitions(2)}},
+		leg{name: "partitioned/n=3", opts: []sim.Option{sim.WithPartitions(3)}},
+		leg{name: "partitioned/n=2/TI", opts: []sim.Option{sim.WithPartitions(2), sim.WithKernel(sim.TI)}},
+		leg{name: "batch/fused", batch: true, opts: []sim.Option{sim.WithBatchPacking(false)}},
+		leg{name: "batch/parallel/w=3", batch: true, opts: []sim.Option{sim.WithBatchPacking(false), sim.WithBatchWorkers(3)}},
+		leg{name: "batch/packed", batch: true},
+		leg{name: "batch/packed/w=3", batch: true, opts: []sim.Option{sim.WithBatchWorkers(3)}},
+	)
+}
+
 // NewMatrix compiles the design into all engine shapes. lanes must be >= 1;
 // lane-parallel shapes use it as their batch width (workers clamp to it).
 func NewMatrix(g *dfg.Graph, lanes int) (*Matrix, error) {
@@ -106,39 +139,34 @@ func NewMatrix(g *dfg.Graph, lanes int) (*Matrix, error) {
 			m.Close()
 		}
 	}()
-	var err error
 
-	session := func(name string, opts ...sim.Option) error {
-		d, cerr := sim.CompileGraph(g, opts...)
-		if cerr != nil {
-			return fmt.Errorf("%s: compile: %w", name, cerr)
+	for _, l := range legs() {
+		d, err := sim.CompileGraph(g, l.opts...)
+		if err != nil {
+			return nil, fmt.Errorf("%s: compile: %w", l.name, err)
 		}
-		s := d.NewSession()
-		m.engines = append(m.engines, engine{
-			name:    name,
-			lanes:   1,
-			outputs: len(d.Outputs()),
-			poke:    func(_, input int, v uint64) { s.PokeIndex(input, v) },
-			step:    s.Step,
-			run:     s.Run,
-			out:     func(_, idx int) uint64 { return s.PeekIndex(idx) },
-			regs:    func(int) []uint64 { return s.Registers() },
-			close:   s.Close,
-		})
 		m.inputs = len(d.Inputs())
-		return nil
-	}
-	batch := func(name string, workers int, opts ...sim.Option) error {
-		d, cerr := sim.CompileGraph(g, opts...)
-		if cerr != nil {
-			return fmt.Errorf("%s: compile: %w", name, cerr)
+		if !l.batch {
+			s := d.NewSession()
+			m.engines = append(m.engines, engine{
+				name:    l.name,
+				lanes:   1,
+				outputs: len(d.Outputs()),
+				poke:    func(_, input int, v uint64) { s.PokeIndex(input, v) },
+				step:    s.Step,
+				run:     s.Run,
+				out:     func(_, idx int) uint64 { return s.PeekIndex(idx) },
+				regs:    func(int) []uint64 { return s.Registers() },
+				close:   s.Close,
+			})
+			continue
 		}
-		b, berr := d.NewBatchParallel(lanes, workers)
-		if berr != nil {
-			return fmt.Errorf("%s: batch: %w", name, berr)
+		b, err := d.NewBatch(lanes)
+		if err != nil {
+			return nil, fmt.Errorf("%s: batch: %w", l.name, err)
 		}
 		m.engines = append(m.engines, engine{
-			name:    name,
+			name:    l.name,
 			lanes:   lanes,
 			outputs: len(d.Outputs()),
 			poke:    func(lane, input int, v uint64) { b.PokeIndex(lane, input, v) },
@@ -148,40 +176,6 @@ func NewMatrix(g *dfg.Graph, lanes int) (*Matrix, error) {
 			regs:    func(lane int) []uint64 { return b.Registers(lane) },
 			close:   b.Close,
 		})
-		return nil
-	}
-
-	if err = session("session/PSU"); err != nil {
-		return nil, err
-	}
-	if err = session("session/TI", sim.WithKernel(sim.TI)); err != nil {
-		return nil, err
-	}
-	// NU and IU share PSU's run-length group runner but walk the format
-	// their own way (rolled loops; the run list without NPayload).
-	if err = session("session/NU", sim.WithKernel(sim.NU)); err != nil {
-		return nil, err
-	}
-	if err = session("session/IU", sim.WithKernel(sim.IU)); err != nil {
-		return nil, err
-	}
-	if err = session("partitioned/n=2", sim.WithPartitions(2)); err != nil {
-		return nil, err
-	}
-	if err = session("partitioned/n=3", sim.WithPartitions(3)); err != nil {
-		return nil, err
-	}
-	if err = batch("batch/fused", 1, sim.WithBatchPacking(false)); err != nil {
-		return nil, err
-	}
-	if err = batch("batch/parallel/w=3", 3, sim.WithBatchPacking(false)); err != nil {
-		return nil, err
-	}
-	if err = batch("batch/packed", 1); err != nil {
-		return nil, err
-	}
-	if err = batch("batch/packed/w=3", 3); err != nil {
-		return nil, err
 	}
 
 	// StepReference: the pre-schedule scalar batch loop, kept as the parity

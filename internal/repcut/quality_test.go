@@ -2,10 +2,13 @@ package repcut
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"rteaal/internal/dfg"
 	"rteaal/internal/gen"
+	"rteaal/internal/kernel"
 	"rteaal/internal/oim"
 	"rteaal/internal/partition"
 )
@@ -112,6 +115,65 @@ func TestEveryStrategyYieldsAValidPlan(t *testing.T) {
 				if st.MaxPartitionOps < maxCone || st.MaxPartitionOps > st.TotalOps {
 					t.Fatalf("%s %s n=%d: largest partition %d outside [max cone %d, design %d]",
 						spec.Name(), strat.Name(), req, st.MaxPartitionOps, maxCone, st.TotalOps)
+				}
+			}
+		}
+	}
+}
+
+// TestEveryStrategyMatchesSequential: correctness is assignment-independent
+// — the strategy only moves cost. Every strategy at P ∈ {2, 3, 8}, lowered
+// for every kernel kind, steps bit-identically (registers and outputs) to the
+// one-engine simulation of the same tensor, and a nil strategy plans what
+// partition.Default names.
+func TestEveryStrategyMatchesSequential(t *testing.T) {
+	ten := buildSpec(t, gen.Spec{Family: gen.SHA3, Scale: 8})
+	trace := func(e kernel.Engine) []uint64 {
+		stim := rand.New(rand.NewSource(17))
+		var tr []uint64
+		for cyc := 0; cyc < 3; cyc++ {
+			for i := range ten.InputSlots {
+				e.PokeInput(i, stim.Uint64())
+			}
+			e.Step()
+			tr = append(tr, e.RegSnapshot()...)
+			for i := range ten.OutputSlots {
+				tr = append(tr, e.PeekOutput(i))
+			}
+		}
+		return tr
+	}
+	plan, err := NewPlan(ten, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := plan.Stats().Strategy, partition.Default().Name(); got != want {
+		t.Fatalf("nil strategy planned by %q, want the default %q", got, want)
+	}
+	for _, kind := range kernel.Kinds() {
+		ref, err := kernel.New(ten, kernel.Config{Kind: kind})
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden := trace(ref)
+		for _, strat := range partition.All() {
+			for _, n := range []int{2, 3, 8} {
+				plan, err := NewPlan(ten, n, strat)
+				if err != nil {
+					t.Fatal(err)
+				}
+				progs, err := plan.Lower(kernel.Config{Kind: kind})
+				if err != nil {
+					t.Fatal(err)
+				}
+				inst, err := plan.Instantiate(progs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := trace(inst)
+				inst.Close()
+				if !slices.Equal(got, golden) {
+					t.Fatalf("%v with %d partitions (%s) diverges from sequential", kind, n, strat.Name())
 				}
 			}
 		}

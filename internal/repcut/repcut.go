@@ -68,14 +68,16 @@ type Plan struct {
 	// slotAuth[slot] is a partition whose LI holds an authoritative value
 	// for the coordinate: the owner for register Q/next slots, the sampling
 	// owner for output slots, and a consuming partition for inputs.
-	slotAuth []int
-	// slotUsers[slot] lists the partitions whose cones consume the
-	// coordinate (plus the owner for register coordinates): exactly the
-	// engines a host poke must reach. Routing pokes through this list —
-	// instead of broadcasting, or writing only the authoritative engine and
-	// silently starving the others — is what keeps DMI writes (§6.2)
-	// bit-identical to the unpartitioned engine.
-	slotUsers [][]int32
+	slotAuth []int32
+	// userParts[userStart[slot]:userStart[slot+1]] lists, ascending, the
+	// partitions whose cones consume the coordinate (plus the owner for
+	// register coordinates): exactly the engines a host poke must reach.
+	// Routing pokes through this list — instead of broadcasting, or writing
+	// only the authoritative engine and silently starving the others — is
+	// what keeps DMI writes (§6.2) bit-identical to the unpartitioned engine.
+	// The relation is stored once, in CSR form: two flat arrays, not a slice
+	// header and a block per coordinate. Read it through [Plan.users].
+	userStart, userParts []int32
 
 	stats PlanStats
 }
@@ -136,7 +138,7 @@ func NewPlan(t *oim.Tensor, n int, strat partition.Strategy) (*Plan, error) {
 		readers:   make([][]int, len(t.RegSlots)),
 		pubs:      make([][]xchgEntry, n),
 		pulls:     make([][]xchgEntry, n),
-		slotAuth:  make([]int, t.NumSlots),
+		slotAuth:  make([]int32, t.NumSlots),
 	}
 
 	// LI coordinates are dense, so everything keyed by slot is a
@@ -203,7 +205,7 @@ func NewPlan(t *oim.Tensor, n int, strat partition.Strategy) (*Plan, error) {
 			}
 		}
 		p.outOwner[oi] = part
-		p.slotAuth[slot] = part
+		p.slotAuth[slot] = int32(part)
 	}
 
 	// Per-partition cone marking and sub-tensor construction.
@@ -246,40 +248,44 @@ func NewPlan(t *oim.Tensor, n int, strat partition.Strategy) (*Plan, error) {
 		p.subs = append(p.subs, sub)
 	}
 
-	// Poke routing: record, per LI coordinate, the partitions whose cones
-	// consume it. Iterating partitions in ascending order keeps each list
-	// sorted and the routing deterministic.
-	p.slotUsers = make([][]int32, t.NumSlots)
-	for part := 0; part < n; part++ {
-		for slot, need := range needs[part] {
-			if need {
-				p.slotUsers[slot] = append(p.slotUsers[slot], int32(part))
-			}
-		}
+	// Poke routing: per LI coordinate, the partitions whose cones consume
+	// it — the needs relation, transposed — plus two kinds of nominal user.
+	// The owner commits a register even when its own cone never reads it
+	// back, so host pokes of Q must always reach it (Next is a root of the
+	// owner's cone already). And an input's authoritative partition must be
+	// one that actually receives pokes, or Peek after Poke would read a stale
+	// copy; an input no cone reads keeps its authority as the one user so the
+	// poke/peek pair stays coherent.
+	for ri, r := range t.RegSlots {
+		needs[owner[ri]][r.Q] = true
 	}
-	ensureUser := func(slot int32, part int) {
-		if i, found := slices.BinarySearch(p.slotUsers[slot], int32(part)); !found {
-			p.slotUsers[slot] = slices.Insert(p.slotUsers[slot], i, int32(part))
-		}
-	}
-	// Inputs: the authoritative partition must be one that actually
-	// receives pokes, or Peek after Poke would read a stale copy. Inputs no
-	// cone reads still get one nominal user so the poke/peek pair stays
-	// coherent.
 	for _, slot := range t.InputSlots {
-		if len(p.slotUsers[slot]) == 0 {
-			p.slotUsers[slot] = append(p.slotUsers[slot], int32(p.slotAuth[slot]))
+		if needs[p.slotAuth[slot]][slot] {
+			continue
 		}
-		auth := false
-		for _, u := range p.slotUsers[slot] {
-			if int(u) == p.slotAuth[slot] {
-				auth = true
-				break
+		if first := slices.IndexFunc(needs, func(need []bool) bool { return need[slot] }); first >= 0 {
+			p.slotAuth[slot] = int32(first)
+		} else {
+			needs[p.slotAuth[slot]][slot] = true
+		}
+	}
+	nUsers := 0
+	for _, need := range needs {
+		for _, used := range need {
+			if used {
+				nUsers++
 			}
 		}
-		if !auth {
-			p.slotAuth[slot] = int(p.slotUsers[slot][0])
+	}
+	p.userStart = make([]int32, t.NumSlots+1)
+	p.userParts = make([]int32, 0, nUsers)
+	for slot := 0; slot < t.NumSlots; slot++ {
+		for part, need := range needs {
+			if need[slot] {
+				p.userParts = append(p.userParts, int32(part))
+			}
 		}
+		p.userStart[slot+1] = int32(len(p.userParts))
 	}
 
 	// Differential RUM (Box 1): register ri propagates only to the
@@ -292,11 +298,7 @@ func NewPlan(t *oim.Tensor, n int, strat partition.Strategy) (*Plan, error) {
 	// reset via ConstSlots.
 	for ri, r := range t.RegSlots {
 		owner := p.regOwner[ri]
-		p.slotAuth[r.Q], p.slotAuth[r.Next] = owner, owner
-		// The owner commits the register even when its own cone never reads
-		// it back, so host pokes must always reach it.
-		ensureUser(r.Q, owner)
-		ensureUser(r.Next, owner)
+		p.slotAuth[r.Q], p.slotAuth[r.Next] = int32(owner), int32(owner)
 		for part := 0; part < n; part++ {
 			if part == owner || !needs[part][r.Q] {
 				continue
@@ -371,11 +373,17 @@ func (p *Plan) RegReaders(ri int) []int {
 // routed to: every partition whose cone consumes it, plus the owner for
 // register coordinates.
 func (p *Plan) SlotUsers(slot int32) []int {
-	out := make([]int, len(p.slotUsers[slot]))
-	for i, u := range p.slotUsers[slot] {
+	users := p.users(slot)
+	out := make([]int, len(users))
+	for i, u := range users {
 		out[i] = int(u)
 	}
 	return out
+}
+
+// users is the routing list of one coordinate, ascending; it aliases the plan.
+func (p *Plan) users(slot int32) []int32 {
+	return p.userParts[p.userStart[slot]:p.userStart[slot+1]]
 }
 
 // Lower builds one shareable [kernel.Program] per partition for the given
@@ -526,7 +534,7 @@ func (in *Instance) RunCycles(k int) { in.RunBulk(kernel.RunSpec{Cycles: k}) }
 // (kernel.SpecRunner): one dispatch, k resident cycles in every worker with
 // one barrier per cycle, one join. It returns the completed cycle count and
 // whether the watch stopped the run; bit-identical to stepping by hand.
-// Pokes are routed to the partitions that consume their slot (slotUsers,
+// Pokes are routed to the partitions that consume their slot ([Plan.users],
 // authoritative fallback), exactly like live [Instance.PokeSlot] calls; a
 // watch is evaluated by the single partition holding the authoritative
 // value, and the group stops every partition at the cycle it accepts.
@@ -550,7 +558,7 @@ func (in *Instance) runBulkOnce(spec kernel.RunSpec) (ran int, stopped bool) {
 		return 0, false
 	}
 	for _, p := range spec.Pokes {
-		users := in.plan.slotUsers[p.Slot]
+		users := in.plan.users(p.Slot)
 		if len(users) == 0 {
 			auth := in.plan.slotAuth[p.Slot]
 			in.plans[auth] = append(in.plans[auth], p)
@@ -565,7 +573,7 @@ func (in *Instance) runBulkOnce(spec kernel.RunSpec) (ran int, stopped bool) {
 		if w.OutIdx >= 0 {
 			in.watchPart = in.plan.outOwner[w.OutIdx]
 		} else {
-			in.watchPart = in.plan.slotAuth[w.Slot]
+			in.watchPart = int(in.plan.slotAuth[w.Slot])
 		}
 	}
 	ran, stopped = in.ws.Lockstep(spec.Cycles, in.cycleJob, in.afterJob)
@@ -599,7 +607,7 @@ func (in *Instance) Reset() {
 // broadcast.
 func (in *Instance) PokeInput(idx int, v uint64) {
 	slot := in.plan.t.InputSlots[idx]
-	for _, part := range in.plan.slotUsers[slot] {
+	for _, part := range in.plan.users(slot) {
 		in.engines[part].PokeInput(idx, v)
 	}
 }
@@ -624,7 +632,7 @@ func (in *Instance) PeekSlot(slot int32) uint64 {
 // consumes fall back to the authoritative engine so Peek still observes
 // the write.
 func (in *Instance) PokeSlot(slot int32, v uint64) {
-	users := in.plan.slotUsers[slot]
+	users := in.plan.users(slot)
 	if len(users) == 0 {
 		in.engines[in.plan.slotAuth[slot]].PokeSlot(slot, v)
 		return

@@ -402,7 +402,7 @@ func TestSlotUsersRouting(t *testing.T) {
 		if len(users) == 0 {
 			t.Fatalf("input %d has no poke destinations", i)
 		}
-		if !slices.Contains(users, plan.slotAuth[slot]) {
+		if !slices.Contains(users, int(plan.slotAuth[slot])) {
 			t.Fatalf("input %d: authoritative partition %d not poked (users %v)",
 				i, plan.slotAuth[slot], users)
 		}

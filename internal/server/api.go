@@ -15,20 +15,18 @@ import (
 // own validator and fuzz target.
 
 // CompileOptions is the wire form of the sim compile options a client may
-// select. The zero value compiles with the package defaults (PSU kernel,
-// default passes, unpartitioned, one batch worker).
+// select: sim.WithKernel, sim.WithPartitions and sim.WithBatchWorkers. The
+// zero value compiles with the package defaults (PSU kernel, unpartitioned,
+// one batch worker), and spelling a default out names the same cache entry.
+// Requests are decoded strictly, so a field that is not one of these three
+// ("strategy", "waveform") is answered with 400 naming it.
 type CompileOptions struct {
 	// Kernel names a kernel configuration ("RU".."TI"); empty = PSU.
 	Kernel string `json:"kernel,omitempty"`
 	// Partitions > 0 compiles for RepCut-partitioned sessions.
 	Partitions int `json:"partitions,omitempty"`
-	// Strategy selects the partition ownership assignment
-	// ("round-robin", "cone-cluster", "min-cut"); empty = min-cut.
-	Strategy string `json:"strategy,omitempty"`
 	// BatchWorkers > 0 shards batch lanes over persistent workers.
 	BatchWorkers int `json:"batch_workers,omitempty"`
-	// Waveform compiles waveform-safe (registers kept).
-	Waveform bool `json:"waveform,omitempty"`
 }
 
 // SimOptions resolves the wire options to sim compile options, rejecting
@@ -48,21 +46,11 @@ func (o CompileOptions) SimOptions() ([]sim.Option, error) {
 		}
 		opts = append(opts, sim.WithPartitions(o.Partitions))
 	}
-	if o.Strategy != "" {
-		s, err := sim.ParsePartitionStrategy(o.Strategy)
-		if err != nil {
-			return nil, err
-		}
-		opts = append(opts, sim.WithPartitionStrategy(s))
-	}
 	if o.BatchWorkers != 0 {
 		if o.BatchWorkers < 0 {
 			return nil, fmt.Errorf("server: batch_workers must be >= 1, got %d", o.BatchWorkers)
 		}
 		opts = append(opts, sim.WithBatchWorkers(o.BatchWorkers))
-	}
-	if o.Waveform {
-		opts = append(opts, sim.WithWaveform())
 	}
 	return opts, nil
 }

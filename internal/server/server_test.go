@@ -2,9 +2,14 @@ package server_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -682,5 +687,72 @@ func TestClientWaitExactCycle(t *testing.T) {
 	// budget outright.
 	if _, err := sess.Wait(ctx, 0, "count", nil, 2_000_000); !errors.As(err, &apiErr) || apiErr.Status != 422 {
 		t.Fatalf("over-budget wait answered %v, want 422", err)
+	}
+}
+
+// TestCompileOptionsShareCacheEntry: equal artifacts, one cache entry. The
+// wire options are exactly the compile options that change what is built, so
+// the same source posted with the defaults spelled out is one compile, one
+// entry, one pool. It exists because of what the parent of this test's commit
+// did with {"waveform":true}: accepted it, compiled the source a second time
+// into a second entry with a second pool — and that entry's WriteOIM was
+// byte-identical to the first, since the option only forced off a pass that
+// was never on. A field that names no compile option now answers 400 naming
+// itself, by the strict decoding every request body gets.
+func TestCompileOptionsShareCacheEntry(t *testing.T) {
+	srv := server.New(server.Config{})
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	post := func(options string) (int, string) {
+		t.Helper()
+		src, _ := json.Marshal(counterSrc)
+		resp, err := http.Post(ts.URL+"/designs", "application/json",
+			strings.NewReader(fmt.Sprintf(`{"source":%s,"options":%s}`, src, options)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
+	}
+
+	var hashes []string
+	for i, options := range []string{`{}`, `{"kernel":"PSU"}`, `{"partitions":0}`, `{"batch_workers":1}`} {
+		status, body := post(options)
+		var cr server.CompileResponse
+		if err := json.Unmarshal([]byte(body), &cr); err != nil {
+			t.Fatalf("%s: %v in %s", options, err, body)
+		}
+		want := http.StatusOK // every post after the first is a cache hit
+		if i == 0 {
+			want = http.StatusCreated
+		}
+		if status != want || cr.Cached != (i > 0) {
+			t.Errorf("%s answered %d cached=%v, want %d cached=%v", options, status, cr.Cached, want, i > 0)
+		}
+		hashes = append(hashes, cr.Hash)
+	}
+	if hashes[0] == "" || len(slices.Compact(hashes)) != 1 {
+		t.Errorf("the defaults spelled out name different designs: %v", hashes)
+	}
+	for field, options := range map[string]string{
+		"waveform": `{"waveform":true}`,
+		"strategy": `{"strategy":"round-robin"}`,
+	} {
+		if status, body := post(options); status != http.StatusBadRequest || !strings.Contains(body, field) {
+			t.Errorf("%s answered %d %s, want 400 naming %q", options, status, body, field)
+		}
+	}
+
+	m, err := client.New(ts.URL).Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Cache.Misses != 1 || m.Cache.Hits != 3 || m.Cache.Entries != 1 || len(m.Pools) != 1 {
+		t.Errorf("cache %+v with %d pools, want 1 miss, 3 hits, 1 entry, 1 pool", m.Cache, len(m.Pools))
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"rteaal/internal/dfg"
+	"rteaal/internal/kernel"
+	"rteaal/internal/oim"
 	"rteaal/internal/wire"
 	"rteaal/sim"
 )
@@ -189,14 +191,14 @@ func TestBatchOpParity(t *testing.T) {
 	for _, tc := range ops {
 		for trial := 0; trial < 5; trial++ {
 			g := opHeavyGraph(rng, tc.op, tc.unary)
-			// No optimisation: the target ops must survive to the tape.
-			d, err := sim.CompileGraph(g, sim.WithOptPasses(sim.OptPasses{}))
-			if err != nil {
-				t.Fatal(err)
-			}
-			nIn := len(d.Inputs())
+			// No optimisation — the target ops must survive to the schedule —
+			// so the graph goes to the kernel layer without dfg.Optimize, the
+			// way difftest builds its reference leg.
+			prog := unoptimizedProgram(t, g)
+			ten := prog.Tensor()
+			nIn, nOut := len(ten.InputSlots), len(ten.OutputSlots)
 			for _, workers := range []int{1, 2} {
-				b, err := d.NewBatchParallel(lanes, workers)
+				b, err := prog.InstantiateBatchWith(lanes, kernel.BatchOptions{Workers: workers, Packing: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -208,32 +210,30 @@ func TestBatchOpParity(t *testing.T) {
 				for c := 0; c < cycles; c++ {
 					for lane := 0; lane < lanes; lane++ {
 						for i := 0; i < nIn; i++ {
-							b.PokeIndex(lane, i, rngs[lane].Uint64())
+							b.PokeInput(lane, i, rngs[lane].Uint64())
 						}
 					}
 					b.Step()
 					for lane := 0; lane < lanes; lane++ {
-						traces[lane] = append(traces[lane], b.Registers(lane)...)
-						for i := range d.Outputs() {
-							traces[lane] = append(traces[lane], b.PeekIndex(lane, i))
+						traces[lane] = append(traces[lane], b.RegSnapshot(lane)...)
+						for i := 0; i < nOut; i++ {
+							traces[lane] = append(traces[lane], b.PeekOutput(lane, i))
 						}
 					}
 				}
 				b.Close()
 				for lane := 0; lane < lanes; lane++ {
-					s := d.NewSession()
+					s := prog.Instantiate()
 					rng := rand.New(rand.NewSource(int64(trial*100 + lane)))
 					var want []uint64
 					for c := 0; c < cycles; c++ {
 						for i := 0; i < nIn; i++ {
-							s.PokeIndex(i, rng.Uint64())
+							s.PokeInput(i, rng.Uint64())
 						}
-						if err := s.Step(); err != nil {
-							t.Fatal(err)
-						}
-						want = append(want, s.Registers()...)
-						for i := range d.Outputs() {
-							want = append(want, s.PeekIndex(i))
+						s.Step()
+						want = append(want, s.RegSnapshot()...)
+						for i := 0; i < nOut; i++ {
+							want = append(want, s.PeekOutput(i))
 						}
 					}
 					for i := range want {
@@ -246,6 +246,26 @@ func TestBatchOpParity(t *testing.T) {
 			}
 		}
 	}
+}
+
+// unoptimizedProgram lowers g as it stands — no dfg pass — to a PSU program:
+// dfg.Levelize → oim.Build → kernel.NewProgram, the path sim.CompileGraph
+// takes after dfg.Optimize.
+func unoptimizedProgram(t *testing.T, g *dfg.Graph) *kernel.Program {
+	t.Helper()
+	lv, err := dfg.Levelize(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ten, err := oim.Build(lv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := kernel.NewProgram(ten, kernel.Config{Kind: kernel.PSU})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
 }
 
 // TestBatchWorkersOption covers the compile-time default: WithBatchWorkers

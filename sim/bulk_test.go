@@ -83,7 +83,7 @@ func TestBatchRunSemantics(t *testing.T) {
 // waveform must sample once per simulated cycle, never once per chunk.
 func TestWaveformTicksPerCycleInBulkRun(t *testing.T) {
 	capture := func(run func(s *sim.Session) error) string {
-		d, err := sim.Compile(counterSrc, sim.WithWaveform())
+		d, err := sim.Compile(counterSrc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,52 +12,42 @@ import (
 	"rteaal/internal/repcut"
 )
 
-// config is the resolved compilation configuration an option list produces.
+// config is the resolved compilation configuration an option list produces:
+// one field per [Option], and nothing else. It is the whole key of a design —
+// [SourceHash] writes [config.fingerprint] and the source, [CompileGraph]
+// reads these four fields and no other input — so two option lists that
+// resolve to equal configs name interchangeable designs by construction.
 type config struct {
 	kernel       Kernel
-	passes       OptPasses
-	waveform     bool
-	unoptFormat  bool
-	partitions   int               // 0 = unpartitioned
-	strategy     PartitionStrategy // zero value = MinCut
-	batchWorkers int               // 0 = one worker (sequential batches)
-	batchPacking bool              // bit-pack 1-bit slots in batches
+	partitions   int  // 0 = unpartitioned
+	batchWorkers int  // 1 = sequential batches
+	batchPacking bool // bit-pack 1-bit slots in batches
 }
 
-// defaultConfig is what an empty option list compiles: [SourceHash] and
-// [CompileGraph] both start from it, so the server's cache key cannot drift
-// from the design it names.
-func defaultConfig() config {
-	return config{kernel: PSU, passes: DefaultOptPasses(), batchPacking: true}
+// resolve applies an option list, in order, to what an empty list compiles.
+func resolve(opts []Option) config {
+	cfg := config{kernel: PSU, batchWorkers: 1, batchPacking: true}
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	return cfg
+}
+
+// fingerprint is the option half of [SourceHash]: every field, written once.
+// TestSourceHashOptionSensitivity walks the struct by reflection, so a field
+// added above without a line here fails tier-1.
+func (c config) fingerprint() string {
+	return fmt.Sprintf("kernel=%s\npartitions=%d\nbatchWorkers=%d\nbatchPacking=%t\n",
+		c.kernel, c.partitions, c.batchWorkers, c.batchPacking)
 }
 
 // Option configures compilation. Options are applied in order; later options
-// win.
+// win. There are four; the package comment states the rule that keeps it so.
 type Option func(*config)
 
 // WithKernel selects the kernel configuration. The default is [PSU].
 func WithKernel(k Kernel) Option {
 	return func(c *config) { c.kernel = k }
-}
-
-// WithWaveform compiles for waveform capture: signal-eliminating
-// optimisations are disabled so every register keeps its LI coordinate and
-// [Session.EnableWaveform] can record it (§6.2).
-func WithWaveform() Option {
-	return func(c *config) { c.waveform = true }
-}
-
-// WithOptPasses overrides the dataflow-graph optimisation set. The default
-// is [DefaultOptPasses].
-func WithOptPasses(p OptPasses) Option {
-	return func(c *config) { c.passes = p }
-}
-
-// WithUnoptimizedFormat keeps the redundant Figure 12a payload arrays (only
-// meaningful for RU/OU, whose loops consult them); used by the
-// format-compression ablation.
-func WithUnoptimizedFormat() Option {
-	return func(c *config) { c.unoptFormat = true }
 }
 
 // WithPartitions compiles the design for RepCut-style partitioned
@@ -69,8 +59,9 @@ func WithUnoptimizedFormat() Option {
 // compile time; sessions stay cheap. Partitioned sessions serve the same
 // [Session] surface — including [Pool] checkout — and produce traces
 // bit-identical to unpartitioned sessions. Which registers share a
-// partition is decided by the strategy selected with
-// [WithPartitionStrategy] ([MinCut] by default).
+// partition is decided by the min-cut planner: it minimises first what the
+// slowest partition does in a cycle, then replicated logic plus exchanged
+// registers.
 //
 // A request exceeding the register count is clamped; [Design.PartitionStats]
 // reports the effective count, replication factor, and cut size. n < 1 is a
@@ -93,12 +84,7 @@ func WithPartitions(n int) Option {
 // n < 1 is a compile error. Parallel batches should be released with
 // [Batch.Close].
 func WithBatchWorkers(n int) Option {
-	return func(c *config) {
-		c.batchWorkers = n
-		if n < 1 {
-			c.batchWorkers = -1 // distinguishable from the unset default; rejected at compile
-		}
-	}
+	return func(c *config) { c.batchWorkers = n }
 }
 
 // WithBatchPacking toggles the bit-packed batch layout (on by default):
@@ -155,29 +141,17 @@ func Compile(src string, opts ...Option) (*Design, error) {
 // not modified, and neither it nor the optimized copy the pipeline works on
 // is retained by the design.
 func CompileGraph(g *dfg.Graph, opts ...Option) (*Design, error) {
-	cfg := defaultConfig()
-	for _, opt := range opts {
-		opt(&cfg)
-	}
+	cfg := resolve(opts)
 	// Reject bad options before the expensive Figure 14 pipeline runs.
 	if cfg.partitions < 0 {
 		return nil, fmt.Errorf("sim: WithPartitions needs at least one partition")
 	}
-	if cfg.batchWorkers < 0 {
+	if cfg.batchWorkers < 1 {
 		return nil, fmt.Errorf("sim: WithBatchWorkers needs at least one worker")
 	}
-	o := dfg.OptOptions{
-		ConstFold:    cfg.passes.ConstFold,
-		CopyProp:     cfg.passes.CopyProp,
-		CSE:          cfg.passes.CSE,
-		MuxChainFuse: cfg.passes.MuxChainFuse,
-		DCE:          cfg.passes.DCE,
-		SweepRegs:    cfg.passes.SweepRegs,
-	}
-	if cfg.waveform {
-		o.SweepRegs = false
-	}
-	optg, err := dfg.Optimize(g, o)
+	// The default passes keep every register (SweepRegs is off), so any
+	// session of any design may call [Session.EnableWaveform] (§6.2).
+	optg, err := dfg.Optimize(g, dfg.DefaultOptOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -189,37 +163,21 @@ func CompileGraph(g *dfg.Graph, opts ...Option) (*Design, error) {
 	if err != nil {
 		return nil, err
 	}
-	var prog *kernel.Program
+	d := &Design{tensor: t, cfg: cfg, signals: kernel.NewSignalMap(t)}
 	if cfg.partitions == 0 {
-		// Partitioned designs skip the monolithic lowering: their sessions
-		// run on the per-partition programs, and fullProgram builds this
-		// one lazily if a batch ever needs it.
-		prog, err = kernel.NewProgram(t, kernel.Config{
-			Kind:              cfg.kernel.kind(),
-			UnoptimizedFormat: cfg.unoptFormat,
-		})
-		if err != nil {
+		if d.prog, err = kernel.NewProgram(t, kernel.Config{Kind: cfg.kernel.kind()}); err != nil {
 			return nil, err
 		}
+		return d, nil
 	}
-	d := &Design{tensor: t, prog: prog, cfg: cfg, signals: kernel.NewSignalMap(t)}
-	if cfg.partitions > 0 {
-		strat, err := cfg.strategy.impl()
-		if err != nil {
-			return nil, err
-		}
-		plan, err := repcut.NewPlan(t, cfg.partitions, strat)
-		if err != nil {
-			return nil, err
-		}
-		progs, err := plan.Lower(kernel.Config{
-			Kind:              cfg.kernel.kind(),
-			UnoptimizedFormat: cfg.unoptFormat,
-		})
-		if err != nil {
-			return nil, err
-		}
-		d.plan, d.partProgs = plan, progs
+	// Partitioned designs skip the monolithic lowering: their sessions run
+	// on the per-partition programs, and fullProgram builds the other one
+	// lazily if a batch ever needs it.
+	if d.plan, err = repcut.NewPlan(t, cfg.partitions, nil); err != nil {
+		return nil, err
+	}
+	if d.partProgs, err = d.plan.Lower(kernel.Config{Kind: cfg.kernel.kind()}); err != nil {
+		return nil, err
 	}
 	return d, nil
 }
@@ -329,7 +287,6 @@ func (d *Design) PartitionStats() (stats PartitionStats, ok bool) {
 	}
 	st := d.plan.Stats()
 	return PartitionStats{
-		Strategy:          st.Strategy,
 		Partitions:        st.Partitions,
 		Requested:         st.Requested,
 		ReplicationFactor: st.ReplicationFactor,
@@ -344,9 +301,6 @@ func (d *Design) PartitionStats() (stats PartitionStats, ok bool) {
 // replication-aided cuts cost in duplicated logic and what the differential
 // register exchange pays every cycle.
 type PartitionStats struct {
-	// Strategy names the ownership assignment that produced the plan (see
-	// [WithPartitionStrategy]).
-	Strategy string
 	// Partitions is the effective partition count; Requested is the
 	// [WithPartitions] argument before clamping to the register count.
 	Partitions, Requested int
@@ -372,10 +326,7 @@ func (d *Design) fullProgram() (*kernel.Program, error) {
 		if d.prog != nil {
 			return
 		}
-		d.prog, d.progErr = kernel.NewProgram(d.tensor, kernel.Config{
-			Kind:              d.cfg.kernel.kind(),
-			UnoptimizedFormat: d.cfg.unoptFormat,
-		})
+		d.prog, d.progErr = kernel.NewProgram(d.tensor, kernel.Config{Kind: d.cfg.kernel.kind()})
 	})
 	return d.prog, d.progErr
 }
@@ -383,9 +334,9 @@ func (d *Design) fullProgram() (*kernel.Program, error) {
 // NewBatch mints an n-lane lock-step simulation over the shared tensor; see
 // [Batch]. The batch-specialised schedule is compiled once per design and
 // shared by all its batches. Lanes run on the worker count selected with
-// [WithBatchWorkers] (one if unset).
+// [WithBatchWorkers] (one by default).
 func (d *Design) NewBatch(n int) (*Batch, error) {
-	return d.NewBatchParallel(n, max(d.cfg.batchWorkers, 1))
+	return d.NewBatchParallel(n, d.cfg.batchWorkers)
 }
 
 // NewBatchParallel mints an n-lane batch sharded over the given number of

@@ -36,42 +36,3 @@ func TestSourceHashNormalization(t *testing.T) {
 		t.Error("semantic change did not change the hash")
 	}
 }
-
-// TestSourceHashOptionSensitivity: every compile option that changes the
-// produced design must fork the key; repeating the same options must not.
-func TestSourceHashOptionSensitivity(t *testing.T) {
-	base := sim.SourceHash(counterSrc)
-	if again := sim.SourceHash(counterSrc); again != base {
-		t.Fatalf("hash not deterministic: %s vs %s", again, base)
-	}
-	if got := sim.SourceHash(counterSrc, sim.WithKernel(sim.PSU)); got != base {
-		t.Errorf("explicit default kernel forked the hash")
-	}
-	if got := sim.SourceHash(counterSrc, sim.WithBatchPacking(true)); got != base {
-		t.Errorf("explicit default batch packing forked the hash")
-	}
-	if got := sim.SourceHash(counterSrc, sim.WithKernel(sim.PSU), sim.WithOptPasses(sim.DefaultOptPasses())); got != base {
-		t.Errorf("the defaults spelled out forked the hash")
-	}
-	forks := map[string]string{
-		"kernel":       sim.SourceHash(counterSrc, sim.WithKernel(sim.TI)),
-		"partitions":   sim.SourceHash(counterSrc, sim.WithPartitions(3)),
-		"strategy":     sim.SourceHash(counterSrc, sim.WithPartitions(3), sim.WithPartitionStrategy(sim.RoundRobin)),
-		"batchWorkers": sim.SourceHash(counterSrc, sim.WithBatchWorkers(4)),
-		"batchPacking": sim.SourceHash(counterSrc, sim.WithBatchPacking(false)),
-		"waveform":     sim.SourceHash(counterSrc, sim.WithWaveform()),
-		"unoptFormat":  sim.SourceHash(counterSrc, sim.WithUnoptimizedFormat()),
-		"passes":       sim.SourceHash(counterSrc, sim.WithOptPasses(sim.OptPasses{})),
-	}
-	seen := map[string]string{base: "default"}
-	for name, h := range forks {
-		if prev, dup := seen[h]; dup {
-			t.Errorf("option %q collides with %q: %s", name, prev, h)
-		}
-		seen[h] = name
-	}
-	// Partition count itself is part of the key, not just its presence.
-	if forks["partitions"] == sim.SourceHash(counterSrc, sim.WithPartitions(4)) {
-		t.Error("partition count does not affect the hash")
-	}
-}

@@ -56,9 +56,10 @@ func fullTrace(t *testing.T, s *sim.Session, seed int64, cycles int) []uint64 {
 
 // TestPartitionedParityAllKernels is the acceptance property: a design
 // compiled with WithPartitions(n) produces registers and outputs
-// bit-identical to an unpartitioned session, for every kernel kind, every
-// partition strategy, and a spread of partition counts. Correctness must be
-// assignment-independent — the strategy only moves cost.
+// bit-identical to an unpartitioned session, for every kernel kind and a
+// spread of partition counts. (That correctness does not depend on the
+// ownership strategy is internal/repcut's TestEveryStrategyMatchesSequential,
+// where the strategies are reachable.)
 func TestPartitionedParityAllKernels(t *testing.T) {
 	src := genDesignSrc(t)
 	const cycles = 3
@@ -68,9 +69,8 @@ func TestPartitionedParityAllKernels(t *testing.T) {
 			t.Fatalf("%v: %v", k, err)
 		}
 		golden := fullTrace(t, base.NewSession(), 17, cycles)
-		check := func(n int, opts ...sim.Option) {
-			t.Helper()
-			d, err := sim.Compile(src, append(opts, sim.WithKernel(k), sim.WithPartitions(n))...)
+		for _, n := range []int{1, 2, 3, 8} {
+			d, err := sim.Compile(src, sim.WithKernel(k), sim.WithPartitions(n))
 			if err != nil {
 				t.Fatalf("%v parts %d: %v", k, n, err)
 			}
@@ -78,14 +78,7 @@ func TestPartitionedParityAllKernels(t *testing.T) {
 			tr := fullTrace(t, s, 17, cycles)
 			s.Close()
 			if !slices.Equal(tr, golden) {
-				st, _ := d.PartitionStats()
-				t.Fatalf("%v with %d partitions (%s) diverges from sequential", k, n, st.Strategy)
-			}
-		}
-		check(1)
-		for _, strat := range sim.PartitionStrategies() {
-			for _, n := range []int{2, 3, 8} {
-				check(n, sim.WithPartitionStrategy(strat))
+				t.Fatalf("%v with %d partitions diverges from sequential", k, n)
 			}
 		}
 	}
@@ -155,9 +148,6 @@ func TestPartitionStats(t *testing.T) {
 	if st.Partitions != 2 || st.Requested != 2 {
 		t.Fatalf("partitions = %+v, want 2/2", st)
 	}
-	if st.Strategy != sim.MinCut.String() {
-		t.Fatalf("default strategy = %q, want %q", st.Strategy, sim.MinCut)
-	}
 	if st.CutSize != 0 {
 		t.Fatalf("independent registers produced cut size %d", st.CutSize)
 	}
@@ -166,16 +156,6 @@ func TestPartitionStats(t *testing.T) {
 	}
 	if len(st.PartitionOps) != st.Partitions {
 		t.Fatalf("per-partition op counts %v for %d partitions", st.PartitionOps, st.Partitions)
-	}
-
-	// The strategy choice is plumbed through compilation into the stats.
-	d, err = sim.Compile(pairSrc, sim.WithPartitions(2), sim.WithPartitionStrategy(sim.RoundRobin))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, _ = d.PartitionStats()
-	if st.Strategy != sim.RoundRobin.String() {
-		t.Fatalf("strategy = %q, want %q", st.Strategy, sim.RoundRobin)
 	}
 
 	// Requests beyond the register count clamp rather than spinning empty
@@ -208,40 +188,6 @@ func TestWithPartitionsRejectsBadCount(t *testing.T) {
 	for _, n := range []int{0, -2} {
 		if _, err := sim.Compile(pairSrc, sim.WithPartitions(n)); err == nil {
 			t.Fatalf("WithPartitions(%d) accepted", n)
-		}
-	}
-	if _, err := sim.Compile(pairSrc, sim.WithPartitions(2),
-		sim.WithPartitionStrategy(sim.PartitionStrategy(250))); err == nil {
-		t.Fatal("unknown partition strategy accepted")
-	}
-}
-
-func TestParsePartitionStrategy(t *testing.T) {
-	for _, c := range []struct {
-		in   string
-		want sim.PartitionStrategy
-	}{
-		{"min-cut", sim.MinCut},
-		{"MinCut", sim.MinCut},
-		{"mincut", sim.MinCut},
-		{"cone-cluster", sim.ConeCluster},
-		{"conecluster", sim.ConeCluster},
-		{"round-robin", sim.RoundRobin},
-		{"RoundRobin", sim.RoundRobin},
-	} {
-		got, err := sim.ParsePartitionStrategy(c.in)
-		if err != nil || got != c.want {
-			t.Fatalf("ParsePartitionStrategy(%q) = %v, %v; want %v", c.in, got, err, c.want)
-		}
-	}
-	if _, err := sim.ParsePartitionStrategy("kahypar"); err == nil {
-		t.Fatal("unknown strategy name accepted")
-	}
-	// Round-trip: every listed strategy parses from its own String.
-	for _, s := range sim.PartitionStrategies() {
-		got, err := sim.ParsePartitionStrategy(s.String())
-		if err != nil || got != s {
-			t.Fatalf("round-trip %v failed: %v, %v", s, got, err)
 		}
 	}
 }
@@ -309,7 +255,7 @@ func TestPartitionedPoolRace(t *testing.T) {
 // the authoritative value: VCD capture samples registers and outputs by LI
 // coordinate across partition boundaries.
 func TestPartitionedWaveform(t *testing.T) {
-	d, err := sim.Compile(pairSrc, sim.WithWaveform(), sim.WithPartitions(2))
+	d, err := sim.Compile(pairSrc, sim.WithPartitions(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,18 +104,13 @@ func TestWaveformTestbenchMatchesPlainSession(t *testing.T) {
 		return out
 	}
 
-	plainD, err := sim.Compile(counterSrc)
+	d, err := sim.Compile(counterSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := plainD.NewSession()
-	want := script(plain)
+	want := script(d.NewSession())
 
-	waveD, err := sim.Compile(counterSrc, sim.WithWaveform())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wave := waveD.NewSession()
+	wave := d.NewSession()
 	var vcd strings.Builder
 	if err := wave.EnableWaveform(&vcd); err != nil {
 		t.Fatal(err)
@@ -162,7 +157,7 @@ func (f *failAfter) Write(p []byte) (int, error) {
 // counted — it sticks and is returned when the run does, and by every
 // Step and Run after it.
 func TestWaveformWriteErrorSticks(t *testing.T) {
-	d, err := sim.Compile(counterSrc, sim.WithWaveform())
+	d, err := sim.Compile(counterSrc)
 	if err != nil {
 		t.Fatal(err)
 	}

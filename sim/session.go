@@ -175,8 +175,8 @@ func (s *Session) Close() {
 }
 
 // EnableWaveform records every primary output and register to w as VCD,
-// sampled once per Step. Compile the design with [WithWaveform] so no
-// register is optimised away before capture.
+// sampled once per Step. Every design keeps every register, so any session
+// of any design may record one (§6.2).
 func (s *Session) EnableWaveform(w io.Writer) error {
 	t := s.d.tensor
 	wr := vcd.NewWriter(w)

@@ -52,7 +52,7 @@ func TestWaveformNamesRegistersByDesignName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := sim.CompileGraph(g, sim.WithWaveform())
+	d, err := sim.CompileGraph(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestWaveformNamesRegistersByDesignName(t *testing.T) {
 // TestWaveformStepReusesSampleBuffer: with a waveform active and nothing
 // changing, a cycle allocates nothing — the sample buffer is the session's.
 func TestWaveformStepReusesSampleBuffer(t *testing.T) {
-	d, err := sim.Compile(counterSrc, sim.WithWaveform())
+	d, err := sim.Compile(counterSrc)
 	if err != nil {
 		t.Fatal(err)
 	}

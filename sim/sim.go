@@ -21,6 +21,16 @@
 // A [Pool] adds a bounded, concurrency-safe free-list of sessions with
 // context-aware checkout for server-style workloads.
 //
+// [Compile] takes four options — [WithKernel], [WithPartitions],
+// [WithBatchWorkers], [WithBatchPacking] — and a design is keyed by exactly
+// those ([SourceHash]). The rule: an option exists when it changes the
+// compiled artifact or how it is run, has a caller in this tree that is not a
+// test, a line in the hash's fingerprint, and a leg of internal/difftest's
+// matrix. Every design keeps every register, so any session may record a
+// waveform; the paper's other ablation axes (optimisation passes, the
+// Figure 12a format, partition strategies) live where they are implemented,
+// in internal/dfg, internal/kernel and internal/repcut.
+//
 // Quickstart:
 //
 //	d, err := sim.Compile(src, sim.WithKernel(sim.PSU))
@@ -31,9 +41,7 @@
 //	v, _ := s.Peek("count")
 package sim
 
-import (
-	"rteaal/internal/kernel"
-)
+import "rteaal/internal/kernel"
 
 // Kernel selects one of the seven progressively unrolled kernel
 // configurations of §5.2. Each kernel keeps its predecessors' optimisations
@@ -82,31 +90,4 @@ func ParseKernel(s string) (Kernel, error) {
 		return 0, err
 	}
 	return Kernel(k), nil
-}
-
-// OptPasses selects which dataflow-graph optimisations run before
-// levelization. The zero value disables everything (the ablation baseline);
-// [DefaultOptPasses] is what [Compile] applies when no [WithOptPasses]
-// option is given.
-type OptPasses struct {
-	// ConstFold evaluates operations whose inputs are all constant.
-	ConstFold bool
-	// CopyProp forwards through identity copies (data-level optimisation).
-	CopyProp bool
-	// CSE merges structurally identical operations.
-	CSE bool
-	// MuxChainFuse fuses priority-mux cascades into one variable-arity
-	// operation (cascade-level operator fusion).
-	MuxChainFuse bool
-	// DCE removes operations that cannot influence any output.
-	DCE bool
-	// SweepRegs also removes registers that cannot influence any primary
-	// output. Off by default: architectural state is kept for waveforms.
-	SweepRegs bool
-}
-
-// DefaultOptPasses enables the passes the proof-of-concept compiler applies:
-// const-prop, copy-prop, CSE, mux-chain fusion, and DCE.
-func DefaultOptPasses() OptPasses {
-	return OptPasses{ConstFold: true, CopyProp: true, CSE: true, MuxChainFuse: true, DCE: true}
 }

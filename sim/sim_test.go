@@ -3,6 +3,7 @@ package sim_test
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -206,7 +207,7 @@ func TestPortErrors(t *testing.T) {
 }
 
 func TestWaveformCapture(t *testing.T) {
-	d, err := sim.Compile(counterSrc, sim.WithKernel(sim.TI), sim.WithWaveform())
+	d, err := sim.Compile(counterSrc, sim.WithKernel(sim.TI))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,47 +239,34 @@ func TestCompileErrorsPropagate(t *testing.T) {
 	}
 }
 
-func TestOptPassesOption(t *testing.T) {
-	// Compiling with everything off must still simulate correctly.
-	d, err := sim.Compile(counterSrc, sim.WithOptPasses(sim.OptPasses{}))
+// TestUnoptimizedGraphParity: a graph lowered with no dfg pass at all (the
+// optimisation ablation, reached below sim: dfg.Levelize → oim.Build →
+// kernel.NewProgram) simulates exactly like the design sim.Compile builds
+// with the default passes, and is no smaller.
+func TestUnoptimizedGraphParity(t *testing.T) {
+	g, err := firrtl.ParseAndElaborate(counterSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	prog := unoptimizedProgram(t, g)
 	dOpt, err := sim.Compile(counterSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Stats().Ops < dOpt.Stats().Ops {
-		t.Fatalf("unoptimized design smaller than optimized: %d < %d",
-			d.Stats().Ops, dOpt.Stats().Ops)
+	ten := prog.Tensor()
+	if ten.TotalOps() < dOpt.Stats().Ops {
+		t.Fatalf("unoptimized design smaller than optimized: %d < %d", ten.TotalOps(), dOpt.Stats().Ops)
 	}
-	s, sOpt := d.NewSession(), dOpt.NewSession()
-	s.Poke("step", 3)
+	e, sOpt := prog.Instantiate(), dOpt.NewSession()
+	e.PokeInput(slices.Index(ten.InputNames, "step"), 3)
 	sOpt.Poke("step", 3)
+	count := slices.Index(ten.OutputNames, "count")
 	for c := 0; c < 8; c++ {
-		s.Step()
+		e.Step()
 		sOpt.Step()
-		a, _ := s.Peek("count")
-		b, _ := sOpt.Peek("count")
-		if a != b {
+		a := e.PeekOutput(count)
+		if b, _ := sOpt.Peek("count"); a != b {
 			t.Fatalf("cycle %d: unoptimized %d != optimized %d", c, a, b)
-		}
-	}
-}
-
-func TestUnoptimizedFormatOption(t *testing.T) {
-	for _, k := range []sim.Kernel{sim.RU, sim.OU} {
-		d, err := sim.Compile(counterSrc, sim.WithKernel(k), sim.WithUnoptimizedFormat())
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := d.NewSession()
-		s.Poke("step", 2)
-		if err := s.Run(10); err != nil {
-			t.Fatal(err)
-		}
-		if got := s.PeekReg(0); got != 20 {
-			t.Fatalf("%v unoptimized format: count = %d, want 20", k, got)
 		}
 	}
 }
@@ -340,9 +328,10 @@ func TestDesignAccessors(t *testing.T) {
 // pins the dataflow graph (Design.graph did: 4.5× the source on this design)
 // or an object per operation (oim.Op with its own operand slice did: 1.6×,
 // and 3.6× under WithPartitions(2), which kept a second copy per cone) fails
-// here instead of in a benchmark run. Measured: 0.54× and 1.72× (1.88× under
-// -race, which pads the small blocks); most of a
-// partitioned design is the plan's per-slot poke routing, not the circuit.
+// here instead of in a benchmark run, and so does a slice header and a block
+// per slot (repcut.Plan's poke routing was one: 1.72×, 1.88× under -race,
+// which pads small blocks; it is two flat CSR arrays now). Measured: 0.54×
+// and 1.17×, with or without -race.
 func TestDesignRetainedHeap(t *testing.T) {
 	g, err := gen.Generate(gen.Spec{Family: gen.Rocket, Cores: 1, Scale: 8})
 	if err != nil {
@@ -365,7 +354,7 @@ func TestDesignRetainedHeap(t *testing.T) {
 		bar  float64
 	}{
 		{"unpartitioned", nil, 1.0},
-		{"two partitions", []sim.Option{sim.WithPartitions(2)}, 2.0},
+		{"two partitions", []sim.Option{sim.WithPartitions(2)}, 1.5},
 	} {
 		before := heap()
 		d, err := sim.Compile(src, row.opts...)
