@@ -1,7 +1,6 @@
 // End-to-end integration tests across package boundaries: the full
 // FIRRTL-text → frontend → optimiser → OIM → kernel pipeline on generated
-// designs, cross-checked against the dataflow-graph oracle and the einsum
-// reference evaluator.
+// designs, cross-checked against the dataflow-graph oracle.
 package main
 
 import (
@@ -11,7 +10,6 @@ import (
 
 	"rteaal/internal/baseline"
 	"rteaal/internal/dfg"
-	"rteaal/internal/einsum"
 	"rteaal/internal/firrtl"
 	"rteaal/internal/gen"
 	"rteaal/internal/kernel"
@@ -22,8 +20,9 @@ import (
 
 // TestFullPipelineOnGeneratedDesign round-trips a synthesised design
 // through FIRRTL text (the external interchange format) and simulates the
-// re-elaborated circuit with every kernel, the einsum reference, both
-// baselines, and the RepCut engine, comparing all of them to the oracle.
+// re-elaborated circuit with every kernel (RU among them: Cascade 1 as the
+// paper writes it), both baselines, and the RepCut engine, comparing all of
+// them to the oracle.
 func TestFullPipelineOnGeneratedDesign(t *testing.T) {
 	g0, err := gen.Generate(gen.Spec{Family: gen.SHA3, Scale: 8})
 	if err != nil {
@@ -108,40 +107,6 @@ func TestFullPipelineOnGeneratedDesign(t *testing.T) {
 			tr = append(tr, e.RegSnapshot()...)
 		}
 		check(kind.String(), tr)
-	}
-
-	// Einsum reference evaluator.
-	{
-		li := make([]uint64, ten.NumSlots)
-		for _, c := range ten.ConstSlots {
-			li[c.Slot] = c.Value
-		}
-		for _, r := range ten.RegSlots {
-			li[r.Q] = r.Init
-		}
-		ft := ten.Fibertree()
-		env := einsum.Env{OpOf: ten.OpOf, MaskOf: ten.MaskOf}
-		rng := rand.New(rand.NewSource(11))
-		next := make([]uint64, len(ten.RegSlots))
-		var tr []uint64
-		for c := 0; c < cycles; c++ {
-			for i, s := range ten.InputSlots {
-				li[s] = rng.Uint64() & ten.Masks[ten.InputSlots[i]]
-			}
-			if err := einsum.EvalCascade1(ft, li, env); err != nil {
-				t.Fatal(err)
-			}
-			for i, r := range ten.RegSlots {
-				next[i] = li[r.Next] & r.Mask
-			}
-			for i, r := range ten.RegSlots {
-				li[r.Q] = next[i]
-			}
-			for _, r := range ten.RegSlots {
-				tr = append(tr, li[r.Q])
-			}
-		}
-		check("einsum-cascade", tr)
 	}
 
 	// Both baselines.

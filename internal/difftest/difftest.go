@@ -102,18 +102,22 @@ type leg struct {
 }
 
 // legs derives the matrix from sim's compile surface, so what is tested
-// follows what a user can reach: the default design first (it is the
-// reference every other leg is compared with), then one leg per non-default
-// value of each option — every other kernel of sim.Kernels, partitioned plans
-// (one under a tape kernel, so both engine families cross the RUM exchange),
-// packing off, more than one batch worker. TestMatrixCoversOptionSurface
-// holds the list to that surface.
+// follows what a user can reach: one session per kernel of sim.Kernels (the
+// default, PSU, with no option), then one leg per non-default value of each
+// other option — partitioned plans (one under a tape kernel, so both engine
+// families cross the RUM exchange), packing off, more than one batch worker.
+// TestMatrixCoversOptionSurface holds the list to that surface. The first
+// leg, RU's session, is the reference every other leg is compared with: RU
+// executes the paper's Cascade 1 as written, so every engine shape is held
+// to the paper's equations.
 func legs() []leg {
-	ls := []leg{{name: "session/" + sim.PSU.String()}}
+	var ls []leg
 	for _, k := range sim.Kernels() {
+		l := leg{name: "session/" + k.String()}
 		if k != sim.PSU {
-			ls = append(ls, leg{name: "session/" + k.String(), opts: []sim.Option{sim.WithKernel(k)}})
+			l.opts = []sim.Option{sim.WithKernel(k)}
 		}
+		ls = append(ls, l)
 	}
 	return append(ls,
 		leg{name: "partitioned/n=2", opts: []sim.Option{sim.WithPartitions(2)}},

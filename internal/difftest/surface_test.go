@@ -16,11 +16,14 @@ import (
 // sim exports — read from its source, so a fifth option cannot be added
 // without a row here — names the legs of the matrix that take it off its
 // default, every kernel sim.Kernels lists has a session leg, and each named
-// leg exists.
+// leg exists. The reference leg, first, is RU's session.
 func TestMatrixCoversOptionSurface(t *testing.T) {
 	var names []string
 	for _, l := range legs() {
 		names = append(names, l.name)
+	}
+	if names[0] != "session/RU" {
+		t.Errorf("the reference leg is %s; want session/RU, the kernel that executes Cascade 1 as written", names[0])
 	}
 	optionLegs := map[string][]string{
 		"WithKernel":       nil, // filled below: one session per kernel

@@ -4,9 +4,12 @@ import "rteaal/internal/wire"
 
 // settleRU is the mostly rolled kernel of Algorithm 3: loop order
 // [I, S, N, O, R] over the optimized (or, for the format ablation, the
-// unoptimized) array lowering, unrolling only the one-hot R rank. It walks
-// the coordinate arrays exactly as the fibertree next() traversal would,
-// keeping the full map / reduce / populate action structure.
+// unoptimized) array lowering, unrolling only the one-hot R rank. It is
+// Cascade 1 as the paper writes it, and the repository's only evaluator of
+// it: per operand, OI = LI . OIM :: map <-(->) is the li[rc] load, and
+// LO = OI :: map op_u[n] reduce op_r[n] is MapStep then ReduceStep; the
+// gathering ops take LO_sel's populate op_s[n] (PopulateGather); the layer
+// ends with the LO → LI write-back einsums.
 func (e *engine) settleRU() {
 	a := e.a
 	t := e.t

@@ -1,0 +1,155 @@
+package oim_test
+
+import (
+	"bytes"
+	"encoding/json"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"rteaal/internal/dfg"
+	"rteaal/internal/kernel"
+	"rteaal/internal/oim"
+)
+
+// The tests in this file simulate a tensor. Cascade 1 — map <-(->) of LI
+// over OIM, reduce op_r[n] after map op_u[n] per operand, populate op_s[n]
+// for the gathering ops, then the LO → LI write-back per layer — is
+// executed as written by the RU kernel (loop order [I,S,N,O,R], one-hot N
+// and R ranks read by next()), so RU is the evaluator here.
+
+func build(t *testing.T, g *dfg.Graph) *oim.Tensor {
+	t.Helper()
+	lv, err := dfg.Levelize(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ten, err := oim.Build(lv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ten
+}
+
+// cascadeTrace runs Cascade 1 over the tensor under seeded stimulus: the
+// outputs as settled and the registers as committed, every cycle.
+func cascadeTrace(t *testing.T, ten *oim.Tensor, seed int64, cycles int) []uint64 {
+	t.Helper()
+	e, err := kernel.New(ten, kernel.Config{Kind: kernel.RU})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	var trace []uint64
+	for c := 0; c < cycles; c++ {
+		for i := range ten.InputSlots {
+			e.PokeInput(i, rng.Uint64())
+		}
+		e.Step()
+		for i := range ten.OutputSlots {
+			trace = append(trace, e.PeekOutput(i))
+		}
+		trace = append(trace, e.RegSnapshot()...)
+	}
+	return trace
+}
+
+// oracleTrace produces the same trace with the dfg interpreter.
+func oracleTrace(t *testing.T, g *dfg.Graph, seed int64, cycles int) []uint64 {
+	t.Helper()
+	it, err := dfg.NewInterp(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	var trace []uint64
+	for c := 0; c < cycles; c++ {
+		for i, p := range g.Inputs {
+			it.PokeInput(i, rng.Uint64()&g.Node(p.Node).Mask())
+		}
+		it.Step()
+		trace = append(trace, it.OutputSnapshot()...)
+		trace = append(trace, it.RegSnapshot()...)
+	}
+	return trace
+}
+
+// TestCascade1MatchesOracle is the end-to-end validation of the paper's
+// formulation: Cascade 1 over the OIM tensor Build makes must reproduce the
+// dataflow-graph oracle bit for bit.
+func TestCascade1MatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	for trial := 0; trial < 25; trial++ {
+		g := dfg.RandomGraph(rng, dfg.DefaultRandomParams())
+		opt, err := dfg.Optimize(g, dfg.DefaultOptOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ten := build(t, opt)
+		seed := rng.Int63()
+		want := oracleTrace(t, opt, seed, 12)
+		if got := cascadeTrace(t, ten, seed, 12); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: cascade trace diverges from the oracle", trial)
+		}
+	}
+}
+
+// TestReadJSONRegroupsUngroupedLayers feeds ReadJSON what Build never emits
+// — layers whose operations are not grouped by type, as a hand-written
+// tensor may be — and checks it still loads grouped, with the interleaved S
+// coordinates split into several runs, and simulates identically.
+func TestReadJSONRegroupsUngroupedLayers(t *testing.T) {
+	ten := build(t, dfg.RandomGraph(rand.New(rand.NewSource(9)), dfg.DefaultRandomParams()))
+	var buf bytes.Buffer
+	if err := ten.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	var layers [][]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(doc["layers"], &layers); err != nil {
+		t.Fatal(err)
+	}
+	for _, layer := range layers {
+		slices.Reverse(layer)
+	}
+	doc["layers"], _ = json.Marshal(layers)
+	mixedJSON, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed, err := oim.ReadJSON(bytes.NewReader(mixedJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mixed.Runs) <= len(ten.Runs) || mixed.TotalOps() != ten.TotalOps() {
+		t.Fatalf("reversed layers loaded as %d runs over %d ops, want more than the %d runs of the grouped tensor over %d",
+			len(mixed.Runs), mixed.TotalOps(), len(ten.Runs), ten.TotalOps())
+	}
+	if want, got := cascadeTrace(t, ten, 42, 6), cascadeTrace(t, mixed, 42, 6); !slices.Equal(want, got) {
+		t.Fatal("regrouped tensor diverges from the grouped one")
+	}
+}
+
+func TestJSONRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g := dfg.RandomGraph(rng, dfg.DefaultRandomParams())
+	ten := build(t, g)
+	var buf bytes.Buffer
+	if err := ten.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := oim.ReadJSON(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumSlots != ten.NumSlots || got.TotalOps() != ten.TotalOps() ||
+		len(got.OpTable) != len(ten.OpTable) || len(got.RegSlots) != len(ten.RegSlots) {
+		t.Fatal("round-trip changed shape")
+	}
+	if want, gotTr := cascadeTrace(t, ten, 42, 6), cascadeTrace(t, got, 42, 6); !slices.Equal(want, gotTr) {
+		t.Fatal("round-tripped tensor diverges")
+	}
+}

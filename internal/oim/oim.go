@@ -13,8 +13,9 @@
 // and IU execute these arrays as they are; everything else reads them
 // through [Tensor.Ops]: the [Arrays] lowering of Figure 12a/b (RU, OU,
 // internal/codegen), the SU/TI tape, the batch oracle, the partition
-// planner, the fibertree view for the einsum reference evaluator, and the
-// JSON of Figure 14's compiler pipeline.
+// planner, and the JSON of Figure 14's compiler pipeline. Cascade 1, the
+// paper's einsum for one settle over this tensor, is executed as written by
+// the RU kernel (internal/kernel/rolled.go).
 //
 // Identity elision (§4.3) is baked into coordinate assignment: dfg.Levelize
 // gives every node one LI coordinate for its entire lifetime, so no identity
@@ -28,8 +29,6 @@ import (
 	"slices"
 
 	"rteaal/internal/dfg"
-	"rteaal/internal/fibertree"
-	"rteaal/internal/teaal"
 	"rteaal/internal/wire"
 )
 
@@ -342,100 +341,15 @@ func (t *Tensor) NPayload() []int32 {
 	return np
 }
 
-// Shapes returns the rank shapes for [I,S,N,O,R]. The O shape is the
-// maximum arity; S and R share the LI coordinate space.
-func (t *Tensor) Shapes() []int64 {
+// Density reports the OIM's occupancy over its full iteration space
+// [I,S,N,O,R] — S and R share the LI coordinate space and O is the largest
+// arity — the quantity the paper reports as 1e-7..1e-9 (§5.1).
+func (t *Tensor) Density() float64 {
 	maxAr := 1
 	for _, s := range t.OpTable {
-		if int(s.Arity) > maxAr {
-			maxAr = int(s.Arity)
-		}
+		maxAr = max(maxAr, int(s.Arity))
 	}
-	return []int64{int64(t.NumLayers()), int64(t.NumSlots), int64(len(t.OpTable)),
-		int64(maxAr), int64(t.NumSlots)}
-}
-
-// Fibertree exports the tensor as an explicit [I,S,N,O,R]
-// fibertree (every occupied point has payload 1), the representation the
-// einsum reference evaluator consumes.
-func (t *Tensor) Fibertree() *fibertree.Tensor {
-	ft := fibertree.NewTensor("OIM", []string{"I", "S", "N", "O", "R"}, t.Shapes())
-	shapes := t.Shapes()
-	t.Ops(func(i int, sig uint16, out int32, args []int32) {
-		sF := ft.Root.GetOrCreateSub(fibertree.Coord(i), shapes[1])
-		nF := sF.GetOrCreateSub(fibertree.Coord(out), shapes[2])
-		oF := nF.GetOrCreateSub(fibertree.Coord(sig), shapes[3])
-		for o, r := range args {
-			rF := oF.GetOrCreateSub(fibertree.Coord(o), shapes[4])
-			rF.SetLeaf(fibertree.Coord(r), 1)
-		}
-	})
-	return ft
-}
-
-// OpOf implements the einsum Env callback: operation kind and arity for an
-// N coordinate.
-func (t *Tensor) OpOf(n fibertree.Coord) (wire.Op, int) {
-	s := t.OpTable[n]
-	return s.Op, int(s.Arity)
-}
-
-// MaskOf implements the einsum Env callback: output mask of an S coordinate.
-func (t *Tensor) MaskOf(s fibertree.Coord) uint64 { return t.Masks[s] }
-
-// Density reports the OIM's occupancy over its full iteration space, the
-// quantity the paper reports as 1e-7..1e-9 (§5.1).
-func (t *Tensor) Density() float64 {
-	sh := t.Shapes()
-	total := 1.0
-	for _, s := range sh {
-		total *= float64(s)
-	}
-	return float64(t.TotalOperands()) / total
-}
-
-// ConcreteFormat fills in the "non-zero" bitwidths of a Figure 12 format
-// from this tensor's actual coordinate and payload ranges.
-func (t *Tensor) ConcreteFormat(f teaal.Format) teaal.Format {
-	maxOpsPerLayer := uint64(t.MaxLayerOps())
-	maxCoord := map[string]uint64{
-		"S": uint64(t.NumSlots - 1),
-		"N": uint64(len(t.OpTable) - 1),
-		"R": uint64(t.NumSlots - 1),
-	}
-	maxPayload := map[string]uint64{
-		"I": maxOpsPerLayer,
-		"S": 1,
-		"N": maxOpsPerLayer, // swizzled: ops per type per layer
-		"O": 1,
-		"R": 1,
-	}
-	return teaal.Concretise(f, maxCoord, maxPayload)
-}
-
-// Entries returns per-rank entry counts for footprint computation under the
-// given rank order ([I,S,N,O,R] or [I,N,S,O,R]).
-func (t *Tensor) Entries(swizzled bool) map[string]int {
-	if swizzled {
-		return map[string]int{
-			"I": t.NumLayers(),
-			"N": t.NumLayers() * len(t.OpTable),
-			"S": t.TotalOps(),
-			"O": t.TotalOperands(),
-			"R": t.TotalOperands(),
-		}
-	}
-	return map[string]int{
-		"I": t.NumLayers(),
-		"S": t.TotalOps(),
-		"N": t.TotalOps(),
-		"O": t.TotalOperands(),
-		"R": t.TotalOperands(),
-	}
-}
-
-// FootprintBytes is the metadata footprint of this tensor under a format.
-func (t *Tensor) FootprintBytes(f teaal.Format) int64 {
-	swizzled := len(f.RankOrder) > 1 && f.RankOrder[1] == "N"
-	return teaal.Footprint(t.ConcreteFormat(f), t.Entries(swizzled))
+	points := float64(t.NumLayers()) * float64(t.NumSlots) * float64(len(t.OpTable)) *
+		float64(maxAr) * float64(t.NumSlots)
+	return float64(t.TotalOperands()) / points
 }
