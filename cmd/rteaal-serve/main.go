@@ -1,6 +1,7 @@
 // Command rteaal-serve runs the simulation-as-a-service HTTP endpoint: a
-// cross-user compiled-design cache with elastic per-design session pools,
-// driving sessions through wire-framed testbench command batches.
+// cross-user compiled-design cache whose leases each mint their own engine
+// (bounded per design and per client), driven through wire-framed testbench
+// command batches.
 //
 //	rteaal-serve -addr :8382
 //	rteaal-serve -addr :8382 -cache 32 -pool-cap 16 -session-ttl 10m
@@ -15,7 +16,7 @@
 //	DELETE /sessions/{id}            release the session
 //	GET    /healthz                  liveness plus live design/session counts
 //	GET    /readyz                   readiness (503 while draining or degraded)
-//	GET    /metrics                  JSON counters (cache, pools, work, faults, latency)
+//	GET    /metrics                  JSON counters (cache, sessions, pools, work, faults, latency)
 //
 // On SIGTERM/SIGINT the server drains gracefully: readiness fails and new
 // work answers 503 with Retry-After while in-flight command lists finish
@@ -39,14 +40,13 @@ import (
 func main() {
 	addr := flag.String("addr", ":8382", "listen address")
 	cache := flag.Int("cache", 16, "max cached compiled designs (LRU)")
-	poolCap := flag.Int("pool-cap", 8, "max pooled sessions per design")
+	poolCap := flag.Int("pool-cap", 8, "max live scalar sessions per design")
 	perClient := flag.Int("per-client", 8, "max concurrent sessions per client")
 	sessionTTL := flag.Duration("session-ttl", 5*time.Minute, "evict sessions idle longer than this")
-	poolIdleTTL := flag.Duration("pool-idle-ttl", time.Minute, "close pooled sessions idle longer than this")
 	sweep := flag.Duration("sweep", 15*time.Second, "maintenance sweep interval")
 	requestTimeout := flag.Duration("request-timeout", 2*time.Minute, "per-request deadline (0 disables)")
 	execTimeout := flag.Duration("exec-timeout", time.Minute, "per-command-list execution deadline (0 disables)")
-	poolWait := flag.Duration("pool-wait", 0, "how long session creation waits for pool capacity before answering 429 (0: fail fast)")
+	poolWait := flag.Duration("pool-wait", 0, "how long session creation waits for design capacity before answering 429 (0: fail fast)")
 	compileFailLimit := flag.Int("compile-fail-limit", 3, "consecutive compile failures that trip a design's circuit breaker (0 disables)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 30*time.Second, "how long a tripped compile breaker short-circuits with 503")
 	drainGrace := flag.Duration("drain-grace", 20*time.Second, "how long shutdown waits for in-flight command lists")
@@ -70,7 +70,6 @@ func main() {
 		PoolCap:              *poolCap,
 		MaxSessionsPerClient: *perClient,
 		SessionTTL:           *sessionTTL,
-		PoolIdleTTL:          *poolIdleTTL,
 		RequestTimeout:       disabledIsNegative(*requestTimeout),
 		ExecTimeout:          disabledIsNegative(*execTimeout),
 		PoolWait:             *poolWait,
@@ -78,7 +77,7 @@ func main() {
 		BreakerCooldown:      *breakerCooldown,
 	})
 
-	// Janitor: evict abandoned sessions and shrink idle pools.
+	// Janitor: evict abandoned sessions.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	go func() {
@@ -89,8 +88,8 @@ func main() {
 			case <-ctx.Done():
 				return
 			case <-t.C:
-				if leases, pooled := srv.Sweep(); leases > 0 || pooled > 0 {
-					fmt.Fprintf(os.Stderr, "rteaal-serve: swept %d idle sessions, %d pooled engines\n", leases, pooled)
+				if leases := srv.Sweep(); leases > 0 {
+					fmt.Fprintf(os.Stderr, "rteaal-serve: swept %d idle sessions\n", leases)
 				}
 			}
 		}

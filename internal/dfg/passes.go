@@ -15,10 +15,9 @@ type OptOptions struct {
 	CopyProp     bool
 	CSE          bool
 	MuxChainFuse bool
-	DCE          bool
-	// SweepRegs also removes registers that cannot influence any primary
-	// output. Off by default: architectural state is kept for waveforms.
-	SweepRegs bool
+	// DCE removes nodes no output or register reaches. Every register is
+	// kept, reachable or not: architectural state is what waveforms show.
+	DCE bool
 }
 
 // DefaultOptOptions enables the passes the proof-of-concept compiler applies.
@@ -46,7 +45,7 @@ func Optimize(g *Graph, o OptOptions) (*Graph, error) {
 		out.muxChainFuse()
 	}
 	if o.DCE {
-		out.compact(o.SweepRegs)
+		out.compact()
 	}
 	if err := out.Validate(); err != nil {
 		return nil, err
@@ -300,9 +299,9 @@ func (g *Graph) muxChainFuse() {
 }
 
 // compact removes unreachable nodes and renumbers the survivors. Inputs are
-// always kept (the testbench drives them positionally); registers are kept
-// unless sweepRegs is set and they cannot reach an output.
-func (g *Graph) compact(sweepRegs bool) {
+// always kept (the testbench drives them positionally), and so is every
+// register with its next-state cone.
+func (g *Graph) compact() {
 	live := make([]bool, len(g.Nodes))
 	var mark func(NodeID)
 	var stack []NodeID
@@ -325,26 +324,9 @@ func (g *Graph) compact(sweepRegs bool) {
 	for _, p := range g.Outputs {
 		mark(p.Node)
 	}
-	keepReg := make([]bool, len(g.Regs))
-	if sweepRegs {
-		// Iterate: a register is live if its Q node became reachable; its
-		// next-state cone then becomes live too, possibly reviving others.
-		for changed := true; changed; {
-			changed = false
-			for i, r := range g.Regs {
-				if !keepReg[i] && live[r.Node] {
-					keepReg[i] = true
-					mark(r.Next)
-					changed = true
-				}
-			}
-		}
-	} else {
-		for i, r := range g.Regs {
-			keepReg[i] = true
-			live[r.Node] = true
-			mark(r.Next)
-		}
+	for _, r := range g.Regs {
+		live[r.Node] = true
+		mark(r.Next)
 	}
 	for _, p := range g.Inputs {
 		live[p.Node] = true
@@ -372,12 +354,8 @@ func (g *Graph) compact(sweepRegs bool) {
 	for i := range g.Outputs {
 		g.Outputs[i].Node = remap[g.Outputs[i].Node]
 	}
-	newRegs := g.Regs[:0]
 	for i, r := range g.Regs {
-		if keepReg[i] {
-			newRegs = append(newRegs, Reg{Node: remap[r.Node], Next: remap[r.Next], Init: r.Init})
-		}
+		g.Regs[i] = Reg{Node: remap[r.Node], Next: remap[r.Next], Init: r.Init}
 	}
-	g.Regs = newRegs
 	g.topo = nil
 }

@@ -42,7 +42,7 @@ const (
 	// SessionPanic fires inside session/batch instantiation.
 	SessionPanic Point = "session-panic"
 	// PoolExhausted fires inside session creation; returning an error
-	// injects backpressure without filling the pool.
+	// injects backpressure without filling the design's capacity.
 	PoolExhausted Point = "pool-exhausted"
 	// ConnDrop fires just before a command-list response is written; the
 	// handler aborts the connection, leaving the client with a transport

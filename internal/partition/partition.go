@@ -53,8 +53,7 @@ type Strategy interface {
 // [MinCut], the highest-quality assignment.
 func Default() Strategy { return MinCut{} }
 
-// All lists the built-in strategies in increasing quality order. Name
-// resolution for flags lives at the public surface (sim.ParsePartitionStrategy).
+// All lists the built-in strategies in increasing quality order.
 func All() []Strategy { return []Strategy{RoundRobin{}, ConeCluster{}, MinCut{}} }
 
 // checkAssignArgs applies the shared Assign contract.

@@ -93,7 +93,7 @@ type CompileResponse struct {
 // empty body is a plain single-lane session.
 type CreateSessionRequest struct {
 	// Lanes > 0 serves the session from a multi-lane batch instead of a
-	// pooled scalar session; commands then address lanes individually.
+	// scalar session; commands then address lanes individually.
 	Lanes int `json:"lanes,omitempty"`
 }
 
@@ -101,7 +101,7 @@ type CreateSessionRequest struct {
 type SessionResponse struct {
 	SessionID string `json:"session_id"`
 	Hash      string `json:"hash"`
-	// Lanes is the number of drivable lanes (1 for pooled sessions).
+	// Lanes is the number of drivable lanes (1 for scalar sessions).
 	Lanes int `json:"lanes"`
 }
 
@@ -145,8 +145,8 @@ const (
 	// KindCircuitOpen marks a compile short-circuited by the per-design
 	// breaker after repeated failures (503 with Retry-After).
 	KindCircuitOpen = "circuit_open"
-	// KindBackpressure marks pool or per-client saturation (429 with
-	// Retry-After).
+	// KindBackpressure marks design-capacity or per-client saturation (429
+	// with Retry-After).
 	KindBackpressure = "backpressure"
 	// KindGone marks a request against a released session (410).
 	KindGone = "gone"

@@ -14,9 +14,8 @@ import (
 // designCache is the cross-user compiled-design cache: *sim.Design values
 // keyed by sim.SourceHash, bounded by an LRU, with single-flight
 // deduplication so N clients posting the same source concurrently pay for
-// exactly one compile. Each entry owns the elastic session pool serving
-// that design; evicting an entry closes its pool (idle sessions drain,
-// checked-out sessions retire on Put).
+// exactly one compile. An entry holds no engines, so evicting it closes
+// nothing: leases already open on it keep running until they are released.
 type designCache struct {
 	mu        sync.Mutex
 	max       int
@@ -52,13 +51,20 @@ func (e errCircuitOpen) Error() string {
 	return fmt.Sprintf("compile circuit open after repeated failures; retry in %s", e.retryAfter.Round(time.Second))
 }
 
-// cacheEntry is one cached design plus its serving pool.
+// cacheEntry is one cached design plus the capacity its scalar leases hold.
 type cacheEntry struct {
 	hash   string
 	design *sim.Design
 	info   DesignInfo
-	pool   *sim.Pool
 	elem   *list.Element
+
+	// slots bounds the design's live scalar leases (Config.PoolCap): a lease
+	// holds one from create until release. Batches hold none.
+	slots chan struct{}
+
+	mu              sync.Mutex
+	live, highWater int
+	checkouts       uint64
 }
 
 // compileCall is one in-flight compile other callers join.
@@ -137,21 +143,14 @@ func (c *designCache) getOrCompile(ctx context.Context, hash string, compile fun
 
 	c.mu.Lock()
 	delete(c.inflight, hash)
-	var evict []*cacheEntry
 	if err == nil {
-		call.entry, err = c.insertLocked(hash, d)
-		if err == nil {
-			evict = c.evictOverflowLocked()
-		}
+		call.entry = c.insertLocked(hash, d)
+		c.evictOverflowLocked()
 	}
 	c.breakerRecordLocked(hash, err)
 	call.err = err
 	c.mu.Unlock()
 	close(call.done)
-	// Pool teardown can join partition workers; never do it under the lock.
-	for _, old := range evict {
-		old.pool.Close()
-	}
 	return call.entry, false, err
 }
 
@@ -225,17 +224,12 @@ func (c *designCache) breakerStats() (trips uint64, open int) {
 	return c.trips, open
 }
 
-func (c *designCache) insertLocked(hash string, d *sim.Design) (*cacheEntry, error) {
-	pool, err := sim.NewPool(d, c.poolCap)
-	if err != nil {
-		return nil, err
-	}
-	pool.SetClock(c.now)
+func (c *designCache) insertLocked(hash string, d *sim.Design) *cacheEntry {
 	st := d.Stats()
 	e := &cacheEntry{
 		hash:   hash,
 		design: d,
-		pool:   pool,
+		slots:  make(chan struct{}, c.poolCap),
 		info: DesignInfo{
 			Hash:      hash,
 			Design:    st.Design,
@@ -249,44 +243,53 @@ func (c *designCache) insertLocked(hash string, d *sim.Design) (*cacheEntry, err
 	}
 	e.elem = c.lru.PushFront(e)
 	c.entries[hash] = e
-	return e, nil
+	return e
 }
 
-// evictOverflowLocked pops least-recently-used entries past the bound and
-// returns them for teardown outside the lock.
-func (c *designCache) evictOverflowLocked() []*cacheEntry {
-	var evict []*cacheEntry
+// evictOverflowLocked drops least-recently-used entries past the bound.
+func (c *designCache) evictOverflowLocked() {
 	for len(c.entries) > c.max {
-		oldest := c.lru.Back()
-		if oldest == nil {
-			break
-		}
-		e := oldest.Value.(*cacheEntry)
-		c.lru.Remove(oldest)
+		e := c.lru.Remove(c.lru.Back()).(*cacheEntry)
 		delete(c.entries, e.hash)
 		c.evictions++
-		evict = append(evict, e)
 	}
-	return evict
 }
 
-// reapIdle shrinks every design's pool: sessions idle past ttl close and
-// return their creation budget. Reports total sessions reaped.
-func (c *designCache) reapIdle(ttl time.Duration) int {
-	c.mu.Lock()
-	pools := make([]*sim.Pool, 0, len(c.entries))
-	for _, e := range c.entries {
-		pools = append(pools, e.pool)
+// acquire takes one of the design's capacity slots for a scalar lease. With
+// wait == 0 it never blocks; otherwise it waits up to wait, bounded by ctx,
+// for a lease to release one. It reports whether a slot was taken.
+func (e *cacheEntry) acquire(ctx context.Context, wait time.Duration) bool {
+	select {
+	case e.slots <- struct{}{}:
+	default:
+		if wait <= 0 {
+			return false
+		}
+		wctx, cancel := context.WithTimeout(ctx, wait)
+		defer cancel()
+		select {
+		case e.slots <- struct{}{}:
+		case <-wctx.Done():
+			return false
+		}
 	}
-	c.mu.Unlock()
-	total := 0
-	for _, p := range pools {
-		total += p.ReapIdle(ttl)
-	}
-	return total
+	e.mu.Lock()
+	e.live++
+	e.highWater = max(e.highWater, e.live)
+	e.checkouts++
+	e.mu.Unlock()
+	return true
 }
 
-// stats snapshots the cache counters plus every entry's pool occupancy.
+// releaseSlot gives back a slot taken by acquire.
+func (e *cacheEntry) releaseSlot() {
+	e.mu.Lock()
+	e.live--
+	e.mu.Unlock()
+	<-e.slots
+}
+
+// stats snapshots the cache counters plus every entry's lease occupancy.
 func (c *designCache) stats() (CacheMetrics, map[string]PoolMetrics) {
 	c.mu.Lock()
 	cm := CacheMetrics{
@@ -297,39 +300,12 @@ func (c *designCache) stats() (CacheMetrics, map[string]PoolMetrics) {
 		Evictions:       c.evictions,
 		InflightDeduped: c.dedups,
 	}
-	pools := make(map[string]*sim.Pool, len(c.entries))
+	pm := make(map[string]PoolMetrics, len(c.entries))
 	for h, e := range c.entries {
-		pools[h] = e.pool
+		e.mu.Lock()
+		pm[h] = PoolMetrics{Cap: cap(e.slots), Live: e.live, HighWater: e.highWater, Checkouts: e.checkouts}
+		e.mu.Unlock()
 	}
 	c.mu.Unlock()
-	pm := make(map[string]PoolMetrics, len(pools))
-	for h, p := range pools {
-		st := p.Stats()
-		pm[h] = PoolMetrics{
-			Cap:        st.Cap,
-			Idle:       st.Idle,
-			CheckedOut: st.CheckedOut,
-			Live:       st.Live,
-			HighWater:  st.HighWater,
-			Checkouts:  st.Checkouts,
-			Reaped:     st.Reaped,
-			Discarded:  st.Discarded,
-		}
-	}
 	return cm, pm
-}
-
-// close tears the whole cache down: every pool closes, every entry drops.
-func (c *designCache) close() {
-	c.mu.Lock()
-	entries := make([]*cacheEntry, 0, len(c.entries))
-	for _, e := range c.entries {
-		entries = append(entries, e)
-	}
-	c.entries = make(map[string]*cacheEntry)
-	c.lru.Init()
-	c.mu.Unlock()
-	for _, e := range entries {
-		e.pool.Close()
-	}
 }

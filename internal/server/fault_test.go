@@ -128,9 +128,9 @@ func TestFaultCompilePanic(t *testing.T) {
 }
 
 // TestFaultRunPanicQuarantine: a panic during command execution answers a
-// typed 500, quarantines exactly the affected session (discarded from the
-// pool, lease unlinked), and the server keeps serving: a fresh session of
-// the same design passes the golden-trace parity check.
+// typed 500, quarantines exactly the affected session (engine closed, lease
+// unlinked), and the server keeps serving: a fresh session of the same
+// design passes the golden-trace parity check.
 func TestFaultRunPanicQuarantine(t *testing.T) {
 	checkGoroutineLeaks(t)
 	t.Cleanup(faultinject.Reset)
@@ -169,8 +169,8 @@ func TestFaultRunPanicQuarantine(t *testing.T) {
 	if m.Fault.PanicsRecovered < 2 || m.Fault.SessionsQuarantined != 2 {
 		t.Errorf("fault metrics %+v, want >=2 panics recovered, exactly 2 quarantines", m.Fault)
 	}
-	if d := m.Pools[cr.Hash].Discarded; d != 1 {
-		t.Errorf("pool discarded %d sessions, want 1 (the scalar lease)", d)
+	if pm := m.Pools[cr.Hash]; pm.Live != 0 {
+		t.Errorf("design holds %d live scalar leases after quarantine, want 0", pm.Live)
 	}
 }
 
@@ -283,7 +283,7 @@ func TestFaultSlowRunTimeout(t *testing.T) {
 }
 
 // TestFaultPoolExhaustedRetry: end-to-end client resilience — injected
-// pool exhaustion answers 429 and the client's backoff loop rides it out,
+// design saturation answers 429 and the client's backoff loop rides it out,
 // succeeding once capacity "returns", without the test doing any retrying.
 func TestFaultPoolExhaustedRetry(t *testing.T) {
 	checkGoroutineLeaks(t)
@@ -295,7 +295,7 @@ func TestFaultPoolExhaustedRetry(t *testing.T) {
 	rc := client.New(ts.URL, client.WithClientID("retry"), client.WithRetry(client.RetryPolicy{
 		MaxAttempts: 4,
 		BaseDelay:   time.Millisecond,
-		MaxDelay:    5 * time.Millisecond, // caps the server's 61s Retry-After hint
+		MaxDelay:    5 * time.Millisecond, // caps the server's 1s Retry-After hint
 		Jitter:      0.2,
 	}))
 	ctx := context.Background()
@@ -545,8 +545,8 @@ func TestReadyzFreshServer(t *testing.T) {
 
 // TestDeleteDuringRun: DELETE of a session with a command list in flight
 // cancels the run at a chunk boundary — the run answers 410 with the
-// completed prefix, the DELETE completes, and the engine returns to the
-// pool instead of being held for the rest of the batch.
+// completed prefix, the DELETE completes, and the engine closes instead of
+// being held for the rest of the batch.
 func TestDeleteDuringRun(t *testing.T) {
 	checkGoroutineLeaks(t)
 	t.Cleanup(faultinject.Reset)
@@ -605,5 +605,5 @@ func TestDeleteDuringRun(t *testing.T) {
 	if m.Sessions.Live != 0 {
 		t.Errorf("%d sessions leaked past the DELETE", m.Sessions.Live)
 	}
-	parityRun(t, c) // the pooled engine the DELETE reclaimed serves again
+	parityRun(t, c) // the design still serves fresh, correct sessions
 }

@@ -7,7 +7,7 @@ import (
 
 // MetricsResponse answers GET /metrics: a JSON snapshot of every counter
 // the service keeps — cache effectiveness, session churn, simulated work,
-// per-design pool occupancy, and per-endpoint latency.
+// per-design lease capacity, and per-endpoint latency.
 type MetricsResponse struct {
 	Cache     CacheMetrics               `json:"cache"`
 	Sessions  SessionMetrics             `json:"sessions"`
@@ -30,18 +30,14 @@ type CacheMetrics struct {
 	InflightDeduped uint64 `json:"inflight_deduped"`
 }
 
-// PoolMetrics reports one design's elastic session pool.
+// PoolMetrics reports one design's scalar-lease capacity: Live leases hold
+// a slot each out of Cap, HighWater is the most ever held at once, and
+// Checkouts counts slots ever granted. Batch leases hold no slot.
 type PoolMetrics struct {
-	Cap        int    `json:"cap"`
-	Idle       int    `json:"idle"`
-	CheckedOut int    `json:"checked_out"`
-	Live       int    `json:"live"`
-	HighWater  int    `json:"high_water"`
-	Checkouts  uint64 `json:"checkouts"`
-	Reaped     uint64 `json:"reaped"`
-	// Discarded counts sessions quarantined after a fault instead of being
-	// re-pooled; each one was replaced by fresh creation budget.
-	Discarded uint64 `json:"discarded"`
+	Cap       int    `json:"cap"`
+	Live      int    `json:"live"`
+	HighWater int    `json:"high_water"`
+	Checkouts uint64 `json:"checkouts"`
 }
 
 // FaultMetrics reports the service's fault-handling activity: every
@@ -58,7 +54,7 @@ type FaultMetrics struct {
 	// DrainRejected counts work turned away with 503 during shutdown drain.
 	DrainRejected uint64 `json:"drain_rejected"`
 	// SessionsQuarantined counts leases torn down because their engine
-	// panicked; the pooled session behind each was discarded, not re-pooled.
+	// panicked; each engine was closed, never run again.
 	SessionsQuarantined uint64 `json:"sessions_quarantined"`
 	// CircuitTrips counts compile circuit breakers tripped open;
 	// CircuitOpen is how many design hashes are short-circuited right now.

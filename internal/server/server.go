@@ -1,10 +1,11 @@
 // Package server is the simulation-as-a-service layer: an HTTP/JSON
 // session service over the public sim API. Designs compile once into a
-// cross-user cache keyed by [sim.SourceHash]; sessions are leased from
-// each design's elastic [sim.Pool] (grown on demand, reaped after idle
-// TTL, bounded per client with 429 backpressure); and the Testbench DMI
-// protocol of §6.2 is framed over the wire as batched multi-cycle command
-// lists so one round-trip amortises over hundreds of simulated cycles.
+// cross-user cache keyed by [sim.SourceHash]; each lease mints its own
+// engine on open and closes it on release (bounded per design and per
+// client with 429 backpressure, evicted after an idle TTL); and the
+// Testbench DMI protocol of §6.2 is framed over the wire as batched
+// multi-cycle command lists so one round-trip amortises over hundreds of
+// simulated cycles.
 package server
 
 import (
@@ -30,14 +31,12 @@ import (
 type Config struct {
 	// CacheSize bounds the compiled-design LRU (default 16 designs).
 	CacheSize int
-	// PoolCap bounds each design's session pool (default 8 sessions).
+	// PoolCap bounds each design's live scalar sessions (default 8);
+	// batches are bounded by MaxLanes and MaxSessionsPerClient instead.
 	PoolCap int
 	// SessionTTL evicts leases idle longer than this on Sweep
 	// (default 5m).
 	SessionTTL time.Duration
-	// PoolIdleTTL closes pooled sessions idle longer than this on Sweep,
-	// returning their creation budget (default 1m).
-	PoolIdleTTL time.Duration
 	// MaxSessionsPerClient bounds concurrent leases per client identity
 	// (default 8).
 	MaxSessionsPerClient int
@@ -62,8 +61,8 @@ type Config struct {
 	// the prefix produced is real and the session stays usable.
 	ExecTimeout time.Duration
 	// PoolWait, when positive, makes session creation wait up to this long
-	// for a free pooled session before answering 429 (default 0: fail
-	// fast).
+	// for a lease of a full design to release before answering 429
+	// (default 0: fail fast).
 	PoolWait time.Duration
 	// CompileFailLimit trips a per-design circuit breaker after this many
 	// consecutive compile failures (default 3; negative disables).
@@ -75,7 +74,8 @@ type Config struct {
 	// DrainRetryAfter is the Retry-After answered with 503 while the
 	// server drains (default 5s).
 	DrainRetryAfter time.Duration
-	// Clock overrides time.Now for session and pool TTLs (tests).
+	// Clock overrides time.Now for session TTLs and breaker cooldowns
+	// (tests).
 	Clock func() time.Time
 }
 
@@ -88,9 +88,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SessionTTL <= 0 {
 		c.SessionTTL = 5 * time.Minute
-	}
-	if c.PoolIdleTTL <= 0 {
-		c.PoolIdleTTL = time.Minute
 	}
 	if c.MaxSessionsPerClient <= 0 {
 		c.MaxSessionsPerClient = 8
@@ -303,21 +300,13 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
-// Sweep runs one maintenance pass: evict leases idle past SessionTTL and
-// shrink design pools past PoolIdleTTL. Call it periodically (see
-// cmd/rteaal-serve) or directly in tests with a fake Clock. It reports
-// evicted leases and reaped pool sessions.
-func (s *Server) Sweep() (leases, poolSessions int) {
-	leases = s.sessions.reapExpired()
-	poolSessions = s.cache.reapIdle(s.cfg.PoolIdleTTL)
-	return leases, poolSessions
-}
+// Sweep runs one maintenance pass: evict leases idle past SessionTTL,
+// closing their engines. Call it periodically (see cmd/rteaal-serve) or
+// directly in tests with a fake Clock. It reports the evicted leases.
+func (s *Server) Sweep() int { return s.sessions.reapExpired() }
 
-// Close releases every lease and tears down every cached design's pool.
-func (s *Server) Close() {
-	s.sessions.closeAll()
-	s.cache.close()
-}
+// Close releases every lease, closing its engine.
+func (s *Server) Close() { s.sessions.closeAll() }
 
 // clientID identifies the requesting client for per-client session
 // limits: the X-Client header when present, else the remote host.
@@ -450,10 +439,10 @@ func (s *Server) handleDesignInfo(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, CompileResponse{DesignInfo: entry.info, Cached: true})
 }
 
-// handleCreateSession serves POST /designs/{hash}/sessions: lease a
-// pooled session (or a dedicated multi-lane batch) of a cached design.
-// Saturation answers 429 with Retry-After, pointing clients at the idle
-// TTL after which capacity returns.
+// handleCreateSession serves POST /designs/{hash}/sessions: lease a fresh
+// session (or multi-lane batch) of a cached design. Saturation answers 429
+// with Retry-After: 1, since capacity returns the moment any lease is
+// released.
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	if s.rejectIfDraining(w) {
 		return
@@ -471,16 +460,13 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	l, err := s.sessions.create(r.Context(), entry, clientID(r), req.Lanes, s.cfg.PoolWait)
 	switch {
 	case err == nil:
-	case errors.Is(err, errClientLimit), errors.Is(err, sim.ErrPoolExhausted):
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.PoolIdleTTL/time.Second)+1))
+	case errors.Is(err, errClientLimit), errors.Is(err, errDesignFull):
+		w.Header().Set("Retry-After", "1")
 		writeErrorKind(w, http.StatusTooManyRequests, KindBackpressure, err)
 		return
-	case errors.Is(err, sim.ErrPoolClosed):
-		writeError(w, http.StatusConflict, err)
-		return
 	case isPanicErr(err):
-		// Instantiation crashed; the reservation and creation budget were
-		// already returned, so the pool stays healthy for the next caller.
+		// Minting crashed; the reservation and the capacity slot were
+		// already returned, so the design serves the next caller.
 		s.metrics.panicRecovered()
 		writeErrorKind(w, http.StatusInternalServerError, KindPanic, err)
 		return
@@ -498,7 +484,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 // deadline expiry (504, kind "timeout") and a concurrent DELETE (410,
 // kind "canceled") — both stop at a cancellation check with the prefix's
 // engine state intact. A panic during execution quarantines the lease:
-// its engine is discarded, never re-pooled, and the answer is a typed 500.
+// its engine is closed, never run again, and the answer is a typed 500.
 func (s *Server) handleCommands(w http.ResponseWriter, r *http.Request) {
 	s.execEnter()
 	defer s.execExit()
@@ -544,16 +530,9 @@ func (s *Server) handleCommands(w http.ResponseWriter, r *http.Request) {
 
 	if pf, isPanic := asPanicFault(execErr); isPanic {
 		// Quarantine: the engine panicked mid-run, so its state cannot be
-		// trusted. Discard it (the pool mints a clean replacement) and
-		// unlink the lease; the lease's own release path is skipped — the
-		// engine must never travel back through Pool.Put.
-		l.gone = true
-		if l.sess != nil {
-			l.entry.pool.Discard(l.sess)
-		}
-		if l.batch != nil {
-			l.batch.Close()
-		}
+		// trusted. Release it while still holding l.mu, so no queued
+		// command list runs on it, and unlink the lease.
+		l.releaseLocked()
 		l.mu.Unlock()
 		s.sessions.forget(l)
 		s.metrics.panicRecovered()
@@ -594,7 +573,7 @@ func (s *Server) handleCommands(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusGatewayTimeout, resp)
 		} else {
 			// A concurrent DELETE aborted the run; release is waiting on
-			// l.mu to reclaim the engine.
+			// l.mu to close the engine.
 			s.metrics.runCanceled()
 			resp.Kind = KindCanceled
 			writeJSON(w, http.StatusGone, resp)

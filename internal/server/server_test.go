@@ -231,11 +231,6 @@ func TestWireParity(t *testing.T) {
 				f.CircuitTrips != 0 || f.CircuitOpen != 0 || f.Draining {
 				t.Errorf("fault metrics after clean run: %+v", m.Fault)
 			}
-			for h, pm := range m.Pools {
-				if pm.Discarded != 0 {
-					t.Errorf("pool %s discarded %d sessions on a clean run", h, pm.Discarded)
-				}
-			}
 		})
 	}
 }
@@ -359,8 +354,8 @@ func TestConcurrentClients(t *testing.T) {
 					return
 				}
 				got := resp.Outcomes[len(resp.Outcomes)-1].Value
-				// Pooled sessions are Reset on Put, so every lease sees
-				// a fresh design: the count is a pure function of step.
+				// Every lease mints a fresh engine, so the count is a
+				// pure function of step.
 				want := refCount(step)
 				if got != want {
 					errCh <- fmt.Errorf("client %d round %d: count = %d, want %d", i, r, got, want)
@@ -420,11 +415,10 @@ func refCount(step uint64) uint64 {
 	return out.Peek()
 }
 
-// TestSessionTTLAndPoolReap drives the elastic lifecycle with a fake
-// clock: an abandoned lease is evicted after SessionTTL, its engine goes
-// back to the pool as idle, and after PoolIdleTTL the pool itself shrinks
-// — the reaped counter moves and the live session count drops.
-func TestSessionTTLAndPoolReap(t *testing.T) {
+// TestSessionTTL drives lease eviction with a fake clock: an abandoned
+// lease is evicted after SessionTTL, and its engine closes with it — the
+// design's live count drops to 0 at once and its slot serves a new lease.
+func TestSessionTTL(t *testing.T) {
 	var mu sync.Mutex
 	now := time.Unix(1_000_000, 0)
 	clock := func() time.Time {
@@ -439,9 +433,9 @@ func TestSessionTTLAndPoolReap(t *testing.T) {
 	}
 
 	srv, c := newTestService(t, server.Config{
-		SessionTTL:  time.Minute,
-		PoolIdleTTL: 30 * time.Second,
-		Clock:       clock,
+		SessionTTL: time.Minute,
+		PoolCap:    1,
+		Clock:      clock,
 	})
 	ctx := context.Background()
 
@@ -456,7 +450,7 @@ func TestSessionTTLAndPoolReap(t *testing.T) {
 
 	// Within the TTL nothing is evicted.
 	advance(30 * time.Second)
-	if leases, _ := srv.Sweep(); leases != 0 {
+	if leases := srv.Sweep(); leases != 0 {
 		t.Fatalf("swept %d leases before the TTL", leases)
 	}
 	if _, err := sess.Do(ctx, client.NewScript().Step(1)); err != nil {
@@ -465,8 +459,7 @@ func TestSessionTTLAndPoolReap(t *testing.T) {
 
 	// Past the TTL the abandoned lease is evicted; commands answer 404.
 	advance(2 * time.Minute)
-	leases, _ := srv.Sweep()
-	if leases != 1 {
+	if leases := srv.Sweep(); leases != 1 {
 		t.Fatalf("swept %d leases, want 1", leases)
 	}
 	var apiErr *client.APIError
@@ -480,33 +473,21 @@ func TestSessionTTLAndPoolReap(t *testing.T) {
 	if m.Sessions.Evicted != 1 || m.Sessions.Live != 0 {
 		t.Fatalf("session metrics after eviction: %+v", m.Sessions)
 	}
-	// The engine went back to the pool as idle, stamped at eviction time.
-	if pm := m.Pools[cr.Hash]; pm.Live != 1 || pm.CheckedOut != 0 {
-		t.Fatalf("pool after eviction: %+v", pm)
+	// The engine closed with the lease: nothing of it stays live.
+	if pm := m.Pools[cr.Hash]; pm.Live != 0 || pm.HighWater != 1 {
+		t.Fatalf("design capacity after eviction: %+v", pm)
 	}
-
-	// Past the pool idle TTL the pooled engine itself is reaped.
-	advance(31 * time.Second)
-	if _, pooled := srv.Sweep(); pooled != 1 {
-		t.Fatalf("pool reaped %d sessions, want 1", pooled)
-	}
-	m, err = c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pm := m.Pools[cr.Hash]; pm.Live != 0 || pm.Reaped != 1 {
-		t.Fatalf("pool after reap: %+v", pm)
-	}
-	// The creation budget returned: a new lease still works.
+	// Its slot returned: the design's only slot serves a new lease.
 	again, err := c.NewSession(ctx, cr.Hash, 0)
 	if err != nil {
-		t.Fatalf("lease after reap: %v", err)
+		t.Fatalf("lease after eviction: %v", err)
 	}
 	again.Close(ctx)
 }
 
-// TestBackpressure checks the two saturation answers: pool exhaustion and
-// the per-client session bound both answer 429 with a Retry-After hint.
+// TestBackpressure checks the two saturation answers: a full design and the
+// per-client session bound both answer 429 with Retry-After: 1, because
+// capacity returns as soon as any lease is released.
 func TestBackpressure(t *testing.T) {
 	_, c := newTestService(t, server.Config{PoolCap: 2, MaxSessionsPerClient: 8})
 	ctx := context.Background()
@@ -524,7 +505,10 @@ func TestBackpressure(t *testing.T) {
 	}
 	var apiErr *client.APIError
 	if _, err := c.NewSession(ctx, cr.Hash, 0); !errors.As(err, &apiErr) || apiErr.Status != 429 {
-		t.Fatalf("exhausted pool answered %v, want 429", err)
+		t.Fatalf("full design answered %v, want 429", err)
+	}
+	if apiErr.RetryAfter != time.Second {
+		t.Errorf("full design's Retry-After = %s, want 1s", apiErr.RetryAfter)
 	}
 	// Releasing one frees capacity immediately.
 	if err := s1.Close(ctx); err != nil {
@@ -536,7 +520,7 @@ func TestBackpressure(t *testing.T) {
 	}
 	s3.Close(ctx)
 
-	// Per-client bound, independent of pool capacity.
+	// Per-client bound, independent of design capacity.
 	_, c2 := newTestService(t, server.Config{PoolCap: 8, MaxSessionsPerClient: 1})
 	cr2, err := c2.Compile(ctx, counterSrc, server.CompileOptions{})
 	if err != nil {
@@ -548,6 +532,81 @@ func TestBackpressure(t *testing.T) {
 	if _, err := c2.NewSession(ctx, cr2.Hash, 0); !errors.As(err, &apiErr) || apiErr.Status != 429 {
 		t.Fatalf("per-client bound answered %v, want 429", err)
 	}
+	if apiErr.RetryAfter != time.Second {
+		t.Errorf("per-client bound's Retry-After = %s, want 1s", apiErr.RetryAfter)
+	}
+}
+
+// TestEvictionKeepsOpenLeases: the design cache holds no engines, so
+// evicting a design closes nothing — a lease already open on it keeps
+// running until it is released, while new leases of it answer 404.
+func TestEvictionKeepsOpenLeases(t *testing.T) {
+	_, c := newTestService(t, server.Config{CacheSize: 1})
+	ctx := context.Background()
+	cr, err := c.Compile(ctx, counterSrc, server.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := c.NewSession(ctx, cr.Hash, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Compile(ctx, pairSrc, server.CompileOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	var apiErr *client.APIError
+	if _, err := c.NewSession(ctx, cr.Hash, 0); !errors.As(err, &apiErr) || apiErr.Status != 404 {
+		t.Fatalf("lease of an evicted design answered %v, want 404", err)
+	}
+	resp, err := sess.Do(ctx, client.NewScript().Poke("step", 2).Step(5).Peek("count"))
+	if err != nil {
+		t.Fatalf("lease on an evicted design stopped: %v", err)
+	}
+	if got := resp.Outcomes[2].Value; got != 8 {
+		t.Errorf("count after 5 cycles of step 2 = %d, want 8", got)
+	}
+	if err := sess.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPoolWaitBlocksForRelease: with PoolWait set, a create on a full design
+// waits for a lease to release its slot instead of answering 429 at once,
+// and answers 429 only when the wait runs out.
+func TestPoolWaitBlocksForRelease(t *testing.T) {
+	_, c := newTestService(t, server.Config{PoolCap: 1, PoolWait: 300 * time.Millisecond})
+	ctx := context.Background()
+	cr, err := c.Compile(ctx, counterSrc, server.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, err := c.NewSession(ctx, cr.Hash, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	start := time.Now()
+	var apiErr *client.APIError
+	if _, err := c.NewSession(ctx, cr.Hash, 0); !errors.As(err, &apiErr) || apiErr.Status != 429 {
+		t.Fatalf("create on a full design answered %v, want 429 after the wait", err)
+	}
+	if waited := time.Since(start); waited < 300*time.Millisecond {
+		t.Errorf("429 after %s, before PoolWait ran out", waited)
+	}
+
+	released := make(chan error, 1)
+	go func() {
+		time.Sleep(20 * time.Millisecond) // let the create below start waiting
+		released <- held.Close(ctx)
+	}()
+	s, err := c.NewSession(ctx, cr.Hash, 0)
+	if err != nil {
+		t.Fatalf("create waiting on a release: %v", err)
+	}
+	if err := <-released; err != nil {
+		t.Fatal(err)
+	}
+	s.Close(ctx)
 }
 
 // TestWireErrors covers the error surface: unknown design, unknown

@@ -12,25 +12,31 @@ import (
 	"rteaal/sim"
 )
 
-// errClientLimit is the per-client elasticity bound: one tenant cannot
-// hoard every session of a shared design. Mapped to 429 on the wire.
+// errClientLimit is the per-client bound: one tenant cannot hoard every
+// session of a shared design. Mapped to 429 on the wire.
 var errClientLimit = errors.New("server: per-client session limit reached")
+
+// errDesignFull is the per-design bound: every capacity slot of the design
+// is held by a live scalar lease. Mapped to 429 on the wire.
+var errDesignFull = errors.New("server: design session capacity reached")
 
 // errLeaseGone marks a lease released or evicted while a request was in
 // flight. Mapped to 410 on the wire.
 var errLeaseGone = errors.New("server: session released")
 
-// lease is one live remote session: a checked-out pooled session (or a
-// dedicated multi-lane batch), its testbench, and the recorded transaction
-// log. Command execution serialises on mu — the wire protocol promises
-// in-order execution per session, never concurrent access to one engine.
+// lease is one live remote session: the engine it minted on create (a
+// scalar or partitioned session holding one of its design's capacity slots,
+// or a multi-lane batch), its testbench, and the recorded transaction log.
+// The engine is the lease's alone and closes with it. Command execution
+// serialises on mu — the wire protocol promises in-order execution per
+// session, never concurrent access to one engine.
 type lease struct {
 	id     string
 	client string
 	entry  *cacheEntry
 	tb     *sim.Testbench
-	sess   *sim.Session // pooled scalar/partitioned session; nil for batches
-	batch  *sim.Batch   // multi-lane batch; nil for pooled sessions
+	sess   *sim.Session // scalar/partitioned session; nil for batches
+	batch  *sim.Batch   // multi-lane batch; nil for sessions
 
 	// abort asks an in-flight command batch to stop at its next chunk
 	// boundary. release sets it before waiting on mu, so a DELETE (or TTL
@@ -44,21 +50,28 @@ type lease struct {
 	dropped int64
 }
 
-// release returns the lease's engine: pooled sessions go back to the pool
-// (which retires them if it has closed), batches close their workers.
-// An in-flight command batch is asked to cancel first (see abort); release
-// then waits for it to unwind before reclaiming the engine. Idempotent
-// under l.mu.
+// release ends the lease. An in-flight command batch is asked to cancel
+// first (see abort); release then waits for it to unwind before closing the
+// engine. Idempotent.
 func (l *lease) release() {
 	l.abort.Store(true)
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.releaseLocked()
+}
+
+// releaseLocked closes the lease's engine and gives back its capacity slot:
+// the one place a lease's engine ends, reached from DELETE, TTL eviction,
+// shutdown (all through release) and panic quarantine (which already holds
+// l.mu). Idempotent under l.mu.
+func (l *lease) releaseLocked() {
 	if l.gone {
 		return
 	}
 	l.gone = true
 	if l.sess != nil {
-		l.entry.pool.Put(l.sess)
+		l.sess.Close()
+		l.entry.releaseSlot()
 	}
 	if l.batch != nil {
 		l.batch.Close()
@@ -66,9 +79,9 @@ func (l *lease) release() {
 }
 
 // sessionRegistry owns every live lease: creation against the per-client
-// bound and the design's pool, lookup, touch-on-use, TTL-based eviction of
-// abandoned leases, and release. The registry clock is injectable so tests
-// drive eviction with a fake clock.
+// bound and the design's capacity, lookup, touch-on-use, TTL-based eviction
+// of abandoned leases, and release. The registry clock is injectable so
+// tests drive eviction with a fake clock.
 type sessionRegistry struct {
 	maxPerClient int
 	maxLanes     int
@@ -96,14 +109,13 @@ func newSessionRegistry(maxPerClient, maxLanes int, ttl time.Duration, now func(
 	}
 }
 
-// create leases a new session of entry's design for client. lanes == 0
-// checks a scalar session out of the design's elastic pool; lanes > 0
-// mints a dedicated multi-lane batch. With wait == 0 pool saturation
-// surfaces immediately as sim.ErrPoolExhausted (the 429 path); wait > 0
-// blocks up to that long (bounded additionally by ctx) for a session to
-// free up before giving up the same way. Instantiation runs inside a
-// recovery boundary: a panic minting the engine unwinds as a *panicFault
-// with the per-client reservation returned, never a leaked slot.
+// create leases a new engine of entry's design for client, minting it
+// here: lanes == 0 a scalar session holding one of the design's capacity
+// slots, lanes > 0 a multi-lane batch outside that bound. With wait == 0 a
+// full design answers errDesignFull at once (the 429 path); wait > 0 waits
+// up to that long, bounded by ctx, for a lease to release a slot. Minting
+// runs inside a recovery boundary: a panic unwinds as a *panicFault with the
+// per-client reservation and the capacity slot returned.
 func (r *sessionRegistry) create(ctx context.Context, entry *cacheEntry, client string, lanes int, wait time.Duration) (_ *lease, err error) {
 	if lanes < 0 || lanes > r.maxLanes {
 		return nil, fmt.Errorf("server: lanes must be in [0,%d], got %d", r.maxLanes, lanes)
@@ -113,24 +125,21 @@ func (r *sessionRegistry) create(ctx context.Context, entry *cacheEntry, client 
 		r.mu.Unlock()
 		return nil, errClientLimit
 	}
-	r.byClient[client]++ // reserve the slot before the pool work
+	r.byClient[client]++ // reserve before minting
 	r.mu.Unlock()
 
-	reserved := true
-	unreserve := func() {
-		r.mu.Lock()
-		r.byClient[client]--
-		if r.byClient[client] == 0 {
-			delete(r.byClient, client)
-		}
-		r.mu.Unlock()
-	}
+	slot := false
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = recoveredPanic("session open", rec)
 		}
-		if err != nil && reserved {
-			unreserve()
+		if err != nil {
+			if slot {
+				entry.releaseSlot()
+			}
+			r.mu.Lock()
+			r.dropClientLocked(client)
+			r.mu.Unlock()
 		}
 	}()
 
@@ -138,34 +147,21 @@ func (r *sessionRegistry) create(ctx context.Context, entry *cacheEntry, client 
 		panic(ferr)
 	}
 	if ferr := faultinject.Fire(faultinject.PoolExhausted); ferr != nil {
-		return nil, sim.ErrPoolExhausted
+		return nil, errDesignFull
 	}
 
 	l := &lease{client: client, entry: entry}
 	if lanes > 0 {
-		l.batch, err = entry.design.NewBatch(lanes)
-		if err == nil {
-			l.tb = l.batch.Testbench()
+		if l.batch, err = entry.design.NewBatch(lanes); err != nil {
+			return nil, err
 		}
+		l.tb = l.batch.Testbench()
 	} else {
-		if wait > 0 {
-			wctx, cancel := context.WithTimeout(ctx, wait)
-			l.sess, err = entry.pool.Get(wctx)
-			cancel()
-			if err != nil && (errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) {
-				// The bounded wait elapsed without a free session: same
-				// backpressure signal as the non-blocking path.
-				err = sim.ErrPoolExhausted
-			}
-		} else {
-			l.sess, err = entry.pool.TryGet()
+		if slot = entry.acquire(ctx, wait); !slot {
+			return nil, errDesignFull
 		}
-		if err == nil {
-			l.tb = l.sess.Testbench()
-		}
-	}
-	if err != nil {
-		return nil, err
+		l.sess = entry.design.NewSession()
+		l.tb = l.sess.Testbench()
 	}
 
 	r.mu.Lock()
@@ -175,7 +171,6 @@ func (r *sessionRegistry) create(ctx context.Context, entry *cacheEntry, client 
 	r.lastUsed[l.id] = r.now()
 	r.created++
 	r.mu.Unlock()
-	reserved = false // ownership transferred to the registered lease
 	return l, nil
 }
 
@@ -194,16 +189,21 @@ func (r *sessionRegistry) get(id string) (*lease, bool) {
 func (r *sessionRegistry) removeLocked(l *lease) {
 	delete(r.leases, l.id)
 	delete(r.lastUsed, l.id)
-	r.byClient[l.client]--
-	if r.byClient[l.client] == 0 {
-		delete(r.byClient, l.client)
+	r.dropClientLocked(l.client)
+}
+
+// dropClientLocked returns one of client's per-client reservations.
+func (r *sessionRegistry) dropClientLocked(client string) {
+	r.byClient[client]--
+	if r.byClient[client] == 0 {
+		delete(r.byClient, client)
 	}
 }
 
 // forget unlinks a quarantined lease from the registry without touching
-// its engine: the caller has already decided the engine is suspect and
-// disposed of it (Pool.Discard / Batch.Close) under the lease's own mu.
-// Safe to call for a lease that a concurrent release/reap already removed.
+// its engine: the caller has already released it (lease.releaseLocked)
+// under the lease's own mu. Safe to call for a lease that a concurrent
+// release/reap already removed.
 func (r *sessionRegistry) forget(l *lease) {
 	r.mu.Lock()
 	if _, ok := r.leases[l.id]; ok {
@@ -229,9 +229,9 @@ func (r *sessionRegistry) release(id string) bool {
 	return true
 }
 
-// reapExpired evicts every lease idle past the TTL, returning engines to
-// their pools. This is what makes the serving layer elastic against
-// clients that vanish without a DELETE.
+// reapExpired evicts every lease idle past the TTL, closing its engine.
+// This is what bounds the serving layer against clients that vanish without
+// a DELETE.
 func (r *sessionRegistry) reapExpired() int {
 	cutoff := r.now().Add(-r.ttl)
 	r.mu.Lock()

@@ -18,8 +18,7 @@ import "rteaal/internal/kernel"
 // additionally bit-packed — lane i of a block is bit i of the slot's row —
 // so one word-wide op evaluates 64 lanes; see [WithBatchPacking].
 //
-// A Batch is not safe for concurrent method calls; mint one per goroutine
-// or put sessions behind a [Pool] instead.
+// A Batch is not safe for concurrent method calls; mint one per goroutine.
 type Batch struct {
 	d     *Design
 	b     *kernel.Batch

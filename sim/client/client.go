@@ -301,9 +301,9 @@ func (c *Client) Metrics(ctx context.Context) (*server.MetricsResponse, error) {
 	return &resp, nil
 }
 
-// NewSession leases a session of a cached design. lanes == 0 is a plain
-// pooled session; lanes > 0 a dedicated multi-lane batch. Saturation
-// surfaces as an *APIError with Status 429.
+// NewSession leases a session of a cached design: the server mints a fresh
+// engine for it, a scalar session for lanes == 0 and a multi-lane batch for
+// lanes > 0. Saturation surfaces as an *APIError with Status 429.
 func (c *Client) NewSession(ctx context.Context, hash string, lanes int) (*Session, error) {
 	var resp server.SessionResponse
 	var in any
@@ -371,7 +371,7 @@ func (s *Session) Log(ctx context.Context) (*server.LogResponse, error) {
 	return &resp, nil
 }
 
-// Close releases the session back to the server's pool. DELETE is
+// Close releases the session; the server closes its engine. DELETE is
 // idempotent on the server (a repeat answers 404), so transport errors
 // retry.
 func (s *Session) Close(ctx context.Context) error {

@@ -57,7 +57,7 @@ func WithKernel(k Kernel) Option {
 // partition with a differential register exchange at each cycle boundary.
 // The partition plan and per-partition kernel programs are built once at
 // compile time; sessions stay cheap. Partitioned sessions serve the same
-// [Session] surface — including [Pool] checkout — and produce traces
+// [Session] surface and produce traces
 // bit-identical to unpartitioned sessions. Which registers share a
 // partition is decided by the min-cut planner: it minimises first what the
 // slowest partition does in a cycle, then replicated logic plus exchanged
@@ -149,8 +149,8 @@ func CompileGraph(g *dfg.Graph, opts ...Option) (*Design, error) {
 	if cfg.batchWorkers < 1 {
 		return nil, fmt.Errorf("sim: WithBatchWorkers needs at least one worker")
 	}
-	// The default passes keep every register (SweepRegs is off), so any
-	// session of any design may call [Session.EnableWaveform] (§6.2).
+	// The passes keep every register, so any session of any design may
+	// call [Session.EnableWaveform] (§6.2).
 	optg, err := dfg.Optimize(g, dfg.DefaultOptOptions())
 	if err != nil {
 		return nil, err
@@ -264,7 +264,7 @@ func (d *Design) WriteOIM(w io.Writer) error { return d.tensor.WriteJSON(w) }
 // backed by a partitioned instance: Step fans one cycle out over the
 // persistent per-partition workers and synchronises registers through the
 // differential RUM exchange, while the full [Session] surface (Poke/Peek by
-// name and index, Step, Registers, Reset, waveforms, [Pool] checkout) is
+// name and index, Step, Registers, Reset, waveforms, Close) is
 // unchanged and bit-identical to an unpartitioned session.
 func (d *Design) NewSession() *Session {
 	if d.plan != nil {

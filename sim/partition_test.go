@@ -1,7 +1,6 @@
 package sim_test
 
 import (
-	"context"
 	"math/rand"
 	"slices"
 	"strings"
@@ -84,8 +83,8 @@ func TestPartitionedParityAllKernels(t *testing.T) {
 	}
 }
 
-// TestPartitionedSessionResetAndReuse exercises the Session surface a Pool
-// relies on: reset returns a partitioned session to its initial state.
+// TestPartitionedSessionResetAndReuse exercises reuse of one session: reset
+// returns a partitioned session to its initial state.
 func TestPartitionedSessionResetAndReuse(t *testing.T) {
 	d, err := sim.Compile(pairSrc, sim.WithPartitions(2))
 	if err != nil {
@@ -192,63 +191,44 @@ func TestWithPartitionsRejectsBadCount(t *testing.T) {
 	}
 }
 
-// TestPartitionedPoolRace checks partitioned sessions compose with
-// sim.Pool: 16 goroutines hammer a small pool of multi-worker sessions (run
-// under -race in CI) and verify deterministic results per checkout.
-func TestPartitionedPoolRace(t *testing.T) {
+// TestPartitionedSessionRace checks partitioned sessions of one design run
+// side by side: 16 goroutines each mint, run, check and close their own
+// multi-worker sessions (run under -race in CI), sharing only the design.
+func TestPartitionedSessionRace(t *testing.T) {
 	d, err := sim.Compile(pairSrc, sim.WithPartitions(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := sim.NewPool(d, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const workers, iters = 16, 6
-	ctx := context.Background()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for it := 0; it < iters; it++ {
 				step := uint64(w%9 + 1)
 				cycles := int64(it%4 + 2)
-				err := p.Do(ctx, func(s *sim.Session) error {
-					if got := s.Cycle(); got != 0 {
-						t.Errorf("checked-out session not reset: cycle %d", got)
-					}
-					if err := s.Poke("step", step); err != nil {
-						return err
-					}
-					if err := s.Run(cycles); err != nil {
-						return err
-					}
-					regs := s.Registers()
-					if want := (step * uint64(cycles)) & 0xff; regs[0] != want {
-						t.Errorf("worker %d iter %d: x = %d, want %d", w, it, regs[0], want)
-					}
-					if want := uint64(cycles) & 0xff; regs[1] != want {
-						t.Errorf("worker %d iter %d: y = %d, want %d", w, it, regs[1], want)
-					}
-					return nil
-				})
-				if err != nil {
+				s := d.NewSession()
+				if err := s.Poke("step", step); err != nil {
 					t.Error(err)
 					return
 				}
+				if err := s.Run(cycles); err != nil {
+					t.Error(err)
+					return
+				}
+				regs := s.Registers()
+				if want := (step * uint64(cycles)) & 0xff; regs[0] != want {
+					t.Errorf("worker %d iter %d: x = %d, want %d", w, it, regs[0], want)
+				}
+				if want := uint64(cycles) & 0xff; regs[1] != want {
+					t.Errorf("worker %d iter %d: y = %d, want %d", w, it, regs[1], want)
+				}
+				s.Close()
 			}
 		}()
 	}
 	wg.Wait()
-	st := p.Stats()
-	if st.CheckedOut != 0 || st.Idle != st.Cap {
-		t.Fatalf("pool leaked sessions: %+v", st)
-	}
-	if st.Checkouts != workers*iters {
-		t.Fatalf("checkouts = %d, want %d", st.Checkouts, workers*iters)
-	}
 }
 
 // TestPartitionedWaveform proves slot reads route to the partition holding

@@ -164,9 +164,9 @@ func (s *Session) Reset() {
 // [WithPartitions]) hold one persistent worker goroutine per partition;
 // Close stops them deterministically. Calling Close is optional — an
 // unreachable session is cleaned up by the garbage collector — and a no-op
-// for unpartitioned sessions. The session must not be used after Close; in
-// particular, never Close a session checked out of a [Pool] — hand it back
-// with [Pool.Put] instead ([Pool.Put] rejects closed sessions).
+// for unpartitioned sessions. The session must not be used after Close:
+// Step and Run fail, and its owner mints a fresh one with
+// [Design.NewSession] rather than reusing it.
 func (s *Session) Close() {
 	s.closed = true
 	if c, ok := s.eng.(interface{ Close() }); ok {

@@ -18,8 +18,8 @@
 //     settle/commit schedule in structure-of-arrays layout — the multi-lane
 //     path for serving many stimuli of one design at throughput.
 //
-// A [Pool] adds a bounded, concurrency-safe free-list of sessions with
-// context-aware checkout for server-style workloads.
+// Minting a session allocates only its value state, so a server mints one
+// per client lease and closes it on release rather than keeping a pool.
 //
 // [Compile] takes four options — [WithKernel], [WithPartitions],
 // [WithBatchWorkers], [WithBatchPacking] — and a design is keyed by exactly
