@@ -370,21 +370,15 @@ func (b *Batch) Run(k int) { b.RunBulk(RunSpec{Cycles: k}) }
 // cycle count and whether the watch stopped the run. A watched run executes
 // in lock-step — one barrier per cycle, so every lane stops at the same
 // cycle the watch accepted — while an unwatched run stays
-// synchronisation-free between dispatch and join.
-// A spec with a Cancel probe runs in [CancelCheckCycles] chunks — one
-// dispatch/join round per chunk, the probe polled on the calling goroutine
-// between rounds — so cancellation never tears lanes out of lock-step.
+// synchronisation-free between dispatch and join. The whole spec is one
+// dispatch/join round: a host that wants to stop a long run cuts it into
+// shorter specs.
 func (b *Batch) RunBulk(spec RunSpec) (ran int, stopped bool) {
-	return RunChunked(spec, b.runBulkOnce)
-}
-
-// runBulkOnce is one uninterruptible dispatch of a bulk run; pokes arrive
-// sorted from RunChunked.
-func (b *Batch) runBulkOnce(spec RunSpec) (ran int, stopped bool) {
 	k := spec.Cycles
 	if k <= 0 {
 		return 0, false
 	}
+	spec.Pokes = SortedPokes(spec.Pokes)
 	b.cur = spec
 	if spec.Watch == nil {
 		b.ws.Do(b.runJob)

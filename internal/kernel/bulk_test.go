@@ -27,7 +27,7 @@ func bulkCounterTensor(t *testing.T) *oim.Tensor {
 // pokes, step, evaluate the watch against the same coordinates the run
 // loops read. Every resident run path must be bit-identical to it.
 func refBatchBulk(b *Batch, spec RunSpec) (ran int, stopped bool) {
-	pokes := sortedPokes(spec.Pokes)
+	pokes := SortedPokes(spec.Pokes)
 	pi := 0
 	for i := 0; i < spec.Cycles; i++ {
 		for pi < len(pokes) && pokes[pi].Cycle <= i {

@@ -23,70 +23,6 @@ func waitGoroutines(t *testing.T, want int) {
 	}
 }
 
-// TestRunChunkedCancel pins the chunked-run contract: the probe is polled
-// at chunk boundaries, chunks never exceed CancelCheckCycles, pokes are
-// rebased to chunk-relative cycles, and a tripping probe stops the run at
-// the boundary with stopped == false.
-func TestRunChunkedCancel(t *testing.T) {
-	const total = 3*CancelCheckCycles + 100
-	var chunks []RunSpec
-	exec := func(spec RunSpec) (int, bool) {
-		chunks = append(chunks, spec)
-		return spec.Cycles, false
-	}
-
-	// Nil probe: one call, untouched cycle count.
-	ran, stopped := RunChunked(RunSpec{Cycles: total}, exec)
-	if ran != total || stopped || len(chunks) != 1 || chunks[0].Cycles != total {
-		t.Fatalf("nil probe: ran=%d stopped=%v chunks=%d", ran, stopped, len(chunks))
-	}
-
-	// Never-tripping probe: ceil(total/CancelCheckCycles) chunks, each at
-	// most CancelCheckCycles, summing to total, pokes rebased.
-	chunks = nil
-	pokes := []PlannedPoke{
-		{Cycle: 10, Slot: 0, Value: 1},
-		{Cycle: CancelCheckCycles + 5, Slot: 0, Value: 2},
-		{Cycle: total + 50, Slot: 0, Value: 3}, // past the end: never delivered
-	}
-	ran, stopped = RunChunked(RunSpec{Cycles: total, Pokes: pokes, Cancel: func() bool { return false }}, exec)
-	if ran != total || stopped {
-		t.Fatalf("inert probe: ran=%d stopped=%v, want %d,false", ran, stopped, total)
-	}
-	sum := 0
-	for i, c := range chunks {
-		if c.Cycles > CancelCheckCycles {
-			t.Fatalf("chunk %d spans %d cycles, cap is %d", i, c.Cycles, CancelCheckCycles)
-		}
-		sum += c.Cycles
-	}
-	if sum != total || len(chunks) != 4 {
-		t.Fatalf("chunks sum to %d in %d pieces, want %d in 4", sum, len(chunks), total)
-	}
-	if len(chunks[0].Pokes) != 1 || chunks[0].Pokes[0].Cycle != 10 {
-		t.Fatalf("chunk 0 pokes = %+v, want the cycle-10 poke", chunks[0].Pokes)
-	}
-	if len(chunks[1].Pokes) != 1 || chunks[1].Pokes[0].Cycle != 5 {
-		t.Fatalf("chunk 1 pokes = %+v, want the rebased cycle-5 poke", chunks[1].Pokes)
-	}
-	if len(chunks[3].Pokes) != 0 {
-		t.Fatalf("chunk 3 delivered the past-the-end poke: %+v", chunks[3].Pokes)
-	}
-
-	// A probe tripping after two polls stops at the second chunk boundary:
-	// exactly 2*CancelCheckCycles cycles ran, stopped stays false (the
-	// watch did not fire — the caller distinguishes cancellation by the
-	// short count).
-	polls := 0
-	ran, stopped = RunChunked(RunSpec{
-		Cycles: total,
-		Cancel: func() bool { polls++; return polls > 2 },
-	}, exec)
-	if ran != 2*CancelCheckCycles || stopped {
-		t.Fatalf("tripping probe: ran=%d stopped=%v, want %d,false", ran, stopped, 2*CancelCheckCycles)
-	}
-}
-
 // TestBatchWorkerPanicRecovery: a panic inside a parallel batch worker (a
 // watch predicate here, standing in for any torn evaluation) must not
 // strand the dispatcher at the cycle barrier or leak workers. The

@@ -96,6 +96,11 @@ type Engine interface {
 	Settle()
 	// Step runs Settle followed by the register commit.
 	Step()
+	// RunBulk runs spec.Cycles cycles with the spec's scheduled pokes and
+	// early-stop watch (see [RunSpec]), returning the completed cycle
+	// count and whether the watch stopped the run. Bit-identical to
+	// poking and stepping by hand.
+	RunBulk(spec RunSpec) (ran int, stopped bool)
 	// Reset restores registers and constants to their initial values.
 	Reset()
 	// PokeInput drives the idx-th primary input.
@@ -232,3 +237,5 @@ func (e *engine) Step() {
 	e.Settle()
 	e.commit()
 }
+
+func (e *engine) RunBulk(spec RunSpec) (int, bool) { return RunEngine(e, spec) }

@@ -13,11 +13,13 @@ import (
 // of the bulk primitives is amortisation — one command dispatch and one join
 // per k cycles instead of per cycle — the Manticore-style bulk-synchronous
 // argument applied to Batch and repcut.Instance, which share that group.
+// No engine cuts a run short or polls a host probe; the host decides where
+// runs end by the specs it hands over.
 
 // PlannedPoke is one scheduled LI write inside a bulk run: at the start of
 // cycle Cycle (0-based, relative to the run), before the cycle settles,
 // Value is written to Slot of Lane, masked to the slot's width. A plan
-// applied by [Batch.RunBulk] or an engine's RunBulk is bit-identical to
+// applied by [Batch.RunBulk] or [Engine.RunBulk] is bit-identical to
 // poking by hand between single steps. Lane is ignored by scalar engines.
 type PlannedPoke struct {
 	Cycle int
@@ -46,89 +48,27 @@ type Watch struct {
 }
 
 // RunSpec describes one bulk run: up to Cycles cycles, with Pokes applied
-// at their scheduled cycles (ordered by Cycle ascending; entries at or past
-// Cycles are never reached) and an optional early-stop Watch.
+// at their scheduled cycles (entries at or past Cycles are never reached)
+// and an optional early-stop Watch. An engine runs the spec it is handed in
+// one dispatch and polls nothing: where a longer run is cut — for a
+// stimulus plan or a cancellation probe — is the host's choice
+// (sim.Testbench).
 type RunSpec struct {
 	Cycles int
 	Pokes  []PlannedPoke
 	Watch  *Watch
-
-	// Cancel, when non-nil, is a cancellation probe polled between chunks
-	// of at most [CancelCheckCycles] cycles: when it returns true the run
-	// ends early at the chunk boundary with stopped == false. The check is
-	// deliberately coarse so the per-cycle hot loop stays clean, and it is
-	// only ever polled from the dispatching goroutine — never from engine
-	// workers — so probes need not be safe for concurrent use.
-	Cancel func() bool
 }
 
-// CancelCheckCycles is the granularity of [RunSpec.Cancel] polling: a
-// cancelled run overshoots its cancellation point by at most this many
-// cycles. Coarse enough that the poll cost vanishes against the per-chunk
-// work, fine enough that deadline overshoot stays in the microsecond range
-// for every engine.
+// CancelCheckCycles is the most cycles a host hands one run while a
+// cancellation probe is installed: a cancelled run overshoots its
+// cancellation point by at most this many cycles. Coarse enough that the
+// poll cost vanishes against the per-run work, fine enough that deadline
+// overshoot stays in the microsecond range for every engine.
 const CancelCheckCycles = 1024
 
-// RunChunked executes spec through run in cancel-bounded chunks: the probe
-// is polled before each chunk of at most [CancelCheckCycles] cycles, with
-// the chunk's pokes rebased to chunk-relative cycles. With a nil probe it
-// is a single call to run. run sees specs without a Cancel field and with
-// Pokes already sorted; it reports the cycles completed and whether the
-// watch stopped the run, exactly like [SpecRunner].
-func RunChunked(spec RunSpec, run func(RunSpec) (int, bool)) (ran int, stopped bool) {
-	if spec.Cancel == nil {
-		return run(RunSpec{Cycles: spec.Cycles, Pokes: sortedPokes(spec.Pokes), Watch: spec.Watch})
-	}
-	pokes := sortedPokes(spec.Pokes)
-	for ran < spec.Cycles {
-		if spec.Cancel() {
-			return ran, false
-		}
-		k := min(CancelCheckCycles, spec.Cycles-ran)
-		sub := RunSpec{Cycles: k, Pokes: rebasePokes(pokes, ran, k), Watch: spec.Watch}
-		r, s := run(sub)
-		ran += r
-		if s || r < k {
-			return ran, s
-		}
-	}
-	return ran, false
-}
-
-// rebasePokes selects the pokes scheduled in [base, base+k) from a
-// cycle-sorted plan and shifts them to chunk-relative cycles. Pokes
-// scheduled before base were consumed by earlier chunks.
-func rebasePokes(pokes []PlannedPoke, base, k int) []PlannedPoke {
-	lo := 0
-	for lo < len(pokes) && pokes[lo].Cycle < base {
-		lo++
-	}
-	hi := lo
-	for hi < len(pokes) && pokes[hi].Cycle < base+k {
-		hi++
-	}
-	if lo == hi {
-		return nil
-	}
-	out := make([]PlannedPoke, hi-lo)
-	for i, p := range pokes[lo:hi] {
-		p.Cycle -= base
-		out[i] = p
-	}
-	return out
-}
-
-// SpecRunner is implemented by engines that execute a full [RunSpec] —
-// scheduled pokes and an early-stop watch — inside a resident run loop of
-// their own. It returns the completed cycle count and whether the watch
-// stopped the run. Every other engine runs a spec through [RunEngine].
-type SpecRunner interface {
-	RunBulk(spec RunSpec) (ran int, stopped bool)
-}
-
-// sortedPokes returns pokes ordered by Cycle, sorting a copy only when the
+// SortedPokes returns pokes ordered by Cycle, sorting a copy only when the
 // caller's slice is out of order (plans built cycle-by-cycle already are).
-func sortedPokes(pokes []PlannedPoke) []PlannedPoke {
+func SortedPokes(pokes []PlannedPoke) []PlannedPoke {
 	if slices.IsSortedFunc(pokes, func(a, b PlannedPoke) int { return a.Cycle - b.Cycle }) {
 		return pokes
 	}
@@ -151,14 +91,11 @@ func (w *Watch) Accepts(v uint64) bool { return w.Pred == nil || w.Pred(v) }
 
 // RunEngine executes a [RunSpec] against any scalar engine with a plain
 // per-cycle loop: apply the cycle's pokes, step, evaluate the watch. It is
-// the bulk path of every engine without a resident run loop of its own (all
-// seven scalar kernels), and the reference semantics the resident loops must
-// match.
+// the [Engine.RunBulk] of every engine without a resident run loop of its
+// own (all seven scalar kernels), and the reference semantics the resident
+// loops must match.
 func RunEngine(eng Engine, spec RunSpec) (ran int, stopped bool) {
-	if spec.Cancel != nil {
-		return RunChunked(spec, func(sub RunSpec) (int, bool) { return RunEngine(eng, sub) })
-	}
-	pokes := sortedPokes(spec.Pokes)
+	pokes := SortedPokes(spec.Pokes)
 	pi := 0
 	for i := 0; i < spec.Cycles; i++ {
 		for pi < len(pokes) && pokes[pi].Cycle <= i {

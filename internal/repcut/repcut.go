@@ -531,33 +531,26 @@ func (in *Instance) Step() { in.RunBulk(kernel.RunSpec{Cycles: 1}) }
 func (in *Instance) RunCycles(k int) { in.RunBulk(kernel.RunSpec{Cycles: k}) }
 
 // RunBulk executes a [kernel.RunSpec] across the partitions
-// (kernel.SpecRunner): one dispatch, k resident cycles in every worker with
-// one barrier per cycle, one join. It returns the completed cycle count and
-// whether the watch stopped the run; bit-identical to stepping by hand.
+// ([kernel.Engine.RunBulk]): one dispatch, k resident cycles in every worker
+// with one barrier per cycle, one join. It returns the completed cycle count
+// and whether the watch stopped the run; bit-identical to stepping by hand.
 // Pokes are routed to the partitions that consume their slot ([Plan.users],
 // authoritative fallback), exactly like live [Instance.PokeSlot] calls; a
 // watch is evaluated by the single partition holding the authoritative
-// value, and the group stops every partition at the cycle it accepts.
-// A spec with a Cancel probe runs in [kernel.CancelCheckCycles] chunks —
-// one dispatch/join round per chunk, the probe polled on the calling
-// goroutine between rounds — so cancellation observes partition state only
-// at cycle boundaries every worker has crossed.
+// value, and the group stops every partition at the cycle it accepts. The
+// run is never cut short from inside: a host that wants to stop a long run
+// hands over shorter specs, so partition state is only ever observed at
+// cycle boundaries every worker has crossed.
 func (in *Instance) RunBulk(spec kernel.RunSpec) (ran int, stopped bool) {
 	if len(in.engines) == 1 {
-		ran, stopped = kernel.RunEngine(in.engines[0], spec)
+		ran, stopped = in.engines[0].RunBulk(spec)
 		in.sample()
 		return ran, stopped
 	}
-	return kernel.RunChunked(spec, in.runBulkOnce)
-}
-
-// runBulkOnce is one uninterruptible dispatch of a bulk run; pokes arrive
-// sorted from RunChunked.
-func (in *Instance) runBulkOnce(spec kernel.RunSpec) (ran int, stopped bool) {
 	if spec.Cycles <= 0 {
 		return 0, false
 	}
-	for _, p := range spec.Pokes {
+	for _, p := range kernel.SortedPokes(spec.Pokes) {
 		users := in.plan.users(p.Slot)
 		if len(users) == 0 {
 			auth := in.plan.slotAuth[p.Slot]

@@ -73,21 +73,31 @@ func runCommandsRecover(tb *sim.Testbench, cmds []testbench.Command, maxCyclesPe
 // and its outcomes are still returned — the engine state they produced is
 // real, so the client sees exactly how far the batch got.
 //
-// maxCyclesPerCommand is the server's cycle-budget policy: step counts and
-// transact/handshake budgets beyond it are rejected rather than clamped,
+// maxCyclesPerCommand is the server's cycle-budget policy: a command whose
+// cycle budget (a step's cycles, a transact, handshake or wait's
+// max_cycles) exceeds it is rejected before it runs rather than clamped,
 // so a client is told about the policy instead of silently getting a
 // shorter wait.
 //
 // Step and transact/handshake commands are bulk engine runs — through
-// [sim.Testbench.Run] and [sim.Port.Wait], which is always one: a step-k or
-// a long transact costs one worker dispatch on the session's engine, not k
-// Go-level round-trips — per-cycle dispatch overhead on the serve path is
-// paid per command, not per simulated cycle.
+// [sim.Testbench.Run] and [sim.Port.Wait]: a step-k or a long transact
+// costs one worker dispatch on the session's engine per
+// kernel.CancelCheckCycles cycles (the server always installs a
+// cancellation probe), not k Go-level round-trips — per-cycle dispatch
+// overhead on the serve path is paid per chunk, not per simulated cycle.
 func runCommands(tb *sim.Testbench, cmds []testbench.Command, maxCyclesPerCommand int64) ([]testbench.Outcome, int64, error) {
 	outcomes := make([]testbench.Outcome, 0, len(cmds))
 	start := tb.Cycle()
 	for i := range cmds {
 		c := &cmds[i]
+		budget := int64(c.MaxCycles)
+		if c.Op == testbench.OpStep {
+			budget = c.Cycles
+		}
+		if budget > maxCyclesPerCommand {
+			return outcomes, tb.Cycle() - start, fmt.Errorf("command %d (%s): %d cycles exceed the per-command budget of %d",
+				i, c.Op, budget, maxCyclesPerCommand)
+		}
 		out := testbench.Outcome{Op: c.Op, Lane: c.Lane, Signal: c.Signal}
 		before := tb.Cycle()
 		var err error
@@ -104,38 +114,22 @@ func runCommands(tb *sim.Testbench, cmds []testbench.Command, maxCyclesPerComman
 				out.Value = p.Peek()
 			}
 		case testbench.OpStep:
-			if c.Cycles > maxCyclesPerCommand {
-				err = fmt.Errorf("step of %d cycles exceeds the per-command budget of %d", c.Cycles, maxCyclesPerCommand)
-			} else {
-				err = tb.Run(c.Cycles)
-			}
+			err = tb.Run(c.Cycles)
 		case testbench.OpTransact:
 			out.Signal = c.Resp
-			if int64(c.MaxCycles) > maxCyclesPerCommand {
-				err = fmt.Errorf("transact budget of %d cycles exceeds the per-command budget of %d", c.MaxCycles, maxCyclesPerCommand)
-			} else {
-				out.Value, err = tb.TransactLane(c.Lane, c.Pokes, c.Resp, c.Until.Pred(), c.MaxCycles)
-			}
+			out.Value, err = tb.TransactLane(c.Lane, c.Pokes, c.Resp, c.Until.Pred(), c.MaxCycles)
 		case testbench.OpHandshake:
 			out.Signal = c.Valid
-			if int64(c.MaxCycles) > maxCyclesPerCommand {
-				err = fmt.Errorf("handshake budget of %d cycles exceeds the per-command budget of %d", c.MaxCycles, maxCyclesPerCommand)
-			} else {
-				var waited int
-				waited, err = tb.HandshakeLane(c.Lane, c.Valid, c.Pokes, c.Ready, c.MaxCycles)
-				out.Value = uint64(waited)
-			}
+			var waited int
+			waited, err = tb.HandshakeLane(c.Lane, c.Valid, c.Pokes, c.Ready, c.MaxCycles)
+			out.Value = uint64(waited)
 		case testbench.OpWait:
-			if int64(c.MaxCycles) > maxCyclesPerCommand {
-				err = fmt.Errorf("wait budget of %d cycles exceeds the per-command budget of %d", c.MaxCycles, maxCyclesPerCommand)
-			} else {
-				// The predicate rides the engine's early-stop Watch, so the
-				// session halts at the exact accepting cycle — no chunk
-				// overshoot.
-				var p *sim.Port
-				if p, err = tb.PortLane(c.Signal, c.Lane); err == nil {
-					out.Value, err = p.Wait(c.Until.Pred(), c.MaxCycles)
-				}
+			// The predicate rides the engine's early-stop Watch, so the
+			// session halts at the exact accepting cycle — no chunk
+			// overshoot.
+			var p *sim.Port
+			if p, err = tb.PortLane(c.Signal, c.Lane); err == nil {
+				out.Value, err = p.Wait(c.Until.Pred(), c.MaxCycles)
 			}
 		default:
 			// DecodeCommands validated the op; this is a programming error.

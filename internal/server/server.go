@@ -520,10 +520,12 @@ func (s *Server) handleCommands(w http.ResponseWriter, r *http.Request) {
 		writeErrorKind(w, http.StatusGone, KindGone, errLeaseGone)
 		return
 	}
-	// Long runs poll this probe at chunk boundaries: the exec deadline,
-	// a vanished client, and a concurrent DELETE (l.abort) all stop the
-	// run within kernel.CancelCheckCycles cycles instead of holding the
-	// engine for the rest of a megacycle batch.
+	// The testbench polls this probe before every engine run it hands
+	// over, and caps those runs at kernel.CancelCheckCycles cycles while
+	// it is installed: the exec deadline, a vanished client, and a
+	// concurrent DELETE (l.abort) all stop a long run within that many
+	// cycles instead of holding the engine for the rest of a megacycle
+	// batch. The engines themselves poll nothing.
 	l.tb.SetCancel(func() bool { return l.abort.Load() || ctx.Err() != nil })
 	outcomes, cycles, execErr := runCommandsRecover(l.tb, cmds, s.cfg.MaxCyclesPerCommand)
 	l.tb.SetCancel(nil)

@@ -749,6 +749,55 @@ func TestClientWaitExactCycle(t *testing.T) {
 	}
 }
 
+// TestOverBudgetCommands: every cycle-taking command is held to the
+// server's per-command budget by one check before it runs. An over-budget
+// step, transact, handshake or wait answers 422, keeps the outcomes of the
+// commands before it, and advances no cycles of its own.
+func TestOverBudgetCommands(t *testing.T) {
+	const budget = 100
+	_, c := newTestService(t, server.Config{MaxCyclesPerCommand: budget})
+	ctx := context.Background()
+	cr, err := c.Compile(ctx, counterSrc, server.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		add  func(*client.Script) *client.Script
+	}{
+		{"step", func(s *client.Script) *client.Script { return s.Step(budget + 1) }},
+		{"transact", func(s *client.Script) *client.Script {
+			return s.Transact(map[string]uint64{"step": 2}, "count", nil, budget+1)
+		}},
+		{"handshake", func(s *client.Script) *client.Script { return s.Handshake("step", nil, "count", budget+1) }},
+		{"wait", func(s *client.Script) *client.Script { return s.Wait("count", nil, budget+1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sess, err := c.NewSession(ctx, cr.Hash, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close(ctx)
+			// The budget itself is allowed: the prefix steps exactly budget.
+			resp, err := sess.Do(ctx, tc.add(client.NewScript().Poke("step", 1).Step(budget)))
+			var apiErr *client.APIError
+			if !errors.As(err, &apiErr) || apiErr.Status != 422 {
+				t.Fatalf("over-budget %s answered %v, want 422", tc.name, err)
+			}
+			if resp == nil || len(resp.Outcomes) != 2 || resp.Cycle != budget {
+				t.Fatalf("over-budget %s: response %+v, want the 2-command prefix at cycle %d", tc.name, resp, budget)
+			}
+			if !strings.Contains(resp.Error, "exceed the per-command budget") {
+				t.Errorf("over-budget %s: error %q does not name the budget", tc.name, resp.Error)
+			}
+			after, err := sess.Do(ctx, client.NewScript().Peek("count"))
+			if err != nil || after.Cycle != budget {
+				t.Fatalf("after the rejected %s: %+v, %v; want the session usable at cycle %d", tc.name, after, err, budget)
+			}
+		})
+	}
+}
+
 // TestCompileOptionsShareCacheEntry: equal artifacts, one cache entry. The
 // wire options are exactly the compile options that change what is built, so
 // the same source posted with the defaults spelled out is one compile, one

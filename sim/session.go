@@ -95,12 +95,14 @@ func (s *Session) Step() error {
 	return nil
 }
 
-// Run advances n cycles as one bulk run: engines with resident workers
-// ([kernel.SpecRunner]: partitioned sessions) keep them resident for the
-// whole run instead of paying a dispatch and join per cycle; every other
-// engine runs the one per-cycle loop, [kernel.RunEngine]. With a waveform
-// enabled that same loop steps through [Session.Step], so the VCD samples
-// every cycle. Bit-identical to n calls of [Session.Step] either way.
+// Run advances n cycles as one bulk run of the engine
+// ([kernel.Engine.RunBulk]): a partitioned session keeps its workers
+// resident for the whole run instead of paying a dispatch and join per
+// cycle; every other engine runs the one per-cycle loop, [kernel.RunEngine].
+// With a waveform enabled that same loop steps through [Session.Step], so
+// the VCD samples every cycle. Bit-identical to n calls of [Session.Step]
+// either way. The run polls nothing: a run that must stop early goes
+// through a [Testbench] with [Testbench.SetCancel].
 func (s *Session) Run(n int64) error {
 	for n > 0 {
 		k := min(n, int64(1)<<30)
@@ -128,11 +130,7 @@ func (s *Session) runBulk(spec kernel.RunSpec) (ran int, stopped bool, err error
 		ran, stopped = kernel.RunEngine(&we, spec)
 		return ran, stopped, we.err
 	}
-	if sr, ok := s.eng.(kernel.SpecRunner); ok {
-		ran, stopped = sr.RunBulk(spec)
-	} else {
-		ran, stopped = kernel.RunEngine(s.eng, spec)
-	}
+	ran, stopped = s.eng.RunBulk(spec)
 	s.cycle += int64(ran)
 	return ran, stopped, nil
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"rteaal/internal/kernel"
 	"rteaal/internal/testbench"
@@ -55,8 +56,8 @@ type Testbench struct {
 	dut   dut
 	lanes int
 	stim  Stimulus
-	// cancel is the probe installed by [Testbench.SetCancel], threaded into
-	// every bulk run as its [kernel.RunSpec.Cancel].
+	// cancel is the probe installed by [Testbench.SetCancel], polled by
+	// runBulk before every run it hands the engine.
 	cancel func() bool
 }
 
@@ -68,14 +69,14 @@ type Testbench struct {
 // reflected in [Testbench.Cycle], so a canceled testbench remains usable.
 var ErrRunCanceled = errors.New("sim: run canceled")
 
-// SetCancel installs a cancellation probe polled at coarse chunk
-// boundaries (every [kernel.CancelCheckCycles] cycles at most) during bulk
-// runs: when the probe returns true, the surrounding Step, Run, Wait,
-// Transact, or Handshake stops at the next boundary and returns
-// [ErrRunCanceled]. This is how a server threads a request context's
-// deadline into a resident engine run without putting a check in the
-// per-cycle hot loop. A nil probe clears it. The probe is polled from the
-// calling goroutine only, never from engine workers.
+// SetCancel installs a cancellation probe. While it is installed, the
+// testbench hands the engine runs of at most [kernel.CancelCheckCycles]
+// cycles and polls the probe before each one: when it returns true, the
+// surrounding Step, Run, Wait, Transact, or Handshake stops at that
+// boundary and returns [ErrRunCanceled]. This is how a server threads a
+// request context's deadline into a resident engine run without putting a
+// check in the engine's loops. A nil probe clears it. The probe is polled
+// from the calling goroutine only, never from engine workers.
 func (tb *Testbench) SetCancel(probe func() bool) { tb.cancel = probe }
 
 // Testbench binds a transaction-level testbench to the session. The
@@ -121,23 +122,17 @@ func (tb *Testbench) Drive(stim Stimulus) { tb.stim = stim }
 // included. Prefer Run when nothing has to happen between cycles — a Step
 // pays the engine's dispatch, and its one-cycle poke plan, every cycle.
 func (tb *Testbench) Step() error {
-	_, _, err := tb.runBulk(1, nil)
+	_, err := tb.runBulk(1, nil)
 	return err
 }
 
 // Run advances n cycles as bulk engine runs: the installed stimulus is
 // compiled into per-cycle poke plans and executed inside the engine's run
-// loop, one dispatch per plan chunk instead of per cycle. Bit-identical to
+// loop, one dispatch per chunk instead of per cycle. Bit-identical to
 // poking the stimulus by hand before each of n single steps.
 func (tb *Testbench) Run(n int64) error {
-	for n > 0 {
-		k := min(n, int64(1)<<30)
-		if _, _, err := tb.runBulk(int(k), nil); err != nil {
-			return err
-		}
-		n -= k
-	}
-	return nil
+	_, err := tb.runBulk(n, nil)
+	return err
 }
 
 // planBudget caps how many planned pokes one bulk dispatch carries, so a
@@ -145,28 +140,36 @@ func (tb *Testbench) Run(n int64) error {
 // plan proportional to n × lanes × inputs.
 const planBudget = 16384
 
-// runBulk advances up to n cycles through the bound engine's bulk path,
-// compiling the installed stimulus (if any) into scheduled poke plans —
-// the value of (cycle, lane, input) written to the input's slot at its
-// absolute cycle — and threading the optional watch into the engine so
-// predicate checks happen inside the run loop.
-func (tb *Testbench) runBulk(n int, watch *kernel.Watch) (ran int, stopped bool, err error) {
+// runBulk advances up to n cycles through the bound engine's bulk path and
+// is the one place a run is cut into chunks: a chunk carries at most
+// planBudget planned pokes while a stimulus is installed and at most
+// [kernel.CancelCheckCycles] cycles while a probe is, and the probe is
+// polled before each chunk. The stimulus (if any) is compiled into each
+// chunk's poke plan — the value of (cycle, lane, input) written to the
+// input's slot at its absolute cycle — and the optional watch rides into
+// the engine so predicate checks happen inside the run loop.
+func (tb *Testbench) runBulk(n int64, watch *kernel.Watch) (stopped bool, err error) {
 	inSlots := tb.d.tensor.InputSlots
-	chunk := n
-	if tb.stim != nil {
-		if per := tb.lanes * len(inSlots); per > 0 {
-			chunk = max(planBudget/per, 1)
-		}
+	drive := tb.stim != nil && len(inSlots) > 0
+	chunk := int64(math.MaxInt)
+	if drive {
+		chunk = int64(max(planBudget/(tb.lanes*len(inSlots)), 1))
+	}
+	if tb.cancel != nil {
+		chunk = min(chunk, kernel.CancelCheckCycles)
 	}
 	// One plan buffer, sized by the first (largest) chunk, serves every
 	// chunk of the run: no engine keeps a plan past the bulk call it was
 	// handed to. It is not kept on the testbench, so an idle session does
 	// not hold planBudget entries live.
 	var pokes []kernel.PlannedPoke
-	for ran < n {
-		k := min(n-ran, chunk)
-		spec := kernel.RunSpec{Cycles: k, Watch: watch, Cancel: tb.cancel}
-		if tb.stim != nil && len(inSlots) > 0 {
+	for ran := int64(0); ran < n; {
+		if tb.cancel != nil && tb.cancel() {
+			return false, ErrRunCanceled
+		}
+		k := int(min(n-ran, chunk))
+		spec := kernel.RunSpec{Cycles: k, Watch: watch}
+		if drive {
 			base := tb.dut.Cycle()
 			if pokes == nil {
 				pokes = make([]kernel.PlannedPoke, 0, k*tb.lanes*len(inSlots))
@@ -185,21 +188,12 @@ func (tb *Testbench) runBulk(n int, watch *kernel.Watch) (ran int, stopped bool,
 			spec.Pokes = pokes
 		}
 		r, s, err := tb.dut.runBulk(spec)
-		ran += r
 		if err != nil || s {
-			return ran, s, err
+			return s, err
 		}
-		if r < k {
-			break
-		}
+		ran += int64(r)
 	}
-	// The only way a bulk run completes fewer cycles than asked without
-	// stopping or erroring is the cancellation probe firing. A probe that
-	// turns true only after the final chunk does not fail a completed run.
-	if ran < n && tb.cancel != nil && tb.cancel() {
-		return ran, false, ErrRunCanceled
-	}
-	return ran, false, nil
+	return false, nil
 }
 
 // Port resolves a named signal of lane 0 once; the returned port pokes and
@@ -328,17 +322,17 @@ func (p *Port) Peek() uint64 {
 // Wait steps the whole testbench (stimulus included, if one is set) until
 // the predicate holds for the port's value, for at most maxCycles cycles,
 // and returns the accepted value. The wait is an engine-level bulk run (one
-// per poke-plan chunk while a stimulus is installed) that stops the cycle
-// the predicate accepts: the port is sampled after each full cycle, never
-// before the first, and the predicate is evaluated once per completed
-// cycle, in order. A nil predicate accepts the first cycle. Timeout is an
+// per chunk while a stimulus or a cancellation probe is installed) that
+// stops the cycle the predicate accepts: the port is sampled after each
+// full cycle, never before the first, and the predicate is evaluated once
+// per completed cycle, in order. A nil predicate accepts the first cycle. Timeout is an
 // error.
 func (p *Port) Wait(pred func(uint64) bool, maxCycles int) (uint64, error) {
 	w := kernel.Watch{Lane: p.lane, Slot: p.sig.Slot, OutIdx: -1, Pred: pred}
 	if p.sig.Kind == kernel.SignalOutput {
 		w.OutIdx = p.sig.Index
 	}
-	_, stopped, err := p.tb.runBulk(maxCycles, &w)
+	stopped, err := p.tb.runBulk(int64(maxCycles), &w)
 	if err != nil {
 		return 0, err
 	}

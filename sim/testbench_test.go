@@ -413,29 +413,24 @@ func TestDesignSignals(t *testing.T) {
 // kernel.CancelCheckCycles, the completed prefix is committed (Cycle and
 // register state agree with the cut-short run), and the testbench stays
 // fully usable — clearing the probe and running on yields the same state
-// as an uninterrupted run.
+// as an uninterrupted run. The stimulus leg checks the same under a
+// driven stimulus, whose poke plan the testbench rebases onto every chunk
+// it cuts: every lane's registers must match an uncancelled run on a fresh
+// engine, and a probe that never fires must change nothing.
 func TestTestbenchCancel(t *testing.T) {
 	const total = 5 * 1024 // several cancel-check chunks
 	for _, tc := range []struct {
 		name string
-		tb   func(t *testing.T) *sim.Testbench
+		open func(t *testing.T, src string) cancelBench
 	}{
-		{"scalar", func(t *testing.T) *sim.Testbench {
-			d, err := sim.Compile(counterSrc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d.NewSession().Testbench()
+		{"scalar", func(t *testing.T, src string) cancelBench {
+			return sessionBench(t, src)
 		}},
-		{"partitioned", func(t *testing.T) *sim.Testbench {
-			d, err := sim.Compile(counterSrc, sim.WithPartitions(2))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d.NewSession().Testbench()
+		{"partitioned", func(t *testing.T, src string) cancelBench {
+			return sessionBench(t, src, sim.WithPartitions(2))
 		}},
-		{"batch", func(t *testing.T) *sim.Testbench {
-			d, err := sim.Compile(counterSrc)
+		{"batch", func(t *testing.T, src string) cancelBench {
+			d, err := sim.Compile(src, sim.WithBatchWorkers(2))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -444,11 +439,17 @@ func TestTestbenchCancel(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(b.Close)
-			return b.Testbench()
+			return cancelBench{b.Testbench(), func() [][]uint64 {
+				regs := make([][]uint64, b.Lanes())
+				for l := range regs {
+					regs[l] = b.Registers(l)
+				}
+				return regs
+			}}
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tb := tc.tb(t)
+			tb := tc.open(t, counterSrc).tb
 			step, err := tb.Port("step")
 			if err != nil {
 				t.Fatal(err)
@@ -494,7 +495,71 @@ func TestTestbenchCancel(t *testing.T) {
 				t.Fatalf("count after resume = %d, want %d", got, want)
 			}
 		})
+
+		// pairSrc accumulates every step value into x, so a stimulus poke
+		// delivered at the wrong cycle, dropped or repeated across a chunk
+		// boundary shows in the final registers; and it has two registers,
+		// so WithPartitions(2) really runs two partitions.
+		t.Run(tc.name+"/stimulus", func(t *testing.T) {
+			const total = 5*1024 + 100
+			run := func(probe func() bool, n int64) (cancelBench, error) {
+				b := tc.open(t, pairSrc)
+				b.tb.Drive(sim.RandomStimulus(1))
+				b.tb.SetCancel(probe)
+				return b, b.tb.Run(n)
+			}
+			ref, err := run(nil, total)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := ref.regs()
+
+			inert, err := run(func() bool { return false }, total)
+			if err != nil || inert.tb.Cycle() != total || !slices.EqualFunc(inert.regs(), want, slices.Equal) {
+				t.Fatalf("never-true probe: err %v, cycle %d, registers %v; want nil, %d, %v",
+					err, inert.tb.Cycle(), inert.regs(), total, want)
+			}
+
+			polls := 0
+			cut, err := run(func() bool { polls++; return polls > 1 }, total)
+			at := cut.tb.Cycle()
+			if err != sim.ErrRunCanceled || at == 0 || at > kernel.CancelCheckCycles {
+				t.Fatalf("cancelled run: err %v after %d cycles; want ErrRunCanceled within %d",
+					err, at, kernel.CancelCheckCycles)
+			}
+			prefix, err := run(nil, at)
+			if err != nil || !slices.EqualFunc(cut.regs(), prefix.regs(), slices.Equal) {
+				t.Fatalf("cancelled prefix: registers %v, an uncancelled %d-cycle run has %v (err %v)",
+					cut.regs(), at, prefix.regs(), err)
+			}
+			cut.tb.SetCancel(nil)
+			if err := cut.tb.Run(total - at); err != nil {
+				t.Fatal(err)
+			}
+			if got := cut.regs(); !slices.EqualFunc(got, want, slices.Equal) {
+				t.Fatalf("resumed run: registers %v, uncancelled run %v", got, want)
+			}
+		})
 	}
+}
+
+// cancelBench is one engine shape that TestTestbenchCancel drives — a testbench
+// and a reader of every lane's committed registers.
+type cancelBench struct {
+	tb   *sim.Testbench
+	regs func() [][]uint64
+}
+
+// sessionBench opens a session of src as a cancelBench.
+func sessionBench(t *testing.T, src string, opts ...sim.Option) cancelBench {
+	t.Helper()
+	d, err := sim.Compile(src, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := d.NewSession()
+	t.Cleanup(s.Close)
+	return cancelBench{s.Testbench(), func() [][]uint64 { return [][]uint64{s.Registers()} }}
 }
 
 // echoGraph: out_ready goes high one cycle after in_valid, echoing in_data.
