@@ -21,11 +21,13 @@ import (
 // instructions name rows, redundant output masks are elided, the loop bodies
 // are bounds-check-free, and the register commit is a list of row moves
 // ordered so that each runs in place. The state is a list of lane blocks of
-// at most 64*blockWords lanes, each owning a contiguous wide store — one row
+// at most 64*blockWords lanes, each owning a contiguous wide store — a row
 // of its lanes per slot that has a lane vector — and, under a packing
-// schedule, a packed store with one row of blockWords words per packed slot,
-// lane i of the block in bit i. Levelization guarantees in-layer writes never
-// feed in-layer reads, so results go straight to their rows in every lane.
+// schedule, a packed store with a row of blockWords words per packed slot,
+// lane i of the block in bit i. A packing schedule recycles the rows of both
+// stores by liveness, so slots whose values are never live at once share a
+// row. Levelization guarantees in-layer writes never feed in-layer reads, so
+// results go straight to their rows in every lane.
 //
 // A batch built over a packing schedule keeps every slot the schedule
 // packed in the packed store only, so the packed loop bodies evaluate 64
@@ -91,9 +93,9 @@ func (b *Batch) settle(blk *laneBlock) {
 	for _, end := range s.segEnds {
 		switch seg := s.insts[from:end]; seg[0].code.segment() {
 		case segWide:
-			runOps(seg, blk.wide, n)
+			runOps(seg, s.ext, blk.wide, n)
 		case segWordWide:
-			runPackedOps(seg, blk.pk)
+			runPackedOps(seg, s.ext, blk.pk)
 		default:
 			runCrossings(seg, blk.wide, blk.pk, n)
 		}
@@ -322,17 +324,20 @@ func (b *Batch) PeekOutput(lane, idx int) uint64 {
 	return blk.outs[idx*blk.n+l]
 }
 
-// PeekSlot reads any LI coordinate of one lane, routing through the packed
-// layout for 1-bit slots.
+// PeekSlot reads one lane of an input, output, register Q or constant
+// between cycles, routing through the packed layout for 1-bit slots. Any
+// other LI coordinate is an internal value of the settle: a packing
+// schedule recycles its row once its last reader has run, so what the row
+// holds between cycles is some later value.
 func (b *Batch) PeekSlot(lane int, slot int32) uint64 {
 	blk, l := b.at(lane)
 	return b.peek(blk, l, slot)
 }
 
-// PokeSlot writes any LI coordinate of one lane (host-DUT communication,
-// §6.2), masked to the slot's width. Packed 1-bit slots are written in the
-// packed layout, so a DMI poke lands exactly where the next packed settle
-// reads.
+// PokeSlot writes one lane of an input or register Q between cycles
+// (host-DUT communication, §6.2), masked to the slot's width. Packed 1-bit
+// slots are written in the packed layout, so a DMI poke lands exactly where
+// the next packed settle reads.
 func (b *Batch) PokeSlot(lane int, slot int32, v uint64) {
 	blk, l := b.at(lane)
 	b.poke(blk, l, slot, v)

@@ -263,7 +263,9 @@ func TestBatchPackedWorkersShareNoWord(t *testing.T) {
 // per slot is bound to a batch or a worker. (A staging buffer of registers x
 // lanes words made the packed control fabric more than ten times its state;
 // bound instructions and two slice headers per slot a third more on r1/8,
-// per worker.)
+// per worker.) The state itself follows what is live: r1/8's packing
+// schedule recycles its wide rows by liveness, so it needs far fewer rows
+// than slots (one row per slot kept each 64-lane block at 4.4 MB).
 func TestBatchRetainedHeap(t *testing.T) {
 	heap := func() int64 {
 		runtime.GC()
@@ -273,13 +275,14 @@ func TestBatchRetainedHeap(t *testing.T) {
 		return int64(m.HeapAlloc)
 	}
 	for _, row := range []struct {
-		name           string
-		spec           gen.Spec
-		lanes, workers int
+		name            string
+		spec            gen.Spec
+		lanes, workers  int
+		wideRowsPerSlot float64 // the bound on the schedule's wide rows over slots; 0: none
 	}{
-		{"c256, 256 packed lanes", gen.Spec{Family: gen.Ctrl, Cores: 256}, 256, 1},
-		{"r1/8, 64 wide lanes", gen.Spec{Family: gen.Rocket, Cores: 1, Scale: 8}, 64, 1},
-		{"r1/8, 64 wide lanes, two workers", gen.Spec{Family: gen.Rocket, Cores: 1, Scale: 8}, 64, 2},
+		{"c256, 256 packed lanes", gen.Spec{Family: gen.Ctrl, Cores: 256}, 256, 1, 0},
+		{"r1/8, 64 wide lanes", gen.Spec{Family: gen.Rocket, Cores: 1, Scale: 8}, 64, 1, 0.3},
+		{"r1/8, 64 wide lanes, two workers", gen.Spec{Family: gen.Rocket, Cores: 1, Scale: 8}, 64, 2, 0.3},
 	} {
 		ten := genTensor(t, row.spec)
 		packedBatch(t, ten, 1, 1).Close() // the tensor-level analyses are warm
@@ -293,6 +296,9 @@ func TestBatchRetainedHeap(t *testing.T) {
 			t.Fatal(err)
 		}
 		warm.Close()
+		if rows := warm.sched.wideRows; row.wideRowsPerSlot > 0 && float64(rows) > row.wideRowsPerSlot*float64(ten.NumSlots) {
+			t.Errorf("%s: the schedule keeps %d wide rows for %d slots, want at most %.2f per slot", row.name, rows, ten.NumSlots, row.wideRowsPerSlot)
+		}
 		var batches [2]*Batch
 		for i := range batches {
 			before := heap()

@@ -24,7 +24,7 @@ import (
 //     mixed ops never pay a per-lane gather.
 //
 // A packed slot lives in the packed store only; it owns a wide row exactly
-// when some instruction reads or writes its wide view (see wideSlotsOf).
+// when some instruction reads or writes its wide view (see assignRows).
 //
 // Which provably-1-bit slots actually live packed is a profitability
 // decision layered on the width analysis: demotePacking drops slots whose
@@ -81,11 +81,11 @@ const (
 // wide comparison and a wide mux scores nothing but debits and retreats to
 // the wide schedule, while a slot with a word-wide consumer pays its one
 // crossing and stays.
-func demotePacking(insts []batchInst, regs []dfg.RegSlot, packed []bool) {
+func demotePacking(insts []batchInst, ext []int32, regs []dfg.RegSlot, packed []bool) {
 	for {
 		gain := make([]int, len(packed))
 		for i := range insts {
-			packGain(gain, &insts[i], packed)
+			packGain(gain, &insts[i], ext, packed)
 		}
 		// A register packed on both sides commits by word copy (or stages
 		// packed words): a 64x win for both coordinates.
@@ -136,11 +136,11 @@ func (c batchCode) packedSides() (out, args bool) {
 
 // wordWide names the word-wide body of one wide-schedule entry, which
 // applies when its output and every operand are packed.
-func wordWide(in *batchInst, packed []bool) (batchCode, bool) {
+func wordWide(in *batchInst, ext []int32, packed []bool) (batchCode, bool) {
 	if !packed[in.out] {
 		return 0, false
 	}
-	for _, a := range in.args() {
+	for _, a := range in.args(ext) {
 		if !packed[a] {
 			return 0, false
 		}
@@ -153,15 +153,15 @@ func wordWide(in *batchInst, packed []bool) (batchCode, bool) {
 // slot's profitability, mirroring emitPacked's shape classification: a
 // word-wide body credits every slot it touches, and the unpack+wide+pack
 // path debits the slots whose packing forces the crossing.
-func packGain(gain []int, in *batchInst, packed []bool) {
+func packGain(gain []int, in *batchInst, ext []int32, packed []bool) {
 	d := -1
-	if _, ok := wordWide(in, packed); ok {
+	if _, ok := wordWide(in, ext, packed); ok {
 		d = 1 // 64 lanes per op
 	}
 	if packed[in.out] {
 		gain[in.out] += d
 	}
-	for _, a := range in.args() {
+	for _, a := range in.args(ext) {
 		if packed[a] {
 			gain[a] += d
 		}
@@ -174,13 +174,13 @@ func packGain(gain []int, in *batchInst, packed []bool) {
 // need — none for an entry with no packed involvement (see emitWide).
 // wideCur tracks, per packed slot, whether its wide lane view currently
 // mirrors the packed words at this point in the schedule.
-func emitPacked(insts []batchInst, in batchInst, packed, wideCur []bool) []batchInst {
-	if code, ok := wordWide(&in, packed); ok {
+func emitPacked(insts []batchInst, in batchInst, ext []int32, packed, wideCur []bool) []batchInst {
+	if code, ok := wordWide(&in, ext, packed); ok {
 		in.code = code
 		wideCur[in.out] = false // packed bodies write only the packed view
 		return append(insts, in)
 	}
-	return emitWide(insts, in, packed, wideCur)
+	return emitWide(insts, in, ext, packed, wideCur)
 }
 
 // emitWide is the one way across the layout boundary. It compiles a mixed
@@ -190,8 +190,8 @@ func emitPacked(insts []batchInst, in batchInst, packed, wideCur []bool) []batch
 // the unpacks — once materialised, a slot's wide view stays current until
 // its next packed write, so fan-out to many wide consumers costs one unpack
 // total.
-func emitWide(insts []batchInst, in batchInst, packed, wideCur []bool) []batchInst {
-	for _, a := range in.args() {
+func emitWide(insts []batchInst, in batchInst, ext []int32, packed, wideCur []bool) []batchInst {
+	for _, a := range in.args(ext) {
 		if packed[a] && !wideCur[a] {
 			insts = append(insts, batchInst{code: bpUnpack, op: wire.Ident, out: a, a: [3]int32{a}, n: 1})
 			wideCur[a] = true
@@ -203,35 +203,6 @@ func emitWide(insts []batchInst, in batchInst, packed, wideCur []bool) []batchIn
 		wideCur[in.out] = true // the wide view just produced the packed words
 	}
 	return insts
-}
-
-// wideSlotsOf lists, ascending, the slots that own a wide lane vector under
-// the emitted schedule: every wide slot, plus each packed slot some
-// instruction binds wide — the bpUnpack/bpPack targets and the constants
-// wide bodies read in place. Every other access to a packed slot (pokes,
-// peeks, watches, commits, output sampling) goes through the packed store.
-func wideSlotsOf(insts []batchInst, packed []bool) []int32 {
-	wide := make([]bool, len(packed))
-	for slot, p := range packed {
-		wide[slot] = !p
-	}
-	for i := range insts {
-		in := &insts[i]
-		outP, argsP := in.code.packedSides()
-		wide[in.out] = wide[in.out] || !outP
-		if !argsP {
-			for _, a := range in.args() {
-				wide[a] = true
-			}
-		}
-	}
-	var slots []int32
-	for slot, w := range wide {
-		if w {
-			slots = append(slots, int32(slot))
-		}
-	}
-	return slots
 }
 
 // pkGet extracts one lane's bit from a packed row.
@@ -283,7 +254,7 @@ func unpackLanes(dst, src []uint64) {
 // runPackedOps executes one word-wide segment of the schedule over one lane
 // block's packed store: every instruction reads and writes whole rows, 64
 // lanes per word.
-func runPackedOps(insts []batchInst, pk [][blockWords]uint64) {
+func runPackedOps(insts []batchInst, ext []int32, pk [][blockWords]uint64) {
 	for i := range insts {
 		o := &insts[i]
 		switch o.code {
@@ -323,11 +294,11 @@ func runPackedOps(insts []batchInst, pk [][blockWords]uint64) {
 			out[2] = y[2] ^ s[2]&(x[2]^y[2])
 			out[3] = y[3] ^ s[3]&(x[3]^y[3])
 		case bpMuxChain:
-			ext := o.ext
-			r := pk[ext[len(ext)-1]]
+			chain := o.args(ext)
+			r := pk[chain[len(chain)-1]]
 			// Walk pairs in reverse so the earliest matching select wins.
-			for i := len(ext) - 3; i >= 0; i -= 2 {
-				s, v := &pk[ext[i]], &pk[ext[i+1]]
+			for i := len(chain) - 3; i >= 0; i -= 2 {
+				s, v := &pk[chain[i]], &pk[chain[i+1]]
 				r[0] ^= s[0] & (v[0] ^ r[0])
 				r[1] ^= s[1] & (v[1] ^ r[1])
 				r[2] ^= s[2] & (v[2] ^ r[2])

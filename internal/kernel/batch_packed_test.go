@@ -91,10 +91,12 @@ func TestBatchPackedMatchesReference(t *testing.T) {
 // shape next to the word-wide bodies the random corpus rarely produces: a
 // wide comparison and wide OrR/XorR feeding packed And/Or/Xor logic, a
 // packed select steering a wide mux, a single-bit constant field extract
-// feeding packed logic, an all-1-bit Gt, Mux and MuxChain, and 1-bit
-// registers committing through the staged plan packed on both sides (the
-// r1→r2 shift chain), packed→wide (qw, demoted by its two wide muxes) and
-// wide→packed (qp, whose Next the profitability pass demotes).
+// feeding packed logic, a packed 1-bit constant that a wide Add reads in
+// place (its wide view, which Reset loads and no instruction writes), an
+// all-1-bit Gt, Mux and MuxChain, and 1-bit registers committing through
+// the staged plan packed on both sides (the r1→r2 shift chain), packed→wide
+// (qw, demoted by its two wide muxes) and wide→packed (qp, whose Next the
+// profitability pass demotes).
 func packedCrossingGraph() *dfg.Graph {
 	g := &dfg.Graph{Name: "crossing"}
 	a := g.AddInput("a", 8)
@@ -118,8 +120,11 @@ func packedCrossingGraph() *dfg.Graph {
 	p4 := g.AddOp(wire.And, 1, qp, p3)
 	mx := g.AddOp(wire.Mux, 1, p1, p2, p4)
 	mc := g.AddOp(wire.MuxChain, 1, s, p1, gt, p2, lt, p3, bit3)
+	one := g.AddConst(1, 1)
+	p5 := g.AddOp(wire.And, 1, one, u) // a word-wide use keeps the constant packed
+	bump := g.AddOp(wire.Add, 8, b, one)
 	neq := g.AddOp(wire.Neq, 1, a, b)
-	sum := g.AddOp(wire.Add, 8, acc, g.AddOp(wire.Mux, 8, neq, a, b))
+	sum := g.AddOp(wire.Add, 8, acc, g.AddOp(wire.Mux, 8, neq, a, bump))
 	swap := g.AddOp(wire.Xor, 8, g.AddOp(wire.Mux, 8, qw, a, b), g.AddOp(wire.Mux, 8, qw, b, a))
 	g.SetRegNext(r1, mc)
 	g.SetRegNext(r2, r1) // r2.Next IS r1.Q: forces the staged commit
@@ -129,6 +134,7 @@ func packedCrossingGraph() *dfg.Graph {
 	g.AddOutput("mx", mx)
 	g.AddOutput("r2", r2)
 	g.AddOutput("acc", acc)
+	g.AddOutput("p5", p5)
 	return g
 }
 
@@ -246,7 +252,9 @@ func genTensor(t *testing.T, spec gen.Spec) *oim.Tensor {
 // TestBatchPackedOneHomePerSlot pins the allocation rule on the control
 // fabric: a packed slot owns a wide row if and only if some schedule
 // instruction reads or writes its wide view, so the wide store shrinks to a
-// sliver — and every host-side access to a packed-only slot still works.
+// sliver of at most one row per wide value (rows are recycled by liveness,
+// so usually fewer) — and every host-side access to a packed-only slot
+// still works.
 func TestBatchPackedOneHomePerSlot(t *testing.T) {
 	ten := genTensor(t, gen.Spec{Family: gen.Ctrl, Cores: 16})
 	const lanes = 70
@@ -259,13 +267,13 @@ func TestBatchPackedOneHomePerSlot(t *testing.T) {
 		if !outP {
 			boundWide[in.out] = true
 		}
-		for _, a := range in.args() {
+		for _, a := range in.args(sched.ext) {
 			if !argsP {
 				boundWide[a] = true
 			}
 		}
 	}
-	wide := 1 // the commit's temporary row
+	values := 0 // the slots owning a wide row
 	for slot, row := range sched.wideRow {
 		packed := sched.packedRow[slot] >= 0
 		want := !packed || (row >= 0 && boundWide[row])
@@ -273,11 +281,11 @@ func TestBatchPackedOneHomePerSlot(t *testing.T) {
 			t.Fatalf("slot %d: has a wide row = %v, want %v (packed %v)", slot, got, want, packed)
 		}
 		if want {
-			wide++
+			values++
 		}
 	}
-	if sched.wideRows != wide || len(b.wide) != wide*lanes {
-		t.Fatalf("wide store holds %d words in %d rows, want %d rows x %d lanes", len(b.wide), sched.wideRows, wide, lanes)
+	if sched.wideRows > values+1 || len(b.wide) != sched.wideRows*lanes { // +1: the commit's temporary row
+		t.Fatalf("wide store holds %d words in %d rows x %d lanes, want at most %d rows", len(b.wide), sched.wideRows, lanes, values+1)
 	}
 	if full := ten.NumSlots * lanes; len(b.wide)*10 >= full {
 		t.Fatalf("wide store holds %d of %d words: the control fabric should be under 10%%", len(b.wide), full)

@@ -1,8 +1,10 @@
 package kernel
 
 import (
+	"math"
 	"math/bits"
 	"slices"
+	"unsafe"
 
 	"rteaal/internal/oim"
 	"rteaal/internal/wire"
@@ -13,9 +15,13 @@ import (
 // Three properties separate it from the scalar tape loop:
 //
 //   - Operands are row indices into a block's two stores, translated from
-//     slots once per Program: a slot's wide row is its position among the
-//     slots that own a lane vector, its packed row its position among the
-//     packed slots. A batch binds nothing; a loop body reaches a wide row as
+//     slots once per Program. A wide schedule's rows are its slots. A packing
+//     schedule numbers each store's rows by liveness (assignRows): a value
+//     takes a row when it is written and gives it back after its last
+//     reader, so a block holds what is live at once, not one row per slot;
+//     inputs, constants, register Qs and values read before they are written
+//     keep rows of their own, and outputs and Nexts live to the end of the
+//     settle. A batch binds nothing; a loop body reaches a wide row as
 //     wide[row*n:][:n] and a packed row as pk[row].
 //   - The `& mask` is elided whenever the schedule compiler can prove the
 //     result already fits the output width (masks are contiguous low-bit
@@ -120,21 +126,27 @@ var opBodies = [wire.NumOps]struct{ plain, masked, word batchCode }{
 // batchInst is one schedule entry. buildBatchSchedule compiles it in slot
 // space and leaves it in row space: out and the operands index the packed
 // store on the sides the code's packedSides names, the wide store elsewhere.
+// It is 32 bytes, two to a cache line (the guard below keeps it so).
 type batchInst struct {
 	code batchCode
-	op   wire.Op // consulted by bcGeneric
+	op   wire.Op // consulted by bcGeneric, and by args for mux chains
+	n    uint8
+	sh   uint8 // folded constant shift amount (bcBitsC, whose n is 1)
 	out  int32
 	a    [3]int32
-	n    uint8
-	sh   uint8   // folded constant shift amount (bcBitsC, whose n is 1)
-	ext  []int32 // spilled operands; every mux chain's, so its bodies have one shape
+	ext  int32 // a mux chain's operands: the offset of their length cell in the schedule's ext
 	mask uint64
 }
 
-// args lists the entry's operands, inline or spilled.
-func (in *batchInst) args() []int32 {
-	if in.ext != nil {
-		return in.ext
+// A batchInst is exactly 32 bytes; any other size is an index out of range
+// here, at compile time.
+var _ = [1]struct{}{}[unsafe.Sizeof(batchInst{})-32]
+
+// args lists the entry's operands: inline, or — for every mux chain, so its
+// bodies have one shape — spilled to ext, the schedule's one operand table.
+func (in *batchInst) args(ext []int32) []int32 {
+	if in.op == wire.MuxChain {
+		return ext[in.ext+1:][:ext[in.ext]]
 	}
 	return in.a[:in.n]
 }
@@ -155,6 +167,9 @@ type commitInst struct {
 // batch (and every lane block) of one Program; a batch holds state only.
 type batchSchedule struct {
 	insts []batchInst
+	// ext holds every mux chain's operands, each chain a length cell
+	// followed by its operands (see batchInst.args).
+	ext []int32
 	// segEnds cuts insts into segments, each the longest run of instructions
 	// one loop executes (see batchCode.segment). A wide schedule is one
 	// segment.
@@ -167,7 +182,10 @@ type batchSchedule struct {
 	// (packedRow is nil, also when packing was requested and no
 	// provably-1-bit slot survived) and every slot's wide row is the slot; a
 	// packing schedule gives each packed slot (see OneBitSlots, after
-	// demotion) a packed row, and a wide row to the slots wideSlotsOf lists.
+	// demotion) a packed row, each other slot a wide row, and a packed slot
+	// a wide row too when an instruction binds its wide view, and recycles
+	// rows by liveness (see assignRows): two slots share a row when one is
+	// dead before the other is written.
 	wideRow, packedRow []int32
 	// wideRows and packedRows size the stores: the rows above plus, last in
 	// each, the temporary row orderCommits breaks cycles through.
@@ -240,12 +258,45 @@ func fitsMask(op wire.Op, argMasks []uint64, outMask uint64) bool {
 // schedule: fused opcodes with the mask decision baked in, operands as rows,
 // plus the ordered commit plan. With packing, the width-analysis pass
 // classifies every slot, a profitability pass demotes slots whose packing
-// would only force crossings around wide bodies, and instructions over the
+// would only force crossings around wide bodies, instructions over the
 // surviving 1-bit slots are rewritten to the packed loop bodies (see
-// batch_packed.go).
+// batch_packed.go), and the rows of both stores are recycled by liveness
+// (see assignRows).
 func buildBatchSchedule(t *oim.Tensor, packing bool) *batchSchedule {
+	s, packed := slotSchedule(t, packing)
+	if packed == nil {
+		s.wideRow = make([]int32, t.NumSlots)
+		for slot := range s.wideRow {
+			s.wideRow[slot] = int32(slot)
+		}
+		s.wideRows = t.NumSlots
+	} else {
+		s.assignRows(t, packed)
+		s.toRows()
+	}
+	// Each side of a register move is the slot's home row; the temporary
+	// rows come last in their stores.
+	for i := range s.commits {
+		c := &s.commits[i]
+		c.q, c.qp = s.home(c.q)
+		c.next, c.np = s.home(c.next)
+	}
+	s.commits = orderCommits(s.commits, int32(s.wideRows), int32(s.packedRows))
+	s.wideRows++
+	if packed != nil {
+		s.packedRows++
+	}
+	return s
+}
+
+// slotSchedule compiles the schedule in slot space: the instructions, their
+// operand table and segments, and the register moves in register order, all
+// naming slots. packed is the width-analysis verdict after demotion, nil
+// when packing was not requested or left no slot packed; the schedule is
+// then the wide one.
+func slotSchedule(t *oim.Tensor, packing bool) (s *batchSchedule, packed []bool) {
 	tape, _ := buildTape(t)
-	s := &batchSchedule{}
+	s = &batchSchedule{}
 
 	// produced marks slots written by tape operations: exactly the slots
 	// whose values are guaranteed masked to their declared width.
@@ -302,15 +353,14 @@ func buildBatchSchedule(t *oim.Tensor, packing bool) *batchSchedule {
 			out:  e.out,
 			a:    e.a,
 			n:    e.n,
-			ext:  e.ext,
 			mask: e.mask,
 		}
 		if fitsMask(e.op, argMasks, e.mask) {
 			in.code = opBodies[e.op].plain
 		}
-		if e.op == wire.MuxChain && e.ext == nil {
-			// A short chain lives inline on the tape.
-			in.ext, in.a = slices.Clone(e.a[:e.n]), [3]int32{}
+		if e.op == wire.MuxChain {
+			in.a, in.ext = [3]int32{}, int32(len(s.ext))
+			s.ext = append(append(s.ext, int32(len(args))), args...)
 		}
 		// Bits with constant hi/lo — the shape every FIRRTL field extract
 		// lowers to — folds to a single shift with the field mask merged
@@ -320,7 +370,7 @@ func buildBatchSchedule(t *oim.Tensor, packing bool) *batchSchedule {
 			lo, okL := constVal[e.a[2]]
 			if okH && okL && lo < 64 && hi >= lo {
 				in.code = bcBitsC
-				in.n = 1
+				in.a, in.n = [3]int32{e.a[0]}, 1
 				in.sh = uint8(lo)
 				in.mask = wire.Mask(int(hi-lo)+1) & e.mask
 			}
@@ -328,25 +378,15 @@ func buildBatchSchedule(t *oim.Tensor, packing bool) *batchSchedule {
 		wide = append(wide, in)
 	}
 
-	// packed is the width-analysis verdict after demotion; nil when packing
-	// was not requested or left no slot packed, and the schedule is then the
-	// wide one.
-	var packed []bool
 	if packing {
 		packed = OneBitSlots(t)
-		demotePacking(wide, t.RegSlots, packed)
+		demotePacking(wide, s.ext, t.RegSlots, packed)
 		if !slices.Contains(packed, true) {
 			packed = nil
 		}
 	}
 	s.insts = wide
-	s.wideRow = make([]int32, t.NumSlots)
-	if packed == nil {
-		for slot := range s.wideRow {
-			s.wideRow[slot] = int32(slot)
-		}
-		s.wideRows = t.NumSlots
-	} else {
+	if packed != nil {
 		// wideCur tracks, per packed slot, whether the wide lane view
 		// mirrors the packed words at the current point in the schedule
 		// (see emitWide). At the start of every settle only never-written
@@ -359,21 +399,8 @@ func buildBatchSchedule(t *oim.Tensor, packing bool) *batchSchedule {
 		}
 		s.insts = make([]batchInst, 0, len(wide))
 		for _, in := range wide {
-			s.insts = emitPacked(s.insts, in, packed, wideCur)
+			s.insts = emitPacked(s.insts, in, s.ext, packed, wideCur)
 		}
-		s.packedRow = make([]int32, t.NumSlots)
-		for slot, p := range packed {
-			s.wideRow[slot], s.packedRow[slot] = -1, -1
-			if p {
-				s.packedRow[slot] = int32(s.packedRows)
-				s.packedRows++
-			}
-		}
-		for _, slot := range wideSlotsOf(s.insts, packed) {
-			s.wideRow[slot] = int32(s.wideRows)
-			s.wideRows++
-		}
-		s.toRows()
 	}
 	for i := 1; i <= len(s.insts); i++ {
 		if i == len(s.insts) || s.insts[i].code.segment() != s.insts[i-1].code.segment() {
@@ -381,34 +408,131 @@ func buildBatchSchedule(t *oim.Tensor, packing bool) *batchSchedule {
 		}
 	}
 
-	// Commit plan: a register's `& Mask` is redundant when Next is a tape
-	// product already masked to a width the register covers. Each side is the
-	// slot's home row; the temporary rows come last in their stores.
-	commits := make([]commitInst, len(t.RegSlots))
+	// A register's `& Mask` is redundant when Next is a tape product
+	// already masked to a width the register covers.
+	s.commits = make([]commitInst, len(t.RegSlots))
 	for i, r := range t.RegSlots {
-		c := &commits[i]
-		c.q, c.qp = s.home(r.Q)
-		c.next, c.np = s.home(r.Next)
-		c.mask = r.Mask
-		c.masked = !produced[r.Next] || t.Masks[r.Next]&^r.Mask != 0
+		s.commits[i] = commitInst{q: r.Q, next: r.Next, mask: r.Mask, masked: !produced[r.Next] || t.Masks[r.Next]&^r.Mask != 0}
 	}
-	s.commits = orderCommits(commits, int32(s.wideRows), int32(s.packedRows))
-	s.wideRows++
-	if packed != nil {
-		s.packedRows++
+	return s, packed
+}
+
+// rowAlloc numbers the rows of one store. A value is one slot in the store;
+// it lives from the instruction that writes it to the last one that reads
+// it.
+type rowAlloc struct {
+	row     []int32 // per slot: its row, -1 while it has none
+	last    []int32 // per slot: its last reader, -1 for none, len(insts) to outlive the settle
+	pin     []bool  // per slot: the value keeps its row alone for good
+	written []bool  // per slot: an instruction writes the value
+	free    []int32 // rows of dead values, the most recently freed last
+	rows    int32
+}
+
+// take gives a slot a row if it has none, reusing the most recently freed
+// row: the one most likely still in cache.
+func (a *rowAlloc) take(slot int32) {
+	if a.row[slot] >= 0 {
+		return
 	}
-	return s
+	if k := len(a.free); k > 0 {
+		a.row[slot], a.free = a.free[k-1], a.free[:k-1]
+	} else {
+		a.row[slot] = a.rows
+		a.rows++
+	}
+}
+
+// release frees a slot's row once instruction i, its last reader, has run.
+func (a *rowAlloc) release(slot, i int32) {
+	if !a.pin[slot] && a.last[slot] <= i {
+		a.free = append(a.free, a.row[slot])
+		a.last[slot] = math.MaxInt32 // freed: a repeated operand frees once
+	}
+}
+
+// assignRows numbers a packing schedule's rows with a linear scan over its
+// slot-space instructions, each store on its own: a value takes a row at
+// the instruction that writes it and frees it after the last one that reads
+// it has run, so an output never aliases its own operands. Every slot has a
+// home value, in the packed store if the slot is packed; a packed slot has a
+// wide value too exactly when an instruction binds its wide view. Some
+// values keep a row of their own for good, numbered first: every value the
+// schedule reads before writing (a constant's wide view, read in place),
+// every home value it never touches, and the home value of every slot the
+// host pokes or Reset loads — inputs, constants and register Qs. Primary
+// outputs and register Nexts are read after the settle, by output sampling
+// and the commit, so their home values live to its end.
+func (s *batchSchedule) assignRows(t *oim.Tensor, packed []bool) {
+	n := t.NumSlots
+	var st [2]rowAlloc // the wide store, the packed store
+	for k := range st {
+		st[k] = rowAlloc{row: make([]int32, n), last: make([]int32, n), pin: make([]bool, n), written: make([]bool, n)}
+		for slot := range n {
+			st[k].row[slot], st[k].last[slot] = -1, -1
+		}
+	}
+	side := func(p bool) *rowAlloc {
+		if p {
+			return &st[1]
+		}
+		return &st[0]
+	}
+	for i := range s.insts {
+		in := &s.insts[i]
+		outP, argsP := in.code.packedSides()
+		a := side(argsP)
+		for _, slot := range in.args(s.ext) {
+			a.last[slot] = int32(i)
+			a.pin[slot] = a.pin[slot] || !a.written[slot] // read before it is written
+		}
+		side(outP).written[in.out] = true
+	}
+	home := func(slot int32) *rowAlloc { return side(packed[slot]) }
+	for slot := range int32(n) {
+		if a := home(slot); !a.written[slot] && a.last[slot] < 0 {
+			a.pin[slot] = true // untouched: only the host reads it
+		}
+	}
+	for _, slot := range t.InputSlots {
+		home(slot).pin[slot] = true
+	}
+	for _, c := range t.ConstSlots {
+		home(c.Slot).pin[c.Slot] = true
+	}
+	end := int32(len(s.insts))
+	for _, r := range t.RegSlots {
+		home(r.Q).pin[r.Q] = true
+		home(r.Next).last[r.Next] = end
+	}
+	for _, slot := range t.OutputSlots {
+		home(slot).last[slot] = end
+	}
+	for k := range st {
+		for slot, p := range st[k].pin {
+			if p {
+				st[k].take(int32(slot))
+			}
+		}
+	}
+	for i := range s.insts {
+		in := &s.insts[i]
+		outP, argsP := in.code.packedSides()
+		o, a := side(outP), side(argsP)
+		o.take(in.out)
+		for _, slot := range in.args(s.ext) {
+			a.release(slot, int32(i))
+		}
+		o.release(in.out, int32(i)) // written, never read
+	}
+	s.wideRow, s.packedRow = st[0].row, st[1].row
+	s.wideRows, s.packedRows = int(st[0].rows), int(st[1].rows)
 }
 
 // toRows rewrites a packing schedule's instructions from slot space to row
-// space, each side through the store its code binds. The spilled operand
-// lists alias the tensor, so their rows go to one fresh array.
+// space, each side through the store its code binds. A spilled operand list
+// belongs to its instruction alone, so it is rewritten in place.
 func (s *batchSchedule) toRows() {
-	spilled := 0
-	for i := range s.insts {
-		spilled += len(s.insts[i].ext)
-	}
-	ext := make([]int32, 0, spilled)
 	for i := range s.insts {
 		in := &s.insts[i]
 		outRow, argRow := s.wideRow, s.wideRow
@@ -420,21 +544,10 @@ func (s *batchSchedule) toRows() {
 			argRow = s.packedRow
 		}
 		in.out = outRow[in.out]
-		if in.ext == nil {
-			for j := range in.a {
-				if j < int(in.n) {
-					in.a[j] = argRow[in.a[j]]
-				} else {
-					in.a[j] = 0 // runOps slices every operand: unused ones must be rows
-				}
-			}
-			continue
+		args := in.args(s.ext)
+		for j, slot := range args {
+			args[j] = argRow[slot]
 		}
-		from := len(ext)
-		for _, slot := range in.ext {
-			ext = append(ext, argRow[slot])
-		}
-		in.ext = ext[from:len(ext):len(ext)]
 	}
 }
 
@@ -501,11 +614,12 @@ func orderCommits(cs []commitInst, tmpWide, tmpPacked int32) []commitInst {
 	return moves
 }
 
-// runOps executes one segment of wide bodies over one lane block: wide is
-// the block's wide store, n lanes per row. The four rows an instruction can
-// name are sliced to n lanes once, ahead of the dispatch (an unused operand
-// still names a row), so every body's lane loop runs without bounds checks.
-func runOps(insts []batchInst, wide []uint64, n int) {
+// runOps executes one segment of wide bodies over one lane block: ext is
+// the schedule's operand table, wide the block's wide store, n lanes per
+// row. The four rows an instruction can name are sliced to n lanes once,
+// ahead of the dispatch (an unused operand is 0, still a row), so every
+// body's lane loop runs without bounds checks.
+func runOps(insts []batchInst, ext []int32, wide []uint64, n int) {
 	row := func(r int32) []uint64 { off := int(r) * n; return wide[off : off+n : off+n] }
 	for i := range insts {
 		o := &insts[i]
@@ -726,12 +840,14 @@ func runOps(insts []batchInst, wide []uint64, n int) {
 				out[l] = (y[l] ^ sel&(x[l]^y[l])) & m
 			}
 		case bcMuxChain:
+			chain := o.args(ext)
 			for l := range out {
-				out[l] = muxChainRows(wide, o.ext, n, l)
+				out[l] = muxChainRows(wide, chain, n, l)
 			}
 		case bcMuxChainM:
+			chain := o.args(ext)
 			for l := range out {
-				out[l] = muxChainRows(wide, o.ext, n, l) & m
+				out[l] = muxChainRows(wide, chain, n, l) & m
 			}
 		default: // bcGeneric: by value; an absent operand reads as operand 0
 			if o.n < 2 {
@@ -763,14 +879,14 @@ func runCrossings(insts []batchInst, wide []uint64, pk [][blockWords]uint64, n i
 
 // muxChainRows walks a priority-mux chain's wide rows for one lane:
 // (sel0, val0, sel1, val1, …, default).
-func muxChainRows(wide []uint64, ext []int32, n, lane int) uint64 {
-	k := len(ext)
+func muxChainRows(wide []uint64, chain []int32, n, lane int) uint64 {
+	k := len(chain)
 	for i := 0; i+1 < k; i += 2 {
-		if wide[int(ext[i])*n+lane] != 0 {
-			return wide[int(ext[i+1])*n+lane]
+		if wide[int(chain[i])*n+lane] != 0 {
+			return wide[int(chain[i+1])*n+lane]
 		}
 	}
-	return wide[int(ext[k-1])*n+lane]
+	return wide[int(chain[k-1])*n+lane]
 }
 
 // runCommits performs one lane block's end-of-cycle register update: the

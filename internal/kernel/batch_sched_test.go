@@ -2,9 +2,12 @@ package kernel
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rteaal/internal/dfg"
+	"rteaal/internal/gen"
+	"rteaal/internal/oim"
 )
 
 // batchTrace steps a batch under per-lane seeded stimulus, collecting every
@@ -244,4 +247,122 @@ func TestBatchWorkerClampAndClose(t *testing.T) {
 		t.Fatalf("sequential batch reports %d workers", seq.Workers())
 	}
 	seq.Close() // no-op on sequential batches
+}
+
+// TestBatchRowReuse: a packing schedule recycles rows by liveness, and no
+// live value is ever overwritten. Each design's packing schedule is compiled
+// twice, in slot space and in row space, and one settle of the row-space
+// instructions is walked while tracking which slot's value each row of each
+// store holds. Before the settle, a row holds what the host or Reset put
+// there: the home row of every input, constant and register Q, and every
+// other row of a constant (Reset loads them all). Then every instruction must
+// name rows in range, write no row it reads, and find in each operand row the
+// slot its slot-space twin names; and the rows read between settles — those
+// initial rows, and the home rows of outputs and Nexts once written — must
+// hold their slot after every write and at the end of the settle.
+func TestBatchRowReuse(t *testing.T) {
+	for _, d := range []struct {
+		name string
+		ten  *oim.Tensor
+	}{
+		{"c16", genTensor(t, gen.Spec{Family: gen.Ctrl, Cores: 16})},
+		{"c2048", genTensor(t, gen.Spec{Family: gen.Ctrl, Cores: 2048})},
+		{"r1/8", genTensor(t, gen.Spec{Family: gen.Rocket, Cores: 1, Scale: 8})},
+		{"commit moves", buildTensor(t, dfg.CommitMovesGraph())},
+		{"crossing", buildTensor(t, packedCrossingGraph())},
+	} {
+		ten := d.ten
+		slots, _ := slotSchedule(ten, true)
+		rows := buildBatchSchedule(ten, true)
+		if rows.packedRow == nil || len(rows.insts) != len(slots.insts) {
+			t.Fatalf("%s: packed %v, %d row-space against %d slot-space instructions", d.name, rows.packedRow != nil, len(rows.insts), len(slots.insts))
+		}
+		// owner[p][row] is the slot whose value the row of the store holds
+		// (p: the packed store), -1 for none; kept marks the rows read
+		// between settles.
+		var owner, kept [2][]int32
+		for p, n := range [2]int{rows.wideRows, rows.packedRows} {
+			owner[p], kept[p] = make([]int32, n), make([]int32, n)
+			for r := range n {
+				owner[p][r], kept[p][r] = -1, -1
+			}
+		}
+		hold := func(slot, row int32, packed bool) {
+			p := b2u(packed)
+			owner[p][row], kept[p][row] = slot, slot
+		}
+		for _, slot := range ten.InputSlots {
+			row, packed := rows.home(slot)
+			hold(slot, row, packed)
+		}
+		for _, r := range ten.RegSlots {
+			row, packed := rows.home(r.Q)
+			hold(r.Q, row, packed)
+		}
+		for _, c := range ten.ConstSlots {
+			if row := rows.wideRow[c.Slot]; row >= 0 {
+				hold(c.Slot, row, false)
+			}
+			if row := rows.packedRow[c.Slot]; row >= 0 {
+				hold(c.Slot, row, true)
+			}
+		}
+		wroteWide := map[int32]bool{}
+		inPlace := 0 // reads of a packed slot's wide view that no instruction wrote
+		readLater := map[int32]bool{}
+		for _, slot := range ten.OutputSlots {
+			readLater[slot] = true
+		}
+		for _, r := range ten.RegSlots {
+			readLater[r.Next] = true
+		}
+		for i := range rows.insts {
+			in, twin := &rows.insts[i], &slots.insts[i]
+			outP, argsP := in.code.packedSides()
+			o, a := b2u(outP), b2u(argsP)
+			rowArgs, slotArgs := in.args(rows.ext), twin.args(slots.ext)
+			if in.code != twin.code || len(rowArgs) != len(slotArgs) {
+				t.Fatalf("%s: instruction %d is code %d with %d operands in row space, %d with %d in slot space", d.name, i, in.code, len(rowArgs), twin.code, len(slotArgs))
+			}
+			inRange := func(row int32, p uint64) bool { return row >= 0 && int(row) < len(owner[p]) }
+			if !inRange(in.out, o) || slices.ContainsFunc(rowArgs, func(row int32) bool { return !inRange(row, a) }) {
+				t.Fatalf("%s: instruction %d names rows %d <- %v; the stores hold %d wide and %d packed rows", d.name, i, in.out, rowArgs, rows.wideRows, rows.packedRows)
+			}
+			for j, row := range rowArgs {
+				if got := owner[a][row]; got != slotArgs[j] {
+					t.Fatalf("%s: instruction %d (code %d) reads slot %d from row %d (packed %v), which holds slot %d", d.name, i, in.code, slotArgs[j], row, argsP, got)
+				}
+				if !argsP && rows.packedRow[slotArgs[j]] >= 0 && !wroteWide[slotArgs[j]] {
+					inPlace++
+				}
+				if o == a && row == in.out {
+					t.Fatalf("%s: instruction %d (code %d) writes row %d (packed %v), its own operand", d.name, i, in.code, row, outP)
+				}
+			}
+			if k := kept[o][in.out]; k >= 0 && k != twin.out {
+				t.Fatalf("%s: instruction %d writes slot %d over slot %d, read between settles, in row %d (packed %v)", d.name, i, twin.out, k, in.out, outP)
+			}
+			owner[o][in.out] = twin.out
+			wroteWide[twin.out] = wroteWide[twin.out] || !outP
+			if row, packed := rows.home(twin.out); readLater[twin.out] && row == in.out && packed == outP {
+				kept[o][in.out] = twin.out
+			}
+		}
+		for p := range kept {
+			for row, slot := range kept[p] {
+				if slot >= 0 && owner[p][row] != slot {
+					t.Fatalf("%s: row %d (packed %v) ends the settle holding slot %d, not slot %d", d.name, row, p == 1, owner[p][row], slot)
+				}
+			}
+		}
+		for slot := range readLater {
+			if row, packed := rows.home(slot); owner[b2u(packed)][row] != slot {
+				t.Fatalf("%s: slot %d, read after the settle, is not in its home row %d (packed %v)", d.name, slot, row, packed)
+			}
+		}
+		if d.name == "crossing" && inPlace == 0 {
+			t.Errorf("%s: no wide body reads a packed constant in place: the rows read before written go unchecked", d.name)
+		}
+		t.Logf("%s: %d slots in %d wide and %d packed rows", d.name, ten.NumSlots, rows.wideRows, rows.packedRows)
+	}
 }

@@ -108,9 +108,13 @@ type Engine interface {
 	// PeekOutput reads the idx-th primary output as sampled at the most
 	// recent Settle.
 	PeekOutput(idx int) uint64
-	// PeekSlot reads any LI coordinate (for waveforms and host-DUT I/O).
+	// PeekSlot reads an input, output, register Q or constant between
+	// cycles (for waveforms and host-DUT I/O). Any other LI coordinate is
+	// an internal value of the settle, which no engine is bound to keep: a
+	// packing [Batch] recycles its row.
 	PeekSlot(slot int32) uint64
-	// PokeSlot writes any LI coordinate (host-DUT communication, §6.2).
+	// PokeSlot writes an input or register Q between cycles (host-DUT
+	// communication, §6.2).
 	PokeSlot(slot int32, v uint64)
 	// RegSnapshot copies the committed register values.
 	RegSnapshot() []uint64

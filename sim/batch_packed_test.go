@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rteaal/internal/dfg"
+	"rteaal/internal/gen"
 	"rteaal/internal/wire"
 	"rteaal/sim"
 )
@@ -163,5 +164,60 @@ func TestTestbenchPortLanePackedPoke(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPackedBatchPeeksEverySignal: a packing batch recycles the rows of a
+// settle's internal values, but every signal a testbench can bind — each
+// input, output and register the design's SignalMap resolves — reads the
+// same on it as on a WithBatchPacking(false) batch, in every lane, after a
+// run under random stimulus.
+func TestPackedBatchPeeksEverySignal(t *testing.T) {
+	const lanes, cycles = 70, 64
+	for _, spec := range []gen.Spec{{Family: gen.Ctrl, Cores: 16}, {Family: gen.Rocket, Cores: 1, Scale: 8}} {
+		var tbs [2]*sim.Testbench
+		for i, packing := range []bool{true, false} {
+			g, err := gen.Generate(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := sim.CompileGraph(g, sim.WithBatchWorkers(2), sim.WithBatchPacking(packing))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := d.NewBatch(lanes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			if b.Packed() != packing || b.Workers() != 2 {
+				t.Fatalf("%+v: packed %v on %d workers, want %v on 2", spec, b.Packed(), b.Workers(), packing)
+			}
+			tbs[i] = b.Testbench()
+			tbs[i].Drive(sim.RandomStimulus(1))
+			if err := tbs[i].Run(cycles); err != nil {
+				t.Fatal(err)
+			}
+		}
+		names := tbs[0].Signals()
+		if len(names) == 0 {
+			t.Fatalf("%+v: no signals", spec)
+		}
+		for _, name := range names {
+			for lane := 0; lane < lanes; lane++ {
+				packed, err := tbs[0].PortLane(name, lane)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wide, err := tbs[1].PortLane(name, lane)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := packed.Peek(), wide.Peek(); got != want {
+					t.Fatalf("%+v: %s %s lane %d peeks %d on the packing batch, %d on the wide one", spec, packed.Kind(), name, lane, got, want)
+				}
+			}
+		}
+		t.Logf("%+v: %d signals x %d lanes agree", spec, len(names), lanes)
 	}
 }
