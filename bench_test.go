@@ -1,19 +1,17 @@
-// Repository-level benchmarks: one per paper table and figure (regenerating
-// the experiment through the model pipeline), real-throughput benchmarks of
-// every kernel engine and both baselines, and the ablation benches DESIGN.md
-// calls out (format compression, identity elision, mux-chain fusion, RepCut
-// thread scaling).
+// Repository-level go test benchmarks: real per-cycle throughput of every
+// kernel engine and both baselines, and the ablations the paper discusses
+// (identity elision, mux-chain fusion, RepCut thread scaling). The paper's
+// tables and figures are not regenerated here; README's "Paper scorecard"
+// names the canonical benchmark's metric that answers each of them.
 //
-// Run everything with: go test -bench=. -benchmem
+// Run everything with: go test -run '^$' -bench=. -benchmem
 package main
 
 import (
-	"io"
 	"math/rand"
 	"testing"
 
 	"rteaal/internal/baseline"
-	"rteaal/internal/bench"
 	"rteaal/internal/dfg"
 	"rteaal/internal/gen"
 	"rteaal/internal/kernel"
@@ -21,54 +19,36 @@ import (
 	"rteaal/internal/repcut"
 )
 
-// benchCfg trades fidelity for time; cmd/rteaal-bench defaults to scale 8.
-var benchCfg = bench.Config{Scale: 16}
+// benchScale divides the synthesised design sizes to keep each benchmark
+// short.
+const benchScale = 16
 
-func runExp(b *testing.B, f func(w io.Writer, c bench.Config) error) {
+// buildDesign runs the generator and the compile pipeline up to the OIM
+// tensor, returning the optimised graph the baselines take beside it.
+func buildDesign(b *testing.B, spec gen.Spec, o dfg.OptOptions) (*dfg.Graph, *oim.Tensor) {
 	b.Helper()
-	for i := 0; i < b.N; i++ {
-		if err := f(io.Discard, benchCfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if err := bench.Table1(io.Discard, benchCfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.Table3(io.Discard, benchCfg)
-	}
-}
-
-func BenchmarkFigure7(b *testing.B)  { runExp(b, bench.Figure7) }
-func BenchmarkFigure8(b *testing.B)  { runExp(b, bench.Figure8) }
-func BenchmarkTable4(b *testing.B)   { runExp(b, bench.Table4) }
-func BenchmarkTable5(b *testing.B)   { runExp(b, bench.Table5) }
-func BenchmarkTable6(b *testing.B)   { runExp(b, bench.Table6) }
-func BenchmarkFigure15(b *testing.B) { runExp(b, bench.Figure15) }
-func BenchmarkFigure16(b *testing.B) { runExp(b, bench.Figure16) }
-func BenchmarkFigure17(b *testing.B) { runExp(b, bench.Figure17) }
-func BenchmarkFigure18(b *testing.B) { runExp(b, bench.Figure18) }
-func BenchmarkFigure19(b *testing.B) { runExp(b, bench.Figure19) }
-func BenchmarkFigure20(b *testing.B) { runExp(b, bench.Figure20) }
-func BenchmarkFigure21(b *testing.B) { runExp(b, bench.Figure21) }
-func BenchmarkTable7(b *testing.B)   { runExp(b, bench.Table7) }
-
-// benchDesign builds the shared benchmark circuit once.
-func benchDesign(b *testing.B) (*dfg.Graph, *oim.Tensor) {
-	b.Helper()
-	g, t, err := bench.Build(gen.Spec{Family: gen.Rocket, Cores: 1, Scale: benchCfg.Scale})
+	g, err := gen.Generate(spec)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return g, t
+	opt, err := dfg.Optimize(g, o)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lv, err := dfg.Levelize(opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	t, err := oim.Build(lv)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return opt, t
+}
+
+// benchDesign is the shared benchmark circuit, rocket-1 at benchScale.
+func benchDesign(b *testing.B) (*dfg.Graph, *oim.Tensor) {
+	return buildDesign(b, gen.Spec{Family: gen.Rocket, Cores: 1, Scale: benchScale}, dfg.DefaultOptOptions())
 }
 
 // benchKernelCycle measures the real Go per-cycle simulation throughput of
@@ -117,36 +97,11 @@ func benchBaselineCycle(b *testing.B, style baseline.Style) {
 func BenchmarkBaselineVerilatorStyle(b *testing.B) { benchBaselineCycle(b, baseline.Verilator) }
 func BenchmarkBaselineEssentStyle(b *testing.B)    { benchBaselineCycle(b, baseline.Essent) }
 
-// Ablation: Figure 12a's unoptimized format vs the optimized format, on the
-// kernels whose loops consult the payload arrays.
-func BenchmarkAblationFormatOptimized(b *testing.B) {
-	benchKernelCycle(b, kernel.Config{Kind: kernel.RU})
-}
-
-func BenchmarkAblationFormatUnoptimized(b *testing.B) {
-	benchKernelCycle(b, kernel.Config{Kind: kernel.RU, UnoptimizedFormat: true})
-}
-
 // Ablation: mux-chain operator fusion on/off (cascade-level optimisation).
 func benchFusion(b *testing.B, fuse bool) {
-	g, err := gen.Generate(gen.Spec{Family: gen.Boom, Cores: 1, Scale: benchCfg.Scale})
-	if err != nil {
-		b.Fatal(err)
-	}
 	o := dfg.DefaultOptOptions()
 	o.MuxChainFuse = fuse
-	opt, err := dfg.Optimize(g, o)
-	if err != nil {
-		b.Fatal(err)
-	}
-	lv, err := dfg.Levelize(opt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	t, err := oim.Build(lv)
-	if err != nil {
-		b.Fatal(err)
-	}
+	_, t := buildDesign(b, gen.Spec{Family: gen.Boom, Cores: 1, Scale: benchScale}, o)
 	e, err := kernel.New(t, kernel.Config{Kind: kernel.PSU})
 	if err != nil {
 		b.Fatal(err)

@@ -1,4 +1,4 @@
-// Smoke tests of the five cmd/ binaries: each is built once and run through
+// Smoke tests of the four cmd/ binaries: each is built once and run through
 // one cheap invocation, so a flag, an exit code or a printed artefact that
 // changes is seen by tier-1 rather than by whoever types the command next.
 package main
@@ -16,20 +16,12 @@ import (
 
 func TestCmdBinariesSmoke(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and runs the five cmd/ binaries")
+		t.Skip("builds and runs the four cmd/ binaries")
 	}
 	bin := t.TempDir()
 	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/...").CombinedOutput(); err != nil {
 		t.Fatalf("go build ./cmd/...: %v\n%s", err, out)
 	}
-	// rteaal-bench's model is deterministic, so its whole output is pinned.
-	// The golden file was generated at f4ede73, before the -json recorder
-	// was removed from internal/bench.
-	golden, err := os.ReadFile("cmd/rteaal-bench/testdata/all_scale32.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	cases := []struct {
 		name       string // subtest name; its first word is the binary
 		args       []string
@@ -46,10 +38,6 @@ func TestCmdBinariesSmoke(t *testing.T) {
 		// flag's -h exit code is 0 on current toolchains and was 2 before.
 		{name: "rteaal-serve", args: []string{"-h"}, exit: []int{0, 2},
 			wantOutput: []string{"Usage of ", "-addr string"}},
-		{name: "rteaal-bench all", args: []string{"-scale", "32", "all"}, exit: []int{0},
-			stdout: string(golden)},
-		{name: "rteaal-bench removed-subcommand", args: []string{"throughput"}, exit: []int{1},
-			wantOutput: []string{`unknown experiment "throughput"`}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -14,9 +14,10 @@ import (
 	"slices"
 	"time"
 
-	"rteaal/internal/bench"
+	"rteaal/internal/dfg"
 	"rteaal/internal/gen"
 	"rteaal/internal/kernel"
+	"rteaal/internal/oim"
 	"rteaal/internal/partition"
 	"rteaal/internal/repcut"
 )
@@ -24,7 +25,19 @@ import (
 const cycles = 200
 
 func main() {
-	_, t, err := bench.Build(gen.Spec{Family: gen.Rocket, Cores: 1, Scale: 16})
+	g, err := gen.Generate(gen.Spec{Family: gen.Rocket, Cores: 1, Scale: 16})
+	if err != nil {
+		log.Fatal(err)
+	}
+	opt, err := dfg.Optimize(g, dfg.DefaultOptOptions())
+	if err != nil {
+		log.Fatal(err)
+	}
+	lv, err := dfg.Levelize(opt)
+	if err != nil {
+		log.Fatal(err)
+	}
+	t, err := oim.Build(lv)
 	if err != nil {
 		log.Fatal(err)
 	}

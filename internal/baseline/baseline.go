@@ -12,8 +12,7 @@
 //     the cost of code volume proportional to the design (§3).
 //
 // Both are cycle-accurate and are property-tested against the dataflow-graph
-// oracle; internal/codegen lowers the same two shapes onto the abstract ISA
-// for the compile-cost and performance models.
+// oracle.
 package baseline
 
 import (
@@ -212,28 +211,6 @@ func (s *Simulator) RegSnapshot() []uint64 {
 		out[i] = s.vals[r.Node]
 	}
 	return out
-}
-
-// Stats summarises the generated code shape, consumed by the codegen model.
-type Stats struct {
-	Style    Style
-	Ops      int
-	Clusters int
-}
-
-// CodeStats reports the simulator's code shape.
-func (s *Simulator) CodeStats() Stats {
-	st := Stats{Style: s.style}
-	if s.style == Essent {
-		st.Ops = len(s.tape)
-		st.Clusters = 1
-	} else {
-		for _, c := range s.clusters {
-			st.Ops += len(c)
-		}
-		st.Clusters = len(s.clusters)
-	}
-	return st
 }
 
 var _ fmt.Stringer = Style(0)

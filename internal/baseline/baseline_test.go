@@ -53,29 +53,6 @@ func TestBaselinesMatchOracle(t *testing.T) {
 	}
 }
 
-func TestCodeStats(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	g := dfg.RandomGraph(rng, dfg.RandomParams{Inputs: 4, Regs: 4, Ops: 200, Consts: 4, MaxWidth: 8, MuxBias: 0.2})
-	v, err := New(g, Verilator)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := New(g, Essent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vs, es := v.CodeStats(), e.CodeStats()
-	if vs.Ops != es.Ops {
-		t.Fatalf("op counts diverge: %d vs %d", vs.Ops, es.Ops)
-	}
-	if es.Clusters != 1 {
-		t.Fatalf("essent clusters = %d", es.Clusters)
-	}
-	if vs.Clusters < vs.Ops/ModuleClusterSize {
-		t.Fatalf("verilator clusters = %d for %d ops", vs.Clusters, vs.Ops)
-	}
-}
-
 func TestResetRestoresInit(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := dfg.RandomGraph(rng, dfg.DefaultRandomParams())

@@ -86,30 +86,6 @@ func (s Spec) Name() string {
 	}
 }
 
-// SimCycles returns the workload length of Table 3 for this design
-// (dhrystone for the SoCs, matrix_add for Gemmini, sha3-rocc for SHA3).
-func (s Spec) SimCycles() int64 {
-	switch s.Family {
-	case Rocket:
-		return 540_000
-	case Boom:
-		return 750_000
-	case Gemmini:
-		switch {
-		case s.Cores >= 32:
-			return 1_100_000
-		case s.Cores >= 16:
-			return 350_000
-		default:
-			return 160_000
-		}
-	case Ctrl:
-		return 500_000 // not a Table 3 workload; see the Ctrl family doc
-	default:
-		return 1_200_000
-	}
-}
-
 func (s Spec) norm() Spec {
 	if s.Cores < 1 {
 		s.Cores = 1

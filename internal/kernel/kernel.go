@@ -78,13 +78,9 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("kernel: unknown kind %q (want RU|OU|NU|PSU|IU|SU|TI)", s)
 }
 
-// Config selects the kernel and format options.
+// Config selects the kernel.
 type Config struct {
 	Kind Kind
-	// UnoptimizedFormat keeps the redundant payload arrays of Figure 12a
-	// (only meaningful for RU/OU, whose loops consult them); used by the
-	// format-compression ablation.
-	UnoptimizedFormat bool
 }
 
 // Engine is a cycle-accurate simulator for one design.

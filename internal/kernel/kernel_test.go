@@ -61,12 +61,9 @@ func oracleTrace(t *testing.T, g *dfg.Graph, seed int64, cycles int) []uint64 {
 	return trace
 }
 
-// allConfigs lists every engine configuration under test.
+// allConfigs lists every engine configuration under test: one per kind.
 func allConfigs() []Config {
-	cfgs := []Config{
-		{Kind: RU, UnoptimizedFormat: true},
-		{Kind: OU, UnoptimizedFormat: true},
-	}
+	var cfgs []Config
 	for _, k := range Kinds() {
 		cfgs = append(cfgs, Config{Kind: k})
 	}
@@ -74,10 +71,10 @@ func allConfigs() []Config {
 }
 
 // TestAllKernelsMatchOracle is the central equivalence property of the
-// repository: every kernel configuration (all seven unrolling levels plus
-// the unoptimized-format ablations) must reproduce the dataflow-graph
-// oracle bit for bit on random optimised circuits, including fused mux
-// chains with arity beyond the inline operand limit.
+// repository: every kernel configuration (all seven unrolling levels) must
+// reproduce the dataflow-graph oracle bit for bit on random optimised
+// circuits, including fused mux chains with arity beyond the inline operand
+// limit.
 func TestAllKernelsMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	params := dfg.DefaultRandomParams()
@@ -103,8 +100,8 @@ func TestAllKernelsMatchOracle(t *testing.T) {
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("trial %d kernel %s (unopt=%v): trace[%d] = %d, oracle %d",
-						trial, e.Name(), cfg.UnoptimizedFormat, i, got[i], want[i])
+					t.Fatalf("trial %d kernel %s: trace[%d] = %d, oracle %d",
+						trial, e.Name(), i, got[i], want[i])
 				}
 			}
 		}

@@ -90,7 +90,7 @@ func checkOneOpDesign(t *testing.T, op wire.Op, arity, w, opw, copies int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		name := fmt.Sprintf("%s(unopt=%v)", e.Name(), cfg.UnoptimizedFormat)
+		name := e.Name()
 		for i, tu := range tuples {
 			for o, v := range tu {
 				e.PokeInput(o, v)

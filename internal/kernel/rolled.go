@@ -3,13 +3,12 @@ package kernel
 import "rteaal/internal/wire"
 
 // settleRU is the mostly rolled kernel of Algorithm 3: loop order
-// [I, S, N, O, R] over the optimized (or, for the format ablation, the
-// unoptimized) array lowering, unrolling only the one-hot R rank. It is
-// Cascade 1 as the paper writes it, and the repository's only evaluator of
-// it: per operand, OI = LI . OIM :: map <-(->) is the li[rc] load, and
-// LO = OI :: map op_u[n] reduce op_r[n] is MapStep then ReduceStep; the
-// gathering ops take LO_sel's populate op_s[n] (PopulateGather); the layer
-// ends with the LO → LI write-back einsums.
+// [I, S, N, O, R] over the optimized array lowering, unrolling only the
+// one-hot R rank. It is Cascade 1 as the paper writes it, and the
+// repository's only evaluator of it: per operand, OI = LI . OIM :: map
+// <-(->) is the li[rc] load, and LO = OI :: map op_u[n] reduce op_r[n] is
+// MapStep then ReduceStep; the gathering ops take LO_sel's populate op_s[n]
+// (PopulateGather); the layer ends with the LO → LI write-back einsums.
 func (e *engine) settleRU() {
 	a := e.a
 	t := e.t
@@ -24,12 +23,6 @@ func (e *engine) settleRU() {
 			sig := t.OpTable[n]
 			op := sig.Op
 			arity := int(sig.Arity)
-			if !a.Optimized {
-				// The unoptimized format re-reads the redundant payload
-				// arrays the optimized format elides (Figure 12a).
-				arity = int(a.NPayload[k])
-				_ = a.SPayload[k]
-			}
 			mask := t.Masks[a.SCoord[k]]
 			if arity <= len(selInputs) {
 				sel = selInputs[:0]
@@ -39,10 +32,6 @@ func (e *engine) settleRU() {
 			var reduceTmp uint64
 			for o := 0; o < arity; o++ { // Rank O
 				rc := a.RCoord[r] // Rank R (one-hot next(), unrolled)
-				if !a.Optimized {
-					_ = a.OPayload[r]
-					_ = a.RPayload[r]
-				}
 				r++
 				operand := e.li[rc]
 				sel = append(sel, operand)

@@ -7,10 +7,9 @@ import (
 
 // Arrays is the concrete coordinate/payload-array lowering of the OIM for
 // the [I, S, N, O, R] rank order (Figure 13b), derived from the tensor for
-// the RU and OU kernels and the codegen model. The optimized variant
-// (Figure 12b) elides the payload arrays whose content is implied by
-// structure; the unoptimized variant (Figure 12a) keeps them, which the
-// format-ablation benchmarks exercise.
+// the RU and OU kernels. The optimized variant (Figure 12b) elides the
+// payload arrays whose content is implied by structure; the unoptimized
+// variant (Figure 12a) keeps them, and only the footprint test measures it.
 type Arrays struct {
 	Optimized bool
 

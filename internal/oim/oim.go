@@ -11,9 +11,9 @@
 // one type at consecutive S coordinates, and RCoord lists every operand
 // coordinate in the same order. There is no per-operation object. NU, PSU
 // and IU execute these arrays as they are; everything else reads them
-// through [Tensor.Ops]: the [Arrays] lowering of Figure 12a/b (RU, OU,
-// internal/codegen), the SU/TI tape, the batch oracle, the partition
-// planner, and the JSON of Figure 14's compiler pipeline. Cascade 1, the
+// through [Tensor.Ops]: the [Arrays] lowering of Figure 12a/b (RU, OU), the
+// SU/TI tape, the batch oracle, the partition planner, and the JSON of
+// Figure 14's compiler pipeline. Cascade 1, the
 // paper's einsum for one settle over this tensor, is executed as written by
 // the RU kernel (internal/kernel/rolled.go).
 //

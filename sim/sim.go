@@ -29,7 +29,7 @@
 // matrix. Every design keeps every register, so any session may record a
 // waveform; the paper's other ablation axes (optimisation passes, the
 // Figure 12a format, partition strategies) live where they are implemented,
-// in internal/dfg, internal/kernel and internal/repcut.
+// in internal/dfg, internal/oim and internal/repcut.
 //
 // Quickstart:
 //
