@@ -64,9 +64,8 @@ type Batch struct {
 	refNext []uint64 // StepReference's staged commit, regs*lanes, allocated on first use
 
 	// The per-worker bodies, bound once so a dispatch allocates nothing,
-	// and the run they execute: the poke plan is shared read-only by all
-	// workers until the dispatch joins (each block applies only its own
-	// lanes).
+	// and the run they execute, shared read-only by all workers until the
+	// dispatch joins (each block drives only its own lanes).
 	settleJob, runJob func(w int)
 	cycleJob          func(w, i int) bool
 	cur               RunSpec
@@ -81,7 +80,6 @@ type laneBlock struct {
 	wide  []uint64
 	pk    [][blockWords]uint64
 	outs  []uint64
-	pi    int // poke-plan cursor of a lock-step run
 }
 
 // settle runs the schedule over one block, segment by segment, and samples
@@ -111,18 +109,19 @@ func (b *Batch) settle(blk *laneBlock) {
 	}
 }
 
-// step runs one full cycle of one block: the pokes scheduled at or before
-// cycle i that fall on its lanes (from cursor pi; the advanced cursor is
-// returned), the schedule, the register commit.
-func (b *Batch) step(blk *laneBlock, i, pi int, pokes []PlannedPoke) int {
-	for ; pi < len(pokes) && pokes[pi].Cycle <= i; pi++ {
-		if l := pokes[pi].Lane - blk.lo; uint(l) < uint(blk.n) {
-			b.poke(blk, l, pokes[pi].Slot, pokes[pi].Value)
+// step runs run cycle i of one block: the stimulus on its lanes' inputs,
+// the schedule, the register commit.
+func (b *Batch) step(blk *laneBlock, i int) {
+	if stim := b.cur.Stim; stim != nil {
+		cycle := b.cur.From + int64(i)
+		for in, slot := range b.t.InputSlots {
+			for l := 0; l < blk.n; l++ {
+				b.poke(blk, l, slot, stim.Value(cycle, blk.lo+l, in))
+			}
 		}
 	}
 	b.settle(blk)
 	runCommits(b.sched.commits, blk.wide, blk.pk, blk.n)
-	return pi
 }
 
 // poke writes lane l of the block at the slot's home row, masked to the
@@ -165,22 +164,16 @@ func (b *Batch) settleShard(w int) {
 }
 
 func (b *Batch) runShard(w int) {
-	k, pokes := b.cur.Cycles, b.cur.Pokes
 	for bi := b.own[w]; bi < b.own[w+1]; bi++ {
-		blk, pi := &b.blocks[bi], 0
-		for i := 0; i < k; i++ {
-			pi = b.step(blk, i, pi, pokes)
+		for i := 0; i < b.cur.Cycles; i++ {
+			b.step(&b.blocks[bi], i)
 		}
 	}
 }
 
 func (b *Batch) cycleShard(w, i int) bool {
 	for bi := b.own[w]; bi < b.own[w+1]; bi++ {
-		blk := &b.blocks[bi]
-		if i == 0 {
-			blk.pi = 0
-		}
-		blk.pi = b.step(blk, i, blk.pi, b.cur.Pokes)
+		b.step(&b.blocks[bi], i)
 	}
 	watch := b.cur.Watch
 	if bi := int(b.blockOf[watch.Lane]); bi < b.own[w] || bi >= b.own[w+1] {
@@ -370,7 +363,7 @@ func (b *Batch) Step() { b.Run(1) }
 func (b *Batch) Run(k int) { b.RunBulk(RunSpec{Cycles: k}) }
 
 // RunBulk advances up to spec.Cycles cycles inside the workers' resident
-// run loops, applying the scheduled pokes at their cycles and stopping
+// run loops, driving the stimulus at the top of every cycle and stopping
 // early when the watch accepts (see [RunSpec]). It returns the completed
 // cycle count and whether the watch stopped the run. A watched run executes
 // in lock-step — one barrier per cycle, so every lane stops at the same
@@ -383,14 +376,13 @@ func (b *Batch) RunBulk(spec RunSpec) (ran int, stopped bool) {
 	if k <= 0 {
 		return 0, false
 	}
-	spec.Pokes = SortedPokes(spec.Pokes)
 	b.cur = spec
 	if spec.Watch == nil {
 		b.ws.Do(b.runJob)
 	} else {
 		ran, stopped = b.ws.Lockstep(k, b.cycleJob, nil)
 	}
-	b.cur = RunSpec{} // the batch retains no per-run buffer
+	b.cur = RunSpec{} // the batch keeps no reference to a finished run
 	if stopped {
 		return ran, true
 	}

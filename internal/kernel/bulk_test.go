@@ -6,12 +6,13 @@ import (
 
 	"rteaal/internal/dfg"
 	"rteaal/internal/oim"
+	"rteaal/internal/testbench"
 	"rteaal/internal/wire"
 )
 
 // bulkCounterTensor builds a small deterministic accumulator design —
 // count' = count + step — whose trajectory under known pokes is easy to
-// predict, for the watch and poke-plan tests.
+// predict, for the watch and stimulus tests.
 func bulkCounterTensor(t *testing.T) *oim.Tensor {
 	t.Helper()
 	g := &dfg.Graph{Name: "bulkcounter"}
@@ -23,17 +24,18 @@ func bulkCounterTensor(t *testing.T) *oim.Tensor {
 }
 
 // refBatchBulk is the per-cycle reference semantics of [Batch.RunBulk],
-// written directly against the poke/step/peek surface: apply the cycle's
-// pokes, step, evaluate the watch against the same coordinates the run
-// loops read. Every resident run path must be bit-identical to it.
+// written directly against the poke/step/peek surface: poke the cycle's
+// stimulus into every lane, step, evaluate the watch against the same
+// coordinates the run loops read. Every resident run path must be
+// bit-identical to it.
 func refBatchBulk(b *Batch, spec RunSpec) (ran int, stopped bool) {
-	pokes := SortedPokes(spec.Pokes)
-	pi := 0
 	for i := 0; i < spec.Cycles; i++ {
-		for pi < len(pokes) && pokes[pi].Cycle <= i {
-			p := pokes[pi]
-			b.PokeSlot(p.Lane, p.Slot, p.Value)
-			pi++
+		if spec.Stim != nil {
+			for lane := 0; lane < b.Lanes(); lane++ {
+				for in := range b.Tensor().InputSlots {
+					b.PokeInput(lane, in, spec.Stim.Value(spec.From+int64(i), lane, in))
+				}
+			}
 		}
 		b.Step()
 		ran++
@@ -123,52 +125,52 @@ func TestBatchRunMatchesStep(t *testing.T) {
 	}
 }
 
-// TestBatchRunBulkPokePlan checks that a scheduled poke plan executed
-// inside one resident run is bit-identical to poking by hand between
-// single steps, for every schedule/worker shape, including out-of-order
-// plans (sorted by the dispatcher) and multiple lanes poked at one cycle.
-func TestBatchRunBulkPokePlan(t *testing.T) {
+// TestBatchRunBulkStimulus checks that a lane- and cycle-dependent
+// stimulus driven inside one resident run, from a non-zero From, is
+// bit-identical to poking the same values by hand between single steps, for
+// every schedule/worker shape, unwatched (each block runs all its cycles
+// alone) and watched (lock-step), with the lanes spanning more than one
+// block per worker so every block's lane offset is exercised.
+func TestBatchRunBulkStimulus(t *testing.T) {
 	ten := bulkCounterTensor(t)
-	stepSlot := ten.InputSlots[0]
-	const lanes, cycles = 5, 12
-	plan := []PlannedPoke{
-		{Cycle: 7, Lane: 4, Slot: stepSlot, Value: 9}, // out of order: dispatcher sorts
-		{Cycle: 0, Lane: 0, Slot: stepSlot, Value: 1},
-		{Cycle: 0, Lane: 2, Slot: stepSlot, Value: 3},
-		{Cycle: 3, Lane: 0, Slot: stepSlot, Value: 5},
-		{Cycle: 3, Lane: 2, Slot: stepSlot, Value: 0},
-		{Cycle: 11, Lane: 1, Slot: stepSlot, Value: 200},
-	}
-	for _, packing := range []bool{false, true} {
-		prog, err := NewProgram(ten, Config{Kind: PSU})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 2, 3} {
-			b, err := prog.InstantiateBatchWith(lanes, BatchOptions{Workers: workers, Packing: packing})
+	const cycles, from = 12, 1000
+	stim := testbench.Func(func(cycle int64, lane, input int) uint64 {
+		return uint64(cycle*7) ^ uint64(lane*13+input)
+	})
+	for _, lanes := range []int{5, 600} {
+		for _, packing := range []bool{false, true} {
+			prog, err := NewProgram(ten, Config{Kind: PSU})
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := prog.InstantiateBatchWith(lanes, BatchOptions{Workers: 1, Packing: packing})
-			if err != nil {
-				t.Fatal(err)
-			}
-			spec := RunSpec{Cycles: cycles, Pokes: plan}
-			ran, stopped := b.RunBulk(spec)
-			wantRan, wantStopped := refBatchBulk(ref, spec)
-			if ran != wantRan || stopped != wantStopped {
-				t.Fatalf("packing=%v workers=%d: RunBulk = (%d,%v), reference (%d,%v)",
-					packing, workers, ran, stopped, wantRan, wantStopped)
-			}
-			got, want := batchState(b), batchState(ref)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("packing=%v workers=%d: state[%d] = %d, want %d",
-						packing, workers, i, got[i], want[i])
+			for _, workers := range []int{1, 2, 3} {
+				for _, watch := range []*Watch{nil, {Lane: lanes - 1, OutIdx: 0, Pred: func(v uint64) bool { return v > 200 }}} {
+					b, err := prog.InstantiateBatchWith(lanes, BatchOptions{Workers: workers, Packing: packing})
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref, err := prog.InstantiateBatchWith(lanes, BatchOptions{Workers: 1, Packing: packing})
+					if err != nil {
+						t.Fatal(err)
+					}
+					spec := RunSpec{Cycles: cycles, Stim: stim, From: from, Watch: watch}
+					ran, stopped := b.RunBulk(spec)
+					wantRan, wantStopped := refBatchBulk(ref, spec)
+					if ran != wantRan || stopped != wantStopped {
+						t.Fatalf("lanes=%d packing=%v workers=%d watched=%v: RunBulk = (%d,%v), reference (%d,%v)",
+							lanes, packing, workers, watch != nil, ran, stopped, wantRan, wantStopped)
+					}
+					got, want := batchState(b), batchState(ref)
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("lanes=%d packing=%v workers=%d watched=%v: state[%d] = %d, want %d",
+								lanes, packing, workers, watch != nil, i, got[i], want[i])
+						}
+					}
+					b.Close()
+					ref.Close()
 				}
 			}
-			b.Close()
-			ref.Close()
 		}
 	}
 }

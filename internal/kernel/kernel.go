@@ -19,8 +19,8 @@
 //	TI  additionally inlines the LO tensor away, writing results straight
 //	    to their LI coordinates (levelization makes that safe)
 //
-// All engines produce bit-identical traces; they differ in control
-// structure, which is what the codegen and performance model measure.
+// All engines produce bit-identical traces; they differ only in control
+// structure, which is what the benchmark's per-kind rates measure.
 //
 // The seven are one computation under seven mappings, so a copy of the op
 // semantics lives only where its loop shape is the thing measured. The spec

@@ -2,31 +2,21 @@ package kernel
 
 import (
 	"runtime"
-	"slices"
 	"sync/atomic"
+
+	"rteaal/internal/testbench"
 )
 
 // This file is the multi-cycle bulk-run vocabulary shared by every engine:
-// scheduled pokes, early-stop watches, the one per-cycle loop ([RunEngine])
-// every engine without resident workers runs, and the spin barrier the
-// [Workers] group synchronises on inside a resident k-cycle run. The point
+// the run spec with the stimulus it drives, early-stop watches, the one
+// per-cycle loop ([RunEngine]) every engine without resident workers runs,
+// and the spin barrier the [Workers] group synchronises on inside a
+// resident k-cycle run. The point
 // of the bulk primitives is amortisation — one command dispatch and one join
 // per k cycles instead of per cycle — the Manticore-style bulk-synchronous
 // argument applied to Batch and repcut.Instance, which share that group.
 // No engine cuts a run short or polls a host probe; the host decides where
 // runs end by the specs it hands over.
-
-// PlannedPoke is one scheduled LI write inside a bulk run: at the start of
-// cycle Cycle (0-based, relative to the run), before the cycle settles,
-// Value is written to Slot of Lane, masked to the slot's width. A plan
-// applied by [Batch.RunBulk] or [Engine.RunBulk] is bit-identical to
-// poking by hand between single steps. Lane is ignored by scalar engines.
-type PlannedPoke struct {
-	Cycle int
-	Lane  int
-	Slot  int32
-	Value uint64
-}
 
 // Watch is an early-stop condition evaluated after every completed cycle of
 // a bulk run: the run ends the first cycle Pred accepts the watched value.
@@ -47,15 +37,23 @@ type Watch struct {
 	Pred   func(uint64) bool
 }
 
-// RunSpec describes one bulk run: up to Cycles cycles, with Pokes applied
-// at their scheduled cycles (entries at or past Cycles are never reached)
-// and an optional early-stop Watch. An engine runs the spec it is handed in
-// one dispatch and polls nothing: where a longer run is cut — for a
-// stimulus plan or a cancellation probe — is the host's choice
-// (sim.Testbench).
+// RunSpec describes one bulk run: up to Cycles cycles, an optional
+// stimulus and an optional early-stop Watch. At the top of run cycle i,
+// before it settles, every primary input of every lane is driven with
+// Stim.Value(From+i, lane, input), masked to the input's width: From is the
+// absolute cycle the run's first cycle stands for, input indexes
+// [oim.Tensor.InputSlots], and a scalar engine is lane 0. A nil Stim drives
+// nothing, so inputs hold what was last poked. An engine runs the spec it
+// is handed in one dispatch and polls nothing: where a longer run is cut —
+// for a cancellation probe — is the host's choice (sim.Testbench).
+//
+// During a parallel run Stim.Value is called from the worker goroutines,
+// concurrently across lane shards and partitions and never after the run
+// returns, so it must be safe for concurrent use.
 type RunSpec struct {
 	Cycles int
-	Pokes  []PlannedPoke
+	Stim   testbench.Stimulus
+	From   int64
 	Watch  *Watch
 }
 
@@ -65,17 +63,6 @@ type RunSpec struct {
 // poll cost vanishes against the per-run work, fine enough that deadline
 // overshoot stays in the microsecond range for every engine.
 const CancelCheckCycles = 1024
-
-// SortedPokes returns pokes ordered by Cycle, sorting a copy only when the
-// caller's slice is out of order (plans built cycle-by-cycle already are).
-func SortedPokes(pokes []PlannedPoke) []PlannedPoke {
-	if slices.IsSortedFunc(pokes, func(a, b PlannedPoke) int { return a.Cycle - b.Cycle }) {
-		return pokes
-	}
-	pokes = slices.Clone(pokes)
-	slices.SortStableFunc(pokes, func(a, b PlannedPoke) int { return a.Cycle - b.Cycle })
-	return pokes
-}
 
 // Sample reads the watched value from a scalar engine: the sampled output
 // for OutIdx >= 0, the LI coordinate otherwise.
@@ -90,17 +77,18 @@ func (w *Watch) Sample(eng Engine) uint64 {
 func (w *Watch) Accepts(v uint64) bool { return w.Pred == nil || w.Pred(v) }
 
 // RunEngine executes a [RunSpec] against any scalar engine with a plain
-// per-cycle loop: apply the cycle's pokes, step, evaluate the watch. It is
-// the [Engine.RunBulk] of every engine without a resident run loop of its
-// own (all seven scalar kernels), and the reference semantics the resident
-// loops must match.
+// per-cycle loop: drive the cycle's stimulus, step, evaluate the watch. It
+// is the [Engine.RunBulk] of every engine without a resident run loop of
+// its own (all seven scalar kernels), and the reference semantics the
+// resident loops must match.
 func RunEngine(eng Engine, spec RunSpec) (ran int, stopped bool) {
-	pokes := SortedPokes(spec.Pokes)
-	pi := 0
+	var inSlots []int32
+	if spec.Stim != nil {
+		inSlots = eng.Tensor().InputSlots
+	}
 	for i := 0; i < spec.Cycles; i++ {
-		for pi < len(pokes) && pokes[pi].Cycle <= i {
-			eng.PokeSlot(pokes[pi].Slot, pokes[pi].Value)
-			pi++
+		for in, slot := range inSlots {
+			eng.PokeSlot(slot, spec.Stim.Value(spec.From+int64(i), 0, in))
 		}
 		eng.Step()
 		ran++

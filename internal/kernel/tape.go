@@ -80,8 +80,7 @@ func (e *engine) settleSU() {
 // every operation writes its LI coordinate directly — safe because
 // levelization guarantees no operation reads a coordinate written in its
 // own layer. This mirrors the paper's replacement of arrays with individual
-// C++ variables, giving the compiler maximum freedom; in the performance
-// model TI's LI accesses are register-allocatable.
+// C++ variables, giving the compiler maximum freedom.
 func (e *engine) settleTI() {
 	li := e.li
 	for k := range e.tape {

@@ -6,6 +6,7 @@ import (
 
 	"rteaal/internal/dfg"
 	"rteaal/internal/kernel"
+	"rteaal/internal/testbench"
 	"rteaal/internal/wire"
 )
 
@@ -78,44 +79,55 @@ func TestInstanceRunCyclesMatchesStep(t *testing.T) {
 	}
 }
 
-// TestInstanceRunBulkPokePlan runs a scheduled poke plan inside one
-// resident run and checks it against poking by hand between single steps
-// on a second instance — the plan must be routed to exactly the partitions
-// that read each slot.
-func TestInstanceRunBulkPokePlan(t *testing.T) {
-	ten := build(t, bulkCounterGraph())
-	const cycles = 10
-	slotA, slotB := ten.InputSlots[0], ten.InputSlots[1]
-	plan := []kernel.PlannedPoke{
-		{Cycle: 0, Slot: slotA, Value: 1},
-		{Cycle: 0, Slot: slotB, Value: 2},
-		{Cycle: 4, Slot: slotA, Value: 10},
-		{Cycle: 7, Slot: slotB, Value: 0},
+// TestInstanceRunBulkStimulus drives a lane- and cycle-dependent stimulus,
+// from a non-zero From, inside one resident run and checks it against
+// poking the same values by hand between single steps of the unpartitioned
+// engine: each partition must drive every input its cone reads,
+// on the two-accumulator design (every input read by one partition) and on
+// random designs (inputs shared between cones).
+func TestInstanceRunBulkStimulus(t *testing.T) {
+	const cycles, from = 10, 500
+	stim := testbench.Func(func(cycle int64, lane, input int) uint64 {
+		return uint64(cycle*5) ^ uint64(lane*11+input*3)
+	})
+	rng := rand.New(rand.NewSource(37))
+	graphs := []*dfg.Graph{bulkCounterGraph()}
+	for range 3 {
+		g, err := dfg.Optimize(dfg.RandomGraph(rng, dfg.RandomParams{
+			Inputs: 4, Regs: 9, Ops: 120, Consts: 5, MaxWidth: 16, MuxBias: 0.3}), dfg.DefaultOptOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, g)
 	}
-	for _, parts := range []int{2, 3} {
-		_, bulk := instantiate(t, ten, parts, kernel.PSU)
-		_, ref := instantiate(t, ten, parts, kernel.PSU)
-		ran, stopped := bulk.RunBulk(kernel.RunSpec{Cycles: cycles, Pokes: plan})
-		if ran != cycles || stopped {
-			t.Fatalf("parts %d: RunBulk = (%d,%v), want (%d,false)", parts, ran, stopped, cycles)
-		}
-		pi := 0
-		for i := 0; i < cycles; i++ {
-			for pi < len(plan) && plan[pi].Cycle <= i {
-				ref.PokeSlot(plan[pi].Slot, plan[pi].Value)
-				pi++
+	for gi, g := range graphs {
+		ten := build(t, g)
+		for _, parts := range []int{2, 3} {
+			_, bulk := instantiate(t, ten, parts, kernel.PSU)
+			ref, err := kernel.New(ten, kernel.Config{Kind: kernel.PSU})
+			if err != nil {
+				t.Fatal(err)
 			}
-			ref.Step()
-		}
-		br, rr := bulk.RegSnapshot(), ref.RegSnapshot()
-		for i := range rr {
-			if br[i] != rr[i] {
-				t.Fatalf("parts %d: reg[%d] = %d, want %d", parts, i, br[i], rr[i])
+			ran, stopped := bulk.RunBulk(kernel.RunSpec{Cycles: cycles, Stim: stim, From: from})
+			if ran != cycles || stopped {
+				t.Fatalf("graph %d parts %d: RunBulk = (%d,%v), want (%d,false)", gi, parts, ran, stopped, cycles)
 			}
-		}
-		for i := range ten.OutputSlots {
-			if bulk.PeekOutput(i) != ref.PeekOutput(i) {
-				t.Fatalf("parts %d: output %d diverges", parts, i)
+			for i := 0; i < cycles; i++ {
+				for in := range ten.InputSlots {
+					ref.PokeInput(in, stim.Value(from+int64(i), 0, in))
+				}
+				ref.Step()
+			}
+			br, rr := bulk.RegSnapshot(), ref.RegSnapshot()
+			for i := range rr {
+				if br[i] != rr[i] {
+					t.Fatalf("graph %d parts %d: reg[%d] = %d, want %d", gi, parts, i, br[i], rr[i])
+				}
+			}
+			for i := range ten.OutputSlots {
+				if bulk.PeekOutput(i) != ref.PeekOutput(i) {
+					t.Fatalf("graph %d parts %d: output %d diverges", gi, parts, i)
+				}
 			}
 		}
 	}

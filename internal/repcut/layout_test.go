@@ -56,7 +56,7 @@ func TestSubTensorsLowerToMultiRunGroups(t *testing.T) {
 			t.Fatal(err)
 		}
 		multi := 0
-		for i, sub := range plan.SubTensors() {
+		for i, sub := range plan.subs {
 			if err := sub.Validate(); err != nil {
 				t.Fatalf("%d-way partition %d: %v", parts, i, err)
 			}

@@ -97,7 +97,7 @@ func TestEveryStrategyYieldsAValidPlan(t *testing.T) {
 					t.Fatalf("%s: stats name %q, want %q", spec.Name(), st.Strategy, strat.Name())
 				}
 				owned := 0
-				for part, sub := range plan.SubTensors() {
+				for part, sub := range plan.subs {
 					if len(sub.RegSlots) == 0 {
 						t.Fatalf("%s %s n=%d: partition %d owns no registers",
 							spec.Name(), strat.Name(), req, part)

@@ -69,6 +69,10 @@ type Plan struct {
 	// for the coordinate: the owner for register Q/next slots, the sampling
 	// owner for output slots, and a consuming partition for inputs.
 	slotAuth []int32
+	// inputs[p] lists, ascending, the primary inputs (t.InputSlots indices)
+	// partition p is a user of: the inputs a run's stimulus drives in it.
+	// Every input has at least one user, so every input is driven somewhere.
+	inputs [][]int32
 	// userParts[userStart[slot]:userStart[slot+1]] lists, ascending, the
 	// partitions whose cones consume the coordinate (plus the owner for
 	// register coordinates): exactly the engines a host poke must reach.
@@ -287,6 +291,12 @@ func NewPlan(t *oim.Tensor, n int, strat partition.Strategy) (*Plan, error) {
 		}
 		p.userStart[slot+1] = int32(len(p.userParts))
 	}
+	p.inputs = make([][]int32, n)
+	for idx, slot := range t.InputSlots {
+		for _, part := range p.users(slot) {
+			p.inputs[part] = append(p.inputs[part], int32(idx))
+		}
+	}
 
 	// Differential RUM (Box 1): register ri propagates only to the
 	// partitions whose cones actually read its Q coordinate. Each
@@ -354,33 +364,6 @@ func (p *Plan) Stats() PlanStats {
 // Tensor returns the unpartitioned design tensor. Read-only.
 func (p *Plan) Tensor() *oim.Tensor { return p.t }
 
-// SubTensors returns the per-partition cone tensors. Read-only.
-func (p *Plan) SubTensors() []*oim.Tensor { return p.subs }
-
-// RegOwner reports the partition owning register ri (t.RegSlots order).
-func (p *Plan) RegOwner(ri int) int { return p.regOwner[ri] }
-
-// OutOwner reports the partition sampling output oi (t.OutputSlots order).
-func (p *Plan) OutOwner(oi int) int { return p.outOwner[oi] }
-
-// RegReaders reports the partitions, other than the owner, whose cones read
-// register ri — exactly the destinations the RUM exchange updates.
-func (p *Plan) RegReaders(ri int) []int {
-	return append([]int(nil), p.readers[ri]...)
-}
-
-// SlotUsers reports the partitions a host poke of the LI coordinate is
-// routed to: every partition whose cone consumes it, plus the owner for
-// register coordinates.
-func (p *Plan) SlotUsers(slot int32) []int {
-	users := p.users(slot)
-	out := make([]int, len(users))
-	for i, u := range users {
-		out[i] = int(u)
-	}
-	return out
-}
-
 // users is the routing list of one coordinate, ascending; it aliases the plan.
 func (p *Plan) users(slot int32) []int32 {
 	return p.userParts[p.userStart[slot]:p.userStart[slot+1]]
@@ -423,14 +406,12 @@ type Instance struct {
 	xbuf [2][]uint64
 
 	// The per-partition bodies, bound once so a dispatch allocates nothing,
-	// and the run they execute: each partition's share of the poke plan
-	// (consumed from the front) and the watch with the partition that
-	// evaluates it. Cleared after every run — nothing per-run is retained.
+	// and the run they execute, with the partition that evaluates its
+	// watch. Cleared after every run — nothing per-run is retained.
 	settleJob func(w int)
 	cycleJob  func(w, i int) bool
 	afterJob  func(w, last int)
-	plans     [][]kernel.PlannedPoke
-	watch     *kernel.Watch
+	cur       kernel.RunSpec
 	watchPart int
 }
 
@@ -446,7 +427,6 @@ func (p *Plan) Instantiate(progs []*kernel.Program) (*Instance, error) {
 		kind:    progs[0].Kind(),
 		engines: make([]kernel.Engine, len(progs)),
 		outs:    make([]uint64, len(p.t.OutputSlots)),
-		plans:   make([][]kernel.PlannedPoke, len(progs)),
 	}
 	for i, prog := range progs {
 		if prog.Tensor() != p.subs[i] {
@@ -470,8 +450,8 @@ func (in *Instance) Close() { in.ws.Close() }
 func (in *Instance) settlePart(w int) { in.engines[w].Settle() }
 
 // cyclePart is one cycle of partition w inside a resident run: pull the
-// foreign register values the previous cycle published, apply the
-// partition's share of the poke plan, step the engine, publish its own
+// foreign register values the previous cycle published, drive the stimulus
+// on the inputs the partition reads, step the engine, publish its own
 // committed registers, and evaluate the watch if this partition holds the
 // watched value. The group then meets the other partitions at the barrier.
 //
@@ -486,16 +466,19 @@ func (in *Instance) cyclePart(w, i int) bool {
 	if i > 0 {
 		in.pullPart(w, i-1)
 	}
-	for p := in.plans[w]; len(p) > 0 && p[0].Cycle <= i; p = in.plans[w] {
-		eng.PokeSlot(p[0].Slot, p[0].Value)
-		in.plans[w] = p[1:]
+	if stim := in.cur.Stim; stim != nil {
+		cycle := in.cur.From + int64(i)
+		for _, idx := range in.plan.inputs[w] {
+			eng.PokeInput(int(idx), stim.Value(cycle, 0, int(idx)))
+		}
 	}
 	eng.Step()
 	dst := in.xbuf[i&1]
 	for _, e := range in.plan.pubs[w] {
 		dst[e.xi] = eng.PeekSlot(e.q)
 	}
-	return in.watch != nil && w == in.watchPart && in.watch.Accepts(in.watch.Sample(eng))
+	watch := in.cur.Watch
+	return watch != nil && w == in.watchPart && watch.Accepts(watch.Sample(eng))
 }
 
 // pullPart copies the foreign registers cycle i published into partition
@@ -527,15 +510,15 @@ func (in *Instance) Name() string {
 // exactly a bulk run of one cycle.
 func (in *Instance) Step() { in.RunBulk(kernel.RunSpec{Cycles: 1}) }
 
-// RunCycles advances k cycles; it is RunBulk without pokes or a watch.
+// RunCycles advances k cycles; it is RunBulk without a stimulus or a watch.
 func (in *Instance) RunCycles(k int) { in.RunBulk(kernel.RunSpec{Cycles: k}) }
 
 // RunBulk executes a [kernel.RunSpec] across the partitions
 // ([kernel.Engine.RunBulk]): one dispatch, k resident cycles in every worker
 // with one barrier per cycle, one join. It returns the completed cycle count
 // and whether the watch stopped the run; bit-identical to stepping by hand.
-// Pokes are routed to the partitions that consume their slot ([Plan.users],
-// authoritative fallback), exactly like live [Instance.PokeSlot] calls; a
+// Each partition drives the stimulus on exactly the inputs its cone reads
+// (its share of [Plan.users]), as live [Instance.PokeInput] calls would; a
 // watch is evaluated by the single partition holding the authoritative
 // value, and the group stops every partition at the cycle it accepts. The
 // run is never cut short from inside: a host that wants to stop a long run
@@ -550,19 +533,8 @@ func (in *Instance) RunBulk(spec kernel.RunSpec) (ran int, stopped bool) {
 	if spec.Cycles <= 0 {
 		return 0, false
 	}
-	for _, p := range kernel.SortedPokes(spec.Pokes) {
-		users := in.plan.users(p.Slot)
-		if len(users) == 0 {
-			auth := in.plan.slotAuth[p.Slot]
-			in.plans[auth] = append(in.plans[auth], p)
-			continue
-		}
-		for _, part := range users {
-			in.plans[part] = append(in.plans[part], p)
-		}
-	}
+	in.cur = spec
 	if w := spec.Watch; w != nil {
-		in.watch = w
 		if w.OutIdx >= 0 {
 			in.watchPart = in.plan.outOwner[w.OutIdx]
 		} else {
@@ -570,8 +542,7 @@ func (in *Instance) RunBulk(spec kernel.RunSpec) (ran int, stopped bool) {
 		}
 	}
 	ran, stopped = in.ws.Lockstep(spec.Cycles, in.cycleJob, in.afterJob)
-	clear(in.plans)
-	in.watch = nil
+	in.cur = kernel.RunSpec{}
 	in.sample()
 	return ran, stopped
 }

@@ -227,7 +227,7 @@ func TestClampsPartitionsToRegisters(t *testing.T) {
 	if st.Requested != nRegs+5 {
 		t.Fatalf("requested = %d, want %d", st.Requested, nRegs+5)
 	}
-	for part, sub := range plan.SubTensors() {
+	for part, sub := range plan.subs {
 		if len(sub.RegSlots) == 0 {
 			t.Fatalf("partition %d owns no registers", part)
 		}
@@ -264,7 +264,7 @@ func TestDifferentialRUMReaderLists(t *testing.T) {
 		t.Fatal(err)
 	}
 	for ri := range plan.Tensor().RegSlots {
-		if rs := plan.RegReaders(ri); len(rs) != 0 {
+		if rs := plan.readers[ri]; len(rs) != 0 {
 			t.Fatalf("independent design: reg %d has readers %v, want none", ri, rs)
 		}
 	}
@@ -277,10 +277,10 @@ func TestDifferentialRUMReaderLists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := plan.RegReaders(0); !slices.Equal(got, []int{1}) {
+	if got := plan.readers[0]; !slices.Equal(got, []int{1}) {
 		t.Fatalf("readers(ra) = %v, want [1]", got)
 	}
-	if got := plan.RegReaders(1); len(got) != 0 {
+	if got := plan.readers[1]; len(got) != 0 {
 		t.Fatalf("readers(rb) = %v, want none", got)
 	}
 	if st := plan.Stats(); st.CutSize != 1 {
@@ -307,7 +307,7 @@ func TestRUMReadersMatchConeMembership(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for part, sub := range plan.SubTensors() {
+		for part, sub := range plan.subs {
 			refs := make(map[int32]bool)
 			if err := sub.Validate(); err != nil {
 				t.Fatalf("trial %d partition %d: %v", trial, part, err)
@@ -319,14 +319,14 @@ func TestRUMReadersMatchConeMembership(t *testing.T) {
 				refs[r.Next] = true
 			}
 			for oi, slot := range sub.OutputSlots {
-				if plan.OutOwner(oi) == part {
+				if plan.outOwner[oi] == part {
 					refs[slot] = true
 				}
 			}
 			for ri, r := range ten.RegSlots {
-				isReader := slices.Contains(plan.RegReaders(ri), part)
+				isReader := slices.Contains(plan.readers[ri], part)
 				reads := refs[r.Q]
-				if part == plan.RegOwner(ri) {
+				if part == plan.regOwner[ri] {
 					if isReader {
 						t.Fatalf("trial %d: owner %d listed as reader of reg %d", trial, part, ri)
 					}
@@ -384,12 +384,12 @@ func TestSlotUsersRouting(t *testing.T) {
 	plan, inst := instantiate(t, ten, 3, kernel.PSU)
 
 	for ri, r := range ten.RegSlots {
-		users := plan.SlotUsers(r.Q)
-		if !slices.Contains(users, plan.RegOwner(ri)) {
-			t.Fatalf("reg %d: owner %d not in users %v", ri, plan.RegOwner(ri), users)
+		users := plan.users(r.Q)
+		if !slices.Contains(users, int32(plan.regOwner[ri])) {
+			t.Fatalf("reg %d: owner %d not in users %v", ri, plan.regOwner[ri], users)
 		}
-		for _, reader := range plan.RegReaders(ri) {
-			if !slices.Contains(users, reader) {
+		for _, reader := range plan.readers[ri] {
+			if !slices.Contains(users, int32(reader)) {
 				t.Fatalf("reg %d: RUM reader %d not in users %v", ri, reader, users)
 			}
 		}
@@ -398,13 +398,20 @@ func TestSlotUsersRouting(t *testing.T) {
 		}
 	}
 	for i, slot := range ten.InputSlots {
-		users := plan.SlotUsers(slot)
+		users := plan.users(slot)
 		if len(users) == 0 {
 			t.Fatalf("input %d has no poke destinations", i)
 		}
-		if !slices.Contains(users, int(plan.slotAuth[slot])) {
+		if !slices.Contains(users, plan.slotAuth[slot]) {
 			t.Fatalf("input %d: authoritative partition %d not poked (users %v)",
 				i, plan.slotAuth[slot], users)
+		}
+		// A run's stimulus drives the input in exactly its users.
+		for part, inputs := range plan.inputs {
+			if slices.Contains(inputs, int32(i)) != slices.Contains(users, int32(part)) {
+				t.Fatalf("input %d: driven by partition %d = %v, users %v",
+					i, part, slices.Contains(inputs, int32(i)), users)
+			}
 		}
 	}
 

@@ -14,6 +14,10 @@ package testbench
 // one cycle. Values are pure functions of (cycle, lane, input) — never of
 // call order — so every engine shape replays exactly the same stimulus and
 // cross-engine traces stay comparable bit for bit.
+//
+// An engine calls Value itself at the top of every cycle, a parallel one
+// from its workers, concurrently across lane shards and partitions and
+// never after the run returns: Value must be safe for concurrent use.
 type Stimulus interface {
 	Value(cycle int64, lane, input int) uint64
 }

@@ -132,15 +132,15 @@ type handDriven struct {
 // TestTestbenchBulkRunMatchesStep drives the same stimulus through a
 // testbench with chunked bulk Runs and through the bare engine by hand —
 // PokeIndex of the stimulus value, then one Step, per cycle — over scalar,
-// partitioned, and batch engines: the stimulus compiled into scheduled poke
-// plans must replay bit-identically, across chunk boundaries and with a
-// port wait mixed in between.
+// partitioned, and batch engines: the stimulus the engine drives inside its
+// own run loop must replay bit-identically, across run boundaries and with a
+// port wait mixed in between. The wide batch spans several 256-lane blocks
+// per worker, so each block must drive its lanes at its own lane offset.
 func TestTestbenchBulkRunMatchesStep(t *testing.T) {
 	stim := sim.RandomStimulus(42)
-	// The last run is long enough to be compiled into several poke plans,
-	// which share one buffer.
-	runs := []int64{1, 5, 0, 9, 3, 20000}
-	bulkTrace := func(tb *sim.Testbench) []uint64 {
+	// The last run is long: the engine drives all of it in one dispatch.
+	long := []int64{1, 5, 0, 9, 3, 20000}
+	bulkTrace := func(tb *sim.Testbench, runs []int64) []uint64 {
 		t.Helper()
 		tb.Drive(stim)
 		var tr []uint64
@@ -169,7 +169,7 @@ func TestTestbenchBulkRunMatchesStep(t *testing.T) {
 		}
 		return append(tr, v, uint64(tb.Cycle()))
 	}
-	handTrace := func(h handDriven, inputs int) []uint64 {
+	handTrace := func(h handDriven, inputs int, runs []int64) []uint64 {
 		var done int64 // completed cycles, counted here rather than asked of the engine
 		cycle := func() {
 			for lane := 0; lane < h.lanes; lane++ {
@@ -209,10 +209,12 @@ func TestTestbenchBulkRunMatchesStep(t *testing.T) {
 		name  string
 		lanes int // 0: a session
 		opts  []sim.Option
+		runs  []int64
 	}{
-		{"session", 0, nil},
-		{"partitioned", 0, []sim.Option{sim.WithPartitions(2)}},
-		{"batch", 3, []sim.Option{sim.WithBatchWorkers(2)}},
+		{"session", 0, nil, long},
+		{"partitioned", 0, []sim.Option{sim.WithPartitions(2)}, long},
+		{"batch", 3, []sim.Option{sim.WithBatchWorkers(2)}, long},
+		{"wide batch", 600, []sim.Option{sim.WithBatchWorkers(2)}, []int64{1, 4, 0, 7}},
 	} {
 		d, err := sim.Compile(counterSrc, sh.opts...)
 		if err != nil {
@@ -221,7 +223,7 @@ func TestTestbenchBulkRunMatchesStep(t *testing.T) {
 		var got, want []uint64
 		if sh.lanes == 0 {
 			bulk, ref := d.NewSession(), d.NewSession()
-			got, want = bulkTrace(bulk.Testbench()), handTrace(session(ref), len(d.Inputs()))
+			got, want = bulkTrace(bulk.Testbench(), sh.runs), handTrace(session(ref), len(d.Inputs()), sh.runs)
 			bulk.Close()
 			ref.Close()
 		} else {
@@ -233,13 +235,13 @@ func TestTestbenchBulkRunMatchesStep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got = bulkTrace(bulk.Testbench())
+			got = bulkTrace(bulk.Testbench(), sh.runs)
 			want = handTrace(handDriven{
 				lanes: sh.lanes,
 				poke:  ref.PokeIndex,
 				step:  ref.Step,
 				count: func(lane int) uint64 { return ref.PeekIndex(lane, 0) },
-			}, len(d.Inputs()))
+			}, len(d.Inputs()), sh.runs)
 			bulk.Close()
 			ref.Close()
 		}

@@ -114,8 +114,8 @@ func (s *Session) Run(n int64) error {
 	return nil
 }
 
-// runBulk executes a [kernel.RunSpec] — up to Cycles cycles with scheduled
-// pokes and an optional early-stop watch — against the session's engine,
+// runBulk executes a [kernel.RunSpec] — up to Cycles cycles with an
+// optional stimulus and early-stop watch — against the session's engine,
 // advancing the cycle counter by the completed count. This is the single
 // funnel every bulk surface ([Session.Run], [Testbench]) drains into.
 func (s *Session) runBulk(spec kernel.RunSpec) (ran int, stopped bool, err error) {

@@ -14,6 +14,10 @@ import (
 // call order — so the same stimulus replays bit-identically over a scalar
 // [Session], a partitioned session, and every lane shape of a [Batch].
 // Input indices follow [Design.Inputs]; sessions are lane 0.
+//
+// The engine calls Value itself at the top of every cycle; a parallel batch
+// or a partitioned session calls it from its workers, concurrently across
+// lane shards and partitions, so Value must be safe for concurrent use.
 type Stimulus = testbench.Stimulus
 
 // RandomStimulus drives every input with seeded pseudo-random values,
@@ -26,7 +30,7 @@ func RandomStimulus(seed int64) Stimulus { return testbench.Random(seed) }
 func ConstStimulus(v uint64) Stimulus { return testbench.Const(v) }
 
 // StimulusFunc adapts a user function of (cycle, lane, input) to a
-// [Stimulus].
+// [Stimulus]; engine workers may call it concurrently.
 type StimulusFunc = testbench.Func
 
 // dut is what a [Testbench] drives: a [*Session] (one lane; the lane
@@ -45,9 +49,9 @@ type dut interface {
 // coordinates, a stimulus driver, and transaction helpers that work
 // identically over the scalar, partitioned, and multi-lane batch engines.
 // Every cycle it advances — [Testbench.Step], [Testbench.Run], [Port.Wait]
-// and the helpers built on it — is a bulk run of the bound engine with the
-// stimulus compiled into that run's poke plan; name maps are only consulted
-// when a [Port] is created.
+// and the helpers built on it — is a bulk run of the bound engine, which
+// drives the stimulus itself at the top of every cycle; name maps are only
+// consulted when a [Port] is created.
 //
 // A testbench shares the state of the session or batch it is bound to and
 // inherits its concurrency contract: not safe for concurrent use.
@@ -115,78 +119,45 @@ func (tb *Testbench) Signals() []string { return tb.d.signals.Names() }
 // Drive installs a stimulus applied to every lane's primary inputs before
 // each cycle the testbench steps. A nil stimulus clears it. The stimulus
 // re-drives every input, including inputs poked through ports — for pure
-// transaction-level driving, leave the stimulus unset.
+// transaction-level driving, leave the stimulus unset. Engine workers may
+// call it concurrently (see [Stimulus]).
 func (tb *Testbench) Drive(stim Stimulus) { tb.stim = stim }
 
 // Step advances one cycle: a one-cycle [Testbench.Run], cancel probe
 // included. Prefer Run when nothing has to happen between cycles — a Step
-// pays the engine's dispatch, and its one-cycle poke plan, every cycle.
+// pays the engine's dispatch every cycle.
 func (tb *Testbench) Step() error {
 	_, err := tb.runBulk(1, nil)
 	return err
 }
 
-// Run advances n cycles as bulk engine runs: the installed stimulus is
-// compiled into per-cycle poke plans and executed inside the engine's run
-// loop, one dispatch per chunk instead of per cycle. Bit-identical to
-// poking the stimulus by hand before each of n single steps.
+// Run advances n cycles as one bulk engine run — one per chunk while a
+// cancellation probe is installed — with the installed stimulus driven
+// inside the engine's run loop: one dispatch per run instead of per cycle.
+// Bit-identical to poking the stimulus by hand before each of n single
+// steps.
 func (tb *Testbench) Run(n int64) error {
 	_, err := tb.runBulk(n, nil)
 	return err
 }
 
-// planBudget caps how many planned pokes one bulk dispatch carries, so a
-// long stimulus-driven run compiles into bounded chunks instead of one
-// plan proportional to n × lanes × inputs.
-const planBudget = 16384
-
 // runBulk advances up to n cycles through the bound engine's bulk path and
-// is the one place a run is cut into chunks: a chunk carries at most
-// planBudget planned pokes while a stimulus is installed and at most
-// [kernel.CancelCheckCycles] cycles while a probe is, and the probe is
-// polled before each chunk. The stimulus (if any) is compiled into each
-// chunk's poke plan — the value of (cycle, lane, input) written to the
-// input's slot at its absolute cycle — and the optional watch rides into
-// the engine so predicate checks happen inside the run loop.
+// is the one place a run is cut into chunks: only while a cancellation
+// probe is installed, into chunks of at most [kernel.CancelCheckCycles]
+// cycles, polling the probe before each. Every chunk hands the engine the
+// stimulus (if any) with the absolute cycle it starts at, and the optional
+// watch, so the engine drives the inputs and checks the predicate inside
+// its own run loop.
 func (tb *Testbench) runBulk(n int64, watch *kernel.Watch) (stopped bool, err error) {
-	inSlots := tb.d.tensor.InputSlots
-	drive := tb.stim != nil && len(inSlots) > 0
 	chunk := int64(math.MaxInt)
-	if drive {
-		chunk = int64(max(planBudget/(tb.lanes*len(inSlots)), 1))
-	}
 	if tb.cancel != nil {
-		chunk = min(chunk, kernel.CancelCheckCycles)
+		chunk = kernel.CancelCheckCycles
 	}
-	// One plan buffer, sized by the first (largest) chunk, serves every
-	// chunk of the run: no engine keeps a plan past the bulk call it was
-	// handed to. It is not kept on the testbench, so an idle session does
-	// not hold planBudget entries live.
-	var pokes []kernel.PlannedPoke
 	for ran := int64(0); ran < n; {
 		if tb.cancel != nil && tb.cancel() {
 			return false, ErrRunCanceled
 		}
-		k := int(min(n-ran, chunk))
-		spec := kernel.RunSpec{Cycles: k, Watch: watch}
-		if drive {
-			base := tb.dut.Cycle()
-			if pokes == nil {
-				pokes = make([]kernel.PlannedPoke, 0, k*tb.lanes*len(inSlots))
-			}
-			pokes = pokes[:0]
-			for c := 0; c < k; c++ {
-				for l := 0; l < tb.lanes; l++ {
-					for i, slot := range inSlots {
-						pokes = append(pokes, kernel.PlannedPoke{
-							Cycle: c, Lane: l, Slot: slot,
-							Value: tb.stim.Value(base+int64(c), l, i),
-						})
-					}
-				}
-			}
-			spec.Pokes = pokes
-		}
+		spec := kernel.RunSpec{Cycles: int(min(n-ran, chunk)), Stim: tb.stim, From: tb.dut.Cycle(), Watch: watch}
 		r, s, err := tb.dut.runBulk(spec)
 		if err != nil || s {
 			return s, err
@@ -322,10 +293,10 @@ func (p *Port) Peek() uint64 {
 // Wait steps the whole testbench (stimulus included, if one is set) until
 // the predicate holds for the port's value, for at most maxCycles cycles,
 // and returns the accepted value. The wait is an engine-level bulk run (one
-// per chunk while a stimulus or a cancellation probe is installed) that
-// stops the cycle the predicate accepts: the port is sampled after each
-// full cycle, never before the first, and the predicate is evaluated once
-// per completed cycle, in order. A nil predicate accepts the first cycle. Timeout is an
+// per chunk while a cancellation probe is installed) that stops the cycle
+// the predicate accepts: the port is sampled after each full cycle, never
+// before the first, and the predicate is evaluated once per completed
+// cycle, in order. A nil predicate accepts the first cycle. Timeout is an
 // error.
 func (p *Port) Wait(pred func(uint64) bool, maxCycles int) (uint64, error) {
 	w := kernel.Watch{Lane: p.lane, Slot: p.sig.Slot, OutIdx: -1, Pred: pred}

@@ -414,8 +414,8 @@ func TestDesignSignals(t *testing.T) {
 // register state agree with the cut-short run), and the testbench stays
 // fully usable — clearing the probe and running on yields the same state
 // as an uninterrupted run. The stimulus leg checks the same under a
-// driven stimulus, whose poke plan the testbench rebases onto every chunk
-// it cuts: every lane's registers must match an uncancelled run on a fresh
+// driven stimulus, which every chunk the testbench cuts must resume at its
+// absolute cycle: every lane's registers must match an uncancelled run on a fresh
 // engine, and a probe that never fires must change nothing.
 func TestTestbenchCancel(t *testing.T) {
 	const total = 5 * 1024 // several cancel-check chunks
