@@ -1,12 +1,11 @@
 // Cross-engine differential testing: random designs × random stimulus,
 // stepped through every execution engine the repository ships — scalar
-// session, RepCut-partitioned sessions, the fused batch schedule, the
-// bit-packed batch schedule (sequential and lane-sharded), the wide
-// lane-sharded parallel batch, and the pre-schedule scalar batch loop
-// (StepReference) — asserting bit-exact output and register traces. This is
-// the GSIM/Manticore-style validation discipline: the parallel and
-// specialised engines are only trusted because a reference semantics keeps
-// re-checking them on inputs nobody hand-picked.
+// session, RepCut-partitioned sessions, the sim batch (sequential and
+// lane-sharded), the wide batch schedule (sequential and lane-sharded), and
+// the batch's reference loop (StepReference) — asserting bit-exact output
+// and register traces. This is the GSIM/Manticore-style validation
+// discipline: the parallel and specialised engines are only trusted because
+// a reference semantics keeps re-checking them on inputs nobody hand-picked.
 //
 // The harness itself lives in internal/difftest and is shared with the
 // continuous fuzz driver (cmd/rteaal-fuzz), which adds coverage-biased

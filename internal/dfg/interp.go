@@ -9,8 +9,8 @@ import (
 // Interp is the reference interpreter: it evaluates the dataflow graph
 // directly, node by node in topological order, with no tensor machinery.
 // Every other engine in the repository (the seven RTeAAL kernels, both
-// baseline simulators, the Einsum cascade evaluator, the VM, and the RepCut
-// parallel engine) is tested for bit-identical behaviour against it.
+// baseline simulators, the batch engine and the RepCut parallel engine) is
+// tested for bit-identical behaviour against it.
 type Interp struct {
 	g     *Graph
 	topo  []NodeID

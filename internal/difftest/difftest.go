@@ -1,15 +1,15 @@
 // Package difftest is the reusable cross-engine differential-testing
 // harness: it runs one design through every execution engine shape the
 // repository ships — a scalar session per kernel kind, RepCut-partitioned
-// sessions, the fused batch schedule, the bit-packed batch schedule
-// (sequential and lane-sharded), the wide lane-sharded parallel batch, and
-// the pre-schedule scalar batch loop (StepReference) — and reports the first
-// bit divergence with its full coordinates (cycle, lane, engine pair,
-// output/register index). The package also provides coverage-guided random
-// design generation (generate.go), an automatic repro shrinker (shrink.go),
-// and a content-addressed persistent corpus (corpus.go); together they back
-// both the tier-1 `differential_test.go` sweep and the long-running
-// `rteaal-fuzz` driver. This is the GSIM/Manticore-style validation
+// sessions, the sim batch (sequential and lane-sharded), the wide batch
+// schedule (sequential and lane-sharded), and the batch's reference loop
+// (StepReference) — and reports the first bit divergence with its full
+// coordinates (cycle, lane, engine pair, output/register index). The
+// package also provides coverage-guided random design generation
+// (generate.go), an automatic repro shrinker (shrink.go), and a
+// content-addressed persistent corpus (corpus.go); together they back both
+// the tier-1 `differential_test.go` sweep and the long-running `rteaal-fuzz`
+// driver. This is the GSIM/Manticore-style validation
 // discipline: the parallel and specialised engines are only trusted because
 // a reference semantics keeps re-checking them on inputs nobody hand-picked.
 package difftest
@@ -84,7 +84,7 @@ func (e *engine) runBulk(n int64) error {
 }
 
 // Matrix instantiates every engine shape over one design. Close releases
-// the underlying sessions and batch pools.
+// the underlying sessions and batches.
 type Matrix struct {
 	engines  []engine
 	inputs   int
@@ -105,11 +105,13 @@ type leg struct {
 // follows what a user can reach: one session per kernel of sim.Kernels (the
 // default, PSU, with no option), then one leg per non-default value of each
 // other option — partitioned plans (one under a tape kernel, so both engine
-// families cross the RUM exchange), packing off, more than one batch worker.
-// TestMatrixCoversOptionSurface holds the list to that surface. The first
-// leg, RU's session, is the reference every other leg is compared with: RU
-// executes the paper's Cascade 1 as written, so every engine shape is held
-// to the paper's equations.
+// families cross the RUM exchange), more than one batch worker. The batch
+// layout is the schedule compiler's call, not an option: the wide schedule's
+// legs are built below sim, in NewMatrix. TestMatrixCoversOptionSurface
+// holds the list to that surface. The first leg, RU's session, is the
+// reference every other leg is compared with: RU executes the paper's
+// Cascade 1 as written, so every engine shape is held to the paper's
+// equations.
 func legs() []leg {
 	var ls []leg
 	for _, k := range sim.Kernels() {
@@ -123,8 +125,6 @@ func legs() []leg {
 		leg{name: "partitioned/n=2", opts: []sim.Option{sim.WithPartitions(2)}},
 		leg{name: "partitioned/n=3", opts: []sim.Option{sim.WithPartitions(3)}},
 		leg{name: "partitioned/n=2/TI", opts: []sim.Option{sim.WithPartitions(2), sim.WithKernel(sim.TI)}},
-		leg{name: "batch/fused", batch: true, opts: []sim.Option{sim.WithBatchPacking(false)}},
-		leg{name: "batch/parallel/w=3", batch: true, opts: []sim.Option{sim.WithBatchPacking(false), sim.WithBatchWorkers(3)}},
 		leg{name: "batch/packed", batch: true},
 		leg{name: "batch/packed/w=3", batch: true, opts: []sim.Option{sim.WithBatchWorkers(3)}},
 	)
@@ -182,10 +182,11 @@ func NewMatrix(g *dfg.Graph, lanes int) (*Matrix, error) {
 		})
 	}
 
-	// StepReference: the pre-schedule scalar batch loop, kept as the parity
-	// oracle. It is built through the identical (deterministic) compile
-	// pipeline, directly at the kernel layer, and bypasses every scheduled
-	// run loop.
+	// The kernel-level legs share one program, built through the identical
+	// (deterministic) compile pipeline: the wide schedule, which a sim batch
+	// runs only when packing leaves no slot packed, sequential and
+	// lane-sharded, and StepReference, the batch's reference loop, which
+	// bypasses every scheduled run loop.
 	opt, oerr := dfg.Optimize(g, dfg.DefaultOptOptions())
 	if oerr != nil {
 		return nil, fmt.Errorf("reference: optimize: %w", oerr)
@@ -198,20 +199,39 @@ func NewMatrix(g *dfg.Graph, lanes int) (*Matrix, error) {
 	if terr != nil {
 		return nil, fmt.Errorf("reference: oim: %w", terr)
 	}
-	rb, rerr := kernel.NewBatch(ten, lanes)
-	if rerr != nil {
-		return nil, fmt.Errorf("reference: batch: %w", rerr)
+	prog, perr := kernel.NewProgram(ten, kernel.Config{Kind: kernel.IU})
+	if perr != nil {
+		return nil, fmt.Errorf("reference: program: %w", perr)
 	}
-	m.engines = append(m.engines, engine{
-		name:    "batch/StepReference",
-		lanes:   lanes,
-		outputs: len(ten.OutputSlots),
-		poke:    func(lane, input int, v uint64) { rb.PokeInput(lane, input, v) },
-		step:    func() error { rb.StepReference(); return nil },
-		out:     func(lane, idx int) uint64 { return rb.PeekOutput(lane, idx) },
-		regs:    func(lane int) []uint64 { return rb.RegSnapshot(lane) },
-		close:   func() {},
-	})
+	for _, k := range []struct {
+		name      string
+		workers   int
+		reference bool
+	}{
+		{"batch/wide", 1, false},
+		{"batch/wide/w=3", 3, false},
+		{"batch/StepReference", 1, true},
+	} {
+		b, err := prog.InstantiateBatchWith(lanes, kernel.BatchOptions{Workers: k.workers})
+		if err != nil {
+			return nil, fmt.Errorf("%s: batch: %w", k.name, err)
+		}
+		e := engine{
+			name:    k.name,
+			lanes:   lanes,
+			outputs: len(ten.OutputSlots),
+			poke:    func(lane, input int, v uint64) { b.PokeInput(lane, input, v) },
+			step:    func() error { b.Step(); return nil },
+			run:     func(n int64) error { b.Run(int(n)); return nil },
+			out:     b.PeekOutput,
+			regs:    b.RegSnapshot,
+			close:   b.Close,
+		}
+		if k.reference {
+			e.step, e.run = func() error { b.StepReference(); return nil }, nil
+		}
+		m.engines = append(m.engines, e)
+	}
 	m.tensor = ten
 	m.outNames = append([]string(nil), ten.OutputNames...)
 	m.regNames = append([]string(nil), ten.RegNames...)

@@ -13,7 +13,7 @@ import (
 )
 
 // TestMatrixCoversOptionSurface: reachable ⊆ tested. Every compile option
-// sim exports — read from its source, so a fifth option cannot be added
+// sim exports — read from its source, so a fourth option cannot be added
 // without a row here — names the legs of the matrix that take it off its
 // default, every kernel sim.Kernels lists has a session leg, and each named
 // leg exists. The reference leg, first, is RU's session.
@@ -28,8 +28,7 @@ func TestMatrixCoversOptionSurface(t *testing.T) {
 	optionLegs := map[string][]string{
 		"WithKernel":       nil, // filled below: one session per kernel
 		"WithPartitions":   {"partitioned/n=2", "partitioned/n=3", "partitioned/n=2/TI"},
-		"WithBatchWorkers": {"batch/packed/w=3", "batch/parallel/w=3"},
-		"WithBatchPacking": {"batch/fused", "batch/packed"}, // off, and on
+		"WithBatchWorkers": {"batch/packed/w=3"},
 	}
 	for _, k := range sim.Kernels() {
 		optionLegs["WithKernel"] = append(optionLegs["WithKernel"], "session/"+k.String())

@@ -24,7 +24,7 @@ import (
 // at most 64*blockWords lanes, each owning a contiguous wide store — a row
 // of its lanes per slot that has a lane vector — and, under a packing
 // schedule, a packed store with a row of blockWords words per packed slot,
-// lane i of the block in bit i. A packing schedule recycles the rows of both
+// lane i of the block in bit i. The schedule recycles the rows of both
 // stores by liveness, so slots whose values are never live at once share a
 // row. Levelization guarantees in-layer writes never feed in-layer reads, so
 // results go straight to their rows in every lane.
@@ -34,8 +34,8 @@ import (
 // lanes per word-wide op. Each slot has one home: a packed slot owns a wide
 // row only when a schedule instruction reads or writes its wide view, and
 // Poke/Peek route through the packed layout transparently. The
-// [Batch.SettleReference] oracle works on lane vectors alone, so it runs on
-// wide batches only.
+// [Batch.SettleReference] oracle keeps lane vectors of its own and meets the
+// stores only at home rows, so it runs on every layout.
 //
 // A batch shards its lanes over the workers of one [Workers] group: the
 // lanes split evenly, every worker owns the whole blocks of its share and
@@ -61,7 +61,7 @@ type Batch struct {
 	own     []int   // worker w owns blocks[own[w]:own[w+1]]
 	ws      *Workers
 
-	refNext []uint64 // StepReference's staged commit, regs*lanes, allocated on first use
+	ref []uint64 // SettleReference's lane vector per LI coordinate, slots*lanes, allocated on first use
 
 	// The per-worker bodies, bound once so a dispatch allocates nothing,
 	// and the run they execute, shared read-only by all workers until the
@@ -184,16 +184,6 @@ func (b *Batch) cycleShard(w, i int) bool {
 		return watch.Accepts(blk.outs[watch.OutIdx*blk.n+l])
 	}
 	return watch.Accepts(b.peek(blk, l, watch.Slot))
-}
-
-// NewBatch builds an n-lane batch engine over t, compiling the schedule
-// itself. Callers holding a [Program] should prefer
-// [Program.InstantiateBatchWith], which caches the schedule across batches.
-func NewBatch(t *oim.Tensor, lanes int) (*Batch, error) {
-	if t.NumSlots == 0 {
-		return nil, fmt.Errorf("kernel: empty design")
-	}
-	return newBatch(t, buildBatchSchedule(t, false), lanes, 1)
 }
 
 func newBatch(t *oim.Tensor, sched *batchSchedule, lanes, workers int) (*Batch, error) {
@@ -388,7 +378,7 @@ func (b *Batch) RunBulk(spec RunSpec) (ran int, stopped bool) {
 	}
 	// Deliberate-defect injection site: when a test arms EngineDefect, one
 	// register bit of lane 0 flips after the dispatch, corrupting every
-	// scheduled batch shape (fused, packed, parallel) while leaving the
+	// scheduled batch shape (wide, packed, parallel) while leaving the
 	// scalar sessions and the StepReference oracle untouched — the
 	// differential harness and its shrinker are validated against exactly
 	// this. Disarmed, the cost is a single atomic load.
@@ -404,17 +394,33 @@ func (b *Batch) RunBulk(spec RunSpec) (ran int, stopped bool) {
 // [wire.Eval]. It shares no code with the schedule it is the parity oracle
 // for — no tape, no rows, no mask elision, no loop bodies — and is the
 // baseline the benchmark's kernel.batch_reference_lane_cycles_per_s metric
-// measures the fast path against. Results go straight to their LI
-// coordinates, which levelization makes safe. It reads and writes lane
-// vectors only — in a wide batch a slot's row is the slot — so it panics on
-// a packed batch, whose packed slots have none.
+// measures the fast path against. It evaluates into a lane vector of its own
+// per LI coordinate, which levelization makes safe to write in place, and
+// meets the batch's stores only at home rows: it loads inputs, constants and
+// register Qs from theirs and writes the outputs back to theirs, so it runs
+// on any layout the schedule compiler chose.
 func (b *Batch) SettleReference() {
-	if b.pk != nil {
-		panic("kernel: the reference oracle runs on wide batches only")
+	if b.ref == nil {
+		b.ref = make([]uint64, b.t.NumSlots*b.lanes)
 	}
 	var vals []uint64
 	for bi := range b.blocks {
-		li, n := b.blocks[bi].wide, b.blocks[bi].n
+		blk, n := &b.blocks[bi], b.blocks[bi].n
+		li := b.ref[b.t.NumSlots*blk.lo:][:b.t.NumSlots*n]
+		load := func(slot int32) {
+			for l := range n {
+				li[int(slot)*n+l] = b.peek(blk, l, slot)
+			}
+		}
+		for _, slot := range b.t.InputSlots {
+			load(slot)
+		}
+		for _, c := range b.t.ConstSlots {
+			load(c.Slot)
+		}
+		for _, r := range b.t.RegSlots {
+			load(r.Q)
+		}
 		b.t.Ops(func(_ int, sig uint16, s int32, args []int32) {
 			code, out, mask := b.t.OpTable[sig].Op, li[int(s)*n:][:n], b.t.Masks[s]
 			for l := range out {
@@ -426,32 +432,26 @@ func (b *Batch) SettleReference() {
 			}
 		})
 		for i, slot := range b.t.OutputSlots {
-			copy(b.blocks[bi].outs[i*n:][:n], li[int(slot)*n:][:n])
+			copy(blk.outs[i*n:][:n], li[int(slot)*n:][:n])
+			for l := range n {
+				b.poke(blk, l, slot, li[int(slot)*n+l])
+			}
 		}
 	}
 }
 
 // StepReference is SettleReference followed by the textbook register commit:
-// every Next staged, masked, then every Q written — the two passes the
-// schedule's ordered moves replace. Like SettleReference it panics on a
-// packed batch.
+// every Q's home row takes its Next, masked, from the oracle's own lane
+// vectors, which no write of the commit touches.
 func (b *Batch) StepReference() {
 	b.SettleReference()
-	regs := b.t.RegSlots
-	if b.refNext == nil {
-		b.refNext = make([]uint64, len(regs)*b.lanes)
-	}
 	for bi := range b.blocks {
-		li, n := b.blocks[bi].wide, b.blocks[bi].n
-		next := b.refNext[len(regs)*b.blocks[bi].lo:][:len(regs)*n]
-		for i, r := range regs {
-			src, dst := li[int(r.Next)*n:][:n], next[i*n:][:n]
-			for l := range dst {
-				dst[l] = src[l] & r.Mask
+		blk, n := &b.blocks[bi], b.blocks[bi].n
+		li := b.ref[b.t.NumSlots*blk.lo:][:b.t.NumSlots*n]
+		for _, r := range b.t.RegSlots {
+			for l := range n {
+				b.poke(blk, l, r.Q, li[int(r.Next)*n+l]&r.Mask)
 			}
-		}
-		for i, r := range regs {
-			copy(li[int(r.Q)*n:][:n], next[i*n:][:n])
 		}
 	}
 }

@@ -11,18 +11,30 @@ import (
 	"rteaal/internal/wire"
 )
 
-// packedBatch instantiates a bit-packed batch over an optimised tensor.
-func packedBatch(t *testing.T, ten *oim.Tensor, lanes, workers int) *Batch {
+// testBatch instantiates a batch over a tensor with the given options.
+func testBatch(t *testing.T, ten *oim.Tensor, lanes int, o BatchOptions) *Batch {
 	t.Helper()
 	prog, err := NewProgram(ten, Config{Kind: PSU})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := prog.InstantiateBatchWith(lanes, BatchOptions{Workers: workers, Packing: true})
+	b, err := prog.InstantiateBatchWith(lanes, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// packedBatch instantiates a bit-packed batch over a tensor.
+func packedBatch(t *testing.T, ten *oim.Tensor, lanes, workers int) *Batch {
+	t.Helper()
+	return testBatch(t, ten, lanes, BatchOptions{Workers: workers, Packing: true})
+}
+
+// wideBatch instantiates a sequential batch over the wide schedule.
+func wideBatch(t *testing.T, ten *oim.Tensor, lanes int) *Batch {
+	t.Helper()
+	return testBatch(t, ten, lanes, BatchOptions{})
 }
 
 // TestOneBitSlots pins the width-analysis verdicts: mask==1 classifies,
@@ -51,8 +63,10 @@ func TestOneBitSlots(t *testing.T) {
 
 // TestBatchPackedMatchesReference pins the bit-packed schedule to the
 // scalar reference loop on random optimised circuits — the same licence the
-// fused schedule earned, now covering the packed loop bodies, the
-// pack/unpack shims, and the packed commit plan.
+// wide schedule earned, now covering the packed loop bodies, the
+// pack/unpack shims, and the packed commit plan — and the reference loop to
+// itself across layouts: run on a packed batch, it reads and writes the
+// packed home rows and must trace what it traces on a wide one.
 func TestBatchPackedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(271828))
 	const lanes, cycles = 5, 8
@@ -66,18 +80,21 @@ func TestBatchPackedMatchesReference(t *testing.T) {
 		ten := buildTensor(t, opt)
 		packed := packedBatch(t, ten, lanes, 1)
 		sawPacked = sawPacked || packed.Packed()
-		ref, err := NewBatch(ten, lanes)
-		if err != nil {
-			t.Fatal(err)
-		}
 		seeds := laneSeeds(lanes)
-		got := batchTrace(packed, seeds, cycles, nil)
-		want := batchTrace(ref, seeds, cycles, (*Batch).StepReference)
-		for lane := range want {
-			for i := range want[lane] {
-				if got[lane][i] != want[lane][i] {
-					t.Fatalf("trial %d lane %d: packed diverges from reference at trace[%d]: %d != %d",
-						trial, lane, i, got[lane][i], want[lane][i])
+		want := batchTrace(wideBatch(t, ten, lanes), seeds, cycles, (*Batch).StepReference)
+		for _, run := range []struct {
+			name string
+			got  [][]uint64
+		}{
+			{"packed", batchTrace(packed, seeds, cycles, nil)},
+			{"packed StepReference", batchTrace(packedBatch(t, ten, lanes, 1), seeds, cycles, (*Batch).StepReference)},
+		} {
+			for lane := range want {
+				for i := range want[lane] {
+					if run.got[lane][i] != want[lane][i] {
+						t.Fatalf("trial %d lane %d: %s diverges from reference at trace[%d]: %d != %d",
+							trial, lane, run.name, i, run.got[lane][i], want[lane][i])
+					}
 				}
 			}
 		}
@@ -177,13 +194,9 @@ func TestBatchPackedWidePartialWords(t *testing.T) {
 	for ti, ten := range []*oim.Tensor{buildTensor(t, opt), directed} {
 		for _, lanes := range []int{1, 63, 64, 65, 130} {
 			packed := packedBatch(t, ten, lanes, 1)
-			ref, err := NewBatch(ten, lanes)
-			if err != nil {
-				t.Fatal(err)
-			}
 			seeds := laneSeeds(lanes)
 			got := batchTrace(packed, seeds, cycles, nil)
-			want := batchTrace(ref, seeds, cycles, (*Batch).StepReference)
+			want := batchTrace(wideBatch(t, ten, lanes), seeds, cycles, (*Batch).StepReference)
 			for lane := range want {
 				for i := range want[lane] {
 					if got[lane][i] != want[lane][i] {
@@ -254,7 +267,7 @@ func genTensor(t *testing.T, spec gen.Spec) *oim.Tensor {
 // instruction reads or writes its wide view, so the wide store shrinks to a
 // sliver of at most one row per wide value (rows are recycled by liveness,
 // so usually fewer) — and every host-side access to a packed-only slot
-// still works.
+// still works, the reference oracle's included.
 func TestBatchPackedOneHomePerSlot(t *testing.T) {
 	ten := genTensor(t, gen.Spec{Family: gen.Ctrl, Cores: 16})
 	const lanes = 70
@@ -335,13 +348,23 @@ func TestBatchPackedOneHomePerSlot(t *testing.T) {
 		t.Fatalf("watch saw %d, PeekSlot reads %d", watched, got)
 	}
 
-	defer func() {
-		const want = "kernel: the reference oracle runs on wide batches only"
-		if r := recover(); r != want {
-			t.Fatalf("StepReference on a packed batch: recovered %v, want panic %q", r, want)
+	rb := packedBatch(t, ten, lanes, 1)
+	ref := batchTrace(rb, seeds, 6, (*Batch).StepReference)
+	for lane := range first {
+		if !slices.Equal(ref[lane], first[lane]) {
+			t.Fatalf("lane %d: StepReference on a packed batch traces %v, the schedule %v", lane, ref[lane], first[lane])
 		}
-	}()
-	b.StepReference()
+	}
+	// Like the schedule, the oracle leaves each output in its home row.
+	q := map[int32]bool{}
+	for _, r := range ten.RegSlots {
+		q[r.Q] = true // the commit has moved it on since the settle sampled it
+	}
+	for i, slot := range ten.OutputSlots {
+		if got, want := rb.PeekSlot(lane, slot), rb.PeekOutput(lane, i); !q[slot] && got != want {
+			t.Fatalf("output %d: PeekSlot after StepReference = %d, sampled %d", i, got, want)
+		}
+	}
 }
 
 // TestBatchPackedDatapathKeepsWideSchedule: on an SoC design packing
@@ -410,10 +433,7 @@ func TestBatchPackedPokeSlotMidRun(t *testing.T) {
 	if !packed.Packed() {
 		t.Fatal("toggle design did not pack")
 	}
-	wide, err := NewBatch(ten, lanes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wide := wideBatch(t, ten, lanes)
 	rng := rand.New(rand.NewSource(17))
 	for c := 0; c < 12; c++ {
 		for lane := 0; lane < lanes; lane++ {
@@ -461,13 +481,9 @@ func TestBatchPackedFallsBackWithoutOneBitSlots(t *testing.T) {
 	if pb.Packed() {
 		t.Fatal("all-wide design reported a packed batch")
 	}
-	ref, err := NewBatch(ten, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	seeds := laneSeeds(4)
 	got := batchTrace(pb, seeds, 6, nil)
-	want := batchTrace(ref, seeds, 6, (*Batch).StepReference)
+	want := batchTrace(wideBatch(t, ten, 4), seeds, 6, (*Batch).StepReference)
 	for lane := range want {
 		for i := range want[lane] {
 			if got[lane][i] != want[lane][i] {

@@ -15,14 +15,14 @@ import (
 // Three properties separate it from the scalar tape loop:
 //
 //   - Operands are row indices into a block's two stores, translated from
-//     slots once per Program. A wide schedule's rows are its slots. A packing
-//     schedule numbers each store's rows by liveness (assignRows): a value
-//     takes a row when it is written and gives it back after its last
-//     reader, so a block holds what is live at once, not one row per slot;
-//     inputs, constants, register Qs and values read before they are written
-//     keep rows of their own, and outputs and Nexts live to the end of the
-//     settle. A batch binds nothing; a loop body reaches a wide row as
-//     wide[row*n:][:n] and a packed row as pk[row].
+//     slots once per Program. Every schedule numbers each store's rows by
+//     liveness (assignRows): a value takes a row when it is written and
+//     gives it back after its last reader, so a block holds what is live at
+//     once, not one row per slot; inputs, constants, register Qs and values
+//     read before they are written keep rows of their own, and outputs and
+//     Nexts live to the end of the settle. A batch binds nothing; a loop
+//     body reaches a wide row as wide[row*n:][:n] and a packed row as
+//     pk[row].
 //   - The `& mask` is elided whenever the schedule compiler can prove the
 //     result already fits the output width (masks are contiguous low-bit
 //     masks, so a bit-length argument suffices). Every fused operation
@@ -180,12 +180,11 @@ type batchSchedule struct {
 	// wideRow[slot] and packedRow[slot] are the slot's rows in a block's two
 	// stores, -1 where it has none. A wide schedule has no packed rows
 	// (packedRow is nil, also when packing was requested and no
-	// provably-1-bit slot survived) and every slot's wide row is the slot; a
-	// packing schedule gives each packed slot (see OneBitSlots, after
-	// demotion) a packed row, each other slot a wide row, and a packed slot
-	// a wide row too when an instruction binds its wide view, and recycles
-	// rows by liveness (see assignRows): two slots share a row when one is
-	// dead before the other is written.
+	// provably-1-bit slot survived); a packing schedule gives each packed
+	// slot (see OneBitSlots, after demotion) a packed row, and a wide row
+	// too when an instruction binds its wide view. Every other slot has a
+	// wide row. Rows are recycled by liveness (see assignRows): two slots
+	// share a row when one is dead before the other is written.
 	wideRow, packedRow []int32
 	// wideRows and packedRows size the stores: the rows above plus, last in
 	// each, the temporary row orderCommits breaks cycles through.
@@ -260,20 +259,12 @@ func fitsMask(op wire.Op, argMasks []uint64, outMask uint64) bool {
 // classifies every slot, a profitability pass demotes slots whose packing
 // would only force crossings around wide bodies, instructions over the
 // surviving 1-bit slots are rewritten to the packed loop bodies (see
-// batch_packed.go), and the rows of both stores are recycled by liveness
-// (see assignRows).
+// batch_packed.go). Either way the rows of each store are recycled by
+// liveness (see assignRows).
 func buildBatchSchedule(t *oim.Tensor, packing bool) *batchSchedule {
 	s, packed := slotSchedule(t, packing)
-	if packed == nil {
-		s.wideRow = make([]int32, t.NumSlots)
-		for slot := range s.wideRow {
-			s.wideRow[slot] = int32(slot)
-		}
-		s.wideRows = t.NumSlots
-	} else {
-		s.assignRows(t, packed)
-		s.toRows()
-	}
+	s.assignRows(t, packed)
+	s.toRows()
 	// Each side of a register move is the slot's home row; the temporary
 	// rows come last in their stores.
 	for i := range s.commits {
@@ -451,18 +442,19 @@ func (a *rowAlloc) release(slot, i int32) {
 	}
 }
 
-// assignRows numbers a packing schedule's rows with a linear scan over its
+// assignRows numbers a schedule's rows with a linear scan over its
 // slot-space instructions, each store on its own: a value takes a row at
 // the instruction that writes it and frees it after the last one that reads
 // it has run, so an output never aliases its own operands. Every slot has a
-// home value, in the packed store if the slot is packed; a packed slot has a
-// wide value too exactly when an instruction binds its wide view. Some
-// values keep a row of their own for good, numbered first: every value the
-// schedule reads before writing (a constant's wide view, read in place),
-// every home value it never touches, and the home value of every slot the
-// host pokes or Reset loads — inputs, constants and register Qs. Primary
-// outputs and register Nexts are read after the settle, by output sampling
-// and the commit, so their home values live to its end.
+// home value, in the packed store if the slot is packed (packed is nil when
+// none is); a packed slot has a wide value too exactly when an instruction
+// binds its wide view. Some values keep a row of their own for good,
+// numbered first: every value the schedule reads before writing (a
+// constant's wide view, read in place), every home value it never touches,
+// and the home value of every slot the host pokes or Reset loads — inputs,
+// constants and register Qs. Primary outputs and register Nexts are read
+// after the settle, by output sampling and the commit, so their home values
+// live to its end.
 func (s *batchSchedule) assignRows(t *oim.Tensor, packed []bool) {
 	n := t.NumSlots
 	var st [2]rowAlloc // the wide store, the packed store
@@ -488,7 +480,7 @@ func (s *batchSchedule) assignRows(t *oim.Tensor, packed []bool) {
 		}
 		side(outP).written[in.out] = true
 	}
-	home := func(slot int32) *rowAlloc { return side(packed[slot]) }
+	home := func(slot int32) *rowAlloc { return side(packed != nil && packed[slot]) }
 	for slot := range int32(n) {
 		if a := home(slot); !a.written[slot] && a.last[slot] < 0 {
 			a.pin[slot] = true // untouched: only the host reads it
@@ -525,11 +517,13 @@ func (s *batchSchedule) assignRows(t *oim.Tensor, packed []bool) {
 		}
 		o.release(in.out, int32(i)) // written, never read
 	}
-	s.wideRow, s.packedRow = st[0].row, st[1].row
-	s.wideRows, s.packedRows = int(st[0].rows), int(st[1].rows)
+	s.wideRow, s.wideRows = st[0].row, int(st[0].rows)
+	if packed != nil {
+		s.packedRow, s.packedRows = st[1].row, int(st[1].rows)
+	}
 }
 
-// toRows rewrites a packing schedule's instructions from slot space to row
+// toRows rewrites a schedule's instructions from slot space to row
 // space, each side through the store its code binds. A spilled operand list
 // belongs to its instruction alone, so it is rewritten in place.
 func (s *batchSchedule) toRows() {

@@ -11,8 +11,8 @@ import (
 )
 
 // batchTrace steps a batch under per-lane seeded stimulus, collecting every
-// lane's outputs and register snapshots. step selects the engine: the fused
-// schedule, the scalar reference loop, or nil for Step.
+// lane's outputs and register snapshots. step selects the engine: the
+// scalar reference loop, or nil for the schedule's Step.
 func batchTrace(b *Batch, seeds []int64, cycles int, step func(*Batch)) [][]uint64 {
 	if step == nil {
 		step = (*Batch).Step
@@ -48,12 +48,11 @@ func laneSeeds(n int) []int64 {
 	return s
 }
 
-// TestBatchFusedMatchesReference pins the fused schedule to the
-// pre-schedule scalar tape loop on random optimised circuits: same lanes,
-// same stimulus, bit-identical outputs and registers. This is the
-// differential test that licenses every schedule-compiler trick (operand
-// pre-binding, mask elision, constant Bits folding, branchless mux, fused
-// commit).
+// TestBatchFusedMatchesReference pins the wide fused schedule to the
+// reference loop on random optimised circuits: same lanes, same stimulus,
+// bit-identical outputs and registers. This is the differential test that
+// licenses every schedule-compiler trick (rows recycled by liveness, mask
+// elision, constant Bits folding, branchless mux, fused commit).
 func TestBatchFusedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	const lanes, cycles = 5, 8
@@ -64,17 +63,9 @@ func TestBatchFusedMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		ten := buildTensor(t, opt)
-		fused, err := NewBatch(ten, lanes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := NewBatch(ten, lanes)
-		if err != nil {
-			t.Fatal(err)
-		}
 		seeds := laneSeeds(lanes)
-		got := batchTrace(fused, seeds, cycles, nil)
-		want := batchTrace(ref, seeds, cycles, (*Batch).StepReference)
+		got := batchTrace(wideBatch(t, ten, lanes), seeds, cycles, nil)
+		want := batchTrace(wideBatch(t, ten, lanes), seeds, cycles, (*Batch).StepReference)
 		for lane := range want {
 			for i := range want[lane] {
 				if got[lane][i] != want[lane][i] {
@@ -98,12 +89,8 @@ func TestBatchMatchesEngines(t *testing.T) {
 			t.Fatal(err)
 		}
 		ten := buildTensor(t, opt)
-		b, err := NewBatch(ten, lanes)
-		if err != nil {
-			t.Fatal(err)
-		}
 		seeds := laneSeeds(lanes)
-		got := batchTrace(b, seeds, cycles, nil)
+		got := batchTrace(wideBatch(t, ten, lanes), seeds, cycles, nil)
 		for _, kind := range Kinds() {
 			e, err := New(ten, Config{Kind: kind})
 			if err != nil {
@@ -191,10 +178,7 @@ func TestBatchCommitAliasing(t *testing.T) {
 		}
 		written[c.q] = true
 	}
-	b, err := NewBatch(ten, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := wideBatch(t, ten, 2)
 	e, err := New(ten, Config{Kind: TI})
 	if err != nil {
 		t.Fatal(err)
@@ -249,17 +233,18 @@ func TestBatchWorkerClampAndClose(t *testing.T) {
 	seq.Close() // no-op on sequential batches
 }
 
-// TestBatchRowReuse: a packing schedule recycles rows by liveness, and no
-// live value is ever overwritten. Each design's packing schedule is compiled
-// twice, in slot space and in row space, and one settle of the row-space
-// instructions is walked while tracking which slot's value each row of each
-// store holds. Before the settle, a row holds what the host or Reset put
+// TestBatchRowReuse: every schedule recycles rows by liveness, and no live
+// value is ever overwritten. Each design's packing and wide schedules are
+// compiled twice, in slot space and in row space, and one settle of the
+// row-space instructions is walked while tracking which slot's value each
+// row of each store holds. Before the settle, a row holds what the host or Reset put
 // there: the home row of every input, constant and register Q, and every
 // other row of a constant (Reset loads them all). Then every instruction must
 // name rows in range, write no row it reads, and find in each operand row the
 // slot its slot-space twin names; and the rows read between settles — those
 // initial rows, and the home rows of outputs and Nexts once written — must
-// hold their slot after every write and at the end of the settle.
+// hold their slot after every write and at the end of the settle. The wide
+// schedule of a datapath keeps what is live, not a row per slot.
 func TestBatchRowReuse(t *testing.T) {
 	for _, d := range []struct {
 		name string
@@ -271,98 +256,110 @@ func TestBatchRowReuse(t *testing.T) {
 		{"commit moves", buildTensor(t, dfg.CommitMovesGraph())},
 		{"crossing", buildTensor(t, packedCrossingGraph())},
 	} {
-		ten := d.ten
-		slots, _ := slotSchedule(ten, true)
-		rows := buildBatchSchedule(ten, true)
-		if rows.packedRow == nil || len(rows.insts) != len(slots.insts) {
-			t.Fatalf("%s: packed %v, %d row-space against %d slot-space instructions", d.name, rows.packedRow != nil, len(rows.insts), len(slots.insts))
+		for _, packing := range []bool{true, false} {
+			checkRowReuse(t, d.name, d.ten, packing)
 		}
-		// owner[p][row] is the slot whose value the row of the store holds
-		// (p: the packed store), -1 for none; kept marks the rows read
-		// between settles.
-		var owner, kept [2][]int32
-		for p, n := range [2]int{rows.wideRows, rows.packedRows} {
-			owner[p], kept[p] = make([]int32, n), make([]int32, n)
-			for r := range n {
-				owner[p][r], kept[p][r] = -1, -1
-			}
-		}
-		hold := func(slot, row int32, packed bool) {
-			p := b2u(packed)
-			owner[p][row], kept[p][row] = slot, slot
-		}
-		for _, slot := range ten.InputSlots {
-			row, packed := rows.home(slot)
-			hold(slot, row, packed)
-		}
-		for _, r := range ten.RegSlots {
-			row, packed := rows.home(r.Q)
-			hold(r.Q, row, packed)
-		}
-		for _, c := range ten.ConstSlots {
-			if row := rows.wideRow[c.Slot]; row >= 0 {
-				hold(c.Slot, row, false)
-			}
-			if row := rows.packedRow[c.Slot]; row >= 0 {
-				hold(c.Slot, row, true)
-			}
-		}
-		wroteWide := map[int32]bool{}
-		inPlace := 0 // reads of a packed slot's wide view that no instruction wrote
-		readLater := map[int32]bool{}
-		for _, slot := range ten.OutputSlots {
-			readLater[slot] = true
-		}
-		for _, r := range ten.RegSlots {
-			readLater[r.Next] = true
-		}
-		for i := range rows.insts {
-			in, twin := &rows.insts[i], &slots.insts[i]
-			outP, argsP := in.code.packedSides()
-			o, a := b2u(outP), b2u(argsP)
-			rowArgs, slotArgs := in.args(rows.ext), twin.args(slots.ext)
-			if in.code != twin.code || len(rowArgs) != len(slotArgs) {
-				t.Fatalf("%s: instruction %d is code %d with %d operands in row space, %d with %d in slot space", d.name, i, in.code, len(rowArgs), twin.code, len(slotArgs))
-			}
-			inRange := func(row int32, p uint64) bool { return row >= 0 && int(row) < len(owner[p]) }
-			if !inRange(in.out, o) || slices.ContainsFunc(rowArgs, func(row int32) bool { return !inRange(row, a) }) {
-				t.Fatalf("%s: instruction %d names rows %d <- %v; the stores hold %d wide and %d packed rows", d.name, i, in.out, rowArgs, rows.wideRows, rows.packedRows)
-			}
-			for j, row := range rowArgs {
-				if got := owner[a][row]; got != slotArgs[j] {
-					t.Fatalf("%s: instruction %d (code %d) reads slot %d from row %d (packed %v), which holds slot %d", d.name, i, in.code, slotArgs[j], row, argsP, got)
-				}
-				if !argsP && rows.packedRow[slotArgs[j]] >= 0 && !wroteWide[slotArgs[j]] {
-					inPlace++
-				}
-				if o == a && row == in.out {
-					t.Fatalf("%s: instruction %d (code %d) writes row %d (packed %v), its own operand", d.name, i, in.code, row, outP)
-				}
-			}
-			if k := kept[o][in.out]; k >= 0 && k != twin.out {
-				t.Fatalf("%s: instruction %d writes slot %d over slot %d, read between settles, in row %d (packed %v)", d.name, i, twin.out, k, in.out, outP)
-			}
-			owner[o][in.out] = twin.out
-			wroteWide[twin.out] = wroteWide[twin.out] || !outP
-			if row, packed := rows.home(twin.out); readLater[twin.out] && row == in.out && packed == outP {
-				kept[o][in.out] = twin.out
-			}
-		}
-		for p := range kept {
-			for row, slot := range kept[p] {
-				if slot >= 0 && owner[p][row] != slot {
-					t.Fatalf("%s: row %d (packed %v) ends the settle holding slot %d, not slot %d", d.name, row, p == 1, owner[p][row], slot)
-				}
-			}
-		}
-		for slot := range readLater {
-			if row, packed := rows.home(slot); owner[b2u(packed)][row] != slot {
-				t.Fatalf("%s: slot %d, read after the settle, is not in its home row %d (packed %v)", d.name, slot, row, packed)
-			}
-		}
-		if d.name == "crossing" && inPlace == 0 {
-			t.Errorf("%s: no wide body reads a packed constant in place: the rows read before written go unchecked", d.name)
-		}
-		t.Logf("%s: %d slots in %d wide and %d packed rows", d.name, ten.NumSlots, rows.wideRows, rows.packedRows)
 	}
+}
+
+// checkRowReuse walks one settle of one of a design's schedules; see
+// TestBatchRowReuse.
+func checkRowReuse(t *testing.T, name string, ten *oim.Tensor, packing bool) {
+	t.Helper()
+	slots, _ := slotSchedule(ten, packing)
+	rows := buildBatchSchedule(ten, packing)
+	if (rows.packedRow != nil) != packing || len(rows.insts) != len(slots.insts) {
+		t.Fatalf("%s: packed %v, %d row-space against %d slot-space instructions", name, rows.packedRow != nil, len(rows.insts), len(slots.insts))
+	}
+	// owner[p][row] is the slot whose value the row of the store holds
+	// (p: the packed store), -1 for none; kept marks the rows read
+	// between settles.
+	var owner, kept [2][]int32
+	for p, n := range [2]int{rows.wideRows, rows.packedRows} {
+		owner[p], kept[p] = make([]int32, n), make([]int32, n)
+		for r := range n {
+			owner[p][r], kept[p][r] = -1, -1
+		}
+	}
+	hold := func(slot, row int32, packed bool) {
+		p := b2u(packed)
+		owner[p][row], kept[p][row] = slot, slot
+	}
+	for _, slot := range ten.InputSlots {
+		row, packed := rows.home(slot)
+		hold(slot, row, packed)
+	}
+	for _, r := range ten.RegSlots {
+		row, packed := rows.home(r.Q)
+		hold(r.Q, row, packed)
+	}
+	for _, c := range ten.ConstSlots {
+		if row := rows.wideRow[c.Slot]; row >= 0 {
+			hold(c.Slot, row, false)
+		}
+		if packing && rows.packedRow[c.Slot] >= 0 {
+			hold(c.Slot, rows.packedRow[c.Slot], true)
+		}
+	}
+	wroteWide := map[int32]bool{}
+	inPlace := 0 // reads of a packed slot's wide view that no instruction wrote
+	readLater := map[int32]bool{}
+	for _, slot := range ten.OutputSlots {
+		readLater[slot] = true
+	}
+	for _, r := range ten.RegSlots {
+		readLater[r.Next] = true
+	}
+	for i := range rows.insts {
+		in, twin := &rows.insts[i], &slots.insts[i]
+		outP, argsP := in.code.packedSides()
+		o, a := b2u(outP), b2u(argsP)
+		rowArgs, slotArgs := in.args(rows.ext), twin.args(slots.ext)
+		if in.code != twin.code || len(rowArgs) != len(slotArgs) {
+			t.Fatalf("%s: instruction %d is code %d with %d operands in row space, %d with %d in slot space", name, i, in.code, len(rowArgs), twin.code, len(slotArgs))
+		}
+		inRange := func(row int32, p uint64) bool { return row >= 0 && int(row) < len(owner[p]) }
+		if !inRange(in.out, o) || slices.ContainsFunc(rowArgs, func(row int32) bool { return !inRange(row, a) }) {
+			t.Fatalf("%s: instruction %d names rows %d <- %v; the stores hold %d wide and %d packed rows", name, i, in.out, rowArgs, rows.wideRows, rows.packedRows)
+		}
+		for j, row := range rowArgs {
+			if got := owner[a][row]; got != slotArgs[j] {
+				t.Fatalf("%s: instruction %d (code %d) reads slot %d from row %d (packed %v), which holds slot %d", name, i, in.code, slotArgs[j], row, argsP, got)
+			}
+			if !argsP && packing && rows.packedRow[slotArgs[j]] >= 0 && !wroteWide[slotArgs[j]] {
+				inPlace++
+			}
+			if o == a && row == in.out {
+				t.Fatalf("%s: instruction %d (code %d) writes row %d (packed %v), its own operand", name, i, in.code, row, outP)
+			}
+		}
+		if k := kept[o][in.out]; k >= 0 && k != twin.out {
+			t.Fatalf("%s: instruction %d writes slot %d over slot %d, read between settles, in row %d (packed %v)", name, i, twin.out, k, in.out, outP)
+		}
+		owner[o][in.out] = twin.out
+		wroteWide[twin.out] = wroteWide[twin.out] || !outP
+		if row, packed := rows.home(twin.out); readLater[twin.out] && row == in.out && packed == outP {
+			kept[o][in.out] = twin.out
+		}
+	}
+	for p := range kept {
+		for row, slot := range kept[p] {
+			if slot >= 0 && owner[p][row] != slot {
+				t.Fatalf("%s: row %d (packed %v) ends the settle holding slot %d, not slot %d", name, row, p == 1, owner[p][row], slot)
+			}
+		}
+	}
+	for slot := range readLater {
+		if row, packed := rows.home(slot); owner[b2u(packed)][row] != slot {
+			t.Fatalf("%s: slot %d, read after the settle, is not in its home row %d (packed %v)", name, slot, row, packed)
+		}
+	}
+	if name == "crossing" && packing && inPlace == 0 {
+		t.Errorf("%s: no wide body reads a packed constant in place: the rows read before written go unchecked", name)
+	}
+	// One row per slot would be NumSlots+1; a datapath's values die young.
+	if name == "r1/8" && !packing && rows.wideRows*2 > ten.NumSlots {
+		t.Errorf("%s: the wide schedule keeps %d rows for %d slots, want under half: rows are not recycled", name, rows.wideRows, ten.NumSlots)
+	}
+	t.Logf("%s packing=%v: %d slots in %d wide and %d packed rows", name, packing, ten.NumSlots, rows.wideRows, rows.packedRows)
 }

@@ -107,7 +107,7 @@ type Engine interface {
 	// PeekSlot reads an input, output, register Q or constant between
 	// cycles (for waveforms and host-DUT I/O). Any other LI coordinate is
 	// an internal value of the settle, which no engine is bound to keep: a
-	// packing [Batch] recycles its row.
+	// [Batch] recycles its row.
 	PeekSlot(slot int32) uint64
 	// PokeSlot writes an input or register Q between cycles (host-DUT
 	// communication, §6.2).

@@ -14,7 +14,7 @@ import (
 // one-operation design (and as nine copies in one layer: a run long enough
 // for PSU/IU's 8x bodies plus a remainder) on every engine this package
 // builds — the seven kinds (RU and OU in both formats), the wide batch, the
-// packed batch and the StepReference oracle — over the cross product of
+// packed batch and the StepReference oracle on both — over the cross product of
 // boundary operands (0, 1, mask-1, mask, 63, 64, 65, all ones: shift amounts
 // at and past 64, a zero divisor, bits with hi < lo and with lo >= 64), each
 // result compared with wire.Eval. The operand widths steer the schedule
@@ -105,15 +105,8 @@ func checkOneOpDesign(t *testing.T, op wire.Op, arity, w, opw, copies int) {
 	}
 
 	const lanes = 70 // one full packed word and a partial one
-	wide, err := NewBatch(ten, lanes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := NewBatch(ten, lanes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	packed := packedBatch(t, ten, lanes, 1)
+	wide, ref := wideBatch(t, ten, lanes), wideBatch(t, ten, lanes)
+	packed, packedRef := packedBatch(t, ten, lanes, 1), packedBatch(t, ten, lanes, 1)
 	if allOneBit := w == 1 && opw == 1; packed.Packed() != (allOneBit && opBodies[op].word != 0) {
 		t.Fatalf("%v/%d x%d at width %d over %d-bit operands: Packed() = %v", op, arity, copies, w, opw, packed.Packed())
 	}
@@ -125,6 +118,7 @@ func checkOneOpDesign(t *testing.T, op wire.Op, arity, w, opw, copies int) {
 		{"batch/wide", wide, wide.Step},
 		{"batch/packed", packed, packed.Step},
 		{"batch/StepReference", ref, ref.StepReference},
+		{"batch/packed/StepReference", packedRef, packedRef.StepReference},
 	} {
 		for base := 0; base < len(tuples); base += lanes {
 			chunk := tuples[base:min(base+lanes, len(tuples))]

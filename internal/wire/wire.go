@@ -20,8 +20,7 @@ import "fmt"
 // Op identifies a primitive operation evaluated at a dataflow-graph node.
 //
 // The order is load-bearing: it is the coordinate space of the OIM tensor's N
-// rank before per-design compaction, and the VM encodes it in instruction
-// immediates.
+// rank before per-design compaction.
 type Op uint8
 
 const (

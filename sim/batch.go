@@ -16,7 +16,7 @@ import "rteaal/internal/kernel"
 // worker, with one dispatch and one join per run and a barrier per cycle only
 // while a watch is active. Slots the compiler proves 1-bit wide are
 // additionally bit-packed — lane i of a block is bit i of the slot's row —
-// so one word-wide op evaluates 64 lanes; see [WithBatchPacking].
+// so one word-wide op evaluates 64 lanes; see [Batch.Packed].
 //
 // A Batch is not safe for concurrent method calls; mint one per goroutine.
 type Batch struct {
@@ -36,9 +36,9 @@ func (b *Batch) Lanes() int { return b.b.Lanes() }
 func (b *Batch) Workers() int { return b.b.Workers() }
 
 // Packed reports whether the batch runs the bit-packed layout: true when
-// the design was compiled with packing enabled (the default, see
-// [WithBatchPacking]) and its width analysis proved at least one slot
-// 1-bit wide.
+// the width analysis proved at least one slot 1-bit wide and packing it
+// pays. Packing is a layout, not a semantics: lanes produce exactly the
+// trace a dedicated [Session] would either way.
 func (b *Batch) Packed() bool { return b.b.Packed() }
 
 // Close stops a parallel batch's worker goroutines. Optional — an

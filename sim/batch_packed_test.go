@@ -31,17 +31,13 @@ func handshakeGraph() *dfg.Graph {
 	return g
 }
 
-// TestBatchPackingParity compiles one control-heavy design with packing on
-// (the default) and off, drives both batches with identical per-lane
-// stimulus, and requires bit-identical traces — the public contract that
-// [sim.WithBatchPacking] changes layout, never semantics. Also pins that
-// the default really packs and the off-switch really doesn't.
+// TestBatchPackingParity runs one control-heavy design's batch and a batch
+// of it over the wide schedule with identical per-lane stimulus, and
+// requires bit-identical traces — the public contract that packing changes
+// layout, never semantics. Also pins that the batch really packs and the
+// wide one really doesn't.
 func TestBatchPackingParity(t *testing.T) {
 	on, err := sim.CompileGraph(handshakeGraph())
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, err := sim.CompileGraph(handshakeGraph(), sim.WithBatchPacking(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,15 +46,15 @@ func TestBatchPackingParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bOff, err := off.NewBatch(lanes)
+	bOff, err := sim.NewWideBatch(on, lanes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bOn.Packed() {
-		t.Fatal("default-compiled control design did not pack")
+		t.Fatal("control design did not pack")
 	}
 	if bOff.Packed() {
-		t.Fatal("WithBatchPacking(false) still packed")
+		t.Fatal("the wide batch packed")
 	}
 	nIn := len(on.Inputs())
 	rngs := make([]*rand.Rand, lanes)
@@ -101,10 +97,6 @@ func TestTestbenchPortLanePackedPoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := sim.CompileGraph(handshakeGraph(), sim.WithBatchPacking(false))
-	if err != nil {
-		t.Fatal(err)
-	}
 	const lanes = 70
 	bOn, err := on.NewBatch(lanes)
 	if err != nil {
@@ -113,7 +105,7 @@ func TestTestbenchPortLanePackedPoke(t *testing.T) {
 	if !bOn.Packed() {
 		t.Fatal("control design did not pack")
 	}
-	bOff, err := off.NewBatch(lanes)
+	bOff, err := sim.NewWideBatch(on, lanes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,22 +162,23 @@ func TestTestbenchPortLanePackedPoke(t *testing.T) {
 // TestPackedBatchPeeksEverySignal: a packing batch recycles the rows of a
 // settle's internal values, but every signal a testbench can bind — each
 // input, output and register the design's SignalMap resolves — reads the
-// same on it as on a WithBatchPacking(false) batch, in every lane, after a
+// same on it as on a batch over the wide schedule, in every lane, after a
 // run under random stimulus.
 func TestPackedBatchPeeksEverySignal(t *testing.T) {
 	const lanes, cycles = 70, 64
 	for _, spec := range []gen.Spec{{Family: gen.Ctrl, Cores: 16}, {Family: gen.Rocket, Cores: 1, Scale: 8}} {
+		g, err := gen.Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := sim.CompileGraph(g, sim.WithBatchWorkers(2))
+		if err != nil {
+			t.Fatal(err)
+		}
 		var tbs [2]*sim.Testbench
-		for i, packing := range []bool{true, false} {
-			g, err := gen.Generate(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d, err := sim.CompileGraph(g, sim.WithBatchWorkers(2), sim.WithBatchPacking(packing))
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := d.NewBatch(lanes)
+		for i, mint := range []func(*sim.Design, int) (*sim.Batch, error){(*sim.Design).NewBatch, sim.NewWideBatch} {
+			packing := i == 0
+			b, err := mint(d, lanes)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -406,18 +406,19 @@ func TestPortPokeOfFoldedConstant(t *testing.T) {
 			}
 		}
 	}
-	for _, packing := range []bool{false, true} {
-		d, err := sim.Compile(foldedConstSrc, sim.WithBatchPacking(packing))
-		if err != nil {
-			t.Fatal(err)
-		}
-		run("session", d.NewSession().Testbench())
-		b, err := d.NewBatch(2)
+	d, err := sim.Compile(foldedConstSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run("session", d.NewSession().Testbench())
+	for i, mint := range []func(*sim.Design, int) (*sim.Batch, error){sim.NewWideBatch, (*sim.Design).NewBatch} {
+		packing := i == 1
+		b, err := mint(d, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if b.Packed() != packing {
-			t.Fatalf("WithBatchPacking(%v): Packed() = %v", packing, b.Packed())
+			t.Fatalf("batch/packed=%v: Packed() = %v", packing, b.Packed())
 		}
 		run(fmt.Sprintf("batch/packed=%v", packing), b.Testbench())
 		b.Close()

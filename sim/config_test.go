@@ -32,7 +32,6 @@ var optionRows = map[string][]Option{
 	"kernel":       {WithKernel(TI), WithKernel(RU)},
 	"partitions":   {WithPartitions(1), WithPartitions(2), WithPartitions(3)},
 	"batchWorkers": {WithBatchWorkers(2), WithBatchWorkers(4)},
-	"batchPacking": {WithBatchPacking(false)},
 }
 
 // TestSourceHashOptionSensitivity: config is the key. Every field of config
@@ -83,10 +82,10 @@ func TestSourceHashOptionSensitivity(t *testing.T) {
 // what they compile is interchangeable: the same OIM bytes, kernel and plan.
 func TestEqualHashesNameEqualDesigns(t *testing.T) {
 	for name, pair := range map[string][2][]Option{
-		"defaults spelled out": {nil, {WithKernel(PSU), WithBatchWorkers(1), WithBatchPacking(true)}},
+		"defaults spelled out": {nil, {WithKernel(PSU), WithBatchWorkers(1)}},
 		"either order": {
-			{WithKernel(TI), WithPartitions(2), WithBatchPacking(false)},
-			{WithBatchPacking(false), WithPartitions(2), WithKernel(TI)},
+			{WithKernel(TI), WithPartitions(2), WithBatchWorkers(3)},
+			{WithBatchWorkers(3), WithPartitions(2), WithKernel(TI)},
 		},
 		"later wins": {{WithPartitions(2)}, {WithKernel(IU), WithPartitions(3), WithKernel(PSU), WithPartitions(2)}},
 	} {

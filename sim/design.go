@@ -15,18 +15,17 @@ import (
 // config is the resolved compilation configuration an option list produces:
 // one field per [Option], and nothing else. It is the whole key of a design —
 // [SourceHash] writes [config.fingerprint] and the source, [CompileGraph]
-// reads these four fields and no other input — so two option lists that
+// reads these three fields and no other input — so two option lists that
 // resolve to equal configs name interchangeable designs by construction.
 type config struct {
 	kernel       Kernel
-	partitions   int  // 0 = unpartitioned
-	batchWorkers int  // 1 = sequential batches
-	batchPacking bool // bit-pack 1-bit slots in batches
+	partitions   int // 0 = unpartitioned
+	batchWorkers int // 1 = sequential batches
 }
 
 // resolve applies an option list, in order, to what an empty list compiles.
 func resolve(opts []Option) config {
-	cfg := config{kernel: PSU, batchWorkers: 1, batchPacking: true}
+	cfg := config{kernel: PSU, batchWorkers: 1}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -37,12 +36,11 @@ func resolve(opts []Option) config {
 // TestSourceHashOptionSensitivity walks the struct by reflection, so a field
 // added above without a line here fails tier-1.
 func (c config) fingerprint() string {
-	return fmt.Sprintf("kernel=%s\npartitions=%d\nbatchWorkers=%d\nbatchPacking=%t\n",
-		c.kernel, c.partitions, c.batchWorkers, c.batchPacking)
+	return fmt.Sprintf("kernel=%s\npartitions=%d\nbatchWorkers=%d\n", c.kernel, c.partitions, c.batchWorkers)
 }
 
 // Option configures compilation. Options are applied in order; later options
-// win. There are four; the package comment states the rule that keeps it so.
+// win. There are three; the package comment states the rule that keeps it so.
 type Option func(*config)
 
 // WithKernel selects the kernel configuration. The default is [PSU].
@@ -85,19 +83,6 @@ func WithPartitions(n int) Option {
 // [Batch.Close].
 func WithBatchWorkers(n int) Option {
 	return func(c *config) { c.batchWorkers = n }
-}
-
-// WithBatchPacking toggles the bit-packed batch layout (on by default):
-// every LI slot the width analysis proves 1-bit wide is stored one lane per
-// bit of a word array, so And/Or/Xor/Not/Mux and comparison results over
-// such slots evaluate 64 lanes per machine word. Lanes still produce
-// exactly the trace a dedicated [Session] would — packing is a layout
-// change, not a semantics change — and designs without any provably-1-bit
-// slot fall back to the wide layout automatically. Pass false to force the
-// wide structure-of-arrays layout everywhere, the debugging off-switch when
-// bisecting a batch divergence.
-func WithBatchPacking(on bool) Option {
-	return func(c *config) { c.batchPacking = on }
 }
 
 // Design is an immutable compiled design: the OIM tensor (the circuit, held
@@ -351,10 +336,7 @@ func (d *Design) NewBatchParallel(n, workers int) (*Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	b, err := prog.InstantiateBatchWith(n, kernel.BatchOptions{
-		Workers: workers,
-		Packing: d.cfg.batchPacking,
-	})
+	b, err := prog.InstantiateBatchWith(n, kernel.BatchOptions{Workers: workers, Packing: true})
 	if err != nil {
 		return nil, err
 	}

@@ -21,15 +21,17 @@
 // Minting a session allocates only its value state, so a server mints one
 // per client lease and closes it on release rather than keeping a pool.
 //
-// [Compile] takes four options — [WithKernel], [WithPartitions],
-// [WithBatchWorkers], [WithBatchPacking] — and a design is keyed by exactly
-// those ([SourceHash]). The rule: an option exists when it changes the
+// [Compile] takes three options — [WithKernel], [WithPartitions],
+// [WithBatchWorkers] — and a design is keyed by exactly those
+// ([SourceHash]). The rule: an option exists when it changes the
 // compiled artifact or how it is run, has a caller in this tree that is not a
 // test, a line in the hash's fingerprint, and a leg of internal/difftest's
 // matrix. Every design keeps every register, so any session may record a
 // waveform; the paper's other ablation axes (optimisation passes, the
 // Figure 12a format, partition strategies) live where they are implemented,
-// in internal/dfg, internal/oim and internal/repcut.
+// in internal/dfg, internal/oim and internal/repcut. A batch's layout is no
+// option either: the schedule compiler bit-packs the slots it proves 1-bit
+// wide and stores the rest wide (see [Batch]).
 //
 // Quickstart:
 //

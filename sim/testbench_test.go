@@ -602,7 +602,7 @@ func TestPortLayer(t *testing.T) {
 	}{
 		{name: "session"},
 		{name: "partitioned", opts: []sim.Option{sim.WithPartitions(2)}},
-		{name: "batch-wide", lanes: 3, opts: []sim.Option{sim.WithBatchPacking(false)}},
+		{name: "batch-wide", lanes: 3},
 		{name: "batch-packed", lanes: 3, packed: true},
 	}
 	// port resolves a signal that must exist.
@@ -735,7 +735,11 @@ func TestPortLayer(t *testing.T) {
 						row.check(t, s.Testbench(), 0)
 						return
 					}
-					b, err := d.NewBatch(sh.lanes)
+					mint := sim.NewWideBatch
+					if sh.packed {
+						mint = (*sim.Design).NewBatch
+					}
+					b, err := mint(d, sh.lanes)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -46,16 +46,19 @@ func TestWidthAnalysisOneBitProperty(t *testing.T) {
 			if len(slots) == 0 {
 				continue
 			}
-			// A wide (unpacked) batch exposes every slot's full stored value;
-			// the property must hold in the layout that cannot hide violations.
-			b, err := kernel.NewBatch(ten, diffLanes)
-			if err != nil {
-				t.Fatal(err)
+			// A scalar TI engine keeps every LI coordinate's full value
+			// between cycles, so the property is checked where no layout can
+			// hide a violation: one engine per lane.
+			lanes := make([]kernel.Engine, diffLanes)
+			for lane := range lanes {
+				if lanes[lane], err = kernel.New(ten, kernel.Config{Kind: kernel.TI}); err != nil {
+					t.Fatal(err)
+				}
 			}
 			check := func(when string) {
-				for lane := 0; lane < diffLanes; lane++ {
+				for lane, e := range lanes {
 					for _, s := range slots {
-						if v := b.PeekSlot(lane, s); v > 1 {
+						if v := e.PeekSlot(s); v > 1 {
 							t.Fatalf("%s seed %d %s lane %d: slot %d classified 1-bit holds %d\n%s",
 								prof.Name, seed, when, lane, s, v, reproLine(tc, prof.Name, seed))
 						}
@@ -66,12 +69,12 @@ func TestWidthAnalysisOneBitProperty(t *testing.T) {
 			check("after reset")
 			stim := testbench.Random(tc.StimSeed)
 			for c := int64(0); c < diffCycles; c++ {
-				for lane := 0; lane < diffLanes; lane++ {
+				for lane, e := range lanes {
 					for in := range ten.InputSlots {
-						b.PokeInput(lane, in, stim.Value(c, lane, in))
+						e.PokeInput(in, stim.Value(c, lane, in))
 					}
+					e.Step()
 				}
-				b.Step()
 				check(fmt.Sprintf("cycle %d", c))
 			}
 		}
