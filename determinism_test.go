@@ -2,8 +2,8 @@
 // on it, must be a function of the source text alone. The elaborator used to
 // resolve register next-states in map order, so NodeIDs — hence the order
 // inside every (layer, signature) group, hence every slot — differed from one
-// sim.Compile to the next, and partition.Strategy's promise of determinism
-// stood on an input that had none.
+// sim.Compile to the next, and the partition planner's promise of
+// determinism stood on an input that had none.
 package main
 
 import (

@@ -2,9 +2,9 @@
 // with replication-aided cuts (Cascade 2) and compare wall-clock throughput
 // and state equivalence against single-threaded simulation of the same
 // tensor. The public path is sim.WithPartitions, which always plans with
-// min-cut; this example is the ablation of that choice, so it sits one layer
-// down, where the strategies live: repcut.NewPlan over the OIM tensor with a
-// partition.Strategy.
+// the min-cut planner; this example is the ablation of that choice, so it
+// sits one layer down: repcut.NewPlan over the OIM tensor, with nil for the
+// planner or an explicit owner vector.
 package main
 
 import (
@@ -18,7 +18,6 @@ import (
 	"rteaal/internal/gen"
 	"rteaal/internal/kernel"
 	"rteaal/internal/oim"
-	"rteaal/internal/partition"
 	"rteaal/internal/repcut"
 )
 
@@ -63,13 +62,24 @@ func main() {
 	ref := prog.Instantiate()
 	fmt.Printf("sequential PSU: %8v for %d cycles\n", run(ref), cycles)
 
-	// The ownership strategy decides what partitioning costs: round-robin
-	// is the structure-blind baseline, min-cut clusters registers by shared
+	// Ownership decides what partitioning costs: round-robin is the
+	// structure-blind baseline, the planner clusters registers by shared
 	// logic and refines the boundary. Same tensor, same partition counts —
 	// only the assignment differs.
-	for _, strat := range []partition.Strategy{partition.RoundRobin{}, partition.MinCut{}} {
+	roundRobin := func(n int) []int {
+		owner := make([]int, len(t.RegSlots))
+		for ri := range owner {
+			owner[ri] = ri % n
+		}
+		return owner
+	}
+	for _, name := range []string{"round-robin", "min-cut"} {
 		for _, parts := range []int{2, 4, 8} {
-			plan, err := repcut.NewPlan(t, parts, strat)
+			var owner []int // nil: the planner's
+			if name == "round-robin" {
+				owner = roundRobin(parts)
+			}
+			plan, err := repcut.NewPlan(t, parts, owner)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -84,7 +94,7 @@ func main() {
 			elapsed := run(inst)
 			ps := plan.Stats()
 			fmt.Printf("repcut %d parts (%-11s): %8v, replication %.2fx, cut %d, state match: %v\n",
-				parts, ps.Strategy, elapsed, ps.ReplicationFactor, ps.CutSize,
+				parts, name, elapsed, ps.ReplicationFactor, ps.CutSize,
 				slices.Equal(ref.RegSnapshot(), inst.RegSnapshot()))
 			inst.Close()
 		}

@@ -8,7 +8,6 @@ import (
 	"rteaal/internal/dfg"
 	"rteaal/internal/kernel"
 	"rteaal/internal/oim"
-	"rteaal/internal/partition"
 	"rteaal/internal/repcut"
 	"rteaal/internal/testbench"
 	"rteaal/internal/wire"
@@ -96,7 +95,7 @@ func Features(c *Case) ([]Feature, error) {
 	if commitCycle(ten.RegSlots) {
 		set[FeatCommitCycle] = true
 	}
-	if plan, err := repcut.NewPlan(ten, 2, partition.Default()); err == nil {
+	if plan, err := repcut.NewPlan(ten, 2, nil); err == nil {
 		st := plan.Stats()
 		if st.CutSize > 0 {
 			set[FeatPartitionCut] = true

@@ -1,4 +1,4 @@
-package partition
+package repcut
 
 import (
 	"math/rand"
@@ -11,21 +11,14 @@ import (
 	"rteaal/internal/wire"
 )
 
-func build(t *testing.T, g *dfg.Graph) *oim.Tensor {
+// buildOpt is build after the default optimisation passes.
+func buildOpt(t *testing.T, g *dfg.Graph) *oim.Tensor {
 	t.Helper()
 	opt, err := dfg.Optimize(g, dfg.DefaultOptOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	lv, err := dfg.Levelize(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ten, err := oim.Build(lv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ten
+	return build(t, opt)
 }
 
 // chainPairGraph has two pairs of registers: a,b share one combinational
@@ -56,11 +49,11 @@ func chainPairGraph() *dfg.Graph {
 // the two pairs have disjoint cones, and each register's cone reads exactly
 // the Q coordinates of its own pair.
 func TestAnalyzeFanInCones(t *testing.T) {
-	ten := build(t, chainPairGraph())
+	ten := buildOpt(t, chainPairGraph())
 	if len(ten.RegSlots) != 4 {
 		t.Fatalf("regs = %d, want 4", len(ten.RegSlots))
 	}
-	a := analyze(ten)
+	a := analyze(ten, newFanIn(ten))
 	for ri := 0; ri < 4; ri++ {
 		if a.coneOps[ri] == 0 {
 			t.Fatalf("register %d has an empty cone", ri)
@@ -86,19 +79,20 @@ func TestAnalyzeFanInCones(t *testing.T) {
 
 // TestConeClusterCoLocatesSharedLogic: at n=2 the pairs must land in
 // different partitions with their partners, giving zero replication and an
-// empty external read set.
+// empty external read set — after the seed alone and after refinement.
 func TestConeClusterCoLocatesSharedLogic(t *testing.T) {
-	ten := build(t, chainPairGraph())
-	for _, strat := range []Strategy{ConeCluster{}, MinCut{}} {
-		owner, err := strat.Assign(ten, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
+	ten := buildOpt(t, chainPairGraph())
+	r := newRefiner(analyze(ten, newFanIn(ten)), 2)
+	r.seed()
+	for name, owner := range map[string][]int{
+		"seed":    r.owner,
+		"planner": planOwners(ten, newFanIn(ten), 2),
+	} {
 		if owner[0] != owner[1] || owner[2] != owner[3] {
-			t.Fatalf("%s split a pair: %v", strat.Name(), owner)
+			t.Fatalf("%s split a pair: %v", name, owner)
 		}
 		if owner[0] == owner[2] {
-			t.Fatalf("%s merged both pairs into one partition: %v", strat.Name(), owner)
+			t.Fatalf("%s merged both pairs into one partition: %v", name, owner)
 		}
 	}
 }
@@ -112,8 +106,8 @@ func (b bitset) orWith(c bitset) {
 // evalOwner computes the plan cost of an owner vector straight from the
 // analysis — the makespan (largest partition's ops plus the registers it
 // publishes and pulls) and the work (replicated ops plus cut edges) — an
-// independent reference for comparing strategies without going through the
-// refiner's incremental counts or repcut.
+// independent reference for comparing assignments without going through the
+// refiner's incremental counts or NewPlan.
 func evalOwner(a *analysis, owner []int, n int) (span, work int) {
 	load := make([]int, n)
 	for p := 0; p < n; p++ {
@@ -144,46 +138,36 @@ func evalOwner(a *analysis, owner []int, n int) (span, work int) {
 	return slices.Max(load), work
 }
 
-// TestStrategiesValidAndDeterministic is the strategy-level property test:
-// over random graphs and synthesised benchmark designs, every strategy
-// produces a total, in-range, no-partition-empty owner vector and produces
-// it deterministically.
+// TestStrategiesValidAndDeterministic is the planner-level property test:
+// over random graphs and synthesised benchmark designs, the planner produces
+// a total, in-range, no-partition-empty owner vector and produces it
+// deterministically.
 func TestStrategiesValidAndDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var tensors []*oim.Tensor
 	for trial := 0; trial < 4; trial++ {
 		g := dfg.RandomGraph(rng, dfg.RandomParams{
 			Inputs: 4, Regs: 11, Ops: 200, Consts: 4, MaxWidth: 16, MuxBias: 0.3})
-		tensors = append(tensors, build(t, g))
+		tensors = append(tensors, buildOpt(t, g))
 	}
 	for _, spec := range []gen.Spec{
 		{Family: gen.SHA3, Scale: 8},
 		{Family: gen.Rocket, Cores: 1, Scale: 64},
 	} {
-		g, err := gen.Generate(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tensors = append(tensors, build(t, g))
+		tensors = append(tensors, buildSpec(t, spec))
 	}
 
 	for ti, ten := range tensors {
-		for _, strat := range All() {
-			for _, n := range []int{1, 2, 3, 8} {
-				if n > len(ten.RegSlots) {
-					continue
-				}
-				owner, err := strat.Assign(ten, n)
-				if err != nil {
-					t.Fatalf("tensor %d %s n=%d: %v", ti, strat.Name(), n, err)
-				}
-				if err := Validate(owner, len(ten.RegSlots), n); err != nil {
-					t.Fatalf("tensor %d %s n=%d: %v", ti, strat.Name(), n, err)
-				}
-				again, err := strat.Assign(ten, n)
-				if err != nil || !slices.Equal(owner, again) {
-					t.Fatalf("tensor %d %s n=%d: nondeterministic assignment", ti, strat.Name(), n)
-				}
+		for _, n := range []int{1, 2, 3, 8} {
+			if n > len(ten.RegSlots) {
+				continue
+			}
+			owner := planOwners(ten, newFanIn(ten), n)
+			if err := checkOwner(owner, len(ten.RegSlots), n); err != nil {
+				t.Fatalf("tensor %d n=%d: %v", ti, n, err)
+			}
+			if again := planOwners(ten, newFanIn(ten), n); !slices.Equal(owner, again) {
+				t.Fatalf("tensor %d n=%d: nondeterministic assignment", ti, n)
 			}
 		}
 	}
@@ -199,8 +183,8 @@ func TestMinCutRefinementNeverHurts(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		g := dfg.RandomGraph(rng, dfg.RandomParams{
 			Inputs: 4, Regs: 12, Ops: 260, Consts: 4, MaxWidth: 16, MuxBias: 0.3})
-		ten := build(t, g)
-		a := analyze(ten)
+		ten := buildOpt(t, g)
+		a := analyze(ten, newFanIn(ten))
 		for _, n := range []int{2, 4} {
 			if n > len(ten.RegSlots) {
 				continue
@@ -220,54 +204,28 @@ func TestMinCutRefinementNeverHurts(t *testing.T) {
 				t.Fatalf("trial %d n=%d: refinement worsened cost (%d, %d) -> (%d, %d)",
 					trial, n, ss, sw, rs, rw)
 			}
-			refined, err := MinCut{}.Assign(ten, n)
-			if err != nil || !slices.Equal(refined, r.owner) {
-				t.Fatalf("trial %d n=%d: MinCut.Assign is not seed + refine (%v)", trial, n, err)
+			if planned := planOwners(ten, newFanIn(ten), n); !slices.Equal(planned, r.owner) {
+				t.Fatalf("trial %d n=%d: the planner is not seed + refine", trial, n)
 			}
 		}
 	}
 }
 
-func TestAssignContract(t *testing.T) {
-	ten := build(t, chainPairGraph())
-	for _, strat := range All() {
-		if _, err := strat.Assign(ten, 0); err == nil {
-			t.Fatalf("%s accepted zero partitions", strat.Name())
-		}
-		if _, err := strat.Assign(ten, len(ten.RegSlots)+1); err == nil {
-			t.Fatalf("%s accepted more partitions than registers", strat.Name())
-		}
-	}
-}
-
-func TestDefaultAndNames(t *testing.T) {
-	if Default().Name() != (MinCut{}).Name() {
-		t.Fatalf("default strategy = %s", Default().Name())
-	}
-	seen := map[string]bool{}
-	for _, strat := range All() {
-		if strat.Name() == "" || seen[strat.Name()] {
-			t.Fatalf("strategy name %q empty or duplicated", strat.Name())
-		}
-		seen[strat.Name()] = true
-	}
-}
-
 func TestValidate(t *testing.T) {
-	if err := Validate([]int{0, 1, 0}, 3, 2); err != nil {
+	if err := checkOwner([]int{0, 1, 0}, 3, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := Validate([]int{0, 0, 0}, 3, 2); err == nil {
+	if err := checkOwner([]int{0, 0, 0}, 3, 2); err == nil {
 		t.Fatal("empty partition accepted")
 	}
-	if err := Validate([]int{0, 2, 1}, 3, 2); err == nil {
+	if err := checkOwner([]int{0, 2, 1}, 3, 2); err == nil {
 		t.Fatal("out-of-range owner accepted")
 	}
-	if err := Validate([]int{0, 1}, 3, 2); err == nil {
+	if err := checkOwner([]int{0, 1}, 3, 2); err == nil {
 		t.Fatal("short owner vector accepted")
 	}
 	// More partitions than registers: emptiness is not required.
-	if err := Validate([]int{2}, 1, 4); err != nil {
+	if err := checkOwner([]int{2}, 1, 4); err != nil {
 		t.Fatal(err)
 	}
 }

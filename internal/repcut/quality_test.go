@@ -10,7 +10,6 @@ import (
 	"rteaal/internal/gen"
 	"rteaal/internal/kernel"
 	"rteaal/internal/oim"
-	"rteaal/internal/partition"
 )
 
 func buildSpec(t testing.TB, spec gen.Spec) *oim.Tensor {
@@ -34,10 +33,26 @@ func buildSpec(t testing.TB, spec gen.Spec) *oim.Tensor {
 	return ten
 }
 
+// roundRobin is the structure-blind ownership: register ri in ri mod n.
+func roundRobin(ten *oim.Tensor, n int) []int {
+	owner := make([]int, len(ten.RegSlots))
+	for ri := range owner {
+		owner[ri] = ri % n
+	}
+	return owner
+}
+
+// maxConeOps is the largest single register fan-in cone of the design: the
+// floor under every plan's largest partition, since whoever owns that
+// register computes its whole cone.
+func maxConeOps(ten *oim.Tensor) int {
+	return slices.Max(analyze(ten, newFanIn(ten)).coneOps)
+}
+
 // TestMinCutBeatsRoundRobinOnCoupledDesigns is the headline acceptance
-// property of the partition-strategy layer: on the tightly coupled SoC
-// benchmark designs, min-cut refinement must strictly beat the round-robin
-// baseline on both replication factor and cut size at every partition count.
+// property of the planner: on the tightly coupled SoC benchmark designs, its
+// min-cut ownership must strictly beat the round-robin baseline on both
+// replication factor and cut size at every partition count.
 func TestMinCutBeatsRoundRobinOnCoupledDesigns(t *testing.T) {
 	for _, spec := range []gen.Spec{
 		{Family: gen.Rocket, Cores: 1, Scale: 32},
@@ -45,11 +60,11 @@ func TestMinCutBeatsRoundRobinOnCoupledDesigns(t *testing.T) {
 	} {
 		ten := buildSpec(t, spec)
 		for _, n := range []int{2, 4, 8} {
-			rrPlan, err := NewPlan(ten, n, partition.RoundRobin{})
+			rrPlan, err := NewPlan(ten, n, roundRobin(ten, n))
 			if err != nil {
 				t.Fatal(err)
 			}
-			mcPlan, err := NewPlan(ten, n, partition.MinCut{})
+			mcPlan, err := NewPlan(ten, n, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,13 +82,13 @@ func TestMinCutBeatsRoundRobinOnCoupledDesigns(t *testing.T) {
 }
 
 // TestEveryStrategyYieldsAValidPlan is the plan-level property test over
-// synthesised benchmark designs: for every strategy and partition count
-// (including requests beyond the register count), the plan has total
-// ownership, no empty partition after clamping, the strategy recorded in its
-// stats, and per-partition op counts between the floor every plan has (the
-// owner of the largest cone computes all of it) and the whole design. How
-// close to that floor the structure-aware strategies get is
-// TestPlanQuality's table; there is no balance tolerance to hold them to.
+// synthesised benchmark designs: for the planner and a round-robin owner
+// vector at every partition count (including requests beyond the register
+// count), the plan has total ownership, no empty partition after clamping,
+// and per-partition op counts between the floor every plan has (the owner of
+// the largest cone computes all of it) and the whole design. How close to
+// that floor the planner gets is TestPlanQuality's table; there is no
+// balance tolerance to hold it to.
 func TestEveryStrategyYieldsAValidPlan(t *testing.T) {
 	for _, spec := range []gen.Spec{
 		{Family: gen.SHA3, Scale: 8},
@@ -81,40 +96,38 @@ func TestEveryStrategyYieldsAValidPlan(t *testing.T) {
 	} {
 		ten := buildSpec(t, spec)
 		nRegs := len(ten.RegSlots)
-		maxCone := partition.MaxConeOps(ten)
-		for _, strat := range partition.All() {
+		maxCone := maxConeOps(ten)
+		for _, rr := range []bool{false, true} {
 			for _, req := range []int{1, 2, 3, 8, nRegs + 10} {
-				plan, err := NewPlan(ten, req, strat)
+				var owner []int
+				if rr {
+					owner = roundRobin(ten, min(req, nRegs))
+				}
+				name := fmt.Sprintf("%s round-robin=%v n=%d", spec.Name(), rr, req)
+				plan, err := NewPlan(ten, req, owner)
 				if err != nil {
-					t.Fatalf("%s %s n=%d: %v", spec.Name(), strat.Name(), req, err)
+					t.Fatalf("%s: %v", name, err)
 				}
 				st := plan.Stats()
 				if want := min(req, nRegs); st.Partitions != want || st.Requested != req {
-					t.Fatalf("%s %s: partitions %d/%d, want %d/%d",
-						spec.Name(), strat.Name(), st.Partitions, st.Requested, want, req)
-				}
-				if st.Strategy != strat.Name() {
-					t.Fatalf("%s: stats name %q, want %q", spec.Name(), st.Strategy, strat.Name())
+					t.Fatalf("%s: partitions %d/%d, want %d/%d", name, st.Partitions, st.Requested, want, req)
 				}
 				owned := 0
 				for part, sub := range plan.subs {
 					if len(sub.RegSlots) == 0 {
-						t.Fatalf("%s %s n=%d: partition %d owns no registers",
-							spec.Name(), strat.Name(), req, part)
+						t.Fatalf("%s: partition %d owns no registers", name, part)
 					}
 					owned += len(sub.RegSlots)
 				}
 				if owned != nRegs {
-					t.Fatalf("%s %s n=%d: %d of %d registers owned",
-						spec.Name(), strat.Name(), req, owned, nRegs)
+					t.Fatalf("%s: %d of %d registers owned", name, owned, nRegs)
 				}
 				if len(st.PartitionOps) != st.Partitions {
-					t.Fatalf("%s %s: %d op counts for %d partitions",
-						spec.Name(), strat.Name(), len(st.PartitionOps), st.Partitions)
+					t.Fatalf("%s: %d op counts for %d partitions", name, len(st.PartitionOps), st.Partitions)
 				}
 				if st.MaxPartitionOps < maxCone || st.MaxPartitionOps > st.TotalOps {
-					t.Fatalf("%s %s n=%d: largest partition %d outside [max cone %d, design %d]",
-						spec.Name(), strat.Name(), req, st.MaxPartitionOps, maxCone, st.TotalOps)
+					t.Fatalf("%s: largest partition %d outside [max cone %d, design %d]",
+						name, st.MaxPartitionOps, maxCone, st.TotalOps)
 				}
 			}
 		}
@@ -122,12 +135,14 @@ func TestEveryStrategyYieldsAValidPlan(t *testing.T) {
 }
 
 // TestEveryStrategyMatchesSequential: correctness is assignment-independent
-// — the strategy only moves cost. Every strategy at P ∈ {2, 3, 8}, lowered
-// for every kernel kind, steps bit-identically (registers and outputs) to the
-// one-engine simulation of the same tensor, and a nil strategy plans what
-// partition.Default names.
+// — ownership only moves cost. Round-robin, three seeded random owner
+// vectors and the planner's (nil), at P ∈ {2, 3, 8} and lowered for every
+// kernel kind, step bit-identically (registers and outputs) to the
+// one-engine simulation of the same tensor; and a nil owner plans what the
+// planner assigns.
 func TestEveryStrategyMatchesSequential(t *testing.T) {
 	ten := buildSpec(t, gen.Spec{Family: gen.SHA3, Scale: 8})
+	nRegs := len(ten.RegSlots)
 	trace := func(e kernel.Engine) []uint64 {
 		stim := rand.New(rand.NewSource(17))
 		var tr []uint64
@@ -143,12 +158,27 @@ func TestEveryStrategyMatchesSequential(t *testing.T) {
 		}
 		return tr
 	}
-	plan, err := NewPlan(ten, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := plan.Stats().Strategy, partition.Default().Name(); got != want {
-		t.Fatalf("nil strategy planned by %q, want the default %q", got, want)
+	owners := map[int]map[string][]int{}
+	for _, n := range []int{2, 3, 8} {
+		owners[n] = map[string][]int{"round-robin": roundRobin(ten, n), "planner": nil}
+		rng := rand.New(rand.NewSource(int64(n)))
+		for k := 0; k < 3; k++ {
+			owner := make([]int, nRegs)
+			for ri := range owner {
+				owner[ri] = rng.Intn(n)
+			}
+			for p, ri := range rng.Perm(nRegs)[:n] {
+				owner[ri] = p // no partition left empty
+			}
+			owners[n][fmt.Sprintf("random %d", k)] = owner
+		}
+		plan, err := NewPlan(ten, n, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := planOwners(ten, newFanIn(ten), n); !slices.Equal(plan.regOwner, want) {
+			t.Fatalf("n=%d: a nil owner did not plan what the planner assigns", n)
+		}
 	}
 	for _, kind := range kernel.Kinds() {
 		ref, err := kernel.New(ten, kernel.Config{Kind: kind})
@@ -156,9 +186,9 @@ func TestEveryStrategyMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		golden := trace(ref)
-		for _, strat := range partition.All() {
-			for _, n := range []int{2, 3, 8} {
-				plan, err := NewPlan(ten, n, strat)
+		for n, byName := range owners {
+			for name, owner := range byName {
+				plan, err := NewPlan(ten, n, owner)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -173,7 +203,7 @@ func TestEveryStrategyMatchesSequential(t *testing.T) {
 				got := trace(inst)
 				inst.Close()
 				if !slices.Equal(got, golden) {
-					t.Fatalf("%v with %d partitions (%s) diverges from sequential", kind, n, strat.Name())
+					t.Fatalf("%v with %d partitions (%s) diverges from sequential", kind, n, name)
 				}
 			}
 		}
@@ -223,7 +253,7 @@ func TestPlanQuality(t *testing.T) {
 			if ratio > tc.bar+0.0005 {
 				t.Errorf("%s: max/ideal %.3f, want at most %.3f", name, ratio, tc.bar)
 			}
-			if floor := float64(partition.MaxConeOps(ten)*n) / float64(st.TotalOps); ratio < floor {
+			if floor := float64(maxConeOps(ten)*n) / float64(st.TotalOps); ratio < floor {
 				t.Errorf("%s: max/ideal %.3f is under the largest cone's floor %.3f", name, ratio, floor)
 			}
 			if tc.maxRep > 0 && st.ReplicationFactor > tc.maxRep {

@@ -11,7 +11,7 @@
 // The package mirrors the compile-once architecture of internal/kernel:
 //
 //   - [NewPlan] partitions a design once, kernel-independently: ownership
-//     (delegated to a pluggable [partition.Strategy]), cone marking,
+//     (the min-cut planner's, or an explicit owner vector), cone marking,
 //     per-partition sub-tensors, and the reader-indexed RUM.
 //   - [Plan.Lower] lowers the sub-tensors into shareable [kernel.Program]s
 //     for one kernel configuration — also once.
@@ -22,8 +22,8 @@
 //
 // Everything downstream of the ownership vector — cones, sub-tensors, RUM,
 // stats — is assignment-agnostic: any valid owner vector yields a correct
-// (bit-identical) parallel simulation, and the strategy choice only moves
-// what a cycle costs: how large the largest partition is, how much logic is
+// (bit-identical) parallel simulation, and the ownership only moves what a
+// cycle costs: how large the largest partition is, how much logic is
 // replicated and how many registers cross the cut.
 package repcut
 
@@ -34,7 +34,6 @@ import (
 	"rteaal/internal/dfg"
 	"rteaal/internal/kernel"
 	"rteaal/internal/oim"
-	"rteaal/internal/partition"
 )
 
 // Plan is the immutable, kernel-independent partitioning of one design:
@@ -95,8 +94,6 @@ type xchgEntry struct {
 // PlanStats summarises a partition plan: the replication the cuts cost and
 // the cut size the differential exchange pays every cycle.
 type PlanStats struct {
-	// Strategy names the ownership assignment that produced the plan.
-	Strategy string
 	// Partitions is the actual partition count; Requested is what the
 	// caller asked for before clamping to the register count.
 	Partitions, Requested int
@@ -116,21 +113,21 @@ type PlanStats struct {
 	MaxPartitionOps, MinPartitionOps int
 }
 
-// NewPlan partitions the design into n parts. Register ownership is decided
-// by the given strategy (nil selects [partition.Default], the min-cut
-// refinement); each output is sampled by the partition owning the plurality
-// of the registers its cone reads, and each partition's sub-tensor contains
-// exactly the cone of operations its registers and assigned outputs need
+// NewPlan partitions the design into n parts. Register ownership is the
+// planner's call when owner is nil: it minimises the largest partition's
+// operations plus the registers it exchanges (see planner.go). A non-nil
+// owner is an explicit ownership, owner[ri] the partition of register ri of
+// t.RegSlots, and must cover every register and leave no partition empty.
+// Each output is sampled by the partition owning the plurality of the
+// registers its cone reads, and each partition's sub-tensor contains exactly
+// the cone of operations its registers and assigned outputs need
 // (replication-aided partitioning: shared logic is copied). A request for
 // more partitions than registers is clamped — empty partitions would spin
 // workers with no work — so the effective count is reported by
 // [Plan.Partitions] and [PlanStats.Partitions].
-func NewPlan(t *oim.Tensor, n int, strat partition.Strategy) (*Plan, error) {
+func NewPlan(t *oim.Tensor, n int, owner []int) (*Plan, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("repcut: need at least one partition, got %d", n)
-	}
-	if strat == nil {
-		strat = partition.Default()
 	}
 	requested := n
 	n = min(n, max(len(t.RegSlots), 1))
@@ -145,23 +142,15 @@ func NewPlan(t *oim.Tensor, n int, strat partition.Strategy) (*Plan, error) {
 		slotAuth:  make([]int32, t.NumSlots),
 	}
 
-	// LI coordinates are dense, so everything keyed by slot is a
-	// slot-indexed slice: producer[slot] is the operands of the op writing
-	// the slot (nil for sources — an op has at least one operand) and
-	// regOf[slot] the register whose Q it is (-1 for none).
-	producer := make([][]int32, t.NumSlots)
-	t.Ops(func(_ int, _ uint16, out int32, args []int32) { producer[out] = args })
-
-	// Register ownership: the strategy's call. Everything below is a pure
-	// function of this vector.
-	owner, err := strat.Assign(t, n)
-	if err != nil {
+	// Register ownership. Everything below is a pure function of this
+	// vector.
+	f := newFanIn(t)
+	if owner == nil {
+		owner = planOwners(t, f, n)
+	} else if err := checkOwner(owner, len(t.RegSlots), n); err != nil {
 		return nil, fmt.Errorf("repcut: %w", err)
 	}
-	if err := partition.Validate(owner, len(t.RegSlots), n); err != nil {
-		return nil, fmt.Errorf("repcut: strategy %s: %w", strat.Name(), err)
-	}
-	p.regOwner = owner
+	p.regOwner = slices.Clone(owner) // an explicit owner stays the caller's
 	for ri, part := range owner {
 		p.ownedRegs[part] = append(p.ownedRegs[part], ri)
 	}
@@ -170,33 +159,14 @@ func NewPlan(t *oim.Tensor, n int, strat partition.Strategy) (*Plan, error) {
 	// plurality of the registers its cone reads, so the sampling partition
 	// replicates as little extra logic as possible. Outputs reading no
 	// registers scatter round-robin.
-	regOf := make([]int32, t.NumSlots)
-	seen := make([]int32, t.NumSlots) // stamp: the last output whose walk visited the slot
-	for s := range regOf {
-		regOf[s], seen[s] = -1, -1
-	}
-	for ri, r := range t.RegSlots {
-		regOf[r.Q] = int32(ri)
-	}
-	var stack []int32
+	votes := make([]int, n)
 	for oi, slot := range t.OutputSlots {
-		votes := make([]int, n)
+		clear(votes)
 		sawReg := false
-		stack = append(stack[:0], slot)
-		seen[slot] = int32(oi)
-		for len(stack) > 0 {
-			s := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if ri := regOf[s]; ri >= 0 {
+		for _, s := range f.cone(slot) {
+			if ri := f.regOf[s]; ri >= 0 {
 				votes[owner[ri]]++
 				sawReg = true
-				continue
-			}
-			for _, arg := range producer[s] {
-				if seen[arg] != int32(oi) {
-					seen[arg] = int32(oi)
-					stack = append(stack, arg)
-				}
 			}
 		}
 		part := oi % n
@@ -217,27 +187,17 @@ func NewPlan(t *oim.Tensor, n int, strat partition.Strategy) (*Plan, error) {
 	for part := 0; part < n; part++ {
 		need := make([]bool, t.NumSlots)
 		needs[part] = need
-		var stack []int32
-		want := func(slot int32) {
-			if !need[slot] {
-				need[slot] = true
-				stack = append(stack, slot)
-			}
-		}
+		var roots []int32
 		for _, ri := range p.ownedRegs[part] {
-			want(t.RegSlots[ri].Next)
+			roots = append(roots, t.RegSlots[ri].Next)
 		}
 		for oi, slot := range t.OutputSlots {
 			if p.outOwner[oi] == part {
-				want(slot)
+				roots = append(roots, slot)
 			}
 		}
-		for len(stack) > 0 {
-			slot := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, arg := range producer[slot] { // none for a source
-				want(arg)
-			}
+		for _, s := range f.cone(roots...) {
+			need[s] = true
 		}
 
 		// Build the partition tensor: same slot space, the cone's
@@ -326,7 +286,6 @@ func NewPlan(t *oim.Tensor, n int, strat partition.Strategy) (*Plan, error) {
 
 	// Stats.
 	p.stats = PlanStats{
-		Strategy:        strat.Name(),
 		Partitions:      n,
 		Requested:       requested,
 		TotalOps:        t.TotalOps(),

@@ -8,7 +8,6 @@ import (
 	"rteaal/internal/dfg"
 	"rteaal/internal/kernel"
 	"rteaal/internal/oim"
-	"rteaal/internal/partition"
 	"rteaal/internal/wire"
 )
 
@@ -167,10 +166,10 @@ func TestReplicationGrowsWithPartitions(t *testing.T) {
 	}
 	ten := build(t, opt)
 	// Monotone growth is a property of the structure-blind baseline; the
-	// clustering strategies exist precisely to bend this curve down.
+	// planner exists precisely to bend this curve down.
 	prev := 0.0
 	for _, parts := range []int{1, 2, 4, 8} {
-		plan, err := NewPlan(ten, parts, partition.RoundRobin{})
+		plan, err := NewPlan(ten, parts, roundRobin(ten, parts))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,15 +191,36 @@ func TestReplicationGrowsWithPartitions(t *testing.T) {
 	}
 }
 
+// TestRejectsZeroPartitions: a partition count under one, and an explicit
+// owner vector that is malformed against the (clamped) count, are errors,
+// not panics.
 func TestRejectsZeroPartitions(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := dfg.RandomGraph(rng, dfg.DefaultRandomParams())
 	ten := build(t, g)
-	if _, err := NewPlan(ten, 0, nil); err == nil {
-		t.Fatal("want error for zero partitions")
+	nRegs := len(ten.RegSlots)
+	if nRegs < 2 {
+		t.Fatalf("generator produced %d registers, want at least 2", nRegs)
 	}
-	if _, err := NewPlan(ten, -3, nil); err == nil {
-		t.Fatal("want error for negative partitions")
+	outOfRange := roundRobin(ten, 2)
+	outOfRange[0] = 2
+	beyondClamp := roundRobin(ten, nRegs)
+	beyondClamp[0] = nRegs // in range of the request, not of the clamped count
+	for _, tc := range []struct {
+		name  string
+		n     int
+		owner []int
+	}{
+		{"zero partitions", 0, nil},
+		{"negative partitions", -3, nil},
+		{"owner vector of the wrong length", 2, roundRobin(ten, 2)[1:]},
+		{"owner outside [0, n)", 2, outOfRange},
+		{"empty partition", 2, make([]int, nRegs)},
+		{"owner outside the clamped count", nRegs + 2, beyondClamp},
+	} {
+		if _, err := NewPlan(ten, tc.n, tc.owner); err == nil {
+			t.Errorf("%s: want an error", tc.name)
+		}
 	}
 }
 

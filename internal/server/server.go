@@ -364,7 +364,7 @@ func decodeBody(r *http.Request, limit int64, v any) error {
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("server: decoding body: %w", err)
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return fmt.Errorf("server: trailing data after body")
 	}
 	return nil

@@ -855,6 +855,10 @@ func TestCompileOptionsShareCacheEntry(t *testing.T) {
 			t.Errorf("%s answered %d %s, want 400 naming %q", options, status, body, field)
 		}
 	}
+	// A stray closing brace after the body is trailing data.
+	if status, body := post(`{}}`); status != http.StatusBadRequest || !strings.Contains(body, "trailing") {
+		t.Errorf("a body with a stray } answered %d %s, want 400", status, body)
+	}
 
 	m, err := client.New(ts.URL).Metrics(context.Background())
 	if err != nil {

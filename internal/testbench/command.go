@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 )
 
 // This file is the wire framing of the port layer (sim.Testbench): the
@@ -193,8 +194,9 @@ func DecodeCommands(data []byte, maxCommands int) ([]Command, error) {
 	if err := dec.Decode(&cmds); err != nil {
 		return nil, fmt.Errorf("testbench: decoding commands: %w", err)
 	}
-	// A second JSON value after the array is a framing error, not padding.
-	if dec.More() {
+	// A second JSON value or a stray delimiter after the array is a framing
+	// error, not padding.
+	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("testbench: trailing data after command list")
 	}
 	if len(cmds) > maxCommands {

@@ -87,6 +87,8 @@ func TestDecodeCommandsRejects(t *testing.T) {
 		{"object not array", `{"op":"peek","signal":"x"}`, "decoding"},
 		{"unknown field", `[{"op":"peek","signal":"x","sgnal":"y"}]`, "unknown field"},
 		{"trailing data", `[{"op":"step","cycles":1}] [1,2]`, "trailing"},
+		{"stray bracket", `[{"op":"step","cycles":1}]]`, "trailing"},
+		{"stray brace", `[{"op":"step","cycles":1}]}`, "trailing"},
 		{"invalid command", `[{"op":"step"}]`, "cycles >= 1"},
 		{"negative step", `[{"op":"step","cycles":-1}]`, "cycles >= 1"},
 	}

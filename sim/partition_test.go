@@ -56,9 +56,9 @@ func fullTrace(t *testing.T, s *sim.Session, seed int64, cycles int) []uint64 {
 // TestPartitionedParityAllKernels is the acceptance property: a design
 // compiled with WithPartitions(n) produces registers and outputs
 // bit-identical to an unpartitioned session, for every kernel kind and a
-// spread of partition counts. (That correctness does not depend on the
-// ownership strategy is internal/repcut's TestEveryStrategyMatchesSequential,
-// where the strategies are reachable.)
+// spread of partition counts. (That correctness does not depend on who owns
+// which register is internal/repcut's TestEveryStrategyMatchesSequential,
+// where an explicit owner vector is reachable.)
 func TestPartitionedParityAllKernels(t *testing.T) {
 	src := genDesignSrc(t)
 	const cycles = 3

@@ -28,10 +28,10 @@
 // test, a line in the hash's fingerprint, and a leg of internal/difftest's
 // matrix. Every design keeps every register, so any session may record a
 // waveform; the paper's other ablation axes (optimisation passes, the
-// Figure 12a format, partition strategies) live where they are implemented,
-// in internal/dfg, internal/oim and internal/repcut. A batch's layout is no
-// option either: the schedule compiler bit-packs the slots it proves 1-bit
-// wide and stores the rest wide (see [Batch]).
+// Figure 12a format, explicit register ownership) live where they are
+// implemented, in internal/dfg, internal/oim and internal/repcut. A batch's
+// layout is no option either: the schedule compiler bit-packs the slots it
+// proves 1-bit wide and stores the rest wide (see [Batch]).
 //
 // Quickstart:
 //
