@@ -2,7 +2,8 @@
 // simulation. The design is compiled once; a Batch holds every lane's value
 // state in structure-of-arrays layout and advances all lanes lock-step
 // through one fused settle/commit schedule, optionally sharded over
-// persistent lane workers (WithBatchWorkers).
+// persistent lane workers chosen where the batch is minted
+// (Design.NewBatchParallel).
 //
 // The example sweeps the gain of a small multiply-accumulate pipeline: lane
 // l applies gain l+1 to the same input stream, so one batch Step explores
@@ -36,13 +37,13 @@ func main() {
 	// goroutines; each worker owns a contiguous lane block and the lanes
 	// stay bit-identical to dedicated sessions.
 	workers := min(4, runtime.GOMAXPROCS(0))
-	design, err := sim.Compile(src, sim.WithKernel(sim.PSU), sim.WithBatchWorkers(workers))
+	design, err := sim.Compile(src, sim.WithKernel(sim.PSU))
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	const lanes = 8
-	b, err := design.NewBatch(lanes)
+	b, err := design.NewBatchParallel(lanes, workers)
 	if err != nil {
 		log.Fatal(err)
 	}

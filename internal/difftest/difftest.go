@@ -94,21 +94,23 @@ type Matrix struct {
 }
 
 // leg is one engine shape of the matrix: a design compiled with the given
-// options and driven as one session, or as one batch of the case's lanes.
+// options and driven as one session (workers == 0), or as one batch of the
+// case's lanes minted on that many lane workers.
 type leg struct {
-	name  string
-	batch bool
-	opts  []sim.Option
+	name    string
+	workers int
+	opts    []sim.Option
 }
 
 // legs derives the matrix from sim's compile surface, so what is tested
 // follows what a user can reach: one session per kernel of sim.Kernels (the
 // default, PSU, with no option), then one leg per non-default value of each
 // other option — partitioned plans (one under a tape kernel, so both engine
-// families cross the RUM exchange), more than one batch worker. The batch
-// layout is the schedule compiler's call, not an option: the wide schedule's
-// legs are built below sim, in NewMatrix. TestMatrixCoversOptionSurface
-// holds the list to that surface. The first leg, RU's session, is the
+// families cross the RUM exchange) — then a sim batch on one worker and one
+// sharded over three. A batch's worker count is chosen where it is minted,
+// and its layout is the schedule compiler's call, not an option: the wide
+// schedule's legs are built below sim, in NewMatrix.
+// TestMatrixCoversOptionSurface holds the list to that surface. The first leg, RU's session, is the
 // reference every other leg is compared with: RU executes the paper's
 // Cascade 1 as written, so every engine shape is held to the paper's
 // equations.
@@ -125,8 +127,8 @@ func legs() []leg {
 		leg{name: "partitioned/n=2", opts: []sim.Option{sim.WithPartitions(2)}},
 		leg{name: "partitioned/n=3", opts: []sim.Option{sim.WithPartitions(3)}},
 		leg{name: "partitioned/n=2/TI", opts: []sim.Option{sim.WithPartitions(2), sim.WithKernel(sim.TI)}},
-		leg{name: "batch/packed", batch: true},
-		leg{name: "batch/packed/w=3", batch: true, opts: []sim.Option{sim.WithBatchWorkers(3)}},
+		leg{name: "batch/packed", workers: 1},
+		leg{name: "batch/packed/w=3", workers: 3},
 	)
 }
 
@@ -150,7 +152,7 @@ func NewMatrix(g *dfg.Graph, lanes int) (*Matrix, error) {
 			return nil, fmt.Errorf("%s: compile: %w", l.name, err)
 		}
 		m.inputs = len(d.Inputs())
-		if !l.batch {
+		if l.workers == 0 {
 			s := d.NewSession()
 			m.engines = append(m.engines, engine{
 				name:    l.name,
@@ -165,7 +167,7 @@ func NewMatrix(g *dfg.Graph, lanes int) (*Matrix, error) {
 			})
 			continue
 		}
-		b, err := d.NewBatch(lanes)
+		b, err := d.NewBatchParallel(lanes, l.workers)
 		if err != nil {
 			return nil, fmt.Errorf("%s: batch: %w", l.name, err)
 		}

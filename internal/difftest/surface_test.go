@@ -13,22 +13,27 @@ import (
 )
 
 // TestMatrixCoversOptionSurface: reachable ⊆ tested. Every compile option
-// sim exports — read from its source, so a fourth option cannot be added
+// sim exports — read from its source, so a third option cannot be added
 // without a row here — names the legs of the matrix that take it off its
 // default, every kernel sim.Kernels lists has a session leg, and each named
-// leg exists. The reference leg, first, is RU's session.
+// leg exists. The reference leg, first, is RU's session, and a sim batch
+// sharded over more than one worker, which no option reaches, has a leg too.
 func TestMatrixCoversOptionSurface(t *testing.T) {
 	var names []string
+	sharded := false
 	for _, l := range legs() {
 		names = append(names, l.name)
+		sharded = sharded || l.workers > 1
+	}
+	if !sharded {
+		t.Error("no leg mints a sim batch over more than one worker")
 	}
 	if names[0] != "session/RU" {
 		t.Errorf("the reference leg is %s; want session/RU, the kernel that executes Cascade 1 as written", names[0])
 	}
 	optionLegs := map[string][]string{
-		"WithKernel":       nil, // filled below: one session per kernel
-		"WithPartitions":   {"partitioned/n=2", "partitioned/n=3", "partitioned/n=2/TI"},
-		"WithBatchWorkers": {"batch/packed/w=3"},
+		"WithKernel":     nil, // filled below: one session per kernel
+		"WithPartitions": {"partitioned/n=2", "partitioned/n=3", "partitioned/n=2/TI"},
 	}
 	for _, k := range sim.Kernels() {
 		optionLegs["WithKernel"] = append(optionLegs["WithKernel"], "session/"+k.String())

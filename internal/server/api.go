@@ -15,18 +15,16 @@ import (
 // own validator and fuzz target.
 
 // CompileOptions is the wire form of the sim compile options a client may
-// select: sim.WithKernel, sim.WithPartitions and sim.WithBatchWorkers. The
-// zero value compiles with the package defaults (PSU kernel, unpartitioned,
-// one batch worker), and spelling a default out names the same cache entry.
-// Requests are decoded strictly, so a field that is not one of these three
-// ("strategy", "waveform") is answered with 400 naming it.
+// select: sim.WithKernel and sim.WithPartitions. The zero value compiles
+// with the package defaults (PSU kernel, unpartitioned), and spelling a
+// default out names the same cache entry. Requests are decoded strictly, so
+// a field that is not one of these two ("strategy", "waveform") is answered
+// with 400 naming it. A served batch runs on one worker.
 type CompileOptions struct {
 	// Kernel names a kernel configuration ("RU".."TI"); empty = PSU.
 	Kernel string `json:"kernel,omitempty"`
 	// Partitions > 0 compiles for RepCut-partitioned sessions.
 	Partitions int `json:"partitions,omitempty"`
-	// BatchWorkers > 0 shards batch lanes over persistent workers.
-	BatchWorkers int `json:"batch_workers,omitempty"`
 }
 
 // SimOptions resolves the wire options to sim compile options, rejecting
@@ -45,12 +43,6 @@ func (o CompileOptions) SimOptions() ([]sim.Option, error) {
 			return nil, fmt.Errorf("server: partitions must be >= 1, got %d", o.Partitions)
 		}
 		opts = append(opts, sim.WithPartitions(o.Partitions))
-	}
-	if o.BatchWorkers != 0 {
-		if o.BatchWorkers < 0 {
-			return nil, fmt.Errorf("server: batch_workers must be >= 1, got %d", o.BatchWorkers)
-		}
-		opts = append(opts, sim.WithBatchWorkers(o.BatchWorkers))
 	}
 	return opts, nil
 }

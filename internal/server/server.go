@@ -47,7 +47,8 @@ type Config struct {
 	// MaxCyclesPerCommand bounds one command's cycle budget
 	// (default 1e6).
 	MaxCyclesPerCommand int64
-	// MaxSourceBytes bounds POST /designs bodies (default 8 MiB).
+	// MaxSourceBytes bounds the request bodies of POST /designs and of
+	// POST /sessions/{id}/commands (default 8 MiB).
 	MaxSourceBytes int64
 	// MaxLogEntries bounds each session's recorded transaction log;
 	// oldest entries drop first (default 4096).

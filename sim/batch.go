@@ -11,8 +11,8 @@ import "rteaal/internal/kernel"
 // The settle/commit loops run a batch-specialised schedule the design
 // compiles once and every batch shares — operands as row indices, redundant
 // masks elided, bounds checks eliminated — over state held in blocks of at
-// most 256 lanes, and with [WithBatchWorkers] (or [Design.NewBatchParallel])
-// the lanes split evenly over persistent worker goroutines, whole blocks per
+// most 256 lanes, and when minted by [Design.NewBatchParallel] the lanes
+// split evenly over persistent worker goroutines, whole blocks per
 // worker, with one dispatch and one join per run and a barrier per cycle only
 // while a watch is active. Slots the compiler proves 1-bit wide are
 // additionally bit-packed — lane i of a block is bit i of the slot's row —
@@ -32,7 +32,7 @@ func (b *Batch) Design() *Design { return b.d }
 func (b *Batch) Lanes() int { return b.b.Lanes() }
 
 // Workers reports how many persistent lane workers the batch runs on
-// (1 = the sequential in-caller path); see [WithBatchWorkers].
+// (1 = the sequential in-caller path); see [Design.NewBatchParallel].
 func (b *Batch) Workers() int { return b.b.Workers() }
 
 // Packed reports whether the batch runs the bit-packed layout: true when

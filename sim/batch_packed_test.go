@@ -46,7 +46,7 @@ func TestBatchPackingParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bOff, err := sim.NewWideBatch(on, lanes)
+	bOff, err := sim.NewWideBatch(on, lanes, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestTestbenchPortLanePackedPoke(t *testing.T) {
 	if !bOn.Packed() {
 		t.Fatal("control design did not pack")
 	}
-	bOff, err := sim.NewWideBatch(on, lanes)
+	bOff, err := sim.NewWideBatch(on, lanes, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,14 +171,14 @@ func TestPackedBatchPeeksEverySignal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := sim.CompileGraph(g, sim.WithBatchWorkers(2))
+		d, err := sim.CompileGraph(g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var tbs [2]*sim.Testbench
-		for i, mint := range []func(*sim.Design, int) (*sim.Batch, error){(*sim.Design).NewBatch, sim.NewWideBatch} {
+		for i, mint := range []func(*sim.Design, int, int) (*sim.Batch, error){(*sim.Design).NewBatchParallel, sim.NewWideBatch} {
 			packing := i == 0
-			b, err := mint(d, lanes)
+			b, err := mint(d, lanes, 2)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -20,13 +20,13 @@ func TestBatchMatchesSessionIdenticalLanes(t *testing.T) {
 	src := genDesignSrc(t)
 	for _, k := range sim.Kernels() {
 		for _, workers := range []int{1, 3} {
-			d, err := sim.Compile(src, sim.WithKernel(k), sim.WithBatchWorkers(workers))
+			d, err := sim.Compile(src, sim.WithKernel(k))
 			if err != nil {
 				t.Fatal(err)
 			}
 			nIn := len(d.Inputs())
 			const lanes, cycles = 4, 5
-			b, err := d.NewBatch(lanes)
+			b, err := d.NewBatchParallel(lanes, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -268,14 +268,11 @@ func unoptimizedProgram(t *testing.T, g *dfg.Graph) *kernel.Program {
 	return prog
 }
 
-// TestBatchWorkersOption covers the compile-time default: WithBatchWorkers
-// flows into NewBatch, NewBatchParallel overrides it, and a non-positive
-// count is a compile (or mint) error.
+// TestBatchWorkersOption covers where a batch's worker count is chosen: at
+// minting. NewBatch runs one worker, NewBatchParallel the count it is given,
+// and a non-positive count is a mint error.
 func TestBatchWorkersOption(t *testing.T) {
-	if _, err := sim.Compile(counterSrc, sim.WithBatchWorkers(0)); err == nil {
-		t.Fatal("WithBatchWorkers(0) accepted")
-	}
-	d, err := sim.Compile(counterSrc, sim.WithBatchWorkers(2))
+	d, err := sim.Compile(counterSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,8 +280,8 @@ func TestBatchWorkersOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Workers() != 2 {
-		t.Fatalf("NewBatch workers = %d, want the WithBatchWorkers default 2", b.Workers())
+	if b.Workers() != 1 {
+		t.Fatalf("NewBatch workers = %d, want 1", b.Workers())
 	}
 	b.Close()
 	o, err := d.NewBatchParallel(8, 4)
@@ -411,9 +408,9 @@ func TestPortPokeOfFoldedConstant(t *testing.T) {
 		t.Fatal(err)
 	}
 	run("session", d.NewSession().Testbench())
-	for i, mint := range []func(*sim.Design, int) (*sim.Batch, error){sim.NewWideBatch, (*sim.Design).NewBatch} {
+	for i, mint := range []func(*sim.Design, int, int) (*sim.Batch, error){sim.NewWideBatch, (*sim.Design).NewBatchParallel} {
 		packing := i == 1
-		b, err := mint(d, 2)
+		b, err := mint(d, 2, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -207,14 +207,14 @@ func TestTestbenchBulkRunMatchesStep(t *testing.T) {
 	}
 	for _, sh := range []struct {
 		name  string
-		lanes int // 0: a session
+		lanes int // 0: a session; else a batch sharded over two workers
 		opts  []sim.Option
 		runs  []int64
 	}{
 		{"session", 0, nil, long},
 		{"partitioned", 0, []sim.Option{sim.WithPartitions(2)}, long},
-		{"batch", 3, []sim.Option{sim.WithBatchWorkers(2)}, long},
-		{"wide batch", 600, []sim.Option{sim.WithBatchWorkers(2)}, []int64{1, 4, 0, 7}},
+		{"batch", 3, nil, long},
+		{"wide batch", 600, nil, []int64{1, 4, 0, 7}},
 	} {
 		d, err := sim.Compile(counterSrc, sh.opts...)
 		if err != nil {
@@ -227,11 +227,11 @@ func TestTestbenchBulkRunMatchesStep(t *testing.T) {
 			bulk.Close()
 			ref.Close()
 		} else {
-			bulk, err := d.NewBatch(sh.lanes)
+			bulk, err := d.NewBatchParallel(sh.lanes, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := d.NewBatch(sh.lanes)
+			ref, err := d.NewBatchParallel(sh.lanes, 2)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -29,9 +29,8 @@ circuit Key :
 // field without a row fails TestSourceHashOptionSensitivity, so a new
 // compile option cannot skip the hash.
 var optionRows = map[string][]Option{
-	"kernel":       {WithKernel(TI), WithKernel(RU)},
-	"partitions":   {WithPartitions(1), WithPartitions(2), WithPartitions(3)},
-	"batchWorkers": {WithBatchWorkers(2), WithBatchWorkers(4)},
+	"kernel":     {WithKernel(TI), WithKernel(RU)},
+	"partitions": {WithPartitions(1), WithPartitions(2), WithPartitions(3)},
 }
 
 // TestSourceHashOptionSensitivity: config is the key. Every field of config
@@ -82,39 +81,63 @@ func TestSourceHashOptionSensitivity(t *testing.T) {
 // what they compile is interchangeable: the same OIM bytes, kernel and plan.
 func TestEqualHashesNameEqualDesigns(t *testing.T) {
 	for name, pair := range map[string][2][]Option{
-		"defaults spelled out": {nil, {WithKernel(PSU), WithBatchWorkers(1)}},
-		"either order": {
-			{WithKernel(TI), WithPartitions(2), WithBatchWorkers(3)},
-			{WithBatchWorkers(3), WithPartitions(2), WithKernel(TI)},
-		},
-		"later wins": {{WithPartitions(2)}, {WithKernel(IU), WithPartitions(3), WithKernel(PSU), WithPartitions(2)}},
+		"defaults spelled out": {nil, {WithKernel(PSU)}},
+		"either order":         {{WithKernel(TI), WithPartitions(2)}, {WithPartitions(2), WithKernel(TI)}},
+		"later wins":           {{WithPartitions(2)}, {WithKernel(IU), WithPartitions(3), WithKernel(PSU), WithPartitions(2)}},
 	} {
 		if a, b := SourceHash(keySrc, pair[0]...), SourceHash(keySrc, pair[1]...); a != b {
 			t.Errorf("%s: hashes differ: %s vs %s", name, a, b)
 			continue
 		}
-		var designs [2]*Design
-		var oims [2]bytes.Buffer
-		for i, opts := range pair {
-			d, err := Compile(keySrc, opts...)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if err := d.WriteOIM(&oims[i]); err != nil {
-				t.Fatal(err)
-			}
-			designs[i] = d
-		}
-		if !bytes.Equal(oims[0].Bytes(), oims[1].Bytes()) {
+		a, b := compileArtifact(t, keySrc, pair[0]...), compileArtifact(t, keySrc, pair[1]...)
+		if !bytes.Equal(a.oim, b.oim) {
 			t.Errorf("%s: equal hashes, different OIM", name)
 		}
-		if designs[0].Kernel() != designs[1].Kernel() {
-			t.Errorf("%s: equal hashes, kernels %v and %v", name, designs[0].Kernel(), designs[1].Kernel())
+		if a.kernel != b.kernel {
+			t.Errorf("%s: equal hashes, kernels %v and %v", name, a.kernel, b.kernel)
 		}
-		sa, oka := designs[0].PartitionStats()
-		sb, okb := designs[1].PartitionStats()
-		if oka != okb || !reflect.DeepEqual(sa, sb) {
-			t.Errorf("%s: equal hashes, partition stats %+v (%v) and %+v (%v)", name, sa, oka, sb, okb)
+		if a.partitioned != b.partitioned || !reflect.DeepEqual(a.stats, b.stats) {
+			t.Errorf("%s: equal hashes, partition stats %+v (%v) and %+v (%v)", name, a.stats, a.partitioned, b.stats, b.partitioned)
 		}
 	}
+}
+
+// TestDistinctHashesNameDistinctDesigns is the other half of the key's
+// contract: every option that forks SourceHash compiles something the
+// default does not — other OIM bytes, another kernel, or another partition
+// plan. A config field that forks the key but not the artifact (a run-time
+// knob) would make a serving layer compile and cache one design twice.
+func TestDistinctHashesNameDistinctDesigns(t *testing.T) {
+	def := compileArtifact(t, keySrc)
+	for name, row := range optionRows {
+		for j, opt := range row {
+			got := compileArtifact(t, keySrc, opt)
+			if reflect.DeepEqual(got, def) {
+				t.Errorf("%s row %d forks SourceHash but compiles the default design", name, j)
+			}
+		}
+	}
+}
+
+// artifact is what a compile produced, as the key's two tests compare it.
+type artifact struct {
+	oim         []byte
+	kernel      Kernel
+	stats       PartitionStats
+	partitioned bool
+}
+
+func compileArtifact(t *testing.T, src string, opts ...Option) artifact {
+	t.Helper()
+	d, err := Compile(src, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := d.WriteOIM(&buf); err != nil {
+		t.Fatal(err)
+	}
+	a := artifact{oim: buf.Bytes(), kernel: d.Kernel()}
+	a.stats, a.partitioned = d.PartitionStats()
+	return a
 }

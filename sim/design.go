@@ -15,17 +15,16 @@ import (
 // config is the resolved compilation configuration an option list produces:
 // one field per [Option], and nothing else. It is the whole key of a design —
 // [SourceHash] writes [config.fingerprint] and the source, [CompileGraph]
-// reads these three fields and no other input — so two option lists that
+// reads these two fields and no other input — so two option lists that
 // resolve to equal configs name interchangeable designs by construction.
 type config struct {
-	kernel       Kernel
-	partitions   int // 0 = unpartitioned
-	batchWorkers int // 1 = sequential batches
+	kernel     Kernel
+	partitions int // 0 = unpartitioned
 }
 
 // resolve applies an option list, in order, to what an empty list compiles.
 func resolve(opts []Option) config {
-	cfg := config{kernel: PSU, batchWorkers: 1}
+	cfg := config{kernel: PSU}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -36,11 +35,11 @@ func resolve(opts []Option) config {
 // TestSourceHashOptionSensitivity walks the struct by reflection, so a field
 // added above without a line here fails tier-1.
 func (c config) fingerprint() string {
-	return fmt.Sprintf("kernel=%s\npartitions=%d\nbatchWorkers=%d\n", c.kernel, c.partitions, c.batchWorkers)
+	return fmt.Sprintf("kernel=%s\npartitions=%d\n", c.kernel, c.partitions)
 }
 
 // Option configures compilation. Options are applied in order; later options
-// win. There are three; the package comment states the rule that keeps it so.
+// win. There are two; the package comment states the rule that keeps it so.
 type Option func(*config)
 
 // WithKernel selects the kernel configuration. The default is [PSU].
@@ -71,18 +70,6 @@ func WithPartitions(n int) Option {
 			c.partitions = -1 // distinguishable from the unset default; rejected at compile
 		}
 	}
-}
-
-// WithBatchWorkers makes [Design.NewBatch] shard its lanes over n
-// persistent worker goroutines: each worker runs the full batch schedule
-// over its own contiguous lane block, so an n-lane batch scales with cores
-// while every lane still produces exactly the trace a dedicated [Session]
-// would. One worker (the default) is the sequential in-caller path. The
-// worker count is clamped to the batch's lane count at [Design.NewBatch];
-// n < 1 is a compile error. Parallel batches should be released with
-// [Batch.Close].
-func WithBatchWorkers(n int) Option {
-	return func(c *config) { c.batchWorkers = n }
 }
 
 // Design is an immutable compiled design: the OIM tensor (the circuit, held
@@ -130,9 +117,6 @@ func CompileGraph(g *dfg.Graph, opts ...Option) (*Design, error) {
 	// Reject bad options before the expensive Figure 14 pipeline runs.
 	if cfg.partitions < 0 {
 		return nil, fmt.Errorf("sim: WithPartitions needs at least one partition")
-	}
-	if cfg.batchWorkers < 1 {
-		return nil, fmt.Errorf("sim: WithBatchWorkers needs at least one worker")
 	}
 	// The passes keep every register, so any session of any design may
 	// call [Session.EnableWaveform] (§6.2).
@@ -318,16 +302,18 @@ func (d *Design) fullProgram() (*kernel.Program, error) {
 
 // NewBatch mints an n-lane lock-step simulation over the shared tensor; see
 // [Batch]. The batch-specialised schedule is compiled once per design and
-// shared by all its batches. Lanes run on the worker count selected with
-// [WithBatchWorkers] (one by default).
+// shared by all its batches. Its lanes run in the caller, on one worker;
+// [Design.NewBatchParallel] shards them.
 func (d *Design) NewBatch(n int) (*Batch, error) {
-	return d.NewBatchParallel(n, d.cfg.batchWorkers)
+	return d.NewBatchParallel(n, 1)
 }
 
 // NewBatchParallel mints an n-lane batch sharded over the given number of
-// persistent lane workers, overriding the design's [WithBatchWorkers]
-// default. The worker count is clamped to n; workers == 1 is the sequential
-// path. Parallel batches should be released with [Batch.Close].
+// persistent lane workers: each runs the full batch schedule over its own
+// contiguous lane block, so a wide batch scales with cores while every lane
+// still produces exactly the trace a dedicated [Session] would. The count is
+// clamped to n; 1 is the sequential in-caller path. Parallel batches should
+// be released with [Batch.Close].
 func (d *Design) NewBatchParallel(n, workers int) (*Batch, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("sim: batch needs at least 1 worker, got %d", workers)

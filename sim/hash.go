@@ -16,10 +16,10 @@ import (
 // serving layer compile a design once *across users*. Clients presenting
 // byte-different but semantically identical sources (line endings, trailing
 // whitespace) or the defaults spelled out still share one entry, while each
-// [Option] that takes a non-default value forks the key. The rule that keeps
-// it so: an option exists when it changes the compiled artifact or how it is
-// run, has a caller in this tree that is not a test, a line in fingerprint,
-// and a difftest leg.
+// [Option] that takes a non-default value forks the key and compiles another
+// artifact. The rule that keeps it so: an option exists when it changes the
+// compiled artifact, has a caller in this tree that is not a test, a line in
+// fingerprint, and a difftest leg.
 //
 // The hash is computed without compiling; invalid options surface when the
 // source is actually compiled, not here.

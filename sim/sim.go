@@ -21,17 +21,18 @@
 // Minting a session allocates only its value state, so a server mints one
 // per client lease and closes it on release rather than keeping a pool.
 //
-// [Compile] takes three options — [WithKernel], [WithPartitions],
-// [WithBatchWorkers] — and a design is keyed by exactly those
-// ([SourceHash]). The rule: an option exists when it changes the
-// compiled artifact or how it is run, has a caller in this tree that is not a
-// test, a line in the hash's fingerprint, and a leg of internal/difftest's
-// matrix. Every design keeps every register, so any session may record a
-// waveform; the paper's other ablation axes (optimisation passes, the
-// Figure 12a format, explicit register ownership) live where they are
-// implemented, in internal/dfg, internal/oim and internal/repcut. A batch's
-// layout is no option either: the schedule compiler bit-packs the slots it
-// proves 1-bit wide and stores the rest wide (see [Batch]).
+// [Compile] takes two options — [WithKernel] and [WithPartitions] — and a
+// design is keyed by exactly those ([SourceHash]). The rule: an option exists
+// when it changes the compiled artifact, has a caller in this tree that is
+// not a test, a line in the hash's fingerprint, and a leg of
+// internal/difftest's matrix. How a design is run is chosen where it is
+// run: a batch's worker count is an argument of [Design.NewBatchParallel].
+// Every design keeps every register, so any session may record a waveform;
+// the paper's other ablation axes (optimisation passes, the Figure 12a
+// format, explicit register ownership) live where they are implemented, in
+// internal/dfg, internal/oim and internal/repcut. A batch's layout is no
+// option either: the schedule compiler bit-packs the slots it proves 1-bit
+// wide and stores the rest wide (see [Batch]).
 //
 // Quickstart:
 //

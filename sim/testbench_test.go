@@ -430,11 +430,11 @@ func TestTestbenchCancel(t *testing.T) {
 			return sessionBench(t, src, sim.WithPartitions(2))
 		}},
 		{"batch", func(t *testing.T, src string) cancelBench {
-			d, err := sim.Compile(src, sim.WithBatchWorkers(2))
+			d, err := sim.Compile(src)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := d.NewBatch(3)
+			b, err := d.NewBatchParallel(3, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -737,9 +737,9 @@ func TestPortLayer(t *testing.T) {
 					}
 					mint := sim.NewWideBatch
 					if sh.packed {
-						mint = (*sim.Design).NewBatch
+						mint = (*sim.Design).NewBatchParallel
 					}
-					b, err := mint(d, sh.lanes)
+					b, err := mint(d, sh.lanes, 1)
 					if err != nil {
 						t.Fatal(err)
 					}
