@@ -55,13 +55,13 @@ func benchDesign(b *testing.B) (*dfg.Graph, *oim.Tensor) {
 // one kernel configuration on the scaled rocket-1 design.
 func benchKernelCycle(b *testing.B, cfg kernel.Config) {
 	_, t := benchDesign(b)
-	e, err := kernel.New(t, cfg)
+	e, err := newEngine(t, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
 	for i := range t.InputSlots {
-		e.PokeInput(i, rng.Uint64())
+		pokeInput(e, i, rng.Uint64())
 	}
 	b.ReportMetric(float64(t.TotalOps()), "ops/cycle")
 	b.ResetTimer()
@@ -102,7 +102,7 @@ func benchFusion(b *testing.B, fuse bool) {
 	o := dfg.DefaultOptOptions()
 	o.MuxChainFuse = fuse
 	_, t := buildDesign(b, gen.Spec{Family: gen.Boom, Cores: 1, Scale: benchScale}, o)
-	e, err := kernel.New(t, kernel.Config{Kind: kernel.PSU})
+	e, err := newEngine(t, kernel.Config{Kind: kernel.PSU})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func BenchmarkAblationIdentityElided(b *testing.B) {
 
 func BenchmarkAblationIdentityExplicit(b *testing.B) {
 	_, t := benchDesign(b)
-	e, err := kernel.New(t, kernel.Config{Kind: kernel.PSU})
+	e, err := newEngine(t, kernel.Config{Kind: kernel.PSU})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func benchRepCut(b *testing.B, parts int) {
 	defer pc.Close()
 	rng := rand.New(rand.NewSource(1))
 	for i := range t.InputSlots {
-		pc.PokeInput(i, rng.Uint64())
+		pokeInput(pc, i, rng.Uint64())
 	}
 	b.ReportMetric(plan.Stats().ReplicationFactor, "replication")
 	b.ResetTimer()

@@ -71,11 +71,15 @@ func fuzz(budget time.Duration, workers int, corpusDir string, cycles, lanes int
 	var (
 		nextSeed atomic.Int64
 		cases    atomic.Int64
+		skipped  atomic.Int64
 		simCyc   atomic.Int64
 		stop     atomic.Bool
 
 		mu  sync.Mutex
 		hit *found
+		// firstSkip is the error of the first case a shape failed to build;
+		// written once, by the worker whose skip was the first counted.
+		firstSkip error
 	)
 	nextSeed.Store(seed0)
 
@@ -91,7 +95,10 @@ func fuzz(budget time.Duration, workers int, corpusDir string, cycles, lanes int
 				c := difftest.NewCase(seed, prof, cycles, lanes)
 				d, err := c.Execute()
 				if err != nil {
-					// A shape failed to build (degenerate design): skip.
+					// A shape failed to build: the case is skipped, and counted.
+					if skipped.Add(1) == 1 {
+						firstSkip = fmt.Errorf("seed %d, profile %s: %w", seed, prof.Name, err)
+					}
 					continue
 				}
 				cases.Add(1)
@@ -142,9 +149,12 @@ func fuzz(budget time.Duration, workers int, corpusDir string, cycles, lanes int
 		fmt.Println()
 	}
 
+	if firstSkip != nil {
+		fmt.Printf("first skip: %v\n", firstSkip)
+	}
 	if hit == nil {
-		fmt.Printf("PASS: %d cases, %d coverage features, no divergence in %s\n",
-			cases.Load(), cov.Size(), budget)
+		fmt.Printf("PASS: %d cases, %d skipped, %d coverage features, no divergence in %s\n",
+			cases.Load(), skipped.Load(), cov.Size(), budget)
 		return 0
 	}
 

@@ -51,12 +51,21 @@ func main() {
 		stim := rand.New(rand.NewSource(7))
 		start := time.Now()
 		for c := 0; c < cycles; c++ {
-			for i := range t.InputSlots {
-				e.PokeInput(i, stim.Uint64())
+			for _, slot := range t.InputSlots {
+				e.PokeSlot(slot, stim.Uint64())
 			}
 			e.Step()
 		}
 		return time.Since(start)
+	}
+
+	// regs reads the committed registers through their Q coordinates.
+	regs := func(e kernel.Engine) []uint64 {
+		out := make([]uint64, len(t.RegSlots))
+		for i, r := range t.RegSlots {
+			out[i] = e.PeekSlot(r.Q)
+		}
+		return out
 	}
 
 	ref := prog.Instantiate()
@@ -95,7 +104,7 @@ func main() {
 			ps := plan.Stats()
 			fmt.Printf("repcut %d parts (%-11s): %8v, replication %.2fx, cut %d, state match: %v\n",
 				parts, name, elapsed, ps.ReplicationFactor, ps.CutSize,
-				slices.Equal(ref.RegSnapshot(), inst.RegSnapshot()))
+				slices.Equal(regs(ref), regs(inst)))
 			inst.Close()
 		}
 	}

@@ -18,6 +18,27 @@ import (
 	"rteaal/sim"
 )
 
+// newEngine lowers t for cfg and mints one engine over the program.
+func newEngine(t *oim.Tensor, cfg kernel.Config) (kernel.Engine, error) {
+	p, err := kernel.NewProgram(t, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return p.Instantiate(), nil
+}
+
+// pokeInput drives an engine's idx-th primary input through its slot.
+func pokeInput(e kernel.Engine, idx int, v uint64) { e.PokeSlot(e.Tensor().InputSlots[idx], v) }
+
+// regsOf reads an engine's committed registers through their Q slots.
+func regsOf(e kernel.Engine) []uint64 {
+	regs := make([]uint64, len(e.Tensor().RegSlots))
+	for i, r := range e.Tensor().RegSlots {
+		regs[i] = e.PeekSlot(r.Q)
+	}
+	return regs
+}
+
 // TestFullPipelineOnGeneratedDesign round-trips a synthesised design
 // through FIRRTL text (the external interchange format) and simulates the
 // re-elaborated circuit with every kernel (RU among them: Cascade 1 as the
@@ -93,7 +114,7 @@ func TestFullPipelineOnGeneratedDesign(t *testing.T) {
 
 	// Every kernel over the JSON-round-tripped tensor.
 	for _, kind := range kernel.Kinds() {
-		e, err := kernel.New(ten2, kernel.Config{Kind: kind})
+		e, err := newEngine(ten2, kernel.Config{Kind: kind})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,10 +122,10 @@ func TestFullPipelineOnGeneratedDesign(t *testing.T) {
 		var tr []uint64
 		for c := 0; c < cycles; c++ {
 			for i := range ten2.InputSlots {
-				e.PokeInput(i, rng.Uint64())
+				pokeInput(e, i, rng.Uint64())
 			}
 			e.Step()
-			tr = append(tr, e.RegSnapshot()...)
+			tr = append(tr, regsOf(e)...)
 		}
 		check(kind.String(), tr)
 	}
@@ -146,10 +167,10 @@ func TestFullPipelineOnGeneratedDesign(t *testing.T) {
 		var tr []uint64
 		for c := 0; c < cycles; c++ {
 			for i := range ten.InputSlots {
-				pc.PokeInput(i, rng.Uint64()&ten.Masks[ten.InputSlots[i]])
+				pokeInput(pc, i, rng.Uint64()&ten.Masks[ten.InputSlots[i]])
 			}
 			pc.Step()
-			tr = append(tr, pc.RegSnapshot()...)
+			tr = append(tr, regsOf(pc)...)
 		}
 		check("repcut", tr)
 	}

@@ -90,7 +90,6 @@ type Matrix struct {
 	inputs   int
 	outNames []string
 	regNames []string
-	tensor   *oim.Tensor
 }
 
 // leg is one engine shape of the matrix: a design compiled with the given
@@ -222,19 +221,24 @@ func NewMatrix(g *dfg.Graph, lanes int) (*Matrix, error) {
 			name:    k.name,
 			lanes:   lanes,
 			outputs: len(ten.OutputSlots),
-			poke:    func(lane, input int, v uint64) { b.PokeInput(lane, input, v) },
+			poke:    func(lane, input int, v uint64) { b.PokeSlot(lane, ten.InputSlots[input], v) },
 			step:    func() error { b.Step(); return nil },
 			run:     func(n int64) error { b.Run(int(n)); return nil },
 			out:     b.PeekOutput,
-			regs:    b.RegSnapshot,
-			close:   b.Close,
+			regs: func(lane int) []uint64 {
+				regs := make([]uint64, len(ten.RegSlots))
+				for i, r := range ten.RegSlots {
+					regs[i] = b.PeekSlot(lane, r.Q)
+				}
+				return regs
+			},
+			close: b.Close,
 		}
 		if k.reference {
 			e.step, e.run = func() error { b.StepReference(); return nil }, nil
 		}
 		m.engines = append(m.engines, e)
 	}
-	m.tensor = ten
 	m.outNames = append([]string(nil), ten.OutputNames...)
 	m.regNames = append([]string(nil), ten.RegNames...)
 	ok = true
@@ -250,10 +254,6 @@ func (m *Matrix) Close() {
 	}
 	m.engines = nil
 }
-
-// Tensor exposes the optimised operation-intensity tensor the reference
-// engine was built from (used by coverage feature extraction).
-func (m *Matrix) Tensor() *oim.Tensor { return m.tensor }
 
 // state captures one engine lane's observable values: outputs then
 // registers, in index order.

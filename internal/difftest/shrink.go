@@ -22,82 +22,6 @@ func (s ShrinkStats) String() string {
 		s.CyclesBefore, s.CyclesAfter, s.LanesBefore, s.LanesAfter)
 }
 
-// cloneGraph deep-copies a graph so a trial mutation never leaks into the
-// accepted case.
-func cloneGraph(g *dfg.Graph) *dfg.Graph {
-	c := &dfg.Graph{
-		Name:    g.Name,
-		Nodes:   make([]dfg.Node, len(g.Nodes)),
-		Inputs:  append([]dfg.Port(nil), g.Inputs...),
-		Outputs: append([]dfg.Port(nil), g.Outputs...),
-		Regs:    append([]dfg.Reg(nil), g.Regs...),
-	}
-	copy(c.Nodes, g.Nodes)
-	for i := range c.Nodes {
-		c.Nodes[i].Args = append([]dfg.NodeID(nil), g.Nodes[i].Args...)
-	}
-	return c
-}
-
-// compact rebuilds the graph keeping only nodes reachable from outputs,
-// registers, and the remaining primary inputs, remapping all ids. Called
-// once per accepted pass so node counts in the final repro reflect live
-// logic, not tombstones.
-func compact(g *dfg.Graph) *dfg.Graph {
-	live := make([]bool, len(g.Nodes))
-	var mark func(id dfg.NodeID)
-	mark = func(id dfg.NodeID) {
-		if live[id] {
-			return
-		}
-		live[id] = true
-		for _, a := range g.Nodes[id].Args {
-			mark(a)
-		}
-	}
-	for _, p := range g.Outputs {
-		mark(p.Node)
-	}
-	for _, p := range g.Inputs {
-		mark(p.Node)
-	}
-	for _, r := range g.Regs {
-		mark(r.Node)
-		if r.Next != dfg.Invalid {
-			mark(r.Next)
-		}
-	}
-	remap := make([]dfg.NodeID, len(g.Nodes))
-	out := &dfg.Graph{Name: g.Name}
-	for id := range g.Nodes {
-		if !live[id] {
-			remap[id] = dfg.Invalid
-			continue
-		}
-		n := g.Nodes[id]
-		n.Args = append([]dfg.NodeID(nil), n.Args...)
-		for i, a := range n.Args {
-			n.Args[i] = remap[a]
-		}
-		out.Nodes = append(out.Nodes, n)
-		remap[id] = dfg.NodeID(len(out.Nodes) - 1)
-	}
-	for _, p := range g.Inputs {
-		out.Inputs = append(out.Inputs, dfg.Port{Name: p.Name, Node: remap[p.Node]})
-	}
-	for _, p := range g.Outputs {
-		out.Outputs = append(out.Outputs, dfg.Port{Name: p.Name, Node: remap[p.Node]})
-	}
-	for _, r := range g.Regs {
-		next := dfg.Invalid
-		if r.Next != dfg.Invalid {
-			next = remap[r.Next]
-		}
-		out.Regs = append(out.Regs, dfg.Reg{Node: remap[r.Node], Next: next, Init: r.Init})
-	}
-	return out
-}
-
 // stillDiverges executes a candidate and reports whether any divergence
 // (not necessarily the original one) survives. Build or step errors reject
 // the candidate: the shrinker only keeps mutations that leave a working,
@@ -123,7 +47,7 @@ func Shrink(c *Case) (*Case, *Divergence, ShrinkStats, error) {
 	stats := ShrinkStats{
 		NodesBefore: len(c.Graph.Nodes), CyclesBefore: c.Cycles, LanesBefore: c.Lanes,
 	}
-	cur := &Case{Graph: cloneGraph(c.Graph), Cycles: c.Cycles, Lanes: c.Lanes, StimSeed: c.StimSeed}
+	cur := &Case{Graph: c.Graph.Clone(), Cycles: c.Cycles, Lanes: c.Lanes, StimSeed: c.StimSeed}
 	stats.Trials++
 	div, ok := stillDiverges(cur)
 	if !ok {
@@ -162,13 +86,13 @@ func Shrink(c *Case) (*Case, *Divergence, ShrinkStats, error) {
 
 	// Structural passes to a fixpoint: drop outputs, freeze registers,
 	// zero operation nodes, constant-fold inputs. Each accepted pass ends
-	// with a compaction so dead cones disappear from the node count.
+	// with dead-code elimination so dead cones disappear from the node count.
 	for pass := 0; pass < 8; pass++ {
 		accepted := 0
 
 		// Drop outputs (from the back, so indices stay stable).
 		for i := len(cur.Graph.Outputs) - 1; i >= 0; i-- {
-			g := cloneGraph(cur.Graph)
+			g := cur.Graph.Clone()
 			g.Outputs = append(g.Outputs[:i], g.Outputs[i+1:]...)
 			if try(&Case{Graph: g, Cycles: cur.Cycles, Lanes: cur.Lanes, StimSeed: cur.StimSeed}) {
 				accepted++
@@ -178,7 +102,7 @@ func Shrink(c *Case) (*Case, *Divergence, ShrinkStats, error) {
 		// Freeze registers: the Q node becomes a constant at the initial
 		// value and the register (with its next-state cone) is removed.
 		for i := len(cur.Graph.Regs) - 1; i >= 0; i-- {
-			g := cloneGraph(cur.Graph)
+			g := cur.Graph.Clone()
 			r := g.Regs[i]
 			n := &g.Nodes[r.Node]
 			n.Kind, n.Val, n.Args = dfg.KindConst, r.Init&n.Mask(), nil
@@ -194,7 +118,7 @@ func Shrink(c *Case) (*Case, *Divergence, ShrinkStats, error) {
 			if cur.Graph.Nodes[id].Kind != dfg.KindOp {
 				continue
 			}
-			g := cloneGraph(cur.Graph)
+			g := cur.Graph.Clone()
 			n := &g.Nodes[id]
 			n.Kind, n.Val, n.Args = dfg.KindConst, 0, nil
 			if try(&Case{Graph: g, Cycles: cur.Cycles, Lanes: cur.Lanes, StimSeed: cur.StimSeed}) {
@@ -204,7 +128,7 @@ func Shrink(c *Case) (*Case, *Divergence, ShrinkStats, error) {
 
 		// Constant-fold primary inputs to zero.
 		for i := len(cur.Graph.Inputs) - 1; i >= 0; i-- {
-			g := cloneGraph(cur.Graph)
+			g := cur.Graph.Clone()
 			p := g.Inputs[i]
 			n := &g.Nodes[p.Node]
 			n.Kind, n.Val, n.Args = dfg.KindConst, 0, nil
@@ -214,16 +138,15 @@ func Shrink(c *Case) (*Case, *Divergence, ShrinkStats, error) {
 			}
 		}
 
-		if accepted > 0 {
-			g := compact(cur.Graph)
-			stats.Trials++
-			if d, ok := stillDiverges(&Case{Graph: g, Cycles: cur.Cycles, Lanes: cur.Lanes, StimSeed: cur.StimSeed}); ok {
-				cur = &Case{Graph: g, Cycles: cur.Cycles, Lanes: cur.Lanes, StimSeed: cur.StimSeed}
-				div = d
-			}
-		}
 		if accepted == 0 {
 			break
+		}
+		if g, err := dfg.Optimize(cur.Graph, dfg.OptOptions{DCE: true}); err == nil {
+			cand := &Case{Graph: g, Cycles: cur.Cycles, Lanes: cur.Lanes, StimSeed: cur.StimSeed}
+			stats.Trials++
+			if d, ok := stillDiverges(cand); ok {
+				cur, div = cand, d
+			}
 		}
 	}
 

@@ -312,10 +312,11 @@ func TestGeneratedDesignsSimulateThroughKernels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := kernel.New(ten, kernel.Config{Kind: kernel.PSU})
+		prog, err := kernel.NewProgram(ten, kernel.Config{Kind: kernel.PSU})
 		if err != nil {
 			t.Fatal(err)
 		}
+		e := prog.Instantiate()
 		it, err := dfg.NewInterp(opt)
 		if err != nil {
 			t.Fatal(err)
@@ -324,14 +325,14 @@ func TestGeneratedDesignsSimulateThroughKernels(t *testing.T) {
 		for cyc := 0; cyc < 4; cyc++ {
 			for i, p := range opt.Inputs {
 				v := rng.Uint64() & opt.Node(p.Node).Mask()
-				e.PokeInput(i, v)
+				e.PokeSlot(ten.InputSlots[i], v)
 				it.PokeInput(i, v)
 			}
 			e.Step()
 			it.Step()
-			kr, or := e.RegSnapshot(), it.RegSnapshot()
-			for i := range kr {
-				if kr[i] != or[i] {
+			or := it.RegSnapshot()
+			for i, r := range ten.RegSlots {
+				if e.PeekSlot(r.Q) != or[i] {
 					t.Fatalf("%s: reg %d diverges at cycle %d", s.Name(), i, cyc)
 				}
 			}

@@ -297,9 +297,6 @@ func (b *Batch) preload(slot int32, v uint64) {
 	}
 }
 
-// PokeInput drives the idx-th primary input of one lane.
-func (b *Batch) PokeInput(lane, idx int, v uint64) { b.PokeSlot(lane, b.t.InputSlots[idx], v) }
-
 // PeekOutput reads the idx-th primary output of one lane as sampled at the
 // most recent Settle.
 func (b *Batch) PeekOutput(lane, idx int) uint64 {
@@ -324,16 +321,6 @@ func (b *Batch) PeekSlot(lane int, slot int32) uint64 {
 func (b *Batch) PokeSlot(lane int, slot int32, v uint64) {
 	blk, l := b.at(lane)
 	b.poke(blk, l, slot, v)
-}
-
-// RegSnapshot copies one lane's committed register values.
-func (b *Batch) RegSnapshot(lane int) []uint64 {
-	blk, l := b.at(lane)
-	out := make([]uint64, len(b.t.RegSlots))
-	for i, r := range b.t.RegSlots {
-		out[i] = b.peek(blk, l, r.Q)
-	}
-	return out
 }
 
 // Settle performs one combinational evaluation of every lane and samples the

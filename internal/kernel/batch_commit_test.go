@@ -145,7 +145,7 @@ func TestBatchCommitMoves(t *testing.T) {
 	}
 
 	const cycles = 32
-	e, err := New(ten, Config{Kind: TI})
+	e, err := newEngine(ten, Config{Kind: TI})
 	if err != nil {
 		t.Fatal(err)
 	}

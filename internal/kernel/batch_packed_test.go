@@ -332,8 +332,8 @@ func TestBatchPackedOneHomePerSlot(t *testing.T) {
 		if got := b.PeekSlot(lane, packedOnly); got != v&1 {
 			t.Fatalf("PeekSlot after PokeSlot(%d) = %d", v, got)
 		}
-		if got := b.RegSnapshot(lane)[regIdx]; got != v&1 {
-			t.Fatalf("RegSnapshot after PokeSlot(%d) = %d", v, got)
+		if got := laneRegs(b, lane)[regIdx]; got != v&1 {
+			t.Fatalf("register after PokeSlot(%d) = %d", v, got)
 		}
 	}
 	var watched uint64
@@ -438,8 +438,8 @@ func TestBatchPackedPokeSlotMidRun(t *testing.T) {
 	for c := 0; c < 12; c++ {
 		for lane := 0; lane < lanes; lane++ {
 			v := rng.Uint64()
-			packed.PokeInput(lane, 0, v)
-			wide.PokeInput(lane, 0, v)
+			pokeLane(packed, lane, 0, v)
+			pokeLane(wide, lane, 0, v)
 		}
 		if c == 4 || c == 9 {
 			// Mid-run DMI poke: flip the packed toggle on a few lanes,

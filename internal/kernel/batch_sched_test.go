@@ -26,7 +26,7 @@ func batchTrace(b *Batch, seeds []int64, cycles int, step func(*Batch)) [][]uint
 	for c := 0; c < cycles; c++ {
 		for lane := 0; lane < b.Lanes(); lane++ {
 			for i := 0; i < nIn; i++ {
-				b.PokeInput(lane, i, rngs[lane].Uint64())
+				pokeLane(b, lane, i, rngs[lane].Uint64())
 			}
 		}
 		step(b)
@@ -34,7 +34,7 @@ func batchTrace(b *Batch, seeds []int64, cycles int, step func(*Batch)) [][]uint
 			for i := range b.Tensor().OutputSlots {
 				traces[lane] = append(traces[lane], b.PeekOutput(lane, i))
 			}
-			traces[lane] = append(traces[lane], b.RegSnapshot(lane)...)
+			traces[lane] = append(traces[lane], laneRegs(b, lane)...)
 		}
 	}
 	return traces
@@ -92,7 +92,7 @@ func TestBatchMatchesEngines(t *testing.T) {
 		seeds := laneSeeds(lanes)
 		got := batchTrace(wideBatch(t, ten, lanes), seeds, cycles, nil)
 		for _, kind := range Kinds() {
-			e, err := New(ten, Config{Kind: kind})
+			e, err := newEngine(ten, Config{Kind: kind})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,21 +179,21 @@ func TestBatchCommitAliasing(t *testing.T) {
 		written[c.q] = true
 	}
 	b := wideBatch(t, ten, 2)
-	e, err := New(ten, Config{Kind: TI})
+	e, err := newEngine(ten, Config{Kind: TI})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(5))
 	for c := 0; c < 6; c++ {
 		v := rng.Uint64()
-		b.PokeInput(0, 0, v)
-		b.PokeInput(1, 0, v)
-		e.PokeInput(0, v)
+		pokeLane(b, 0, 0, v)
+		pokeLane(b, 1, 0, v)
+		pokeInput(e, 0, v)
 		b.Step()
 		e.Step()
-		want := e.RegSnapshot()
+		want := regsOf(e)
 		for lane := 0; lane < 2; lane++ {
-			got := b.RegSnapshot(lane)
+			got := laneRegs(b, lane)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("cycle %d lane %d: reg[%d] = %d, engine %d", c, lane, i, got[i], want[i])

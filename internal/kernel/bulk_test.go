@@ -33,7 +33,7 @@ func refBatchBulk(b *Batch, spec RunSpec) (ran int, stopped bool) {
 		if spec.Stim != nil {
 			for lane := 0; lane < b.Lanes(); lane++ {
 				for in := range b.Tensor().InputSlots {
-					b.PokeInput(lane, in, spec.Stim.Value(spec.From+int64(i), lane, in))
+					pokeLane(b, lane, in, spec.Stim.Value(spec.From+int64(i), lane, in))
 				}
 			}
 		}
@@ -61,7 +61,7 @@ func batchState(b *Batch) []uint64 {
 		for i := range b.Tensor().OutputSlots {
 			s = append(s, b.PeekOutput(lane, i))
 		}
-		s = append(s, b.RegSnapshot(lane)...)
+		s = append(s, laneRegs(b, lane)...)
 	}
 	return s
 }
@@ -102,8 +102,8 @@ func TestBatchRunMatchesStep(t *testing.T) {
 					for lane := 0; lane < lanes; lane++ {
 						for i := range ten.InputSlots {
 							v := stim.Uint64()
-							bulk.PokeInput(lane, i, v)
-							step.PokeInput(lane, i, v)
+							pokeLane(bulk, lane, i, v)
+							pokeLane(step, lane, i, v)
 						}
 					}
 					bulk.Run(k)
@@ -209,7 +209,7 @@ func TestBatchRunBulkWatchStops(t *testing.T) {
 					t.Fatal(err)
 				}
 				for lane := 0; lane < lanes; lane++ {
-					b.PokeInput(lane, 0, uint64(lane)) // lane 3 counts by 3
+					pokeLane(b, lane, 0, uint64(lane)) // lane 3 counts by 3
 				}
 				accept := tc.accept * 3
 				w := &Watch{Lane: 3, OutIdx: 0, Pred: func(v uint64) bool { return v == accept }}
@@ -220,7 +220,7 @@ func TestBatchRunBulkWatchStops(t *testing.T) {
 				}
 				// Locked-step: every lane advanced exactly ran cycles.
 				for lane := 0; lane < lanes; lane++ {
-					if got, want := b.RegSnapshot(lane)[0], uint64(lane*ran)&0xff; got != want {
+					if got, want := laneRegs(b, lane)[0], uint64(lane*ran)&0xff; got != want {
 						t.Fatalf("packing=%v workers=%d %s: lane %d reg = %d after %d cycles, want %d",
 							packing, workers, tc.name, lane, got, ran, want)
 					}
@@ -245,9 +245,9 @@ func TestBatchRunEdgeCases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b.PokeInput(0, 0, 1)
+		pokeLane(b, 0, 0, 1)
 		b.Run(4)
-		if got := b.RegSnapshot(0)[0]; got != 4 {
+		if got := laneRegs(b, 0)[0]; got != 4 {
 			t.Fatalf("workers=%d: reg = %d after Run(4), want 4", workers, got)
 		}
 		b.Run(0)
@@ -255,7 +255,7 @@ func TestBatchRunEdgeCases(t *testing.T) {
 		if ran, stopped := b.RunBulk(RunSpec{Cycles: 0}); ran != 0 || stopped {
 			t.Fatalf("workers=%d: RunBulk(0) = (%d,%v)", workers, ran, stopped)
 		}
-		if got := b.RegSnapshot(0)[0]; got != 4 {
+		if got := laneRegs(b, 0)[0]; got != 4 {
 			t.Fatalf("workers=%d: empty runs advanced state: reg = %d", workers, got)
 		}
 		b.Close()
@@ -283,11 +283,11 @@ func TestScalarEnginesRunCycles(t *testing.T) {
 		}
 		ten := buildTensor(t, opt)
 		for _, cfg := range allConfigs() {
-			bulk, err := New(ten, cfg)
+			bulk, err := newEngine(ten, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			step, err := New(ten, cfg)
+			step, err := newEngine(ten, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -295,8 +295,8 @@ func TestScalarEnginesRunCycles(t *testing.T) {
 			for _, k := range []int{1, 4, 7} {
 				for i := range ten.InputSlots {
 					v := stim.Uint64()
-					bulk.PokeInput(i, v)
-					step.PokeInput(i, v)
+					pokeInput(bulk, i, v)
+					pokeInput(step, i, v)
 				}
 				if ran, stopped := RunEngine(bulk, RunSpec{Cycles: k}); ran != k || stopped {
 					t.Fatalf("trial %d %v: RunEngine(%d) = (%d,%v)", trial, cfg, k, ran, stopped)
@@ -304,7 +304,7 @@ func TestScalarEnginesRunCycles(t *testing.T) {
 				for c := 0; c < k; c++ {
 					step.Step()
 				}
-				gotR, wantR := bulk.RegSnapshot(), step.RegSnapshot()
+				gotR, wantR := regsOf(bulk), regsOf(step)
 				for i := range wantR {
 					if gotR[i] != wantR[i] {
 						t.Fatalf("trial %d %v k=%d: reg[%d] = %d, want %d", trial, cfg, k, i, gotR[i], wantR[i])

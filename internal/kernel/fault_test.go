@@ -42,7 +42,7 @@ func TestBatchWorkerPanicRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for lane := 0; lane < lanes; lane++ {
-		b.PokeInput(lane, 0, 1)
+		pokeLane(b, lane, 0, 1)
 	}
 
 	var recovered any
@@ -101,7 +101,7 @@ func TestBatchWorkerPanicPeersSurvive(t *testing.T) {
 		}})
 	}()
 
-	peer.PokeInput(0, 0, 2)
+	pokeLane(peer, 0, 0, 2)
 	peer.Run(5)
 	// Outputs sample at settle, before that cycle's commit: after 5
 	// completed cycles the count output reads 4*step.

@@ -83,26 +83,27 @@ type Config struct {
 	Kind Kind
 }
 
-// Engine is a cycle-accurate simulator for one design.
+// Engine is a cycle-accurate simulator for one design. The host reaches it
+// only through LI coordinates — a primary input and a register Q are both
+// slots, poked with PokeSlot at [oim.Tensor.InputSlots] or
+// [oim.Tensor.RegSlots] and read back with PeekSlot — and advances it only
+// by Step and RunBulk.
 type Engine interface {
-	// Name identifies the kernel configuration.
-	Name() string
 	// Settle performs one combinational evaluation (one pass of
 	// Cascade 1) and samples the primary outputs.
 	Settle()
 	// Step runs Settle followed by the register commit.
 	Step()
-	// RunBulk runs spec.Cycles cycles with the spec's scheduled pokes and
+	// RunBulk runs spec.Cycles cycles with the spec's stimulus and
 	// early-stop watch (see [RunSpec]), returning the completed cycle
 	// count and whether the watch stopped the run. Bit-identical to
 	// poking and stepping by hand.
 	RunBulk(spec RunSpec) (ran int, stopped bool)
 	// Reset restores registers and constants to their initial values.
 	Reset()
-	// PokeInput drives the idx-th primary input.
-	PokeInput(idx int, v uint64)
 	// PeekOutput reads the idx-th primary output as sampled at the most
-	// recent Settle.
+	// recent Settle. It is not a slot read: an output may alias a register
+	// Q, whose slot the commit has moved on since.
 	PeekOutput(idx int) uint64
 	// PeekSlot reads an input, output, register Q or constant between
 	// cycles (for waveforms and host-DUT I/O). Any other LI coordinate is
@@ -110,10 +111,8 @@ type Engine interface {
 	// [Batch] recycles its row.
 	PeekSlot(slot int32) uint64
 	// PokeSlot writes an input or register Q between cycles (host-DUT
-	// communication, §6.2).
+	// communication, §6.2), masked to the slot's width.
 	PokeSlot(slot int32, v uint64)
-	// RegSnapshot copies the committed register values.
-	RegSnapshot() []uint64
 	// Tensor returns the underlying OIM.
 	Tensor() *oim.Tensor
 }
@@ -162,11 +161,6 @@ func (s *state) Reset() {
 	}
 }
 
-func (s *state) PokeInput(idx int, v uint64) {
-	slot := s.t.InputSlots[idx]
-	s.li[slot] = v & s.t.Masks[slot]
-}
-
 func (s *state) PeekOutput(idx int) uint64     { return s.outs[idx] }
 func (s *state) PeekSlot(slot int32) uint64    { return s.li[slot] }
 func (s *state) PokeSlot(slot int32, v uint64) { s.li[slot] = v & s.t.Masks[slot] }
@@ -190,14 +184,6 @@ func (s *state) commit() {
 	for i, r := range s.t.RegSlots {
 		s.li[r.Q] = s.next[i]
 	}
-}
-
-func (s *state) RegSnapshot() []uint64 {
-	out := make([]uint64, len(s.t.RegSlots))
-	for i, r := range s.t.RegSlots {
-		out[i] = s.li[r.Q]
-	}
-	return out
 }
 
 // engine is the one scalar engine type: the state, the kind, and its own
@@ -225,8 +211,6 @@ var settleLoops = [NumKinds]func(*engine){
 	NU: (*engine).settleNU, PSU: (*engine).settlePSU, IU: (*engine).settleIU,
 	SU: (*engine).settleSU, TI: (*engine).settleTI,
 }
-
-func (e *engine) Name() string { return e.kind.String() }
 
 func (e *engine) Settle() {
 	settleLoops[e.kind](e)

@@ -22,6 +22,39 @@ func buildTensor(t *testing.T, g *dfg.Graph) *oim.Tensor {
 	return ten
 }
 
+// newEngine lowers t for cfg and mints one engine over the program.
+func newEngine(t *oim.Tensor, cfg Config) (Engine, error) {
+	p, err := NewProgram(t, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return p.Instantiate(), nil
+}
+
+// pokeInput drives an engine's idx-th primary input through its slot.
+func pokeInput(e Engine, idx int, v uint64) { e.PokeSlot(e.Tensor().InputSlots[idx], v) }
+
+// regsOf reads an engine's committed registers through their Q slots.
+func regsOf(e Engine) []uint64 {
+	regs := make([]uint64, len(e.Tensor().RegSlots))
+	for i, r := range e.Tensor().RegSlots {
+		regs[i] = e.PeekSlot(r.Q)
+	}
+	return regs
+}
+
+// pokeLane drives one batch lane's idx-th primary input through its slot.
+func pokeLane(b *Batch, lane, idx int, v uint64) { b.PokeSlot(lane, b.Tensor().InputSlots[idx], v) }
+
+// laneRegs reads one batch lane's committed registers through their Q slots.
+func laneRegs(b *Batch, lane int) []uint64 {
+	regs := make([]uint64, len(b.Tensor().RegSlots))
+	for i, r := range b.Tensor().RegSlots {
+		regs[i] = b.PeekSlot(lane, r.Q)
+	}
+	return regs
+}
+
 // engineTrace runs an engine under seeded stimulus, collecting outputs and
 // register snapshots.
 func engineTrace(e Engine, seed int64, cycles int) []uint64 {
@@ -30,13 +63,13 @@ func engineTrace(e Engine, seed int64, cycles int) []uint64 {
 	var trace []uint64
 	for c := 0; c < cycles; c++ {
 		for i := 0; i < nIn; i++ {
-			e.PokeInput(i, rng.Uint64())
+			pokeInput(e, i, rng.Uint64())
 		}
 		e.Step()
 		for i := range e.Tensor().OutputSlots {
 			trace = append(trace, e.PeekOutput(i))
 		}
-		trace = append(trace, e.RegSnapshot()...)
+		trace = append(trace, regsOf(e)...)
 	}
 	return trace
 }
@@ -90,18 +123,18 @@ func TestAllKernelsMatchOracle(t *testing.T) {
 		seed := rng.Int63()
 		want := oracleTrace(t, opt, seed, 16)
 		for _, cfg := range allConfigs() {
-			e, err := New(ten, cfg)
+			e, err := newEngine(ten, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			got := engineTrace(e, seed, 16)
 			if len(got) != len(want) {
-				t.Fatalf("trial %d %s: trace length %d, want %d", trial, e.Name(), len(got), len(want))
+				t.Fatalf("trial %d %s: trace length %d, want %d", trial, cfg.Kind, len(got), len(want))
 			}
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("trial %d kernel %s: trace[%d] = %d, oracle %d",
-						trial, e.Name(), i, got[i], want[i])
+						trial, cfg.Kind, i, got[i], want[i])
 				}
 			}
 		}
@@ -118,11 +151,11 @@ func TestKernelsAgreeOnUnoptimizedGraphs(t *testing.T) {
 		seed := rng.Int63()
 		want := oracleTrace(t, g, seed, 10)
 		for _, cfg := range allConfigs() {
-			e, _ := New(ten, cfg)
+			e, _ := newEngine(ten, cfg)
 			got := engineTrace(e, seed, 10)
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("trial %d kernel %s: diverges at %d", trial, e.Name(), i)
+					t.Fatalf("trial %d kernel %s: diverges at %d", trial, cfg.Kind, i)
 				}
 			}
 		}
@@ -140,26 +173,26 @@ func TestKernelResetAndPorts(t *testing.T) {
 	ten := buildTensor(t, g)
 
 	for _, cfg := range allConfigs() {
-		e, err := New(ten, cfg)
+		e, err := newEngine(ten, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.PokeInput(0, 3)
+		pokeInput(e, 0, 3)
 		e.Step()
-		if got := e.RegSnapshot()[0]; got != 10 {
-			t.Fatalf("%s: reg after step = %d, want 10", e.Name(), got)
+		if got := regsOf(e)[0]; got != 10 {
+			t.Fatalf("%s: reg after step = %d, want 10", cfg.Kind, got)
 		}
 		// Outputs sample at settle: acc shows the pre-commit value 7; sum
 		// shows 10.
 		if got := e.PeekOutput(0); got != 7 {
-			t.Fatalf("%s: acc sample = %d, want 7", e.Name(), got)
+			t.Fatalf("%s: acc sample = %d, want 7", cfg.Kind, got)
 		}
 		if got := e.PeekOutput(1); got != 10 {
-			t.Fatalf("%s: sum sample = %d, want 10", e.Name(), got)
+			t.Fatalf("%s: sum sample = %d, want 10", cfg.Kind, got)
 		}
 		e.Reset()
-		if got := e.RegSnapshot()[0]; got != 7 {
-			t.Fatalf("%s: reg after reset = %d, want 7", e.Name(), got)
+		if got := regsOf(e)[0]; got != 7 {
+			t.Fatalf("%s: reg after reset = %d, want 7", cfg.Kind, got)
 		}
 	}
 }
@@ -172,7 +205,7 @@ func TestKernelPeekPokeSlots(t *testing.T) {
 	g.SetRegNext(r, n)
 	g.AddOutput("y", n)
 	ten := buildTensor(t, g)
-	e, _ := New(ten, Config{Kind: PSU})
+	e, _ := newEngine(ten, Config{Kind: PSU})
 	e.PokeSlot(ten.InputSlots[0], 0xFFFF)
 	e.Settle()
 	if got := e.PeekSlot(ten.OutputSlots[0]); got != 0xFFFF {
@@ -198,14 +231,14 @@ func TestRegisterOnlyDesign(t *testing.T) {
 		t.Fatalf("layers = %d", ten.NumLayers())
 	}
 	for _, cfg := range allConfigs() {
-		e, err := New(ten, cfg)
+		e, err := newEngine(ten, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.PokeInput(0, 42)
+		pokeInput(e, 0, 42)
 		e.Step()
-		if got := e.RegSnapshot()[0]; got != 42 {
-			t.Fatalf("%s: reg = %d", e.Name(), got)
+		if got := regsOf(e)[0]; got != 42 {
+			t.Fatalf("%s: reg = %d", cfg.Kind, got)
 		}
 	}
 }
@@ -226,7 +259,7 @@ func TestParseKind(t *testing.T) {
 }
 
 func TestNewRejectsEmptyTensor(t *testing.T) {
-	if _, err := New(&oim.Tensor{}, Config{Kind: RU}); err == nil {
+	if _, err := NewProgram(&oim.Tensor{}, Config{Kind: RU}); err == nil {
 		t.Fatal("want error for empty design")
 	}
 }
@@ -249,11 +282,11 @@ func TestDeepMuxChains(t *testing.T) {
 	seed := int64(5)
 	want := oracleTrace(t, g, seed, 12)
 	for _, cfg := range allConfigs() {
-		e, _ := New(ten, cfg)
+		e, _ := newEngine(ten, cfg)
 		got := engineTrace(e, seed, 12)
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("%s: diverges at %d", e.Name(), i)
+				t.Fatalf("%s: diverges at %d", cfg.Kind, i)
 			}
 		}
 	}

@@ -86,14 +86,14 @@ func checkOneOpDesign(t *testing.T, op wire.Op, arity, w, opw, copies int) {
 	}
 
 	for _, cfg := range allConfigs() {
-		e, err := New(ten, cfg)
+		e, err := newEngine(ten, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		name := e.Name()
+		name := cfg.Kind.String()
 		for i, tu := range tuples {
 			for o, v := range tu {
-				e.PokeInput(o, v)
+				pokeInput(e, o, v)
 			}
 			e.Step()
 			for c := 0; c < copies; c++ {
@@ -124,7 +124,7 @@ func checkOneOpDesign(t *testing.T, op wire.Op, arity, w, opw, copies int) {
 			chunk := tuples[base:min(base+lanes, len(tuples))]
 			for l, tu := range chunk {
 				for o, v := range tu {
-					b.b.PokeInput(l, o, v)
+					pokeLane(b.b, l, o, v)
 				}
 			}
 			b.step()

@@ -100,14 +100,3 @@ func (p *Program) InstantiateBatchWith(lanes int, o BatchOptions) (*Batch, error
 	p.batchOnce.Do(func() { p.batchSched = buildBatchSchedule(p.t, false) })
 	return newBatch(p.t, p.batchSched, lanes, o.Workers)
 }
-
-// New builds the engine for a configuration. It is the single-engine
-// convenience wrapper over NewProgram + Instantiate; callers that want many
-// engines of one design should hold the Program and Instantiate per engine.
-func New(t *oim.Tensor, cfg Config) (Engine, error) {
-	p, err := NewProgram(t, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return p.Instantiate(), nil
-}

@@ -43,7 +43,7 @@ type Signal struct {
 	Name string
 	// Mask is the signal's width mask; pokes are masked to it.
 	Mask uint64
-	// Index is the position within the signal's class: the PokeInput index
+	// Index is the position within the signal's class: the InputSlots index
 	// for inputs, the PeekOutput index for outputs, the RegSlots index for
 	// registers.
 	Index int

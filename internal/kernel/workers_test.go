@@ -239,7 +239,7 @@ func TestBatchFinalizerStopsWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b.PokeInput(3, 0, 1)
+		pokeLane(b, 3, 0, 1)
 		b.Run(5)
 		b.RunBulk(RunSpec{Cycles: 5, Watch: &Watch{Lane: 3, OutIdx: 0, Pred: func(v uint64) bool { return v == 7 }}})
 		b.Settle()

@@ -35,21 +35,24 @@ func build(t *testing.T, g *dfg.Graph) *oim.Tensor {
 // outputs as settled and the registers as committed, every cycle.
 func cascadeTrace(t *testing.T, ten *oim.Tensor, seed int64, cycles int) []uint64 {
 	t.Helper()
-	e, err := kernel.New(ten, kernel.Config{Kind: kernel.RU})
+	prog, err := kernel.NewProgram(ten, kernel.Config{Kind: kernel.RU})
 	if err != nil {
 		t.Fatal(err)
 	}
+	e := prog.Instantiate()
 	rng := rand.New(rand.NewSource(seed))
 	var trace []uint64
 	for c := 0; c < cycles; c++ {
-		for i := range ten.InputSlots {
-			e.PokeInput(i, rng.Uint64())
+		for _, slot := range ten.InputSlots {
+			e.PokeSlot(slot, rng.Uint64())
 		}
 		e.Step()
 		for i := range ten.OutputSlots {
 			trace = append(trace, e.PeekOutput(i))
 		}
-		trace = append(trace, e.RegSnapshot()...)
+		for _, r := range ten.RegSlots {
+			trace = append(trace, e.PeekSlot(r.Q))
+		}
 	}
 	return trace
 }

@@ -50,8 +50,8 @@ func TestInstanceRunCyclesMatchesStep(t *testing.T) {
 			for ci, k := range chunks {
 				for i := range ten.InputSlots {
 					v := stim.Uint64()
-					bulk.PokeInput(i, v)
-					step.PokeInput(i, v)
+					pokeInput(bulk, i, v)
+					pokeInput(step, i, v)
 				}
 				bulk.RunCycles(k)
 				for c := 0; c < k; c++ {
@@ -61,7 +61,7 @@ func TestInstanceRunCyclesMatchesStep(t *testing.T) {
 				// invariant the epilogue pull maintains.
 				bulk.Step()
 				step.Step()
-				br, sr := bulk.RegSnapshot(), step.RegSnapshot()
+				br, sr := regsOf(bulk), regsOf(step)
 				for i := range sr {
 					if br[i] != sr[i] {
 						t.Fatalf("trial %d parts %d chunk %d (k=%d): reg[%d] = %d, want %d",
@@ -104,7 +104,7 @@ func TestInstanceRunBulkStimulus(t *testing.T) {
 		ten := build(t, g)
 		for _, parts := range []int{2, 3} {
 			_, bulk := instantiate(t, ten, parts, kernel.PSU)
-			ref, err := kernel.New(ten, kernel.Config{Kind: kernel.PSU})
+			ref, err := newEngine(ten, kernel.Config{Kind: kernel.PSU})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,11 +114,11 @@ func TestInstanceRunBulkStimulus(t *testing.T) {
 			}
 			for i := 0; i < cycles; i++ {
 				for in := range ten.InputSlots {
-					ref.PokeInput(in, stim.Value(from+int64(i), 0, in))
+					pokeInput(ref, in, stim.Value(from+int64(i), 0, in))
 				}
 				ref.Step()
 			}
-			br, rr := bulk.RegSnapshot(), ref.RegSnapshot()
+			br, rr := regsOf(bulk), regsOf(ref)
 			for i := range rr {
 				if br[i] != rr[i] {
 					t.Fatalf("graph %d parts %d: reg[%d] = %d, want %d", gi, parts, i, br[i], rr[i])
@@ -155,8 +155,8 @@ func TestInstanceRunBulkWatchStops(t *testing.T) {
 			{"never", 7, 3, 7, false}, // countB is always even
 		} {
 			_, in := instantiate(t, ten, parts, kernel.PSU)
-			in.PokeInput(0, 3) // stepA
-			in.PokeInput(1, 2) // stepB
+			pokeInput(in, 0, 3) // stepA
+			pokeInput(in, 1, 2) // stepB
 			accept := tc.accept
 			w := &kernel.Watch{OutIdx: 1, Pred: func(v uint64) bool { return v == accept }}
 			ran, stopped := in.RunBulk(kernel.RunSpec{Cycles: tc.cycles, Watch: w})
@@ -165,7 +165,7 @@ func TestInstanceRunBulkWatchStops(t *testing.T) {
 					parts, tc.name, ran, stopped, tc.wantRan, tc.wantStopped)
 			}
 			// Both partitions advanced exactly ran cycles.
-			regs := in.RegSnapshot()
+			regs := regsOf(in)
 			if got, want := regs[0], uint64(3*ran)&0xff; got != want {
 				t.Fatalf("parts %d %s: regA = %d after %d cycles, want %d", parts, tc.name, got, ran, want)
 			}

@@ -20,8 +20,8 @@ func TestInstanceWorkerPanicRecovery(t *testing.T) {
 	for _, parts := range []int{2, 3} {
 		before := runtime.NumGoroutine()
 		_, in := instantiate(t, ten, parts, kernel.PSU)
-		in.PokeInput(0, 3)
-		in.PokeInput(1, 2)
+		pokeInput(in, 0, 3)
+		pokeInput(in, 1, 2)
 
 		var recovered any
 		func() {
@@ -76,10 +76,10 @@ func TestInstancePanicPeerInstancesSurvive(t *testing.T) {
 		}})
 	}()
 
-	peer.PokeInput(0, 3) // stepA
-	peer.PokeInput(1, 2) // stepB
+	pokeInput(peer, 0, 3) // stepA
+	pokeInput(peer, 1, 2) // stepB
 	peer.RunCycles(5)
-	regs := peer.RegSnapshot()
+	regs := regsOf(peer)
 	if regs[0] != 15 || regs[1] != 10 {
 		t.Fatalf("peer instance regs = %v after the victim's panic, want [15 10]", regs)
 	}

@@ -29,12 +29,12 @@ func TestInstanceFinalizerStopsWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		in.PokeInput(0, 3)
-		in.PokeInput(1, 2)
+		pokeInput(in, 0, 3)
+		pokeInput(in, 1, 2)
 		in.RunCycles(4)
 		in.Step()
 		in.Settle()
-		if regs := in.RegSnapshot(); regs[0] != 15 || regs[1] != 10 {
+		if regs := regsOf(in); regs[0] != 15 || regs[1] != 10 {
 			t.Fatalf("regs = %v, want [15 10]", regs)
 		}
 		if runtime.NumGoroutine() < base+2 {

@@ -45,7 +45,7 @@ func TestSubTensorsLowerToMultiRunGroups(t *testing.T) {
 	if n := multiRunGroups(ten); n != 0 {
 		t.Fatalf("full tensor has %d multi-run groups, want one run per group", n)
 	}
-	oracle, err := kernel.New(ten, kernel.Config{Kind: kernel.TI})
+	oracle, err := newEngine(ten, kernel.Config{Kind: kernel.TI})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,12 +72,12 @@ func TestSubTensorsLowerToMultiRunGroups(t *testing.T) {
 			for cyc := 0; cyc < 16; cyc++ {
 				for i := range ten.InputSlots {
 					v := stim.Uint64()
-					oracle.PokeInput(i, v)
-					inst.PokeInput(i, v)
+					pokeInput(oracle, i, v)
+					pokeInput(inst, i, v)
 				}
 				oracle.Step()
 				inst.Step()
-				want, got := oracle.RegSnapshot(), inst.RegSnapshot()
+				want, got := regsOf(oracle), regsOf(inst)
 				for i := range want {
 					if got[i] != want[i] {
 						t.Fatalf("%d-way %v cycle %d: reg %d = %#x, want %#x", parts, kind, cyc, i, got[i], want[i])

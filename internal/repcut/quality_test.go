@@ -148,10 +148,10 @@ func TestEveryStrategyMatchesSequential(t *testing.T) {
 		var tr []uint64
 		for cyc := 0; cyc < 3; cyc++ {
 			for i := range ten.InputSlots {
-				e.PokeInput(i, stim.Uint64())
+				pokeInput(e, i, stim.Uint64())
 			}
 			e.Step()
-			tr = append(tr, e.RegSnapshot()...)
+			tr = append(tr, regsOf(e)...)
 			for i := range ten.OutputSlots {
 				tr = append(tr, e.PeekOutput(i))
 			}
@@ -181,7 +181,7 @@ func TestEveryStrategyMatchesSequential(t *testing.T) {
 		}
 	}
 	for _, kind := range kernel.Kinds() {
-		ref, err := kernel.New(ten, kernel.Config{Kind: kind})
+		ref, err := newEngine(ten, kernel.Config{Kind: kind})
 		if err != nil {
 			t.Fatal(err)
 		}

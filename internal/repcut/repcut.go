@@ -44,8 +44,6 @@ import (
 type Plan struct {
 	t    *oim.Tensor
 	subs []*oim.Tensor
-	// ownedRegs[p] indexes t.RegSlots owned by partition p.
-	ownedRegs [][]int
 	// regOwner[ri] is the partition owning register ri.
 	regOwner []int
 	// outOwner[oi] is the partition that samples output oi.
@@ -133,13 +131,12 @@ func NewPlan(t *oim.Tensor, n int, owner []int) (*Plan, error) {
 	n = min(n, max(len(t.RegSlots), 1))
 
 	p := &Plan{
-		t:         t,
-		ownedRegs: make([][]int, n),
-		outOwner:  make([]int, len(t.OutputSlots)),
-		readers:   make([][]int, len(t.RegSlots)),
-		pubs:      make([][]xchgEntry, n),
-		pulls:     make([][]xchgEntry, n),
-		slotAuth:  make([]int32, t.NumSlots),
+		t:        t,
+		outOwner: make([]int, len(t.OutputSlots)),
+		readers:  make([][]int, len(t.RegSlots)),
+		pubs:     make([][]xchgEntry, n),
+		pulls:    make([][]xchgEntry, n),
+		slotAuth: make([]int32, t.NumSlots),
 	}
 
 	// Register ownership. Everything below is a pure function of this
@@ -151,8 +148,9 @@ func NewPlan(t *oim.Tensor, n int, owner []int) (*Plan, error) {
 		return nil, fmt.Errorf("repcut: %w", err)
 	}
 	p.regOwner = slices.Clone(owner) // an explicit owner stays the caller's
+	ownedRegs := make([][]int, n)    // ownedRegs[p] indexes t.RegSlots owned by partition p
 	for ri, part := range owner {
-		p.ownedRegs[part] = append(p.ownedRegs[part], ri)
+		ownedRegs[part] = append(ownedRegs[part], ri)
 	}
 
 	// Output ownership: sample each output in the partition that owns the
@@ -188,7 +186,7 @@ func NewPlan(t *oim.Tensor, n int, owner []int) (*Plan, error) {
 		need := make([]bool, t.NumSlots)
 		needs[part] = need
 		var roots []int32
-		for _, ri := range p.ownedRegs[part] {
+		for _, ri := range ownedRegs[part] {
 			roots = append(roots, t.RegSlots[ri].Next)
 		}
 		for oi, slot := range t.OutputSlots {
@@ -204,8 +202,8 @@ func NewPlan(t *oim.Tensor, n int, owner []int) (*Plan, error) {
 		// operations, owned registers only (names stay with the full tensor).
 		sub := t.Cone(need)
 		sub.Design = fmt.Sprintf("%s.part%d", t.Design, part)
-		sub.RegSlots, sub.RegNames = make([]dfg.RegSlot, 0, len(p.ownedRegs[part])), nil
-		for _, ri := range p.ownedRegs[part] {
+		sub.RegSlots, sub.RegNames = make([]dfg.RegSlot, 0, len(ownedRegs[part])), nil
+		for _, ri := range ownedRegs[part] {
 			sub.RegSlots = append(sub.RegSlots, t.RegSlots[ri])
 		}
 		sub.ConstSlots = append([]dfg.SlotInit(nil), t.ConstSlots...)
@@ -354,7 +352,6 @@ func (p *Plan) Lower(cfg kernel.Config) ([]*kernel.Program, error) {
 // [Instance.Close] is called or the instance is garbage-collected.
 type Instance struct {
 	plan    *Plan
-	kind    kernel.Kind
 	engines []kernel.Engine
 	outs    []uint64
 	ws      *kernel.Workers
@@ -383,7 +380,6 @@ func (p *Plan) Instantiate(progs []*kernel.Program) (*Instance, error) {
 	}
 	in := &Instance{
 		plan:    p,
-		kind:    progs[0].Kind(),
 		engines: make([]kernel.Engine, len(progs)),
 		outs:    make([]uint64, len(p.t.OutputSlots)),
 	}
@@ -426,9 +422,9 @@ func (in *Instance) cyclePart(w, i int) bool {
 		in.pullPart(w, i-1)
 	}
 	if stim := in.cur.Stim; stim != nil {
-		cycle := in.cur.From + int64(i)
+		cycle, slots := in.cur.From+int64(i), in.plan.t.InputSlots
 		for _, idx := range in.plan.inputs[w] {
-			eng.PokeInput(int(idx), stim.Value(cycle, 0, int(idx)))
+			eng.PokeSlot(slots[idx], stim.Value(cycle, 0, int(idx)))
 		}
 	}
 	eng.Step()
@@ -459,11 +455,6 @@ func (in *Instance) sample() {
 	}
 }
 
-// Name identifies the kernel configuration and partition count.
-func (in *Instance) Name() string {
-	return fmt.Sprintf("%s×%d", in.kind, len(in.engines))
-}
-
 // Step runs one cycle: parallel settle+commit in every partition, then the
 // parallel RUM synchronisation step (the final einsum of Cascade 2). It is
 // exactly a bulk run of one cycle.
@@ -477,7 +468,7 @@ func (in *Instance) RunCycles(k int) { in.RunBulk(kernel.RunSpec{Cycles: k}) }
 // with one barrier per cycle, one join. It returns the completed cycle count
 // and whether the watch stopped the run; bit-identical to stepping by hand.
 // Each partition drives the stimulus on exactly the inputs its cone reads
-// (its share of [Plan.users]), as live [Instance.PokeInput] calls would; a
+// (its share of [Plan.users]), as live [Instance.PokeSlot] calls would; a
 // watch is evaluated by the single partition holding the authoritative
 // value, and the group stops every partition at the cycle it accepts. The
 // run is never cut short from inside: a host that wants to stop a long run
@@ -524,17 +515,6 @@ func (in *Instance) Reset() {
 	}
 }
 
-// PokeInput drives a primary input in every partition whose cone reads it.
-// Partitions that never consume the input skip the write — their copy is
-// dead state — so per-cycle stimulus costs the cut's fan-out, not a full
-// broadcast.
-func (in *Instance) PokeInput(idx int, v uint64) {
-	slot := in.plan.t.InputSlots[idx]
-	for _, part := range in.plan.users(slot) {
-		in.engines[part].PokeInput(idx, v)
-	}
-}
-
 // PeekOutput reads a primary output sampled at the last Step or Settle.
 func (in *Instance) PeekOutput(idx int) uint64 { return in.outs[idx] }
 
@@ -565,20 +545,5 @@ func (in *Instance) PokeSlot(slot int32, v uint64) {
 	}
 }
 
-// RegSnapshot reassembles the full register state in t.RegSlots order.
-func (in *Instance) RegSnapshot() []uint64 {
-	out := make([]uint64, len(in.plan.t.RegSlots))
-	for part, regs := range in.plan.ownedRegs {
-		snap := in.engines[part].RegSnapshot()
-		for i, ri := range regs {
-			out[ri] = snap[i]
-		}
-	}
-	return out
-}
-
 // Tensor returns the unpartitioned design tensor.
 func (in *Instance) Tensor() *oim.Tensor { return in.plan.t }
-
-// Partitions returns the partition count.
-func (in *Instance) Partitions() int { return len(in.engines) }

@@ -24,6 +24,27 @@ func build(t *testing.T, g *dfg.Graph) *oim.Tensor {
 	return ten
 }
 
+// newEngine lowers t for cfg and mints one unpartitioned engine.
+func newEngine(t *oim.Tensor, cfg kernel.Config) (kernel.Engine, error) {
+	p, err := kernel.NewProgram(t, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return p.Instantiate(), nil
+}
+
+// pokeInput drives an engine's idx-th primary input through its slot.
+func pokeInput(e kernel.Engine, idx int, v uint64) { e.PokeSlot(e.Tensor().InputSlots[idx], v) }
+
+// regsOf reads an engine's committed registers through their Q slots.
+func regsOf(e kernel.Engine) []uint64 {
+	regs := make([]uint64, len(e.Tensor().RegSlots))
+	for i, r := range e.Tensor().RegSlots {
+		regs[i] = e.PeekSlot(r.Q)
+	}
+	return regs
+}
+
 // instantiate runs the full plan → lower → instantiate path.
 func instantiate(t *testing.T, ten *oim.Tensor, parts int, kind kernel.Kind) (*Plan, *Instance) {
 	t.Helper()
@@ -56,26 +77,26 @@ func TestRepCutMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		ten := build(t, opt)
-		ref, err := kernel.New(ten, kernel.Config{Kind: kernel.PSU})
+		ref, err := newEngine(ten, kernel.Config{Kind: kernel.PSU})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, parts := range []int{1, 2, 3, 4} {
 			plan, pc := instantiate(t, ten, parts, kernel.PSU)
-			if pc.Partitions() != parts {
-				t.Fatalf("partitions = %d", pc.Partitions())
+			if plan.Partitions() != parts {
+				t.Fatalf("partitions = %d", plan.Partitions())
 			}
 			ref.Reset()
 			stim := rand.New(rand.NewSource(int64(trial)))
 			for cyc := 0; cyc < 12; cyc++ {
 				for i := range ten.InputSlots {
 					v := stim.Uint64()
-					ref.PokeInput(i, v)
-					pc.PokeInput(i, v)
+					pokeInput(ref, i, v)
+					pokeInput(pc, i, v)
 				}
 				ref.Step()
 				pc.Step()
-				rr, pr := ref.RegSnapshot(), pc.RegSnapshot()
+				rr, pr := regsOf(ref), regsOf(pc)
 				for i := range rr {
 					if rr[i] != pr[i] {
 						t.Fatalf("trial %d parts %d cycle %d: reg %d = %d, want %d",
@@ -131,11 +152,11 @@ func TestInstancesShareAPlan(t *testing.T) {
 			stim := rand.New(rand.NewSource(seed))
 			for cyc := 0; cyc < 20; cyc++ {
 				for i := range ten.InputSlots {
-					in.PokeInput(i, stim.Uint64())
+					pokeInput(in, i, stim.Uint64())
 				}
 				in.Step()
 			}
-			done <- in.RegSnapshot()
+			done <- regsOf(in)
 		}(seed, in)
 	}
 	<-done
@@ -145,11 +166,11 @@ func TestInstancesShareAPlan(t *testing.T) {
 	stim := rand.New(rand.NewSource(1))
 	for cyc := 0; cyc < 20; cyc++ {
 		for i := range ten.InputSlots {
-			c.PokeInput(i, stim.Uint64())
+			pokeInput(c, i, stim.Uint64())
 		}
 		c.Step()
 	}
-	if !slices.Equal(a.RegSnapshot(), c.RegSnapshot()) {
+	if !slices.Equal(regsOf(a), regsOf(c)) {
 		t.Fatal("two instances of one plan interfered with each other")
 	}
 }
@@ -467,7 +488,7 @@ func TestRoutedPokeMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	ten := build(t, opt)
-	ref, err := kernel.New(ten, kernel.Config{Kind: kernel.PSU})
+	ref, err := newEngine(ten, kernel.Config{Kind: kernel.PSU})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,8 +498,8 @@ func TestRoutedPokeMatchesSequential(t *testing.T) {
 	for c := 0; c < 40; c++ {
 		for i := range ten.InputSlots {
 			v := stimRng.Uint64()
-			ref.PokeInput(i, v)
-			inst.PokeInput(i, v)
+			pokeInput(ref, i, v)
+			pokeInput(inst, i, v)
 		}
 		if c%7 == 3 {
 			for _, r := range ten.RegSlots {
@@ -489,7 +510,7 @@ func TestRoutedPokeMatchesSequential(t *testing.T) {
 		}
 		ref.Step()
 		inst.Step()
-		if !slices.Equal(ref.RegSnapshot(), inst.RegSnapshot()) {
+		if !slices.Equal(regsOf(ref), regsOf(inst)) {
 			t.Fatalf("cycle %d: register state diverged", c)
 		}
 		for oi := range ten.OutputSlots {

@@ -59,7 +59,7 @@ func (b *Batch) Poke(lane int, name string, v uint64) error {
 	if err != nil {
 		return err
 	}
-	b.b.PokeInput(lane, i, v)
+	b.PokeIndex(lane, i, v)
 	return nil
 }
 
@@ -70,7 +70,7 @@ func (b *Batch) PokeAll(name string, v uint64) error {
 		return err
 	}
 	for lane := 0; lane < b.b.Lanes(); lane++ {
-		b.b.PokeInput(lane, i, v)
+		b.PokeIndex(lane, i, v)
 	}
 	return nil
 }
@@ -90,7 +90,7 @@ func (b *Batch) Peek(lane int, name string) (uint64, error) {
 
 // PokeIndex drives the i-th primary input of one lane (order of
 // [Design.Inputs]); the allocation-free fast path.
-func (b *Batch) PokeIndex(lane, i int, v uint64) { b.b.PokeInput(lane, i, v) }
+func (b *Batch) PokeIndex(lane, i int, v uint64) { b.b.PokeSlot(lane, b.d.tensor.InputSlots[i], v) }
 
 // PeekIndex reads the i-th primary output of one lane (order of
 // [Design.Outputs]).
@@ -102,7 +102,11 @@ func (b *Batch) Registers(lane int) []uint64 {
 	if err := checkLane(lane, b.b.Lanes()); err != nil {
 		panic(err)
 	}
-	return b.b.RegSnapshot(lane)
+	regs := make([]uint64, len(b.d.tensor.RegSlots))
+	for i, r := range b.d.tensor.RegSlots {
+		regs[i] = b.b.PeekSlot(lane, r.Q)
+	}
+	return regs
 }
 
 // Settle performs one combinational evaluation of every lane.

@@ -196,7 +196,7 @@ func TestBatchOpParity(t *testing.T) {
 			// way difftest builds its reference leg.
 			prog := unoptimizedProgram(t, g)
 			ten := prog.Tensor()
-			nIn, nOut := len(ten.InputSlots), len(ten.OutputSlots)
+			nOut := len(ten.OutputSlots)
 			for _, workers := range []int{1, 2} {
 				b, err := prog.InstantiateBatchWith(lanes, kernel.BatchOptions{Workers: workers, Packing: true})
 				if err != nil {
@@ -209,13 +209,15 @@ func TestBatchOpParity(t *testing.T) {
 				var traces [lanes][]uint64
 				for c := 0; c < cycles; c++ {
 					for lane := 0; lane < lanes; lane++ {
-						for i := 0; i < nIn; i++ {
-							b.PokeInput(lane, i, rngs[lane].Uint64())
+						for _, slot := range ten.InputSlots {
+							b.PokeSlot(lane, slot, rngs[lane].Uint64())
 						}
 					}
 					b.Step()
 					for lane := 0; lane < lanes; lane++ {
-						traces[lane] = append(traces[lane], b.RegSnapshot(lane)...)
+						for _, r := range ten.RegSlots {
+							traces[lane] = append(traces[lane], b.PeekSlot(lane, r.Q))
+						}
 						for i := 0; i < nOut; i++ {
 							traces[lane] = append(traces[lane], b.PeekOutput(lane, i))
 						}
@@ -227,11 +229,13 @@ func TestBatchOpParity(t *testing.T) {
 					rng := rand.New(rand.NewSource(int64(trial*100 + lane)))
 					var want []uint64
 					for c := 0; c < cycles; c++ {
-						for i := 0; i < nIn; i++ {
-							s.PokeInput(i, rng.Uint64())
+						for _, slot := range ten.InputSlots {
+							s.PokeSlot(slot, rng.Uint64())
 						}
 						s.Step()
-						want = append(want, s.RegSnapshot()...)
+						for _, r := range ten.RegSlots {
+							want = append(want, s.PeekSlot(r.Q))
+						}
 						for i := 0; i < nOut; i++ {
 							want = append(want, s.PeekOutput(i))
 						}

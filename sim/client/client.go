@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand/v2"
 	"net/http"
 	"strconv"
@@ -167,9 +168,17 @@ func retryable(err error, idem bool) (time.Duration, bool) {
 }
 
 // backoff sleeps the attempt's capped, jittered exponential delay (at
-// least retryAfter), or returns early with the context's error.
+// least retryAfter), or returns early with the context's error. The delay
+// stops doubling once it reaches MaxDelay, or before the doubling would
+// overflow, so no attempt count wraps it negative or to zero.
 func (c *Client) backoff(ctx context.Context, attempt int, retryAfter time.Duration) error {
-	d := c.retry.BaseDelay << (attempt - 1)
+	d := c.retry.BaseDelay
+	for i := 1; i < attempt && d > 0 && d <= math.MaxInt64/2; i++ {
+		if c.retry.MaxDelay > 0 && d >= c.retry.MaxDelay {
+			break
+		}
+		d <<= 1
+	}
 	if d < retryAfter {
 		d = retryAfter
 	}

@@ -92,6 +92,28 @@ func TestBackoffCapsAndFloors(t *testing.T) {
 	}
 }
 
+// TestBackoffNeverOverflows: a policy with many attempts keeps sleeping the
+// capped delay on every late attempt. Shifting the base delay by the attempt
+// count wraps it negative (and from attempt 64 on to zero), which skipped
+// the sleep entirely.
+func TestBackoffNeverOverflows(t *testing.T) {
+	const maxDelay = 4 * time.Millisecond
+	c := New("http://unused", WithRetry(RetryPolicy{
+		MaxAttempts: 200,
+		BaseDelay:   time.Millisecond,
+		MaxDelay:    maxDelay,
+	}))
+	for _, attempt := range []int{45, 64, 100, 200} {
+		start := time.Now()
+		if err := c.backoff(context.Background(), attempt, 0); err != nil {
+			t.Fatal(err)
+		}
+		if el := time.Since(start); el < maxDelay {
+			t.Errorf("attempt %d slept %v, want the %v cap", attempt, el, maxDelay)
+		}
+	}
+}
+
 func TestRetryHonorsRetryAfterThenSucceeds(t *testing.T) {
 	var hits atomic.Int32
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

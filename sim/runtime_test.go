@@ -68,65 +68,87 @@ func TestUseAfterClose(t *testing.T) {
 	}
 }
 
+// stage is what one testbench call of waveScript answers: the cycle after
+// it, the value it returned and its error.
+type stage struct {
+	cycle int64
+	val   uint64
+	err   error
+}
+
+// waveScript drives s through every way a testbench run ends: a stimulus
+// run, a Port.Wait watch on port that accepts mid-run, one that times out,
+// a run a cancellation probe cuts at its second chunk boundary, and a short
+// run after it. The stimulus drives the input named "step" with 1 + cycle%3
+// and every other input with 0.
+func waveScript(t *testing.T, s *sim.Session, port string) []stage {
+	t.Helper()
+	inputs := s.Design().Inputs()
+	tb := s.Testbench()
+	tb.Drive(sim.StimulusFunc(func(cycle int64, _, input int) uint64 {
+		if inputs[input] != "step" {
+			return 0
+		}
+		return uint64(1 + cycle%3)
+	}))
+	p, err := tb.Port(port)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []stage
+	note := func(v uint64, err error) { out = append(out, stage{tb.Cycle(), v, err}) }
+	note(0, tb.Run(10))
+	note(p.Wait(func(v uint64) bool { return v >= 40 }, 100)) // watch accepts mid-run
+	note(p.Wait(func(v uint64) bool { return v > 255 }, 7))   // never: timeout after 7
+	polls := 0
+	tb.SetCancel(func() bool { polls++; return polls > 2 })
+	note(0, tb.Run(5*kernel.CancelCheckCycles)) // cancelled at the second chunk boundary
+	tb.SetCancel(nil)
+	note(0, tb.Run(3))
+	return out
+}
+
+// recordScript runs waveScript on a fresh session of d that records a VCD,
+// returning the stages, the VCD text and the session.
+func recordScript(t *testing.T, d *sim.Design, port string) ([]stage, string, *sim.Session) {
+	t.Helper()
+	s := d.NewSession()
+	t.Cleanup(s.Close)
+	var vcd strings.Builder
+	if err := s.EnableWaveform(&vcd); err != nil {
+		t.Fatal(err)
+	}
+	got := waveScript(t, s, port)
+	if err := s.CloseWaveform(); err != nil {
+		t.Fatal(err)
+	}
+	return got, vcd.String(), s
+}
+
+// sameStages fails unless two sessions answered every stage alike.
+func sameStages(t *testing.T, gotName string, got []stage, wantName string, want []stage) {
+	t.Helper()
+	for i := range want {
+		w, g := want[i], got[i]
+		if g.cycle != w.cycle || g.val != w.val || fmt.Sprint(g.err) != fmt.Sprint(w.err) {
+			t.Fatalf("stage %d: %s {cycle %d, value %d, err %v}, %s {cycle %d, value %d, err %v}",
+				i, gotName, g.cycle, g.val, g.err, wantName, w.cycle, w.val, w.err)
+		}
+	}
+}
+
 // TestWaveformTestbenchMatchesPlainSession: a recording session runs the
-// same bulk loop as a plain one — stimulus plans, a Port.Wait watch and a
+// same testbench as a plain one — a stimulus, a Port.Wait watch and a
 // cancellation probe behave identically (same values, same errors, same
 // Cycle() after every stage) — and the VCD ticks once per completed cycle.
 func TestWaveformTestbenchMatchesPlainSession(t *testing.T) {
-	type stage struct {
-		cycle int64
-		val   uint64
-		err   error
-	}
-	script := func(s *sim.Session) []stage {
-		t.Helper()
-		tb := s.Testbench()
-		tb.Drive(sim.StimulusFunc(func(cycle int64, _, input int) uint64 {
-			if input == 0 { // reset
-				return 0
-			}
-			return uint64(1 + cycle%3)
-		}))
-		count, err := tb.Port("count")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out []stage
-		note := func(v uint64, err error) { out = append(out, stage{tb.Cycle(), v, err}) }
-		note(0, tb.Run(10))
-		note(count.Wait(func(v uint64) bool { return v >= 40 }, 100)) // watch accepts mid-run
-		note(count.Wait(func(v uint64) bool { return v > 255 }, 7))   // never: timeout after 7
-		polls := 0
-		tb.SetCancel(func() bool { polls++; return polls > 2 })
-		note(0, tb.Run(5*kernel.CancelCheckCycles)) // cancelled at the second chunk boundary
-		tb.SetCancel(nil)
-		note(0, tb.Run(3))
-		return out
-	}
-
 	d, err := sim.Compile(counterSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := script(d.NewSession())
-
-	wave := d.NewSession()
-	var vcd strings.Builder
-	if err := wave.EnableWaveform(&vcd); err != nil {
-		t.Fatal(err)
-	}
-	got := script(wave)
-	if err := wave.CloseWaveform(); err != nil {
-		t.Fatal(err)
-	}
-
-	for i := range want {
-		w, g := want[i], got[i]
-		if g.cycle != w.cycle || g.val != w.val || fmt.Sprint(g.err) != fmt.Sprint(w.err) {
-			t.Fatalf("stage %d: waveform session {cycle %d, value %d, err %v}, plain session {cycle %d, value %d, err %v}",
-				i, g.cycle, g.val, g.err, w.cycle, w.val, w.err)
-		}
-	}
+	want := waveScript(t, d.NewSession(), "count")
+	got, vcd, wave := recordScript(t, d, "count")
+	sameStages(t, "waveform session", got, "plain session", want)
 	if !errors.Is(want[3].err, sim.ErrRunCanceled) || want[3].cycle-want[2].cycle != 2*kernel.CancelCheckCycles {
 		t.Fatalf("cancel stage: %+v after %+v, want ErrRunCanceled two chunks in", want[3], want[2])
 	}
@@ -134,9 +156,42 @@ func TestWaveformTestbenchMatchesPlainSession(t *testing.T) {
 		t.Fatalf("wait stages: accept %+v, timeout %+v", want[1], want[2])
 	}
 	// The writer stamps its sample count when it closes: one per cycle.
-	lines := strings.Fields(vcd.String())
+	lines := strings.Fields(vcd)
 	if last, wantLast := lines[len(lines)-1], fmt.Sprintf("#%d", wave.Cycle()); last != wantLast {
 		t.Fatalf("VCD closes at %s after %d cycles, want %s", last, wave.Cycle(), wantLast)
+	}
+}
+
+// TestWaveformTestbenchPartitioned: a recording partitioned session, whose
+// engine runs its partitions as resident workers, answers the same script
+// with the same stages and writes the same VCD bytes as the unpartitioned
+// recording session.
+func TestWaveformTestbenchPartitioned(t *testing.T) {
+	plain, err := sim.Compile(pairSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parted, err := sim.Compile(pairSrc, sim.WithPartitions(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, ok := parted.PartitionStats(); !ok || st.Partitions != 2 {
+		t.Fatalf("want a 2-partition design, got %+v", st)
+	}
+	want, wantVCD, _ := recordScript(t, plain, "a")
+	got, gotVCD, _ := recordScript(t, parted, "a")
+	sameStages(t, "partitioned", got, "unpartitioned", want)
+	if !errors.Is(want[3].err, sim.ErrRunCanceled) || want[1].err != nil || want[1].val < 40 {
+		t.Fatalf("script stages %+v: want an accepted watch and a cancelled run", want)
+	}
+	if gotVCD != wantVCD {
+		g, w := strings.Split(gotVCD, "\n"), strings.Split(wantVCD, "\n")
+		for i := 0; i < min(len(g), len(w)); i++ {
+			if g[i] != w[i] {
+				t.Fatalf("partitioned VCD line %d = %q, unpartitioned %q", i+1, g[i], w[i])
+			}
+		}
+		t.Fatalf("partitioned VCD has %d lines, unpartitioned %d", len(g), len(w))
 	}
 }
 

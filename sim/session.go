@@ -37,7 +37,7 @@ func (s *Session) Poke(name string, v uint64) error {
 	if err != nil {
 		return err
 	}
-	s.eng.PokeInput(i, v)
+	s.PokeIndex(i, v)
 	return nil
 }
 
@@ -52,7 +52,7 @@ func (s *Session) Peek(name string) (uint64, error) {
 
 // PokeIndex drives the i-th primary input (order of [Design.Inputs]); the
 // allocation-free fast path for generated stimulus.
-func (s *Session) PokeIndex(i int, v uint64) { s.eng.PokeInput(i, v) }
+func (s *Session) PokeIndex(i int, v uint64) { s.eng.PokeSlot(s.d.tensor.InputSlots[i], v) }
 
 // PeekIndex reads the i-th primary output (order of [Design.Outputs]).
 func (s *Session) PeekIndex(i int) uint64 { return s.eng.PeekOutput(i) }
@@ -62,7 +62,13 @@ func (s *Session) PeekIndex(i int) uint64 { return s.eng.PeekOutput(i) }
 func (s *Session) PeekReg(i int) uint64 { return s.eng.PeekSlot(s.d.tensor.RegSlots[i].Q) }
 
 // Registers copies all committed register values.
-func (s *Session) Registers() []uint64 { return s.eng.RegSnapshot() }
+func (s *Session) Registers() []uint64 {
+	regs := make([]uint64, len(s.d.tensor.RegSlots))
+	for i := range regs {
+		regs[i] = s.PeekReg(i)
+	}
+	return regs
+}
 
 // Settle performs one combinational evaluation without committing
 // registers, refreshing the sampled outputs.
@@ -77,29 +83,18 @@ func (s *Session) peekOutput(_, idx int) uint64         { return s.eng.PeekOutpu
 // errClosed is what every cycle-advancing call answers after Close.
 var errClosed = errors.New("sim: session used after Close")
 
-// Step advances one clock cycle, sampling the waveform if enabled.
+// Step advances one clock cycle: a one-cycle run, sampling the waveform if
+// enabled.
 func (s *Session) Step() error {
-	if s.closed {
-		return errClosed
-	}
-	s.eng.Step()
-	s.cycle++
-	if s.wave != nil {
-		for i, slot := range s.waveSig {
-			s.waveBuf[i] = s.eng.PeekSlot(slot)
-		}
-		if err := s.wave.Sample(s.waveBuf); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, _, err := s.runBulk(kernel.RunSpec{Cycles: 1})
+	return err
 }
 
 // Run advances n cycles as one bulk run of the engine
 // ([kernel.Engine.RunBulk]): a partitioned session keeps its workers
 // resident for the whole run instead of paying a dispatch and join per
 // cycle; every other engine runs the one per-cycle loop, [kernel.RunEngine].
-// With a waveform enabled that same loop steps through [Session.Step], so
+// With a waveform enabled the run goes to the engine one cycle at a time, so
 // the VCD samples every cycle. Bit-identical to n calls of [Session.Step]
 // either way. The run polls nothing: a run that must stop early goes
 // through a [Testbench] with [Testbench.SetCancel].
@@ -117,39 +112,35 @@ func (s *Session) Run(n int64) error {
 // runBulk executes a [kernel.RunSpec] — up to Cycles cycles with an
 // optional stimulus and early-stop watch — against the session's engine,
 // advancing the cycle counter by the completed count. This is the single
-// funnel every bulk surface ([Session.Run], [Testbench]) drains into.
+// funnel every cycle-advancing surface ([Session.Step], [Session.Run],
+// [Testbench]) drains into. A recording session hands the engine the spec
+// one cycle at a time and samples the VCD after each. A write error cannot
+// stop the run — the simulation completes every cycle it was asked for — so
+// it sticks, as it does inside the VCD writer, and is returned when the run
+// returns.
 func (s *Session) runBulk(spec kernel.RunSpec) (ran int, stopped bool, err error) {
 	if s.closed {
 		return 0, false, errClosed
 	}
-	if spec.Cycles <= 0 {
-		return 0, false, nil
+	if s.wave == nil {
+		ran, stopped = s.eng.RunBulk(spec)
+		s.cycle += int64(ran)
+		return ran, stopped, nil
 	}
-	if s.wave != nil {
-		we := waveEngine{Engine: s.eng, s: s}
-		ran, stopped = kernel.RunEngine(&we, spec)
-		return ran, stopped, we.err
+	one := spec
+	one.Cycles = 1
+	for ; ran < spec.Cycles && !stopped; one.From++ {
+		_, stopped = s.eng.RunBulk(one)
+		ran++
+		s.cycle++
+		for i, slot := range s.waveSig {
+			s.waveBuf[i] = s.eng.PeekSlot(slot)
+		}
+		if werr := s.wave.Sample(s.waveBuf); werr != nil && err == nil {
+			err = werr
+		}
 	}
-	ran, stopped = s.eng.RunBulk(spec)
-	s.cycle += int64(ran)
-	return ran, stopped, nil
-}
-
-// waveEngine is the session's engine as [kernel.RunEngine] sees it while a
-// waveform records: Step is [Session.Step] (cycle count + VCD sample). A
-// write error cannot stop the run — Engine.Step has no way to say so — so it
-// sticks, as it does inside the VCD writer, and surfaces when the run
-// returns; the simulation itself completes every cycle it was asked for.
-type waveEngine struct {
-	kernel.Engine
-	s   *Session
-	err error
-}
-
-func (w *waveEngine) Step() {
-	if err := w.s.Step(); err != nil && w.err == nil {
-		w.err = err
-	}
+	return ran, stopped, err
 }
 
 // Reset restores the initial state (the waveform keeps recording).

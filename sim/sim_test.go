@@ -258,7 +258,7 @@ func TestUnoptimizedGraphParity(t *testing.T) {
 		t.Fatalf("unoptimized design smaller than optimized: %d < %d", ten.TotalOps(), dOpt.Stats().Ops)
 	}
 	e, sOpt := prog.Instantiate(), dOpt.NewSession()
-	e.PokeInput(slices.Index(ten.InputNames, "step"), 3)
+	e.PokeSlot(ten.InputSlots[slices.Index(ten.InputNames, "step")], 3)
 	sOpt.Poke("step", 3)
 	count := slices.Index(ten.OutputNames, "count")
 	for c := 0; c < 8; c++ {

@@ -51,7 +51,7 @@ func TestWidthAnalysisOneBitProperty(t *testing.T) {
 			// hide a violation: one engine per lane.
 			lanes := make([]kernel.Engine, diffLanes)
 			for lane := range lanes {
-				if lanes[lane], err = kernel.New(ten, kernel.Config{Kind: kernel.TI}); err != nil {
+				if lanes[lane], err = newEngine(ten, kernel.Config{Kind: kernel.TI}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -71,7 +71,7 @@ func TestWidthAnalysisOneBitProperty(t *testing.T) {
 			for c := int64(0); c < diffCycles; c++ {
 				for lane, e := range lanes {
 					for in := range ten.InputSlots {
-						e.PokeInput(in, stim.Value(c, lane, in))
+						pokeInput(e, in, stim.Value(c, lane, in))
 					}
 					e.Step()
 				}
