@@ -11,7 +11,9 @@
 // The exit status is the contract the CI fuzz-smoke job relies on: 0 when
 // the time budget expires with every engine bit-identical (or every corpus
 // entry quiet under -replay), 1 with a "REPRO <path>" line on stdout when
-// a divergence was found and minimised, 2 on usage or I/O errors.
+// a divergence was found and minimised or a "BUILD FAILURE" line when a
+// generated design failed to build in some engine shape, 2 on usage or I/O
+// errors.
 package main
 
 import (
@@ -56,10 +58,12 @@ func main() {
 	os.Exit(fuzz(*budget, *workers, *corpus, *cycles, *lanes, *seed, *quiet))
 }
 
-// found is the first divergence a worker hit, with the case that produced it.
+// found is the first finding a worker hit — a divergence, or a case some
+// engine shape failed to build (err) — with the case that produced it.
 type found struct {
 	c    *difftest.Case
 	d    *difftest.Divergence
+	err  error
 	seed int64
 	prof string
 }
@@ -71,15 +75,11 @@ func fuzz(budget time.Duration, workers int, corpusDir string, cycles, lanes int
 	var (
 		nextSeed atomic.Int64
 		cases    atomic.Int64
-		skipped  atomic.Int64
 		simCyc   atomic.Int64
 		stop     atomic.Bool
 
 		mu  sync.Mutex
 		hit *found
-		// firstSkip is the error of the first case a shape failed to build;
-		// written once, by the worker whose skip was the first counted.
-		firstSkip error
 	)
 	nextSeed.Store(seed0)
 
@@ -94,19 +94,14 @@ func fuzz(budget time.Duration, workers int, corpusDir string, cycles, lanes int
 				prof := difftest.PickProfile(cov, rng)
 				c := difftest.NewCase(seed, prof, cycles, lanes)
 				d, err := c.Execute()
-				if err != nil {
-					// A shape failed to build: the case is skipped, and counted.
-					if skipped.Add(1) == 1 {
-						firstSkip = fmt.Errorf("seed %d, profile %s: %w", seed, prof.Name, err)
-					}
-					continue
+				if err == nil {
+					cases.Add(1)
+					simCyc.Add(int64(cycles * lanes))
 				}
-				cases.Add(1)
-				simCyc.Add(int64(cycles * lanes))
-				if d != nil {
+				if d != nil || err != nil {
 					mu.Lock()
 					if hit == nil {
-						hit = &found{c: c, d: d, seed: seed, prof: prof.Name}
+						hit = &found{c: c, d: d, err: err, seed: seed, prof: prof.Name}
 					}
 					mu.Unlock()
 					stop.Store(true)
@@ -149,13 +144,14 @@ func fuzz(budget time.Duration, workers int, corpusDir string, cycles, lanes int
 		fmt.Println()
 	}
 
-	if firstSkip != nil {
-		fmt.Printf("first skip: %v\n", firstSkip)
-	}
 	if hit == nil {
-		fmt.Printf("PASS: %d cases, %d skipped, %d coverage features, no divergence in %s\n",
-			cases.Load(), skipped.Load(), cov.Size(), budget)
+		fmt.Printf("PASS: %d cases, %d coverage features, no divergence in %s\n",
+			cases.Load(), cov.Size(), budget)
 		return 0
+	}
+	if hit.err != nil {
+		fmt.Printf("BUILD FAILURE (seed %d, profile %s): %v\n", hit.seed, hit.prof, hit.err)
+		return 1
 	}
 
 	fmt.Printf("DIVERGENCE (seed %d, profile %s): %s\n", hit.seed, hit.prof, hit.d)

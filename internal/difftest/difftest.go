@@ -57,30 +57,17 @@ func (d *Divergence) String() string {
 }
 
 // engine is one engine shape reduced to the surface the harness drives:
-// per-lane pokes, a global step, an optional bulk run, and per-lane
-// observation.
+// per-lane pokes, a global step, a bulk run, and per-lane observation.
 type engine struct {
 	name    string
 	lanes   int
 	outputs int
 	poke    func(lane, input int, v uint64)
 	step    func() error
-	run     func(n int64) error // bulk run; nil falls back to a step loop
+	run     func(n int64) error
 	out     func(lane, idx int) uint64
 	regs    func(lane int) []uint64
 	close   func()
-}
-
-func (e *engine) runBulk(n int64) error {
-	if e.run != nil {
-		return e.run(n)
-	}
-	for i := int64(0); i < n; i++ {
-		if err := e.step(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Matrix instantiates every engine shape over one design. Close releases
@@ -222,7 +209,7 @@ func NewMatrix(g *dfg.Graph, lanes int) (*Matrix, error) {
 			lanes:   lanes,
 			outputs: len(ten.OutputSlots),
 			poke:    func(lane, input int, v uint64) { b.PokeSlot(lane, ten.InputSlots[input], v) },
-			step:    func() error { b.Step(); return nil },
+			step:    func() error { b.Run(1); return nil },
 			run:     func(n int64) error { b.Run(int(n)); return nil },
 			out:     b.PeekOutput,
 			regs: func(lane int) []uint64 {
@@ -235,7 +222,13 @@ func NewMatrix(g *dfg.Graph, lanes int) (*Matrix, error) {
 			close: b.Close,
 		}
 		if k.reference {
-			e.step, e.run = func() error { b.StepReference(); return nil }, nil
+			e.step = func() error { b.StepReference(); return nil }
+			e.run = func(n int64) error {
+				for ; n > 0; n-- {
+					b.StepReference()
+				}
+				return nil
+			}
 		}
 		m.engines = append(m.engines, e)
 	}
@@ -398,7 +391,7 @@ func (c *Case) ExecuteBulk(chunks []int64) (*Divergence, error) {
 					s.poke(lane, in, v)
 				}
 			}
-			if err := b.runBulk(k); err != nil {
+			if err := b.run(k); err != nil {
 				return nil, fmt.Errorf("%s: run(%d): %w", b.name, k, err)
 			}
 			for cyc := int64(0); cyc < k; cyc++ {

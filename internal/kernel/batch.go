@@ -34,17 +34,18 @@ import (
 // lanes per word-wide op. Each slot has one home: a packed slot owns a wide
 // row only when a schedule instruction reads or writes its wide view, and
 // Poke/Peek route through the packed layout transparently. The
-// [Batch.SettleReference] oracle keeps lane vectors of its own and meets the
+// [Batch.StepReference] oracle keeps lane vectors of its own and meets the
 // stores only at home rows, so it runs on every layout.
 //
 // A batch shards its lanes over the workers of one [Workers] group: the
 // lanes split evenly, every worker owns the whole blocks of its share and
 // runs the full schedule over each — lanes never interact, and no two blocks
-// share a word of either store, so an unwatched run needs no synchronisation
-// between dispatch and join. A one-worker batch is a group of one: its
-// blocks run on the caller's goroutine. Call [Batch.Close] to stop the
-// workers deterministically; an unreachable batch's group is stopped by the
-// garbage collector.
+// share a word of either store, so an unwatched run is one lock-step cycle
+// of the group whose body runs every cycle of the run, with no
+// synchronisation before the barrier that ends it. A one-worker batch is a
+// group of one: its blocks run on the caller's goroutine. Call [Batch.Close]
+// to stop the workers deterministically; an unreachable batch's group is
+// stopped by the garbage collector.
 type Batch struct {
 	t     *oim.Tensor
 	sched *batchSchedule
@@ -61,14 +62,13 @@ type Batch struct {
 	own     []int   // worker w owns blocks[own[w]:own[w+1]]
 	ws      *Workers
 
-	ref []uint64 // SettleReference's lane vector per LI coordinate, slots*lanes, allocated on first use
+	ref []uint64 // StepReference's lane vector per LI coordinate, slots*lanes, allocated on first use
 
 	// The per-worker bodies, bound once so a dispatch allocates nothing,
 	// and the run they execute, shared read-only by all workers until the
 	// dispatch joins (each block drives only its own lanes).
-	settleJob, runJob func(w int)
-	cycleJob          func(w, i int) bool
-	cur               RunSpec
+	runJob, cycleJob func(w, i int) bool
+	cur              RunSpec
 }
 
 // laneBlock is the state of n consecutive lanes from lane lo on: the
@@ -149,26 +149,22 @@ func (b *Batch) at(lane int) (*laneBlock, int) {
 	return blk, lane - blk.lo
 }
 
-// The three bodies a batch hands its group. runShard is the resident loop
-// of an unwatched run: each of the worker's blocks in turn runs all k
-// cycles, with no synchronisation at all, so a block's stores stay cached
-// from one cycle to the next. cycleShard is one cycle of a watched run,
-// which the group executes in lock-step so every lane stops at the cycle the
-// watch accepted; the worker owning the watched lane evaluates it — primary
-// outputs from the settle-sampled outs (an output slot may alias a register Q
-// whose value moves at commit), everything else from the slot's home row.
-func (b *Batch) settleShard(w int) {
-	for bi := b.own[w]; bi < b.own[w+1]; bi++ {
-		b.settle(&b.blocks[bi])
-	}
-}
-
-func (b *Batch) runShard(w int) {
+// The two bodies a batch hands its group, both lock-step cycles. runShard
+// is the one cycle of an unwatched run: each of the worker's blocks in turn
+// runs all k cycles of the run, with no synchronisation at all, so a block's
+// stores stay cached from one cycle to the next. cycleShard is one cycle of
+// a watched run, which the group executes in lock-step so every lane stops
+// at the cycle the watch accepted; the worker owning the watched lane
+// evaluates it — primary outputs from the settle-sampled outs (an output
+// slot may alias a register Q whose value moves at commit), everything else
+// from the slot's home row.
+func (b *Batch) runShard(w, _ int) bool {
 	for bi := b.own[w]; bi < b.own[w+1]; bi++ {
 		for i := 0; i < b.cur.Cycles; i++ {
 			b.step(&b.blocks[bi], i)
 		}
 	}
+	return false
 }
 
 func (b *Batch) cycleShard(w, i int) bool {
@@ -231,7 +227,7 @@ func newBatch(t *oim.Tensor, sched *batchSchedule, lanes, workers int) (*Batch, 
 		}
 	}
 	b.ws = NewWorkers(workers)
-	b.settleJob, b.runJob, b.cycleJob = b.settleShard, b.runShard, b.cycleShard
+	b.runJob, b.cycleJob = b.runShard, b.cycleShard
 	b.Reset()
 	return b, nil
 }
@@ -252,8 +248,8 @@ func (b *Batch) Tensor() *oim.Tensor { return b.t }
 
 // Close stops a parallel batch's worker goroutines. Optional — an
 // unreachable batch is cleaned up by the garbage collector — but
-// deterministic. The batch must not be stepped afterwards: Settle, Step and
-// Run panic on a closed batch.
+// deterministic. The batch must not be run afterwards: Run and RunBulk
+// panic on a closed batch.
 func (b *Batch) Close() { b.ws.Close() }
 
 // Reset restores every lane to the initial state, filling a preloaded slot
@@ -298,7 +294,7 @@ func (b *Batch) preload(slot int32, v uint64) {
 }
 
 // PeekOutput reads the idx-th primary output of one lane as sampled at the
-// most recent Settle.
+// settle of the last completed cycle.
 func (b *Batch) PeekOutput(lane, idx int) uint64 {
 	blk, l := b.at(lane)
 	return blk.outs[idx*blk.n+l]
@@ -323,20 +319,11 @@ func (b *Batch) PokeSlot(lane int, slot int32, v uint64) {
 	b.poke(blk, l, slot, v)
 }
 
-// Settle performs one combinational evaluation of every lane and samples the
-// primary outputs.
-func (b *Batch) Settle() { b.ws.Do(b.settleJob) }
-
-// Step runs Settle followed by the simultaneous register commit of every
-// lane. It is exactly [Batch.Run] of one cycle.
-func (b *Batch) Step() { b.Run(1) }
-
 // Run advances every lane k cycles with one command dispatch and one join
 // in total: each worker loops its full schedule k times over its own lane
 // block with zero intermediate synchronisation (lanes are independent), so
-// the per-cycle dispatch cost of Step amortises over k. Run(k) is
-// bit-identical to k calls of Step; Run(0) is a no-op. It panics after
-// [Batch.Close].
+// the per-cycle dispatch cost amortises over k. Run(k) is bit-identical to
+// k calls of Run(1); Run(0) is a no-op. It panics after [Batch.Close].
 func (b *Batch) Run(k int) { b.RunBulk(RunSpec{Cycles: k}) }
 
 // RunBulk advances up to spec.Cycles cycles inside the workers' resident
@@ -344,10 +331,10 @@ func (b *Batch) Run(k int) { b.RunBulk(RunSpec{Cycles: k}) }
 // early when the watch accepts (see [RunSpec]). It returns the completed
 // cycle count and whether the watch stopped the run. A watched run executes
 // in lock-step — one barrier per cycle, so every lane stops at the same
-// cycle the watch accepted — while an unwatched run stays
-// synchronisation-free between dispatch and join. The whole spec is one
-// dispatch/join round: a host that wants to stop a long run cuts it into
-// shorter specs.
+// cycle the watch accepted — while an unwatched run is a single lock-step
+// cycle whose body runs all k cycles, so it synchronises once, at the
+// barrier ending the run. The whole spec is one dispatch/join round: a host
+// that wants to stop a long run cuts it into shorter specs.
 func (b *Batch) RunBulk(spec RunSpec) (ran int, stopped bool) {
 	k := spec.Cycles
 	if k <= 0 {
@@ -355,7 +342,7 @@ func (b *Batch) RunBulk(spec RunSpec) (ran int, stopped bool) {
 	}
 	b.cur = spec
 	if spec.Watch == nil {
-		b.ws.Do(b.runJob)
+		b.ws.Lockstep(1, b.runJob, nil)
 	} else {
 		ran, stopped = b.ws.Lockstep(k, b.cycleJob, nil)
 	}
@@ -376,17 +363,14 @@ func (b *Batch) RunBulk(spec RunSpec) (ran int, stopped bool) {
 	return k, false
 }
 
-// SettleReference evaluates every lane through the spec: the tensor's
-// operations in order, each one's operands gathered per lane and handed to
-// [wire.Eval]. It shares no code with the schedule it is the parity oracle
-// for — no tape, no rows, no mask elision, no loop bodies — and is the
-// baseline the benchmark's kernel.batch_reference_lane_cycles_per_s metric
-// measures the fast path against. It evaluates into a lane vector of its own
-// per LI coordinate, which levelization makes safe to write in place, and
-// meets the batch's stores only at home rows: it loads inputs, constants and
-// register Qs from theirs and writes the outputs back to theirs, so it runs
-// on any layout the schedule compiler chose.
-func (b *Batch) SettleReference() {
+// settleReference is the settle half of [Batch.StepReference]: every lane
+// evaluated through the spec, the tensor's operations in order, each one's
+// operands gathered per lane and handed to [wire.Eval]. It evaluates into a
+// lane vector of its own per LI coordinate, which levelization makes safe to
+// write in place, and meets the batch's stores only at home rows: it loads
+// inputs, constants and register Qs from theirs and writes the outputs back
+// to theirs, so it runs on any layout the schedule compiler chose.
+func (b *Batch) settleReference() {
 	if b.ref == nil {
 		b.ref = make([]uint64, b.t.NumSlots*b.lanes)
 	}
@@ -427,11 +411,15 @@ func (b *Batch) SettleReference() {
 	}
 }
 
-// StepReference is SettleReference followed by the textbook register commit:
-// every Q's home row takes its Next, masked, from the oracle's own lane
-// vectors, which no write of the commit touches.
+// StepReference runs one cycle of every lane the textbook way: the
+// reference settle, then the register commit, every Q's home row taking its
+// Next, masked, from the oracle's own lane vectors, which no write of the
+// commit touches. It shares no code with the schedule it is the parity
+// oracle for — no tape, no rows, no mask elision, no loop bodies — and is
+// the baseline the benchmark's kernel.batch_reference_lane_cycles_per_s
+// metric measures the fast path against.
 func (b *Batch) StepReference() {
-	b.SettleReference()
+	b.settleReference()
 	for bi := range b.blocks {
 		blk, n := &b.blocks[bi], b.blocks[bi].n
 		li := b.ref[b.t.NumSlots*blk.lo:][:b.t.NumSlots*n]

@@ -453,8 +453,8 @@ func TestBatchPackedPokeSlotMidRun(t *testing.T) {
 				}
 			}
 		}
-		packed.Step()
-		wide.Step()
+		packed.Run(1)
+		wide.Run(1)
 		for lane := 0; lane < lanes; lane++ {
 			for i := range ten.OutputSlots {
 				if got, want := packed.PeekOutput(lane, i), wide.PeekOutput(lane, i); got != want {

@@ -12,10 +12,10 @@ import (
 
 // batchTrace steps a batch under per-lane seeded stimulus, collecting every
 // lane's outputs and register snapshots. step selects the engine: the
-// scalar reference loop, or nil for the schedule's Step.
+// scalar reference loop, or nil for a one-cycle Run.
 func batchTrace(b *Batch, seeds []int64, cycles int, step func(*Batch)) [][]uint64 {
 	if step == nil {
-		step = (*Batch).Step
+		step = func(b *Batch) { b.Run(1) }
 	}
 	nIn := len(b.Tensor().InputSlots)
 	rngs := make([]*rand.Rand, b.Lanes())
@@ -189,7 +189,7 @@ func TestBatchCommitAliasing(t *testing.T) {
 		pokeLane(b, 0, 0, v)
 		pokeLane(b, 1, 0, v)
 		pokeInput(e, 0, v)
-		b.Step()
+		b.Run(1)
 		e.Step()
 		want := regsOf(e)
 		for lane := 0; lane < 2; lane++ {
@@ -219,7 +219,7 @@ func TestBatchWorkerClampAndClose(t *testing.T) {
 	if b.Workers() != 3 {
 		t.Fatalf("workers not clamped to lanes: %d", b.Workers())
 	}
-	b.Step()
+	b.Run(1)
 	b.Close()
 	b.Close() // idempotent
 	// Workers 0 is the options struct's zero value: the sequential path.

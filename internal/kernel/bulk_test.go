@@ -37,7 +37,7 @@ func refBatchBulk(b *Batch, spec RunSpec) (ran int, stopped bool) {
 				}
 			}
 		}
-		b.Step()
+		b.Run(1)
 		ran++
 		if w := spec.Watch; w != nil {
 			var v uint64
@@ -108,7 +108,7 @@ func TestBatchRunMatchesStep(t *testing.T) {
 					}
 					bulk.Run(k)
 					for c := 0; c < k; c++ {
-						step.Step()
+						step.Run(1)
 					}
 					got, want := batchState(bulk), batchState(step)
 					for i := range want {

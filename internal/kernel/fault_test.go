@@ -66,10 +66,10 @@ func TestBatchWorkerPanicRecovery(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("Step on the poisoned batch did not panic")
+				t.Error("Run on the poisoned batch did not panic")
 			}
 		}()
-		b.Step()
+		b.Run(1)
 	}()
 	waitGoroutines(t, base) // all three workers exited
 }

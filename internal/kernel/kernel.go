@@ -89,10 +89,9 @@ type Config struct {
 // [oim.Tensor.RegSlots] and read back with PeekSlot — and advances it only
 // by Step and RunBulk.
 type Engine interface {
-	// Settle performs one combinational evaluation (one pass of
-	// Cascade 1) and samples the primary outputs.
-	Settle()
-	// Step runs Settle followed by the register commit.
+	// Step runs one cycle: one combinational evaluation (one pass of
+	// Cascade 1), the sampling of the primary outputs, and the register
+	// commit.
 	Step()
 	// RunBulk runs spec.Cycles cycles with the spec's stimulus and
 	// early-stop watch (see [RunSpec]), returning the completed cycle
@@ -101,9 +100,9 @@ type Engine interface {
 	RunBulk(spec RunSpec) (ran int, stopped bool)
 	// Reset restores registers and constants to their initial values.
 	Reset()
-	// PeekOutput reads the idx-th primary output as sampled at the most
-	// recent Settle. It is not a slot read: an output may alias a register
-	// Q, whose slot the commit has moved on since.
+	// PeekOutput reads the idx-th primary output as sampled at the settle
+	// of the last completed cycle. It is not a slot read: an output may
+	// alias a register Q, whose slot the commit has moved on since.
 	PeekOutput(idx int) uint64
 	// PeekSlot reads an input, output, register Q or constant between
 	// cycles (for waveforms and host-DUT I/O). Any other LI coordinate is
@@ -212,13 +211,9 @@ var settleLoops = [NumKinds]func(*engine){
 	SU: (*engine).settleSU, TI: (*engine).settleTI,
 }
 
-func (e *engine) Settle() {
+func (e *engine) Step() {
 	settleLoops[e.kind](e)
 	e.sampleOutputs()
-}
-
-func (e *engine) Step() {
-	e.Settle()
 	e.commit()
 }
 

@@ -207,7 +207,7 @@ func TestKernelPeekPokeSlots(t *testing.T) {
 	ten := buildTensor(t, g)
 	e, _ := newEngine(ten, Config{Kind: PSU})
 	e.PokeSlot(ten.InputSlots[0], 0xFFFF)
-	e.Settle()
+	e.Step()
 	if got := e.PeekSlot(ten.OutputSlots[0]); got != 0xFFFF {
 		t.Fatalf("slot peek = %#x", got)
 	}

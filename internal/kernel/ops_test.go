@@ -115,8 +115,8 @@ func checkOneOpDesign(t *testing.T, op wire.Op, arity, w, opw, copies int) {
 		b    *Batch
 		step func()
 	}{
-		{"batch/wide", wide, wide.Step},
-		{"batch/packed", packed, packed.Step},
+		{"batch/wide", wide, func() { wide.Run(1) }},
+		{"batch/packed", packed, func() { packed.Run(1) }},
 		{"batch/StepReference", ref, ref.StepReference},
 		{"batch/packed/StepReference", packedRef, packedRef.StepReference},
 	} {

@@ -9,11 +9,13 @@ import (
 
 // Workers is the resident-worker runtime of the parallel engines: n
 // goroutines parked on command channels, each standing for one worker index
-// w (a lane shard of [Batch], a partition of repcut.Instance). The owner
-// supplies per-worker bodies; the group owns the protocol — dispatch and
-// join, the per-cycle barrier of a lock-step run, panic recovery with cohort
-// release, and teardown. A group of one runs every body inline on the
-// caller's goroutine: nothing to dispatch to, nothing to recover into.
+// w (a lane shard of [Batch], a partition of repcut.Instance). It has one
+// dispatch, a lock-step run ([Workers.Lockstep]), and no plain jobs: a body
+// that needs no per-cycle barrier is a one-cycle run. The owner supplies
+// per-worker bodies; the group owns the protocol — dispatch and join, the
+// per-cycle barrier, panic recovery with cohort release, and teardown. A
+// group of one runs every body inline on the caller's goroutine: nothing to
+// dispatch to, nothing to recover into.
 //
 // The goroutines reference only their command channel and the group's
 // [workerShared], never the Workers handle or the owner, and hold no command
@@ -28,10 +30,8 @@ type Workers struct {
 	closed bool
 }
 
-// workerCmd is one dispatch, sent by value: a plain job, or (cycle != nil)
-// a lock-step run of k cycles.
+// workerCmd is one dispatch, sent by value: a lock-step run of k cycles.
 type workerCmd struct {
-	job   func(w int)
 	k     int
 	cycle func(w, i int) bool
 	after func(w, last int)
@@ -45,13 +45,14 @@ type workerShared struct {
 	fault  atomic.Pointer[WorkerPanic]
 }
 
-// WorkerPanic is the panic value a dispatch re-raises on the dispatching
-// goroutine after recovering a panic inside a resident worker: the worker
-// releases its barrier cohort so peers drain cleanly, records the original
-// value and stack here, and the dispatcher — having joined every worker —
-// closes the group and re-panics with it. Callers that recover at their own
-// boundary therefore see one panic, on their own goroutine, with the
-// worker's stack attached, and never a wedged barrier or a leaked worker.
+// WorkerPanic is the panic value [Workers.Lockstep] re-raises on the
+// dispatching goroutine after recovering a panic inside a resident worker,
+// in a cycle body or in the epilogue: the worker releases its barrier cohort
+// so peers drain cleanly, records the original value and stack here, and the
+// dispatcher — having joined every worker — closes the group and re-panics
+// with it. Callers that recover at their own boundary therefore see one
+// panic, on their own goroutine, with the worker's stack attached, and
+// never a wedged barrier or a leaked worker.
 // The engine is poisoned (the panicking worker stopped mid-cycle, so its
 // state is torn) and must be discarded.
 type WorkerPanic struct {
@@ -96,10 +97,6 @@ func (ws *Workers) Close() {
 	runtime.SetFinalizer(ws, nil)
 }
 
-// Do runs job(w) on every worker and waits for all of them. A job that
-// panics is re-raised here as a [*WorkerPanic] after the group has closed.
-func (ws *Workers) Do(job func(w int)) { ws.dispatch(workerCmd{job: job}) }
-
 // Lockstep runs up to k cycles (k >= 1) with every worker resident for the
 // whole run: per cycle i each worker calls cycle(w, i) and then meets the
 // others at one barrier. A cycle that returns true stops the run — every
@@ -107,7 +104,9 @@ func (ws *Workers) Do(job func(w int)) { ws.dispatch(workerCmd{job: job}) }
 // the same cycles — and Lockstep reports the completed count with stopped
 // set; otherwise it reports (k, false). Once the cohort has stopped, after
 // (if non-nil) runs on each worker with the index of the last completed
-// cycle. Panics are re-raised as in [Workers.Do].
+// cycle. A body that panics on a resident worker is re-raised here as a
+// [*WorkerPanic] after the group has closed; in a group of one it is the
+// caller's own panic, raw, and the group stays usable.
 func (ws *Workers) Lockstep(k int, cycle func(w, i int) bool, after func(w, last int)) (ran int, stopped bool) {
 	ws.sh.stopAt.Store(int64(k))
 	ws.dispatch(workerCmd{k: k, cycle: cycle, after: after})
@@ -159,8 +158,8 @@ func (s *workerShared) loop(w int, cmds <-chan workerCmd) {
 // cycle, cross the barrier, observe the stop and drain. (The owed cycle, not
 // a value below it: a slow peer may still be reading stopAt to decide
 // whether the previous cycle was the last, and must not be talked out of
-// arriving at this one.) A panic in a plain job or in the epilogue owes
-// nothing — every peer has already left the barrier behind.
+// arriving at this one.) A panic in the epilogue owes nothing — every peer
+// has already left the barrier behind.
 func (s *workerShared) guard(w int, c workerCmd) {
 	owed := -1
 	defer func() {
@@ -178,10 +177,6 @@ func (s *workerShared) guard(w int, c workerCmd) {
 // exec is the body of one command on worker w; *owed holds the index of the
 // lock-step cycle whose barrier w has not crossed yet, -1 outside one.
 func (s *workerShared) exec(w int, c workerCmd, owed *int) {
-	if c.cycle == nil {
-		c.job(w)
-		return
-	}
 	last := -1
 	for i := 0; i < c.k; i++ {
 		*owed = i

@@ -27,11 +27,16 @@ func dispatchRecover(t *testing.T, f func()) (recovered any) {
 	}
 }
 
+// once runs body(w) on every worker as a one-cycle lock-step run.
+func once(ws *Workers, body func(w int)) {
+	ws.Lockstep(1, func(w, _ int) bool { body(w); return false }, nil)
+}
+
 // TestWorkersPanicReraise: a panic inside a lock-step cycle, inside the
-// epilogue, or inside a plain Do job — on one worker of the cohort — is
-// re-raised exactly once on the dispatcher as a *WorkerPanic carrying the
-// original value and the worker's stack; the group closes itself, no peer
-// is left at the barrier, and every goroutine exits.
+// epilogue, or inside the body of a one-cycle run — on one worker of the
+// cohort — is re-raised exactly once on the dispatcher as a *WorkerPanic
+// carrying the original value and the worker's stack; the group closes
+// itself, no peer is left at the barrier, and every goroutine exits.
 func TestWorkersPanicReraise(t *testing.T) {
 	const k = 50
 	for _, n := range []int{2, 5} {
@@ -56,8 +61,8 @@ func TestWorkersPanicReraise(t *testing.T) {
 					afters.Add(1)
 				})
 			}},
-			{"do", func(ws *Workers, bad int, cycles, afters *atomic.Int64) {
-				ws.Do(func(w int) {
+			{"once", func(ws *Workers, bad int, cycles, afters *atomic.Int64) {
+				once(ws, func(w int) {
 					if w == bad {
 						panic("boom")
 					}
@@ -92,8 +97,8 @@ func TestWorkersPanicReraise(t *testing.T) {
 				}
 			}
 			// Closed, and saying so with the one message.
-			if rec := dispatchRecover(t, func() { ws.Do(func(int) {}) }); rec != "kernel: workers used after Close" {
-				t.Fatalf("n=%d %s: Do on the poisoned group panicked with %v", n, tc.name, rec)
+			if rec := dispatchRecover(t, func() { once(ws, func(int) {}) }); rec != "kernel: workers used after Close" {
+				t.Fatalf("n=%d %s: a run on the poisoned group panicked with %v", n, tc.name, rec)
 			}
 			ws.Close() // idempotent
 			waitGoroutines(t, base)
@@ -133,11 +138,11 @@ func TestWorkersPanicLateCycleStress(t *testing.T) {
 // usable.
 func TestWorkersInlinePanic(t *testing.T) {
 	ws := NewWorkers(1)
-	if rec := dispatchRecover(t, func() { ws.Do(func(int) { panic("mine") }) }); rec != "mine" {
+	if rec := dispatchRecover(t, func() { once(ws, func(int) { panic("mine") }) }); rec != "mine" {
 		t.Fatalf("inline panic surfaced as %v", rec)
 	}
 	ran := false
-	ws.Do(func(int) { ran = true })
+	once(ws, func(int) { ran = true })
 	if !ran {
 		t.Fatal("group of one unusable after an inline panic")
 	}
@@ -242,7 +247,7 @@ func TestBatchFinalizerStopsWorkers(t *testing.T) {
 		pokeLane(b, 3, 0, 1)
 		b.Run(5)
 		b.RunBulk(RunSpec{Cycles: 5, Watch: &Watch{Lane: 3, OutIdx: 0, Pred: func(v uint64) bool { return v == 7 }}})
-		b.Settle()
+		b.Run(1)
 		if got := b.PeekOutput(3, 0); got != 8 {
 			t.Fatalf("count = %d, want 8", got)
 		}

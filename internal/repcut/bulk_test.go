@@ -26,6 +26,18 @@ func bulkCounterGraph() *dfg.Graph {
 	return g
 }
 
+// oneRegGraph is a single accumulator, count' = count + step, whose output
+// aliases the register: any plan clamps it to one partition, so its
+// instance runs the lock-step loop on a group of one.
+func oneRegGraph() *dfg.Graph {
+	g := &dfg.Graph{Name: "onereg"}
+	step := g.AddInput("step", 8)
+	r := g.AddReg("count", 8, 0)
+	g.SetRegNext(r, g.AddOp(wire.Add, 8, r, step))
+	g.AddOutput("count", r)
+	return g
+}
+
 // TestInstanceRunCyclesMatchesStep drives two identical partitioned
 // instances — one through RunCycles(k) chunks, one through k single Steps —
 // with fresh pokes between every chunk: the resident run loop with its
@@ -83,32 +95,44 @@ func TestInstanceRunCyclesMatchesStep(t *testing.T) {
 // from a non-zero From, inside one resident run and checks it against
 // poking the same values by hand between single steps of the unpartitioned
 // engine: each partition must drive every input its cone reads,
-// on the two-accumulator design (every input read by one partition) and on
-// random designs (inputs shared between cones).
+// on the two-accumulator design (every input read by one partition), on
+// random designs (inputs shared between cones), and on the one-register
+// design a 4-partition plan clamps to one partition. A watch that never
+// accepts records output 0 as sampled in every cycle of the run, which
+// must match the engine's cycle for cycle.
 func TestInstanceRunBulkStimulus(t *testing.T) {
 	const cycles, from = 10, 500
 	stim := testbench.Func(func(cycle int64, lane, input int) uint64 {
 		return uint64(cycle*5) ^ uint64(lane*11+input*3)
 	})
 	rng := rand.New(rand.NewSource(37))
-	graphs := []*dfg.Graph{bulkCounterGraph()}
+	type row struct {
+		g     *dfg.Graph
+		parts []int
+	}
+	rows := []row{{bulkCounterGraph(), []int{2, 3}}, {oneRegGraph(), []int{4}}}
 	for range 3 {
 		g, err := dfg.Optimize(dfg.RandomGraph(rng, dfg.RandomParams{
 			Inputs: 4, Regs: 9, Ops: 120, Consts: 5, MaxWidth: 16, MuxBias: 0.3}), dfg.DefaultOptOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		graphs = append(graphs, g)
+		rows = append(rows, row{g, []int{2, 3}})
 	}
-	for gi, g := range graphs {
-		ten := build(t, g)
-		for _, parts := range []int{2, 3} {
+	for gi, r := range rows {
+		ten := build(t, r.g)
+		for _, parts := range r.parts {
 			_, bulk := instantiate(t, ten, parts, kernel.PSU)
 			ref, err := newEngine(ten, kernel.Config{Kind: kernel.PSU})
 			if err != nil {
 				t.Fatal(err)
 			}
-			ran, stopped := bulk.RunBulk(kernel.RunSpec{Cycles: cycles, Stim: stim, From: from})
+			var trace []uint64
+			spec := kernel.RunSpec{Cycles: cycles, Stim: stim, From: from}
+			if len(ten.OutputSlots) > 0 {
+				spec.Watch = &kernel.Watch{Pred: func(v uint64) bool { trace = append(trace, v); return false }}
+			}
+			ran, stopped := bulk.RunBulk(spec)
 			if ran != cycles || stopped {
 				t.Fatalf("graph %d parts %d: RunBulk = (%d,%v), want (%d,false)", gi, parts, ran, stopped, cycles)
 			}
@@ -117,6 +141,9 @@ func TestInstanceRunBulkStimulus(t *testing.T) {
 					pokeInput(ref, in, stim.Value(from+int64(i), 0, in))
 				}
 				ref.Step()
+				if trace != nil && trace[i] != ref.PeekOutput(0) {
+					t.Fatalf("graph %d parts %d: cycle %d output 0 = %d, want %d", gi, parts, i, trace[i], ref.PeekOutput(0))
+				}
 			}
 			br, rr := regsOf(bulk), regsOf(ref)
 			for i := range rr {
@@ -172,6 +199,39 @@ func TestInstanceRunBulkWatchStops(t *testing.T) {
 			if got, want := regs[1], uint64(2*ran)&0xff; got != want {
 				t.Fatalf("parts %d %s: regB = %d after %d cycles, want %d", parts, tc.name, got, ran, want)
 			}
+		}
+	}
+
+	// The one-register design on one partition: an output watch and a slot
+	// watch each stop it at the cycle they stop the unpartitioned engine,
+	// and its output, read through the owner partition, is 0 after Reset.
+	one := build(t, oneRegGraph())
+	for _, w := range []*kernel.Watch{
+		{OutIdx: 0, Pred: func(v uint64) bool { return v == 8 }},
+		{OutIdx: -1, Slot: one.RegSlots[0].Q, Pred: func(v uint64) bool { return v == 8 }},
+	} {
+		plan, in := instantiate(t, one, 4, kernel.PSU)
+		if plan.Partitions() != 1 {
+			t.Fatalf("one-register plan has %d partitions, want 1", plan.Partitions())
+		}
+		ref, err := newEngine(one, kernel.Config{Kind: kernel.PSU})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pokeInput(in, 0, 2)
+		pokeInput(ref, 0, 2)
+		spec := kernel.RunSpec{Cycles: 20, Watch: w}
+		ran, stopped := in.RunBulk(spec)
+		wantRan, wantStopped := ref.RunBulk(spec)
+		if ran != wantRan || !stopped || !wantStopped {
+			t.Fatalf("one partition, watch %+v: RunBulk = (%d,%v), engine (%d,%v)", *w, ran, stopped, wantRan, wantStopped)
+		}
+		if got, want := in.PeekOutput(0), ref.PeekOutput(0); got != want || got == 0 {
+			t.Fatalf("one partition, watch %+v: output = %d, engine %d (want equal, non-zero)", *w, got, want)
+		}
+		in.Reset()
+		if got := in.PeekOutput(0); got != 0 {
+			t.Fatalf("one partition: output after Reset = %d, want 0", got)
 		}
 	}
 }

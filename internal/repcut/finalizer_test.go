@@ -33,7 +33,6 @@ func TestInstanceFinalizerStopsWorkers(t *testing.T) {
 		pokeInput(in, 1, 2)
 		in.RunCycles(4)
 		in.Step()
-		in.Settle()
 		if regs := regsOf(in); regs[0] != 15 || regs[1] != 10 {
 			t.Fatalf("regs = %v, want [15 10]", regs)
 		}

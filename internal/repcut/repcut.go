@@ -353,7 +353,6 @@ func (p *Plan) Lower(cfg kernel.Config) ([]*kernel.Program, error) {
 type Instance struct {
 	plan    *Plan
 	engines []kernel.Engine
-	outs    []uint64
 	ws      *kernel.Workers
 
 	// xbuf is the double-buffered exchange buffer of a run: cycle i
@@ -364,7 +363,6 @@ type Instance struct {
 	// The per-partition bodies, bound once so a dispatch allocates nothing,
 	// and the run they execute, with the partition that evaluates its
 	// watch. Cleared after every run — nothing per-run is retained.
-	settleJob func(w int)
 	cycleJob  func(w, i int) bool
 	afterJob  func(w, last int)
 	cur       kernel.RunSpec
@@ -381,7 +379,6 @@ func (p *Plan) Instantiate(progs []*kernel.Program) (*Instance, error) {
 	in := &Instance{
 		plan:    p,
 		engines: make([]kernel.Engine, len(progs)),
-		outs:    make([]uint64, len(p.t.OutputSlots)),
 	}
 	for i, prog := range progs {
 		if prog.Tensor() != p.subs[i] {
@@ -392,17 +389,15 @@ func (p *Plan) Instantiate(progs []*kernel.Program) (*Instance, error) {
 	in.xbuf[0] = make([]uint64, p.nExchange)
 	in.xbuf[1] = make([]uint64, p.nExchange)
 	in.ws = kernel.NewWorkers(len(in.engines))
-	in.settleJob, in.cycleJob, in.afterJob = in.settlePart, in.cyclePart, in.pullPart
+	in.cycleJob, in.afterJob = in.cyclePart, in.pullPart
 	return in, nil
 }
 
 // Close stops the instance's worker goroutines. Optional — an unreachable
 // instance is cleaned up by the garbage collector — but deterministic. The
-// instance must not be used afterwards: Settle, Step and the bulk runs
-// panic on a closed instance.
+// instance must not be run afterwards: Step and the bulk runs panic on a
+// closed instance.
 func (in *Instance) Close() { in.ws.Close() }
-
-func (in *Instance) settlePart(w int) { in.engines[w].Settle() }
 
 // cyclePart is one cycle of partition w inside a resident run: pull the
 // foreign register values the previous cycle published, drive the stimulus
@@ -448,13 +443,6 @@ func (in *Instance) pullPart(w, i int) {
 	}
 }
 
-// sample gathers each output from the partition that owns its cone.
-func (in *Instance) sample() {
-	for i, owner := range in.plan.outOwner {
-		in.outs[i] = in.engines[owner].PeekOutput(i)
-	}
-}
-
 // Step runs one cycle: parallel settle+commit in every partition, then the
 // parallel RUM synchronisation step (the final einsum of Cascade 2). It is
 // exactly a bulk run of one cycle.
@@ -475,11 +463,6 @@ func (in *Instance) RunCycles(k int) { in.RunBulk(kernel.RunSpec{Cycles: k}) }
 // hands over shorter specs, so partition state is only ever observed at
 // cycle boundaries every worker has crossed.
 func (in *Instance) RunBulk(spec kernel.RunSpec) (ran int, stopped bool) {
-	if len(in.engines) == 1 {
-		ran, stopped = in.engines[0].RunBulk(spec)
-		in.sample()
-		return ran, stopped
-	}
 	if spec.Cycles <= 0 {
 		return 0, false
 	}
@@ -493,30 +476,23 @@ func (in *Instance) RunBulk(spec kernel.RunSpec) (ran int, stopped bool) {
 	}
 	ran, stopped = in.ws.Lockstep(spec.Cycles, in.cycleJob, in.afterJob)
 	in.cur = kernel.RunSpec{}
-	in.sample()
 	return ran, stopped
 }
 
-// Settle performs one combinational evaluation in every partition without
-// committing registers, refreshing the sampled outputs.
-func (in *Instance) Settle() {
-	in.ws.Do(in.settleJob)
-	in.sample()
-}
-
-// Reset restores every partition. Safe between cycles: workers are parked
-// on their command channels whenever no Step or Settle is in flight.
+// Reset restores every partition, its sampled outputs included. Safe
+// between cycles: workers are parked on their command channels whenever no
+// run is in flight.
 func (in *Instance) Reset() {
 	for _, e := range in.engines {
 		e.Reset()
 	}
-	for i := range in.outs {
-		in.outs[i] = 0
-	}
 }
 
-// PeekOutput reads a primary output sampled at the last Step or Settle.
-func (in *Instance) PeekOutput(idx int) uint64 { return in.outs[idx] }
+// PeekOutput reads a primary output where the partition owning its cone
+// sampled it, at the settle of the last completed cycle: 0 after Reset.
+func (in *Instance) PeekOutput(idx int) uint64 {
+	return in.engines[in.plan.outOwner[idx]].PeekOutput(idx)
+}
 
 // PeekSlot reads an LI coordinate from a partition holding an authoritative
 // value: the owner for register coordinates, the sampling owner for output

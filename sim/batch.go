@@ -109,37 +109,25 @@ func (b *Batch) Registers(lane int) []uint64 {
 	return regs
 }
 
-// Settle performs one combinational evaluation of every lane.
-func (b *Batch) Settle() { b.b.Settle() }
-
 // pokeSlot, peekSlot and peekOutput are the batch as a [Testbench]'s dut.
 func (b *Batch) pokeSlot(lane int, slot int32, v uint64) { b.b.PokeSlot(lane, slot, v) }
 func (b *Batch) peekSlot(lane int, slot int32) uint64    { return b.b.PeekSlot(lane, slot) }
 func (b *Batch) peekOutput(lane, idx int) uint64         { return b.b.PeekOutput(lane, idx) }
 
-// Step advances every lane one clock cycle.
-func (b *Batch) Step() {
-	b.b.Step()
-	b.cycle++
-}
+// Step advances every lane one clock cycle: a one-cycle run.
+func (b *Batch) Step() { b.runBulk(kernel.RunSpec{Cycles: 1}) }
 
-// Run advances every lane n cycles in bulk: one worker dispatch and one
-// join for the whole run ([kernel.Batch.Run]), so parallel batches pay
-// per-cycle coordination once per run instead of once per cycle.
-// Bit-identical to n calls of [Batch.Step].
-func (b *Batch) Run(n int64) {
-	for n > 0 {
-		k := min(n, int64(1)<<30)
-		b.b.Run(int(k))
-		b.cycle += k
-		n -= k
-	}
-}
+// Run advances every lane n cycles as one bulk run of the batch engine
+// ([kernel.Batch.RunBulk]), handed over by the chunker every [Testbench]
+// run goes through: one worker dispatch and one join for the whole run, so
+// parallel batches pay per-cycle coordination once per run instead of once
+// per cycle. Bit-identical to n calls of [Batch.Step].
+func (b *Batch) Run(n int64) { advance(b, n, nil, nil, nil) }
 
 // runBulk executes a [kernel.RunSpec] against the batch engine, advancing
-// the cycle counter by the completed count — the funnel [Testbench] bulk
-// runs drain into. The error is always nil: a batch has no closed state and
-// records no waveform.
+// the cycle counter by the completed count — the funnel [Batch.Step],
+// [Batch.Run] and [Testbench] runs drain into. The error is always nil: a
+// batch has no closed state and records no waveform.
 func (b *Batch) runBulk(spec kernel.RunSpec) (ran int, stopped bool, err error) {
 	ran, stopped = b.b.RunBulk(spec)
 	b.cycle += int64(ran)

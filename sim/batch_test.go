@@ -213,7 +213,7 @@ func TestBatchOpParity(t *testing.T) {
 							b.PokeSlot(lane, slot, rngs[lane].Uint64())
 						}
 					}
-					b.Step()
+					b.Run(1)
 					for lane := 0; lane < lanes; lane++ {
 						for _, r := range ten.RegSlots {
 							traces[lane] = append(traces[lane], b.PeekSlot(lane, r.Q))

@@ -38,10 +38,8 @@ func TestUseAfterClose(t *testing.T) {
 	}{
 		{"session/Step", func(s *sim.Session, _ *sim.Batch) error { return s.Step() }, true, ""},
 		{"session/Run", func(s *sim.Session, _ *sim.Batch) error { return s.Run(3) }, true, ""},
-		{"session/Settle", func(s *sim.Session, _ *sim.Batch) error { s.Settle(); return nil }, false, groupMsg},
 		{"batch/Step", func(_ *sim.Session, b *sim.Batch) error { b.Step(); return nil }, false, groupMsg},
 		{"batch/Run", func(_ *sim.Session, b *sim.Batch) error { b.Run(3); return nil }, false, groupMsg},
-		{"batch/Settle", func(_ *sim.Session, b *sim.Batch) error { b.Settle(); return nil }, false, groupMsg},
 	} {
 		s := d.NewSession()
 		b, err := d.NewBatchParallel(4, 2)

@@ -70,10 +70,6 @@ func (s *Session) Registers() []uint64 {
 	return regs
 }
 
-// Settle performs one combinational evaluation without committing
-// registers, refreshing the sampled outputs.
-func (s *Session) Settle() { s.eng.Settle() }
-
 // pokeSlot, peekSlot and peekOutput are the session as a [Testbench]'s
 // one-lane dut.
 func (s *Session) pokeSlot(_ int, slot int32, v uint64) { s.eng.PokeSlot(slot, v) }
@@ -99,14 +95,8 @@ func (s *Session) Step() error {
 // either way. The run polls nothing: a run that must stop early goes
 // through a [Testbench] with [Testbench.SetCancel].
 func (s *Session) Run(n int64) error {
-	for n > 0 {
-		k := min(n, int64(1)<<30)
-		if _, _, err := s.runBulk(kernel.RunSpec{Cycles: int(k)}); err != nil {
-			return err
-		}
-		n -= k
-	}
-	return nil
+	_, err := advance(s, n, nil, nil, nil)
+	return err
 }
 
 // runBulk executes a [kernel.RunSpec] — up to Cycles cycles with an

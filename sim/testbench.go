@@ -61,7 +61,7 @@ type Testbench struct {
 	lanes int
 	stim  Stimulus
 	// cancel is the probe installed by [Testbench.SetCancel], polled by
-	// runBulk before every run it hands the engine.
+	// advance before every run it hands the engine.
 	cancel func() bool
 }
 
@@ -127,7 +127,7 @@ func (tb *Testbench) Drive(stim Stimulus) { tb.stim = stim }
 // included. Prefer Run when nothing has to happen between cycles — a Step
 // pays the engine's dispatch every cycle.
 func (tb *Testbench) Step() error {
-	_, err := tb.runBulk(1, nil)
+	_, err := advance(tb.dut, 1, tb.stim, nil, tb.cancel)
 	return err
 }
 
@@ -137,28 +137,29 @@ func (tb *Testbench) Step() error {
 // Bit-identical to poking the stimulus by hand before each of n single
 // steps.
 func (tb *Testbench) Run(n int64) error {
-	_, err := tb.runBulk(n, nil)
+	_, err := advance(tb.dut, n, tb.stim, nil, tb.cancel)
 	return err
 }
 
-// runBulk advances up to n cycles through the bound engine's bulk path and
-// is the one place a run is cut into chunks: only while a cancellation
+// advance runs up to n cycles of a session or batch through its bulk path
+// and is the one place a run is cut into chunks: only while a cancellation
 // probe is installed, into chunks of at most [kernel.CancelCheckCycles]
-// cycles, polling the probe before each. Every chunk hands the engine the
-// stimulus (if any) with the absolute cycle it starts at, and the optional
-// watch, so the engine drives the inputs and checks the predicate inside
-// its own run loop.
-func (tb *Testbench) runBulk(n int64, watch *kernel.Watch) (stopped bool, err error) {
+// cycles, polling the probe before each.
+// Every chunk hands the engine the stimulus (if any) with the absolute cycle
+// it starts at, and the optional watch, so the engine drives the inputs and
+// checks the predicate inside its own run loop. [Session.Run], [Batch.Run]
+// and every cycle a [Testbench] advances go through it.
+func advance(d dut, n int64, stim Stimulus, watch *kernel.Watch, cancel func() bool) (stopped bool, err error) {
 	chunk := int64(math.MaxInt)
-	if tb.cancel != nil {
+	if cancel != nil {
 		chunk = kernel.CancelCheckCycles
 	}
 	for ran := int64(0); ran < n; {
-		if tb.cancel != nil && tb.cancel() {
+		if cancel != nil && cancel() {
 			return false, ErrRunCanceled
 		}
-		spec := kernel.RunSpec{Cycles: int(min(n-ran, chunk)), Stim: tb.stim, From: tb.dut.Cycle(), Watch: watch}
-		r, s, err := tb.dut.runBulk(spec)
+		spec := kernel.RunSpec{Cycles: int(min(n-ran, chunk)), Stim: stim, From: d.Cycle(), Watch: watch}
+		r, s, err := d.runBulk(spec)
 		if err != nil || s {
 			return s, err
 		}
@@ -303,7 +304,7 @@ func (p *Port) Wait(pred func(uint64) bool, maxCycles int) (uint64, error) {
 	if p.sig.Kind == kernel.SignalOutput {
 		w.OutIdx = p.sig.Index
 	}
-	stopped, err := p.tb.runBulk(int64(maxCycles), &w)
+	stopped, err := advance(p.tb.dut, int64(maxCycles), p.tb.stim, &w, p.tb.cancel)
 	if err != nil {
 		return 0, err
 	}
