@@ -35,10 +35,19 @@ import (
 // ([refiner.seed]) and then runs KL/FM-style boundary refinement
 // ([refiner.refine]), moving one register at a time to whichever partition
 // most lowers the pair.
+//
+// Both work from every register's cone as a bitset over operations. The
+// cones come from one sweep in reverse layer order that carries, per
+// operation, the set of registers whose cone holds it; transposing that
+// operation × register matrix 64 × 64 bits at a time gives the cones
+// ([analyze]). A move is priced with popcounts of the cone's words against
+// two bitsets per partition that every move keeps current — operations the
+// partition holds, and operations only one of its registers holds
+// ([refiner.priceOps]).
 
 // fanIn is the design's combinational fan-in at slot granularity, built once
-// per plan and walked by the planner's per-register cones, the output vote
-// and the per-partition cone marking alike.
+// per plan: the planner's sweep reads its producer and operand tables, and
+// the output vote and the per-partition cone marking walk it.
 type fanIn struct {
 	producer []int32   // slot → index of the op writing it (layer-major), -1 for a source
 	args     [][]int32 // op index → its operands, aliasing the tensor's RCoord
@@ -140,6 +149,24 @@ func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
 func (b bitset) set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
 
+func (b bitset) flip(i int) { b[i>>6] ^= 1 << (uint(i) & 63) }
+
+func (b bitset) empty() bool {
+	for _, w := range b {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// orWith adds c's members to b.
+func (b bitset) orWith(c bitset) {
+	for i, w := range c {
+		b[i] |= w
+	}
+}
+
 func (b bitset) popcount() int {
 	n := 0
 	for _, w := range b {
@@ -188,34 +215,120 @@ type analysis struct {
 	regSrc  [][]int  // per register: sorted register indices whose Q the cone reads
 }
 
-// analyze computes the fan-in cone of every register's next-state slot. A
-// cone stops at sources: primary inputs, constants, and register Q
-// coordinates (which become regSrc entries — the edges the RUM exchange
-// would carry if reader and owner end up in different partitions).
+// analyze computes the fan-in cone of every register's next-state slot in
+// one sweep. A cone stops at sources: primary inputs, constants, and
+// register Q coordinates (which become regSrc entries — the edges the RUM
+// exchange would carry if reader and owner end up in different partitions).
+//
+// Every op carries the set of registers whose cone holds it, a bitset over
+// registers in a transient op × register slab. Each register seeds its own
+// bit at whatever writes its Next; then, in descending op index — layer-major,
+// so a reverse topological order, and every op's set is complete before it
+// is read — each op ORs its set into its operands: into the producing op's
+// set, or, for a register Q, into that register's reader set. The cones are
+// the slab transposed, 64 ops × 64 registers at a time, and the source sets
+// behind regSrc are the reader sets transposed the same way. Both slabs are
+// dropped on return; only the analysis outlives the call.
 func analyze(t *oim.Tensor, f *fanIn) *analysis {
-	numOps := len(f.args)
-	a := &analysis{
-		numOps:  numOps,
-		cones:   make([]bitset, len(t.RegSlots)),
-		coneOps: make([]int, len(t.RegSlots)),
-		regSrc:  make([][]int, len(t.RegSlots)),
+	numOps, nr := len(f.args), len(t.RegSlots)
+	rw, ow := (nr+63)/64, (numOps+63)/64 // words per register set, per op set
+	holders := make([]uint64, numOps*rw) // op → the registers whose cone holds it
+	readers := make([]uint64, nr*rw)     // register → the registers whose cone reads its Q
+	setOf := func(s int32) bitset {
+		if q := f.regOf[s]; q >= 0 {
+			return readers[int(q)*rw:][:rw]
+		}
+		if id := f.producer[s]; id >= 0 {
+			return holders[int(id)*rw:][:rw]
+		}
+		return nil // an input or a constant
 	}
 	for ri, r := range t.RegSlots {
-		cone := newBitset(numOps)
-		var src []int
-		for _, s := range f.cone(r.Next) {
-			if si := f.regOf[s]; si >= 0 {
-				src = append(src, int(si))
-			} else if id := f.producer[s]; id >= 0 {
-				cone.set(int(id))
+		if set := setOf(r.Next); set != nil {
+			set.set(ri)
+		}
+	}
+	for op := numOps - 1; op >= 0; op-- {
+		held := bitset(holders[op*rw:][:rw])
+		if held.empty() {
+			continue
+		}
+		for _, arg := range f.args[op] {
+			if set := setOf(arg); set != nil {
+				set.orWith(held)
 			}
 		}
-		sort.Ints(src)
-		a.cones[ri] = cone
-		a.coneOps[ri] = cone.popcount()
-		a.regSrc[ri] = src
+	}
+
+	a := &analysis{
+		numOps:  numOps,
+		cones:   make([]bitset, nr),
+		coneOps: make([]int, nr),
+		regSrc:  make([][]int, nr),
+	}
+	coneWords := transpose(holders, numOps, nr)
+	for ri := range a.cones {
+		a.cones[ri] = coneWords[ri*ow : (ri+1)*ow : (ri+1)*ow]
+		a.coneOps[ri] = a.cones[ri].popcount()
+	}
+	// Transposed, the reader sets are the source sets; regSrc is cut from
+	// one slab they size exactly.
+	srcSets := transpose(readers, nr, nr)
+	slab := make([]int, bitset(srcSets).popcount())
+	for ri := range a.regSrc {
+		set := bitset(srcSets[ri*rw:][:rw])
+		if k := set.popcount(); k > 0 {
+			src := slab[:0:k]
+			set.forEachBit(func(q int) { src = append(src, q) })
+			a.regSrc[ri], slab = src, slab[k:]
+		}
 	}
 	return a
+}
+
+// transpose returns the rows × cols bit matrix m — each row a bitset of
+// (cols+63)/64 words — transposed: cols rows of (rows+63)/64 words, bit j of
+// row i becoming bit i of row j. It goes 64 × 64 bits at a time and skips
+// empty blocks.
+func transpose(m []uint64, rows, cols int) []uint64 {
+	w, tw := (cols+63)/64, (rows+63)/64
+	t := make([]uint64, cols*tw)
+	var blk [64]uint64
+	for rb := 0; rb < tw; rb++ {
+		for cb := 0; cb < w; cb++ {
+			var seen uint64
+			for i := range blk {
+				blk[i] = 0
+				if r := rb*64 + i; r < rows {
+					blk[i] = m[r*w+cb]
+				}
+				seen |= blk[i]
+			}
+			if seen == 0 {
+				continue
+			}
+			transpose64(&blk)
+			for i, x := range blk[:min(64, cols-cb*64)] {
+				t[(cb*64+i)*tw+rb] = x
+			}
+		}
+	}
+	return t
+}
+
+// transpose64 transposes a 64 × 64 bit matrix in place: bit j of row i
+// becomes bit i of row j. Each round swaps the off-diagonal blocks of every
+// 2j × 2j block, halving j from 32 down to 1.
+func transpose64(m *[64]uint64) {
+	mask := uint64(0x00000000FFFFFFFF)
+	for j := 32; j != 0; j >>= 1 {
+		for k := 0; k < 64; k = (k + j + 1) &^ j {
+			x := (m[k]>>j ^ m[k+j]) & mask
+			m[k+j] ^= x
+			m[k] ^= x << j
+		}
+		mask ^= mask << (j >> 1)
+	}
 }
 
 // seed clusters registers by fan-in-cone overlap: partitions are seeded
@@ -294,9 +407,10 @@ func (r *refiner) seed() {
 const maxRefinePasses = 8
 
 // refiner holds the incremental bookkeeping that makes pricing a placement
-// or a move O(cone size) instead of O(design): per-partition reference
-// counts of cone membership (for the op deltas) and of register reads (for
-// the exchange deltas).
+// or a move a few popcounts over a cone's words instead of a walk of the
+// design: per-partition reference counts of cone membership (for the op
+// deltas), mirrored a word at a time by two bitsets, and of register reads
+// (for the exchange deltas).
 type refiner struct {
 	a     *analysis
 	n     int
@@ -307,6 +421,10 @@ type refiner struct {
 	// unionOps[p].
 	cnt      [][]int32
 	unionOps []int
+	// live[p] holds the ops with cnt[p][op] > 0 and once[p] those with
+	// cnt[p][op] == 1, kept current by moveOps: a cone's words ANDed with
+	// them price what a move adds to q and drops from p.
+	live, once []bitset
 	// readCnt[p][ri] counts registers owned by p — excluding ri itself —
 	// whose cones read ri's Q. A placed register ri crosses the cut into p
 	// exactly when p ≠ owner[ri] and readCnt[p][ri] > 0: readers[ri] counts
@@ -326,6 +444,8 @@ func newRefiner(a *analysis, n int) *refiner {
 		owned:    make([]int, n),
 		cnt:      make([][]int32, n),
 		unionOps: make([]int, n),
+		live:     make([]bitset, n),
+		once:     make([]bitset, n),
 		readCnt:  make([][]int32, n),
 		readers:  make([]int32, nr),
 		pulls:    make([]int, n),
@@ -336,6 +456,7 @@ func newRefiner(a *analysis, n int) *refiner {
 	}
 	for p := 0; p < n; p++ {
 		r.cnt[p] = make([]int32, a.numOps)
+		r.live[p], r.once[p] = newBitset(a.numOps), newBitset(a.numOps)
 		r.readCnt[p] = make([]int32, nr)
 	}
 	return r
@@ -343,46 +464,41 @@ func newRefiner(a *analysis, n int) *refiner {
 
 // priceOps is what taking register ri out of partition p (-1: the seed
 // placing an unplaced register) and into q would do to their op counts: the
-// cone ops p drops and the ops q gains.
+// cone ops only ri holds in p, which p drops, and the cone ops q does not
+// hold yet, which it gains.
 func (r *refiner) priceOps(ri, p, q int) (rem, add int) {
-	cntQ := r.cnt[q]
-	if p < 0 {
-		r.a.cones[ri].forEachBit(func(op int) {
-			if cntQ[op] == 0 {
-				add++
-			}
-		})
-		return 0, add
+	cone := r.a.cones[ri]
+	if p >= 0 {
+		rem = andCount(cone, r.once[p])
 	}
-	cntP := r.cnt[p]
-	r.a.cones[ri].forEachBit(func(op int) {
-		if cntP[op] == 1 {
-			rem++
-		}
-		if cntQ[op] == 0 {
-			add++
-		}
-	})
-	return rem, add
+	return rem, r.a.coneOps[ri] - andCount(cone, r.live[q])
 }
 
 // moveOps applies what priceOps priced: the expensive half of a move.
 func (r *refiner) moveOps(ri, p, q int) {
 	if p >= 0 {
-		cntP := r.cnt[p]
+		cntP, liveP, onceP := r.cnt[p], r.live[p], r.once[p]
 		r.a.cones[ri].forEachBit(func(op int) {
-			cntP[op]--
-			if cntP[op] == 0 {
+			switch cntP[op]--; cntP[op] {
+			case 0:
 				r.unionOps[p]--
+				liveP.flip(op)
+				onceP.flip(op)
+			case 1:
+				onceP.flip(op)
 			}
 		})
 	}
-	cntQ := r.cnt[q]
+	cntQ, liveQ, onceQ := r.cnt[q], r.live[q], r.once[q]
 	r.a.cones[ri].forEachBit(func(op int) {
-		if cntQ[op] == 0 {
+		switch cntQ[op]++; cntQ[op] {
+		case 1:
 			r.unionOps[q]++
+			liveQ.flip(op)
+			onceQ.flip(op)
+		case 2:
+			onceQ.flip(op)
 		}
-		cntQ[op]++
 	})
 }
 
@@ -393,12 +509,13 @@ func (r *refiner) moveOps(ri, p, q int) {
 func (r *refiner) moveReads(ri, p, q int) {
 	src := r.a.regSrc[ri]
 	if p >= 0 {
+		readP := r.readCnt[p]
 		for _, s := range src {
 			if s == ri {
 				continue
 			}
-			r.readCnt[p][s]--
-			if o := r.owner[s]; r.readCnt[p][s] == 0 && o >= 0 && o != p {
+			readP[s]--
+			if o := r.owner[s]; readP[s] == 0 && o >= 0 && o != p {
 				r.pulls[p]--
 				if r.readers[s]--; r.readers[s] == 0 {
 					r.pubs[o]--
@@ -428,12 +545,13 @@ func (r *refiner) moveReads(ri, p, q int) {
 		if r.readers[ri] > 0 {
 			r.pubs[q]++
 		}
+		readQ := r.readCnt[q]
 		for _, s := range src {
 			if s == ri {
 				continue
 			}
-			r.readCnt[q][s]++
-			if o := r.owner[s]; r.readCnt[q][s] == 1 && o >= 0 && o != q {
+			readQ[s]++
+			if o := r.owner[s]; readQ[s] == 1 && o >= 0 && o != q {
 				r.pulls[q]++
 				if r.readers[s]++; r.readers[s] == 1 {
 					r.pubs[o]++

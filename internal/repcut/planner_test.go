@@ -1,7 +1,9 @@
 package repcut
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -45,9 +47,71 @@ func chainPairGraph() *dfg.Graph {
 	return g
 }
 
-// TestAnalyzeFanInCones pins the analysis down on the handcrafted design:
-// the two pairs have disjoint cones, and each register's cone reads exactly
-// the Q coordinates of its own pair.
+// coneWalk is the analysis one register at a time — fanIn.cone from each
+// register's Next, ops into the cone and register Qs into regSrc — the
+// oracle analyze's one sweep must equal.
+func coneWalk(t *oim.Tensor, f *fanIn) *analysis {
+	a := &analysis{
+		numOps:  len(f.args),
+		cones:   make([]bitset, len(t.RegSlots)),
+		coneOps: make([]int, len(t.RegSlots)),
+		regSrc:  make([][]int, len(t.RegSlots)),
+	}
+	for ri, r := range t.RegSlots {
+		a.cones[ri] = newBitset(a.numOps)
+		for _, s := range f.cone(r.Next) {
+			if si := f.regOf[s]; si >= 0 {
+				a.regSrc[ri] = append(a.regSrc[ri], int(si))
+			} else if id := f.producer[s]; id >= 0 {
+				a.cones[ri].set(int(id))
+			}
+		}
+		slices.Sort(a.regSrc[ri])
+		a.coneOps[ri] = a.cones[ri].popcount()
+	}
+	return a
+}
+
+// cornerGraph has 70 registers — two register words, the second partly
+// used — whose next states cover the sources a cone can stop at: register
+// 0 holds its own Q, register 1 takes register 0's Q, register 2 an input
+// and register 3 a constant; the rest read chains of shared logic.
+func cornerGraph() *dfg.Graph {
+	g := &dfg.Graph{Name: "corners"}
+	in := g.AddInput("in", 16)
+	k := g.AddConst(5, 16)
+	regs := make([]dfg.NodeID, 70)
+	for i := range regs {
+		regs[i] = g.AddReg(fmt.Sprintf("r%d", i), 16, uint64(i))
+	}
+	g.SetRegNext(regs[0], regs[0])
+	g.SetRegNext(regs[1], regs[0])
+	g.SetRegNext(regs[2], in)
+	g.SetRegNext(regs[3], k)
+	acc := g.AddOp(wire.Add, 16, in, k)
+	for i := 4; i < len(regs); i++ {
+		acc = g.AddOp(wire.Xor, 16, acc, regs[i-1])
+		g.SetRegNext(regs[i], g.AddOp(wire.Add, 16, acc, regs[(i*7)%len(regs)]))
+	}
+	g.AddOutput("o", acc)
+	return g
+}
+
+// regFreeGraph is combinational logic from an input to an output, with no
+// register at all.
+func regFreeGraph() *dfg.Graph {
+	g := &dfg.Graph{Name: "comb"}
+	in := g.AddInput("in", 8)
+	g.AddOutput("o", g.AddOp(wire.Not, 8, g.AddOp(wire.Add, 8, in, in)))
+	return g
+}
+
+// TestAnalyzeFanInCones pins the analysis down. On the handcrafted pair
+// design the two pairs have disjoint cones and each register's cone reads
+// exactly the Q coordinates of its own pair; and on every design — the
+// pairs, corner cases, random graphs and generated SoCs — the one-sweep
+// analysis equals the per-register cone walk: the same cones and cone
+// sizes, and the same sorted, duplicate-free regSrc.
 func TestAnalyzeFanInCones(t *testing.T) {
 	ten := buildOpt(t, chainPairGraph())
 	if len(ten.RegSlots) != 4 {
@@ -75,6 +139,57 @@ func TestAnalyzeFanInCones(t *testing.T) {
 	if n := andCount(a.cones[0], a.cones[1]); n == 0 {
 		t.Fatal("registers of one pair share no logic")
 	}
+
+	corners := build(t, cornerGraph())
+	rs := corners.RegSlots
+	if rs[0].Next != rs[0].Q || rs[1].Next != rs[0].Q {
+		t.Fatal("corner design: registers 0 and 1 do not read register 0's Q as their next state")
+	}
+	if rs[2].Next != corners.InputSlots[0] || !slices.ContainsFunc(corners.ConstSlots, func(c dfg.SlotInit) bool { return c.Slot == rs[3].Next }) {
+		t.Fatal("corner design: registers 2 and 3 do not take an input and a constant")
+	}
+	type row struct {
+		name string
+		ten  *oim.Tensor
+	}
+	rows := []row{
+		{"pairs", ten},
+		{"corners", corners},
+		{"no registers", build(t, regFreeGraph())},
+	}
+	rng := rand.New(rand.NewSource(3))
+	for trial, regs := range []int{1, 11, 64, 97} {
+		g := dfg.RandomGraph(rng, dfg.RandomParams{
+			Inputs: 3, Regs: regs, Ops: 150 + 67*trial, Consts: 3, MaxWidth: 16, MuxBias: 0.3})
+		rows = append(rows,
+			row{fmt.Sprintf("random %d regs", regs), build(t, g)},
+			row{fmt.Sprintf("random %d regs optimised", regs), buildOpt(t, g)})
+	}
+	for _, spec := range []gen.Spec{
+		{Family: gen.SHA3, Scale: 8},
+		{Family: gen.Rocket, Cores: 4, Scale: 8},
+		{Family: gen.Ctrl, Cores: 512, Scale: 1},
+	} {
+		rows = append(rows, row{fmt.Sprintf("%s/%d", spec.Name(), spec.Scale), buildSpec(t, spec)})
+	}
+	for _, row := range rows {
+		got, want := analyze(row.ten, newFanIn(row.ten)), coneWalk(row.ten, newFanIn(row.ten))
+		if got.numOps != want.numOps || len(got.cones) != len(want.cones) {
+			t.Fatalf("%s: %d ops, %d registers; the walk has %d, %d", row.name, got.numOps, len(got.cones), want.numOps, len(want.cones))
+		}
+		for ri := range want.cones {
+			if !slices.Equal(got.cones[ri], want.cones[ri]) || got.coneOps[ri] != want.coneOps[ri] {
+				t.Fatalf("%s: register %d's cone has %d ops, the walk's %d", row.name, ri, got.coneOps[ri], want.coneOps[ri])
+			}
+			if !slices.Equal(got.regSrc[ri], want.regSrc[ri]) {
+				t.Fatalf("%s: register %d reads %v, the walk %v", row.name, ri, got.regSrc[ri], want.regSrc[ri])
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the analysis differs from the walk's", row.name)
+		}
+		t.Logf("%-28s %5d ops %4d registers", row.name, got.numOps, len(got.cones))
+	}
 }
 
 // TestConeClusterCoLocatesSharedLogic: at n=2 the pairs must land in
@@ -94,12 +209,6 @@ func TestConeClusterCoLocatesSharedLogic(t *testing.T) {
 		if owner[0] == owner[2] {
 			t.Fatalf("%s merged both pairs into one partition: %v", name, owner)
 		}
-	}
-}
-
-func (b bitset) orWith(c bitset) {
-	for i, w := range c {
-		b[i] |= w
 	}
 }
 

@@ -1,6 +1,8 @@
 package repcut
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -260,5 +262,54 @@ func TestPlanQuality(t *testing.T) {
 				t.Errorf("%s: replication %.3f, want at most %.2f", name, st.ReplicationFactor, tc.maxRep)
 			}
 		}
+	}
+}
+
+// TestPlannerOwnersPinned holds the planner to the owner vectors it made on
+// TestPlanQuality's designs at P ∈ {2, 3, 4, 8} when it walked every
+// register's cone on its own and priced moves bit by bit: how fast the
+// planner computes may change, what it plans may not. A hash is the first 8
+// bytes of sha256 over fmt.Sprint(owner).
+func TestPlannerOwnersPinned(t *testing.T) {
+	for _, tc := range []struct {
+		spec   gen.Spec
+		hashes [4]string // P = 2, 3, 4, 8
+	}{
+		{gen.Spec{Family: gen.Rocket, Cores: 4, Scale: 8}, [4]string{"38c73d5bb86e1d10", "14a17017e48ca6b6", "8d1061bcfb49f009", "33380d28f310110d"}},
+		{gen.Spec{Family: gen.Rocket, Cores: 1, Scale: 8}, [4]string{"a3cdc34755d2d5dd", "5756a61340e9511f", "2b6a4f9eda143065", "11b06e83cab15603"}},
+		{gen.Spec{Family: gen.Rocket, Cores: 1, Scale: 64}, [4]string{"8eed4d7cd3c97495", "2d76fee452ce9d95", "0465b7578a028004", "67ae56dc6b0dd754"}},
+		{gen.Spec{Family: gen.Rocket, Cores: 2, Scale: 16}, [4]string{"562bbdab6b9ecdd0", "9ba97cc684cba6aa", "89d6ade0349ee741", "7192444d3fac0d8a"}},
+		{gen.Spec{Family: gen.Boom, Cores: 1, Scale: 16}, [4]string{"2d3dbbf8f398bff8", "73117ff44709753c", "2627d6cf222d9eb3", "b6c7acb4bb8857eb"}},
+		{gen.Spec{Family: gen.SHA3, Scale: 8}, [4]string{"b86c668681d370f4", "9529a57813b01658", "46237b83810080b8", "d145daadbac35105"}},
+		{gen.Spec{Family: gen.Ctrl, Cores: 512, Scale: 1}, [4]string{"3e34d6f45be13381", "b57661bf4fafd42a", "69353d9c8e714a54", "c3b31d3f3eb697e5"}},
+	} {
+		ten := buildSpec(t, tc.spec)
+		for i, n := range []int{2, 3, 4, 8} {
+			sum := sha256.Sum256([]byte(fmt.Sprint(planOwners(ten, newFanIn(ten), n))))
+			if got := hex.EncodeToString(sum[:8]); got != tc.hashes[i] {
+				t.Errorf("%s/%d P=%d: owner hash %s, pinned %s", tc.spec.Name(), tc.spec.Scale, n, got, tc.hashes[i])
+			}
+		}
+	}
+}
+
+// BenchmarkNewPlan is the planner's cost below the benchmark: the whole
+// plan, owner vector included, of r4/8 and r1/8 at P = 2.
+func BenchmarkNewPlan(b *testing.B) {
+	for _, spec := range []gen.Spec{
+		{Family: gen.Rocket, Cores: 4, Scale: 8},
+		{Family: gen.Rocket, Cores: 1, Scale: 8},
+	} {
+		ten := buildSpec(b, spec)
+		b.Run(fmt.Sprintf("%s-%d/P=2", spec.Name(), spec.Scale), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewPlan(ten, 2, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(ten.TotalOps()), "ops")
+			b.ReportMetric(float64(len(ten.RegSlots)), "regs")
+		})
 	}
 }
