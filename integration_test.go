@@ -4,7 +4,6 @@
 package main
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
@@ -70,16 +69,6 @@ func TestFullPipelineOnGeneratedDesign(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// JSON round-trip, then simulate from the deserialised tensor.
-	var buf bytes.Buffer
-	if err := ten.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	ten2, err := oim.ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	const cycles = 3
 	oracle, err := dfg.NewInterp(opt)
 	if err != nil {
@@ -112,16 +101,16 @@ func TestFullPipelineOnGeneratedDesign(t *testing.T) {
 		}
 	}
 
-	// Every kernel over the JSON-round-tripped tensor.
+	// Every kernel over the tensor.
 	for _, kind := range kernel.Kinds() {
-		e, err := newEngine(ten2, kernel.Config{Kind: kind})
+		e, err := newEngine(ten, kernel.Config{Kind: kind})
 		if err != nil {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(11))
 		var tr []uint64
 		for c := 0; c < cycles; c++ {
-			for i := range ten2.InputSlots {
+			for i := range ten.InputSlots {
 				pokeInput(e, i, rng.Uint64())
 			}
 			e.Step()

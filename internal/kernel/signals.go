@@ -36,13 +36,11 @@ func (k SignalKind) String() string {
 }
 
 // Signal is the compile-time resolution of a signal name: the LI coordinate
-// it lives at, its width mask, and the port index for the index-based fast
-// paths. Resolving once and driving by Slot/Index is what keeps per-cycle
-// host↔DUT exchange (§6.2) off the name table.
+// it lives at and the port index for the index-based fast paths. Resolving
+// once and driving by Slot/Index is what keeps per-cycle host↔DUT exchange
+// (§6.2) off the name table.
 type Signal struct {
 	Name string
-	// Mask is the signal's width mask; pokes are masked to it.
-	Mask uint64
 	// Index is the position within the signal's class: the InputSlots index
 	// for inputs, the PeekOutput index for outputs, the RegSlots index for
 	// registers.
@@ -64,15 +62,15 @@ func NewSignalMap(t *oim.Tensor) SignalMap {
 	sigs := make([]Signal, 0, len(t.InputNames)+len(t.OutputNames)+len(t.RegNames))
 	for i, name := range t.InputNames {
 		slot := t.InputSlots[i]
-		sigs = append(sigs, Signal{Name: name, Kind: SignalInput, Index: i, Slot: slot, Mask: t.Masks[slot]})
+		sigs = append(sigs, Signal{Name: name, Kind: SignalInput, Index: i, Slot: slot})
 	}
 	for i, name := range t.OutputNames {
 		slot := t.OutputSlots[i]
-		sigs = append(sigs, Signal{Name: name, Kind: SignalOutput, Index: i, Slot: slot, Mask: t.Masks[slot]})
+		sigs = append(sigs, Signal{Name: name, Kind: SignalOutput, Index: i, Slot: slot})
 	}
 	for i, name := range t.RegNames {
 		r := t.RegSlots[i]
-		sigs = append(sigs, Signal{Name: name, Kind: SignalRegister, Index: i, Slot: r.Q, Mask: r.Mask})
+		sigs = append(sigs, Signal{Name: name, Kind: SignalRegister, Index: i, Slot: r.Q})
 	}
 	sigs = slices.DeleteFunc(sigs, func(s Signal) bool { return s.Name == "" })
 	slices.SortStableFunc(sigs, byNameKind)

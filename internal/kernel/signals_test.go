@@ -28,8 +28,8 @@ func TestSignalMapResolution(t *testing.T) {
 	if !ok || a.Kind != SignalInput || a.Index != 0 {
 		t.Fatalf("a resolved as %+v (input must shadow output)", a)
 	}
-	if a.Slot != ten.InputSlots[0] || a.Mask != ten.Masks[a.Slot] {
-		t.Fatalf("a slot/mask wrong: %+v", a)
+	if a.Slot != ten.InputSlots[0] {
+		t.Fatalf("a slot wrong: %+v", a)
 	}
 	acc, ok := sm.Resolve("acc")
 	if !ok || acc.Kind != SignalOutput {
@@ -90,8 +90,8 @@ func TestSignalMapRegisters(t *testing.T) {
 		if !ok || s.Kind != SignalRegister || s.Index != i {
 			t.Fatalf("%s resolved as %+v", name, s)
 		}
-		if s.Slot != ten.RegSlots[i].Q || s.Mask != ten.RegSlots[i].Mask {
-			t.Fatalf("%s slot/mask wrong: %+v vs %+v", name, s, ten.RegSlots[i])
+		if s.Slot != ten.RegSlots[i].Q {
+			t.Fatalf("%s slot wrong: %+v vs %+v", name, s, ten.RegSlots[i])
 		}
 	}
 }

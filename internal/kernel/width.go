@@ -9,8 +9,7 @@ import "rteaal/internal/oim"
 // are proven to fit it (see fitsMask), register commits apply the register
 // mask, and input/slot pokes mask on entry. A slot's value therefore never
 // exceeds its mask — *provided* the preloaded constants and register initial
-// values respect it too, which the dataflow-graph builder guarantees but
-// this pass re-checks rather than assumes.
+// values respect it too, which this pass checks rather than assumes.
 //
 // OneBitSlots is the whole pass: with contiguous masks, "provably 1 bit
 // wide" is exactly "mask == 1", demoted only by an out-of-range preload.
@@ -26,9 +25,9 @@ func OneBitSlots(t *oim.Tensor) []bool {
 	for s, m := range t.Masks {
 		one[s] = m == 1
 	}
-	// Defensive demotions: the dfg builder masks constants and register
-	// inits to their declared widths, but the tensor is an open (JSON-
-	// loadable) format, so trust the data, not the producer.
+	// Demotions: AddConst and AddReg mask a value to its width, but a graph
+	// built field by field, such as a decoded corpus repro, bypasses them,
+	// and Levelize copies constants and register inits as they are.
 	for _, c := range t.ConstSlots {
 		if c.Value > t.Masks[c.Slot] {
 			one[c.Slot] = false

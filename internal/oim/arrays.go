@@ -11,8 +11,6 @@ import (
 // payload arrays whose content is implied by structure; the unoptimized
 // variant (Figure 12a) keeps them, and only the footprint test measures it.
 type Arrays struct {
-	Optimized bool
-
 	// IPayload[i] is the operation count of layer i (I-rank payloads).
 	IPayload []int32
 	// SCoord holds each operation's output slot, layer-major.
@@ -35,11 +33,10 @@ type Arrays struct {
 func (t *Tensor) Lower(optimized bool) *Arrays {
 	total := t.TotalOps()
 	a := &Arrays{
-		Optimized: optimized,
-		IPayload:  make([]int32, t.NumLayers()),
-		SCoord:    make([]int32, 0, total),
-		NCoord:    make([]uint16, 0, total),
-		RCoord:    t.RCoord,
+		IPayload: make([]int32, t.NumLayers()),
+		SCoord:   make([]int32, 0, total),
+		NCoord:   make([]uint16, 0, total),
+		RCoord:   t.RCoord,
 	}
 	t.Ops(func(layer int, sig uint16, out int32, args []int32) {
 		a.IPayload[layer]++

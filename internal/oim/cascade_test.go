@@ -1,8 +1,6 @@
 package oim_test
 
 import (
-	"bytes"
-	"encoding/json"
 	"math/rand"
 	"slices"
 	"testing"
@@ -94,65 +92,5 @@ func TestCascade1MatchesOracle(t *testing.T) {
 		if got := cascadeTrace(t, ten, seed, 12); !slices.Equal(got, want) {
 			t.Fatalf("trial %d: cascade trace diverges from the oracle", trial)
 		}
-	}
-}
-
-// TestReadJSONRegroupsUngroupedLayers feeds ReadJSON what Build never emits
-// — layers whose operations are not grouped by type, as a hand-written
-// tensor may be — and checks it still loads grouped, with the interleaved S
-// coordinates split into several runs, and simulates identically.
-func TestReadJSONRegroupsUngroupedLayers(t *testing.T) {
-	ten := build(t, dfg.RandomGraph(rand.New(rand.NewSource(9)), dfg.DefaultRandomParams()))
-	var buf bytes.Buffer
-	if err := ten.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc map[string]json.RawMessage
-	var layers [][]json.RawMessage
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(doc["layers"], &layers); err != nil {
-		t.Fatal(err)
-	}
-	for _, layer := range layers {
-		slices.Reverse(layer)
-	}
-	doc["layers"], _ = json.Marshal(layers)
-	mixedJSON, err := json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mixed, err := oim.ReadJSON(bytes.NewReader(mixedJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mixed.Runs) <= len(ten.Runs) || mixed.TotalOps() != ten.TotalOps() {
-		t.Fatalf("reversed layers loaded as %d runs over %d ops, want more than the %d runs of the grouped tensor over %d",
-			len(mixed.Runs), mixed.TotalOps(), len(ten.Runs), ten.TotalOps())
-	}
-	if want, got := cascadeTrace(t, ten, 42, 6), cascadeTrace(t, mixed, 42, 6); !slices.Equal(want, got) {
-		t.Fatal("regrouped tensor diverges from the grouped one")
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g := dfg.RandomGraph(rng, dfg.DefaultRandomParams())
-	ten := build(t, g)
-	var buf bytes.Buffer
-	if err := ten.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := oim.ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumSlots != ten.NumSlots || got.TotalOps() != ten.TotalOps() ||
-		len(got.OpTable) != len(ten.OpTable) || len(got.RegSlots) != len(ten.RegSlots) {
-		t.Fatal("round-trip changed shape")
-	}
-	if want, gotTr := cascadeTrace(t, ten, 42, 6), cascadeTrace(t, got, 42, 6); !slices.Equal(want, gotTr) {
-		t.Fatal("round-tripped tensor diverges")
 	}
 }

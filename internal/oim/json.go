@@ -2,17 +2,13 @@ package oim
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"slices"
-
-	"rteaal/internal/dfg"
-	"rteaal/internal/wire"
 )
 
 // JSON serialisation of the OIM tensor, mirroring the compiler pipeline of
-// Figure 14 where the generated tensors are stored in JSON files and loaded
-// by the kernel executable at runtime.
+// Figure 14 where the generated tensors are stored in JSON files. Here the
+// compiler and the kernels share one process, so the tensor is only ever
+// written (cmd/rteaal -dump-oim), never read back.
 
 type jsonOp struct {
 	Sig  uint16  `json:"n"`
@@ -85,53 +81,4 @@ func (t *Tensor) WriteJSON(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(jt)
-}
-
-// ReadJSON deserialises a tensor written by WriteJSON — or by hand: a layer
-// whose operations are not grouped by type is regrouped, stably — and
-// returns it only if it passes [Tensor.Validate].
-func ReadJSON(r io.Reader) (*Tensor, error) {
-	var jt jsonTensor
-	if err := json.NewDecoder(r).Decode(&jt); err != nil {
-		return nil, fmt.Errorf("oim: decode: %w", err)
-	}
-	t := &Tensor{
-		Design:       jt.Design,
-		NumSlots:     jt.NumSlots,
-		Masks:        jt.Masks,
-		InputSlots:   jt.InputSlots,
-		OutputSlots:  jt.OutputSlots,
-		InputNames:   jt.InputNames,
-		OutputNames:  jt.OutputNames,
-		RegNames:     jt.RegNames,
-		EffectualOps: jt.EffectualOps,
-		IdentityOps:  jt.IdentityOps,
-	}
-	for _, s := range jt.OpTable {
-		t.OpTable = append(t.OpTable, OpSig{Op: wire.Op(s.Op), Arity: s.Arity})
-	}
-	for li, jl := range jt.Layers {
-		slices.SortStableFunc(jl, func(a, b jsonOp) int { return int(a.Sig) - int(b.Sig) })
-		for _, op := range jl {
-			if int(op.Sig) >= len(t.OpTable) {
-				return nil, fmt.Errorf("oim: layer %d: sig %d out of range", li, op.Sig)
-			}
-			if int(t.OpTable[op.Sig].Arity) != len(op.Args) {
-				return nil, fmt.Errorf("oim: layer %d: arity mismatch for s=%d", li, op.Out)
-			}
-			t.push(op.Sig, op.Out)
-			t.RCoord = append(t.RCoord, op.Args...)
-		}
-		t.endLayer()
-	}
-	for _, c := range jt.ConstSlots {
-		t.ConstSlots = append(t.ConstSlots, dfg.SlotInit{Slot: c.Slot, Value: c.Value})
-	}
-	for _, r := range jt.RegSlots {
-		t.RegSlots = append(t.RegSlots, dfg.RegSlot{Q: r.Q, Next: r.Next, Init: r.Init, Mask: r.Mask})
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
 }

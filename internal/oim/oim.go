@@ -215,7 +215,7 @@ func (t *Tensor) Cone(keep []bool) *Tensor {
 // or the host and reset through a port, constant or register entry); an
 // operation reads only coordinates settled before its layer; no name table
 // is longer than its slot table. Build's output and its cones pass by
-// construction; ReadJSON rejects whatever does not.
+// construction; the tests hold them to it.
 func (t *Tensor) Validate() error {
 	if len(t.Masks) != t.NumSlots {
 		return fmt.Errorf("oim: mask table length %d != %d slots", len(t.Masks), t.NumSlots)

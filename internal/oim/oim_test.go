@@ -2,6 +2,7 @@ package oim
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
 	"slices"
 	"testing"
@@ -164,23 +165,47 @@ func TestConeKeepsMarkedOperations(t *testing.T) {
 	}
 }
 
-// clone copies the arrays a corruption may write to.
+// clone copies every table of a tensor, so a corruption of the copy leaves
+// the original whole.
 func clone(t *Tensor) *Tensor {
 	c := *t
-	c.LayerEnds, c.Runs, c.RCoord = slices.Clone(t.LayerEnds), slices.Clone(t.Runs), slices.Clone(t.RCoord)
+	c.OpTable, c.LayerEnds, c.Runs, c.RCoord = slices.Clone(t.OpTable), slices.Clone(t.LayerEnds), slices.Clone(t.Runs), slices.Clone(t.RCoord)
+	c.Masks, c.ConstSlots, c.RegSlots = slices.Clone(t.Masks), slices.Clone(t.ConstSlots), slices.Clone(t.RegSlots)
+	c.InputSlots, c.OutputSlots = slices.Clone(t.InputSlots), slices.Clone(t.OutputSlots)
+	c.InputNames, c.OutputNames, c.RegNames = slices.Clone(t.InputNames), slices.Clone(t.OutputNames), slices.Clone(t.RegNames)
 	return &c
 }
 
-// TestValidateRejectsCorruption damages each part of the run-length format
-// in turn; Validate must notice every one.
+// TestValidateRejectsCorruption damages each part of the tensor in turn —
+// the run-length format, the op table and every slot and name table — with
+// one defect per row; Validate must notice every one.
 func TestValidateRejectsCorruption(t *testing.T) {
 	ten := buildFrom(t, dfg.RandomGraph(rand.New(rand.NewSource(8)), dfg.DefaultRandomParams()))
 	long := slices.IndexFunc(ten.Runs, func(r Run) bool { return r.Count >= 2 }) // a run to split and to shorten
 	if long < 0 || ten.NumLayers() < 2 {
 		t.Fatal("no multi-op run, or no second layer, to corrupt")
 	}
+	if len(ten.ConstSlots) == 0 || len(ten.RegSlots) == 0 || len(ten.InputSlots) == 0 || len(ten.OutputSlots) == 0 {
+		t.Fatal("no constant, register, input or output to corrupt")
+	}
 	last := len(ten.Runs) - 1
+	written := ten.Runs[last].First // a coordinate an operation writes
 	cases := map[string]func(c *Tensor){
+		"mask table short":      func(c *Tensor) { c.Masks = c.Masks[:len(c.Masks)-1] },
+		"unknown op code":       func(c *Tensor) { c.OpTable[0].Op = wire.NumOps },
+		"op table arity":        func(c *Tensor) { c.OpTable[0].Arity++ },
+		"const out of range":    func(c *Tensor) { c.ConstSlots[0].Slot = int32(c.NumSlots) },
+		"reg q out of range":    func(c *Tensor) { c.RegSlots[0].Q = int32(c.NumSlots) },
+		"reg next out of range": func(c *Tensor) { c.RegSlots[0].Next = -2 },
+		"input out of range":    func(c *Tensor) { c.InputSlots[0] = int32(c.NumSlots) },
+		"output out of range":   func(c *Tensor) { c.OutputSlots[0] = -1 },
+		"writes an input":       func(c *Tensor) { c.InputSlots[0] = written },
+		"writes a constant":     func(c *Tensor) { c.ConstSlots[0].Slot = written },
+		"writes a register":     func(c *Tensor) { c.RegSlots[0].Q = written },
+		"input names too long":  func(c *Tensor) { c.InputNames = make([]string, len(c.InputSlots)+1) },
+		"output names too long": func(c *Tensor) { c.OutputNames = make([]string, len(c.OutputSlots)+1) },
+		"reg names too long":    func(c *Tensor) { c.RegNames = make([]string, len(c.RegSlots)+1) },
+
 		"run dropped":      func(c *Tensor) { c.Runs = c.Runs[:last] },
 		"run repeated":     func(c *Tensor) { c.Runs = append(c.Runs, c.Runs[last]); c.LayerEnds[len(c.LayerEnds)-1]++ },
 		"run shortened":    func(c *Tensor) { c.Runs[long].Count-- },
@@ -219,49 +244,57 @@ func TestValidateRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestJSONRejectsCorrupt: every row is a document ReadJSON must refuse,
-// because some engine would index out of range on it or two engines would
-// disagree about it. The rows after the first five are one defect each in a
-// document that loads without it.
-func TestJSONRejectsCorrupt(t *testing.T) {
-	const (
-		head   = `{"num_slots": 4, "masks": [255, 255, 255, 255], "op_table": [{"op": 0, "arity": 2}], `
-		layers = `"layers": [[{"n": 0, "s": 2, "r": [0, 1]}], [{"n": 0, "s": 3, "r": [2, 1]}]], `
-		ports  = `"input_slots": [0, 1], "input_names": ["a", "b"], "output_slots": [3], "output_names": ["y"]}`
-	)
-	if _, err := ReadJSON(bytes.NewBufferString(head + layers + ports)); err != nil {
-		t.Fatalf("the uncorrupted document is rejected: %v", err)
+// TestJSONRoundTrip decodes what WriteJSON emits back into its document
+// type: the layers must list the operations of the tensor's own traversal,
+// in order, and every table must be the tensor's.
+func TestJSONRoundTrip(t *testing.T) {
+	ten := buildFrom(t, dfg.RandomGraph(rand.New(rand.NewSource(5)), dfg.DefaultRandomParams()))
+	var buf bytes.Buffer
+	if err := ten.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
 	}
-	cases := map[string]string{
-		"truncated":         `{`,
-		"type out of range": `{"num_slots": 2, "masks": [1], "layers": [[{"n": 9, "s": 0, "r": []}]], "op_table": []}`,
-		"s out of range":    `{"num_slots": 2, "masks": [1, 1], "layers": [[{"n": 0, "s": 5, "r": [0, 0]}]], "op_table": [{"op": 0, "arity": 2}]}`,
-		"arity mismatch":    `{"num_slots": 2, "masks": [1, 1], "layers": [[{"n": 0, "s": 1, "r": [0]}]], "op_table": [{"op": 0, "arity": 2}]}`,
-		"unknown op code":   `{"num_slots": 2, "masks": [1, 1], "layers": [], "op_table": [{"op": 200, "arity": 2}]}`,
-
-		"mask table short":      `{"num_slots": 4, "masks": [255], "op_table": [{"op": 0, "arity": 2}], ` + layers + ports,
-		"add of three":          `{"num_slots": 4, "masks": [255, 255, 255, 255], "op_table": [{"op": 0, "arity": 3}], "layers": [[{"n": 0, "s": 2, "r": [0, 1, 1]}]], ` + ports,
-		"r out of range":        head + `"layers": [[{"n": 0, "s": 2, "r": [0, 7]}]], ` + ports,
-		"r negative":            head + `"layers": [[{"n": 0, "s": 2, "r": [0, -1]}]], ` + ports,
-		"reads its own layer":   head + `"layers": [[{"n": 0, "s": 2, "r": [0, 1]}, {"n": 0, "s": 3, "r": [2, 1]}]], ` + ports,
-		"reads a later layer":   head + `"layers": [[{"n": 0, "s": 2, "r": [3, 1]}], [{"n": 0, "s": 3, "r": [0, 1]}]], ` + ports,
-		"two writers":           head + `"layers": [[{"n": 0, "s": 3, "r": [0, 1]}], [{"n": 0, "s": 3, "r": [0, 1]}]], ` + ports,
-		"writes an input":       head + `"layers": [[{"n": 0, "s": 1, "r": [0, 0]}]], ` + ports,
-		"const out of range":    head + layers + `"const_slots": [{"slot": 99, "value": 1}], ` + ports,
-		"writes a constant":     head + layers + `"const_slots": [{"slot": 2, "value": 1}], ` + ports,
-		"reg q out of range":    head + layers + `"reg_slots": [{"q": 4, "next": 3, "init": 0, "mask": 255}], ` + ports,
-		"reg next out of range": head + layers + `"reg_slots": [{"q": 0, "next": -2, "init": 0, "mask": 255}], ` + ports,
-		"writes a register":     head + layers + `"reg_slots": [{"q": 2, "next": 3, "init": 0, "mask": 255}], ` + ports,
-		"reg names too long":    head + layers + `"reg_names": ["r"], ` + ports,
-		"input out of range":    head + layers + `"input_slots": [0, 4], "input_names": ["a", "b"], "output_slots": [3]}`,
-		"input names too long":  head + layers + `"input_slots": [0], "input_names": ["a", "b"], "output_slots": [3]}`,
-		"output out of range":   head + layers + `"input_slots": [0, 1], "output_slots": [-1]}`,
-		"output names too long": head + layers + `"input_slots": [0, 1], "output_slots": [3], "output_names": ["y", "z"]}`,
+	var jt jsonTensor
+	if err := json.Unmarshal(buf.Bytes(), &jt); err != nil {
+		t.Fatal(err)
 	}
-	for name, src := range cases {
-		if _, err := ReadJSON(bytes.NewBufferString(src)); err == nil {
-			t.Errorf("%s: corrupt JSON accepted", name)
-		}
+	want := make([][]jsonOp, ten.NumLayers())
+	ten.Ops(func(layer int, sig uint16, out int32, args []int32) {
+		want[layer] = append(want[layer], jsonOp{Sig: sig, Out: out, Args: args})
+	})
+	if !slices.EqualFunc(jt.Layers, want, func(a, b []jsonOp) bool {
+		return slices.EqualFunc(a, b, func(x, y jsonOp) bool {
+			return x.Sig == y.Sig && x.Out == y.Out && slices.Equal(x.Args, y.Args)
+		})
+	}) {
+		t.Fatal("layers differ from the tensor's traversal")
+	}
+	opTable := make([]OpSig, len(jt.OpTable))
+	for i, s := range jt.OpTable {
+		opTable[i] = OpSig{Op: wire.Op(s.Op), Arity: s.Arity}
+	}
+	consts := make([]dfg.SlotInit, len(jt.ConstSlots))
+	for i, c := range jt.ConstSlots {
+		consts[i] = dfg.SlotInit{Slot: c.Slot, Value: c.Value}
+	}
+	regs := make([]dfg.RegSlot, len(jt.RegSlots))
+	for i, r := range jt.RegSlots {
+		regs[i] = dfg.RegSlot{Q: r.Q, Next: r.Next, Init: r.Init, Mask: r.Mask}
+	}
+	switch {
+	case jt.Design != ten.Design || jt.NumSlots != ten.NumSlots:
+		t.Fatalf("design %q over %d slots, want %q over %d", jt.Design, jt.NumSlots, ten.Design, ten.NumSlots)
+	case !slices.Equal(opTable, ten.OpTable):
+		t.Fatal("op table differs")
+	case !slices.Equal(jt.Masks, ten.Masks):
+		t.Fatal("masks differ")
+	case !slices.Equal(consts, ten.ConstSlots) || !slices.Equal(regs, ten.RegSlots):
+		t.Fatal("constant or register slots differ")
+	case !slices.Equal(jt.InputSlots, ten.InputSlots) || !slices.Equal(jt.OutputSlots, ten.OutputSlots):
+		t.Fatal("port slots differ")
+	case !slices.Equal(jt.InputNames, ten.InputNames) || !slices.Equal(jt.OutputNames, ten.OutputNames) || !slices.Equal(jt.RegNames, ten.RegNames):
+		t.Fatal("name tables differ")
+	case jt.EffectualOps != ten.EffectualOps || jt.IdentityOps != ten.IdentityOps:
+		t.Fatal("operation counts differ")
 	}
 }
 

@@ -48,7 +48,7 @@ func asPanicFault(err error) (*panicFault, bool) {
 // count accumulated before the panic are lost by design: a panicked engine's
 // state is suspect, so the caller quarantines the session rather than
 // reporting a prefix.
-func runCommandsRecover(tb *sim.Testbench, cmds []testbench.Command, maxCyclesPerCommand int64) (outcomes []testbench.Outcome, cycles int64, err error) {
+func runCommandsRecover(tb *sim.Testbench, cmds []testbench.Command) (outcomes []testbench.Outcome, cycles int64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			outcomes, cycles = nil, 0
@@ -63,7 +63,7 @@ func runCommandsRecover(tb *sim.Testbench, cmds []testbench.Command, maxCyclesPe
 		// fails the batch, letting tests model a stall that errors out.
 		return nil, 0, ferr
 	}
-	return runCommands(tb, cmds, maxCyclesPerCommand)
+	return runCommands(tb, cmds)
 }
 
 // runCommands executes a validated wire command batch in order against a
@@ -85,7 +85,7 @@ func runCommandsRecover(tb *sim.Testbench, cmds []testbench.Command, maxCyclesPe
 // kernel.CancelCheckCycles cycles (the server always installs a
 // cancellation probe), not k Go-level round-trips — per-cycle dispatch
 // overhead on the serve path is paid per chunk, not per simulated cycle.
-func runCommands(tb *sim.Testbench, cmds []testbench.Command, maxCyclesPerCommand int64) ([]testbench.Outcome, int64, error) {
+func runCommands(tb *sim.Testbench, cmds []testbench.Command) ([]testbench.Outcome, int64, error) {
 	outcomes := make([]testbench.Outcome, 0, len(cmds))
 	start := tb.Cycle()
 	for i := range cmds {

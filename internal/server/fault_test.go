@@ -403,8 +403,8 @@ func TestDrainRejectsAndRecovers(t *testing.T) {
 		if !errors.As(err, &apiErr) || apiErr.Status != 503 || apiErr.Kind != server.KindDraining {
 			t.Fatalf("%s during drain answered %v, want 503 kind %q", name, err, server.KindDraining)
 		}
-		if apiErr.RetryAfter <= 0 {
-			t.Fatalf("%s 503 carried no Retry-After", name)
+		if apiErr.RetryAfter != 5*time.Second {
+			t.Fatalf("%s 503 carried Retry-After %v, want 5s", name, apiErr.RetryAfter)
 		}
 	}
 

@@ -27,12 +27,22 @@ import (
 	"rteaal/sim"
 )
 
+// The service's fixed bounds.
+const (
+	maxLanes              = 256             // lanes of one batch session
+	maxCommandsPerRequest = 4096            // commands in one list
+	maxCyclesPerCommand   = 1_000_000       // one command's cycle budget
+	maxSourceBytes        = 8 << 20         // a POST /designs or /sessions/{id}/commands body
+	maxLogEntries         = 4096            // a session's log; the oldest entries drop first
+	drainRetryAfter       = 5 * time.Second // the Retry-After of a 503 while draining
+)
+
 // Config bounds the service. The zero value takes every default.
 type Config struct {
 	// CacheSize bounds the compiled-design LRU (default 16 designs).
 	CacheSize int
 	// PoolCap bounds each design's live scalar sessions (default 8);
-	// batches are bounded by MaxLanes and MaxSessionsPerClient instead.
+	// batches are bounded by maxLanes and MaxSessionsPerClient instead.
 	PoolCap int
 	// SessionTTL evicts leases idle longer than this on Sweep
 	// (default 5m).
@@ -40,19 +50,6 @@ type Config struct {
 	// MaxSessionsPerClient bounds concurrent leases per client identity
 	// (default 8).
 	MaxSessionsPerClient int
-	// MaxLanes bounds the lane count of batch sessions (default 256).
-	MaxLanes int
-	// MaxCommandsPerRequest bounds one command batch (default 4096).
-	MaxCommandsPerRequest int
-	// MaxCyclesPerCommand bounds one command's cycle budget
-	// (default 1e6).
-	MaxCyclesPerCommand int64
-	// MaxSourceBytes bounds the request bodies of POST /designs and of
-	// POST /sessions/{id}/commands (default 8 MiB).
-	MaxSourceBytes int64
-	// MaxLogEntries bounds each session's recorded transaction log;
-	// oldest entries drop first (default 4096).
-	MaxLogEntries int
 	// RequestTimeout bounds any single request end to end (default 2m;
 	// negative disables). Expiry surfaces as 504 with Kind "timeout".
 	RequestTimeout time.Duration
@@ -72,9 +69,6 @@ type Config struct {
 	// compiles of that design with 503 before allowing a probe
 	// (default 30s).
 	BreakerCooldown time.Duration
-	// DrainRetryAfter is the Retry-After answered with 503 while the
-	// server drains (default 5s).
-	DrainRetryAfter time.Duration
 	// Clock overrides time.Now for session TTLs and breaker cooldowns
 	// (tests).
 	Clock func() time.Time
@@ -92,21 +86,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSessionsPerClient <= 0 {
 		c.MaxSessionsPerClient = 8
-	}
-	if c.MaxLanes <= 0 {
-		c.MaxLanes = 256
-	}
-	if c.MaxCommandsPerRequest <= 0 {
-		c.MaxCommandsPerRequest = 4096
-	}
-	if c.MaxCyclesPerCommand <= 0 {
-		c.MaxCyclesPerCommand = 1_000_000
-	}
-	if c.MaxSourceBytes <= 0 {
-		c.MaxSourceBytes = 8 << 20
-	}
-	if c.MaxLogEntries <= 0 {
-		c.MaxLogEntries = 4096
 	}
 	switch {
 	case c.RequestTimeout == 0:
@@ -131,9 +110,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 30 * time.Second
-	}
-	if c.DrainRetryAfter <= 0 {
-		c.DrainRetryAfter = 5 * time.Second
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
@@ -187,7 +163,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		cache:    newDesignCache(cfg.CacheSize, cfg.PoolCap, cfg.CompileFailLimit, cfg.BreakerCooldown, cfg.Clock),
-		sessions: newSessionRegistry(cfg.MaxSessionsPerClient, cfg.MaxLanes, cfg.SessionTTL, cfg.Clock),
+		sessions: newSessionRegistry(cfg.MaxSessionsPerClient, cfg.SessionTTL, cfg.Clock),
 		metrics:  newMetrics(),
 		mux:      http.NewServeMux(),
 	}
@@ -275,7 +251,7 @@ func (s *Server) rejectIfDraining(w http.ResponseWriter) bool {
 		return false
 	}
 	s.metrics.drainReject()
-	w.Header().Set("Retry-After", retryAfterSecs(s.cfg.DrainRetryAfter))
+	w.Header().Set("Retry-After", retryAfterSecs(drainRetryAfter))
 	writeErrorKind(w, http.StatusServiceUnavailable, KindDraining,
 		errors.New("server: draining; retry against another replica"))
 	return true
@@ -383,7 +359,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req CompileRequest
-	if err := decodeBody(r, s.cfg.MaxSourceBytes, &req); err != nil {
+	if err := decodeBody(r, maxSourceBytes, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -498,11 +474,11 @@ func (s *Server) handleCommands(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req CommandsRequest
-	if err := decodeBody(r, s.cfg.MaxSourceBytes, &req); err != nil {
+	if err := decodeBody(r, maxSourceBytes, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	cmds, err := testbench.DecodeCommands(req.Commands, s.cfg.MaxCommandsPerRequest)
+	cmds, err := testbench.DecodeCommands(req.Commands, maxCommandsPerRequest)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -528,7 +504,7 @@ func (s *Server) handleCommands(w http.ResponseWriter, r *http.Request) {
 	// cycles instead of holding the engine for the rest of a megacycle
 	// batch. The engines themselves poll nothing.
 	l.tb.SetCancel(func() bool { return l.abort.Load() || ctx.Err() != nil })
-	outcomes, cycles, execErr := runCommandsRecover(l.tb, cmds, s.cfg.MaxCyclesPerCommand)
+	outcomes, cycles, execErr := runCommandsRecover(l.tb, cmds)
 	l.tb.SetCancel(nil)
 
 	if pf, isPanic := asPanicFault(execErr); isPanic {
@@ -550,7 +526,7 @@ func (s *Server) handleCommands(w http.ResponseWriter, r *http.Request) {
 		l.log = append(l.log, LogEntry{Cycle: at, Command: cmds[i], Outcome: out})
 		at += out.Cycles
 	}
-	if excess := len(l.log) - s.cfg.MaxLogEntries; excess > 0 {
+	if excess := len(l.log) - maxLogEntries; excess > 0 {
 		l.dropped += int64(excess)
 		l.log = append(l.log[:0:0], l.log[excess:]...)
 	}
@@ -632,7 +608,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case resp.Draining:
 		resp.Status = "draining"
-		w.Header().Set("Retry-After", retryAfterSecs(s.cfg.DrainRetryAfter))
+		w.Header().Set("Retry-After", retryAfterSecs(drainRetryAfter))
 		writeJSON(w, http.StatusServiceUnavailable, resp)
 	case resp.Designs == 0 && open > 0:
 		resp.Status = "degraded"

@@ -610,8 +610,10 @@ func TestPoolWaitBlocksForRelease(t *testing.T) {
 }
 
 // TestWireErrors covers the error surface: unknown design, unknown
-// session, malformed command lists, and a failing command answering 422
-// with the completed prefix while the session stays usable.
+// session, malformed command lists, a failing command answering 422
+// with the completed prefix while the session stays usable, and the
+// service's fixed bounds (256 lanes, 4,096 commands per request, 8 MiB
+// bodies, 4,096 log entries per session).
 func TestWireErrors(t *testing.T) {
 	_, c := newTestService(t, server.Config{})
 	ctx := context.Background()
@@ -670,6 +672,62 @@ func TestWireErrors(t *testing.T) {
 	}
 	if err := sess.Close(ctx); !errors.As(err, &apiErr) || apiErr.Status != 404 {
 		t.Errorf("double release answered %v, want 404", err)
+	}
+
+	// Lanes: 256 is the most a batch session may have.
+	if _, err := c.NewSession(ctx, cr.Hash, 257); !errors.As(err, &apiErr) || apiErr.Status != 400 {
+		t.Errorf("257 lanes answered %v, want 400", err)
+	}
+	wide, err := c.NewSession(ctx, cr.Hash, 256)
+	if err != nil {
+		t.Fatalf("256 lanes: %v", err)
+	}
+	if err := wide.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	// Source bodies: over 8 MiB is refused before it is decoded.
+	big := strings.Repeat(" ", 8<<20) + counterSrc
+	if _, err := c.Compile(ctx, big, server.CompileOptions{}); !errors.As(err, &apiErr) || apiErr.Status != 400 {
+		t.Errorf("body over 8 MiB answered %v, want 400", err)
+	}
+
+	// Command lists: 4,096 commands at most per request, and each
+	// session's log keeps the newest 4,096 entries.
+	logged, err := c.NewSession(ctx, cr.Hash, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer logged.Close(ctx)
+	over := client.NewScript()
+	for range 4097 {
+		over.Peek("count")
+	}
+	if _, err := logged.Do(ctx, over); !errors.As(err, &apiErr) || apiErr.Status != 400 {
+		t.Errorf("4,097 commands answered %v, want 400", err)
+	}
+	first := client.NewScript().Poke("step", 1)
+	for range 4095 {
+		first.Step(1)
+	}
+	if _, err := logged.Do(ctx, first); err != nil {
+		t.Fatalf("4,096 commands: %v", err)
+	}
+	if _, err := logged.Do(ctx, client.NewScript().Peek("count")); err != nil {
+		t.Fatal(err)
+	}
+	lg, err := logged.Log(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lg.Dropped != 1 || len(lg.Entries) != 4096 {
+		t.Fatalf("log after 4,097 commands: dropped %d, %d entries; want 1 and 4096", lg.Dropped, len(lg.Entries))
+	}
+	if e := lg.Entries[0]; e.Command.Op != testbench.OpStep || e.Cycle != 0 {
+		t.Errorf("oldest kept entry = %+v, want the first step at cycle 0", e)
+	}
+	if e := lg.Entries[4095]; e.Command.Op != testbench.OpPeek || e.Cycle != 4095 {
+		t.Errorf("newest entry = %+v, want the peek at cycle 4095", e)
 	}
 }
 
@@ -754,8 +812,8 @@ func TestClientWaitExactCycle(t *testing.T) {
 // step, transact, handshake or wait answers 422, keeps the outcomes of the
 // commands before it, and advances no cycles of its own.
 func TestOverBudgetCommands(t *testing.T) {
-	const budget = 100
-	_, c := newTestService(t, server.Config{MaxCyclesPerCommand: budget})
+	const budget = 1_000_000
+	_, c := newTestService(t, server.Config{})
 	ctx := context.Background()
 	cr, err := c.Compile(ctx, counterSrc, server.CompileOptions{})
 	if err != nil {

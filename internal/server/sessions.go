@@ -84,7 +84,6 @@ func (l *lease) releaseLocked() {
 // tests drive eviction with a fake clock.
 type sessionRegistry struct {
 	maxPerClient int
-	maxLanes     int
 	ttl          time.Duration
 	now          func() time.Time
 
@@ -97,10 +96,9 @@ type sessionRegistry struct {
 	created, released, evicted, quarantined uint64
 }
 
-func newSessionRegistry(maxPerClient, maxLanes int, ttl time.Duration, now func() time.Time) *sessionRegistry {
+func newSessionRegistry(maxPerClient int, ttl time.Duration, now func() time.Time) *sessionRegistry {
 	return &sessionRegistry{
 		maxPerClient: maxPerClient,
-		maxLanes:     maxLanes,
 		ttl:          ttl,
 		now:          now,
 		leases:       make(map[string]*lease),
@@ -117,8 +115,8 @@ func newSessionRegistry(maxPerClient, maxLanes int, ttl time.Duration, now func(
 // runs inside a recovery boundary: a panic unwinds as a *panicFault with the
 // per-client reservation and the capacity slot returned.
 func (r *sessionRegistry) create(ctx context.Context, entry *cacheEntry, client string, lanes int, wait time.Duration) (_ *lease, err error) {
-	if lanes < 0 || lanes > r.maxLanes {
-		return nil, fmt.Errorf("server: lanes must be in [0,%d], got %d", r.maxLanes, lanes)
+	if lanes < 0 || lanes > maxLanes {
+		return nil, fmt.Errorf("server: lanes must be in [0,%d], got %d", maxLanes, lanes)
 	}
 	r.mu.Lock()
 	if r.byClient[client] >= r.maxPerClient {
