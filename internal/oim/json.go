@@ -50,8 +50,12 @@ type jsonTensor struct {
 	IdentityOps  int64          `json:"identity_ops"`
 }
 
-// WriteJSON serialises the tensor.
+// WriteJSON serialises the tensor. A tensor that fails Validate is refused
+// and nothing is written, so a dumped OIM is always a well-formed one.
 func (t *Tensor) WriteJSON(w io.Writer) error {
+	if err := t.Validate(); err != nil {
+		return err
+	}
 	jt := jsonTensor{
 		Design:       t.Design,
 		NumSlots:     t.NumSlots,

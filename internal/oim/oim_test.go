@@ -176,12 +176,13 @@ func clone(t *Tensor) *Tensor {
 	return &c
 }
 
-// TestValidateRejectsCorruption damages each part of the tensor in turn —
-// the run-length format, the op table and every slot and name table — with
-// one defect per row; Validate must notice every one.
-func TestValidateRejectsCorruption(t *testing.T) {
-	ten := buildFrom(t, dfg.RandomGraph(rand.New(rand.NewSource(8)), dfg.DefaultRandomParams()))
-	long := slices.IndexFunc(ten.Runs, func(r Run) bool { return r.Count >= 2 }) // a run to split and to shorten
+// corruptTensor builds a random design and the ways to damage each part of
+// it in turn — the run-length format, the op table and every slot and name
+// table — with one defect per row. long is a run of at least two operations.
+func corruptTensor(t *testing.T) (ten *Tensor, long int, cases map[string]func(c *Tensor)) {
+	t.Helper()
+	ten = buildFrom(t, dfg.RandomGraph(rand.New(rand.NewSource(8)), dfg.DefaultRandomParams()))
+	long = slices.IndexFunc(ten.Runs, func(r Run) bool { return r.Count >= 2 }) // a run to split and to shorten
 	if long < 0 || ten.NumLayers() < 2 {
 		t.Fatal("no multi-op run, or no second layer, to corrupt")
 	}
@@ -190,7 +191,7 @@ func TestValidateRejectsCorruption(t *testing.T) {
 	}
 	last := len(ten.Runs) - 1
 	written := ten.Runs[last].First // a coordinate an operation writes
-	cases := map[string]func(c *Tensor){
+	cases = map[string]func(c *Tensor){
 		"mask table short":      func(c *Tensor) { c.Masks = c.Masks[:len(c.Masks)-1] },
 		"unknown op code":       func(c *Tensor) { c.OpTable[0].Op = wire.NumOps },
 		"op table arity":        func(c *Tensor) { c.OpTable[0].Arity++ },
@@ -221,6 +222,12 @@ func TestValidateRejectsCorruption(t *testing.T) {
 		"operand forward":  func(c *Tensor) { c.RCoord[0] = c.Runs[last].First },
 		"operand in layer": func(c *Tensor) { c.RCoord[len(c.RCoord)-1] = c.Runs[last].First },
 	}
+	return ten, long, cases
+}
+
+// TestValidateRejectsCorruption: Validate must notice every defect.
+func TestValidateRejectsCorruption(t *testing.T) {
+	ten, long, cases := corruptTensor(t)
 	for name, corrupt := range cases {
 		c := clone(ten)
 		corrupt(c)
@@ -241,6 +248,24 @@ func TestValidateRejectsCorruption(t *testing.T) {
 	}
 	if err := c.Validate(); err != nil {
 		t.Errorf("split run rejected: %v", err)
+	}
+}
+
+// TestJSONRejectsCorrupt: WriteJSON dumps the uncorrupted tensor but refuses
+// every defect and writes nothing for it.
+func TestJSONRejectsCorrupt(t *testing.T) {
+	ten, _, cases := corruptTensor(t)
+	var buf bytes.Buffer
+	if err := ten.WriteJSON(&buf); err != nil || buf.Len() == 0 {
+		t.Fatalf("the uncorrupted tensor is not written: %v", err)
+	}
+	for name, corrupt := range cases {
+		c := clone(ten)
+		corrupt(c)
+		buf.Reset()
+		if err := c.WriteJSON(&buf); err == nil || buf.Len() != 0 {
+			t.Errorf("%s: corrupt tensor written (%d bytes)", name, buf.Len())
+		}
 	}
 }
 
