@@ -55,9 +55,9 @@ type Tensor struct {
 	LayerEnds []int32
 	// Runs lists the operations in traversal order — layer, then type, then
 	// S — run-length encoded; a run never spans two (layer, type) groups. A
-	// group is exactly one run on a tensor from Build only: a RepCut
-	// sub-tensor (the same slot space, its cone's operations) or a tensor
-	// read from JSON may take several, so consumers walk Runs.
+	// group is exactly one run on a tensor from Build; a RepCut sub-tensor
+	// (the same slot space, its cone's operations) may take several, so
+	// consumers walk Runs.
 	Runs []Run
 	// RCoord lists operand coordinates in the same order, Arity(Sig) per
 	// operation. It is the only copy of an operand list; consumers slice it.

@@ -211,8 +211,8 @@ func TestInstanceRunBulkWatchStops(t *testing.T) {
 		{OutIdx: -1, Slot: one.RegSlots[0].Q, Pred: func(v uint64) bool { return v == 8 }},
 	} {
 		plan, in := instantiate(t, one, 4, kernel.PSU)
-		if plan.Partitions() != 1 {
-			t.Fatalf("one-register plan has %d partitions, want 1", plan.Partitions())
+		if n := plan.Stats().Partitions; n != 1 {
+			t.Fatalf("one-register plan has %d partitions, want 1", n)
 		}
 		ref, err := newEngine(one, kernel.Config{Kind: kernel.PSU})
 		if err != nil {

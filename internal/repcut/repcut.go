@@ -48,9 +48,6 @@ type Plan struct {
 	regOwner []int
 	// outOwner[oi] is the partition that samples output oi.
 	outOwner []int
-	// readers[ri] lists the partitions (other than the owner) whose cones
-	// read register ri's Q coordinate — the differential exchange.
-	readers [][]int
 	// pubs[p] and pulls[p] are the RUM tensor lowered to exchange-buffer
 	// adjacency: every cross-partition register is assigned one index of a
 	// shared exchange buffer; after each commit the owner publishes its Q
@@ -64,21 +61,9 @@ type Plan struct {
 	nExchange int
 	// slotAuth[slot] is a partition whose LI holds an authoritative value
 	// for the coordinate: the owner for register Q/next slots, the sampling
-	// owner for output slots, and a consuming partition for inputs.
+	// owner for output slots. Every partition holds every input and
+	// constant, so the rest stay partition 0.
 	slotAuth []int32
-	// inputs[p] lists, ascending, the primary inputs (t.InputSlots indices)
-	// partition p is a user of: the inputs a run's stimulus drives in it.
-	// Every input has at least one user, so every input is driven somewhere.
-	inputs [][]int32
-	// userParts[userStart[slot]:userStart[slot+1]] lists, ascending, the
-	// partitions whose cones consume the coordinate (plus the owner for
-	// register coordinates): exactly the engines a host poke must reach.
-	// Routing pokes through this list — instead of broadcasting, or writing
-	// only the authoritative engine and silently starving the others — is
-	// what keeps DMI writes (§6.2) bit-identical to the unpartitioned engine.
-	// The relation is stored once, in CSR form: two flat arrays, not a slice
-	// header and a block per coordinate. Read it through [Plan.users].
-	userStart, userParts []int32
 
 	stats PlanStats
 }
@@ -122,7 +107,7 @@ type PlanStats struct {
 // (replication-aided partitioning: shared logic is copied). A request for
 // more partitions than registers is clamped — empty partitions would spin
 // workers with no work — so the effective count is reported by
-// [Plan.Partitions] and [PlanStats.Partitions].
+// [PlanStats.Partitions].
 func NewPlan(t *oim.Tensor, n int, owner []int) (*Plan, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("repcut: need at least one partition, got %d", n)
@@ -133,7 +118,6 @@ func NewPlan(t *oim.Tensor, n int, owner []int) (*Plan, error) {
 	p := &Plan{
 		t:        t,
 		outOwner: make([]int, len(t.OutputSlots)),
-		readers:  make([][]int, len(t.RegSlots)),
 		pubs:     make([][]xchgEntry, n),
 		pulls:    make([][]xchgEntry, n),
 		slotAuth: make([]int32, t.NumSlots),
@@ -210,52 +194,6 @@ func NewPlan(t *oim.Tensor, n int, owner []int) (*Plan, error) {
 		p.subs = append(p.subs, sub)
 	}
 
-	// Poke routing: per LI coordinate, the partitions whose cones consume
-	// it — the needs relation, transposed — plus two kinds of nominal user.
-	// The owner commits a register even when its own cone never reads it
-	// back, so host pokes of Q must always reach it (Next is a root of the
-	// owner's cone already). And an input's authoritative partition must be
-	// one that actually receives pokes, or Peek after Poke would read a stale
-	// copy; an input no cone reads keeps its authority as the one user so the
-	// poke/peek pair stays coherent.
-	for ri, r := range t.RegSlots {
-		needs[owner[ri]][r.Q] = true
-	}
-	for _, slot := range t.InputSlots {
-		if needs[p.slotAuth[slot]][slot] {
-			continue
-		}
-		if first := slices.IndexFunc(needs, func(need []bool) bool { return need[slot] }); first >= 0 {
-			p.slotAuth[slot] = int32(first)
-		} else {
-			needs[p.slotAuth[slot]][slot] = true
-		}
-	}
-	nUsers := 0
-	for _, need := range needs {
-		for _, used := range need {
-			if used {
-				nUsers++
-			}
-		}
-	}
-	p.userStart = make([]int32, t.NumSlots+1)
-	p.userParts = make([]int32, 0, nUsers)
-	for slot := 0; slot < t.NumSlots; slot++ {
-		for part, need := range needs {
-			if need[slot] {
-				p.userParts = append(p.userParts, int32(part))
-			}
-		}
-		p.userStart[slot+1] = int32(len(p.userParts))
-	}
-	p.inputs = make([][]int32, n)
-	for idx, slot := range t.InputSlots {
-		for _, part := range p.users(slot) {
-			p.inputs[part] = append(p.inputs[part], int32(idx))
-		}
-	}
-
 	// Differential RUM (Box 1): register ri propagates only to the
 	// partitions whose cones actually read its Q coordinate. Each
 	// cross-partition register gets one index of the shared exchange
@@ -264,22 +202,25 @@ func NewPlan(t *oim.Tensor, n int, owner []int) (*Plan, error) {
 	// parallel. Foreign registers a cone reads are read-only state
 	// refreshed by the exchange; their initial values are preloaded at
 	// reset via ConstSlots.
+	cut := 0
 	for ri, r := range t.RegSlots {
 		owner := p.regOwner[ri]
 		p.slotAuth[r.Q], p.slotAuth[r.Next] = int32(owner), int32(owner)
+		readers := 0
 		for part := 0; part < n; part++ {
 			if part == owner || !needs[part][r.Q] {
 				continue
 			}
-			p.readers[ri] = append(p.readers[ri], part)
+			readers++
 			p.pulls[part] = append(p.pulls[part], xchgEntry{q: r.Q, xi: int32(p.nExchange)})
 			p.subs[part].ConstSlots = append(p.subs[part].ConstSlots,
 				dfg.SlotInit{Slot: r.Q, Value: r.Init})
 		}
-		if len(p.readers[ri]) > 0 {
+		if readers > 0 {
 			p.pubs[owner] = append(p.pubs[owner], xchgEntry{q: r.Q, xi: int32(p.nExchange)})
 			p.nExchange++
 		}
+		cut += readers
 	}
 
 	// Stats.
@@ -287,6 +228,7 @@ func NewPlan(t *oim.Tensor, n int, owner []int) (*Plan, error) {
 		Partitions:      n,
 		Requested:       requested,
 		TotalOps:        t.TotalOps(),
+		CutSize:         cut,
 		PartitionOps:    make([]int, 0, n),
 		MinPartitionOps: p.subs[0].TotalOps(),
 	}
@@ -302,28 +244,14 @@ func NewPlan(t *oim.Tensor, n int, owner []int) (*Plan, error) {
 	} else {
 		p.stats.ReplicationFactor = 1
 	}
-	for _, rs := range p.readers {
-		p.stats.CutSize += len(rs)
-	}
 	return p, nil
 }
-
-// Partitions returns the effective partition count after clamping.
-func (p *Plan) Partitions() int { return len(p.subs) }
 
 // Stats reports the plan's replication and cut figures.
 func (p *Plan) Stats() PlanStats {
 	st := p.stats
 	st.PartitionOps = append([]int(nil), p.stats.PartitionOps...)
 	return st
-}
-
-// Tensor returns the unpartitioned design tensor. Read-only.
-func (p *Plan) Tensor() *oim.Tensor { return p.t }
-
-// users is the routing list of one coordinate, ascending; it aliases the plan.
-func (p *Plan) users(slot int32) []int32 {
-	return p.userParts[p.userStart[slot]:p.userStart[slot+1]]
 }
 
 // Lower builds one shareable [kernel.Program] per partition for the given
@@ -400,10 +328,11 @@ func (p *Plan) Instantiate(progs []*kernel.Program) (*Instance, error) {
 func (in *Instance) Close() { in.ws.Close() }
 
 // cyclePart is one cycle of partition w inside a resident run: pull the
-// foreign register values the previous cycle published, drive the stimulus
-// on the inputs the partition reads, step the engine, publish its own
-// committed registers, and evaluate the watch if this partition holds the
-// watched value. The group then meets the other partitions at the barrier.
+// foreign register values the previous cycle published, run the cycle as a
+// one-cycle [kernel.RunEngine] (which drives the stimulus on every input),
+// publish its own committed registers, and evaluate the watch if this
+// partition holds the watched value. The group then meets the other
+// partitions at the barrier.
 //
 // The exchange is double-buffered: cycle i publishes into xbuf[i&1] while
 // cycle i+1's pulls read xbuf[i&1] after the barrier — a single barrier per
@@ -416,13 +345,7 @@ func (in *Instance) cyclePart(w, i int) bool {
 	if i > 0 {
 		in.pullPart(w, i-1)
 	}
-	if stim := in.cur.Stim; stim != nil {
-		cycle, slots := in.cur.From+int64(i), in.plan.t.InputSlots
-		for _, idx := range in.plan.inputs[w] {
-			eng.PokeSlot(slots[idx], stim.Value(cycle, 0, int(idx)))
-		}
-	}
-	eng.Step()
+	eng.RunBulk(kernel.RunSpec{Cycles: 1, Stim: in.cur.Stim, From: in.cur.From + int64(i)})
 	dst := in.xbuf[i&1]
 	for _, e := range in.plan.pubs[w] {
 		dst[e.xi] = eng.PeekSlot(e.q)
@@ -455,13 +378,13 @@ func (in *Instance) RunCycles(k int) { in.RunBulk(kernel.RunSpec{Cycles: k}) }
 // ([kernel.Engine.RunBulk]): one dispatch, k resident cycles in every worker
 // with one barrier per cycle, one join. It returns the completed cycle count
 // and whether the watch stopped the run; bit-identical to stepping by hand.
-// Each partition drives the stimulus on exactly the inputs its cone reads
-// (its share of [Plan.users]), as live [Instance.PokeSlot] calls would; a
-// watch is evaluated by the single partition holding the authoritative
-// value, and the group stops every partition at the cycle it accepts. The
-// run is never cut short from inside: a host that wants to stop a long run
-// hands over shorter specs, so partition state is only ever observed at
-// cycle boundaries every worker has crossed.
+// Every partition drives the stimulus on every input, as live
+// [Instance.PokeSlot] calls would; a watch is evaluated by the single
+// partition holding the authoritative value, and the group stops every
+// partition at the cycle it accepts. The run is never cut short from
+// inside: a host that wants to stop a long run hands over shorter specs, so
+// partition state is only ever observed at cycle boundaries every worker
+// has crossed.
 func (in *Instance) RunBulk(spec kernel.RunSpec) (ran int, stopped bool) {
 	if spec.Cycles <= 0 {
 		return 0, false
@@ -503,21 +426,13 @@ func (in *Instance) PeekSlot(slot int32) uint64 {
 }
 
 // PokeSlot writes an LI coordinate (host-DUT communication, §6.2) in every
-// partition that consumes it — the cones reading the coordinate plus, for
-// register coordinates, the owner that commits it. A non-authoritative
-// engine is never silently skipped: the routing list is exactly the set
-// whose next settle depends on the value, which keeps DMI pokes
-// bit-identical to the unpartitioned engine. Coordinates no partition
-// consumes fall back to the authoritative engine so Peek still observes
-// the write.
+// partition. Every sub-tensor shares the full slot space, so each engine
+// whose next settle reads the value sees the write, and a partition that
+// never reads the coordinate keeps an unread copy — which keeps DMI pokes
+// bit-identical to the unpartitioned engine.
 func (in *Instance) PokeSlot(slot int32, v uint64) {
-	users := in.plan.users(slot)
-	if len(users) == 0 {
-		in.engines[in.plan.slotAuth[slot]].PokeSlot(slot, v)
-		return
-	}
-	for _, part := range users {
-		in.engines[part].PokeSlot(slot, v)
+	for _, eng := range in.engines {
+		eng.PokeSlot(slot, v)
 	}
 }
 

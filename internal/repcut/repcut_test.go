@@ -8,6 +8,7 @@ import (
 	"rteaal/internal/dfg"
 	"rteaal/internal/kernel"
 	"rteaal/internal/oim"
+	"rteaal/internal/testbench"
 	"rteaal/internal/wire"
 )
 
@@ -83,8 +84,8 @@ func TestRepCutMatchesSequential(t *testing.T) {
 		}
 		for _, parts := range []int{1, 2, 3, 4} {
 			plan, pc := instantiate(t, ten, parts, kernel.PSU)
-			if plan.Partitions() != parts {
-				t.Fatalf("partitions = %d", plan.Partitions())
+			if n := plan.Stats().Partitions; n != parts {
+				t.Fatalf("partitions = %d", n)
 			}
 			ref.Reset()
 			stim := rand.New(rand.NewSource(int64(trial)))
@@ -262,8 +263,8 @@ func TestClampsPartitionsToRegisters(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := plan.Stats()
-	if plan.Partitions() != nRegs || st.Partitions != nRegs {
-		t.Fatalf("partitions = %d, want clamp to %d registers", plan.Partitions(), nRegs)
+	if len(plan.subs) != nRegs || st.Partitions != nRegs {
+		t.Fatalf("partitions = %d, want clamp to %d registers", st.Partitions, nRegs)
 	}
 	if st.Requested != nRegs+5 {
 		t.Fatalf("requested = %d, want %d", st.Requested, nRegs+5)
@@ -295,6 +296,19 @@ func splitGraph(coupled bool) *dfg.Graph {
 	return g
 }
 
+// readersOf lists, ascending, the partitions that pull register ri's
+// committed value after every cycle: register ri's row of the RUM.
+func readersOf(p *Plan, ri int) []int {
+	var rs []int
+	q := p.t.RegSlots[ri].Q
+	for part, pulls := range p.pulls {
+		if slices.ContainsFunc(pulls, func(e xchgEntry) bool { return e.q == q }) {
+			rs = append(rs, part)
+		}
+	}
+	return rs
+}
+
 // TestDifferentialRUMReaderLists is the Box 1 property, checked exactly on
 // a handcrafted design: a register is propagated to a partition if and only
 // if that partition's cone reads it.
@@ -304,8 +318,8 @@ func TestDifferentialRUMReaderLists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for ri := range plan.Tensor().RegSlots {
-		if rs := plan.readers[ri]; len(rs) != 0 {
+	for ri := range plan.t.RegSlots {
+		if rs := readersOf(plan, ri); len(rs) != 0 {
 			t.Fatalf("independent design: reg %d has readers %v, want none", ri, rs)
 		}
 	}
@@ -318,10 +332,10 @@ func TestDifferentialRUMReaderLists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := plan.readers[0]; !slices.Equal(got, []int{1}) {
+	if got := readersOf(plan, 0); !slices.Equal(got, []int{1}) {
 		t.Fatalf("readers(ra) = %v, want [1]", got)
 	}
-	if got := plan.readers[1]; len(got) != 0 {
+	if got := readersOf(plan, 1); len(got) != 0 {
 		t.Fatalf("readers(rb) = %v, want none", got)
 	}
 	if st := plan.Stats(); st.CutSize != 1 {
@@ -365,7 +379,7 @@ func TestRUMReadersMatchConeMembership(t *testing.T) {
 				}
 			}
 			for ri, r := range ten.RegSlots {
-				isReader := slices.Contains(plan.readers[ri], part)
+				isReader := slices.Contains(readersOf(plan, ri), part)
 				reads := refs[r.Q]
 				if part == plan.regOwner[ri] {
 					if isReader {
@@ -409,11 +423,12 @@ func TestInstantiateRejectsForeignPrograms(t *testing.T) {
 	}
 }
 
-// TestSlotUsersRouting checks the poke-routing invariants: every register
-// coordinate routes to its owner plus exactly the RUM readers, every input
-// coordinate routes to the cones consuming it with an authoritative member,
-// and routed pokes land where peeks read.
-func TestSlotUsersRouting(t *testing.T) {
+// TestPokesBroadcastToEveryPartition checks that a host write reaches every
+// partition's engine, whichever cones read the coordinate: a poke through
+// [Instance.PokeSlot] of every input — one no cone reads included — and of
+// every register Q reads back through PeekSlot and lands in every engine,
+// and a run's stimulus drives every input in every engine too.
+func TestPokesBroadcastToEveryPartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	g := dfg.RandomGraph(rng, dfg.RandomParams{
 		Inputs: 5, Regs: 8, Ops: 90, Consts: 4, MaxWidth: 16, MuxBias: 0.3})
@@ -421,55 +436,45 @@ func TestSlotUsersRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	opt.AddInput("unread", 16)
 	ten := build(t, opt)
 	plan, inst := instantiate(t, ten, 3, kernel.PSU)
-
-	for ri, r := range ten.RegSlots {
-		users := plan.users(r.Q)
-		if !slices.Contains(users, int32(plan.regOwner[ri])) {
-			t.Fatalf("reg %d: owner %d not in users %v", ri, plan.regOwner[ri], users)
-		}
-		for _, reader := range plan.readers[ri] {
-			if !slices.Contains(users, int32(reader)) {
-				t.Fatalf("reg %d: RUM reader %d not in users %v", ri, reader, users)
-			}
-		}
-		if !slices.IsSorted(users) {
-			t.Fatalf("reg %d: users %v not sorted", ri, users)
-		}
+	if n := plan.Stats().Partitions; n != 3 {
+		t.Fatalf("partitions = %d, want 3", n)
 	}
-	for i, slot := range ten.InputSlots {
-		users := plan.users(slot)
-		if len(users) == 0 {
-			t.Fatalf("input %d has no poke destinations", i)
-		}
-		if !slices.Contains(users, plan.slotAuth[slot]) {
-			t.Fatalf("input %d: authoritative partition %d not poked (users %v)",
-				i, plan.slotAuth[slot], users)
-		}
-		// A run's stimulus drives the input in exactly its users.
-		for part, inputs := range plan.inputs {
-			if slices.Contains(inputs, int32(i)) != slices.Contains(users, int32(part)) {
-				t.Fatalf("input %d: driven by partition %d = %v, users %v",
-					i, part, slices.Contains(inputs, int32(i)), users)
-			}
+	unread := ten.InputSlots[slices.Index(ten.InputNames, "unread")]
+	for part, sub := range plan.subs {
+		if slices.Contains(sub.RCoord, unread) {
+			t.Fatalf("partition %d reads the unread input", part)
 		}
 	}
 
-	// A poke through the routed path must be observable through PeekSlot
-	// for every input and register coordinate.
-	for _, slot := range ten.InputSlots {
-		inst.PokeSlot(slot, 0xFFFF)
-		want := uint64(0xFFFF) & ten.Masks[slot]
-		if got := inst.PeekSlot(slot); got != want {
-			t.Fatalf("input slot %d: poked %#x, peeked %#x", slot, want, got)
-		}
-	}
+	slots := slices.Clone(ten.InputSlots)
 	for _, r := range ten.RegSlots {
-		inst.PokeSlot(r.Q, 0xABCD)
-		want := uint64(0xABCD) & ten.Masks[r.Q]
-		if got := inst.PeekSlot(r.Q); got != want {
-			t.Fatalf("reg slot %d: poked %#x, peeked %#x", r.Q, want, got)
+		slots = append(slots, r.Q)
+	}
+	for k, slot := range slots {
+		v := 0xABCD + uint64(k)
+		inst.PokeSlot(slot, v)
+		want := v & ten.Masks[slot]
+		if got := inst.PeekSlot(slot); got != want {
+			t.Fatalf("slot %d: poked %#x, peeked %#x", slot, want, got)
+		}
+		for part, eng := range inst.engines {
+			if got := eng.PeekSlot(slot); got != want {
+				t.Fatalf("slot %d: poked %#x, partition %d holds %#x", slot, want, part, got)
+			}
+		}
+	}
+
+	stim := testbench.Func(func(cycle int64, _, input int) uint64 { return uint64(cycle)<<8 | uint64(input) })
+	inst.RunBulk(kernel.RunSpec{Cycles: 1, Stim: stim, From: 5})
+	for i, slot := range ten.InputSlots {
+		want := (5<<8 | uint64(i)) & ten.Masks[slot]
+		for part, eng := range inst.engines {
+			if got := eng.PeekSlot(slot); got != want {
+				t.Fatalf("input %d: stimulus drove %#x, partition %d holds %#x", i, want, part, got)
+			}
 		}
 	}
 }
@@ -477,8 +482,7 @@ func TestSlotUsersRouting(t *testing.T) {
 // TestRoutedPokeMatchesSequential drives random per-cycle input pokes plus
 // occasional register rewrites through a partitioned instance and the
 // scalar engine and requires identical traces — the regression test for
-// non-authoritative pokes being dropped (or starved) on partitioned
-// engines.
+// pokes being dropped (or starved) in a partition that reads them.
 func TestRoutedPokeMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	g := dfg.RandomGraph(rng, dfg.RandomParams{

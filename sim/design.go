@@ -254,38 +254,15 @@ func (d *Design) PartitionStats() (stats PartitionStats, ok bool) {
 	if d.plan == nil {
 		return PartitionStats{}, false
 	}
-	st := d.plan.Stats()
-	return PartitionStats{
-		Partitions:        st.Partitions,
-		Requested:         st.Requested,
-		ReplicationFactor: st.ReplicationFactor,
-		CutSize:           st.CutSize,
-		PartitionOps:      st.PartitionOps,
-		MaxPartitionOps:   st.MaxPartitionOps,
-		MinPartitionOps:   st.MinPartitionOps,
-	}, true
+	return d.plan.Stats(), true
 }
 
 // PartitionStats summarises a design's RepCut partition plan: what the
 // replication-aided cuts cost in duplicated logic and what the differential
-// register exchange pays every cycle.
-type PartitionStats struct {
-	// Partitions is the effective partition count; Requested is the
-	// [WithPartitions] argument before clamping to the register count.
-	Partitions, Requested int
-	// ReplicationFactor is total operations across partition cones over
-	// design operations (1.0 = nothing replicated).
-	ReplicationFactor float64
-	// CutSize counts register→reader edges crossing partitions: the
-	// occupied RUM points exchanged after every commit.
-	CutSize int
-	// PartitionOps lists each partition's cone op count. A lock-step cycle
-	// costs what its slowest partition costs, so MaxPartitionOps against
-	// the design's ops over Partitions is the number to look at;
-	// MinPartitionOps shows how long the other workers wait.
-	PartitionOps                     []int
-	MaxPartitionOps, MinPartitionOps int
-}
+// register exchange pays every cycle. Partitions is the effective count,
+// Requested the [WithPartitions] argument before clamping to the register
+// count.
+type PartitionStats = repcut.PlanStats
 
 // fullProgram returns the monolithic (unpartitioned) kernel program,
 // lowering it on first use for partitioned designs. Safe for concurrent

@@ -259,10 +259,9 @@ func (tb *Testbench) HandshakeLane(lane int, valid string, pokes map[string]uint
 
 // Port is one named signal of one lane resolved to its LI-tensor
 // coordinate at construction: the index-based fast path for host↔DUT
-// exchange at cycle boundaries. Ports of partitioned sessions route pokes
-// to exactly the partitions whose cones consume the signal and peeks to an
-// authoritative partition, so transactions stay bit-identical to the
-// scalar engine.
+// exchange at cycle boundaries. Ports of partitioned sessions poke every
+// partition and peek an authoritative one, so transactions stay
+// bit-identical to the scalar engine.
 type Port struct {
 	tb   *Testbench
 	lane int
