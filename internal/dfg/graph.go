@@ -169,6 +169,9 @@ func (g *Graph) Validate() error {
 		} else if len(n.Args) != 0 {
 			return fmt.Errorf("dfg: node %d: %v node must have no args", id, n.Kind)
 		}
+		if n.Kind == KindConst && n.Val > n.Mask() {
+			return fmt.Errorf("dfg: node %d: constant %#x exceeds its width %d", id, n.Val, n.Width)
+		}
 	}
 	for i, r := range g.Regs {
 		if r.Next == Invalid {
@@ -176,6 +179,10 @@ func (g *Graph) Validate() error {
 		}
 		if g.Nodes[r.Node].Kind != KindReg {
 			return fmt.Errorf("dfg: register %d Node is not KindReg", i)
+		}
+		if r.Init > g.Nodes[r.Node].Mask() {
+			return fmt.Errorf("dfg: register %s init %#x exceeds its width %d",
+				g.Nodes[r.Node].Name, r.Init, g.Nodes[r.Node].Width)
 		}
 		// A narrower next-state zero-extends at commit (values carry no
 		// sign); a wider one would silently truncate, so reject it.

@@ -141,6 +141,23 @@ func TestValidateCatchesErrors(t *testing.T) {
 			t.Fatal("want error for wider next-state")
 		}
 	})
+	// AddConst and AddReg mask their values; a graph built field by field
+	// (a decoded corpus repro) is held to the same invariant here.
+	t.Run("const above its width", func(t *testing.T) {
+		g := &Graph{Nodes: []Node{{Kind: KindConst, Val: 2, Width: 1}}}
+		if err := g.Validate(); err == nil {
+			t.Fatal("want error for a constant wider than its node")
+		}
+	})
+	t.Run("reg init above its width", func(t *testing.T) {
+		g := &Graph{}
+		r := g.AddReg("r", 1, 0)
+		g.SetRegNext(r, r)
+		g.Regs[0].Init = 2
+		if err := g.Validate(); err == nil {
+			t.Fatal("want error for a register init wider than its node")
+		}
+	})
 	t.Run("reg next narrower is fine", func(t *testing.T) {
 		g := &Graph{}
 		r := g.AddReg("r", 8, 0)

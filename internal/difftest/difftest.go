@@ -57,13 +57,12 @@ func (d *Divergence) String() string {
 }
 
 // engine is one engine shape reduced to the surface the harness drives:
-// per-lane pokes, a global step, a bulk run, and per-lane observation.
+// per-lane pokes, a bulk run (a step is run(1)), and per-lane observation.
 type engine struct {
 	name    string
 	lanes   int
 	outputs int
 	poke    func(lane, input int, v uint64)
-	step    func() error
 	run     func(n int64) error
 	out     func(lane, idx int) uint64
 	regs    func(lane int) []uint64
@@ -145,7 +144,6 @@ func NewMatrix(g *dfg.Graph, lanes int) (*Matrix, error) {
 				lanes:   1,
 				outputs: len(d.Outputs()),
 				poke:    func(_, input int, v uint64) { s.PokeIndex(input, v) },
-				step:    s.Step,
 				run:     s.Run,
 				out:     func(_, idx int) uint64 { return s.PeekIndex(idx) },
 				regs:    func(int) []uint64 { return s.Registers() },
@@ -162,7 +160,6 @@ func NewMatrix(g *dfg.Graph, lanes int) (*Matrix, error) {
 			lanes:   lanes,
 			outputs: len(d.Outputs()),
 			poke:    func(lane, input int, v uint64) { b.PokeIndex(lane, input, v) },
-			step:    func() error { b.Step(); return nil },
 			run:     func(n int64) error { b.Run(n); return nil },
 			out:     func(lane, idx int) uint64 { return b.PeekIndex(lane, idx) },
 			regs:    func(lane int) []uint64 { return b.Registers(lane) },
@@ -209,7 +206,6 @@ func NewMatrix(g *dfg.Graph, lanes int) (*Matrix, error) {
 			lanes:   lanes,
 			outputs: len(ten.OutputSlots),
 			poke:    func(lane, input int, v uint64) { b.PokeSlot(lane, ten.InputSlots[input], v) },
-			step:    func() error { b.Run(1); return nil },
 			run:     func(n int64) error { b.Run(int(n)); return nil },
 			out:     b.PeekOutput,
 			regs: func(lane int) []uint64 {
@@ -222,7 +218,6 @@ func NewMatrix(g *dfg.Graph, lanes int) (*Matrix, error) {
 			close: b.Close,
 		}
 		if k.reference {
-			e.step = func() error { b.StepReference(); return nil }
 			e.run = func(n int64) error {
 				for ; n > 0; n-- {
 					b.StepReference()
@@ -347,7 +342,7 @@ func (c *Case) Execute() (*Divergence, error) {
 	for cyc := int64(0); cyc < int64(c.Cycles); cyc++ {
 		m.pokeAll(stim, cyc)
 		for i := range m.engines {
-			if err := m.engines[i].step(); err != nil {
+			if err := m.engines[i].run(1); err != nil {
 				return nil, fmt.Errorf("%s: step %d: %w", m.engines[i].name, cyc, err)
 			}
 		}
@@ -395,7 +390,7 @@ func (c *Case) ExecuteBulk(chunks []int64) (*Divergence, error) {
 				return nil, fmt.Errorf("%s: run(%d): %w", b.name, k, err)
 			}
 			for cyc := int64(0); cyc < k; cyc++ {
-				if err := s.step(); err != nil {
+				if err := s.run(1); err != nil {
 					return nil, fmt.Errorf("%s: step: %w", s.name, err)
 				}
 			}

@@ -4,10 +4,10 @@
 // Production code declares named injection points by calling [Fire] at the
 // places where faults are interesting (compile, run dispatch, session
 // minting, response writing). Tests arm a point with [Arm], providing a
-// [Hook] that decides — deterministically, from the per-point hit counter
-// and an optional seed — whether to inject and what the fault looks like:
-// the hook may return an error (injected as an ordinary failure), panic
-// (exercising panic-isolation paths), or sleep (exercising deadlines).
+// [Hook] that decides — deterministically, from the per-point hit counter —
+// whether to inject and what the fault looks like: the hook may return an
+// error (injected as an ordinary failure), panic (exercising
+// panic-isolation paths), or sleep (exercising deadlines).
 //
 // The registry is build-tag free: it compiles into production binaries,
 // where the disarmed fast path is a single atomic load and no allocation.
@@ -157,49 +157,8 @@ func FirstN(n uint64, f func() error) Hook {
 	}
 }
 
-// OnHit returns a hook that injects only on the given 1-based hit.
-func OnHit(n uint64, f func() error) Hook {
-	return func(hit uint64) error {
-		if hit == n {
-			return f()
-		}
-		return nil
-	}
-}
-
-// Seeded returns a hook that injects on a deterministic pseudo-random
-// subset of hits: the fraction of injecting hits approaches rate, and the
-// same (seed, rate) always selects the same hits. rate is clamped to
-// [0, 1].
-func Seeded(seed uint64, rate float64, f func() error) Hook {
-	if rate < 0 {
-		rate = 0
-	}
-	if rate > 1 {
-		rate = 1
-	}
-	threshold := uint64(rate * float64(^uint64(0)>>1) * 2)
-	return func(hit uint64) error {
-		if mix64(seed^hit) < threshold {
-			return f()
-		}
-		return nil
-	}
-}
-
-// mix64 is the SplitMix64 finalizer: a bijective avalanche mix.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // Panicf returns an action that panics with a formatted message. Use with
-// Always/FirstN/OnHit to exercise panic-isolation paths.
+// Always/FirstN to exercise panic-isolation paths.
 func Panicf(format string, args ...any) func() error {
 	msg := fmt.Sprintf(format, args...)
 	return func() error { panic("faultinject: " + msg) }

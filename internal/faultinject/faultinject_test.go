@@ -70,7 +70,7 @@ func TestRearmResetsCounter(t *testing.T) {
 	}
 }
 
-// TestHelpers: FirstN and OnHit select the documented hits.
+// TestHelpers: FirstN selects the documented hits.
 func TestHelpers(t *testing.T) {
 	t.Cleanup(Reset)
 	injected := errors.New("injected")
@@ -78,12 +78,6 @@ func TestHelpers(t *testing.T) {
 	for i, want := range []bool{true, true, false, false} {
 		if got := Fire(PoolExhausted) != nil; got != want {
 			t.Errorf("FirstN(2) hit %d: injected=%v, want %v", i+1, got, want)
-		}
-	}
-	Arm(ConnDrop, OnHit(3, Error(injected)))
-	for i, want := range []bool{false, false, true, false} {
-		if got := Fire(ConnDrop) != nil; got != want {
-			t.Errorf("OnHit(3) hit %d: injected=%v, want %v", i+1, got, want)
 		}
 	}
 }
@@ -98,45 +92,6 @@ func TestPanicAction(t *testing.T) {
 		}
 	}()
 	Fire(RunPanic)
-}
-
-// TestSeededDeterministicRate: the same (seed, rate) selects the same
-// hits, and the injection fraction approaches the rate.
-func TestSeededDeterministicRate(t *testing.T) {
-	t.Cleanup(Reset)
-	injected := errors.New("injected")
-	const n, rate = 4000, 0.25
-	run := func(seed uint64) []bool {
-		Arm(CompilePanic, Seeded(seed, rate, Error(injected)))
-		out := make([]bool, n)
-		for i := range out {
-			out[i] = Fire(CompilePanic) != nil
-		}
-		return out
-	}
-	a, b := run(42), run(42)
-	hits := 0
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at hit %d", i+1)
-		}
-		if a[i] {
-			hits++
-		}
-	}
-	if frac := float64(hits) / n; frac < rate-0.05 || frac > rate+0.05 {
-		t.Errorf("seeded rate %.3f, want ~%.2f", frac, rate)
-	}
-	c := run(43)
-	same := 0
-	for i := range a {
-		if a[i] == c[i] {
-			same++
-		}
-	}
-	if same == n {
-		t.Error("different seeds selected identical hits")
-	}
 }
 
 // TestSleepAction: Sleep blocks for the duration and injects no fault.

@@ -37,23 +37,18 @@ func wideBatch(t *testing.T, ten *oim.Tensor, lanes int) *Batch {
 	return testBatch(t, ten, lanes, BatchOptions{})
 }
 
-// TestOneBitSlots pins the width-analysis verdicts: mask==1 classifies,
-// wider masks don't, and out-of-range constant preloads or register inits
-// demote a slot even when its mask says 1 bit.
+// TestOneBitSlots pins the width-analysis verdicts: mask==1 classifies and
+// wider masks don't. A constant preload or register init above its mask is
+// not classified here: Validate rejects it (TestValidateRejectsCorruption in
+// internal/oim, TestValidateCatchesErrors in internal/dfg).
 func TestOneBitSlots(t *testing.T) {
 	ten := &oim.Tensor{
-		NumSlots: 5,
-		Masks:    []uint64{1, 255, 1, 1, 1},
-		ConstSlots: []dfg.SlotInit{
-			{Slot: 2, Value: 1}, // in range: stays 1-bit
-			{Slot: 3, Value: 2}, // out of range: demoted
-		},
-		RegSlots: []dfg.RegSlot{
-			{Q: 4, Next: 1, Init: 2, Mask: 1}, // bad init: demoted
-		},
+		NumSlots:   3,
+		Masks:      []uint64{1, 255, 1},
+		ConstSlots: []dfg.SlotInit{{Slot: 2, Value: 1}},
 	}
 	got := OneBitSlots(ten)
-	want := []bool{true, false, true, false, false}
+	want := []bool{true, false, true}
 	for s := range want {
 		if got[s] != want[s] {
 			t.Fatalf("slot %d classified %v, want %v", s, got[s], want[s])

@@ -32,8 +32,9 @@
 // hoisting the operation dispatch out of the S loop is NU/PSU/IU; and
 // batch_sched.go, whose fitsMask decides when a result needs no mask, next
 // to the lane loops of runOps and — in batch_packed.go — the word loops of
-// runPackedOps, both keyed by opcode through the one opBodies table. CI's
-// op-semantics guard keeps a per-op switch from growing anywhere else.
+// runPackedOps, both keyed by opcode through the one opBodies table. The
+// module root's TestNothingDeletedGrowsBack keeps a per-op switch from
+// growing anywhere else.
 package kernel
 
 import (

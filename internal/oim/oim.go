@@ -214,8 +214,10 @@ func (t *Tensor) Cone(keep []bool) *Tensor {
 // operands; every coordinate is in range and has one writer (an operation,
 // or the host and reset through a port, constant or register entry); an
 // operation reads only coordinates settled before its layer; no name table
-// is longer than its slot table. Build's output and its cones pass by
-// construction; the tests hold them to it.
+// is longer than its slot table; no constant or register initial value
+// exceeds its slot's mask (the packed and wide batch layouts would read it
+// differently). Build's output and its cones pass by construction; the
+// tests hold them to it.
 func (t *Tensor) Validate() error {
 	if len(t.Masks) != t.NumSlots {
 		return fmt.Errorf("oim: mask table length %d != %d slots", len(t.Masks), t.NumSlots)
@@ -285,6 +287,16 @@ func (t *Tensor) Validate() error {
 	for _, s := range sources {
 		if writer[s] != none {
 			return fmt.Errorf("oim: coordinate %d is a port, constant or register and also written in layer %d", s, writer[s])
+		}
+	}
+	for _, c := range t.ConstSlots {
+		if c.Value > t.Masks[c.Slot] {
+			return fmt.Errorf("oim: constant %#x at slot %d exceeds its mask %#x", c.Value, c.Slot, t.Masks[c.Slot])
+		}
+	}
+	for _, r := range t.RegSlots {
+		if r.Init > t.Masks[r.Q] {
+			return fmt.Errorf("oim: register init %#x at slot %d exceeds its mask %#x", r.Init, r.Q, t.Masks[r.Q])
 		}
 	}
 	var err error

@@ -206,6 +206,8 @@ func corruptTensor(t *testing.T) (ten *Tensor, long int, cases map[string]func(c
 		"input names too long":  func(c *Tensor) { c.InputNames = make([]string, len(c.InputSlots)+1) },
 		"output names too long": func(c *Tensor) { c.OutputNames = make([]string, len(c.OutputSlots)+1) },
 		"reg names too long":    func(c *Tensor) { c.RegNames = make([]string, len(c.RegSlots)+1) },
+		"const above its mask":  func(c *Tensor) { c.Masks[c.ConstSlots[0].Slot] = 1; c.ConstSlots[0].Value = 2 },
+		"init above its mask":   func(c *Tensor) { c.Masks[c.RegSlots[0].Q] = 1; c.RegSlots[0].Init = 2 },
 
 		"run dropped":      func(c *Tensor) { c.Runs = c.Runs[:last] },
 		"run repeated":     func(c *Tensor) { c.Runs = append(c.Runs, c.Runs[last]); c.LayerEnds[len(c.LayerEnds)-1]++ },

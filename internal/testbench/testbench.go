@@ -7,7 +7,8 @@
 // The port layer itself (ports resolved to LI coordinates, waits,
 // transactions, handshakes) is sim.Testbench, bound directly to a session
 // or batch. This package is a leaf: it imports no other package of the
-// module (CI guards it), so a second port layer cannot grow back under sim.
+// module (the module root's TestNothingDeletedGrowsBack checks it), so a
+// second port layer cannot grow back under sim.
 package testbench
 
 // Stimulus yields the value driven onto one primary input of one lane at
