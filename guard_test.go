@@ -96,6 +96,8 @@ const (
 		"the service's bounds are constants; a resolved signal carries no mask (PokeSlot masks every poke)"
 	noRouting = "a RepCut plan routes no write: every partition gets every poke and input, " +
 		"so it keeps no per-slot list of partitions to poke"
+	oneSweep = "a RepCut plan has one fan-in mechanism, fanIn.sweep, labelled per register, per output or per partition: " +
+		"the slot-by-slot cone walk is the tests' oracle, not a second path in the plan"
 	batchBind = "a batch is state and the schedule is the program: nothing per instruction, register or slot " +
 		"is bound to a batch, and no store is a slice header per slot"
 	lease = "a server lease mints its engine on open and closes it on release: " +
@@ -140,6 +142,8 @@ var guardRows = []guardRow{
 		[]mutant{{path: "internal/repcut/repcut.go", after: "type Plan struct {\n", snippet: "\tuserStart []int32\n"}}},
 	{noRouting, pkg("internal/repcut"), funcs("Plan", "users"),
 		[]mutant{{path: "internal/repcut/users.go", snippet: "func (plan Plan) users(slot int32) []int32 { return nil }"}}},
+	{oneSweep, pkg("internal/repcut"), funcs("fanIn", "cone"),
+		[]mutant{{path: "internal/repcut/cone.go", snippet: "func (f *fanIn) cone(roots ...int32) []int32 { return nil }"}}},
 	{batchBind, batchFiles, identPart("boundOp boundCommit bindOps bindCommits bindOuts"),
 		[]mutant{{path: "internal/kernel/batch.go", after: "type Batch struct {\n", snippet: "\tops []boundOp\n"}}},
 	{batchBind, batchFiles, typeExpr("[][]uint64"),

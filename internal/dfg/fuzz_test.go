@@ -8,13 +8,13 @@ import (
 
 // decodeGraph interprets a byte stream as graph-construction instructions.
 // The decoder deliberately produces malformed graphs — wrong arities,
-// out-of-range widths, disconnected registers, and (via the patch phase)
-// combinational cycles — because the property under test is that Validate
-// rejects them with an error and Levelize never panics on anything
-// Validate accepts.
+// out-of-range widths, disconnected registers, (via the patch phase)
+// combinational cycles, and (via the repoint phase) input ports and
+// register entries naming a node out of range, of another kind, or named
+// twice — because the property under test is that Validate rejects them
+// with an error and Levelize never panics on anything Validate accepts.
 func decodeGraph(data []byte) *Graph {
 	g := &Graph{Name: "fuzz"}
-	var regs []NodeID
 	pos := 0
 	next := func() byte {
 		if pos >= len(data) {
@@ -37,13 +37,13 @@ func decodeGraph(data []byte) *Graph {
 
 	steps := int(next())%48 + 4
 	for i := 0; i < steps; i++ {
-		switch next() % 8 {
+		switch next() % 9 {
 		case 0:
 			g.AddInput("in", width())
 		case 1:
 			g.AddConst(uint64(next())<<8|uint64(next()), width())
 		case 2:
-			regs = append(regs, g.AddReg("r", width(), uint64(next())))
+			g.AddReg("r", width(), uint64(next()))
 		case 3, 4:
 			op := wire.Op(next() % byte(wire.NumOps))
 			arity := int(next())%4 + 1
@@ -57,8 +57,9 @@ func decodeGraph(data []byte) *Graph {
 				g.AddOutput("out", pick())
 			}
 		case 6:
-			if len(regs) > 0 {
-				g.SetRegNext(regs[int(next())%len(regs)], pick())
+			// By entry, not by node: the repoint phase may have moved it.
+			if len(g.Regs) > 0 {
+				g.Regs[int(next())%len(g.Regs)].Next = pick()
 			}
 		case 7:
 			// Patch phase: rewrite an existing argument to point anywhere,
@@ -67,6 +68,18 @@ func decodeGraph(data []byte) *Graph {
 				j := int(next()) % len(g.Nodes[id].Args)
 				g.Nodes[id].Args[j] = pick()
 				g.topo = nil
+			}
+		case 8:
+			// Repoint phase: an input port, or a register entry's node or
+			// next-state, to any id — in range or up to 8 beyond it.
+			to := NodeID(int(next()) % (len(g.Nodes) + 8))
+			switch k := int(next()); {
+			case k%3 == 0 && len(g.Inputs) > 0:
+				g.Inputs[k/3%len(g.Inputs)].Node = to
+			case k%3 == 1 && len(g.Regs) > 0:
+				g.Regs[k/3%len(g.Regs)].Node = to
+			case k%3 == 2 && len(g.Regs) > 0:
+				g.Regs[k/3%len(g.Regs)].Next = to
 			}
 		}
 	}
@@ -81,6 +94,7 @@ func FuzzLevelize(f *testing.F) {
 	f.Add([]byte{16, 2, 10, 3, 5, 2, 0, 1, 7, 0, 0, 0, 6, 0, 2, 5, 3})
 	f.Add([]byte{40, 0, 63, 1, 255, 17, 2, 9, 3, 3, 2, 1, 0, 4, 7, 1, 2, 5, 9, 6, 1, 4})
 	f.Add([]byte("levelize me"))
+	f.Add([]byte{12, 0, 8, 2, 8, 8, 9, 0, 2, 8, 1, 4, 8, 0, 7, 8, 3, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := decodeGraph(data)
 		if err := g.Validate(); err != nil {

@@ -143,17 +143,19 @@ func (g *Graph) AddOutput(name string, id NodeID) {
 	g.Outputs = append(g.Outputs, Port{Name: name, Node: id})
 }
 
-// Validate checks structural invariants: widths in range, argument ids valid,
-// operation arities respected, register next-states connected, and the
-// combinational portion acyclic (registers break cycles).
+// Validate checks structural invariants: widths in range, every node id in
+// range, operation arities respected, each input port and register entry
+// naming a distinct node of its kind, register next-states connected, and
+// the combinational portion acyclic (registers break cycles).
 func (g *Graph) Validate() error {
+	inRange := func(id NodeID) bool { return id >= 0 && int(id) < len(g.Nodes) }
 	for id := range g.Nodes {
 		n := &g.Nodes[id]
 		if n.Width == 0 || n.Width > 64 {
 			return fmt.Errorf("dfg: node %d (%s): width %d out of range 1..64", id, n.Name, n.Width)
 		}
 		for _, a := range n.Args {
-			if a < 0 || int(a) >= len(g.Nodes) {
+			if !inRange(a) {
 				return fmt.Errorf("dfg: node %d: argument %d out of range", id, a)
 			}
 		}
@@ -173,13 +175,37 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("dfg: node %d: constant %#x exceeds its width %d", id, n.Val, n.Width)
 		}
 	}
+	// named marks the input and register nodes a port or an entry has named:
+	// Levelize gives each one slot, so a second name would assign it twice.
+	named := make([]bool, len(g.Nodes))
+	for _, p := range g.Inputs {
+		switch {
+		case !inRange(p.Node):
+			return fmt.Errorf("dfg: input %q references invalid node", p.Name)
+		case g.Nodes[p.Node].Kind != KindInput:
+			return fmt.Errorf("dfg: input %q names node %d, which is not an input", p.Name, p.Node)
+		case named[p.Node]:
+			return fmt.Errorf("dfg: input %q names node %d, which another input already names", p.Name, p.Node)
+		}
+		named[p.Node] = true
+	}
 	for i, r := range g.Regs {
+		if !inRange(r.Node) {
+			return fmt.Errorf("dfg: register %d references invalid node %d", i, r.Node)
+		}
 		if r.Next == Invalid {
 			return fmt.Errorf("dfg: register %d (%s) has no next-state", i, g.Nodes[r.Node].Name)
+		}
+		if !inRange(r.Next) {
+			return fmt.Errorf("dfg: register %d (%s): next-state %d out of range", i, g.Nodes[r.Node].Name, r.Next)
 		}
 		if g.Nodes[r.Node].Kind != KindReg {
 			return fmt.Errorf("dfg: register %d Node is not KindReg", i)
 		}
+		if named[r.Node] {
+			return fmt.Errorf("dfg: register %d names node %d, which another register already names", i, r.Node)
+		}
+		named[r.Node] = true
 		if r.Init > g.Nodes[r.Node].Mask() {
 			return fmt.Errorf("dfg: register %s init %#x exceeds its width %d",
 				g.Nodes[r.Node].Name, r.Init, g.Nodes[r.Node].Width)
@@ -192,7 +218,7 @@ func (g *Graph) Validate() error {
 		}
 	}
 	for _, p := range g.Outputs {
-		if p.Node < 0 || int(p.Node) >= len(g.Nodes) {
+		if !inRange(p.Node) {
 			return fmt.Errorf("dfg: output %q references invalid node", p.Name)
 		}
 	}

@@ -158,6 +158,53 @@ func TestValidateCatchesErrors(t *testing.T) {
 			t.Fatal("want error for a register init wider than its node")
 		}
 	})
+	// A graph built field by field can name any node from a port or a
+	// register entry; each of these used to panic Validate or Levelize.
+	t.Run("reg node out of range", func(t *testing.T) {
+		g := &Graph{Nodes: []Node{{Kind: KindConst, Width: 1}}, Regs: []Reg{{Node: 7, Next: 0}}}
+		if err := g.Validate(); err == nil {
+			t.Fatal("want error for a register node out of range")
+		}
+	})
+	t.Run("reg next out of range", func(t *testing.T) {
+		g := &Graph{}
+		g.AddReg("r", 8, 0)
+		g.Regs[0].Next = 9
+		if err := g.Validate(); err == nil {
+			t.Fatal("want error for a register next-state out of range")
+		}
+	})
+	t.Run("input port out of range", func(t *testing.T) {
+		g := &Graph{Nodes: []Node{{Kind: KindConst, Width: 1}}, Inputs: []Port{{Name: "x", Node: 9}}}
+		if err := g.Validate(); err == nil {
+			t.Fatal("want error for an input port out of range")
+		}
+	})
+	t.Run("input port on a non-input", func(t *testing.T) {
+		g := &Graph{}
+		c := g.AddConst(1, 8)
+		g.Inputs = append(g.Inputs, Port{Name: "x", Node: c})
+		if err := g.Validate(); err == nil {
+			t.Fatal("want error for an input port naming a constant")
+		}
+	})
+	t.Run("input named twice", func(t *testing.T) {
+		g := &Graph{}
+		x := g.AddInput("x", 8)
+		g.Inputs = append(g.Inputs, Port{Name: "y", Node: x})
+		if err := g.Validate(); err == nil {
+			t.Fatal("want error for two input ports naming one node")
+		}
+	})
+	t.Run("reg named twice", func(t *testing.T) {
+		g := &Graph{}
+		r := g.AddReg("r", 8, 0)
+		g.SetRegNext(r, r)
+		g.Regs = append(g.Regs, g.Regs[0])
+		if err := g.Validate(); err == nil {
+			t.Fatal("want error for two register entries naming one node")
+		}
+	})
 	t.Run("reg next narrower is fine", func(t *testing.T) {
 		g := &Graph{}
 		r := g.AddReg("r", 8, 0)

@@ -244,6 +244,30 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsMisnamedNodes: a repro whose input ports or register
+// entries name a node out of range, a node of another kind, or a node named
+// twice decodes to an error — which is what `rteaal-fuzz -replay` reports —
+// never to a panic in Validate or to a case that panics when it is run.
+func TestDecodeRejectsMisnamedNodes(t *testing.T) {
+	in := reproNode{Kind: "input", Width: 4, Name: "x"}
+	reg := reproNode{Kind: "reg", Width: 4, Name: "r"}
+	k := reproNode{Kind: "const", Width: 4, Val: 1}
+	for name, g := range map[string]reproGraph{
+		"register node out of range":   {Nodes: []reproNode{reg}, Regs: []reproReg{{Node: 7, Next: 0}}},
+		"register next out of range":   {Nodes: []reproNode{reg}, Regs: []reproReg{{Node: 0, Next: 7}}},
+		"register node not a register": {Nodes: []reproNode{reg, k}, Regs: []reproReg{{Node: 0, Next: 0}, {Node: 1, Next: 0}}},
+		"register named twice":         {Nodes: []reproNode{reg}, Regs: []reproReg{{Node: 0, Next: 0}, {Node: 0, Next: 0}}},
+		"input out of range":           {Nodes: []reproNode{in}, Inputs: []reproPort{{Name: "x", Node: 9}}},
+		"input on a constant":          {Nodes: []reproNode{in, k}, Inputs: []reproPort{{Name: "x", Node: 0}, {Name: "y", Node: 1}}},
+		"input named twice":            {Nodes: []reproNode{in}, Inputs: []reproPort{{Name: "x", Node: 0}, {Name: "y", Node: 0}}},
+	} {
+		r := Repro{Version: reproVersion, Cycles: 1, Lanes: 1, Graph: g}
+		if _, err := r.Case(); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+}
+
 // TestShrinkPreservesInput: the shrinker never mutates the caller's case.
 func TestShrinkPreservesInput(t *testing.T) {
 	disarm := faultinject.Arm(faultinject.EngineDefect,

@@ -38,23 +38,22 @@ import (
 //
 // Both work from every register's cone as a bitset over operations. The
 // cones come from one sweep in reverse layer order that carries, per
-// operation, the set of registers whose cone holds it; transposing that
-// operation × register matrix 64 × 64 bits at a time gives the cones
-// ([analyze]). A move is priced with popcounts of the cone's words against
-// two bitsets per partition that every move keeps current — operations the
-// partition holds, and operations only one of its registers holds
-// ([refiner.priceOps]).
+// operation, the set of registers whose cone holds it ([fanIn.sweep]);
+// transposing that operation × register matrix 64 × 64 bits at a time gives
+// the cones ([analyze]). A move is priced with popcounts of the cone's words
+// against two bitsets per partition that every move keeps current —
+// operations the partition holds, and operations only one of its registers
+// holds ([refiner.priceOps]).
 
 // fanIn is the design's combinational fan-in at slot granularity, built once
-// per plan: the planner's sweep reads its producer and operand tables, and
-// the output vote and the per-partition cone marking walk it.
+// per plan. Every cone a plan needs — each register's for the planner, each
+// output's for the output vote, each partition's for its sub-tensor and its
+// RUM reads — comes from one [fanIn.sweep] over it, labelled differently.
 type fanIn struct {
 	producer []int32   // slot → index of the op writing it (layer-major), -1 for a source
 	args     [][]int32 // op index → its operands, aliasing the tensor's RCoord
 	regOf    []int32   // slot → the register whose Q it is, -1 for none
-	stamp    []int32   // slot → the last walk that reached it
-	walks    int32
-	buf      []int32
+	next     []int32   // register → its Next slot
 }
 
 func newFanIn(t *oim.Tensor) *fanIn {
@@ -62,47 +61,80 @@ func newFanIn(t *oim.Tensor) *fanIn {
 		producer: make([]int32, t.NumSlots),
 		args:     make([][]int32, 0, t.TotalOps()),
 		regOf:    make([]int32, t.NumSlots),
-		stamp:    make([]int32, t.NumSlots),
+		next:     make([]int32, len(t.RegSlots)),
 	}
 	for s := range f.producer {
-		f.producer[s], f.regOf[s], f.stamp[s] = -1, -1, -1
+		f.producer[s], f.regOf[s] = -1, -1
 	}
 	t.Ops(func(_ int, _ uint16, out int32, args []int32) {
 		f.producer[out] = int32(len(f.args))
 		f.args = append(f.args, args)
 	})
 	for ri, r := range t.RegSlots {
-		f.regOf[r.Q] = int32(ri)
+		f.regOf[r.Q], f.next[ri] = int32(ri), r.Next
 	}
 	return f
 }
 
-// cone returns the slots of the fan-in cone of roots, roots included, each
-// once: an op's output expands through its operands, and sources — primary
-// inputs, constants, register Qs — end the walk. The slice is reused by the
-// next call.
-func (f *fanIn) cone(roots ...int32) []int32 {
-	w := f.walks
-	f.walks++
-	out := f.buf[:0]
-	for _, s := range roots {
-		if f.stamp[s] != w {
-			f.stamp[s] = w
-			out = append(out, s)
-		}
+// labelSets is what a [fanIn.sweep] returns: two slabs of label sets, words
+// words each.
+type labelSets struct {
+	words int
+	held  []uint64 // op index → the labels whose roots' cones hold the op
+	read  []uint64 // register → the labels whose roots' cones read its Q
+}
+
+func (ls *labelSets) op(id int) bitset { return ls.held[id*ls.words:][:ls.words] }
+
+func (ls *labelSets) reg(ri int) bitset { return ls.read[ri*ls.words:][:ls.words] }
+
+// sweep labels the fan-in cones of roots: root i carries label[i] in [0,
+// labels) — its own index when label is nil — and the result holds, for
+// every op and every register Q, the labels whose roots' cones hold or read
+// it. A cone stops at sources: primary inputs, constants and register Qs.
+//
+// Each root seeds its label at whatever writes it; then, in descending op
+// index — layer-major, so a reverse topological order, and every op's set
+// is complete before it is read — each op ORs its set into its operands:
+// into the producing op's set, or, for a register Q, into that register's
+// reader set.
+func (f *fanIn) sweep(roots []int32, label []int, labels int) *labelSets {
+	w := (labels + 63) / 64
+	ls := &labelSets{
+		words: w,
+		held:  make([]uint64, len(f.args)*w),
+		read:  make([]uint64, len(f.next)*w),
 	}
-	for i := 0; i < len(out); i++ {
-		if id := f.producer[out[i]]; id >= 0 {
-			for _, arg := range f.args[id] {
-				if f.stamp[arg] != w {
-					f.stamp[arg] = w
-					out = append(out, arg)
-				}
+	setOf := func(s int32) bitset {
+		if q := f.regOf[s]; q >= 0 {
+			return ls.reg(int(q))
+		}
+		if id := f.producer[s]; id >= 0 {
+			return ls.op(int(id))
+		}
+		return nil // an input or a constant
+	}
+	for i, s := range roots {
+		if set := setOf(s); set != nil {
+			if label != nil {
+				set.set(label[i])
+			} else {
+				set.set(i)
 			}
 		}
 	}
-	f.buf = out
-	return out
+	for op := len(f.args) - 1; op >= 0; op-- {
+		held := ls.op(op)
+		if held.empty() {
+			continue
+		}
+		for _, arg := range f.args[op] {
+			if set := setOf(arg); set != nil {
+				set.orWith(held)
+			}
+		}
+	}
+	return ls
 }
 
 // checkOwner checks an ownership vector handed to [NewPlan]: one owner per
@@ -150,6 +182,8 @@ func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 func (b bitset) set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
 
 func (b bitset) flip(i int) { b[i>>6] ^= 1 << (uint(i) & 63) }
+
+func (b bitset) has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 
 func (b bitset) empty() bool {
 	for _, w := range b {
@@ -215,50 +249,16 @@ type analysis struct {
 	regSrc  [][]int  // per register: sorted register indices whose Q the cone reads
 }
 
-// analyze computes the fan-in cone of every register's next-state slot in
-// one sweep. A cone stops at sources: primary inputs, constants, and
-// register Q coordinates (which become regSrc entries — the edges the RUM
-// exchange would carry if reader and owner end up in different partitions).
-//
-// Every op carries the set of registers whose cone holds it, a bitset over
-// registers in a transient op × register slab. Each register seeds its own
-// bit at whatever writes its Next; then, in descending op index — layer-major,
-// so a reverse topological order, and every op's set is complete before it
-// is read — each op ORs its set into its operands: into the producing op's
-// set, or, for a register Q, into that register's reader set. The cones are
-// the slab transposed, 64 ops × 64 registers at a time, and the source sets
-// behind regSrc are the reader sets transposed the same way. Both slabs are
-// dropped on return; only the analysis outlives the call.
+// analyze computes every register's fan-in cone from one sweep that labels
+// each register's Next with the register. The register Qs a cone reads are
+// its regSrc — the edges the RUM exchange would carry if reader and owner
+// end up in different partitions. The cones are the sweep's op sets
+// transposed, 64 ops × 64 registers at a time, and the source sets behind
+// regSrc its reader sets transposed the same way; only the analysis
+// outlives the call.
 func analyze(t *oim.Tensor, f *fanIn) *analysis {
 	numOps, nr := len(f.args), len(t.RegSlots)
-	rw, ow := (nr+63)/64, (numOps+63)/64 // words per register set, per op set
-	holders := make([]uint64, numOps*rw) // op → the registers whose cone holds it
-	readers := make([]uint64, nr*rw)     // register → the registers whose cone reads its Q
-	setOf := func(s int32) bitset {
-		if q := f.regOf[s]; q >= 0 {
-			return readers[int(q)*rw:][:rw]
-		}
-		if id := f.producer[s]; id >= 0 {
-			return holders[int(id)*rw:][:rw]
-		}
-		return nil // an input or a constant
-	}
-	for ri, r := range t.RegSlots {
-		if set := setOf(r.Next); set != nil {
-			set.set(ri)
-		}
-	}
-	for op := numOps - 1; op >= 0; op-- {
-		held := bitset(holders[op*rw:][:rw])
-		if held.empty() {
-			continue
-		}
-		for _, arg := range f.args[op] {
-			if set := setOf(arg); set != nil {
-				set.orWith(held)
-			}
-		}
-	}
+	ls := f.sweep(f.next, nil, nr)
 
 	a := &analysis{
 		numOps:  numOps,
@@ -266,17 +266,18 @@ func analyze(t *oim.Tensor, f *fanIn) *analysis {
 		coneOps: make([]int, nr),
 		regSrc:  make([][]int, nr),
 	}
-	coneWords := transpose(holders, numOps, nr)
+	ow := (numOps + 63) / 64
+	coneWords := transpose(ls.held, numOps, nr)
 	for ri := range a.cones {
 		a.cones[ri] = coneWords[ri*ow : (ri+1)*ow : (ri+1)*ow]
 		a.coneOps[ri] = a.cones[ri].popcount()
 	}
 	// Transposed, the reader sets are the source sets; regSrc is cut from
 	// one slab they size exactly.
-	srcSets := transpose(readers, nr, nr)
+	srcSets := transpose(ls.read, nr, nr)
 	slab := make([]int, bitset(srcSets).popcount())
 	for ri := range a.regSrc {
-		set := bitset(srcSets[ri*rw:][:rw])
+		set := bitset(srcSets[ri*ls.words:][:ls.words])
 		if k := set.popcount(); k > 0 {
 			src := slab[:0:k]
 			set.forEachBit(func(q int) { src = append(src, q) })

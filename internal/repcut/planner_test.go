@@ -47,7 +47,54 @@ func chainPairGraph() *dfg.Graph {
 	return g
 }
 
-// coneWalk is the analysis one register at a time — fanIn.cone from each
+// walk is the fan-in cone of roots one slot at a time, breadth first: its
+// slots, roots included, each once. An op's output expands through its
+// operands, and sources — primary inputs, constants, register Qs — end the
+// walk. It is the oracle fanIn.sweep is held to.
+func walk(f *fanIn, roots ...int32) []int32 {
+	seen := make([]bool, len(f.producer))
+	var out []int32
+	for _, s := range roots {
+		if !seen[s] {
+			seen[s] = true
+			out = append(out, s)
+		}
+	}
+	for i := 0; i < len(out); i++ {
+		if id := f.producer[out[i]]; id >= 0 {
+			for _, arg := range f.args[id] {
+				if !seen[arg] {
+					seen[arg] = true
+					out = append(out, arg)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// walkLabels is fanIn.sweep one root at a time: each root's walked cone
+// adds its label to the ops it holds and the registers whose Q it reads.
+func walkLabels(f *fanIn, roots []int32, label []int, labels int) *labelSets {
+	w := (labels + 63) / 64
+	ls := &labelSets{words: w, held: make([]uint64, len(f.args)*w), read: make([]uint64, len(f.next)*w)}
+	for i, root := range roots {
+		l := i
+		if label != nil {
+			l = label[i]
+		}
+		for _, s := range walk(f, root) {
+			if q := f.regOf[s]; q >= 0 {
+				ls.reg(int(q)).set(l)
+			} else if id := f.producer[s]; id >= 0 {
+				ls.op(int(id)).set(l)
+			}
+		}
+	}
+	return ls
+}
+
+// coneWalk is the analysis one register at a time — a walk from each
 // register's Next, ops into the cone and register Qs into regSrc — the
 // oracle analyze's one sweep must equal.
 func coneWalk(t *oim.Tensor, f *fanIn) *analysis {
@@ -59,7 +106,7 @@ func coneWalk(t *oim.Tensor, f *fanIn) *analysis {
 	}
 	for ri, r := range t.RegSlots {
 		a.cones[ri] = newBitset(a.numOps)
-		for _, s := range f.cone(r.Next) {
+		for _, s := range walk(f, r.Next) {
 			if si := f.regOf[s]; si >= 0 {
 				a.regSrc[ri] = append(a.regSrc[ri], int(si))
 			} else if id := f.producer[s]; id >= 0 {
@@ -106,12 +153,14 @@ func regFreeGraph() *dfg.Graph {
 	return g
 }
 
-// TestAnalyzeFanInCones pins the analysis down. On the handcrafted pair
-// design the two pairs have disjoint cones and each register's cone reads
-// exactly the Q coordinates of its own pair; and on every design — the
-// pairs, corner cases, random graphs and generated SoCs — the one-sweep
-// analysis equals the per-register cone walk: the same cones and cone
-// sizes, and the same sorted, duplicate-free regSrc.
+// TestAnalyzeFanInCones pins the sweep down. On the handcrafted pair design
+// the two pairs have disjoint cones and each register's cone reads exactly
+// the Q coordinates of its own pair; and on every design — the pairs,
+// corner cases, random graphs and generated SoCs — the one-sweep analysis
+// equals the per-register cone walk (the same cones and cone sizes, and the
+// same sorted, duplicate-free regSrc), and the sweep under NewPlan's two
+// other labellings — each output by its index, and every register Next and
+// output by a partition — equals the same labelling walked root by root.
 func TestAnalyzeFanInCones(t *testing.T) {
 	ten := buildOpt(t, chainPairGraph())
 	if len(ten.RegSlots) != 4 {
@@ -188,7 +237,111 @@ func TestAnalyzeFanInCones(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: the analysis differs from the walk's", row.name)
 		}
+		f, ten := newFanIn(row.ten), row.ten
+		outs := len(ten.OutputSlots)
+		if got, want := f.sweep(ten.OutputSlots, nil, outs), walkLabels(f, ten.OutputSlots, nil, outs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the output labelling differs from the walk's", row.name)
+		}
+		roots, label := slices.Clone(ten.OutputSlots), make([]int, outs)
+		for oi := range label {
+			label[oi] = oi % 3
+		}
+		for ri, r := range ten.RegSlots {
+			roots, label = append(roots, r.Next), append(label, (ri*5)%3)
+		}
+		if got, want := f.sweep(roots, label, 3), walkLabels(f, roots, label, 3); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the partition labelling differs from the walk's", row.name)
+		}
 		t.Logf("%-28s %5d ops %4d registers", row.name, got.numOps, len(got.cones))
+	}
+}
+
+// TestSubTensorsAreWalkedCones holds NewPlan's outputs of the partition
+// sweep to walks: for the planner's, a round-robin and a random owner vector
+// at P ∈ {1, 2, 3, 4}, every output goes to the partition owning the
+// plurality of the registers its walked cone reads (the lowest on a tie,
+// oi mod P when it reads none); each sub-tensor's ops are exactly those of
+// the walked cones of its owned registers' Nexts and its sampled outputs;
+// and each partition pulls exactly the foreign registers whose Q those
+// cones read.
+func TestSubTensorsAreWalkedCones(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	tensors := []*oim.Tensor{
+		build(t, cornerGraph()),
+		buildOpt(t, dfg.RandomGraph(rng, dfg.RandomParams{
+			Inputs: 3, Regs: 23, Ops: 300, Consts: 3, MaxWidth: 16, MuxBias: 0.3})),
+		buildSpec(t, gen.Spec{Family: gen.SHA3, Scale: 8}),
+		buildSpec(t, gen.Spec{Family: gen.Rocket, Cores: 4, Scale: 8}),
+	}
+	for _, ten := range tensors {
+		f, nRegs := newFanIn(ten), len(ten.RegSlots)
+		for _, n := range []int{1, 2, 3, 4} {
+			random := make([]int, nRegs)
+			for ri := range random {
+				random[ri] = rng.Intn(n)
+			}
+			for q, ri := range rng.Perm(nRegs)[:n] {
+				random[ri] = q // no partition left empty
+			}
+			for name, owner := range map[string][]int{"planner": nil, "round-robin": roundRobin(ten, n), "random": random} {
+				plan, err := NewPlan(ten, n, owner)
+				if err != nil {
+					t.Fatal(err)
+				}
+				at := fmt.Sprintf("%s P=%d %s", ten.Design, n, name)
+				for oi, slot := range ten.OutputSlots {
+					votes := make([]int, n)
+					for _, s := range walk(f, slot) {
+						if ri := f.regOf[s]; ri >= 0 {
+							votes[plan.regOwner[ri]]++
+						}
+					}
+					want := oi % n
+					if most := slices.Max(votes); most > 0 {
+						want = slices.Index(votes, most)
+					}
+					if plan.outOwner[oi] != want {
+						t.Fatalf("%s: output %d sampled in %d, the walked vote says %d", at, oi, plan.outOwner[oi], want)
+					}
+				}
+				for part, sub := range plan.subs {
+					var roots []int32
+					for ri, r := range ten.RegSlots {
+						if plan.regOwner[ri] == part {
+							roots = append(roots, r.Next)
+						}
+					}
+					for oi, slot := range ten.OutputSlots {
+						if plan.outOwner[oi] == part {
+							roots = append(roots, slot)
+						}
+					}
+					var wantOps []int32
+					var wantPulls []int32
+					for _, s := range walk(f, roots...) {
+						if ri := f.regOf[s]; ri >= 0 && plan.regOwner[ri] != part {
+							wantPulls = append(wantPulls, s)
+						} else if f.producer[s] >= 0 {
+							wantOps = append(wantOps, s)
+						}
+					}
+					var gotOps, gotPulls []int32
+					sub.Ops(func(_ int, _ uint16, out int32, _ []int32) { gotOps = append(gotOps, out) })
+					for _, e := range plan.pulls[part] {
+						gotPulls = append(gotPulls, e.q)
+					}
+					for _, s := range [][]int32{wantOps, wantPulls, gotOps, gotPulls} {
+						slices.Sort(s)
+					}
+					if !slices.Equal(gotOps, wantOps) {
+						t.Fatalf("%s: partition %d holds %d ops, its walked cones %d", at, part, len(gotOps), len(wantOps))
+					}
+					if !slices.Equal(gotPulls, wantPulls) {
+						t.Fatalf("%s: partition %d pulls %v, its walked cones read %v", at, part, gotPulls, wantPulls)
+					}
+				}
+			}
+		}
 	}
 }
 

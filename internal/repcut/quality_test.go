@@ -265,29 +265,52 @@ func TestPlanQuality(t *testing.T) {
 	}
 }
 
+// planHash is the first 8 bytes of sha256 over everything a plan derives
+// from its owner vector: the output owners, the exchange (pubs, pulls and
+// its length), slotAuth, and every sub-tensor's layers, runs, operands,
+// registers and preloaded constants.
+func planHash(p *Plan) string {
+	h := sha256.New()
+	fmt.Fprint(h, p.outOwner, p.pubs, p.pulls, p.nExchange, p.slotAuth)
+	for _, sub := range p.subs {
+		fmt.Fprint(h, sub.LayerEnds, sub.Runs, sub.RCoord, sub.RegSlots, sub.ConstSlots)
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
+}
+
 // TestPlannerOwnersPinned holds the planner to the owner vectors it made on
 // TestPlanQuality's designs at P ∈ {2, 3, 4, 8} when it walked every
-// register's cone on its own and priced moves bit by bit: how fast the
-// planner computes may change, what it plans may not. A hash is the first 8
-// bytes of sha256 over fmt.Sprint(owner).
+// register's cone on its own and priced moves bit by bit, and NewPlan to the
+// whole plans it built from them when it walked each output's and each
+// partition's cone slot by slot: how fast a plan is computed may change,
+// what it plans may not. An owner hash is the first 8 bytes of sha256 over
+// fmt.Sprint(owner); a plan hash is planHash.
 func TestPlannerOwnersPinned(t *testing.T) {
 	for _, tc := range []struct {
 		spec   gen.Spec
 		hashes [4]string // P = 2, 3, 4, 8
+		plans  [4]string // P = 2, 3, 4, 8
 	}{
-		{gen.Spec{Family: gen.Rocket, Cores: 4, Scale: 8}, [4]string{"38c73d5bb86e1d10", "14a17017e48ca6b6", "8d1061bcfb49f009", "33380d28f310110d"}},
-		{gen.Spec{Family: gen.Rocket, Cores: 1, Scale: 8}, [4]string{"a3cdc34755d2d5dd", "5756a61340e9511f", "2b6a4f9eda143065", "11b06e83cab15603"}},
-		{gen.Spec{Family: gen.Rocket, Cores: 1, Scale: 64}, [4]string{"8eed4d7cd3c97495", "2d76fee452ce9d95", "0465b7578a028004", "67ae56dc6b0dd754"}},
-		{gen.Spec{Family: gen.Rocket, Cores: 2, Scale: 16}, [4]string{"562bbdab6b9ecdd0", "9ba97cc684cba6aa", "89d6ade0349ee741", "7192444d3fac0d8a"}},
-		{gen.Spec{Family: gen.Boom, Cores: 1, Scale: 16}, [4]string{"2d3dbbf8f398bff8", "73117ff44709753c", "2627d6cf222d9eb3", "b6c7acb4bb8857eb"}},
-		{gen.Spec{Family: gen.SHA3, Scale: 8}, [4]string{"b86c668681d370f4", "9529a57813b01658", "46237b83810080b8", "d145daadbac35105"}},
-		{gen.Spec{Family: gen.Ctrl, Cores: 512, Scale: 1}, [4]string{"3e34d6f45be13381", "b57661bf4fafd42a", "69353d9c8e714a54", "c3b31d3f3eb697e5"}},
+		{gen.Spec{Family: gen.Rocket, Cores: 4, Scale: 8}, [4]string{"38c73d5bb86e1d10", "14a17017e48ca6b6", "8d1061bcfb49f009", "33380d28f310110d"}, [4]string{"34784e655849b8de", "a849b3bbc32cfa3b", "b5acf8ddd969fb0a", "57264c3bb5fb40b1"}},
+		{gen.Spec{Family: gen.Rocket, Cores: 1, Scale: 8}, [4]string{"a3cdc34755d2d5dd", "5756a61340e9511f", "2b6a4f9eda143065", "11b06e83cab15603"}, [4]string{"1d17b1f8be0452de", "4c35c7d75c83d499", "ecdb1cf404b61014", "3d691328383d61a1"}},
+		{gen.Spec{Family: gen.Rocket, Cores: 1, Scale: 64}, [4]string{"8eed4d7cd3c97495", "2d76fee452ce9d95", "0465b7578a028004", "67ae56dc6b0dd754"}, [4]string{"37af1be72278cb53", "12c92e1f391a4657", "a7211f92c16fd36c", "3f8d08b41f9da11b"}},
+		{gen.Spec{Family: gen.Rocket, Cores: 2, Scale: 16}, [4]string{"562bbdab6b9ecdd0", "9ba97cc684cba6aa", "89d6ade0349ee741", "7192444d3fac0d8a"}, [4]string{"6130f2f3a9bc0eb7", "97e8ed224f96be91", "0693eb8950f548de", "d526a85876a06257"}},
+		{gen.Spec{Family: gen.Boom, Cores: 1, Scale: 16}, [4]string{"2d3dbbf8f398bff8", "73117ff44709753c", "2627d6cf222d9eb3", "b6c7acb4bb8857eb"}, [4]string{"7f6d73033554c0a7", "3ad059c07441451a", "cc140f2f5d2efb7b", "7b86cdae87bac931"}},
+		{gen.Spec{Family: gen.SHA3, Scale: 8}, [4]string{"b86c668681d370f4", "9529a57813b01658", "46237b83810080b8", "d145daadbac35105"}, [4]string{"d23d8b42cf961a8f", "d51c3fc86d186c0e", "0253333f3f39ffdf", "2df71654390346d6"}},
+		{gen.Spec{Family: gen.Ctrl, Cores: 512, Scale: 1}, [4]string{"3e34d6f45be13381", "b57661bf4fafd42a", "69353d9c8e714a54", "c3b31d3f3eb697e5"}, [4]string{"8da768baa350be95", "3abe0410f0ecff41", "5eb8204231f067f6", "736e4db953b0eef9"}},
 	} {
 		ten := buildSpec(t, tc.spec)
 		for i, n := range []int{2, 3, 4, 8} {
 			sum := sha256.Sum256([]byte(fmt.Sprint(planOwners(ten, newFanIn(ten), n))))
 			if got := hex.EncodeToString(sum[:8]); got != tc.hashes[i] {
 				t.Errorf("%s/%d P=%d: owner hash %s, pinned %s", tc.spec.Name(), tc.spec.Scale, n, got, tc.hashes[i])
+			}
+			plan, err := NewPlan(ten, n, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := planHash(plan); got != tc.plans[i] {
+				t.Errorf("%s/%d P=%d: plan hash %s, pinned %s", tc.spec.Name(), tc.spec.Scale, n, got, tc.plans[i])
 			}
 		}
 	}

@@ -11,8 +11,9 @@
 // The package mirrors the compile-once architecture of internal/kernel:
 //
 //   - [NewPlan] partitions a design once, kernel-independently: ownership
-//     (the min-cut planner's, or an explicit owner vector), cone marking,
-//     per-partition sub-tensors, and the reader-indexed RUM.
+//     (the min-cut planner's, or an explicit owner vector), then one fan-in
+//     sweep labelled by partition for the per-partition sub-tensors and the
+//     reader-indexed RUM.
 //   - [Plan.Lower] lowers the sub-tensors into shareable [kernel.Program]s
 //     for one kernel configuration — also once.
 //   - [Plan.Instantiate] mints any number of runnable [Instance]s over
@@ -138,53 +139,36 @@ func NewPlan(t *oim.Tensor, n int, owner []int) (*Plan, error) {
 	}
 
 	// Output ownership: sample each output in the partition that owns the
-	// plurality of the registers its cone reads, so the sampling partition
-	// replicates as little extra logic as possible. Outputs reading no
-	// registers scatter round-robin.
-	votes := make([]int, n)
+	// plurality of the registers its cone reads (the lowest on a tie), so the
+	// sampling partition replicates as little extra logic as possible.
+	// Outputs reading no registers scatter round-robin.
+	nOut := len(t.OutputSlots)
+	outReads := f.sweep(t.OutputSlots, nil, nOut)
+	votes := make([]int, nOut*n) // votes[oi*n+q]: the registers of q that output oi's cone reads
+	for ri, q := range owner {
+		outReads.reg(ri).forEachBit(func(oi int) { votes[oi*n+q]++ })
+	}
 	for oi, slot := range t.OutputSlots {
-		clear(votes)
-		sawReg := false
-		for _, s := range f.cone(slot) {
-			if ri := f.regOf[s]; ri >= 0 {
-				votes[owner[ri]]++
-				sawReg = true
-			}
-		}
-		part := oi % n
-		if sawReg {
-			part = 0
-			for q := 1; q < n; q++ {
-				if votes[q] > votes[part] {
-					part = q
-				}
-			}
+		row, part := votes[oi*n:][:n], oi%n
+		if most := slices.Max(row); most > 0 {
+			part = slices.Index(row, most)
 		}
 		p.outOwner[oi] = part
 		p.slotAuth[slot] = int32(part)
 	}
 
-	// Per-partition cone marking and sub-tensor construction.
-	needs := make([][]bool, n)
-	for part := 0; part < n; part++ {
-		need := make([]bool, t.NumSlots)
-		needs[part] = need
-		var roots []int32
-		for _, ri := range ownedRegs[part] {
-			roots = append(roots, t.RegSlots[ri].Next)
-		}
-		for oi, slot := range t.OutputSlots {
-			if p.outOwner[oi] == part {
-				roots = append(roots, slot)
-			}
-		}
-		for _, s := range f.cone(roots...) {
-			need[s] = true
-		}
+	// Partition cones: every register's Next and every output, labelled
+	// with the partition that owns it.
+	cones := f.sweep(slices.Concat(f.next, t.OutputSlots), slices.Concat(owner, p.outOwner), n)
 
-		// Build the partition tensor: same slot space, the cone's
-		// operations, owned registers only (names stay with the full tensor).
-		sub := t.Cone(need)
+	// Sub-tensors: same slot space, the cone's operations, owned registers
+	// only (names stay with the full tensor).
+	keep := make([]bool, t.NumSlots)
+	for part := 0; part < n; part++ {
+		for s, id := range f.producer {
+			keep[s] = id >= 0 && cones.op(int(id)).has(part)
+		}
+		sub := t.Cone(keep)
 		sub.Design = fmt.Sprintf("%s.part%d", t.Design, part)
 		sub.RegSlots, sub.RegNames = make([]dfg.RegSlot, 0, len(ownedRegs[part])), nil
 		for _, ri := range ownedRegs[part] {
@@ -206,9 +190,9 @@ func NewPlan(t *oim.Tensor, n int, owner []int) (*Plan, error) {
 	for ri, r := range t.RegSlots {
 		owner := p.regOwner[ri]
 		p.slotAuth[r.Q], p.slotAuth[r.Next] = int32(owner), int32(owner)
-		readers := 0
+		readers, reads := 0, cones.reg(ri)
 		for part := 0; part < n; part++ {
-			if part == owner || !needs[part][r.Q] {
+			if part == owner || !reads.has(part) {
 				continue
 			}
 			readers++

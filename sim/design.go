@@ -134,7 +134,7 @@ func CompileGraph(g *dfg.Graph, opts ...Option) (*Design, error) {
 	}
 	d := &Design{tensor: t, cfg: cfg, signals: kernel.NewSignalMap(t)}
 	if cfg.partitions == 0 {
-		if d.prog, err = kernel.NewProgram(t, kernel.Config{Kind: cfg.kernel.kind()}); err != nil {
+		if d.prog, err = kernel.NewProgram(t, kernel.Config{Kind: cfg.kernel}); err != nil {
 			return nil, err
 		}
 		return d, nil
@@ -145,7 +145,7 @@ func CompileGraph(g *dfg.Graph, opts ...Option) (*Design, error) {
 	if d.plan, err = repcut.NewPlan(t, cfg.partitions, nil); err != nil {
 		return nil, err
 	}
-	if d.partProgs, err = d.plan.Lower(kernel.Config{Kind: cfg.kernel.kind()}); err != nil {
+	if d.partProgs, err = d.plan.Lower(kernel.Config{Kind: cfg.kernel}); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -272,7 +272,7 @@ func (d *Design) fullProgram() (*kernel.Program, error) {
 		if d.prog != nil {
 			return
 		}
-		d.prog, d.progErr = kernel.NewProgram(d.tensor, kernel.Config{Kind: d.cfg.kernel.kind()})
+		d.prog, d.progErr = kernel.NewProgram(d.tensor, kernel.Config{Kind: d.cfg.kernel})
 	})
 	return d.prog, d.progErr
 }

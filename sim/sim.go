@@ -49,48 +49,31 @@ import "rteaal/internal/kernel"
 // Kernel selects one of the seven progressively unrolled kernel
 // configurations of §5.2. Each kernel keeps its predecessors' optimisations
 // and adds one more; all produce bit-identical traces and differ only in
-// control structure and speed.
-type Kernel uint8
+// control structure and speed. String returns the kernel's paper name (RU,
+// OU, NU, PSU, IU, SU, or TI).
+type Kernel = kernel.Kind
 
 const (
 	// RU unrolls only the one-hot R rank (Algorithm 3).
-	RU Kernel = Kernel(kernel.RU)
+	RU = kernel.RU
 	// OU fully unrolls the O rank (straight-line operand fetch).
-	OU Kernel = Kernel(kernel.OU)
+	OU = kernel.OU
 	// NU swizzles S and N and unrolls N into per-type inner loops.
-	NU Kernel = Kernel(kernel.NU)
+	NU = kernel.NU
 	// PSU partially unrolls the S loops (8x compute; the layer write-back
 	// is elided by the LI layout); the scalable sweet spot the paper
 	// identifies, and the default.
-	PSU Kernel = Kernel(kernel.PSU)
+	PSU = kernel.PSU
 	// IU fully unrolls the I rank, eliding zero-iteration S loops.
-	IU Kernel = Kernel(kernel.IU)
+	IU = kernel.IU
 	// SU fully unrolls the S rank into a flat per-operation tape.
-	SU Kernel = Kernel(kernel.SU)
+	SU = kernel.SU
 	// TI additionally inlines the LO tensor away.
-	TI Kernel = Kernel(kernel.TI)
+	TI = kernel.TI
 )
 
-func (k Kernel) kind() kernel.Kind { return kernel.Kind(k) }
-
-// String returns the kernel's paper name (RU, OU, NU, PSU, IU, SU, or TI).
-func (k Kernel) String() string { return k.kind().String() }
-
 // Kernels lists every kernel configuration in unrolling order.
-func Kernels() []Kernel {
-	kinds := kernel.Kinds()
-	out := make([]Kernel, len(kinds))
-	for i, k := range kinds {
-		out[i] = Kernel(k)
-	}
-	return out
-}
+func Kernels() []Kernel { return kernel.Kinds() }
 
 // ParseKernel resolves a kernel name such as "PSU".
-func ParseKernel(s string) (Kernel, error) {
-	k, err := kernel.ParseKind(s)
-	if err != nil {
-		return 0, err
-	}
-	return Kernel(k), nil
-}
+func ParseKernel(s string) (Kernel, error) { return kernel.ParseKind(s) }
