@@ -70,7 +70,8 @@ type found struct {
 
 func fuzz(budget time.Duration, workers int, corpusDir string, cycles, lanes int, seed0 int64, quiet bool) int {
 	cov := difftest.NewCoverage()
-	deadline := time.Now().Add(budget)
+	start := time.Now()
+	deadline := start.Add(budget)
 
 	var (
 		nextSeed atomic.Int64
@@ -120,7 +121,6 @@ func fuzz(budget time.Duration, workers int, corpusDir string, cycles, lanes int
 		defer close(statsDone)
 		tick := time.NewTicker(time.Second)
 		defer tick.Stop()
-		start := time.Now()
 		for {
 			select {
 			case <-tick.C:
@@ -145,8 +145,9 @@ func fuzz(budget time.Duration, workers int, corpusDir string, cycles, lanes int
 	}
 
 	if hit == nil {
-		fmt.Printf("PASS: %d cases, %d coverage features, no divergence in %s\n",
-			cases.Load(), cov.Size(), budget)
+		n := cases.Load()
+		fmt.Printf("PASS: %d cases (%.0f cases/s), %d coverage features, no divergence in %s\n",
+			n, float64(n)/time.Since(start).Seconds(), cov.Size(), budget)
 		return 0
 	}
 	if hit.err != nil {

@@ -67,13 +67,13 @@ func TestDifferentialCrossEngine(t *testing.T) {
 }
 
 // TestDifferentialBulkRun is the Run(k)-vs-k×Step leg: every engine shape
-// is instantiated twice over the same design — one copy advanced in
-// bulk-run chunks (including k=0 and k=1 degenerate chunks), one stepped
-// cycle by cycle — with identical stimulus applied at chunk boundaries and
-// held across each chunk. States observed at the boundaries must match
-// pairwise per shape AND across shapes, so the resident run loops (batch
-// free-run, partitioned barrier loop, session funnel) are pinned both to
-// their own per-cycle path and to each other.
+// is advanced in bulk-run chunks (including k=0 and k=1 degenerate chunks),
+// driving the stimulus inside its own run loop at every cycle, and its state
+// at each chunk boundary must match the per-cycle references — the RU
+// session on lane 0 and StepReference, poked from the host cycle by cycle,
+// on every other lane. So the resident run loops (batch free-run,
+// partitioned barrier loop, session funnel) and the stimulus they drive are
+// pinned to the paper's equations one cycle at a time.
 func TestDifferentialBulkRun(t *testing.T) {
 	chunks := []int64{1, 3, 0, 5, 2, 7, 4}
 	// Eight seeds rotate through the random profiles; a fixed design runs once.
@@ -96,7 +96,7 @@ func TestDifferentialBulkRun(t *testing.T) {
 		t.Run(fmt.Sprintf("%s/seed=%d", prof.Name, seed), func(t *testing.T) {
 			t.Parallel()
 			c := difftest.NewCase(seed, prof, diffCycles, diffLanes)
-			d, err := c.ExecuteBulk(chunks)
+			d, err := c.Execute(chunks...)
 			if err != nil {
 				t.Fatalf("execute bulk: %v\n%s", err, reproLine(c, prof.Name, seed))
 			}
@@ -108,7 +108,7 @@ func TestDifferentialBulkRun(t *testing.T) {
 }
 
 // TestDifferentialControlFabric runs the benchmark's ctrl_batch_packed
-// design family at test size through both legs: a 1-bit arbiter fabric is
+// design family at test size per cycle and in bulk chunks: a 1-bit arbiter fabric is
 // the one shape where nearly every slot stays packed, so the word-wide Or
 // and Mux bodies and the packed staged commit — which the random profiles
 // rarely reach — are cross-checked against every other engine. 70 lanes
@@ -127,7 +127,7 @@ func TestDifferentialControlFabric(t *testing.T) {
 		t.Fatal(d)
 	}
 	chunks := []int64{1, 3, 0, 5, 2, 7, 4}
-	if d, err = c.ExecuteBulk(chunks); err != nil {
+	if d, err = c.Execute(chunks...); err != nil {
 		t.Fatalf("execute bulk: %v", err)
 	}
 	if d != nil {

@@ -11,7 +11,8 @@ import (
 // out-of-range widths, disconnected registers, (via the patch phase)
 // combinational cycles, and (via the repoint phase) input ports and
 // register entries naming a node out of range, of another kind, or named
-// twice — because the property under test is that Validate rejects them
+// twice, and (via its drop step) input and register nodes nothing names —
+// because the property under test is that Validate rejects them
 // with an error and Levelize never panics on anything Validate accepts.
 func decodeGraph(data []byte) *Graph {
 	g := &Graph{Name: "fuzz"}
@@ -71,15 +72,22 @@ func decodeGraph(data []byte) *Graph {
 			}
 		case 8:
 			// Repoint phase: an input port, or a register entry's node or
-			// next-state, to any id — in range or up to 8 beyond it.
+			// next-state, to any id — in range or up to 8 beyond it — or
+			// drop a port or an entry, leaving its node named by nothing.
 			to := NodeID(int(next()) % (len(g.Nodes) + 8))
 			switch k := int(next()); {
-			case k%3 == 0 && len(g.Inputs) > 0:
-				g.Inputs[k/3%len(g.Inputs)].Node = to
-			case k%3 == 1 && len(g.Regs) > 0:
-				g.Regs[k/3%len(g.Regs)].Node = to
-			case k%3 == 2 && len(g.Regs) > 0:
-				g.Regs[k/3%len(g.Regs)].Next = to
+			case k%5 == 0 && len(g.Inputs) > 0:
+				g.Inputs[k/5%len(g.Inputs)].Node = to
+			case k%5 == 1 && len(g.Regs) > 0:
+				g.Regs[k/5%len(g.Regs)].Node = to
+			case k%5 == 2 && len(g.Regs) > 0:
+				g.Regs[k/5%len(g.Regs)].Next = to
+			case k%5 == 3 && len(g.Inputs) > 0:
+				i := k / 5 % len(g.Inputs)
+				g.Inputs = append(g.Inputs[:i], g.Inputs[i+1:]...)
+			case k%5 == 4 && len(g.Regs) > 0:
+				i := k / 5 % len(g.Regs)
+				g.Regs = append(g.Regs[:i], g.Regs[i+1:]...)
 			}
 		}
 	}
@@ -95,6 +103,8 @@ func FuzzLevelize(f *testing.F) {
 	f.Add([]byte{40, 0, 63, 1, 255, 17, 2, 9, 3, 3, 2, 1, 0, 4, 7, 1, 2, 5, 9, 6, 1, 4})
 	f.Add([]byte("levelize me"))
 	f.Add([]byte{12, 0, 8, 2, 8, 8, 9, 0, 2, 8, 1, 4, 8, 0, 7, 8, 3, 2})
+	// An input whose port the drop phase removed: named by nothing.
+	f.Add([]byte{0, 0, 8, 8, 0, 3, 5, 0, 5, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := decodeGraph(data)
 		if err := g.Validate(); err != nil {

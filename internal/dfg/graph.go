@@ -176,7 +176,8 @@ func (g *Graph) Validate() error {
 		}
 	}
 	// named marks the input and register nodes a port or an entry has named:
-	// Levelize gives each one slot, so a second name would assign it twice.
+	// Levelize gives each one slot, so a second name would assign it twice
+	// and a node no port or entry names would get none.
 	named := make([]bool, len(g.Nodes))
 	for _, p := range g.Inputs {
 		switch {
@@ -220,6 +221,15 @@ func (g *Graph) Validate() error {
 	for _, p := range g.Outputs {
 		if !inRange(p.Node) {
 			return fmt.Errorf("dfg: output %q references invalid node", p.Name)
+		}
+	}
+	for id := range g.Nodes {
+		switch n := &g.Nodes[id]; {
+		case named[id]:
+		case n.Kind == KindInput:
+			return fmt.Errorf("dfg: input node %d (%s): no input port names it", id, n.Name)
+		case n.Kind == KindReg:
+			return fmt.Errorf("dfg: register node %d (%s): no register entry names it", id, n.Name)
 		}
 	}
 	if _, err := g.TopoOrder(); err != nil {

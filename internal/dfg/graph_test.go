@@ -205,6 +205,20 @@ func TestValidateCatchesErrors(t *testing.T) {
 			t.Fatal("want error for two register entries naming one node")
 		}
 	})
+	// Levelize gives a slot only to the nodes ports and entries name; an
+	// input or register node nothing names used to fail it.
+	t.Run("input node no port names", func(t *testing.T) {
+		g := &Graph{Nodes: []Node{{Kind: KindInput, Width: 4}}, Outputs: []Port{{Name: "y", Node: 0}}}
+		if err := g.Validate(); err == nil {
+			t.Fatal("want error for an input node no input port names")
+		}
+	})
+	t.Run("reg node no entry names", func(t *testing.T) {
+		g := &Graph{Nodes: []Node{{Kind: KindReg, Width: 4}}, Outputs: []Port{{Name: "y", Node: 0}}}
+		if err := g.Validate(); err == nil {
+			t.Fatal("want error for a register node no register entry names")
+		}
+	})
 	t.Run("reg next narrower is fine", func(t *testing.T) {
 		g := &Graph{}
 		r := g.AddReg("r", 8, 0)

@@ -4,9 +4,13 @@
 // sessions, the sim batch (sequential and lane-sharded), the wide batch
 // schedule (sequential and lane-sharded), and the batch's reference loop
 // (StepReference) — and reports the first bit divergence with its full
-// coordinates (cycle, lane, engine pair, output/register index). The
-// package also provides coverage-guided random design generation
-// (generate.go), an automatic repro shrinker (shrink.go), and a
+// coordinates (cycle, lane, engine pair, output/register index). One
+// executor, Case.Execute, runs a case per cycle or in bulk-run chunks; every
+// leg drives the case's stimulus inside its own run loop, as its users do,
+// except StepReference, which is poked from the host one cycle at a time.
+// Lane 0 of every leg is compared with the RU session, every other lane with
+// StepReference. The package also provides coverage-guided random design
+// generation (generate.go), an automatic repro shrinker (shrink.go), and a
 // content-addressed persistent corpus (corpus.go); together they back both
 // the tier-1 `differential_test.go` sweep and the long-running `rteaal-fuzz`
 // driver. This is the GSIM/Manticore-style validation
@@ -36,8 +40,8 @@ type Case struct {
 }
 
 // Divergence pinpoints the first cross-engine disagreement: which engine
-// broke from which reference, at which cycle, on which lane, and at which
-// output or register slot.
+// broke from which reference, after which completed cycle (-1: at reset,
+// before any), on which lane, and at which output or register slot.
 type Divergence struct {
 	Engine string `json:"engine"`
 	Ref    string `json:"ref"`
@@ -56,24 +60,24 @@ func (d *Divergence) String() string {
 		d.Engine, d.Ref, d.Cycle, d.Lane, d.Kind, d.Index, d.Name, d.Got, d.Want)
 }
 
-// engine is one engine shape reduced to the surface the harness drives:
-// per-lane pokes, a bulk run (a step is run(1)), and per-lane observation.
+// engine is one engine shape reduced to the surface the harness drives: a
+// bulk run of n cycles that drives the matrix's stimulus itself (a step is
+// run(1)), and per-lane observation.
 type engine struct {
-	name    string
-	lanes   int
-	outputs int
-	poke    func(lane, input int, v uint64)
-	run     func(n int64) error
-	out     func(lane, idx int) uint64
-	regs    func(lane int) []uint64
-	close   func()
+	name  string
+	lanes int
+	run   func(n int64) error
+	out   func(lane, idx int) uint64
+	regs  func(lane int) []uint64
+	close func()
 }
 
-// Matrix instantiates every engine shape over one design. Close releases
-// the underlying sessions and batches.
+// Matrix instantiates every engine shape over one design and one stimulus.
+// Close releases the underlying sessions and batches.
 type Matrix struct {
-	engines  []engine
-	inputs   int
+	engines []engine
+	// oracle indexes the StepReference leg, the reference of lanes >= 1.
+	oracle   int
 	outNames []string
 	regNames []string
 }
@@ -95,10 +99,10 @@ type leg struct {
 // sharded over three. A batch's worker count is chosen where it is minted,
 // and its layout is the schedule compiler's call, not an option: the wide
 // schedule's legs are built below sim, in NewMatrix.
-// TestMatrixCoversOptionSurface holds the list to that surface. The first leg, RU's session, is the
-// reference every other leg is compared with: RU executes the paper's
-// Cascade 1 as written, so every engine shape is held to the paper's
-// equations.
+// TestMatrixCoversOptionSurface holds the list to that surface. The first
+// leg, RU's session, is the reference of every other leg's lane 0: RU
+// executes the paper's Cascade 1 as written, so every engine shape is held
+// to the paper's equations.
 func legs() []leg {
 	var ls []leg
 	for _, k := range sim.Kernels() {
@@ -117,9 +121,29 @@ func legs() []leg {
 	)
 }
 
-// NewMatrix compiles the design into all engine shapes. lanes must be >= 1;
+// compile is the pipeline sim runs below its options: the default passes,
+// levelization, the OIM tensor. It also returns the optimised graph, which
+// Features inspects.
+func compile(g *dfg.Graph) (*dfg.Graph, *oim.Tensor, error) {
+	opt, err := dfg.Optimize(g, dfg.DefaultOptOptions())
+	if err != nil {
+		return nil, nil, fmt.Errorf("optimize: %w", err)
+	}
+	lv, err := dfg.Levelize(opt)
+	if err != nil {
+		return nil, nil, fmt.Errorf("levelize: %w", err)
+	}
+	ten, err := oim.Build(lv)
+	if err != nil {
+		return nil, nil, fmt.Errorf("oim: %w", err)
+	}
+	return opt, ten, nil
+}
+
+// NewMatrix compiles the design into all engine shapes, each bound to the
+// stimulus it drives inside its own run loop. lanes must be >= 1;
 // lane-parallel shapes use it as their batch width (workers clamp to it).
-func NewMatrix(g *dfg.Graph, lanes int) (*Matrix, error) {
+func NewMatrix(g *dfg.Graph, lanes int, stim testbench.Stimulus) (*Matrix, error) {
 	if lanes < 1 {
 		return nil, fmt.Errorf("difftest: lanes must be >= 1, got %d", lanes)
 	}
@@ -131,23 +155,24 @@ func NewMatrix(g *dfg.Graph, lanes int) (*Matrix, error) {
 		}
 	}()
 
+	// The sim legs run the stimulus the way their users do: installed on a
+	// testbench, driven by the engine at the top of every cycle of a run.
 	for _, l := range legs() {
 		d, err := sim.CompileGraph(g, l.opts...)
 		if err != nil {
 			return nil, fmt.Errorf("%s: compile: %w", l.name, err)
 		}
-		m.inputs = len(d.Inputs())
 		if l.workers == 0 {
 			s := d.NewSession()
+			tb := s.Testbench()
+			tb.Drive(stim)
 			m.engines = append(m.engines, engine{
-				name:    l.name,
-				lanes:   1,
-				outputs: len(d.Outputs()),
-				poke:    func(_, input int, v uint64) { s.PokeIndex(input, v) },
-				run:     s.Run,
-				out:     func(_, idx int) uint64 { return s.PeekIndex(idx) },
-				regs:    func(int) []uint64 { return s.Registers() },
-				close:   s.Close,
+				name:  l.name,
+				lanes: 1,
+				run:   tb.Run,
+				out:   func(_, idx int) uint64 { return s.PeekIndex(idx) },
+				regs:  func(int) []uint64 { return s.Registers() },
+				close: s.Close,
 			})
 			continue
 		}
@@ -155,59 +180,51 @@ func NewMatrix(g *dfg.Graph, lanes int) (*Matrix, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: batch: %w", l.name, err)
 		}
+		tb := b.Testbench()
+		tb.Drive(stim)
 		m.engines = append(m.engines, engine{
-			name:    l.name,
-			lanes:   lanes,
-			outputs: len(d.Outputs()),
-			poke:    func(lane, input int, v uint64) { b.PokeIndex(lane, input, v) },
-			run:     func(n int64) error { b.Run(n); return nil },
-			out:     func(lane, idx int) uint64 { return b.PeekIndex(lane, idx) },
-			regs:    func(lane int) []uint64 { return b.Registers(lane) },
-			close:   b.Close,
+			name:  l.name,
+			lanes: lanes,
+			run:   tb.Run,
+			out:   b.PeekIndex,
+			regs:  b.Registers,
+			close: b.Close,
 		})
 	}
 
-	// The kernel-level legs share one program, built through the identical
-	// (deterministic) compile pipeline: the wide schedule, which a sim batch
-	// runs only when packing leaves no slot packed, sequential and
-	// lane-sharded, and StepReference, the batch's reference loop, which
-	// bypasses every scheduled run loop.
-	opt, oerr := dfg.Optimize(g, dfg.DefaultOptOptions())
-	if oerr != nil {
-		return nil, fmt.Errorf("reference: optimize: %w", oerr)
+	// The kernel-level legs share one program, built through the same
+	// pipeline: the wide schedule, which a sim batch runs only when packing
+	// leaves no slot packed, sequential and lane-sharded, each handed the
+	// stimulus in its RunSpec; and StepReference, the batch's reference loop,
+	// which bypasses every scheduled run loop and is poked from the host one
+	// cycle at a time, so the oracle shares no stimulus or run-loop code with
+	// the legs it judges.
+	_, ten, err := compile(g)
+	if err != nil {
+		return nil, fmt.Errorf("reference: %w", err)
 	}
-	lv, lerr := dfg.Levelize(opt)
-	if lerr != nil {
-		return nil, fmt.Errorf("reference: levelize: %w", lerr)
-	}
-	ten, terr := oim.Build(lv)
-	if terr != nil {
-		return nil, fmt.Errorf("reference: oim: %w", terr)
-	}
-	prog, perr := kernel.NewProgram(ten, kernel.Config{Kind: kernel.IU})
-	if perr != nil {
-		return nil, fmt.Errorf("reference: program: %w", perr)
+	prog, err := kernel.NewProgram(ten, kernel.Config{Kind: kernel.IU})
+	if err != nil {
+		return nil, fmt.Errorf("reference: program: %w", err)
 	}
 	for _, k := range []struct {
-		name      string
-		workers   int
-		reference bool
-	}{
-		{"batch/wide", 1, false},
-		{"batch/wide/w=3", 3, false},
-		{"batch/StepReference", 1, true},
-	} {
+		name    string
+		workers int
+	}{{"batch/wide", 1}, {"batch/wide/w=3", 3}, {"batch/StepReference", 1}} {
 		b, err := prog.InstantiateBatchWith(lanes, kernel.BatchOptions{Workers: k.workers})
 		if err != nil {
 			return nil, fmt.Errorf("%s: batch: %w", k.name, err)
 		}
+		var from int64
 		e := engine{
-			name:    k.name,
-			lanes:   lanes,
-			outputs: len(ten.OutputSlots),
-			poke:    func(lane, input int, v uint64) { b.PokeSlot(lane, ten.InputSlots[input], v) },
-			run:     func(n int64) error { b.Run(int(n)); return nil },
-			out:     b.PeekOutput,
+			name:  k.name,
+			lanes: lanes,
+			run: func(n int64) error {
+				b.RunBulk(kernel.RunSpec{Cycles: int(n), Stim: stim, From: from})
+				from += n
+				return nil
+			},
+			out: b.PeekOutput,
 			regs: func(lane int) []uint64 {
 				regs := make([]uint64, len(ten.RegSlots))
 				for i, r := range ten.RegSlots {
@@ -217,10 +234,17 @@ func NewMatrix(g *dfg.Graph, lanes int) (*Matrix, error) {
 			},
 			close: b.Close,
 		}
-		if k.reference {
+		if k.name == "batch/StepReference" {
+			m.oracle = len(m.engines)
 			e.run = func(n int64) error {
 				for ; n > 0; n-- {
+					for lane := 0; lane < lanes; lane++ {
+						for in, slot := range ten.InputSlots {
+							b.PokeSlot(lane, slot, stim.Value(from, lane, in))
+						}
+					}
 					b.StepReference()
+					from++
 				}
 				return nil
 			}
@@ -246,8 +270,8 @@ func (m *Matrix) Close() {
 // state captures one engine lane's observable values: outputs then
 // registers, in index order.
 func (m *Matrix) state(e *engine, lane int) []uint64 {
-	s := make([]uint64, 0, e.outputs+len(m.regNames))
-	for idx := 0; idx < e.outputs; idx++ {
+	s := make([]uint64, 0, len(m.outNames)+len(m.regNames))
+	for idx := range m.outNames {
 		s = append(s, e.out(lane, idx))
 	}
 	return append(s, e.regs(lane)...)
@@ -259,13 +283,10 @@ func (m *Matrix) diverge(e, ref *engine, cycle int64, lane, flat int, got, want 
 		Engine: e.name, Ref: ref.name, Cycle: cycle, Lane: lane,
 		Got: got, Want: want,
 	}
-	if flat < e.outputs {
-		d.Kind, d.Index = "output", flat
-		if flat < len(m.outNames) {
-			d.Name = m.outNames[flat]
-		}
+	if flat < len(m.outNames) {
+		d.Kind, d.Index, d.Name = "output", flat, m.outNames[flat]
 	} else {
-		d.Kind, d.Index = "register", flat-e.outputs
+		d.Kind, d.Index = "register", flat-len(m.outNames)
 		if d.Index < len(m.regNames) {
 			d.Name = m.regNames[d.Index]
 		}
@@ -273,42 +294,25 @@ func (m *Matrix) diverge(e, ref *engine, cycle int64, lane, flat int, got, want 
 	return d
 }
 
-// compareAll checks every engine's lane 0 against engine 0 and every wide
-// engine's extra lanes against the first wide engine, returning the first
+// compare checks lane 0 of every engine against the RU session and every
+// further lane against StepReference, lane by lane, returning the first
 // mismatch found after the given completed cycle.
-func (m *Matrix) compareAll(cycle int64) *Divergence {
-	ref := &m.engines[0]
-	refState := m.state(ref, 0)
-	for i := 1; i < len(m.engines); i++ {
-		e := &m.engines[i]
-		got := m.state(e, 0)
-		for j := range refState {
-			if got[j] != refState[j] {
-				return m.diverge(e, ref, cycle, 0, j, got[j], refState[j])
+func (m *Matrix) compare(cycle int64) *Divergence {
+	for lane := 0; lane < m.engines[m.oracle].lanes; lane++ {
+		ref := &m.engines[m.oracle]
+		if lane == 0 {
+			ref = &m.engines[0]
+		}
+		want := m.state(ref, lane)
+		for i := range m.engines {
+			e := &m.engines[i]
+			if e == ref || lane >= e.lanes {
+				continue
 			}
-		}
-	}
-	var wide *engine
-	var wideStates [][]uint64
-	for i := range m.engines {
-		e := &m.engines[i]
-		if e.lanes < 2 {
-			continue
-		}
-		if wide == nil {
-			wide = e
-			wideStates = make([][]uint64, e.lanes)
-			for lane := 1; lane < e.lanes; lane++ {
-				wideStates[lane] = m.state(e, lane)
-			}
-			continue
-		}
-		for lane := 1; lane < e.lanes && lane < len(wideStates); lane++ {
 			got := m.state(e, lane)
-			want := wideStates[lane]
 			for j := range want {
 				if got[j] != want[j] {
-					return m.diverge(e, wide, cycle, lane, j, got[j], want[j])
+					return m.diverge(e, ref, cycle, lane, j, got[j], want[j])
 				}
 			}
 		}
@@ -316,96 +320,36 @@ func (m *Matrix) compareAll(cycle int64) *Divergence {
 	return nil
 }
 
-// pokeAll applies the stimulus for one cycle to every engine and lane.
-func (m *Matrix) pokeAll(stim testbench.Stimulus, cycle int64) {
-	for i := range m.engines {
-		e := &m.engines[i]
-		for lane := 0; lane < e.lanes; lane++ {
-			for in := 0; in < m.inputs; in++ {
-				e.poke(lane, in, stim.Value(cycle, lane, in))
-			}
+// Execute runs the case through one fresh engine matrix and returns the
+// first divergence, or nil when every shape stays bit-exact. Every leg
+// drives testbench.Random(c.StimSeed) itself, at the absolute cycle. With
+// no chunks the matrix runs c.Cycles cycles one at a time; with chunks it
+// runs one bulk run per chunk instead (k = 0 and k = 1 included), which
+// pins every resident run loop to the per-cycle references. The matrix is
+// compared after every run, and a divergence's cycle is the last one
+// completed (-1 before the first). An error means a shape failed to build
+// or run, not that engines disagreed.
+func (c *Case) Execute(chunks ...int64) (*Divergence, error) {
+	if len(chunks) == 0 {
+		chunks = make([]int64, c.Cycles)
+		for i := range chunks {
+			chunks[i] = 1
 		}
 	}
-}
-
-// Execute runs the case through a fresh engine matrix cycle by cycle and
-// returns the first divergence, or nil when every shape stays bit-exact.
-// An error means a shape failed to build or step, not that engines
-// disagreed.
-func (c *Case) Execute() (*Divergence, error) {
-	m, err := NewMatrix(c.Graph, c.Lanes)
+	m, err := NewMatrix(c.Graph, c.Lanes, testbench.Random(c.StimSeed))
 	if err != nil {
 		return nil, err
 	}
 	defer m.Close()
-	stim := testbench.Random(c.StimSeed)
-	for cyc := int64(0); cyc < int64(c.Cycles); cyc++ {
-		m.pokeAll(stim, cyc)
-		for i := range m.engines {
-			if err := m.engines[i].run(1); err != nil {
-				return nil, fmt.Errorf("%s: step %d: %w", m.engines[i].name, cyc, err)
-			}
-		}
-		if d := m.compareAll(cyc); d != nil {
-			return d, nil
-		}
-	}
-	return nil, nil
-}
-
-// ExecuteBulk is the Run(k)-vs-k×Step leg: two fresh matrices over the same
-// design, one advanced in the given bulk-run chunks (k=0 and k=1 included),
-// one stepped cycle by cycle, with identical stimulus applied at chunk
-// boundaries and held across each chunk. States observed at the boundaries
-// must match pairwise per shape and across shapes; this pins the resident
-// run loops (batch free-run, partitioned barrier loop, session funnel) both
-// to their own per-cycle path and to each other. The reported cycle is the
-// cumulative cycle count at the offending boundary.
-func (c *Case) ExecuteBulk(chunks []int64) (*Divergence, error) {
-	bulk, err := NewMatrix(c.Graph, c.Lanes)
-	if err != nil {
-		return nil, err
-	}
-	defer bulk.Close()
-	step, err := NewMatrix(c.Graph, c.Lanes)
-	if err != nil {
-		return nil, err
-	}
-	defer step.Close()
-
-	stim := testbench.Random(c.StimSeed)
 	var done int64
-	for ci, k := range chunks {
-		done += k
-		for i := range bulk.engines {
-			b, s := &bulk.engines[i], &step.engines[i]
-			for lane := 0; lane < b.lanes; lane++ {
-				for in := 0; in < bulk.inputs; in++ {
-					v := stim.Value(int64(ci), lane, in)
-					b.poke(lane, in, v)
-					s.poke(lane, in, v)
-				}
-			}
-			if err := b.run(k); err != nil {
-				return nil, fmt.Errorf("%s: run(%d): %w", b.name, k, err)
-			}
-			for cyc := int64(0); cyc < k; cyc++ {
-				if err := s.run(1); err != nil {
-					return nil, fmt.Errorf("%s: step: %w", s.name, err)
-				}
-			}
-			for lane := 0; lane < b.lanes; lane++ {
-				bs, ss := bulk.state(b, lane), step.state(s, lane)
-				for j := range bs {
-					if bs[j] != ss[j] {
-						d := bulk.diverge(b, s, done, lane, j, bs[j], ss[j])
-						d.Ref = b.name + "/stepped"
-						return d, nil
-					}
-				}
+	for _, k := range chunks {
+		for i := range m.engines {
+			if err := m.engines[i].run(k); err != nil {
+				return nil, fmt.Errorf("%s: run(%d) at cycle %d: %w", m.engines[i].name, k, done, err)
 			}
 		}
-		if d := bulk.compareAll(done); d != nil {
+		done += k
+		if d := m.compare(done - 1); d != nil {
 			return d, nil
 		}
 	}

@@ -198,13 +198,14 @@ func TestInjectedDefectShrinks(t *testing.T) {
 	}
 }
 
-// TestExecuteBulkAgrees: the Run(k)-vs-step leg stays clean on a couple of
-// profiles, including k=0 and k=1 chunks.
+// TestExecuteBulkAgrees: run in bulk chunks, k=0 and k=1 included, every
+// leg stays bit-exact with the per-cycle references (the RU session on lane
+// 0, StepReference on the others) on a couple of seeds.
 func TestExecuteBulkAgrees(t *testing.T) {
 	chunks := []int64{1, 3, 0, 5, 2}
 	for _, seed := range []int64{2, 9} {
 		c := NewCase(seed, Profiles()[0], 16, 3)
-		d, err := c.ExecuteBulk(chunks)
+		d, err := c.Execute(chunks...)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -246,7 +247,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 
 // TestDecodeRejectsMisnamedNodes: a repro whose input ports or register
 // entries name a node out of range, a node of another kind, or a node named
-// twice decodes to an error — which is what `rteaal-fuzz -replay` reports —
+// twice, or that has an input node no port names, decodes to an error — which is what `rteaal-fuzz -replay` reports —
 // never to a panic in Validate or to a case that panics when it is run.
 func TestDecodeRejectsMisnamedNodes(t *testing.T) {
 	in := reproNode{Kind: "input", Width: 4, Name: "x"}
@@ -260,6 +261,7 @@ func TestDecodeRejectsMisnamedNodes(t *testing.T) {
 		"input out of range":           {Nodes: []reproNode{in}, Inputs: []reproPort{{Name: "x", Node: 9}}},
 		"input on a constant":          {Nodes: []reproNode{in, k}, Inputs: []reproPort{{Name: "x", Node: 0}, {Name: "y", Node: 1}}},
 		"input named twice":            {Nodes: []reproNode{in}, Inputs: []reproPort{{Name: "x", Node: 0}, {Name: "y", Node: 0}}},
+		"input no port names":          {Nodes: []reproNode{in}, Outputs: []reproPort{{Name: "y", Node: 0}}},
 	} {
 		r := Repro{Version: reproVersion, Cycles: 1, Lanes: 1, Graph: g}
 		if _, err := r.Case(); err == nil {
@@ -298,15 +300,7 @@ func TestShrinkPreservesInput(t *testing.T) {
 // from oim.Build a run ends exactly where the operation type changes.
 func inlinedAtRunBoundary(t *testing.T, c *Case) bool {
 	t.Helper()
-	opt, err := dfg.Optimize(c.Graph, dfg.DefaultOptOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	lv, err := dfg.Levelize(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ten, err := oim.Build(lv)
+	_, ten, err := compile(c.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +350,7 @@ func TestInlinedOpsAtRunBoundaries(t *testing.T) {
 			if d, err := c.Execute(); err != nil || d != nil {
 				t.Fatalf("stepped: divergence %v, err %v", d, err)
 			}
-			if d, err := c.ExecuteBulk([]int64{1, 4, 0, 7}); err != nil || d != nil {
+			if d, err := c.Execute(1, 4, 0, 7); err != nil || d != nil {
 				t.Fatalf("bulk: divergence %v, err %v", d, err)
 			}
 		})

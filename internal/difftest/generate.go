@@ -7,7 +7,6 @@ import (
 
 	"rteaal/internal/dfg"
 	"rteaal/internal/kernel"
-	"rteaal/internal/oim"
 	"rteaal/internal/repcut"
 	"rteaal/internal/testbench"
 	"rteaal/internal/wire"
@@ -56,7 +55,7 @@ const (
 func Features(c *Case) ([]Feature, error) {
 	set := make(map[Feature]bool)
 
-	opt, err := dfg.Optimize(c.Graph, dfg.DefaultOptOptions())
+	opt, ten, err := compile(c.Graph)
 	if err != nil {
 		return nil, err
 	}
@@ -78,14 +77,6 @@ func Features(c *Case) ([]Feature, error) {
 		}
 	}
 
-	lv, err := dfg.Levelize(opt)
-	if err != nil {
-		return nil, err
-	}
-	ten, err := oim.Build(lv)
-	if err != nil {
-		return nil, err
-	}
 	for _, one := range kernel.OneBitSlots(ten) {
 		if one {
 			set[FeatPackedSlots] = true
