@@ -8,9 +8,13 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
+	"rteaal/internal/dfg"
 	"rteaal/internal/difftest"
 	"rteaal/internal/firrtl"
 	"rteaal/internal/gen"
@@ -35,7 +39,14 @@ func TestCompileDeterministic(t *testing.T) {
 	for seed := int64(0); fuzzSrc == ""; seed++ {
 		fuzzSrc, _ = firrtl.Emit(difftest.NewCase(seed, difftest.Profiles()[0], diffCycles, 1).Graph)
 	}
-	for name, src := range map[string]string{"r4/8": socSrc, "difftest graph": fuzzSrc} {
+	// A hierarchy, so instance paths feed NodeIDs: the round-trip property's
+	// first random graph, instantiated as a.c inside a Mid and as b beside it.
+	leafSrc, err := firrtl.Emit(dfg.RandomGraph(rand.New(rand.NewSource(2024)), dfg.DefaultRandomParams()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hierSrc := wrapHierarchy(t, leafSrc)
+	for name, src := range map[string]string{"r4/8": socSrc, "difftest graph": fuzzSrc, "hierarchy": hierSrc} {
 		for _, opts := range [][]sim.Option{nil, {sim.WithPartitions(2)}} {
 			var oims [2]bytes.Buffer
 			var plans [2]sim.PartitionStats
@@ -57,4 +68,45 @@ func TestCompileDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// wrapHierarchy returns the emitted module src renamed Child and instantiated
+// twice in a Top: as a.c, inside a Mid that wires it through, and as b, beside
+// a, every port of both wired through Top as a_<port> and b_<port>. It is
+// internal/firrtl's round-trip wrapper, which also reads back the registers.
+func wrapHierarchy(t *testing.T, src string) string {
+	t.Helper()
+	c, err := firrtl.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ports []firrtl.PortDecl
+	for _, p := range c.MainModule().Ports {
+		if p.Type == firrtl.TypeUInt {
+			ports = append(ports, p)
+		}
+	}
+	var w strings.Builder
+	w.WriteString("circuit Top :\n  module Child :\n" + src[strings.Index(src, "    input clock"):])
+	module := func(name string, insts ...[3]string) { // {instance, module, port prefix}
+		fmt.Fprintf(&w, "  module %s :\n    input clock : Clock\n", name)
+		for _, in := range insts {
+			for _, p := range ports {
+				fmt.Fprintf(&w, "    %s %s%s : UInt<%d>\n", [...]string{"input", "output"}[p.Dir], in[2], p.Name, p.Width)
+			}
+		}
+		for _, in := range insts {
+			fmt.Fprintf(&w, "    inst %s of %s\n    %s.clock <= clock\n", in[0], in[1], in[0])
+			for _, p := range ports {
+				if p.Dir == firrtl.DirInput {
+					fmt.Fprintf(&w, "    %s.%s <= %s%s\n", in[0], p.Name, in[2], p.Name)
+				} else {
+					fmt.Fprintf(&w, "    %s%s <= %s.%s\n", in[2], p.Name, in[0], p.Name)
+				}
+			}
+		}
+	}
+	module("Mid", [3]string{"c", "Child", ""})
+	module("Top", [3]string{"a", "Mid", "a_"}, [3]string{"b", "Child", "b_"})
+	return w.String()
 }

@@ -107,6 +107,8 @@ const (
 	pokePlan = "a run carries no plan of precomputed pokes: the engine calls RunSpec.Stim itself"
 	oneRoute = "an engine is reached through its slots (PokeSlot, PeekSlot, mint with NewProgram + Instantiate) " +
 		"and advanced by whole cycles (Step, RunBulk): a second route into it is deleted"
+	oneElaboration = "the FIRRTL elaborator declares each instance where it is declared, under its instance path: " +
+		"the flattened copy of the hierarchy with every name rewritten, and a second resolver for nodes, are deleted"
 )
 
 var guardRows = []guardRow{
@@ -174,6 +176,13 @@ var guardRows = []guardRow{
 		[]mutant{{path: "sim/settle.go", snippet: "func (s *Session) Settle() error { return nil }"}}},
 	{oneRoute, oneOf("sim/session.go"), identPart("waveEngine"),
 		[]mutant{{path: "sim/session.go", after: "type Session struct {\n", snippet: "\twaveEngine kernel.Engine\n"}}},
+	{oneElaboration, pkg("internal/firrtl"), funcs("", "flatten inline prefixStmt prefixExpr"),
+		[]mutant{
+			{path: "internal/firrtl/flatten.go", snippet: "func flatten(c *Circuit) (*Module, error) { return nil, nil }"},
+			{path: "internal/firrtl/elaborate.go", after: "const maxInstanceDepth = 64\n", snippet: "\nfunc prefixExpr(e Expr, prefix string) Expr { return e }\n"},
+		}},
+	{oneElaboration, pkg("internal/firrtl"), funcs("elaborator", "resolveNet resolveNode"),
+		[]mutant{{path: "internal/firrtl/resolve.go", snippet: "func (e *elaborator) resolveNode(name string, b *binding) (dfg.NodeID, error) { return 0, nil }"}}},
 }
 
 // harmless edits every row passes: the rows read code, not comments.

@@ -20,6 +20,7 @@ package difftest
 
 import (
 	"fmt"
+	"slices"
 
 	"rteaal/internal/dfg"
 	"rteaal/internal/kernel"
@@ -296,10 +297,13 @@ func (m *Matrix) diverge(e, ref *engine, cycle int64, lane, flat int, got, want 
 
 // compare checks lane 0 of every engine against the RU session and every
 // further lane against StepReference, lane by lane, returning the first
-// mismatch found after the given completed cycle.
+// mismatch found after the given completed cycle. A leg that disagrees with
+// RU on lane 0 while StepReference agrees with it is not blamed: the
+// divergence reported is then RU's, from StepReference.
 func (m *Matrix) compare(cycle int64) *Divergence {
-	for lane := 0; lane < m.engines[m.oracle].lanes; lane++ {
-		ref := &m.engines[m.oracle]
+	oracle := &m.engines[m.oracle]
+	for lane := 0; lane < oracle.lanes; lane++ {
+		ref := oracle
 		if lane == 0 {
 			ref = &m.engines[0]
 		}
@@ -312,6 +316,9 @@ func (m *Matrix) compare(cycle int64) *Divergence {
 			got := m.state(e, lane)
 			for j := range want {
 				if got[j] != want[j] {
+					if e != oracle && ref != oracle && slices.Equal(got, m.state(oracle, lane)) {
+						return m.diverge(ref, oracle, cycle, lane, j, want[j], got[j])
+					}
 					return m.diverge(e, ref, cycle, lane, j, got[j], want[j])
 				}
 			}

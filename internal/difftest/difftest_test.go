@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"rteaal/internal/dfg"
@@ -211,6 +212,51 @@ func TestExecuteBulkAgrees(t *testing.T) {
 		}
 		if d != nil {
 			t.Fatalf("seed %d: bulk divergence: %s", seed, d)
+		}
+	}
+}
+
+// TestCompareBlamesTheFaultyLeg: compare over stub engines, each reading 7
+// on its one output and register unless it is the faulty one (9). RU wrong
+// and every other leg right reads as RU diverging from StepReference, not as
+// the first correct leg diverging from RU; any other wrong leg is still
+// reported against RU on lane 0, and against StepReference on lane 1.
+func TestCompareBlamesTheFaultyLeg(t *testing.T) {
+	names := []string{"session/RU", "session/PSU", "partitioned/n=2", "batch/packed", "batch/StepReference"}
+	for _, tc := range []struct {
+		faulty, lane int
+		engine, ref  string
+	}{
+		{0, 0, "session/RU", "batch/StepReference"},
+		{2, 0, "partitioned/n=2", "session/RU"},
+		{3, 1, "batch/packed", "batch/StepReference"},
+		{4, 0, "batch/StepReference", "session/RU"},
+	} {
+		m := &Matrix{oracle: len(names) - 1, outNames: []string{"o"}, regNames: []string{"r"}}
+		for i, name := range names {
+			val := func(lane int) uint64 {
+				if i == tc.faulty && lane == tc.lane {
+					return 9
+				}
+				return 7
+			}
+			lanes := 1
+			if strings.HasPrefix(name, "batch/") {
+				lanes = 2
+			}
+			m.engines = append(m.engines, engine{
+				name:  name,
+				lanes: lanes,
+				out:   func(lane, _ int) uint64 { return val(lane) },
+				regs:  func(lane int) []uint64 { return []uint64{val(lane)} },
+			})
+		}
+		d := m.compare(4)
+		if d == nil {
+			t.Fatalf("%s faulty on lane %d: no divergence", names[tc.faulty], tc.lane)
+		}
+		if d.Engine != tc.engine || d.Ref != tc.ref || d.Lane != tc.lane || d.Kind != "output" || d.Got != 9 || d.Want != 7 {
+			t.Errorf("%s faulty on lane %d: got %s; want %s diverging from %s", names[tc.faulty], tc.lane, d, tc.engine, tc.ref)
 		}
 	}
 }

@@ -1,5 +1,7 @@
 package firrtl
 
+import "rteaal/internal/wire"
+
 // Circuit is the root of a parsed FIRRTL design: a set of modules with a
 // distinguished main module named after the circuit.
 type Circuit struct {
@@ -162,4 +164,12 @@ var primSigs = map[string]primSig{
 	"mux":  {3, 0},
 	"andr": {1, 0}, "orr": {1, 0}, "xorr": {1, 0},
 	"asUInt": {1, 0}, "validif": {2, 0},
+}
+
+// primOps maps the primitives that lower to the one wire operation of their
+// name — the comparisons and the bitwise logic ops — to it.
+var primOps = map[string]wire.Op{
+	"lt": wire.Lt, "leq": wire.Leq, "gt": wire.Gt, "geq": wire.Geq,
+	"eq": wire.Eq, "neq": wire.Neq,
+	"and": wire.And, "or": wire.Or, "xor": wire.Xor,
 }

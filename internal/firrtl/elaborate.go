@@ -7,21 +7,21 @@ import (
 	"rteaal/internal/wire"
 )
 
-// Elaborate flattens the circuit's module hierarchy into the main module and
-// lowers it to a dataflow graph. Clock ports are accepted and ignored (the
-// simulator is single-clock); Reset-typed ports become ordinary 1-bit
-// inputs; registers with reset specifications are lowered to a mux between
-// the reset value and the connected next-state.
+// Elaborate lowers the circuit to a dataflow graph, elaborating each
+// instance where it is declared: its ports and statements are declared under
+// its instance path ("u." in the main module, "u.v." one level down), so a
+// parent's x.out names the instance port wire "x.out". Clock ports are
+// accepted and ignored (the simulator is single-clock); Reset-typed ports
+// become ordinary 1-bit inputs; registers with reset specifications are
+// lowered to a mux between the reset value and the connected next-state.
 func Elaborate(c *Circuit) (*dfg.Graph, error) {
-	flat, err := flatten(c)
-	if err != nil {
-		return nil, err
-	}
 	e := &elaborator{
-		g:     &dfg.Graph{Name: c.Name},
-		names: make(map[string]*binding),
+		c:      c,
+		g:      &dfg.Graph{Name: c.Name},
+		names:  make(map[string]*binding),
+		scopes: []string{""},
 	}
-	if err := e.run(flat); err != nil {
+	if err := e.run(c.MainModule()); err != nil {
 		return nil, err
 	}
 	if err := e.g.Validate(); err != nil {
@@ -39,120 +39,23 @@ func ParseAndElaborate(src string) (*dfg.Graph, error) {
 	return Elaborate(c)
 }
 
-// flatten recursively inlines instances into a single synthetic module.
-// Instance ports become wires named "<inst>.<port>", so parent references
-// like x.out resolve without special cases.
-func flatten(c *Circuit) (*Module, error) {
-	main := c.MainModule()
-	out := &Module{Name: main.Name, Ports: main.Ports}
-	if err := inline(c, main, "", out, 0); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 const maxInstanceDepth = 64
-
-func inline(c *Circuit, m *Module, prefix string, out *Module, depth int) error {
-	if depth > maxInstanceDepth {
-		return fmt.Errorf("firrtl: instance nesting exceeds %d (recursive modules?)", maxInstanceDepth)
-	}
-	for _, s := range m.Stmts {
-		switch s := s.(type) {
-		case *InstDecl:
-			sub := c.FindModule(s.Module)
-			if sub == nil {
-				return fmt.Errorf("firrtl:%d: instance %q of unknown module %q", s.Line, s.Name, s.Module)
-			}
-			instPrefix := prefix + s.Name + "."
-			for _, p := range sub.Ports {
-				w := p.Width
-				if p.Type == TypeClock {
-					// Clock ports carry no data; keep them as 1-bit wires
-					// so connects to them elaborate, then let DCE drop them.
-					w = 1
-				}
-				out.Stmts = append(out.Stmts, &WireDecl{Name: instPrefix + p.Name, Width: w, Line: p.Line})
-				if p.Dir == DirInput && p.Type != TypeUInt {
-					// Undriven clock/reset wires default to zero.
-					out.Stmts = append(out.Stmts, &Connect{
-						LHS:  RefExpr{Name: instPrefix + p.Name, Line: p.Line},
-						RHS:  &LitExpr{Width: w, Value: 0, Line: p.Line},
-						Line: p.Line,
-					})
-				}
-			}
-			if err := inline(c, sub, instPrefix, out, depth+1); err != nil {
-				return err
-			}
-		default:
-			out.Stmts = append(out.Stmts, prefixStmt(s, prefix))
-		}
-	}
-	return nil
-}
-
-func prefixStmt(s Stmt, prefix string) Stmt {
-	if prefix == "" {
-		return s
-	}
-	switch s := s.(type) {
-	case *WireDecl:
-		c := *s
-		c.Name = prefix + c.Name
-		return &c
-	case *RegDecl:
-		c := *s
-		c.Name = prefix + c.Name
-		c.ResetSig = prefixExpr(c.ResetSig, prefix)
-		c.Init = prefixExpr(c.Init, prefix)
-		return &c
-	case *NodeDecl:
-		c := *s
-		c.Name = prefix + c.Name
-		c.Expr = prefixExpr(c.Expr, prefix)
-		return &c
-	case *Connect:
-		c := *s
-		c.LHS = RefExpr{Name: prefix + c.LHS.Name, Line: c.LHS.Line}
-		c.RHS = prefixExpr(c.RHS, prefix)
-		return &c
-	default:
-		return s
-	}
-}
-
-func prefixExpr(e Expr, prefix string) Expr {
-	switch e := e.(type) {
-	case nil:
-		return nil
-	case *RefExpr:
-		return &RefExpr{Name: prefix + e.Name, Line: e.Line}
-	case *PrimExpr:
-		c := *e
-		c.Args = make([]Expr, len(e.Args))
-		for i, a := range e.Args {
-			c.Args[i] = prefixExpr(a, prefix)
-		}
-		return &c
-	default:
-		return e
-	}
-}
 
 // binding is one named signal during elaboration.
 type binding struct {
 	kind  bindKind
+	state uint8 // 0 unresolved, 1 resolving, 2 resolved
+	// scope indexes elaborator.scopes: the instance path that driver's
+	// names are relative to.
+	scope int32
 	width int
-	node  dfg.NodeID // valid for inputs/regs immediately; nets once resolved
-	// net state
-	driver Expr
-	state  uint8 // 0 unresolved, 1 resolving, 2 resolved
-	line   int
-	// reg state
-	decl       *RegDecl
-	nextDriver Expr
-	nextLine   int
+	node  dfg.NodeID // valid for inputs/regs immediately; nets and nodes once resolved
+	// regScope is a register's own instance path, which its name and reset
+	// signal are relative to.
+	regScope int32
+	driver   Expr // a net's last connect, a node's expression, a register's next-state
+	line     int  // the driver's line (a net's declaration while undriven)
+	decl     *RegDecl
 }
 
 type bindKind uint8
@@ -160,21 +63,38 @@ type bindKind uint8
 const (
 	bindInput bindKind = iota
 	bindReg
-	bindNet  // wire, output port, flattened instance port
+	bindNet  // wire, output port, instance port
 	bindNode // node declaration (expression alias)
 )
 
 type elaborator struct {
+	c     *Circuit
 	g     *dfg.Graph
 	names map[string]*binding
-	// regs lists the register bindings in declaration order: next-states
-	// resolve in this order, never in names' map order, so NodeIDs — and with
-	// them the whole LI layout — are a function of the source text alone.
+	// scopes holds every instance path, the main module's "" first.
+	scopes []string
+	buf    []byte // lookup's scratch key
+	// regs lists the register bindings in declaration order, which is g.Regs'
+	// order: next-states resolve in this order, never in names' map order, so
+	// NodeIDs — and with them the whole LI layout — are a function of the
+	// source text alone.
 	regs []*binding
 }
 
 func (e *elaborator) errf(line int, format string, args ...any) error {
 	return fmt.Errorf("firrtl:%d: %s", line, fmt.Sprintf(format, args...))
+}
+
+// full is name, declared or referenced in scope, as the graph and error
+// messages spell it.
+func (e *elaborator) full(scope int32, name string) string { return e.scopes[scope] + name }
+
+// lookup finds the binding name refers to in scope without allocating the
+// full name.
+func (e *elaborator) lookup(scope int32, name string) (*binding, bool) {
+	e.buf = append(append(e.buf[:0], e.scopes[scope]...), name...)
+	b, ok := e.names[string(e.buf)]
+	return b, ok
 }
 
 func (e *elaborator) declare(name string, b *binding, line int) error {
@@ -189,86 +109,39 @@ func (e *elaborator) run(m *Module) error {
 	// Ports.
 	var outputs []PortDecl
 	for _, p := range m.Ports {
+		var b *binding
 		switch {
 		case p.Dir == DirInput && p.Type == TypeClock:
-			cl := e.g.AddConst(0, 1)
-			if err := e.declare(p.Name, &binding{kind: bindNode, width: 1, node: cl, state: 2}, p.Line); err != nil {
-				return err
-			}
+			b = &binding{kind: bindNode, node: e.g.AddConst(0, 1), state: 2}
 		case p.Dir == DirInput:
-			id := e.g.AddInput(p.Name, p.Width)
-			if err := e.declare(p.Name, &binding{kind: bindInput, width: p.Width, node: id}, p.Line); err != nil {
-				return err
-			}
+			b = &binding{kind: bindInput, width: p.Width, node: e.g.AddInput(p.Name, p.Width)}
 		default: // output
-			if err := e.declare(p.Name, &binding{kind: bindNet, width: p.Width, line: p.Line}, p.Line); err != nil {
-				return err
-			}
+			b = &binding{kind: bindNet, width: p.Width, line: p.Line}
 			outputs = append(outputs, p)
 		}
-	}
-	// Pass 1: declarations and connect recording.
-	for _, s := range m.Stmts {
-		switch s := s.(type) {
-		case *WireDecl:
-			if err := e.declare(s.Name, &binding{kind: bindNet, width: s.Width, line: s.Line}, s.Line); err != nil {
-				return err
-			}
-		case *RegDecl:
-			var init uint64
-			if s.HasReset {
-				lit, ok := s.Init.(*LitExpr)
-				if !ok {
-					return e.errf(s.Line, "register %q: reset value must be a literal", s.Name)
-				}
-				init = lit.Value
-			}
-			b := &binding{kind: bindReg, width: s.Width, node: e.g.AddReg(s.Name, s.Width, init), decl: s}
-			if err := e.declare(s.Name, b, s.Line); err != nil {
-				return err
-			}
-			e.regs = append(e.regs, b)
-		case *NodeDecl:
-			if err := e.declare(s.Name, &binding{kind: bindNode, width: -1, driver: s.Expr, line: s.Line}, s.Line); err != nil {
-				return err
-			}
-		case *Connect:
-			b, ok := e.names[s.LHS.Name]
-			if !ok {
-				return e.errf(s.Line, "connect to undeclared signal %q", s.LHS.Name)
-			}
-			switch b.kind {
-			case bindNet:
-				b.driver = s.RHS // last connect wins
-				b.line = s.Line
-			case bindReg:
-				b.nextDriver = s.RHS
-				b.nextLine = s.Line
-			case bindInput:
-				return e.errf(s.Line, "cannot connect to input %q", s.LHS.Name)
-			case bindNode:
-				return e.errf(s.Line, "cannot connect to node %q", s.LHS.Name)
-			}
-		case *Skip:
-		case *InstDecl:
-			return e.errf(s.Line, "internal: instance %q survived flattening", s.Name)
+		if err := e.declare(p.Name, b, p.Line); err != nil {
+			return err
 		}
+	}
+	// Pass 1: declarations and connect recording, instances included.
+	if err := e.body(m, 0, 0); err != nil {
+		return err
 	}
 	// Pass 2: resolve register next-states (pulling nets and nodes along).
-	for _, b := range e.regs {
-		if b.nextDriver == nil {
-			return e.errf(b.decl.Line, "register %q has no next-state connect", b.decl.Name)
+	for i, b := range e.regs {
+		if b.driver == nil {
+			return e.errf(b.decl.Line, "register %q has no next-state connect", e.full(b.regScope, b.decl.Name))
 		}
-		next, err := e.eval(b.nextDriver)
+		next, err := e.eval(b.driver, b.scope)
 		if err != nil {
 			return err
 		}
-		next, err = e.fit(next, b.width, b.nextLine, "register "+b.decl.Name)
+		next, err = e.fit(next, b.width, b.line, "register", b.regScope, b.decl.Name)
 		if err != nil {
 			return err
 		}
 		if b.decl.HasReset {
-			rst, err := e.eval(b.decl.ResetSig)
+			rst, err := e.eval(b.decl.ResetSig, b.regScope)
 			if err != nil {
 				return err
 			}
@@ -276,12 +149,11 @@ func (e *elaborator) run(m *Module) error {
 			initNode := e.g.AddConst(initLit.Value, b.width)
 			next = e.g.AddOp(wire.Mux, b.width, rst, initNode, next)
 		}
-		e.g.SetRegNext(b.node, next)
+		e.g.Regs[i].Next = next
 	}
 	// Pass 3: outputs.
 	for _, p := range outputs {
-		b := e.names[p.Name]
-		id, err := e.resolveNet(p.Name, b)
+		id, err := e.resolve(e.names[p.Name], 0, p.Name)
 		if err != nil {
 			return err
 		}
@@ -290,9 +162,84 @@ func (e *elaborator) run(m *Module) error {
 	return nil
 }
 
+// body declares m's statements under the instance path scope and records
+// its connects, elaborating each instance where it is declared.
+func (e *elaborator) body(m *Module, scope int32, depth int) error {
+	if depth > maxInstanceDepth {
+		return fmt.Errorf("firrtl: instance nesting exceeds %d (recursive modules?)", maxInstanceDepth)
+	}
+	for _, s := range m.Stmts {
+		var err error
+		switch s := s.(type) {
+		case *WireDecl:
+			err = e.declare(e.full(scope, s.Name), &binding{kind: bindNet, width: s.Width, line: s.Line}, s.Line)
+		case *RegDecl:
+			name := e.full(scope, s.Name)
+			var init uint64
+			if s.HasReset {
+				lit, ok := s.Init.(*LitExpr)
+				if !ok {
+					return e.errf(s.Line, "register %q: reset value must be a literal", name)
+				}
+				init = lit.Value
+			}
+			b := &binding{kind: bindReg, width: s.Width, node: e.g.AddReg(name, s.Width, init), regScope: scope, decl: s}
+			e.regs = append(e.regs, b)
+			err = e.declare(name, b, s.Line)
+		case *NodeDecl:
+			err = e.declare(e.full(scope, s.Name), &binding{kind: bindNode, scope: scope, driver: s.Expr, line: s.Line}, s.Line)
+		case *Connect:
+			b, ok := e.lookup(scope, s.LHS.Name)
+			switch {
+			case !ok:
+				err = e.errf(s.Line, "connect to undeclared signal %q", e.full(scope, s.LHS.Name))
+			case b.kind == bindInput:
+				err = e.errf(s.Line, "cannot connect to input %q", e.full(scope, s.LHS.Name))
+			case b.kind == bindNode:
+				err = e.errf(s.Line, "cannot connect to node %q", e.full(scope, s.LHS.Name))
+			default:
+				b.driver, b.scope, b.line = s.RHS, scope, s.Line // last connect wins
+			}
+		case *InstDecl:
+			err = e.inst(s, scope, depth)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// inst declares an instance's port wires under path+inst. — clock and reset
+// inputs default to zero — and then its module's statements.
+func (e *elaborator) inst(s *InstDecl, scope int32, depth int) error {
+	sub := e.c.FindModule(s.Module)
+	if sub == nil {
+		return fmt.Errorf("firrtl:%d: instance %q of unknown module %q", s.Line, s.Name, s.Module)
+	}
+	path := e.full(scope, s.Name) + "."
+	for _, p := range sub.Ports {
+		b := &binding{kind: bindNet, width: p.Width, line: p.Line}
+		if p.Type == TypeClock {
+			// Clock ports carry no data; keep them as 1-bit wires so
+			// connects to them elaborate, then let DCE drop them.
+			b.width = 1
+		}
+		if p.Dir == DirInput && p.Type != TypeUInt {
+			b.driver = &LitExpr{Width: b.width, Line: p.Line}
+		}
+		if err := e.declare(path+p.Name, b, p.Line); err != nil {
+			return err
+		}
+	}
+	e.scopes = append(e.scopes, path)
+	return e.body(sub, int32(len(e.scopes)-1), depth+1)
+}
+
 // fit adapts a value to an expected width: equal passes through, narrower is
-// implicitly zero-extended (UInt connect semantics), wider is an error.
-func (e *elaborator) fit(id dfg.NodeID, width int, line int, what string) (dfg.NodeID, error) {
+// implicitly zero-extended (UInt connect semantics), wider is an error naming
+// the signal (what, then its name in scope).
+func (e *elaborator) fit(id dfg.NodeID, width, line int, what string, scope int32, name string) (dfg.NodeID, error) {
 	got := int(e.g.Node(id).Width)
 	switch {
 	case got == width:
@@ -300,53 +247,44 @@ func (e *elaborator) fit(id dfg.NodeID, width int, line int, what string) (dfg.N
 	case got < width:
 		return e.g.AddOp(wire.Ident, width, id), nil
 	default:
-		return dfg.Invalid, e.errf(line, "%s: cannot connect %d-bit value to %d-bit signal", what, got, width)
+		return dfg.Invalid, e.errf(line, "%s %s: cannot connect %d-bit value to %d-bit signal", what, e.full(scope, name), got, width)
 	}
 }
 
-func (e *elaborator) resolveNet(name string, b *binding) (dfg.NodeID, error) {
+// resolve returns the node a net or node binding stands for, evaluating its
+// driver, in the driver's scope, on first use: a net is fitted to its
+// declared width, a node takes its expression's width. name, referenced in
+// scope, names the binding in error messages.
+func (e *elaborator) resolve(b *binding, scope int32, name string) (dfg.NodeID, error) {
 	switch b.state {
 	case 2:
 		return b.node, nil
 	case 1:
-		return dfg.Invalid, e.errf(b.line, "combinational cycle through %q", name)
+		what := ""
+		if b.kind == bindNode {
+			what = "node "
+		}
+		return dfg.Invalid, e.errf(b.line, "combinational cycle through %s%q", what, e.full(scope, name))
 	}
 	if b.driver == nil {
-		return dfg.Invalid, e.errf(b.line, "signal %q is never driven", name)
+		return dfg.Invalid, e.errf(b.line, "signal %q is never driven", e.full(scope, name))
 	}
 	b.state = 1
-	id, err := e.eval(b.driver)
+	id, err := e.eval(b.driver, b.scope)
 	if err != nil {
 		return dfg.Invalid, err
 	}
-	id, err = e.fit(id, b.width, b.line, "signal "+name)
-	if err != nil {
-		return dfg.Invalid, err
+	if b.kind == bindNet {
+		if id, err = e.fit(id, b.width, b.line, "signal", scope, name); err != nil {
+			return dfg.Invalid, err
+		}
 	}
-	b.node = id
-	b.state = 2
+	b.node, b.state = id, 2
 	return id, nil
 }
 
-func (e *elaborator) resolveNode(name string, b *binding) (dfg.NodeID, error) {
-	switch b.state {
-	case 2:
-		return b.node, nil
-	case 1:
-		return dfg.Invalid, e.errf(b.line, "combinational cycle through node %q", name)
-	}
-	b.state = 1
-	id, err := e.eval(b.driver)
-	if err != nil {
-		return dfg.Invalid, err
-	}
-	b.node = id
-	b.width = int(e.g.Node(id).Width)
-	b.state = 2
-	return id, nil
-}
-
-func (e *elaborator) eval(x Expr) (dfg.NodeID, error) {
+// eval lowers an expression whose names are relative to scope.
+func (e *elaborator) eval(x Expr, scope int32) (dfg.NodeID, error) {
 	switch x := x.(type) {
 	case *LitExpr:
 		if x.Value&^wire.Mask(x.Width) != 0 {
@@ -354,29 +292,25 @@ func (e *elaborator) eval(x Expr) (dfg.NodeID, error) {
 		}
 		return e.g.AddConst(x.Value, x.Width), nil
 	case *RefExpr:
-		b, ok := e.names[x.Name]
+		b, ok := e.lookup(scope, x.Name)
 		if !ok {
-			return dfg.Invalid, e.errf(x.Line, "reference to undeclared signal %q", x.Name)
+			return dfg.Invalid, e.errf(x.Line, "reference to undeclared signal %q", e.full(scope, x.Name))
 		}
-		switch b.kind {
-		case bindInput, bindReg:
+		if b.kind == bindInput || b.kind == bindReg {
 			return b.node, nil
-		case bindNet:
-			return e.resolveNet(x.Name, b)
-		default:
-			return e.resolveNode(x.Name, b)
 		}
+		return e.resolve(b, scope, x.Name)
 	case *PrimExpr:
-		return e.evalPrim(x)
+		return e.evalPrim(x, scope)
 	}
 	return dfg.Invalid, fmt.Errorf("firrtl: unknown expression %T", x)
 }
 
-func (e *elaborator) evalPrim(x *PrimExpr) (dfg.NodeID, error) {
+func (e *elaborator) evalPrim(x *PrimExpr, scope int32) (dfg.NodeID, error) {
 	args := make([]dfg.NodeID, len(x.Args))
 	widths := make([]int, len(x.Args))
 	for i, a := range x.Args {
-		id, err := e.eval(a)
+		id, err := e.eval(a, scope)
 		if err != nil {
 			return dfg.Invalid, err
 		}
@@ -413,12 +347,9 @@ func (e *elaborator) evalPrim(x *PrimExpr) (dfg.NodeID, error) {
 	case "rem":
 		return e.g.AddOp(wire.Rem, min(widths[0], widths[1]), args[0], args[1]), nil
 	case "lt", "leq", "gt", "geq", "eq", "neq":
-		ops := map[string]wire.Op{"lt": wire.Lt, "leq": wire.Leq, "gt": wire.Gt,
-			"geq": wire.Geq, "eq": wire.Eq, "neq": wire.Neq}
-		return e.g.AddOp(ops[x.Op], 1, args[0], args[1]), nil
+		return e.g.AddOp(primOps[x.Op], 1, args[0], args[1]), nil
 	case "and", "or", "xor":
-		ops := map[string]wire.Op{"and": wire.And, "or": wire.Or, "xor": wire.Xor}
-		return e.g.AddOp(ops[x.Op], max(widths[0], widths[1]), args[0], args[1]), nil
+		return e.g.AddOp(primOps[x.Op], max(widths[0], widths[1]), args[0], args[1]), nil
 	case "not":
 		return e.g.AddOp(wire.Not, widths[0], args[0]), nil
 	case "neg":

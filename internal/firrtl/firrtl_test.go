@@ -1,6 +1,7 @@
 package firrtl
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -229,6 +230,26 @@ circuit T :
 	}
 }
 
+// TestElaborateInstanceErrors: an error inside an instance names the signal
+// by its instance path, and recursion stops at the nesting bound.
+func TestElaborateInstanceErrors(t *testing.T) {
+	const leaf = "circuit T :\n  module L :\n    input clock : Clock\n    input x : UInt<8>\n    output y : UInt<8>\n"
+	const top = "  module T :\n    input clock : Clock\n    input a : UInt<8>\n    output b : UInt<8>\n    inst u of L\n    u.x <= a\n    b <= u.y\n"
+	for body, want := range map[string]string{
+		"    wire w : UInt<8>\n    y <= w\n":                               `firrtl:6: signal "u.w" is never driven`,
+		"    reg r : UInt<8>, clock\n    y <= r\n":                         `firrtl:6: register "u.r" has no next-state connect`,
+		"    y <= nosuch\n":                                                `firrtl:6: reference to undeclared signal "u.nosuch"`,
+		"    inst z of L\n    y <= x\n":                                    "firrtl: instance nesting exceeds 64 (recursive modules?)",
+		"    node p = add(q, x)\n    node q = bits(p, 7, 0)\n    y <= q\n": `firrtl:7: combinational cycle through node "u.q"`,
+		"    reg r : UInt<4>, clock\n    r <= x\n    y <= r\n":             "firrtl:7: register u.r: cannot connect 8-bit value to 4-bit signal",
+		"    node n = x\n    n <= x\n    y <= x\n":                         `firrtl:7: cannot connect to node "u.n"`,
+	} {
+		if _, err := ParseAndElaborate(leaf + body + top); err == nil || err.Error() != want {
+			t.Errorf("%q: error %v, want %s", body, err, want)
+		}
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	cases := map[string]string{
 		"no circuit":     "module M :\n",
@@ -376,7 +397,10 @@ circuit T :
 
 // TestEmitRoundTripProperty is the frontend's central property: emitting a
 // random dataflow graph as FIRRTL and re-elaborating it must preserve the
-// output and register traces exactly.
+// output and register traces exactly — also with the emitted module
+// instantiated twice in a hierarchy (wrapHierarchy), where each instance
+// must trace the trial's graph under its own stimulus, every register read
+// by its instance path.
 func TestEmitRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	for trial := 0; trial < 30; trial++ {
@@ -392,23 +416,43 @@ func TestEmitRoundTripProperty(t *testing.T) {
 		if len(g2.Inputs) != len(g.Inputs) || len(g2.Outputs) != len(g.Outputs) || len(g2.Regs) != len(g.Regs) {
 			t.Fatalf("trial %d: interface mismatch", trial)
 		}
-		it1, err := dfg.NewInterp(g)
+		top, regNames := wrapHierarchy(t, src)
+		g3, err := ParseAndElaborate(top)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("trial %d: elaborate hierarchy: %v\n%s", trial, err, top)
 		}
-		it2, err := dfg.NewInterp(g2)
-		if err != nil {
-			t.Fatal(err)
+		nIn, nOut := len(g.Inputs), len(g.Outputs)
+		if len(g3.Inputs) != 2*nIn || len(g3.Outputs) != 2*nOut || len(g3.Regs) != 2*len(g.Regs) {
+			t.Fatalf("trial %d: hierarchy interface mismatch", trial)
 		}
-		stim := rand.New(rand.NewSource(int64(trial)))
+		regAt := make(map[string]int)
+		for k, r := range g3.Regs {
+			regAt[g3.Node(r.Node).Name] = k
+		}
+		it1, it2, it3 := newInterp(t, g), newInterp(t, g2), newInterp(t, g3)
+		// Instance a.c sees it1's stimulus; instance b, a stimulus of its own.
+		insts := []struct {
+			path string
+			ref  *dfg.Interp
+			stim *rand.Rand
+		}{
+			{"a.c.", it1, rand.New(rand.NewSource(int64(trial)))},
+			{"b.", newInterp(t, g), rand.New(rand.NewSource(^int64(trial)))},
+		}
 		for cyc := 0; cyc < 20; cyc++ {
-			for i := range g.Inputs {
-				v := stim.Uint64()
-				it1.PokeInput(i, v)
-				it2.PokeInput(i, v)
+			for k, in := range insts {
+				for i := range g.Inputs {
+					v := in.stim.Uint64()
+					in.ref.PokeInput(i, v)
+					it3.PokeInput(k*nIn+i, v)
+					if k == 0 {
+						it2.PokeInput(i, v)
+					}
+				}
 			}
-			it1.Step()
-			it2.Step()
+			for _, it := range []*dfg.Interp{it1, it2, it3, insts[1].ref} {
+				it.Step()
+			}
 			o1, o2 := it1.OutputSnapshot(), it2.OutputSnapshot()
 			for i := range o1 {
 				if o1[i] != o2[i] {
@@ -423,8 +467,86 @@ func TestEmitRoundTripProperty(t *testing.T) {
 						trial, cyc, i, r1[i], r2[i], src)
 				}
 			}
+			o3, r3 := it3.OutputSnapshot(), it3.RegSnapshot()
+			for k, in := range insts {
+				for i, want := range in.ref.OutputSnapshot() {
+					if got := o3[k*nOut+i]; got != want {
+						t.Fatalf("trial %d cycle %d: hierarchy output %d: %d, want %d\n%s",
+							trial, cyc, k*nOut+i, got, want, top)
+					}
+				}
+				for i, want := range in.ref.RegSnapshot() {
+					name := in.path + regNames[i]
+					j, ok := regAt[name]
+					if !ok {
+						t.Fatalf("trial %d: no register %s\n%s", trial, name, top)
+					}
+					if r3[j] != want {
+						t.Fatalf("trial %d cycle %d: register %s = %d, want %d\n%s",
+							trial, cyc, name, r3[j], want, top)
+					}
+				}
+			}
 		}
 	}
+}
+
+func newInterp(t *testing.T, g *dfg.Graph) *dfg.Interp {
+	t.Helper()
+	it, err := dfg.NewInterp(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return it
+}
+
+// wrapHierarchy returns the emitted module src renamed Child and instantiated
+// twice in a Top: as a.c, inside a Mid that wires it through, and as b, beside
+// a. Top wires the clock and every input and output of both through, as
+// a_<port> and b_<port>, so its inputs are a's then b's, and its outputs too.
+// It also returns Child's register names in declaration order, which is the
+// emitted graph's register order. TestCompileDeterministic builds the same.
+func wrapHierarchy(t *testing.T, src string) (string, []string) {
+	t.Helper()
+	c, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ports []PortDecl
+	for _, p := range c.MainModule().Ports {
+		if p.Type == TypeUInt {
+			ports = append(ports, p)
+		}
+	}
+	var regs []string
+	for _, s := range c.MainModule().Stmts {
+		if r, ok := s.(*RegDecl); ok {
+			regs = append(regs, r.Name)
+		}
+	}
+	var w strings.Builder
+	w.WriteString("circuit Top :\n  module Child :\n" + src[strings.Index(src, "    input clock"):])
+	module := func(name string, insts ...[3]string) { // {instance, module, port prefix}
+		fmt.Fprintf(&w, "  module %s :\n    input clock : Clock\n", name)
+		for _, in := range insts {
+			for _, p := range ports {
+				fmt.Fprintf(&w, "    %s %s%s : UInt<%d>\n", [...]string{"input", "output"}[p.Dir], in[2], p.Name, p.Width)
+			}
+		}
+		for _, in := range insts {
+			fmt.Fprintf(&w, "    inst %s of %s\n    %s.clock <= clock\n", in[0], in[1], in[0])
+			for _, p := range ports {
+				if p.Dir == DirInput {
+					fmt.Fprintf(&w, "    %s.%s <= %s%s\n", in[0], p.Name, in[2], p.Name)
+				} else {
+					fmt.Fprintf(&w, "    %s%s <= %s.%s\n", in[2], p.Name, in[0], p.Name)
+				}
+			}
+		}
+	}
+	module("Mid", [3]string{"c", "Child", ""})
+	module("Top", [3]string{"a", "Mid", "a_"}, [3]string{"b", "Child", "b_"})
+	return w.String(), regs
 }
 
 func TestEmitIsParseable(t *testing.T) {

@@ -8,6 +8,8 @@
 // instances, and connects — no when-blocks, vectors, or bundles. Signals are
 // UInt with explicit widths of 1..64 bits (Clock and Reset ports are
 // accepted; clocks are ignored because the simulator is single-clock, §6.2).
+// The elaborator declares each instance where it is declared, its signals
+// named by instance path ("u.v.r"), so the graph it builds is flat.
 // FIRRTL width-growth rules that would exceed 64 bits are capped at 64 with
 // wrapping semantics, matching the wire package's masked evaluation.
 package firrtl
