@@ -109,6 +109,8 @@ const (
 		"and advanced by whole cycles (Step, RunBulk): a second route into it is deleted"
 	oneElaboration = "the FIRRTL elaborator declares each instance where it is declared, under its instance path: " +
 		"the flattened copy of the hierarchy with every name rewritten, and a second resolver for nodes, are deleted"
+	streamingLexer = "the FIRRTL parser pulls each token from the lexer as it needs it: " +
+		"the whole-source lex into a token slice is the tests' oracle, not a pass before parsing"
 )
 
 var guardRows = []guardRow{
@@ -183,6 +185,10 @@ var guardRows = []guardRow{
 		}},
 	{oneElaboration, pkg("internal/firrtl"), funcs("elaborator", "resolveNet resolveNode"),
 		[]mutant{{path: "internal/firrtl/resolve.go", snippet: "func (e *elaborator) resolveNode(name string, b *binding) (dfg.NodeID, error) { return 0, nil }"}}},
+	{streamingLexer, pkg("internal/firrtl"), funcs("", "lex"),
+		[]mutant{{path: "internal/firrtl/lex.go", snippet: "func lex(src string) ([]token, error) { return nil, nil }"}}},
+	{streamingLexer, pkg("internal/firrtl"), members("parser", "toks"),
+		[]mutant{{path: "internal/firrtl/parser.go", after: "type parser struct {\n", snippet: "\ttoks []token\n"}}},
 }
 
 // harmless edits every row passes: the rows read code, not comments.

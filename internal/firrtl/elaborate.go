@@ -14,14 +14,20 @@ import (
 // accepted and ignored (the simulator is single-clock); Reset-typed ports
 // become ordinary 1-bit inputs; registers with reset specifications are
 // lowered to a mux between the reset value and the connected next-state.
+// A circuit that would elaborate to more than maxElaboratedStmts is refused
+// before anything is declared.
 func Elaborate(c *Circuit) (*dfg.Graph, error) {
+	main := c.MainModule()
+	if elaboratedSize(c, main, map[*Module]int{}) > maxElaboratedStmts {
+		return nil, fmt.Errorf("firrtl: module %q elaborates to more than %d statements and instance ports", main.Name, maxElaboratedStmts)
+	}
 	e := &elaborator{
 		c:      c,
 		g:      &dfg.Graph{Name: c.Name},
 		names:  make(map[string]*binding),
 		scopes: []string{""},
 	}
-	if err := e.run(c.MainModule()); err != nil {
+	if err := e.run(main); err != nil {
 		return nil, err
 	}
 	if err := e.g.Validate(); err != nil {
@@ -40,6 +46,34 @@ func ParseAndElaborate(src string) (*dfg.Graph, error) {
 }
 
 const maxInstanceDepth = 64
+
+// maxElaboratedStmts bounds what one circuit elaborates to, counting each
+// port, statement and instance port once per instance: k modules that each
+// instantiate the previous one twice would otherwise elaborate 2^k
+// instances. r8, the largest generated design, counts 231,567.
+const maxElaboratedStmts = 1 << 22
+
+// elaboratedSize is what m elaborates to in the units maxElaboratedStmts
+// counts, saturating just past the bound. It memoises each module's count in
+// size; an instance of a module already being counted (recursion, which the
+// nesting bound reports) or of an unknown module counts only its declaration.
+func elaboratedSize(c *Circuit, m *Module, size map[*Module]int) int {
+	if n, ok := size[m]; ok {
+		return n
+	}
+	size[m] = 0
+	n := len(m.Ports) + len(m.Stmts)
+	for _, s := range m.Stmts {
+		if s, ok := s.(*InstDecl); ok {
+			if sub := c.FindModule(s.Module); sub != nil {
+				n += elaboratedSize(c, sub, size)
+			}
+		}
+		n = min(n, maxElaboratedStmts+1)
+	}
+	size[m] = n
+	return n
+}
 
 // binding is one named signal during elaboration.
 type binding struct {

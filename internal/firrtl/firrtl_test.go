@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"rteaal/internal/dfg"
 )
@@ -250,21 +251,65 @@ func TestElaborateInstanceErrors(t *testing.T) {
 	}
 }
 
-func TestParseErrors(t *testing.T) {
-	cases := map[string]string{
-		"no circuit":     "module M :\n",
-		"no main module": "circuit A :\n  module B :\n    skip\n",
-		"bad width":      "circuit T :\n  module T :\n    input x : UInt<0>\n",
-		"bad token":      "circuit T :\n  module T :\n    input x : UInt<8> @\n",
-		"dup module":     "circuit T :\n  module T :\n    skip\n  module T :\n    skip\n",
-		"unterminated":   "circuit T :\n  module T :\n    node a = UInt<8>(\"h12\n",
+// TestElaborateBoundsInstanceFanOut: 30 modules that each instantiate the
+// previous one twice would elaborate 2^30 instances; the source is refused
+// at once, naming the bound, while 8 such modules elaborate.
+func TestElaborateBoundsInstanceFanOut(t *testing.T) {
+	doubling := func(k int) string {
+		var b strings.Builder
+		fmt.Fprintf(&b, "circuit M%d :\n  module M0 :\n    input x : UInt<8>\n    output y : UInt<8>\n    y <= not(x)\n", k)
+		for i := 1; i <= k; i++ {
+			fmt.Fprintf(&b, "  module M%d :\n    input x : UInt<8>\n    output y : UInt<8>\n", i)
+			fmt.Fprintf(&b, "    inst a of M%d\n    inst b of M%d\n    a.x <= x\n    b.x <= a.y\n    y <= b.y\n", i-1, i-1)
+		}
+		return b.String()
 	}
-	for name, src := range cases {
+	if _, err := ParseAndElaborate(doubling(8)); err != nil {
+		t.Fatalf("k = 8: %v", err)
+	}
+	src := doubling(30)
+	start := time.Now()
+	_, err := ParseAndElaborate(src)
+	took := time.Since(start)
+	want := fmt.Sprintf(`firrtl: module "M30" elaborates to more than %d statements and instance ports`, maxElaboratedStmts)
+	if err == nil || err.Error() != want {
+		t.Fatalf("k = 30: error %v, want %s", err, want)
+	}
+	if took > 100*time.Millisecond {
+		t.Errorf("k = 30: refusing a %d-byte source took %v, want under 100ms", len(src), took)
+	}
+}
+
+// TestParseErrors pins each error's text. A lexical error anywhere in the
+// source wins over a parse error before it.
+func TestParseErrors(t *testing.T) {
+	cases := map[string]struct{ src, want string }{
+		"no circuit":     {"module M :\n", `firrtl:1:1: expected "circuit", found "module"`},
+		"no main module": {"circuit A :\n  module B :\n    skip\n", `firrtl: circuit "A" has no module of the same name`},
+		"bad width":      {"circuit T :\n  module T :\n    input x : UInt<0>\n", `firrtl:3:20: width must be 1..64, got "0"`},
+		"bad token":      {"circuit T :\n  module T :\n    input x : UInt<8> @\n", "firrtl:3:23: unexpected character '@'"},
+		"dup module":     {"circuit T :\n  module T :\n    skip\n  module T :\n    skip\n", `firrtl: duplicate module "T"`},
+		"unterminated":   {"circuit T :\n  module T :\n    node a = UInt<8>(\"h12\n", "firrtl:3:22: unterminated string"},
+		"lexical error wins": {
+			"circuit T :\n  module T :\n    input x : UInt<0>\n    node y = x @\n", "firrtl:4:16: unexpected character '@'"},
+		"unterminated at eof": {"circuit T :\n  module T :\n    node a = UInt<8>(\"h12", "firrtl:3:22: unterminated string"},
+		"primitive name at eof": {
+			"circuit T :\n  module M :\n    node n = add", `firrtl: circuit "T" has no module of the same name`},
+	}
+	for name, c := range cases {
 		t.Run(name, func(t *testing.T) {
-			if _, err := Parse(src); err == nil {
-				t.Fatalf("expected parse error for %s", name)
+			if _, err := Parse(c.src); err == nil || err.Error() != c.want {
+				t.Fatalf("error %v, want %s", err, c.want)
 			}
 		})
+	}
+	// Without '(' after it, a primitive's name is a reference.
+	c, err := Parse("circuit T :\n  module T :\n    node n = add")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, ok := c.Modules[0].Stmts[0].(*NodeDecl).Expr.(*RefExpr); !ok || r.Name != "add" {
+		t.Fatalf("node n = %#v, want a reference to add", c.Modules[0].Stmts[0].(*NodeDecl).Expr)
 	}
 }
 

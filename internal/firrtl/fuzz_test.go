@@ -2,11 +2,9 @@ package firrtl
 
 import "testing"
 
-// FuzzParse asserts the frontend's contract on arbitrary input: malformed
-// FIRRTL must be rejected with an error — never a panic — and anything
-// that parses and elaborates must yield a structurally valid graph.
-func FuzzParse(f *testing.F) {
-	f.Add(`
+// parseSeeds are FuzzParse's seeds, which TestLexerMatchesOracle reads too.
+var parseSeeds = []string{
+	`
 circuit Counter :
   module Counter :
     input clock : Clock
@@ -16,8 +14,8 @@ circuit Counter :
     regreset c : UInt<8>, clock, reset, UInt<8>(0)
     c <= tail(add(c, pad(step, 8)), 1)
     count <= c
-`)
-	f.Add(`
+`,
+	`
 circuit Echo :
   module Echo :
     input clock : Clock
@@ -26,8 +24,8 @@ circuit Echo :
     reg rv : UInt<1>, clock
     rv <= in_valid
     out_ready <= rv
-`)
-	f.Add(`
+`,
+	`
 circuit Top :
   module Leaf :
     input clock : Clock
@@ -42,13 +40,24 @@ circuit Top :
     l.clock <= clock
     l.x <= a
     b <= l.y
-`)
-	f.Add("circuit C :\n  module C :\n    output o : UInt<99>\n")
-	f.Add("circuit :\n")
-	f.Add("circuit C :\n  module C :\n    node n = mux(UInt<1>(1))\n")
-	f.Add("\x00\xff garbage ≤ tokens 🜚")
+`,
+	"circuit C :\n  module C :\n    output o : UInt<99>\n",
+	"circuit :\n",
+	"circuit C :\n  module C :\n    node n = mux(UInt<1>(1))\n",
+	"\x00\xff garbage ≤ tokens 🜚",
+}
+
+// FuzzParse asserts the frontend's contract on arbitrary input: malformed
+// FIRRTL must be rejected with an error — never a panic — and anything
+// that parses and elaborates must yield a structurally valid graph. The
+// streaming lexer must also match the oracle lex token for token.
+func FuzzParse(f *testing.F) {
+	for _, s := range parseSeeds {
+		f.Add(s)
+	}
 
 	f.Fuzz(func(t *testing.T, src string) {
+		checkLexerMatchesOracle(t, src)
 		c, err := Parse(src)
 		if err == nil && c == nil {
 			t.Fatal("Parse returned nil circuit without error")

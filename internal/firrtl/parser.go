@@ -5,27 +5,49 @@ import (
 	"strconv"
 )
 
-// Parse parses FIRRTL source text into a Circuit.
+// Parse parses FIRRTL source text into a Circuit. The parser pulls each
+// token from the lexer as it needs it. A lexical error anywhere in the source
+// takes precedence over a parse error: when parsing fails first, Parse lexes
+// the rest of the source for one.
 func Parse(src string) (*Circuit, error) {
-	toks, err := lex(src)
+	p := &parser{lex: newLexer(src)}
+	p.cur, p.ahead = p.pull(), p.pull()
+	c, err := p.parseCircuit()
 	if err != nil {
-		return nil, err
+		for p.pull().kind != tokEOF {
+		}
 	}
-	p := &parser{toks: toks}
-	return p.parseCircuit()
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
+	return c, err
 }
 
+// parser holds the current token and the one after it, parseExpr's one
+// two-token lookahead.
 type parser struct {
-	toks []token
-	pos  int
+	lex        lexer
+	cur, ahead token
+	// lexErr is the lexer's first error; every token pulled after it is
+	// tokEOF.
+	lexErr error
 }
 
-func (p *parser) peek() token { return p.toks[p.pos] }
+func (p *parser) pull() token {
+	if p.lexErr == nil {
+		t, err := p.lex.next()
+		if err == nil {
+			return t
+		}
+		p.lexErr = err
+	}
+	return token{kind: tokEOF}
+}
 
 func (p *parser) next() token {
-	t := p.toks[p.pos]
+	t := p.cur
 	if t.kind != tokEOF {
-		p.pos++
+		p.cur, p.ahead = p.ahead, p.pull()
 	}
 	return t
 }
@@ -51,7 +73,7 @@ func (p *parser) expectKeyword(kw string) error {
 }
 
 func (p *parser) skipNewlines() {
-	for p.peek().kind == tokNewline {
+	for p.cur.kind == tokNewline {
 		p.next()
 	}
 }
@@ -82,7 +104,7 @@ func (p *parser) parseCircuit() (*Circuit, error) {
 	c := &Circuit{Name: name.text}
 	for {
 		p.skipNewlines()
-		t := p.peek()
+		t := p.cur
 		if t.kind == tokEOF {
 			break
 		}
@@ -121,7 +143,7 @@ func (p *parser) parseModule() (*Module, error) {
 	m := &Module{Name: name.text}
 	for {
 		p.skipNewlines()
-		t := p.peek()
+		t := p.cur
 		if t.kind == tokEOF {
 			break
 		}
@@ -144,7 +166,7 @@ func (p *parser) parseModule() (*Module, error) {
 // parseStmt parses one statement line; port declarations are returned
 // separately so the module can keep them apart from the body.
 func (p *parser) parseStmt() (Stmt, *PortDecl, error) {
-	t := p.peek()
+	t := p.cur
 	if t.kind != tokIdent {
 		return nil, nil, p.errf(t, "expected statement, found %s", t)
 	}
@@ -298,7 +320,7 @@ func (p *parser) parseReg() (Stmt, *PortDecl, error) {
 			}
 		}
 		decl.HasReset = true
-	} else if p.peek().kind == tokIdent && p.peek().text == "with" {
+	} else if p.cur.kind == tokIdent && p.cur.text == "with" {
 		// reg r : UInt<w>, clock with : (reset => (sig, init))
 		p.next()
 		if _, err := p.expect(tokColon, "':'"); err != nil {
@@ -377,7 +399,7 @@ func (p *parser) parseRef() (*RefExpr, error) {
 		return nil, err
 	}
 	full := name.text
-	for p.peek().kind == tokDot {
+	for p.cur.kind == tokDot {
 		p.next()
 		field, err := p.expect(tokIdent, "field name")
 		if err != nil {
@@ -389,14 +411,14 @@ func (p *parser) parseRef() (*RefExpr, error) {
 }
 
 func (p *parser) parseExpr() (Expr, error) {
-	t := p.peek()
+	t := p.cur
 	if t.kind != tokIdent {
 		return nil, p.errf(t, "expected expression, found %s", t)
 	}
 	if t.text == "UInt" {
 		return p.parseLiteral()
 	}
-	if sig, ok := primSigs[t.text]; ok && p.toks[p.pos+1].kind == tokLParen {
+	if sig, ok := primSigs[t.text]; ok && p.ahead.kind == tokLParen {
 		return p.parsePrim(t.text, sig)
 	}
 	return p.parseRef()
@@ -438,7 +460,10 @@ func (p *parser) parsePrim(op string, sig primSig) (Expr, error) {
 	if _, err := p.expect(tokLParen, "'('"); err != nil {
 		return nil, err
 	}
-	e := &PrimExpr{Op: op, Line: t.line}
+	e := &PrimExpr{Op: op, Line: t.line, Args: make([]Expr, 0, sig.args)}
+	if sig.params > 0 {
+		e.Params = make([]uint64, 0, sig.params)
+	}
 	total := sig.args + sig.params
 	for i := 0; i < total; i++ {
 		if i > 0 {

@@ -58,112 +58,123 @@ func (t token) String() string {
 	}
 }
 
-// lexer tokenises FIRRTL text line-by-line. Comments run from ';' to end of
-// line. Indentation is not tokenised: the parser recovers structure from
-// keywords, which is sufficient for the flat LoFIRRTL dialect.
+// lexer tokenises FIRRTL text on demand: each call to next scans just far
+// enough for one token, so no token array is ever built. Comments run from
+// ';' to end of line, and a run of newlines is one tokNewline. Indentation is
+// not tokenised: the parser recovers structure from keywords, which is
+// sufficient for the flat LoFIRRTL dialect. Past the end of the source the
+// lexer yields one tokNewline (unless the last token was one), then tokEOF
+// for good.
 type lexer struct {
 	src  string
 	pos  int
 	line int
 	col  int
-	toks []token
+	nl   bool // the last token was a tokNewline
 }
 
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src, line: 1, col: 1}
+func newLexer(src string) lexer { return lexer{src: src, line: 1, col: 1} }
+
+func (l *lexer) next() (token, error) {
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		switch {
-		case c == '\n':
-			l.emit(tokNewline, "\n")
-			l.pos++
-			l.line++
-			l.col = 1
 		case c == ' ' || c == '\t' || c == '\r':
 			l.pos++
 			l.col++
+		case byteClass[c]&identStart != 0:
+			n := 1
+			for l.pos+n < len(l.src) && byteClass[l.src[l.pos+n]]&identPart != 0 {
+				n++
+			}
+			return l.emit(tokIdent, n), nil
+		case c == '\n':
+			t := token{kind: tokNewline, text: "\n", line: l.line, col: l.col}
+			l.pos++
+			l.line++
+			l.col = 1
+			if !l.nl {
+				l.nl = true
+				return t, nil
+			}
 		case c == ';':
 			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
 				l.pos++
 			}
-		case c == '(':
-			l.emit(tokLParen, "(")
-			l.advance(1)
-		case c == ')':
-			l.emit(tokRParen, ")")
-			l.advance(1)
-		case c == '<':
-			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '=' {
-				l.emit(tokConnect, "<=")
-				l.advance(2)
-			} else {
-				l.emit(tokLAngle, "<")
-				l.advance(1)
-			}
-		case c == '>':
-			l.emit(tokRAngle, ">")
-			l.advance(1)
-		case c == ':':
-			l.emit(tokColon, ":")
-			l.advance(1)
-		case c == ',':
-			l.emit(tokComma, ",")
-			l.advance(1)
-		case c == '.':
-			l.emit(tokDot, ".")
-			l.advance(1)
-		case c == '=':
-			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '>' {
-				l.emit(tokFatArrow, "=>")
-				l.advance(2)
-			} else {
-				l.emit(tokEq, "=")
-				l.advance(1)
-			}
+		case c == '<' && l.at(1) == '=':
+			return l.emit(tokConnect, 2), nil
+		case c == '=' && l.at(1) == '>':
+			return l.emit(tokFatArrow, 2), nil
 		case c == '"':
 			end := strings.IndexByte(l.src[l.pos+1:], '"')
 			if end < 0 {
-				return nil, fmt.Errorf("firrtl:%d:%d: unterminated string", l.line, l.col)
+				return token{}, fmt.Errorf("firrtl:%d:%d: unterminated string", l.line, l.col)
 			}
-			l.emit(tokString, l.src[l.pos+1:l.pos+1+end])
-			l.advance(end + 2)
+			t := l.emit(tokString, end+2)
+			t.text = t.text[1 : end+1]
+			return t, nil
 		case c >= '0' && c <= '9':
-			start := l.pos
-			for l.pos < len(l.src) && l.src[l.pos] >= '0' && l.src[l.pos] <= '9' {
-				l.pos++
+			n := 1
+			for l.pos+n < len(l.src) && l.src[l.pos+n] >= '0' && l.src[l.pos+n] <= '9' {
+				n++
 			}
-			l.emitAt(tokInt, l.src[start:l.pos], l.col)
-			l.col += l.pos - start
-		case isIdentStart(rune(c)):
-			start := l.pos
-			for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
-				l.pos++
-			}
-			l.emitAt(tokIdent, l.src[start:l.pos], l.col)
-			l.col += l.pos - start
+			return l.emit(tokInt, n), nil
 		default:
-			return nil, fmt.Errorf("firrtl:%d:%d: unexpected character %q", l.line, l.col, c)
+			if k := punct[c]; k != tokEOF {
+				return l.emit(k, 1), nil
+			}
+			return token{}, fmt.Errorf("firrtl:%d:%d: unexpected character %q", l.line, l.col, c)
 		}
 	}
-	l.emit(tokNewline, "\n")
-	l.emit(tokEOF, "")
-	return l.toks, nil
-}
-
-func (l *lexer) emit(k tokKind, text string) { l.emitAt(k, text, l.col) }
-
-func (l *lexer) emitAt(k tokKind, text string, col int) {
-	// Collapse runs of newlines.
-	if k == tokNewline && len(l.toks) > 0 && l.toks[len(l.toks)-1].kind == tokNewline {
-		return
+	if !l.nl {
+		l.nl = true
+		return token{kind: tokNewline, text: "\n", line: l.line, col: l.col}, nil
 	}
-	l.toks = append(l.toks, token{kind: k, text: text, line: l.line, col: col})
+	return token{kind: tokEOF, line: l.line, col: l.col}, nil
 }
 
-func (l *lexer) advance(n int) {
+// at is the byte i past the current one, or 0 past the end of the source.
+func (l *lexer) at(i int) byte {
+	if l.pos+i < len(l.src) {
+		return l.src[l.pos+i]
+	}
+	return 0
+}
+
+// emit returns the next n bytes as a token of kind k and steps past them.
+func (l *lexer) emit(k tokKind, n int) token {
+	t := token{kind: k, text: l.src[l.pos : l.pos+n], line: l.line, col: l.col}
 	l.pos += n
 	l.col += n
+	l.nl = false
+	return t
 }
+
+// punct maps each one-byte punctuation token to its kind; every other byte
+// maps to tokEOF.
+var punct = [256]tokKind{
+	'(': tokLParen, ')': tokRParen, '<': tokLAngle, '>': tokRAngle,
+	':': tokColon, ',': tokComma, '.': tokDot, '=': tokEq,
+}
+
+// byteClass is isIdentStart and isIdentPart tabulated per byte, a byte read
+// as the rune of the same value.
+var byteClass = func() (t [256]uint8) {
+	for i := range t {
+		if isIdentStart(rune(i)) {
+			t[i] |= identStart
+		}
+		if isIdentPart(rune(i)) {
+			t[i] |= identPart
+		}
+	}
+	return t
+}()
+
+const (
+	identStart uint8 = 1 << iota
+	identPart
+)
 
 func isIdentStart(r rune) bool {
 	return r == '_' || unicode.IsLetter(r)
