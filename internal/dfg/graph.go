@@ -54,8 +54,8 @@ func (k Kind) String() string {
 type Node struct {
 	Kind  Kind
 	Op    wire.Op // meaningful when Kind == KindOp
+	Width uint8   // result width in bits, 1..64
 	Args  []NodeID
-	Width uint8  // result width in bits, 1..64
 	Val   uint64 // constant value when Kind == KindConst
 	Name  string // debug name for ports/registers; may be empty for ops
 }

@@ -53,18 +53,25 @@ func Optimize(g *Graph, o OptOptions) (*Graph, error) {
 	return out, nil
 }
 
-// Clone deep-copies the graph.
+// Clone deep-copies the graph: one copy of the node array, and one slab that
+// every node's operands are cut from.
 func (g *Graph) Clone() *Graph {
 	out := &Graph{
 		Name:    g.Name,
-		Nodes:   make([]Node, len(g.Nodes)),
+		Nodes:   append([]Node(nil), g.Nodes...),
 		Inputs:  append([]Port(nil), g.Inputs...),
 		Outputs: append([]Port(nil), g.Outputs...),
 		Regs:    append([]Reg(nil), g.Regs...),
 	}
-	copy(out.Nodes, g.Nodes)
+	total := 0
+	for i := range g.Nodes {
+		total += len(g.Nodes[i].Args)
+	}
+	slab := make([]NodeID, total)
 	for i := range out.Nodes {
-		out.Nodes[i].Args = append([]NodeID(nil), g.Nodes[i].Args...)
+		n := &out.Nodes[i]
+		k := copy(slab, n.Args)
+		n.Args, slab = slab[:k:k], slab[k:]
 	}
 	return out
 }
@@ -146,9 +153,10 @@ func (g *Graph) constFold() {
 		if !allConst {
 			continue
 		}
-		args := make([]uint64, len(n.Args))
-		for i, a := range n.Args {
-			args[i] = g.Nodes[resolve(repl, a)].Val
+		var buf [3]uint64
+		args := buf[:0]
+		for _, a := range n.Args {
+			args = append(args, g.Nodes[resolve(repl, a)].Val)
 		}
 		val := wire.Eval(n.Op, args, n.Mask())
 		g.Nodes[id] = Node{Kind: KindConst, Val: val, Width: n.Width, Name: n.Name}
@@ -184,6 +192,22 @@ func (g *Graph) copyProp() {
 	}
 }
 
+// opKey is what makes two operations structurally identical: op, width and
+// resolved operands. Operands past the second of a longer list are keyed by
+// the index of that tail in cse's tails table.
+type opKey struct {
+	args  [3]NodeID
+	op    wire.Op
+	width uint8
+	n     uint8 // operand count, saturated: a list longer than 3 is 4
+}
+
+// constKey is what makes two constants identical.
+type constKey struct {
+	val   uint64
+	width uint8
+}
+
 // cse merges structurally identical nodes (same op, width, arguments). Only
 // op and const nodes participate; inputs and registers are identities.
 func (g *Graph) cse() {
@@ -192,46 +216,53 @@ func (g *Graph) cse() {
 		return
 	}
 	repl := newRepl(len(g.Nodes))
-	seen := make(map[string]NodeID, len(g.Nodes))
-	var key []byte
 	changed := false
-
-	hash := func(n *Node, repl []NodeID) string {
-		key = key[:0]
-		key = append(key, byte(n.Kind), byte(n.Op), n.Width)
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], n.Val)
-		key = append(key, buf[:]...)
-		for _, a := range n.Args {
-			binary.LittleEndian.PutUint32(buf[:4], uint32(resolve(repl, a)))
-			key = append(key, buf[:4]...)
-		}
-		return string(key)
-	}
 
 	// Constants first so op folding sees merged literals, then ops in
 	// topological order so argument replacements are already final.
+	consts := make(map[constKey]NodeID)
 	for id := range g.Nodes {
 		n := &g.Nodes[id]
 		if n.Kind != KindConst {
 			continue
 		}
-		k := hash(n, repl)
-		if prev, ok := seen[k]; ok {
+		k := constKey{n.Val, n.Width}
+		if prev, ok := consts[k]; ok {
 			repl[id] = prev
 			changed = true
 		} else {
-			seen[k] = NodeID(id)
+			consts[k] = NodeID(id)
 		}
 	}
+	ops := make(map[opKey]NodeID, len(topo))
+	var tails map[string]NodeID
+	var tail []byte
 	for _, id := range topo {
 		n := &g.Nodes[id]
-		k := hash(n, repl)
-		if prev, ok := seen[k]; ok {
+		k := opKey{op: n.Op, width: n.Width, n: uint8(min(len(n.Args), 4))}
+		for i, a := range n.Args[:min(len(n.Args), 3)] {
+			k.args[i] = resolve(repl, a)
+		}
+		if len(n.Args) > 3 {
+			tail = tail[:0]
+			for _, a := range n.Args[2:] {
+				tail = binary.LittleEndian.AppendUint32(tail, uint32(resolve(repl, a)))
+			}
+			if tails == nil {
+				tails = make(map[string]NodeID)
+			}
+			t, ok := tails[string(tail)]
+			if !ok {
+				t = NodeID(len(tails))
+				tails[string(tail)] = t
+			}
+			k.args[2] = t
+		}
+		if prev, ok := ops[k]; ok {
 			repl[id] = prev
 			changed = true
 		} else {
-			seen[k] = id
+			ops[k] = id
 		}
 	}
 	if changed {
@@ -264,6 +295,8 @@ func (g *Graph) useCounts() []int32 {
 func (g *Graph) muxChainFuse() {
 	uses := g.useCounts()
 	absorbed := make([]bool, len(g.Nodes))
+	// flat holds every fused chain's operands, each chain cut from it.
+	var flat []NodeID
 	// Process nodes from the head of each chain: a head is a Mux that is
 	// either multiply used or consumed by a non-mux. Walking all muxes in
 	// reverse id order and skipping already-absorbed ones approximates
@@ -274,7 +307,7 @@ func (g *Graph) muxChainFuse() {
 		if n.Kind != KindOp || n.Op != wire.Mux || absorbed[id] {
 			continue
 		}
-		var flat []NodeID
+		start := len(flat)
 		cur := NodeID(id)
 		for {
 			cn := &g.Nodes[cur]
@@ -290,17 +323,19 @@ func (g *Graph) muxChainFuse() {
 			flat = append(flat, e)
 			break
 		}
-		if len(flat) > 3 { // at least two muxes fused
+		if len(flat)-start > 3 { // at least two muxes fused
 			n.Op = wire.MuxChain
-			n.Args = flat
+			n.Args = flat[start:len(flat):len(flat)]
+		} else {
+			flat = flat[:start]
 		}
 	}
 	g.topo = nil
 }
 
-// compact removes unreachable nodes and renumbers the survivors. Inputs are
-// always kept (the testbench drives them positionally), and so is every
-// register with its next-state cone.
+// compact removes unreachable nodes and renumbers the survivors, moving
+// them down in place. Inputs are always kept (the testbench drives them
+// positionally), and so is every register with its next-state cone.
 func (g *Graph) compact() {
 	live := make([]bool, len(g.Nodes))
 	var mark func(NodeID)
@@ -333,21 +368,23 @@ func (g *Graph) compact() {
 	}
 
 	remap := make([]NodeID, len(g.Nodes))
-	newNodes := make([]Node, 0, len(g.Nodes))
+	n := 0
 	for id := range g.Nodes {
 		if live[id] {
-			remap[id] = NodeID(len(newNodes))
-			newNodes = append(newNodes, g.Nodes[id])
+			remap[id] = NodeID(n)
+			g.Nodes[n] = g.Nodes[id]
+			n++
 		} else {
 			remap[id] = Invalid
 		}
 	}
-	for i := range newNodes {
-		for j, a := range newNodes[i].Args {
-			newNodes[i].Args[j] = remap[a]
+	clear(g.Nodes[n:])
+	g.Nodes = g.Nodes[:n]
+	for i := range g.Nodes {
+		for j, a := range g.Nodes[i].Args {
+			g.Nodes[i].Args[j] = remap[a]
 		}
 	}
-	g.Nodes = newNodes
 	for i := range g.Inputs {
 		g.Inputs[i].Node = remap[g.Inputs[i].Node]
 	}

@@ -174,6 +174,26 @@ func TestCSEMergesConsts(t *testing.T) {
 	}
 }
 
+// TestCSEMergesLongOperandLists: operand lists longer than three (an
+// already fused MuxChain) merge only when every operand matches.
+func TestCSEMergesLongOperandLists(t *testing.T) {
+	g := &Graph{}
+	s := g.AddInput("s", 1)
+	a := g.AddInput("a", 8)
+	b := g.AddInput("b", 8)
+	m1 := g.AddOp(wire.MuxChain, 8, s, a, s, b, a)
+	m2 := g.AddOp(wire.MuxChain, 8, s, a, s, b, a)
+	m3 := g.AddOp(wire.MuxChain, 8, s, a, s, b, b)
+	g.AddOutput("o", g.AddOp(wire.Xor, 8, g.AddOp(wire.Xor, 8, m1, m2), m3))
+	opt, err := Optimize(g, OptOptions{CSE: true, DCE: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := opt.ComputeStats().OpCounts[wire.MuxChain]; n != 2 {
+		t.Fatalf("mux chains after CSE = %d, want 2 (the last operand tells two apart)", n)
+	}
+}
+
 func buildMuxChain(depth int) (*Graph, NodeID) {
 	g := &Graph{}
 	def := g.AddInput("def", 8)

@@ -1,33 +1,19 @@
 package firrtl
 
-import "rteaal/internal/wire"
-
 // Circuit is the root of a parsed FIRRTL design: a set of modules with a
 // distinguished main module named after the circuit.
 type Circuit struct {
 	Name    string
 	Modules []*Module
+	// byName is Modules by name, built by the parser.
+	byName map[string]*Module
 }
 
 // MainModule returns the module whose name matches the circuit, or nil.
-func (c *Circuit) MainModule() *Module {
-	for _, m := range c.Modules {
-		if m.Name == c.Name {
-			return m
-		}
-	}
-	return nil
-}
+func (c *Circuit) MainModule() *Module { return c.byName[c.Name] }
 
 // FindModule returns the named module, or nil.
-func (c *Circuit) FindModule(name string) *Module {
-	for _, m := range c.Modules {
-		if m.Name == name {
-			return m
-		}
-	}
-	return nil
-}
+func (c *Circuit) FindModule(name string) *Module { return c.byName[name] }
 
 // Module is one FIRRTL module: ports followed by flat statements.
 type Module struct {
@@ -166,10 +152,29 @@ var primSigs = map[string]primSig{
 	"asUInt": {1, 0}, "validif": {2, 0},
 }
 
-// primOps maps the primitives that lower to the one wire operation of their
-// name — the comparisons and the bitwise logic ops — to it.
-var primOps = map[string]wire.Op{
-	"lt": wire.Lt, "leq": wire.Leq, "gt": wire.Gt, "geq": wire.Geq,
-	"eq": wire.Eq, "neq": wire.Neq,
-	"and": wire.And, "or": wire.Or, "xor": wire.Xor,
+// slabChunk is how many elements a slab allocates at a time.
+const slabChunk = 256
+
+// slab hands out elements of T from shared chunks, so the many small
+// objects a parse or an elaboration makes cost one allocation per chunk, not
+// one each. Elements never move: a chunk that cannot fit a request is left
+// behind, not grown. The zero value allocates its first chunk on first use;
+// one made with a reserved chunk fills that first.
+type slab[T any] struct{ chunk []T }
+
+// put stores v in the slab and returns its address.
+func (s *slab[T]) put(v T) *T {
+	p := &s.cut(1)[0]
+	*p = v
+	return p
+}
+
+// cut returns n zeroed consecutive elements, capped at n.
+func (s *slab[T]) cut(n int) []T {
+	if len(s.chunk)+n > cap(s.chunk) {
+		s.chunk = make([]T, 0, max(n, slabChunk))
+	}
+	i := len(s.chunk)
+	s.chunk = s.chunk[:i+n]
+	return s.chunk[i : i+n : i+n]
 }

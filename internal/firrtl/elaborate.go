@@ -16,16 +16,30 @@ import (
 // lowered to a mux between the reset value and the connected next-state.
 // A circuit that would elaborate to more than maxElaboratedStmts is refused
 // before anything is declared.
+//
+// The graph is built into storage sized once, from the upper bounds the
+// same walk over the module table counts: the node array, one slab every
+// operation's operands are cut from, and the declared names. Each distinct
+// constant (value, width) is one node, its first occurrence.
 func Elaborate(c *Circuit) (*dfg.Graph, error) {
 	main := c.MainModule()
-	if elaboratedSize(c, main, map[*Module]int{}) > maxElaboratedStmts {
+	size := elaboratedSize(c, main, map[*Module]elabSize{})
+	if size.stmts > maxElaboratedStmts {
 		return nil, fmt.Errorf("firrtl: module %q elaborates to more than %d statements and instance ports", main.Name, maxElaboratedStmts)
 	}
 	e := &elaborator{
-		c:      c,
-		g:      &dfg.Graph{Name: c.Name},
-		names:  make(map[string]*binding),
-		scopes: []string{""},
+		c: c,
+		g: &dfg.Graph{
+			Name:  c.Name,
+			Nodes: make([]dfg.Node, 0, size.reservedNodes()),
+			Regs:  make([]dfg.Reg, 0, size.regs),
+		},
+		names:    make(map[string]*binding, size.names),
+		bindings: slab[binding]{make([]binding, 0, size.names)},
+		regs:     make([]*binding, 0, size.regs),
+		operands: slab[dfg.NodeID]{make([]dfg.NodeID, 0, size.operands)},
+		consts:   make(map[constKey]dfg.NodeID),
+		scopes:   []string{""},
 	}
 	if err := e.run(main); err != nil {
 		return nil, err
@@ -53,26 +67,98 @@ const maxInstanceDepth = 64
 // instances. r8, the largest generated design, counts 231,567.
 const maxElaboratedStmts = 1 << 22
 
-// elaboratedSize is what m elaborates to in the units maxElaboratedStmts
-// counts, saturating just past the bound. It memoises each module's count in
+// elabSize is what a module elaborates to: stmts in the units
+// maxElaboratedStmts counts, and upper bounds on what Elaborate reserves —
+// graph nodes (every literal counted as if none were shared), the 7-bit
+// parameter constants evalPrim mints (of which at most 128 are distinct),
+// operation operands, declared names and registers. Each count saturates
+// just past maxElaboratedStmts.
+type elabSize struct{ stmts, nodes, params, operands, names, regs int }
+
+// reservedNodes is the node array's capacity: every node counted, but the
+// 7-bit parameter constants at most once per value.
+func (s elabSize) reservedNodes() int { return s.nodes + min(s.params, 128) }
+
+func (s *elabSize) add(o elabSize) {
+	sat := func(a, b int) int { return min(a+b, maxElaboratedStmts+1) }
+	s.stmts, s.nodes, s.params = sat(s.stmts, o.stmts), sat(s.nodes, o.nodes), sat(s.params, o.params)
+	s.operands, s.names, s.regs = sat(s.operands, o.operands), sat(s.names, o.names), sat(s.regs, o.regs)
+}
+
+// elaboratedSize is what m elaborates to. It memoises each module's size in
 // size; an instance of a module already being counted (recursion, which the
-// nesting bound reports) or of an unknown module counts only its declaration.
-func elaboratedSize(c *Circuit, m *Module, size map[*Module]int) int {
+// nesting bound reports) or of an unknown module counts only its
+// declaration. A port is a net fitted to its width and perhaps driven by a
+// literal (an input or a constant in the main module).
+func elaboratedSize(c *Circuit, m *Module, size map[*Module]elabSize) elabSize {
 	if n, ok := size[m]; ok {
 		return n
 	}
-	size[m] = 0
-	n := len(m.Ports) + len(m.Stmts)
+	size[m] = elabSize{}
+	n := elabSize{stmts: len(m.Ports) + len(m.Stmts), nodes: 2 * len(m.Ports), operands: len(m.Ports), names: len(m.Ports)}
 	for _, s := range m.Stmts {
-		if s, ok := s.(*InstDecl); ok {
+		switch s := s.(type) {
+		case *WireDecl:
+			n.add(elabSize{nodes: 1, operands: 1, names: 1})
+		case *RegDecl:
+			// The register and its fitted next-state; a reset adds its
+			// literal and mux.
+			n.add(elabSize{nodes: 2, operands: 1, names: 1, regs: 1})
+			if s.HasReset {
+				n.add(elabSize{nodes: 2, operands: 3})
+				n.add(exprSize(s.ResetSig))
+			}
+		case *NodeDecl:
+			n.add(exprSize(s.Expr))
+			n.add(elabSize{names: 1})
+		case *Connect:
+			n.add(exprSize(s.RHS))
+		case *InstDecl:
 			if sub := c.FindModule(s.Module); sub != nil {
-				n += elaboratedSize(c, sub, size)
+				n.add(elaboratedSize(c, sub, size))
 			}
 		}
-		n = min(n, maxElaboratedStmts+1)
 	}
 	size[m] = n
 	return n
+}
+
+// exprSize bounds the nodes and operands eval adds for x. It recurses once
+// per level, as eval does, within the parser's maxExprDepth.
+func exprSize(x Expr) elabSize {
+	var n elabSize
+	switch x := x.(type) {
+	case *LitExpr:
+		n.nodes = 1
+	case *PrimExpr:
+		n.nodes, n.params, n.operands = primSize(x.Op)
+		for _, a := range x.Args {
+			n.add(exprSize(a))
+		}
+	}
+	return n
+}
+
+// primSize is what evalPrim adds for one primitive: nodes (its operation
+// and andr's mask), 7-bit parameter constants, and operands.
+func primSize(op string) (nodes, params, operands int) {
+	switch op {
+	case "asUInt", "validif":
+		return 0, 0, 0
+	case "not", "neg", "pad", "orr", "xorr":
+		return 1, 0, 1
+	case "andr":
+		return 2, 0, 2
+	case "shl", "shr":
+		return 1, 1, 2
+	case "mux":
+		return 1, 0, 3
+	case "cat":
+		return 1, 1, 3
+	case "bits", "head", "tail":
+		return 1, 2, 3
+	}
+	return 1, 0, 2
 }
 
 // binding is one named signal during elaboration.
@@ -105,6 +191,11 @@ type elaborator struct {
 	c     *Circuit
 	g     *dfg.Graph
 	names map[string]*binding
+	// bindings holds names' bindings, operands every operation's Args.
+	bindings slab[binding]
+	operands slab[dfg.NodeID]
+	// consts holds the one node of each constant.
+	consts map[constKey]dfg.NodeID
 	// scopes holds every instance path, the main module's "" first.
 	scopes []string
 	buf    []byte // lookup's scratch key
@@ -113,6 +204,31 @@ type elaborator struct {
 	// NodeIDs — and with them the whole LI layout — are a function of the
 	// source text alone.
 	regs []*binding
+}
+
+// constKey names a constant: its value, already masked, and its width.
+type constKey struct {
+	val   uint64
+	width int
+}
+
+// cnst returns the node of the constant val (masked to width), adding it on
+// first use.
+func (e *elaborator) cnst(val uint64, width int) dfg.NodeID {
+	k := constKey{val & wire.Mask(width), width}
+	id, ok := e.consts[k]
+	if !ok {
+		id = e.g.AddConst(val, width)
+		e.consts[k] = id
+	}
+	return id
+}
+
+// op adds an operation whose operands are cut from the operands slab.
+func (e *elaborator) op(op wire.Op, width int, args ...dfg.NodeID) dfg.NodeID {
+	operands := e.operands.cut(len(args))
+	copy(operands, args)
+	return e.g.AddOp(op, width, operands...)
 }
 
 func (e *elaborator) errf(line int, format string, args ...any) error {
@@ -146,11 +262,11 @@ func (e *elaborator) run(m *Module) error {
 		var b *binding
 		switch {
 		case p.Dir == DirInput && p.Type == TypeClock:
-			b = &binding{kind: bindNode, node: e.g.AddConst(0, 1), state: 2}
+			b = e.bindings.put(binding{kind: bindNode, node: e.cnst(0, 1), state: 2})
 		case p.Dir == DirInput:
-			b = &binding{kind: bindInput, width: p.Width, node: e.g.AddInput(p.Name, p.Width)}
+			b = e.bindings.put(binding{kind: bindInput, width: p.Width, node: e.g.AddInput(p.Name, p.Width)})
 		default: // output
-			b = &binding{kind: bindNet, width: p.Width, line: p.Line}
+			b = e.bindings.put(binding{kind: bindNet, width: p.Width, line: p.Line})
 			outputs = append(outputs, p)
 		}
 		if err := e.declare(p.Name, b, p.Line); err != nil {
@@ -180,8 +296,8 @@ func (e *elaborator) run(m *Module) error {
 				return err
 			}
 			initLit := b.decl.Init.(*LitExpr)
-			initNode := e.g.AddConst(initLit.Value, b.width)
-			next = e.g.AddOp(wire.Mux, b.width, rst, initNode, next)
+			initNode := e.cnst(initLit.Value, b.width)
+			next = e.op(wire.Mux, b.width, rst, initNode, next)
 		}
 		e.g.Regs[i].Next = next
 	}
@@ -206,7 +322,7 @@ func (e *elaborator) body(m *Module, scope int32, depth int) error {
 		var err error
 		switch s := s.(type) {
 		case *WireDecl:
-			err = e.declare(e.full(scope, s.Name), &binding{kind: bindNet, width: s.Width, line: s.Line}, s.Line)
+			err = e.declare(e.full(scope, s.Name), e.bindings.put(binding{kind: bindNet, width: s.Width, line: s.Line}), s.Line)
 		case *RegDecl:
 			name := e.full(scope, s.Name)
 			var init uint64
@@ -217,11 +333,11 @@ func (e *elaborator) body(m *Module, scope int32, depth int) error {
 				}
 				init = lit.Value
 			}
-			b := &binding{kind: bindReg, width: s.Width, node: e.g.AddReg(name, s.Width, init), regScope: scope, decl: s}
+			b := e.bindings.put(binding{kind: bindReg, width: s.Width, node: e.g.AddReg(name, s.Width, init), regScope: scope, decl: s})
 			e.regs = append(e.regs, b)
 			err = e.declare(name, b, s.Line)
 		case *NodeDecl:
-			err = e.declare(e.full(scope, s.Name), &binding{kind: bindNode, scope: scope, driver: s.Expr, line: s.Line}, s.Line)
+			err = e.declare(e.full(scope, s.Name), e.bindings.put(binding{kind: bindNode, scope: scope, driver: s.Expr, line: s.Line}), s.Line)
 		case *Connect:
 			b, ok := e.lookup(scope, s.LHS.Name)
 			switch {
@@ -253,7 +369,7 @@ func (e *elaborator) inst(s *InstDecl, scope int32, depth int) error {
 	}
 	path := e.full(scope, s.Name) + "."
 	for _, p := range sub.Ports {
-		b := &binding{kind: bindNet, width: p.Width, line: p.Line}
+		b := e.bindings.put(binding{kind: bindNet, width: p.Width, line: p.Line})
 		if p.Type == TypeClock {
 			// Clock ports carry no data; keep them as 1-bit wires so
 			// connects to them elaborate, then let DCE drop them.
@@ -279,7 +395,7 @@ func (e *elaborator) fit(id dfg.NodeID, width, line int, what string, scope int3
 	case got == width:
 		return id, nil
 	case got < width:
-		return e.g.AddOp(wire.Ident, width, id), nil
+		return e.op(wire.Ident, width, id), nil
 	default:
 		return dfg.Invalid, e.errf(line, "%s %s: cannot connect %d-bit value to %d-bit signal", what, e.full(scope, name), got, width)
 	}
@@ -324,7 +440,7 @@ func (e *elaborator) eval(x Expr, scope int32) (dfg.NodeID, error) {
 		if x.Value&^wire.Mask(x.Width) != 0 {
 			return dfg.Invalid, e.errf(x.Line, "literal %d does not fit in %d bits", x.Value, x.Width)
 		}
-		return e.g.AddConst(x.Value, x.Width), nil
+		return e.cnst(x.Value, x.Width), nil
 	case *RefExpr:
 		b, ok := e.lookup(scope, x.Name)
 		if !ok {
@@ -341,8 +457,8 @@ func (e *elaborator) eval(x Expr, scope int32) (dfg.NodeID, error) {
 }
 
 func (e *elaborator) evalPrim(x *PrimExpr, scope int32) (dfg.NodeID, error) {
-	args := make([]dfg.NodeID, len(x.Args))
-	widths := make([]int, len(x.Args))
+	var args [3]dfg.NodeID
+	var widths [3]int
 	for i, a := range x.Args {
 		id, err := e.eval(a, scope)
 		if err != nil {
@@ -364,7 +480,6 @@ func (e *elaborator) evalPrim(x *PrimExpr, scope int32) (dfg.NodeID, error) {
 		return w
 	}
 	param := func(i int) uint64 { return x.Params[i] }
-	cnst := func(v uint64, w int) dfg.NodeID { return e.g.AddConst(v, w) }
 
 	switch x.Op {
 	case "add", "sub":
@@ -373,81 +488,95 @@ func (e *elaborator) evalPrim(x *PrimExpr, scope int32) (dfg.NodeID, error) {
 		if x.Op == "sub" {
 			op = wire.Sub
 		}
-		return e.g.AddOp(op, w, args[0], args[1]), nil
+		return e.op(op, w, args[0], args[1]), nil
 	case "mul":
-		return e.g.AddOp(wire.Mul, capWidth(widths[0]+widths[1]), args[0], args[1]), nil
+		return e.op(wire.Mul, capWidth(widths[0]+widths[1]), args[0], args[1]), nil
 	case "div":
-		return e.g.AddOp(wire.Div, widths[0], args[0], args[1]), nil
+		return e.op(wire.Div, widths[0], args[0], args[1]), nil
 	case "rem":
-		return e.g.AddOp(wire.Rem, min(widths[0], widths[1]), args[0], args[1]), nil
-	case "lt", "leq", "gt", "geq", "eq", "neq":
-		return e.g.AddOp(primOps[x.Op], 1, args[0], args[1]), nil
-	case "and", "or", "xor":
-		return e.g.AddOp(primOps[x.Op], max(widths[0], widths[1]), args[0], args[1]), nil
+		return e.op(wire.Rem, min(widths[0], widths[1]), args[0], args[1]), nil
+	case "lt":
+		return e.op(wire.Lt, 1, args[0], args[1]), nil
+	case "leq":
+		return e.op(wire.Leq, 1, args[0], args[1]), nil
+	case "gt":
+		return e.op(wire.Gt, 1, args[0], args[1]), nil
+	case "geq":
+		return e.op(wire.Geq, 1, args[0], args[1]), nil
+	case "eq":
+		return e.op(wire.Eq, 1, args[0], args[1]), nil
+	case "neq":
+		return e.op(wire.Neq, 1, args[0], args[1]), nil
+	case "and":
+		return e.op(wire.And, max(widths[0], widths[1]), args[0], args[1]), nil
+	case "or":
+		return e.op(wire.Or, max(widths[0], widths[1]), args[0], args[1]), nil
+	case "xor":
+		return e.op(wire.Xor, max(widths[0], widths[1]), args[0], args[1]), nil
 	case "not":
-		return e.g.AddOp(wire.Not, widths[0], args[0]), nil
+		return e.op(wire.Not, widths[0], args[0]), nil
 	case "neg":
-		return e.g.AddOp(wire.Neg, capWidth(widths[0]+1), args[0]), nil
+		return e.op(wire.Neg, capWidth(widths[0]+1), args[0]), nil
 	case "cat":
 		if widths[0]+widths[1] > 64 {
 			return dfg.Invalid, e.errf(x.Line, "cat: %d+%d bits exceeds the 64-bit subset", widths[0], widths[1])
 		}
-		return e.g.AddOp(wire.Cat, widths[0]+widths[1], args[0], args[1], cnst(uint64(widths[1]), 7)), nil
+		return e.op(wire.Cat, widths[0]+widths[1], args[0], args[1], e.cnst(uint64(widths[1]), 7)), nil
 	case "bits":
 		hi, lo := param(0), param(1)
 		if lo > hi || hi >= uint64(widths[0]) {
 			return dfg.Invalid, e.errf(x.Line, "bits(%d, %d) out of range for %d-bit operand", hi, lo, widths[0])
 		}
-		return e.g.AddOp(wire.Bits, int(hi-lo)+1, args[0], cnst(hi, 7), cnst(lo, 7)), nil
+		return e.op(wire.Bits, int(hi-lo)+1, args[0], e.cnst(hi, 7), e.cnst(lo, 7)), nil
 	case "head":
 		n := param(0)
 		if n < 1 || n > uint64(widths[0]) {
 			return dfg.Invalid, e.errf(x.Line, "head(%d) out of range for %d-bit operand", n, widths[0])
 		}
 		w := uint64(widths[0])
-		return e.g.AddOp(wire.Bits, int(n), args[0], cnst(w-1, 7), cnst(w-n, 7)), nil
+		return e.op(wire.Bits, int(n), args[0], e.cnst(w-1, 7), e.cnst(w-n, 7)), nil
 	case "tail":
 		n := param(0)
 		if n >= uint64(widths[0]) {
 			return dfg.Invalid, e.errf(x.Line, "tail(%d) out of range for %d-bit operand", n, widths[0])
 		}
 		w := uint64(widths[0])
-		return e.g.AddOp(wire.Bits, int(w-n), args[0], cnst(w-n-1, 7), cnst(0, 7)), nil
+		return e.op(wire.Bits, int(w-n), args[0], e.cnst(w-n-1, 7), e.cnst(0, 7)), nil
 	case "pad":
 		n := int(param(0))
 		if n > 64 {
 			return dfg.Invalid, e.errf(x.Line, "pad(%d) exceeds the 64-bit subset", n)
 		}
-		return e.g.AddOp(wire.Ident, max(widths[0], n), args[0]), nil
+		return e.op(wire.Ident, max(widths[0], n), args[0]), nil
 	case "shl":
 		n := param(0)
 		if n > 127 {
 			return dfg.Invalid, e.errf(x.Line, "shl(%d): shift amount out of range", n)
 		}
-		return e.g.AddOp(wire.Shl, capWidth(widths[0]+int(n)), args[0], cnst(n, 7)), nil
+		return e.op(wire.Shl, capWidth(widths[0]+int(n)), args[0], e.cnst(n, 7)), nil
 	case "shr":
 		n := param(0)
 		if n > 127 {
 			return dfg.Invalid, e.errf(x.Line, "shr(%d): shift amount out of range", n)
 		}
-		return e.g.AddOp(wire.Shr, capWidth(widths[0]-int(n)), args[0], cnst(n, 7)), nil
+		return e.op(wire.Shr, capWidth(widths[0]-int(n)), args[0], e.cnst(n, 7)), nil
 	case "dshl":
 		maxShift := 64
 		if widths[1] < 7 {
 			maxShift = (1 << widths[1]) - 1
 		}
-		return e.g.AddOp(wire.Shl, capWidth(widths[0]+maxShift), args[0], args[1]), nil
+		return e.op(wire.Shl, capWidth(widths[0]+maxShift), args[0], args[1]), nil
 	case "dshr":
-		return e.g.AddOp(wire.Shr, widths[0], args[0], args[1]), nil
+		return e.op(wire.Shr, widths[0], args[0], args[1]), nil
 	case "mux":
-		return e.g.AddOp(wire.Mux, max(widths[1], widths[2]), args[0], args[1], args[2]), nil
+		return e.op(wire.Mux, max(widths[1], widths[2]), args[0], args[1], args[2]), nil
 	case "andr":
-		m := cnst(wire.Mask(widths[0]), widths[0])
-		return e.g.AddOp(wire.AndR, 1, args[0], m), nil
+		m := e.cnst(wire.Mask(widths[0]), widths[0])
+		return e.op(wire.AndR, 1, args[0], m), nil
 	case "orr":
-		return e.g.AddOp(wire.OrR, 1, args[0]), nil
+		return e.op(wire.OrR, 1, args[0]), nil
 	case "xorr":
-		return e.g.AddOp(wire.XorR, 1, args[0]), nil
+		return e.op(wire.XorR, 1, args[0]), nil
 	case "asUInt":
 		return args[0], nil
 	case "validif":

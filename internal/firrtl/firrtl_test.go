@@ -3,6 +3,7 @@ package firrtl
 import (
 	"fmt"
 	"math/rand"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -280,6 +281,100 @@ func TestElaborateBoundsInstanceFanOut(t *testing.T) {
 	}
 }
 
+// TestElaborateReservesOnce: the node array and the operand slab Elaborate
+// reserves from elaboratedSize hold the whole graph, so neither is ever
+// regrown, and each constant (value, width) is one node.
+func TestElaborateReservesOnce(t *testing.T) {
+	for name, src := range map[string]string{
+		"all primops": allPrimopsSrc,
+		"counter":     counterSrc,
+		"hierarchy":   hierSrc,
+		"r1/8":        r18(t),
+	} {
+		c, err := Parse(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		size := elaboratedSize(c, c.MainModule(), map[*Module]elabSize{})
+		g, err := Elaborate(c)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		operands := 0
+		consts := map[[2]uint64]bool{}
+		for _, n := range g.Nodes {
+			operands += len(n.Args)
+			if n.Kind == dfg.KindConst {
+				k := [2]uint64{n.Val, uint64(n.Width)}
+				if consts[k] {
+					t.Errorf("%s: constant %d of width %d is more than one node", name, n.Val, n.Width)
+				}
+				consts[k] = true
+			}
+		}
+		if cap(g.Nodes) != size.reservedNodes() || operands > size.operands {
+			t.Errorf("%s: %d nodes in capacity %d (reserved %d), %d operands (reserved %d)",
+				name, len(g.Nodes), cap(g.Nodes), size.reservedNodes(), operands, size.operands)
+		}
+	}
+}
+
+// TestParseBoundsExpressionDepth: parsing refuses an expression nested past
+// maxExprDepth, naming the bound, so no phase that recurses once per level
+// — parseExpr/parsePrim, exprSize, elaborator.eval/evalPrim — can exhaust its
+// stack. The 100k-deep source runs under a 16 MB stack cap: unbounded, its
+// parse alone needs about 67 MB of stack, and a stack overflow kills the
+// test binary.
+func TestParseBoundsExpressionDepth(t *testing.T) {
+	nested := func(depth int) string {
+		return "circuit D :\n  module D :\n    input a : UInt<1>\n    output y : UInt<1>\n    node n = " +
+			strings.Repeat("not(", depth) + "a" + strings.Repeat(")", depth) + "\n    y <= n\n"
+	}
+	if _, err := ParseAndElaborate(nested(maxExprDepth)); err != nil {
+		t.Fatalf("depth %d: %v", maxExprDepth, err)
+	}
+	defer debug.SetMaxStack(debug.SetMaxStack(16 << 20))
+	want := fmt.Sprintf("firrtl:5:%d: expression nests more than %d primitive operations deep", 14+4*maxExprDepth, maxExprDepth)
+	for _, depth := range []int{maxExprDepth + 1, 100_000} {
+		src := nested(depth)
+		start := time.Now()
+		_, err := ParseAndElaborate(src)
+		took := time.Since(start)
+		if err == nil || err.Error() != want {
+			t.Fatalf("depth %d: error %v, want %s", depth, err, want)
+		}
+		if took > 100*time.Millisecond {
+			t.Errorf("depth %d: refusing a %d-byte source took %v, want under 100ms", depth, len(src), took)
+		}
+	}
+}
+
+// TestModuleLookupIsConstant: modules are found by one name → module map,
+// so 40,000 one-skip modules, each instantiated once by the main module,
+// parse and elaborate in linear time. A linear scan per lookup took 1.12 s
+// for 20,000 modules parsed alone.
+func TestModuleLookupIsConstant(t *testing.T) {
+	const n = 40_000
+	var b strings.Builder
+	b.WriteString("circuit M0 :\n  module M0 :\n")
+	for i := 1; i < n; i++ {
+		fmt.Fprintf(&b, "    inst u%d of M%d\n", i, i)
+	}
+	for i := 1; i < n; i++ {
+		fmt.Fprintf(&b, "  module M%d :\n    skip\n", i)
+	}
+	src := b.String()
+	start := time.Now()
+	if _, err := ParseAndElaborate(src); err != nil {
+		t.Fatal(err)
+	}
+	took := time.Since(start)
+	t.Logf("%d modules (%d bytes) parse and elaborate in %v", n, len(src), took)
+	if took > 500*time.Millisecond {
+		t.Errorf("%d modules (%d bytes) took %v to parse and elaborate, want under 0.5 s", n, len(src), took)
+	}
+}
+
 // TestParseErrors pins each error's text. A lexical error anywhere in the
 // source wins over a parse error before it.
 func TestParseErrors(t *testing.T) {
@@ -380,8 +475,8 @@ circuit T :
 	}
 }
 
-func TestAllPrimopsElaborate(t *testing.T) {
-	src := `
+// allPrimopsSrc reads every primitive of the subset into its one output.
+const allPrimopsSrc = `
 circuit T :
   module T :
     input a : UInt<8>
@@ -426,7 +521,9 @@ circuit T :
     node acc = xor(xor(pad(acc1, 16), acc2), xor(acc3, xor(acc4, pad(t30, 16))))
     y <= bits(acc, 7, 0)
 `
-	g, err := ParseAndElaborate(src)
+
+func TestAllPrimopsElaborate(t *testing.T) {
+	g, err := ParseAndElaborate(allPrimopsSrc)
 	if err != nil {
 		t.Fatal(err)
 	}

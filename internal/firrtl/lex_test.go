@@ -229,21 +229,47 @@ func TestLexerMatchesOracle(t *testing.T) {
 	}
 }
 
+// allocatedPerByte is what f allocates per byte of src.
+func allocatedPerByte(src string, f func()) float64 {
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(len(src))
+}
+
 // TestParseAllocsBounded: Parse allocates the AST, not a token per byte run
 // — at most 10 bytes per source byte on r1/8.
 func TestParseAllocsBounded(t *testing.T) {
 	src := r18(t)
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if _, err := Parse(src); err != nil {
+	var err error
+	perByte := allocatedPerByte(src, func() { _, err = Parse(src) })
+	if err != nil {
 		t.Fatal(err)
 	}
-	runtime.ReadMemStats(&after)
-	perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(src))
 	t.Logf("Parse of r1/8: %d source bytes, %.1f B allocated per byte", len(src), perByte)
 	if perByte > 10 {
 		t.Errorf("Parse allocates %.1f B per source byte, want at most 10", perByte)
+	}
+}
+
+// TestElaborateAllocsBounded: Elaborate builds into storage sized once, with
+// one node per distinct constant — at most 6 bytes per source byte on r1/8
+// (15.7 when the node array grew by append and every literal was a node).
+func TestElaborateAllocsBounded(t *testing.T) {
+	src := r18(t)
+	c, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perByte := allocatedPerByte(src, func() { _, err = Elaborate(c) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("Elaborate of r1/8: %d source bytes, %.1f B allocated per byte", len(src), perByte)
+	if perByte > 6 {
+		t.Errorf("Elaborate allocates %.1f B per source byte, want at most 6", perByte)
 	}
 }
 
@@ -254,6 +280,22 @@ func BenchmarkParse(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Parse(src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkElaborate(b *testing.B) {
+	src := r18(b)
+	c, err := Parse(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Elaborate(c); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package firrtl
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 )
 
@@ -24,14 +25,31 @@ func Parse(src string) (*Circuit, error) {
 }
 
 // parser holds the current token and the one after it, parseExpr's one
-// two-token lookahead.
+// two-token lookahead, and the slabs the AST's expressions are cut from.
 type parser struct {
 	lex        lexer
 	cur, ahead token
 	// lexErr is the lexer's first error; every token pulled after it is
 	// tokEOF.
 	lexErr error
+
+	refs   slab[RefExpr]
+	lits   slab[LitExpr]
+	prims  slab[PrimExpr]
+	args   slab[Expr]   // PrimExpr.Args
+	params slab[uint64] // PrimExpr.Params
+	nodes  slab[NodeDecl]
+	// depth is how many primitive applications enclose the expression
+	// being parsed.
+	depth int
 }
+
+// maxExprDepth bounds how deeply primitive applications nest in one
+// expression. Every phase that walks an expression tree recurses once per
+// level (parseExpr, exprSize, elaborator.eval), so this bounds their stacks.
+// Generated sources nest at most 3 deep; long hand-written mux chains need
+// more.
+const maxExprDepth = 1000
 
 func (p *parser) pull() token {
 	if p.lexErr == nil {
@@ -101,7 +119,7 @@ func (p *parser) parseCircuit() (*Circuit, error) {
 	if err := p.endLine(); err != nil {
 		return nil, err
 	}
-	c := &Circuit{Name: name.text}
+	c := &Circuit{Name: name.text, byName: map[string]*Module{}}
 	for {
 		p.skipNewlines()
 		t := p.cur
@@ -119,6 +137,7 @@ func (p *parser) parseCircuit() (*Circuit, error) {
 			return nil, fmt.Errorf("firrtl: duplicate module %q", m.Name)
 		}
 		c.Modules = append(c.Modules, m)
+		c.byName[m.Name] = m
 	}
 	if c.MainModule() == nil {
 		return nil, fmt.Errorf("firrtl: circuit %q has no module of the same name", c.Name)
@@ -157,6 +176,11 @@ func (p *parser) parseModule() (*Module, error) {
 		if port != nil {
 			m.Ports = append(m.Ports, *port)
 		} else if stmt != nil {
+			// Doubling allocates about twice the final array, where
+			// append's growth of a long slice by 1.25× allocates five times.
+			if len(m.Stmts) == cap(m.Stmts) {
+				m.Stmts = slices.Grow(m.Stmts, len(m.Stmts))
+			}
 			m.Stmts = append(m.Stmts, stmt)
 		}
 	}
@@ -374,7 +398,7 @@ func (p *parser) parseNode() (Stmt, *PortDecl, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return &NodeDecl{Name: name.text, Expr: e, Line: line}, nil, p.endLine()
+	return p.nodes.put(NodeDecl{Name: name.text, Expr: e, Line: line}), nil, p.endLine()
 }
 
 func (p *parser) parseInst() (Stmt, *PortDecl, error) {
@@ -407,7 +431,7 @@ func (p *parser) parseRef() (*RefExpr, error) {
 		}
 		full += "." + field.text
 	}
-	return &RefExpr{Name: full, Line: name.line}, nil
+	return p.refs.put(RefExpr{Name: full, Line: name.line}), nil
 }
 
 func (p *parser) parseExpr() (Expr, error) {
@@ -452,17 +476,21 @@ func (p *parser) parseLiteral() (Expr, error) {
 	if _, err := p.expect(tokRParen, "')'"); err != nil {
 		return nil, err
 	}
-	return &LitExpr{Width: w, Value: v, Line: t.line}, nil
+	return p.lits.put(LitExpr{Width: w, Value: v, Line: t.line}), nil
 }
 
 func (p *parser) parsePrim(op string, sig primSig) (Expr, error) {
 	t := p.next() // op name
+	if p.depth == maxExprDepth {
+		return nil, p.errf(t, "expression nests more than %d primitive operations deep", maxExprDepth)
+	}
+	p.depth++
 	if _, err := p.expect(tokLParen, "'('"); err != nil {
 		return nil, err
 	}
-	e := &PrimExpr{Op: op, Line: t.line, Args: make([]Expr, 0, sig.args)}
+	e := p.prims.put(PrimExpr{Op: op, Line: t.line, Args: p.args.cut(sig.args)[:0]})
 	if sig.params > 0 {
-		e.Params = make([]uint64, 0, sig.params)
+		e.Params = p.params.cut(sig.params)[:0]
 	}
 	total := sig.args + sig.params
 	for i := 0; i < total; i++ {
@@ -492,5 +520,6 @@ func (p *parser) parsePrim(op string, sig primSig) (Expr, error) {
 	if _, err := p.expect(tokRParen, "')'"); err != nil {
 		return nil, err
 	}
+	p.depth--
 	return e, nil
 }

@@ -613,7 +613,8 @@ func TestPoolWaitBlocksForRelease(t *testing.T) {
 // session, malformed command lists, a failing command answering 422
 // with the completed prefix while the session stays usable, and the
 // service's fixed bounds (256 lanes, 4,096 commands per request, 8 MiB
-// bodies, 4,096 log entries per session).
+// bodies, 4,096 log entries per session, and the frontend's expression
+// depth of 1,000).
 func TestWireErrors(t *testing.T) {
 	_, c := newTestService(t, server.Config{})
 	ctx := context.Background()
@@ -629,6 +630,14 @@ func TestWireErrors(t *testing.T) {
 	// Compile rejection: garbage source is a 422, not a cache entry.
 	if _, err := c.Compile(ctx, "circuit Broken :\n  nonsense\n", server.CompileOptions{}); !errors.As(err, &apiErr) || apiErr.Status != 422 {
 		t.Errorf("broken source answered %v, want 422", err)
+	}
+	// A 100k-deep expression is refused by the parser's depth bound, not
+	// recursed into.
+	deep := "circuit D :\n  module D :\n    input a : UInt<1>\n    output y : UInt<1>\n    y <= " +
+		strings.Repeat("not(", 100_000) + "a" + strings.Repeat(")", 100_000) + "\n"
+	if _, err := c.Compile(ctx, deep, server.CompileOptions{}); !errors.As(err, &apiErr) || apiErr.Status != 422 ||
+		!strings.Contains(apiErr.Message, "more than 1000 primitive operations deep") {
+		t.Errorf("100k-deep expression answered %v, want 422 naming the depth bound", err)
 	}
 	if _, err := c.Compile(ctx, counterSrc, server.CompileOptions{Kernel: "XX"}); !errors.As(err, &apiErr) || apiErr.Status != 400 {
 		t.Errorf("unknown kernel answered %v, want 400", err)

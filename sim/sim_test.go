@@ -362,3 +362,29 @@ func TestDesignRetainedHeap(t *testing.T) {
 		}
 	}
 }
+
+// TestCompileAllocsBounded: the whole compile of r1/8 allocates at most 18
+// bytes per source byte (33.9 when the frontend allocated per node, per
+// operand list and per AST expression).
+func TestCompileAllocsBounded(t *testing.T) {
+	g, err := gen.Generate(gen.Spec{Family: gen.Rocket, Cores: 1, Scale: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := firrtl.Emit(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := sim.Compile(src); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(src))
+	t.Logf("sim.Compile of r1/8: %d source bytes, %.1f B allocated per byte", len(src), perByte)
+	if perByte > 18 {
+		t.Errorf("sim.Compile allocates %.1f B per source byte, want at most 18", perByte)
+	}
+}
