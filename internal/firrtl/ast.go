@@ -151,30 +151,3 @@ var primSigs = map[string]primSig{
 	"andr": {1, 0}, "orr": {1, 0}, "xorr": {1, 0},
 	"asUInt": {1, 0}, "validif": {2, 0},
 }
-
-// slabChunk is how many elements a slab allocates at a time.
-const slabChunk = 256
-
-// slab hands out elements of T from shared chunks, so the many small
-// objects a parse or an elaboration makes cost one allocation per chunk, not
-// one each. Elements never move: a chunk that cannot fit a request is left
-// behind, not grown. The zero value allocates its first chunk on first use;
-// one made with a reserved chunk fills that first.
-type slab[T any] struct{ chunk []T }
-
-// put stores v in the slab and returns its address.
-func (s *slab[T]) put(v T) *T {
-	p := &s.cut(1)[0]
-	*p = v
-	return p
-}
-
-// cut returns n zeroed consecutive elements, capped at n.
-func (s *slab[T]) cut(n int) []T {
-	if len(s.chunk)+n > cap(s.chunk) {
-		s.chunk = make([]T, 0, max(n, slabChunk))
-	}
-	i := len(s.chunk)
-	s.chunk = s.chunk[:i+n]
-	return s.chunk[i : i+n : i+n]
-}

@@ -14,18 +14,20 @@ import (
 // accepted and ignored (the simulator is single-clock); Reset-typed ports
 // become ordinary 1-bit inputs; registers with reset specifications are
 // lowered to a mux between the reset value and the connected next-state.
-// A circuit that would elaborate to more than maxElaboratedStmts is refused
-// before anything is declared.
+// A circuit that would elaborate to more than maxElaboratedStmts statements
+// or maxElaboratedNodes nodes is refused before anything is declared.
 //
-// The graph is built into storage sized once, from the upper bounds the
-// same walk over the module table counts: the node array, one slab every
-// operation's operands are cut from, and the declared names. Each distinct
-// constant (value, width) is one node, its first occurrence.
+// The node array and the declared names are reserved once from the same
+// walk's counts, operands and bindings are cut from shared chunks, and each
+// distinct constant (value, width) is one node, its first occurrence.
 func Elaborate(c *Circuit) (*dfg.Graph, error) {
 	main := c.MainModule()
 	size := elaboratedSize(c, main, map[*Module]elabSize{})
-	if size.stmts > maxElaboratedStmts {
+	switch {
+	case size.stmts > maxElaboratedStmts:
 		return nil, fmt.Errorf("firrtl: module %q elaborates to more than %d statements and instance ports", main.Name, maxElaboratedStmts)
+	case size.nodes > maxElaboratedNodes:
+		return nil, fmt.Errorf("firrtl: module %q elaborates to more than %d expression nodes", main.Name, maxElaboratedNodes)
 	}
 	e := &elaborator{
 		c: c,
@@ -34,12 +36,10 @@ func Elaborate(c *Circuit) (*dfg.Graph, error) {
 			Nodes: make([]dfg.Node, 0, size.reservedNodes()),
 			Regs:  make([]dfg.Reg, 0, size.regs),
 		},
-		names:    make(map[string]*binding, size.names),
-		bindings: slab[binding]{make([]binding, 0, size.names)},
-		regs:     make([]*binding, 0, size.regs),
-		operands: slab[dfg.NodeID]{make([]dfg.NodeID, 0, size.operands)},
-		consts:   make(map[constKey]dfg.NodeID),
-		scopes:   []string{""},
+		names:  make(map[string]*binding, size.names),
+		regs:   make([]*binding, 0, size.regs),
+		consts: make(map[constKey]dfg.NodeID),
+		scopes: []string{""},
 	}
 	if err := e.run(main); err != nil {
 		return nil, err
@@ -67,22 +67,28 @@ const maxInstanceDepth = 64
 // instances. r8, the largest generated design, counts 231,567.
 const maxElaboratedStmts = 1 << 22
 
-// elabSize is what a module elaborates to: stmts in the units
-// maxElaboratedStmts counts, and upper bounds on what Elaborate reserves —
-// graph nodes (every literal counted as if none were shared), the 7-bit
-// parameter constants evalPrim mints (of which at most 128 are distinct),
-// operation operands, declared names and registers. Each count saturates
-// just past maxElaboratedStmts.
-type elabSize struct{ stmts, nodes, params, operands, names, regs int }
+// maxElaboratedNodes bounds the graph nodes one circuit's declarations and
+// expressions count, once per instance, so that instance doubling cannot
+// multiply one deep expression past it either. r8 counts 372,359.
+const maxElaboratedNodes = 1 << 22
 
-// reservedNodes is the node array's capacity: every node counted, but the
-// 7-bit parameter constants at most once per value.
-func (s elabSize) reservedNodes() int { return s.nodes + min(s.params, 128) }
+// elabSize is what a module elaborates to: stmts in the units
+// maxElaboratedStmts counts, an upper bound on its graph nodes (every
+// literal counted as if none were shared, every node declaration and
+// connect as if it were evaluated), and its declared names and registers.
+// Each count saturates just past its bound.
+type elabSize struct{ stmts, nodes, names, regs int }
+
+// reservedNodes is the node array's capacity: the nodes counted, but at most
+// two per statement, since unread nodes and overwritten connects are counted
+// yet never built, and the 7-bit parameter constants evalPrim mints, of
+// which at most 128 are distinct. A larger graph grows the array by append.
+func (s elabSize) reservedNodes() int { return min(s.nodes, 2*s.stmts) + 128 }
 
 func (s *elabSize) add(o elabSize) {
-	sat := func(a, b int) int { return min(a+b, maxElaboratedStmts+1) }
-	s.stmts, s.nodes, s.params = sat(s.stmts, o.stmts), sat(s.nodes, o.nodes), sat(s.params, o.params)
-	s.operands, s.names, s.regs = sat(s.operands, o.operands), sat(s.names, o.names), sat(s.regs, o.regs)
+	sat := func(a, b int) int { return min(a+b, max(maxElaboratedStmts, maxElaboratedNodes)+1) }
+	s.stmts, s.nodes = sat(s.stmts, o.stmts), sat(s.nodes, o.nodes)
+	s.names, s.regs = sat(s.names, o.names), sat(s.regs, o.regs)
 }
 
 // elaboratedSize is what m elaborates to. It memoises each module's size in
@@ -95,24 +101,22 @@ func elaboratedSize(c *Circuit, m *Module, size map[*Module]elabSize) elabSize {
 		return n
 	}
 	size[m] = elabSize{}
-	n := elabSize{stmts: len(m.Ports) + len(m.Stmts), nodes: 2 * len(m.Ports), operands: len(m.Ports), names: len(m.Ports)}
+	n := elabSize{stmts: len(m.Ports) + len(m.Stmts), nodes: 2 * len(m.Ports), names: len(m.Ports)}
 	for _, s := range m.Stmts {
 		switch s := s.(type) {
 		case *WireDecl:
-			n.add(elabSize{nodes: 1, operands: 1, names: 1})
+			n.add(elabSize{nodes: 1, names: 1})
 		case *RegDecl:
 			// The register and its fitted next-state; a reset adds its
 			// literal and mux.
-			n.add(elabSize{nodes: 2, operands: 1, names: 1, regs: 1})
+			n.add(elabSize{nodes: 2, names: 1, regs: 1})
 			if s.HasReset {
-				n.add(elabSize{nodes: 2, operands: 3})
-				n.add(exprSize(s.ResetSig))
+				n.add(elabSize{nodes: 2 + exprNodes(s.ResetSig)})
 			}
 		case *NodeDecl:
-			n.add(exprSize(s.Expr))
-			n.add(elabSize{names: 1})
+			n.add(elabSize{nodes: exprNodes(s.Expr), names: 1})
 		case *Connect:
-			n.add(exprSize(s.RHS))
+			n.add(elabSize{nodes: exprNodes(s.RHS)})
 		case *InstDecl:
 			if sub := c.FindModule(s.Module); sub != nil {
 				n.add(elaboratedSize(c, sub, size))
@@ -123,42 +127,27 @@ func elaboratedSize(c *Circuit, m *Module, size map[*Module]elabSize) elabSize {
 	return n
 }
 
-// exprSize bounds the nodes and operands eval adds for x. It recurses once
-// per level, as eval does, within the parser's maxExprDepth.
-func exprSize(x Expr) elabSize {
-	var n elabSize
+// exprNodes bounds the nodes eval adds for x, less the 7-bit parameter
+// constants: a primitive's operation, andr's mask, and each literal. It
+// recurses once per level, as eval does, within the parser's maxExprDepth.
+func exprNodes(x Expr) int {
 	switch x := x.(type) {
 	case *LitExpr:
-		n.nodes = 1
+		return 1
 	case *PrimExpr:
-		n.nodes, n.params, n.operands = primSize(x.Op)
-		for _, a := range x.Args {
-			n.add(exprSize(a))
+		n := 1
+		switch x.Op {
+		case "asUInt", "validif":
+			n = 0 // an operand passes through
+		case "andr":
+			n = 2
 		}
+		for _, a := range x.Args {
+			n += exprNodes(a)
+		}
+		return n
 	}
-	return n
-}
-
-// primSize is what evalPrim adds for one primitive: nodes (its operation
-// and andr's mask), 7-bit parameter constants, and operands.
-func primSize(op string) (nodes, params, operands int) {
-	switch op {
-	case "asUInt", "validif":
-		return 0, 0, 0
-	case "not", "neg", "pad", "orr", "xorr":
-		return 1, 0, 1
-	case "andr":
-		return 2, 0, 2
-	case "shl", "shr":
-		return 1, 1, 2
-	case "mux":
-		return 1, 0, 3
-	case "cat":
-		return 1, 1, 3
-	case "bits", "head", "tail":
-		return 1, 2, 3
-	}
-	return 1, 0, 2
+	return 0
 }
 
 // binding is one named signal during elaboration.
@@ -585,4 +574,30 @@ func (e *elaborator) evalPrim(x *PrimExpr, scope int32) (dfg.NodeID, error) {
 		return args[1], nil
 	}
 	return dfg.Invalid, e.errf(x.Line, "unsupported primitive %q", x.Op)
+}
+
+// slabChunk is how many elements a slab allocates at a time.
+const slabChunk = 256
+
+// slab hands out elements of T from shared chunks, so the many small
+// objects an elaboration makes cost one allocation per chunk, not one each.
+// Elements never move: a chunk that cannot fit a request is left behind, not
+// grown. The zero value allocates its first chunk on first use.
+type slab[T any] struct{ chunk []T }
+
+// put stores v in the slab and returns its address.
+func (s *slab[T]) put(v T) *T {
+	p := &s.cut(1)[0]
+	*p = v
+	return p
+}
+
+// cut returns n zeroed consecutive elements, capped at n.
+func (s *slab[T]) cut(n int) []T {
+	if len(s.chunk)+n > cap(s.chunk) {
+		s.chunk = make([]T, 0, max(n, slabChunk))
+	}
+	i := len(s.chunk)
+	s.chunk = s.chunk[:i+n]
+	return s.chunk[i : i+n : i+n]
 }

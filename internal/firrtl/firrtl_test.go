@@ -252,23 +252,27 @@ func TestElaborateInstanceErrors(t *testing.T) {
 	}
 }
 
+// doublingSrc is k modules that each instantiate the previous one twice,
+// over a leaf module M0 whose statements are leaf: 2^k instances of M0.
+func doublingSrc(k int, leaf string) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "circuit M%d :\n  module M0 :\n    input x : UInt<8>\n    output y : UInt<8>\n%s", k, leaf)
+	for i := 1; i <= k; i++ {
+		fmt.Fprintf(&b, "  module M%d :\n    input x : UInt<8>\n    output y : UInt<8>\n", i)
+		fmt.Fprintf(&b, "    inst a of M%d\n    inst b of M%d\n    a.x <= x\n    b.x <= a.y\n    y <= b.y\n", i-1, i-1)
+	}
+	return b.String()
+}
+
 // TestElaborateBoundsInstanceFanOut: 30 modules that each instantiate the
 // previous one twice would elaborate 2^30 instances; the source is refused
 // at once, naming the bound, while 8 such modules elaborate.
 func TestElaborateBoundsInstanceFanOut(t *testing.T) {
-	doubling := func(k int) string {
-		var b strings.Builder
-		fmt.Fprintf(&b, "circuit M%d :\n  module M0 :\n    input x : UInt<8>\n    output y : UInt<8>\n    y <= not(x)\n", k)
-		for i := 1; i <= k; i++ {
-			fmt.Fprintf(&b, "  module M%d :\n    input x : UInt<8>\n    output y : UInt<8>\n", i)
-			fmt.Fprintf(&b, "    inst a of M%d\n    inst b of M%d\n    a.x <= x\n    b.x <= a.y\n    y <= b.y\n", i-1, i-1)
-		}
-		return b.String()
-	}
-	if _, err := ParseAndElaborate(doubling(8)); err != nil {
+	const leaf = "    y <= not(x)\n"
+	if _, err := ParseAndElaborate(doublingSrc(8, leaf)); err != nil {
 		t.Fatalf("k = 8: %v", err)
 	}
-	src := doubling(30)
+	src := doublingSrc(30, leaf)
 	start := time.Now()
 	_, err := ParseAndElaborate(src)
 	took := time.Since(start)
@@ -281,9 +285,47 @@ func TestElaborateBoundsInstanceFanOut(t *testing.T) {
 	}
 }
 
-// TestElaborateReservesOnce: the node array and the operand slab Elaborate
-// reserves from elaboratedSize hold the whole graph, so neither is ever
-// regrown, and each constant (value, width) is one node.
+// TestElaborateBoundsExpressionNodes: a leaf with one 900-deep expression
+// under k doubling modules counts 900·2^k nodes, far more than its
+// statements. Under 12 such modules, with the expression unread, it
+// elaborates without reserving for it; under 13 it is refused, read or
+// not, naming the bound, before anything is reserved or built.
+func TestElaborateBoundsExpressionNodes(t *testing.T) {
+	deep := "    node n = " + strings.Repeat("not(", 900) + "x" + strings.Repeat(")", 900) + "\n"
+	elaborate := func(src string) (alloc uint64, err error) {
+		c, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alloc = allocated(func() { _, err = Elaborate(c) })
+		return alloc, err
+	}
+	alloc, err := elaborate(doublingSrc(12, deep+"    y <= x\n"))
+	if err != nil {
+		t.Fatalf("k = 12, unread: %v", err)
+	}
+	t.Logf("k = 12, unread: Elaborate allocated %.1f MB", float64(alloc)/1e6)
+	if alloc > 24<<20 {
+		t.Errorf("k = 12, unread: Elaborate allocated %.1f MB, want at most 24 MiB", float64(alloc)/1e6)
+	}
+	want := fmt.Sprintf(`firrtl: module "M13" elaborates to more than %d expression nodes`, maxElaboratedNodes)
+	for _, use := range []string{"    y <= x\n", "    y <= n\n"} {
+		start := time.Now()
+		alloc, err := elaborate(doublingSrc(13, deep+use))
+		took := time.Since(start)
+		if err == nil || err.Error() != want {
+			t.Fatalf("k = 13, %q: error %v, want %s", use, err, want)
+		}
+		if took > 100*time.Millisecond || alloc > 1<<20 {
+			t.Errorf("k = 13, %q: refusing took %v and %d bytes, want under 100ms and 1 MiB", use, took, alloc)
+		}
+	}
+}
+
+// TestElaborateReservesOnce: the node array Elaborate reserves from
+// elaboratedSize holds the whole graph, so it is never regrown, and each
+// constant (value, width) is one node. TestElaborateBoundsExpressionNodes
+// holds the reservation to what the statements can build.
 func TestElaborateReservesOnce(t *testing.T) {
 	for name, src := range map[string]string{
 		"all primops": allPrimopsSrc,
@@ -300,10 +342,8 @@ func TestElaborateReservesOnce(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		operands := 0
 		consts := map[[2]uint64]bool{}
 		for _, n := range g.Nodes {
-			operands += len(n.Args)
 			if n.Kind == dfg.KindConst {
 				k := [2]uint64{n.Val, uint64(n.Width)}
 				if consts[k] {
@@ -312,16 +352,15 @@ func TestElaborateReservesOnce(t *testing.T) {
 				consts[k] = true
 			}
 		}
-		if cap(g.Nodes) != size.reservedNodes() || operands > size.operands {
-			t.Errorf("%s: %d nodes in capacity %d (reserved %d), %d operands (reserved %d)",
-				name, len(g.Nodes), cap(g.Nodes), size.reservedNodes(), operands, size.operands)
+		if cap(g.Nodes) != size.reservedNodes() {
+			t.Errorf("%s: %d nodes in capacity %d, reserved %d", name, len(g.Nodes), cap(g.Nodes), size.reservedNodes())
 		}
 	}
 }
 
 // TestParseBoundsExpressionDepth: parsing refuses an expression nested past
 // maxExprDepth, naming the bound, so no phase that recurses once per level
-// — parseExpr/parsePrim, exprSize, elaborator.eval/evalPrim — can exhaust its
+// — parseExpr/parsePrim, exprNodes, elaborator.eval/evalPrim — can exhaust its
 // stack. The 100k-deep source runs under a 16 MB stack cap: unbounded, its
 // parse alone needs about 67 MB of stack, and a stack overflow kills the
 // test binary.

@@ -229,14 +229,19 @@ func TestLexerMatchesOracle(t *testing.T) {
 	}
 }
 
-// allocatedPerByte is what f allocates per byte of src.
-func allocatedPerByte(src string, f func()) float64 {
+// allocated is how many bytes f allocates.
+func allocated(f func()) uint64 {
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	f()
 	runtime.ReadMemStats(&after)
-	return float64(after.TotalAlloc-before.TotalAlloc) / float64(len(src))
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// allocatedPerByte is what f allocates per byte of src.
+func allocatedPerByte(src string, f func()) float64 {
+	return float64(allocated(f)) / float64(len(src))
 }
 
 // TestParseAllocsBounded: Parse allocates the AST, not a token per byte run

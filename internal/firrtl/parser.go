@@ -25,20 +25,13 @@ func Parse(src string) (*Circuit, error) {
 }
 
 // parser holds the current token and the one after it, parseExpr's one
-// two-token lookahead, and the slabs the AST's expressions are cut from.
+// two-token lookahead.
 type parser struct {
 	lex        lexer
 	cur, ahead token
 	// lexErr is the lexer's first error; every token pulled after it is
 	// tokEOF.
 	lexErr error
-
-	refs   slab[RefExpr]
-	lits   slab[LitExpr]
-	prims  slab[PrimExpr]
-	args   slab[Expr]   // PrimExpr.Args
-	params slab[uint64] // PrimExpr.Params
-	nodes  slab[NodeDecl]
 	// depth is how many primitive applications enclose the expression
 	// being parsed.
 	depth int
@@ -46,7 +39,7 @@ type parser struct {
 
 // maxExprDepth bounds how deeply primitive applications nest in one
 // expression. Every phase that walks an expression tree recurses once per
-// level (parseExpr, exprSize, elaborator.eval), so this bounds their stacks.
+// level (parseExpr, exprNodes, elaborator.eval), so this bounds their stacks.
 // Generated sources nest at most 3 deep; long hand-written mux chains need
 // more.
 const maxExprDepth = 1000
@@ -398,7 +391,7 @@ func (p *parser) parseNode() (Stmt, *PortDecl, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return p.nodes.put(NodeDecl{Name: name.text, Expr: e, Line: line}), nil, p.endLine()
+	return &NodeDecl{Name: name.text, Expr: e, Line: line}, nil, p.endLine()
 }
 
 func (p *parser) parseInst() (Stmt, *PortDecl, error) {
@@ -431,7 +424,7 @@ func (p *parser) parseRef() (*RefExpr, error) {
 		}
 		full += "." + field.text
 	}
-	return p.refs.put(RefExpr{Name: full, Line: name.line}), nil
+	return &RefExpr{Name: full, Line: name.line}, nil
 }
 
 func (p *parser) parseExpr() (Expr, error) {
@@ -476,7 +469,7 @@ func (p *parser) parseLiteral() (Expr, error) {
 	if _, err := p.expect(tokRParen, "')'"); err != nil {
 		return nil, err
 	}
-	return p.lits.put(LitExpr{Width: w, Value: v, Line: t.line}), nil
+	return &LitExpr{Width: w, Value: v, Line: t.line}, nil
 }
 
 func (p *parser) parsePrim(op string, sig primSig) (Expr, error) {
@@ -488,9 +481,9 @@ func (p *parser) parsePrim(op string, sig primSig) (Expr, error) {
 	if _, err := p.expect(tokLParen, "'('"); err != nil {
 		return nil, err
 	}
-	e := p.prims.put(PrimExpr{Op: op, Line: t.line, Args: p.args.cut(sig.args)[:0]})
+	e := &PrimExpr{Op: op, Line: t.line, Args: make([]Expr, 0, sig.args)}
 	if sig.params > 0 {
-		e.Params = p.params.cut(sig.params)[:0]
+		e.Params = make([]uint64, 0, sig.params)
 	}
 	total := sig.args + sig.params
 	for i := 0; i < total; i++ {

@@ -639,6 +639,19 @@ func TestWireErrors(t *testing.T) {
 		!strings.Contains(apiErr.Message, "more than 1000 primitive operations deep") {
 		t.Errorf("100k-deep expression answered %v, want 422 naming the depth bound", err)
 	}
+	// A 900-deep expression under 13 modules that each instantiate the
+	// previous one twice counts 2^13 copies, past the node bound.
+	var doubling strings.Builder
+	doubling.WriteString("circuit M13 :\n  module M0 :\n    input x : UInt<8>\n    output y : UInt<8>\n    y <= " +
+		strings.Repeat("not(", 900) + "x" + strings.Repeat(")", 900) + "\n")
+	for i := 1; i <= 13; i++ {
+		fmt.Fprintf(&doubling, "  module M%d :\n    input x : UInt<8>\n    output y : UInt<8>\n"+
+			"    inst a of M%d\n    inst b of M%d\n    a.x <= x\n    b.x <= a.y\n    y <= b.y\n", i, i-1, i-1)
+	}
+	if _, err := c.Compile(ctx, doubling.String(), server.CompileOptions{}); !errors.As(err, &apiErr) || apiErr.Status != 422 ||
+		!strings.Contains(apiErr.Message, "expression nodes") {
+		t.Errorf("doubled deep expression answered %v, want 422 naming the node bound", err)
+	}
 	if _, err := c.Compile(ctx, counterSrc, server.CompileOptions{Kernel: "XX"}); !errors.As(err, &apiErr) || apiErr.Status != 400 {
 		t.Errorf("unknown kernel answered %v, want 400", err)
 	}
