@@ -15,7 +15,7 @@
 //	GET    /sessions/{id}/log        recorded, replayable transaction log
 //	DELETE /sessions/{id}            release the session
 //	GET    /healthz                  liveness plus live design/session counts
-//	GET    /readyz                   readiness (503 while draining or degraded)
+//	GET    /readyz                   readiness (503 while draining)
 //	GET    /metrics                  JSON counters (cache, sessions, pools, work, faults, latency)
 //
 // On SIGTERM/SIGINT the server drains gracefully: readiness fails and new
@@ -47,8 +47,6 @@ func main() {
 	requestTimeout := flag.Duration("request-timeout", 2*time.Minute, "per-request deadline (0 disables)")
 	execTimeout := flag.Duration("exec-timeout", time.Minute, "per-command-list execution deadline (0 disables)")
 	poolWait := flag.Duration("pool-wait", 0, "how long session creation waits for design capacity before answering 429 (0: fail fast)")
-	compileFailLimit := flag.Int("compile-fail-limit", 3, "consecutive compile failures that trip a design's circuit breaker (0 disables)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 30*time.Second, "how long a tripped compile breaker short-circuits with 503")
 	drainGrace := flag.Duration("drain-grace", 20*time.Second, "how long shutdown waits for in-flight command lists")
 	flag.Parse()
 
@@ -60,10 +58,6 @@ func main() {
 		}
 		return d
 	}
-	failLimit := *compileFailLimit
-	if failLimit == 0 {
-		failLimit = -1
-	}
 
 	srv := server.New(server.Config{
 		CacheSize:            *cache,
@@ -73,8 +67,6 @@ func main() {
 		RequestTimeout:       disabledIsNegative(*requestTimeout),
 		ExecTimeout:          disabledIsNegative(*execTimeout),
 		PoolWait:             *poolWait,
-		CompileFailLimit:     failLimit,
-		BreakerCooldown:      *breakerCooldown,
 	})
 
 	// Janitor: evict abandoned sessions.

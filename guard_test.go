@@ -111,6 +111,8 @@ const (
 		"the flattened copy of the hierarchy with every name rewritten, and a second resolver for nodes, are deleted"
 	streamingLexer = "the FIRRTL parser pulls each token from the lexer as it needs it: " +
 		"the whole-source lex into a token slice is the tests' oracle, not a pass before parsing"
+	failureCached = "a compile is a pure function of its source, so a failed one is a cache entry answered 422 at once: " +
+		"the server's compile circuit breaker, its knobs and flags, its 503 and degraded readiness, and the injected compile failure that fed it are deleted"
 )
 
 var guardRows = []guardRow{
@@ -189,6 +191,19 @@ var guardRows = []guardRow{
 		[]mutant{{path: "internal/firrtl/lex.go", snippet: "func lex(src string) ([]token, error) { return nil, nil }"}}},
 	{streamingLexer, pkg("internal/firrtl"), members("parser", "toks"),
 		[]mutant{{path: "internal/firrtl/parser.go", after: "type parser struct {\n", snippet: "\ttoks []token\n"}}},
+	{failureCached, pkg("internal/server cmd/rteaal-serve internal/faultinject"), anyOf(
+		ident("breakerState errCircuitOpen KindCircuitOpen CompileFailLimit BreakerCooldown CompileFail"),
+		literal("degraded"), literal("compile-fail-limit"), literal("breaker-cooldown")),
+		[]mutant{
+			{path: "internal/server/cache.go", after: "type designCache struct {\n", snippet: "\tbreakers map[string]*breakerState\n"},
+			{path: "internal/server/circuit.go", snippet: "type errCircuitOpen struct{ retryAfter time.Duration }"},
+			{path: "internal/server/api.go", after: "const (\n", snippet: "\tKindCircuitOpen = \"circuit_open\"\n"},
+			{path: "internal/server/server.go", after: "type Config struct {\n", snippet: "\tCompileFailLimit int\n\tBreakerCooldown time.Duration\n"},
+			{path: "internal/server/server.go", after: "func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {\n", snippet: "\t_ = \"degraded\"\n"},
+			{path: "cmd/rteaal-serve/main.go", after: "func main() {\n", snippet: "\tflag.Int(\"compile-fail-limit\", 3, \"\")\n"},
+			{path: "cmd/rteaal-serve/main.go", after: "func main() {\n", snippet: "\tflag.Duration(\"breaker-cooldown\", 0, \"\")\n"},
+			{path: "internal/faultinject/faultinject.go", after: "const (\n", snippet: "\tCompileFail Point = \"compile-fail\"\n"},
+		}},
 }
 
 // harmless edits every row passes: the rows read code, not comments.
@@ -341,6 +356,16 @@ func syntax(visit func(n ast.Node, hit func(ast.Node))) finder {
 			}
 		}
 		sort.Strings(found)
+		return found
+	}
+}
+
+// anyOf: what any of these finders finds.
+func anyOf(fs ...finder) finder {
+	return func(tr *goTree, in func(string) bool) (found []string) {
+		for _, f := range fs {
+			found = append(found, f(tr, in)...)
+		}
 		return found
 	}
 }

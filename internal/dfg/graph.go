@@ -10,7 +10,9 @@
 package dfg
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"rteaal/internal/wire"
 )
@@ -123,14 +125,14 @@ func (g *Graph) AddReg(name string, width int, init uint64) NodeID {
 }
 
 // SetRegNext connects the next-state input of the register whose Q node is q.
+// AddReg appends each entry after every node before it, and Clone and the
+// passes keep that order, so the entry is found by binary search.
 func (g *Graph) SetRegNext(q, next NodeID) {
-	for i := range g.Regs {
-		if g.Regs[i].Node == q {
-			g.Regs[i].Next = next
-			return
-		}
+	i, ok := slices.BinarySearchFunc(g.Regs, q, func(r Reg, q NodeID) int { return cmp.Compare(r.Node, q) })
+	if !ok {
+		panic(fmt.Sprintf("dfg: SetRegNext: node %d is not a register", q))
 	}
-	panic(fmt.Sprintf("dfg: SetRegNext: node %d is not a register", q))
+	g.Regs[i].Next = next
 }
 
 // AddOp adds a primitive-operation node.

@@ -2,7 +2,9 @@ package dfg
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
+	"time"
 
 	"rteaal/internal/wire"
 )
@@ -263,6 +265,42 @@ func TestRandomGraphValidates(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
+}
+
+// TestSetRegNextIsLogarithmic: SetRegNext finds a register's entry by
+// binary search, so connecting 200,000 registers in reverse order, each
+// between two constants, takes linear-log time. A linear scan per call
+// took about 24 s on a 2-vCPU host, and made generating full r1 quadratic
+// in registers. A node that is no register still panics.
+func TestSetRegNextIsLogarithmic(t *testing.T) {
+	const n = 200_000
+	g := &Graph{}
+	c := g.AddConst(1, 8)
+	regs := make([]NodeID, n)
+	for i := range regs {
+		regs[i] = g.AddReg("r"+strconv.Itoa(i), 8, 0)
+		g.AddConst(uint64(i), 8)
+	}
+	start := time.Now()
+	for i := n - 1; i >= 0; i-- {
+		g.SetRegNext(regs[i], regs[(i+1)%n])
+	}
+	took := time.Since(start)
+	t.Logf("%d registers connected in reverse order in %v", n, took)
+	if took > 500*time.Millisecond {
+		t.Errorf("%d registers took %v to connect, want under 0.5 s", n, took)
+	}
+	for i, r := range g.Regs {
+		if r.Node != regs[i] || r.Next != regs[(i+1)%n] {
+			t.Fatalf("register %d: %+v, want node %d next %d", i, r, regs[i], regs[(i+1)%n])
+		}
+	}
+	defer func() {
+		if r := recover(); r == nil {
+			t.Error("SetRegNext of a constant did not panic")
+		}
+	}()
+	g.SetRegNext(c, c)
 }
 
 func TestCloneIsIndependent(t *testing.T) {

@@ -29,6 +29,9 @@ func DefaultOptOptions() OptOptions {
 // optimised graph. The input graph is not modified.
 func Optimize(g *Graph, o OptOptions) (*Graph, error) {
 	out := g.Clone()
+	// The clone keeps node ids, and no mutation edits a cached order in
+	// place (each resets it), so g's order, if it has one, is the clone's.
+	out.topo = g.topo
 	if err := out.Validate(); err != nil {
 		return nil, err
 	}

@@ -30,9 +30,6 @@ const (
 	// CompilePanic fires inside the design cache's single-flight compile
 	// section, before the compiler runs.
 	CompilePanic Point = "compile-panic"
-	// CompileFail fires at the same place; returning an error injects a
-	// compile failure without invoking the compiler (feeds the breaker).
-	CompileFail Point = "compile-fail"
 	// RunPanic fires at the start of command-list execution, inside the
 	// exec recovery boundary.
 	RunPanic Point = "run-panic"

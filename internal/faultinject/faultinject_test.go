@@ -25,27 +25,27 @@ func TestArmFireDisarm(t *testing.T) {
 	t.Cleanup(Reset)
 	injected := errors.New("injected")
 	var got []uint64
-	disarm := Arm(CompileFail, func(hit uint64) error {
+	disarm := Arm(PoolExhausted, func(hit uint64) error {
 		got = append(got, hit)
 		if hit == 2 {
 			return injected
 		}
 		return nil
 	})
-	if err := Fire(CompileFail); err != nil {
+	if err := Fire(PoolExhausted); err != nil {
 		t.Fatalf("hit 1 returned %v, want nil", err)
 	}
-	if err := Fire(CompileFail); !errors.Is(err, injected) {
+	if err := Fire(PoolExhausted); !errors.Is(err, injected) {
 		t.Fatalf("hit 2 returned %v, want the injected error", err)
 	}
-	if Hits(CompileFail) != 2 {
-		t.Fatalf("Hits = %d, want 2", Hits(CompileFail))
+	if Hits(PoolExhausted) != 2 {
+		t.Fatalf("Hits = %d, want 2", Hits(PoolExhausted))
 	}
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("hook saw hits %v, want [1 2]", got)
 	}
 	disarm()
-	if err := Fire(CompileFail); err != nil {
+	if err := Fire(PoolExhausted); err != nil {
 		t.Fatalf("fire after disarm returned %v", err)
 	}
 	disarm() // idempotent

@@ -134,9 +134,6 @@ const (
 	// KindDraining marks work rejected during graceful shutdown (503 with
 	// Retry-After).
 	KindDraining = "draining"
-	// KindCircuitOpen marks a compile short-circuited by the per-design
-	// breaker after repeated failures (503 with Retry-After).
-	KindCircuitOpen = "circuit_open"
 	// KindBackpressure marks design-capacity or per-client saturation (429
 	// with Retry-After).
 	KindBackpressure = "backpressure"
@@ -174,13 +171,11 @@ type HealthResponse struct {
 
 // ReadyResponse answers GET /readyz — readiness: 200 with status "ready"
 // while the server accepts new work, 503 with status "draining" during
-// graceful shutdown, and 503 with status "degraded" when no compiled
-// design is servable and at least one design's compile is circuit-broken.
+// graceful shutdown. Designs counts compiled designs, not cached failures.
 type ReadyResponse struct {
-	Status      string `json:"status"`
-	Draining    bool   `json:"draining"`
-	Designs     int    `json:"designs"`
-	CircuitOpen int    `json:"circuit_open"`
+	Status   string `json:"status"`
+	Draining bool   `json:"draining"`
+	Designs  int    `json:"designs"`
 }
 
 // ErrorResponse is the body of every non-2xx answer. Kind, when set,

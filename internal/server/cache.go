@@ -3,7 +3,7 @@ package server
 import (
 	"container/list"
 	"context"
-	"fmt"
+	"errors"
 	"sync"
 	"time"
 
@@ -16,45 +16,29 @@ import (
 // deduplication so N clients posting the same source concurrently pay for
 // exactly one compile. An entry holds no engines, so evicting it closes
 // nothing: leases already open on it keep running until they are released.
+//
+// A compile is a pure function of its source and options, so a failed
+// compile is cached too: its entry holds only the error text, takes a place
+// in the same LRU, and a repeat is a hit answered with the same error. A
+// recovered panic is a fault of the program, not of the source, and is
+// never cached.
 type designCache struct {
-	mu        sync.Mutex
-	max       int
-	poolCap   int
-	failLimit int           // consecutive compile failures that trip a breaker
-	cooldown  time.Duration // how long a tripped breaker short-circuits
-	now       func() time.Time
-	entries   map[string]*cacheEntry
-	lru       *list.List // of *cacheEntry; front = most recently used
-	inflight  map[string]*compileCall
-	breakers  map[string]*breakerState
+	mu       sync.Mutex
+	max      int
+	poolCap  int
+	entries  map[string]*cacheEntry
+	lru      *list.List // of *cacheEntry; front = most recently used
+	inflight map[string]*compileCall
 
-	hits, misses, evictions, dedups, trips uint64
+	hits, misses, evictions, dedups uint64
 }
 
-// breakerState tracks one design hash's compile-failure circuit breaker.
-// After failLimit consecutive failures the breaker opens: compiles of that
-// hash short-circuit with errCircuitOpen until the cooldown elapses, at
-// which point one probe compile is allowed through (half-open); its failure
-// re-opens the breaker, its success clears it.
-type breakerState struct {
-	fails     int
-	openUntil time.Time
-}
-
-// errCircuitOpen is the short-circuit answer for a tripped breaker,
-// carrying the Retry-After the client should honor.
-type errCircuitOpen struct {
-	retryAfter time.Duration
-}
-
-func (e errCircuitOpen) Error() string {
-	return fmt.Sprintf("compile circuit open after repeated failures; retry in %s", e.retryAfter.Round(time.Second))
-}
-
-// cacheEntry is one cached design plus the capacity its scalar leases hold.
+// cacheEntry is one cached design plus the capacity its scalar leases hold,
+// or one failed compile (err set, design nil).
 type cacheEntry struct {
 	hash   string
 	design *sim.Design
+	err    error
 	info   DesignInfo
 	elem   *list.Element
 
@@ -74,28 +58,25 @@ type compileCall struct {
 	err   error
 }
 
-func newDesignCache(maxEntries, poolCap, failLimit int, cooldown time.Duration, now func() time.Time) *designCache {
+func newDesignCache(maxEntries, poolCap int) *designCache {
 	return &designCache{
-		max:       maxEntries,
-		poolCap:   poolCap,
-		failLimit: failLimit,
-		cooldown:  cooldown,
-		now:       now,
-		entries:   make(map[string]*cacheEntry),
-		lru:       list.New(),
-		inflight:  make(map[string]*compileCall),
-		breakers:  make(map[string]*breakerState),
+		max:      maxEntries,
+		poolCap:  poolCap,
+		entries:  make(map[string]*cacheEntry),
+		lru:      list.New(),
+		inflight: make(map[string]*compileCall),
 	}
 }
 
-// lookup returns the cached entry for hash, counting a hit and refreshing
+// lookup returns the cached design for hash, counting a hit and refreshing
 // its LRU position, or (nil, false) without counting a miss — lookup
-// misses are "unknown design" errors, not compile demand.
+// misses are "unknown design" errors, not compile demand. A failed compile
+// is no design: lookup does not return it.
 func (c *designCache) lookup(hash string) (*cacheEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[hash]
-	if !ok {
+	if !ok || e.err != nil {
 		return nil, false
 	}
 	c.hits++
@@ -106,17 +87,21 @@ func (c *designCache) lookup(hash string) (*cacheEntry, bool) {
 // getOrCompile returns the entry for hash, compiling it with compile at
 // most once across all concurrent callers. cached reports whether the
 // caller was served without running its own compile (an existing entry or
-// a joined in-flight one). A joiner whose ctx expires abandons the wait
-// with ctx.Err(); the compile itself keeps running for the other joiners.
-// A panic inside compile is recovered into a *panicFault error — the
+// a joined in-flight one); a cached failure answers its error again. A
+// joiner whose ctx expires abandons the wait with ctx.Err(); the compile
+// itself keeps running for the other joiners. A panic inside compile is
+// recovered into a *panicFault error, which is not cached — the
 // single-flight channel always closes, so joiners can never hang on a
-// crashed compile — and counts as a breaker failure like any other.
+// crashed compile.
 func (c *designCache) getOrCompile(ctx context.Context, hash string, compile func() (*sim.Design, error)) (e *cacheEntry, cached bool, err error) {
 	c.mu.Lock()
 	if e, ok := c.entries[hash]; ok {
 		c.hits++
 		c.lru.MoveToFront(e.elem)
 		c.mu.Unlock()
+		if e.err != nil {
+			return nil, true, e.err
+		}
 		return e, true, nil
 	}
 	if call, ok := c.inflight[hash]; ok {
@@ -130,10 +115,6 @@ func (c *designCache) getOrCompile(ctx context.Context, hash string, compile fun
 			return nil, false, ctx.Err()
 		}
 	}
-	if err := c.breakerCheckLocked(hash); err != nil {
-		c.mu.Unlock()
-		return nil, false, err
-	}
 	c.misses++
 	call := &compileCall{done: make(chan struct{})}
 	c.inflight[hash] = call
@@ -143,11 +124,12 @@ func (c *designCache) getOrCompile(ctx context.Context, hash string, compile fun
 
 	c.mu.Lock()
 	delete(c.inflight, hash)
-	if err == nil {
-		call.entry = c.insertLocked(hash, d)
-		c.evictOverflowLocked()
+	switch {
+	case err == nil:
+		call.entry = c.insertLocked(c.newEntry(hash, d))
+	case !isPanicErr(err):
+		c.insertLocked(&cacheEntry{hash: hash, err: errors.New(err.Error())})
 	}
-	c.breakerRecordLocked(hash, err)
 	call.err = err
 	c.mu.Unlock()
 	close(call.done)
@@ -155,7 +137,7 @@ func (c *designCache) getOrCompile(ctx context.Context, hash string, compile fun
 }
 
 // compileRecover runs the compile inside a recovery boundary (plus the
-// fault-injection points tests arm to exercise it).
+// fault-injection point tests arm to exercise it).
 func compileRecover(compile func() (*sim.Design, error)) (d *sim.Design, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -165,68 +147,13 @@ func compileRecover(compile func() (*sim.Design, error)) (d *sim.Design, err err
 	if ferr := faultinject.Fire(faultinject.CompilePanic); ferr != nil {
 		panic(ferr)
 	}
-	if ferr := faultinject.Fire(faultinject.CompileFail); ferr != nil {
-		return nil, ferr
-	}
 	return compile()
 }
 
-// breakerCheckLocked short-circuits a compile whose breaker is open. Past
-// the cooldown the breaker goes half-open: this probe is allowed through,
-// and breakerRecordLocked decides whether it re-opens or clears.
-func (c *designCache) breakerCheckLocked(hash string) error {
-	if c.failLimit <= 0 {
-		return nil
-	}
-	b := c.breakers[hash]
-	if b == nil || b.fails < c.failLimit {
-		return nil
-	}
-	if remain := b.openUntil.Sub(c.now()); remain > 0 {
-		return errCircuitOpen{retryAfter: remain}
-	}
-	return nil
-}
-
-// breakerRecordLocked accounts one compile attempt's result against the
-// hash's breaker: failures accumulate and (re-)open it at the limit,
-// success clears it.
-func (c *designCache) breakerRecordLocked(hash string, err error) {
-	if c.failLimit <= 0 {
-		return
-	}
-	if err == nil {
-		delete(c.breakers, hash)
-		return
-	}
-	b := c.breakers[hash]
-	if b == nil {
-		b = &breakerState{}
-		c.breakers[hash] = b
-	}
-	b.fails++
-	if b.fails >= c.failLimit {
-		b.openUntil = c.now().Add(c.cooldown)
-		c.trips++
-	}
-}
-
-// breakerStats reports lifetime trips and how many hashes are open now.
-func (c *designCache) breakerStats() (trips uint64, open int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := c.now()
-	for _, b := range c.breakers {
-		if b.fails >= c.failLimit && b.openUntil.After(now) {
-			open++
-		}
-	}
-	return c.trips, open
-}
-
-func (c *designCache) insertLocked(hash string, d *sim.Design) *cacheEntry {
+// newEntry describes a compiled design as a cache entry.
+func (c *designCache) newEntry(hash string, d *sim.Design) *cacheEntry {
 	st := d.Stats()
-	e := &cacheEntry{
+	return &cacheEntry{
 		hash:   hash,
 		design: d,
 		slots:  make(chan struct{}, c.poolCap),
@@ -241,18 +168,19 @@ func (c *designCache) insertLocked(hash string, d *sim.Design) *cacheEntry {
 			Signals:   d.Signals(),
 		},
 	}
-	e.elem = c.lru.PushFront(e)
-	c.entries[hash] = e
-	return e
 }
 
-// evictOverflowLocked drops least-recently-used entries past the bound.
-func (c *designCache) evictOverflowLocked() {
+// insertLocked adds e as the most recently used entry and drops the least
+// recently used ones past the bound, designs and failures alike.
+func (c *designCache) insertLocked(e *cacheEntry) *cacheEntry {
+	e.elem = c.lru.PushFront(e)
+	c.entries[e.hash] = e
 	for len(c.entries) > c.max {
-		e := c.lru.Remove(c.lru.Back()).(*cacheEntry)
-		delete(c.entries, e.hash)
+		old := c.lru.Remove(c.lru.Back()).(*cacheEntry)
+		delete(c.entries, old.hash)
 		c.evictions++
 	}
+	return e
 }
 
 // acquire takes one of the design's capacity slots for a scalar lease. With
@@ -289,11 +217,11 @@ func (e *cacheEntry) releaseSlot() {
 	<-e.slots
 }
 
-// stats snapshots the cache counters plus every entry's lease occupancy.
+// stats snapshots the cache counters plus every design's lease occupancy.
+// Entries and the pools count compiled designs only, not cached failures.
 func (c *designCache) stats() (CacheMetrics, map[string]PoolMetrics) {
 	c.mu.Lock()
 	cm := CacheMetrics{
-		Entries:         len(c.entries),
 		Max:             c.max,
 		Hits:            c.hits,
 		Misses:          c.misses,
@@ -302,10 +230,14 @@ func (c *designCache) stats() (CacheMetrics, map[string]PoolMetrics) {
 	}
 	pm := make(map[string]PoolMetrics, len(c.entries))
 	for h, e := range c.entries {
+		if e.err != nil {
+			continue
+		}
 		e.mu.Lock()
 		pm[h] = PoolMetrics{Cap: cap(e.slots), Live: e.live, HighWater: e.highWater, Checkouts: e.checkouts}
 		e.mu.Unlock()
 	}
+	cm.Entries = len(pm)
 	c.mu.Unlock()
 	return cm, pm
 }

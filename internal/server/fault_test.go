@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -91,10 +92,7 @@ func parityRun(t *testing.T, c *client.Client) {
 func TestFaultCompilePanic(t *testing.T) {
 	checkGoroutineLeaks(t)
 	t.Cleanup(faultinject.Reset)
-	// A high breaker limit: late joiners that miss the single flight start
-	// compiles of their own, and each one panics — that must answer
-	// "panic", not trip the breaker into "circuit_open" mid-test.
-	_, c := newTestService(t, server.Config{CompileFailLimit: 100})
+	_, c := newTestService(t, server.Config{})
 	ctx := context.Background()
 
 	disarm := faultinject.Arm(faultinject.CompilePanic, faultinject.Always(faultinject.Panicf("injected compile crash")))
@@ -469,76 +467,156 @@ func TestDrainWaitsForInFlight(t *testing.T) {
 	srv.EndDrain()
 }
 
-// TestCircuitBreaker: repeated compile failures of one design trip its
-// breaker — further compiles short-circuit with 503 and a Retry-After —
-// and after the cooldown a probe is allowed through. Healthy designs are
-// unaffected, which also flips /readyz from degraded back to ready.
-func TestCircuitBreaker(t *testing.T) {
+// TestFaultCompileFailureCached: a compile is a pure function of its
+// source, so a failed compile is cached like a design. A bad source posted
+// five times runs the frontend once and answers five identical 422s, it is
+// no design to GET or to open a session on, and the replica stays ready.
+// A cached failure takes a place in the same LRU: with room for two
+// entries, two good designs evict it, the next post of it compiles again,
+// and the lease on the design that post evicts keeps running.
+func TestFaultCompileFailureCached(t *testing.T) {
 	checkGoroutineLeaks(t)
-	var mu sync.Mutex
-	now := time.Unix(1_700_000_000, 0)
-	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
-
-	_, c := newTestService(t, server.Config{
-		CompileFailLimit: 2,
-		BreakerCooldown:  30 * time.Second,
-		Clock:            clock,
-	})
+	_, c := newTestService(t, server.Config{CacheSize: 2})
 	ctx := context.Background()
 	const badSrc = "this is not firrtl"
+	badHash := sim.SourceHash(badSrc)
 
-	var apiErr *client.APIError
-	for i := 0; i < 2; i++ {
+	compileBad := func(what string) client.APIError {
+		t.Helper()
+		var apiErr *client.APIError
 		if _, err := c.Compile(ctx, badSrc, server.CompileOptions{}); !errors.As(err, &apiErr) || apiErr.Status != 422 {
-			t.Fatalf("bad compile %d answered %v, want 422", i+1, err)
+			t.Fatalf("%s answered %v, want 422", what, err)
+		}
+		return *apiErr
+	}
+	cacheCounts := func() server.CacheMetrics {
+		t.Helper()
+		m, err := c.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.Cache
+	}
+
+	first := compileBad("bad compile 1")
+	for i := 2; i <= 5; i++ {
+		if got := compileBad(fmt.Sprintf("bad compile %d", i)); got != first {
+			t.Fatalf("bad compile %d answered %+v, want the first answer %+v", i, got, first)
 		}
 	}
-	// Third attempt: the breaker short-circuits without compiling.
-	_, err := c.Compile(ctx, badSrc, server.CompileOptions{})
-	if !errors.As(err, &apiErr) || apiErr.Status != 503 || apiErr.Kind != server.KindCircuitOpen {
-		t.Fatalf("tripped breaker answered %v, want 503 kind %q", err, server.KindCircuitOpen)
+	if cm := cacheCounts(); cm.Misses != 1 || cm.Hits != 4 || cm.Entries != 0 {
+		t.Fatalf("cache after five bad posts: %+v, want misses 1, hits 4, entries 0", cm)
 	}
-	if apiErr.RetryAfter <= 0 || apiErr.RetryAfter > 30*time.Second {
-		t.Fatalf("breaker Retry-After = %s, want in (0, 30s]", apiErr.RetryAfter)
+	var apiErr *client.APIError
+	if _, err := c.Design(ctx, badHash); !errors.As(err, &apiErr) || apiErr.Status != 404 {
+		t.Fatalf("GET of a failed compile answered %v, want 404", err)
 	}
-	// Nothing cached and a breaker open: the replica reports degraded.
-	if _, err := c.Ready(ctx); !errors.As(err, &apiErr) || apiErr.Status != 503 {
-		t.Fatalf("readiness with all designs broken answered %v, want 503", err)
+	if _, err := c.NewSession(ctx, badHash, 0); !errors.As(err, &apiErr) || apiErr.Status != 404 {
+		t.Fatalf("session on a failed compile answered %v, want 404", err)
 	}
-
-	// Past the cooldown one probe goes through (and fails again, re-opening).
-	advance(31 * time.Second)
-	if _, err := c.Compile(ctx, badSrc, server.CompileOptions{}); !errors.As(err, &apiErr) || apiErr.Status != 422 {
-		t.Fatalf("half-open probe answered %v, want a real 422 compile failure", err)
-	}
-	if _, err := c.Compile(ctx, badSrc, server.CompileOptions{}); !errors.As(err, &apiErr) || apiErr.Status != 503 {
-		t.Fatalf("re-opened breaker answered %v, want 503", err)
+	if r, err := c.Ready(ctx); err != nil || r.Status != "ready" || r.Designs != 0 {
+		t.Fatalf("readiness after five bad posts: %v %+v, want ready with 0 designs", err, r)
 	}
 
-	// A healthy design is a different hash: unaffected, and serving it
-	// makes the replica ready again.
-	parityRun(t, c)
-	if r, err := c.Ready(ctx); err != nil || r.Status != "ready" {
-		t.Fatalf("readiness with a healthy design: %v %+v", err, r)
-	}
-
-	m, err := c.Metrics(ctx)
+	// Bad A, then good B and C: C evicts A. Reposting A is a miss that
+	// evicts B, whose open lease keeps running.
+	b, err := c.Compile(ctx, counterSrc, server.CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Fault.CircuitTrips != 2 || m.Fault.CircuitOpen != 1 {
-		t.Errorf("breaker metrics: trips=%d open=%d, want 2 and 1", m.Fault.CircuitTrips, m.Fault.CircuitOpen)
+	sess, err := c.NewSession(ctx, b.Hash, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close(ctx)
+	if _, err := c.Compile(ctx, counterSrc, server.CompileOptions{Kernel: "RU"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := compileBad("bad compile after eviction"); got != first {
+		t.Fatalf("bad compile after eviction answered %+v, want %+v", got, first)
+	}
+	if cm := cacheCounts(); cm.Misses != 4 || cm.Evictions != 2 || cm.Entries != 1 {
+		t.Fatalf("cache after bad A, good B, good C, bad A: %+v, want misses 4, evictions 2, entries 1", cm)
+	}
+	if _, err := c.Design(ctx, b.Hash); !errors.As(err, &apiErr) || apiErr.Status != 404 {
+		t.Fatalf("GET of evicted design B answered %v, want 404", err)
+	}
+	script := client.NewScript().Poke("step", 3).Step(4).Peek("count")
+	resp, err := sess.Do(ctx, script)
+	if err != nil {
+		t.Fatalf("lease on evicted design B: %v", err)
+	}
+	d, err := sim.Compile(counterSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := refExec(t, d.NewSession().Testbench(), script.Commands()); !slices.Equal(resp.Outcomes, want) {
+		t.Fatalf("lease on evicted design B ran %+v, want %+v", resp.Outcomes, want)
 	}
 }
 
+// TestFaultSessionPanic: a panic while a session is minted answers a typed
+// 500, counts as a recovered panic and hands back the client's
+// reservation, so the client can still open its full budget of sessions,
+// and the design keeps serving correct sessions.
+func TestFaultSessionPanic(t *testing.T) {
+	checkGoroutineLeaks(t)
+	t.Cleanup(faultinject.Reset)
+	const perClient = 2
+	_, c := newTestService(t, server.Config{MaxSessionsPerClient: perClient})
+	ctx := context.Background()
+
+	cr, err := c.Compile(ctx, counterSrc, server.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disarm := faultinject.Arm(faultinject.SessionPanic, faultinject.Always(faultinject.Panicf("injected session crash")))
+	_, err = c.NewSession(ctx, cr.Hash, 0)
+	disarm()
+	var apiErr *client.APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != 500 || apiErr.Kind != server.KindPanic {
+		t.Fatalf("panicked session open answered %v, want 500 kind %q", err, server.KindPanic)
+	}
+	after, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := after.Fault.PanicsRecovered - before.Fault.PanicsRecovered; d != 1 {
+		t.Errorf("panics_recovered went up by %d, want 1", d)
+	}
+
+	// The crashed open holds no reservation: the full budget opens, and
+	// one more is refused by the per-client bound.
+	var open []*client.Session
+	for i := 0; i < perClient; i++ {
+		sess, err := c.NewSession(ctx, cr.Hash, 0)
+		if err != nil {
+			t.Fatalf("session %d of %d after the panic: %v", i+1, perClient, err)
+		}
+		open = append(open, sess)
+	}
+	if _, err := c.NewSession(ctx, cr.Hash, 0); !errors.As(err, &apiErr) || apiErr.Status != 429 {
+		t.Fatalf("session %d answered %v, want 429", perClient+1, err)
+	}
+	for _, sess := range open {
+		if err := sess.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parityRun(t, c)
+}
+
 // TestReadyzFreshServer: an empty, healthy server is ready — no designs
-// cached is not degraded unless a breaker is open.
+// cached is not a reason to leave the balancer.
 func TestReadyzFreshServer(t *testing.T) {
 	checkGoroutineLeaks(t)
 	_, c := newTestService(t, server.Config{})
 	r, err := c.Ready(context.Background())
-	if err != nil || r.Status != "ready" || r.Draining || r.CircuitOpen != 0 {
+	if err != nil || r.Status != "ready" || r.Draining {
 		t.Fatalf("fresh server readiness: %v %+v", err, r)
 	}
 }

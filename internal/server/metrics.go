@@ -19,6 +19,8 @@ type MetricsResponse struct {
 
 // CacheMetrics reports the cross-user design cache.
 type CacheMetrics struct {
+	// Entries counts compiled designs. Max bounds them together with the
+	// cached compile failures, which Entries does not count.
 	Entries int `json:"entries"`
 	Max     int `json:"max"`
 	// Hits counts requests served from an existing entry; Misses counts
@@ -56,10 +58,12 @@ type FaultMetrics struct {
 	// SessionsQuarantined counts leases torn down because their engine
 	// panicked; each engine was closed, never run again.
 	SessionsQuarantined uint64 `json:"sessions_quarantined"`
-	// CircuitTrips counts compile circuit breakers tripped open;
-	// CircuitOpen is how many design hashes are short-circuited right now.
-	CircuitTrips uint64 `json:"circuit_trips"`
-	CircuitOpen  int    `json:"circuit_open"`
+	// CircuitTrips is always 0 and is not on the wire: a failed compile is
+	// cached, not rationed by a breaker.
+	//
+	// Deprecated: the benchmark still sums this field; ROADMAP item 1(g)
+	// drops that use, and then the field.
+	CircuitTrips uint64 `json:"-"`
 	// Draining reports whether the server is in graceful shutdown.
 	Draining bool `json:"draining"`
 }
@@ -99,8 +103,8 @@ type metrics struct {
 	commandsExecuted uint64
 
 	// Fault counters (see FaultMetrics); monotonic, guarded by mu. The
-	// quarantine, breaker, and drain-state figures live with their owners
-	// (session registry, design cache, server) and are merged by /metrics.
+	// quarantine and drain-state figures live with their owners (session
+	// registry, server) and are merged by /metrics.
 	panicsRecovered uint64
 	timeouts        uint64
 	canceled        uint64

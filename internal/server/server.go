@@ -17,7 +17,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,12 +28,12 @@ import (
 
 // The service's fixed bounds.
 const (
-	maxLanes              = 256             // lanes of one batch session
-	maxCommandsPerRequest = 4096            // commands in one list
-	maxCyclesPerCommand   = 1_000_000       // one command's cycle budget
-	maxSourceBytes        = 8 << 20         // a POST /designs or /sessions/{id}/commands body
-	maxLogEntries         = 4096            // a session's log; the oldest entries drop first
-	drainRetryAfter       = 5 * time.Second // the Retry-After of a 503 while draining
+	maxLanes              = 256       // lanes of one batch session
+	maxCommandsPerRequest = 4096      // commands in one list
+	maxCyclesPerCommand   = 1_000_000 // one command's cycle budget
+	maxSourceBytes        = 8 << 20   // a POST /designs or /sessions/{id}/commands body
+	maxLogEntries         = 4096      // a session's log; the oldest entries drop first
+	drainRetryAfter       = "5"       // the Retry-After, in seconds, of a 503 while draining
 )
 
 // Config bounds the service. The zero value takes every default.
@@ -62,15 +61,7 @@ type Config struct {
 	// for a lease of a full design to release before answering 429
 	// (default 0: fail fast).
 	PoolWait time.Duration
-	// CompileFailLimit trips a per-design circuit breaker after this many
-	// consecutive compile failures (default 3; negative disables).
-	CompileFailLimit int
-	// BreakerCooldown is how long a tripped breaker short-circuits
-	// compiles of that design with 503 before allowing a probe
-	// (default 30s).
-	BreakerCooldown time.Duration
-	// Clock overrides time.Now for session TTLs and breaker cooldowns
-	// (tests).
+	// Clock overrides time.Now for session TTLs (tests).
 	Clock func() time.Time
 }
 
@@ -101,15 +92,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PoolWait < 0 {
 		c.PoolWait = 0
-	}
-	switch {
-	case c.CompileFailLimit == 0:
-		c.CompileFailLimit = 3
-	case c.CompileFailLimit < 0:
-		c.CompileFailLimit = 0
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 30 * time.Second
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
@@ -162,7 +144,7 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:      cfg,
-		cache:    newDesignCache(cfg.CacheSize, cfg.PoolCap, cfg.CompileFailLimit, cfg.BreakerCooldown, cfg.Clock),
+		cache:    newDesignCache(cfg.CacheSize, cfg.PoolCap),
 		sessions: newSessionRegistry(cfg.MaxSessionsPerClient, cfg.SessionTTL, cfg.Clock),
 		metrics:  newMetrics(),
 		mux:      http.NewServeMux(),
@@ -251,7 +233,7 @@ func (s *Server) rejectIfDraining(w http.ResponseWriter) bool {
 		return false
 	}
 	s.metrics.drainReject()
-	w.Header().Set("Retry-After", retryAfterSecs(drainRetryAfter))
+	w.Header().Set("Retry-After", drainRetryAfter)
 	writeErrorKind(w, http.StatusServiceUnavailable, KindDraining,
 		errors.New("server: draining; retry against another replica"))
 	return true
@@ -313,16 +295,6 @@ func writeErrorKind(w http.ResponseWriter, status int, kind string, err error) {
 	writeJSON(w, status, ErrorResponse{Error: err.Error(), Kind: kind})
 }
 
-// retryAfterSecs renders a duration as a Retry-After header value,
-// rounding up so a sub-second hint never becomes "0".
-func retryAfterSecs(d time.Duration) string {
-	secs := int64((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.FormatInt(secs, 10)
-}
-
 // decodeBody strictly decodes a JSON request body into v. An empty body
 // leaves v at its zero value.
 func decodeBody(r *http.Request, limit int64, v any) error {
@@ -350,10 +322,10 @@ func decodeBody(r *http.Request, limit int64, v any) error {
 // handleCompile serves POST /designs: hash the normalized source plus
 // options, compile at most once across all clients, answer 201 for a
 // fresh compile and 200 from cache. Failures are typed: a crashed compile
-// answers 500 (kind "panic"), a circuit-broken design 503 with
-// Retry-After (kind "circuit_open"), an expired deadline 504, and an
-// ordinary compile error 422 — and none of them can wedge concurrent
-// clients that joined the same single-flight compile.
+// answers 500 (kind "panic"), an expired deadline 504, and an ordinary
+// compile error 422 — cached, so a repeat of the same source answers the
+// same 422 at once — and none of them can wedge concurrent clients that
+// joined the same single-flight compile.
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	if s.rejectIfDraining(w) {
 		return
@@ -377,11 +349,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return sim.Compile(req.Source, opts...)
 	})
 	if err != nil {
-		var open errCircuitOpen
 		switch {
-		case errors.As(err, &open):
-			w.Header().Set("Retry-After", retryAfterSecs(open.retryAfter))
-			writeErrorKind(w, http.StatusServiceUnavailable, KindCircuitOpen, err)
 		case isPanicErr(err):
 			s.metrics.panicRecovered()
 			writeErrorKind(w, http.StatusInternalServerError, KindPanic, err)
@@ -598,25 +566,18 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReady serves GET /readyz: readiness. 503 while draining (new work
-// is being rejected) and while the server is degraded — nothing cached and
-// every compile attempt circuit-broken — so load balancers route around
-// this replica without killing it.
+// is being rejected), so load balancers route around this replica without
+// killing it.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	cm, _ := s.cache.stats()
-	_, open := s.cache.breakerStats()
-	resp := ReadyResponse{Draining: s.draining.Load(), Designs: cm.Entries, CircuitOpen: open}
-	switch {
-	case resp.Draining:
+	resp := ReadyResponse{Status: "ready", Draining: s.draining.Load(), Designs: cm.Entries}
+	if resp.Draining {
 		resp.Status = "draining"
-		w.Header().Set("Retry-After", retryAfterSecs(drainRetryAfter))
+		w.Header().Set("Retry-After", drainRetryAfter)
 		writeJSON(w, http.StatusServiceUnavailable, resp)
-	case resp.Designs == 0 && open > 0:
-		resp.Status = "degraded"
-		writeJSON(w, http.StatusServiceUnavailable, resp)
-	default:
-		resp.Status = "ready"
-		writeJSON(w, http.StatusOK, resp)
+		return
 	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleMetrics serves GET /metrics.
@@ -624,7 +585,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	cm, pools := s.cache.stats()
 	work, fault, eps := s.metrics.snapshot()
 	fault.SessionsQuarantined = s.sessions.quarantineCount()
-	fault.CircuitTrips, fault.CircuitOpen = s.cache.breakerStats()
 	fault.Draining = s.draining.Load()
 	writeJSON(w, http.StatusOK, MetricsResponse{
 		Cache:     cm,

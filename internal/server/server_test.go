@@ -221,14 +221,13 @@ func TestWireParity(t *testing.T) {
 
 			// A clean parity run must not have tripped any of the fault
 			// machinery: no recovered panics, timeouts, cancellations,
-			// drain rejections, quarantines, or open breakers.
+			// drain rejections, or quarantines.
 			m, err := c.Metrics(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if f := m.Fault; f.PanicsRecovered != 0 || f.Timeouts != 0 || f.Canceled != 0 ||
-				f.DrainRejected != 0 || f.SessionsQuarantined != 0 ||
-				f.CircuitTrips != 0 || f.CircuitOpen != 0 || f.Draining {
+				f.DrainRejected != 0 || f.SessionsQuarantined != 0 || f.Draining {
 				t.Errorf("fault metrics after clean run: %+v", m.Fault)
 			}
 		})

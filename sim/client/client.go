@@ -291,8 +291,8 @@ func (c *Client) Health(ctx context.Context) (*server.HealthResponse, error) {
 	return &resp, nil
 }
 
-// Ready fetches GET /readyz (readiness). A draining or degraded server
-// answers 503, which surfaces as an *APIError after the retry budget.
+// Ready fetches GET /readyz (readiness). A draining server answers 503,
+// which surfaces as an *APIError after the retry budget.
 func (c *Client) Ready(ctx context.Context) (*server.ReadyResponse, error) {
 	var resp server.ReadyResponse
 	if err := c.do(ctx, http.MethodGet, "/readyz", nil, &resp, true); err != nil {
