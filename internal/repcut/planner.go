@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"rteaal/internal/oim"
 )
@@ -36,14 +35,21 @@ import (
 // ([refiner.refine]), moving one register at a time to whichever partition
 // most lowers the pair.
 //
-// Both work from every register's cone as a bitset over operations. The
+// Both work from every register's cone as a bitset over op classes. The
 // cones come from one sweep in reverse layer order that carries, per
-// operation, the set of registers whose cone holds it ([fanIn.sweep]);
-// transposing that operation × register matrix 64 × 64 bits at a time gives
-// the cones ([analyze]). A move is priced with popcounts of the cone's words
-// against two bitsets per partition that every move keeps current —
-// operations the partition holds, and operations only one of its registers
-// holds ([refiner.priceOps]).
+// operation, the set of registers whose cone holds it ([fanIn.sweep]).
+// Operations with equal non-empty sets lie in exactly the same cones, so
+// every count the planner keeps is the same for all of them: they are one
+// class, weighted by how many operations it stands for, and transposing the
+// class × register matrix 64 × 64 bits at a time gives the cones
+// ([analyze]). On r4/8 the 11,879 operations form 2,846 classes and the
+// cones hold 18.6x fewer bits than over operations. A move's ops are priced
+// with weighted popcounts of the cone's words against two bitsets per
+// partition that every move keeps current — classes the partition holds, and
+// classes only one of its registers holds ([refiner.priceOps]) — and its
+// exchange by popcounts of the words of the cone's source registers against
+// bitsets of the exchange state ([refiner.priceReads]). Pricing is
+// read-only; only the move applied writes either.
 
 // fanIn is the design's combinational fan-in at slot granularity, built once
 // per plan. Every cone a plan needs — each register's for the planner, each
@@ -173,8 +179,8 @@ func planOwners(t *oim.Tensor, f *fanIn, n int) []int {
 	return r.owner
 }
 
-// bitset is a fixed-capacity set of small non-negative integers, used for
-// per-register fan-in cones over global operation indices.
+// bitset is a fixed-capacity set of small non-negative integers: a cone's
+// op classes, a partition's held classes, an op's or a register's labels.
 type bitset []uint64
 
 func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
@@ -182,6 +188,15 @@ func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 func (b bitset) set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
 
 func (b bitset) flip(i int) { b[i>>6] ^= 1 << (uint(i) & 63) }
+
+// put makes i a member when on holds and not one otherwise.
+func (b bitset) put(i int, on bool) {
+	if on {
+		b.set(i)
+	} else {
+		b[i>>6] &^= 1 << (uint(i) & 63)
+	}
+}
 
 func (b bitset) has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 
@@ -201,23 +216,6 @@ func (b bitset) orWith(c bitset) {
 	}
 }
 
-func (b bitset) popcount() int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// andCount is |a ∩ b|.
-func andCount(a, b bitset) int {
-	n := 0
-	for i, w := range a {
-		n += bits.OnesCount64(w & b[i])
-	}
-	return n
-}
-
 // forEachBit calls f with every member in ascending order.
 func (b bitset) forEachBit(f func(i int)) {
 	for wi, w := range b {
@@ -228,71 +226,159 @@ func (b bitset) forEachBit(f func(i int)) {
 	}
 }
 
-// jaccard is |a∩b| / |a∪b|, 0 when both are empty.
-func jaccard(a, b bitset, sizeA, sizeB int) float64 {
-	inter := andCount(a, b)
-	union := sizeA + sizeB - inter
+// analysis is the per-register fan-in structure the planner works from: for
+// every register, the operations (as global op indices, layer-major) its
+// next-state computation transitively needs, as classes, and the registers
+// whose committed Q values that cone reads.
+//
+// A class is the operations held by exactly the same registers' cones. The
+// classes run in ascending weight, so a word of a class bitset mostly holds
+// classes of one weight and a weighted count is mostly popcounts
+// ([analysis.interOps]).
+type analysis struct {
+	numOps  int
+	class   []int32  // op index → its class, -1 for an op no register's cone holds
+	weight  []int32  // class → the operations it stands for, ascending
+	wordW   []int32  // word of a class bitset → the weight of every class in it, 0 when they differ
+	cones   []bitset // per register: the classes of its fan-in cone
+	coneOps []int    // per register: the operations of its cone
+	regSrc  []bitset // per register: the registers whose Q the cone reads
+}
+
+// interOps is the number of operations the classes in both x and y stand for.
+func (a *analysis) interOps(x, y bitset) int {
+	n := 0
+	for i, w := range x {
+		m := w & y[i]
+		if m == 0 {
+			continue
+		}
+		if ww := a.wordW[i]; ww > 0 {
+			n += int(ww) * bits.OnesCount64(m)
+			continue
+		}
+		for ; m != 0; m &= m - 1 {
+			n += int(a.weight[i<<6+bits.TrailingZeros64(m)])
+		}
+	}
+	return n
+}
+
+// jaccard is |a∩b| / |a∪b| in operations, 0 when both are empty.
+func (a *analysis) jaccard(x, y bitset, sizeX, sizeY int) float64 {
+	inter := a.interOps(x, y)
+	union := sizeX + sizeY - inter
 	if union == 0 {
 		return 0
 	}
 	return float64(inter) / float64(union)
 }
 
-// analysis is the per-register fan-in structure the planner works from: for
-// every register, the set of operations (as global op indices, layer-major)
-// its next-state computation transitively needs, and the registers whose
-// committed Q values that cone reads.
-type analysis struct {
-	numOps  int
-	cones   []bitset // per register: op-index members of the fan-in cone
-	coneOps []int    // popcount(cones[ri])
-	regSrc  [][]int  // per register: sorted register indices whose Q the cone reads
-}
-
 // analyze computes every register's fan-in cone from one sweep that labels
-// each register's Next with the register. The register Qs a cone reads are
-// its regSrc — the edges the RUM exchange would carry if reader and owner
-// end up in different partitions. The cones are the sweep's op sets
-// transposed, 64 ops × 64 registers at a time, and the source sets behind
-// regSrc its reader sets transposed the same way; only the analysis
-// outlives the call.
+// each register's Next with the register. Ops whose label sets are equal and
+// non-empty are grouped into classes by a hash table over the sets; the
+// cones are the class × register matrix — each class's set, taken from one
+// op of it — transposed, 64 classes × 64 registers at a time. The register
+// Qs a cone reads are its regSrc — the edges the RUM exchange would carry if
+// reader and owner end up in different partitions — read off the sweep's
+// reader sets. Only the analysis outlives the call.
 func analyze(t *oim.Tensor, f *fanIn) *analysis {
 	numOps, nr := len(f.args), len(t.RegSlots)
 	ls := f.sweep(f.next, nil, nr)
 
 	a := &analysis{
 		numOps:  numOps,
+		class:   make([]int32, numOps),
 		cones:   make([]bitset, nr),
 		coneOps: make([]int, nr),
-		regSrc:  make([][]int, nr),
+		regSrc:  make([]bitset, nr),
 	}
-	ow := (numOps + 63) / 64
-	coneWords := transpose(ls.held, numOps, nr)
-	for ri := range a.cones {
-		a.cones[ri] = coneWords[ri*ow : (ri+1)*ow : (ri+1)*ow]
-		a.coneOps[ri] = a.cones[ri].popcount()
-	}
-	// Transposed, the reader sets are the source sets; regSrc is cut from
-	// one slab they size exactly.
-	srcSets := transpose(ls.read, nr, nr)
-	slab := make([]int, bitset(srcSets).popcount())
-	for ri := range a.regSrc {
-		set := bitset(srcSets[ri*ls.words:][:ls.words])
-		if k := set.popcount(); k > 0 {
-			src := slab[:0:k]
-			set.forEachBit(func(q int) { src = append(src, q) })
-			a.regSrc[ri], slab = src, slab[k:]
+
+	// Classes in order of first op; table holds class+1 per hash slot, 0
+	// for free, at most half full.
+	bitsLog := bits.Len(uint(numOps)) + 1
+	table := make([]int32, 1<<bitsLog)
+	var rep []int32 // class → an op of it
+	var weight []int32
+	for op := range numOps {
+		set := ls.op(op)
+		if set.empty() {
+			a.class[op] = -1
+			continue
 		}
+		h := uint64(0)
+		for _, w := range set {
+			h = (h ^ w) * 0x9e3779b97f4a7c15
+			h ^= h >> 31
+		}
+		for i := h >> (64 - bitsLog); ; i = (i + 1) & (1<<bitsLog - 1) {
+			c := table[i] - 1
+			if c < 0 {
+				c = int32(len(rep))
+				table[i] = c + 1
+				rep, weight = append(rep, int32(op)), append(weight, 0)
+			} else if !slices.Equal(ls.op(int(rep[c])), set) {
+				continue
+			}
+			a.class[op] = c
+			weight[c]++
+			break
+		}
+	}
+
+	// Renumber the classes in ascending weight (stable, so by first op
+	// within a weight); rows[k] is an op of class k, its row of the class ×
+	// register matrix.
+	nc := len(rep)
+	order := make([]int32, nc)
+	for c := range order {
+		order[c] = int32(c)
+	}
+	slices.SortStableFunc(order, func(x, y int32) int { return int(weight[x] - weight[y]) })
+	renum, rows := make([]int32, nc), make([]int32, nc)
+	a.weight = make([]int32, nc)
+	for k, c := range order {
+		renum[c], a.weight[k], rows[k] = int32(k), weight[c], rep[c]
+	}
+	for op, c := range a.class {
+		if c >= 0 {
+			a.class[op] = renum[c]
+		}
+	}
+	cw := (nc + 63) / 64
+	a.wordW = make([]int32, cw)
+	for i := range a.wordW {
+		if lo, hi := a.weight[i*64], a.weight[min(i*64+63, nc-1)]; lo == hi {
+			a.wordW[i] = lo
+		}
+	}
+
+	coneWords := transpose(ls.held, rows, nr)
+	for ri := range a.cones {
+		a.cones[ri] = coneWords[ri*cw : (ri+1)*cw : (ri+1)*cw]
+		a.coneOps[ri] = a.interOps(a.cones[ri], a.cones[ri])
+	}
+
+	// Register q's reader set holds ri exactly when ri's cone reads q: the
+	// reader sets transposed are the source sets.
+	srcWords := transpose(ls.read, nil, nr)
+	for ri := range a.regSrc {
+		a.regSrc[ri] = srcWords[ri*ls.words : (ri+1)*ls.words : (ri+1)*ls.words]
 	}
 	return a
 }
 
-// transpose returns the rows × cols bit matrix m — each row a bitset of
-// (cols+63)/64 words — transposed: cols rows of (rows+63)/64 words, bit j of
+// transpose returns the bit matrix whose row i is row rows[i] of m — each
+// row of m a bitset of (cols+63)/64 words, and nil rows all of m's rows in
+// order — transposed: cols rows of one bit per row of the matrix, bit j of
 // row i becoming bit i of row j. It goes 64 × 64 bits at a time and skips
 // empty blocks.
-func transpose(m []uint64, rows, cols int) []uint64 {
-	w, tw := (cols+63)/64, (rows+63)/64
+func transpose(m []uint64, rows []int32, cols int) []uint64 {
+	w, n := (cols+63)/64, len(rows)
+	if rows == nil && w > 0 {
+		n = len(m) / w
+	}
+	tw := (n + 63) / 64
 	t := make([]uint64, cols*tw)
 	var blk [64]uint64
 	for rb := 0; rb < tw; rb++ {
@@ -300,7 +386,9 @@ func transpose(m []uint64, rows, cols int) []uint64 {
 			var seen uint64
 			for i := range blk {
 				blk[i] = 0
-				if r := rb*64 + i; r < rows {
+				if r := rb*64 + i; r < n && rows != nil {
+					blk[i] = m[int(rows[r])*w+cb]
+				} else if r < n {
 					blk[i] = m[r*w+cb]
 				}
 				seen |= blk[i]
@@ -353,9 +441,7 @@ func (r *refiner) seed() {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(i, j int) bool {
-		return a.coneOps[order[i]] > a.coneOps[order[j]]
-	})
+	slices.SortStableFunc(order, func(x, y int) int { return a.coneOps[y] - a.coneOps[x] })
 
 	// Farthest-first seeding: the largest cone, then whatever register is
 	// least similar to every seed so far (ties to the larger cone via the
@@ -363,7 +449,7 @@ func (r *refiner) seed() {
 	seeds := []int{order[0]}
 	bestSim := make([]float64, nr) // max Jaccard to any chosen seed
 	for _, ri := range order[1:] {
-		bestSim[ri] = jaccard(a.cones[seeds[0]], a.cones[ri], a.coneOps[seeds[0]], a.coneOps[ri])
+		bestSim[ri] = a.jaccard(a.cones[seeds[0]], a.cones[ri], a.coneOps[seeds[0]], a.coneOps[ri])
 	}
 	for len(seeds) < n {
 		next, nextSim := -1, 2.0
@@ -375,7 +461,7 @@ func (r *refiner) seed() {
 		seeds = append(seeds, next)
 		for _, ri := range order {
 			if ri != next {
-				s := jaccard(a.cones[next], a.cones[ri], a.coneOps[next], a.coneOps[ri])
+				s := a.jaccard(a.cones[next], a.cones[ri], a.coneOps[next], a.coneOps[ri])
 				bestSim[ri] = max(bestSim[ri], s)
 			}
 		}
@@ -409,21 +495,21 @@ const maxRefinePasses = 8
 
 // refiner holds the incremental bookkeeping that makes pricing a placement
 // or a move a few popcounts over a cone's words instead of a walk of the
-// design: per-partition reference counts of cone membership (for the op
-// deltas), mirrored a word at a time by two bitsets, and of register reads
-// (for the exchange deltas).
+// design: per-partition reference counts of cone membership per class (for
+// the op deltas) and of register reads (for the exchange deltas), each
+// mirrored a word at a time by bitsets.
 type refiner struct {
 	a     *analysis
 	n     int
 	owner []int // -1 until the seed has placed the register
 	owned []int
-	// cnt[p][op] counts owned cones in p containing op; the partition's
-	// replicated op count is the number of nonzero entries, tracked in
-	// unionOps[p].
+	// cnt[p][c] counts owned cones in p containing class c; the partition's
+	// replicated op count is the weight of the classes with nonzero
+	// entries, tracked in unionOps[p].
 	cnt      [][]int32
 	unionOps []int
-	// live[p] holds the ops with cnt[p][op] > 0 and once[p] those with
-	// cnt[p][op] == 1, kept current by moveOps: a cone's words ANDed with
+	// live[p] holds the classes with cnt[p][c] > 0 and once[p] those with
+	// cnt[p][c] == 1, kept current by moveOps: a cone's words ANDed with
 	// them price what a move adds to q and drops from p.
 	live, once []bitset
 	// readCnt[p][ri] counts registers owned by p — excluding ri itself —
@@ -434,31 +520,50 @@ type refiner struct {
 	readCnt     [][]int32
 	readers     []int32
 	pulls, pubs []int
+	// reads[p] holds the registers with readCnt[p][ri] > 0 and readOnce[p]
+	// those with readCnt[p][ri] == 1, ownedBy[p] the registers p owns,
+	// placed those any partition owns, and noReader and oneReader those
+	// with readers[ri] == 0 and == 1, kept current by moveReads: a source
+	// set's words ANDed with them price what a move does to the exchange.
+	reads, readOnce, ownedBy    []bitset
+	placed, noReader, oneReader bitset
+	// dPulls and dPubs are priceReads' per-partition deltas.
+	dPulls, dPubs []int
 }
 
 func newRefiner(a *analysis, n int) *refiner {
-	nr := len(a.cones)
+	nr, nc := len(a.cones), len(a.weight)
 	r := &refiner{
-		a:        a,
-		n:        n,
-		owner:    make([]int, nr),
-		owned:    make([]int, n),
-		cnt:      make([][]int32, n),
-		unionOps: make([]int, n),
-		live:     make([]bitset, n),
-		once:     make([]bitset, n),
-		readCnt:  make([][]int32, n),
-		readers:  make([]int32, nr),
-		pulls:    make([]int, n),
-		pubs:     make([]int, n),
+		a:         a,
+		n:         n,
+		owner:     make([]int, nr),
+		owned:     make([]int, n),
+		cnt:       make([][]int32, n),
+		unionOps:  make([]int, n),
+		live:      make([]bitset, n),
+		once:      make([]bitset, n),
+		readCnt:   make([][]int32, n),
+		readers:   make([]int32, nr),
+		pulls:     make([]int, n),
+		pubs:      make([]int, n),
+		reads:     make([]bitset, n),
+		readOnce:  make([]bitset, n),
+		ownedBy:   make([]bitset, n),
+		placed:    newBitset(nr),
+		noReader:  newBitset(nr),
+		oneReader: newBitset(nr),
+		dPulls:    make([]int, n),
+		dPubs:     make([]int, n),
 	}
 	for ri := range r.owner {
 		r.owner[ri] = -1
+		r.noReader.set(ri)
 	}
 	for p := 0; p < n; p++ {
-		r.cnt[p] = make([]int32, a.numOps)
-		r.live[p], r.once[p] = newBitset(a.numOps), newBitset(a.numOps)
+		r.cnt[p] = make([]int32, nc)
+		r.live[p], r.once[p] = newBitset(nc), newBitset(nc)
 		r.readCnt[p] = make([]int32, nr)
+		r.reads[p], r.readOnce[p], r.ownedBy[p] = newBitset(nr), newBitset(nr), newBitset(nr)
 	}
 	return r
 }
@@ -470,59 +575,174 @@ func newRefiner(a *analysis, n int) *refiner {
 func (r *refiner) priceOps(ri, p, q int) (rem, add int) {
 	cone := r.a.cones[ri]
 	if p >= 0 {
-		rem = andCount(cone, r.once[p])
+		rem = r.a.interOps(cone, r.once[p])
 	}
-	return rem, r.a.coneOps[ri] - andCount(cone, r.live[q])
+	return rem, r.a.coneOps[ri] - r.a.interOps(cone, r.live[q])
 }
 
 // moveOps applies what priceOps priced: the expensive half of a move.
 func (r *refiner) moveOps(ri, p, q int) {
+	weight := r.a.weight
 	if p >= 0 {
 		cntP, liveP, onceP := r.cnt[p], r.live[p], r.once[p]
-		r.a.cones[ri].forEachBit(func(op int) {
-			switch cntP[op]--; cntP[op] {
+		r.a.cones[ri].forEachBit(func(c int) {
+			switch cntP[c]--; cntP[c] {
 			case 0:
-				r.unionOps[p]--
-				liveP.flip(op)
-				onceP.flip(op)
+				r.unionOps[p] -= int(weight[c])
+				liveP.flip(c)
+				onceP.flip(c)
 			case 1:
-				onceP.flip(op)
+				onceP.flip(c)
 			}
 		})
 	}
 	cntQ, liveQ, onceQ := r.cnt[q], r.live[q], r.once[q]
-	r.a.cones[ri].forEachBit(func(op int) {
-		switch cntQ[op]++; cntQ[op] {
+	r.a.cones[ri].forEachBit(func(c int) {
+		switch cntQ[c]++; cntQ[c] {
 		case 1:
-			r.unionOps[q]++
-			liveQ.flip(op)
-			onceQ.flip(op)
+			r.unionOps[q] += int(weight[c])
+			liveQ.flip(c)
+			onceQ.flip(c)
 		case 2:
-			onceQ.flip(op)
+			onceQ.flip(c)
 		}
 	})
 }
 
-// moveReads takes register ri's reads, and its ownership, out of partition p
-// and into q (-1 on either side: unplaced), keeping the exchange counts
-// current. It is cheap — O(sources of ri + n) — and its own inverse, so a
-// candidate's exchange cost is read by applying it and taking it back.
-func (r *refiner) moveReads(ri, p, q int) {
-	src := r.a.regSrc[ri]
-	if p >= 0 {
-		readP := r.readCnt[p]
-		for _, s := range src {
-			if s == ri {
-				continue
+// priceReads is what taking register ri out of partition p (-1: unplaced)
+// and into q ≠ p would do to every partition's pulls and pubs, left in
+// dPulls and dPubs: the change moveReads would make, read without making it.
+func (r *refiner) priceReads(ri, p, q int) {
+	clear(r.dPulls)
+	clear(r.dPubs)
+	// ri's own reads: q starts reading the placed foreign sources none of
+	// its registers reads yet, p stops reading those only ri read there,
+	// and a source whose readers go 0 → 1 or 1 → 0 starts or stops being
+	// published by its owner.
+	for wi := range r.placed {
+		placed := r.sources(ri, wi) & r.placed[wi]
+		if placed == 0 {
+			continue
+		}
+		gain := placed &^ r.reads[q][wi] &^ r.ownedBy[q][wi]
+		var loss uint64
+		if p >= 0 {
+			loss = placed & r.readOnce[p][wi] &^ r.ownedBy[p][wi]
+			r.dPulls[p] -= bits.OnesCount64(loss)
+		}
+		r.dPulls[q] += bits.OnesCount64(gain)
+		up, down := gain&^loss&r.noReader[wi], loss&^gain&r.oneReader[wi]
+		if up|down == 0 {
+			continue
+		}
+		for o, own := range r.ownedBy {
+			r.dPubs[o] += bits.OnesCount64(up&own[wi]) - bits.OnesCount64(down&own[wi])
+		}
+	}
+	// ri's ownership: every partition reading it pulls it from q, not p,
+	// and q, not p, publishes it if any does.
+	if p >= 0 && r.readers[ri] > 0 {
+		r.dPubs[p]--
+	}
+	readers := 0
+	for x, read := range r.readCnt {
+		if read[ri] > 0 {
+			if p >= 0 && x != p {
+				r.dPulls[x]--
 			}
-			readP[s]--
-			if o := r.owner[s]; readP[s] == 0 && o >= 0 && o != p {
-				r.pulls[p]--
-				if r.readers[s]--; r.readers[s] == 0 {
-					r.pubs[o]--
-				}
+			if x != q {
+				r.dPulls[x]++
+				readers++
 			}
 		}
+	}
+	if readers > 0 {
+		r.dPubs[q]++
+	}
+}
+
+// setReaders sets readers[s], keeping noReader and oneReader current.
+func (r *refiner) setReaders(s int, v int32) {
+	r.readers[s] = v
+	r.noReader.put(s, v == 0)
+	r.oneReader.put(s, v == 1)
+}
+
+// sources is word wi of the registers ri's cone reads, ri itself left out:
+// its own Q never crosses the cut.
+func (r *refiner) sources(ri, wi int) uint64 {
+	m := r.a.regSrc[ri][wi]
+	if wi == ri>>6 {
+		m &^= 1 << (uint(ri) & 63)
+	}
+	return m
+}
+
+// dropReads takes register ri's reads out of partition p: each source's
+// count falls by one, and a placed foreign source no register of p reads
+// any more leaves p's pulls and, if p was its last reader, its owner's
+// pubs.
+func (r *refiner) dropReads(ri, p int) {
+	read, reads, once, own := r.readCnt[p], r.reads[p], r.readOnce[p], r.ownedBy[p]
+	for wi := range reads {
+		m := r.sources(ri, wi)
+		if m == 0 {
+			continue
+		}
+		var toOne uint64
+		for b := m; b != 0; b &= b - 1 {
+			s := wi<<6 + bits.TrailingZeros64(b)
+			if read[s]--; read[s] == 1 {
+				toOne |= b & -b
+			}
+		}
+		gone := m & once[wi]
+		reads[wi] &^= gone
+		once[wi] = once[wi]&^gone | toOne
+		lost := gone & r.placed[wi] &^ own[wi]
+		r.pulls[p] -= bits.OnesCount64(lost)
+		for ; lost != 0; lost &= lost - 1 {
+			s := wi<<6 + bits.TrailingZeros64(lost)
+			if r.setReaders(s, r.readers[s]-1); r.readers[s] == 0 {
+				r.pubs[r.owner[s]]--
+			}
+		}
+	}
+}
+
+// addReads puts register ri's reads into partition q: each source's count
+// rises by one, and a placed foreign source no register of q read before
+// joins q's pulls and, if q is its first reader, its owner's pubs.
+func (r *refiner) addReads(ri, q int) {
+	read, reads, once, own := r.readCnt[q], r.reads[q], r.readOnce[q], r.ownedBy[q]
+	for wi := range reads {
+		m := r.sources(ri, wi)
+		if m == 0 {
+			continue
+		}
+		for b := m; b != 0; b &= b - 1 {
+			read[wi<<6+bits.TrailingZeros64(b)]++
+		}
+		fresh := m &^ reads[wi]
+		reads[wi] |= m
+		once[wi] = once[wi]&^m | fresh
+		gained := fresh & r.placed[wi] &^ own[wi]
+		r.pulls[q] += bits.OnesCount64(gained)
+		for ; gained != 0; gained &= gained - 1 {
+			s := wi<<6 + bits.TrailingZeros64(gained)
+			if r.setReaders(s, r.readers[s]+1); r.readers[s] == 1 {
+				r.pubs[r.owner[s]]++
+			}
+		}
+	}
+}
+
+// moveReads applies what priceReads priced: it takes register ri's reads,
+// and its ownership, out of partition p (-1: unplaced) and into q, keeping
+// the exchange counts and their bitsets current.
+func (r *refiner) moveReads(ri, p, q int) {
+	if p >= 0 {
+		r.dropReads(ri, p)
 		for x := range r.pulls {
 			if x != p && r.readCnt[x][ri] > 0 {
 				r.pulls[x]--
@@ -531,35 +751,25 @@ func (r *refiner) moveReads(ri, p, q int) {
 		if r.readers[ri] > 0 {
 			r.pubs[p]--
 		}
-		r.readers[ri] = 0
 		r.owned[p]--
+		r.ownedBy[p].flip(ri)
+	} else {
+		r.placed.set(ri)
 	}
 	r.owner[ri] = q
-	if q >= 0 {
-		r.owned[q]++
-		for x := range r.pulls {
-			if x != q && r.readCnt[x][ri] > 0 {
-				r.pulls[x]++
-				r.readers[ri]++
-			}
-		}
-		if r.readers[ri] > 0 {
-			r.pubs[q]++
-		}
-		readQ := r.readCnt[q]
-		for _, s := range src {
-			if s == ri {
-				continue
-			}
-			readQ[s]++
-			if o := r.owner[s]; readQ[s] == 1 && o >= 0 && o != q {
-				r.pulls[q]++
-				if r.readers[s]++; r.readers[s] == 1 {
-					r.pubs[o]++
-				}
-			}
+	r.owned[q]++
+	r.ownedBy[q].flip(ri)
+	readers := int32(0)
+	for x := range r.pulls {
+		if x != q && r.readCnt[x][ri] > 0 {
+			r.pulls[x]++
+			readers++
 		}
 	}
+	if r.setReaders(ri, readers); readers > 0 {
+		r.pubs[q]++
+	}
+	r.addReads(ri, q)
 }
 
 // cost is the plan's (makespan, work) pair as it stands.
@@ -572,21 +782,22 @@ func (r *refiner) cost() (span, work int) {
 }
 
 // try is the cost the plan would have with register ri taken out of
-// partition p (-1: unplaced) and put into q: the ops priced, the exchange
-// read by applying the cheap half of the move and taking it back.
+// partition p (-1: unplaced) and put into q ≠ p, priced without changing
+// the plan.
 func (r *refiner) try(ri, p, q int) (span, work int) {
 	rem, add := r.priceOps(ri, p, q)
-	r.moveReads(ri, p, q)
-	if p >= 0 {
-		r.unionOps[p] -= rem
+	r.priceReads(ri, p, q)
+	for x, ops := range r.unionOps {
+		switch x {
+		case p:
+			ops -= rem
+		case q:
+			ops += add
+		}
+		pulls := r.pulls[x] + r.dPulls[x]
+		span = max(span, ops+pulls+r.pubs[x]+r.dPubs[x])
+		work += ops + pulls
 	}
-	r.unionOps[q] += add
-	span, work = r.cost()
-	if p >= 0 {
-		r.unionOps[p] += rem
-	}
-	r.unionOps[q] -= add
-	r.moveReads(ri, q, p)
 	return span, work
 }
 

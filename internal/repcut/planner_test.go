@@ -94,29 +94,111 @@ func walkLabels(f *fanIn, roots []int32, label []int, labels int) *labelSets {
 	return ls
 }
 
-// coneWalk is the analysis one register at a time — a walk from each
-// register's Next, ops into the cone and register Qs into regSrc — the
-// oracle analyze's one sweep must equal.
-func coneWalk(t *oim.Tensor, f *fanIn) *analysis {
-	a := &analysis{
-		numOps:  len(f.args),
-		cones:   make([]bitset, len(t.RegSlots)),
-		coneOps: make([]int, len(t.RegSlots)),
-		regSrc:  make([][]int, len(t.RegSlots)),
-	}
+// walkedCones is the analysis one register at a time, over operations: a
+// walk from each register's Next, ops into the cone and register Qs into
+// regSrc — the oracle analyze's one sweep and its classes must equal.
+type walkedCones struct {
+	ops    int
+	cones  []bitset // per register: op-index members of the fan-in cone
+	regSrc [][]int
+}
+
+func coneWalk(t *oim.Tensor, f *fanIn) walkedCones {
+	w := walkedCones{ops: len(f.args), cones: make([]bitset, len(t.RegSlots)), regSrc: make([][]int, len(t.RegSlots))}
 	for ri, r := range t.RegSlots {
-		a.cones[ri] = newBitset(a.numOps)
+		w.cones[ri] = newBitset(w.ops)
 		for _, s := range walk(f, r.Next) {
 			if si := f.regOf[s]; si >= 0 {
-				a.regSrc[ri] = append(a.regSrc[ri], int(si))
+				w.regSrc[ri] = append(w.regSrc[ri], int(si))
 			} else if id := f.producer[s]; id >= 0 {
-				a.cones[ri].set(int(id))
+				w.cones[ri].set(int(id))
 			}
 		}
-		slices.Sort(a.regSrc[ri])
-		a.coneOps[ri] = a.cones[ri].popcount()
+		slices.Sort(w.regSrc[ri])
 	}
-	return a
+	return w
+}
+
+// list is a bitset's members in ascending order.
+func list(b bitset) []int {
+	var l []int
+	b.forEachBit(func(i int) { l = append(l, i) })
+	return l
+}
+
+// members counts a bitset's members.
+func members(b bitset) int { return len(list(b)) }
+
+// weighOps sums the weights of a class bitset's classes: the operations
+// they stand for, counted without interOps.
+func weighOps(a *analysis, b bitset) int {
+	n := 0
+	b.forEachBit(func(c int) { n += int(a.weight[c]) })
+	return n
+}
+
+// checkClasses holds the class analysis to the walked cones expanded back to
+// operations: two ops share a class exactly when their walked label sets
+// (the registers whose walked cones hold them) are equal, an op in no cone
+// has no class, each class weighs its ops, the weights ascend and a uniform
+// word's weight is its classes', each cone's classes are exactly its walked
+// ops' and weigh its walked op count, and regSrc is the walk's.
+func checkClasses(a *analysis, w walkedCones) error {
+	if a.numOps != w.ops || len(a.class) != w.ops || len(a.cones) != len(w.cones) {
+		return fmt.Errorf("%d ops (%d classed), %d registers; the walk has %d, %d", a.numOps, len(a.class), len(a.cones), w.ops, len(w.cones))
+	}
+	labels := make([]bitset, a.numOps)
+	for op := range labels {
+		labels[op] = newBitset(len(w.cones))
+	}
+	for ri, cone := range w.cones {
+		cone.forEachBit(func(op int) { labels[op].set(ri) })
+	}
+	classOf := map[string]int32{}
+	setOf := map[int32]string{}
+	weight := make([]int32, len(a.weight))
+	for op, set := range labels {
+		c, key := a.class[op], fmt.Sprint(set)
+		if set.empty() != (c < 0) {
+			return fmt.Errorf("op %d is in %d walked cones but in class %d", op, members(set), c)
+		}
+		if c < 0 {
+			continue
+		}
+		weight[c]++
+		if prev, ok := classOf[key]; ok && prev != c {
+			return fmt.Errorf("ops of one walked label set are in classes %d and %d", prev, c)
+		}
+		if prev, ok := setOf[c]; ok && prev != key {
+			return fmt.Errorf("class %d holds ops of two walked label sets", c)
+		}
+		classOf[key], setOf[c] = c, key
+	}
+	if !slices.Equal(weight, a.weight) || !slices.IsSorted(a.weight) {
+		return fmt.Errorf("class weights %v, the classes' op counts %v", a.weight, weight)
+	}
+	for i, ww := range a.wordW {
+		for c := i * 64; ww > 0 && c < min(i*64+64, len(a.weight)); c++ {
+			if a.weight[c] != ww {
+				return fmt.Errorf("word %d weighs %d but class %d weighs %d", i, ww, c, a.weight[c])
+			}
+		}
+	}
+	for ri, cone := range w.cones {
+		ops := newBitset(a.numOps)
+		for op, c := range a.class {
+			if c >= 0 && a.cones[ri].has(int(c)) {
+				ops.set(op)
+			}
+		}
+		if !slices.Equal(ops, cone) || a.coneOps[ri] != members(cone) || weighOps(a, a.cones[ri]) != members(cone) {
+			return fmt.Errorf("register %d's cone has %d ops (classes weighing %d), the walk's %d", ri, a.coneOps[ri], weighOps(a, a.cones[ri]), members(cone))
+		}
+		if got := list(a.regSrc[ri]); !slices.Equal(got, w.regSrc[ri]) {
+			return fmt.Errorf("register %d reads %v, the walk %v", ri, got, w.regSrc[ri])
+		}
+	}
+	return nil
 }
 
 // cornerGraph has 70 registers — two register words, the second partly
@@ -157,8 +239,9 @@ func regFreeGraph() *dfg.Graph {
 // the two pairs have disjoint cones and each register's cone reads exactly
 // the Q coordinates of its own pair; and on every design — the pairs,
 // corner cases, random graphs and generated SoCs — the one-sweep analysis
-// equals the per-register cone walk (the same cones and cone sizes, and the
-// same sorted, duplicate-free regSrc), and the sweep under NewPlan's two
+// equals the per-register cone walk expanded back from classes to ops (see
+// checkClasses: the same cones, cone sizes and classes, and the same sorted,
+// duplicate-free regSrc), and the sweep under NewPlan's two
 // other labellings — each output by its index, and every register Next and
 // output by a partition — equals the same labelling walked root by root.
 func TestAnalyzeFanInCones(t *testing.T) {
@@ -178,14 +261,14 @@ func TestAnalyzeFanInCones(t *testing.T) {
 		if ri >= 2 {
 			want = []int{2, 3}
 		}
-		if !slices.Equal(a.regSrc[ri], want) {
-			t.Fatalf("regSrc[%d] = %v, want %v", ri, a.regSrc[ri], want)
+		if got := list(a.regSrc[ri]); !slices.Equal(got, want) {
+			t.Fatalf("regSrc[%d] = %v, want %v", ri, got, want)
 		}
 	}
-	if n := andCount(a.cones[0], a.cones[2]); n != 0 {
+	if n := a.interOps(a.cones[0], a.cones[2]); n != 0 {
 		t.Fatalf("pair cones overlap in %d ops", n)
 	}
-	if n := andCount(a.cones[0], a.cones[1]); n == 0 {
+	if n := a.interOps(a.cones[0], a.cones[1]); n == 0 {
 		t.Fatal("registers of one pair share no logic")
 	}
 
@@ -222,20 +305,9 @@ func TestAnalyzeFanInCones(t *testing.T) {
 		rows = append(rows, row{fmt.Sprintf("%s/%d", spec.Name(), spec.Scale), buildSpec(t, spec)})
 	}
 	for _, row := range rows {
-		got, want := analyze(row.ten, newFanIn(row.ten)), coneWalk(row.ten, newFanIn(row.ten))
-		if got.numOps != want.numOps || len(got.cones) != len(want.cones) {
-			t.Fatalf("%s: %d ops, %d registers; the walk has %d, %d", row.name, got.numOps, len(got.cones), want.numOps, len(want.cones))
-		}
-		for ri := range want.cones {
-			if !slices.Equal(got.cones[ri], want.cones[ri]) || got.coneOps[ri] != want.coneOps[ri] {
-				t.Fatalf("%s: register %d's cone has %d ops, the walk's %d", row.name, ri, got.coneOps[ri], want.coneOps[ri])
-			}
-			if !slices.Equal(got.regSrc[ri], want.regSrc[ri]) {
-				t.Fatalf("%s: register %d reads %v, the walk %v", row.name, ri, got.regSrc[ri], want.regSrc[ri])
-			}
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: the analysis differs from the walk's", row.name)
+		got := analyze(row.ten, newFanIn(row.ten))
+		if err := checkClasses(got, coneWalk(row.ten, newFanIn(row.ten))); err != nil {
+			t.Fatalf("%s: %v", row.name, err)
 		}
 		f, ten := newFanIn(row.ten), row.ten
 		outs := len(ten.OutputSlots)
@@ -252,7 +324,7 @@ func TestAnalyzeFanInCones(t *testing.T) {
 		if got, want := f.sweep(roots, label, 3), walkLabels(f, roots, label, 3); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: the partition labelling differs from the walk's", row.name)
 		}
-		t.Logf("%-28s %5d ops %4d registers", row.name, got.numOps, len(got.cones))
+		t.Logf("%-28s %5d ops %4d registers %5d classes", row.name, got.numOps, len(got.cones), len(got.weight))
 	}
 }
 
@@ -366,26 +438,27 @@ func TestConeClusterCoLocatesSharedLogic(t *testing.T) {
 }
 
 // evalOwner computes the plan cost of an owner vector straight from the
-// analysis — the makespan (largest partition's ops plus the registers it
+// analysis — a partition's ops weighed class by class over the union of its
+// cones — the makespan (largest partition's ops plus the registers it
 // publishes and pulls) and the work (replicated ops plus cut edges) — an
 // independent reference for comparing assignments without going through the
 // refiner's incremental counts or NewPlan.
 func evalOwner(a *analysis, owner []int, n int) (span, work int) {
 	load := make([]int, n)
 	for p := 0; p < n; p++ {
-		union := newBitset(a.numOps)
+		union := newBitset(len(a.weight))
 		for ri, o := range owner {
 			if o == p {
 				union.orWith(a.cones[ri])
 			}
 		}
-		load[p] = union.popcount()
+		load[p] = weighOps(a, union)
 		work += load[p]
 	}
 	for ri := range owner {
 		readers := map[int]bool{}
 		for rj, o := range owner {
-			if o != owner[ri] && rj != ri && slices.Contains(a.regSrc[rj], ri) {
+			if o != owner[ri] && rj != ri && a.regSrc[rj].has(ri) {
 				readers[o] = true
 			}
 		}
@@ -468,6 +541,47 @@ func TestMinCutRefinementNeverHurts(t *testing.T) {
 			}
 			if planned := planOwners(ten, newFanIn(ten), n); !slices.Equal(planned, r.owner) {
 				t.Fatalf("trial %d n=%d: the planner is not seed + refine", trial, n)
+			}
+		}
+	}
+}
+
+// TestTryPricesEveryMove: the refiner prices a move without making it, so
+// on random designs and sha3/8 at P ∈ {2, 3}, after the seed, try(ri, p, q)
+// for every register and every partition q it could move to must read
+// what evalOwner reads of the owner vector with the register moved; and
+// making each move keeps the counts equal to evalOwner's.
+func TestTryPricesEveryMove(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	tensors := []*oim.Tensor{buildSpec(t, gen.Spec{Family: gen.SHA3, Scale: 8})}
+	for _, regs := range []int{5, 12, 40} {
+		tensors = append(tensors, buildOpt(t, dfg.RandomGraph(rng, dfg.RandomParams{
+			Inputs: 4, Regs: regs, Ops: 300, Consts: 4, MaxWidth: 16, MuxBias: 0.3})))
+	}
+	for _, ten := range tensors {
+		a := analyze(ten, newFanIn(ten))
+		for _, n := range []int{2, 3} {
+			r := newRefiner(a, n)
+			r.seed()
+			for ri, p := range r.owner {
+				for q := 0; q < n; q++ {
+					if q == p {
+						continue
+					}
+					moved := slices.Clone(r.owner)
+					moved[ri] = q
+					ws, ww := evalOwner(a, moved, n)
+					if gs, gw := r.try(ri, p, q); gs != ws || gw != ww {
+						t.Fatalf("%s n=%d: moving register %d from %d to %d priced (%d, %d), evalOwner reads (%d, %d)", ten.Design, n, ri, p, q, gs, gw, ws, ww)
+					}
+				}
+				if q := rng.Intn(n); q != p && r.owned[p] > 1 {
+					r.move(ri, p, q)
+					ws, ww := evalOwner(a, r.owner, n)
+					if gs, gw := r.cost(); gs != ws || gw != ww {
+						t.Fatalf("%s n=%d: after moving register %d the counts read (%d, %d), evalOwner (%d, %d)", ten.Design, n, ri, gs, gw, ws, ww)
+					}
+				}
 			}
 		}
 	}

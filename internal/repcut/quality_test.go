@@ -5,10 +5,12 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
 	"rteaal/internal/dfg"
+	"rteaal/internal/firrtl"
 	"rteaal/internal/gen"
 	"rteaal/internal/kernel"
 	"rteaal/internal/oim"
@@ -20,6 +22,32 @@ func buildSpec(t testing.TB, spec gen.Spec) *oim.Tensor {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return compile(t, g)
+}
+
+// buildFIRRTL is buildSpec through the text sim.Compile reads: the design
+// emitted as FIRRTL, parsed and elaborated, then the same passes. Its tensor
+// is the one a partitioned sim.Design plans (15,810 ops for r4/8, where the
+// graph gives 11,879).
+func buildFIRRTL(t testing.TB, spec gen.Spec) *oim.Tensor {
+	t.Helper()
+	g, err := gen.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := firrtl.Emit(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, err = firrtl.ParseAndElaborate(src); err != nil {
+		t.Fatal(err)
+	}
+	return compile(t, g)
+}
+
+// compile is g after the default passes, levelized and built.
+func compile(t testing.TB, g *dfg.Graph) *oim.Tensor {
+	t.Helper()
 	opt, err := dfg.Optimize(g, dfg.DefaultOptOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -316,23 +344,51 @@ func TestPlannerOwnersPinned(t *testing.T) {
 	}
 }
 
+// TestNewPlanAllocsBounded: NewPlan keeps one bit per op class, not per
+// op, for each register's cone — at most 450 bytes per op and register on
+// r4/8 at P = 2 (733 when the cones were bitsets over operations and the
+// sources lists of ints; one class per op reads 553).
+func TestNewPlanAllocsBounded(t *testing.T) {
+	ten := buildSpec(t, gen.Spec{Family: gen.Rocket, Cores: 4, Scale: 8})
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := NewPlan(ten, 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	size := ten.TotalOps() + len(ten.RegSlots)
+	perItem := float64(after.TotalAlloc-before.TotalAlloc) / float64(size)
+	t.Logf("NewPlan of r4/8 at P = 2: %d ops and registers, %.0f B allocated per op or register", size, perItem)
+	if perItem > 450 {
+		t.Errorf("NewPlan allocates %.0f B per op or register, want at most 450", perItem)
+	}
+}
+
 // BenchmarkNewPlan is the planner's cost below the benchmark: the whole
-// plan, owner vector included, of r4/8 and r1/8 at P = 2.
+// plan, owner vector included, at P = 2 of r4/8 and r1/8 built from the
+// graph, and of r4/8 through FIRRTL text — the tensor a partitioned
+// sim.Design of r4/8 plans.
 func BenchmarkNewPlan(b *testing.B) {
-	for _, spec := range []gen.Spec{
-		{Family: gen.Rocket, Cores: 4, Scale: 8},
-		{Family: gen.Rocket, Cores: 1, Scale: 8},
+	r48 := gen.Spec{Family: gen.Rocket, Cores: 4, Scale: 8}
+	r18 := gen.Spec{Family: gen.Rocket, Cores: 1, Scale: 8}
+	for _, c := range []struct {
+		name string
+		ten  *oim.Tensor
+	}{
+		{"r4-8/P=2", buildSpec(b, r48)},
+		{"r1-8/P=2", buildSpec(b, r18)},
+		{"r4-8-firrtl/P=2", buildFIRRTL(b, r48)},
 	} {
-		ten := buildSpec(b, spec)
-		b.Run(fmt.Sprintf("%s-%d/P=2", spec.Name(), spec.Scale), func(b *testing.B) {
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := NewPlan(ten, 2, nil); err != nil {
+				if _, err := NewPlan(c.ten, 2, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(ten.TotalOps()), "ops")
-			b.ReportMetric(float64(len(ten.RegSlots)), "regs")
+			b.ReportMetric(float64(c.ten.TotalOps()), "ops")
+			b.ReportMetric(float64(len(c.ten.RegSlots)), "regs")
 		})
 	}
 }

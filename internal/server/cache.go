@@ -217,6 +217,20 @@ func (e *cacheEntry) releaseSlot() {
 	<-e.slots
 }
 
+// designs counts the compiled designs, not cached failures: what /healthz
+// and /readyz report, read under c.mu alone.
+func (c *designCache) designs() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, e := range c.entries {
+		if e.err == nil {
+			n++
+		}
+	}
+	return n
+}
+
 // stats snapshots the cache counters plus every design's lease occupancy.
 // Entries and the pools count compiled designs only, not cached failures.
 func (c *designCache) stats() (CacheMetrics, map[string]PoolMetrics) {

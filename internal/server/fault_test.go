@@ -610,6 +610,37 @@ func TestFaultSessionPanic(t *testing.T) {
 	parityRun(t, c)
 }
 
+// TestProbesCountDesignsAlike: after one good and one bad source, /healthz,
+// /readyz and /metrics all report one design — the cached failure is no
+// design to any of them.
+func TestProbesCountDesignsAlike(t *testing.T) {
+	checkGoroutineLeaks(t)
+	_, c := newTestService(t, server.Config{})
+	ctx := context.Background()
+	if _, err := c.Compile(ctx, counterSrc, server.CompileOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	var apiErr *client.APIError
+	if _, err := c.Compile(ctx, "this is not firrtl", server.CompileOptions{}); !errors.As(err, &apiErr) || apiErr.Status != 422 {
+		t.Fatalf("bad compile answered %v, want 422", err)
+	}
+	h, err := c.Health(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := c.Ready(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Designs != 1 || r.Designs != 1 || m.Cache.Entries != 1 || len(m.Pools) != 1 {
+		t.Fatalf("designs: healthz %d, readyz %d, metrics %d entries and %d pools; want 1 each", h.Designs, r.Designs, m.Cache.Entries, len(m.Pools))
+	}
+}
+
 // TestReadyzFreshServer: an empty, healthy server is ready — no designs
 // cached is not a reason to leave the balancer.
 func TestReadyzFreshServer(t *testing.T) {

@@ -560,17 +560,15 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 // long as the process serves HTTP — including during drain — so an
 // orchestrator does not kill a pod that is busy finishing its work.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	cm, _ := s.cache.stats()
 	sm := s.sessions.stats()
-	writeJSON(w, http.StatusOK, HealthResponse{Status: "ok", Designs: cm.Entries, Sessions: sm.Live})
+	writeJSON(w, http.StatusOK, HealthResponse{Status: "ok", Designs: s.cache.designs(), Sessions: sm.Live})
 }
 
 // handleReady serves GET /readyz: readiness. 503 while draining (new work
 // is being rejected), so load balancers route around this replica without
 // killing it.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
-	cm, _ := s.cache.stats()
-	resp := ReadyResponse{Status: "ready", Draining: s.draining.Load(), Designs: cm.Entries}
+	resp := ReadyResponse{Status: "ready", Draining: s.draining.Load(), Designs: s.cache.designs()}
 	if resp.Draining {
 		resp.Status = "draining"
 		w.Header().Set("Retry-After", drainRetryAfter)
