@@ -113,6 +113,8 @@ const (
 		"the whole-source lex into a token slice is the tests' oracle, not a pass before parsing"
 	failureCached = "a compile is a pure function of its source, so a failed one is a cache entry answered 422 at once: " +
 		"the server's compile circuit breaker, its knobs and flags, its 503 and degraded readiness, and the injected compile failure that fed it are deleted"
+	oneOrder = "a dfg.Graph lists every operand before its user, so its id order is its topological order: " +
+		"the second order, TopoOrder, and its cache on Graph and Interp are deleted"
 )
 
 var guardRows = []guardRow{
@@ -203,6 +205,12 @@ var guardRows = []guardRow{
 			{path: "cmd/rteaal-serve/main.go", after: "func main() {\n", snippet: "\tflag.Int(\"compile-fail-limit\", 3, \"\")\n"},
 			{path: "cmd/rteaal-serve/main.go", after: "func main() {\n", snippet: "\tflag.Duration(\"breaker-cooldown\", 0, \"\")\n"},
 			{path: "internal/faultinject/faultinject.go", after: "const (\n", snippet: "\tCompileFail Point = \"compile-fail\"\n"},
+		}},
+	{oneOrder, pkg("internal/dfg"), anyOf(ident("TopoOrder"), members("Graph", "topo"), members("Interp", "topo")),
+		[]mutant{
+			{path: "internal/dfg/topo.go", snippet: "func (g *Graph) TopoOrder() ([]NodeID, error) { return nil, nil }"},
+			{path: "internal/dfg/graph.go", after: "type Graph struct {\n", snippet: "\ttopo []NodeID\n"},
+			{path: "internal/dfg/interp.go", after: "type Interp struct {\n", snippet: "\ttopo []NodeID\n"},
 		}},
 }
 

@@ -70,10 +70,6 @@ func New(g *dfg.Graph, style Style) (*Simulator, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	topo, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
 	s := &Simulator{
 		style: style,
 		g:     g,
@@ -81,30 +77,25 @@ func New(g *dfg.Graph, style Style) (*Simulator, error) {
 		next:  make([]uint64, len(g.Regs)),
 		outs:  make([]uint64, len(g.Outputs)),
 	}
-	lower := func(id dfg.NodeID) clusterOp {
-		n := g.Node(id)
-		args := make([]int32, len(n.Args))
-		for i, a := range n.Args {
-			args[i] = int32(a)
+	// Operands precede their users, so the ops in id order are the tape.
+	var tape []clusterOp
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
+		if n.Kind != dfg.KindOp {
+			continue
 		}
-		return clusterOp{op: n.Op, out: int32(id), args: args, mask: n.Mask()}
+		args := make([]int32, len(n.Args))
+		for j, a := range n.Args {
+			args[j] = int32(a)
+		}
+		tape = append(tape, clusterOp{op: n.Op, out: int32(i), args: args, mask: n.Mask()})
 	}
 	if style == Essent {
-		s.tape = make([]clusterOp, 0, len(topo))
-		for _, id := range topo {
-			s.tape = append(s.tape, lower(id))
-		}
+		s.tape = tape
 	} else {
-		for start := 0; start < len(topo); start += ModuleClusterSize {
-			end := start + ModuleClusterSize
-			if end > len(topo) {
-				end = len(topo)
-			}
-			cluster := make([]clusterOp, 0, end-start)
-			for _, id := range topo[start:end] {
-				cluster = append(cluster, lower(id))
-			}
-			s.clusters = append(s.clusters, cluster)
+		for start := 0; start < len(tape); start += ModuleClusterSize {
+			end := min(start+ModuleClusterSize, len(tape))
+			s.clusters = append(s.clusters, tape[start:end:end])
 		}
 	}
 	s.Reset()

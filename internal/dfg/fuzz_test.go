@@ -9,7 +9,7 @@ import (
 // decodeGraph interprets a byte stream as graph-construction instructions.
 // The decoder deliberately produces malformed graphs — wrong arities,
 // out-of-range widths, disconnected registers, (via the patch phase)
-// combinational cycles, and (via the repoint phase) input ports and
+// forward operands and combinational cycles, and (via the repoint phase) input ports and
 // register entries naming a node out of range, of another kind, or named
 // twice, and (via its drop step) input and register nodes nothing names —
 // because the property under test is that Validate rejects them
@@ -64,11 +64,11 @@ func decodeGraph(data []byte) *Graph {
 			}
 		case 7:
 			// Patch phase: rewrite an existing argument to point anywhere,
-			// which is how combinational cycles enter.
+			// which makes forward operands (combinational cycles among
+			// them) that Validate must reject.
 			if id := pick(); len(g.Nodes[id].Args) > 0 {
 				j := int(next()) % len(g.Nodes[id].Args)
 				g.Nodes[id].Args[j] = pick()
-				g.topo = nil
 			}
 		case 8:
 			// Repoint phase: an input port, or a register entry's node or

@@ -81,6 +81,11 @@ type Reg struct {
 
 // Graph is a single-clock synchronous circuit in dataflow form.
 //
+// Every operand precedes its user: Nodes[id].Args holds only ids below id,
+// so ascending id order is a topological order of the combinational logic
+// (a register's next-state may point anywhere; the clock edge breaks that
+// loop). Validate checks it, and every pass keeps it.
+//
 // The zero value is an empty graph ready for use.
 type Graph struct {
 	Name    string
@@ -88,8 +93,6 @@ type Graph struct {
 	Inputs  []Port
 	Outputs []Port
 	Regs    []Reg
-
-	topo []NodeID // cached topological order; reset by mutation
 }
 
 // NumNodes returns the node count.
@@ -99,7 +102,6 @@ func (g *Graph) NumNodes() int { return len(g.Nodes) }
 func (g *Graph) Node(id NodeID) *Node { return &g.Nodes[id] }
 
 func (g *Graph) add(n Node) NodeID {
-	g.topo = nil
 	g.Nodes = append(g.Nodes, n)
 	return NodeID(len(g.Nodes) - 1)
 }
@@ -146,9 +148,9 @@ func (g *Graph) AddOutput(name string, id NodeID) {
 }
 
 // Validate checks structural invariants: widths in range, every node id in
-// range, operation arities respected, each input port and register entry
-// naming a distinct node of its kind, register next-states connected, and
-// the combinational portion acyclic (registers break cycles).
+// range, every operand before its user (which also rules out combinational
+// cycles), operation arities respected, each input port and register entry
+// naming a distinct node of its kind, and register next-states connected.
 func (g *Graph) Validate() error {
 	inRange := func(id NodeID) bool { return id >= 0 && int(id) < len(g.Nodes) }
 	for id := range g.Nodes {
@@ -159,6 +161,9 @@ func (g *Graph) Validate() error {
 		for _, a := range n.Args {
 			if !inRange(a) {
 				return fmt.Errorf("dfg: node %d: argument %d out of range", id, a)
+			}
+			if int(a) >= id {
+				return fmt.Errorf("dfg: node %d: operand %d does not precede it", id, a)
 			}
 		}
 		if n.Kind == KindOp {
@@ -234,75 +239,7 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("dfg: register node %d (%s): no register entry names it", id, n.Name)
 		}
 	}
-	if _, err := g.TopoOrder(); err != nil {
-		return err
-	}
 	return nil
-}
-
-// TopoOrder returns (and caches) a topological order of the operation nodes:
-// every op appears after all of its arguments. Sources (const, input, reg)
-// are not included. An error is returned if the combinational logic is
-// cyclic.
-func (g *Graph) TopoOrder() ([]NodeID, error) {
-	if g.topo != nil {
-		return g.topo, nil
-	}
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	color := make([]uint8, len(g.Nodes))
-	order := make([]NodeID, 0, len(g.Nodes))
-
-	// Iterative DFS to survive deep graphs.
-	type frame struct {
-		id  NodeID
-		arg int
-	}
-	var stack []frame
-	visit := func(root NodeID) error {
-		if color[root] != white {
-			return nil
-		}
-		stack = append(stack[:0], frame{root, 0})
-		color[root] = grey
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			n := &g.Nodes[f.id]
-			if n.Kind != KindOp || f.arg >= len(n.Args) {
-				color[f.id] = black
-				if n.Kind == KindOp {
-					order = append(order, f.id)
-				}
-				stack = stack[:len(stack)-1]
-				continue
-			}
-			a := n.Args[f.arg]
-			f.arg++
-			if g.Nodes[a].Kind != KindOp {
-				continue // sources never recurse
-			}
-			switch color[a] {
-			case white:
-				color[a] = grey
-				stack = append(stack, frame{a, 0})
-			case grey:
-				return fmt.Errorf("dfg: combinational cycle through node %d", a)
-			}
-		}
-		return nil
-	}
-	for id := range g.Nodes {
-		if g.Nodes[id].Kind == KindOp {
-			if err := visit(NodeID(id)); err != nil {
-				return nil, err
-			}
-		}
-	}
-	g.topo = order
-	return order, nil
 }
 
 // Stats summarises a graph for reporting.

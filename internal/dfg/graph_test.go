@@ -3,6 +3,7 @@ package dfg
 import (
 	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -134,6 +135,20 @@ func TestValidateCatchesErrors(t *testing.T) {
 			t.Fatal("want error for combinational cycle")
 		}
 	})
+	// Acyclic, but an operand after its user: every order but id order
+	// would evaluate it, so the invariant alone rejects it.
+	t.Run("operand after its user", func(t *testing.T) {
+		g := &Graph{}
+		a := g.AddConst(1, 8)
+		x := g.AddOp(wire.Not, 8, a)
+		y := g.AddOp(wire.Not, 8, a)
+		g.Nodes[x].Args[0] = y
+		g.AddOutput("x", x)
+		err := g.Validate()
+		if err == nil || !strings.Contains(err.Error(), "node 1: operand 2 does not precede it") {
+			t.Fatalf("Validate = %v, want node 1's operand 2 named", err)
+		}
+	})
 	t.Run("reg next wider than reg", func(t *testing.T) {
 		g := &Graph{}
 		r := g.AddReg("r", 4, 0)
@@ -232,25 +247,23 @@ func TestValidateCatchesErrors(t *testing.T) {
 	})
 }
 
+// TestTopoOrderProperty: a graph's id order is its topological order.
+// RandomGraph lists every operand before its user, and every pass keeps
+// that, so the optimised graph validates too.
 func TestTopoOrderProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 30; trial++ {
 		g := RandomGraph(rng, DefaultRandomParams())
-		topo, err := g.TopoOrder()
+		opt, err := Optimize(g, DefaultOptOptions())
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("trial %d: %v", trial, err)
 		}
-		pos := make(map[NodeID]int)
-		for i, id := range topo {
-			pos[id] = i
-		}
-		for i, id := range topo {
-			for _, a := range g.Nodes[id].Args {
-				if g.Nodes[a].Kind != KindOp {
-					continue
-				}
-				if j, ok := pos[a]; !ok || j >= i {
-					t.Fatalf("trial %d: arg %d of node %d not before it", trial, a, id)
+		for _, h := range []*Graph{g, opt} {
+			for id := range h.Nodes {
+				for _, a := range h.Nodes[id].Args {
+					if int(a) >= id {
+						t.Fatalf("trial %d: operand %d of node %d not before it", trial, a, id)
+					}
 				}
 			}
 		}

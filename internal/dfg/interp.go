@@ -7,13 +7,13 @@ import (
 )
 
 // Interp is the reference interpreter: it evaluates the dataflow graph
-// directly, node by node in topological order, with no tensor machinery.
+// directly, node by node in id order (a topological order, since every
+// operand precedes its user), with no tensor machinery.
 // Every other engine in the repository (the seven RTeAAL kernels, both
 // baseline simulators, the batch engine and the RepCut parallel engine) is
 // tested for bit-identical behaviour against it.
 type Interp struct {
 	g     *Graph
-	topo  []NodeID
 	vals  []uint64 // current value of every node
 	next  []uint64 // register next values staged before commit
 	outs  []uint64 // primary outputs sampled at combinational settle
@@ -25,13 +25,8 @@ func NewInterp(g *Graph) (*Interp, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	topo, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
 	it := &Interp{
 		g:    g,
-		topo: topo,
 		vals: make([]uint64, len(g.Nodes)),
 		next: make([]uint64, len(g.Regs)),
 		outs: make([]uint64, len(g.Outputs)),
@@ -95,8 +90,11 @@ func (it *Interp) PeekOutput(idx int) uint64 { return it.outs[idx] }
 // outputs.
 func (it *Interp) Eval() {
 	var argbuf [8]uint64
-	for _, id := range it.topo {
+	for id := range it.g.Nodes {
 		n := &it.g.Nodes[id]
+		if n.Kind != KindOp {
+			continue
+		}
 		var args []uint64
 		if len(n.Args) <= len(argbuf) {
 			args = argbuf[:len(n.Args)]

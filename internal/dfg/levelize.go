@@ -82,21 +82,20 @@ type RegSlot struct {
 // Levelize slices g into layers and assigns LI coordinates. The graph must
 // Validate.
 func Levelize(g *Graph) (*Levelized, error) {
-	topo, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
 	n := len(g.Nodes)
 	lv := &Levelized{G: g, LevelOf: make([]int32, n), Slot: make([]int32, n)}
 
-	// Layer assignment (ASAP): sources are -1; an op is one past its
-	// deepest argument.
+	// Layer assignment (ASAP), in id order so every argument's layer is
+	// final: sources are -1; an op is one past its deepest argument.
 	for i := range lv.LevelOf {
 		lv.LevelOf[i] = -1
 	}
 	maxLayer := int32(-1)
-	for _, id := range topo {
+	for id := range g.Nodes {
 		nd := &g.Nodes[id]
+		if nd.Kind != KindOp {
+			continue
+		}
 		layer := int32(0)
 		for _, a := range nd.Args {
 			if l := lv.LevelOf[a] + 1; l > layer {

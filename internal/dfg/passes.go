@@ -29,9 +29,6 @@ func DefaultOptOptions() OptOptions {
 // optimised graph. The input graph is not modified.
 func Optimize(g *Graph, o OptOptions) (*Graph, error) {
 	out := g.Clone()
-	// The clone keeps node ids, and no mutation edits a cached order in
-	// place (each resets it), so g's order, if it has one, is the clone's.
-	out.topo = g.topo
 	if err := out.Validate(); err != nil {
 		return nil, err
 	}
@@ -110,20 +107,16 @@ func (g *Graph) applyRepl(repl []NodeID) {
 		g.Regs[i].Next = resolve(repl, g.Regs[i].Next)
 		// Reg.Node is the register itself; never replaced.
 	}
-	g.topo = nil
 }
 
 // constFold evaluates operations whose arguments are all constants and turns
 // them into KindConst nodes. Muxes with a constant selector forward the
-// chosen branch even when the branches are not constant.
+// chosen branch even when the branches are not constant. Operands precede
+// their users, so one walk in id order folds whole constant chains.
 func (g *Graph) constFold() {
-	topo, err := g.TopoOrder()
-	if err != nil {
-		return
-	}
 	repl := newRepl(len(g.Nodes))
 	changed := false
-	for _, id := range topo {
+	for id := range g.Nodes {
 		n := &g.Nodes[id]
 		if n.Kind != KindOp {
 			continue
@@ -214,15 +207,12 @@ type constKey struct {
 // cse merges structurally identical nodes (same op, width, arguments). Only
 // op and const nodes participate; inputs and registers are identities.
 func (g *Graph) cse() {
-	topo, err := g.TopoOrder()
-	if err != nil {
-		return
-	}
 	repl := newRepl(len(g.Nodes))
 	changed := false
 
-	// Constants first so op folding sees merged literals, then ops in
-	// topological order so argument replacements are already final.
+	// Constants first so op folding sees merged literals, then ops in id
+	// order, a topological order, so argument replacements are already
+	// final.
 	consts := make(map[constKey]NodeID)
 	for id := range g.Nodes {
 		n := &g.Nodes[id]
@@ -237,11 +227,14 @@ func (g *Graph) cse() {
 			consts[k] = NodeID(id)
 		}
 	}
-	ops := make(map[opKey]NodeID, len(topo))
+	ops := make(map[opKey]NodeID, len(g.Nodes))
 	var tails map[string]NodeID
 	var tail []byte
-	for _, id := range topo {
+	for id := range g.Nodes {
 		n := &g.Nodes[id]
+		if n.Kind != KindOp {
+			continue
+		}
 		k := opKey{op: n.Op, width: n.Width, n: uint8(min(len(n.Args), 4))}
 		for i, a := range n.Args[:min(len(n.Args), 3)] {
 			k.args[i] = resolve(repl, a)
@@ -265,7 +258,7 @@ func (g *Graph) cse() {
 			repl[id] = prev
 			changed = true
 		} else {
-			ops[k] = id
+			ops[k] = NodeID(id)
 		}
 	}
 	if changed {
@@ -300,11 +293,9 @@ func (g *Graph) muxChainFuse() {
 	absorbed := make([]bool, len(g.Nodes))
 	// flat holds every fused chain's operands, each chain cut from it.
 	var flat []NodeID
-	// Process nodes from the head of each chain: a head is a Mux that is
-	// either multiply used or consumed by a non-mux. Walking all muxes in
-	// reverse id order and skipping already-absorbed ones approximates
-	// that cheaply; correctness does not depend on ordering because
-	// absorption requires single-use interiors.
+	// Process nodes from the head of each chain: a mux no chain absorbs.
+	// Walking muxes in reverse id order visits every user before its
+	// operands, so a mux not absorbed by the time it is reached is a head.
 	for id := len(g.Nodes) - 1; id >= 0; id-- {
 		n := &g.Nodes[id]
 		if n.Kind != KindOp || n.Op != wire.Mux || absorbed[id] {
@@ -333,7 +324,6 @@ func (g *Graph) muxChainFuse() {
 			flat = flat[:start]
 		}
 	}
-	g.topo = nil
 }
 
 // compact removes unreachable nodes and renumbers the survivors, moving
@@ -341,33 +331,24 @@ func (g *Graph) muxChainFuse() {
 // positionally), and so is every register with its next-state cone.
 func (g *Graph) compact() {
 	live := make([]bool, len(g.Nodes))
-	var mark func(NodeID)
-	var stack []NodeID
-	mark = func(id NodeID) {
-		stack = append(stack[:0], id)
-		for len(stack) > 0 {
-			id := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if live[id] {
-				continue
-			}
-			live[id] = true
-			for _, a := range g.Nodes[id].Args {
-				if !live[a] {
-					stack = append(stack, a)
-				}
-			}
-		}
-	}
 	for _, p := range g.Outputs {
-		mark(p.Node)
+		live[p.Node] = true
 	}
 	for _, r := range g.Regs {
 		live[r.Node] = true
-		mark(r.Next)
+		live[r.Next] = true
 	}
 	for _, p := range g.Inputs {
 		live[p.Node] = true
+	}
+	// One descending sweep marks every cone: a node's users all come after
+	// it, so it is marked before the sweep reaches it.
+	for id := len(g.Nodes) - 1; id >= 0; id-- {
+		if live[id] {
+			for _, a := range g.Nodes[id].Args {
+				live[a] = true
+			}
+		}
 	}
 
 	remap := make([]NodeID, len(g.Nodes))
@@ -397,5 +378,4 @@ func (g *Graph) compact() {
 	for i, r := range g.Regs {
 		g.Regs[i] = Reg{Node: remap[r.Node], Next: remap[r.Next], Init: r.Init}
 	}
-	g.topo = nil
 }

@@ -17,6 +17,8 @@ import (
 // persistent corpus under testdata/diffcorpus/ and printed by the shrinker.
 // The graph is embedded whole — a repro replays without the generator, so
 // corpus entries survive any future change to RandomGraph's distribution.
+// Its nodes keep their ids, so every operand precedes its user, as in every
+// dfg.Graph; a hand-edited entry that breaks this fails Validate on load.
 type Repro struct {
 	Version int `json:"version"`
 	// Profile/Seed record where the generator found the case (informational;

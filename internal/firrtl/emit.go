@@ -73,11 +73,13 @@ func (e *emitter) run() (string, error) {
 			e.names[r.Node], n.Width, n.Width, r.Init)
 	}
 
-	topo, err := g.TopoOrder()
-	if err != nil {
-		return "", err
-	}
-	for _, id := range topo {
+	// Operands precede their users, so id order defines every node before
+	// its first reference; a graph that breaks this fails in e.ref.
+	for i := range g.Nodes {
+		id := dfg.NodeID(i)
+		if g.Node(id).Kind != dfg.KindOp {
+			continue
+		}
 		expr, err := e.opExpr(id)
 		if err != nil {
 			return "", err

@@ -143,6 +143,12 @@ func (f *fanIn) sweep(roots []int32, label []int, labels int) *labelSets {
 	return ls
 }
 
+// sweepBudget bounds the bytes of one [fanIn.sweep]: one label set per op
+// and per register. NewPlan refuses a design past it before it sweeps:
+// 512 MiB admits r8 (140k ops, 17k registers) and refuses r24 (321k ops,
+// 40k registers).
+const sweepBudget = 512 << 20
+
 // checkOwner checks an ownership vector handed to [NewPlan]: one owner per
 // register, owners in range, and — when the design has at least n
 // registers — no empty partition.

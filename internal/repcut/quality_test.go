@@ -7,13 +7,16 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"rteaal/internal/dfg"
 	"rteaal/internal/firrtl"
 	"rteaal/internal/gen"
 	"rteaal/internal/kernel"
 	"rteaal/internal/oim"
+	"rteaal/internal/wire"
 )
 
 func buildSpec(t testing.TB, spec gen.Spec) *oim.Tensor {
@@ -362,6 +365,34 @@ func TestNewPlanAllocsBounded(t *testing.T) {
 	t.Logf("NewPlan of r4/8 at P = 2: %d ops and registers, %.0f B allocated per op or register", size, perItem)
 	if perItem > 450 {
 		t.Errorf("NewPlan allocates %.0f B per op or register, want at most 450", perItem)
+	}
+}
+
+// TestNewPlanRefusesOverBudget: 49,152 registers, each inverting itself,
+// would have the planner's register sweep ask for about 576 MiB of label
+// sets. NewPlan refuses the design before it sweeps, quickly and with
+// next to nothing allocated, and names the budget.
+func TestNewPlanRefusesOverBudget(t *testing.T) {
+	g := &dfg.Graph{Name: "toggles"}
+	for i := range 49_152 {
+		r := g.AddReg(fmt.Sprint("r", i), 1, 0)
+		g.SetRegNext(r, g.AddOp(wire.Not, 1, r))
+	}
+	ten := compile(t, g)
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	_, err := NewPlan(ten, 2, nil)
+	took := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "MiB plan budget") {
+		t.Fatalf("NewPlan = %v, want a refusal naming the plan budget", err)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("refused in %v with %d B allocated: %v", took, alloc, err)
+	if took > 100*time.Millisecond || alloc > 64<<10 {
+		t.Errorf("refusal took %v and %d B, want under 100 ms and 64 KiB", took, alloc)
 	}
 }
 

@@ -108,13 +108,26 @@ type PlanStats struct {
 // (replication-aided partitioning: shared logic is copied). A request for
 // more partitions than registers is clamped — empty partitions would spin
 // workers with no work — so the effective count is reported by
-// [PlanStats.Partitions].
+// [PlanStats.Partitions]. A design whose planner or output-vote sweep would
+// need more than 512 MiB of label sets is refused with an error.
 func NewPlan(t *oim.Tensor, n int, owner []int) (*Plan, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("repcut: need at least one partition, got %d", n)
 	}
 	requested := n
 	n = min(n, max(len(t.RegSlots), 1))
+
+	// Refuse, before anything is allocated, a design whose label sweeps
+	// would pass the budget: the planner's over registers, the output
+	// vote's over outputs.
+	labels := len(t.OutputSlots)
+	if owner == nil && n > 1 {
+		labels = max(labels, len(t.RegSlots))
+	}
+	if need := (t.TotalOps() + len(t.RegSlots)) * ((labels + 63) / 64) * 8; need > sweepBudget {
+		return nil, fmt.Errorf("repcut: a plan of %d ops and %d registers over %d labels needs %d MiB, more than the %d MiB plan budget",
+			t.TotalOps(), len(t.RegSlots), labels, need>>20, sweepBudget>>20)
+	}
 
 	p := &Plan{
 		t:        t,

@@ -3,6 +3,7 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -552,6 +553,33 @@ func TestFaultCompileFailureCached(t *testing.T) {
 	}
 	if want := refExec(t, d.NewSession().Testbench(), script.Commands()); !slices.Equal(resp.Outcomes, want) {
 		t.Fatalf("lease on evicted design B ran %+v, want %+v", resp.Outcomes, want)
+	}
+}
+
+// TestLoneCRSourceIsItsOwnDesign: the lexer reads a lone CR as a blank,
+// so the CR-only form of a circuit is one line that fails to compile. Its
+// cached failure must not answer the LF form: posting the CR form and then
+// the LF form answers 422 and then 201.
+func TestLoneCRSourceIsItsOwnDesign(t *testing.T) {
+	srv := server.New(server.Config{})
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	post := func(src string) int {
+		t.Helper()
+		body, _ := json.Marshal(server.CompileRequest{Source: src})
+		resp, err := http.Post(ts.URL+"/designs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if got := post(strings.ReplaceAll(counterSrc, "\n", "\r")); got != http.StatusUnprocessableEntity {
+		t.Errorf("CR-only source answered %d, want 422", got)
+	}
+	if got := post(counterSrc); got != http.StatusCreated {
+		t.Errorf("LF source after the CR-only one answered %d, want 201", got)
 	}
 }
 

@@ -651,6 +651,21 @@ func TestWireErrors(t *testing.T) {
 		!strings.Contains(apiErr.Message, "expression nodes") {
 		t.Errorf("doubled deep expression answered %v, want 422 naming the node bound", err)
 	}
+	// 3 self-inverting registers under 14 levels of doubling are 49,152
+	// registers: a partitioned plan would sweep 576 MiB of label sets.
+	var toggles strings.Builder
+	toggles.WriteString("circuit T14 :\n  module T0 :\n    input clock : Clock\n")
+	for _, r := range "abc" {
+		fmt.Fprintf(&toggles, "    reg %c : UInt<1>, clock\n    %c <= not(%c)\n", r, r, r)
+	}
+	for i := 1; i <= 14; i++ {
+		fmt.Fprintf(&toggles, "  module T%d :\n    input clock : Clock\n    inst a of T%d\n    inst b of T%d\n"+
+			"    a.clock <= clock\n    b.clock <= clock\n", i, i-1, i-1)
+	}
+	if _, err := c.Compile(ctx, toggles.String(), server.CompileOptions{Partitions: 2}); !errors.As(err, &apiErr) || apiErr.Status != 422 ||
+		!strings.Contains(apiErr.Message, "MiB plan budget") {
+		t.Errorf("49,152 registers at 2 partitions answered %v, want 422 naming the plan budget", err)
+	}
 	if _, err := c.Compile(ctx, counterSrc, server.CompileOptions{Kernel: "XX"}); !errors.As(err, &apiErr) || apiErr.Status != 400 {
 		t.Errorf("unknown kernel answered %v, want 400", err)
 	}

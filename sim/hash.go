@@ -31,13 +31,14 @@ func SourceHash(src string, opts ...Option) string {
 }
 
 // normalizeSource canonicalises the representation-only degrees of freedom
-// of FIRRTL text: line endings become \n, trailing whitespace per line is
-// dropped, and trailing blank lines are dropped. Leading whitespace is
-// untouched — FIRRTL is indentation-sensitive — so the normalization can
-// never merge two circuits that elaborate differently.
+// of FIRRTL text: \r\n becomes \n, trailing blanks and tabs per line are
+// dropped, and trailing blank lines are dropped. Each is whitespace the
+// lexer skips. A lone \r is not a line ending (the lexer reads it as a
+// blank), so it stays, and leading whitespace is untouched — FIRRTL is
+// indentation-sensitive — so the normalization can never merge two
+// circuits that elaborate differently.
 func normalizeSource(src string) string {
 	src = strings.ReplaceAll(src, "\r\n", "\n")
-	src = strings.ReplaceAll(src, "\r", "\n")
 	lines := strings.Split(src, "\n")
 	for i, l := range lines {
 		lines[i] = strings.TrimRight(l, " \t")
