@@ -1,7 +1,8 @@
 // Command rteaal compiles a FIRRTL design through the RTeAAL Sim pipeline
 // and simulates it: parse → optimise → levelize → OIM → kernel (Figure 14).
 //
-//	rteaal -kernel PSU -cycles 1000 -vcd out.vcd design.fir
+//	rteaal -cycles 1000 -vcd out.vcd design.fir
+//	rteaal -kernel PSU -partitions 2 design.fir
 //	rteaal -drive const -drive-value 1 -watch count,state design.fir
 //
 // The design is driven through the public sim.Testbench transaction layer:
@@ -32,7 +33,7 @@ func main() {
 }
 
 func run() error {
-	kernelName := flag.String("kernel", "PSU", "kernel configuration (RU|OU|NU|PSU|IU|SU|TI)")
+	kernelName := flag.String("kernel", "", "kernel configuration (RU|OU|NU|PSU|IU|SU|TI); empty compiles sim's default, IU")
 	partitions := flag.Int("partitions", 1, "RepCut partition count (threads); 1 = single-threaded")
 	cycles := flag.Int64("cycles", 100, "cycles to simulate")
 	seed := flag.Int64("seed", 1, "random stimulus seed")
@@ -55,15 +56,18 @@ func run() error {
 		return fmt.Errorf("usage: rteaal [flags] design.fir")
 	}
 
-	kind, err := sim.ParseKernel(*kernelName)
-	if err != nil {
-		return err
+	var opts []sim.Option
+	if *kernelName != "" {
+		kind, err := sim.ParseKernel(*kernelName)
+		if err != nil {
+			return err
+		}
+		opts = append(opts, sim.WithKernel(kind))
 	}
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
 		return err
 	}
-	opts := []sim.Option{sim.WithKernel(kind)}
 	if *partitions != 1 {
 		// Pass invalid counts through too, so they error at compile
 		// instead of silently simulating single-threaded.
@@ -153,7 +157,7 @@ func run() error {
 			fmt.Println()
 		}
 	}
-	fmt.Printf("simulated %d cycles with kernel %s (stimulus: %s)\n", s.Cycle(), kind, *drive)
+	fmt.Printf("simulated %d cycles with kernel %s (stimulus: %s)\n", s.Cycle(), design.Kernel(), *drive)
 	for _, name := range design.Outputs() {
 		v, err := s.Peek(name)
 		if err != nil {

@@ -67,14 +67,24 @@ func TestCmdBinariesSmoke(t *testing.T) {
 			}
 		})
 	}
+	fir := filepath.Join(bin, "pair.fir")
+	if err := os.WriteFile(fir, []byte(pairSrc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Without -kernel, rteaal compiles sim's default and names it.
+	t.Run("rteaal default kernel", func(t *testing.T) {
+		out, err := exec.Command(filepath.Join(bin, "rteaal"), "-cycles", "5", fir).CombinedOutput()
+		if err != nil {
+			t.Fatalf("rteaal: %v\n%s", err, out)
+		}
+		if !strings.Contains(string(out), "simulated 5 cycles with kernel IU ") {
+			t.Errorf("summary does not name the default kernel IU:\n%s", out)
+		}
+	})
 	// rteaal runs one bulk Testbench.Run without -watch and one-cycle runs
 	// with it; on a partitioned session those are the resident lock-step loop
 	// and a dispatch per cycle, and both must end in the same state.
 	t.Run("rteaal watch-vs-bulk", func(t *testing.T) {
-		fir := filepath.Join(bin, "pair.fir")
-		if err := os.WriteFile(fir, []byte(pairSrc), 0o644); err != nil {
-			t.Fatal(err)
-		}
 		final := func(extra ...string) string {
 			args := append([]string{"-partitions", "2", "-seed", "7", "-cycles", "40"}, extra...)
 			out, err := exec.Command(filepath.Join(bin, "rteaal"), append(args, fir)...).CombinedOutput()

@@ -94,7 +94,7 @@ type leg struct {
 
 // legs derives the matrix from sim's compile surface, so what is tested
 // follows what a user can reach: one session per kernel of sim.Kernels (the
-// default, PSU, with no option), then one leg per non-default value of each
+// default, IU, with no option), then one leg per non-default value of each
 // other option — partitioned plans (one under a tape kernel, so both engine
 // families cross the RUM exchange) — then a sim batch on one worker and one
 // sharded over three. A batch's worker count is chosen where it is minted,
@@ -108,7 +108,7 @@ func legs() []leg {
 	var ls []leg
 	for _, k := range sim.Kernels() {
 		l := leg{name: "session/" + k.String()}
-		if k != sim.PSU {
+		if k != sim.IU {
 			l.opts = []sim.Option{sim.WithKernel(k)}
 		}
 		ls = append(ls, l)

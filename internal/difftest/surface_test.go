@@ -16,14 +16,26 @@ import (
 // sim exports — read from its source, so a third option cannot be added
 // without a row here — names the legs of the matrix that take it off its
 // default, every kernel sim.Kernels lists has a session leg, and each named
-// leg exists. The reference leg, first, is RU's session, and a sim batch
-// sharded over more than one worker, which no option reaches, has a leg too.
+// leg exists, and each session leg compiles the kernel it is named for (so
+// the option-free leg follows sim's default and no kernel goes untested
+// under another's name). The reference leg, first, is RU's session, and a
+// sim batch sharded over more than one worker, which no option reaches, has
+// a leg too.
 func TestMatrixCoversOptionSurface(t *testing.T) {
 	var names []string
 	sharded := false
 	for _, l := range legs() {
 		names = append(names, l.name)
 		sharded = sharded || l.workers > 1
+		if kind, ok := strings.CutPrefix(l.name, "session/"); ok {
+			d, err := sim.Compile(tinySrc, l.opts...)
+			if err != nil {
+				t.Fatalf("%s: %v", l.name, err)
+			}
+			if got := d.Kernel().String(); got != kind {
+				t.Errorf("leg %s compiles kernel %s", l.name, got)
+			}
+		}
 	}
 	if !sharded {
 		t.Error("no leg mints a sim batch over more than one worker")
@@ -73,3 +85,14 @@ func TestMatrixCoversOptionSurface(t *testing.T) {
 		}
 	}
 }
+
+// tinySrc is one register, enough for a design to compile.
+const tinySrc = `
+circuit Tiny :
+  module Tiny :
+    input clock : Clock
+    output q : UInt<4>
+    reg r : UInt<4>, clock
+    r <= not(r)
+    q <= r
+`

@@ -13,7 +13,12 @@
 //	    by the LI layout (dfg.Levelize numbers a layer's operations in
 //	    traversal order, so LO[k] is LI[first+k])
 //	IU  fully unrolls the I rank: it walks the format's run list directly,
-//	    so zero-iteration S loops are never visited
+//	    so zero-iteration S loops are never visited. It keeps that I-rank
+//	    unroll but not PSU's 8x S-unroll: each run is one rolled per-type
+//	    loop, because short runs (RepCut partitions, control fabrics)
+//	    rarely fill an 8x body and its second dispatch costs more than the
+//	    unroll saves. Measured, it is the fastest of the seven on the
+//	    benchmark's designs, and it is sim's default
 //	SU  fully unrolls the S rank into a flat per-operation tape, encoding
 //	    the whole OIM in the "binary" (the tape) with no metadata arrays
 //	TI  additionally inlines the LO tensor away, writing results straight
@@ -28,8 +33,9 @@
 // (internal/wire/wire.go): RU, OU, SU, TI, every fallback and the batch
 // oracle (Batch.StepReference: the spec, lane by lane, over the
 // tensor's operations) evaluate through it. Three files here keep bodies of
-// their own: swizzled.go and psu_iu.go (runGroup, runGroup8), because
-// hoisting the operation dispatch out of the S loop is NU/PSU/IU; and
+// their own: swizzled.go (runGroup, the body NU and IU run) and psu_iu.go
+// (runGroup8, PSU's alone), because hoisting the operation dispatch out of
+// the S loop is NU/PSU/IU; and
 // batch_sched.go, whose fitsMask decides when a result needs no mask, next
 // to the lane loops of runOps and — in batch_packed.go — the word loops of
 // runPackedOps, both keyed by opcode through the one opBodies table. The

@@ -11,7 +11,9 @@ const psuComputeUnroll = 8
 
 // runGroup8 evaluates one run like runGroup, with the 8x-unrolled compute
 // loop for the highest-frequency 2-operand operation types; the remainder
-// and all other types fall through to the shared rolled group runner.
+// and all other types fall through to the shared rolled group runner. It is
+// PSU's rung of the ladder and settlePSU is its one caller: IU, the
+// default, runs the rolled runGroup.
 func (e *engine) runGroup8(op wire.Op, arity, out, count, ri int) int {
 	li, rc := e.li, e.rc
 	dst, masks := li[out:out+count], e.t.Masks[out:out+count]
@@ -87,14 +89,17 @@ func (e *engine) settlePSU() {
 	}
 }
 
-// settleIU fully unrolls the I rank on top of PSU's S-unrolling: the
-// tensor's run list already names every non-empty (layer, type)
-// stretch, so the settle loop walks it directly and never visits a group
-// with zero operations (§5.2 IU).
+// settleIU fully unrolls the I rank: the tensor's run list already names
+// every non-empty (layer, type) stretch, so the settle loop walks it
+// directly and never visits a group with zero operations (§5.2 IU). Each
+// run is one rolled runGroup, not PSU's 8x body: most runs are short (a
+// RepCut partition of r4/8 averages under 10 operations, c2048 3), so the
+// 8x bodies rarely fill and their second dispatch costs more than they save,
+// while on full r1's long runs the two bodies measure alike.
 func (e *engine) settleIU() {
 	ri := 0
 	for _, r := range e.runs {
 		s := e.t.OpTable[r.Sig]
-		ri = e.runGroup8(s.Op, int(s.Arity), int(r.First), int(r.Count), ri)
+		ri = e.runGroup(s.Op, int(s.Arity), int(r.First), int(r.Count), ri)
 	}
 }

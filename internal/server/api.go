@@ -16,12 +16,12 @@ import (
 
 // CompileOptions is the wire form of the sim compile options a client may
 // select: sim.WithKernel and sim.WithPartitions. The zero value compiles
-// with the package defaults (PSU kernel, unpartitioned), and spelling a
+// with the package defaults (IU kernel, unpartitioned), and spelling a
 // default out names the same cache entry. Requests are decoded strictly, so
 // a field that is not one of these two ("strategy", "waveform") is answered
 // with 400 naming it. A served batch runs on one worker.
 type CompileOptions struct {
-	// Kernel names a kernel configuration ("RU".."TI"); empty = PSU.
+	// Kernel names a kernel configuration ("RU".."TI"); empty = IU.
 	Kernel string `json:"kernel,omitempty"`
 	// Partitions > 0 compiles for RepCut-partitioned sessions.
 	Partitions int `json:"partitions,omitempty"`

@@ -924,7 +924,7 @@ func TestCompileOptionsShareCacheEntry(t *testing.T) {
 	}
 
 	var hashes []string
-	for i, options := range []string{`{}`, `{"kernel":"PSU"}`, `{"partitions":0}`} {
+	for i, options := range []string{`{}`, `{"kernel":"IU"}`, `{"partitions":0}`} {
 		status, body := post(options)
 		var cr server.CompileResponse
 		if err := json.Unmarshal([]byte(body), &cr); err != nil {

@@ -29,7 +29,7 @@ circuit Key :
 // field without a row fails TestSourceHashOptionSensitivity, so a new
 // compile option cannot skip the hash.
 var optionRows = map[string][]Option{
-	"kernel":     {WithKernel(TI), WithKernel(RU)},
+	"kernel":     {WithKernel(TI), WithKernel(RU), WithKernel(PSU)},
 	"partitions": {WithPartitions(1), WithPartitions(2), WithPartitions(3)},
 }
 
@@ -81,9 +81,9 @@ func TestSourceHashOptionSensitivity(t *testing.T) {
 // what they compile is interchangeable: the same OIM bytes, kernel and plan.
 func TestEqualHashesNameEqualDesigns(t *testing.T) {
 	for name, pair := range map[string][2][]Option{
-		"defaults spelled out": {nil, {WithKernel(PSU)}},
+		"defaults spelled out": {nil, {WithKernel(IU)}},
 		"either order":         {{WithKernel(TI), WithPartitions(2)}, {WithPartitions(2), WithKernel(TI)}},
-		"later wins":           {{WithPartitions(2)}, {WithKernel(IU), WithPartitions(3), WithKernel(PSU), WithPartitions(2)}},
+		"later wins":           {{WithPartitions(2)}, {WithKernel(PSU), WithPartitions(3), WithKernel(IU), WithPartitions(2)}},
 	} {
 		if a, b := SourceHash(keySrc, pair[0]...), SourceHash(keySrc, pair[1]...); a != b {
 			t.Errorf("%s: hashes differ: %s vs %s", name, a, b)

@@ -36,7 +36,7 @@
 //
 // Quickstart:
 //
-//	d, err := sim.Compile(src, sim.WithKernel(sim.PSU))
+//	d, err := sim.Compile(src)
 //	if err != nil { ... }
 //	s := d.NewSession()
 //	s.Poke("io_in", 3)
@@ -62,9 +62,10 @@ const (
 	NU = kernel.NU
 	// PSU partially unrolls the S loops (8x compute; the layer write-back
 	// is elided by the LI layout); the scalable sweet spot the paper
-	// identifies, and the default.
+	// identifies.
 	PSU = kernel.PSU
-	// IU fully unrolls the I rank, eliding zero-iteration S loops.
+	// IU fully unrolls the I rank, eliding zero-iteration S loops, and runs
+	// each run with one rolled loop; the default.
 	IU = kernel.IU
 	// SU fully unrolls the S rank into a flat per-operation tape.
 	SU = kernel.SU
