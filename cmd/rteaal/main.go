@@ -2,7 +2,7 @@
 // and simulates it: parse → optimise → levelize → OIM → kernel (Figure 14).
 //
 //	rteaal -cycles 1000 -vcd out.vcd design.fir
-//	rteaal -kernel PSU -partitions 2 design.fir
+//	rteaal -partitions 2 design.fir
 //	rteaal -drive const -drive-value 1 -watch count,state design.fir
 //
 // The design is driven through the public sim.Testbench transaction layer:
@@ -11,9 +11,10 @@
 // registers — after every cycle through resolved ports (one-cycle runs;
 // without -watch the whole simulation is one bulk run). With -dump-oim
 // the generated tensor is written as JSON instead of simulating, matching
-// the paper's compiler output; -list-kernels prints the seven kernel
-// configurations in unrolling order; -list-signals prints every watchable
-// signal of the compiled design.
+// the paper's compiler output; -list-signals prints every watchable signal
+// of the compiled design. Every design compiles sim's default kernel, named
+// in the summary line: the seven §5.2 kernels compute the same bits, and
+// examples/ablation times them against each other.
 package main
 
 import (
@@ -33,7 +34,6 @@ func main() {
 }
 
 func run() error {
-	kernelName := flag.String("kernel", "", "kernel configuration (RU|OU|NU|PSU|IU|SU|TI); empty compiles sim's default, IU")
 	partitions := flag.Int("partitions", 1, "RepCut partition count (threads); 1 = single-threaded")
 	cycles := flag.Int64("cycles", 100, "cycles to simulate")
 	seed := flag.Int64("seed", 1, "random stimulus seed")
@@ -42,32 +42,18 @@ func run() error {
 	watch := flag.String("watch", "", "comma-separated signals to print after each cycle")
 	vcdPath := flag.String("vcd", "", "write a VCD waveform to this file")
 	dumpOIM := flag.Bool("dump-oim", false, "write the OIM tensor as JSON to stdout and exit")
-	listKernels := flag.Bool("list-kernels", false, "list the kernel configurations and exit")
 	listSignals := flag.Bool("list-signals", false, "list the design's watchable signals and exit")
 	flag.Parse()
 
-	if *listKernels {
-		for _, k := range sim.Kernels() {
-			fmt.Println(k)
-		}
-		return nil
-	}
 	if flag.NArg() != 1 {
 		return fmt.Errorf("usage: rteaal [flags] design.fir")
 	}
 
-	var opts []sim.Option
-	if *kernelName != "" {
-		kind, err := sim.ParseKernel(*kernelName)
-		if err != nil {
-			return err
-		}
-		opts = append(opts, sim.WithKernel(kind))
-	}
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
 		return err
 	}
+	var opts []sim.Option
 	if *partitions != 1 {
 		// Pass invalid counts through too, so they error at compile
 		// instead of silently simulating single-threaded.

@@ -37,7 +37,7 @@ func main() {
 	// goroutines; each worker owns a contiguous lane block and the lanes
 	// stay bit-identical to dedicated sessions.
 	workers := min(4, runtime.GOMAXPROCS(0))
-	design, err := sim.Compile(src, sim.WithKernel(sim.PSU))
+	design, err := sim.Compile(src)
 	if err != nil {
 		log.Fatal(err)
 	}

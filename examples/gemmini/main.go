@@ -56,7 +56,7 @@ func buildMesh() *dfg.Graph {
 }
 
 func main() {
-	design, err := sim.CompileGraph(buildMesh(), sim.WithKernel(sim.PSU))
+	design, err := sim.CompileGraph(buildMesh())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -25,10 +25,7 @@ circuit Fibonacci :
 `
 
 func main() {
-	// PSU is the paper's scalable sweet-spot kernel; the default is IU, the
-	// fastest loop on this project's benchmarks. Any of RU..TI works and
-	// produces identical values.
-	design, err := sim.Compile(src, sim.WithKernel(sim.PSU))
+	design, err := sim.Compile(src)
 	if err != nil {
 		log.Fatal(err)
 	}

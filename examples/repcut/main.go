@@ -40,7 +40,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := kernel.Config{Kind: kernel.PSU}
+	cfg := kernel.Config{Kind: kernel.IU}
 	prog, err := kernel.NewProgram(t, cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -69,7 +69,7 @@ func main() {
 	}
 
 	ref := prog.Instantiate()
-	fmt.Printf("sequential PSU: %8v for %d cycles\n", run(ref), cycles)
+	fmt.Printf("sequential IU: %8v for %d cycles\n", run(ref), cycles)
 
 	// Ownership decides what partitioning costs: round-robin is the
 	// structure-blind baseline, the planner clusters registers by shared

@@ -35,7 +35,7 @@ circuit Accum :
 `
 
 func main() {
-	design, err := sim.Compile(src, sim.WithKernel(sim.PSU))
+	design, err := sim.Compile(src)
 	if err != nil {
 		log.Fatal(err)
 	}

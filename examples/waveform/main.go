@@ -26,7 +26,7 @@ circuit Blinker :
 func main() {
 	// Every design keeps every register's coordinate, so any session can
 	// bind them all for the capture below.
-	design, err := sim.Compile(src, sim.WithKernel(sim.TI))
+	design, err := sim.Compile(src)
 	if err != nil {
 		log.Fatal(err)
 	}

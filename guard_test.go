@@ -115,6 +115,8 @@ const (
 		"the server's compile circuit breaker, its knobs and flags, its 503 and degraded readiness, and the injected compile failure that fed it are deleted"
 	oneOrder = "a dfg.Graph lists every operand before its user, so its id order is its topological order: " +
 		"the second order, TopoOrder, and its cache on Graph and Interp are deleted"
+	kernelLadder = "the seven §5.2 kernels compute the same bits, so a kernel is chosen only where the ladder is measured, in process: " +
+		"the wire's kernel option, rteaal -kernel and -list-kernels, ParseKernel and ParseKind, and the examples' pinned kernels are deleted"
 )
 
 var guardRows = []guardRow{
@@ -211,6 +213,26 @@ var guardRows = []guardRow{
 			{path: "internal/dfg/topo.go", snippet: "func (g *Graph) TopoOrder() ([]NodeID, error) { return nil, nil }"},
 			{path: "internal/dfg/graph.go", after: "type Graph struct {\n", snippet: "\ttopo []NodeID\n"},
 			{path: "internal/dfg/interp.go", after: "type Interp struct {\n", snippet: "\ttopo []NodeID\n"},
+		}},
+	{kernelLadder, pkg("sim internal/kernel"), funcs("", "ParseKernel ParseKind"),
+		[]mutant{
+			{path: "sim/parse.go", snippet: "func ParseKernel(s string) (Kernel, error) { return IU, nil }"},
+			{path: "internal/kernel/kernel.go", after: "func Kinds() []Kind { return []Kind{RU, OU, NU, PSU, IU, SU, TI} }\n", snippet: "\nfunc ParseKind(s string) (Kind, error) { return 0, nil }\n"},
+		}},
+	{kernelLadder, pkg("internal/server"), members("CompileOptions", "Kernel"),
+		[]mutant{{path: "internal/server/api.go", after: "type CompileOptions struct {\n", snippet: "\tKernel string `json:\"kernel,omitempty\"`\n"}}},
+	{kernelLadder, pkg("cmd/rteaal"), anyOf(literal("kernel"), literal("list-kernels")),
+		[]mutant{
+			{path: "cmd/rteaal/main.go", after: "func run() error {\n", snippet: "\tflag.String(\"kernel\", \"\", \"kernel configuration\")\n"},
+			{path: "cmd/rteaal/main.go", after: "func run() error {\n", snippet: "\tflag.Bool(\"list-kernels\", false, \"list the kernels\")\n"},
+		}},
+	{kernelLadder, func(p string) bool {
+		return under("cmd examples internal/server")(p) && !strings.HasPrefix(p, "examples/ablation/")
+	}, ident("WithKernel"),
+		[]mutant{
+			{path: "examples/quickstart/main.go", after: "sim.Compile(src", snippet: ", sim.WithKernel(sim.PSU)"},
+			{path: "internal/server/api.go", after: "func (o CompileOptions) SimOptions() ([]sim.Option, error) {\n", snippet: "\t_ = sim.WithKernel(sim.TI)\n"},
+			{path: "cmd/rteaal/main.go", after: "var opts []sim.Option\n", snippet: "\topts = append(opts, sim.WithKernel(sim.PSU))\n"},
 		}},
 }
 

@@ -75,16 +75,6 @@ func (k Kind) String() string {
 // Kinds lists all kernel configurations in unrolling order.
 func Kinds() []Kind { return []Kind{RU, OU, NU, PSU, IU, SU, TI} }
 
-// ParseKind resolves a kernel name.
-func ParseKind(s string) (Kind, error) {
-	for k := Kind(0); k < NumKinds; k++ {
-		if kindNames[k] == s {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("kernel: unknown kind %q (want RU|OU|NU|PSU|IU|SU|TI)", s)
-}
-
 // Config selects the kernel.
 type Config struct {
 	Kind Kind

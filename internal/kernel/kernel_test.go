@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"rteaal/internal/dfg"
@@ -243,24 +244,19 @@ func TestRegisterOnlyDesign(t *testing.T) {
 	}
 }
 
-func TestParseKind(t *testing.T) {
-	for _, k := range Kinds() {
-		got, err := ParseKind(k.String())
-		if err != nil || got != k {
-			t.Fatalf("ParseKind(%s) = %v, %v", k, got, err)
-		}
-	}
-	if _, err := ParseKind("XX"); err == nil {
-		t.Fatal("want error for unknown kind")
-	}
-	if Kind(99).String() == "" {
-		t.Fatal("out-of-range kind name")
-	}
-}
-
 func TestNewRejectsEmptyTensor(t *testing.T) {
 	if _, err := NewProgram(&oim.Tensor{}, Config{Kind: RU}); err == nil {
 		t.Fatal("want error for empty design")
+	}
+}
+
+// TestNewRejectsUnknownKind: a kind past the ladder is refused, by a name
+// that says what it was.
+func TestNewRejectsUnknownKind(t *testing.T) {
+	g := &dfg.Graph{Name: "not"}
+	g.AddOutput("y", g.AddOp(wire.Not, 8, g.AddInput("x", 8)))
+	if _, err := NewProgram(buildTensor(t, g), Config{Kind: 99}); err == nil || !strings.Contains(err.Error(), "kernel(99)") {
+		t.Fatalf("kind 99 lowered with %v, want an error naming kernel(99)", err)
 	}
 }
 

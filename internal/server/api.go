@@ -14,37 +14,29 @@ import (
 // testbench wire framing (internal/testbench.Command), which carries its
 // own validator and fuzz target.
 
-// CompileOptions is the wire form of the sim compile options a client may
-// select: sim.WithKernel and sim.WithPartitions. The zero value compiles
-// with the package defaults (IU kernel, unpartitioned), and spelling a
-// default out names the same cache entry. Requests are decoded strictly, so
-// a field that is not one of these two ("strategy", "waveform") is answered
-// with 400 naming it. A served batch runs on one worker.
+// CompileOptions is the wire form of the one sim compile option a client
+// may select, sim.WithPartitions. The zero value compiles with the package
+// defaults (unpartitioned), and spelling a default out names the same cache
+// entry. Every served design runs sim's default kernel: the kernels compute
+// the same bits, so the choice among them is made where their speeds are
+// measured, not on the wire. Requests are decoded strictly, so a field that
+// is not "partitions" ("kernel", "strategy", "waveform") is answered with 400
+// naming it. A served batch runs on one worker.
 type CompileOptions struct {
-	// Kernel names a kernel configuration ("RU".."TI"); empty = IU.
-	Kernel string `json:"kernel,omitempty"`
 	// Partitions > 0 compiles for RepCut-partitioned sessions.
 	Partitions int `json:"partitions,omitempty"`
 }
 
 // SimOptions resolves the wire options to sim compile options, rejecting
-// unknown names and out-of-range counts before any compilation work runs.
+// out-of-range counts before any compilation work runs.
 func (o CompileOptions) SimOptions() ([]sim.Option, error) {
-	var opts []sim.Option
-	if o.Kernel != "" {
-		k, err := sim.ParseKernel(o.Kernel)
-		if err != nil {
-			return nil, err
-		}
-		opts = append(opts, sim.WithKernel(k))
+	if o.Partitions == 0 {
+		return nil, nil
 	}
-	if o.Partitions != 0 {
-		if o.Partitions < 0 {
-			return nil, fmt.Errorf("server: partitions must be >= 1, got %d", o.Partitions)
-		}
-		opts = append(opts, sim.WithPartitions(o.Partitions))
+	if o.Partitions < 0 {
+		return nil, fmt.Errorf("server: partitions must be >= 1, got %d", o.Partitions)
 	}
-	return opts, nil
+	return []sim.Option{sim.WithPartitions(o.Partitions)}, nil
 }
 
 // CompileRequest is the body of POST /designs.

@@ -530,7 +530,7 @@ func TestFaultCompileFailureCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close(ctx)
-	if _, err := c.Compile(ctx, counterSrc, server.CompileOptions{Kernel: "RU"}); err != nil {
+	if _, err := c.Compile(ctx, pairSrc, server.CompileOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := compileBad("bad compile after eviction"); got != first {

@@ -615,7 +615,7 @@ func TestPoolWaitBlocksForRelease(t *testing.T) {
 // bodies, 4,096 log entries per session, and the frontend's expression
 // depth of 1,000).
 func TestWireErrors(t *testing.T) {
-	_, c := newTestService(t, server.Config{})
+	srv, c := newTestService(t, server.Config{})
 	ctx := context.Background()
 
 	var apiErr *client.APIError
@@ -666,8 +666,12 @@ func TestWireErrors(t *testing.T) {
 		!strings.Contains(apiErr.Message, "MiB plan budget") {
 		t.Errorf("49,152 registers at 2 partitions answered %v, want 422 naming the plan budget", err)
 	}
-	if _, err := c.Compile(ctx, counterSrc, server.CompileOptions{Kernel: "XX"}); !errors.As(err, &apiErr) || apiErr.Status != 400 {
-		t.Errorf("unknown kernel answered %v, want 400", err)
+	// The wire names no kernel: a body that does is a 400 naming the field.
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/designs",
+		strings.NewReader(`{"source":"circuit C :","options":{"kernel":"XX"}}`)))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "kernel") {
+		t.Errorf("a kernel option answered %d %s, want 400 naming \"kernel\"", rec.Code, rec.Body)
 	}
 
 	cr, err := c.Compile(ctx, counterSrc, server.CompileOptions{})
@@ -901,7 +905,9 @@ func TestOverBudgetCommands(t *testing.T) {
 // byte-identical to the first, since the option only forced off a pass that
 // was never on. A field that names no compile option now answers 400 naming
 // itself, by the strict decoding every request body gets; "batch_workers" is
-// one, since a batch's worker count changes nothing the compiler builds.
+// one, since a batch's worker count changes nothing the compiler builds, and
+// "kernel" is another, since every kernel computes the same bits and every
+// served design runs the default.
 func TestCompileOptionsShareCacheEntry(t *testing.T) {
 	srv := server.New(server.Config{})
 	t.Cleanup(srv.Close)
@@ -924,7 +930,7 @@ func TestCompileOptionsShareCacheEntry(t *testing.T) {
 	}
 
 	var hashes []string
-	for i, options := range []string{`{}`, `{"kernel":"IU"}`, `{"partitions":0}`} {
+	for i, options := range []string{`{}`, `{"partitions":0}`} {
 		status, body := post(options)
 		var cr server.CompileResponse
 		if err := json.Unmarshal([]byte(body), &cr); err != nil {
@@ -946,6 +952,7 @@ func TestCompileOptionsShareCacheEntry(t *testing.T) {
 		"waveform":      `{"waveform":true}`,
 		"strategy":      `{"strategy":"round-robin"}`,
 		"batch_workers": `{"batch_workers":1}`,
+		"kernel":        `{"kernel":"IU"}`,
 	} {
 		if status, body := post(options); status != http.StatusBadRequest || !strings.Contains(body, field) {
 			t.Errorf("%s answered %d %s, want 400 naming %q", options, status, body, field)
@@ -960,7 +967,7 @@ func TestCompileOptionsShareCacheEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Cache.Misses != 1 || m.Cache.Hits != 2 || m.Cache.Entries != 1 || len(m.Pools) != 1 {
-		t.Errorf("cache %+v with %d pools, want 1 miss, 2 hits, 1 entry, 1 pool", m.Cache, len(m.Pools))
+	if m.Cache.Misses != 1 || m.Cache.Hits != 1 || m.Cache.Entries != 1 || len(m.Pools) != 1 {
+		t.Errorf("cache %+v with %d pools, want 1 miss, 1 hit, 1 entry, 1 pool", m.Cache, len(m.Pools))
 	}
 }

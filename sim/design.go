@@ -42,9 +42,12 @@ func (c config) fingerprint() string {
 // win. There are two; the package comment states the rule that keeps it so.
 type Option func(*config)
 
-// WithKernel selects the kernel configuration. The default is [IU], the
-// fastest kernel on the benchmark's designs; [PSU] is the paper's sweet spot
-// (Figure 16). Every kernel computes the same bits.
+// WithKernel selects the kernel configuration: the §5.2 ladder, in process.
+// The default is [IU], the fastest kernel on the benchmark's designs; [PSU]
+// is the paper's sweet spot (Figure 16). Every kernel computes the same bits,
+// so a kernel is picked only where the ladder is timed or cross-checked
+// (examples/ablation, internal/difftest, the benchmark); the server and
+// cmd/rteaal compile the default.
 func WithKernel(k Kernel) Option {
 	return func(c *config) { c.kernel = k }
 }

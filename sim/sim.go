@@ -27,6 +27,10 @@
 // not a test, a line in the hash's fingerprint, and a leg of
 // internal/difftest's matrix. How a design is run is chosen where it is
 // run: a batch's worker count is an argument of [Design.NewBatchParallel].
+// [WithKernel] is the §5.2 ladder, in process: the seven kernels compute the
+// same bits, so only code that times or cross-checks them picks one, and
+// nothing that reaches a design from outside the process (the server's wire,
+// cmd/rteaal) can.
 // Every design keeps every register, so any session may record a waveform;
 // the paper's other ablation axes (optimisation passes, the Figure 12a
 // format, explicit register ownership) live where they are implemented, in
@@ -75,6 +79,3 @@ const (
 
 // Kernels lists every kernel configuration in unrolling order.
 func Kernels() []Kernel { return kernel.Kinds() }
-
-// ParseKernel resolves a kernel name such as "PSU".
-func ParseKernel(s string) (Kernel, error) { return kernel.ParseKind(s) }

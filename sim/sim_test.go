@@ -270,24 +270,6 @@ func TestUnoptimizedGraphParity(t *testing.T) {
 	}
 }
 
-// TestKernelEnumMatchesInternal: sim.Kernel is internal/kernel's Kind, so
-// the two cannot drift; what is left to check is that every listed kernel's
-// name parses back to it and that a name of none is refused.
-func TestKernelEnumMatchesInternal(t *testing.T) {
-	for _, k := range sim.Kernels() {
-		parsed, err := sim.ParseKernel(k.String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if parsed != k {
-			t.Fatalf("ParseKernel(%q) = %v, want %v", k, parsed, k)
-		}
-	}
-	if _, err := sim.ParseKernel("XX"); err == nil {
-		t.Fatal("ParseKernel accepted garbage")
-	}
-}
-
 func TestDesignAccessors(t *testing.T) {
 	d, err := sim.Compile(counterSrc)
 	if err != nil {
