@@ -1,14 +1,16 @@
 // Ablation: run all seven kernel configurations of §5.2 on the same design
 // and print real per-cycle wall-clock throughput — a native-Go miniature of
-// Figure 16's unrolling sweet-spot study, driven through the public sim
-// package — then name the kind that measured fastest on the machine it runs
-// on, and check that all seven computed the same state.
+// Figure 16's unrolling sweet-spot study — then name the kind that measured
+// fastest on the machine it runs on, and check that all seven computed the
+// same state.
 //
-// Every kind is compiled before any is timed, so no kind pays for the
-// collection of another's compile. The kinds then run in interleaved rounds
-// with a rotating start, each round a bulk run under the same seeded
-// stimulus, so a slow spell of the host lands on every kind alike and each
-// kind's median over the rounds is what it is ranked by.
+// The seven kernels are seven mappings of one tensor, so the example sits
+// below sim: the design is compiled once (oim.Compile), and every kind is
+// lowered from that tensor (kernel.NewProgram) before any is timed, so none
+// pays for the collection of another's lowering. The kinds then run in
+// interleaved rounds with a rotating start, each round one bulk run under
+// the same seeded stimulus, so a slow spell of the host lands on every kind
+// alike and each kind's median over the rounds is what it is ranked by.
 package main
 
 import (
@@ -19,7 +21,9 @@ import (
 	"time"
 
 	"rteaal/internal/gen"
-	"rteaal/sim"
+	"rteaal/internal/kernel"
+	"rteaal/internal/oim"
+	"rteaal/internal/testbench"
 )
 
 const (
@@ -32,38 +36,37 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	t, _, err := oim.Compile(g)
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	kinds := sim.Kernels()
-	sessions := make([]*sim.Session, len(kinds))
-	benches := make([]*sim.Testbench, len(kinds))
+	kinds := kernel.Kinds()
+	engines := make([]kernel.Engine, len(kinds))
 	for i, kind := range kinds {
-		design, err := sim.CompileGraph(g, sim.WithKernel(kind))
+		prog, err := kernel.NewProgram(t, kernel.Config{Kind: kind})
 		if err != nil {
 			log.Fatal(err)
 		}
-		sessions[i] = design.NewSession()
-		benches[i] = sessions[i].Testbench()
-		benches[i].Drive(sim.RandomStimulus(3))
+		engines[i] = prog.Instantiate()
 	}
-	st := sessions[0].Design().Stats()
 	fmt.Printf("design r1/16: %d ops in %d layers; %d rounds of %d cycles per kernel, rotating start\n\n",
-		st.Ops, st.Layers, rounds, cycles)
+		t.TotalOps(), t.NumLayers(), rounds, cycles)
 	runtime.GC()
 
+	stim := testbench.Random(3)
 	perCycle := make([][]time.Duration, len(kinds))
 	for r := 0; r < rounds; r++ {
 		for j := range kinds {
 			i := (r + j) % len(kinds)
 			start := time.Now()
-			if err := benches[i].Run(cycles); err != nil {
-				log.Fatal(err)
-			}
+			engines[i].RunBulk(kernel.RunSpec{Cycles: cycles, Stim: stim, From: int64(r * cycles)})
 			perCycle[i] = append(perCycle[i], time.Since(start)/cycles)
 		}
 	}
 
 	fmt.Printf("%-8s %16s %10s\n", "kernel", "median µs/cycle", "Mops/s")
-	var fastest sim.Kernel
+	var fastest kernel.Kind
 	var best time.Duration
 	for i, kind := range kinds {
 		slices.Sort(perCycle[i])
@@ -71,13 +74,15 @@ func main() {
 		if best == 0 || median < best {
 			fastest, best = kind, median
 		}
-		mops := float64(st.Ops) / median.Seconds() / 1e6
+		mops := float64(t.TotalOps()) / median.Seconds() / 1e6
 		fmt.Printf("%-8v %16.1f %10.0f\n", kind, float64(median.Nanoseconds())/1e3, mops)
 	}
 
-	same := true
-	for _, s := range sessions[1:] {
-		same = same && slices.Equal(s.Registers(), sessions[0].Registers())
+	same := true // every register, read at its Q coordinate
+	for _, e := range engines[1:] {
+		for _, r := range t.RegSlots {
+			same = same && e.PeekSlot(r.Q) == engines[0].PeekSlot(r.Q)
+		}
 	}
 	fmt.Printf("\nall %d kernels end in the same register state: %v\n", len(kinds), same)
 	fmt.Printf("fastest on this host by median: %v (the paper's sweet spot is PSU)\n", fastest)

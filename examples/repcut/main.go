@@ -10,15 +10,13 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
-	"slices"
 	"time"
 
-	"rteaal/internal/dfg"
 	"rteaal/internal/gen"
 	"rteaal/internal/kernel"
 	"rteaal/internal/oim"
 	"rteaal/internal/repcut"
+	"rteaal/internal/testbench"
 )
 
 const cycles = 200
@@ -28,15 +26,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opt, err := dfg.Optimize(g, dfg.DefaultOptOptions())
-	if err != nil {
-		log.Fatal(err)
-	}
-	lv, err := dfg.Levelize(opt)
-	if err != nil {
-		log.Fatal(err)
-	}
-	t, err := oim.Build(lv)
+	t, _, err := oim.Compile(g)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,25 +37,11 @@ func main() {
 	}
 	fmt.Printf("design r1/16: %d ops, %d registers\n", t.TotalOps(), len(t.RegSlots))
 
+	// run times one bulk run under the same seeded stimulus.
 	run := func(e kernel.Engine) time.Duration {
-		stim := rand.New(rand.NewSource(7))
 		start := time.Now()
-		for c := 0; c < cycles; c++ {
-			for _, slot := range t.InputSlots {
-				e.PokeSlot(slot, stim.Uint64())
-			}
-			e.Step()
-		}
+		e.RunBulk(kernel.RunSpec{Cycles: cycles, Stim: testbench.Random(7)})
 		return time.Since(start)
-	}
-
-	// regs reads the committed registers through their Q coordinates.
-	regs := func(e kernel.Engine) []uint64 {
-		out := make([]uint64, len(t.RegSlots))
-		for i, r := range t.RegSlots {
-			out[i] = e.PeekSlot(r.Q)
-		}
-		return out
 	}
 
 	ref := prog.Instantiate()
@@ -101,10 +77,13 @@ func main() {
 				log.Fatal(err)
 			}
 			elapsed := run(inst)
+			match := true // every register, read at its Q coordinate
+			for _, r := range t.RegSlots {
+				match = match && inst.PeekSlot(r.Q) == ref.PeekSlot(r.Q)
+			}
 			ps := plan.Stats()
 			fmt.Printf("repcut %d parts (%-11s): %8v, replication %.2fx, cut %d, state match: %v\n",
-				parts, name, elapsed, ps.ReplicationFactor, ps.CutSize,
-				slices.Equal(regs(ref), regs(inst)))
+				parts, name, elapsed, ps.ReplicationFactor, ps.CutSize, match)
 			inst.Close()
 		}
 	}

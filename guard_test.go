@@ -117,6 +117,10 @@ const (
 		"the second order, TopoOrder, and its cache on Graph and Interp are deleted"
 	kernelLadder = "the seven §5.2 kernels compute the same bits, so a kernel is chosen only where the ladder is measured, in process: " +
 		"the wire's kernel option, rteaal -kernel and -list-kernels, ParseKernel and ParseKind, and the examples' pinned kernels are deleted"
+	ladderBelowSim = "the §5.2 ladder is seven mappings of one tensor, lowered below sim with kernel.NewProgram: " +
+		"sim.WithKernel is named only in sim and benchmark/, never in cmd/, internal/ or examples/"
+	onePipeline = "the compile pipeline (the default dfg passes, levelization, the OIM build) is written once, in oim.Compile: " +
+		"outside internal/dfg and benchmark/, no other non-test code names dfg.DefaultOptOptions or dfg.Levelize"
 )
 
 var guardRows = []guardRow{
@@ -226,13 +230,23 @@ var guardRows = []guardRow{
 			{path: "cmd/rteaal/main.go", after: "func run() error {\n", snippet: "\tflag.String(\"kernel\", \"\", \"kernel configuration\")\n"},
 			{path: "cmd/rteaal/main.go", after: "func run() error {\n", snippet: "\tflag.Bool(\"list-kernels\", false, \"list the kernels\")\n"},
 		}},
-	{kernelLadder, func(p string) bool {
-		return under("cmd examples internal/server")(p) && !strings.HasPrefix(p, "examples/ablation/")
-	}, ident("WithKernel"),
+	{ladderBelowSim, under("cmd internal examples"), ident("WithKernel"),
 		[]mutant{
 			{path: "examples/quickstart/main.go", after: "sim.Compile(src", snippet: ", sim.WithKernel(sim.PSU)"},
+			{path: "examples/ablation/main.go", after: "func main() {\n", snippet: "\t_ = sim.WithKernel(sim.PSU)\n"},
 			{path: "internal/server/api.go", after: "func (o CompileOptions) SimOptions() ([]sim.Option, error) {\n", snippet: "\t_ = sim.WithKernel(sim.TI)\n"},
+			{path: "internal/difftest/difftest.go", after: "func legs() []leg {\n", snippet: "\t_ = sim.WithKernel(sim.RU)\n"},
+			{path: "internal/difftest/matrix_test.go", snippet: "var opts = []sim.Option{sim.WithKernel(sim.NU)}"},
 			{path: "cmd/rteaal/main.go", after: "var opts []sim.Option\n", snippet: "\topts = append(opts, sim.WithKernel(sim.PSU))\n"},
+		}},
+	{onePipeline, func(p string) bool {
+		return codeOutsideBenchmark(p) && !strings.HasPrefix(p, "internal/dfg/") && p != "internal/oim/compile.go"
+	}, selector("dfg", "DefaultOptOptions Levelize"),
+		[]mutant{
+			{path: "sim/design.go", after: "func CompileGraph(g *dfg.Graph, opts ...Option) (*Design, error) {\n", snippet: "\t_, _ = dfg.Levelize(g)\n"},
+			{path: "internal/difftest/difftest.go", after: "func legs() []leg {\n", snippet: "\t_ = dfg.DefaultOptOptions()\n"},
+			{path: "examples/repcut/main.go", after: "func main() {\n", snippet: "\t_, _ = dfg.Optimize(nil, dfg.DefaultOptOptions())\n"},
+			{path: "internal/oim/build.go", snippet: "func compile(g *dfg.Graph) { lv, _ := dfg.Levelize(g); _, _ = Build(lv) }"},
 		}},
 }
 

@@ -56,15 +56,7 @@ func TestFullPipelineOnGeneratedDesign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := dfg.Optimize(g, dfg.DefaultOptOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	lv, err := dfg.Levelize(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ten, err := oim.Build(lv)
+	ten, opt, err := oim.Compile(g)
 	if err != nil {
 		t.Fatal(err)
 	}

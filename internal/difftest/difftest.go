@@ -1,21 +1,25 @@
 // Package difftest is the reusable cross-engine differential-testing
 // harness: it runs one design through every execution engine shape the
-// repository ships — a scalar session per kernel kind, RepCut-partitioned
-// sessions, the sim batch (sequential and lane-sharded), the wide batch
+// repository ships — a scalar engine per kernel kind, RepCut-partitioned
+// instances, the sim batch (sequential and lane-sharded), the wide batch
 // schedule (sequential and lane-sharded), and the batch's reference loop
 // (StepReference) — and reports the first bit divergence with its full
-// coordinates (cycle, lane, engine pair, output/register index). One
-// executor, Case.Execute, runs a case per cycle or in bulk-run chunks; every
-// leg drives the case's stimulus inside its own run loop, as its users do,
-// except StepReference, which is poked from the host one cycle at a time.
-// Lane 0 of every leg is compared with the RU session, every other lane with
-// StepReference. The package also provides coverage-guided random design
-// generation (generate.go), an automatic repro shrinker (shrink.go), and a
-// content-addressed persistent corpus (corpus.go); together they back both
-// the tier-1 `differential_test.go` sweep and the long-running `rteaal-fuzz`
-// driver. This is the GSIM/Manticore-style validation
-// discipline: the parallel and specialised engines are only trusted because
-// a reference semantics keeps re-checking them on inputs nobody hand-picked.
+// coordinates (cycle, lane, engine pair, output/register index). A case is
+// compiled once below sim (oim.Compile), and the §5.2 ladder — one tensor
+// under seven mappings — is lowered from that one tensor, with a RepCut
+// plan over it; the legs a user reaches through sim share one
+// sim.CompileGraph per option set. One executor, Case.Execute, runs a case
+// per cycle or in bulk-run chunks; every leg drives the case's stimulus
+// inside its own run loop, as its users do, except StepReference, which is
+// poked from the host one cycle at a time. Lane 0 of every leg is compared
+// with the RU engine, every other lane with StepReference. The package also
+// provides coverage-guided random design generation (generate.go), an
+// automatic repro shrinker (shrink.go), and a content-addressed persistent
+// corpus (corpus.go); together they back both the tier-1
+// `differential_test.go` sweep and the long-running `rteaal-fuzz` driver.
+// This is the GSIM/Manticore-style validation discipline: the parallel and
+// specialised engines are only trusted because a reference semantics keeps
+// re-checking them on inputs nobody hand-picked.
 package difftest
 
 import (
@@ -25,6 +29,7 @@ import (
 	"rteaal/internal/dfg"
 	"rteaal/internal/kernel"
 	"rteaal/internal/oim"
+	"rteaal/internal/repcut"
 	"rteaal/internal/testbench"
 	"rteaal/sim"
 )
@@ -63,10 +68,13 @@ func (d *Divergence) String() string {
 
 // engine is one engine shape reduced to the surface the harness drives: a
 // bulk run of n cycles that drives the matrix's stimulus itself (a step is
-// run(1)), and per-lane observation.
+// run(1)), and per-lane observation. kind and parts are what was built: the
+// kernel the engine runs and its effective partition count (0: none).
 type engine struct {
 	name  string
 	lanes int
+	kind  kernel.Kind
+	parts int
 	run   func(n int64) error
 	out   func(lane, idx int) uint64
 	regs  func(lane int) []uint64
@@ -77,68 +85,59 @@ type engine struct {
 // Close releases the underlying sessions and batches.
 type Matrix struct {
 	engines []engine
-	// oracle indexes the StepReference leg, the reference of lanes >= 1.
-	oracle   int
-	outNames []string
-	regNames []string
+	oracle  int         // the StepReference leg, the reference of lanes >= 1
+	ten     *oim.Tensor // the case's one tensor; it names what is compared
+	lanes   int
+	stim    testbench.Stimulus
+	designs map[int]*sim.Design // sim's, by partition count, shared by its legs
 }
 
-// leg is one engine shape of the matrix: a design compiled with the given
-// options and driven as one session (workers == 0), or as one batch of the
-// case's lanes minted on that many lane workers.
+// leg is one engine shape of the matrix: its RepCut partition count (0:
+// none), its lane workers (0: one scalar engine, else one batch of the
+// case's lanes on that many workers), and where it is built. A viaSim leg is
+// reached through sim and runs sim's default kernel; every other leg lowers
+// kind below sim from the case's one tensor.
 type leg struct {
-	name    string
-	workers int
-	opts    []sim.Option
+	name           string
+	kind           kernel.Kind
+	parts, workers int
+	viaSim         bool
 }
 
-// legs derives the matrix from sim's compile surface, so what is tested
-// follows what a user can reach: one session per kernel of sim.Kernels (the
-// default, IU, with no option), then one leg per non-default value of each
-// other option — partitioned plans (one under a tape kernel, so both engine
-// families cross the RUM exchange) — then a sim batch on one worker and one
-// sharded over three. A batch's worker count is chosen where it is minted,
-// and its layout is the schedule compiler's call, not an option: the wide
-// schedule's legs are built below sim, in NewMatrix.
-// TestMatrixCoversOptionSurface holds the list to that surface. The first
-// leg, RU's session, is the reference of every other leg's lane 0: RU
-// executes the paper's Cascade 1 as written, so every engine shape is held
-// to the paper's equations.
+// stepReference names the oracle of lanes >= 1.
+const stepReference = "batch/StepReference"
+
+// legs lists the matrix. First the §5.2 ladder, one leg per kind: sim's
+// default, IU, as a sim session, and the other six lowered with
+// kernel.NewProgram. RU, first, is the reference of every other leg's lane
+// 0: it executes the paper's Cascade 1 as written, so every shape is held to
+// the paper's equations. Then RepCut (sim's plans at n = 2 and 3, and one
+// lowered to a tape kernel, so both engine families cross the RUM
+// exchange), sim's batch on one worker and sharded over three, the wide
+// schedule a sim batch runs only when packing leaves no slot packed, and
+// StepReference, the batch's reference loop: poked from the host one cycle
+// at a time, it shares no stimulus or run-loop code with the legs it judges.
+// TestMatrixCoversOptionSurface holds each leg to the kind and partition
+// count in its name.
 func legs() []leg {
 	var ls []leg
-	for _, k := range sim.Kernels() {
-		l := leg{name: "session/" + k.String()}
-		if k != sim.IU {
-			l.opts = []sim.Option{sim.WithKernel(k)}
+	for _, k := range kernel.Kinds() {
+		if k == sim.IU {
+			ls = append(ls, leg{name: "session/IU", viaSim: true})
+		} else {
+			ls = append(ls, leg{name: "kernel/" + k.String(), kind: k})
 		}
-		ls = append(ls, l)
 	}
 	return append(ls,
-		leg{name: "partitioned/n=2", opts: []sim.Option{sim.WithPartitions(2)}},
-		leg{name: "partitioned/n=3", opts: []sim.Option{sim.WithPartitions(3)}},
-		leg{name: "partitioned/n=2/TI", opts: []sim.Option{sim.WithPartitions(2), sim.WithKernel(sim.TI)}},
-		leg{name: "batch/packed", workers: 1},
-		leg{name: "batch/packed/w=3", workers: 3},
+		leg{name: "partitioned/n=2", parts: 2, viaSim: true},
+		leg{name: "partitioned/n=3", parts: 3, viaSim: true},
+		leg{name: "partitioned/n=2/TI", kind: kernel.TI, parts: 2},
+		leg{name: "batch/packed", workers: 1, viaSim: true},
+		leg{name: "batch/packed/w=3", workers: 3, viaSim: true},
+		leg{name: "batch/wide", kind: kernel.IU, workers: 1},
+		leg{name: "batch/wide/w=3", kind: kernel.IU, workers: 3},
+		leg{name: stepReference, kind: kernel.IU, workers: 1},
 	)
-}
-
-// compile is the pipeline sim runs below its options: the default passes,
-// levelization, the OIM tensor. It also returns the optimised graph, which
-// Features inspects.
-func compile(g *dfg.Graph) (*dfg.Graph, *oim.Tensor, error) {
-	opt, err := dfg.Optimize(g, dfg.DefaultOptOptions())
-	if err != nil {
-		return nil, nil, fmt.Errorf("optimize: %w", err)
-	}
-	lv, err := dfg.Levelize(opt)
-	if err != nil {
-		return nil, nil, fmt.Errorf("levelize: %w", err)
-	}
-	ten, err := oim.Build(lv)
-	if err != nil {
-		return nil, nil, fmt.Errorf("oim: %w", err)
-	}
-	return opt, ten, nil
 }
 
 // NewMatrix compiles the design into all engine shapes, each bound to the
@@ -148,114 +147,142 @@ func NewMatrix(g *dfg.Graph, lanes int, stim testbench.Stimulus) (*Matrix, error
 	if lanes < 1 {
 		return nil, fmt.Errorf("difftest: lanes must be >= 1, got %d", lanes)
 	}
-	m := &Matrix{}
-	ok := false
-	defer func() {
-		if !ok {
-			m.Close()
-		}
-	}()
-
-	// The sim legs run the stimulus the way their users do: installed on a
-	// testbench, driven by the engine at the top of every cycle of a run.
+	ten, _, err := oim.Compile(g)
+	if err != nil {
+		return nil, fmt.Errorf("compile: %w", err)
+	}
+	m := &Matrix{ten: ten, lanes: lanes, stim: stim, designs: map[int]*sim.Design{}}
 	for _, l := range legs() {
-		d, err := sim.CompileGraph(g, l.opts...)
+		e, err := m.build(g, l)
 		if err != nil {
-			return nil, fmt.Errorf("%s: compile: %w", l.name, err)
+			m.Close()
+			return nil, fmt.Errorf("%s: %w", l.name, err)
+		}
+		if l.name == stepReference {
+			m.oracle = len(m.engines)
+		}
+		m.engines = append(m.engines, e)
+	}
+	return m, nil
+}
+
+// build makes one leg's engine. A sim leg is driven as its users drive it,
+// the stimulus installed on a testbench; below sim, every engine is handed
+// the stimulus in its RunSpec.
+func (m *Matrix) build(g *dfg.Graph, l leg) (engine, error) {
+	e := engine{name: l.name, lanes: 1}
+	if l.viaSim {
+		d := m.designs[l.parts]
+		if d == nil {
+			var opts []sim.Option
+			if l.parts > 0 {
+				opts = append(opts, sim.WithPartitions(l.parts))
+			}
+			var err error
+			if d, err = sim.CompileGraph(g, opts...); err != nil {
+				return e, err
+			}
+			m.designs[l.parts] = d
+		}
+		e.kind = d.Kernel()
+		if st, ok := d.PartitionStats(); ok {
+			e.parts = st.Partitions
 		}
 		if l.workers == 0 {
 			s := d.NewSession()
 			tb := s.Testbench()
-			tb.Drive(stim)
-			m.engines = append(m.engines, engine{
-				name:  l.name,
-				lanes: 1,
-				run:   tb.Run,
-				out:   func(_, idx int) uint64 { return s.PeekIndex(idx) },
-				regs:  func(int) []uint64 { return s.Registers() },
-				close: s.Close,
-			})
-			continue
+			tb.Drive(m.stim)
+			e.run, e.close = tb.Run, s.Close
+			e.out = func(_, idx int) uint64 { return s.PeekIndex(idx) }
+			e.regs = func(int) []uint64 { return s.Registers() }
+			return e, nil
 		}
-		b, err := d.NewBatchParallel(lanes, l.workers)
+		b, err := d.NewBatchParallel(m.lanes, l.workers)
 		if err != nil {
-			return nil, fmt.Errorf("%s: batch: %w", l.name, err)
+			return e, err
 		}
 		tb := b.Testbench()
-		tb.Drive(stim)
-		m.engines = append(m.engines, engine{
-			name:  l.name,
-			lanes: lanes,
-			run:   tb.Run,
-			out:   b.PeekIndex,
-			regs:  b.Registers,
-			close: b.Close,
-		})
+		tb.Drive(m.stim)
+		e.lanes, e.run, e.out, e.regs, e.close = m.lanes, tb.Run, b.PeekIndex, b.Registers, b.Close
+		return e, nil
 	}
 
-	// The kernel-level legs share one program, built through the same
-	// pipeline: the wide schedule, which a sim batch runs only when packing
-	// leaves no slot packed, sequential and lane-sharded, each handed the
-	// stimulus in its RunSpec; and StepReference, the batch's reference loop,
-	// which bypasses every scheduled run loop and is poked from the host one
-	// cycle at a time, so the oracle shares no stimulus or run-loop code with
-	// the legs it judges.
-	_, ten, err := compile(g)
-	if err != nil {
-		return nil, fmt.Errorf("reference: %w", err)
-	}
-	prog, err := kernel.NewProgram(ten, kernel.Config{Kind: kernel.IU})
-	if err != nil {
-		return nil, fmt.Errorf("reference: program: %w", err)
-	}
-	for _, k := range []struct {
-		name    string
-		workers int
-	}{{"batch/wide", 1}, {"batch/wide/w=3", 3}, {"batch/StepReference", 1}} {
-		b, err := prog.InstantiateBatchWith(lanes, kernel.BatchOptions{Workers: k.workers})
+	cfg := kernel.Config{Kind: l.kind}
+	if l.parts > 0 {
+		plan, err := repcut.NewPlan(m.ten, l.parts, nil)
 		if err != nil {
-			return nil, fmt.Errorf("%s: batch: %w", k.name, err)
+			return e, err
 		}
-		var from int64
-		e := engine{
-			name:  k.name,
-			lanes: lanes,
-			run: func(n int64) error {
-				b.RunBulk(kernel.RunSpec{Cycles: int(n), Stim: stim, From: from})
-				from += n
-				return nil
-			},
-			out: b.PeekOutput,
-			regs: func(lane int) []uint64 {
-				regs := make([]uint64, len(ten.RegSlots))
-				for i, r := range ten.RegSlots {
-					regs[i] = b.PeekSlot(lane, r.Q)
-				}
-				return regs
-			},
-			close: b.Close,
+		progs, err := plan.Lower(cfg)
+		if err != nil {
+			return e, err
 		}
-		if k.name == "batch/StepReference" {
-			m.oracle = len(m.engines)
-			e.run = func(n int64) error {
-				for ; n > 0; n-- {
-					for lane := 0; lane < lanes; lane++ {
-						for in, slot := range ten.InputSlots {
-							b.PokeSlot(lane, slot, stim.Value(from, lane, in))
-						}
-					}
-					b.StepReference()
-					from++
-				}
-				return nil
-			}
+		inst, err := plan.Instantiate(progs)
+		if err != nil {
+			return e, err
 		}
-		m.engines = append(m.engines, e)
+		e.kind, e.parts, e.close = progs[0].Kind(), plan.Stats().Partitions, inst.Close
+		return m.scalar(e, inst), nil
 	}
-	m.outNames = append([]string(nil), ten.OutputNames...)
-	m.regNames = append([]string(nil), ten.RegNames...)
-	ok = true
-	return m, nil
+	prog, err := kernel.NewProgram(m.ten, cfg)
+	if err != nil {
+		return e, err
+	}
+	e.kind = prog.Kind()
+	if l.workers == 0 {
+		return m.scalar(e, prog.Instantiate()), nil
+	}
+	b, err := prog.InstantiateBatchWith(m.lanes, kernel.BatchOptions{Workers: l.workers})
+	if err != nil {
+		return e, err
+	}
+	e.lanes, e.run, e.out, e.close = m.lanes, m.bulk(b.RunBulk), b.PeekOutput, b.Close
+	e.regs = func(lane int) []uint64 {
+		return m.registers(func(q int32) uint64 { return b.PeekSlot(lane, q) })
+	}
+	if l.name == stepReference {
+		var from int64
+		e.run = func(n int64) error {
+			for ; n > 0; n-- {
+				for lane := 0; lane < m.lanes; lane++ {
+					for in, slot := range m.ten.InputSlots {
+						b.PokeSlot(lane, slot, m.stim.Value(from, lane, in))
+					}
+				}
+				b.StepReference()
+				from++
+			}
+			return nil
+		}
+	}
+	return e, nil
+}
+
+// scalar binds a one-lane engine below sim.
+func (m *Matrix) scalar(e engine, eng kernel.Engine) engine {
+	e.run = m.bulk(eng.RunBulk)
+	e.out = func(_, idx int) uint64 { return eng.PeekOutput(idx) }
+	e.regs = func(int) []uint64 { return m.registers(eng.PeekSlot) }
+	return e
+}
+
+// bulk runs n cycles of the stimulus in one RunSpec, at the absolute cycle.
+func (m *Matrix) bulk(runBulk func(kernel.RunSpec) (int, bool)) func(int64) error {
+	var from int64
+	return func(n int64) error {
+		runBulk(kernel.RunSpec{Cycles: int(n), Stim: m.stim, From: from})
+		from += n
+		return nil
+	}
+}
+
+// registers reads the committed registers through their Q coordinates.
+func (m *Matrix) registers(peek func(q int32) uint64) []uint64 {
+	regs := make([]uint64, len(m.ten.RegSlots))
+	for i, r := range m.ten.RegSlots {
+		regs[i] = peek(r.Q)
+	}
+	return regs
 }
 
 // Close releases every engine's resources.
@@ -271,8 +298,8 @@ func (m *Matrix) Close() {
 // state captures one engine lane's observable values: outputs then
 // registers, in index order.
 func (m *Matrix) state(e *engine, lane int) []uint64 {
-	s := make([]uint64, 0, len(m.outNames)+len(m.regNames))
-	for idx := range m.outNames {
+	s := make([]uint64, 0, len(m.ten.OutputNames)+len(m.ten.RegNames))
+	for idx := range m.ten.OutputNames {
 		s = append(s, e.out(lane, idx))
 	}
 	return append(s, e.regs(lane)...)
@@ -284,18 +311,18 @@ func (m *Matrix) diverge(e, ref *engine, cycle int64, lane, flat int, got, want 
 		Engine: e.name, Ref: ref.name, Cycle: cycle, Lane: lane,
 		Got: got, Want: want,
 	}
-	if flat < len(m.outNames) {
-		d.Kind, d.Index, d.Name = "output", flat, m.outNames[flat]
+	if outs := m.ten.OutputNames; flat < len(outs) {
+		d.Kind, d.Index, d.Name = "output", flat, outs[flat]
 	} else {
-		d.Kind, d.Index = "register", flat-len(m.outNames)
-		if d.Index < len(m.regNames) {
-			d.Name = m.regNames[d.Index]
+		d.Kind, d.Index = "register", flat-len(outs)
+		if d.Index < len(m.ten.RegNames) {
+			d.Name = m.ten.RegNames[d.Index]
 		}
 	}
 	return d
 }
 
-// compare checks lane 0 of every engine against the RU session and every
+// compare checks lane 0 of every engine against the RU engine and every
 // further lane against StepReference, lane by lane, returning the first
 // mismatch found after the given completed cycle. A leg that disagrees with
 // RU on lane 0 while StepReference agrees with it is not blamed: the

@@ -200,7 +200,7 @@ func TestInjectedDefectShrinks(t *testing.T) {
 }
 
 // TestExecuteBulkAgrees: run in bulk chunks, k=0 and k=1 included, every
-// leg stays bit-exact with the per-cycle references (the RU session on lane
+// leg stays bit-exact with the per-cycle references (the RU engine on lane
 // 0, StepReference on the others) on a couple of seeds.
 func TestExecuteBulkAgrees(t *testing.T) {
 	chunks := []int64{1, 3, 0, 5, 2}
@@ -222,17 +222,17 @@ func TestExecuteBulkAgrees(t *testing.T) {
 // the first correct leg diverging from RU; any other wrong leg is still
 // reported against RU on lane 0, and against StepReference on lane 1.
 func TestCompareBlamesTheFaultyLeg(t *testing.T) {
-	names := []string{"session/RU", "session/PSU", "partitioned/n=2", "batch/packed", "batch/StepReference"}
+	names := []string{"kernel/RU", "kernel/PSU", "partitioned/n=2", "batch/packed", "batch/StepReference"}
 	for _, tc := range []struct {
 		faulty, lane int
 		engine, ref  string
 	}{
-		{0, 0, "session/RU", "batch/StepReference"},
-		{2, 0, "partitioned/n=2", "session/RU"},
+		{0, 0, "kernel/RU", "batch/StepReference"},
+		{2, 0, "partitioned/n=2", "kernel/RU"},
 		{3, 1, "batch/packed", "batch/StepReference"},
-		{4, 0, "batch/StepReference", "session/RU"},
+		{4, 0, "batch/StepReference", "kernel/RU"},
 	} {
-		m := &Matrix{oracle: len(names) - 1, outNames: []string{"o"}, regNames: []string{"r"}}
+		m := &Matrix{oracle: len(names) - 1, ten: &oim.Tensor{OutputNames: []string{"o"}, RegNames: []string{"r"}}}
 		for i, name := range names {
 			val := func(lane int) uint64 {
 				if i == tc.faulty && lane == tc.lane {
@@ -346,7 +346,7 @@ func TestShrinkPreservesInput(t *testing.T) {
 // from oim.Build a run ends exactly where the operation type changes.
 func inlinedAtRunBoundary(t *testing.T, c *Case) bool {
 	t.Helper()
-	_, ten, err := compile(c.Graph)
+	ten, _, err := oim.Compile(c.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}

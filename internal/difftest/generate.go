@@ -7,6 +7,7 @@ import (
 
 	"rteaal/internal/dfg"
 	"rteaal/internal/kernel"
+	"rteaal/internal/oim"
 	"rteaal/internal/repcut"
 	"rteaal/internal/testbench"
 	"rteaal/internal/wire"
@@ -55,7 +56,7 @@ const (
 func Features(c *Case) ([]Feature, error) {
 	set := make(map[Feature]bool)
 
-	opt, ten, err := compile(c.Graph)
+	ten, opt, err := oim.Compile(c.Graph)
 	if err != nil {
 		return nil, err
 	}

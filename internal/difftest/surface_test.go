@@ -6,49 +6,81 @@ import (
 	"go/token"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
+	"rteaal/internal/kernel"
+	"rteaal/internal/testbench"
 	"rteaal/sim"
 )
 
-// TestMatrixCoversOptionSurface: reachable ⊆ tested. Every compile option
-// sim exports — read from its source, so a third option cannot be added
-// without a row here — names the legs of the matrix that take it off its
-// default, every kernel sim.Kernels lists has a session leg, and each named
-// leg exists, and each session leg compiles the kernel it is named for (so
-// the option-free leg follows sim's default and no kernel goes untested
-// under another's name). The reference leg, first, is RU's session, and a
-// sim batch sharded over more than one worker, which no option reaches, has
-// a leg too.
+// TestMatrixCoversOptionSurface: reachable ⊆ tested, and every leg is what
+// its name says. Over a case with registers enough for three partitions,
+// each engine of the matrix must run the kernel kind its name names (sim's
+// default where it names none) and the partition count it names ("n=K";
+// none where it names none), as read off what was built. Every kind
+// kernel.Kinds lists has a one-lane leg, the reference leg, first, is RU's,
+// and a sim batch sharded over more than one worker, which no option
+// reaches, has a leg too. Every compile option sim exports — read from its
+// source, so a third option cannot be added without a row here — names the
+// legs that take it off its default, and each named leg exists.
 func TestMatrixCoversOptionSurface(t *testing.T) {
+	def, err := sim.Compile(tinySrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c *Case
+	for seed := int64(1); c == nil || len(c.Graph.Regs) < 3; seed++ {
+		c = NewCase(seed, Profiles()[0], 1, 2)
+	}
+	m, err := NewMatrix(c.Graph, c.Lanes, testbench.Random(c.StimSeed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+
 	var names []string
-	sharded := false
-	for _, l := range legs() {
-		names = append(names, l.name)
-		sharded = sharded || l.workers > 1
-		if kind, ok := strings.CutPrefix(l.name, "session/"); ok {
-			d, err := sim.Compile(tinySrc, l.opts...)
-			if err != nil {
-				t.Fatalf("%s: %v", l.name, err)
+	kinds := map[kernel.Kind]string{}
+	for _, e := range m.engines {
+		names = append(names, e.name)
+		kind, parts := def.Kernel(), 0
+		for _, part := range strings.Split(e.name, "/") {
+			if k := slices.IndexFunc(kernel.Kinds(), func(k kernel.Kind) bool { return k.String() == part }); k >= 0 {
+				kind = kernel.Kinds()[k]
 			}
-			if got := d.Kernel().String(); got != kind {
-				t.Errorf("leg %s compiles kernel %s", l.name, got)
+			if n, ok := strings.CutPrefix(part, "n="); ok {
+				if parts, err = strconv.Atoi(n); err != nil {
+					t.Fatalf("leg %s: %v", e.name, err)
+				}
 			}
 		}
+		if e.kind != kind || e.parts != parts {
+			t.Errorf("leg %s runs kernel %v over %d partitions; its name says %v over %d", e.name, e.kind, e.parts, kind, parts)
+		}
+		if e.lanes == 1 && e.parts == 0 {
+			kinds[e.kind] = e.name
+		}
 	}
-	if !sharded {
+	for _, k := range kernel.Kinds() {
+		if kinds[k] == "" {
+			t.Errorf("no one-lane unpartitioned leg runs kernel %v", k)
+		}
+	}
+	if names[0] != "kernel/RU" {
+		t.Errorf("the reference leg is %s; want kernel/RU, the kernel that executes Cascade 1 as written", names[0])
+	}
+	if !slices.ContainsFunc(legs(), func(l leg) bool { return l.viaSim && l.workers > 1 }) {
 		t.Error("no leg mints a sim batch over more than one worker")
 	}
-	if names[0] != "session/RU" {
-		t.Errorf("the reference leg is %s; want session/RU, the kernel that executes Cascade 1 as written", names[0])
-	}
 	optionLegs := map[string][]string{
-		"WithKernel":     nil, // filled below: one session per kernel
+		"WithKernel":     nil, // filled below: the leg of every kind but the default
 		"WithPartitions": {"partitioned/n=2", "partitioned/n=3", "partitioned/n=2/TI"},
 	}
-	for _, k := range sim.Kernels() {
-		optionLegs["WithKernel"] = append(optionLegs["WithKernel"], "session/"+k.String())
+	for k, name := range kinds {
+		if k != def.Kernel() {
+			optionLegs["WithKernel"] = append(optionLegs["WithKernel"], name)
+		}
 	}
 
 	files, err := filepath.Glob("../../sim/*.go")

@@ -248,15 +248,7 @@ func TestCtrlIsOneBitDominated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := dfg.Optimize(g, dfg.DefaultOptOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	lv, err := dfg.Levelize(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ten, err := oim.Build(lv)
+	ten, _, err := oim.Compile(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,15 +292,7 @@ func TestGeneratedDesignsSimulateThroughKernels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, err := dfg.Optimize(g, dfg.DefaultOptOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		lv, err := dfg.Levelize(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ten, err := oim.Build(lv)
+		ten, opt, err := oim.Compile(g)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -68,11 +68,7 @@ func TestBatchPackedMatchesReference(t *testing.T) {
 	sawPacked := false
 	for trial := 0; trial < 40; trial++ {
 		g := dfg.RandomGraph(rng, dfg.DefaultRandomParams())
-		opt, err := dfg.Optimize(g, dfg.DefaultOptOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ten := buildTensor(t, opt)
+		ten := compileTensor(t, g)
 		packed := packedBatch(t, ten, lanes, 1)
 		sawPacked = sawPacked || packed.Packed()
 		seeds := laneSeeds(lanes)
@@ -160,11 +156,7 @@ func packedCrossingGraph() *dfg.Graph {
 func TestBatchPackedWidePartialWords(t *testing.T) {
 	rng := rand.New(rand.NewSource(6180))
 	const cycles = 5
-	g := dfg.RandomGraph(rng, dfg.DefaultRandomParams())
-	opt, err := dfg.Optimize(g, dfg.DefaultOptOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	random := compileTensor(t, dfg.RandomGraph(rng, dfg.DefaultRandomParams()))
 	directed := buildTensor(t, packedCrossingGraph()) // unoptimised: keep the shapes
 	sched := buildBatchSchedule(directed, true)
 	seen := map[batchCode]bool{}
@@ -186,7 +178,7 @@ func TestBatchPackedWidePartialWords(t *testing.T) {
 	if inOrder := slices.IsSortedFunc(sched.commits, func(a, b commitInst) int { return int(a.q - b.q) }); inOrder {
 		t.Error("crossing graph's commit plan kept register order although r2 reads r1's Q")
 	}
-	for ti, ten := range []*oim.Tensor{buildTensor(t, opt), directed} {
+	for ti, ten := range []*oim.Tensor{random, directed} {
 		for _, lanes := range []int{1, 63, 64, 65, 130} {
 			packed := packedBatch(t, ten, lanes, 1)
 			seeds := laneSeeds(lanes)
@@ -212,11 +204,7 @@ func TestBatchPackedParallelMatchesSequential(t *testing.T) {
 	const cycles = 6
 	for trial := 0; trial < 6; trial++ {
 		g := dfg.RandomGraph(rng, dfg.DefaultRandomParams())
-		opt, err := dfg.Optimize(g, dfg.DefaultOptOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ten := buildTensor(t, opt)
+		ten := compileTensor(t, g)
 		for _, tc := range []struct{ lanes, workers int }{
 			{70, 2}, {70, 3}, {130, 2}, {130, 5}, {4, 3}, {64, 2},
 		} {
@@ -250,11 +238,7 @@ func genTensor(t *testing.T, spec gen.Spec) *oim.Tensor {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := dfg.Optimize(g, dfg.DefaultOptOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return buildTensor(t, opt)
+	return compileTensor(t, g)
 }
 
 // TestBatchPackedOneHomePerSlot pins the allocation rule on the control

@@ -58,11 +58,7 @@ func TestBatchFusedMatchesReference(t *testing.T) {
 	const lanes, cycles = 5, 8
 	for trial := 0; trial < 40; trial++ {
 		g := dfg.RandomGraph(rng, dfg.DefaultRandomParams())
-		opt, err := dfg.Optimize(g, dfg.DefaultOptOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ten := buildTensor(t, opt)
+		ten := compileTensor(t, g)
 		seeds := laneSeeds(lanes)
 		got := batchTrace(wideBatch(t, ten, lanes), seeds, cycles, nil)
 		want := batchTrace(wideBatch(t, ten, lanes), seeds, cycles, (*Batch).StepReference)
@@ -84,11 +80,7 @@ func TestBatchMatchesEngines(t *testing.T) {
 	const lanes, cycles = 3, 6
 	for trial := 0; trial < 10; trial++ {
 		g := dfg.RandomGraph(rng, dfg.DefaultRandomParams())
-		opt, err := dfg.Optimize(g, dfg.DefaultOptOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ten := buildTensor(t, opt)
+		ten := compileTensor(t, g)
 		seeds := laneSeeds(lanes)
 		got := batchTrace(wideBatch(t, ten, lanes), seeds, cycles, nil)
 		for _, kind := range Kinds() {
@@ -118,11 +110,7 @@ func TestBatchParallelMatchesSequential(t *testing.T) {
 	const lanes, cycles = 7, 6
 	for trial := 0; trial < 10; trial++ {
 		g := dfg.RandomGraph(rng, dfg.DefaultRandomParams())
-		opt, err := dfg.Optimize(g, dfg.DefaultOptOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ten := buildTensor(t, opt)
+		ten := compileTensor(t, g)
 		prog, err := NewProgram(ten, Config{Kind: PSU})
 		if err != nil {
 			t.Fatal(err)

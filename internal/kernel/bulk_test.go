@@ -78,11 +78,7 @@ func TestBatchRunMatchesStep(t *testing.T) {
 	chunks := []int{1, 3, 0, 5, 2, 7, 4}
 	for trial := 0; trial < 6; trial++ {
 		g := dfg.RandomGraph(rng, dfg.DefaultRandomParams())
-		opt, err := dfg.Optimize(g, dfg.DefaultOptOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ten := buildTensor(t, opt)
+		ten := compileTensor(t, g)
 		for _, packing := range []bool{false, true} {
 			prog, err := NewProgram(ten, Config{Kind: PSU})
 			if err != nil {
@@ -277,11 +273,7 @@ func TestScalarEnginesRunCycles(t *testing.T) {
 	rng := rand.New(rand.NewSource(808))
 	for trial := 0; trial < 4; trial++ {
 		g := dfg.RandomGraph(rng, dfg.DefaultRandomParams())
-		opt, err := dfg.Optimize(g, dfg.DefaultOptOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ten := buildTensor(t, opt)
+		ten := compileTensor(t, g)
 		for _, cfg := range allConfigs() {
 			bulk, err := newEngine(ten, cfg)
 			if err != nil {

@@ -23,6 +23,16 @@ func buildTensor(t *testing.T, g *dfg.Graph) *oim.Tensor {
 	return ten
 }
 
+// compileTensor is g through the default pipeline, oim.Compile.
+func compileTensor(t *testing.T, g *dfg.Graph) *oim.Tensor {
+	t.Helper()
+	ten, _, err := oim.Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ten
+}
+
 // newEngine lowers t for cfg and mints one engine over the program.
 func newEngine(t *oim.Tensor, cfg Config) (Engine, error) {
 	p, err := NewProgram(t, cfg)
@@ -116,11 +126,10 @@ func TestAllKernelsMatchOracle(t *testing.T) {
 	params.MuxBias = 0.35 // plenty of mux chains after fusion
 	for trial := 0; trial < 20; trial++ {
 		g := dfg.RandomGraph(rng, params)
-		opt, err := dfg.Optimize(g, dfg.DefaultOptOptions())
+		ten, opt, err := oim.Compile(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ten := buildTensor(t, opt)
 		seed := rng.Int63()
 		want := oracleTrace(t, opt, seed, 16)
 		for _, cfg := range allConfigs() {

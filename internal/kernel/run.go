@@ -1,17 +1,11 @@
 package kernel
 
-import (
-	"runtime"
-	"sync/atomic"
-
-	"rteaal/internal/testbench"
-)
+import "rteaal/internal/testbench"
 
 // This file is the multi-cycle bulk-run vocabulary shared by every engine:
 // the run spec with the stimulus it drives, early-stop watches, the one
-// per-cycle loop ([RunEngine]) every engine without resident workers runs,
-// and the spin barrier the [Workers] group synchronises on inside a
-// resident k-cycle run. The point
+// per-cycle loop ([RunEngine]) every engine without resident workers runs.
+// The point
 // of the bulk primitives is amortisation — one command dispatch and one join
 // per k cycles instead of per cycle — the Manticore-style bulk-synchronous
 // argument applied to Batch and repcut.Instance, which share that group.
@@ -97,39 +91,4 @@ func RunEngine(eng Engine, spec RunSpec) (ran int, stopped bool) {
 		}
 	}
 	return ran, false
-}
-
-// Barrier is a reusable generation-counter spin barrier for a fixed party
-// count: the per-cycle synchronisation point of a [Workers.Lockstep] run.
-// The last arriver resets the count and bumps the generation;
-// everyone else spins (yielding, so hosts with fewer CPUs than parties make
-// progress) until the generation moves. The yield is cheap only on a plain
-// goroutine: never wait here on one locked to an OS thread (see
-// [NewWorkers]). Atomic operations order everything published before
-// a party's Await before everything any party does after it.
-type Barrier struct {
-	n     int32
-	count atomic.Int32
-	gen   atomic.Uint32
-}
-
-// Init sets the party count. Must be called before the first Await and
-// never while a wait is in flight.
-func (b *Barrier) Init(n int) { b.n = int32(n) }
-
-// Await blocks until all n parties have arrived, then releases them.
-func (b *Barrier) Await() {
-	g := b.gen.Load()
-	if b.count.Add(1) == b.n {
-		// Reset before publishing the new generation: a released party may
-		// re-enter Await for the next cycle immediately.
-		b.count.Store(0)
-		b.gen.Add(1)
-		return
-	}
-	for spins := 0; b.gen.Load() == g; spins++ {
-		if spins >= 64 {
-			runtime.Gosched()
-		}
-	}
 }

@@ -40,7 +40,7 @@ type workerCmd struct {
 // workerShared is everything the goroutines touch besides their channel.
 type workerShared struct {
 	done   chan struct{}
-	bar    Barrier
+	bar    barrier
 	stopAt atomic.Int64 // first cycle at which a lock-step run stops; k = run to the end
 	fault  atomic.Pointer[WorkerPanic]
 }
@@ -72,7 +72,7 @@ func (p *WorkerPanic) Error() string {
 // run's samples when repcut's workers were pinned).
 func NewWorkers(n int) *Workers {
 	ws := &Workers{sh: &workerShared{}}
-	ws.sh.bar.Init(n)
+	ws.sh.bar.init(n)
 	if n > 1 {
 		ws.sh.done = make(chan struct{}, n)
 		ws.cmds = make([]chan workerCmd, n)
@@ -153,7 +153,7 @@ func (s *workerShared) loop(w int, cmds <-chan workerCmd) {
 // body never kills its worker or wedges the join: done is always sent and
 // the first panic is recorded for the dispatcher. A worker that panics
 // inside a lock-step cycle still owes that cycle's barrier — a body can
-// only panic before its own Await — so it publishes the owed cycle as the
+// only panic before its own await — so it publishes the owed cycle as the
 // stop cycle and arrives: its peers, all in or about to enter that same
 // cycle, cross the barrier, observe the stop and drain. (The owed cycle, not
 // a value below it: a slow peer may still be reading stopAt to decide
@@ -167,7 +167,7 @@ func (s *workerShared) guard(w int, c workerCmd) {
 			s.fault.CompareAndSwap(nil, &WorkerPanic{Val: r, Stack: debug.Stack()})
 			if owed >= 0 {
 				s.stopAt.Store(int64(owed))
-				s.bar.Await()
+				s.bar.await()
 			}
 		}
 	}()
@@ -183,7 +183,7 @@ func (s *workerShared) exec(w int, c workerCmd, owed *int) {
 		if c.cycle(w, i) {
 			s.stopAt.Store(int64(i))
 		}
-		s.bar.Await()
+		s.bar.await()
 		*owed = -1
 		last = i
 		// Unconditional: stopAt holds k unless a cycle accepted or a peer
@@ -195,5 +195,40 @@ func (s *workerShared) exec(w int, c workerCmd, owed *int) {
 	}
 	if c.after != nil && last >= 0 {
 		c.after(w, last)
+	}
+}
+
+// barrier is a reusable generation-counter spin barrier for a fixed party
+// count: the per-cycle synchronisation point of a [Workers.Lockstep] run.
+// The last arriver resets the count and bumps the generation;
+// everyone else spins (yielding, so hosts with fewer CPUs than parties make
+// progress) until the generation moves. The yield is cheap only on a plain
+// goroutine: never wait here on one locked to an OS thread (see
+// [NewWorkers]). Atomic operations order everything published before
+// a party's await before everything any party does after it.
+type barrier struct {
+	n     int32
+	count atomic.Int32
+	gen   atomic.Uint32
+}
+
+// init sets the party count. Must be called before the first await and
+// never while a wait is in flight.
+func (b *barrier) init(n int) { b.n = int32(n) }
+
+// await blocks until all n parties have arrived, then releases them.
+func (b *barrier) await() {
+	g := b.gen.Load()
+	if b.count.Add(1) == b.n {
+		// Reset before publishing the new generation: a released party may
+		// re-enter await for the next cycle immediately.
+		b.count.Store(0)
+		b.gen.Add(1)
+		return
+	}
+	for spins := 0; b.gen.Load() == g; spins++ {
+		if spins >= 64 {
+			runtime.Gosched()
+		}
 	}
 }

@@ -82,11 +82,10 @@ func TestCascade1MatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 25; trial++ {
 		g := dfg.RandomGraph(rng, dfg.DefaultRandomParams())
-		opt, err := dfg.Optimize(g, dfg.DefaultOptOptions())
+		ten, opt, err := oim.Compile(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ten := build(t, opt)
 		seed := rng.Int63()
 		want := oracleTrace(t, opt, seed, 12)
 		if got := cascadeTrace(t, ten, seed, 12); !slices.Equal(got, want) {

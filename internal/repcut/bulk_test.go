@@ -50,11 +50,7 @@ func TestInstanceRunCyclesMatchesStep(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		g := dfg.RandomGraph(rng, dfg.RandomParams{
 			Inputs: 4, Regs: 9, Ops: 120, Consts: 5, MaxWidth: 16, MuxBias: 0.3})
-		opt, err := dfg.Optimize(g, dfg.DefaultOptOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ten := build(t, opt)
+		ten := compile(t, g)
 		for _, parts := range []int{2, 3} {
 			_, bulk := instantiate(t, ten, parts, kernel.PSU)
 			_, step := instantiate(t, ten, parts, kernel.PSU)

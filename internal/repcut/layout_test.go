@@ -37,11 +37,7 @@ func TestSubTensorsLowerToMultiRunGroups(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	g := dfg.RandomGraph(rng, dfg.RandomParams{
 		Inputs: 5, Regs: 12, Ops: 400, Consts: 6, MaxWidth: 24, MuxBias: 0.3})
-	opt, err := dfg.Optimize(g, dfg.DefaultOptOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ten := build(t, opt)
+	ten := compile(t, g)
 	if n := multiRunGroups(ten); n != 0 {
 		t.Fatalf("full tensor has %d multi-run groups, want one run per group", n)
 	}

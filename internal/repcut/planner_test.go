@@ -13,16 +13,6 @@ import (
 	"rteaal/internal/wire"
 )
 
-// buildOpt is build after the default optimisation passes.
-func buildOpt(t *testing.T, g *dfg.Graph) *oim.Tensor {
-	t.Helper()
-	opt, err := dfg.Optimize(g, dfg.DefaultOptOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return build(t, opt)
-}
-
 // chainPairGraph has two pairs of registers: a,b share one combinational
 // blob and c,d share another, with nothing crossing between the pairs.
 func chainPairGraph() *dfg.Graph {
@@ -245,7 +235,7 @@ func regFreeGraph() *dfg.Graph {
 // other labellings — each output by its index, and every register Next and
 // output by a partition — equals the same labelling walked root by root.
 func TestAnalyzeFanInCones(t *testing.T) {
-	ten := buildOpt(t, chainPairGraph())
+	ten := compile(t, chainPairGraph())
 	if len(ten.RegSlots) != 4 {
 		t.Fatalf("regs = %d, want 4", len(ten.RegSlots))
 	}
@@ -295,7 +285,7 @@ func TestAnalyzeFanInCones(t *testing.T) {
 			Inputs: 3, Regs: regs, Ops: 150 + 67*trial, Consts: 3, MaxWidth: 16, MuxBias: 0.3})
 		rows = append(rows,
 			row{fmt.Sprintf("random %d regs", regs), build(t, g)},
-			row{fmt.Sprintf("random %d regs optimised", regs), buildOpt(t, g)})
+			row{fmt.Sprintf("random %d regs optimised", regs), compile(t, g)})
 	}
 	for _, spec := range []gen.Spec{
 		{Family: gen.SHA3, Scale: 8},
@@ -340,7 +330,7 @@ func TestSubTensorsAreWalkedCones(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	tensors := []*oim.Tensor{
 		build(t, cornerGraph()),
-		buildOpt(t, dfg.RandomGraph(rng, dfg.RandomParams{
+		compile(t, dfg.RandomGraph(rng, dfg.RandomParams{
 			Inputs: 3, Regs: 23, Ops: 300, Consts: 3, MaxWidth: 16, MuxBias: 0.3})),
 		buildSpec(t, gen.Spec{Family: gen.SHA3, Scale: 8}),
 		buildSpec(t, gen.Spec{Family: gen.Rocket, Cores: 4, Scale: 8}),
@@ -421,7 +411,7 @@ func TestSubTensorsAreWalkedCones(t *testing.T) {
 // different partitions with their partners, giving zero replication and an
 // empty external read set — after the seed alone and after refinement.
 func TestConeClusterCoLocatesSharedLogic(t *testing.T) {
-	ten := buildOpt(t, chainPairGraph())
+	ten := compile(t, chainPairGraph())
 	r := newRefiner(analyze(ten, newFanIn(ten)), 2)
 	r.seed()
 	for name, owner := range map[string][]int{
@@ -483,7 +473,7 @@ func TestStrategiesValidAndDeterministic(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		g := dfg.RandomGraph(rng, dfg.RandomParams{
 			Inputs: 4, Regs: 11, Ops: 200, Consts: 4, MaxWidth: 16, MuxBias: 0.3})
-		tensors = append(tensors, buildOpt(t, g))
+		tensors = append(tensors, compile(t, g))
 	}
 	for _, spec := range []gen.Spec{
 		{Family: gen.SHA3, Scale: 8},
@@ -518,7 +508,7 @@ func TestMinCutRefinementNeverHurts(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		g := dfg.RandomGraph(rng, dfg.RandomParams{
 			Inputs: 4, Regs: 12, Ops: 260, Consts: 4, MaxWidth: 16, MuxBias: 0.3})
-		ten := buildOpt(t, g)
+		ten := compile(t, g)
 		a := analyze(ten, newFanIn(ten))
 		for _, n := range []int{2, 4} {
 			if n > len(ten.RegSlots) {
@@ -555,7 +545,7 @@ func TestTryPricesEveryMove(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tensors := []*oim.Tensor{buildSpec(t, gen.Spec{Family: gen.SHA3, Scale: 8})}
 	for _, regs := range []int{5, 12, 40} {
-		tensors = append(tensors, buildOpt(t, dfg.RandomGraph(rng, dfg.RandomParams{
+		tensors = append(tensors, compile(t, dfg.RandomGraph(rng, dfg.RandomParams{
 			Inputs: 4, Regs: regs, Ops: 300, Consts: 4, MaxWidth: 16, MuxBias: 0.3})))
 	}
 	for _, ten := range tensors {

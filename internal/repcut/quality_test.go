@@ -48,18 +48,10 @@ func buildFIRRTL(t testing.TB, spec gen.Spec) *oim.Tensor {
 	return compile(t, g)
 }
 
-// compile is g after the default passes, levelized and built.
+// compile is g through the default pipeline, oim.Compile.
 func compile(t testing.TB, g *dfg.Graph) *oim.Tensor {
 	t.Helper()
-	opt, err := dfg.Optimize(g, dfg.DefaultOptOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	lv, err := dfg.Levelize(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ten, err := oim.Build(lv)
+	ten, _, err := oim.Compile(g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,11 +73,7 @@ func TestRepCutMatchesSequential(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		g := dfg.RandomGraph(rng, dfg.RandomParams{
 			Inputs: 4, Regs: 9, Ops: 120, Consts: 5, MaxWidth: 16, MuxBias: 0.3})
-		opt, err := dfg.Optimize(g, dfg.DefaultOptOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ten := build(t, opt)
+		ten := compile(t, g)
 		ref, err := newEngine(ten, kernel.Config{Kind: kernel.PSU})
 		if err != nil {
 			t.Fatal(err)
@@ -125,11 +121,7 @@ func TestRepCutMatchesSequential(t *testing.T) {
 func TestInstancesShareAPlan(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	g := dfg.RandomGraph(rng, dfg.DefaultRandomParams())
-	opt, err := dfg.Optimize(g, dfg.DefaultOptOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ten := build(t, opt)
+	ten := compile(t, g)
 	plan, err := NewPlan(ten, 3, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -182,11 +174,7 @@ func TestReplicationGrowsWithPartitions(t *testing.T) {
 		Inputs: 4, Regs: 12, Ops: 300, Consts: 5, MaxWidth: 16, MuxBias: 0.25})
 	// DCE first so every remaining op is live; replication is then
 	// measured against genuinely needed logic.
-	opt, err := dfg.Optimize(g, dfg.DefaultOptOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ten := build(t, opt)
+	ten := compile(t, g)
 	// Monotone growth is a property of the structure-blind baseline; the
 	// planner exists precisely to bend this curve down.
 	prev := 0.0
@@ -353,11 +341,7 @@ func TestRUMReadersMatchConeMembership(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		g := dfg.RandomGraph(rng, dfg.RandomParams{
 			Inputs: 4, Regs: 10, Ops: 150, Consts: 4, MaxWidth: 16, MuxBias: 0.3})
-		opt, err := dfg.Optimize(g, dfg.DefaultOptOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ten := build(t, opt)
+		ten := compile(t, g)
 		plan, err := NewPlan(ten, 3, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -487,11 +471,7 @@ func TestRoutedPokeMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	g := dfg.RandomGraph(rng, dfg.RandomParams{
 		Inputs: 4, Regs: 6, Ops: 80, Consts: 4, MaxWidth: 16, MuxBias: 0.25})
-	opt, err := dfg.Optimize(g, dfg.DefaultOptOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ten := build(t, opt)
+	ten := compile(t, g)
 	ref, err := newEngine(ten, kernel.Config{Kind: kernel.PSU})
 	if err != nil {
 		t.Fatal(err)

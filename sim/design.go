@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"rteaal/internal/dfg"
 	"rteaal/internal/firrtl"
@@ -45,9 +44,9 @@ type Option func(*config)
 // WithKernel selects the kernel configuration: the §5.2 ladder, in process.
 // The default is [IU], the fastest kernel on the benchmark's designs; [PSU]
 // is the paper's sweet spot (Figure 16). Every kernel computes the same bits,
-// so a kernel is picked only where the ladder is timed or cross-checked
-// (examples/ablation, internal/difftest, the benchmark); the server and
-// cmd/rteaal compile the default.
+// so only sim's own tests and the benchmark's per-kind rungs pick one here;
+// examples/ablation and internal/difftest lower the ladder below sim, from
+// one tensor, and the server and cmd/rteaal compile the default.
 func WithKernel(k Kernel) Option {
 	return func(c *config) { c.kernel = k }
 }
@@ -96,13 +95,11 @@ type Design struct {
 
 	// plan and partProgs are set when the design was compiled with
 	// [WithPartitions]: the immutable partition plan and the per-partition
-	// kernel programs, both built once and shared by every session. For
-	// such designs prog is not lowered at compile time — sessions only use
-	// the partition programs — but built lazily on the first NewBatch.
+	// kernel programs, both built once and shared by every session. Such a
+	// design's sessions run on the partition programs, and prog only hosts
+	// its batch schedule.
 	plan      *repcut.Plan
 	partProgs []*kernel.Program
-	progOnce  sync.Once
-	progErr   error
 }
 
 // Compile parses FIRRTL source text and runs the full Figure 14 pipeline.
@@ -125,28 +122,17 @@ func CompileGraph(g *dfg.Graph, opts ...Option) (*Design, error) {
 	}
 	// The passes keep every register, so any session of any design may
 	// call [Session.EnableWaveform] (§6.2).
-	optg, err := dfg.Optimize(g, dfg.DefaultOptOptions())
-	if err != nil {
-		return nil, err
-	}
-	lv, err := dfg.Levelize(optg)
-	if err != nil {
-		return nil, err
-	}
-	t, err := oim.Build(lv)
+	t, _, err := oim.Compile(g)
 	if err != nil {
 		return nil, err
 	}
 	d := &Design{tensor: t, cfg: cfg, signals: kernel.NewSignalMap(t)}
+	if d.prog, err = kernel.NewProgram(t, kernel.Config{Kind: cfg.kernel}); err != nil {
+		return nil, err
+	}
 	if cfg.partitions == 0 {
-		if d.prog, err = kernel.NewProgram(t, kernel.Config{Kind: cfg.kernel}); err != nil {
-			return nil, err
-		}
 		return d, nil
 	}
-	// Partitioned designs skip the monolithic lowering: their sessions run
-	// on the per-partition programs, and fullProgram builds the other one
-	// lazily if a batch ever needs it.
 	if d.plan, err = repcut.NewPlan(t, cfg.partitions, nil); err != nil {
 		return nil, err
 	}
@@ -269,19 +255,6 @@ func (d *Design) PartitionStats() (stats PartitionStats, ok bool) {
 // count.
 type PartitionStats = repcut.PlanStats
 
-// fullProgram returns the monolithic (unpartitioned) kernel program,
-// lowering it on first use for partitioned designs. Safe for concurrent
-// callers.
-func (d *Design) fullProgram() (*kernel.Program, error) {
-	d.progOnce.Do(func() {
-		if d.prog != nil {
-			return
-		}
-		d.prog, d.progErr = kernel.NewProgram(d.tensor, kernel.Config{Kind: d.cfg.kernel})
-	})
-	return d.prog, d.progErr
-}
-
 // NewBatch mints an n-lane lock-step simulation over the shared tensor; see
 // [Batch]. The batch-specialised schedule is compiled once per design and
 // shared by all its batches. Its lanes run in the caller, on one worker;
@@ -300,11 +273,7 @@ func (d *Design) NewBatchParallel(n, workers int) (*Batch, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("sim: batch needs at least 1 worker, got %d", workers)
 	}
-	prog, err := d.fullProgram()
-	if err != nil {
-		return nil, err
-	}
-	b, err := prog.InstantiateBatchWith(n, kernel.BatchOptions{Workers: workers, Packing: true})
+	b, err := d.prog.InstantiateBatchWith(n, kernel.BatchOptions{Workers: workers, Packing: true})
 	if err != nil {
 		return nil, err
 	}

@@ -7,11 +7,7 @@ import "rteaal/internal/kernel"
 // packing leaves no slot packed, and the wide side of the layout-parity
 // tests.
 func NewWideBatch(d *Design, n, workers int) (*Batch, error) {
-	prog, err := d.fullProgram()
-	if err != nil {
-		return nil, err
-	}
-	b, err := prog.InstantiateBatchWith(n, kernel.BatchOptions{Workers: workers})
+	b, err := d.prog.InstantiateBatchWith(n, kernel.BatchOptions{Workers: workers})
 	if err != nil {
 		return nil, err
 	}

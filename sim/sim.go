@@ -28,9 +28,10 @@
 // internal/difftest's matrix. How a design is run is chosen where it is
 // run: a batch's worker count is an argument of [Design.NewBatchParallel].
 // [WithKernel] is the §5.2 ladder, in process: the seven kernels compute the
-// same bits, so only code that times or cross-checks them picks one, and
-// nothing that reaches a design from outside the process (the server's wire,
-// cmd/rteaal) can.
+// same bits, and its callers are sim's own tests and the benchmark's per-kind
+// rungs. examples/ablation and internal/difftest lower the ladder below sim,
+// each kind from one tensor, and nothing that reaches a design from outside
+// the process (the server's wire, cmd/rteaal) can pick a kernel.
 // Every design keeps every register, so any session may record a waveform;
 // the paper's other ablation axes (optimisation passes, the Figure 12a
 // format, explicit register ownership) live where they are implemented, in

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"testing"
 
-	"rteaal/internal/dfg"
 	"rteaal/internal/difftest"
 	"rteaal/internal/kernel"
 	"rteaal/internal/oim"
@@ -23,15 +22,7 @@ func TestWidthAnalysisOneBitProperty(t *testing.T) {
 	for _, prof := range difftest.Profiles() {
 		for seed := int64(0); seed < diffSeedsPerProfile; seed++ {
 			tc := difftest.NewCase(seed, prof, diffCycles, diffLanes)
-			opt, err := dfg.Optimize(tc.Graph, dfg.DefaultOptOptions())
-			if err != nil {
-				t.Fatal(err)
-			}
-			lv, err := dfg.Levelize(opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ten, err := oim.Build(lv)
+			ten, _, err := oim.Compile(tc.Graph)
 			if err != nil {
 				t.Fatal(err)
 			}
