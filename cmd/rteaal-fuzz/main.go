@@ -94,7 +94,7 @@ func fuzz(budget time.Duration, workers int, corpusDir string, cycles, lanes int
 				seed := nextSeed.Add(1) - 1
 				prof := difftest.PickProfile(cov, rng)
 				c := difftest.NewCase(seed, prof, cycles, lanes)
-				d, err := c.Execute()
+				feats, d, err := difftest.Features(c)
 				if err == nil {
 					cases.Add(1)
 					simCyc.Add(int64(cycles * lanes))
@@ -108,9 +108,7 @@ func fuzz(budget time.Duration, workers int, corpusDir string, cycles, lanes int
 					stop.Store(true)
 					return
 				}
-				if feats, err := difftest.Features(c); err == nil {
-					cov.Add(feats)
-				}
+				cov.Add(feats)
 			}
 		}(w)
 	}
@@ -167,7 +165,7 @@ func fuzz(budget time.Duration, workers int, corpusDir string, cycles, lanes int
 	r := difftest.NewRepro(min, md)
 	r.Profile, r.Seed = hit.prof, hit.seed
 	r.Note = "found by rteaal-fuzz"
-	if feats, err := difftest.Features(min); err == nil {
+	if feats, _, err := difftest.Features(min); err == nil {
 		for _, f := range feats {
 			r.Features = append(r.Features, string(f))
 		}

@@ -121,6 +121,10 @@ const (
 		"sim.WithKernel is named only in sim and benchmark/, never in cmd/, internal/ or examples/"
 	onePipeline = "the compile pipeline (the default dfg passes, levelization, the OIM build) is written once, in oim.Compile: " +
 		"outside internal/dfg and benchmark/, no other non-test code names dfg.DefaultOptOptions or dfg.Levelize"
+	measuredOnce = "each ablation is measured where it is answered (the benchmark's rungs, examples/ablation, BenchmarkMuxChainFusion): " +
+		"the module root's bench_test.go, which timed the same questions a second way, is deleted"
+	figure12b = "oim.Arrays is Figure 12b, the lowering RU and OU walk; TestFootprintOrdering counts 12a's bytes: " +
+		"the payload arrays 12b elides and Lower's optimized flag are deleted"
 )
 
 var guardRows = []guardRow{
@@ -248,6 +252,15 @@ var guardRows = []guardRow{
 			{path: "examples/repcut/main.go", after: "func main() {\n", snippet: "\t_, _ = dfg.Optimize(nil, dfg.DefaultOptOptions())\n"},
 			{path: "internal/oim/build.go", snippet: "func compile(g *dfg.Graph) { lv, _ := dfg.Levelize(g); _, _ = Build(lv) }"},
 		}},
+	{measuredOnce, everyFile, absent("bench_test.go"),
+		[]mutant{{path: "bench_test.go", snippet: "func BenchmarkKernelIU(b *testing.B) { benchKernelCycle(b, kernel.Config{Kind: kernel.IU}) }"}}},
+	{figure12b, code, ident("SPayload OPayload RPayload"),
+		[]mutant{
+			{path: "internal/oim/arrays.go", after: "type Arrays struct {\n", snippet: "\tSPayload []int32\n\tOPayload []int32\n"},
+			{path: "internal/kernel/program.go", after: "p.arrays = t.Lower()\n", snippet: "\t\t_ = p.arrays.RPayload\n"},
+		}},
+	{figure12b, pkg("internal/oim"), ident("optimized"),
+		[]mutant{{path: "internal/oim/arrays.go", after: "func (t *Tensor) Lower(", snippet: "optimized bool"}}},
 }
 
 // harmless edits every row passes: the rows read code, not comments.

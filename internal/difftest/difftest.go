@@ -85,8 +85,10 @@ type engine struct {
 // Close releases the underlying sessions and batches.
 type Matrix struct {
 	engines []engine
-	oracle  int         // the StepReference leg, the reference of lanes >= 1
-	ten     *oim.Tensor // the case's one tensor; it names what is compared
+	oracle  int          // the StepReference leg, the reference of lanes >= 1
+	ten     *oim.Tensor  // the case's one tensor; it names what is compared
+	opt     *dfg.Graph   // the optimised graph ten was built from
+	plan    *repcut.Plan // the P = 2 plan of the partitioned/n=2/TI leg
 	lanes   int
 	stim    testbench.Stimulus
 	designs map[int]*sim.Design // sim's, by partition count, shared by its legs
@@ -147,11 +149,11 @@ func NewMatrix(g *dfg.Graph, lanes int, stim testbench.Stimulus) (*Matrix, error
 	if lanes < 1 {
 		return nil, fmt.Errorf("difftest: lanes must be >= 1, got %d", lanes)
 	}
-	ten, _, err := oim.Compile(g)
+	ten, opt, err := oim.Compile(g)
 	if err != nil {
 		return nil, fmt.Errorf("compile: %w", err)
 	}
-	m := &Matrix{ten: ten, lanes: lanes, stim: stim, designs: map[int]*sim.Design{}}
+	m := &Matrix{ten: ten, opt: opt, lanes: lanes, stim: stim, designs: map[int]*sim.Design{}}
 	for _, l := range legs() {
 		e, err := m.build(g, l)
 		if err != nil {
@@ -221,6 +223,7 @@ func (m *Matrix) build(g *dfg.Graph, l leg) (engine, error) {
 		if err != nil {
 			return e, err
 		}
+		m.plan = plan
 		e.kind, e.parts, e.close = progs[0].Kind(), plan.Stats().Partitions, inst.Close
 		return m.scalar(e, inst), nil
 	}
@@ -364,17 +367,22 @@ func (m *Matrix) compare(cycle int64) *Divergence {
 // completed (-1 before the first). An error means a shape failed to build
 // or run, not that engines disagreed.
 func (c *Case) Execute(chunks ...int64) (*Divergence, error) {
+	m, err := NewMatrix(c.Graph, c.Lanes, testbench.Random(c.StimSeed))
+	if err != nil {
+		return nil, err
+	}
+	defer m.Close()
+	return m.execute(c, chunks)
+}
+
+// execute is Execute on a matrix built for c.
+func (m *Matrix) execute(c *Case, chunks []int64) (*Divergence, error) {
 	if len(chunks) == 0 {
 		chunks = make([]int64, c.Cycles)
 		for i := range chunks {
 			chunks[i] = 1
 		}
 	}
-	m, err := NewMatrix(c.Graph, c.Lanes, testbench.Random(c.StimSeed))
-	if err != nil {
-		return nil, err
-	}
-	defer m.Close()
 	var done int64
 	for _, k := range chunks {
 		for i := range m.engines {

@@ -43,9 +43,9 @@ func TestFeaturesTargetsReached(t *testing.T) {
 			t.Parallel()
 			cov := NewCoverage()
 			for seed := int64(1); seed <= 6; seed++ {
-				feats, err := Features(NewCase(seed, prof, 16, 1))
-				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
+				feats, d, err := Features(NewCase(seed, prof, 16, 1))
+				if err != nil || d != nil {
+					t.Fatalf("seed %d: divergence %v, err %v", seed, d, err)
 				}
 				cov.Add(feats)
 			}

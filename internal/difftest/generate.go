@@ -7,8 +7,6 @@ import (
 
 	"rteaal/internal/dfg"
 	"rteaal/internal/kernel"
-	"rteaal/internal/oim"
-	"rteaal/internal/repcut"
 	"rteaal/internal/testbench"
 	"rteaal/internal/wire"
 )
@@ -48,18 +46,32 @@ const (
 	FeatCommitCycle Feature = "commit:cycle"
 )
 
-// Features extracts the coverage features one case exercises. Static
-// features are read off the optimised graph (what the engines actually
-// execute); dynamic features replay lane-0 stimulus through the reference
+// Features executes the case as Execute does with no chunks and returns,
+// beside the first divergence, the coverage features the case exercises.
+// Static features are read off what the matrix compiled: the optimised
+// graph (what the engines actually execute), its tensor and the P = 2 RepCut
+// plan. Dynamic features replay lane-0 stimulus through the reference
 // interpreter, because a div node whose divisor merely *could* be zero
-// exercises nothing.
-func Features(c *Case) ([]Feature, error) {
+// exercises nothing. An error means a shape failed to build or run.
+func Features(c *Case) ([]Feature, *Divergence, error) {
+	m, err := NewMatrix(c.Graph, c.Lanes, testbench.Random(c.StimSeed))
+	if err != nil {
+		return nil, nil, err
+	}
+	defer m.Close()
+	d, err := m.execute(c, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	feats, err := m.features(c)
+	return feats, d, err
+}
+
+// features extracts the coverage features of c, the case m was built for.
+func (m *Matrix) features(c *Case) ([]Feature, error) {
 	set := make(map[Feature]bool)
 
-	ten, opt, err := oim.Compile(c.Graph)
-	if err != nil {
-		return nil, err
-	}
+	opt := m.opt
 	for id := range opt.Nodes {
 		n := &opt.Nodes[id]
 		if n.Width == 64 {
@@ -78,23 +90,21 @@ func Features(c *Case) ([]Feature, error) {
 		}
 	}
 
-	for _, one := range kernel.OneBitSlots(ten) {
+	for _, one := range kernel.OneBitSlots(m.ten) {
 		if one {
 			set[FeatPackedSlots] = true
 			break
 		}
 	}
-	if commitCycle(ten.RegSlots) {
+	if commitCycle(m.ten.RegSlots) {
 		set[FeatCommitCycle] = true
 	}
-	if plan, err := repcut.NewPlan(ten, 2, nil); err == nil {
-		st := plan.Stats()
-		if st.CutSize > 0 {
-			set[FeatPartitionCut] = true
-		}
-		if st.ReplicatedOps > st.TotalOps {
-			set[FeatPartitionReplication] = true
-		}
+	st := m.plan.Stats()
+	if st.CutSize > 0 {
+		set[FeatPartitionCut] = true
+	}
+	if st.ReplicatedOps > st.TotalOps {
+		set[FeatPartitionReplication] = true
 	}
 
 	// Dynamic edges, on the original graph so every generated node counts.

@@ -6,11 +6,12 @@ import (
 	"testing"
 
 	"rteaal/internal/dfg"
+	"rteaal/internal/gen"
 	"rteaal/internal/oim"
 	"rteaal/internal/wire"
 )
 
-func buildTensor(t *testing.T, g *dfg.Graph) *oim.Tensor {
+func buildTensor(t testing.TB, g *dfg.Graph) *oim.Tensor {
 	t.Helper()
 	lv, err := dfg.Levelize(g)
 	if err != nil {
@@ -294,5 +295,40 @@ func TestDeepMuxChains(t *testing.T) {
 				t.Fatalf("%s: diverges at %d", cfg.Kind, i)
 			}
 		}
+	}
+}
+
+// BenchmarkMuxChainFusion times mux-chain fusion (§6.1) on and off: IU, the
+// kernel every workload runs, on s1/16 compiled with and without
+// MuxChainFuse. It reports each tensor's ops and runs beside the time.
+func BenchmarkMuxChainFusion(b *testing.B) {
+	for _, fuse := range []bool{true, false} {
+		name := map[bool]string{true: "on", false: "off"}[fuse]
+		b.Run(name, func(b *testing.B) {
+			g, err := gen.Generate(gen.Spec{Family: gen.Boom, Cores: 1, Scale: 16})
+			if err != nil {
+				b.Fatal(err)
+			}
+			o := dfg.DefaultOptOptions()
+			o.MuxChainFuse = fuse
+			if g, err = dfg.Optimize(g, o); err != nil {
+				b.Fatal(err)
+			}
+			ten := buildTensor(b, g)
+			e, err := newEngine(ten, Config{Kind: IU})
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			for i := range ten.InputSlots {
+				pokeInput(e, i, rng.Uint64())
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Step()
+			}
+			b.ReportMetric(float64(ten.TotalOps()), "ops/cycle")
+			b.ReportMetric(float64(len(ten.Runs)), "runs")
+		})
 	}
 }

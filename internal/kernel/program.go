@@ -43,7 +43,7 @@ func NewProgram(t *oim.Tensor, cfg Config) (*Program, error) {
 	p := &Program{t: t, cfg: cfg}
 	switch cfg.Kind {
 	case RU, OU:
-		p.arrays = t.Lower(true)
+		p.arrays = t.Lower()
 	case NU, PSU:
 		p.npayload = t.NPayload()
 	case IU: // walks the tensor's run list and nothing else

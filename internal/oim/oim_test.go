@@ -3,6 +3,7 @@ package oim
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -72,34 +73,58 @@ func TestLoweringsValidate(t *testing.T) {
 		if err := ten.Validate(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		for _, optimized := range []bool{false, true} {
-			a := ten.Lower(optimized)
-			if err := a.Validate(ten); err != nil {
-				t.Fatalf("trial %d optimized=%v: %v", trial, optimized, err)
-			}
-			if optimized && (a.SPayload != nil || a.NPayload != nil || a.OPayload != nil || a.RPayload != nil) {
-				t.Fatal("optimized lowering must elide payload arrays")
-			}
-			if !optimized && (len(a.SPayload) != ten.TotalOps() || len(a.RPayload) != ten.TotalOperands()) {
-				t.Fatal("unoptimized lowering must keep payload arrays")
-			}
-			// The arrays are a derived copy: damage to any of them shows.
-			for name, corrupt := range map[string]func(a *Arrays){
-				"s coordinate":  func(a *Arrays) { a.SCoord[len(a.SCoord)/2]++ },
-				"n coordinate":  func(a *Arrays) { a.NCoord[0]++ },
-				"layer payload": func(a *Arrays) { a.IPayload[0]++; a.IPayload[len(a.IPayload)-1]-- },
-				"r coordinate":  func(a *Arrays) { a.RCoord = slices.Clone(a.RCoord); a.RCoord[len(a.RCoord)/2]++ },
-				"op dropped":    func(a *Arrays) { a.SCoord = a.SCoord[1:] },
-			} {
-				bad := *a
-				bad.IPayload, bad.SCoord, bad.NCoord = slices.Clone(a.IPayload), slices.Clone(a.SCoord), slices.Clone(a.NCoord)
-				corrupt(&bad)
-				if bad.Validate(ten) == nil {
-					t.Fatalf("trial %d optimized=%v: corrupt %s accepted", trial, optimized, name)
-				}
+		a := ten.Lower()
+		if err := validateArrays(a, ten); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		// The arrays are a derived copy: damage to any of them shows.
+		for name, corrupt := range map[string]func(a *Arrays){
+			"s coordinate":  func(a *Arrays) { a.SCoord[len(a.SCoord)/2]++ },
+			"n coordinate":  func(a *Arrays) { a.NCoord[0]++ },
+			"layer payload": func(a *Arrays) { a.IPayload[0]++; a.IPayload[len(a.IPayload)-1]-- },
+			"r coordinate":  func(a *Arrays) { a.RCoord = slices.Clone(a.RCoord); a.RCoord[len(a.RCoord)/2]++ },
+			"op dropped":    func(a *Arrays) { a.SCoord = a.SCoord[1:] },
+		} {
+			bad := *a
+			bad.IPayload, bad.SCoord, bad.NCoord = slices.Clone(a.IPayload), slices.Clone(a.SCoord), slices.Clone(a.NCoord)
+			corrupt(&bad)
+			if validateArrays(&bad, ten) == nil {
+				t.Fatalf("trial %d: corrupt %s accepted", trial, name)
 			}
 		}
 	}
+}
+
+// validateArrays cross-checks a lowering against the tensor it came from.
+func validateArrays(a *Arrays, t *Tensor) error {
+	if len(a.SCoord) != t.TotalOps() || len(a.RCoord) != t.TotalOperands() || len(a.IPayload) != t.NumLayers() {
+		return fmt.Errorf("array sizes diverge from the tensor")
+	}
+	var err error
+	fail := func(format string, args ...any) {
+		if err == nil {
+			err = fmt.Errorf(format, args...)
+		}
+	}
+	count := make([]int32, len(a.IPayload))
+	k, r := 0, 0
+	t.Ops(func(layer int, sig uint16, out int32, args []int32) {
+		count[layer]++
+		if a.SCoord[k] != out || a.NCoord[k] != sig {
+			fail("op %d coords diverge", k)
+		}
+		for _, arg := range args {
+			if a.RCoord[r] != arg {
+				fail("RCoord[%d] diverges", r)
+			}
+			r++
+		}
+		k++
+	})
+	if !slices.Equal(count, a.IPayload) {
+		fail("IPayload diverges from the layers' operation counts")
+	}
+	return err
 }
 
 // TestConeKeepsMarkedOperations: a cone is the marked operations of the
@@ -325,19 +350,21 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFootprintOrdering is Figure 12's format claim, measured on the arrays
-// the kernels walk rather than on a model of them: eliding the redundant
-// payloads (12b) shrinks the explicit-S lowering (12a), and the run-length
-// [I,N,S,O,R] tensor the swizzled kernels execute is smaller than either.
+// TestFootprintOrdering is Figure 12's format claim, in bytes: eliding the
+// redundant payloads (12b, the arrays RU and OU walk) shrinks the
+// explicit-S lowering (12a), and the run-length [I,N,S,O,R] tensor the
+// swizzled kernels execute is smaller than either. 12a is 12b plus the four
+// payload arrays it elides, counted here rather than built: one int per
+// operation for each of SPayload (its N fiber's occupancy) and NPayload (its
+// arity), one int per operand for OPayload (its R fiber's occupancy), and
+// one byte per operand for RPayload (its mask bit).
 func TestFootprintOrdering(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	g := dfg.RandomGraph(rng, dfg.RandomParams{Inputs: 4, Regs: 8, Ops: 300, Consts: 6, MaxWidth: 16, MuxBias: 0.3})
 	ten := buildFrom(t, g)
-	bytesOf := func(a *Arrays) int {
-		return 4*(len(a.IPayload)+len(a.SCoord)+len(a.RCoord)+len(a.SPayload)+len(a.NPayload)+len(a.OPayload)) +
-			2*len(a.NCoord) + len(a.RPayload)
-	}
-	un, opt := bytesOf(ten.Lower(false)), bytesOf(ten.Lower(true))
+	a := ten.Lower()
+	opt := 4*(len(a.IPayload)+len(a.SCoord)+len(a.RCoord)) + 2*len(a.NCoord)
+	un := opt + 4*(2*ten.TotalOps()+ten.TotalOperands()) + ten.TotalOperands()
 	sw := 4*(len(ten.LayerEnds)+len(ten.RCoord)) + int(unsafe.Sizeof(Run{}))*len(ten.Runs)
 	if !(sw < opt && opt < un) {
 		t.Errorf("footprints: swizzled %d B, optimized %d B, unoptimized %d B; want strictly increasing", sw, opt, un)
